@@ -929,11 +929,11 @@ func (rt *Runtime) replicateVirtual(class, uri string, gen, seq uint64, fromNode
 		if dedupBase > 0 && (cur == nil || cur.gen != gen || cur.dedup == nil || dedupBase > cur.dedupStamp) {
 			return true, nil
 		}
-		// The snapshot outlives this call, but state may alias the RPC
-		// receive frame (zero-copy borrowing hands the frame to the
-		// invoker only for the invocation's duration), so the retained
-		// copy must be ours — including any []byte results inside the
-		// dedup records.
+		// The snapshot outlives this call, and state may alias the RPC
+		// receive frame. That memory is safe to hold (a frame decoded
+		// values alias is never reused), but a long-lived replica should
+		// not pin a whole frame per deposit, so the retained copy is ours
+		// — including any []byte results inside the dedup records.
 		recs := copyDedupRecords(dedup)
 		stamp := maxDedupStamp(recs)
 		lru := remoting.NewDedupLRU(rt.dedupCap())

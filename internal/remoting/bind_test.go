@@ -336,7 +336,7 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The client never declared, so the reply is a string envelope.
-	resp, err := ch.decodeResponse(reply)
+	resp, _, err := ch.decodeResponse(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2, err := ch.decodeResponse(reply2)
+	resp2, _, err := ch.decodeResponse(reply2)
 	if err != nil {
 		t.Fatal(err)
 	}

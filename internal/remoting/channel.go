@@ -247,45 +247,43 @@ func (ch *Channel) encodeRequest(req *callRequest) (raw []byte, enc *wire.Encode
 	return body, nil, nil
 }
 
-func (ch *Channel) decodeRequest(raw []byte) (*callRequest, error) {
+// unmarshal decodes one envelope. Binary channels decode in borrow mode:
+// []byte payloads of wire.BorrowMin bytes or more alias raw instead of
+// being copied out of it, and borrowed reports whether any does, which
+// decides raw's fate (see recycleFrame).
+func (ch *Channel) unmarshal(raw []byte) (v any, borrowed bool, err error) {
+	if bf, ok := ch.binaryCodec(); ok {
+		return bf.UnmarshalShared(raw)
+	}
 	if ch.kind == HTTP {
-		var err error
-		raw, err = parseHTTPMessage(raw)
-		if err != nil {
-			return nil, err
+		if raw, err = parseHTTPMessage(raw); err != nil {
+			return nil, false, err
 		}
 	}
-	v, err := ch.codec.Unmarshal(raw)
+	v, err = ch.codec.Unmarshal(raw)
+	return v, false, err
+}
+
+// recycleFrame applies the one ownership rule for receive frames, on the
+// server and the client alike: a frame that decoded values alias is never
+// returned to the pool — the GC owns it, so whoever still reaches an
+// argument or a result (a method that keeps its []byte parameter, a caller
+// holding a result, a dedup record) keeps valid memory — and a frame
+// nothing aliases is recycled at once.
+func recycleFrame(raw []byte, borrowed bool) {
+	if !borrowed {
+		transport.PutFrame(raw)
+	}
+}
+
+func (ch *Channel) decodeRequest(raw []byte) (req *callRequest, borrowed bool, err error) {
+	v, borrowed, err := ch.unmarshal(raw)
 	if err != nil {
-		return nil, fmt.Errorf("remoting: decode request: %w", err)
+		return nil, borrowed, fmt.Errorf("remoting: decode request: %w", err)
 	}
 	// The generated codec decodes the pointer-encoded envelope to
 	// *callRequest; value-encoded envelopes from textual channels (or
 	// older peers) arrive as callRequest.
-	switch req := v.(type) {
-	case *callRequest:
-		return req, nil
-	case callRequest:
-		return &req, nil
-	}
-	return nil, fmt.Errorf("remoting: decoded %T, want callRequest", v)
-}
-
-// decodeRequestShared decodes a request, in borrow mode when borrow is set
-// and the channel is binary: large []byte arguments then alias raw instead
-// of being copied out of it. borrowed=true transfers ownership of raw to
-// whoever holds the request — the caller must not PutFrame it until the
-// request's last use (the invoker's return; see Server.handleConn).
-func (ch *Channel) decodeRequestShared(raw []byte, borrow bool) (req *callRequest, borrowed bool, err error) {
-	bf, binary := ch.binaryCodec()
-	if !borrow || !binary {
-		req, err := ch.decodeRequest(raw)
-		return req, false, err
-	}
-	v, borrowed, err := bf.UnmarshalShared(raw)
-	if err != nil {
-		return nil, borrowed, fmt.Errorf("remoting: decode request: %w", err)
-	}
 	switch req := v.(type) {
 	case *callRequest:
 		return req, borrowed, nil
@@ -318,38 +316,8 @@ func (ch *Channel) encodeResponse(resp *callResponse) (raw []byte, enc *wire.Enc
 	return body, nil, nil
 }
 
-func (ch *Channel) decodeResponse(raw []byte) (*callResponse, error) {
-	if ch.kind == HTTP {
-		var err error
-		raw, err = parseHTTPMessage(raw)
-		if err != nil {
-			return nil, err
-		}
-	}
-	v, err := ch.codec.Unmarshal(raw)
-	if err != nil {
-		return nil, fmt.Errorf("remoting: decode response: %w", err)
-	}
-	switch resp := v.(type) {
-	case *callResponse:
-		return resp, nil
-	case callResponse:
-		return &resp, nil
-	}
-	return nil, fmt.Errorf("remoting: decoded %T, want callResponse", v)
-}
-
-// decodeResponseShared mirrors decodeRequestShared for the client side:
-// with borrow set on a binary channel, a large []byte result aliases raw,
-// and borrowed=true means raw now belongs to the response's consumer (the
-// mux reader simply skips PutFrame and lets the GC free both together).
-func (ch *Channel) decodeResponseShared(raw []byte, borrow bool) (resp *callResponse, borrowed bool, err error) {
-	bf, binary := ch.binaryCodec()
-	if !borrow || !binary {
-		resp, err := ch.decodeResponse(raw)
-		return resp, false, err
-	}
-	v, borrowed, err := bf.UnmarshalShared(raw)
+func (ch *Channel) decodeResponse(raw []byte) (resp *callResponse, borrowed bool, err error) {
+	v, borrowed, err := ch.unmarshal(raw)
 	if err != nil {
 		return nil, borrowed, fmt.Errorf("remoting: decode response: %w", err)
 	}
@@ -407,9 +375,7 @@ func (ch *Channel) sendMsgBatch(c transport.Conn, msgs [][]byte) error {
 
 // recvMsg receives one message, reassembling legacy chunks, and charges the
 // endpoint cost model. The returned buffer is pool-backed when the
-// transport supports it: callers hand it to transport.PutFrame after the
-// message's last use (decoding copies everything, so right after decode is
-// always safe).
+// transport supports it; recycleFrame settles it after the decode.
 func (ch *Channel) recvMsg(c transport.Conn) ([]byte, error) {
 	if ch.kind != LegacyTCP {
 		msg, err := transport.RecvFrame(c)
@@ -586,8 +552,8 @@ func (ch *Channel) exchange(netaddr string, c transport.Conn, raw []byte, req *c
 	if err != nil {
 		return nil, fmt.Errorf("remoting: receive from %s: %v: %w", netaddr, err, errs.ErrNodeDown)
 	}
-	resp, err := ch.decodeResponse(rawResp)
-	transport.PutFrame(rawResp) // decode copied everything it kept
+	resp, borrowed, err := ch.decodeResponse(rawResp)
+	recycleFrame(rawResp, borrowed)
 	if err != nil {
 		return nil, err
 	}

@@ -121,22 +121,12 @@ func encodeBoundCall(handle uint32, req *callRequest, disableGenerated bool) (ra
 
 // decodeBoundCall parses a compact call frame into the handle and a
 // callRequest with URI/Method left empty (the server fills them from its
-// bind table).
-func decodeBoundCall(raw []byte) (handle uint32, req *callRequest, err error) {
-	handle, req, _, err = decodeBoundCallShared(raw, false)
-	return handle, req, err
-}
-
-// decodeBoundCallShared is decodeBoundCall with optional zero-copy
-// borrowing: with borrow set, large []byte arguments alias raw, and
-// borrowed=true transfers ownership of raw to whoever holds the request
-// (the server keeps the frame until the invocation returns).
-func decodeBoundCallShared(raw []byte, borrow bool) (handle uint32, req *callRequest, borrowed bool, err error) {
+// bind table). It decodes in borrow mode: large []byte arguments alias raw,
+// and borrowed reports whether any does (see recycleFrame).
+func decodeBoundCall(raw []byte) (handle uint32, req *callRequest, borrowed bool, err error) {
 	d := wire.NewDecoder(raw)
 	defer d.Release()
-	if borrow {
-		d.SetBorrow(true)
-	}
+	d.SetBorrow(true)
 	b := d.RawByte()
 	if b != markBoundCall && b != markBoundCallTok {
 		return 0, nil, false, fmt.Errorf("remoting: bound call marker 0x%02x, want 0x%02x or 0x%02x", b, markBoundCall, markBoundCallTok)
@@ -207,21 +197,13 @@ func encodeBoundReply(resp *callResponse, bindAck uint32, disableGenerated bool)
 }
 
 // decodeBoundReply parses a compact reply frame, returning the normalized
-// response and the handle it confirms (0 when none).
-func decodeBoundReply(raw []byte) (resp *callResponse, bindAck uint32, err error) {
-	resp, bindAck, _, err = decodeBoundReplyShared(raw, false)
-	return resp, bindAck, err
-}
-
-// decodeBoundReplyShared is decodeBoundReply with optional zero-copy
-// borrowing: with borrow set, a large []byte result aliases raw, and
-// borrowed=true transfers ownership of raw to the response's consumer.
-func decodeBoundReplyShared(raw []byte, borrow bool) (resp *callResponse, bindAck uint32, borrowed bool, err error) {
+// response and the handle it confirms (0 when none). It decodes in borrow
+// mode: a large []byte result aliases raw, and borrowed reports whether it
+// does (see recycleFrame).
+func decodeBoundReply(raw []byte) (resp *callResponse, bindAck uint32, borrowed bool, err error) {
 	d := wire.NewDecoder(raw)
 	defer d.Release()
-	if borrow {
-		d.SetBorrow(true)
-	}
+	d.SetBorrow(true)
 	if b := d.RawByte(); b != markBoundReply {
 		return nil, 0, false, fmt.Errorf("remoting: bound reply marker 0x%02x, want 0x%02x", b, markBoundReply)
 	}

@@ -18,7 +18,7 @@ func TestBoundCallRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	handle, got, err := decodeBoundCall(raw)
+	handle, got, _, err := decodeBoundCall(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestBoundReplyRoundTripResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	got, ack, err := decodeBoundReply(raw)
+	got, ack, _, err := decodeBoundReply(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestBoundReplyRoundTripError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	got, ack, err := decodeBoundReply(raw)
+	got, ack, _, err := decodeBoundReply(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,26 +118,26 @@ func TestBoundCallRejectsBadFrames(t *testing.T) {
 	frame := append([]byte(nil), raw...)
 	enc.Release()
 
-	if _, _, err := decodeBoundCall(append(frame, 0xFF)); err == nil {
+	if _, _, _, err := decodeBoundCall(append(frame, 0xFF)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	if _, _, err := decodeBoundCall(frame[:len(frame)-1]); err == nil {
+	if _, _, _, err := decodeBoundCall(frame[:len(frame)-1]); err == nil {
 		t.Error("truncated frame accepted")
 	}
 	bad := append([]byte(nil), frame...)
 	bad[0] = markBoundReply
-	if _, _, err := decodeBoundCall(bad); err == nil {
+	if _, _, _, err := decodeBoundCall(bad); err == nil {
 		t.Error("wrong marker accepted")
 	}
 	// Handle 0 and out-of-range handles are rejected.
 	if raw0, enc0, err := encodeBoundCall(0, req, false); err == nil {
-		if _, _, err := decodeBoundCall(raw0); err == nil {
+		if _, _, _, err := decodeBoundCall(raw0); err == nil {
 			t.Error("handle 0 accepted")
 		}
 		enc0.Release()
 	}
 	if rawBig, encBig, err := encodeBoundCall(maxBindHandles+1, req, false); err == nil {
-		if _, _, err := decodeBoundCall(rawBig); err == nil {
+		if _, _, _, err := decodeBoundCall(rawBig); err == nil {
 			t.Error("out-of-range handle accepted")
 		}
 		encBig.Release()
@@ -153,12 +153,12 @@ func TestBoundReplyRejectsBadFrames(t *testing.T) {
 	frame := append([]byte(nil), raw...)
 	enc.Release()
 
-	if _, _, err := decodeBoundReply(append(frame, 0x00)); err == nil {
+	if _, _, _, err := decodeBoundReply(append(frame, 0x00)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	bad := append([]byte(nil), frame...)
 	bad[0] = markBoundCall
-	if _, _, err := decodeBoundReply(bad); err == nil {
+	if _, _, _, err := decodeBoundReply(bad); err == nil {
 		t.Error("wrong marker accepted")
 	}
 }

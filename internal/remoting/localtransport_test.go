@@ -18,7 +18,7 @@ func (echoBytesService) EchoBytes(b []byte) []byte { return b }
 // TestInvokeOverLocalTransports runs real multiplexed RPC over the
 // scheme-routed transports — the co-located fast paths — including a
 // payload large enough to travel the zero-copy borrow path end to end on
-// both sides (above wire.BorrowMin and above the frame pool's retain cap).
+// both sides (above wire.BorrowMin).
 func TestInvokeOverLocalTransports(t *testing.T) {
 	addrs := []string{"inproc://rpc-e2e"}
 	if runtime.GOOS != "windows" {

@@ -26,7 +26,7 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	got, ack, err := decodeBoundReply(raw)
+	got, ack, _, err := decodeBoundReply(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer encPlain.Release()
-	gotPlain, _, err := decodeBoundReply(rawPlain)
+	gotPlain, _, _, err := decodeBoundReply(rawPlain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -582,11 +582,6 @@ func (mc *muxConn) writer() {
 // in-flight entry belongs to an abandoned call and is dropped. Compact
 // replies (which only a binding server sends, and only after this client
 // declared a handle) also carry bind acks, applied here before routing.
-//
-// Frames the pool would not retain anyway (large payloads past the retain
-// cap) decode in borrow mode: the result's []byte values alias the frame,
-// the memcpy is skipped, and the GC frees frame and result together.
-// Poolable frames decode with copies and recycle immediately, as always.
 func (mc *muxConn) reader() {
 	for {
 		raw, err := mc.ch.recvMsg(mc.conn)
@@ -594,21 +589,18 @@ func (mc *muxConn) reader() {
 			mc.fail(fmt.Errorf("remoting: receive from %s: %v: %w", mc.netaddr, err, errs.ErrNodeDown))
 			return
 		}
-		borrow := !transport.PoolableFrame(raw)
 		var resp *callResponse
 		var borrowed bool
 		if isCompactFrame(raw, markBoundReply) {
 			var ack uint32
-			resp, ack, borrowed, err = decodeBoundReplyShared(raw, borrow)
+			resp, ack, borrowed, err = decodeBoundReply(raw)
 			if err == nil && ack != 0 {
 				mc.confirmBind(ack)
 			}
 		} else {
-			resp, borrowed, err = mc.ch.decodeResponseShared(raw, borrow)
+			resp, borrowed, err = mc.ch.decodeResponse(raw)
 		}
-		if !borrowed {
-			transport.PutFrame(raw) // decode copied everything it kept
-		}
+		recycleFrame(raw, borrowed)
 		if err != nil {
 			// A framing/codec failure desynchronises the stream; the
 			// whole lane is unusable.

@@ -420,53 +420,36 @@ func (s *Server) handleConn(c transport.Conn) {
 		var req *callRequest
 		var entry *bindEntry
 		var bindAck uint32
+		var bound uint32
 		var borrowed bool
-		if binary && (isCompactFrame(raw, markBoundCall) || isCompactFrame(raw, markBoundCallTok)) {
-			var handle uint32
-			handle, req, borrowed, err = decodeBoundCallShared(raw, true)
-			if err != nil {
-				// Framing failure: the stream is desynchronised.
-				transport.PutFrame(raw)
-				return
-			}
-			entry = sc.lookupBind(handle)
+		compact := binary && (isCompactFrame(raw, markBoundCall) || isCompactFrame(raw, markBoundCallTok))
+		if compact {
+			bound, req, borrowed, err = decodeBoundCall(raw)
+		} else {
+			req, borrowed, err = s.ch.decodeRequest(raw)
+		}
+		recycleFrame(raw, borrowed)
+		if err != nil {
+			// A framing failure desynchronises the stream, and without a
+			// sequence number we cannot form a matching reply; drop the
+			// connection.
+			return
+		}
+		if compact {
+			entry = sc.lookupBind(bound)
 			if entry == nil {
 				// A handle the read loop never saw declared: a peer
 				// bug, but seq is known, so answer instead of
 				// killing every other pipelined call on the pipe.
-				sc.respond(req, errorResponse(req, fmt.Sprintf("unbound call handle %d", handle)), 0)
-				transport.PutFrame(raw)
+				sc.respond(req, errorResponse(req, fmt.Sprintf("unbound call handle %d", bound)), 0)
 				continue
 			}
 			req.URI, req.Method = entry.uri, entry.method
-		} else {
-			req, borrowed, err = s.ch.decodeRequestShared(raw, binary)
-			if err != nil {
-				// Without a sequence number we cannot form a matching
-				// reply; drop the connection.
-				transport.PutFrame(raw)
-				return
-			}
-			if req.Bind != 0 && binary && !s.ch.DisableBinding {
-				entry, bindAck = sc.declare(req)
-			}
-		}
-		// Explicit frame-ownership handoff (zero-copy borrowing): when the
-		// decode borrowed, large []byte arguments alias raw, so the frame
-		// travels with the request into the invoker and is recycled only
-		// after the response was encoded (respond copies anything the
-		// result still aliases). Unborrowed frames recycle immediately, as
-		// always.
-		ownedFrame := raw
-		if !borrowed {
-			transport.PutFrame(raw) // decode copied everything it kept
-			ownedFrame = nil
+		} else if req.Bind != 0 && binary && !s.ch.DisableBinding {
+			entry, bindAck = sc.declare(req)
 		}
 		handle := func() {
 			sc.respond(req, s.dispatchEntry(req, entry), bindAck)
-			if ownedFrame != nil {
-				transport.PutFrame(ownedFrame)
-			}
 			// The args backing is dead once the reply is encoded: dispatch
 			// copied every element into typed parameters (variadic methods
 			// are rejected, so the slice itself never escapes). Elements
@@ -478,9 +461,6 @@ func (s *Server) handleConn(c transport.Conn) {
 		if s.pool != nil {
 			if submitErr := s.pool.Submit(func() { defer calls.Done(); handle() }); submitErr != nil {
 				sc.respond(req, errorResponse(req, fmt.Sprintf("server shutting down: %v", submitErr)), bindAck)
-				if ownedFrame != nil {
-					transport.PutFrame(ownedFrame)
-				}
 				calls.Done()
 			}
 		} else {

@@ -220,8 +220,8 @@ func newInprocPipe(addrA, addrB string) (Conn, Conn) {
 
 // inprocConn hands pooled frames directly to the peer. Send copies into a
 // GetFrame buffer (the caller keeps ownership of msg, matching Conn's
-// contract); Recv surrenders that buffer to the receiver, which returns it
-// to the shared pool after decoding — the same ownership cycle as a TCP
+// contract); Recv surrenders that buffer to the receiver, which settles it
+// after decoding as PutFrame describes — the same ownership cycle as a TCP
 // receive, minus framing and syscalls.
 type inprocConn struct {
 	send   chan []byte

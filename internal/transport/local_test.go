@@ -239,15 +239,3 @@ func TestAutoRouting(t *testing.T) {
 		testNetworkRoundtrip(t, Auto{}, fmt.Sprintf("unix://auto-routed-%d", os.Getpid()))
 	}
 }
-
-func TestPoolableFrame(t *testing.T) {
-	if PoolableFrame(nil) {
-		t.Error("nil frame reported poolable")
-	}
-	if !PoolableFrame(GetFrame(1024)) {
-		t.Error("pool-sized frame reported unpoolable")
-	}
-	if PoolableFrame(make([]byte, frameRetain+1)) {
-		t.Error("oversized frame reported poolable")
-	}
-}

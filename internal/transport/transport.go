@@ -104,49 +104,47 @@ func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
 // ---------------------------------------------------------------- frames
 
-// frameRetain caps the capacity of buffers kept in the frame pool, so a
-// one-off large message does not pin memory.
-const frameRetain = 64 << 10
+// smallMax is the one size line of this package: a message up to it is
+// small enough to copy (into the connection's reusable write buffer, where
+// one Write carries prefix and body) and its receive frame small enough to
+// pool; anything larger is sent vectored and never copied, and its buffers
+// are left to the GC, so a one-off large message pins no memory.
+const smallMax = 64 << 10
 
 // framePool recycles receive buffers between messages. Buffers are stored
 // behind pointers to keep sync.Pool from re-boxing the slice header.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
+var framePool sync.Pool
 
 // GetFrame returns a buffer of length n, reusing pooled capacity when
 // possible. Pair with PutFrame once the frame's bytes are no longer
 // referenced.
 func GetFrame(n int) []byte {
-	p := framePool.Get().(*[]byte)
-	if cap(*p) >= n {
-		return (*p)[:n]
+	if p, _ := framePool.Get().(*[]byte); p != nil {
+		if cap(*p) >= n {
+			return (*p)[:n]
+		}
+		framePool.Put(p) // too small for this message, right for a smaller one
 	}
-	framePool.Put(p)
 	return make([]byte, n)
 }
 
-// PutFrame recycles a message buffer. Callers may hand back any buffer they
-// own — including ones Recv allocated — but must not retain references into
-// it afterwards; the wire codecs copy everything they decode, so releasing
-// a frame right after Unmarshal is always safe.
+// PutFrame recycles a message buffer nothing references any more. The
+// ownership rule for receive frames: a frame that decoded values alias
+// (wire borrow mode) is never handed back — the GC owns it, together with
+// the values — and a frame nothing aliases is handed back at once. Callers
+// may pass any buffer they own, including ones Recv allocated; buffers
+// above smallMax are dropped.
 func PutFrame(b []byte) {
-	if cap(b) == 0 || cap(b) > frameRetain {
+	if cap(b) == 0 || cap(b) > smallMax {
 		return
 	}
 	b = b[:0]
 	framePool.Put(&b)
 }
 
-// PoolableFrame reports whether PutFrame would retain b. A frame the pool
-// would refuse anyway (oversized, or not capacity-backed) is a candidate
-// for zero-copy borrowing: letting decoded values alias it costs the pool
-// nothing, and the GC frees frame and values together.
-func PoolableFrame(b []byte) bool {
-	return cap(b) > 0 && cap(b) <= frameRetain
-}
-
 // RecvFrame receives one message, drawing the buffer from the frame pool
 // when the connection supports it (TCP stream connections do). The caller
-// owns the result either way and should PutFrame it after its last use.
+// owns the result either way; see PutFrame for when to hand it back.
 func RecvFrame(c Conn) ([]byte, error) {
 	if pr, ok := c.(pooledReceiver); ok {
 		return pr.recvPooled()
@@ -193,17 +191,19 @@ func SendBatch(c Conn, msgs [][]byte) error {
 // read syscall fills the buffer with all of them — the receive-side half
 // of write coalescing.
 type streamConn struct {
-	c       net.Conn
-	sendMu  sync.Mutex
-	wbuf    []byte // length prefix + body, reused between Sends
-	recvMu  sync.Mutex
-	br      *bufio.Reader
-	rLenBuf [4]byte
+	c      net.Conn
+	sendMu sync.Mutex
+	// Send-side scratch, all under sendMu and reused between writes: wbuf
+	// assembles a small write (never grows past smallMax); prefixes and vec
+	// hold a vectored write's length prefixes and buffer list, and out is
+	// the view of vec that net.Buffers.WriteTo consumes.
+	wbuf     []byte
+	prefixes []byte
+	vec, out net.Buffers
+	recvMu   sync.Mutex
+	br       *bufio.Reader
+	rLenBuf  [4]byte
 }
-
-// wbufRetain caps the write buffer kept between Sends; a one-off large
-// message does not pin its buffer forever.
-const wbufRetain = 64 << 10
 
 // readBufSize sizes the receive buffer: big enough to swallow a full
 // batch of small pipelined frames in one read, small enough that the
@@ -215,39 +215,19 @@ func newStreamConn(c net.Conn) *streamConn {
 	return &streamConn{c: c, br: bufio.NewReaderSize(c, readBufSize)}
 }
 
+// Send is the one-message case of SendBatch.
 func (s *streamConn) Send(msg []byte) error {
-	if len(msg) > MaxFrame {
-		return fmt.Errorf("transport: message of %d bytes exceeds MaxFrame", len(msg))
-	}
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	// Prefix and body go out in ONE Write: with Nagle disabled, separate
-	// writes would put the 4-byte prefix in its own packet, doubling the
-	// packet count exactly on the small pipelined messages where it hurts.
-	n := 4 + len(msg)
-	buf := s.wbuf
-	if cap(buf) < n {
-		buf = make([]byte, n)
-		if n <= wbufRetain {
-			s.wbuf = buf
-		}
-	}
-	buf = buf[:n]
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(msg)))
-	copy(buf[4:], msg)
-	_, err := s.c.Write(buf)
-	return err
+	return s.SendBatch([][]byte{msg})
 }
 
-// batchCopyMax bounds the contiguous buffer a batched send assembles;
-// batches larger than this flush through vectored IO (net.Buffers) so big
-// payloads are never copied an extra time.
-const batchCopyMax = 64 << 10
-
-// SendBatch implements BatchSender: every message is length-framed exactly
-// as Send frames it, but the whole batch leaves in one Write (small
-// batches, copied into the reusable write buffer) or one writev (large
-// batches, vectored without copying the bodies).
+// SendBatch implements BatchSender: every message is preceded by its 4-byte
+// length and the whole batch leaves in one wire write. Prefix and body must
+// not go out in separate writes: with Nagle disabled the prefix would get a
+// packet of its own, doubling the packet count exactly on the small
+// pipelined messages where it hurts. So a write of up to smallMax bytes is
+// copied into the reusable write buffer and leaves in one Write; a larger
+// one leaves in one writev of [prefix, body, ...], its bodies never copied.
+// Steady state allocates nothing either way.
 func (s *streamConn) SendBatch(msgs [][]byte) error {
 	total := 0
 	for _, m := range msgs {
@@ -258,13 +238,11 @@ func (s *streamConn) SendBatch(msgs [][]byte) error {
 	}
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	if total <= batchCopyMax {
-		buf := s.wbuf
-		if cap(buf) < total {
-			buf = make([]byte, 0, total)
-			s.wbuf = buf // total <= batchCopyMax == wbufRetain, safe to keep
+	if total <= smallMax {
+		if cap(s.wbuf) < total {
+			s.wbuf = make([]byte, 0, total)
 		}
-		buf = buf[:0]
+		buf := s.wbuf[:0]
 		for _, m := range msgs {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(len(m)))
 			buf = append(buf, m...)
@@ -272,14 +250,16 @@ func (s *streamConn) SendBatch(msgs [][]byte) error {
 		_, err := s.c.Write(buf)
 		return err
 	}
-	prefixes := make([]byte, 4*len(msgs))
-	bufs := make(net.Buffers, 0, 2*len(msgs))
-	for i, m := range msgs {
-		p := prefixes[4*i : 4*i+4]
-		binary.BigEndian.PutUint32(p, uint32(len(m)))
-		bufs = append(bufs, p, m)
+	s.prefixes, s.vec = s.prefixes[:0], s.vec[:0]
+	for _, m := range msgs {
+		s.prefixes = binary.BigEndian.AppendUint32(s.prefixes, uint32(len(m)))
 	}
-	_, err := bufs.WriteTo(s.c)
+	for i, m := range msgs {
+		s.vec = append(s.vec, s.prefixes[4*i:4*i+4], m)
+	}
+	s.out = s.vec
+	_, err := s.out.WriteTo(s.c)
+	clear(s.vec) // keep no reference to the caller's messages
 	return err
 }
 

@@ -3,6 +3,10 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -328,7 +332,7 @@ func batchPayload(n, seed int) []byte {
 	return b
 }
 
-// TestSendBatchSmallTCP covers the copy path (total under batchCopyMax):
+// TestSendBatchSmallTCP covers the copy path (total under smallMax):
 // many small frames leave in one Write.
 func TestSendBatchSmallTCP(t *testing.T) {
 	var msgs [][]byte
@@ -339,13 +343,13 @@ func TestSendBatchSmallTCP(t *testing.T) {
 }
 
 // TestSendBatchLargeTCP covers the vectored path (total over
-// batchCopyMax): bodies go out through writev without an extra copy.
+// smallMax): bodies go out through writev without an extra copy.
 func TestSendBatchLargeTCP(t *testing.T) {
 	msgs := [][]byte{
 		batchPayload(1, 1),
-		batchPayload(batchCopyMax, 2), // alone over the copy threshold
+		batchPayload(smallMax, 2), // alone over the copy threshold
 		batchPayload(777, 3),
-		batchPayload(batchCopyMax/2, 4),
+		batchPayload(smallMax/2, 4),
 		batchPayload(3, 5),
 	}
 	testSendBatch(t, TCPNetwork{}, "127.0.0.1:0", msgs)
@@ -397,15 +401,18 @@ func TestSendBatchOversize(t *testing.T) {
 	}
 }
 
-// TestSendBatchConcurrentWithSend: batched and single sends from separate
-// goroutines must interleave at frame granularity only.
+// TestSendBatchConcurrentWithSend: eight goroutines share one connection
+// and mix batched sends with single sends of small (copied) and large
+// (vectored) messages; every frame arrives whole, so the send paths
+// interleave at frame granularity only (run with -race).
 func TestSendBatchConcurrentWithSend(t *testing.T) {
 	l, err := TCPNetwork{}.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	const perSender = 50
+	const senders, perSender = 8, 24
+	sizes := []int{40, smallMax + 100, 3000, 200 << 10}
 	done := make(chan error, 1)
 	go func() {
 		c, err := l.Accept()
@@ -414,21 +421,20 @@ func TestSendBatchConcurrentWithSend(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		seen := 0
-		for seen < 3*perSender {
-			m, err := c.Recv()
+		for seen := 0; seen < senders*perSender*3; seen++ {
+			m, err := RecvFrame(c)
 			if err != nil {
 				done <- err
 				return
 			}
-			// Every frame is self-consistent: filled with its length's seed.
+			// Every frame is self-consistent: byte i is byte 0 plus i.
 			for i := range m {
 				if m[i] != byte(int(m[0])+i) {
-					done <- fmt.Errorf("frame corrupted at byte %d", i)
+					done <- fmt.Errorf("frame of %d bytes corrupted at byte %d", len(m), i)
 					return
 				}
 			}
-			seen++
+			PutFrame(m)
 		}
 		done <- nil
 	}()
@@ -438,13 +444,17 @@ func TestSendBatchConcurrentWithSend(t *testing.T) {
 	}
 	defer c.Close()
 	var wg sync.WaitGroup
-	for s := 0; s < 3; s++ {
+	for s := 0; s < senders; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			for i := 0; i < perSender; i += 2 {
+			for i := 0; i < perSender; i++ {
 				batch := [][]byte{batchPayload(20+s, 7*s), batchPayload(30+s, 7*s)}
 				if err := SendBatch(c, batch); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := c.Send(batchPayload(sizes[(s+i)%len(sizes)], 31*s+i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -454,5 +464,143 @@ func TestSendBatchConcurrentWithSend(t *testing.T) {
 	wg.Wait()
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// echoConn dials a peer on net that sends every frame straight back
+// (RecvFrame, Send, PutFrame — the frame is dead once Send returned).
+func echoConn(t *testing.T, net Network, addr string) Conn {
+	t.Helper()
+	l, err := net.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for {
+			m, err := RecvFrame(c)
+			if err != nil || c.Send(m) != nil {
+				return
+			}
+			PutFrame(m)
+		}
+	}()
+	c, err := net.Dial(l.Addr())
+	if err != nil {
+		l.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close(); l.Close(); <-served })
+	return c
+}
+
+// TestFrameSizesAroundSmallMax: messages on both sides of the line between
+// the copied single Write (4+len <= smallMax) and the vectored write come
+// back byte-identical, so the receiver cannot tell which path sent them.
+func TestFrameSizesAroundSmallMax(t *testing.T) {
+	nets := map[string]string{"tcp": "127.0.0.1:0"}
+	if runtime.GOOS != "windows" {
+		nets["unix"] = fmt.Sprintf("unix://sizes-%d", os.Getpid())
+	}
+	for name, addr := range nets {
+		t.Run(name, func(t *testing.T) {
+			c := echoConn(t, Auto{}, addr)
+			for _, n := range []int{smallMax - 5, smallMax - 4, smallMax - 3, smallMax, 1 << 20, 17} {
+				msg := batchPayload(n, n)
+				if err := c.Send(msg); err != nil {
+					t.Fatalf("Send %d: %v", n, err)
+				}
+				got, err := RecvFrame(c)
+				if err != nil {
+					t.Fatalf("RecvFrame %d: %v", n, err)
+				}
+				if !bytes.Equal(got, msg) {
+					t.Fatalf("message of %d bytes came back changed (%d bytes)", n, len(got))
+				}
+				PutFrame(got)
+			}
+		})
+	}
+}
+
+// TestSendLargeAllocatesNothing: a message above smallMax leaves through
+// the connection's own prefix and vector, with no payload-sized buffer and
+// no per-call slices, and a batch of them likewise.
+func TestSendLargeAllocatesNothing(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		if c, err := l.Accept(); err == nil {
+			io.Copy(io.Discard, c) //nolint:errcheck
+			c.Close()
+		}
+	}()
+	c, err := TCPNetwork{}.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := batchPayload(256<<10, 5)
+	batch := [][]byte{msg, batchPayload(100, 6), msg}
+	send := func() {
+		if err := c.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := SendBatch(c, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		send() // sizes the connection's scratch
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		send()
+	}
+	runtime.ReadMemStats(&after)
+	c.Close()
+	<-drained
+	// The reader on the other end of the socket shares the heap, hence a
+	// bound and not zero.
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<10 {
+		t.Errorf("Send+SendBatch of 256 KiB messages allocated %d B per round, want < 1 KiB", per)
+	}
+}
+
+// TestFramePoolKeepsSmallDropsLarge: PutFrame hands a frame of up to
+// smallMax to the next GetFrame and drops a larger one.
+func TestFramePoolKeepsSmallDropsLarge(t *testing.T) {
+	reused := func(n int) bool {
+		// GetFrame looks at one pooled buffer per call, so take out what
+		// earlier tests left there. sync.Pool may also drop any single Put
+		// (it does so at random under -race), so a miss is retried.
+		for framePool.Get() != nil {
+		}
+		for try := 0; try < 100; try++ {
+			f := GetFrame(n)
+			PutFrame(f)
+			if g := GetFrame(n); &g[0] == &f[0] {
+				return true
+			}
+		}
+		return false
+	}
+	if !reused(smallMax) {
+		t.Errorf("a frame of smallMax bytes never came back from the pool")
+	}
+	if reused(smallMax + 1) {
+		t.Errorf("a frame above smallMax came back from the pool")
 	}
 }

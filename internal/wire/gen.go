@@ -164,8 +164,9 @@ func HasGeneratedCodec(name string) bool { return generatedName(name) != nil }
 
 // ---------------------------------------------------------------- Encoder
 
-// retainCap bounds the buffer capacity a pooled Encoder keeps between uses,
-// so a one-off large message does not pin its buffer in the pool.
+// retainCap is the buffer capacity a pooled Encoder always keeps between
+// uses. A larger buffer is kept only while it is earning its size; see
+// Release.
 const retainCap = 64 << 10
 
 // Encoder is the streaming encode surface for the binfmt dialect. It is
@@ -190,9 +191,13 @@ func NewEncoder() *Encoder {
 }
 
 // Release resets the encoder and returns it to the pool. The byte slice
-// returned by Bytes is invalidated.
+// returned by Bytes is invalidated. A buffer above retainCap stays with the
+// encoder when the message it just carried filled at least a quarter of it,
+// so steady bulk traffic re-encodes into the same memory; the first small
+// message through the encoder drops it, and sync.Pool drops idle encoders
+// across collections, so a one-off giant message cannot pin its buffer.
 func (e *Encoder) Release() {
-	if cap(e.e.buf) > retainCap {
+	if c := cap(e.e.buf); c > retainCap && len(e.e.buf) < c/4 {
 		e.e.buf = nil
 	} else {
 		e.e.buf = e.e.buf[:0]

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -119,6 +120,55 @@ func TestEncoderReuse(t *testing.T) {
 			t.Fatalf("iteration %d: pooled encoder produced different bytes", i)
 		}
 		e.Release()
+	}
+}
+
+// TestEncoderKeepsBulkBuffer: the encoder that carried a 256 KiB message
+// comes back from the pool with its buffer, so the next 256 KiB message
+// encodes into the same memory and allocates nothing.
+func TestEncoderKeepsBulkBuffer(t *testing.T) {
+	var msg any = []any{"Bytes", []any{make([]byte, 256<<10)}}
+	encode := func() (capacity int, allocated uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e := NewEncoder()
+		if err := e.Encode(msg); err != nil {
+			t.Fatal(err)
+		}
+		capacity = cap(e.Bytes())
+		e.Release()
+		runtime.ReadMemStats(&after)
+		return capacity, after.TotalAlloc - before.TotalAlloc
+	}
+	// sync.Pool may drop any single Put (it does so at random under
+	// -race), so a miss is retried.
+	for try := 0; try < 100; try++ {
+		first, _ := encode()
+		second, allocated := encode()
+		if second == first && allocated == 0 {
+			return
+		}
+	}
+	t.Error("a second 256 KiB encode never reused the first one's buffer")
+}
+
+// TestEncoderDropsOversizedBuffer: the buffer a one-off 4 MiB message grew
+// goes when a small message shows it is no longer earning its size.
+func TestEncoderDropsOversizedBuffer(t *testing.T) {
+	e := NewEncoder()
+	if err := e.Encode(make([]byte, 4<<20)); err != nil {
+		t.Fatal(err)
+	}
+	e.Reset()
+	if err := e.Encode(make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(e.Bytes()) < 4<<20 {
+		t.Fatalf("Reset left %d B of capacity, want the 4 MiB buffer", cap(e.Bytes()))
+	}
+	e.Release()
+	if cap(e.e.buf) > retainCap {
+		t.Errorf("released after a 100 B message still holding %d B, want at most %d", cap(e.e.buf), retainCap)
 	}
 }
 
