@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/netsim"
-	"repro/internal/profile"
+	"repro/internal/paper/profile"
 	"repro/internal/raytracer"
 	"repro/internal/sieve"
 )

@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	go run ./cmd/parcbench -exp fanout -exp codec -json > BENCH_current.json
+//	go run ./cmd/parcbench -exp codec -exp openloop -json > BENCH_current.json
 //	go run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_current.json
 //
-// Tracked metrics: fanout calls/s (per channel and payload size, must not
-// drop), codec ns/op (per path/op, must not rise), codec allocs/op
+// Tracked metrics: codec ns/op (per path/op, must not rise), codec allocs/op
 // (per path/op, must never rise — allocation counts are deterministic, so
 // a pooling regression has no noise excuse and gets no tolerance; the
 // alloc gate applies in -relative mode too), and the open-loop serving
@@ -40,7 +39,7 @@ func main() {
 	current := flag.String("current", "", "fresh report to check (required)")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional regression (0.15 = 15%)")
 	relative := flag.Bool("relative", false,
-		"compare machine-independent ratios (codec speedups, fanout channel ratios) instead of absolute calls/s and ns/op; use when baseline and current ran on different hardware (CI)")
+		"compare machine-independent ratios (codec speedups, recovery ratios, open-loop fractions) instead of absolute calls/s and ns/op; use when baseline and current ran on different hardware (CI)")
 	force := flag.Bool("force", false,
 		"compare absolute metrics even when the reports' GOMAXPROCS/NumCPU differ (normally refused: core-count changes move every absolute number for hardware reasons)")
 	flag.Parse()
@@ -73,7 +72,7 @@ func main() {
 		tracked = len(bench.RelativeMetrics(base))
 	} else {
 		problems = bench.CompareReports(base, cur, *tolerance)
-		tracked = len(base.Fanout) + len(base.Codec) + len(base.OpenLoop)
+		tracked = len(base.Codec) + len(base.OpenLoop)
 	}
 	mode := "absolute"
 	if *relative {

@@ -7,11 +7,11 @@
 //	parcbench                        # every experiment, quick settings
 //	parcbench -full                  # full sweeps (paper-sized; minutes)
 //	parcbench -exp fig8a             # one experiment
-//	parcbench -exp fanout -exp codec # several (repeat -exp or comma-join)
-//	parcbench -exp fanout -exp codec -json > BENCH.json
+//	parcbench -exp codec -exp chaos  # several (repeat -exp or comma-join)
+//	parcbench -exp codec -exp chaos -json > BENCH.json
 //
 // Experiments: fig8a fig8b latency fig9 seqratio overhead agg agglom
-// codecs pool fanout codec rebalance failover openloop.
+// codecs pool codec rebalance failover openloop chaos skeletons.
 //
 // With -json the human tables go to stderr and a machine-readable
 // bench.Report (the format BENCH_baseline.json and the CI regression gate
@@ -21,14 +21,6 @@
 // -cpuprofile/-memprofile write pprof artifacts covering the experiment
 // runs, so a hot-path regression flagged by the CI gate can be diagnosed
 // straight from a bench run (go tool pprof <binary> cpu.out).
-//
-// -payload sweeps the fanout experiment across payload sizes (for example
-// -payload 16,256,4096); -nobind forces the string envelope on every call
-// (the remoting.Channel.DisableBinding escape hatch), letting CI smoke
-// both envelope variants. -procs sweeps GOMAXPROCS (for example
-// -procs 1,4 records the multi-core matrix the baseline commits) and
-// -lanes pins the multiplexed channel's connection-lane count (1 restores
-// the single-connection path for before/after comparisons).
 package main
 
 import (
@@ -40,13 +32,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/netsim"
-	"repro/internal/profile"
+	"repro/internal/paper/profile"
 )
 
 // expFlag collects repeated and/or comma-separated -exp values.
@@ -65,26 +56,14 @@ func (e *expFlag) Set(v string) error {
 
 func main() {
 	var exps expFlag
-	flag.Var(&exps, "exp", "experiment id, repeatable/comma-separated (all, fig8a, fig8b, latency, fig9, seqratio, overhead, agg, agglom, codecs, pool, fanout, codec, rebalance, failover, openloop, chaos, skeletons)")
+	flag.Var(&exps, "exp", "experiment id, repeatable/comma-separated (all, fig8a, fig8b, latency, fig9, seqratio, overhead, agg, agglom, codecs, pool, codec, rebalance, failover, openloop, chaos, skeletons)")
 	full := flag.Bool("full", false, "full paper-sized sweeps (slower)")
 	asJSON := flag.Bool("json", false, "write a machine-readable bench.Report to stdout (tables go to stderr)")
-	payloads := flag.String("payload", "", "fanout payload sizes in bytes, comma-separated (e.g. 16,256,4096); empty = default 64")
-	noBind := flag.Bool("nobind", false, "disable bound call handles: every fanout call uses the string envelope")
-	procs := flag.String("procs", "", "fanout GOMAXPROCS matrix, comma-separated (e.g. 1,4); empty = current setting, no sweep")
-	lanes := flag.Int("lanes", 0, "multiplexed channel lanes per peer in the fanout experiment (0 = default min(GOMAXPROCS,4), 1 = single connection)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the experiment runs to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after the runs) to this file")
 	flag.Parse()
 	if len(exps) == 0 {
 		exps = expFlag{"all"}
-	}
-	fanoutPayloads, err := parseIntList(*payloads)
-	if err != nil {
-		log.Fatalf("parcbench: -payload: %v", err)
-	}
-	fanoutProcs, err := parseIntList(*procs)
-	if err != nil {
-		log.Fatalf("parcbench: -procs: %v", err)
 	}
 	// log.Fatal calls os.Exit, which skips deferred StopCPUProfile and
 	// would leave a truncated -cpuprofile artifact; every fatal exit after
@@ -275,27 +254,6 @@ func main() {
 		}
 		bench.PrintPool(out, rows)
 	}
-	if run("fanout") {
-		any = true
-		fmt.Fprintln(out, "================================================================")
-		callers, calls := 64, 30
-		if *full {
-			callers, calls = 128, 200
-		}
-		rows, err := bench.RunFanout(bench.FanoutConfig{
-			Callers:        callers,
-			CallsPerCaller: calls,
-			Payloads:       fanoutPayloads,
-			DisableBinding: *noBind,
-			Procs:          fanoutProcs,
-			Lanes:          *lanes,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintFanout(out, rows)
-		report.Fanout = rows
-	}
 	if run("codec") {
 		any = true
 		fmt.Fprintln(out, "================================================================")
@@ -414,26 +372,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// parseIntList parses the comma-separated -payload and -procs flags.
-func parseIntList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad payload size %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func checksumsAgree(rows []bench.Fig9Row) bool {

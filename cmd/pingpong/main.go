@@ -18,8 +18,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cost"
 	"repro/internal/netsim"
-	"repro/internal/profile"
-	"repro/internal/remoting"
+	"repro/internal/paper/mono"
+	"repro/internal/paper/profile"
 )
 
 func main() {
@@ -43,13 +43,13 @@ func main() {
 		{"mpi", func() (bench.Stack, error) { return bench.NewMPIStack(net, pick(profile.MPICH())) }},
 		{"rmi", func() (bench.Stack, error) { return bench.NewRMIStack(net, pick(profile.JavaRMI())) }},
 		{"mono", func() (bench.Stack, error) {
-			return bench.NewRemotingStack("Mono 1.1.7 (Tcp)", remoting.TCP, net, pick(profile.MonoTCP117()))
+			return bench.NewRemotingStack("Mono 1.1.7 (Tcp)", mono.TCP, net, pick(profile.MonoTCP117()))
 		}},
 		{"mono105", func() (bench.Stack, error) {
-			return bench.NewRemotingStack("Mono 1.0.5 (Tcp)", remoting.LegacyTCP, net, pick(profile.MonoTCP105()))
+			return bench.NewRemotingStack("Mono 1.0.5 (Tcp)", mono.LegacyTCP, net, pick(profile.MonoTCP105()))
 		}},
 		{"monohttp", func() (bench.Stack, error) {
-			return bench.NewRemotingStack("Mono 1.1.7 (Http)", remoting.HTTP, net, pick(profile.MonoHTTP()))
+			return bench.NewRemotingStack("Mono 1.1.7 (Http)", mono.HTTP, net, pick(profile.MonoHTTP()))
 		}},
 	}
 

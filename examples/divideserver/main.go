@@ -75,7 +75,8 @@ func main() {
 	// --- Fig. 2: the C# remoting flavour -----------------------------
 	// Server: register a well-known service type; no instance, no
 	// registry, no stubs to generate.
-	ch := remoting.NewTCPChannel(net)
+	ch := remoting.NewMultiplexedChannel(net)
+	defer ch.Close()
 	srv, err := ch.ListenAndServe("mem://cshost")
 	if err != nil {
 		log.Fatal(err)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/profile"
+	"repro/internal/paper/profile"
 	"repro/internal/raytracer"
 	"repro/internal/sieve"
 	"repro/internal/wire"

@@ -23,7 +23,7 @@ type CodecPathRow struct {
 
 // codecSample builds the envelope the experiment serialises: a realistic
 // small RPC call (method name, a 64-byte numeric payload, a couple of
-// scalar arguments), matching what the fanout experiment sends per call.
+// scalar arguments).
 func codecSample() *CodecCall {
 	return &CodecCall{
 		URI:    "DivideServer/7",

@@ -10,7 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/profile"
+	"repro/internal/paper/profile"
 	"repro/internal/raytracer"
 	"repro/internal/rmi"
 	"repro/internal/sieve"

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/netsim"
-	"repro/internal/profile"
+	"repro/internal/paper/profile"
 )
 
 // The analytic cost model mirrors the shaped stacks in closed form so the

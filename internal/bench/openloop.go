@@ -200,7 +200,6 @@ func openLoopNetsim(cfg OpenLoopConfig) (*olScenario, error) {
 	p := openLoopNetsimParams()
 	cl, err := cluster.New(cluster.Options{
 		Nodes:        2,
-		ChannelKind:  remoting.Multiplexed,
 		Net:          p,
 		Placement:    pinPlacement{0},
 		MailboxBound: cfg.Bound,

@@ -6,16 +6,17 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/netsim"
-	"repro/internal/profile"
+	"repro/internal/paper/profile"
 	"repro/internal/remoting"
 )
 
 // E6 — the paper states "the performance penalty introduced by the ParC#
 // platform is not noticeable (results not shown)". We measure it: the same
 // echo ping-pong once against a raw remoting well-known object and once
-// through a SCOOPP parallel-object proxy (PO → ioWrapper → IO), on the same
-// shaped network and cost profile.
+// through a SCOOPP parallel-object proxy (PO → ioWrapper → IO), both on the
+// production channel over the same shaped network and cost profile.
 
 // OverheadResult is the E6 measurement.
 type OverheadResult struct {
@@ -38,19 +39,26 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 	payload := payloadFor(payloadBytes)
 
 	// Raw remoting.
-	raw, err := NewRemotingStack("Mono", remoting.TCP, net, profile.MonoTCP117())
+	ch := remoting.NewMultiplexedChannel(cost.Network(shapedNet(net), profile.MonoTCP117()))
+	defer ch.Close()
+	server, err := ch.ListenAndServe("")
 	if err != nil {
 		return OverheadResult{}, err
 	}
-	defer raw.Close()
-	if err := raw.RoundTrip(payload); err != nil {
+	defer server.Close()
+	server.RegisterWellKnown("Echo", remoting.Singleton, func() any { return echoService{} })
+	raw, err := remoting.GetObject(ch, server.URLFor("Echo"))
+	if err != nil {
+		return OverheadResult{}, err
+	}
+	if _, err := raw.Invoke("Echo", payload); err != nil {
 		return OverheadResult{}, err
 	}
 	// Minimum of the repetitions: robust against scheduler contention.
 	rawRTT := time.Duration(1 << 62)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
-		if err := raw.RoundTrip(payload); err != nil {
+		if _, err := raw.Invoke("Echo", payload); err != nil {
 			return OverheadResult{}, err
 		}
 		if d := time.Since(start); d < rawRTT {

@@ -14,8 +14,8 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
-	"repro/internal/profile"
-	"repro/internal/remoting"
+	"repro/internal/paper/mono"
+	"repro/internal/paper/profile"
 	"repro/internal/rmi"
 	"repro/internal/transport"
 )
@@ -155,41 +155,27 @@ func (s *rmiStack) Close() { s.server.Close() }
 
 type remotingStack struct {
 	name   string
-	server *remoting.Server
-	ref    *remoting.ObjRef
+	ch     *mono.Channel
+	server *mono.Server
 }
 
 // NewRemotingStack builds a Mono-remoting ping-pong pair over the given
-// channel kind.
-func NewRemotingStack(name string, kind remoting.Kind, p netsim.Params, c cost.Model) (Stack, error) {
-	net := shapedNet(p)
-	var ch *remoting.Channel
-	switch kind {
-	case remoting.LegacyTCP:
-		ch = remoting.NewLegacyTCPChannel(net)
-	case remoting.HTTP:
-		ch = remoting.NewHTTPChannel(net)
-	default:
-		ch = remoting.NewTCPChannel(net)
-	}
+// 2005 channel kind (package mono).
+func NewRemotingStack(name string, kind mono.Kind, p netsim.Params, c cost.Model) (Stack, error) {
+	ch := mono.NewChannel(kind, shapedNet(p))
 	ch.Cost = c
 	server, err := ch.ListenAndServe("")
 	if err != nil {
 		return nil, err
 	}
-	server.RegisterWellKnown("Echo", remoting.Singleton, func() any { return echoService{} })
-	ref, err := remoting.GetObject(ch, server.URLFor("Echo"))
-	if err != nil {
-		server.Close()
-		return nil, err
-	}
-	return &remotingStack{name: name, server: server, ref: ref}, nil
+	server.Publish("Echo", echoService{})
+	return &remotingStack{name: name, ch: ch, server: server}, nil
 }
 
 func (s *remotingStack) Name() string { return s.name }
 
 func (s *remotingStack) RoundTrip(payload []int32) error {
-	res, err := s.ref.Invoke("Echo", payload)
+	res, err := s.ch.Invoke(s.server.Addr(), "Echo", "Echo", payload)
 	if err != nil {
 		return err
 	}
@@ -199,7 +185,10 @@ func (s *remotingStack) RoundTrip(payload []int32) error {
 	return nil
 }
 
-func (s *remotingStack) Close() { s.server.Close() }
+func (s *remotingStack) Close() {
+	s.ch.Close()
+	s.server.Close()
+}
 
 // shapedNet builds a fresh memory network shaped with p (pass-through when
 // p is zero).
@@ -224,7 +213,7 @@ func Fig8aStacks() ([]Stack, error) {
 		mpiS.Close()
 		return nil, err
 	}
-	monoS, err := NewRemotingStack("Mono", remoting.TCP, p, profile.MonoTCP117())
+	monoS, err := NewRemotingStack("Mono", mono.TCP, p, profile.MonoTCP117())
 	if err != nil {
 		mpiS.Close()
 		rmiS.Close()
@@ -236,16 +225,16 @@ func Fig8aStacks() ([]Stack, error) {
 // Fig8bStacks builds the three Mono implementations of Fig. 8b.
 func Fig8bStacks() ([]Stack, error) {
 	p := profile.Network()
-	s117, err := NewRemotingStack("Mono 1.1.7 (Tcp)", remoting.TCP, p, profile.MonoTCP117())
+	s117, err := NewRemotingStack("Mono 1.1.7 (Tcp)", mono.TCP, p, profile.MonoTCP117())
 	if err != nil {
 		return nil, err
 	}
-	s105, err := NewRemotingStack("Mono 1.0.5 (Tcp)", remoting.LegacyTCP, p, profile.MonoTCP105())
+	s105, err := NewRemotingStack("Mono 1.0.5 (Tcp)", mono.LegacyTCP, p, profile.MonoTCP105())
 	if err != nil {
 		s117.Close()
 		return nil, err
 	}
-	sHTTP, err := NewRemotingStack("Mono 1.1.7 (Http)", remoting.HTTP, p, profile.MonoHTTP())
+	sHTTP, err := NewRemotingStack("Mono 1.1.7 (Http)", mono.HTTP, p, profile.MonoHTTP())
 	if err != nil {
 		s117.Close()
 		s105.Close()

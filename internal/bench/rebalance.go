@@ -63,8 +63,8 @@ func (h *hotObj) Bump(v int64) int64 {
 // steady state after the move is remote either way, so throughput must
 // recover once the tombstone redirects have been absorbed).
 //
-// Like the fanout experiment this runs with no injected 2005 costs: it is
-// a forward-looking production benchmark, not a paper reproduction.
+// This runs with no injected 2005 costs: it is a forward-looking
+// production benchmark, not a paper reproduction.
 func RunRebalance(cfg RebalanceConfig) ([]RebalanceRow, error) {
 	if cfg.Objects <= 0 {
 		cfg.Objects = 16

@@ -13,7 +13,6 @@ import (
 // experiments ran.
 type Report struct {
 	Meta      *ReportMeta    `json:"meta,omitempty"`
-	Fanout    []FanoutRow    `json:"fanout,omitempty"`
 	Codec     []CodecPathRow `json:"codec,omitempty"`
 	Rebalance []RebalanceRow `json:"rebalance,omitempty"`
 	Failover  []FailoverRow  `json:"failover,omitempty"`
@@ -42,24 +41,6 @@ func CurrentMeta() *ReportMeta {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}
-}
-
-// fanKey identifies a fanout row across reports. Rows from baselines
-// predating the payload sweep (payload 0) compare against the default
-// grain size; rows predating the GOMAXPROCS matrix (procs 0) read as 1.
-func fanKey(r FanoutRow) string {
-	p := r.Payload
-	if p == 0 {
-		p = DefaultFanoutPayload
-	}
-	return fmt.Sprintf("%s @%dB x%dp", r.Channel, p, fanProcs(r))
-}
-
-func fanProcs(r FanoutRow) int {
-	if r.Procs <= 0 {
-		return 1
-	}
-	return r.Procs
 }
 
 // MetaMismatch reports why two report environments must not be compared
@@ -106,53 +87,13 @@ func ReadReport(path string) (Report, error) {
 }
 
 // RelativeMetrics derives the machine-independent ratios of a report:
-// per-op codec speedup (reflective ns/op over generated ns/op) and the
-// fanout throughput of every channel relative to the first (pooled)
-// channel. Ratios cancel the hardware term, so a baseline recorded on one
-// machine gates runs on another — the comparison CI uses, where runner
-// hardware differs from wherever BENCH_baseline.json was recorded.
+// per-op codec speedup (reflective ns/op over generated ns/op), the
+// recovery ratios and the open-loop fractions. Ratios cancel the hardware
+// term, so a baseline recorded on one machine gates runs on another — the
+// comparison CI uses, where runner hardware differs from wherever
+// BENCH_baseline.json was recorded.
 func RelativeMetrics(r Report) map[string]float64 {
 	out := map[string]float64{}
-	// Per (payload size, GOMAXPROCS) cell, every channel is measured
-	// against the first (pooled) channel in that cell.
-	type cell struct{ payload, procs int }
-	type base struct {
-		channel string
-		cps     float64
-	}
-	bases := map[cell]base{}
-	for _, row := range r.Fanout {
-		k := cell{row.Payload, fanProcs(row)}
-		if _, ok := bases[k]; !ok {
-			bases[k] = base{channel: row.Channel, cps: row.CallsPerSec}
-			continue
-		}
-		b := bases[k]
-		if b.cps > 0 {
-			out["fanout "+fanKey(row)+" vs "+b.channel] = row.CallsPerSec / b.cps
-		}
-	}
-	// Per-core scaling: calls/s-per-core at procs p over calls/s at one
-	// proc, per (channel, payload). 1.0 means perfect scaling; the gate
-	// catches a change that makes cores stop paying (a reintroduced shared
-	// lock halves this long before it shows in any single-proc number).
-	// Both rows of the ratio come from one report, so it stays
-	// machine-independent.
-	oneProc := map[string]float64{}
-	for _, row := range r.Fanout {
-		if fanProcs(row) == 1 {
-			oneProc[fmt.Sprintf("%s @%d", row.Channel, row.Payload)] = row.CallsPerSec
-		}
-	}
-	for _, row := range r.Fanout {
-		p := fanProcs(row)
-		if p == 1 {
-			continue
-		}
-		if c1 := oneProc[fmt.Sprintf("%s @%d", row.Channel, row.Payload)]; c1 > 0 {
-			out["fanout "+fanKey(row)+" per-core"] = row.CallsPerSec / float64(p) / c1
-		}
-	}
 	byKey := map[string]CodecPathRow{}
 	for _, row := range r.Codec {
 		byKey[row.Path+"/"+row.Op] = row
@@ -249,8 +190,8 @@ func gatedChaosRecovery(r Report) (float64, bool) {
 // than tolerance below its baseline value. Higher is always better for
 // these ratios (throughput gain, speedup), so improvements pass. This is
 // the hardware-robust gate: a uniformly slower runner shifts both sides of
-// each ratio and cancels out, while losing the generated codec's edge or
-// the multiplexed channel's pipelining shows up regardless of hardware.
+// each ratio and cancels out, while losing the generated codec's edge
+// shows up regardless of hardware.
 // Codec allocs/op are machine-independent and are gated absolutely here
 // too — any rise fails.
 func CompareReportsRelative(baseline, current Report, tolerance float64) []string {
@@ -276,8 +217,6 @@ func CompareReportsRelative(baseline, current Report, tolerance float64) []strin
 // CompareReports checks current against baseline and returns one problem
 // string per regression beyond tolerance (0.15 means a 15% budget):
 //
-//   - a fanout row whose calls/s dropped more than tolerance below the
-//     baseline row with the same channel name and payload size;
 //   - a codec row whose ns/op rose more than tolerance above the baseline
 //     row with the same (path, op);
 //   - a codec row that allocates more per op than its baseline row —
@@ -290,27 +229,7 @@ func CompareReportsRelative(baseline, current Report, tolerance float64) []strin
 // Improvements never count as problems (refresh the committed baseline to
 // bank them; see README). An empty slice means the gate passes.
 func CompareReports(baseline, current Report, tolerance float64) []string {
-	var problems []string
-
-	curFan := map[string]FanoutRow{}
-	for _, r := range current.Fanout {
-		curFan[fanKey(r)] = r
-	}
-	for _, b := range baseline.Fanout {
-		c, ok := curFan[fanKey(b)]
-		if !ok {
-			problems = append(problems, fmt.Sprintf("fanout %q: missing from current report", fanKey(b)))
-			continue
-		}
-		floor := b.CallsPerSec * (1 - tolerance)
-		if c.CallsPerSec < floor {
-			problems = append(problems, fmt.Sprintf(
-				"fanout %q: %.0f calls/s is %.1f%% below baseline %.0f (tolerance %.0f%%)",
-				fanKey(b), c.CallsPerSec, 100*(1-c.CallsPerSec/b.CallsPerSec), b.CallsPerSec, 100*tolerance))
-		}
-	}
-
-	problems = append(problems, compareCodec(baseline, current, tolerance, true)...)
+	problems := compareCodec(baseline, current, tolerance, true)
 	problems = append(problems, compareRebalance(baseline, current, tolerance)...)
 	problems = append(problems, compareFailover(baseline, current, tolerance)...)
 	problems = append(problems, compareChaos(baseline, current, tolerance)...)

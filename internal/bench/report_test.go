@@ -9,9 +9,9 @@ import (
 func sampleBaseline() Report {
 	return Report{
 		Meta: CurrentMeta(),
-		Fanout: []FanoutRow{
-			{Channel: "Tcp (pooled)", Callers: 64, Payload: 64, TotalCalls: 1920, CallsPerSec: 40000},
-			{Channel: "Tcp (multiplexed)", Callers: 64, Payload: 64, TotalCalls: 1920, CallsPerSec: 90000},
+		Skeletons: []SkeletonRow{
+			{Scenario: "scatter-handrolled", CallsPerSec: 50000},
+			{Scenario: "scatter-skeleton", CallsPerSec: 40000},
 		},
 		Codec: []CodecPathRow{
 			{Path: "generated", Op: "encode", NsPerOp: 200, AllocsPerOp: 0},
@@ -23,14 +23,14 @@ func sampleBaseline() Report {
 func TestCompareReportsPasses(t *testing.T) {
 	base := sampleBaseline()
 	cur := sampleBaseline()
-	// Within tolerance: a 10% fanout dip and a 10% codec slowdown.
-	cur.Fanout[1].CallsPerSec = 81000
+	// Within tolerance: a 10% skeleton dip and a 10% codec slowdown.
+	cur.Skeletons[1].CallsPerSec = 36000
 	cur.Codec[0].NsPerOp = 220
 	if problems := CompareReports(base, cur, 0.15); len(problems) != 0 {
 		t.Errorf("within-tolerance drift reported as regression: %v", problems)
 	}
 	// Improvements are never regressions.
-	cur.Fanout[0].CallsPerSec = 80000
+	cur.Skeletons[0].CallsPerSec = 80000
 	cur.Codec[1].NsPerOp = 100
 	if problems := CompareReports(base, cur, 0.15); len(problems) != 0 {
 		t.Errorf("improvement reported as regression: %v", problems)
@@ -40,14 +40,14 @@ func TestCompareReportsPasses(t *testing.T) {
 func TestCompareReportsCatchesRegressions(t *testing.T) {
 	base := sampleBaseline()
 	cur := sampleBaseline()
-	cur.Fanout[1].CallsPerSec = 70000 // -22% calls/s
-	cur.Codec[0].NsPerOp = 300        // +50% ns/op
+	cur.Skeletons[1].CallsPerSec = 30000 // -25% calls/s
+	cur.Codec[0].NsPerOp = 300           // +50% ns/op
 	problems := CompareReports(base, cur, 0.15)
 	if len(problems) != 2 {
 		t.Fatalf("want 2 regressions, got %d: %v", len(problems), problems)
 	}
 	joined := strings.Join(problems, "\n")
-	for _, want := range []string{"Tcp (multiplexed)", "generated/encode"} {
+	for _, want := range []string{"scatter-skeleton", "generated/encode"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("problems missing %q:\n%s", want, joined)
 		}
@@ -57,7 +57,7 @@ func TestCompareReportsCatchesRegressions(t *testing.T) {
 func TestCompareReportsCatchesMissingRows(t *testing.T) {
 	base := sampleBaseline()
 	cur := sampleBaseline()
-	cur.Fanout = cur.Fanout[:1]
+	cur.Skeletons = cur.Skeletons[:1]
 	cur.Codec = nil
 	problems := CompareReports(base, cur, 0.15)
 	if len(problems) != 3 {
@@ -72,38 +72,11 @@ func TestCompareReportsCatchesMissingRows(t *testing.T) {
 
 func TestRelativeMetrics(t *testing.T) {
 	m := RelativeMetrics(sampleBaseline())
-	if got := m["fanout Tcp (multiplexed) @64B x1p vs Tcp (pooled)"]; got != 2.25 {
-		t.Errorf("fanout ratio = %v, want 2.25 (metrics: %v)", got, m)
+	if got := m["skeletons scatter vs handrolled"]; got != 0.8 {
+		t.Errorf("skeleton ratio = %v, want 0.8 (metrics: %v)", got, m)
 	}
 	if got := m["codec encode speedup"]; got != 2.5 {
 		t.Errorf("encode speedup = %v, want 2.5", got)
-	}
-}
-
-// TestRelativeMetricsPerCore: rows measured at GOMAXPROCS=4 produce a
-// per-core scaling ratio against the 1-proc row of the same channel and
-// payload, and never gate against rows from a different procs cell.
-func TestRelativeMetricsPerCore(t *testing.T) {
-	r := sampleBaseline()
-	r.Fanout = append(r.Fanout,
-		FanoutRow{Channel: "Tcp (pooled)", Callers: 64, Payload: 64, Procs: 4, CallsPerSec: 80000},
-		FanoutRow{Channel: "Tcp (multiplexed)", Callers: 64, Payload: 64, Procs: 4, CallsPerSec: 270000},
-	)
-	m := RelativeMetrics(r)
-	// 270000 calls/s on 4 cores = 67500 per core, over 90000 at 1 proc.
-	if got := m["fanout Tcp (multiplexed) @64B x4p per-core"]; got != 0.75 {
-		t.Errorf("per-core scaling = %v, want 0.75 (metrics: %v)", got, m)
-	}
-	// The 4-proc cell gets its own channel-vs-channel ratio.
-	if got := m["fanout Tcp (multiplexed) @64B x4p vs Tcp (pooled)"]; got != 3.375 {
-		t.Errorf("4p channel ratio = %v, want 3.375", got)
-	}
-	// A regression confined to multi-core scaling fails the relative gate.
-	cur := Report{Fanout: append([]FanoutRow(nil), r.Fanout...), Codec: r.Codec}
-	cur.Fanout[3].CallsPerSec = 100000 // scaling collapsed
-	problems := CompareReportsRelative(r, cur, 0.15)
-	if len(problems) == 0 {
-		t.Error("collapsed multi-core scaling passed the relative gate")
 	}
 }
 
@@ -145,39 +118,14 @@ func TestCompareReportsAllocGate(t *testing.T) {
 	}
 }
 
-// TestCompareReportsPayloadKeys: rows at different payload sizes never
-// gate against each other, and a legacy baseline row without a payload
-// compares against the default grain size.
-func TestCompareReportsPayloadKeys(t *testing.T) {
-	base := sampleBaseline()
-	cur := sampleBaseline()
-	cur.Fanout = append(cur.Fanout, FanoutRow{
-		Channel: "Tcp (multiplexed)", Callers: 64, Payload: 4096, CallsPerSec: 10000,
-	})
-	// The slow 4096B row must not be mistaken for the 64B baseline row.
-	if problems := CompareReports(base, cur, 0.15); len(problems) != 0 {
-		t.Errorf("payload sweep rows cross-gated: %v", problems)
-	}
-	legacy := sampleBaseline()
-	for i := range legacy.Fanout {
-		legacy.Fanout[i].Payload = 0 // baseline predating the sweep
-	}
-	cur2 := sampleBaseline()
-	cur2.Fanout[1].CallsPerSec = 50000 // -44% vs the legacy 90000
-	problems := CompareReports(legacy, cur2, 0.15)
-	if len(problems) != 1 || !strings.Contains(problems[0], "@64B") {
-		t.Errorf("legacy baseline did not gate default payload: %v", problems)
-	}
-}
-
 func TestCompareReportsRelative(t *testing.T) {
 	base := sampleBaseline()
 
-	// Uniformly slower hardware: both fanout channels and both codec
+	// Uniformly slower hardware: both skeleton scenarios and both codec
 	// paths 2x slower — ratios unchanged, gate passes.
 	slow := sampleBaseline()
-	for i := range slow.Fanout {
-		slow.Fanout[i].CallsPerSec /= 2
+	for i := range slow.Skeletons {
+		slow.Skeletons[i].CallsPerSec /= 2
 	}
 	for i := range slow.Codec {
 		slow.Codec[i].NsPerOp *= 2
@@ -218,10 +166,10 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Fanout) != 2 || len(got.Codec) != 2 {
+	if len(got.Skeletons) != 2 || len(got.Codec) != 2 {
 		t.Fatalf("round-trip lost rows: %+v", got)
 	}
-	if got.Fanout[0].Channel != "Tcp (pooled)" || got.Codec[0].Path != "generated" {
+	if got.Skeletons[0].Scenario != "scatter-handrolled" || got.Codec[0].Path != "generated" {
 		t.Errorf("round-trip mangled rows: %+v", got)
 	}
 }

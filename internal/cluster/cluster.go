@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/netsim"
 	"repro/internal/remoting"
 	"repro/internal/threadpool"
@@ -22,22 +23,20 @@ import (
 type Options struct {
 	// Nodes is the cluster size (default 1).
 	Nodes int
-	// ChannelKind selects the remoting channel implementation (default
-	// remoting.TCP semantics over the memory transport).
-	ChannelKind remoting.Kind
 	// Net shapes the inter-node network; zero params mean an ideal
 	// network (tests). Use netsim.Ethernet100 for the paper's testbed.
 	Net netsim.Params
-	// Cost charges per-endpoint software costs on the channel.
-	Cost remoting.CostModel
+	// Cost charges per-endpoint software costs: the network every node's
+	// channel runs over is wrapped with cost.Network.
+	Cost cost.Model
 	// PoolSize bounds each node's server-side concurrency (the Mono
 	// thread pool); 0 means unbounded.
 	PoolSize int
-	// MaxInFlight bounds concurrent exchanges per multiplexed peer
-	// connection (remoting.Multiplexed only); 0 selects the default.
+	// MaxInFlight bounds concurrent exchanges per peer connection; 0
+	// selects the default.
 	MaxInFlight int
-	// MuxLanes sets how many multiplexed connections each node opens per
-	// peer (remoting.Multiplexed only); 0 selects min(GOMAXPROCS, 4).
+	// MuxLanes sets how many connections each node opens per peer; 0
+	// selects min(GOMAXPROCS, 4).
 	MuxLanes int
 	// Placement, Agglomeration, Aggregation are forwarded to every
 	// node's core.Config.
@@ -92,10 +91,10 @@ func New(opts Options) (*Cluster, error) {
 		cl.Stats = sn.Stats
 		net = sn
 	}
+	net = cost.Network(net, opts.Cost)
 	addrs := make([]string, opts.Nodes)
 	for i := 0; i < opts.Nodes; i++ {
-		ch := newChannel(opts.ChannelKind, net)
-		ch.Cost = opts.Cost
+		ch := remoting.NewMultiplexedChannel(net)
 		ch.MaxInFlight = opts.MaxInFlight
 		ch.MuxLanes = opts.MuxLanes
 		var pool *threadpool.Pool
@@ -136,19 +135,6 @@ func New(opts Options) (*Cluster, error) {
 		}
 	}
 	return cl, nil
-}
-
-func newChannel(kind remoting.Kind, net transport.Network) *remoting.Channel {
-	switch kind {
-	case remoting.LegacyTCP:
-		return remoting.NewLegacyTCPChannel(net)
-	case remoting.HTTP:
-		return remoting.NewHTTPChannel(net)
-	case remoting.Multiplexed:
-		return remoting.NewMultiplexedChannel(net)
-	default:
-		return remoting.NewTCPChannel(net)
-	}
 }
 
 // Size returns the number of nodes.
@@ -203,8 +189,8 @@ func (c *Cluster) PoolQueueWait() time.Duration {
 }
 
 // Close shuts every node down. Each node's Runtime.Close also closes its
-// channel's client-side connections (idle pooled conns, multiplexed peer
-// pipes), so a torn-down in-process cluster leaks nothing.
+// channel's client-side connections, so a torn-down in-process cluster
+// leaks nothing.
 func (c *Cluster) Close() {
 	for _, rt := range c.nodes {
 		rt.Close()

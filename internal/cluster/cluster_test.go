@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/remoting"
 )
 
 type echo struct {
@@ -66,26 +65,6 @@ func TestMultiNodeRoundTrip(t *testing.T) {
 	}
 	if !remoteSeen {
 		t.Error("round robin never crossed nodes")
-	}
-}
-
-func TestChannelKinds(t *testing.T) {
-	for _, kind := range []remoting.Kind{remoting.TCP, remoting.LegacyTCP, remoting.HTTP} {
-		t.Run(kind.String(), func(t *testing.T) {
-			cl, err := New(Options{Nodes: 2, ChannelKind: kind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			cl.RegisterClass("echo", func() any { return &echo{} })
-			p, err := cl.Node(0).NewParallelObject("echo")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, err := p.Invoke("Ping", 9); err != nil || got != 9 {
-				t.Errorf("Ping over %s = %v, %v", kind, got, err)
-			}
-		})
 	}
 }
 
@@ -173,7 +152,6 @@ func (forceNode1) Pick(self int, loads []core.NodeLoad) int { return 1 }
 func TestMultiplexedCluster(t *testing.T) {
 	cl, err := New(Options{
 		Nodes:       3,
-		ChannelKind: remoting.Multiplexed,
 		MaxInFlight: 8,
 		Placement:   forceNode1{},
 	})

@@ -46,7 +46,23 @@ type actorTask struct {
 	method string
 	args   []any
 	batch  []any // non-nil for aggregate messages
-	reply  chan actorResult
+	// The outcome goes to reply (a parked synchronous caller) or to done
+	// (an asynchronous one, which parks nothing); both nil is
+	// fire-and-forget. done runs on whichever goroutine settles the task —
+	// normally the actor loop — so it must not block.
+	reply chan actorResult
+	done  func(any, error)
+}
+
+// settle delivers the task's outcome. Never call it with a.mu held: done
+// is caller-supplied code.
+func (t *actorTask) settle(res actorResult) {
+	switch {
+	case t.reply != nil:
+		t.reply <- res
+	case t.done != nil:
+		t.done(res.val, res.err)
+	}
 }
 
 type actorResult struct {
@@ -96,9 +112,7 @@ func (a *actor) run() {
 		} else {
 			res.val, res.err = a.w.Invoke1(ctx, t.method, t.args)
 		}
-		if t.reply != nil {
-			t.reply <- res
-		}
+		t.settle(res)
 
 		a.mu.Lock()
 		a.pending--
@@ -109,11 +123,10 @@ func (a *actor) run() {
 	}
 }
 
-// enqueue adds a task; reply may be nil for fire-and-forget. While the
-// actor is paused for migration, enqueue blocks — bounded by the task's
-// context when it carries one; once the object has moved it fails with
-// the forward (a *errs.MovedError) instead, so a blocked caller comes out
-// of the pause routed to the new node.
+// enqueue adds a task. While the actor is paused for migration, enqueue
+// blocks — bounded by the task's context when it carries one; once the
+// object has moved it fails with the forward (a *errs.MovedError) instead,
+// so a blocked caller comes out of the pause routed to the new node.
 func (a *actor) enqueue(t actorTask) error {
 	a.mu.Lock()
 	if a.paused && a.moved == nil && !a.stopped && t.ctx != nil && t.ctx.Done() != nil {
@@ -155,8 +168,7 @@ func (a *actor) enqueue(t actorTask) error {
 				shedRetryAfter)
 		}
 		// ShedOldest: evict the head task to make room; its caller is
-		// failed outside the lock (reply channels are buffered, but the
-		// mailbox must not care).
+		// failed outside the lock.
 		evicted, shedOldest = a.queue[0], true
 		a.queue = a.queue[1:]
 		a.pending--
@@ -169,11 +181,9 @@ func (a *actor) enqueue(t actorTask) error {
 	a.mu.Unlock()
 	if shedOldest {
 		a.w.rt.noteShed()
-		if evicted.reply != nil {
-			evicted.reply <- actorResult{err: errs.WithRetryAfter(
-				fmt.Errorf("core: evicted from full mailbox (%d queued): %w", a.bound, errs.ErrOverloaded),
-				shedRetryAfter)}
-		}
+		evicted.settle(actorResult{err: errs.WithRetryAfter(
+			fmt.Errorf("core: evicted from full mailbox (%d queued): %w", a.bound, errs.ErrOverloaded),
+			shedRetryAfter)})
 	}
 	return nil
 }
@@ -265,27 +275,21 @@ func (a *actor) abort(mv *errs.MovedError) {
 	a.moved = mv
 	a.paused = false
 	a.stopped = true
-	for _, t := range a.queue {
-		if t.reply != nil {
-			t.reply <- actorResult{err: mv}
-		}
-		a.pending--
-	}
-	a.w.rt.queuedTasks.Add(int64(-len(a.queue)))
+	queued := a.queue
 	a.queue = nil
+	a.pending -= len(queued)
+	a.w.rt.queuedTasks.Add(int64(-len(queued)))
 	a.cond.Broadcast()
 	a.mu.Unlock()
+	for i := range queued {
+		queued[i].settle(actorResult{err: mv})
+	}
 }
 
-// call performs a synchronous invocation through the mailbox, preserving
-// order with earlier asynchronous posts.
-func (a *actor) call(method string, args []any) (any, error) {
-	return a.callCtx(context.Background(), method, args)
-}
-
-// callCtx is call bounded by ctx: if ctx ends before the mailbox reaches
-// the task, the caller unblocks with ctx.Err() (the task is skipped when
-// its turn comes; the reply channel is buffered, so nothing leaks).
+// callCtx performs a synchronous invocation through the mailbox, preserving
+// order with earlier asynchronous posts. If ctx ends before the mailbox
+// reaches the task, the caller unblocks with ctx.Err() (the task is skipped
+// when its turn comes; the reply channel is buffered, so nothing leaks).
 func (a *actor) callCtx(ctx context.Context, method string, args []any) (any, error) {
 	reply := make(chan actorResult, 1)
 	if err := a.enqueue(actorTask{ctx: ctx, method: method, args: args, reply: reply}); err != nil {
@@ -303,38 +307,16 @@ func (a *actor) callCtx(ctx context.Context, method string, args []any) (any, er
 	}
 }
 
-// post performs an asynchronous invocation; execution errors are reported
-// to onErr. An enqueue-time failure (object destroyed or moved before the
-// task entered the mailbox — nothing executed) is only returned, so the
-// caller can re-route or record it without onErr double-reporting. A
-// non-nil ctx cancels the task if it is still queued when ctx ends.
-func (a *actor) post(ctx context.Context, method string, args []any, onErr func(error)) error {
-	reply := make(chan actorResult, 1)
-	if err := a.enqueue(actorTask{ctx: ctx, method: method, args: args, reply: reply}); err != nil {
-		return err
-	}
-	go func() {
-		if res := <-reply; res.err != nil && onErr != nil {
-			onErr(res.err)
-		}
-	}()
-	return nil
-}
-
-// postBatch enqueues an aggregate message.
-func (a *actor) postBatch(method string, calls []any, onErr func(error)) {
-	reply := make(chan actorResult, 1)
-	if err := a.enqueue(actorTask{method: method, batch: calls, reply: reply}); err != nil {
-		if onErr != nil {
-			onErr(err)
-		}
-		return
-	}
-	go func() {
-		if res := <-reply; res.err != nil && onErr != nil {
-			onErr(res.err)
-		}
-	}()
+// callAsync enqueues an invocation and returns; done receives its outcome
+// on the actor loop, before Wait observes the task as finished (or, for a
+// task that never ran, on whoever evicted or aborted it). An enqueue-time
+// failure (object destroyed or moved before the task entered the mailbox —
+// nothing executed) is only returned and done never runs, so the caller
+// can re-route or record it without double-reporting. A non-nil ctx
+// cancels the task if it is still queued when ctx ends. Like every enqueue
+// it blocks while the mailbox is paused for migration.
+func (a *actor) callAsync(ctx context.Context, method string, args []any, done func(any, error)) error {
+	return a.enqueue(actorTask{ctx: ctx, method: method, args: args, done: done})
 }
 
 // wait blocks until the mailbox is drained.

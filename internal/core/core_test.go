@@ -55,7 +55,7 @@ func startNodes(t *testing.T, n int, mutate func(i int, cfg *Config)) []*Runtime
 	rts := make([]*Runtime, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		cfg := Config{NodeID: i, Channel: remoting.NewTCPChannel(net)}
+		cfg := Config{NodeID: i, Channel: remoting.NewMultiplexedChannel(net)}
 		if mutate != nil {
 			mutate(i, &cfg)
 		}

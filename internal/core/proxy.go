@@ -100,13 +100,10 @@ func (p *Proxy) initSeq() {
 	p.seq.OnError = p.noteAsyncError
 	// The completion-path variant: queued calls chain head-to-tail on reply
 	// arrival instead of parking a flusher goroutine per drain. A false
-	// return (non-multiplexed channel, connection not yet usable, lane shut
-	// down) sends that call through the synchronous invoke above, which
-	// carries the full re-routing machinery.
+	// return (connection not yet usable, lane shut down) sends that call
+	// through the synchronous invoke above, which carries the full
+	// re-routing machinery.
 	p.seq.SetInvokeAsync(func(method string, args []any, cb func(any, error)) bool {
-		if p.rt.cfg.Channel.Kind() != remoting.Multiplexed {
-			return false
-		}
 		ctx := context.Background()
 		if p.rt.cfg.IdempotentCalls {
 			ctx = remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
@@ -390,54 +387,83 @@ func (p *Proxy) InvokeAsync(method string, args ...any) *Future {
 // InvokeAsyncCtx is InvokeAsync bounded by ctx; the returned Future
 // resolves to ctx.Err() when ctx ends before the call completes.
 //
-// On a multiplexed remote proxy with an idle ordered lane this is the
-// completion fast path: encode, enqueue on the connection, return the
-// handle — the mux reader resolves the Future when the reply frame
-// arrives, and no goroutine parks per outstanding call. The fast path
-// falls back to a waiter goroutine only for the cases that need the full
-// synchronous machinery: local objects, pending aggregation or ordered
-// posts (the call must serialize behind them), non-multiplexed channels,
-// and post-failure re-routing.
+// Submission is enqueue-and-return: on a remote proxy the request is
+// encoded and queued on its lane and the lane's reader resolves the Future
+// when the reply frame arrives; on a local active object the task enters
+// the mailbox and the actor loop resolves the Future. Either way no
+// goroutine parks per outstanding call. A goroutine runs the call through
+// InvokeCtx only where blocking machinery is needed: posted or aggregated
+// calls it must drain behind first, a submission that failed, an
+// agglomerated object (which executes in the caller anyway), and
+// re-routing after a failure.
 func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) *Future {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if f, ok := p.invokeAsyncFast(ctx, method, args); ok {
-		return f
-	}
 	f := &Future{exec: p.rt.contExec()}
-	go func() {
-		f.complete(p.InvokeCtx(ctx, method, args...))
-	}()
+	submitted := false
+	switch mode, act := p.state(); mode {
+	case modeLocalActive:
+		submitted = p.submitLocal(ctx, act, f, method, args)
+	case modeRemote:
+		submitted = p.submitRemote(ctx, f, method, args)
+	}
+	if !submitted {
+		go func() { f.complete(p.InvokeCtx(ctx, method, args...)) }()
+	}
 	return f
 }
 
-// invokeAsyncFast attempts the goroutine-free submission. It reports false
-// when the proxy's current state needs the ordinary path.
-func (p *Proxy) invokeAsyncFast(ctx context.Context, method string, args []any) (*Future, bool) {
-	mode, _ := p.state()
-	if mode != modeRemote || p.rt.cfg.Channel.Kind() != remoting.Multiplexed {
-		return nil, false
+// submitLocal enqueues the call on the hosting actor's mailbox with f as
+// its completion. It reports false when nothing was enqueued.
+func (p *Proxy) submitLocal(ctx context.Context, act *actor, f *Future, method string, args []any) bool {
+	stop := func() bool { return false }
+	if ctx.Done() != nil {
+		// The mailbox skips a task whose ctx ended only when its turn
+		// comes; the Future must not wait that long.
+		stop = context.AfterFunc(ctx, func() { f.complete(nil, ctx.Err()) })
 	}
+	err := act.callAsync(ctx, method, args, func(v any, err error) {
+		stop()
+		if mv, ok := movedOf(err, p.uri); ok {
+			// The object migrated away with this call still queued: follow
+			// it, off the actor loop.
+			go func() {
+				p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+				f.complete(p.remoteInvokeOrdered(ctx, method, args))
+			}()
+			return
+		}
+		f.complete(v, err)
+	})
+	if err != nil {
+		stop()
+		return false
+	}
+	p.rt.stats.syncCalls.Add(1)
+	return true
+}
+
+// submitRemote encodes and enqueues the call on its lane with f as its
+// completion. It reports false when the proxy's state needs the ordinary
+// path or the submission failed.
+func (p *Proxy) submitRemote(ctx context.Context, f *Future, method string, args []any) bool {
 	if p.rt.cfg.Aggregation.enabled() && p.hasAggregated() {
-		return nil, false
+		return false
 	}
 	// Ordering: a synchronous-style call must run after every posted
 	// asynchronous call. With the lane idle there is nothing to order
 	// behind; Posts from this very goroutine are already counted in Idle,
 	// so the check is authoritative for the single-caller pattern.
 	if !p.sequencer().Idle() {
-		return nil, false
+		return false
 	}
 	if p.rt.cfg.IdempotentCalls {
 		if _, ok := remoting.TokenFromContext(ctx); !ok {
 			ctx = remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
 		}
 	}
-	p.rt.stats.syncCalls.Add(1)
-	f := &Future{exec: p.rt.contExec()}
-	ref := p.endpoint()
-	err := ref.InvokeAsyncCb(ctx, "Invoke1", []any{method, args}, func(v any, err error) {
+	err := p.endpoint().InvokeAsyncCb(ctx, "Invoke1", []any{method, args}, func(v any, err error) {
 		if err != nil && ctx.Err() == nil && p.asyncRecoverable(err) {
 			// Migration forward or node failure: hop off the completion
 			// path and re-run through the full re-routing retry loop.
@@ -449,11 +475,12 @@ func (p *Proxy) invokeAsyncFast(ctx context.Context, method string, args []any) 
 		f.complete(v, err)
 	})
 	if err != nil {
-		// Not submitted (callback will never run): let the slow path carry
+		// Not submitted (callback will never run): the slow path carries
 		// the call through connection setup and error handling.
-		return nil, false
+		return false
 	}
-	return f, true
+	p.rt.stats.syncCalls.Add(1)
+	return true
 }
 
 // asyncRecoverable reports whether an async completion error is one the
@@ -505,11 +532,15 @@ func (p *Proxy) PostCtx(ctx context.Context, method string, args ...any) error {
 		}
 		return nil
 	case modeLocalActive:
-		// post reports execution failures (which may legitimately wrap a
-		// MovedError from some other object) straight to AsyncErr; an
-		// enqueue-time forward is only returned, and is a routing event,
-		// not a failure — re-post remotely.
-		err := act.post(ctx, method, args, p.noteAsyncError)
+		// Execution failures (which may legitimately wrap a MovedError
+		// from some other object) go straight to AsyncErr from the actor
+		// loop; an enqueue-time forward is only returned, and is a routing
+		// event, not a failure — re-post remotely.
+		err := act.callAsync(ctx, method, args, func(_ any, err error) {
+			if err != nil {
+				p.noteAsyncError(err)
+			}
+		})
 		if mv, ok := movedOf(err, p.uri); ok {
 			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
 			return p.postRemote(method, args)

@@ -1,0 +1,88 @@
+// Package paper holds the 2005 stacks the paper measures against (mono,
+// and the calibrated profiles they run with): reproduction code the
+// production runtime must never depend on. This test is the boundary.
+package paper
+
+import (
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// production is the runtime's tree, relative to the repository root.
+var production = []string{
+	"parc",
+	"internal/core",
+	"internal/remoting",
+	"internal/wire",
+	"internal/transport",
+	"internal/dispatch",
+	"internal/cluster",
+	"internal/threadpool",
+	"internal/errs",
+	"internal/ctxwait",
+}
+
+// paperTrees are the import paths production code may not import, nor
+// anything below them: internal/paper, and the two baseline stacks that
+// have not moved there yet.
+var paperTrees = []string{
+	"repro/internal/paper",
+	"repro/internal/rmi",
+	"repro/internal/mpi",
+}
+
+// importsOf returns the import paths of every non-test Go file in dir.
+func importsOf(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatalf("no Go files in %s: the production list is stale", dir)
+	}
+	imports := map[string]string{}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			imports[path] = file
+		}
+	}
+	return imports
+}
+
+func TestProductionDoesNotImportPaperStacks(t *testing.T) {
+	root := filepath.Join("..", "..")
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("repository root not at %s: %v", root, err)
+	}
+	for _, pkg := range production {
+		for path, file := range importsOf(t, filepath.Join(root, pkg)) {
+			for _, tree := range paperTrees {
+				if path == tree || strings.HasPrefix(path, tree+"/") {
+					t.Errorf("%s imports %s: production code must not depend on the paper stacks", file, path)
+				}
+			}
+			// The endpoint cost model reaches the call path only as a
+			// transport.Network (cost.Network), never by import.
+			if (pkg == "internal/remoting" || pkg == "internal/core") && path == "repro/internal/cost" {
+				t.Errorf("%s imports %s: the call path takes the cost model through transport.Network", file, path)
+			}
+		}
+	}
+}

@@ -55,7 +55,7 @@ func MonoTCP117() cost.Model {
 }
 
 // MonoTCP105 models Mono 1.0.5: besides the legacy channel's unpooled
-// connections and 1 KiB flushed chunks (mechanised in remoting.LegacyTCP),
+// connections and 1 KiB flushed chunks (mechanised in mono.LegacyTCP),
 // its write path cost an order of magnitude more per byte, collapsing
 // bandwidth across the sweep as in Fig. 8b.
 func MonoTCP105() cost.Model {

@@ -369,7 +369,8 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 // TestBindingOverTCP runs the full bound fan-out over real loopback TCP:
 // batched vectored writes on both sides must preserve frame boundaries,
 // and out-of-order completions must match their seqs. This is the
-// miniature of the fanout benchmark, asserted for correctness under -race.
+// miniature of the benchmark's fanout_small workload, asserted for
+// correctness under -race.
 func TestBindingOverTCP(t *testing.T) {
 	net := transport.TCPNetwork{}
 	ch := NewMultiplexedChannel(net)

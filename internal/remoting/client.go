@@ -39,7 +39,7 @@ func NewObjRef(ch *Channel, netaddr, uri string) *ObjRef {
 }
 
 // URL reconstructs the object's remoting URL.
-func (r *ObjRef) URL() string { return BuildURL(r.ch.Scheme(), r.netaddr, r.uri) }
+func (r *ObjRef) URL() string { return BuildURL(urlScheme, r.netaddr, r.uri) }
 
 // URI returns the object path component.
 func (r *ObjRef) URI() string { return r.uri }
@@ -57,9 +57,9 @@ func (r *ObjRef) Invoke(method string, args ...any) (any, error) {
 }
 
 // InvokeCtx performs a synchronous remote method invocation bounded by ctx:
-// cancellation aborts the in-flight exchange (closing its connection) and
-// the deadline travels in the request envelope so the server refuses work
-// past it. Server-side failures come back as *RemoteError.
+// cancellation abandons the in-flight exchange (the connection stays up for
+// its other callers) and the deadline travels in the request envelope so
+// the server refuses work past it. Server-side failures come back as *RemoteError.
 //
 // When the channel's RetryPolicy is enabled, transient failures
 // (Retryable: node-down, overload sheds) are retried with jittered
@@ -143,8 +143,8 @@ func (r *ObjRef) normalize(req *callRequest, resp *callResponse) (any, error) {
 }
 
 // InvokeAsyncCb starts one completion-driven invocation attempt: the
-// request is encoded and enqueued on the multiplexed channel and the
-// method returns immediately; cb receives the normalized outcome exactly
+// request is encoded and enqueued on its lane and the method returns
+// immediately; cb receives the normalized outcome exactly
 // once, on the completion path (the lane's reader goroutine for replies).
 // An error return means the call was not submitted and cb will never run —
 // callers fall back to their goroutine-per-call path. Unlike InvokeCtx
@@ -205,10 +205,8 @@ func (ar *AsyncResult) EndInvoke() (any, error) {
 }
 
 // BeginInvoke starts an asynchronous remote method invocation and returns
-// immediately. On pooling channels each in-flight call uses its own pooled
-// connection; on the multiplexed channel concurrent calls pipeline over one
-// shared connection. Either way, concurrent BeginInvokes overlap on the
-// wire.
+// immediately. Concurrent BeginInvokes pipeline over the channel's shared
+// connections, so they overlap on the wire.
 func (r *ObjRef) BeginInvoke(method string, args ...any) *AsyncResult {
 	ar := &AsyncResult{done: make(chan struct{})}
 	go func() {
@@ -230,7 +228,7 @@ func (r *ObjRef) OneWay(method string, onErr func(error), args ...any) {
 }
 
 // OneWayTimeout is OneWay with a per-exchange deadline: the call is
-// abandoned (and its connection closed) when d elapses, so a one-way
+// abandoned when d elapses, so a one-way
 // stream aimed at a dead peer cannot pile up goroutines behind full call
 // timeouts. Used for asynchronous replica-state shipping, where losing a
 // snapshot only widens the replication lag until the next one lands.
@@ -275,8 +273,8 @@ func (d *Delegate) Invoke(args ...any) (any, error) {
 // When an asynchronous invoker is installed (SetInvokeAsync), the lane is
 // completion-chained: call N+1 is submitted from call N's completion
 // callback, so an idle-or-draining lane parks no flusher goroutine. Calls
-// the asynchronous invoker declines (unsupported channel kind, lane just
-// failed) execute on a transient goroutine through the synchronous
+// the asynchronous invoker declines (lane just failed, peer unreachable)
+// execute on a transient goroutine through the synchronous
 // invoker, preserving order — one outstanding call at a time either way.
 type CallSequencer struct {
 	invoke      func(method string, args ...any) (any, error)

@@ -3,8 +3,6 @@ package remoting
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 func TestBoundCallRoundTrip(t *testing.T) {
@@ -47,7 +45,7 @@ func TestBoundCallIsStringFree(t *testing.T) {
 		Seq:    99991,
 		Args:   []any{10.0, 4.0},
 	}
-	rawString, encS, err := (&Channel{kind: TCP, codec: wire.BinFmt{}}).encodeRequest(req)
+	rawString, encS, err := (&Channel{}).encodeRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}

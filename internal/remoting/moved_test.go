@@ -2,7 +2,6 @@ package remoting
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/errs"
@@ -68,19 +67,14 @@ func (movedService) Call() (int, error) {
 
 // TestMovedErrorSurvivesWire: a server-side *errs.MovedError arrives at
 // the client with its location intact and an errors.Is-able identity, on
-// both the string envelope (pooled TCP) and the compact envelope
-// (multiplexed, bound handles).
+// both the string envelope (binding disabled) and the compact envelope
+// (bound handles).
 func TestMovedErrorSurvivesWire(t *testing.T) {
-	for _, kind := range []Kind{TCP, Multiplexed} {
-		t.Run(kind.String(), func(t *testing.T) {
-			net := transport.NewMemNetwork()
-			var ch *Channel
-			if kind == Multiplexed {
-				ch = NewMultiplexedChannel(net)
-			} else {
-				ch = NewTCPChannel(net)
-			}
-			srv, err := ch.ListenAndServe(fmt.Sprintf("mem://moved-%s", kind))
+	for _, envelope := range []string{"string", "compact"} {
+		t.Run(envelope, func(t *testing.T) {
+			ch := NewMultiplexedChannel(transport.NewMemNetwork())
+			ch.DisableBinding = envelope == "string"
+			srv, err := ch.ListenAndServe("mem://moved-" + envelope)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +82,7 @@ func TestMovedErrorSurvivesWire(t *testing.T) {
 			defer ch.Close()
 			srv.RegisterWellKnown("svc", Singleton, func() any { return movedService{} })
 			ref := NewObjRef(ch, srv.Addr(), "svc")
-			for i := 0; i < 3; i++ { // repeat so mux binds the handle and uses compact frames
+			for i := 0; i < 3; i++ { // repeat so the handle binds and compact frames flow
 				_, err := ref.Invoke("Call")
 				if !errors.Is(err, errs.ErrObjectMoved) {
 					t.Fatalf("call %d: %v does not unwrap to ErrObjectMoved", i, err)

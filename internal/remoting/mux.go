@@ -244,13 +244,12 @@ func (mc *muxConn) confirmBind(handle uint32) {
 // envelope (carrying the bind declaration) until then. Ownership of the
 // returned pooled encoder follows Channel.encodeRequest.
 func (mc *muxConn) encodeRequest(req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
-	bf, binary := mc.ch.binaryCodec()
-	if !binary || mc.ch.DisableBinding {
+	if mc.ch.DisableBinding {
 		return mc.ch.encodeRequest(req)
 	}
 	cb := mc.bindFor(req.URI, req.Method)
 	if cb.confirmed.Load() {
-		return encodeBoundCall(cb.handle, req, bf.DisableGenerated)
+		return encodeBoundCall(cb.handle, req, mc.ch.codec.DisableGenerated)
 	}
 	req.Bind = cb.handle
 	return mc.ch.encodeRequest(req)
@@ -279,7 +278,7 @@ func (of outFrame) release() {
 }
 
 // errChannelClosed terminates in-flight calls when Channel.Close shuts a
-// multiplexed peer down. It wraps ErrNodeDown for callers' errors.Is
+// lane down. It wraps ErrNodeDown for callers' errors.Is
 // chains, but muxRoundTrip recognises it and never retries it — a retry
 // would re-create the very connection Close just released.
 var errChannelClosed = fmt.Errorf("channel closed: %w", errs.ErrNodeDown)
@@ -344,8 +343,8 @@ func (ch *Channel) getMux(netaddr string, lane int) (mc *muxConn, fresh bool, er
 // connection is discarded.
 func (mc *muxConn) dial() error {
 	// Channel.dial applies the per-peer shared dial backoff, so a dead
-	// peer's lanes (and any pooled callers) collapse into one capped,
-	// jittered probe schedule instead of a redial storm.
+	// peer's lanes collapse into one capped, jittered probe schedule
+	// instead of a redial storm.
 	c, err := mc.ch.dial(mc.netaddr)
 	mc.mu.Lock()
 	switch {
@@ -381,12 +380,21 @@ func (ch *Channel) removeMux(mc *muxConn) {
 	ch.muxMu.Unlock()
 }
 
-// muxRoundTrip performs one exchange over a multiplexed lane, retrying
-// exactly once on a fresh connection when a reused long-lived connection
-// turns out to have gone stale (peer restarted, transport dropped) before
-// anything was received for this call. An orderly Channel.Close is never
-// retried — redialling would undo the Close. See roundTrip for the
-// at-most-once caveat the retry shares with the pooled path.
+// muxRoundTrip performs one exchange over a lane. The lane's long-lived
+// connection may have gone stale while idle (peer restarted, transport
+// dropped): when a call on a reused connection fails at the connection
+// level before anything was received for it, it is retried exactly once on
+// a freshly dialled connection instead of surfacing a spurious ErrNodeDown.
+// Failures on fresh connections, context expiries and an orderly
+// Channel.Close (redialling would undo the Close) are never retried.
+//
+// The retry condition is "no response received", the same heuristic HTTP
+// keep-alive clients apply to reused connections: over real TCP a stale
+// connection usually accepts the write and only the read fails, so a
+// send-phase-only retry would miss the common case. The caveat is that a
+// request the peer received and executed just before dying is executed
+// again by the retry — at-most-once is traded for liveness across peer
+// restarts, exactly once, and only on reused connections.
 //
 // The lane is chosen by sequence number, so concurrent callers spread
 // uniformly across lanes while a synchronous caller (who holds at most one
@@ -562,7 +570,7 @@ func (mc *muxConn) writer() {
 				for _, of := range batch[off:end] {
 					raws = append(raws, of.raw)
 				}
-				err := mc.ch.sendMsgBatch(mc.conn, raws)
+				err := transport.SendBatch(mc.conn, raws)
 				for _, of := range batch[off:end] {
 					of.release()
 				}
@@ -584,7 +592,7 @@ func (mc *muxConn) writer() {
 // declared a handle) also carry bind acks, applied here before routing.
 func (mc *muxConn) reader() {
 	for {
-		raw, err := mc.ch.recvMsg(mc.conn)
+		raw, err := transport.RecvFrame(mc.conn)
 		if err != nil {
 			mc.fail(fmt.Errorf("remoting: receive from %s: %v: %w", mc.netaddr, err, errs.ErrNodeDown))
 			return
@@ -794,23 +802,17 @@ func (ch *Channel) laneForURI(uri string) int {
 	return int(h % uint32(n))
 }
 
-// roundTripAsync submits one exchange on the multiplexed channel and
-// returns without waiting: cb receives the outcome — on the lane's reader
-// goroutine for replies — exactly once, unless roundTripAsync itself
-// returns an error, in which case the call was never submitted and cb will
-// not run. Only the multiplexed kind completes asynchronously; other kinds
-// report errAsyncUnsupported and the caller keeps its goroutine-per-call
-// path. There is no stale-connection retry here: an enqueued call that
-// dies with its lane reports the failure to cb, and the caller's fallback
-// (which re-resolves and retries through the synchronous machinery) picks
-// it up.
+// roundTripAsync submits one exchange and returns without waiting: cb
+// receives the outcome — on the lane's reader goroutine for replies —
+// exactly once, unless roundTripAsync itself returns an error, in which
+// case the call was never submitted and cb will not run. There is no
+// stale-connection retry here: an enqueued call that dies with its lane
+// reports the failure to cb, and the caller's fallback (which re-resolves
+// and retries through the synchronous machinery) picks it up.
 //
 // Breaker accounting mirrors roundTrip exactly, moved into the callback:
 // evidence is recorded when the outcome is known, once per submission.
 func (ch *Channel) roundTripAsync(ctx context.Context, netaddr string, req *callRequest, cb func(*callResponse, error)) error {
-	if ch.kind != Multiplexed {
-		return errAsyncUnsupported
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -845,10 +847,6 @@ func (ch *Channel) roundTripAsync(ctx context.Context, netaddr string, req *call
 	}
 	return err
 }
-
-// errAsyncUnsupported reports a channel kind without a completion path;
-// callers fall back to a waiter goroutine.
-var errAsyncUnsupported = errors.New("remoting: channel kind does not support asynchronous completion")
 
 // muxSubmit is the mux half of roundTripAsync: resolve the destination
 // lane, encode against its bind table and hand the frame to the lane's

@@ -256,94 +256,9 @@ func TestMultiplexedDownPeerFails(t *testing.T) {
 	}
 }
 
-// TestPooledStaleConnRetry is the regression test for the pooled channel's
-// stale-connection bug: a server restart between calls left a dead
-// connection in the pool and the next call failed with ErrNodeDown instead
-// of redialling.
-func TestPooledStaleConnRetry(t *testing.T) {
-	net := transport.NewMemNetwork()
-	ch := NewTCPChannel(net)
-	defer ch.Close()
-	srv, err := ch.ListenAndServe("mem://restart-pooled")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := &divideServer{}
-	srv.RegisterWellKnown("d", Singleton, func() any { return shared })
-	ref, _ := GetObject(ch, srv.URLFor("d"))
-	if _, err := ref.Invoke("Noop"); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close() // kills the pooled connection under us
-	srv2, err := ch.ListenAndServe("mem://restart-pooled")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	srv2.RegisterWellKnown("d", Singleton, func() any { return shared })
-	got, err := ref.Invoke("Divide", 10.0, 2.0)
-	if err != nil {
-		t.Fatalf("call after peer restart = %v, want retry on a fresh connection", err)
-	}
-	if got != 5.0 {
-		t.Errorf("Divide = %v", got)
-	}
-}
-
-// TestPooledDownPeerStillFails: with the peer gone for good, the single
-// retry dials, fails, and the caller sees ErrNodeDown — no retry loop.
-func TestPooledDownPeerStillFails(t *testing.T) {
-	net := transport.NewMemNetwork()
-	ch := NewTCPChannel(net)
-	defer ch.Close()
-	srv, err := ch.ListenAndServe("mem://gone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
-	ref, _ := GetObject(ch, srv.URLFor("d"))
-	if _, err := ref.Invoke("Noop"); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	if _, err := ref.Invoke("Noop"); !errors.Is(err, errs.ErrNodeDown) {
-		t.Fatalf("err = %v, want ErrNodeDown", err)
-	}
-}
-
-// TestChannelCloseDrainsConnections: Close releases idle pooled conns and
-// multiplexed peers; the channel stays usable and redials afterwards.
+// TestChannelCloseDrainsConnections: Close releases every peer lane; the
+// channel stays usable and redials afterwards.
 func TestChannelCloseDrainsConnections(t *testing.T) {
-	t.Run("pooled", func(t *testing.T) {
-		net := transport.NewMemNetwork()
-		ch := NewTCPChannel(net)
-		srv, err := ch.ListenAndServe("mem://drain")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
-		ref, _ := GetObject(ch, srv.URLFor("d"))
-		if _, err := ref.Invoke("Noop"); err != nil {
-			t.Fatal(err)
-		}
-		ch.pool.mu.Lock()
-		idle := len(ch.pool.idle["mem://drain"])
-		ch.pool.mu.Unlock()
-		if idle != 1 {
-			t.Fatalf("idle conns before Close = %d, want 1", idle)
-		}
-		ch.Close()
-		ch.pool.mu.Lock()
-		drained := ch.pool.idle == nil
-		ch.pool.mu.Unlock()
-		if !drained {
-			t.Error("Close left idle connections pooled")
-		}
-		if _, err := ref.Invoke("Noop"); err != nil {
-			t.Errorf("channel unusable after Close: %v", err)
-		}
-	})
 	t.Run("multiplexed", func(t *testing.T) {
 		ch, srv, net := newMuxServer(t)
 		srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })

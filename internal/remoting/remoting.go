@@ -1,13 +1,10 @@
 // Package remoting is the Go analogue of .NET Remoting as used by ParC#
 // (paper §2–3). It provides:
 //
-//   - channels in the .NET sense: the modern TCP channel (compact binary
-//     formatter, pooled connections — Mono 1.1.7), the legacy TCP channel
-//     (unpooled, small flushed chunks — Mono 1.0.5), the HTTP channel
-//     (verbose SOAP-style text, per-call connections), and — beyond the
-//     paper's 2005 stacks — the multiplexed channel (one long-lived
-//     connection per peer pipelining many concurrent calls, responses
-//     matched by sequence number and completing out of order);
+//   - the channel: one long-lived connection per lane and peer pipelining
+//     many concurrent calls, responses matched by sequence number and
+//     completing out of order (the paper's three 2005 Mono channels are the
+//     baseline stack in internal/paper/mono, not kinds of this one);
 //   - server-side object publication: RegisterWellKnown with Singleton and
 //     SingleCall activation (the object-factory modes §2 highlights as the
 //     improvement over Java RMI), plus Marshal for explicitly instantiated
@@ -21,10 +18,6 @@
 //   - lease-based lifetime management standing in for ".Net managed object
 //     lifetime" (paper §3.2: ParC++ destroyed IOs explicitly, ParC# lets
 //     the platform manage it).
-//
-// Endpoint software costs (serialisation, dispatch, connection setup) of
-// the 2005 runtimes are injected through CostModel, calibrated in package
-// profile from the paper's measured latencies.
 package remoting
 
 //go:generate go run repro/cmd/parcgen -in remoting.go -out remoting_parc.go
@@ -34,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/errs"
 	"repro/internal/wire"
 )
@@ -173,18 +165,10 @@ func ParseURL(url string) (scheme, netaddr, uri string, err error) {
 }
 
 // BuildURL is the inverse of ParseURL. Self-describing addresses (mem://,
-// unix://, inproc://) keep their own scheme so the URL round-trips
-// regardless of the channel kind.
+// unix://, inproc://) keep their own scheme so the URL round-trips.
 func BuildURL(scheme, netaddr, uri string) string {
 	if strings.Contains(netaddr, "://") {
 		return netaddr + "/" + uri
 	}
 	return fmt.Sprintf("%s://%s/%s", scheme, netaddr, uri)
 }
-
-// CostModel injects the endpoint software costs of a 2005 managed runtime:
-// serialisation and dispatch CPU time that our Go implementation does not
-// naturally exhibit at the same magnitude. A zero CostModel charges nothing
-// (the configuration used by unit tests). Package profile provides values
-// calibrated against the paper's measurements.
-type CostModel = cost.Model

@@ -46,23 +46,15 @@ func (c *statefulCounter) Incr() int {
 	return c.n
 }
 
-func newTestServer(t *testing.T, kind Kind, opts ...ServerOption) (*Channel, *Server) {
+func newTestServer(t *testing.T, opts ...ServerOption) (*Channel, *Server) {
 	t.Helper()
-	net := transport.NewMemNetwork()
-	var ch *Channel
-	switch kind {
-	case TCP:
-		ch = NewTCPChannel(net)
-	case LegacyTCP:
-		ch = NewLegacyTCPChannel(net)
-	case HTTP:
-		ch = NewHTTPChannel(net)
-	}
+	ch := NewMultiplexedChannel(transport.NewMemNetwork())
 	srv, err := ch.ListenAndServe("mem://server", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
+	t.Cleanup(ch.Close)
 	return ch, srv
 }
 
@@ -110,36 +102,32 @@ func TestBuildURLRoundtrip(t *testing.T) {
 }
 
 func TestSingletonInvoke(t *testing.T) {
-	for _, kind := range []Kind{TCP, LegacyTCP, HTTP} {
-		t.Run(kind.String(), func(t *testing.T) {
-			ch, srv := newTestServer(t, kind)
-			shared := &divideServer{}
-			srv.RegisterWellKnown("DivideServer", Singleton, func() any { return shared })
-			ref, err := GetObject(ch, srv.URLFor("DivideServer"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ref.Invoke("Divide", 10.0, 4.0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != 2.5 {
-				t.Errorf("Divide = %v", got)
-			}
-			if _, err := ref.Invoke("Divide", 1.0, 0.0); err == nil {
-				t.Error("expected division by zero error")
-			} else {
-				var re *RemoteError
-				if !errors.As(err, &re) {
-					t.Errorf("error type %T, want *RemoteError", err)
-				}
-			}
-		})
+	ch, srv := newTestServer(t)
+	shared := &divideServer{}
+	srv.RegisterWellKnown("DivideServer", Singleton, func() any { return shared })
+	ref, err := GetObject(ch, srv.URLFor("DivideServer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ref.Invoke("Divide", 10.0, 4.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 2.5 {
+		t.Errorf("Divide = %v", got)
+	}
+	if _, err := ref.Invoke("Divide", 1.0, 0.0); err == nil {
+		t.Error("expected division by zero error")
+	} else {
+		var re *RemoteError
+		if !errors.As(err, &re) {
+			t.Errorf("error type %T, want *RemoteError", err)
+		}
 	}
 }
 
 func TestSingletonSharesState(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("counter", Singleton, func() any { return &statefulCounter{} })
 	ref, _ := GetObject(ch, srv.URLFor("counter"))
 	for want := 1; want <= 3; want++ {
@@ -154,7 +142,7 @@ func TestSingletonSharesState(t *testing.T) {
 }
 
 func TestSingleCallFreshInstancePerCall(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("counter", SingleCall, func() any { return &statefulCounter{} })
 	ref, _ := GetObject(ch, srv.URLFor("counter"))
 	for i := 0; i < 3; i++ {
@@ -169,29 +157,25 @@ func TestSingleCallFreshInstancePerCall(t *testing.T) {
 }
 
 func TestEchoArrays(t *testing.T) {
-	for _, kind := range []Kind{TCP, LegacyTCP, HTTP} {
-		t.Run(kind.String(), func(t *testing.T) {
-			ch, srv := newTestServer(t, kind)
-			srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
-			ref, _ := GetObject(ch, srv.URLFor("d"))
-			payload := make([]int32, 5000) // > legacy chunk size when encoded
-			for i := range payload {
-				payload[i] = int32(i)
-			}
-			got, err := ref.Invoke("Echo", payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gs, ok := got.([]int32)
-			if !ok || len(gs) != len(payload) || gs[4999] != 4999 {
-				t.Errorf("Echo returned %T len %d", got, len(gs))
-			}
-		})
+	ch, srv := newTestServer(t)
+	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	ref, _ := GetObject(ch, srv.URLFor("d"))
+	payload := make([]int32, 5000)
+	for i := range payload {
+		payload[i] = int32(i)
+	}
+	got, err := ref.Invoke("Echo", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, ok := got.([]int32)
+	if !ok || len(gs) != len(payload) || gs[4999] != 4999 {
+		t.Errorf("Echo returned %T len %d", got, len(gs))
 	}
 }
 
 func TestVoidMethod(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	got, err := ref.Invoke("Noop")
@@ -204,7 +188,7 @@ func TestVoidMethod(t *testing.T) {
 }
 
 func TestErrorOnlyMethod(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	if _, err := ref.Invoke("Fail"); err == nil || !strings.Contains(err.Error(), "always fails") {
@@ -213,7 +197,7 @@ func TestErrorOnlyMethod(t *testing.T) {
 }
 
 func TestUnknownURIAndMethod(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	ref, _ := GetObject(ch, srv.URLFor("missing"))
 	if _, err := ref.Invoke("Divide", 1.0, 1.0); err == nil {
@@ -226,7 +210,7 @@ func TestUnknownURIAndMethod(t *testing.T) {
 }
 
 func TestArgumentMismatch(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	if _, err := ref.Invoke("Divide", 1.0); err == nil {
@@ -238,7 +222,7 @@ func TestArgumentMismatch(t *testing.T) {
 }
 
 func TestNumericArgumentWidening(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	// ints convert to the float64 parameters.
@@ -252,7 +236,7 @@ func TestNumericArgumentWidening(t *testing.T) {
 }
 
 func TestBeginEndInvoke(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	ar := ref.BeginInvoke("Divide", 8.0, 2.0)
@@ -269,7 +253,7 @@ func TestBeginEndInvoke(t *testing.T) {
 }
 
 func TestDelegate(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	del := NewDelegate(ref, "Divide")
@@ -284,7 +268,7 @@ func TestDelegate(t *testing.T) {
 }
 
 func TestConcurrentInvokes(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	shared := &divideServer{}
 	srv.RegisterWellKnown("d", Singleton, func() any { return shared })
 	ref, _ := GetObject(ch, srv.URLFor("d"))
@@ -318,7 +302,7 @@ func TestConcurrentInvokes(t *testing.T) {
 }
 
 func TestCallSequencerOrdering(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	rec := &recorder{}
 	srv.RegisterWellKnown("r", Singleton, func() any { return rec })
 	ref, _ := GetObject(ch, srv.URLFor("r"))
@@ -340,7 +324,7 @@ func TestCallSequencerOrdering(t *testing.T) {
 }
 
 func TestCallSequencerErrorCallback(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	cs := NewCallSequencer(ref)
@@ -376,7 +360,7 @@ func (r *recorder) snapshot() []int {
 func TestMarshalAndLeaseExpiry(t *testing.T) {
 	// Generous windows: the suite runs alongside other packages and a
 	// scheduler stall between renewals must not flake the test.
-	ch, srv := newTestServer(t, TCP, WithLeaseTTL(250*time.Millisecond))
+	ch, srv := newTestServer(t, WithLeaseTTL(250*time.Millisecond))
 	srv.Marshal("obj", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("obj"))
 	// Calls within the TTL keep renewing.
@@ -397,7 +381,7 @@ func TestMarshalAndLeaseExpiry(t *testing.T) {
 }
 
 func TestUnregister(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.Marshal("obj", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("obj"))
 	if _, err := ref.Invoke("Noop"); err != nil {
@@ -413,7 +397,7 @@ func TestUnregister(t *testing.T) {
 func TestServerWithThreadPoolCap(t *testing.T) {
 	pool := threadpool.New(2, 0)
 	defer pool.Close()
-	ch, srv := newTestServer(t, TCP, WithPool(pool))
+	ch, srv := newTestServer(t, WithPool(pool))
 	var cur, peak atomic.Int64
 	blocker := &blockingService{cur: &cur, peak: &peak, dur: 30 * time.Millisecond}
 	srv.RegisterWellKnown("b", Singleton, func() any { return blocker })
@@ -450,7 +434,7 @@ func (b *blockingService) Work() {
 }
 
 func TestTCPTransportIntegration(t *testing.T) {
-	ch := NewTCPChannel(transport.TCPNetwork{})
+	ch := NewMultiplexedChannel(transport.TCPNetwork{})
 	srv, err := ch.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +455,7 @@ func TestTCPTransportIntegration(t *testing.T) {
 }
 
 func TestStructArguments(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("s", Singleton, func() any { return &structService{} })
 	ref, _ := GetObject(ch, srv.URLFor("s"))
 	got, err := ref.Invoke("Sum", wirePoint{X: 3, Y: 4})
@@ -501,28 +485,6 @@ func (structService) Sum(p wirePoint) int { return p.X + p.Y }
 
 func (structService) Mirror(p *wirePoint) *wirePoint { return &wirePoint{X: p.Y, Y: p.X} }
 
-func TestCostModelChargesLatency(t *testing.T) {
-	net := transport.NewMemNetwork()
-	ch := NewTCPChannel(net)
-	ch.Cost = CostModel{PerMessage: 5 * time.Millisecond}
-	srv, err := ch.ListenAndServe("mem://cost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
-	ref, _ := GetObject(ch, srv.URLFor("d"))
-	start := time.Now()
-	if _, err := ref.Invoke("Noop"); err != nil {
-		t.Fatal(err)
-	}
-	// 4 charged messages (client send, server recv, server send, client
-	// recv) of 5 ms each.
-	if rtt := time.Since(start); rtt < 18*time.Millisecond {
-		t.Errorf("cost model under-charged: rtt %v", rtt)
-	}
-}
-
 func TestLeaseRenewAndCancel(t *testing.T) {
 	// Wide windows: scheduler stalls while the whole suite runs in
 	// parallel must not eat the TTL between steps.
@@ -547,7 +509,7 @@ func TestLeaseRenewAndCancel(t *testing.T) {
 }
 
 func TestServerCloseStopsAccepting(t *testing.T) {
-	ch, srv := newTestServer(t, TCP)
+	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	srv.Close()
 	srv.Close() // idempotent

@@ -1,6 +1,6 @@
 // RetryPolicy: the unified retry/backoff layer for remote calls.
 //
-// Before it, retry logic was scattered: the channel redialled stale pooled
+// Before it, retry logic was scattered: the channel redialled stale
 // connections once, the SCOOPP proxy re-resolved once on ErrNodeDown, and
 // the ErrOverloaded doc comment prescribed jittered backoff that no caller
 // implemented. The policy centralises the loop: classify the failure,

@@ -111,7 +111,7 @@ func TestBudgetAllowsDeadline(t *testing.T) {
 // deadline (refusing the unaffordable sleep) and surface the transport
 // error, not burn the full attempt cap or the deadline.
 func TestInvokeRetryStopsOnBudget(t *testing.T) {
-	ch := NewTCPChannel(transport.NewMemNetwork())
+	ch := NewMultiplexedChannel(transport.NewMemNetwork())
 	ch.Retry = RetryPolicy{MaxAttempts: 10, BaseDelay: 200 * time.Millisecond, Jitter: -1}
 	defer ch.Close()
 	ref := NewObjRef(ch, "mem://nowhere", "obj") // no listener: dial fails fast
@@ -134,7 +134,7 @@ func TestInvokeRetryStopsOnBudget(t *testing.T) {
 // between retries — a teardown that strands callers in backoff timers leaks
 // goroutines for the rest of the backoff.
 func TestInvokeRetryAbortsOnClose(t *testing.T) {
-	ch := NewTCPChannel(transport.NewMemNetwork())
+	ch := NewMultiplexedChannel(transport.NewMemNetwork())
 	ch.Retry = RetryPolicy{MaxAttempts: 10, BaseDelay: 10 * time.Second, Jitter: -1}
 	ref := NewObjRef(ch, "mem://nowhere", "obj")
 	done := make(chan error, 1)
@@ -157,7 +157,7 @@ func TestInvokeRetryAbortsOnClose(t *testing.T) {
 // TestWithoutRetry: the per-call escape hatch forces a single attempt even
 // under an enabled policy.
 func TestWithoutRetry(t *testing.T) {
-	ch := NewTCPChannel(transport.NewMemNetwork())
+	ch := NewMultiplexedChannel(transport.NewMemNetwork())
 	ch.Retry = RetryPolicy{MaxAttempts: 10, BaseDelay: time.Second, Jitter: -1}
 	defer ch.Close()
 	ref := NewObjRef(ch, "mem://nowhere", "obj")
@@ -260,7 +260,7 @@ func TestBreakerIgnoresAppErrors(t *testing.T) {
 // on: its error must be the real transport failure, never the breaker's
 // fast-fail, and the attempt must leave the breaker's state untouched.
 func TestWithoutBreakerBypassesOpenBreaker(t *testing.T) {
-	ch := NewTCPChannel(transport.NewMemNetwork())
+	ch := NewMultiplexedChannel(transport.NewMemNetwork())
 	ch.Retry = RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond,
 		BreakerThreshold: 1, BreakerCooldown: time.Hour}
 	defer ch.Close()

@@ -149,7 +149,7 @@ func (s *Server) DeadlineDrops() int64 { return s.deadlineDrops.Load() }
 
 // URLFor returns the full remoting URL for a URI published on this server.
 func (s *Server) URLFor(uri string) string {
-	return BuildURL(s.ch.Scheme(), s.Addr(), uri)
+	return BuildURL(urlScheme, s.Addr(), uri)
 }
 
 // RegisterWellKnown publishes factory under uri with the given activation
@@ -308,12 +308,11 @@ func (s *Server) acceptLoop() {
 // writer goroutine: the first handler to respond becomes the flusher and
 // keeps writing — in batched wire writes — until the queue it shares with
 // every concurrent handler is empty, while later handlers just append
-// their frame and return. A sequential connection (pooled, legacy, HTTP)
-// therefore writes directly with zero added hops, exactly as before,
-// while a pipelined connection under load coalesces everything that
-// accumulated during the previous write into one syscall. The queue is
-// bounded by the number of in-flight handlers, the same backpressure the
-// old per-connection write lock provided.
+// their frame and return. A connection with one call in flight therefore
+// writes directly with zero added hops, while a pipelined connection under
+// load coalesces everything that accumulated during the previous write
+// into one syscall. The queue is bounded by the number of in-flight
+// handlers.
 type serverConn struct {
 	s       *Server
 	c       transport.Conn
@@ -411,9 +410,8 @@ func (s *Server) handleConn(c transport.Conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
-	_, binary := s.ch.binaryCodec()
 	for {
-		raw, err := s.ch.recvMsg(c)
+		raw, err := transport.RecvFrame(c)
 		if err != nil {
 			return
 		}
@@ -422,7 +420,7 @@ func (s *Server) handleConn(c transport.Conn) {
 		var bindAck uint32
 		var bound uint32
 		var borrowed bool
-		compact := binary && (isCompactFrame(raw, markBoundCall) || isCompactFrame(raw, markBoundCallTok))
+		compact := isCompactFrame(raw, markBoundCall) || isCompactFrame(raw, markBoundCallTok)
 		if compact {
 			bound, req, borrowed, err = decodeBoundCall(raw)
 		} else {
@@ -445,7 +443,7 @@ func (s *Server) handleConn(c transport.Conn) {
 				continue
 			}
 			req.URI, req.Method = entry.uri, entry.method
-		} else if req.Bind != 0 && binary && !s.ch.DisableBinding {
+		} else if req.Bind != 0 && !s.ch.DisableBinding {
 			entry, bindAck = sc.declare(req)
 		}
 		handle := func() {
@@ -498,8 +496,6 @@ func (sc *serverConn) respond(req *callRequest, resp *callResponse, bindAck uint
 // per coalesced wire write with the lock released. Called with wmu held
 // and sc.writing owned; returns with wmu released.
 func (sc *serverConn) flushLocked() {
-	ch := sc.s.ch
-	batchable := ch.kind != LegacyTCP
 	for len(sc.pending) > 0 {
 		batch := sc.pending
 		sc.pending = sc.spare[:0]
@@ -513,17 +509,7 @@ func (sc *serverConn) flushLocked() {
 					raws = append(raws, of.raw)
 				}
 				sc.raws = raws
-				var err error
-				if batchable {
-					err = ch.sendMsgBatch(sc.c, raws)
-				} else {
-					for _, r := range raws {
-						if err = ch.sendMsg(sc.c, r); err != nil {
-							break
-						}
-					}
-				}
-				failed = err != nil
+				failed = transport.SendBatch(sc.c, raws) != nil
 			}
 			for _, of := range batch[off:end] {
 				of.release()
@@ -540,8 +526,7 @@ func (sc *serverConn) flushLocked() {
 
 func (sc *serverConn) encodeResponse(resp *callResponse, bindAck uint32) ([]byte, *wire.Encoder, error) {
 	if sc.compact.Load() {
-		bf, _ := sc.s.ch.binaryCodec()
-		return encodeBoundReply(resp, bindAck, bf.DisableGenerated)
+		return encodeBoundReply(resp, bindAck, sc.s.ch.codec.DisableGenerated)
 	}
 	return sc.s.ch.encodeResponse(resp)
 }

@@ -80,8 +80,7 @@ func (TCPNetwork) Dial(addr string) (Conn, error) {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	if tc, ok := c.(*net.TCPConn); ok {
-		// The remoting TCP channel disables Nagle, as Mono 1.1.7 does;
-		// the legacy channel variant re-enables it at a higher layer.
+		// The remoting channel disables Nagle, as Mono 1.1.7's did.
 		tc.SetNoDelay(true)
 	}
 	return newStreamConn(c), nil

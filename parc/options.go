@@ -5,32 +5,15 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/remoting"
 	"repro/internal/threadpool"
 	"repro/internal/transport"
 )
 
-// ChannelKind selects the remoting channel implementation (the paper's
-// Fig. 8b comparison).
-type ChannelKind = remoting.Kind
-
-// Channel kinds.
-const (
-	// TCPChannel is the modern binary TCP channel (default): pooled
-	// connections, one in-flight call per connection.
-	TCPChannel = remoting.TCP
-	// LegacyTCPChannel is the Mono 1.0.5-style unpooled chunked channel.
-	LegacyTCPChannel = remoting.LegacyTCP
-	// HTTPChannel is the SOAP/HTTP channel.
-	HTTPChannel = remoting.HTTP
-	// MultiplexedChannel pipelines many concurrent calls over one
-	// long-lived connection per peer, with responses completing out of
-	// order — the high-fan-out configuration; see WithMaxInFlight.
-	MultiplexedChannel = remoting.Multiplexed
-)
-
-// CostModel injects 2005-era endpoint software costs (see package profile).
-type CostModel = remoting.CostModel
+// CostModel injects 2005-era endpoint software costs (see
+// internal/paper/profile for calibrated values).
+type CostModel = cost.Model
 
 // Option configures StartCluster or ServeNode. Options compose left to
 // right; later options override earlier ones.
@@ -42,7 +25,6 @@ type options struct {
 	network NetworkParams
 	cost    CostModel
 	// shared scope
-	channel       ChannelKind
 	maxInFlight   int
 	muxLanes      int
 	poolSize      int
@@ -69,26 +51,22 @@ func WithNodes(n int) Option { return func(o *options) { o.nodes = n } }
 // ideal network. Use Ethernet100 for the paper's testbed.
 func WithNetwork(p NetworkParams) Option { return func(o *options) { o.network = p } }
 
-// WithChannel selects the remoting channel implementation (default
-// TCPChannel).
-func WithChannel(k ChannelKind) Option { return func(o *options) { o.channel = k } }
-
-// WithCost charges per-endpoint software costs on the channel.
+// WithCost charges per-endpoint software costs: the network the channel
+// runs over is wrapped so that every connect, every message sent and every
+// message received pays the model.
 func WithCost(m CostModel) Option { return func(o *options) { o.cost = m } }
 
 // WithMaxInFlight bounds the number of concurrent in-flight calls per peer
-// connection on the MultiplexedChannel; callers beyond the bound block
-// until a slot frees (backpressure). 0 (the default) selects the channel's
-// built-in default. Other channel kinds ignore it.
+// connection; callers beyond the bound block until a slot frees
+// (backpressure). 0 (the default) selects the channel's built-in default.
 func WithMaxInFlight(n int) Option { return func(o *options) { o.maxInFlight = n } }
 
-// WithMuxLanes sets how many multiplexed connections (lanes) the
-// MultiplexedChannel opens per peer. Callers are striped across lanes by
-// sequence number, so unrelated calls on different lanes never share a
-// lock or a TCP stream — the many-core scaling knob. 0 (the default)
-// selects min(GOMAXPROCS, 4); 1 restores the single-connection
-// behaviour. Other channel kinds ignore it. WithMaxInFlight bounds each
-// lane independently.
+// WithMuxLanes sets how many connections (lanes) a node opens per peer.
+// Callers are striped across lanes by sequence number, so unrelated calls
+// on different lanes never share a lock or a TCP stream — the many-core
+// scaling knob. 0 (the default) selects min(GOMAXPROCS, 4); 1 restores the
+// single-connection behaviour. WithMaxInFlight bounds each lane
+// independently.
 func WithMuxLanes(n int) Option { return func(o *options) { o.muxLanes = n } }
 
 // WithPoolSize caps each node's concurrent request execution, modelling a
@@ -214,7 +192,6 @@ func StartCluster(opts ...Option) (*Cluster, error) {
 	o := buildOptions(opts)
 	inner, err := cluster.New(cluster.Options{
 		Nodes:           o.nodes,
-		ChannelKind:     o.channel,
 		Net:             o.network,
 		Cost:            o.cost,
 		PoolSize:        o.poolSize,
@@ -246,21 +223,9 @@ func StartCluster(opts ...Option) (*Cluster, error) {
 //	rt, err := parc.ServeNode(parc.WithNodeID(1), parc.WithListen(":7070"))
 func ServeNode(opts ...Option) (*Runtime, error) {
 	o := buildOptions(opts)
-	var ch *remoting.Channel
 	// Auto routes by address scheme: unix:// and inproc:// listen
 	// addresses select the local transports, anything else is TCP.
-	net := transport.Auto{}
-	switch o.channel {
-	case LegacyTCPChannel:
-		ch = remoting.NewLegacyTCPChannel(net)
-	case HTTPChannel:
-		ch = remoting.NewHTTPChannel(net)
-	case MultiplexedChannel:
-		ch = remoting.NewMultiplexedChannel(net)
-	default:
-		ch = remoting.NewTCPChannel(net)
-	}
-	ch.Cost = o.cost
+	ch := remoting.NewMultiplexedChannel(cost.Network(transport.Auto{}, o.cost))
 	ch.MaxInFlight = o.maxInFlight
 	ch.MuxLanes = o.muxLanes
 	var pool *threadpool.Pool

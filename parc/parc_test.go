@@ -3,6 +3,7 @@ package parc_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -211,4 +212,96 @@ func TestWithMailboxBoundShedsOverload(t *testing.T) {
 		t.Errorf("Stats().OverloadGrade = %v, want OverloadShedding", st.OverloadGrade)
 	}
 	close(b.release)
+}
+
+// remoteBlocker creates blocker objects through rt until the placement
+// policy puts one on another node.
+func remoteBlocker(t *testing.T, rt *parc.Runtime) *parc.Object[blocker] {
+	t.Helper()
+	for i := 0; i < 8; i++ {
+		obj, err := parc.NewAt[blocker](rt, "blocker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !obj.Proxy().IsLocal() {
+			return obj
+		}
+	}
+	t.Fatal("placement never chose the other node")
+	return nil
+}
+
+// TestDefaultNodesRideCompletionPath: a cluster and a TCP node started with
+// no channel-related option run the one production channel, which only the
+// completion-driven path shows: outstanding CallAsync on one remote object
+// park no goroutine each.
+func TestDefaultNodesRideCompletionPath(t *testing.T) {
+	boot := map[string]func(t *testing.T, register func(*parc.Runtime)) *parc.Runtime{
+		"StartCluster": func(t *testing.T, register func(*parc.Runtime)) *parc.Runtime {
+			cl, err := parc.StartCluster(parc.WithNodes(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cl.Close)
+			register(cl.Node(0))
+			register(cl.Node(1))
+			return cl.Entry()
+		},
+		"ServeNode": func(t *testing.T, register func(*parc.Runtime)) *parc.Runtime {
+			nodes := make([]*parc.Runtime, 2)
+			addrs := make([]string, 2)
+			for i := range nodes {
+				rt, err := parc.ServeNode(parc.WithNodeID(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(rt.Close)
+				register(rt)
+				nodes[i], addrs[i] = rt, rt.Addr()
+			}
+			for _, rt := range nodes {
+				if err := rt.JoinCluster(addrs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return nodes[0]
+		},
+	}
+	for name, start := range boot {
+		t.Run(name, func(t *testing.T) {
+			b := &blocker{entered: make(chan struct{}, 1), release: make(chan struct{})}
+			entry := start(t, func(rt *parc.Runtime) {
+				rt.RegisterClass("blocker", func() any { return b })
+			})
+			obj := remoteBlocker(t, entry)
+			ctx := context.Background()
+			held := parc.CallAsync[int](ctx, obj, "Block")
+			<-b.entered
+			base := runtime.NumGoroutine()
+			// The hosting node runs in this process too, and each request
+			// its lane admits waits for the parked actor on a handler
+			// goroutine; the channel's default in-flight window (1024 per
+			// lane, and one object's calls share a lane) bounds those. Past
+			// the window the count must not grow with the calls outstanding.
+			const window, n = 1024, 4 * 1024
+			results := make([]*parc.Result[int], n)
+			for i := range results {
+				results[i] = parc.CallAsync[int](ctx, obj, "Quick")
+			}
+			if d := runtime.NumGoroutine() - base; d > window+32 {
+				t.Errorf("%d outstanding CallAsync hold %d extra goroutines, want at most the %d-call window", n, d, window)
+			} else {
+				t.Logf("%d outstanding CallAsync hold %d extra goroutines", n, d)
+			}
+			close(b.release)
+			if v, err := held.Get(ctx); err != nil || v != 1 {
+				t.Fatalf("Block = %d, %v", v, err)
+			}
+			for i, r := range results {
+				if v, err := r.Get(ctx); err != nil || v != 2 {
+					t.Fatalf("call %d = %d, %v", i, v, err)
+				}
+			}
+		})
+	}
 }
