@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/netsim"
+	"repro/internal/racetest"
 )
 
 // ---------------------------------------------------------------- model
@@ -265,7 +266,7 @@ func TestFig9SmallShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm run in -short mode")
 	}
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("race instrumentation skews the calibrated timing model")
 	}
 	cfg := DefaultFig9Config(false)

@@ -29,9 +29,13 @@ type actor struct {
 	bound int
 	shed  ShedPolicy
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[head:] are the waiting tasks, oldest first. Popping advances
+	// head instead of re-slicing, so the backing array survives: a mailbox
+	// that is one deep, the common case, reuses slot 0 on every call.
 	queue   []actorTask
+	head    int
 	stopped bool
 	pending int
 	// paused blocks new enqueues (migration: the mailbox drains while
@@ -70,6 +74,40 @@ type actorResult struct {
 	err error
 }
 
+// mailboxKeep is the largest backing array, in tasks, an emptied mailbox
+// holds on to; what a burst grew beyond it goes back to the GC.
+const mailboxKeep = 64
+
+// queued reports how many tasks wait in the mailbox. Needs a.mu.
+func (a *actor) queued() int { return len(a.queue) - a.head }
+
+// pop removes the oldest waiting task, zeroing its slot so a finished
+// task's args and ctx are not pinned by the array. Needs a.mu.
+func (a *actor) pop() actorTask {
+	t := a.queue[a.head]
+	a.queue[a.head] = actorTask{}
+	a.head++
+	if a.head == len(a.queue) {
+		a.queue, a.head = a.queue[:0], 0
+		if cap(a.queue) > mailboxKeep {
+			a.queue = nil
+		}
+	}
+	return t
+}
+
+// push appends a task. A full array of which at least half is already
+// popped is compacted in place rather than grown, so a mailbox that never
+// quite empties does not creep through memory. Needs a.mu.
+func (a *actor) push(t actorTask) {
+	if a.head > 0 && len(a.queue) == cap(a.queue) && a.head >= len(a.queue)/2 {
+		n := copy(a.queue, a.queue[a.head:])
+		clear(a.queue[n:])
+		a.queue, a.head = a.queue[:n], 0
+	}
+	a.queue = append(a.queue, t)
+}
+
 func newActor(w *ioWrapper) *actor {
 	a := &actor{w: w, bound: w.rt.cfg.MailboxBound, shed: w.rt.cfg.Shed}
 	a.cond = sync.NewCond(&a.mu)
@@ -80,15 +118,14 @@ func newActor(w *ioWrapper) *actor {
 func (a *actor) run() {
 	for {
 		a.mu.Lock()
-		for len(a.queue) == 0 && !a.stopped {
+		for a.queued() == 0 && !a.stopped {
 			a.cond.Wait()
 		}
-		if len(a.queue) == 0 && a.stopped {
+		if a.queued() == 0 && a.stopped {
 			a.mu.Unlock()
 			return
 		}
-		t := a.queue[0]
-		a.queue = a.queue[1:]
+		t := a.pop()
 		a.mu.Unlock()
 		a.w.rt.queuedTasks.Add(-1)
 
@@ -159,7 +196,7 @@ func (a *actor) enqueue(t actorTask) error {
 	}
 	var evicted actorTask
 	shedOldest := false
-	if a.bound > 0 && len(a.queue) >= a.bound {
+	if a.bound > 0 && a.queued() >= a.bound {
 		if a.shed != ShedOldest {
 			a.mu.Unlock()
 			a.w.rt.noteShed()
@@ -169,12 +206,11 @@ func (a *actor) enqueue(t actorTask) error {
 		}
 		// ShedOldest: evict the head task to make room; its caller is
 		// failed outside the lock.
-		evicted, shedOldest = a.queue[0], true
-		a.queue = a.queue[1:]
+		evicted, shedOldest = a.pop(), true
 		a.pending--
 		a.w.rt.queuedTasks.Add(-1)
 	}
-	a.queue = append(a.queue, t)
+	a.push(t)
 	a.pending++
 	a.w.rt.queuedTasks.Add(1)
 	a.cond.Broadcast()
@@ -275,8 +311,8 @@ func (a *actor) abort(mv *errs.MovedError) {
 	a.moved = mv
 	a.paused = false
 	a.stopped = true
-	queued := a.queue
-	a.queue = nil
+	queued := a.queue[a.head:]
+	a.queue, a.head = nil, 0
 	a.pending -= len(queued)
 	a.w.rt.queuedTasks.Add(int64(-len(queued)))
 	a.cond.Broadcast()
@@ -286,25 +322,42 @@ func (a *actor) abort(mv *errs.MovedError) {
 	}
 }
 
-// callCtx performs a synchronous invocation through the mailbox, preserving
-// order with earlier asynchronous posts. If ctx ends before the mailbox
-// reaches the task, the caller unblocks with ctx.Err() (the task is skipped
-// when its turn comes; the reply channel is buffered, so nothing leaks).
-func (a *actor) callCtx(ctx context.Context, method string, args []any) (any, error) {
-	reply := make(chan actorResult, 1)
-	if err := a.enqueue(actorTask{ctx: ctx, method: method, args: args, reply: reply}); err != nil {
+// replyPool recycles the one-slot reply channels of blocking mailbox calls.
+// A channel goes back only from a path that knows it is empty and unshared:
+// the caller that received its single result, or one whose task never
+// entered the mailbox. A caller that gave up on ctx leaves the channel to
+// the task still holding it, and then to the GC.
+var replyPool = sync.Pool{New: func() any { return make(chan actorResult, 1) }}
+
+// callSync enqueues t with a reply channel and blocks for its outcome. If
+// ctx ends before the mailbox reaches the task, the caller unblocks with
+// ctx.Err() (the task is skipped when its turn comes; the reply channel is
+// buffered, so nothing leaks).
+func (a *actor) callSync(ctx context.Context, t actorTask) (any, error) {
+	reply := replyPool.Get().(chan actorResult)
+	t.ctx, t.reply = ctx, reply
+	if err := a.enqueue(t); err != nil {
+		replyPool.Put(reply)
 		return nil, err
 	}
 	if ctx == nil || ctx.Done() == nil {
 		res := <-reply
+		replyPool.Put(reply)
 		return res.val, res.err
 	}
 	select {
 	case res := <-reply:
+		replyPool.Put(reply)
 		return res.val, res.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// callCtx performs a synchronous invocation through the mailbox, preserving
+// order with earlier asynchronous posts.
+func (a *actor) callCtx(ctx context.Context, method string, args []any) (any, error) {
+	return a.callSync(ctx, actorTask{method: method, args: args})
 }
 
 // callAsync enqueues an invocation and returns; done receives its outcome
@@ -361,24 +414,8 @@ func (e *actorEndpoint) Invoke1(ctx context.Context, method string, args []any) 
 // InvokeBatch replays an aggregate message through the mailbox as a single
 // task, so a batch executes atomically with respect to other calls.
 func (e *actorEndpoint) InvokeBatch(ctx context.Context, method string, calls []any) (int, error) {
-	reply := make(chan actorResult, 1)
-	if err := e.a.enqueue(actorTask{ctx: ctx, method: method, batch: calls, reply: reply}); err != nil {
+	if _, err := e.a.callSync(ctx, actorTask{method: method, batch: calls}); err != nil {
 		return 0, err
 	}
-	if ctx == nil || ctx.Done() == nil {
-		res := <-reply
-		if res.err != nil {
-			return 0, res.err
-		}
-		return len(calls), nil
-	}
-	select {
-	case res := <-reply:
-		if res.err != nil {
-			return 0, res.err
-		}
-		return len(calls), nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
+	return len(calls), nil
 }

@@ -667,9 +667,9 @@ func (rt *Runtime) createLocalIO(class string, spawnActor bool) (string, any, er
 		rt.actorsMu.Lock()
 		rt.actors[uri] = a
 		rt.actorsMu.Unlock()
-		rt.server.Marshal(uri, &actorEndpoint{a: a})
+		rt.publish(uri, &actorEndpoint{a: a}, nil)
 	} else {
-		rt.server.Marshal(uri, w)
+		rt.publish(uri, w, nil)
 	}
 	rt.load.Add(1)
 	rt.dirUpdate(uri, ObjLoc{Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: 1})

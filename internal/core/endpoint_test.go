@@ -1,0 +1,317 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/dispatch"
+	"repro/internal/errs"
+	"repro/internal/racetest"
+)
+
+// probeObj is the user object behind the endpoints under test. Its own
+// methods have thunks too, as a parcgen class would, so an allocation
+// budget measures the runtime and not reflection on the test's class.
+type probeObj struct{ n int }
+
+func (p *probeObj) Twice(v int) int { return 2 * v }
+func (p *probeObj) Add(v int)       { p.n += v }
+
+// Deadline reports the deadline its injected context carries.
+func (p *probeObj) Deadline(ctx context.Context) int64 {
+	dl, _ := ctx.Deadline()
+	return dl.UnixNano()
+}
+
+func init() {
+	dispatch.RegisterInvokers(&probeObj{}, map[string]dispatch.Invoker{
+		"Twice": func(_ context.Context, obj any, args []any) (any, error) {
+			v, err := dispatch.Arg[int](args, 0)
+			if err != nil {
+				return nil, dispatch.BadArg(obj, "Twice", 0, err)
+			}
+			return obj.(*probeObj).Twice(v), nil
+		},
+	})
+}
+
+// reflected hides an endpoint behind a type no thunk is registered for, so
+// dispatch.InvokeCtx reaches the same methods through its reflective path.
+type reflected struct{ endpoint }
+
+// TestEndpointsHaveThunks: every type the runtime publishes dispatches
+// through thunks, and no type of this package has an Invoke1 method without
+// being in endpointTypes.
+func TestEndpointsHaveThunks(t *testing.T) {
+	listed := map[string]bool{}
+	for _, ep := range endpointTypes {
+		listed[reflect.TypeOf(ep).Elem().Name()] = true
+		for _, m := range []string{"Invoke1", "InvokeBatch"} {
+			if !dispatch.HasInvoker(ep, m) {
+				t.Errorf("%T.%s has no invoker thunk: remote calls on it dispatch reflectively", ep, m)
+			}
+		}
+	}
+	if dispatch.HasInvoker(reflected{}, "Invoke1") {
+		t.Fatal("the reflective reference type has a thunk")
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := regexp.MustCompile(`(?m)^func \(\w+ \*?(\w+)\) Invoke1\(`)
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range recv.FindAllSubmatch(src, -1) {
+			if name := string(m[1]); !listed[name] {
+				t.Errorf("%s: %s has Invoke1 but is not in endpointTypes", f, name)
+			}
+		}
+	}
+}
+
+// TestThunkMatchesReflectivePath runs each case through an endpoint's
+// thunk and through the reflective path to the same endpoint: results,
+// error text and error chains must agree.
+func TestThunkMatchesReflectivePath(t *testing.T) {
+	rt := startNodes(t, 1, nil)[0]
+	w := &ioWrapper{rt: rt, class: "probe", obj: &probeObj{}}
+	a := newActor(w)
+	t.Cleanup(a.stop)
+	mv := errs.MovedError{URI: "obj/probe/0/1", Node: 3, Addr: "mem://n3", Gen: 7}
+	deadline := time.Now().Add(time.Hour)
+	dlCtx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+
+	cases := []struct {
+		name   string
+		ep     endpoint
+		ctx    context.Context
+		method string
+		args   []any
+		want   any // checked when the call succeeds
+	}{
+		{"good call", &actorEndpoint{a: a}, context.Background(), "Invoke1", []any{"Twice", []any{21}}, 42},
+		{"good call, unwrapped object", w, context.Background(), "Invoke1", []any{"Twice", []any{21}}, 42},
+		{"argument converted by wire.Assign", w, context.Background(), "Invoke1", []any{"Twice", []any{int64(21)}}, 42},
+		{"wrong arity", &actorEndpoint{a: a}, context.Background(), "Invoke1", []any{"Twice"}, nil},
+		{"int64 where a string is due", &actorEndpoint{a: a}, context.Background(), "Invoke1", []any{int64(7), []any{}}, nil},
+		{"unknown user method", w, context.Background(), "Invoke1", []any{"Nope", []any{}}, nil},
+		{"deadline reaches a ctx-first method", &actorEndpoint{a: a}, dlCtx, "Invoke1", []any{"Deadline", []any{}}, deadline.UnixNano()},
+		{"batch count", &actorEndpoint{a: a}, context.Background(), "InvokeBatch", []any{"Add", []any{[]any{1}, []any{2}, []any{3}}}, 3},
+		{"batch with a bad element", w, context.Background(), "InvokeBatch", []any{"Add", []any{[]any{1}, "x"}}, nil},
+		{"tombstone", &tombstone{mv: mv}, context.Background(), "Invoke1", []any{"Twice", []any{1}}, nil},
+		{"tombstone batch", &tombstone{mv: mv}, context.Background(), "InvokeBatch", []any{"Add", []any{[]any{1}}}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, gotErr := dispatch.InvokeCtx(tc.ctx, tc.ep, tc.method, tc.args)
+			ref, refErr := dispatch.InvokeCtx(tc.ctx, reflected{tc.ep}, tc.method, tc.args)
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("thunk returned %#v, reflective path %#v", got, ref)
+			}
+			if (gotErr == nil) != (refErr == nil) {
+				t.Fatalf("thunk error %v, reflective error %v", gotErr, refErr)
+			}
+			if gotErr == nil {
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("result %#v, want %#v", got, tc.want)
+				}
+				return
+			}
+			// The two messages name the dispatched type; nothing else differs.
+			refMsg := strings.ReplaceAll(refErr.Error(), fmt.Sprintf("%T", reflected{}), fmt.Sprintf("%T", tc.ep))
+			if gotErr.Error() != refMsg {
+				t.Errorf("thunk error %q, reflective error %q", gotErr, refMsg)
+			}
+			if errors.Is(gotErr, errs.ErrNoSuchMethod) != errors.Is(refErr, errs.ErrNoSuchMethod) {
+				t.Errorf("ErrNoSuchMethod: thunk %v, reflective %v", gotErr, refErr)
+			}
+			var gotMv, refMv *errs.MovedError
+			if errors.As(gotErr, &gotMv) != errors.As(refErr, &refMv) {
+				t.Fatalf("MovedError: thunk %v, reflective %v", gotErr, refErr)
+			}
+			if _, isTomb := tc.ep.(*tombstone); isTomb && (gotMv == nil || *gotMv != mv) {
+				t.Errorf("tombstone reply carries %+v, want %+v", gotMv, mv)
+			}
+		})
+	}
+}
+
+// TestAllocBudgetLocalCall holds the allocations of a call on a local
+// active object, and of the success path of movedOf, to their budgets.
+func TestAllocBudgetLocalCall(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	rt := startNodes(t, 1, nil)[0]
+	rt.RegisterClass("probe", func() any { return &probeObj{} })
+	p, err := rt.NewParallelObject("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.IsLocal() || p.IsAgglomerated() {
+		t.Fatal("want a local active object")
+	}
+	ctx := context.Background()
+	args := []any{21}
+	call := func() {
+		if v, err := p.InvokeCtx(ctx, "Twice", args...); err != nil || v != 42 {
+			t.Fatalf("Twice = %v, %v", v, err)
+		}
+	}
+	call()
+	if n := testing.AllocsPerRun(500, call); n > 4 {
+		t.Errorf("local active-object call: %.0f allocs, budget 4", n)
+	}
+	if n := testing.AllocsPerRun(500, func() { movedOf(nil, "obj/x") }); n != 0 {
+		t.Errorf("movedOf(nil): %.0f allocs, want 0", n)
+	}
+}
+
+// echoGate echoes its argument and can park its mailbox.
+type echoGate struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *echoGate) Block()         { g.entered <- struct{}{}; <-g.release }
+func (g *echoGate) Echo(v int) int { return v }
+
+// TestReplyChannelReuseIsSafe: blocking calls queue behind a parked
+// mailbox, a third of them give up while queued, and the mailbox then
+// settles every task, abandoned ones included. No surviving caller may see
+// anything but its own echo, in this round or the next: an abandoned
+// call's channel must never have gone back to the pool.
+func TestReplyChannelReuseIsSafe(t *testing.T) {
+	rt := startNodes(t, 1, nil)[0]
+	g := &echoGate{entered: make(chan struct{}), release: make(chan struct{})}
+	rt.RegisterClass("echogate", func() any { return g })
+	p, err := rt.NewParallelObject("echogate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 64
+	for round := 0; round < 8; round++ {
+		go p.Invoke("Block")
+		<-g.entered
+		var wg sync.WaitGroup
+		cancels := make([]context.CancelFunc, 0, callers/3+1)
+		for i := 0; i < callers; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			doomed := i%3 == 0
+			if doomed {
+				cancels = append(cancels, cancel)
+			}
+			want := round*callers + i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				v, err := p.InvokeCtx(ctx, "Echo", want)
+				switch {
+				case doomed && errors.Is(err, context.Canceled):
+				case err != nil:
+					t.Errorf("round %d caller %d: %v", round, want, err)
+				case v != want:
+					t.Errorf("round %d: caller %d received %v", round, want, v)
+				}
+			}()
+		}
+		// Every call is queued (or about to be) behind Block; cancel the
+		// doomed third, then let the mailbox run.
+		waitQueued(t, rt, callers)
+		for _, cancel := range cancels {
+			cancel()
+		}
+		g.release <- struct{}{}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			// A stale result left in a recycled channel blocks the mailbox
+			// loop on its next send.
+			t.Fatalf("round %d: calls never returned", round)
+		}
+	}
+}
+
+// waitQueued waits until the runtime counts n tasks waiting in mailboxes.
+func waitQueued(t *testing.T, rt *Runtime, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for rt.queuedTasks.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d calls reached the mailbox", rt.queuedTasks.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMailboxKeepsItsArray: a one-deep mailbox reuses its slot, a popped
+// slot pins nothing, a backlog that never empties is compacted rather than
+// grown, and a burst's array is let go once drained.
+func TestMailboxKeepsItsArray(t *testing.T) {
+	a := &actor{}
+	a.push(actorTask{method: "m0"})
+	first := &a.queue[0]
+	for i := 0; i < 100; i++ {
+		if got := a.pop(); got.method == "" {
+			t.Fatal("popped an empty task")
+		}
+		if first.method != "" {
+			t.Fatal("popped slot still holds its task")
+		}
+		a.push(actorTask{method: "m"})
+		if &a.queue[a.head] != first {
+			t.Fatal("one-deep mailbox moved to a new slot")
+		}
+	}
+	// Steady backlog of three: FIFO order holds and the array stops growing.
+	b := &actor{}
+	next, want := 0, 0
+	for ; next < 3; next++ {
+		b.push(actorTask{args: []any{next}})
+	}
+	for i := 0; i < 1000; i++ {
+		if got := b.pop().args[0]; got != want {
+			t.Fatalf("popped %v, want %d", got, want)
+		}
+		want++
+		b.push(actorTask{args: []any{next}})
+		next++
+		if b.queued() != 3 {
+			t.Fatalf("queued = %d, want 3", b.queued())
+		}
+	}
+	if cap(b.queue) > 16 {
+		t.Errorf("a backlog of 3 grew the array to %d slots", cap(b.queue))
+	}
+	// A burst is not kept.
+	c := &actor{}
+	for i := 0; i < 10*mailboxKeep; i++ {
+		c.push(actorTask{})
+	}
+	for c.queued() > 0 {
+		c.pop()
+	}
+	if cap(c.queue) > mailboxKeep {
+		t.Errorf("drained mailbox keeps %d slots, want at most %d", cap(c.queue), mailboxKeep)
+	}
+}

@@ -160,7 +160,7 @@ func (rt *Runtime) MigrateCtx(ctx context.Context, uri string, toNode int) error
 		return fmt.Errorf("core: migrate %s: %w", uri, errs.ErrObjectDestroyed)
 	}
 	delete(rt.actors, uri)
-	rt.server.Republish(uri, &tombstone{mv: *mv}, func() { rt.dirDropForward(uri) })
+	rt.publish(uri, &tombstone{mv: *mv}, func() { rt.dirDropForward(uri) })
 	rt.load.Add(-1)
 	rt.dirUpdate(uri, ObjLoc{Node: toNode, Addr: addr, Gen: newGen})
 	rt.actorsMu.Unlock()
@@ -229,7 +229,7 @@ func (rt *Runtime) acceptObject(class, uri string, gen uint64, state []byte) (st
 		return rt.Addr(), nil
 	}
 	rt.actors[uri] = a
-	rt.server.Marshal(uri, &actorEndpoint{a: a})
+	rt.publish(uri, &actorEndpoint{a: a}, nil)
 	rt.load.Add(1)
 	rt.dirUpdate(uri, ObjLoc{Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: gen})
 	rt.actorsMu.Unlock()

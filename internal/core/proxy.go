@@ -227,6 +227,11 @@ func (p *Proxy) sequencer() *remoting.CallSequencer {
 // proxy — must not re-route (and re-execute) this object's calls, nor
 // poison the directory under this object's URI.
 func movedOf(err error, uri string) (*errs.MovedError, bool) {
+	if err == nil {
+		// Before errors.As, which makes &mv escape: a successful call
+		// pays no allocation here.
+		return nil, false
+	}
 	var mv *errs.MovedError
 	if errors.As(err, &mv) && mv.Addr != "" && mv.URI == uri {
 		return mv, true

@@ -421,6 +421,14 @@ func (cs *CallSequencer) Flush() {
 // which case it stops waiting (the queued calls keep draining in the
 // background) and returns ctx.Err().
 func (cs *CallSequencer) FlushCtx(ctx context.Context) error {
+	if cs.Idle() {
+		// The usual case on a synchronous call, answered without building
+		// the cs.Flush method value. An already-ended ctx still reports.
+		if ctx == nil {
+			return nil
+		}
+		return ctx.Err()
+	}
 	return ctxwait.Drain(ctx, cs.Flush)
 }
 

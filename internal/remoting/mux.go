@@ -63,6 +63,12 @@ type muxWaiter struct {
 	slot bool
 }
 
+// syncWaiters recycles the waiter and one-slot channel of a synchronous
+// exchange. A waiter goes back only when its channel is known empty and
+// nobody else holds it: the caller received its single result, it was never
+// registered, or take returned it to the caller that abandoned the call.
+var syncWaiters = sync.Pool{New: func() any { return &muxWaiter{rc: make(chan muxResult, 1)} }}
+
 // deliver hands res to the waiter: detach the cancellation hook, return the
 // in-flight slot (waking queued async work) and then complete. The slot is
 // released before cb runs so a slow continuation cannot idle the pipe.
@@ -498,20 +504,26 @@ func (mc *muxConn) call(ctx context.Context, req *callRequest, of outFrame) (*ca
 		mc.pump()
 	}()
 
-	rc := make(chan muxResult, 1)
-	if err := mc.register(req.Seq, &muxWaiter{rc: rc}); err != nil {
+	w := syncWaiters.Get().(*muxWaiter)
+	if err := mc.register(req.Seq, w); err != nil {
+		syncWaiters.Put(w)
 		of.release()
 		return nil, mc.callErr(req, err)
 	}
 	mc.enqueueFrame(of)
 
 	select {
-	case res := <-rc:
+	case res := <-w.rc:
+		syncWaiters.Put(w)
 		return res.resp, res.err
 	case <-ctx.Done():
 		// Abandon, do not kill: the lane stays up for the other callers
-		// and the reader drops this call's late response.
-		mc.take(req.Seq)
+		// and the reader drops this call's late response. The waiter is
+		// reusable only if take handed it back; otherwise the reader or
+		// fail holds it and will still send on its channel.
+		if mc.take(req.Seq) == w {
+			syncWaiters.Put(w)
+		}
 		return nil, mc.callErr(req, ctx.Err())
 	}
 }

@@ -447,6 +447,7 @@ func (s *Server) handleConn(c transport.Conn) {
 			entry, bindAck = sc.declare(req)
 		}
 		handle := func() {
+			defer calls.Done()
 			sc.respond(req, s.dispatchEntry(req, entry), bindAck)
 			// The args backing is dead once the reply is encoded: dispatch
 			// copied every element into typed parameters (variadic methods
@@ -457,12 +458,12 @@ func (s *Server) handleConn(c transport.Conn) {
 		}
 		calls.Add(1)
 		if s.pool != nil {
-			if submitErr := s.pool.Submit(func() { defer calls.Done(); handle() }); submitErr != nil {
+			if submitErr := s.pool.Submit(handle); submitErr != nil {
 				sc.respond(req, errorResponse(req, fmt.Sprintf("server shutting down: %v", submitErr)), bindAck)
 				calls.Done()
 			}
 		} else {
-			go func() { defer calls.Done(); handle() }()
+			go handle()
 		}
 	}
 }

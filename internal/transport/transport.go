@@ -111,8 +111,10 @@ func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 const smallMax = 64 << 10
 
 // framePool recycles receive buffers between messages. Buffers are stored
-// behind pointers to keep sync.Pool from re-boxing the slice header.
-var framePool sync.Pool
+// behind pointers to keep sync.Pool from re-boxing the slice header; the
+// boxes GetFrame empties wait in boxPool for the next PutFrame, so a
+// recycled frame costs no allocation in the steady state.
+var framePool, boxPool sync.Pool
 
 // GetFrame returns a buffer of length n, reusing pooled capacity when
 // possible. Pair with PutFrame once the frame's bytes are no longer
@@ -120,7 +122,10 @@ var framePool sync.Pool
 func GetFrame(n int) []byte {
 	if p, _ := framePool.Get().(*[]byte); p != nil {
 		if cap(*p) >= n {
-			return (*p)[:n]
+			b := (*p)[:n]
+			*p = nil
+			boxPool.Put(p)
+			return b
 		}
 		framePool.Put(p) // too small for this message, right for a smaller one
 	}
@@ -137,8 +142,12 @@ func PutFrame(b []byte) {
 	if cap(b) == 0 || cap(b) > smallMax {
 		return
 	}
-	b = b[:0]
-	framePool.Put(&b)
+	p, _ := boxPool.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
+	}
+	*p = b[:0]
+	framePool.Put(p)
 }
 
 // RecvFrame receives one message, drawing the buffer from the frame pool

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/racetest"
 )
 
 func testNetworkRoundtrip(t *testing.T, net Network, addr string) {
@@ -602,5 +604,27 @@ func TestFramePoolKeepsSmallDropsLarge(t *testing.T) {
 	}
 	if reused(smallMax + 1) {
 		t.Errorf("a frame above smallMax came back from the pool")
+	}
+}
+
+// TestAllocBudgetFramePool: recycling a frame costs no allocation once the
+// pools are warm; the box PutFrame wraps it in comes back from GetFrame.
+func TestAllocBudgetFramePool(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account, and sync.Pool drops Puts under it")
+	}
+	// AllocsPerRun measures on one P. Empty that P's view of the pool
+	// first: GetFrame looks at one pooled buffer per call, so a smaller
+	// frame an earlier test left at the head would mask every cycle.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for framePool.Get() != nil {
+	}
+	PutFrame(make([]byte, 512))
+	if n := testing.AllocsPerRun(1000, func() {
+		f := GetFrame(100)
+		f[0] = 1
+		PutFrame(f)
+	}); n != 0 {
+		t.Errorf("GetFrame+PutFrame: %.0f allocs per cycle, want 0", n)
 	}
 }

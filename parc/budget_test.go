@@ -1,0 +1,133 @@
+package parc
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/racetest"
+)
+
+// Echoer is a class with an invoker thunk, as parcgen would emit, so a
+// budget on a call to it measures the runtime and not reflection on the
+// test's class.
+type Echoer struct{}
+
+func (*Echoer) Echo(b []byte) []byte { return b }
+func (*Echoer) Other()               {}
+
+func init() {
+	RegisterInvokers(&Echoer{}, map[string]Invoker{
+		"Echo": func(_ context.Context, obj any, args []any) (any, error) {
+			if len(args) != 1 {
+				return nil, BadArity(obj, "Echo", len(args), 1)
+			}
+			b, err := Arg[[]byte](obj, "Echo", args, 0)
+			if err != nil {
+				return nil, err
+			}
+			return obj.(*Echoer).Echo(b), nil
+		},
+	})
+}
+
+// TestAllocBudgetTypedCall: a 64 B typed call to an object on another node
+// of an in-process transport, both ends counted, stays inside its budget,
+// and the method-name check of a typed call is free once it has passed.
+// The call measures 17. A server that dispatches the endpoint reflectively
+// adds 12 and must fail the budget; a small frame an earlier test left at
+// the head of the frame pool adds 4 (transport.GetFrame looks at one pooled
+// buffer) and must not.
+func TestAllocBudgetTypedCall(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	nodes := make([]*Runtime, 2)
+	addrs := make([]string, 2)
+	for i := range nodes {
+		rt, err := ServeNode(WithNodeID(i), WithListen(fmt.Sprintf("inproc://budget-%s-%d", t.Name(), i)),
+			WithPlacement(&pinNode{node: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		RegisterAt[Echoer](rt, "echoer")
+		nodes[i], addrs[i] = rt, rt.Addr()
+	}
+	for _, rt := range nodes {
+		if err := rt.JoinCluster(addrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obj, err := NewAt[Echoer](nodes[0], "echoer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj.Proxy().IsLocal() {
+		t.Fatal("want a remote object")
+	}
+	ctx := context.Background()
+	payload := bytes.Repeat([]byte{0xAB}, 64)
+	args := []any{payload}
+	call := func() {
+		got, err := Call[[]byte](ctx, obj, "Echo", args...)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("Echo = %x, %v", got, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		call() // declare and confirm the handle, warm the pools
+	}
+	if n := testing.AllocsPerRun(500, call); n > 24 {
+		t.Errorf("typed remote call: %.0f allocs, budget 24", n)
+	} else {
+		t.Logf("typed remote call: %.0f allocs", n)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		if err := checkMethod[Echoer]("Echo"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("checkMethod on a known name: %.0f allocs, want 0", n)
+	}
+}
+
+// TestCheckMethodUnknownName: a bad name still fails before anything is
+// sent, names the candidates, wraps ErrNoSuchMethod, and adds nothing to
+// the method-set cache however many distinct bad names arrive.
+func TestCheckMethodUnknownName(t *testing.T) {
+	if err := checkMethod[Echoer]("Other"); err != nil {
+		t.Fatal(err)
+	}
+	cached := func() int {
+		n := 0
+		for _, set := range *knownMethods.Load() {
+			n += 1 + len(set)
+		}
+		return n
+	}
+	before := cached()
+	for i := 0; i < 100; i++ {
+		err := checkMethod[Echoer](fmt.Sprintf("Nope%d", i))
+		if !errors.Is(err, ErrNoSuchMethod) {
+			t.Fatalf("err = %v, want ErrNoSuchMethod", err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "exported methods: Echo, Other") || !strings.Contains(msg, "Echoer") {
+			t.Fatalf("error does not list the candidates: %v", err)
+		}
+	}
+	// A type never checked with a good name is not cached at all.
+	type unseen struct{}
+	if err := checkMethod[unseen]("X"); !errors.Is(err, ErrNoSuchMethod) || !strings.Contains(err.Error(), "no exported methods") {
+		t.Fatalf("err = %v", err)
+	}
+	if after := cached(); after != before {
+		t.Errorf("bad names grew the method-set cache from %d to %d entries", before, after)
+	}
+	if err := checkMethod[Echoer]("Echo"); err != nil {
+		t.Fatalf("known name after misses: %v", err)
+	}
+}

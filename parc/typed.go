@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -216,7 +217,13 @@ var closedChan = func() chan struct{} {
 // ErrNoSuchMethod.
 func checkMethod[T any](method string) error {
 	t := reflect.TypeOf((*T)(nil))
+	if sets := knownMethods.Load(); sets != nil {
+		if _, ok := (*sets)[t][method]; ok {
+			return nil
+		}
+	}
 	if _, ok := t.MethodByName(method); ok {
+		rememberMethods(t)
 		return nil
 	}
 	names := make([]string, 0, t.NumMethod())
@@ -228,4 +235,31 @@ func checkMethod[T any](method string) error {
 		candidates = "exported methods: " + strings.Join(names, ", ")
 	}
 	return fmt.Errorf("parc: %s has no method %q (%s): %w", t.Elem(), method, candidates, ErrNoSuchMethod)
+}
+
+// knownMethods caches the method set of every *T a good method name has
+// been checked against, so the per-call check is two map lookups instead
+// of reflect's MethodByName. Copy-on-write, read without a lock; only a
+// name that exists adds an entry, so caller-supplied bad names cannot grow
+// it beyond one set per type.
+var (
+	knownMu      sync.Mutex
+	knownMethods atomic.Pointer[map[reflect.Type]map[string]struct{}]
+)
+
+func rememberMethods(t reflect.Type) {
+	names := make(map[string]struct{}, t.NumMethod())
+	for i := 0; i < t.NumMethod(); i++ {
+		names[t.Method(i).Name] = struct{}{}
+	}
+	knownMu.Lock()
+	defer knownMu.Unlock()
+	next := map[reflect.Type]map[string]struct{}{}
+	if old := knownMethods.Load(); old != nil {
+		for k, v := range *old {
+			next[k] = v
+		}
+	}
+	next[t] = names
+	knownMethods.Store(&next)
 }
