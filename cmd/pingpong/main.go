@@ -15,9 +15,9 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/bench"
 	"repro/internal/cost"
 	"repro/internal/netsim"
+	"repro/internal/paper/figures"
 	"repro/internal/paper/mono"
 	"repro/internal/paper/profile"
 )
@@ -37,23 +37,23 @@ func main() {
 
 	type maker struct {
 		name  string
-		build func() (bench.Stack, error)
+		build func() (figures.Stack, error)
 	}
 	makers := []maker{
-		{"mpi", func() (bench.Stack, error) { return bench.NewMPIStack(net, pick(profile.MPICH())) }},
-		{"rmi", func() (bench.Stack, error) { return bench.NewRMIStack(net, pick(profile.JavaRMI())) }},
-		{"mono", func() (bench.Stack, error) {
-			return bench.NewRemotingStack("Mono 1.1.7 (Tcp)", mono.TCP, net, pick(profile.MonoTCP117()))
+		{"mpi", func() (figures.Stack, error) { return figures.NewMPIStack(net, pick(profile.MPICH())) }},
+		{"rmi", func() (figures.Stack, error) { return figures.NewRMIStack(net, pick(profile.JavaRMI())) }},
+		{"mono", func() (figures.Stack, error) {
+			return figures.NewRemotingStack("Mono 1.1.7 (Tcp)", mono.TCP, net, pick(profile.MonoTCP117()))
 		}},
-		{"mono105", func() (bench.Stack, error) {
-			return bench.NewRemotingStack("Mono 1.0.5 (Tcp)", mono.LegacyTCP, net, pick(profile.MonoTCP105()))
+		{"mono105", func() (figures.Stack, error) {
+			return figures.NewRemotingStack("Mono 1.0.5 (Tcp)", mono.LegacyTCP, net, pick(profile.MonoTCP105()))
 		}},
-		{"monohttp", func() (bench.Stack, error) {
-			return bench.NewRemotingStack("Mono 1.1.7 (Http)", mono.HTTP, net, pick(profile.MonoHTTP()))
+		{"monohttp", func() (figures.Stack, error) {
+			return figures.NewRemotingStack("Mono 1.1.7 (Http)", mono.HTTP, net, pick(profile.MonoHTTP()))
 		}},
 	}
 
-	var stacks []bench.Stack
+	var stacks []figures.Stack
 	for _, m := range makers {
 		if *stackName != "all" && *stackName != m.name {
 			continue
@@ -67,17 +67,17 @@ func main() {
 	if len(stacks) == 0 {
 		log.Fatalf("pingpong: unknown stack %q", *stackName)
 	}
-	defer bench.CloseAll(stacks)
+	defer figures.CloseAll(stacks)
 
-	rows, err := bench.Sweep(stacks, bench.MessageSizes(*full), *full)
+	rows, err := figures.Sweep(stacks, figures.MessageSizes(*full), *full)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bench.PrintBandwidth(os.Stdout, "ping-pong bandwidth", rows)
+	figures.PrintBandwidth(os.Stdout, "ping-pong bandwidth", rows)
 	fmt.Println()
-	lat, err := bench.MeasureLatency(stacks, 30)
+	lat, err := figures.MeasureLatency(stacks, 30)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bench.PrintLatency(os.Stdout, "small-message round-trip latency", lat)
+	figures.PrintLatency(os.Stdout, "small-message round-trip latency", lat)
 }

@@ -1,4 +1,4 @@
-package bench
+package metrics
 
 // HDR-style latency histogram: log-linear buckets giving a bounded
 // relative error at every magnitude, so one fixed-size array covers

@@ -1,4 +1,4 @@
-package bench
+package metrics
 
 import (
 	"math/rand"

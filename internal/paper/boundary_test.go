@@ -1,6 +1,7 @@
-// Package paper holds the 2005 stacks the paper measures against (mono,
-// and the calibrated profiles they run with): reproduction code the
-// production runtime must never depend on. This test is the boundary.
+// Package paper holds the 2005 stacks the paper measures against (mono, and
+// the calibrated profiles they run with) and the code that regenerates the
+// paper's figures from them (figures): reproduction code the production
+// runtime must never depend on. This test is the boundary.
 package paper
 
 import (
@@ -25,6 +26,7 @@ var production = []string{
 	"internal/threadpool",
 	"internal/errs",
 	"internal/ctxwait",
+	"internal/metrics",
 }
 
 // paperTrees are the import paths production code may not import, nor

@@ -1,9 +1,8 @@
-// Package bench regenerates every figure and table of the paper's
+// Package figures regenerates every figure and table of the paper's
 // evaluation (§4) plus the ablations listed in DESIGN.md. Each experiment
 // has a Run function returning typed rows and a Print function emitting a
-// table shaped like the paper's artefact; cmd/parcbench and the root
-// bench_test.go drive them.
-package bench
+// table shaped like the paper's artefact; cmd/parcbench drives them.
+package figures
 
 import (
 	"context"

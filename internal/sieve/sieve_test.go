@@ -169,3 +169,12 @@ func TestFarmedCountTinyBounds(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSieveKernel measures the sequential sieve kernel used by E5.
+func BenchmarkSieveKernel(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if got := SequentialCount(100_000, 1); got != 9592 {
+			b.Fatalf("π(100000) = %d", got)
+		}
+	}
+}
