@@ -4,15 +4,47 @@ import (
 	"context"
 
 	"repro/internal/dispatch"
+	"repro/internal/remoting"
 )
 
 // endpoint is what the runtime publishes under an object's URI: a remote
 // call arrives as Invoke1(method, args) or InvokeBatch(method, calls) on
 // it, never as a call on the user's object. Everything published goes
-// through Runtime.publish, which takes this interface.
+// through Runtime.publish, which takes this interface. A compact call
+// arrives through InvokeNested, method and list as decoded; the thunks
+// below serve the flat list of a string envelope (a pair's first calls).
 type endpoint interface {
+	remoting.NestedInvoker
 	Invoke1(ctx context.Context, method string, args []any) (any, error)
 	InvokeBatch(ctx context.Context, method string, calls []any) (int, error)
+}
+
+// invokeNested is InvokeNested for every endpoint type: the two runtime
+// calls go straight to their methods, any other name by the flat list.
+func invokeNested(ctx context.Context, ep endpoint, call, method string, args []any) (any, error) {
+	switch call {
+	case "Invoke1":
+		return ep.Invoke1(ctx, method, args)
+	case "InvokeBatch":
+		n, err := ep.InvokeBatch(ctx, method, args)
+		if err != nil {
+			return nil, err
+		}
+		return n, nil
+	}
+	return dispatch.InvokeCtx(ctx, ep, call, []any{method, args})
+}
+
+func (e *actorEndpoint) InvokeNested(ctx context.Context, call, method string, args []any) (any, error) {
+	return invokeNested(ctx, e, call, method, args)
+}
+
+func (w *ioWrapper) InvokeNested(ctx context.Context, call, method string, args []any) (any, error) {
+	return invokeNested(ctx, w, call, method, args)
+}
+
+func (t *tombstone) InvokeNested(ctx context.Context, call, method string, args []any) (any, error) {
+	return invokeNested(ctx, t, call, method, args)
 }
 
 // endpointTypes lists every concrete endpoint. Each gets the two invoker
@@ -22,25 +54,15 @@ type endpoint interface {
 var endpointTypes = []endpoint{(*actorEndpoint)(nil), (*ioWrapper)(nil), (*tombstone)(nil)}
 
 func init() {
-	thunks := map[string]dispatch.Invoker{
-		"Invoke1": func(ctx context.Context, obj any, args []any) (any, error) {
-			method, rest, err := endpointArgs(obj, "Invoke1", args)
+	thunks := map[string]dispatch.Invoker{}
+	for _, call := range []string{"Invoke1", "InvokeBatch"} {
+		thunks[call] = func(ctx context.Context, obj any, args []any) (any, error) {
+			method, rest, err := endpointArgs(obj, call, args)
 			if err != nil {
 				return nil, err
 			}
-			return obj.(endpoint).Invoke1(ctx, method, rest)
-		},
-		"InvokeBatch": func(ctx context.Context, obj any, args []any) (any, error) {
-			method, calls, err := endpointArgs(obj, "InvokeBatch", args)
-			if err != nil {
-				return nil, err
-			}
-			n, err := obj.(endpoint).InvokeBatch(ctx, method, calls)
-			if err != nil {
-				return nil, err
-			}
-			return n, nil
-		},
+			return invokeNested(ctx, obj.(endpoint), call, method, rest)
+		}
 	}
 	for _, ep := range endpointTypes {
 		dispatch.RegisterInvokers(ep, thunks)

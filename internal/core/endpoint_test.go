@@ -16,6 +16,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/errs"
 	"repro/internal/racetest"
+	"repro/internal/remoting"
 )
 
 // probeObj is the user object behind the endpoints under test. Its own
@@ -122,6 +123,16 @@ func TestThunkMatchesReflectivePath(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			got, gotErr := dispatch.InvokeCtx(tc.ctx, tc.ep, tc.method, tc.args)
 			ref, refErr := dispatch.InvokeCtx(tc.ctx, reflected{tc.ep}, tc.method, tc.args)
+			if len(tc.args) == 2 {
+				// The shape a compact call arrives in: the server then hands
+				// the two over without the list, to the same outcome.
+				if sub, ok := tc.args[0].(string); ok {
+					nested, nestedErr := tc.ep.InvokeNested(tc.ctx, tc.method, sub, tc.args[1].([]any))
+					if !reflect.DeepEqual(nested, got) || fmt.Sprint(nestedErr) != fmt.Sprint(gotErr) {
+						t.Errorf("InvokeNested returned %#v, %v; thunk %#v, %v", nested, nestedErr, got, gotErr)
+					}
+				}
+			}
 			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("thunk returned %#v, reflective path %#v", got, ref)
 			}
@@ -313,5 +324,103 @@ func TestMailboxKeepsItsArray(t *testing.T) {
 	}
 	if cap(c.queue) > mailboxKeep {
 		t.Errorf("drained mailbox keeps %d slots, want at most %d", cap(c.queue), mailboxKeep)
+	}
+}
+
+// batchLog notes the argument of every call; the call with argument 0
+// parks until released.
+type batchLog struct {
+	entered, release chan struct{}
+	mu               sync.Mutex
+	seen             []int
+}
+
+func (b *batchLog) Note(v int) {
+	if v == 0 {
+		b.entered <- struct{}{}
+		<-b.release
+	}
+	b.mu.Lock()
+	b.seen = append(b.seen, v)
+	b.mu.Unlock()
+}
+
+// TestAbandonedCallKeepsItsArguments: a batch whose first element parks in
+// the mailbox outlives its caller's deadline. The server answers the
+// caller and moves on, and its call record is reused a thousand times, but
+// the argument list is still the parked task's: released, it must find
+// the rest of its batch as it was sent.
+func TestAbandonedCallKeepsItsArguments(t *testing.T) {
+	rt := startNodes(t, 1, nil)[0]
+	parked := &batchLog{entered: make(chan struct{}), release: make(chan struct{})}
+	logs := []*batchLog{parked, {}}
+	rt.RegisterClass("batchlog", func() any {
+		l := logs[0]
+		logs = logs[1:]
+		return l
+	})
+	refs := make([]*remoting.ObjRef, 2)
+	for i := range refs {
+		p, err := rt.NewParallelObject("batchlog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.IsLocal() || p.IsAgglomerated() {
+			t.Fatal("want a local active object")
+		}
+		// The object's own endpoint, reached as a remote caller reaches it.
+		refs[i] = remoting.NewObjRef(rt.cfg.Channel, rt.Addr(), p.URI())
+	}
+	batch := func(first int) []any {
+		calls := make([]any, 8)
+		for i := range calls {
+			calls[i] = []any{first + i}
+		}
+		return calls
+	}
+	ctx := context.Background()
+	for i := 0; i < 3; i++ { // bind both handles; compact from here on
+		for _, ref := range refs {
+			if _, err := ref.InvokeNestedCtx(ctx, "InvokeBatch", "Note", batch(100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	parked.mu.Lock()
+	parked.seen = nil
+	parked.mu.Unlock()
+
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	abandoned := make(chan error, 1)
+	go func() {
+		_, err := refs[0].InvokeNestedCtx(short, "InvokeBatch", "Note", batch(0))
+		abandoned <- err
+	}()
+	<-parked.entered
+	if err := <-abandoned; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("abandoned batch returned %v, want a deadline error", err)
+	}
+	// The server has answered too once a later call on the same connection
+	// completes; from then on its record is back in the pool.
+	for i := 0; i < 1000; i++ {
+		if _, err := refs[1].InvokeNestedCtx(ctx, "InvokeBatch", "Note", batch(1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(parked.release)
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		parked.mu.Lock()
+		seen := append([]int(nil), parked.seen...)
+		parked.mu.Unlock()
+		if reflect.DeepEqual(seen, want) {
+			return
+		}
+		if len(seen) >= len(want) || time.Now().After(deadline) {
+			t.Fatalf("the parked batch went on to note %v, want %v", seen, want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -91,11 +91,11 @@ func newRemoteProxy(rt *Runtime, class, uri, addr string, gen uint64) *Proxy {
 }
 
 // initSeq installs the ordered asynchronous lane. The sequencer invokes
-// through invokeRemote, so every queued call re-resolves the endpoint —
+// through invokeVia, so every queued call re-resolves the endpoint —
 // that is what keeps one proxy's post stream ordered across a migration.
 func (p *Proxy) initSeq() {
 	p.seq = remoting.NewCallSequencerFunc(func(method string, args ...any) (any, error) {
-		return p.invokeRemote(context.Background(), method, args...)
+		return p.invokeVia(context.Background(), p.endpoint, remoteCall{method: method, args: args})
 	})
 	p.seq.OnError = p.noteAsyncError
 	// The completion-path variant: queued calls chain head-to-tail on reply
@@ -114,7 +114,7 @@ func (p *Proxy) initSeq() {
 				// migrated or failed-over object, off the completion path.
 				// The next queued call is only submitted once cb runs, so
 				// the retry preserves per-proxy order.
-				go func() { cb(p.invokeVia(ctx, p.endpoint, method, args...)) }()
+				go func() { cb(p.invokeVia(ctx, p.endpoint, remoteCall{method: method, args: args})) }()
 				return
 			}
 			cb(v, err)
@@ -253,7 +253,7 @@ func movedOf(err error, uri string) (*errs.MovedError, bool) {
 // strictly higher generation — a forward that does not advance surfaces
 // the error instead of looping. mkRef builds the ref to invoke from the
 // proxy's current routing state, so each iteration targets the freshly
-// redirected location.
+// redirected location; call names what to invoke there.
 //
 // The ErrNodeDown retry shares the channel's documented at-most-once
 // caveat: a connection that dies after the request executed but before
@@ -263,7 +263,7 @@ func movedOf(err error, uri string) (*errs.MovedError, bool) {
 // channel itself trades on its stale-connection retry. Forward-driven
 // retries (ErrObjectMoved) carry no such risk: a tombstone rejects
 // without executing.
-func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, method string, args ...any) (any, error) {
+func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, call remoteCall) (any, error) {
 	if p.rt.cfg.IdempotentCalls {
 		if _, ok := remoting.TokenFromContext(ctx); !ok {
 			// One token per logical call, stamped at the outermost scope:
@@ -277,7 +277,7 @@ func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, me
 	resolved := false
 	for {
 		ref := mkRef()
-		res, err := ref.InvokeCtx(ctx, method, args...)
+		res, err := call.on(ctx, ref)
 		if err == nil || ctx.Err() != nil {
 			return res, err
 		}
@@ -314,9 +314,27 @@ func (p *Proxy) currentGen() uint64 {
 	return p.gen
 }
 
-// invokeRemote is invokeVia against the object's endpoint.
-func (p *Proxy) invokeRemote(ctx context.Context, rmethod string, args ...any) (any, error) {
-	return p.invokeVia(ctx, p.endpoint, rmethod, args...)
+// remoteCall is one invocation as invokeVia sends and re-sends it: method
+// with args or, for a call on the object itself, the runtime-call shape
+// method(sub, args), which remoting carries without the two-element list.
+type remoteCall struct {
+	method string
+	sub    string
+	nested bool
+	args   []any
+}
+
+func (c remoteCall) on(ctx context.Context, ref *remoting.ObjRef) (any, error) {
+	if c.nested {
+		return ref.InvokeNestedCtx(ctx, c.method, c.sub, c.args)
+	}
+	return ref.InvokeCtx(ctx, c.method, c.args...)
+}
+
+// invokeRemote is invokeVia of Invoke1(method, args) against the object's
+// endpoint.
+func (p *Proxy) invokeRemote(ctx context.Context, method string, args []any) (any, error) {
+	return p.invokeVia(ctx, p.endpoint, remoteCall{method: "Invoke1", sub: method, nested: true, args: args})
 }
 
 // noteAsyncError records the first asynchronous failure for AsyncErr.
@@ -379,7 +397,7 @@ func (p *Proxy) remoteInvokeOrdered(ctx context.Context, method string, args []a
 	if err := p.sequencer().FlushCtx(ctx); err != nil {
 		return nil, fmt.Errorf("core: flush before %s.%s: %w", p.class, method, err)
 	}
-	return p.invokeRemote(ctx, "Invoke1", method, args)
+	return p.invokeRemote(ctx, method, args)
 }
 
 // InvokeAsync starts a synchronous-style call without blocking the caller
@@ -468,13 +486,11 @@ func (p *Proxy) submitRemote(ctx context.Context, f *Future, method string, args
 			ctx = remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
 		}
 	}
-	err := p.endpoint().InvokeAsyncCb(ctx, "Invoke1", []any{method, args}, func(v any, err error) {
+	err := p.endpoint().InvokeNestedAsyncCb(ctx, "Invoke1", method, args, func(v any, err error) {
 		if err != nil && ctx.Err() == nil && p.asyncRecoverable(err) {
 			// Migration forward or node failure: hop off the completion
 			// path and re-run through the full re-routing retry loop.
-			go func() {
-				f.complete(p.invokeVia(ctx, p.endpoint, "Invoke1", method, args))
-			}()
+			go func() { f.complete(p.invokeRemote(ctx, method, args)) }()
 			return
 		}
 		f.complete(v, err)
@@ -686,7 +702,7 @@ func (p *Proxy) MigrateCtx(ctx context.Context, toNode int) error {
 // omInvoke is invokeVia against the object manager of the node currently
 // hosting this object.
 func (p *Proxy) omInvoke(ctx context.Context, method string, args ...any) (any, error) {
-	return p.invokeVia(ctx, p.omRef, method, args...)
+	return p.invokeVia(ctx, p.omRef, remoteCall{method: method, args: args})
 }
 
 // omRef builds a proxy for the hosting node's object manager at the

@@ -336,8 +336,8 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The client never declared, so the reply is a string envelope.
-	resp, _, err := ch.decodeResponse(reply)
-	if err != nil {
+	var resp callResponse
+	if _, err := decodeInto(ch, reply, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Seq != 7 || !resp.IsErr {
@@ -357,8 +357,8 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2, _, err := ch.decodeResponse(reply2)
-	if err != nil {
+	var resp2 callResponse
+	if _, err := decodeInto(ch, reply2, &resp2); err != nil {
 		t.Fatal(err)
 	}
 	if resp2.Seq != 8 || resp2.IsErr {

@@ -23,6 +23,7 @@
 package remoting
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -109,6 +110,24 @@ func (bs *breakerSet) allow(netaddr string) (trial bool, err error) {
 	// Cooldown elapsed: admit exactly one trial.
 	b.halfOpen = true
 	return true, nil
+}
+
+// settle records the outcome of one admitted exchange, the same for the
+// blocking and the completion-driven path. Only transport-level evidence
+// moves the breaker: connection failures trip it, anything the peer
+// actually answered (including app errors) counts as success. Context
+// expiry is the caller's deadline, not the peer's fault, and an orderly
+// Close is not a failure either.
+func (bs *breakerSet) settle(ctx context.Context, netaddr string, trial bool, err error) {
+	connFail := err != nil && ctx.Err() == nil &&
+		isConnFailure(err) && !errors.Is(err, errChannelClosed)
+	if connFail || err == nil || !isConnFailure(err) {
+		bs.record(netaddr, trial, connFail)
+	} else if trial {
+		// The trial's outcome was ambiguous (ctx expiry / orderly close):
+		// release the half-open slot without deciding.
+		bs.record(netaddr, true, true)
+	}
 }
 
 // record feeds one call outcome back. connFailure is true only for

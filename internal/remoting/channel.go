@@ -170,79 +170,51 @@ func recycleFrame(raw []byte, borrowed bool) {
 	}
 }
 
-// decodeRequest decodes a string envelope in borrow mode: []byte payloads
-// of wire.BorrowMin bytes or more alias raw instead of being copied out of
-// it, and borrowed reports whether any does, which decides raw's fate (see
-// recycleFrame).
-func (ch *Channel) decodeRequest(raw []byte) (req *callRequest, borrowed bool, err error) {
+// decodeInto decodes a string envelope, request or response, into *dst in
+// borrow mode: []byte payloads of wire.BorrowMin bytes or more alias raw
+// instead of being copied out of it, and borrowed reports whether any
+// does, which decides raw's fate (see recycleFrame).
+func decodeInto[T callRequest | callResponse](ch *Channel, raw []byte, dst *T) (borrowed bool, err error) {
 	v, borrowed, err := ch.codec.UnmarshalShared(raw)
 	if err != nil {
-		return nil, borrowed, fmt.Errorf("remoting: decode request: %w", err)
+		return borrowed, fmt.Errorf("remoting: decode %T: %w", *dst, err)
 	}
-	// The generated codec decodes the pointer-encoded envelope to
-	// *callRequest; the reflective one (DisableGenerated peers) to a value.
-	switch req := v.(type) {
-	case *callRequest:
-		return req, borrowed, nil
-	case callRequest:
-		return &req, borrowed, nil
+	// The generated codec decodes the pointer-encoded envelope to *T; the
+	// reflective one (DisableGenerated peers) to a value.
+	switch x := v.(type) {
+	case *T:
+		*dst = *x
+	case T:
+		*dst = x
+	default:
+		return borrowed, fmt.Errorf("remoting: decoded %T, want %T", v, *dst)
 	}
-	return nil, borrowed, fmt.Errorf("remoting: decoded %T, want callRequest", v)
+	return borrowed, nil
 }
 
-// decodeResponse mirrors decodeRequest.
-func (ch *Channel) decodeResponse(raw []byte) (resp *callResponse, borrowed bool, err error) {
-	v, borrowed, err := ch.codec.UnmarshalShared(raw)
-	if err != nil {
-		return nil, borrowed, fmt.Errorf("remoting: decode response: %w", err)
-	}
-	switch resp := v.(type) {
-	case *callResponse:
-		return resp, borrowed, nil
-	case callResponse:
-		return &resp, borrowed, nil
-	}
-	return nil, borrowed, fmt.Errorf("remoting: decoded %T, want callResponse", v)
-}
-
-// roundTrip performs one request/response exchange against netaddr behind
+// roundTrip performs c's request/response exchange against netaddr behind
 // the peer's circuit breaker (when the retry policy arms one): muxRoundTrip
-// does the exchange, and its outcome is the breaker's evidence. When ctx
-// ends first the call is abandoned — the lane stays up for its other
-// callers — and reports ctx.Err().
-func (ch *Channel) roundTrip(ctx context.Context, netaddr string, req *callRequest) (*callResponse, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// does the exchange, leaving the reply in c.resp, and its outcome is the
+// breaker's evidence. When ctx ends first the call is abandoned (the lane
+// stays up for its other callers) and reports ctx.Err().
+func (ch *Channel) roundTrip(ctx context.Context, netaddr string, c *clientCall) error {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, err)
+		return fmt.Errorf("remoting: call %s.%s: %w", c.req.URI, c.req.Method, err)
 	}
 	bs := ch.breakers()
 	if bs == nil || breakerBypassed(ctx) {
 		// A bypassed call records no evidence either: its outcome must not
 		// consume a half-open trial slot or re-trip a breaker it never
 		// consulted.
-		return ch.muxRoundTrip(ctx, netaddr, req)
+		return ch.muxRoundTrip(ctx, netaddr, c)
 	}
 	trial, berr := bs.allow(netaddr)
 	if berr != nil {
-		return nil, fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, berr)
+		return fmt.Errorf("remoting: call %s.%s: %w", c.req.URI, c.req.Method, berr)
 	}
-	resp, err := ch.muxRoundTrip(ctx, netaddr, req)
-	// Only transport-level evidence moves the breaker: connection failures
-	// trip it, anything the peer actually answered (including app errors)
-	// counts as success. Context expiry is the caller's deadline, not the
-	// peer's fault, and an orderly Close is not a failure either.
-	connFail := err != nil && ctx.Err() == nil &&
-		isConnFailure(err) && !errors.Is(err, errChannelClosed)
-	if connFail || err == nil || !isConnFailure(err) {
-		bs.record(netaddr, trial, connFail)
-	} else if trial {
-		// The trial's outcome was ambiguous (ctx expiry / orderly close):
-		// release the half-open slot without deciding.
-		bs.record(netaddr, true, true)
-	}
-	return resp, err
+	err := ch.muxRoundTrip(ctx, netaddr, c)
+	bs.settle(ctx, netaddr, trial, err)
+	return err
 }
 
 // isConnFailure reports whether err is a connection-level failure (dial,

@@ -47,9 +47,6 @@ func (r *ObjRef) URI() string { return r.uri }
 // NetAddr returns the transport address of the hosting server.
 func (r *ObjRef) NetAddr() string { return r.netaddr }
 
-// Channel returns the channel the proxy calls through.
-func (r *ObjRef) Channel() *Channel { return r.ch }
-
 // Invoke performs a synchronous remote method invocation. Server-side
 // failures come back as *RemoteError.
 func (r *ObjRef) Invoke(method string, args ...any) (any, error) {
@@ -71,29 +68,53 @@ func (r *ObjRef) Invoke(method string, args ...any) (any, error) {
 // server that executed a lost-reply attempt replays the recorded reply
 // instead of executing again.
 func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any, error) {
-	req := &callRequest{
-		URI:    r.uri,
-		Method: method,
-		Seq:    r.ch.nextSeq(),
-		Args:   args,
+	c := getClientCall()
+	c.req.Method, c.req.Args = method, args
+	return r.invoke(ctx, c)
+}
+
+// InvokeNestedCtx is InvokeCtx(ctx, method, sub, args), the runtime-call
+// shape: same bytes on the wire, same result, and the two-element list is
+// built neither here nor, at a NestedInvoker, there.
+func (r *ObjRef) InvokeNestedCtx(ctx context.Context, method, sub string, args []any) (any, error) {
+	c := getClientCall()
+	c.req.Method, c.req.sub, c.req.Args, c.req.nested = method, sub, args, true
+	return r.invoke(ctx, c)
+}
+
+// address completes the envelope of a call to r under ctx (nil means
+// background): target, a fresh sequence number, and the deadline and
+// idempotency token ctx carries.
+func (r *ObjRef) address(ctx context.Context, req *callRequest) context.Context {
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	req.URI, req.Seq = r.uri, r.ch.nextSeq()
 	if dl, ok := ctx.Deadline(); ok {
 		req.Deadline = dl.UnixNano()
 	}
 	if tok, ok := TokenFromContext(ctx); ok {
 		req.TokClient, req.TokSeq = tok.Client, tok.Seq
 	}
+	return ctx
+}
+
+// invoke runs the blocking call whose method and arguments c.req names,
+// retry loop included, and settles the record.
+func (r *ObjRef) invoke(ctx context.Context, c *clientCall) (any, error) {
+	defer putClientCall(c)
+	ctx = r.address(ctx, &c.req)
 	p := r.ch.Retry
 	if !p.Enabled() || retryDisabled(ctx) {
-		return r.invokeOnce(ctx, req)
+		return r.invokeOnce(ctx, c)
 	}
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		result, err := r.invokeOnce(ctx, req)
+		result, err := r.invokeOnce(ctx, c)
 		if err == nil {
 			return result, nil
 		}
-		if !Retryable(err) || attempt >= p.MaxAttempts-1 {
+		if !Retryable(err) || attempt >= p.MaxAttempts-1 || c.lost {
 			return nil, err
 		}
 		delay := p.retryDelay(err, attempt)
@@ -101,24 +122,23 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 			return nil, err
 		}
 		if serr := sleepRetry(ctx, r.ch.closeSignal(), delay); serr != nil {
-			return nil, fmt.Errorf("remoting: call %s.%s: retry aborted: %w", r.uri, method, serr)
+			return nil, fmt.Errorf("remoting: call %s.%s: retry aborted: %w", r.uri, c.req.Method, serr)
 		}
 		// Fresh seq per attempt: the failed attempt may still complete
 		// server-side, and a reused number could be matched against its
 		// late reply. The idempotency token (if any) stays, making the
 		// retry deduplicable; the seq is per-exchange plumbing.
-		req.Seq = r.ch.nextSeq()
+		c.req.Seq = r.ch.nextSeq()
 	}
 }
 
-// invokeOnce is a single InvokeCtx attempt: one roundTrip plus reply
-// normalization into Go errors.
-func (r *ObjRef) invokeOnce(ctx context.Context, req *callRequest) (any, error) {
-	resp, err := r.ch.roundTrip(ctx, r.netaddr, req)
-	if err != nil {
+// invokeOnce is a single attempt: one roundTrip plus reply normalization
+// into Go errors.
+func (r *ObjRef) invokeOnce(ctx context.Context, c *clientCall) (any, error) {
+	if err := r.ch.roundTrip(ctx, r.netaddr, c); err != nil {
 		return nil, err
 	}
-	return r.normalize(req, resp)
+	return r.normalize(&c.req, &c.resp)
 }
 
 // normalize maps a reply envelope onto (result, error), rebuilding the
@@ -152,28 +172,18 @@ func (r *ObjRef) normalize(req *callRequest, resp *callResponse) (any, error) {
 // decides how to recover (the SCOOPP proxy re-runs transient failures
 // through the full synchronous re-routing machinery).
 func (r *ObjRef) InvokeAsyncCb(ctx context.Context, method string, args []any, cb func(any, error)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	req := &callRequest{
-		URI:    r.uri,
-		Method: method,
-		Seq:    r.ch.nextSeq(),
-		Args:   args,
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		req.Deadline = dl.UnixNano()
-	}
-	if tok, ok := TokenFromContext(ctx); ok {
-		req.TokClient, req.TokSeq = tok.Client, tok.Seq
-	}
-	return r.ch.roundTripAsync(ctx, r.netaddr, req, func(resp *callResponse, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		cb(r.normalize(req, resp))
-	})
+	return r.invokeAsync(ctx, &clientCall{req: callRequest{Method: method, Args: args}, cb: cb})
+}
+
+// InvokeNestedAsyncCb is to InvokeAsyncCb what InvokeNestedCtx is to
+// InvokeCtx.
+func (r *ObjRef) InvokeNestedAsyncCb(ctx context.Context, method, sub string, args []any, cb func(any, error)) error {
+	return r.invokeAsync(ctx, &clientCall{req: callRequest{Method: method, sub: sub, Args: args, nested: true}, cb: cb})
+}
+
+func (r *ObjRef) invokeAsync(ctx context.Context, c *clientCall) error {
+	c.ref, c.ctx = r, r.address(ctx, &c.req)
+	return r.ch.roundTripAsync(r.netaddr, c)
 }
 
 // AsyncResult is the handle returned by BeginInvoke, the analogue of

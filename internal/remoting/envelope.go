@@ -44,9 +44,21 @@
 // speak them: the client sends its first compact call only after an ack,
 // and the server sends compact replies only after seeing a Bind
 // declaration (which only new clients emit).
+//
+// The nested-call shape. Every call of the SCOOPP runtime is
+// Invoke1(method, args) or InvokeBatch(method, calls) on a published
+// endpoint, so the args of nearly every compact call are the two-element
+// list [string sub, []any inner]. Neither end builds it: a request with
+// callRequest.nested set is written as the list's own bytes straight from
+// sub and Args, and a call frame whose args start that way is read back
+// into the two fields, the inner list into the array its serverCall lends.
+// The format did not change: every frame has the bytes it had when the flat
+// list was built and encoded (TestNestedCallBytesIdentical), and a frame
+// whose args merely happen to have the shape decodes to the same values.
 package remoting
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/wire"
@@ -111,6 +123,12 @@ func encodeBoundCall(handle uint32, req *callRequest, disableGenerated bool) (ra
 		e.RawUvarint(req.TokClient)
 		e.RawUvarint(req.TokSeq)
 	}
+	if req.nested {
+		// The bytes of []any{sub, Args}, without the slice.
+		e.RawByte(wire.TagAnySlice)
+		e.RawUvarint(2)
+		e.String(req.sub)
+	}
 	e.AnySlice(req.Args)
 	if err := e.Err(); err != nil {
 		e.Release()
@@ -119,38 +137,60 @@ func encodeBoundCall(handle uint32, req *callRequest, disableGenerated bool) (ra
 	return e.Bytes(), e, nil
 }
 
-// decodeBoundCall parses a compact call frame into the handle and a
-// callRequest with URI/Method left empty (the server fills them from its
-// bind table). It decodes in borrow mode: large []byte arguments alias raw,
-// and borrowed reports whether any does (see recycleFrame).
-func decodeBoundCall(raw []byte) (handle uint32, req *callRequest, borrowed bool, err error) {
+// nestedShape reports whether args, a compact call's tagged argument list,
+// is [string, list] in the encoding encodeBoundCall writes. Anything else
+// (a padded varint, a nil inner list, a truncated string) decodes by the
+// flat path, to the same values or the same error.
+func nestedShape(args []byte) bool {
+	if len(args) < 4 || args[0] != wire.TagAnySlice || args[1] != 2 || args[2] != wire.TagString {
+		return false
+	}
+	n, w := binary.Uvarint(args[3:])
+	if w <= 0 || n >= uint64(len(args)-3-w) {
+		return false
+	}
+	return args[3+w+int(n)] == wire.TagAnySlice
+}
+
+// decodeBoundCall parses a compact call frame into *req, overwriting it,
+// and returns the handle; URI and Method stay empty (the server fills them
+// from its bind table). Args in the nested-call shape land in req.sub and
+// req.Args; either way req.Args is decoded into argv's array when it fits.
+// It decodes in borrow mode: large []byte arguments alias raw, and borrowed
+// reports whether any does (see recycleFrame).
+func decodeBoundCall(raw []byte, req *callRequest, argv []any) (handle uint32, borrowed bool, err error) {
+	*req = callRequest{}
 	d := wire.NewDecoder(raw)
 	defer d.Release()
 	d.SetBorrow(true)
 	b := d.RawByte()
 	if b != markBoundCall && b != markBoundCallTok {
-		return 0, nil, false, fmt.Errorf("remoting: bound call marker 0x%02x, want 0x%02x or 0x%02x", b, markBoundCall, markBoundCallTok)
+		return 0, false, fmt.Errorf("remoting: bound call marker 0x%02x, want 0x%02x or 0x%02x", b, markBoundCall, markBoundCallTok)
 	}
 	h := d.RawUvarint()
-	req = &callRequest{}
 	req.Seq = d.RawUvarint()
 	req.Deadline = d.RawVarint()
 	if b == markBoundCallTok {
 		req.TokClient = d.RawUvarint()
 		req.TokSeq = d.RawUvarint()
 	}
-	req.Args = d.AnySlice()
+	if d.Err() == nil && nestedShape(raw[len(raw)-d.Rest():]) {
+		d.RawByte()    // the outer list's tag
+		d.RawUvarint() // and its count, 2
+		req.sub, req.nested = d.String(), true
+	}
+	req.Args = d.AnySliceInto(argv)
 	borrowed = d.Borrowed()
 	if err := d.Err(); err != nil {
-		return 0, nil, borrowed, fmt.Errorf("remoting: decode bound call: %w", err)
+		return 0, borrowed, fmt.Errorf("remoting: decode bound call: %w", err)
 	}
 	if rest := d.Rest(); rest != 0 {
-		return 0, nil, borrowed, fmt.Errorf("remoting: bound call: %d trailing bytes", rest)
+		return 0, borrowed, fmt.Errorf("remoting: bound call: %d trailing bytes", rest)
 	}
 	if h == 0 || h > maxBindHandles {
-		return 0, nil, borrowed, fmt.Errorf("remoting: bound call handle %d out of range", h)
+		return 0, borrowed, fmt.Errorf("remoting: bound call handle %d out of range", h)
 	}
-	return uint32(h), req, borrowed, nil
+	return uint32(h), borrowed, nil
 }
 
 // encodeBoundReply produces the compact reply frame. bindAck, when
@@ -196,18 +236,18 @@ func encodeBoundReply(resp *callResponse, bindAck uint32, disableGenerated bool)
 	return e.Bytes(), e, nil
 }
 
-// decodeBoundReply parses a compact reply frame, returning the normalized
-// response and the handle it confirms (0 when none). It decodes in borrow
+// decodeBoundReply parses a compact reply frame into *resp, overwriting it,
+// and returns the handle it confirms (0 when none). It decodes in borrow
 // mode: a large []byte result aliases raw, and borrowed reports whether it
 // does (see recycleFrame).
-func decodeBoundReply(raw []byte) (resp *callResponse, bindAck uint32, borrowed bool, err error) {
+func decodeBoundReply(raw []byte, resp *callResponse) (bindAck uint32, borrowed bool, err error) {
+	*resp = callResponse{}
 	d := wire.NewDecoder(raw)
 	defer d.Release()
 	d.SetBorrow(true)
 	if b := d.RawByte(); b != markBoundReply {
-		return nil, 0, false, fmt.Errorf("remoting: bound reply marker 0x%02x, want 0x%02x", b, markBoundReply)
+		return 0, false, fmt.Errorf("remoting: bound reply marker 0x%02x, want 0x%02x", b, markBoundReply)
 	}
-	resp = &callResponse{}
 	resp.Seq = d.RawUvarint()
 	ack := d.RawUvarint()
 	flags := d.RawByte()
@@ -229,13 +269,13 @@ func decodeBoundReply(raw []byte) (resp *callResponse, bindAck uint32, borrowed 
 	}
 	borrowed = d.Borrowed()
 	if err := d.Err(); err != nil {
-		return nil, 0, borrowed, fmt.Errorf("remoting: decode bound reply: %w", err)
+		return 0, borrowed, fmt.Errorf("remoting: decode bound reply: %w", err)
 	}
 	if rest := d.Rest(); rest != 0 {
-		return nil, 0, borrowed, fmt.Errorf("remoting: bound reply: %d trailing bytes", rest)
+		return 0, borrowed, fmt.Errorf("remoting: bound reply: %d trailing bytes", rest)
 	}
 	if ack > maxBindHandles {
-		return nil, 0, borrowed, fmt.Errorf("remoting: bound reply ack %d out of range", ack)
+		return 0, borrowed, fmt.Errorf("remoting: bound reply ack %d out of range", ack)
 	}
-	return resp, uint32(ack), borrowed, nil
+	return uint32(ack), borrowed, nil
 }

@@ -16,7 +16,7 @@ func TestBoundCallRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	handle, got, _, err := decodeBoundCall(raw)
+	handle, got, _, err := decodeCall(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestBoundReplyRoundTripResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	got, ack, _, err := decodeBoundReply(raw)
+	got, ack, _, err := decodeReply(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestBoundReplyRoundTripError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	got, ack, _, err := decodeBoundReply(raw)
+	got, ack, _, err := decodeReply(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,26 +116,26 @@ func TestBoundCallRejectsBadFrames(t *testing.T) {
 	frame := append([]byte(nil), raw...)
 	enc.Release()
 
-	if _, _, _, err := decodeBoundCall(append(frame, 0xFF)); err == nil {
+	if _, _, _, err := decodeCall(append(frame, 0xFF)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	if _, _, _, err := decodeBoundCall(frame[:len(frame)-1]); err == nil {
+	if _, _, _, err := decodeCall(frame[:len(frame)-1]); err == nil {
 		t.Error("truncated frame accepted")
 	}
 	bad := append([]byte(nil), frame...)
 	bad[0] = markBoundReply
-	if _, _, _, err := decodeBoundCall(bad); err == nil {
+	if _, _, _, err := decodeCall(bad); err == nil {
 		t.Error("wrong marker accepted")
 	}
 	// Handle 0 and out-of-range handles are rejected.
 	if raw0, enc0, err := encodeBoundCall(0, req, false); err == nil {
-		if _, _, _, err := decodeBoundCall(raw0); err == nil {
+		if _, _, _, err := decodeCall(raw0); err == nil {
 			t.Error("handle 0 accepted")
 		}
 		enc0.Release()
 	}
 	if rawBig, encBig, err := encodeBoundCall(maxBindHandles+1, req, false); err == nil {
-		if _, _, _, err := decodeBoundCall(rawBig); err == nil {
+		if _, _, _, err := decodeCall(rawBig); err == nil {
 			t.Error("out-of-range handle accepted")
 		}
 		encBig.Release()
@@ -151,12 +151,26 @@ func TestBoundReplyRejectsBadFrames(t *testing.T) {
 	frame := append([]byte(nil), raw...)
 	enc.Release()
 
-	if _, _, _, err := decodeBoundReply(append(frame, 0x00)); err == nil {
+	if _, _, _, err := decodeReply(append(frame, 0x00)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	bad := append([]byte(nil), frame...)
 	bad[0] = markBoundCall
-	if _, _, _, err := decodeBoundReply(bad); err == nil {
+	if _, _, _, err := decodeReply(bad); err == nil {
 		t.Error("wrong marker accepted")
 	}
+}
+
+// decodeCall and decodeReply decode into a fresh envelope, for tests that
+// look at the values rather than at the record they land in.
+func decodeCall(raw []byte) (uint32, *callRequest, bool, error) {
+	req := &callRequest{}
+	handle, borrowed, err := decodeBoundCall(raw, req, nil)
+	return handle, req, borrowed, err
+}
+
+func decodeReply(raw []byte) (*callResponse, uint32, bool, error) {
+	resp := &callResponse{}
+	ack, borrowed, err := decodeBoundReply(raw, resp)
+	return resp, ack, borrowed, err
 }

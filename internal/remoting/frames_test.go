@@ -2,25 +2,48 @@ package remoting
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/transport"
 )
 
-// keeper keeps the []byte argument it was handed, as a cache or a log
-// would.
-type keeper struct{ kept []byte }
+// keeper keeps the arguments it was handed, as a cache or a log would.
+type keeper struct {
+	kept []byte
+	ints []int32
+	name string
+	list []any
+}
 
 func (k *keeper) Keep(b []byte) { k.kept = b }
 func (k *keeper) Kept() []byte  { return k.kept }
 func (k *keeper) Sink(b []byte) {}
 
-// TestKeptArgumentSurvivesLaterCalls: a []byte parameter is the method's to
-// keep. The argument aliases the receive frame (4 KiB is above
-// wire.BorrowMin), so the frame must never go back to the pool, or later
-// requests on the connection overwrite what the object kept.
+// KeepAll has, in its last two parameters, the signature of a runtime call:
+// over a compact envelope its arguments after ints take the nested-call
+// shape, and list is then the very slice the server's call record lent the
+// decoder.
+func (k *keeper) KeepAll(ints []int32, name string, list []any) {
+	k.ints, k.name, k.list = ints, name, list
+}
+func (k *keeper) KeepTail(name string, list []any) { k.name, k.list = name, list }
+func (k *keeper) Ints() []int32                    { return k.ints }
+func (k *keeper) Name() string                     { return k.name }
+func (k *keeper) List() []any                      { return k.list }
+func (k *keeper) Sink3(a, b, c any)                {}
+
+// TestKeptArgumentSurvivesLaterCalls: a parameter is the method's to keep.
+// A 4 KiB []byte aliases the receive frame (it is above wire.BorrowMin), so
+// the frame must never go back to the pool, or later requests on the
+// connection overwrite what the object kept. A []int32, a string and a
+// []any are values of their own, and the last of them can be the argument
+// array of the server's call record, which must then not be reused either.
 func TestKeptArgumentSurvivesLaterCalls(t *testing.T) {
+	t.Run("small values", keptSmallValuesSurvive)
 	ch := NewMultiplexedChannel(transport.TCPNetwork{})
 	defer ch.Close()
 	srv, err := ch.ListenAndServe("127.0.0.1:0")
@@ -88,7 +111,7 @@ func TestFrameOwnershipRule(t *testing.T) {
 		for try := 0; try < 100 && !reused; try++ {
 			frame := transport.GetFrame(len(raw))
 			copy(frame, raw)
-			if _, _, borrowed, err = decodeBoundCall(frame); err != nil {
+			if _, _, borrowed, err = decodeCall(frame); err != nil {
 				t.Fatal(err)
 			}
 			recycleFrame(frame, borrowed)
@@ -102,5 +125,62 @@ func TestFrameOwnershipRule(t *testing.T) {
 	}
 	if reused, borrowed := frameReused(100); borrowed || !reused {
 		t.Errorf("100 B argument: borrowed=%v, frame reused=%v; want copied and the frame reused", borrowed, reused)
+	}
+}
+
+func keptSmallValuesSurvive(t *testing.T) {
+	ch, srv, _ := newMuxServer(t)
+	srv.Marshal("keeper", &keeper{})
+	ref, err := GetObject(ch, srv.URLFor("keeper"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	check := func(round int, wantInts []int32, wantName string, wantList []any) {
+		t.Helper()
+		// Later requests with at least as many arguments, decoded into
+		// whatever arrays the kept call's record gave back.
+		for i := 0; i < 50; i++ {
+			if _, err := ref.Invoke("Sink3", []int32{int32(i)}, "later", []any{i, i}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.Invoke("Sink3", "later", []any{i, i, i}, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ints, _ := ref.Invoke("Ints")
+		name, _ := ref.Invoke("Name")
+		list, _ := ref.Invoke("List")
+		if wantInts != nil && !reflect.DeepEqual(ints, wantInts) {
+			t.Errorf("round %d: kept []int32 is now %v, want %v", round, ints, wantInts)
+		}
+		if name != wantName {
+			t.Errorf("round %d: kept string is now %q, want %q", round, name, wantName)
+		}
+		if !reflect.DeepEqual(list, wantList) {
+			t.Errorf("round %d: kept []any is now %v, want %v", round, list, wantList)
+		}
+	}
+	// Rounds 0 and 1 complete the bind handshakes; the rest travel compact.
+	for round := 0; round < 6; round++ {
+		wantInts := []int32{int32(round), 2, 3}
+		wantName := fmt.Sprintf("name-%d", round)
+		wantList := []any{round, "kept", 2.5}
+		if _, err := ref.Invoke("KeepAll", wantInts, wantName, wantList); err != nil {
+			t.Fatal(err)
+		}
+		check(round, wantInts, wantName, wantList)
+		// The nested-call shape itself, both ways of sending it.
+		wantName += "-tail"
+		wantList = []any{"tail", round}
+		if round%2 == 0 {
+			_, err = ref.Invoke("KeepTail", wantName, wantList)
+		} else {
+			_, err = ref.InvokeNestedCtx(ctx, "KeepTail", wantName, wantList)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(round, nil, wantName, wantList)
 	}
 }

@@ -25,7 +25,7 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	got, ack, _, err := decodeBoundReply(raw)
+	got, ack, _, err := decodeReply(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer encPlain.Release()
-	gotPlain, _, _, err := decodeBoundReply(rawPlain)
+	gotPlain, _, _, err := decodeReply(rawPlain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,47 +44,130 @@ const inflightShards = 16
 // never a silently dropped caller.
 type inflightShard struct {
 	mu     sync.Mutex
-	m      map[uint64]*muxWaiter
+	m      map[uint64]*clientCall
 	closed bool
 }
 
-// muxWaiter is one in-flight exchange's completion target. Synchronous
-// callers park on rc (capacity 1, never blocks the deliverer); asynchronous
-// calls carry cb, which the reader invokes directly on reply arrival — the
-// completion-driven path that makes a future cost no goroutine while it
-// waits. slot marks waiters whose in-flight slot is released by whoever
-// delivers (async calls return to their caller before the exchange ends, so
-// nobody else is around to release it); stop detaches the context.AfterFunc
-// cancellation hook once the outcome is decided.
-type muxWaiter struct {
-	rc   chan muxResult
-	cb   func(muxResult)
-	stop func() bool
-	slot bool
+// clientCall is the client's record of one exchange: the request, the
+// response the lane's reader decodes into it, and how the outcome reaches
+// the caller. A blocking caller draws one from callPool and parks on rc
+// (capacity 1, never blocks the deliverer). A completion-driven call
+// allocates its own, rc nil and the second group set, and the reader
+// completes it inline through cb: a future costs no goroutine while it
+// waits.
+type clientCall struct {
+	req  callRequest
+	resp callResponse
+	rc   chan error
+	// lost: abandoned on ctx while the reader or fail held the record. One
+	// of them still writes resp and sends on rc, so it never goes back to
+	// the pool.
+	lost bool
+
+	// Completion-driven calls only. The call holds an in-flight slot from
+	// admission until whoever delivers its outcome releases it; stop
+	// detaches the context.AfterFunc hook once the outcome is decided; bs
+	// and trial carry the peer breaker's verdict to the completion.
+	ref   *ObjRef
+	mc    *muxConn
+	ctx   context.Context
+	cb    func(any, error)
+	of    outFrame
+	stop  func() bool
+	bs    *breakerSet
+	trial bool
 }
 
-// syncWaiters recycles the waiter and one-slot channel of a synchronous
-// exchange. A waiter goes back only when its channel is known empty and
-// nobody else holds it: the caller received its single result, it was never
-// registered, or take returned it to the caller that abandoned the call.
-var syncWaiters = sync.Pool{New: func() any { return &muxWaiter{rc: make(chan muxResult, 1)} }}
+// callPool recycles the records of blocking exchanges. A record goes back
+// only when its channel is known empty and nobody else holds it: the caller
+// received its single outcome, it was never registered, or take returned it
+// to the caller that abandoned the call.
+var callPool = sync.Pool{New: func() any { return &clientCall{rc: make(chan error, 1)} }}
 
-// deliver hands res to the waiter: detach the cancellation hook, return the
-// in-flight slot (waking queued async work) and then complete. The slot is
-// released before cb runs so a slow continuation cannot idle the pipe.
-func (w *muxWaiter) deliver(mc *muxConn, res muxResult) {
-	if w.stop != nil {
-		w.stop()
+// recordAudit, when a test installs one, counts the pooled call records of
+// both ends (clientCall here, serverCall in server.go) as they are drawn,
+// returned, and let go on purpose; drawn must equal the other two once
+// everything is closed. Nothing installs or reads it in production.
+var recordAudit atomic.Pointer[[3]atomic.Int64]
+
+const (
+	recordDrawn = iota
+	recordReturned
+	recordDropped
+)
+
+func countRecord(event int) {
+	if a := recordAudit.Load(); a != nil {
+		a[event].Add(1)
 	}
-	if w.slot {
-		<-mc.slots
-		mc.pump()
-	}
-	if w.rc != nil {
-		w.rc <- res
+}
+
+func getClientCall() *clientCall {
+	countRecord(recordDrawn)
+	return callPool.Get().(*clientCall)
+}
+
+// putClientCall settles a blocking call's record: back to the pool emptied,
+// so it pins neither arguments nor result, or left to the GC when lost.
+func putClientCall(c *clientCall) {
+	if c.lost {
+		countRecord(recordDropped)
 		return
 	}
-	w.cb(res)
+	countRecord(recordReturned)
+	*c = clientCall{rc: c.rc}
+	callPool.Put(c)
+}
+
+// deliver hands the exchange its outcome (resp is filled when err is nil).
+// A completion-driven call detaches its hook and returns its slot first,
+// waking queued async work, so a slow continuation cannot idle the pipe.
+func (c *clientCall) deliver(err error) {
+	if c.rc != nil {
+		c.rc <- err
+		return
+	}
+	if c.stop != nil {
+		c.stop()
+	}
+	<-c.mc.slots
+	c.mc.pump()
+	c.complete(err)
+}
+
+// complete reports a completion-driven call's outcome, exactly once: the
+// breaker's evidence, as roundTrip records it, then cb with the normalized
+// reply.
+func (c *clientCall) complete(err error) {
+	if err != nil {
+		err = c.mc.callErr(&c.req, err)
+	}
+	if c.bs != nil {
+		c.bs.settle(c.ctx, c.mc.netaddr, c.trial, err)
+	}
+	if err != nil {
+		c.cb(nil, err)
+		return
+	}
+	c.cb(c.ref.normalize(&c.req, &c.resp))
+}
+
+// abandon is the cancellation hook of an admitted completion-driven call:
+// as for a sync caller whose ctx ended, the lane stays up and the reader
+// drops the late reply.
+func (c *clientCall) abandon() {
+	if c.mc.take(c.req.Seq) != nil {
+		c.deliver(c.ctx.Err())
+	}
+}
+
+// refuse fails a call pump admitted but could not start, on a fresh
+// goroutine: pump may be on the submitter's or the reader's stack, and a
+// callback chain that posts follow-up calls must not recurse into it.
+func (c *clientCall) refuse(err error) {
+	<-c.mc.slots
+	c.of.release()
+	go c.complete(err)
 }
 
 // bindShardCount stripes the client bind table by (URI, Method) hash.
@@ -148,7 +231,7 @@ type muxConn struct {
 	// wait here (instead of parking a goroutine on slots) until pump moves
 	// them into the in-flight table. Unbounded — the futures are the queue.
 	asyncMu     sync.Mutex
-	asyncQ      []*asyncPending
+	asyncQ      []*clientCall
 	asyncClosed bool
 
 	mu      sync.Mutex
@@ -250,20 +333,20 @@ func (mc *muxConn) confirmBind(handle uint32) {
 // envelope (carrying the bind declaration) until then. Ownership of the
 // returned pooled encoder follows Channel.encodeRequest.
 func (mc *muxConn) encodeRequest(req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
-	if mc.ch.DisableBinding {
-		return mc.ch.encodeRequest(req)
+	if !mc.ch.DisableBinding {
+		cb := mc.bindFor(req.URI, req.Method)
+		if cb.confirmed.Load() {
+			return encodeBoundCall(cb.handle, req, mc.ch.codec.DisableGenerated)
+		}
+		req.Bind = cb.handle
 	}
-	cb := mc.bindFor(req.URI, req.Method)
-	if cb.confirmed.Load() {
-		return encodeBoundCall(cb.handle, req, mc.ch.codec.DisableGenerated)
+	if req.nested {
+		// The string envelope's codec sees only the flat list.
+		flat := *req
+		flat.Args, flat.nested = req.flatArgs(), false
+		req = &flat
 	}
-	req.Bind = cb.handle
 	return mc.ch.encodeRequest(req)
-}
-
-type muxResult struct {
-	resp *callResponse
-	err  error
 }
 
 // outFrame is one queued request frame. enc, when non-nil, is the pooled
@@ -317,7 +400,7 @@ func (ch *Channel) getMux(netaddr string, lane int) (mc *muxConn, fresh bool, er
 				ready:   make(chan struct{}),
 			}
 			for i := range mc.inflight {
-				mc.inflight[i].m = make(map[uint64]*muxWaiter)
+				mc.inflight[i].m = make(map[uint64]*clientCall)
 			}
 			if ch.muxPeers == nil {
 				ch.muxPeers = make(map[muxKey]*muxConn)
@@ -408,42 +491,34 @@ func (ch *Channel) removeMux(mc *muxConn) {
 // redials independently: a retry lands on a fresh connection for the same
 // lane, whose bind table starts empty and re-declares.
 //
-// Encoding happens here, per lane, because the envelope variant depends on
-// the lane's bind table (envelope.go); the retry re-encodes on the fresh
+// Encoding happens per lane, in call, because the envelope variant depends
+// on the lane's bind table (envelope.go); the retry re-encodes on the fresh
 // lane, so a reconnect transparently falls back to string envelopes.
-func (ch *Channel) muxRoundTrip(ctx context.Context, netaddr string, req *callRequest) (*callResponse, error) {
+func (ch *Channel) muxRoundTrip(ctx context.Context, netaddr string, c *clientCall) error {
 	lane := 0
 	if n := ch.laneCount(); n > 1 {
-		lane = int(req.Seq % uint64(n))
+		lane = int(c.req.Seq % uint64(n))
 	}
 	mc, fresh, err := ch.getMux(netaddr, lane)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	raw, enc, err := mc.encodeRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := mc.call(ctx, req, outFrame{raw: raw, enc: enc})
+	err = mc.call(ctx, c)
 	if err == nil || fresh || ctx.Err() != nil || !isConnFailure(err) || errors.Is(err, errChannelClosed) {
-		return resp, err
+		return err
 	}
 	mc2, _, err2 := ch.getMux(netaddr, lane)
 	if err2 != nil {
-		return nil, err2
+		return err2
 	}
-	raw2, enc2, err2 := mc2.encodeRequest(req)
-	if err2 != nil {
-		return nil, err2
-	}
-	return mc2.call(ctx, req, outFrame{raw: raw2, enc: enc2})
+	return mc2.call(ctx, c)
 }
 
 // register adds a waiter to the lane's in-flight table, refusing when the
 // lane already failed (the per-shard closed flag makes the race with fail
 // safe: an entry either lands before the drain and is errored there, or
 // the register observes closed).
-func (mc *muxConn) register(seq uint64, w *muxWaiter) error {
+func (mc *muxConn) register(seq uint64, w *clientCall) error {
 	sh := &mc.inflight[seq&(inflightShards-1)]
 	sh.mu.Lock()
 	if sh.closed {
@@ -459,7 +534,7 @@ func (mc *muxConn) register(seq uint64, w *muxWaiter) error {
 // call was abandoned (or the lane failed). Exactly one of the reader, the
 // cancellation hook and fail takes any given waiter, so the outcome is
 // delivered exactly once.
-func (mc *muxConn) take(seq uint64) *muxWaiter {
+func (mc *muxConn) take(seq uint64) *clientCall {
 	sh := &mc.inflight[seq&(inflightShards-1)]
 	sh.mu.Lock()
 	w := sh.m[seq]
@@ -483,20 +558,24 @@ func (mc *muxConn) enqueueFrame(of outFrame) {
 	}
 }
 
-// call runs one synchronous exchange: acquire an in-flight slot, register
-// the sequence number, hand the frame to the writer and wait for the
-// reader to deliver the matching response (or for the lane to fail, or ctx
-// to end). call owns of: it either hands it to the writer or releases it
-// itself.
-func (mc *muxConn) call(ctx context.Context, req *callRequest, of outFrame) (*callResponse, error) {
+// call runs one synchronous exchange: encode against the lane's bind
+// table, acquire an in-flight slot, register the sequence number, hand the
+// frame to the writer and wait for the reader to deliver the matching
+// response into c.resp (or for the lane to fail, or ctx to end).
+func (mc *muxConn) call(ctx context.Context, c *clientCall) error {
+	raw, enc, err := mc.encodeRequest(&c.req)
+	if err != nil {
+		return err
+	}
+	of := outFrame{raw: raw, enc: enc}
 	select {
 	case mc.slots <- struct{}{}:
 	case <-mc.done:
 		of.release()
-		return nil, mc.callErr(req, mc.failureErr())
+		return mc.callErr(&c.req, mc.failureErr())
 	case <-ctx.Done():
 		of.release()
-		return nil, mc.callErr(req, ctx.Err())
+		return mc.callErr(&c.req, ctx.Err())
 	}
 	defer func() {
 		<-mc.slots
@@ -504,27 +583,24 @@ func (mc *muxConn) call(ctx context.Context, req *callRequest, of outFrame) (*ca
 		mc.pump()
 	}()
 
-	w := syncWaiters.Get().(*muxWaiter)
-	if err := mc.register(req.Seq, w); err != nil {
-		syncWaiters.Put(w)
+	if err := mc.register(c.req.Seq, c); err != nil {
 		of.release()
-		return nil, mc.callErr(req, err)
+		return mc.callErr(&c.req, err)
 	}
 	mc.enqueueFrame(of)
 
 	select {
-	case res := <-w.rc:
-		syncWaiters.Put(w)
-		return res.resp, res.err
+	case err := <-c.rc:
+		return err
 	case <-ctx.Done():
 		// Abandon, do not kill: the lane stays up for the other callers
-		// and the reader drops this call's late response. The waiter is
+		// and the reader drops this call's late response. The record is
 		// reusable only if take handed it back; otherwise the reader or
 		// fail holds it and will still send on its channel.
-		if mc.take(req.Seq) == w {
-			syncWaiters.Put(w)
+		if mc.take(c.req.Seq) != c {
+			c.lost = true
 		}
-		return nil, mc.callErr(req, ctx.Err())
+		return mc.callErr(&c.req, ctx.Err())
 	}
 }
 
@@ -598,10 +674,11 @@ func (mc *muxConn) writer() {
 }
 
 // reader receives frames continuously and routes each response to the
-// caller registered under its sequence number. A response without an
-// in-flight entry belongs to an abandoned call and is dropped. Compact
-// replies (which only a binding server sends, and only after this client
-// declared a handle) also carry bind acks, applied here before routing.
+// exchange registered under its sequence number, copying the decoded reply
+// into that exchange's record. A response without an in-flight entry
+// belongs to an abandoned call and is dropped. Compact replies (which only
+// a binding server sends, and only after this client declared a handle)
+// also carry bind acks, applied here before routing.
 func (mc *muxConn) reader() {
 	for {
 		raw, err := transport.RecvFrame(mc.conn)
@@ -609,16 +686,16 @@ func (mc *muxConn) reader() {
 			mc.fail(fmt.Errorf("remoting: receive from %s: %v: %w", mc.netaddr, err, errs.ErrNodeDown))
 			return
 		}
-		var resp *callResponse
+		var resp callResponse
 		var borrowed bool
 		if isCompactFrame(raw, markBoundReply) {
 			var ack uint32
-			resp, ack, borrowed, err = decodeBoundReply(raw)
+			ack, borrowed, err = decodeBoundReply(raw, &resp)
 			if err == nil && ack != 0 {
 				mc.confirmBind(ack)
 			}
 		} else {
-			resp, borrowed, err = mc.ch.decodeResponse(raw)
+			borrowed, err = decodeInto(mc.ch, raw, &resp)
 		}
 		recycleFrame(raw, borrowed)
 		if err != nil {
@@ -627,13 +704,14 @@ func (mc *muxConn) reader() {
 			mc.fail(err)
 			return
 		}
-		if w := mc.take(resp.Seq); w != nil {
-			// Async waiters complete inline here: continuations run on the
+		if c := mc.take(resp.Seq); c != nil {
+			// Async exchanges complete inline here: continuations run on the
 			// reader goroutine (bounded, overflowing to the pool at the
 			// future layer), which is what makes a resolved future cost no
 			// parked goroutine. They must not block; see the README's
 			// inline-continuation guidance.
-			w.deliver(mc, muxResult{resp: resp})
+			c.resp = resp
+			c.deliver(nil)
 		}
 	}
 }
@@ -665,19 +743,19 @@ func (mc *muxConn) fail(err error) {
 		pending := sh.m
 		sh.m = nil
 		sh.mu.Unlock()
-		for _, w := range pending {
-			if w.stop != nil {
-				w.stop()
-			}
+		for _, c := range pending {
 			// No slot bookkeeping post-mortem: done is closed, so nothing
 			// waits on slots anymore. Callbacks run iteratively here; a
 			// continuation that resubmits observes asyncClosed and fails
 			// synchronously, so the drain cannot recurse.
-			if w.rc != nil {
-				w.rc <- muxResult{err: err}
-			} else {
-				w.cb(muxResult{err: err})
+			if c.rc != nil {
+				c.rc <- err
+				continue
 			}
+			if c.stop != nil {
+				c.stop()
+			}
+			c.complete(err)
 		}
 	}
 	mc.asyncMu.Lock()
@@ -685,9 +763,9 @@ func (mc *muxConn) fail(err error) {
 	q := mc.asyncQ
 	mc.asyncQ = nil
 	mc.asyncMu.Unlock()
-	for _, ap := range q {
-		ap.of.release()
-		ap.cb(nil, mc.callErr(ap.req, err))
+	for _, c := range q {
+		c.of.release()
+		c.complete(err)
 	}
 }
 
@@ -697,42 +775,42 @@ func (mc *muxConn) shutdown() {
 	mc.fail(fmt.Errorf("remoting: %w", errChannelClosed))
 }
 
-// asyncPending is one completion-driven call waiting for an in-flight
-// slot: the frame is already encoded (submission is encode + enqueue), and
-// cb receives the outcome exactly once unless submitAsync itself errored.
-type asyncPending struct {
-	req *callRequest
-	of  outFrame
-	ctx context.Context
-	cb  func(*callResponse, error)
-}
-
-// submitAsync queues one completion-driven exchange. It never blocks: the
-// call either enters the in-flight table immediately (a slot was free) or
-// waits in asyncQ until pump admits it. An error return means the call was
-// not submitted and cb will never run — the invariant callers rely on to
-// fall back to the synchronous path. cb runs on the lane's reader
-// goroutine (or a cancellation/failure path), never on the submitter's
-// stack.
-func (mc *muxConn) submitAsync(ctx context.Context, req *callRequest, of outFrame, cb func(*callResponse, error)) error {
-	ap := &asyncPending{req: req, of: of, ctx: ctx, cb: cb}
+// submitAsync queues one completion-driven exchange, its frame already
+// encoded (submission is encode + enqueue). It never blocks: the call
+// either enters the in-flight table immediately (a slot was free and the
+// queue empty) or waits in asyncQ until pump admits it. An error return
+// means the call was not submitted and its cb will never run, the
+// invariant callers rely on to fall back to the synchronous path. cb runs
+// on the lane's reader goroutine (or a cancellation/failure path), never
+// on the submitter's stack.
+func (mc *muxConn) submitAsync(c *clientCall) error {
 	mc.asyncMu.Lock()
 	if mc.asyncClosed {
 		mc.asyncMu.Unlock()
-		of.release()
-		return mc.callErr(req, mc.failureErr())
+		c.of.release()
+		return mc.callErr(&c.req, mc.failureErr())
 	}
-	mc.asyncQ = append(mc.asyncQ, ap)
+	if len(mc.asyncQ) == 0 {
+		// Nobody waits ahead of it: with a slot free the call starts at
+		// once and the queue is never touched.
+		select {
+		case mc.slots <- struct{}{}:
+			mc.asyncMu.Unlock()
+			mc.startAsync(c)
+			return nil
+		default:
+		}
+	}
+	mc.asyncQ = append(mc.asyncQ, c)
 	mc.asyncMu.Unlock()
 	mc.pump()
 	return nil
 }
 
 // pump moves queued async calls into the in-flight table for as long as
-// slots are free, without ever blocking — it runs on submitters, on the
+// slots are free, without ever blocking: it runs on submitters, on the
 // reader (after every released slot) and on sync callers' slot release
-// alike. Failure deliveries hop to a goroutine so a dead lane draining a
-// deep queue cannot recurse through completion callbacks that resubmit.
+// alike.
 func (mc *muxConn) pump() {
 	for {
 		select {
@@ -746,55 +824,32 @@ func (mc *muxConn) pump() {
 			<-mc.slots
 			return
 		}
-		ap := mc.asyncQ[0]
+		c := mc.asyncQ[0]
 		mc.asyncQ[0] = nil
 		mc.asyncQ = mc.asyncQ[1:]
 		mc.asyncMu.Unlock()
-		mc.startAsync(ap)
+		mc.startAsync(c)
 	}
 }
 
 // startAsync registers one admitted async call (its slot is already held)
-// and hands its frame to the writer. Error outcomes are delivered on a
-// fresh goroutine: pump may be running on the submitter's or the reader's
-// stack, and a callback chain that posts follow-up calls must not recurse
-// into pump.
-func (mc *muxConn) startAsync(ap *asyncPending) {
-	fail := func(err error) {
-		<-mc.slots
-		ap.of.release()
-		go ap.cb(nil, mc.callErr(ap.req, err))
-	}
-	if err := ap.ctx.Err(); err != nil {
-		fail(err)
+// and hands its frame to the writer.
+func (mc *muxConn) startAsync(c *clientCall) {
+	if err := c.ctx.Err(); err != nil {
+		c.refuse(err)
 		return
 	}
-	w := &muxWaiter{slot: true, cb: func(res muxResult) {
-		if res.err != nil {
-			res.err = mc.callErr(ap.req, res.err)
-		}
-		ap.cb(res.resp, res.err)
-	}}
-	if ap.ctx.Done() != nil {
-		seq := ap.req.Seq
-		w.stop = context.AfterFunc(ap.ctx, func() {
-			// Abandon, exactly like a sync caller whose ctx ended: the lane
-			// stays up, the late reply is dropped by the reader.
-			if aw := mc.take(seq); aw != nil {
-				<-mc.slots
-				mc.pump()
-				aw.cb(muxResult{err: ap.ctx.Err()})
-			}
-		})
+	if c.ctx.Done() != nil {
+		c.stop = context.AfterFunc(c.ctx, c.abandon)
 	}
-	if err := mc.register(ap.req.Seq, w); err != nil {
-		if w.stop != nil {
-			w.stop()
+	if err := mc.register(c.req.Seq, c); err != nil {
+		if c.stop != nil {
+			c.stop()
 		}
-		fail(err)
+		c.refuse(err)
 		return
 	}
-	mc.enqueueFrame(ap.of)
+	mc.enqueueFrame(c.of)
 }
 
 // laneForURI stripes completion-driven calls by destination object rather
@@ -814,63 +869,43 @@ func (ch *Channel) laneForURI(uri string) int {
 	return int(h % uint32(n))
 }
 
-// roundTripAsync submits one exchange and returns without waiting: cb
-// receives the outcome — on the lane's reader goroutine for replies —
+// roundTripAsync submits one exchange and returns without waiting: c.cb
+// receives the outcome, on the lane's reader goroutine for replies,
 // exactly once, unless roundTripAsync itself returns an error, in which
 // case the call was never submitted and cb will not run. There is no
 // stale-connection retry here: an enqueued call that dies with its lane
 // reports the failure to cb, and the caller's fallback (which re-resolves
 // and retries through the synchronous machinery) picks it up.
 //
-// Breaker accounting mirrors roundTrip exactly, moved into the callback:
-// evidence is recorded when the outcome is known, once per submission.
-func (ch *Channel) roundTripAsync(ctx context.Context, netaddr string, req *callRequest, cb func(*callResponse, error)) error {
-	if ctx == nil {
-		ctx = context.Background()
+// Breaker accounting mirrors roundTrip exactly, moved into the completion
+// (clientCall.complete): evidence is recorded when the outcome is known,
+// once per submission.
+func (ch *Channel) roundTripAsync(netaddr string, c *clientCall) error {
+	if err := c.ctx.Err(); err != nil {
+		return fmt.Errorf("remoting: call %s.%s: %w", c.req.URI, c.req.Method, err)
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, err)
+	if bs := ch.breakers(); bs != nil && !breakerBypassed(c.ctx) {
+		trial, berr := bs.allow(netaddr)
+		if berr != nil {
+			return fmt.Errorf("remoting: call %s.%s: %w", c.req.URI, c.req.Method, berr)
+		}
+		c.bs, c.trial = bs, trial
 	}
-	bs := ch.breakers()
-	if bs == nil || breakerBypassed(ctx) {
-		return ch.muxSubmit(ctx, netaddr, req, cb)
-	}
-	trial, berr := bs.allow(netaddr)
-	if berr != nil {
-		return fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, berr)
-	}
-	record := func(err error) {
-		connFail := err != nil && ctx.Err() == nil &&
-			isConnFailure(err) && !errors.Is(err, errChannelClosed)
-		if connFail || err == nil || !isConnFailure(err) {
-			bs.record(netaddr, trial, connFail)
-		} else if trial {
-			bs.record(netaddr, true, true)
+	// The mux half: resolve the destination lane, encode against its bind
+	// table and hand the frame to the lane's admission queue.
+	mc, _, err := ch.getMux(netaddr, ch.laneForURI(c.req.URI))
+	if err == nil {
+		var raw []byte
+		var enc *wire.Encoder
+		if raw, enc, err = mc.encodeRequest(&c.req); err == nil {
+			c.mc, c.of = mc, outFrame{raw: raw, enc: enc}
+			err = mc.submitAsync(c)
 		}
 	}
-	err := ch.muxSubmit(ctx, netaddr, req, func(resp *callResponse, err error) {
-		record(err)
-		cb(resp, err)
-	})
-	if err != nil {
-		// Submission failed synchronously (dial, encode, closed lane): the
-		// wrapped cb never runs, so settle the breaker evidence here.
-		record(err)
+	if err != nil && c.bs != nil {
+		// Submission failed synchronously (dial, encode, closed lane):
+		// complete never runs, so settle the breaker evidence here.
+		c.bs.settle(c.ctx, netaddr, c.trial, err)
 	}
 	return err
-}
-
-// muxSubmit is the mux half of roundTripAsync: resolve the destination
-// lane, encode against its bind table and hand the frame to the lane's
-// admission queue.
-func (ch *Channel) muxSubmit(ctx context.Context, netaddr string, req *callRequest, cb func(*callResponse, error)) error {
-	mc, _, err := ch.getMux(netaddr, ch.laneForURI(req.URI))
-	if err != nil {
-		return err
-	}
-	raw, enc, err := mc.encodeRequest(req)
-	if err != nil {
-		return err
-	}
-	return mc.submitAsync(ctx, req, outFrame{raw: raw, enc: enc}, cb)
 }

@@ -1,0 +1,382 @@
+package remoting
+
+import (
+	"bytes"
+	"context"
+	"encoding/hex"
+	"errors"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/wire"
+)
+
+// nestedGolden are compact call frames as the parent commit's
+// encodeBoundCall wrote them for Args: []any{sub, args}, the flat list of a
+// runtime call. They are the wire contract of the nested-call shape.
+var nestedGolden = []struct {
+	name   string
+	handle uint32
+	req    callRequest // header fields only
+	sub    string
+	args   []any
+	frame  string
+}{
+	{"plain", 3, callRequest{Seq: 7}, "Ints", []any{[]int32{1, -2, 300000}},
+		"bc03070018020f04496e74731801120301000000feffffffe0930400"},
+	{"token and deadline", 65536, callRequest{Seq: 300, Deadline: 1234567890123, TokClient: 9, TokSeq: 70000}, "Echo", []any{"hi", 42, 2.5},
+		"be808004ac029693d89fee4709f0a20418020f044563686f18030f02686907540e0000000000000440"},
+	{"nil args", 1, callRequest{Seq: 1}, "Noop", nil,
+		"bc01010018020f044e6f6f701800"},
+	{"empty args", 1, callRequest{Seq: 1}, "Noop", []any{},
+		"bc01010018020f044e6f6f701800"},
+	{"empty sub", 2, callRequest{Seq: 2}, "", []any{true},
+		"bc02020018020f00180101"},
+	{"batch with token", 4, callRequest{Seq: 5, TokClient: 1, TokSeq: 1}, "Add", []any{[]any{1}, []any{2}},
+		"be040500010118020f0341646418021801070218010704"},
+}
+
+func mustHex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// boundCallBytes encodes req and returns a copy of the frame.
+func boundCallBytes(t testing.TB, handle uint32, req *callRequest) []byte {
+	t.Helper()
+	raw, enc, err := encodeBoundCall(handle, req, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Release()
+	return bytes.Clone(raw)
+}
+
+// TestNestedCallBytesIdentical: a request in the nested-call shape encodes
+// to the bytes the flat list did at the parent commit, decodes back into
+// the two fields with the inner list in the lent array, and flattens to the
+// list the flat decode gives. The string envelope of such a request is the
+// flat request's.
+func TestNestedCallBytesIdentical(t *testing.T) {
+	for _, g := range nestedGolden {
+		t.Run(g.name, func(t *testing.T) {
+			want := mustHex(t, g.frame)
+			nested, flat := g.req, g.req
+			nested.sub, nested.Args, nested.nested = g.sub, g.args, true
+			flat.Args = []any{g.sub, g.args}
+			if got := boundCallBytes(t, g.handle, &nested); !bytes.Equal(got, want) {
+				t.Errorf("nested request encodes to\n%x, want\n%x", got, want)
+			}
+			if got := boundCallBytes(t, g.handle, &flat); !bytes.Equal(got, want) {
+				t.Errorf("flat request encodes to\n%x, want\n%x", got, want)
+			}
+
+			var got callRequest
+			lent := make([]any, 0, 8)
+			handle, _, err := decodeBoundCall(want, &got, lent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if handle != g.handle || !got.nested || got.sub != g.sub {
+				t.Fatalf("decoded handle %d nested %v sub %q, want %d true %q", handle, got.nested, got.sub, g.handle, g.sub)
+			}
+			if got.Seq != g.req.Seq || got.Deadline != g.req.Deadline || got.TokClient != g.req.TokClient || got.TokSeq != g.req.TokSeq {
+				t.Errorf("decoded header %+v, want %+v", got, g.req)
+			}
+			if len(got.Args) != len(g.args) || (len(g.args) > 0 && !reflect.DeepEqual(got.Args, g.args)) {
+				t.Errorf("decoded args %#v, want %#v", got.Args, g.args)
+			}
+			if len(got.Args) > 0 && &got.Args[0] != &lent[:1][0] {
+				t.Error("the inner list was not decoded into the lent array")
+			}
+			if !bytes.Equal(boundCallBytes(t, handle, &got), want) {
+				t.Error("decode then encode changed the frame")
+			}
+
+			ch := &Channel{DisableBinding: true}
+			viaLane, encL, err := (&muxConn{ch: ch}).encodeRequest(&nested)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer encL.Release()
+			flat.URI, flat.Method = nested.URI, nested.Method
+			direct, encD, err := ch.encodeRequest(&flat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer encD.Release()
+			if !bytes.Equal(viaLane, direct) {
+				t.Errorf("string envelope of the nested request\n%x, of the flat one\n%x", viaLane, direct)
+			}
+		})
+	}
+	// Close to the shape, but not it: these decode by the flat path.
+	for name, frame := range map[string]string{
+		"count in two bytes": "bc0101001882000f044e6f6f701800",
+		"nil inner list":     "bc01010018020f044e6f6f7000",
+		"three elements":     "bc01010018030f044e6f6f70180000",
+		"string then int":    "bc01010018020f044e6f6f700702",
+	} {
+		_, req, _, err := decodeCall(mustHex(t, frame))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if req.nested {
+			t.Errorf("%s: taken for the nested shape", name)
+		}
+	}
+}
+
+// flatDecodeBoundCall is the parent commit's decodeBoundCall: header, then
+// the whole argument list by the generic decoder.
+func flatDecodeBoundCall(raw []byte) (handle uint64, req callRequest, err error) {
+	d := wire.NewDecoder(raw)
+	defer d.Release()
+	d.SetBorrow(true)
+	b := d.RawByte()
+	if b != markBoundCall && b != markBoundCallTok {
+		return 0, req, errors.New("marker")
+	}
+	handle = d.RawUvarint()
+	req.Seq = d.RawUvarint()
+	req.Deadline = d.RawVarint()
+	if b == markBoundCallTok {
+		req.TokClient = d.RawUvarint()
+		req.TokSeq = d.RawUvarint()
+	}
+	req.Args = d.AnySlice()
+	if err := d.Err(); err != nil {
+		return 0, req, err
+	}
+	if d.Rest() != 0 {
+		return 0, req, errors.New("trailing bytes")
+	}
+	if handle == 0 || handle > maxBindHandles {
+		return 0, req, errors.New("handle")
+	}
+	return handle, req, nil
+}
+
+// FuzzDecodeBoundCall: no frame makes the decoder panic; a frame decodes by
+// the nested-aware decoder exactly when it decodes by the flat one, and to
+// the same request; and what decodes re-encodes to a frame that is its own
+// decode-encode image. (Not to the input itself in general: binfmt reads a
+// varint padded with continuation bytes, a bool slice element of 2 or a
+// name spelled twice instead of back-referenced, and writes each back in
+// its one canonical form. The golden frames, which are canonical, are held
+// to byte identity by TestNestedCallBytesIdentical.)
+func FuzzDecodeBoundCall(f *testing.F) {
+	for _, g := range nestedGolden {
+		f.Add(mustHex(f, g.frame))
+	}
+	f.Add(boundCallBytes(f, 9, &callRequest{Seq: 1, Args: []any{int32(7), "flat", []float64{1.5}}}))
+	f.Add(boundCallBytes(f, 9, &callRequest{Seq: 2, Args: []any{"Tag", []any{"user", "method"}, 3}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req callRequest
+		handle, _, err := decodeBoundCall(data, &req, make([]any, 0, 4))
+		flatHandle, flat, flatErr := flatDecodeBoundCall(data)
+		if (err == nil) != (flatErr == nil) {
+			t.Fatalf("nested-aware decode: %v; flat decode: %v", err, flatErr)
+		}
+		if err != nil {
+			return
+		}
+		viaFlat := boundCallBytes(t, uint32(flatHandle), &flat)
+		once := boundCallBytes(t, handle, &req)
+		if !bytes.Equal(once, viaFlat) {
+			t.Fatalf("re-encoded after nested-aware decode\n%x, after flat decode\n%x", once, viaFlat)
+		}
+		var again callRequest
+		handle2, _, err := decodeBoundCall(once, &again, nil)
+		if err != nil {
+			t.Fatalf("re-encoded frame %x does not decode: %v", once, err)
+		}
+		if twice := boundCallBytes(t, handle2, &again); !bytes.Equal(twice, once) {
+			t.Fatalf("encode is not a fixed point:\n%x then\n%x", once, twice)
+		}
+	})
+}
+
+func boundReplyBytes(t testing.TB, resp *callResponse, ack uint32) []byte {
+	t.Helper()
+	raw, enc, err := encodeBoundReply(resp, ack, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Release()
+	return bytes.Clone(raw)
+}
+
+// FuzzDecodeBoundReply is FuzzDecodeBoundCall for the reply frame.
+func FuzzDecodeBoundReply(f *testing.F) {
+	for _, resp := range []callResponse{
+		{Seq: 7, Result: []int32{1, -2, 300000}},
+		{Seq: 300, Result: nil},
+		{Seq: 8, IsErr: true, ErrCode: "no_such_method", ErrMsg: "boom"},
+		{Seq: 9, IsErr: true, ErrCode: "moved", ErrMsg: "moved", FwdAddr: "127.0.0.1:9", FwdNode: 3, FwdGen: 5, FwdURI: "obj/x"},
+		{Seq: 10, IsErr: true, ErrCode: "overloaded", ErrMsg: "full", RetryAfterMs: 25},
+	} {
+		f.Add(boundReplyBytes(f, &resp, uint32(resp.Seq%3)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var resp callResponse
+		ack, _, err := decodeBoundReply(data, &resp)
+		if err != nil {
+			return
+		}
+		once := boundReplyBytes(t, &resp, ack)
+		var again callResponse
+		ack2, _, err := decodeBoundReply(once, &again)
+		if err != nil {
+			t.Fatalf("re-encoded frame %x does not decode: %v", once, err)
+		}
+		if twice := boundReplyBytes(t, &again, ack2); !bytes.Equal(twice, once) {
+			t.Fatalf("encode is not a fixed point:\n%x then\n%x", once, twice)
+		}
+	})
+}
+
+// TestNilContextIsBackground: both kinds of call take a nil context as
+// context.Background().
+func TestNilContextIsBackground(t *testing.T) {
+	ch, srv, _ := newMuxServer(t)
+	srv.RegisterWellKnown("h", Singleton, func() any { return &heldEcho{} })
+	ref, _ := GetObject(ch, srv.URLFor("h"))
+	for i := 0; i < 3; i++ { // string envelope, then compact
+		if v, err := ref.InvokeCtx(nil, "Now", i); err != nil || v != i {
+			t.Fatalf("InvokeCtx(nil): %v, %v", v, err)
+		}
+		done := make(chan error, 1)
+		err := ref.InvokeAsyncCb(nil, "Now", []any{i}, func(v any, err error) {
+			if err == nil && v != i {
+				err = errors.New("wrong echo")
+			}
+			done <- err
+		})
+		if err != nil {
+			t.Fatalf("InvokeAsyncCb(nil): %v", err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("async call with a nil context never completed")
+		}
+	}
+}
+
+// TestCallRecordsAccountedFor: across blocking calls, abandoned ones,
+// failed ones and requests the server refuses, every record either end drew
+// from its pool has, once the server and the channel are closed, gone back
+// or been let go on purpose (a blocking call abandoned while the reader
+// held its record).
+func TestCallRecordsAccountedFor(t *testing.T) {
+	audit := new([3]atomic.Int64)
+	recordAudit.Store(audit)
+	defer recordAudit.Store(nil)
+
+	ch, srv, _ := newMuxServer(t)
+	h := &heldEcho{gate: make(chan struct{})}
+	srv.RegisterWellKnown("h", Singleton, func() any { return h })
+	ref, _ := GetObject(ch, srv.URLFor("h"))
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		if v, err := ref.InvokeNestedCtx(ctx, "Now", "x", nil); err == nil {
+			t.Fatalf("Now(string, []any) = %v, want an arity error", v)
+		}
+		if v, err := ref.InvokeCtx(ctx, "Now", i); err != nil || v != i {
+			t.Fatalf("Now = %v, %v", v, err)
+		}
+	}
+	if _, err := ref.InvokeCtx(ctx, "NoSuchMethod"); err == nil {
+		t.Fatal("unknown method succeeded")
+	}
+	// Calls parked in Echo: a third gives up while in flight, a third is
+	// answered, and the last third is still waiting when the channel closes.
+	const parked = 30
+	var wg sync.WaitGroup
+	cancelCtx, cancel := context.WithCancel(ctx)
+	for i := 0; i < parked; i++ {
+		callCtx := ctx
+		if i%3 == 0 {
+			callCtx = cancelCtx
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ref.InvokeCtx(callCtx, "Echo", i) //nolint:errcheck // every outcome is legal here
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); h.started.Load() < parked; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls reached the server", h.started.Load(), parked)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	ch.Close()
+	close(h.gate)
+	wg.Wait()
+	srv.Close()
+
+	drawn, returned, dropped := audit[recordDrawn].Load(), audit[recordReturned].Load(), audit[recordDropped].Load()
+	t.Logf("records drawn %d, returned %d, let go %d", drawn, returned, dropped)
+	if drawn != returned+dropped {
+		t.Errorf("%d records drawn, %d returned and %d let go: %d unaccounted for", drawn, returned, dropped, drawn-returned-dropped)
+	}
+	if min := int64(2 * (41 + parked)); drawn < min {
+		t.Errorf("%d records drawn, want at least %d (one per end per call)", drawn, min)
+	}
+	if dropped > parked {
+		t.Errorf("%d records let go, but only %d calls were ever abandoned", dropped, parked)
+	}
+}
+
+// TestAsyncAdmissionQueueDrains: completion-driven calls far beyond
+// MaxInFlight wait in the lane's admission queue, and every one completes
+// with its own echo, whether the calls came as one wave or as a backlog
+// kept topped up while it drained (where some find the queue empty and a
+// slot free, and start at once).
+func TestAsyncAdmissionQueueDrains(t *testing.T) {
+	ch, srv, _ := newMuxServer(t)
+	ch.MuxLanes, ch.MaxInFlight = 1, 4
+	srv.RegisterWellKnown("h", Singleton, func() any { return &heldEcho{} })
+	ref, _ := GetObject(ch, srv.URLFor("h"))
+	const calls = 2000
+	var wg sync.WaitGroup
+	var wrong atomic.Int64
+	submit := func(i int) {
+		wg.Add(1)
+		err := ref.InvokeAsyncCb(context.Background(), "Now", []any{i}, func(v any, err error) {
+			if err != nil || v != i {
+				wrong.Add(1)
+			}
+			wg.Done()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < calls; i++ { // one wave
+		submit(i)
+	}
+	wg.Wait()
+	for i := 0; i < calls; i++ { // a backlog of about 16, topped up as it drains
+		submit(i)
+		if i%16 == 15 {
+			wg.Wait()
+		}
+	}
+	wg.Wait()
+	if n := wrong.Load(); n != 0 {
+		t.Errorf("%d of %d async calls failed or received another call's echo", n, 2*calls)
+	}
+}

@@ -58,6 +58,23 @@ type callRequest struct {
 	// simply keep at-least-once behaviour.
 	TokClient uint64
 	TokSeq    uint64
+
+	// nested marks the runtime-call shape: the request stands for the flat
+	// Args: []any{sub, Args} (the SCOOPP runtime's Invoke1("Echo", args))
+	// without that list having been built. Unexported, so the string
+	// envelope's codec never sees either field: it is given flatArgs, and
+	// the compact envelope writes the same bytes from the two fields.
+	sub    string
+	nested bool
+}
+
+// flatArgs is the argument list as the string envelope and a plain
+// dispatch take it, built only when the request is nested.
+func (r *callRequest) flatArgs() []any {
+	if r.nested {
+		return []any{r.sub, r.Args}
+	}
+	return r.Args
 }
 
 // callResponse is the reply envelope.

@@ -123,8 +123,8 @@ func TestAllocBudgetBoundCall(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		call() // declare and confirm the handle, warm the pools
 	}
-	if n := testing.AllocsPerRun(500, call); n > 10 {
-		t.Errorf("bound call: %.0f allocs, budget 10", n)
+	if n := testing.AllocsPerRun(500, call); n > 5 {
+		t.Errorf("bound call: %.0f allocs, budget 5", n)
 	} else {
 		t.Logf("bound call: %.0f allocs", n)
 	}

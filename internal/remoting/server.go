@@ -316,8 +316,9 @@ func (s *Server) acceptLoop() {
 type serverConn struct {
 	s       *Server
 	c       transport.Conn
-	compact atomic.Bool  // client proved it speaks compact envelopes
-	binds   []*bindEntry // handle-1 → entry; read-loop only
+	compact atomic.Bool    // client proved it speaks compact envelopes
+	binds   []*bindEntry   // handle-1 → entry; read-loop only
+	calls   sync.WaitGroup // requests handed to a worker and not yet answered
 
 	wmu     sync.Mutex
 	pending []outFrame
@@ -385,6 +386,90 @@ func (sc *serverConn) lookupBind(h uint32) *bindEntry {
 	return nil
 }
 
+// NestedInvoker is implemented by a published object that takes its calls
+// in the runtime-call shape, method(sub, args), as the SCOOPP runtime's
+// endpoints take Invoke1("Echo", args). A compact call of that shape
+// reaches InvokeNested with the two as decoded, no []any{sub, args} in
+// between; InvokeNested must answer as dispatching method with that list
+// would. args is the server's (see serverCall): it may outlive the call, in
+// another goroutine's hands, only if InvokeNested returned because ctx
+// ended.
+type NestedInvoker interface {
+	InvokeNested(ctx context.Context, method, sub string, args []any) (any, error)
+}
+
+// serverCall is the server's record of one request: the decoded envelope,
+// the array its argument list is decoded into, the response dispatch
+// fills, and the worker entry point, bound once. handleConn draws one per
+// frame; it goes back to the pool, emptied, after respond encoded the reply.
+//
+// Ownership: the argument list is the server's, its elements the method's.
+// Dispatch copies every element into a typed parameter (variadic methods
+// are rejected), so after the reply nothing reads the list and the next
+// request may overwrite it. Two exceptions give the array away to the GC
+// (giveArgs): a nested call on a target that is no NestedInvoker, whose
+// []any parameter the inner list becomes; and a call whose context ended,
+// because a NestedInvoker (the runtime's mailbox) stops waiting then while
+// its task, still holding the list, may be queued or running. Elements are
+// never reused: the array is cleared.
+type serverCall struct {
+	sc      *serverConn
+	req     callRequest
+	resp    callResponse
+	entry   *bindEntry
+	bindAck uint32
+	argv    []any  // len 0; the array the next request's list is lent
+	run     func() // c.handle
+}
+
+// argvKeep is the longest argument array, in elements, a record holds on
+// to; a longer one (a big aggregate batch) goes back to the GC.
+const argvKeep = 64
+
+// serverCalls has no New (release refers to the pool): see newCall.
+var serverCalls sync.Pool
+
+func (sc *serverConn) newCall() *serverCall {
+	countRecord(recordDrawn)
+	c, _ := serverCalls.Get().(*serverCall)
+	if c == nil {
+		c = &serverCall{}
+		c.run = c.handle
+	}
+	c.sc = sc
+	return c
+}
+
+func (c *serverCall) giveArgs() { c.req.Args, c.argv = nil, nil }
+
+// release empties the record into the pool, keeping the array the request's
+// list was decoded into (the lent one, or the decoder's if it outgrew it).
+func (c *serverCall) release() {
+	countRecord(recordReturned)
+	if args := c.req.Args; cap(args) > 0 && cap(args) <= argvKeep {
+		c.argv = args[:0]
+	}
+	clear(c.argv[:cap(c.argv)])
+	c.sc, c.req, c.resp, c.entry, c.bindAck = nil, callRequest{}, callResponse{}, nil, 0
+	serverCalls.Put(c)
+}
+
+// handle is the worker half of a request: dispatch, reply, recycle.
+func (c *serverCall) handle() {
+	sc := c.sc
+	sc.s.dispatchEntry(c)
+	sc.respond(&c.req, &c.resp, c.bindAck)
+	c.release()
+	sc.calls.Done()
+}
+
+// fail answers a request the read loop could not hand to a worker.
+func (c *serverCall) fail(msg string) {
+	c.resp = errorResponse(&c.req, msg)
+	c.sc.respond(&c.req, &c.resp, c.bindAck)
+	c.release()
+}
+
 // handleConn serves one client connection with a concurrent dispatch loop:
 // the read loop plays the channel's IO thread, reading frames continuously
 // and handing each request to a worker (the configured thread pool, or a
@@ -396,74 +481,62 @@ func (sc *serverConn) lookupBind(h uint32) *bindEntry {
 // pool is configured its cap still bounds server-side execution
 // concurrency exactly as Mono's ThreadPool did; pipelining only changes
 // how fast requests reach the pool's queue.
-func (s *Server) handleConn(c transport.Conn) {
+func (s *Server) handleConn(conn transport.Conn) {
 	defer s.wg.Done()
-	sc := &serverConn{s: s, c: c}
-	var calls sync.WaitGroup
+	sc := &serverConn{s: s, c: conn}
 	defer func() {
 		// Let in-flight handlers write (or fail to write) their replies
 		// before the connection is torn down; the last flusher among them
 		// leaves the queue empty, so nothing is stranded.
-		calls.Wait()
-		c.Close()
+		sc.calls.Wait()
+		conn.Close()
 		s.mu.Lock()
-		delete(s.conns, c)
+		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
 	for {
-		raw, err := transport.RecvFrame(c)
+		raw, err := transport.RecvFrame(conn)
 		if err != nil {
 			return
 		}
-		var req *callRequest
-		var entry *bindEntry
-		var bindAck uint32
+		c := sc.newCall()
 		var bound uint32
 		var borrowed bool
 		compact := isCompactFrame(raw, markBoundCall) || isCompactFrame(raw, markBoundCallTok)
 		if compact {
-			bound, req, borrowed, err = decodeBoundCall(raw)
+			bound, borrowed, err = decodeBoundCall(raw, &c.req, c.argv)
 		} else {
-			req, borrowed, err = s.ch.decodeRequest(raw)
+			borrowed, err = decodeInto(s.ch, raw, &c.req)
 		}
 		recycleFrame(raw, borrowed)
 		if err != nil {
 			// A framing failure desynchronises the stream, and without a
 			// sequence number we cannot form a matching reply; drop the
 			// connection.
+			c.release()
 			return
 		}
 		if compact {
-			entry = sc.lookupBind(bound)
-			if entry == nil {
+			c.entry = sc.lookupBind(bound)
+			if c.entry == nil {
 				// A handle the read loop never saw declared: a peer
 				// bug, but seq is known, so answer instead of
 				// killing every other pipelined call on the pipe.
-				sc.respond(req, errorResponse(req, fmt.Sprintf("unbound call handle %d", bound)), 0)
+				c.fail(fmt.Sprintf("unbound call handle %d", bound))
 				continue
 			}
-			req.URI, req.Method = entry.uri, entry.method
-		} else if req.Bind != 0 && !s.ch.DisableBinding {
-			entry, bindAck = sc.declare(req)
+			c.req.URI, c.req.Method = c.entry.uri, c.entry.method
+		} else if c.req.Bind != 0 && !s.ch.DisableBinding {
+			c.entry, c.bindAck = sc.declare(&c.req)
 		}
-		handle := func() {
-			defer calls.Done()
-			sc.respond(req, s.dispatchEntry(req, entry), bindAck)
-			// The args backing is dead once the reply is encoded: dispatch
-			// copied every element into typed parameters (variadic methods
-			// are rejected, so the slice itself never escapes). Elements
-			// stay untouched — only the backing array is reused.
-			wire.RecycleAnySlice(req.Args)
-			req.Args = nil
-		}
-		calls.Add(1)
+		sc.calls.Add(1)
 		if s.pool != nil {
-			if submitErr := s.pool.Submit(handle); submitErr != nil {
-				sc.respond(req, errorResponse(req, fmt.Sprintf("server shutting down: %v", submitErr)), bindAck)
-				calls.Done()
+			if submitErr := s.pool.Submit(c.run); submitErr != nil {
+				c.fail(fmt.Sprintf("server shutting down: %v", submitErr))
+				sc.calls.Done()
 			}
 		} else {
-			go handle()
+			go c.run()
 		}
 	}
 }
@@ -477,7 +550,8 @@ func (s *Server) handleConn(c transport.Conn) {
 func (sc *serverConn) respond(req *callRequest, resp *callResponse, bindAck uint32) {
 	raw, enc, err := sc.encodeResponse(resp, bindAck)
 	if err != nil {
-		raw, enc, err = sc.encodeResponse(errorResponse(req, fmt.Sprintf("unencodable result: %v", err)), bindAck)
+		unenc := errorResponse(req, fmt.Sprintf("unencodable result: %v", err))
+		raw, enc, err = sc.encodeResponse(&unenc, bindAck)
 		if err != nil {
 			return
 		}
@@ -532,16 +606,16 @@ func (sc *serverConn) encodeResponse(resp *callResponse, bindAck uint32) ([]byte
 	return sc.s.ch.encodeResponse(resp)
 }
 
-func errorResponse(req *callRequest, msg string) *callResponse {
-	return &callResponse{Seq: req.Seq, IsErr: true, ErrMsg: msg}
+func errorResponse(req *callRequest, msg string) callResponse {
+	return callResponse{Seq: req.Seq, IsErr: true, ErrMsg: msg}
 }
 
 // errorResponseFor maps err onto the reply envelope, preserving its wire
 // code so the client can rebuild the sentinel chain. A *errs.MovedError in
 // the chain additionally rides as the forward fields, so the caller learns
 // the migrated object's new location from the failure itself.
-func errorResponseFor(req *callRequest, err error) *callResponse {
-	resp := &callResponse{Seq: req.Seq, IsErr: true, ErrMsg: err.Error(), ErrCode: errs.Code(err)}
+func errorResponseFor(req *callRequest, err error) callResponse {
+	resp := callResponse{Seq: req.Seq, IsErr: true, ErrMsg: err.Error(), ErrCode: errs.Code(err)}
 	var mv *errs.MovedError
 	if errors.As(err, &mv) {
 		resp.FwdAddr, resp.FwdNode, resp.FwdGen, resp.FwdURI = mv.Addr, mv.Node, mv.Gen, mv.URI
@@ -554,13 +628,14 @@ func errorResponseFor(req *callRequest, err error) *callResponse {
 	return resp
 }
 
-// dispatchEntry resolves the target object and invokes the requested
-// method, going through the bound entry's caches when the call arrived (or
-// was declared) with a handle. A request deadline becomes a context
-// deadline: expired requests are refused before touching the object, and
-// context-aware methods (first parameter context.Context) receive the
-// bounded context.
-func (s *Server) dispatchEntry(req *callRequest, e *bindEntry) *callResponse {
+// dispatchEntry resolves the target object of c's request and invokes the
+// requested method, leaving the reply in c.resp. It goes through the bound
+// entry's caches when the call arrived (or was declared) with a handle. A
+// request deadline becomes a context deadline: expired requests are refused
+// before touching the object, and context-aware methods (first parameter
+// context.Context) receive the bounded context.
+func (s *Server) dispatchEntry(c *serverCall) {
+	req, e := &c.req, c.entry
 	ctx := context.Background()
 	if req.TokClient != 0 {
 		// The call's idempotency token travels down the dispatch chain in
@@ -573,8 +648,9 @@ func (s *Server) dispatchEntry(req *callRequest, e *bindEntry) *callResponse {
 		dl := time.Unix(0, req.Deadline)
 		if !time.Now().Before(dl) {
 			s.deadlineDrops.Add(1)
-			return errorResponseFor(req, fmt.Errorf(
+			c.resp = errorResponseFor(req, fmt.Errorf(
 				"deadline expired before dispatch of %s.%s: %w", req.URI, req.Method, context.DeadlineExceeded))
+			return
 		}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, dl)
@@ -591,22 +667,25 @@ func (s *Server) dispatchEntry(req *callRequest, e *bindEntry) *callResponse {
 	if reg == nil {
 		// URIs are runtime-generated, so an unknown URI means the object
 		// was destroyed (or its lease expired and unpublished it).
-		return errorResponseFor(req, fmt.Errorf("no object published at %q: %w", req.URI, errs.ErrObjectDestroyed))
+		c.resp = errorResponseFor(req, fmt.Errorf("no object published at %q: %w", req.URI, errs.ErrObjectDestroyed))
+		return
 	}
 	obj, err := reg.resolve()
 	if err != nil {
-		return errorResponseFor(req, err)
+		c.resp = errorResponseFor(req, err)
+		return
 	}
-	var result any
-	if e != nil {
-		result, err = e.invoke(ctx, obj, req)
-	} else {
-		result, err = dispatch.InvokeCtx(ctx, obj, req.Method, req.Args)
+	result, err := c.invoke(ctx, obj)
+	if ctx.Err() != nil {
+		// The target may have stopped waiting rather than finished (asked
+		// before the deferred cancel ends ctx for everyone).
+		c.giveArgs()
 	}
 	if err != nil {
-		return errorResponseFor(req, err)
+		c.resp = errorResponseFor(req, err)
+		return
 	}
-	return &callResponse{Seq: req.Seq, Result: result}
+	c.resp = callResponse{Seq: req.Seq, Result: result}
 }
 
 // resolveBound returns the registration for a bound entry, reusing the
@@ -631,26 +710,32 @@ func (s *Server) resolveBound(e *bindEntry) *registration {
 	return reg
 }
 
-// invoke runs the bound method on obj through the cached invoker thunk,
-// re-resolving when the concrete type changes (a SingleCall factory is
-// free to return different types over time).
-func (e *bindEntry) invoke(ctx context.Context, obj any, req *callRequest) (any, error) {
-	t := reflect.TypeOf(obj)
-	ic := e.inv.Load()
-	if ic == nil || ic.typ != t {
-		ic = &invCache{typ: t, inv: dispatch.InvokerFor(t, e.method)}
-		e.inv.Store(ic)
+// invoke runs the requested method on obj: a nested call on a
+// NestedInvoker directly, a bound one through the entry's cached invoker
+// thunk, re-resolved when the concrete type changes (a SingleCall factory
+// is free to return different types over time), anything else by name.
+func (c *serverCall) invoke(ctx context.Context, obj any) (any, error) {
+	req, e := &c.req, c.entry
+	args := req.Args
+	if req.nested {
+		if ni, ok := obj.(NestedInvoker); ok {
+			return ni.InvokeNested(ctx, req.Method, req.sub, args)
+		}
+		// A user method that happens to take (string, []any): the inner
+		// list is its parameter now.
+		args = req.flatArgs()
+		c.giveArgs()
 	}
-	if ic.inv != nil {
-		return ic.inv(ctx, obj, req.Args)
+	if e != nil {
+		t := reflect.TypeOf(obj)
+		ic := e.inv.Load()
+		if ic == nil || ic.typ != t {
+			ic = &invCache{typ: t, inv: dispatch.InvokerFor(t, e.method)}
+			e.inv.Store(ic)
+		}
+		if ic.inv != nil {
+			return ic.inv(ctx, obj, args)
+		}
 	}
-	return dispatch.InvokeCtx(ctx, obj, req.Method, req.Args)
-}
-
-// InvokeLocal calls an exported method on obj by name with decoded wire
-// arguments; see dispatch.Invoke. It is reused by the SCOOPP runtime for
-// agglomerated (intra-grain) calls, which the paper routes directly to the
-// local IO (Fig. 3, call b).
-func InvokeLocal(obj any, method string, args []any) (any, error) {
-	return dispatch.Invoke(obj, method, args)
+	return dispatch.InvokeCtx(ctx, obj, req.Method, args)
 }

@@ -61,9 +61,10 @@ func init() {
 
 // TestAllocBudgetCodec holds the generated codec to its allocation budget on
 // a small call envelope (a 64-byte numeric payload and two scalar
-// arguments): encoding through a pooled Encoder allocates nothing, and
-// decoding allocates 7 times once the server has handed the args backing
-// array back, which is the steady state of the call path.
+// arguments): encoding through a pooled Encoder allocates nothing, decoding
+// allocates 8 times, and the argument list alone costs its three boxed
+// elements and their payload when the caller lends the backing array
+// (AnySliceInto), which is what the remoting server's call record does.
 func TestAllocBudgetCodec(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -87,14 +88,57 @@ func TestAllocBudgetCodec(t *testing.T) {
 		t.Errorf("generated encode: %.0f allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(500, func() {
-		v, err := BinFmt{}.Unmarshal(data)
-		if err != nil {
+		if _, err := (BinFmt{}).Unmarshal(data); err != nil {
 			t.Fatal(err)
 		}
-		RecycleAnySlice(v.(*callMsg).Args)
-	}); n > 7 {
-		t.Errorf("generated decode: %.0f allocs, budget 7", n)
+	}); n > 8 {
+		t.Errorf("generated decode: %.0f allocs, budget 8", n)
 	} else {
 		t.Logf("generated decode: %.0f allocs", n)
+	}
+	e := NewEncoder()
+	defer e.Release()
+	e.AnySlice(msg.Args)
+	backing := make([]any, 0, 4)
+	if n := testing.AllocsPerRun(500, func() {
+		d := NewDecoder(e.Bytes())
+		got := d.AnySliceInto(backing)
+		if d.Err() != nil || len(got) != 3 || &got[0] != &backing[:1][0] {
+			t.Fatalf("AnySliceInto = %v, %v, in place %v", got, d.Err(), len(got) > 0 && &got[0] == &backing[:1][0])
+		}
+		d.Release()
+	}); n > 4 {
+		t.Errorf("argument list into a lent array: %.0f allocs, budget 4", n)
+	} else {
+		t.Logf("argument list into a lent array: %.0f allocs", n)
+	}
+}
+
+// TestAnySliceIntoOutgrowsItsArray: a list longer than the lent array gets
+// a fresh one, nil and legacy shapes ignore the array, and a short list
+// leaves the array's tail alone.
+func TestAnySliceIntoOutgrowsItsArray(t *testing.T) {
+	decode := func(v any, dst []any) []any {
+		t.Helper()
+		e := NewEncoder()
+		defer e.Release()
+		e.Value(v)
+		d := NewDecoder(e.Bytes())
+		defer d.Release()
+		got := d.AnySliceInto(dst)
+		if err := d.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	lent := []any{"a", "b"}
+	if got := decode([]any{1, 2, 3}, lent[:0]); len(got) != 3 || lent[0] != "a" {
+		t.Errorf("long list: got %v, lent array now %v", got, lent)
+	}
+	if got := decode(nil, lent[:0]); got != nil || lent[0] != "a" {
+		t.Errorf("nil: got %v, lent array now %v", got, lent)
+	}
+	if got := decode([]any{7}, lent[:0]); len(got) != 1 || got[0] != 7 || lent[0] != 7 || lent[1] != "b" {
+		t.Errorf("short list: got %v, lent array now %v", got, lent)
 	}
 }

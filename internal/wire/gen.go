@@ -915,19 +915,21 @@ func (d *Decoder) StringSlice() []string { return typedSlice[[]string](d) }
 // BoolSlice reads a []bool.
 func (d *Decoder) BoolSlice() []bool { return typedSlice[[]bool](d) }
 
-// AnySlice reads a []any. Unlike the other typed slice readers it decodes
-// the slice directly — no detour through a boxed `any` — and draws the
-// backing array from the args free list: the per-call argument slice is
-// the one []any every RPC decodes, so the hot path recycles it via
-// RecycleAnySlice instead of allocating per call. A caller that does not
-// recycle simply lets the backing go to the garbage collector.
-func (d *Decoder) AnySlice() []any {
+// AnySlice reads a []any into a fresh backing array.
+func (d *Decoder) AnySlice() []any { return d.AnySliceInto(nil) }
+
+// AnySliceInto reads a []any, decoding the slice directly (no detour
+// through a boxed `any`) into dst's backing array when the elements fit
+// its capacity, and into a fresh one otherwise. It is for a caller that
+// owns a reusable array, as the remoting server's call record does for the
+// argument list every request decodes; the elements are fresh values
+// either way. Anything that is not the plain tagged encoding (nil, a
+// foreign or legacy shape) takes the slow conversion path and ignores dst.
+func (d *Decoder) AnySliceInto(dst []any) []any {
 	if d.err != nil {
 		return nil
 	}
 	if d.d.pos >= len(d.d.data) || d.d.data[d.d.pos] != tAnySlice {
-		// Nil, a foreign encoding, or a legacy shape: the slow conversion
-		// path handles it exactly as before.
 		return typedSlice[[]any](d)
 	}
 	d.d.pos++
@@ -940,7 +942,12 @@ func (d *Decoder) AnySlice() []any {
 		d.Fail(err)
 		return nil
 	}
-	out := getAnySlice(int(n))
+	var out []any
+	if dst != nil && uint64(cap(dst)) >= n {
+		out = dst[:n]
+	} else {
+		out = make([]any, n)
+	}
 	for i := range out {
 		v, err := d.d.decode()
 		if err != nil {
@@ -950,53 +957,6 @@ func (d *Decoder) AnySlice() []any {
 		out[i] = v
 	}
 	return out
-}
-
-// anyFree is the free list behind AnySlice: a bounded LIFO of cleared
-// backing arrays. A plain mutex-guarded slice rather than a sync.Pool —
-// Put into a sync.Pool boxes the slice header (one allocation), which
-// would hand back a third of what the pooling saves.
-var anyFree struct {
-	sync.Mutex
-	list [][]any
-}
-
-// anyFreeMax bounds the free list; beyond it slices drop to the GC.
-const anyFreeMax = 256
-
-// getAnySlice returns a length-n []any, reusing a recycled backing array
-// when one with sufficient capacity is available.
-func getAnySlice(n int) []any {
-	anyFree.Lock()
-	if l := len(anyFree.list); l > 0 {
-		if s := anyFree.list[l-1]; cap(s) >= n {
-			anyFree.list[l-1] = nil
-			anyFree.list = anyFree.list[:l-1]
-			anyFree.Unlock()
-			return s[:n]
-		}
-	}
-	anyFree.Unlock()
-	return make([]any, n)
-}
-
-// RecycleAnySlice returns a slice obtained from AnySlice to the free list.
-// Only the owner of the decoded value may call it, and only once nothing
-// references the slice any more — for a server, after the reply to the
-// call whose arguments it carried was encoded. The elements themselves are
-// not recycled (they may have escaped into the invoked method); the
-// backing array is cleared and reused.
-func RecycleAnySlice(s []any) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	clear(s)
-	anyFree.Lock()
-	if len(anyFree.list) < anyFreeMax {
-		anyFree.list = append(anyFree.list, s[:0])
-	}
-	anyFree.Unlock()
 }
 
 // typedSlice reads the next value, which the fast-path slice decoders

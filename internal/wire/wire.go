@@ -76,6 +76,14 @@ const (
 	tPtrStruct
 )
 
+// TagString and TagAnySlice are the tag bytes a string and a heterogeneous
+// slice start with, for hand-framed envelopes (Encoder.RawByte) that write
+// or recognise a tagged shape without building the value it describes.
+const (
+	TagString   = tString
+	TagAnySlice = tAnySlice
+)
+
 // registry maps stable names to registered struct types so that structs can
 // be decoded on a node that did not produce them.
 var registry = struct {

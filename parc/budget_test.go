@@ -34,17 +34,10 @@ func init() {
 	})
 }
 
-// TestAllocBudgetTypedCall: a 64 B typed call to an object on another node
-// of an in-process transport, both ends counted, stays inside its budget,
-// and the method-name check of a typed call is free once it has passed.
-// The call measures 17. A server that dispatches the endpoint reflectively
-// adds 12 and must fail the budget; a small frame an earlier test left at
-// the head of the frame pool adds 4 (transport.GetFrame looks at one pooled
-// buffer) and must not.
-func TestAllocBudgetTypedCall(t *testing.T) {
-	if racetest.Enabled {
-		t.Skip("the race detector allocates on its own account")
-	}
+// remoteEchoer starts two nodes on an in-process transport and returns an
+// Echoer placed on the one the caller is not on.
+func remoteEchoer(t *testing.T) *Object[Echoer] {
+	t.Helper()
 	nodes := make([]*Runtime, 2)
 	addrs := make([]string, 2)
 	for i := range nodes {
@@ -69,6 +62,22 @@ func TestAllocBudgetTypedCall(t *testing.T) {
 	if obj.Proxy().IsLocal() {
 		t.Fatal("want a remote object")
 	}
+	return obj
+}
+
+// TestAllocBudgetTypedCall: a 64 B typed call to an object on another node
+// of an in-process transport, both ends counted, stays inside its budget,
+// and the method-name check of a typed call is free once it has passed.
+// The call measures 6: the payload and its box on either end, the reply's
+// box in the thunk and its copy in Call. An envelope, waiter, closure or
+// argument list built per call again adds at least 1 to the 6 and must
+// fail the budget of 7; so must a server that dispatches the endpoint
+// reflectively (12 more).
+func TestAllocBudgetTypedCall(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	obj := remoteEchoer(t)
 	ctx := context.Background()
 	payload := bytes.Repeat([]byte{0xAB}, 64)
 	args := []any{payload}
@@ -81,8 +90,8 @@ func TestAllocBudgetTypedCall(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		call() // declare and confirm the handle, warm the pools
 	}
-	if n := testing.AllocsPerRun(500, call); n > 24 {
-		t.Errorf("typed remote call: %.0f allocs, budget 24", n)
+	if n := testing.AllocsPerRun(500, call); n > 7 {
+		t.Errorf("typed remote call: %.0f allocs, budget 7", n)
 	} else {
 		t.Logf("typed remote call: %.0f allocs", n)
 	}
@@ -92,6 +101,37 @@ func TestAllocBudgetTypedCall(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("checkMethod on a known name: %.0f allocs, want 0", n)
+	}
+}
+
+// TestAllocBudgetAsyncCall holds one CallAsync and the Get of its result, on
+// the same remote object, to what it measures plus one. It measures 22, by
+// an allocation profile: the payload and its box on either end and the
+// reply's box in the thunk (5), the typed and the untyped future with
+// their subscriptions (6), the derived context with its two AfterFunc hooks
+// (7), the call record, its cancellation hook and the completion closure
+// (3), and the method name read on the server.
+func TestAllocBudgetAsyncCall(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	obj := remoteEchoer(t)
+	ctx := context.Background()
+	payload := bytes.Repeat([]byte{0xAB}, 64)
+	args := []any{payload}
+	call := func() {
+		got, err := CallAsync[[]byte](ctx, obj, "Echo", args...).Get(ctx)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("Echo = %x, %v", got, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		call()
+	}
+	if n := testing.AllocsPerRun(500, call); n > 23 {
+		t.Errorf("async remote call: %.0f allocs, budget 23", n)
+	} else {
+		t.Logf("async remote call: %.0f allocs", n)
 	}
 }
 
