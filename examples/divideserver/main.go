@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -97,9 +98,8 @@ func main() {
 
 	// Bonus from §2: asynchronous delegate invocation, which "in Java
 	// must be explicitly programmed using threads".
-	del := remoting.NewDelegate(ref, "Divide")
-	ar := del.BeginInvoke(d1, d2)
-	async, err := ar.EndInvoke()
+	endInvoke := beginInvoke(ref, "Divide", d1, d2)
+	async, err := endInvoke()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,5 +108,25 @@ func main() {
 	// And the failure path: no checked exception, just an error value.
 	if _, err := ref.Invoke("Divide", 1.0, 0.0); err != nil {
 		fmt.Printf("error propagation:   %v\n", err)
+	}
+}
+
+// beginInvoke is the delegate BeginInvoke of the paper's Fig. 4 over the
+// channel's completion-driven call: it returns at once, and the EndInvoke it
+// hands back blocks for the outcome.
+func beginInvoke(ref *remoting.ObjRef, method string, args ...any) (endInvoke func() (any, error)) {
+	type outcome struct {
+		v   any
+		err error
+	}
+	done := make(chan outcome, 1)
+	if err := ref.InvokeAsyncCb(context.Background(), method, args, func(v any, err error) {
+		done <- outcome{v, err}
+	}); err != nil {
+		done <- outcome{nil, err}
+	}
+	return func() (any, error) {
+		o := <-done
+		return o.v, o.err
 	}
 }

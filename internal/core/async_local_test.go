@@ -73,7 +73,7 @@ func TestLocalPostParksNoGoroutine(t *testing.T) {
 }
 
 // TestLocalInvokeAsyncOnDestroyedObject: a submission the mailbox refuses
-// still resolves the future, through the fallback path.
+// resolves the future with the refusal.
 func TestLocalInvokeAsyncOnDestroyedObject(t *testing.T) {
 	rts := startNodes(t, 1, nil)
 	p, err := rts[0].NewParallelObject("counter")

@@ -1,0 +1,239 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// orderLog records the order its methods execute in. Hold parks the
+// object's mailbox first, which keeps a remote caller's lane busy for as
+// long as the test wants.
+type orderLog struct {
+	entered chan struct{}
+	release chan struct{}
+	opened  sync.Once
+
+	mu   sync.Mutex
+	seen []int
+}
+
+// open lets every Hold, parked or still to come, through.
+func (l *orderLog) open() { l.opened.Do(func() { close(l.release) }) }
+
+func (l *orderLog) note(v int) {
+	l.mu.Lock()
+	l.seen = append(l.seen, v)
+	l.mu.Unlock()
+}
+
+func (l *orderLog) Hold(v int) {
+	l.entered <- struct{}{}
+	<-l.release
+	l.note(v)
+}
+
+func (l *orderLog) Note(v int) { l.note(v) }
+
+func (l *orderLog) Echo(v int) int {
+	l.note(v)
+	return v
+}
+
+func (l *orderLog) order() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]int(nil), l.seen...)
+}
+
+// heldRemote places one orderLog on node 1, hands node 0's remote proxy for
+// it back, and posts Hold(1) through that proxy: from here until l.open the
+// proxy's lane has one call in flight.
+func heldRemote(t *testing.T) (*Proxy, *orderLog, []*Runtime) {
+	t.Helper()
+	l := &orderLog{entered: make(chan struct{}, 4), release: make(chan struct{})}
+	rts := startNodes(t, 2, func(i int, cfg *Config) {
+		cfg.Placement = &forceNode{node: 1}
+	})
+	for _, rt := range rts {
+		rt.RegisterClass("orderlog", func() any { return l })
+	}
+	t.Cleanup(l.open)
+	p, err := rts[0].NewParallelObject("orderlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.IsLocal() {
+		t.Fatal("want a remote object")
+	}
+	p.Post("Hold", 1)
+	select {
+	case <-l.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Hold never started running")
+	}
+	return p, l, rts
+}
+
+// TestRemoteInvokeAsyncBehindPostParksNoGoroutine: calls issued while the
+// proxy's lane is busy wait on the lane, not on a goroutine each, and each
+// future still resolves to its own value, in issue order.
+func TestRemoteInvokeAsyncBehindPostParksNoGoroutine(t *testing.T) {
+	p, l, _ := heldRemote(t)
+	base := runtime.NumGoroutine()
+	const n = 2000
+	futs := make([]*Future, n)
+	for i := range futs {
+		futs[i] = p.InvokeAsync("Echo", 2+i)
+	}
+	if d := runtime.NumGoroutine() - base; d > 16 {
+		t.Errorf("%d InvokeAsync calls behind one in-flight post hold %d extra goroutines", n, d)
+	}
+	l.open()
+	for i, f := range futs {
+		if got, err := f.Get(); err != nil || got != 2+i {
+			t.Fatalf("call %d = %v, %v, want %d", i, got, err, 2+i)
+		}
+	}
+	for i, v := range l.order() {
+		if v != 1+i {
+			t.Fatalf("execution %d was call %d: issue order violated", i, v)
+		}
+	}
+}
+
+// TestInvokeAsyncOrderedBetweenPosts: a call with a result issued between
+// two posts executes between them, and Wait covers it.
+func TestInvokeAsyncOrderedBetweenPosts(t *testing.T) {
+	p, l, _ := heldRemote(t)
+	f := p.InvokeAsync("Echo", 2)
+	p.Post("Note", 3)
+	l.open()
+	p.Wait()
+	select {
+	case <-f.Done():
+	default:
+		t.Error("Wait returned with the InvokeAsync issued before it still outstanding")
+	}
+	if got, err := f.Get(); err != nil || got != 2 {
+		t.Errorf("Echo = %v, %v", got, err)
+	}
+	if got, want := l.order(), []int{1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("executed in order %v, want %v", got, want)
+	}
+	if err := p.AsyncErr(); err != nil {
+		t.Errorf("AsyncErr = %v", err)
+	}
+}
+
+// TestDeclinedLaneEntryIsRerunInOrder: a lane entry the connection will not
+// take when its turn comes, or whose connection dies under it, is finished
+// by the blocking path while it still holds its turn: it resolves, and the
+// entries behind it execute once each, in issue order.
+func TestDeclinedLaneEntryIsRerunInOrder(t *testing.T) {
+	t.Run("declined", func(t *testing.T) {
+		p, l, _ := heldRemote(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		gaveUp := p.InvokeAsyncCtx(ctx, "Echo", 2) // ctx ended at its turn
+		p.Post("Note", 3)
+		unsendable := p.InvokeAsync("Echo", make(chan int)) // encoder refuses it
+		last := p.InvokeAsync("Echo", 4)
+		cancel()
+		if _, err := gaveUp.Get(); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled entry = %v, want context.Canceled, and before its turn", err)
+		}
+		l.open()
+		if _, err := unsendable.Get(); err == nil {
+			t.Error("an argument no codec takes was accepted")
+		}
+		if got, err := last.Get(); err != nil || got != 4 {
+			t.Errorf("entry behind the declined ones = %v, %v", got, err)
+		}
+		p.Wait()
+		if got, want := l.order(), []int{1, 3, 4}; !reflect.DeepEqual(got, want) {
+			t.Errorf("executed in order %v, want %v", got, want)
+		}
+	})
+	t.Run("lane failed", func(t *testing.T) {
+		p, l, rts := heldRemote(t)
+		second := p.InvokeAsync("Echo", 2)
+		p.Post("Note", 3)
+		last := p.InvokeAsync("Echo", 4)
+		// Every connection of the caller's node dies with Hold in flight.
+		// The runtime sends Hold again (at least once, as for a blocking
+		// call), into the mailbox the first one still occupies; whatever
+		// was queued behind it must not be sent twice, nor pass it.
+		rts[0].cfg.Channel.Close()
+		l.open()
+		if got, err := second.Get(); err != nil || got != 2 {
+			t.Errorf("Echo(2) = %v, %v", got, err)
+		}
+		if got, err := last.Get(); err != nil || got != 4 {
+			t.Errorf("Echo(4) = %v, %v", got, err)
+		}
+		p.Wait()
+		if got, want := l.order(), []int{1, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+			t.Errorf("executed in order %v, want %v", got, want)
+		}
+		if err := p.AsyncErr(); err != nil {
+			t.Errorf("AsyncErr = %v", err)
+		}
+	})
+}
+
+// overlapObj has no lock of its own: it is correct only where the runtime
+// keeps its calls serial.
+type overlapObj struct {
+	inside, overlaps, calls int
+}
+
+func (o *overlapObj) Enter() int {
+	o.inside++
+	if o.inside > 1 {
+		o.overlaps++
+	}
+	time.Sleep(2 * time.Millisecond)
+	o.inside--
+	o.calls++
+	return o.calls
+}
+
+// TestAgglomeratedInvokeAsyncIsSerial: an agglomerated object is passive,
+// its calls execute serially in the caller, InvokeAsync included; under
+// -race a call on another goroutine is also a data race on the object.
+func TestAgglomeratedInvokeAsyncIsSerial(t *testing.T) {
+	rt := startNodes(t, 1, func(i int, cfg *Config) {
+		cfg.Agglomeration = AlwaysAgglomerate{}
+	})[0]
+	o := &overlapObj{}
+	rt.RegisterClass("overlap", func() any { return o })
+	p, err := rt.NewParallelObject("overlap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.IsAgglomerated() {
+		t.Fatal("want an agglomerated object")
+	}
+	const n = 8
+	futs := make([]*Future, n)
+	for i := range futs {
+		futs[i] = p.InvokeAsync("Enter")
+		select {
+		case <-futs[i].Done():
+		default:
+			t.Errorf("call %d had not completed when InvokeAsync returned", i)
+		}
+	}
+	for i, f := range futs {
+		if got, err := f.Get(); err != nil || got != i+1 {
+			t.Errorf("call %d = %v, %v, want %d", i, got, err, i+1)
+		}
+	}
+	if o.overlaps != 0 {
+		t.Errorf("%d of %d calls entered the object while another was inside", o.overlaps, n)
+	}
+}

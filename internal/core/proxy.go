@@ -90,37 +90,15 @@ func newRemoteProxy(rt *Runtime, class, uri, addr string, gen uint64) *Proxy {
 	return p
 }
 
-// initSeq installs the ordered asynchronous lane. The sequencer invokes
-// through invokeVia, so every queued call re-resolves the endpoint —
-// that is what keeps one proxy's post stream ordered across a migration.
+// initSeq installs the ordered asynchronous lane. Every queued call is
+// started against the endpoint current at its turn and re-run through
+// invokeVia when that fails — that is what keeps one proxy's call stream
+// ordered across a migration.
 func (p *Proxy) initSeq() {
-	p.seq = remoting.NewCallSequencerFunc(func(method string, args ...any) (any, error) {
-		return p.invokeVia(context.Background(), p.endpoint, remoteCall{method: method, args: args})
+	p.seq = remoting.NewCallSequencerFunc(func(ctx context.Context, method string, args []any, done func(any, error)) {
+		p.startRemote(ctx, remoteCall{method: method, args: args}, completion(done))
 	})
 	p.seq.OnError = p.noteAsyncError
-	// The completion-path variant: queued calls chain head-to-tail on reply
-	// arrival instead of parking a flusher goroutine per drain. A false
-	// return (connection not yet usable, lane shut down) sends that call
-	// through the synchronous invoke above, which carries the full
-	// re-routing machinery.
-	p.seq.SetInvokeAsync(func(method string, args []any, cb func(any, error)) bool {
-		ctx := context.Background()
-		if p.rt.cfg.IdempotentCalls {
-			ctx = remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
-		}
-		err := p.endpoint().InvokeAsyncCb(ctx, method, args, func(v any, err error) {
-			if err != nil && p.asyncRecoverable(err) {
-				// Same transparent re-routing the synchronous lane gives a
-				// migrated or failed-over object, off the completion path.
-				// The next queued call is only submitted once cb runs, so
-				// the retry preserves per-proxy order.
-				go func() { cb(p.invokeVia(ctx, p.endpoint, remoteCall{method: method, args: args})) }()
-				return
-			}
-			cb(v, err)
-		})
-		return err == nil
-	})
 }
 
 // Class returns the object's registered class name.
@@ -331,10 +309,25 @@ func (c remoteCall) on(ctx context.Context, ref *remoting.ObjRef) (any, error) {
 	return ref.InvokeCtx(ctx, c.method, c.args...)
 }
 
-// invokeRemote is invokeVia of Invoke1(method, args) against the object's
+// start is on without the wait: cb receives the outcome of this one attempt
+// on the completion path, unless start returns an error, in which case
+// nothing was submitted and cb never runs.
+func (c remoteCall) start(ctx context.Context, ref *remoting.ObjRef, cb func(any, error)) error {
+	if c.nested {
+		return ref.InvokeNestedAsyncCb(ctx, c.method, c.sub, c.args, cb)
+	}
+	return ref.InvokeAsyncCb(ctx, c.method, c.args, cb)
+}
+
+// invoke1 is the runtime call Invoke1(method, args) on the object's
 // endpoint.
+func invoke1(method string, args []any) remoteCall {
+	return remoteCall{method: "Invoke1", sub: method, nested: true, args: args}
+}
+
+// invokeRemote is invokeVia of invoke1 against the object's endpoint.
 func (p *Proxy) invokeRemote(ctx context.Context, method string, args []any) (any, error) {
-	return p.invokeVia(ctx, p.endpoint, remoteCall{method: "Invoke1", sub: method, nested: true, args: args})
+	return p.invokeVia(ctx, p.endpoint, invoke1(method, args))
 }
 
 // noteAsyncError records the first asynchronous failure for AsyncErr.
@@ -372,8 +365,7 @@ func (p *Proxy) InvokeCtx(ctx context.Context, method string, args ...any) (any,
 	}
 	switch mode, act := p.state(); mode {
 	case modeAgglomerated:
-		w := &ioWrapper{rt: p.rt, class: p.class, obj: p.local}
-		return w.Invoke1(ctx, method, args)
+		return p.invokeInCaller(ctx, method, args)
 	case modeLocalActive:
 		res, err := act.callCtx(ctx, method, args)
 		if mv, ok := movedOf(err, p.uri); ok {
@@ -388,6 +380,13 @@ func (p *Proxy) InvokeCtx(ctx context.Context, method string, args ...any) (any,
 	default:
 		return p.remoteInvokeOrdered(ctx, method, args)
 	}
+}
+
+// invokeInCaller executes a call on an agglomerated object: here, on the
+// caller's goroutine, which is what keeps a passive object's calls serial.
+func (p *Proxy) invokeInCaller(ctx context.Context, method string, args []any) (any, error) {
+	w := &ioWrapper{rt: p.rt, class: p.class, obj: p.local}
+	return w.Invoke1(ctx, method, args)
 }
 
 // remoteInvokeOrdered performs a synchronous remote call ordered after the
@@ -410,98 +409,131 @@ func (p *Proxy) InvokeAsync(method string, args ...any) *Future {
 // InvokeAsyncCtx is InvokeAsync bounded by ctx; the returned Future
 // resolves to ctx.Err() when ctx ends before the call completes.
 //
-// Submission is enqueue-and-return: on a remote proxy the request is
-// encoded and queued on its lane and the lane's reader resolves the Future
-// when the reply frame arrives; on a local active object the task enters
-// the mailbox and the actor loop resolves the Future. Either way no
-// goroutine parks per outstanding call. A goroutine runs the call through
-// InvokeCtx only where blocking machinery is needed: posted or aggregated
-// calls it must drain behind first, a submission that failed, an
-// agglomerated object (which executes in the caller anyway), and
-// re-routing after a failure.
+// No goroutine parks per outstanding call, in any mode. A local active
+// object takes the task into its mailbox and its actor loop resolves the
+// Future. An agglomerated object executes the call here, in the caller, as
+// it does every call, and the Future comes back resolved. A remote proxy
+// whose lane is idle encodes and enqueues the request and the lane's reader
+// resolves the Future when the reply frame arrives; one whose lane holds
+// earlier calls queues this one behind them (see submitRemote).
 func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) *Future {
+	p.rt.stats.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	f := &Future{exec: p.rt.contExec()}
-	submitted := false
 	switch mode, act := p.state(); mode {
+	case modeAgglomerated:
+		f.complete(p.invokeInCaller(ctx, method, args))
 	case modeLocalActive:
-		submitted = p.submitLocal(ctx, act, f, method, args)
-	case modeRemote:
-		submitted = p.submitRemote(ctx, f, method, args)
-	}
-	if !submitted {
-		go func() { f.complete(p.InvokeCtx(ctx, method, args...)) }()
+		p.submitLocal(ctx, act, f, method, args)
+	default:
+		p.submitRemote(ctx, f, method, args)
 	}
 	return f
 }
 
 // submitLocal enqueues the call on the hosting actor's mailbox with f as
-// its completion. It reports false when nothing was enqueued.
-func (p *Proxy) submitLocal(ctx context.Context, act *actor, f *Future, method string, args []any) bool {
-	stop := func() bool { return false }
-	if ctx.Done() != nil {
-		// The mailbox skips a task whose ctx ended only when its turn
-		// comes; the Future must not wait that long.
-		stop = context.AfterFunc(ctx, func() { f.complete(nil, ctx.Err()) })
-	}
+// its completion.
+func (p *Proxy) submitLocal(ctx context.Context, act *actor, f *Future, method string, args []any) {
+	stop := cancelHook(ctx, f)
 	err := act.callAsync(ctx, method, args, func(v any, err error) {
 		stop()
 		if mv, ok := movedOf(err, p.uri); ok {
-			// The object migrated away with this call still queued: follow
-			// it, off the actor loop.
-			go func() {
-				p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-				f.complete(p.remoteInvokeOrdered(ctx, method, args))
-			}()
+			// The object was taken from this node with the call still
+			// queued: follow it, off the actor loop.
+			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+			p.rerun(ctx, invoke1(method, args), f)
 			return
 		}
 		f.complete(v, err)
 	})
-	if err != nil {
-		stop()
-		return false
+	if err == nil {
+		return
 	}
-	p.rt.stats.syncCalls.Add(1)
-	return true
+	stop()
+	if mv, ok := movedOf(err, p.uri); ok {
+		// Moved before the task entered the mailbox: nothing ran here, the
+		// call starts again as a remote one.
+		p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+		p.submitRemote(ctx, f, method, args)
+		return
+	}
+	f.complete(nil, err)
 }
 
-// submitRemote encodes and enqueues the call on its lane with f as its
-// completion. It reports false when the proxy's state needs the ordinary
-// path or the submission failed.
-func (p *Proxy) submitRemote(ctx context.Context, f *Future, method string, args []any) bool {
-	if p.rt.cfg.Aggregation.enabled() && p.hasAggregated() {
-		return false
+// submitRemote starts the call with f as its completion, ordered after
+// every call posted before it. With the lane idle there is nothing to order
+// behind (Posts from this very goroutine are already counted in Idle, so
+// the check is authoritative for the single-caller pattern) and the request
+// goes straight to its connection, where calls to one object pipeline.
+// Otherwise it takes its turn on the lane, behind the posted calls and any
+// aggregate they were buffered in, and ahead of whatever is posted next.
+func (p *Proxy) submitRemote(ctx context.Context, f *Future, method string, args []any) {
+	p.FlushAggregation()
+	if seq := p.sequencer(); !seq.Idle() {
+		stop := cancelHook(ctx, f)
+		seq.Call(ctx, "Invoke1", []any{method, args}, func(v any, err error) {
+			stop()
+			f.complete(v, err)
+		})
+		return
 	}
-	// Ordering: a synchronous-style call must run after every posted
-	// asynchronous call. With the lane idle there is nothing to order
-	// behind; Posts from this very goroutine are already counted in Idle,
-	// so the check is authoritative for the single-caller pattern.
-	if !p.sequencer().Idle() {
-		return false
+	p.startRemote(ctx, invoke1(method, args), f)
+}
+
+// cancelHook resolves f with ctx.Err() as soon as ctx ends, for a call that
+// waits its turn in a mailbox or on a lane: the queue looks at a task's ctx
+// only when the turn comes, and the Future must not wait that long. stop
+// detaches the hook.
+func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
+	if ctx.Done() == nil {
+		return func() bool { return false }
 	}
+	return context.AfterFunc(ctx, func() { f.complete(nil, ctx.Err()) })
+}
+
+// completer is where a started call reports its outcome: a Future, or the
+// completion of a lane entry. An interface rather than a func, so that the
+// call that goes straight to its connection hands over the Future it already
+// has instead of allocating a method value.
+type completer interface{ complete(any, error) }
+
+type completion func(any, error)
+
+func (c completion) complete(v any, err error) { c(v, err) }
+
+// startRemote makes one completion-driven attempt at call against the
+// proxy's current endpoint. It never blocks on the call, and to hears of the
+// outcome exactly once, never on the caller's stack.
+func (p *Proxy) startRemote(ctx context.Context, call remoteCall, to completer) {
 	if p.rt.cfg.IdempotentCalls {
 		if _, ok := remoting.TokenFromContext(ctx); !ok {
 			ctx = remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
 		}
 	}
-	err := p.endpoint().InvokeNestedAsyncCb(ctx, "Invoke1", method, args, func(v any, err error) {
+	err := call.start(ctx, p.endpoint(), func(v any, err error) {
 		if err != nil && ctx.Err() == nil && p.asyncRecoverable(err) {
-			// Migration forward or node failure: hop off the completion
-			// path and re-run through the full re-routing retry loop.
-			go func() { f.complete(p.invokeRemote(ctx, method, args)) }()
+			p.rerun(ctx, call, to)
 			return
 		}
-		f.complete(v, err)
+		to.complete(v, err)
 	})
 	if err != nil {
-		// Not submitted (callback will never run): the slow path carries
-		// the call through connection setup and error handling.
-		return false
+		p.rerun(ctx, call, to)
 	}
-	p.rt.stats.syncCalls.Add(1)
-	return true
+}
+
+// rerun finishes a call the completion-driven path could not: a submission
+// that was declined (connection not usable, ctx ended, lane shut down), a
+// completion that says moved, node down or destroyed, a local object taken
+// away with the call queued. It hops off the completion path once and runs
+// the call through invokeVia, the blocking loop that re-resolves and
+// retries. This is the only place an asynchronous call holds a goroutine,
+// for as long as that loop takes; a lane entry re-run here still holds its
+// turn, so the entries behind it keep their order.
+func (p *Proxy) rerun(ctx context.Context, call remoteCall, to completer) {
+	go func() { to.complete(p.invokeVia(ctx, p.endpoint, call)) }()
 }
 
 // asyncRecoverable reports whether an async completion error is one the
@@ -511,14 +543,6 @@ func (p *Proxy) asyncRecoverable(err error) bool {
 		return true
 	}
 	return errors.Is(err, errs.ErrNodeDown) || errors.Is(err, errs.ErrObjectDestroyed)
-}
-
-// hasAggregated reports whether posted calls are sitting in the
-// aggregation buffer (which a synchronous-style call must flush first).
-func (p *Proxy) hasAggregated() bool {
-	p.aggMu.Lock()
-	defer p.aggMu.Unlock()
-	return len(p.aggCalls) > 0 || p.aggMethod != ""
 }
 
 // Post performs an asynchronous method call with no result (the paper's
@@ -547,8 +571,7 @@ func (p *Proxy) PostCtx(ctx context.Context, method string, args ...any) error {
 		// Agglomeration turned this object passive: the "async" call
 		// executes synchronously and serially, which is precisely the
 		// parallelism-removal optimisation.
-		w := &ioWrapper{rt: p.rt, class: p.class, obj: p.local}
-		if _, err := w.Invoke1(ctx, method, args); err != nil {
+		if _, err := p.invokeInCaller(ctx, method, args); err != nil {
 			p.noteAsyncError(err)
 		}
 		return nil

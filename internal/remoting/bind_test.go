@@ -323,7 +323,7 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 	}
 	defer c.Close()
 	req := &callRequest{Seq: 7, Args: []any{}}
-	raw, enc, err := encodeBoundCall(99, req, false)
+	raw, enc, err := encodeBoundCall(99, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 	}
 	// The client never declared, so the reply is a string envelope.
 	var resp callResponse
-	if _, err := decodeInto(ch, reply, &resp); err != nil {
+	if _, err := decodeInto(reply, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Seq != 7 || !resp.IsErr {
@@ -358,7 +358,7 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp2 callResponse
-	if _, err := decodeInto(ch, reply2, &resp2); err != nil {
+	if _, err := decodeInto(reply2, &resp2); err != nil {
 		t.Fatal(err)
 	}
 	if resp2.Seq != 8 || resp2.IsErr {

@@ -20,8 +20,7 @@ import (
 // ChannelServices.RegisterChannel making one channel object serve both
 // directions.
 type Channel struct {
-	net   transport.Network
-	codec wire.BinFmt // the zero value: generated envelope codecs on
+	net transport.Network
 
 	// MaxInFlight bounds concurrent exchanges per multiplexed lane;
 	// callers beyond the bound block until a slot frees. Zero selects
@@ -134,9 +133,6 @@ func (ch *Channel) laneCount() int {
 // Release it after the bytes' last use.
 func (ch *Channel) encode(envelope any) (raw []byte, enc *wire.Encoder, err error) {
 	e := wire.NewEncoder()
-	if ch.codec.DisableGenerated {
-		e.SetGenerated(false)
-	}
 	if err := e.Encode(envelope); err != nil {
 		e.Release()
 		return nil, nil, err
@@ -174,21 +170,18 @@ func recycleFrame(raw []byte, borrowed bool) {
 // borrow mode: []byte payloads of wire.BorrowMin bytes or more alias raw
 // instead of being copied out of it, and borrowed reports whether any
 // does, which decides raw's fate (see recycleFrame).
-func decodeInto[T callRequest | callResponse](ch *Channel, raw []byte, dst *T) (borrowed bool, err error) {
-	v, borrowed, err := ch.codec.UnmarshalShared(raw)
+func decodeInto[T callRequest | callResponse](raw []byte, dst *T) (borrowed bool, err error) {
+	v, borrowed, err := wire.BinFmt{}.UnmarshalShared(raw)
 	if err != nil {
 		return borrowed, fmt.Errorf("remoting: decode %T: %w", *dst, err)
 	}
-	// The generated codec decodes the pointer-encoded envelope to *T; the
-	// reflective one (DisableGenerated peers) to a value.
-	switch x := v.(type) {
-	case *T:
-		*dst = *x
-	case T:
-		*dst = x
-	default:
+	// The generated codec decodes the pointer-encoded envelope to *T; a
+	// peer can send any other value.
+	x, ok := v.(*T)
+	if !ok {
 		return borrowed, fmt.Errorf("remoting: decoded %T, want %T", v, *dst)
 	}
+	*dst = *x
 	return borrowed, nil
 }
 

@@ -12,8 +12,8 @@ import (
 
 // ObjRef is the client-side transparent proxy for a remote object — the
 // value Activator.GetObject returns in the paper's Fig. 2. Method calls go
-// through Invoke (synchronous), BeginInvoke/EndInvoke (asynchronous
-// delegate) or OneWay (asynchronous, result discarded).
+// through Invoke (synchronous) or InvokeAsyncCb (asynchronous: the outcome
+// goes to a callback on the completion path).
 type ObjRef struct {
 	ch      *Channel
 	netaddr string
@@ -166,11 +166,10 @@ func (r *ObjRef) normalize(req *callRequest, resp *callResponse) (any, error) {
 // request is encoded and enqueued on its lane and the method returns
 // immediately; cb receives the normalized outcome exactly
 // once, on the completion path (the lane's reader goroutine for replies).
-// An error return means the call was not submitted and cb will never run —
-// callers fall back to their goroutine-per-call path. Unlike InvokeCtx
-// there is no retry loop here: a single attempt, whose failure the caller
-// decides how to recover (the SCOOPP proxy re-runs transient failures
-// through the full synchronous re-routing machinery).
+// An error return means the call was not submitted and cb will never run.
+// Unlike InvokeCtx there is no retry loop here: a single attempt, whose
+// failure the caller decides how to recover (the SCOOPP proxy re-runs
+// transient failures through the full synchronous re-routing machinery).
 func (r *ObjRef) InvokeAsyncCb(ctx context.Context, method string, args []any, cb func(any, error)) error {
 	return r.invokeAsync(ctx, &clientCall{req: callRequest{Method: method, Args: args}, cb: cb})
 }
@@ -186,59 +185,9 @@ func (r *ObjRef) invokeAsync(ctx context.Context, c *clientCall) error {
 	return r.ch.roundTripAsync(r.netaddr, c)
 }
 
-// AsyncResult is the handle returned by BeginInvoke, the analogue of
-// System.IAsyncResult for delegate BeginInvoke in the paper's Fig. 4.
-type AsyncResult struct {
-	done   chan struct{}
-	result any
-	err    error
-}
-
-// Done returns a channel closed when the call completes.
-func (ar *AsyncResult) Done() <-chan struct{} { return ar.done }
-
-// IsCompleted reports whether the call has finished without blocking.
-func (ar *AsyncResult) IsCompleted() bool {
-	select {
-	case <-ar.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// EndInvoke blocks until the call completes and returns its result, the
-// analogue of delegate EndInvoke.
-func (ar *AsyncResult) EndInvoke() (any, error) {
-	<-ar.done
-	return ar.result, ar.err
-}
-
-// BeginInvoke starts an asynchronous remote method invocation and returns
-// immediately. Concurrent BeginInvokes pipeline over the channel's shared
-// connections, so they overlap on the wire.
-func (r *ObjRef) BeginInvoke(method string, args ...any) *AsyncResult {
-	ar := &AsyncResult{done: make(chan struct{})}
-	go func() {
-		defer close(ar.done)
-		ar.result, ar.err = r.Invoke(method, args...)
-	}()
-	return ar
-}
-
-// OneWay invokes method asynchronously and discards the result. Transport
-// errors are reported to onErr when non-nil. It is the building block the
-// SCOOPP proxy uses for asynchronous void methods.
-func (r *ObjRef) OneWay(method string, onErr func(error), args ...any) {
-	go func() {
-		if _, err := r.Invoke(method, args...); err != nil && onErr != nil {
-			onErr(err)
-		}
-	}()
-}
-
-// OneWayTimeout is OneWay with a per-exchange deadline: the call is
-// abandoned when d elapses, so a one-way
+// OneWayTimeout invokes method on a goroutine of its own, bounded by a
+// per-exchange deadline, and discards the result; a failure is reported to
+// onErr when non-nil. The call is abandoned when d elapses, so a one-way
 // stream aimed at a dead peer cannot pile up goroutines behind full call
 // timeouts. Used for asynchronous replica-state shipping, where losing a
 // snapshot only widens the replication lag until the next one lands.
@@ -252,159 +201,91 @@ func (r *ObjRef) OneWayTimeout(d time.Duration, method string, onErr func(error)
 	}()
 }
 
-// Delegate is a typed wrapper around one remote method, mirroring a C#
-// delegate bound to a proxy method (paper Fig. 4: RemoteAsyncDelegate). It
-// exists so call sites read like the paper's generated code.
-type Delegate struct {
-	ref    *ObjRef
-	method string
-}
-
-// NewDelegate binds a delegate to a method of a remote object.
-func NewDelegate(ref *ObjRef, method string) *Delegate {
-	return &Delegate{ref: ref, method: method}
-}
-
-// BeginInvoke starts the call asynchronously.
-func (d *Delegate) BeginInvoke(args ...any) *AsyncResult {
-	return d.ref.BeginInvoke(d.method, args...)
-}
-
-// Invoke performs the call synchronously.
-func (d *Delegate) Invoke(args ...any) (any, error) {
-	return d.ref.Invoke(d.method, args...)
-}
-
 // CallSequencer serialises asynchronous calls issued through it while
 // letting the caller continue immediately — the ordering guarantee the
 // SCOOPP runtime needs for method streams between one proxy object and its
-// implementation object. Errors are delivered to the OnError callback.
-//
-// When an asynchronous invoker is installed (SetInvokeAsync), the lane is
-// completion-chained: call N+1 is submitted from call N's completion
-// callback, so an idle-or-draining lane parks no flusher goroutine. Calls
-// the asynchronous invoker declines (lane just failed, peer unreachable)
-// execute on a transient goroutine through the synchronous
-// invoker, preserving order — one outstanding call at a time either way.
+// implementation object. One call is outstanding at a time and the lane is
+// completion-chained: call N+1 is started from call N's completion, so a
+// lane of any depth parks no goroutine.
 type CallSequencer struct {
-	invoke      func(method string, args ...any) (any, error)
-	invokeAsync func(method string, args []any, cb func(any, error)) bool
-	OnError     func(error)
+	// start begins one call and returns without blocking; it calls done
+	// exactly once with the outcome, never on the stack it was called on
+	// (done starts the next queued call, so a start that completed at once
+	// would recurse once per queued call).
+	start func(ctx context.Context, method string, args []any, done func(any, error))
+	// OnError receives the failure of a posted call, which has nobody else
+	// to report to.
+	OnError func(error)
 
 	mu      sync.Mutex
-	queue   []queuedCall
-	running bool
+	queue   []queuedCall // waiting behind the outstanding call
+	pending int          // outstanding plus waiting
 	idle    *sync.Cond
-	pending int
 }
 
 type queuedCall struct {
+	ctx    context.Context
 	method string
 	args   []any
+	done   func(any, error) // nil for a post
 }
 
-// NewCallSequencer returns a sequencer whose calls go through ref.
-func NewCallSequencer(ref *ObjRef) *CallSequencer {
-	return NewCallSequencerFunc(ref.Invoke)
-}
-
-// NewCallSequencerFunc returns a sequencer whose calls go through invoke.
-// Routing through a function rather than a fixed ObjRef lets the owner
-// re-resolve the endpoint between calls — the SCOOPP proxy uses this to
-// keep one ordered lane across an object migration.
-func NewCallSequencerFunc(invoke func(method string, args ...any) (any, error)) *CallSequencer {
-	cs := &CallSequencer{invoke: invoke}
+// NewCallSequencerFunc returns a sequencer whose calls go through start
+// (see CallSequencer.start for its contract). Routing through a function
+// rather than a fixed ObjRef lets the owner re-resolve the endpoint between
+// calls — the SCOOPP proxy uses this to keep one ordered lane across an
+// object migration.
+func NewCallSequencerFunc(start func(ctx context.Context, method string, args []any, done func(any, error))) *CallSequencer {
+	cs := &CallSequencer{start: start}
 	cs.idle = sync.NewCond(&cs.mu)
 	return cs
 }
 
-// SetInvokeAsync installs the completion-driven invoker. fn must either
-// submit the call and return true — in which case cb is invoked exactly
-// once, off the submitter's stack — or decline with false (cb unused), and
-// the sequencer falls back to the synchronous invoker for that call.
-// Install before the first Post; the hook is read without the lock.
-func (cs *CallSequencer) SetInvokeAsync(fn func(method string, args []any, cb func(any, error)) bool) {
-	cs.invokeAsync = fn
+// Post enqueues an asynchronous call whose result is discarded and whose
+// failure goes to OnError. Calls issued from one goroutine execute
+// remotely in issue order.
+func (cs *CallSequencer) Post(method string, args ...any) {
+	cs.Call(context.Background(), method, args, nil)
 }
 
-// Post enqueues an asynchronous call. Calls posted from one goroutine
-// execute remotely in post order.
-func (cs *CallSequencer) Post(method string, args ...any) {
+// Call enqueues an asynchronous call in the same order as Post; done
+// receives its outcome on the completion path, before Flush observes the
+// call as finished, so it must not block.
+func (cs *CallSequencer) Call(ctx context.Context, method string, args []any, done func(any, error)) {
+	call := queuedCall{ctx: ctx, method: method, args: args, done: done}
 	cs.mu.Lock()
-	cs.queue = append(cs.queue, queuedCall{method: method, args: args})
 	cs.pending++
-	start := !cs.running
-	if start {
-		cs.running = true
+	if cs.pending > 1 {
+		cs.queue = append(cs.queue, call)
+		cs.mu.Unlock()
+		return
 	}
 	cs.mu.Unlock()
-	if start {
-		// inline: Post must return immediately, so a call the async
-		// invoker declines is handed to a goroutine instead of executing
-		// on this stack.
-		cs.advance(true)
-	}
+	cs.run(call)
 }
 
-// advance dispatches queued calls until the queue is empty or a call went
-// asynchronous (its completion callback will resume the chain). With
-// inline set the caller's stack must not block: a declined call runs on a
-// fresh goroutine, which then drains synchronously (inline=false) exactly
-// like the historical flusher.
-func (cs *CallSequencer) advance(inline bool) {
-	for {
+// run starts call as the outstanding one; its completion reports it,
+// accounts for it, and runs the next in the queue.
+func (cs *CallSequencer) run(call queuedCall) {
+	cs.start(call.ctx, call.method, call.args, func(v any, err error) {
+		if call.done != nil {
+			call.done(v, err)
+		} else if err != nil && cs.OnError != nil {
+			cs.OnError(err)
+		}
 		cs.mu.Lock()
-		if len(cs.queue) == 0 {
-			cs.running = false
+		cs.pending--
+		if cs.pending == 0 {
 			cs.idle.Broadcast()
 			cs.mu.Unlock()
 			return
 		}
-		call := cs.queue[0]
+		next := cs.queue[0]
 		cs.queue[0] = queuedCall{}
 		cs.queue = cs.queue[1:]
 		cs.mu.Unlock()
-
-		if ia := cs.invokeAsync; ia != nil && ia(call.method, call.args, cs.completeOne) {
-			return
-		}
-		if inline {
-			go cs.runSync(call)
-			return
-		}
-		_, err := cs.invoke(call.method, call.args...)
-		cs.finishOne(err)
-	}
-}
-
-// completeOne is the completion callback of an asynchronously submitted
-// call: account for it, then resume the chain. It runs on the completion
-// path (the mux reader), so the next dispatch must stay non-blocking —
-// advance(true) hands any synchronous fallback to a goroutine.
-func (cs *CallSequencer) completeOne(_ any, err error) {
-	cs.finishOne(err)
-	cs.advance(true)
-}
-
-// runSync executes one declined call through the synchronous invoker on
-// its own goroutine, then keeps draining there (blocking is fine now).
-func (cs *CallSequencer) runSync(call queuedCall) {
-	_, err := cs.invoke(call.method, call.args...)
-	cs.finishOne(err)
-	cs.advance(false)
-}
-
-// finishOne settles one completed call's bookkeeping.
-func (cs *CallSequencer) finishOne(err error) {
-	if err != nil && cs.OnError != nil {
-		cs.OnError(err)
-	}
-	cs.mu.Lock()
-	cs.pending--
-	if cs.pending == 0 {
-		cs.idle.Broadcast()
-	}
-	cs.mu.Unlock()
+		cs.run(next)
+	})
 }
 
 // Idle reports whether the lane has nothing queued or in flight — the

@@ -106,11 +106,8 @@ func isCompactFrame(raw []byte, marker byte) bool {
 // encodeBoundCall produces the compact call frame for a confirmed handle.
 // Like Channel.encodeRequest, the bytes live in the returned pooled
 // encoder, which whoever consumes the frame must Release.
-func encodeBoundCall(handle uint32, req *callRequest, disableGenerated bool) (raw []byte, enc *wire.Encoder, err error) {
+func encodeBoundCall(handle uint32, req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
 	e := wire.NewEncoder()
-	if disableGenerated {
-		e.SetGenerated(false)
-	}
 	if req.TokClient != 0 {
 		e.RawByte(markBoundCallTok)
 	} else {
@@ -196,11 +193,8 @@ func decodeBoundCall(raw []byte, req *callRequest, argv []any) (handle uint32, b
 // encodeBoundReply produces the compact reply frame. bindAck, when
 // non-zero, confirms a handle the client declared. The bytes live in the
 // returned pooled encoder.
-func encodeBoundReply(resp *callResponse, bindAck uint32, disableGenerated bool) (raw []byte, enc *wire.Encoder, err error) {
+func encodeBoundReply(resp *callResponse, bindAck uint32) (raw []byte, enc *wire.Encoder, err error) {
 	e := wire.NewEncoder()
-	if disableGenerated {
-		e.SetGenerated(false)
-	}
 	e.RawByte(markBoundReply)
 	e.RawUvarint(resp.Seq)
 	e.RawUvarint(uint64(bindAck))

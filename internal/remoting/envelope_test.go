@@ -11,7 +11,7 @@ func TestBoundCallRoundTrip(t *testing.T) {
 		Deadline: 1753776000000000000,
 		Args:     []any{int32(7), "hello", []float64{1.5, 2.5}},
 	}
-	raw, enc, err := encodeBoundCall(42, req, false)
+	raw, enc, err := encodeBoundCall(42, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBoundCallIsStringFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, encC, err := encodeBoundCall(3, req, false)
+	compact, encC, err := encodeBoundCall(3, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestBoundCallIsStringFree(t *testing.T) {
 
 func TestBoundReplyRoundTripResult(t *testing.T) {
 	resp := &callResponse{Seq: 77, Result: []int32{1, 2, 3}}
-	raw, enc, err := encodeBoundReply(resp, 9, false)
+	raw, enc, err := encodeBoundReply(resp, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBoundReplyRoundTripResult(t *testing.T) {
 
 func TestBoundReplyRoundTripError(t *testing.T) {
 	resp := &callResponse{Seq: 78, IsErr: true, ErrCode: "no_such_method", ErrMsg: "boom"}
-	raw, enc, err := encodeBoundReply(resp, 0, false)
+	raw, enc, err := encodeBoundReply(resp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBoundReplyRoundTripError(t *testing.T) {
 
 func TestBoundCallRejectsBadFrames(t *testing.T) {
 	req := &callRequest{Seq: 1, Args: []any{}}
-	raw, enc, err := encodeBoundCall(5, req, false)
+	raw, enc, err := encodeBoundCall(5, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +128,13 @@ func TestBoundCallRejectsBadFrames(t *testing.T) {
 		t.Error("wrong marker accepted")
 	}
 	// Handle 0 and out-of-range handles are rejected.
-	if raw0, enc0, err := encodeBoundCall(0, req, false); err == nil {
+	if raw0, enc0, err := encodeBoundCall(0, req); err == nil {
 		if _, _, _, err := decodeCall(raw0); err == nil {
 			t.Error("handle 0 accepted")
 		}
 		enc0.Release()
 	}
-	if rawBig, encBig, err := encodeBoundCall(maxBindHandles+1, req, false); err == nil {
+	if rawBig, encBig, err := encodeBoundCall(maxBindHandles+1, req); err == nil {
 		if _, _, _, err := decodeCall(rawBig); err == nil {
 			t.Error("out-of-range handle accepted")
 		}
@@ -144,7 +144,7 @@ func TestBoundCallRejectsBadFrames(t *testing.T) {
 
 func TestBoundReplyRejectsBadFrames(t *testing.T) {
 	resp := &callResponse{Seq: 2, Result: "ok"}
-	raw, enc, err := encodeBoundReply(resp, 1, false)
+	raw, enc, err := encodeBoundReply(resp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestFrameOwnershipRule(t *testing.T) {
 	// a pooled frame, settles the frame by the rule, and reports whether
 	// the pool then hands the frame's memory out again.
 	frameReused := func(n int) (reused, borrowed bool) {
-		raw, enc, err := encodeBoundCall(1, &callRequest{Seq: 7, Args: []any{make([]byte, n)}}, false)
+		raw, enc, err := encodeBoundCall(1, &callRequest{Seq: 7, Args: []any{make([]byte, n)}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,7 +88,7 @@ func TestLaneOutOfOrderCompletion(t *testing.T) {
 	srv.RegisterWellKnown("g", Singleton, func() any { return g })
 	ref, _ := GetObject(ch, srv.URLFor("g"))
 
-	slow := ref.BeginInvoke("WaitGate")
+	slow := goInvoke(ref, "WaitGate")
 	select {
 	case <-g.started:
 	case <-time.After(5 * time.Second):
@@ -106,8 +106,8 @@ func TestLaneOutOfOrderCompletion(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Open deadlocked behind WaitGate across lanes")
 	}
-	if got, err := slow.EndInvoke(); err != nil || got != "waited" {
-		t.Fatalf("WaitGate = %v, %v", got, err)
+	if got := <-slow; got.err != nil || got.v != "waited" {
+		t.Fatalf("WaitGate = %v, %v", got.v, got.err)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 		FwdNode: 3,
 		FwdGen:  5,
 	}
-	raw, enc, err := encodeBoundReply(resp, 0, false)
+	raw, enc, err := encodeBoundReply(resp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 	// An error reply without a forward must not pay (or emit) the forward
 	// fields.
 	plain := &callResponse{Seq: 8, IsErr: true, ErrCode: errs.CodeDestroyed, ErrMsg: "gone"}
-	rawPlain, encPlain, err := encodeBoundReply(plain, 0, false)
+	rawPlain, encPlain, err := encodeBoundReply(plain, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

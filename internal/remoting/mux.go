@@ -336,7 +336,7 @@ func (mc *muxConn) encodeRequest(req *callRequest) (raw []byte, enc *wire.Encode
 	if !mc.ch.DisableBinding {
 		cb := mc.bindFor(req.URI, req.Method)
 		if cb.confirmed.Load() {
-			return encodeBoundCall(cb.handle, req, mc.ch.codec.DisableGenerated)
+			return encodeBoundCall(cb.handle, req)
 		}
 		req.Bind = cb.handle
 	}
@@ -695,7 +695,7 @@ func (mc *muxConn) reader() {
 				mc.confirmBind(ack)
 			}
 		} else {
-			borrowed, err = decodeInto(mc.ch, raw, &resp)
+			borrowed, err = decodeInto(raw, &resp)
 		}
 		recycleFrame(raw, borrowed)
 		if err != nil {
@@ -780,7 +780,7 @@ func (mc *muxConn) shutdown() {
 // either enters the in-flight table immediately (a slot was free and the
 // queue empty) or waits in asyncQ until pump admits it. An error return
 // means the call was not submitted and its cb will never run, the
-// invariant callers rely on to fall back to the synchronous path. cb runs
+// invariant callers rely on to finish the call some other way. cb runs
 // on the lane's reader goroutine (or a cancellation/failure path), never
 // on the submitter's stack.
 func (mc *muxConn) submitAsync(c *clientCall) error {
@@ -874,7 +874,7 @@ func (ch *Channel) laneForURI(uri string) int {
 // exactly once, unless roundTripAsync itself returns an error, in which
 // case the call was never submitted and cb will not run. There is no
 // stale-connection retry here: an enqueued call that dies with its lane
-// reports the failure to cb, and the caller's fallback (which re-resolves
+// reports the failure to cb, and the caller (the SCOOPP proxy re-resolves
 // and retries through the synchronous machinery) picks it up.
 //
 // Breaker accounting mirrors roundTrip exactly, moved into the completion

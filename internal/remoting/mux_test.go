@@ -125,14 +125,16 @@ func TestMultiplexedOutOfOrderCompletion(t *testing.T) {
 	srv.RegisterWellKnown("g", Singleton, func() any { return g })
 	ref, _ := GetObject(ch, srv.URLFor("g"))
 
-	slow := ref.BeginInvoke("WaitGate")
+	slow := goInvoke(ref, "WaitGate")
 	select {
 	case <-g.started:
 	case <-time.After(5 * time.Second):
 		t.Fatal("WaitGate never reached the server")
 	}
-	if slow.IsCompleted() {
+	select {
+	case <-slow:
 		t.Fatal("WaitGate completed before the gate opened")
+	default:
 	}
 
 	done := make(chan struct{})
@@ -150,9 +152,8 @@ func TestMultiplexedOutOfOrderCompletion(t *testing.T) {
 	if openErr != nil || openRes != "opened" {
 		t.Fatalf("Open = %v, %v", openRes, openErr)
 	}
-	got, err := slow.EndInvoke()
-	if err != nil || got != "waited" {
-		t.Fatalf("WaitGate = %v, %v", got, err)
+	if got := <-slow; got.err != nil || got.v != "waited" {
+		t.Fatalf("WaitGate = %v, %v", got.v, got.err)
 	}
 }
 
@@ -314,7 +315,7 @@ func TestMultiplexedCallSequencerOrdering(t *testing.T) {
 	rec := &recorder{}
 	srv.RegisterWellKnown("r", Singleton, func() any { return rec })
 	ref, _ := GetObject(ch, srv.URLFor("r"))
-	cs := NewCallSequencer(ref)
+	cs := refSequencer(ref)
 	const n = 50
 	for i := 0; i < n; i++ {
 		cs.Post("Add", i)
@@ -339,15 +340,15 @@ func TestMultiplexedCloseDoesNotRetry(t *testing.T) {
 	g := newGateService()
 	srv.RegisterWellKnown("g", Singleton, func() any { return g })
 	ref, _ := GetObject(ch, srv.URLFor("g"))
-	ar := ref.BeginInvoke("WaitGate")
+	ar := goInvoke(ref, "WaitGate")
 	select {
 	case <-g.started:
 	case <-time.After(5 * time.Second):
 		t.Fatal("WaitGate never reached the server")
 	}
 	ch.Close()
-	if _, err := ar.EndInvoke(); !errors.Is(err, errs.ErrNodeDown) {
-		t.Fatalf("in-flight call after Close = %v, want ErrNodeDown", err)
+	if got := <-ar; !errors.Is(got.err, errs.ErrNodeDown) {
+		t.Fatalf("in-flight call after Close = %v, want ErrNodeDown", got.err)
 	}
 	if d := net.dials.Load(); d != 1 {
 		t.Errorf("dials = %d, want 1: Close must not trigger a retry redial", d)

@@ -51,7 +51,7 @@ func mustHex(t testing.TB, s string) []byte {
 // boundCallBytes encodes req and returns a copy of the frame.
 func boundCallBytes(t testing.TB, handle uint32, req *callRequest) []byte {
 	t.Helper()
-	raw, enc, err := encodeBoundCall(handle, req, false)
+	raw, enc, err := encodeBoundCall(handle, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func FuzzDecodeBoundCall(f *testing.F) {
 
 func boundReplyBytes(t testing.TB, resp *callResponse, ack uint32) []byte {
 	t.Helper()
-	raw, enc, err := encodeBoundReply(resp, ack, false)
+	raw, enc, err := encodeBoundReply(resp, ack)
 	if err != nil {
 		t.Fatal(err)
 	}

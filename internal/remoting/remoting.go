@@ -12,9 +12,11 @@
 //   - transparent proxies: GetObject returns an ObjRef whose Invoke
 //     dispatches by method name over the wire, the analogue of
 //     Activator.GetObject + the auto-generated proxy;
-//   - asynchronous delegates: BeginInvoke/EndInvoke returning an
-//     AsyncResult, the mechanism ParC# uses for asynchronous parallel
-//     object calls (paper Fig. 4);
+//   - asynchronous calls: InvokeAsyncCb enqueues the request and hands the
+//     outcome to a callback on the reply's arrival, and CallSequencer keeps
+//     a stream of them in issue order; together the mechanism behind
+//     asynchronous parallel object calls (the delegates of paper Fig. 4),
+//     with no goroutine per call;
 //   - lease-based lifetime management standing in for ".Net managed object
 //     lifetime" (paper §3.2: ParC++ destroyed IOs explicitly, ParC# lets
 //     the platform manage it).

@@ -1,6 +1,7 @@
 package remoting
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -235,36 +236,32 @@ func TestNumericArgumentWidening(t *testing.T) {
 	}
 }
 
-func TestBeginEndInvoke(t *testing.T) {
-	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
-	ref, _ := GetObject(ch, srv.URLFor("d"))
-	ar := ref.BeginInvoke("Divide", 8.0, 2.0)
-	got, err := ar.EndInvoke()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4.0 {
-		t.Errorf("async Divide = %v", got)
-	}
-	if !ar.IsCompleted() {
-		t.Error("IsCompleted false after EndInvoke")
-	}
+// outcome is one call's (result, error) pair.
+type outcome struct {
+	v   any
+	err error
 }
 
-func TestDelegate(t *testing.T) {
-	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
-	ref, _ := GetObject(ch, srv.URLFor("d"))
-	del := NewDelegate(ref, "Divide")
-	ar := del.BeginInvoke(6.0, 3.0)
-	got, err := ar.EndInvoke()
-	if err != nil || got != 2.0 {
-		t.Errorf("delegate = %v, %v", got, err)
-	}
-	if got, err := del.Invoke(6.0, 2.0); err != nil || got != 3.0 {
-		t.Errorf("delegate sync = %v, %v", got, err)
-	}
+// goInvoke runs a blocking call on a goroutine of its own and returns the
+// channel its outcome arrives on.
+func goInvoke(ref *ObjRef, method string, args ...any) <-chan outcome {
+	out := make(chan outcome, 1)
+	go func() {
+		v, err := ref.Invoke(method, args...)
+		out <- outcome{v, err}
+	}()
+	return out
+}
+
+// refSequencer is a sequencer over one fixed ref. A call that cannot be
+// submitted reports from a goroutine: start may not complete on its own
+// stack.
+func refSequencer(ref *ObjRef) *CallSequencer {
+	return NewCallSequencerFunc(func(ctx context.Context, method string, args []any, done func(any, error)) {
+		if err := ref.InvokeAsyncCb(ctx, method, args, done); err != nil {
+			go done(nil, err)
+		}
+	})
 }
 
 func TestConcurrentInvokes(t *testing.T) {
@@ -306,7 +303,7 @@ func TestCallSequencerOrdering(t *testing.T) {
 	rec := &recorder{}
 	srv.RegisterWellKnown("r", Singleton, func() any { return rec })
 	ref, _ := GetObject(ch, srv.URLFor("r"))
-	cs := NewCallSequencer(ref)
+	cs := refSequencer(ref)
 	const n = 50
 	for i := 0; i < n; i++ {
 		cs.Post("Add", i)
@@ -327,7 +324,7 @@ func TestCallSequencerErrorCallback(t *testing.T) {
 	ch, srv := newTestServer(t)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	ref, _ := GetObject(ch, srv.URLFor("d"))
-	cs := NewCallSequencer(ref)
+	cs := refSequencer(ref)
 	var got atomic.Int64
 	cs.OnError = func(error) { got.Add(1) }
 	cs.Post("NoSuchMethod")

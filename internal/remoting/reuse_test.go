@@ -128,7 +128,7 @@ func TestAllocBudgetBoundCall(t *testing.T) {
 	} else {
 		t.Logf("bound call: %.0f allocs", n)
 	}
-	cs := NewCallSequencer(ref)
+	cs := refSequencer(ref)
 	if n := testing.AllocsPerRun(500, func() {
 		if err := cs.FlushCtx(ctx); err != nil {
 			t.Fatal(err)

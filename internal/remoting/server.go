@@ -506,7 +506,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 		if compact {
 			bound, borrowed, err = decodeBoundCall(raw, &c.req, c.argv)
 		} else {
-			borrowed, err = decodeInto(s.ch, raw, &c.req)
+			borrowed, err = decodeInto(raw, &c.req)
 		}
 		recycleFrame(raw, borrowed)
 		if err != nil {
@@ -601,7 +601,7 @@ func (sc *serverConn) flushLocked() {
 
 func (sc *serverConn) encodeResponse(resp *callResponse, bindAck uint32) ([]byte, *wire.Encoder, error) {
 	if sc.compact.Load() {
-		return encodeBoundReply(resp, bindAck, sc.s.ch.codec.DisableGenerated)
+		return encodeBoundReply(resp, bindAck)
 	}
 	return sc.s.ch.encodeResponse(resp)
 }

@@ -158,16 +158,19 @@ func testConnOnce(t *testing.T, n Network, l Listener) {
 }
 
 func TestInprocRoundtrip(t *testing.T) {
-	testNetworkRoundtrip(t, NewInprocNetwork(), "inproc://echo")
+	testNetworkRoundtrip(t, NewMemNetwork(), "inproc://echo")
 }
 
 func TestInprocAutoAddr(t *testing.T) {
-	n := NewInprocNetwork()
+	n := NewMemNetwork()
 	l1, err := n.Listen("inproc://")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l1.Close()
+	if !strings.HasPrefix(l1.Addr(), "inproc://") {
+		t.Errorf("auto address %q lost the form it was asked in", l1.Addr())
+	}
 	l2, err := n.Listen("")
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +185,7 @@ func TestInprocAutoAddr(t *testing.T) {
 }
 
 func TestInprocCloseSemantics(t *testing.T) {
-	n := NewInprocNetwork()
+	n := NewMemNetwork()
 	l, err := n.Listen("inproc://closing")
 	if err != nil {
 		t.Fatal(err)
@@ -224,11 +227,10 @@ func TestAutoRouting(t *testing.T) {
 	if _, ok := networkFor("unix://x").(UnixNetwork); !ok {
 		t.Error("unix:// not routed to UnixNetwork")
 	}
-	if n := networkFor("inproc://x"); n != Network(defaultInproc) {
-		t.Error("inproc:// not routed to the process-global InprocNetwork")
-	}
-	if n := networkFor("mem://x"); n != Network(defaultMem) {
-		t.Error("mem:// not routed to the process-global MemNetwork")
+	for _, addr := range []string{"inproc://x", "mem://x"} {
+		if n := networkFor(addr); n != Network(defaultMem) {
+			t.Errorf("%s not routed to the process-global MemNetwork", addr)
+		}
 	}
 	if _, ok := networkFor("127.0.0.1:7070").(TCPNetwork); !ok {
 		t.Error("host:port not routed to TCPNetwork")

@@ -1,7 +1,8 @@
 // Package transport provides reliable, ordered message connections used by
-// all three RPC stacks (remoting, rmi, mpi). Two interchangeable networks
-// are provided: real TCP with 4-byte length framing, and an in-process
-// memory network used by tests and by the single-process cluster harness.
+// all three RPC stacks (remoting, rmi, mpi). Interchangeable networks are
+// provided: real TCP and Unix domain sockets with 4-byte length framing, and
+// an in-process memory network used by tests, by the single-process cluster
+// harness and by co-located nodes sharing one address space.
 // The netsim package wraps either network with latency/bandwidth shaping to
 // model the paper's 100 Mbit Ethernet testbed.
 package transport
@@ -304,10 +305,15 @@ func (s *streamConn) RemoteAddr() string { return s.c.RemoteAddr().String() }
 
 // ---------------------------------------------------------------- memory
 
-// MemNetwork is an in-process network keyed by "mem://name" addresses. It is
-// used by unit tests and by the single-process cluster harness, where N
-// simulated nodes live in one OS process (the paper's cluster collapsed onto
-// one machine; netsim restores the network costs).
+// MemNetwork is the in-process network: frames are handed directly between
+// sender and receiver over a channel — no length framing, no syscalls, no
+// stream to desynchronise. Addresses are names, by convention in one of the
+// two self-describing in-memory forms "mem://name" and "inproc://name". An
+// explicit instance lets tests, netsim and the single-process cluster
+// harness build isolated or shaped universes (the paper's cluster collapsed
+// onto one machine); the process-global instance behind Auto lets
+// co-located runtimes find each other by address with no shared object to
+// plumb.
 type MemNetwork struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener
@@ -319,21 +325,24 @@ func NewMemNetwork() *MemNetwork {
 	return &MemNetwork{listeners: make(map[string]*memListener)}
 }
 
-// Listen implements Network. An empty addr (or "mem://") allocates a fresh
-// unique address.
+// Listen implements Network. A bare scheme ("mem://", "inproc://"; an empty
+// addr means "mem://") allocates a fresh unique address of that form.
 func (m *MemNetwork) Listen(addr string) (Listener, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if addr == "" || addr == "mem://" {
+	if addr == "" {
+		addr = "mem://"
+	}
+	if addr == "mem://" || addr == "inproc://" {
 		m.seq++
-		addr = fmt.Sprintf("mem://auto%d", m.seq)
+		addr = fmt.Sprintf("%sauto%d", addr, m.seq)
 	}
 	if _, exists := m.listeners[addr]; exists {
 		return nil, fmt.Errorf("transport: address %s already in use", addr)
 	}
 	l := &memListener{
 		addr:    addr,
-		backlog: make(chan *memConn, 16),
+		backlog: make(chan Conn, 16),
 		done:    make(chan struct{}),
 		net:     m,
 	}
@@ -351,7 +360,7 @@ func (m *MemNetwork) Dial(addr string) (Conn, error) {
 	}
 	client, server := NewPipe(addr+"/client", addr)
 	select {
-	case l.backlog <- server.(*memConn):
+	case l.backlog <- server:
 		return client, nil
 	case <-l.done:
 		return nil, ErrClosed
@@ -366,7 +375,7 @@ func (m *MemNetwork) remove(addr string) {
 
 type memListener struct {
 	addr    string
-	backlog chan *memConn
+	backlog chan Conn
 	done    chan struct{}
 	once    sync.Once
 	net     *MemNetwork
@@ -404,6 +413,13 @@ func NewPipe(addrA, addrB string) (Conn, Conn) {
 	return a, b
 }
 
+// memConn hands pooled frames directly to the peer. One copy remains, into
+// a GetFrame buffer, because senders reuse their encoder buffers the moment
+// Send returns (the caller keeps ownership of msg, matching Conn's
+// contract); Recv surrenders that buffer to the receiver, which settles it
+// after decoding as PutFrame describes — the same ownership cycle as a TCP
+// receive, minus framing and syscalls, so the steady state allocates
+// nothing.
 type memConn struct {
 	send   chan []byte
 	recv   chan []byte
@@ -417,13 +433,20 @@ func (c *memConn) Send(msg []byte) error {
 	if len(msg) > MaxFrame {
 		return fmt.Errorf("transport: message of %d bytes exceeds MaxFrame", len(msg))
 	}
-	// Copy so the caller may reuse its buffer, matching TCP semantics.
-	cp := make([]byte, len(msg))
+	// Checked before the send: with buffer room free, the select below has
+	// both cases ready after a close and could still enqueue.
+	select {
+	case <-c.done:
+		return ErrClosed
+	default:
+	}
+	cp := GetFrame(len(msg))
 	copy(cp, msg)
 	select {
 	case c.send <- cp:
 		return nil
 	case <-c.done:
+		PutFrame(cp)
 		return ErrClosed
 	}
 }

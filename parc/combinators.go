@@ -21,11 +21,7 @@ import (
 // the derived Result with an error. (Then is a function rather than a
 // method because Go methods cannot introduce the result type parameter B.)
 func Then[B any, A any](r *Result[A], fn func(A) (B, error)) *Result[B] {
-	src := r.f
-	if src == nil {
-		src = core.ResolvedFuture(nil, r.err)
-	}
-	cf := src.ThenAny(func(v any, err error) (any, error) {
+	cf := r.f.ThenAny(func(v any, err error) (any, error) {
 		a, err := As[A](v, err)
 		if err != nil {
 			return nil, err
@@ -39,11 +35,7 @@ func Then[B any, A any](r *Result[A], fn func(A) (B, error)) *Result[B] {
 // succeeds, and to fn's recovery otherwise. fn runs on the completion
 // path; a panic inside it resolves the derived Result with an error.
 func (r *Result[R]) Catch(fn func(error) (R, error)) *Result[R] {
-	src := r.f
-	if src == nil {
-		src = core.ResolvedFuture(nil, r.err)
-	}
-	cf := src.ThenAny(func(v any, err error) (any, error) {
+	cf := r.f.ThenAny(func(v any, err error) (any, error) {
 		if err == nil {
 			return v, nil
 		}
@@ -79,14 +71,6 @@ func WhenAll[R any](rs ...*Result[R]) *Result[[]R] {
 		resolve(vals, nil)
 	}
 	for i, r := range rs {
-		if r.f == nil {
-			errs[i] = r.err
-			if remaining.Add(-1) == 0 {
-				finish()
-			}
-			continue
-		}
-		i, r := i, r
 		r.f.OnComplete(func(v any, err error) {
 			vals[i], errs[i] = As[R](v, err)
 			if remaining.Add(-1) == 0 {
@@ -128,11 +112,6 @@ func WhenAny[R any](rs ...*Result[R]) *Result[R] {
 		if won.Load() {
 			break
 		}
-		if r.f == nil {
-			claim(i, nil, r.err)
-			continue
-		}
-		i := i
 		r.f.OnComplete(func(v any, err error) { claim(i, v, err) })
 	}
 	return out

@@ -113,19 +113,14 @@ func Pipeline[R any, T any](ctx context.Context, g *Group[T], method string, ite
 // pipeOne chains one item through every stage.
 func pipeOne[R any, T any](ctx context.Context, g *Group[T], method string, item any) *Result[R] {
 	if g.Size() == 0 {
-		return &Result[R]{err: ErrWhenAnyEmpty}
+		return failed[R](ErrWhenAnyEmpty)
 	}
 	cur := CallAsync[any](ctx, g.objs[0], method, item)
 	for s := 1; s < g.Size(); s++ {
 		cur = thenCall(ctx, cur, g.objs[s], method)
 	}
-	f, resolve := core.NewPromise()
-	if cur.f == nil {
-		resolve(nil, cur.err)
-	} else {
-		cur.f.OnComplete(resolve)
-	}
-	return &Result[R]{f: f, cancel: cur.cancel}
+	// The last stage's untyped future, read as R.
+	return &Result[R]{f: cur.f, cancel: cur.cancel}
 }
 
 // thenCall flat-maps a future into the next stage's call: when prev
@@ -133,22 +128,12 @@ func pipeOne[R any, T any](ctx context.Context, g *Group[T], method string, item
 // returned future adopts its outcome.
 func thenCall[T any](ctx context.Context, prev *Result[any], o *Object[T], method string) *Result[any] {
 	f, resolve := core.NewPromise()
-	deliver := func(v any, err error) {
+	prev.f.OnComplete(func(v any, err error) {
 		if err != nil {
 			resolve(nil, err)
 			return
 		}
-		next := CallAsync[any](ctx, o, method, v)
-		if next.f == nil {
-			resolve(nil, next.err)
-			return
-		}
-		next.f.OnComplete(resolve)
-	}
-	if prev.f == nil {
-		deliver(nil, prev.err)
-	} else {
-		prev.f.OnComplete(deliver)
-	}
+		CallAsync[any](ctx, o, method, v).f.OnComplete(resolve)
+	})
 	return &Result[any]{f: f, cancel: prev.cancel}
 }

@@ -138,7 +138,7 @@ func Call[R any, T any](ctx context.Context, o *Object[T], method string, args .
 // the losing calls.
 func CallAsync[R any, T any](ctx context.Context, o *Object[T], method string, args ...any) *Result[R] {
 	if err := checkMethod[T](method); err != nil {
-		return &Result[R]{err: err}
+		return failed[R](err)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -155,7 +155,6 @@ func CallAsync[R any, T any](ctx context.Context, o *Object[T], method string, a
 type Result[R any] struct {
 	f      *Future
 	cancel context.CancelFunc // cancels the underlying call; may be nil
-	err    error              // immediate failure; the call never started
 
 	// once memoizes the converted outcome: repeated Get calls return the
 	// same (value, error) pair, including after an error — the underlying
@@ -172,9 +171,6 @@ type Result[R any] struct {
 // running and a later Get still observes its outcome.
 func (r *Result[R]) Get(ctx context.Context) (R, error) {
 	var zero R
-	if r.f == nil {
-		return zero, r.err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -199,18 +195,12 @@ func (r *Result[R]) Get(ctx context.Context) (R, error) {
 }
 
 // Done returns a channel closed when the call completes.
-func (r *Result[R]) Done() <-chan struct{} {
-	if r.f == nil {
-		return closedChan
-	}
-	return r.f.Done()
-}
+func (r *Result[R]) Done() <-chan struct{} { return r.f.Done() }
 
-var closedChan = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
+// failed is the Result of a call that never started.
+func failed[R any](err error) *Result[R] {
+	return &Result[R]{f: core.ResolvedFuture(nil, err)}
+}
 
 // checkMethod fails fast, before any network traffic, when method is not
 // in *T's method set; the error names the candidates and wraps
