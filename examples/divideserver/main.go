@@ -120,9 +120,9 @@ func beginInvoke(ref *remoting.ObjRef, method string, args ...any) (endInvoke fu
 		err error
 	}
 	done := make(chan outcome, 1)
-	if err := ref.InvokeAsyncCb(context.Background(), method, args, func(v any, err error) {
+	if _, err := ref.InvokeAsyncCb(context.Background(), method, args, remoting.CompletionFunc(func(v any, err error) {
 		done <- outcome{v, err}
-	}); err != nil {
+	})); err != nil {
 		done <- outcome{nil, err}
 	}
 	return func() (any, error) {

@@ -56,6 +56,10 @@ type actorTask struct {
 	// normally the actor loop — so it must not block.
 	reply chan actorResult
 	done  func(any, error)
+	// fut, when set, is the future done resolves: a task that reaches its
+	// turn with it already resolved (cancelled) is skipped like one whose
+	// ctx ended.
+	fut *Future
 }
 
 // settle delivers the task's outcome. Never call it with a.mu held: done
@@ -144,6 +148,8 @@ func (a *actor) run() {
 			if errors.Is(err, context.DeadlineExceeded) {
 				a.w.rt.stats.deadlineDrops.Add(1)
 			}
+		} else if t.fut != nil && t.fut.resolved() {
+			res.err = context.Canceled
 		} else if t.batch != nil {
 			_, res.err = a.w.InvokeBatch(ctx, t.method, t.batch)
 		} else {

@@ -237,3 +237,59 @@ func TestAgglomeratedInvokeAsyncIsSerial(t *testing.T) {
 		t.Errorf("%d of %d calls entered the object while another was inside", o.overlaps, n)
 	}
 }
+
+// TestCancelQueuedCallIsDeclined: a call cancelled (Future.Cancel, no
+// context involved) while it waits behind a busy lane or a busy local
+// mailbox resolves at once, is never executed, and the entries behind it
+// keep their order.
+func TestCancelQueuedCallIsDeclined(t *testing.T) {
+	check := func(t *testing.T, p *Proxy, l *orderLog) {
+		t.Helper()
+		cancelled := p.InvokeAsync("Echo", 2)
+		p.Post("Note", 3)
+		last := p.InvokeAsync("Echo", 4)
+		cancelled.Cancel()
+		select {
+		case <-cancelled.Done():
+		default:
+			t.Error("Cancel returned with the future unresolved")
+		}
+		if _, err := cancelled.Get(); err != context.Canceled {
+			t.Errorf("cancelled entry = %v, want context.Canceled", err)
+		}
+		l.open()
+		if got, err := last.Get(); err != nil || got != 4 {
+			t.Errorf("entry behind the cancelled one = %v, %v", got, err)
+		}
+		p.Wait()
+		// A request for the cancelled call, had one been sent, has nobody
+		// waiting for it and may execute late: give it the time.
+		time.Sleep(50 * time.Millisecond)
+		if got, want := l.order(), []int{1, 3, 4}; !reflect.DeepEqual(got, want) {
+			t.Errorf("executed in order %v, want %v", got, want)
+		}
+		if err := p.AsyncErr(); err != nil {
+			t.Errorf("AsyncErr = %v", err)
+		}
+	}
+	t.Run("lane", func(t *testing.T) {
+		p, l, _ := heldRemote(t)
+		check(t, p, l)
+	})
+	t.Run("mailbox", func(t *testing.T) {
+		l := &orderLog{entered: make(chan struct{}, 4), release: make(chan struct{})}
+		rt := startNodes(t, 1, nil)[0]
+		rt.RegisterClass("orderlog", func() any { return l })
+		t.Cleanup(l.open)
+		p, err := rt.NewParallelObject("orderlog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.IsLocal() || p.IsAgglomerated() {
+			t.Fatal("want a local active object")
+		}
+		p.Post("Hold", 1)
+		<-l.entered
+		check(t, p, l)
+	})
+}

@@ -424,3 +424,36 @@ func TestAbandonedCallKeepsItsArguments(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestAllocBudgetFutureCompletion: a future that is subscribed to and then
+// resolved is the Future and nothing else: the first continuation is stored
+// in it as given, with no wrapper and no slice, and so is the derived
+// future of a ThenAny.
+func TestAllocBudgetFutureCompletion(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	ran := 0
+	fn := func(any, error) { ran++ }
+	if n := testing.AllocsPerRun(1000, func() {
+		f := &Future{}
+		f.OnComplete(fn)
+		f.complete(nil, nil)
+	}); n != 1 {
+		t.Errorf("OnComplete + complete on a fresh Future: %.0f allocs, want 1", n)
+	}
+	if ran != 1001 {
+		t.Errorf("continuation ran %d times in 1001 completions", ran)
+	}
+	then := func(v any, err error) (any, error) { return v, err }
+	if n := testing.AllocsPerRun(1000, func() {
+		f := &Future{}
+		child := f.ThenAny(then)
+		f.complete(nil, nil)
+		if !child.resolved() {
+			t.Fatal("derived future unresolved")
+		}
+	}); n != 2 {
+		t.Errorf("ThenAny + complete: %.0f allocs, want 2 (the two futures)", n)
+	}
+}

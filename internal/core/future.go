@@ -13,9 +13,20 @@ import (
 // mux reader and ships the rest elsewhere.
 const maxInlineDepth = 8
 
-// futureSub is one registered continuation. depth counts the inline
-// continuation frames already below it on the delivering stack.
-type futureSub func(val any, err error, depth int)
+// sub is one registered continuation, stored as given: fn to tell
+// (OnComplete), or child to resolve with what then makes of the outcome
+// (ThenAny; a nil then passes the outcome on).
+type sub struct {
+	fn    func(any, error)
+	then  func(any, error) (any, error)
+	child *Future
+}
+
+func (s sub) isSet() bool { return s.fn != nil || s.child != nil }
+
+// canceller is what a Future abandons when it is cancelled: the call in
+// flight on a connection, or the future this one waits on.
+type canceller interface{ Cancel() }
 
 // Future is the handle of an asynchronous call with a result. It is a
 // completion-driven promise: the party that resolves it (the mux reader on
@@ -23,7 +34,8 @@ type futureSub func(val any, err error, depth int)
 // directly — a pending future parks no goroutine, and ten thousand
 // outstanding calls cost ten thousand heap objects, not ten thousand
 // stacks. Waiting (Get) lazily materialises a done channel; chaining
-// (ThenAny / OnComplete) does not.
+// (ThenAny / OnComplete) does not. It is also the unit of cancellation
+// (Cancel): no context is derived per call.
 type Future struct {
 	// exec runs continuations that overflowed the inline depth bound; nil
 	// means a fresh goroutine. Inherited by derived futures.
@@ -34,7 +46,9 @@ type Future struct {
 	val       any
 	err       error
 	done      chan struct{} // lazily created; closed on completion
-	subs      []futureSub
+	first     sub           // the first continuation lives in the future
+	more      []sub         // the slice is for the second
+	abort     canceller     // see setAbort
 }
 
 // NewPromise returns an unresolved Future and its resolver. The resolver
@@ -56,79 +70,136 @@ func (f *Future) complete(v any, err error) { f.completeAt(v, err, 0) }
 
 // completeAt resolves the future and delivers to every registered
 // continuation, threading the inline-depth budget through the chain. First
-// completion wins; the rest are no-ops (a future fed by both a reply and a
-// cancellation hook needs exactly this).
-func (f *Future) completeAt(v any, err error, depth int) {
+// completion wins and is handed the abort hook; the rest are no-ops (a
+// future fed by a reply, a Cancel and its context's end needs exactly this).
+func (f *Future) completeAt(v any, err error, depth int) (abort canceller) {
 	f.mu.Lock()
 	if f.completed {
 		f.mu.Unlock()
-		return
+		return nil
 	}
 	f.completed = true
 	f.val, f.err = v, err
-	subs := f.subs
-	f.subs = nil
-	done := f.done
+	first, more, done, abort := f.first, f.more, f.done, f.abort
+	f.first, f.more, f.abort = sub{}, nil, nil
 	f.mu.Unlock()
 	if done != nil {
 		close(done)
 	}
-	for _, s := range subs {
-		f.runSub(s, depth)
+	if first.isSet() {
+		f.deliver(first, depth)
+	}
+	for _, s := range more {
+		f.deliver(s, depth)
+	}
+	return abort
+}
+
+// Cancel resolves a pending future with context.Canceled and abandons what
+// it stood for: a call in flight gives its slot back and its late reply is
+// dropped (the hosting node may still execute it), a call queued in a
+// mailbox or on a lane is declined when its turn comes, a derived future
+// cancels the one it derives from. A resolved future is left as it is.
+func (f *Future) Cancel() {
+	if abort := f.completeAt(nil, context.Canceled, 0); abort != nil {
+		abort.Cancel()
 	}
 }
 
-// runSub invokes one continuation: inline while the depth budget lasts,
+// setAbort names what a Cancel of f abandons from here on. A future that
+// already has its outcome has no use for c and cancels it at once.
+func (f *Future) setAbort(c canceller) {
+	f.mu.Lock()
+	pending := !f.completed
+	if pending {
+		f.abort = c
+	}
+	f.mu.Unlock()
+	if !pending {
+		c.Cancel()
+	}
+}
+
+// resolved reports whether the future has its outcome. A queue asks at a
+// call's turn, and declines one that was cancelled while it waited.
+func (f *Future) resolved() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.completed
+}
+
+// deliver runs one continuation: inline while the depth budget lasts,
 // otherwise on the overflow executor (the runtime's thread pool when one
 // is configured and has room, a fresh goroutine otherwise).
-func (f *Future) runSub(s futureSub, depth int) {
-	if depth < maxInlineDepth {
-		s(f.val, f.err, depth)
-		return
+func (f *Future) deliver(s sub, depth int) {
+	switch {
+	case depth >= maxInlineDepth:
+		hop := func() { f.deliver(s, 0) }
+		if f.exec != nil {
+			f.exec(hop)
+		} else {
+			go hop()
+		}
+	case s.child == nil:
+		s.fn(f.val, f.err)
+	case s.then == nil:
+		s.child.completeAt(f.val, f.err, depth+1)
+	default:
+		v, err := runContinuation(s.then, f.val, f.err)
+		s.child.completeAt(v, err, depth+1)
 	}
-	v, err := f.val, f.err
-	hop := func() { s(v, err, 0) }
-	if f.exec != nil {
-		f.exec(hop)
-		return
-	}
-	go hop()
 }
 
 // subscribe registers a continuation, running it immediately (depth 0, on
 // the caller) when the future is already resolved — Then after completion
 // behaves exactly like Then before it.
-func (f *Future) subscribe(s futureSub) {
+func (f *Future) subscribe(s sub) {
 	f.mu.Lock()
-	if !f.completed {
-		f.subs = append(f.subs, s)
+	switch {
+	case f.completed:
 		f.mu.Unlock()
+		f.deliver(s, 0)
 		return
+	case !f.first.isSet():
+		f.first = s
+	default:
+		f.more = append(f.more, s)
 	}
 	f.mu.Unlock()
-	f.runSub(s, 0)
 }
 
 // OnComplete registers fn to run with the future's outcome: immediately if
 // already resolved, on the completion path otherwise. fn must not block —
 // for remote calls the completion path is the connection's reader
 // goroutine, shared by every caller on that lane.
-func (f *Future) OnComplete(fn func(any, error)) {
-	f.subscribe(func(v any, err error, _ int) { fn(v, err) })
-}
+func (f *Future) OnComplete(fn func(any, error)) { f.subscribe(sub{fn: fn}) }
 
 // ThenAny returns a future resolved by fn applied to this future's
 // outcome. fn runs on the completion path (bounded inline depth, overflow
 // to the pool); a panic inside it resolves the derived future with an
-// error instead of unwinding the deliverer. Typed chaining lives in the
-// parc package (Then / Catch); this is their dynamically typed engine.
+// error instead of unwinding the deliverer. Cancelling the derived future
+// cancels this one. Typed chaining lives in the parc package (Then /
+// Catch); this is their dynamically typed engine.
 func (f *Future) ThenAny(fn func(any, error) (any, error)) *Future {
-	child := &Future{exec: f.exec}
-	f.subscribe(func(v any, err error, depth int) {
-		cv, cerr := runContinuation(fn, v, err)
-		child.completeAt(cv, cerr, depth+1)
-	})
+	child := &Future{exec: f.exec, abort: f}
+	f.subscribe(sub{then: fn, child: child})
 	return child
+}
+
+// Chain returns a future that resolves as the future step returns does; step
+// runs on the completion path with f's outcome, unless the chain was
+// cancelled first. Cancelling the chain cancels whichever of the two it is
+// waiting on. A Pipeline stage is one Chain.
+func Chain(f *Future, step func(any, error) *Future) *Future {
+	chain := &Future{exec: f.exec, abort: f}
+	f.OnComplete(func(v any, err error) {
+		if !chain.resolved() {
+			next := step(v, err)
+			chain.setAbort(next)
+			next.subscribe(sub{child: chain})
+		}
+	})
+	return chain
 }
 
 // runContinuation applies fn with panic containment: the deliverer (a

@@ -93,10 +93,21 @@ func newRemoteProxy(rt *Runtime, class, uri, addr string, gen uint64) *Proxy {
 // initSeq installs the ordered asynchronous lane. Every queued call is
 // started against the endpoint current at its turn and re-run through
 // invokeVia when that fails — that is what keeps one proxy's call stream
-// ordered across a migration.
+// ordered across a migration. An InvokeAsyncCtx whose future was resolved
+// while it waited (cancelled, or its ctx ended) is declined at its turn:
+// nothing is sent, and the lane moves on, from a fresh goroutine as every
+// start must.
 func (p *Proxy) initSeq() {
-	p.seq = remoting.NewCallSequencerFunc(func(ctx context.Context, method string, args []any, done func(any, error)) {
-		p.startRemote(ctx, remoteCall{method: method, args: args}, completion(done))
+	p.seq = remoting.NewCallSequencerFunc(func(ctx context.Context, method string, args []any, turn *remoting.Turn) {
+		a := &attempt{p: p, ctx: ctx, call: remoteCall{method: method, args: args}, turn: turn}
+		if e, ok := turn.To.(*laneEntry); ok {
+			e.stop() // from here the connection, or rerun, watches ctx
+			if a.f = &e.Future; a.f.resolved() {
+				go turn.Complete(nil, context.Canceled)
+				return
+			}
+		}
+		a.start()
 	})
 	p.seq.OnError = p.noteAsyncError
 }
@@ -309,16 +320,6 @@ func (c remoteCall) on(ctx context.Context, ref *remoting.ObjRef) (any, error) {
 	return ref.InvokeCtx(ctx, c.method, c.args...)
 }
 
-// start is on without the wait: cb receives the outcome of this one attempt
-// on the completion path, unless start returns an error, in which case
-// nothing was submitted and cb never runs.
-func (c remoteCall) start(ctx context.Context, ref *remoting.ObjRef, cb func(any, error)) error {
-	if c.nested {
-		return ref.InvokeNestedAsyncCb(ctx, c.method, c.sub, c.args, cb)
-	}
-	return ref.InvokeAsyncCb(ctx, c.method, c.args, cb)
-}
-
 // invoke1 is the runtime call Invoke1(method, args) on the object's
 // endpoint.
 func invoke1(method string, args []any) remoteCall {
@@ -407,7 +408,10 @@ func (p *Proxy) InvokeAsync(method string, args ...any) *Future {
 }
 
 // InvokeAsyncCtx is InvokeAsync bounded by ctx; the returned Future
-// resolves to ctx.Err() when ctx ends before the call completes.
+// resolves to ctx.Err() when ctx ends before the call completes, and to
+// context.Canceled when it is cancelled (Future.Cancel). ctx is used as it
+// is: no context is derived per call, and one that can never end costs the
+// call nothing.
 //
 // No goroutine parks per outstanding call, in any mode. A local active
 // object takes the task into its mailbox and its actor loop resolves the
@@ -421,70 +425,97 @@ func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	f := &Future{exec: p.rt.contExec()}
+	c := &asyncCall{}
+	c.exec = p.rt.contExec()
+	c.attempt = attempt{p: p, ctx: ctx, call: invoke1(method, args), f: &c.Future}
 	switch mode, act := p.state(); mode {
 	case modeAgglomerated:
-		f.complete(p.invokeInCaller(ctx, method, args))
+		c.Future.complete(p.invokeInCaller(ctx, method, args))
 	case modeLocalActive:
-		p.submitLocal(ctx, act, f, method, args)
+		c.submitLocal(act)
 	default:
-		p.submitRemote(ctx, f, method, args)
+		c.submitRemote()
 	}
-	return f
+	return &c.Future
 }
 
-// submitLocal enqueues the call on the hosting actor's mailbox with f as
-// its completion.
-func (p *Proxy) submitLocal(ctx context.Context, act *actor, f *Future, method string, args []any) {
-	stop := cancelHook(ctx, f)
-	err := act.callAsync(ctx, method, args, func(v any, err error) {
-		stop()
+// asyncCall is what InvokeAsyncCtx allocates: the Future it hands back and,
+// in the same object, the attempt the call is made with. stop detaches the
+// Future's cancelHook, which a call has while it waits in a queue.
+type asyncCall struct {
+	Future
+	attempt
+	stop func() bool
+}
+
+// attempt is one completion-driven try at call against the proxy's current
+// endpoint, and the remoting.Completer the connection reports it to. f is
+// the caller's future, nil for a post; turn is the lane turn the call
+// holds, nil for a call that went straight to its connection.
+type attempt struct {
+	p    *Proxy
+	ctx  context.Context
+	call remoteCall
+	f    *Future
+	turn *remoting.Turn
+}
+
+// laneEntry is an asyncCall as the lane holds it: the turn's outcome is the
+// Future's.
+type laneEntry asyncCall
+
+func (e *laneEntry) Complete(v any, err error) { e.Future.complete(v, err) }
+
+// submitLocal enqueues the call on the hosting actor's mailbox. A task whose
+// Future is resolved when its turn comes is skipped.
+func (c *asyncCall) submitLocal(act *actor) {
+	p, f := c.p, &c.Future
+	c.stop = cancelHook(c.ctx, f)
+	err := act.enqueue(actorTask{ctx: c.ctx, method: c.call.sub, args: c.call.args, fut: f, done: func(v any, err error) {
+		c.stop()
 		if mv, ok := movedOf(err, p.uri); ok {
 			// The object was taken from this node with the call still
 			// queued: follow it, off the actor loop.
 			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-			p.rerun(ctx, invoke1(method, args), f)
+			c.rerun()
 			return
 		}
 		f.complete(v, err)
-	})
+	}})
 	if err == nil {
 		return
 	}
-	stop()
+	c.stop()
 	if mv, ok := movedOf(err, p.uri); ok {
 		// Moved before the task entered the mailbox: nothing ran here, the
 		// call starts again as a remote one.
 		p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-		p.submitRemote(ctx, f, method, args)
+		c.submitRemote()
 		return
 	}
 	f.complete(nil, err)
 }
 
-// submitRemote starts the call with f as its completion, ordered after
-// every call posted before it. With the lane idle there is nothing to order
-// behind (Posts from this very goroutine are already counted in Idle, so
-// the check is authoritative for the single-caller pattern) and the request
-// goes straight to its connection, where calls to one object pipeline.
-// Otherwise it takes its turn on the lane, behind the posted calls and any
-// aggregate they were buffered in, and ahead of whatever is posted next.
-func (p *Proxy) submitRemote(ctx context.Context, f *Future, method string, args []any) {
-	p.FlushAggregation()
-	if seq := p.sequencer(); !seq.Idle() {
-		stop := cancelHook(ctx, f)
-		seq.Call(ctx, "Invoke1", []any{method, args}, func(v any, err error) {
-			stop()
-			f.complete(v, err)
-		})
+// submitRemote starts the call ordered after every call posted before it.
+// With the lane idle there is nothing to order behind (Posts from this very
+// goroutine are already counted in Idle, so the check is authoritative for
+// the single-caller pattern) and the request goes straight to its
+// connection, where calls to one object pipeline. Otherwise it takes its
+// turn on the lane, behind the posted calls and any aggregate they were
+// buffered in, and ahead of whatever is posted next.
+func (c *asyncCall) submitRemote() {
+	c.p.FlushAggregation()
+	if seq := c.p.sequencer(); !seq.Idle() {
+		c.stop = cancelHook(c.ctx, &c.Future)
+		seq.Call(c.ctx, c.call.method, []any{c.call.sub, c.call.args}, (*laneEntry)(c))
 		return
 	}
-	p.startRemote(ctx, invoke1(method, args), f)
+	c.start()
 }
 
 // cancelHook resolves f with ctx.Err() as soon as ctx ends, for a call that
-// waits its turn in a mailbox or on a lane: the queue looks at a task's ctx
-// only when the turn comes, and the Future must not wait that long. stop
+// waits its turn in a mailbox or on a lane: the queue looks at a task only
+// when the turn comes, and the Future must not wait that long. stop
 // detaches the hook.
 func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
 	if ctx.Done() == nil {
@@ -493,34 +524,47 @@ func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
 	return context.AfterFunc(ctx, func() { f.complete(nil, ctx.Err()) })
 }
 
-// completer is where a started call reports its outcome: a Future, or the
-// completion of a lane entry. An interface rather than a func, so that the
-// call that goes straight to its connection hands over the Future it already
-// has instead of allocating a method value.
-type completer interface{ complete(any, error) }
-
-type completion func(any, error)
-
-func (c completion) complete(v any, err error) { c(v, err) }
-
-// startRemote makes one completion-driven attempt at call against the
-// proxy's current endpoint. It never blocks on the call, and to hears of the
-// outcome exactly once, never on the caller's stack.
-func (p *Proxy) startRemote(ctx context.Context, call remoteCall, to completer) {
-	if p.rt.cfg.IdempotentCalls {
-		if _, ok := remoting.TokenFromContext(ctx); !ok {
-			ctx = remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
+// start submits the attempt: remoteCall.on without the wait. It never blocks
+// on the call, the outcome is reported (finish) exactly once and never on
+// the caller's stack, and from here a Cancel of f abandons the exchange. A
+// submission the connection declines goes to rerun.
+func (a *attempt) start() {
+	if a.p.rt.cfg.IdempotentCalls {
+		if _, ok := remoting.TokenFromContext(a.ctx); !ok {
+			a.ctx = remoting.ContextWithToken(a.ctx, a.p.rt.cfg.Channel.NewCallToken())
 		}
 	}
-	err := call.start(ctx, p.endpoint(), func(v any, err error) {
-		if err != nil && ctx.Err() == nil && p.asyncRecoverable(err) {
-			p.rerun(ctx, call, to)
-			return
-		}
-		to.complete(v, err)
-	})
+	var inFlight remoting.InFlight
+	var err error
+	if c, ref := a.call, a.p.endpoint(); c.nested {
+		inFlight, err = ref.InvokeNestedAsyncCb(a.ctx, c.method, c.sub, c.args, a)
+	} else {
+		inFlight, err = ref.InvokeAsyncCb(a.ctx, c.method, c.args, a)
+	}
 	if err != nil {
-		p.rerun(ctx, call, to)
+		a.rerun()
+	} else if a.f != nil {
+		a.f.setAbort(inFlight)
+	}
+}
+
+// Complete is the one re-run rule of an asynchronous call: an outcome the
+// synchronous path would transparently retry goes to rerun.
+func (a *attempt) Complete(v any, err error) {
+	if err != nil && a.ctx.Err() == nil && a.p.asyncRecoverable(err) {
+		a.rerun()
+		return
+	}
+	a.finish(v, err)
+}
+
+// finish reports the outcome: to the lane turn, which tells the entry's
+// Future or the proxy's AsyncErr and starts the next entry, or to f.
+func (a *attempt) finish(v any, err error) {
+	if a.turn != nil {
+		a.turn.Complete(v, err)
+	} else {
+		a.f.complete(v, err)
 	}
 }
 
@@ -532,8 +576,8 @@ func (p *Proxy) startRemote(ctx context.Context, call remoteCall, to completer) 
 // retries. This is the only place an asynchronous call holds a goroutine,
 // for as long as that loop takes; a lane entry re-run here still holds its
 // turn, so the entries behind it keep their order.
-func (p *Proxy) rerun(ctx context.Context, call remoteCall, to completer) {
-	go func() { to.complete(p.invokeVia(ctx, p.endpoint, call)) }()
+func (a *attempt) rerun() {
+	go func() { a.finish(a.p.invokeVia(a.ctx, a.p.endpoint, a.call)) }()
 }
 
 // asyncRecoverable reports whether an async completion error is one the

@@ -74,6 +74,9 @@ type AgglomRow struct {
 	Policy       string
 	Seconds      float64
 	Agglomerated int64
+	// Msgs is what the run put on the network, the cost packing removes
+	// (counted by the shaped network; zero on an unshaped one).
+	Msgs int64
 }
 
 // fineGrainObj is a deliberately tiny grain.
@@ -135,9 +138,12 @@ func RunAgglomerationAblation(objects, calls int, net netsim.Params) ([]AgglomRo
 			}
 		}
 		elapsed := time.Since(start)
-		agg := master.Stats().ObjectsAgglomerated
+		row := AgglomRow{Policy: pol.name, Seconds: elapsed.Seconds(), Agglomerated: master.Stats().ObjectsAgglomerated}
+		if cl.Stats != nil {
+			row.Msgs = cl.Stats.MsgsSent()
+		}
 		cl.Close()
-		rows = append(rows, AgglomRow{Policy: pol.name, Seconds: elapsed.Seconds(), Agglomerated: agg})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -7,7 +7,8 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/netsim"
-	"repro/internal/racetest"
+	"repro/internal/paper/profile"
+	"repro/internal/sieve"
 )
 
 // ---------------------------------------------------------------- model
@@ -176,9 +177,13 @@ func TestMeasuredLatencyShapedOrdering(t *testing.T) {
 	}
 }
 
-// TestMeasuredOverheadSmall verifies E6: the ParC# proxy path costs only a
-// small multiple of raw remoting on an ideal network, and "not noticeable"
-// magnitudes (< ~25%) on the shaped one.
+// TestMeasuredOverheadSmall verifies E6, "the performance penalty introduced
+// by the ParC# platform is not noticeable", by what the two paths put on the
+// shaped network, which is what a round trip on it is made of: a call
+// through the proxy is the same two messages as a raw remoting call, and
+// the Invoke1 envelope adds little to a 4 KiB payload. The two timed round
+// trips and their ratio are E6's printed figure (parcbench -exp overhead);
+// they are not asserted, a ratio of two wall-clock minima is the host's.
 func TestMeasuredOverheadSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shaped run in -short mode")
@@ -187,9 +192,13 @@ func TestMeasuredOverheadSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OverheadPct > 40 {
-		t.Errorf("ParC# overhead %.1f%% is noticeable (raw %v, proxy %v)",
-			res.OverheadPct, res.RawRTT, res.ProxyRTT)
+	t.Logf("timed: raw %v, proxy %v, overhead %.1f%%", res.RawRTT, res.ProxyRTT, res.OverheadPct)
+	if res.RawMsgs != 2 || res.ProxyMsgs != 2 {
+		t.Errorf("messages per call: raw %.2f, through the proxy %.2f, want 2 and 2", res.RawMsgs, res.ProxyMsgs)
+	}
+	if extra := res.ProxyBytes/res.RawBytes - 1; extra < 0 || extra > 0.05 {
+		t.Errorf("bytes per call: raw %.0f, through the proxy %.0f (%+.1f%%), want 0 to 5%% more",
+			res.RawBytes, res.ProxyBytes, 100*extra)
 	}
 }
 
@@ -238,9 +247,12 @@ func TestAgglomerationAblationShape(t *testing.T) {
 	if never.Agglomerated != 0 {
 		t.Errorf("never policy agglomerated %d", never.Agglomerated)
 	}
-	if !(always.Seconds < never.Seconds) {
-		t.Errorf("packing fine grains should win: always %.3fs vs never %.3fs",
-			always.Seconds, never.Seconds)
+	// Packing wins by removing the communication: counted, not timed (the
+	// seconds are A2's printed figure).
+	t.Logf("timed: always %.3fs, never %.3fs", always.Seconds, never.Seconds)
+	if never.Msgs < 2*20 || always.Msgs != 0 {
+		t.Errorf("packing fine grains should remove the communication: always sent %d messages, want 0; never %d, want a call and a reply for each post to a remote object",
+			always.Msgs, never.Msgs)
 	}
 }
 
@@ -261,13 +273,15 @@ func TestCodecAblationShape(t *testing.T) {
 
 // TestFig9SmallShape runs a miniature Fig. 9 and asserts the headline
 // claims: both systems speed up with processors, ParC# stays above Java
-// RMI, and every run renders the identical image.
+// RMI, and every run renders the identical image. The two orderings are
+// asserted on the modelled compute time, which follows from the profile's
+// factors, and each timed run is checked against it from below: a worker
+// holds its processor for the modelled time of every block, so no run can
+// finish sooner, on any host. The timed seconds themselves are the printed
+// figure (parcbench -exp fig9).
 func TestFig9SmallShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm run in -short mode")
-	}
-	if racetest.Enabled {
-		t.Skip("race instrumentation skews the calibrated timing model")
 	}
 	cfg := DefaultFig9Config(false)
 	rows, err := RunFig9(cfg)
@@ -276,10 +290,15 @@ func TestFig9SmallShape(t *testing.T) {
 	}
 	var checksum int64
 	for i, r := range rows {
-		parc := r.Seconds["ParC#"]
-		java := r.Seconds["Java RMI"]
-		if parc <= java {
-			t.Errorf("p=%d: ParC# (%.1fs) should sit above Java RMI (%.1fs)", r.Processors, parc, java)
+		t.Logf("p=%d timed: ParC# %.1fs, Java RMI %.1fs", r.Processors, r.Seconds["ParC#"], r.Seconds["Java RMI"])
+		if parc, java := r.Modelled["ParC#"], r.Modelled["Java RMI"]; parc <= java {
+			t.Errorf("p=%d: ParC# (%.1fs modelled) should sit above Java RMI (%.1fs)", r.Processors, parc, java)
+		}
+		for _, sys := range []string{"ParC#", "Java RMI"} {
+			if r.Seconds[sys] < r.Modelled[sys] {
+				t.Errorf("p=%d: %s ran in %.2fs, under its modelled compute of %.2fs: the workers did not hold their processors",
+					r.Processors, sys, r.Seconds[sys], r.Modelled[sys])
+			}
 		}
 		if r.Checksum["ParC#"] != r.Checksum["Java RMI"] {
 			t.Errorf("p=%d: systems rendered different images", r.Processors)
@@ -292,28 +311,43 @@ func TestFig9SmallShape(t *testing.T) {
 	}
 	first, last := rows[0], rows[len(rows)-1]
 	for _, sys := range []string{"ParC#", "Java RMI"} {
-		if !(last.Seconds[sys] < first.Seconds[sys]*0.75) {
-			t.Errorf("%s did not scale: p=%d %.1fs vs p=%d %.1fs",
-				sys, first.Processors, first.Seconds[sys], last.Processors, last.Seconds[sys])
+		if !(last.Modelled[sys] < first.Modelled[sys]*0.75) {
+			t.Errorf("%s does not scale: p=%d %.1fs vs p=%d %.1fs modelled",
+				sys, first.Processors, first.Modelled[sys], last.Processors, last.Modelled[sys])
 		}
 	}
 }
 
-// TestSeqRatios checks the paper's sequential observations land.
+// TestSeqRatios checks the paper's sequential observations land: each is
+// the ratio of two of the profile's factors, for the sieve as for the ray
+// tracer. The sieve is also run under its factors, for the count it must
+// still return and for the timed ratio, which is printed and not asserted.
 func TestSeqRatios(t *testing.T) {
-	rows := RunSeqRatios(200_000)
-	byKey := map[string]float64{}
+	const n = 200_000
+	rows := RunSeqRatios(n)
+	byKey := map[string]SeqRatioRow{}
 	for _, r := range rows {
-		byKey[r.Workload+"/"+r.VM] = r.Ratio
+		byKey[r.Workload+"/"+r.VM] = r
 	}
-	if got := byKey["raytracer/Mono 1.1.7"]; got < 1.35 || got > 1.45 {
+	if got := byKey["raytracer/Mono 1.1.7"].Ratio; got < 1.35 || got > 1.45 {
 		t.Errorf("raytracer Mono ratio = %.2f, want ≈1.4", got)
 	}
-	if got := byKey["raytracer/MS CLR 1.1"]; got < 1.05 || got > 1.15 {
+	if got := byKey["raytracer/MS CLR 1.1"].Ratio; got < 1.05 || got > 1.15 {
 		t.Errorf("raytracer MS CLR ratio = %.2f, want ≈1.1", got)
 	}
-	if got := byKey["sieve/Mono 1.1.7"]; got < 0.7 || got > 1.4 {
-		t.Errorf("sieve Mono ratio = %.2f, want ≈1.0", got)
+	mono := byKey["sieve/Mono 1.1.7"]
+	if mono.Ratio < 0.95 || mono.Ratio > 1.05 {
+		t.Errorf("sieve Mono ratio = %.2f, want ≈1.0", mono.Ratio)
+	}
+	if mono.Measured <= 0 {
+		t.Errorf("sieve Mono was not timed: measured ratio %.2f", mono.Measured)
+	}
+	t.Logf("sieve Mono timed on this host: %.2fx", mono.Measured)
+	const primesTo200k = 17984
+	for _, f := range []float64{1, profile.Mono().SieveFactor, 1.4} {
+		if got := sieve.SequentialCount(n, f); got != primesTo200k {
+			t.Errorf("sieve under factor %.1f counts %d primes to %d, want %d", f, got, n, primesTo200k)
+		}
 	}
 }
 

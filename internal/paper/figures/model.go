@@ -150,10 +150,11 @@ func PrintLatency(w io.Writer, title string, rows []LatencyResult) {
 
 // PrintFig9 renders the execution-time table of Fig. 9.
 func PrintFig9(w io.Writer, rows []Fig9Row) {
-	fmt.Fprintln(w, "Fig. 9 — Parallel Ray Tracer execution time (modelled testbed seconds)")
-	fmt.Fprintf(w, "%-12s %14s %14s\n", "processors", "ParC#", "Java RMI")
+	fmt.Fprintln(w, "Fig. 9 — Parallel Ray Tracer execution time (modelled testbed seconds; in brackets, compute alone)")
+	fmt.Fprintf(w, "%-12s %22s %22s\n", "processors", "ParC#", "Java RMI")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-12d %14.1f %14.1f\n", r.Processors, r.Seconds["ParC#"], r.Seconds["Java RMI"])
+		fmt.Fprintf(w, "%-12d %13.1f (%6.1f) %13.1f (%6.1f)\n", r.Processors,
+			r.Seconds["ParC#"], r.Modelled["ParC#"], r.Seconds["Java RMI"], r.Modelled["Java RMI"])
 	}
 }
 
@@ -161,7 +162,11 @@ func PrintFig9(w io.Writer, rows []Fig9Row) {
 func PrintSeqRatios(w io.Writer, rows []SeqRatioRow) {
 	fmt.Fprintln(w, "E5 — sequential time relative to the Sun JVM")
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-10s %-14s %6.2fx\n", r.Workload, r.VM, r.Ratio)
+		fmt.Fprintf(w, "  %-10s %-14s %6.2fx", r.Workload, r.VM, r.Ratio)
+		if r.Measured > 0 {
+			fmt.Fprintf(w, "   (timed on this host: %.2fx)", r.Measured)
+		}
+		fmt.Fprintln(w)
 	}
 }
 
@@ -178,7 +183,7 @@ func PrintAggregation(w io.Writer, rows []AggRow) {
 func PrintAgglomeration(w io.Writer, rows []AgglomRow) {
 	fmt.Fprintln(w, "A2 — object agglomeration (fine-grain fan-out)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-24s %10.3f s   agglomerated=%d\n", r.Policy, r.Seconds, r.Agglomerated)
+		fmt.Fprintf(w, "  %-24s %10.3f s   agglomerated=%d   messages=%d\n", r.Policy, r.Seconds, r.Agglomerated, r.Msgs)
 	}
 }
 
@@ -207,6 +212,8 @@ func PrintOverhead(w io.Writer, r OverheadResult) {
 	fmt.Fprintf(w, "  raw remoting RTT:   %10s\n", r.RawRTT)
 	fmt.Fprintf(w, "  through-proxy RTT:  %10s\n", r.ProxyRTT)
 	fmt.Fprintf(w, "  overhead:           %9.1f%%\n", r.OverheadPct)
+	fmt.Fprintf(w, "  on the network, per call: raw %.0f messages, %.0f B; through the proxy %.0f messages, %.0f B\n",
+		r.RawMsgs, r.RawBytes, r.ProxyMsgs, r.ProxyBytes)
 }
 
 func sortedKeys(m map[string]float64) []string {

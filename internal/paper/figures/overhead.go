@@ -18,11 +18,26 @@ import (
 // through a SCOOPP parallel-object proxy (PO → ioWrapper → IO), both on the
 // production channel over the same shaped network and cost profile.
 
-// OverheadResult is the E6 measurement.
+// OverheadResult is the E6 measurement: the timed round trips, which the
+// host's scheduler has a say in, and what each path put on the network per
+// call, which it has not (counted by the shaped network; zero on an
+// unshaped one).
 type OverheadResult struct {
 	RawRTT      time.Duration
 	ProxyRTT    time.Duration
 	OverheadPct float64
+
+	RawMsgs, ProxyMsgs   float64 // messages per call, both directions
+	RawBytes, ProxyBytes float64 // bytes per call, both directions
+}
+
+// traffic reads a shaped network's counters; stats is nil on an unshaped
+// one.
+func traffic(stats *netsim.Stats) (msgs, bytes float64) {
+	if stats == nil {
+		return 0, 0
+	}
+	return float64(stats.MsgsSent()), float64(stats.BytesSent())
 }
 
 // echoObj is the parallel-object class for the proxy side.
@@ -39,7 +54,12 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 	payload := payloadFor(payloadBytes)
 
 	// Raw remoting.
-	ch := remoting.NewMultiplexedChannel(cost.Network(shapedNet(net), profile.MonoTCP117()))
+	var rawStats *netsim.Stats
+	rawNet := shapedNet(net)
+	if sn, ok := rawNet.(*netsim.ShapedNetwork); ok {
+		rawStats = sn.Stats
+	}
+	ch := remoting.NewMultiplexedChannel(cost.Network(rawNet, profile.MonoTCP117()))
 	defer ch.Close()
 	server, err := ch.ListenAndServe("")
 	if err != nil {
@@ -55,6 +75,8 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 		return OverheadResult{}, err
 	}
 	// Minimum of the repetitions: robust against scheduler contention.
+	var res OverheadResult
+	msgs0, bytes0 := traffic(rawStats)
 	rawRTT := time.Duration(1 << 62)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
@@ -65,6 +87,8 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 			rawRTT = d
 		}
 	}
+	msgs, bytes := traffic(rawStats)
+	res.RawMsgs, res.RawBytes = (msgs-msgs0)/float64(reps), (bytes-bytes0)/float64(reps)
 
 	// Through the ParC# platform: a 2-node cluster, object forced to the
 	// remote node, synchronous proxy invokes.
@@ -89,6 +113,7 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 	if _, err := p.Invoke("Echo", payload); err != nil {
 		return OverheadResult{}, err
 	}
+	msgs0, bytes0 = traffic(cl.Stats)
 	proxyRTT := time.Duration(1 << 62)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
@@ -99,12 +124,12 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 			proxyRTT = d
 		}
 	}
+	msgs, bytes = traffic(cl.Stats)
+	res.ProxyMsgs, res.ProxyBytes = (msgs-msgs0)/float64(reps), (bytes-bytes0)/float64(reps)
 
-	return OverheadResult{
-		RawRTT:      rawRTT,
-		ProxyRTT:    proxyRTT,
-		OverheadPct: (float64(proxyRTT)/float64(rawRTT) - 1) * 100,
-	}, nil
+	res.RawRTT, res.ProxyRTT = rawRTT, proxyRTT
+	res.OverheadPct = (float64(proxyRTT)/float64(rawRTT) - 1) * 100
+	return res, nil
 }
 
 // remoteOnly places every object on node 1 (never the creating node 0).

@@ -13,7 +13,7 @@ import (
 // ObjRef is the client-side transparent proxy for a remote object — the
 // value Activator.GetObject returns in the paper's Fig. 2. Method calls go
 // through Invoke (synchronous) or InvokeAsyncCb (asynchronous: the outcome
-// goes to a callback on the completion path).
+// goes to a Completer on the completion path).
 type ObjRef struct {
 	ch      *Channel
 	netaddr string
@@ -164,25 +164,29 @@ func (r *ObjRef) normalize(req *callRequest, resp *callResponse) (any, error) {
 
 // InvokeAsyncCb starts one completion-driven invocation attempt: the
 // request is encoded and enqueued on its lane and the method returns
-// immediately; cb receives the normalized outcome exactly
-// once, on the completion path (the lane's reader goroutine for replies).
-// An error return means the call was not submitted and cb will never run.
-// Unlike InvokeCtx there is no retry loop here: a single attempt, whose
-// failure the caller decides how to recover (the SCOOPP proxy re-runs
-// transient failures through the full synchronous re-routing machinery).
-func (r *ObjRef) InvokeAsyncCb(ctx context.Context, method string, args []any, cb func(any, error)) error {
-	return r.invokeAsync(ctx, &clientCall{req: callRequest{Method: method, Args: args}, cb: cb})
+// immediately; to receives the normalized outcome exactly once, on the
+// completion path (the lane's reader goroutine for replies), and the
+// returned handle cancels the call. An error return means the call was not
+// submitted and to will never hear of it. Unlike InvokeCtx there is no
+// retry loop here: a single attempt, whose failure the caller decides how
+// to recover (the SCOOPP proxy re-runs transient failures through the full
+// synchronous re-routing machinery).
+func (r *ObjRef) InvokeAsyncCb(ctx context.Context, method string, args []any, to Completer) (InFlight, error) {
+	return r.invokeAsync(ctx, &clientCall{req: callRequest{Method: method, Args: args}, to: to})
 }
 
 // InvokeNestedAsyncCb is to InvokeAsyncCb what InvokeNestedCtx is to
 // InvokeCtx.
-func (r *ObjRef) InvokeNestedAsyncCb(ctx context.Context, method, sub string, args []any, cb func(any, error)) error {
-	return r.invokeAsync(ctx, &clientCall{req: callRequest{Method: method, sub: sub, Args: args, nested: true}, cb: cb})
+func (r *ObjRef) InvokeNestedAsyncCb(ctx context.Context, method, sub string, args []any, to Completer) (InFlight, error) {
+	return r.invokeAsync(ctx, &clientCall{req: callRequest{Method: method, sub: sub, Args: args, nested: true}, to: to})
 }
 
-func (r *ObjRef) invokeAsync(ctx context.Context, c *clientCall) error {
+func (r *ObjRef) invokeAsync(ctx context.Context, c *clientCall) (InFlight, error) {
 	c.ref, c.ctx = r, r.address(ctx, &c.req)
-	return r.ch.roundTripAsync(r.netaddr, c)
+	if err := r.ch.roundTripAsync(r.netaddr, c); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // OneWayTimeout invokes method on a goroutine of its own, bounded by a
@@ -208,26 +212,31 @@ func (r *ObjRef) OneWayTimeout(d time.Duration, method string, onErr func(error)
 // completion-chained: call N+1 is started from call N's completion, so a
 // lane of any depth parks no goroutine.
 type CallSequencer struct {
-	// start begins one call and returns without blocking; it calls done
-	// exactly once with the outcome, never on the stack it was called on
-	// (done starts the next queued call, so a start that completed at once
-	// would recurse once per queued call).
-	start func(ctx context.Context, method string, args []any, done func(any, error))
+	// start begins the call whose turn it is and returns without blocking;
+	// it completes turn exactly once with the outcome, never on the stack
+	// it was called on (completing a turn starts the next queued call, so a
+	// start that completed at once would recurse once per queued call).
+	start func(ctx context.Context, method string, args []any, turn *Turn)
 	// OnError receives the failure of a posted call, which has nobody else
 	// to report to.
 	OnError func(error)
 
 	mu      sync.Mutex
-	queue   []queuedCall // waiting behind the outstanding call
-	pending int          // outstanding plus waiting
+	queue   []*Turn // waiting behind the outstanding call
+	pending int     // outstanding plus waiting
 	idle    *sync.Cond
 }
 
-type queuedCall struct {
+// Turn is one call on a sequencer, queued or outstanding. Completing it
+// reports the outcome to To, or a post's failure to OnError, accounts for
+// the call and starts the next in the queue.
+type Turn struct {
+	To Completer // nil for a post
+
+	cs     *CallSequencer
 	ctx    context.Context
 	method string
 	args   []any
-	done   func(any, error) // nil for a post
 }
 
 // NewCallSequencerFunc returns a sequencer whose calls go through start
@@ -235,7 +244,7 @@ type queuedCall struct {
 // rather than a fixed ObjRef lets the owner re-resolve the endpoint between
 // calls — the SCOOPP proxy uses this to keep one ordered lane across an
 // object migration.
-func NewCallSequencerFunc(start func(ctx context.Context, method string, args []any, done func(any, error))) *CallSequencer {
+func NewCallSequencerFunc(start func(ctx context.Context, method string, args []any, turn *Turn)) *CallSequencer {
 	cs := &CallSequencer{start: start}
 	cs.idle = sync.NewCond(&cs.mu)
 	return cs
@@ -248,44 +257,42 @@ func (cs *CallSequencer) Post(method string, args ...any) {
 	cs.Call(context.Background(), method, args, nil)
 }
 
-// Call enqueues an asynchronous call in the same order as Post; done
+// Call enqueues an asynchronous call in the same order as Post; to
 // receives its outcome on the completion path, before Flush observes the
 // call as finished, so it must not block.
-func (cs *CallSequencer) Call(ctx context.Context, method string, args []any, done func(any, error)) {
-	call := queuedCall{ctx: ctx, method: method, args: args, done: done}
+func (cs *CallSequencer) Call(ctx context.Context, method string, args []any, to Completer) {
+	t := &Turn{To: to, cs: cs, ctx: ctx, method: method, args: args}
 	cs.mu.Lock()
 	cs.pending++
 	if cs.pending > 1 {
-		cs.queue = append(cs.queue, call)
+		cs.queue = append(cs.queue, t)
 		cs.mu.Unlock()
 		return
 	}
 	cs.mu.Unlock()
-	cs.run(call)
+	cs.start(t.ctx, t.method, t.args, t)
 }
 
-// run starts call as the outstanding one; its completion reports it,
-// accounts for it, and runs the next in the queue.
-func (cs *CallSequencer) run(call queuedCall) {
-	cs.start(call.ctx, call.method, call.args, func(v any, err error) {
-		if call.done != nil {
-			call.done(v, err)
-		} else if err != nil && cs.OnError != nil {
-			cs.OnError(err)
-		}
-		cs.mu.Lock()
-		cs.pending--
-		if cs.pending == 0 {
-			cs.idle.Broadcast()
-			cs.mu.Unlock()
-			return
-		}
-		next := cs.queue[0]
-		cs.queue[0] = queuedCall{}
-		cs.queue = cs.queue[1:]
+// Complete implements Completer for the call that holds the turn.
+func (t *Turn) Complete(v any, err error) {
+	cs := t.cs
+	if t.To != nil {
+		t.To.Complete(v, err)
+	} else if err != nil && cs.OnError != nil {
+		cs.OnError(err)
+	}
+	cs.mu.Lock()
+	cs.pending--
+	if cs.pending == 0 {
+		cs.idle.Broadcast()
 		cs.mu.Unlock()
-		cs.run(next)
-	})
+		return
+	}
+	next := cs.queue[0]
+	cs.queue[0] = nil
+	cs.queue = cs.queue[1:]
+	cs.mu.Unlock()
+	cs.start(next.ctx, next.method, next.args, next)
 }
 
 // Idle reports whether the lane has nothing queued or in flight — the

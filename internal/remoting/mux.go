@@ -53,7 +53,7 @@ type inflightShard struct {
 // the caller. A blocking caller draws one from callPool and parks on rc
 // (capacity 1, never blocks the deliverer). A completion-driven call
 // allocates its own, rc nil and the second group set, and the reader
-// completes it inline through cb: a future costs no goroutine while it
+// completes it inline through to: a future costs no goroutine while it
 // waits.
 type clientCall struct {
 	req  callRequest
@@ -66,17 +66,35 @@ type clientCall struct {
 
 	// Completion-driven calls only. The call holds an in-flight slot from
 	// admission until whoever delivers its outcome releases it; stop
-	// detaches the context.AfterFunc hook once the outcome is decided; bs
-	// and trial carry the peer breaker's verdict to the completion.
-	ref   *ObjRef
-	mc    *muxConn
-	ctx   context.Context
-	cb    func(any, error)
-	of    outFrame
-	stop  func() bool
-	bs    *breakerSet
-	trial bool
+	// detaches the context.AfterFunc hook once the outcome is decided;
+	// cancelled is set by Cancel, for a call not admitted yet; bs and trial
+	// carry the peer breaker's verdict to the completion.
+	ref       *ObjRef
+	mc        *muxConn
+	ctx       context.Context
+	to        Completer
+	of        outFrame
+	stop      func() bool
+	cancelled atomic.Bool
+	bs        *breakerSet
+	trial     bool
 }
+
+// Completer is the caller's end of a completion-driven call: Complete
+// receives the normalized outcome exactly once, on the completion path (the
+// lane's reader goroutine for replies), never on the submitter's stack. An
+// interface, so that a caller with a record of the call hands that over and
+// allocates nothing; CompletionFunc adapts a function.
+type Completer interface{ Complete(v any, err error) }
+
+type CompletionFunc func(any, error)
+
+func (f CompletionFunc) Complete(v any, err error) { f(v, err) }
+
+// InFlight is a submitted completion-driven call as its caller holds it.
+// Cancel abandons the exchange (clientCall.Cancel) unless its outcome is
+// already decided.
+type InFlight interface{ Cancel() }
 
 // callPool recycles the records of blocking exchanges. A record goes back
 // only when its channel is known empty and nobody else holds it: the caller
@@ -136,7 +154,7 @@ func (c *clientCall) deliver(err error) {
 }
 
 // complete reports a completion-driven call's outcome, exactly once: the
-// breaker's evidence, as roundTrip records it, then cb with the normalized
+// breaker's evidence, as roundTrip records it, then to with the normalized
 // reply.
 func (c *clientCall) complete(err error) {
 	if err != nil {
@@ -146,19 +164,30 @@ func (c *clientCall) complete(err error) {
 		c.bs.settle(c.ctx, c.mc.netaddr, c.trial, err)
 	}
 	if err != nil {
-		c.cb(nil, err)
+		c.to.Complete(nil, err)
 		return
 	}
-	c.cb(c.ref.normalize(&c.req, &c.resp))
+	c.to.Complete(c.ref.normalize(&c.req, &c.resp))
 }
 
-// abandon is the cancellation hook of an admitted completion-driven call:
-// as for a sync caller whose ctx ended, the lane stays up and the reader
-// drops the late reply.
-func (c *clientCall) abandon() {
+// Cancel abandons a completion-driven call, for its caller (InFlight) or as
+// the hook on the caller's context: as for a sync caller whose ctx ended,
+// the slot is released, the lane stays up and the reader drops the late
+// reply. A call not admitted yet is refused when pump reaches it.
+func (c *clientCall) Cancel() {
+	c.cancelled.Store(true)
 	if c.mc.take(c.req.Seq) != nil {
-		c.deliver(c.ctx.Err())
+		c.deliver(c.cancelErr())
 	}
+}
+
+// cancelErr is why the call stopped being wanted, nil while it is: its
+// context's error, or context.Canceled once Cancel ran.
+func (c *clientCall) cancelErr() error {
+	if err := c.ctx.Err(); err != nil || !c.cancelled.Load() {
+		return err
+	}
+	return context.Canceled
 }
 
 // refuse fails a call pump admitted but could not start, on a fresh
@@ -779,8 +808,8 @@ func (mc *muxConn) shutdown() {
 // encoded (submission is encode + enqueue). It never blocks: the call
 // either enters the in-flight table immediately (a slot was free and the
 // queue empty) or waits in asyncQ until pump admits it. An error return
-// means the call was not submitted and its cb will never run, the
-// invariant callers rely on to finish the call some other way. cb runs
+// means the call was not submitted and c.to will never hear of it, the
+// invariant callers rely on to finish the call some other way. c.to is told
 // on the lane's reader goroutine (or a cancellation/failure path), never
 // on the submitter's stack.
 func (mc *muxConn) submitAsync(c *clientCall) error {
@@ -835,12 +864,12 @@ func (mc *muxConn) pump() {
 // startAsync registers one admitted async call (its slot is already held)
 // and hands its frame to the writer.
 func (mc *muxConn) startAsync(c *clientCall) {
-	if err := c.ctx.Err(); err != nil {
+	if err := c.cancelErr(); err != nil {
 		c.refuse(err)
 		return
 	}
 	if c.ctx.Done() != nil {
-		c.stop = context.AfterFunc(c.ctx, c.abandon)
+		c.stop = context.AfterFunc(c.ctx, c.Cancel)
 	}
 	if err := mc.register(c.req.Seq, c); err != nil {
 		if c.stop != nil {
@@ -850,6 +879,11 @@ func (mc *muxConn) startAsync(c *clientCall) {
 		return
 	}
 	mc.enqueueFrame(c.of)
+	if c.cancelled.Load() {
+		// Cancel ran between the check above and register and found nothing
+		// to take. Again, off this stack: pump may be below.
+		go c.Cancel()
+	}
 }
 
 // laneForURI stripes completion-driven calls by destination object rather
@@ -869,12 +903,12 @@ func (ch *Channel) laneForURI(uri string) int {
 	return int(h % uint32(n))
 }
 
-// roundTripAsync submits one exchange and returns without waiting: c.cb
+// roundTripAsync submits one exchange and returns without waiting: c.to
 // receives the outcome, on the lane's reader goroutine for replies,
 // exactly once, unless roundTripAsync itself returns an error, in which
-// case the call was never submitted and cb will not run. There is no
+// case the call was never submitted and c.to hears nothing. There is no
 // stale-connection retry here: an enqueued call that dies with its lane
-// reports the failure to cb, and the caller (the SCOOPP proxy re-resolves
+// reports the failure to c.to, and the caller (the SCOOPP proxy re-resolves
 // and retries through the synchronous machinery) picks it up.
 //
 // Breaker accounting mirrors roundTrip exactly, moved into the completion

@@ -253,12 +253,12 @@ func TestNilContextIsBackground(t *testing.T) {
 			t.Fatalf("InvokeCtx(nil): %v, %v", v, err)
 		}
 		done := make(chan error, 1)
-		err := ref.InvokeAsyncCb(nil, "Now", []any{i}, func(v any, err error) {
+		_, err := ref.InvokeAsyncCb(nil, "Now", []any{i}, CompletionFunc(func(v any, err error) {
 			if err == nil && v != i {
 				err = errors.New("wrong echo")
 			}
 			done <- err
-		})
+		}))
 		if err != nil {
 			t.Fatalf("InvokeAsyncCb(nil): %v", err)
 		}
@@ -355,12 +355,12 @@ func TestAsyncAdmissionQueueDrains(t *testing.T) {
 	var wrong atomic.Int64
 	submit := func(i int) {
 		wg.Add(1)
-		err := ref.InvokeAsyncCb(context.Background(), "Now", []any{i}, func(v any, err error) {
+		_, err := ref.InvokeAsyncCb(context.Background(), "Now", []any{i}, CompletionFunc(func(v any, err error) {
 			if err != nil || v != i {
 				wrong.Add(1)
 			}
 			wg.Done()
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}

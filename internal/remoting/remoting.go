@@ -13,7 +13,7 @@
 //     dispatches by method name over the wire, the analogue of
 //     Activator.GetObject + the auto-generated proxy;
 //   - asynchronous calls: InvokeAsyncCb enqueues the request and hands the
-//     outcome to a callback on the reply's arrival, and CallSequencer keeps
+//     outcome to a Completer on the reply's arrival, and CallSequencer keeps
 //     a stream of them in issue order; together the mechanism behind
 //     asynchronous parallel object calls (the delegates of paper Fig. 4),
 //     with no goroutine per call;

@@ -257,9 +257,9 @@ func goInvoke(ref *ObjRef, method string, args ...any) <-chan outcome {
 // submitted reports from a goroutine: start may not complete on its own
 // stack.
 func refSequencer(ref *ObjRef) *CallSequencer {
-	return NewCallSequencerFunc(func(ctx context.Context, method string, args []any, done func(any, error)) {
-		if err := ref.InvokeAsyncCb(ctx, method, args, done); err != nil {
-			go done(nil, err)
+	return NewCallSequencerFunc(func(ctx context.Context, method string, args []any, turn *Turn) {
+		if _, err := ref.InvokeAsyncCb(ctx, method, args, turn); err != nil {
+			go turn.Complete(nil, err)
 		}
 	})
 }

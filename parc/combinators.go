@@ -18,8 +18,9 @@ import (
 // Then returns a Result resolved by fn applied to r's value. fn runs on
 // the completion path once r resolves successfully; an error in r (or a
 // failed conversion to A) skips fn and propagates. A panic in fn resolves
-// the derived Result with an error. (Then is a function rather than a
-// method because Go methods cannot introduce the result type parameter B.)
+// the derived Result with an error, and cancelling the derived Result
+// cancels r. (Then is a function rather than a method because Go methods
+// cannot introduce the result type parameter B.)
 func Then[B any, A any](r *Result[A], fn func(A) (B, error)) *Result[B] {
 	cf := r.f.ThenAny(func(v any, err error) (any, error) {
 		a, err := As[A](v, err)
@@ -28,7 +29,7 @@ func Then[B any, A any](r *Result[A], fn func(A) (B, error)) *Result[B] {
 		}
 		return fn(a)
 	})
-	return &Result[B]{f: cf, cancel: r.cancel}
+	return &Result[B]{f: cf}
 }
 
 // Catch returns a Result that resolves to r's value when the call
@@ -41,7 +42,7 @@ func (r *Result[R]) Catch(fn func(error) (R, error)) *Result[R] {
 		}
 		return fn(err)
 	})
-	return &Result[R]{f: cf, cancel: r.cancel}
+	return &Result[R]{f: cf}
 }
 
 // WhenAll aggregates every input into one Result that resolves when the
@@ -85,10 +86,11 @@ func WhenAll[R any](rs ...*Result[R]) *Result[[]R] {
 var ErrWhenAnyEmpty = errors.New("parc: WhenAny of zero results")
 
 // WhenAny resolves with the first input to complete — success or failure —
-// and cancels the contexts of the losing calls (their servers may still
-// execute them; cancellation aborts the wait, not the work already
-// dispatched). Abandoned losers still drain through their own futures, so
-// nothing leaks.
+// and cancels the losing calls: each loser resolves with context.Canceled,
+// gives back its in-flight slot and has its late reply dropped (its server
+// may still execute it; cancellation aborts the wait, not the work already
+// dispatched). A loser derived by Then, Catch or Pipeline cancels the call
+// it is waiting on.
 func WhenAny[R any](rs ...*Result[R]) *Result[R] {
 	f, resolve := core.NewPromise()
 	out := &Result[R]{f: f}
@@ -103,8 +105,8 @@ func WhenAny[R any](rs ...*Result[R]) *Result[R] {
 		}
 		resolve(v, err)
 		for j, l := range rs {
-			if j != idx && l.cancel != nil {
-				l.cancel()
+			if j != idx {
+				l.f.Cancel()
 			}
 		}
 	}

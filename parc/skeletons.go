@@ -120,20 +120,18 @@ func pipeOne[R any, T any](ctx context.Context, g *Group[T], method string, item
 		cur = thenCall(ctx, cur, g.objs[s], method)
 	}
 	// The last stage's untyped future, read as R.
-	return &Result[R]{f: cur.f, cancel: cur.cancel}
+	return &Result[R]{f: cur.f}
 }
 
 // thenCall flat-maps a future into the next stage's call: when prev
 // resolves, the stage call is issued from the completion path and the
-// returned future adopts its outcome.
+// returned future adopts its outcome. Cancelling it cancels whichever of
+// the two is pending, so a cancelled item abandons the stage it is in.
 func thenCall[T any](ctx context.Context, prev *Result[any], o *Object[T], method string) *Result[any] {
-	f, resolve := core.NewPromise()
-	prev.f.OnComplete(func(v any, err error) {
+	return &Result[any]{f: core.Chain(prev.f, func(v any, err error) *Future {
 		if err != nil {
-			resolve(nil, err)
-			return
+			return core.ResolvedFuture(nil, err)
 		}
-		CallAsync[any](ctx, o, method, v).f.OnComplete(resolve)
-	})
-	return &Result[any]{f: f, cancel: prev.cancel}
+		return CallAsync[any](ctx, o, method, v).f
+	})}
 }

@@ -133,28 +133,20 @@ func Call[R any, T any](ctx context.Context, o *Object[T], method string, args .
 // CallAsync starts a synchronous-style call without blocking and returns a
 // typed future (the delegate BeginInvoke pattern of the paper's Fig. 4).
 // The call rides the completion path: no goroutine parks per outstanding
-// Result, and Then/Catch continuations chain on reply arrival. The
-// returned Result owns a derived context, which WhenAny uses to cancel
-// the losing calls.
+// Result, and Then/Catch continuations chain on reply arrival. ctx bounds
+// the call as it is, with no context derived from it: the Result resolves
+// with ctx's error when ctx ends first, and the call itself is what
+// WhenAny cancels when it loses.
 func CallAsync[R any, T any](ctx context.Context, o *Object[T], method string, args ...any) *Result[R] {
 	if err := checkMethod[T](method); err != nil {
 		return failed[R](err)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	f := o.p.InvokeAsyncCtx(cctx, method, args...)
-	// Release the derived context as soon as the call resolves, so a
-	// parent with a deadline does not accumulate dead timer children.
-	f.OnComplete(func(any, error) { cancel() })
-	return &Result[R]{f: f, cancel: cancel}
+	return &Result[R]{f: o.p.InvokeAsyncCtx(ctx, method, args...)}
 }
 
 // Result is the typed future returned by CallAsync.
 type Result[R any] struct {
-	f      *Future
-	cancel context.CancelFunc // cancels the underlying call; may be nil
+	f *Future
 
 	// once memoizes the converted outcome: repeated Get calls return the
 	// same (value, error) pair, including after an error — the underlying
