@@ -120,7 +120,7 @@ func beginInvoke(ref *remoting.ObjRef, method string, args ...any) (endInvoke fu
 		err error
 	}
 	done := make(chan outcome, 1)
-	if _, err := ref.InvokeAsyncCb(context.Background(), method, args, remoting.CompletionFunc(func(v any, err error) {
+	if err := ref.InvokeAsyncCb(context.Background(), new(remoting.CallRecord), method, args, remoting.CompletionFunc(func(v any, err error) {
 		done <- outcome{v, err}
 	})); err != nil {
 		done <- outcome{nil, err}

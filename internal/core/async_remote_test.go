@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -292,4 +293,91 @@ func TestCancelQueuedCallIsDeclined(t *testing.T) {
 		<-l.entered
 		check(t, p, l)
 	})
+}
+
+// TestStartAsyncOnCallerStorage: a call started in storage its caller
+// supplies, one slab for the lot, behaves as InvokeAsyncCtx's does in every
+// mode: each future lives in its slab entry, resolves to its own value, the
+// calls execute once each, in issue order between InvokeAsyncCtx calls
+// interleaved with them where the mode orders asynchronous calls (calls on
+// an idle remote lane pipeline on the connection), and one cancelled while
+// it waits resolves with context.Canceled and never runs.
+func TestStartAsyncOnCallerStorage(t *testing.T) {
+	single := func(mutate func(int, *Config)) func(t *testing.T) (*Proxy, *orderLog) {
+		return func(t *testing.T) (*Proxy, *orderLog) {
+			l := &orderLog{entered: make(chan struct{}, 4), release: make(chan struct{})}
+			rt := startNodes(t, 1, mutate)[0]
+			rt.RegisterClass("orderlog", func() any { return l })
+			p, err := rt.NewParallelObject("orderlog")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p, l
+		}
+	}
+	for _, mode := range []struct {
+		name    string
+		start   func(t *testing.T) (*Proxy, *orderLog)
+		first   int  // the value the next call to execute carries
+		waits   bool // calls wait behind a held one until the log opens
+		ordered bool
+	}{
+		{"local", single(nil), 1, false, true},
+		{"agglomerated", single(func(_ int, cfg *Config) { cfg.Agglomeration = AlwaysAgglomerate{} }), 1, false, true},
+		{"remote", func(t *testing.T) (*Proxy, *orderLog) {
+			p, l, _ := heldRemote(t)
+			l.open()
+			p.Wait()
+			return p, l
+		}, 2, false, false},
+		{"remote behind a post", func(t *testing.T) (*Proxy, *orderLog) {
+			p, l, _ := heldRemote(t)
+			return p, l
+		}, 2, true, true},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			p, l := mode.start(t)
+			const n = 32
+			ctx := context.Background()
+			slab := make([]AsyncCall, n)
+			futs := make([]*Future, 2*n)
+			for i := 0; i < n; i++ {
+				futs[2*i] = p.StartAsync(ctx, &slab[i], "Echo", []any{mode.first + 2*i})
+				futs[2*i+1] = p.InvokeAsyncCtx(ctx, "Echo", mode.first+2*i+1)
+				if futs[2*i] != &slab[i].fut {
+					t.Fatalf("call %d: the future is not the one in the caller's storage", i)
+				}
+			}
+			cancelled := -1
+			if mode.waits {
+				cancelled = 2 * 7
+				futs[cancelled].Cancel()
+				if _, err := futs[cancelled].Get(); !errors.Is(err, context.Canceled) {
+					t.Errorf("cancelled while it waited: %v, want context.Canceled", err)
+				}
+				l.open()
+			}
+			var want []int
+			for i := 1; i < mode.first; i++ {
+				want = append(want, i) // heldRemote's Hold
+			}
+			for i, f := range futs {
+				if i == cancelled {
+					continue
+				}
+				v := mode.first + i
+				want = append(want, v)
+				if got, err := f.Get(); err != nil || got != v {
+					t.Errorf("call %d = %v, %v, want %d", i, got, err, v)
+				}
+			}
+			got := l.order()
+			if !mode.ordered {
+				sort.Ints(got)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("executed %v, want %v", got, want)
+			}
+		})
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -427,8 +428,9 @@ func TestAbandonedCallKeepsItsArguments(t *testing.T) {
 
 // TestAllocBudgetFutureCompletion: a future that is subscribed to and then
 // resolved is the Future and nothing else: the first continuation is stored
-// in it as given, with no wrapper and no slice, and so is the derived
-// future of a ThenAny.
+// in it as given, with no wrapper and no slice, whether it is told the
+// outcome (OnComplete) or the outcome and the index it was registered under
+// (OnCompleteAt), and so is the derived future of a ThenAny.
 func TestAllocBudgetFutureCompletion(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -445,6 +447,18 @@ func TestAllocBudgetFutureCompletion(t *testing.T) {
 	if ran != 1001 {
 		t.Errorf("continuation ran %d times in 1001 completions", ran)
 	}
+	at := 0
+	fnAt := func(i int, _ any, _ error) { at += i }
+	if n := testing.AllocsPerRun(1000, func() {
+		f := &Future{}
+		f.OnCompleteAt(3, fnAt)
+		f.complete(nil, nil)
+	}); n != 1 {
+		t.Errorf("OnCompleteAt + complete on a fresh Future: %.0f allocs, want 1", n)
+	}
+	if at != 3*1001 {
+		t.Errorf("indexed continuations were told indices summing to %d in 1001 completions, want %d", at, 3*1001)
+	}
 	then := func(v any, err error) (any, error) { return v, err }
 	if n := testing.AllocsPerRun(1000, func() {
 		f := &Future{}
@@ -456,4 +470,63 @@ func TestAllocBudgetFutureCompletion(t *testing.T) {
 	}); n != 2 {
 		t.Errorf("ThenAny + complete: %.0f allocs, want 2 (the two futures)", n)
 	}
+}
+
+// TestUnknownMethodNamesAreNotRetained: the server takes a call's method
+// name from the invoker registry when it is there and copies it when it is
+// not, so a peer that sends ten thousand names no class has, on one bound
+// handle, is told ErrNoSuchMethod each time and leaves nothing behind: the
+// registry knows none of them afterwards and the heap is no larger.
+func TestUnknownMethodNamesAreNotRetained(t *testing.T) {
+	rt := startNodes(t, 1, nil)[0]
+	rt.RegisterClass("probe", func() any { return &probeObj{} })
+	p, err := rt.NewParallelObject("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The object's own endpoint, reached as a remote caller reaches it.
+	ref := remoting.NewObjRef(rt.cfg.Channel, rt.Addr(), p.URI())
+	ctx := context.Background()
+	twice := func() {
+		t.Helper()
+		if v, err := ref.InvokeNestedCtx(ctx, "Invoke1", "Twice", []any{21}); err != nil || v != 42 {
+			t.Fatalf("Twice(21) = %v, %v", v, err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		twice() // bind the handle; compact from here on
+	}
+	if s, ok := dispatch.MethodName([]byte("Twice")); !ok || s != "Twice" {
+		t.Fatalf("MethodName(Twice) = %q, %v: the registered name is not in the registry", s, ok)
+	}
+	const names = 10000
+	unknown := func(i int) string { return fmt.Sprintf("Twic%d", i) } // a registered name's prefix, then not
+	send := func() {
+		t.Helper()
+		for i := 0; i < names; i++ {
+			if _, err := ref.InvokeNestedCtx(ctx, "Invoke1", unknown(i), nil); !errors.Is(err, errs.ErrNoSuchMethod) {
+				t.Fatalf("%s: %v, want ErrNoSuchMethod", unknown(i), err)
+			}
+		}
+	}
+	heapObjects := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	send() // whatever grows once (pools, maps, the mailbox) grows here
+	before := heapObjects()
+	send()
+	after := heapObjects()
+	if after > before+names/10 {
+		t.Errorf("heap objects %d before %d unknown names, %d after: the node keeps them", before, names, after)
+	}
+	for i := 0; i < names; i += 97 {
+		if s, ok := dispatch.MethodName([]byte(unknown(i))); ok {
+			t.Fatalf("the registry now knows %q", s)
+		}
+	}
+	twice()
 }

@@ -14,15 +14,18 @@ import (
 const maxInlineDepth = 8
 
 // sub is one registered continuation, stored as given: fn to tell
-// (OnComplete), or child to resolve with what then makes of the outcome
+// (OnComplete), at to tell with the index i it was registered under
+// (OnCompleteAt), or child to resolve with what then makes of the outcome
 // (ThenAny; a nil then passes the outcome on).
 type sub struct {
 	fn    func(any, error)
+	at    func(int, any, error)
+	i     int
 	then  func(any, error) (any, error)
 	child *Future
 }
 
-func (s sub) isSet() bool { return s.fn != nil || s.child != nil }
+func (s sub) isSet() bool { return s.fn != nil || s.at != nil || s.child != nil }
 
 // canceller is what a Future abandons when it is cancelled: the call in
 // flight on a connection, or the future this one waits on.
@@ -140,6 +143,8 @@ func (f *Future) deliver(s sub, depth int) {
 		} else {
 			go hop()
 		}
+	case s.at != nil:
+		s.at(s.i, f.val, f.err)
 	case s.child == nil:
 		s.fn(f.val, f.err)
 	case s.then == nil:
@@ -173,6 +178,11 @@ func (f *Future) subscribe(s sub) {
 // for remote calls the completion path is the connection's reader
 // goroutine, shared by every caller on that lane.
 func (f *Future) OnComplete(fn func(any, error)) { f.subscribe(sub{fn: fn}) }
+
+// OnCompleteAt is OnComplete for an aggregate: fn is told which of its
+// members resolved, so the one fn is registered as it is on every member and
+// no closure is built per member to carry the index.
+func (f *Future) OnCompleteAt(i int, fn func(int, any, error)) { f.subscribe(sub{at: fn, i: i}) }
 
 // ThenAny returns a future resolved by fn applied to this future's
 // outcome. fn runs on the completion path (bounded inline depth, overflow

@@ -93,21 +93,25 @@ func newRemoteProxy(rt *Runtime, class, uri, addr string, gen uint64) *Proxy {
 // initSeq installs the ordered asynchronous lane. Every queued call is
 // started against the endpoint current at its turn and re-run through
 // invokeVia when that fails — that is what keeps one proxy's call stream
-// ordered across a migration. An InvokeAsyncCtx whose future was resolved
-// while it waited (cancelled, or its ctx ended) is declined at its turn:
-// nothing is sent, and the lane moves on, from a fresh goroutine as every
-// start must.
+// ordered across a migration. A post is given its attempt here; a StartAsync
+// brought its own (laneEntry), and one whose future was resolved while it
+// waited (cancelled, or its ctx ended) is declined at its turn: nothing is
+// sent, and the lane moves on, from a fresh goroutine as every start must.
 func (p *Proxy) initSeq() {
 	p.seq = remoting.NewCallSequencerFunc(func(ctx context.Context, method string, args []any, turn *remoting.Turn) {
-		a := &attempt{p: p, ctx: ctx, call: remoteCall{method: method, args: args}, turn: turn}
-		if e, ok := turn.To.(*laneEntry); ok {
-			e.stop() // from here the connection, or rerun, watches ctx
-			if a.f = &e.Future; a.f.resolved() {
-				go turn.Complete(nil, context.Canceled)
-				return
-			}
+		e, ok := turn.To.(*laneEntry)
+		if !ok {
+			a := &attempt{p: p, ctx: ctx, call: remoteCall{method: method, args: args}, turn: turn}
+			a.start()
+			return
 		}
-		a.start()
+		e.stop() // from here the connection, or rerun, watches ctx
+		if e.fut.resolved() {
+			go turn.Complete(nil, context.Canceled)
+			return
+		}
+		e.try.turn = turn
+		e.try.start()
 	})
 	p.seq.OnError = p.noteAsyncError
 }
@@ -421,63 +425,75 @@ func (p *Proxy) InvokeAsync(method string, args ...any) *Future {
 // resolves the Future when the reply frame arrives; one whose lane holds
 // earlier calls queues this one behind them (see submitRemote).
 func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) *Future {
+	return p.StartAsync(ctx, new(AsyncCall), method, args)
+}
+
+// StartAsync is InvokeAsyncCtx in storage the caller supplies: c, zero, is
+// everything the runtime keeps for the call, so a caller that allocates it
+// inside its own record of the call, or a wave of them as one slab, pays
+// nothing more. The Future returned lives in c; c serves this one call.
+func (p *Proxy) StartAsync(ctx context.Context, c *AsyncCall, method string, args []any) *Future {
 	p.rt.stats.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c := &asyncCall{}
-	c.exec = p.rt.contExec()
-	c.attempt = attempt{p: p, ctx: ctx, call: invoke1(method, args), f: &c.Future}
+	c.fut.exec = p.rt.contExec()
+	c.try.p, c.try.ctx, c.try.call, c.try.f = p, ctx, invoke1(method, args), &c.fut
 	switch mode, act := p.state(); mode {
 	case modeAgglomerated:
-		c.Future.complete(p.invokeInCaller(ctx, method, args))
+		c.fut.complete(p.invokeInCaller(ctx, method, args))
 	case modeLocalActive:
 		c.submitLocal(act)
 	default:
 		c.submitRemote()
 	}
-	return &c.Future
+	return &c.fut
 }
 
-// asyncCall is what InvokeAsyncCtx allocates: the Future it hands back and,
-// in the same object, the attempt the call is made with. stop detaches the
-// Future's cancelHook, which a call has while it waits in a queue.
-type asyncCall struct {
-	Future
-	attempt
+// AsyncCall is one asynchronous call as the runtime holds it: the Future
+// handed back and, in the same object, the attempt the call is made with,
+// which carries the connection's record of the exchange (unused by a call
+// that stays on this node). stop detaches the Future's cancelHook, which a
+// call has while it waits in a queue. The zero value is ready for StartAsync.
+type AsyncCall struct {
+	fut  Future
+	try  attempt
 	stop func() bool
 }
 
 // attempt is one completion-driven try at call against the proxy's current
 // endpoint, and the remoting.Completer the connection reports it to. f is
 // the caller's future, nil for a post; turn is the lane turn the call
-// holds, nil for a call that went straight to its connection.
+// holds, nil for a call that went straight to its connection; rec is the
+// connection's for the one submission start makes.
 type attempt struct {
 	p    *Proxy
 	ctx  context.Context
 	call remoteCall
 	f    *Future
 	turn *remoting.Turn
+	rec  remoting.CallRecord
 }
 
-// laneEntry is an asyncCall as the lane holds it: the turn's outcome is the
+// laneEntry is an AsyncCall as the lane holds it: the turn's outcome is the
 // Future's.
-type laneEntry asyncCall
+type laneEntry AsyncCall
 
-func (e *laneEntry) Complete(v any, err error) { e.Future.complete(v, err) }
+func (e *laneEntry) Complete(v any, err error) { e.fut.complete(v, err) }
 
 // submitLocal enqueues the call on the hosting actor's mailbox. A task whose
 // Future is resolved when its turn comes is skipped.
-func (c *asyncCall) submitLocal(act *actor) {
-	p, f := c.p, &c.Future
-	c.stop = cancelHook(c.ctx, f)
-	err := act.enqueue(actorTask{ctx: c.ctx, method: c.call.sub, args: c.call.args, fut: f, done: func(v any, err error) {
+func (c *AsyncCall) submitLocal(act *actor) {
+	a, f := &c.try, &c.fut
+	p := a.p
+	c.stop = cancelHook(a.ctx, f)
+	err := act.enqueue(actorTask{ctx: a.ctx, method: a.call.sub, args: a.call.args, fut: f, done: func(v any, err error) {
 		c.stop()
 		if mv, ok := movedOf(err, p.uri); ok {
 			// The object was taken from this node with the call still
 			// queued: follow it, off the actor loop.
 			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-			c.rerun()
+			a.rerun()
 			return
 		}
 		f.complete(v, err)
@@ -502,15 +518,17 @@ func (c *asyncCall) submitLocal(act *actor) {
 // the single-caller pattern) and the request goes straight to its
 // connection, where calls to one object pipeline. Otherwise it takes its
 // turn on the lane, behind the posted calls and any aggregate they were
-// buffered in, and ahead of whatever is posted next.
-func (c *asyncCall) submitRemote() {
-	c.p.FlushAggregation()
-	if seq := c.p.sequencer(); !seq.Idle() {
-		c.stop = cancelHook(c.ctx, &c.Future)
-		seq.Call(c.ctx, c.call.method, []any{c.call.sub, c.call.args}, (*laneEntry)(c))
+// buffered in, and ahead of whatever is posted next; the entry is its own
+// attempt, so the lane is told the method and no argument list.
+func (c *AsyncCall) submitRemote() {
+	a := &c.try
+	a.p.FlushAggregation()
+	if seq := a.p.sequencer(); !seq.Idle() {
+		c.stop = cancelHook(a.ctx, &c.fut)
+		seq.Call(a.ctx, a.call.method, nil, (*laneEntry)(c))
 		return
 	}
-	c.start()
+	a.start()
 }
 
 // cancelHook resolves f with ctx.Err() as soon as ctx ends, for a call that
@@ -534,17 +552,16 @@ func (a *attempt) start() {
 			a.ctx = remoting.ContextWithToken(a.ctx, a.p.rt.cfg.Channel.NewCallToken())
 		}
 	}
-	var inFlight remoting.InFlight
 	var err error
 	if c, ref := a.call, a.p.endpoint(); c.nested {
-		inFlight, err = ref.InvokeNestedAsyncCb(a.ctx, c.method, c.sub, c.args, a)
+		err = ref.InvokeNestedAsyncCb(a.ctx, &a.rec, c.method, c.sub, c.args, a)
 	} else {
-		inFlight, err = ref.InvokeAsyncCb(a.ctx, c.method, c.args, a)
+		err = ref.InvokeAsyncCb(a.ctx, &a.rec, c.method, c.args, a)
 	}
 	if err != nil {
 		a.rerun()
 	} else if a.f != nil {
-		a.f.setAbort(inFlight)
+		a.f.setAbort(&a.rec)
 	}
 }
 

@@ -190,7 +190,7 @@ func decodeInto[T callRequest | callResponse](raw []byte, dst *T) (borrowed bool
 // does the exchange, leaving the reply in c.resp, and its outcome is the
 // breaker's evidence. When ctx ends first the call is abandoned (the lane
 // stays up for its other callers) and reports ctx.Err().
-func (ch *Channel) roundTrip(ctx context.Context, netaddr string, c *clientCall) error {
+func (ch *Channel) roundTrip(ctx context.Context, netaddr string, c *CallRecord) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("remoting: call %s.%s: %w", c.req.URI, c.req.Method, err)
 	}

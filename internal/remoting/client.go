@@ -68,7 +68,7 @@ func (r *ObjRef) Invoke(method string, args ...any) (any, error) {
 // server that executed a lost-reply attempt replays the recorded reply
 // instead of executing again.
 func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any, error) {
-	c := getClientCall()
+	c := getCallRecord()
 	c.req.Method, c.req.Args = method, args
 	return r.invoke(ctx, c)
 }
@@ -77,7 +77,7 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 // shape: same bytes on the wire, same result, and the two-element list is
 // built neither here nor, at a NestedInvoker, there.
 func (r *ObjRef) InvokeNestedCtx(ctx context.Context, method, sub string, args []any) (any, error) {
-	c := getClientCall()
+	c := getCallRecord()
 	c.req.Method, c.req.sub, c.req.Args, c.req.nested = method, sub, args, true
 	return r.invoke(ctx, c)
 }
@@ -101,8 +101,8 @@ func (r *ObjRef) address(ctx context.Context, req *callRequest) context.Context 
 
 // invoke runs the blocking call whose method and arguments c.req names,
 // retry loop included, and settles the record.
-func (r *ObjRef) invoke(ctx context.Context, c *clientCall) (any, error) {
-	defer putClientCall(c)
+func (r *ObjRef) invoke(ctx context.Context, c *CallRecord) (any, error) {
+	defer putCallRecord(c)
 	ctx = r.address(ctx, &c.req)
 	p := r.ch.Retry
 	if !p.Enabled() || retryDisabled(ctx) {
@@ -134,7 +134,7 @@ func (r *ObjRef) invoke(ctx context.Context, c *clientCall) (any, error) {
 
 // invokeOnce is a single attempt: one roundTrip plus reply normalization
 // into Go errors.
-func (r *ObjRef) invokeOnce(ctx context.Context, c *clientCall) (any, error) {
+func (r *ObjRef) invokeOnce(ctx context.Context, c *CallRecord) (any, error) {
 	if err := r.ch.roundTrip(ctx, r.netaddr, c); err != nil {
 		return nil, err
 	}
@@ -162,31 +162,37 @@ func (r *ObjRef) normalize(req *callRequest, resp *callResponse) (any, error) {
 	return nil, re
 }
 
-// InvokeAsyncCb starts one completion-driven invocation attempt: the
-// request is encoded and enqueued on its lane and the method returns
-// immediately; to receives the normalized outcome exactly once, on the
-// completion path (the lane's reader goroutine for replies), and the
-// returned handle cancels the call. An error return means the call was not
-// submitted and to will never hear of it. Unlike InvokeCtx there is no
-// retry loop here: a single attempt, whose failure the caller decides how
-// to recover (the SCOOPP proxy re-runs transient failures through the full
-// synchronous re-routing machinery).
-func (r *ObjRef) InvokeAsyncCb(ctx context.Context, method string, args []any, to Completer) (InFlight, error) {
-	return r.invokeAsync(ctx, &clientCall{req: callRequest{Method: method, Args: args}, to: to})
+// InvokeAsyncCb starts one completion-driven invocation attempt on c, a
+// zero CallRecord the caller supplies (usually a field of its own record of
+// the call) and leaves alone until the outcome is in: the request is encoded
+// and enqueued on its lane and the method returns immediately; to receives
+// the normalized outcome exactly once, on the completion path (the lane's
+// reader goroutine for replies), and c.Cancel abandons the call. An error
+// return means the call was not submitted and to will never hear of it.
+// Unlike InvokeCtx there is no retry loop here: a single attempt, whose
+// failure the caller decides how to recover (the SCOOPP proxy re-runs
+// transient failures through the full synchronous re-routing machinery,
+// which draws its own records). A record serves one submission.
+func (r *ObjRef) InvokeAsyncCb(ctx context.Context, c *CallRecord, method string, args []any, to Completer) error {
+	c.req.Method, c.req.Args = method, args
+	return r.invokeAsync(ctx, c, to)
 }
 
 // InvokeNestedAsyncCb is to InvokeAsyncCb what InvokeNestedCtx is to
 // InvokeCtx.
-func (r *ObjRef) InvokeNestedAsyncCb(ctx context.Context, method, sub string, args []any, to Completer) (InFlight, error) {
-	return r.invokeAsync(ctx, &clientCall{req: callRequest{Method: method, sub: sub, Args: args, nested: true}, to: to})
+func (r *ObjRef) InvokeNestedAsyncCb(ctx context.Context, c *CallRecord, method, sub string, args []any, to Completer) error {
+	c.req.Method, c.req.sub, c.req.Args, c.req.nested = method, sub, args, true
+	return r.invokeAsync(ctx, c, to)
 }
 
-func (r *ObjRef) invokeAsync(ctx context.Context, c *clientCall) (InFlight, error) {
-	c.ref, c.ctx = r, r.address(ctx, &c.req)
-	if err := r.ch.roundTripAsync(r.netaddr, c); err != nil {
-		return nil, err
+func (r *ObjRef) invokeAsync(ctx context.Context, c *CallRecord, to Completer) error {
+	countRecord(recordDrawn)
+	c.ref, c.to, c.ctx = r, to, r.address(ctx, &c.req)
+	err := r.ch.roundTripAsync(r.netaddr, c)
+	if err != nil {
+		countRecord(recordReturned)
 	}
-	return c, nil
+	return err
 }
 
 // OneWayTimeout invokes method on a goroutine of its own, bounded by a

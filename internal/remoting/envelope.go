@@ -61,6 +61,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/dispatch"
 	"repro/internal/wire"
 )
 
@@ -174,7 +175,15 @@ func decodeBoundCall(raw []byte, req *callRequest, argv []any) (handle uint32, b
 	if d.Err() == nil && nestedShape(raw[len(raw)-d.Rest():]) {
 		d.RawByte()    // the outer list's tag
 		d.RawUvarint() // and its count, 2
-		req.sub, req.nested = d.String(), true
+		// The name is read where it lies and the string taken from the
+		// invoker registry, which only this node's init fills; a name no
+		// thunk is registered under is copied.
+		name := d.StringRaw()
+		sub, known := dispatch.MethodName(name)
+		if !known {
+			sub = string(name)
+		}
+		req.sub, req.nested = sub, true
 	}
 	req.Args = d.AnySliceInto(argv)
 	borrowed = d.Borrowed()

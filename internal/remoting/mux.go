@@ -44,18 +44,20 @@ const inflightShards = 16
 // never a silently dropped caller.
 type inflightShard struct {
 	mu     sync.Mutex
-	m      map[uint64]*clientCall
+	m      map[uint64]*CallRecord
 	closed bool
 }
 
-// clientCall is the client's record of one exchange: the request, the
+// CallRecord is the client's record of one exchange: the request, the
 // response the lane's reader decodes into it, and how the outcome reaches
 // the caller. A blocking caller draws one from callPool and parks on rc
-// (capacity 1, never blocks the deliverer). A completion-driven call
-// allocates its own, rc nil and the second group set, and the reader
-// completes it inline through to: a future costs no goroutine while it
-// waits.
-type clientCall struct {
+// (capacity 1, never blocks the deliverer). A completion-driven call brings
+// its own, zero, as part of whatever the caller allocates for the call
+// (InvokeAsyncCb): rc stays nil, the second group is set, and the reader
+// completes it inline through to, so a future costs neither a goroutine
+// while it waits nor an allocation of the connection's. The connection holds
+// the record from submission until to has been told.
+type CallRecord struct {
 	req  callRequest
 	resp callResponse
 	rc   chan error
@@ -91,21 +93,17 @@ type CompletionFunc func(any, error)
 
 func (f CompletionFunc) Complete(v any, err error) { f(v, err) }
 
-// InFlight is a submitted completion-driven call as its caller holds it.
-// Cancel abandons the exchange (clientCall.Cancel) unless its outcome is
-// already decided.
-type InFlight interface{ Cancel() }
-
 // callPool recycles the records of blocking exchanges. A record goes back
 // only when its channel is known empty and nobody else holds it: the caller
 // received its single outcome, it was never registered, or take returned it
 // to the caller that abandoned the call.
-var callPool = sync.Pool{New: func() any { return &clientCall{rc: make(chan error, 1)} }}
+var callPool = sync.Pool{New: func() any { return &CallRecord{rc: make(chan error, 1)} }}
 
-// recordAudit, when a test installs one, counts the pooled call records of
-// both ends (clientCall here, serverCall in server.go) as they are drawn,
-// returned, and let go on purpose; drawn must equal the other two once
-// everything is closed. Nothing installs or reads it in production.
+// recordAudit, when a test installs one, counts the call records of both
+// ends (CallRecord here, serverCall in server.go) as they are drawn from a
+// pool or taken from a caller, returned, and let go on purpose; drawn must
+// equal the other two once everything is closed. Nothing installs or reads
+// it in production.
 var recordAudit atomic.Pointer[[3]atomic.Int64]
 
 const (
@@ -120,27 +118,27 @@ func countRecord(event int) {
 	}
 }
 
-func getClientCall() *clientCall {
+func getCallRecord() *CallRecord {
 	countRecord(recordDrawn)
-	return callPool.Get().(*clientCall)
+	return callPool.Get().(*CallRecord)
 }
 
-// putClientCall settles a blocking call's record: back to the pool emptied,
+// putCallRecord settles a blocking call's record: back to the pool emptied,
 // so it pins neither arguments nor result, or left to the GC when lost.
-func putClientCall(c *clientCall) {
+func putCallRecord(c *CallRecord) {
 	if c.lost {
 		countRecord(recordDropped)
 		return
 	}
 	countRecord(recordReturned)
-	*c = clientCall{rc: c.rc}
+	*c = CallRecord{rc: c.rc}
 	callPool.Put(c)
 }
 
 // deliver hands the exchange its outcome (resp is filled when err is nil).
 // A completion-driven call detaches its hook and returns its slot first,
 // waking queued async work, so a slow continuation cannot idle the pipe.
-func (c *clientCall) deliver(err error) {
+func (c *CallRecord) deliver(err error) {
 	if c.rc != nil {
 		c.rc <- err
 		return
@@ -155,26 +153,28 @@ func (c *clientCall) deliver(err error) {
 
 // complete reports a completion-driven call's outcome, exactly once: the
 // breaker's evidence, as roundTrip records it, then to with the normalized
-// reply.
-func (c *clientCall) complete(err error) {
+// reply. The record is the caller's again before to hears: nothing here
+// touches it afterwards.
+func (c *CallRecord) complete(err error) {
 	if err != nil {
 		err = c.mc.callErr(&c.req, err)
 	}
 	if c.bs != nil {
 		c.bs.settle(c.ctx, c.mc.netaddr, c.trial, err)
 	}
-	if err != nil {
-		c.to.Complete(nil, err)
-		return
+	var v any
+	if err == nil {
+		v, err = c.ref.normalize(&c.req, &c.resp)
 	}
-	c.to.Complete(c.ref.normalize(&c.req, &c.resp))
+	countRecord(recordReturned)
+	c.to.Complete(v, err)
 }
 
-// Cancel abandons a completion-driven call, for its caller (InFlight) or as
-// the hook on the caller's context: as for a sync caller whose ctx ended,
+// Cancel abandons a completion-driven call, for its caller or as the hook on
+// the caller's context: as for a sync caller whose ctx ended,
 // the slot is released, the lane stays up and the reader drops the late
 // reply. A call not admitted yet is refused when pump reaches it.
-func (c *clientCall) Cancel() {
+func (c *CallRecord) Cancel() {
 	c.cancelled.Store(true)
 	if c.mc.take(c.req.Seq) != nil {
 		c.deliver(c.cancelErr())
@@ -183,7 +183,7 @@ func (c *clientCall) Cancel() {
 
 // cancelErr is why the call stopped being wanted, nil while it is: its
 // context's error, or context.Canceled once Cancel ran.
-func (c *clientCall) cancelErr() error {
+func (c *CallRecord) cancelErr() error {
 	if err := c.ctx.Err(); err != nil || !c.cancelled.Load() {
 		return err
 	}
@@ -193,7 +193,7 @@ func (c *clientCall) cancelErr() error {
 // refuse fails a call pump admitted but could not start, on a fresh
 // goroutine: pump may be on the submitter's or the reader's stack, and a
 // callback chain that posts follow-up calls must not recurse into it.
-func (c *clientCall) refuse(err error) {
+func (c *CallRecord) refuse(err error) {
 	<-c.mc.slots
 	c.of.release()
 	go c.complete(err)
@@ -260,7 +260,7 @@ type muxConn struct {
 	// wait here (instead of parking a goroutine on slots) until pump moves
 	// them into the in-flight table. Unbounded — the futures are the queue.
 	asyncMu     sync.Mutex
-	asyncQ      []*clientCall
+	asyncQ      []*CallRecord
 	asyncClosed bool
 
 	mu      sync.Mutex
@@ -429,7 +429,7 @@ func (ch *Channel) getMux(netaddr string, lane int) (mc *muxConn, fresh bool, er
 				ready:   make(chan struct{}),
 			}
 			for i := range mc.inflight {
-				mc.inflight[i].m = make(map[uint64]*clientCall)
+				mc.inflight[i].m = make(map[uint64]*CallRecord)
 			}
 			if ch.muxPeers == nil {
 				ch.muxPeers = make(map[muxKey]*muxConn)
@@ -523,7 +523,7 @@ func (ch *Channel) removeMux(mc *muxConn) {
 // Encoding happens per lane, in call, because the envelope variant depends
 // on the lane's bind table (envelope.go); the retry re-encodes on the fresh
 // lane, so a reconnect transparently falls back to string envelopes.
-func (ch *Channel) muxRoundTrip(ctx context.Context, netaddr string, c *clientCall) error {
+func (ch *Channel) muxRoundTrip(ctx context.Context, netaddr string, c *CallRecord) error {
 	lane := 0
 	if n := ch.laneCount(); n > 1 {
 		lane = int(c.req.Seq % uint64(n))
@@ -547,7 +547,7 @@ func (ch *Channel) muxRoundTrip(ctx context.Context, netaddr string, c *clientCa
 // lane already failed (the per-shard closed flag makes the race with fail
 // safe: an entry either lands before the drain and is errored there, or
 // the register observes closed).
-func (mc *muxConn) register(seq uint64, w *clientCall) error {
+func (mc *muxConn) register(seq uint64, w *CallRecord) error {
 	sh := &mc.inflight[seq&(inflightShards-1)]
 	sh.mu.Lock()
 	if sh.closed {
@@ -563,7 +563,7 @@ func (mc *muxConn) register(seq uint64, w *clientCall) error {
 // call was abandoned (or the lane failed). Exactly one of the reader, the
 // cancellation hook and fail takes any given waiter, so the outcome is
 // delivered exactly once.
-func (mc *muxConn) take(seq uint64) *clientCall {
+func (mc *muxConn) take(seq uint64) *CallRecord {
 	sh := &mc.inflight[seq&(inflightShards-1)]
 	sh.mu.Lock()
 	w := sh.m[seq]
@@ -591,7 +591,7 @@ func (mc *muxConn) enqueueFrame(of outFrame) {
 // table, acquire an in-flight slot, register the sequence number, hand the
 // frame to the writer and wait for the reader to deliver the matching
 // response into c.resp (or for the lane to fail, or ctx to end).
-func (mc *muxConn) call(ctx context.Context, c *clientCall) error {
+func (mc *muxConn) call(ctx context.Context, c *CallRecord) error {
 	raw, enc, err := mc.encodeRequest(&c.req)
 	if err != nil {
 		return err
@@ -812,7 +812,7 @@ func (mc *muxConn) shutdown() {
 // invariant callers rely on to finish the call some other way. c.to is told
 // on the lane's reader goroutine (or a cancellation/failure path), never
 // on the submitter's stack.
-func (mc *muxConn) submitAsync(c *clientCall) error {
+func (mc *muxConn) submitAsync(c *CallRecord) error {
 	mc.asyncMu.Lock()
 	if mc.asyncClosed {
 		mc.asyncMu.Unlock()
@@ -863,7 +863,7 @@ func (mc *muxConn) pump() {
 
 // startAsync registers one admitted async call (its slot is already held)
 // and hands its frame to the writer.
-func (mc *muxConn) startAsync(c *clientCall) {
+func (mc *muxConn) startAsync(c *CallRecord) {
 	if err := c.cancelErr(); err != nil {
 		c.refuse(err)
 		return
@@ -912,9 +912,9 @@ func (ch *Channel) laneForURI(uri string) int {
 // and retries through the synchronous machinery) picks it up.
 //
 // Breaker accounting mirrors roundTrip exactly, moved into the completion
-// (clientCall.complete): evidence is recorded when the outcome is known,
+// (CallRecord.complete): evidence is recorded when the outcome is known,
 // once per submission.
-func (ch *Channel) roundTripAsync(netaddr string, c *clientCall) error {
+func (ch *Channel) roundTripAsync(netaddr string, c *CallRecord) error {
 	if err := c.ctx.Err(); err != nil {
 		return fmt.Errorf("remoting: call %s.%s: %w", c.req.URI, c.req.Method, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -165,8 +166,10 @@ func flatDecodeBoundCall(raw []byte) (handle uint64, req callRequest, err error)
 
 // FuzzDecodeBoundCall: no frame makes the decoder panic; a frame decodes by
 // the nested-aware decoder exactly when it decodes by the flat one, and to
-// the same request; and what decodes re-encodes to a frame that is its own
-// decode-encode image. (Not to the input itself in general: binfmt reads a
+// the same request, the method name of a nested call included, whether the
+// invoker registry had it or it was copied from the frame; and what decodes
+// re-encodes to a frame that is its own decode-encode image. (Not to the
+// input itself in general: binfmt reads a
 // varint padded with continuation bytes, a bool slice element of 2 or a
 // name spelled twice instead of back-referenced, and writes each back in
 // its one canonical form. The golden frames, which are canonical, are held
@@ -177,6 +180,11 @@ func FuzzDecodeBoundCall(f *testing.F) {
 	}
 	f.Add(boundCallBytes(f, 9, &callRequest{Seq: 1, Args: []any{int32(7), "flat", []float64{1.5}}}))
 	f.Add(boundCallBytes(f, 9, &callRequest{Seq: 2, Args: []any{"Tag", []any{"user", "method"}, 3}}))
+	// Names the registry answers for (heldEcho's "Now"), almost answers for,
+	// and never will.
+	for _, sub := range []string{"Now", "No", "Nowhere", "", strings.Repeat("n", 1024)} {
+		f.Add(boundCallBytes(f, 3, &callRequest{Seq: 4, sub: sub, nested: true, Args: []any{1}}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req callRequest
 		handle, _, err := decodeBoundCall(data, &req, make([]any, 0, 4))
@@ -186,6 +194,11 @@ func FuzzDecodeBoundCall(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if req.nested {
+			if copied, _ := flat.Args[0].(string); req.sub != copied {
+				t.Fatalf("method name read as %q, the copying read gives %q", req.sub, copied)
+			}
 		}
 		viaFlat := boundCallBytes(t, uint32(flatHandle), &flat)
 		once := boundCallBytes(t, handle, &req)
@@ -253,7 +266,7 @@ func TestNilContextIsBackground(t *testing.T) {
 			t.Fatalf("InvokeCtx(nil): %v, %v", v, err)
 		}
 		done := make(chan error, 1)
-		_, err := ref.InvokeAsyncCb(nil, "Now", []any{i}, CompletionFunc(func(v any, err error) {
+		err := ref.InvokeAsyncCb(nil, new(CallRecord), "Now", []any{i}, CompletionFunc(func(v any, err error) {
 			if err == nil && v != i {
 				err = errors.New("wrong echo")
 			}
@@ -277,7 +290,9 @@ func TestNilContextIsBackground(t *testing.T) {
 // failed ones and requests the server refuses, every record either end drew
 // from its pool has, once the server and the channel are closed, gone back
 // or been let go on purpose (a blocking call abandoned while the reader
-// held its record).
+// held its record); and every record a completion-driven caller supplied,
+// one slab for the lot, is its caller's again, whether the call was
+// answered, cancelled in flight, cut off by the close or never submitted.
 func TestCallRecordsAccountedFor(t *testing.T) {
 	audit := new([3]atomic.Int64)
 	recordAudit.Store(audit)
@@ -315,24 +330,55 @@ func TestCallRecordsAccountedFor(t *testing.T) {
 			ref.InvokeCtx(callCtx, "Echo", i) //nolint:errcheck // every outcome is legal here
 		}()
 	}
-	for deadline := time.Now().Add(10 * time.Second); h.started.Load() < parked; {
+	// The same three thirds, completion-driven, on records of one slab, and
+	// one call answered before any of that.
+	slab := make([]CallRecord, parked+2)
+	var told atomic.Int64
+	heard := CompletionFunc(func(any, error) { told.Add(1) })
+	answered := make(chan error, 1)
+	if err := ref.InvokeAsyncCb(ctx, &slab[parked], "Now", []any{7}, CompletionFunc(func(v any, err error) {
+		if err == nil && v != 7 {
+			err = errors.New("wrong echo")
+		}
+		answered <- err
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-answered; err != nil {
+		t.Fatalf("completion-driven Now: %v", err)
+	}
+	for i := 0; i < parked; i++ {
+		if err := ref.InvokeAsyncCb(ctx, &slab[i], "Echo", []any{i}, heard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); h.started.Load() < 2*parked; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d calls reached the server", h.started.Load(), parked)
+			t.Fatalf("%d of %d calls reached the server", h.started.Load(), 2*parked)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
+	for i := 0; i < parked; i += 3 {
+		slab[i].Cancel()
+	}
+	if err := ref.InvokeAsyncCb(cancelCtx, &slab[parked+1], "Now", []any{7}, heard); err == nil {
+		t.Error("a call whose context had ended was submitted")
+	}
 	ch.Close()
 	close(h.gate)
 	wg.Wait()
 	srv.Close()
+	if n := told.Load(); n != parked {
+		t.Errorf("%d of %d submitted completion-driven calls reported an outcome", n, parked)
+	}
 
 	drawn, returned, dropped := audit[recordDrawn].Load(), audit[recordReturned].Load(), audit[recordDropped].Load()
 	t.Logf("records drawn %d, returned %d, let go %d", drawn, returned, dropped)
 	if drawn != returned+dropped {
 		t.Errorf("%d records drawn, %d returned and %d let go: %d unaccounted for", drawn, returned, dropped, drawn-returned-dropped)
 	}
-	if min := int64(2 * (41 + parked)); drawn < min {
+	if min := int64(2*(41+parked) + parked + 2); drawn < min {
 		t.Errorf("%d records drawn, want at least %d (one per end per call)", drawn, min)
 	}
 	if dropped > parked {
@@ -355,7 +401,7 @@ func TestAsyncAdmissionQueueDrains(t *testing.T) {
 	var wrong atomic.Int64
 	submit := func(i int) {
 		wg.Add(1)
-		_, err := ref.InvokeAsyncCb(context.Background(), "Now", []any{i}, CompletionFunc(func(v any, err error) {
+		err := ref.InvokeAsyncCb(context.Background(), new(CallRecord), "Now", []any{i}, CompletionFunc(func(v any, err error) {
 			if err != nil || v != i {
 				wrong.Add(1)
 			}

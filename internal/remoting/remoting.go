@@ -12,11 +12,12 @@
 //   - transparent proxies: GetObject returns an ObjRef whose Invoke
 //     dispatches by method name over the wire, the analogue of
 //     Activator.GetObject + the auto-generated proxy;
-//   - asynchronous calls: InvokeAsyncCb enqueues the request and hands the
-//     outcome to a Completer on the reply's arrival, and CallSequencer keeps
-//     a stream of them in issue order; together the mechanism behind
-//     asynchronous parallel object calls (the delegates of paper Fig. 4),
-//     with no goroutine per call;
+//   - asynchronous calls: InvokeAsyncCb enqueues the request, recorded in a
+//     CallRecord its caller supplies, and hands the outcome to a Completer
+//     on the reply's arrival, and CallSequencer keeps a stream of them in
+//     issue order; together the mechanism behind asynchronous parallel
+//     object calls (the delegates of paper Fig. 4), with no goroutine and no
+//     allocation of the connection's per call;
 //   - lease-based lifetime management standing in for ".Net managed object
 //     lifetime" (paper §3.2: ParC++ destroyed IOs explicitly, ParC# lets
 //     the platform manage it).

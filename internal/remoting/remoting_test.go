@@ -258,7 +258,7 @@ func goInvoke(ref *ObjRef, method string, args ...any) <-chan outcome {
 // stack.
 func refSequencer(ref *ObjRef) *CallSequencer {
 	return NewCallSequencerFunc(func(ctx context.Context, method string, args []any, turn *Turn) {
-		if _, err := ref.InvokeAsyncCb(ctx, method, args, turn); err != nil {
+		if err := ref.InvokeAsyncCb(ctx, new(CallRecord), method, args, turn); err != nil {
 			go turn.Complete(nil, err)
 		}
 	})

@@ -877,6 +877,22 @@ func (d *Decoder) String() string {
 	return assignAs[string](d)
 }
 
+// StringRaw reads what String reads, as a zero-copy view into the input:
+// valid while the frame is, for a reader that compares the name with one it
+// already holds and copies only when it must keep it.
+func (d *Decoder) StringRaw() []byte {
+	if d.err == nil && d.d.pos < len(d.d.data) && d.d.data[d.d.pos] == tString {
+		d.d.pos++
+		b, err := d.d.readStringBytes()
+		if err != nil {
+			d.Fail(err)
+			return nil
+		}
+		return b
+	}
+	return []byte(d.String())
+}
+
 // ByteSlice reads a []byte. The direct tBytes path skips the any-boxing of
 // the generic reader and honours borrow mode (SetBorrow), which is how
 // parcgen-generated codecs — whose []byte fields all decode through here —

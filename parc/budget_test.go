@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/racetest"
 	"repro/internal/transport"
 )
@@ -70,10 +72,12 @@ func remoteEchoer(t *testing.T) *Object[Echoer] {
 // TestAllocBudgetTypedCall: a 64 B typed call to an object on another node
 // of an in-process transport, both ends counted, stays inside its budget,
 // and the method-name check of a typed call is free once it has passed.
-// The call measures 6: the payload and its box on either end, the reply's
-// box in the thunk and its copy in Call. An envelope, waiter, closure or
-// argument list built per call again adds at least 1 to the 6 and must
-// fail the budget of 7; so must a server that dispatches the endpoint
+// The call measures 5, all of them the user's values: the payload and its
+// box on either end (4) and the reply's box in the thunk (1); args is built
+// outside the call, so the typed facade's list and box (2 more in a
+// generated proxy) are not in it. An envelope, waiter, closure, argument
+// list or method name built per call again adds at least 1 to the 5 and
+// must fail the budget of 6; so must a server that dispatches the endpoint
 // reflectively (12 more).
 func TestAllocBudgetTypedCall(t *testing.T) {
 	if racetest.Enabled {
@@ -92,8 +96,8 @@ func TestAllocBudgetTypedCall(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		call() // declare and confirm the handle, warm the pools
 	}
-	if n := testing.AllocsPerRun(500, call); n > 7 {
-		t.Errorf("typed remote call: %.0f allocs, budget 7", n)
+	if n := testing.AllocsPerRun(500, call); n > 6 {
+		t.Errorf("typed remote call: %.0f allocs, budget 6", n)
 	} else {
 		t.Logf("typed remote call: %.0f allocs", n)
 	}
@@ -107,15 +111,14 @@ func TestAllocBudgetTypedCall(t *testing.T) {
 }
 
 // TestAllocBudgetAsyncCall holds one CallAsync and the Get of its result, on
-// the same remote object, to what it measures plus one. It measures 10, by
-// an allocation profile: the payload and its box on either end and the
-// reply's box in the thunk (5), the method name read on the server (1), and
-// four of the runtime's own: the Future (which is also the attempt the
-// re-run rule rides on), the Result, the connection's call record, and the
-// channel Get waits on. The caller's context is Background, so nothing is
-// spent on cancellation; a derived context, a hook, or a closure around a
+// the same remote object, to what it measures plus one. It measures 7: the 5
+// of the blocking call, and two of the runtime's own: the call (one object:
+// the Result, the Future, the attempt the re-run rule rides on and the
+// connection's record) and the channel Get waits on. The caller's context is
+// Background, so nothing is spent on cancellation; a derived context, a
+// hook, a record of the call allocated apart from it, or a closure around a
 // continuation or a completion again adds at least 1 and must fail the
-// budget of 11.
+// budget of 8.
 func TestAllocBudgetAsyncCall(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -133,20 +136,21 @@ func TestAllocBudgetAsyncCall(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		call()
 	}
-	if n := testing.AllocsPerRun(500, call); n > 11 {
-		t.Errorf("async remote call: %.0f allocs, budget 11", n)
+	if n := testing.AllocsPerRun(500, call); n > 8 {
+		t.Errorf("async remote call: %.0f allocs, budget 8", n)
 	} else {
 		t.Logf("async remote call: %.0f allocs", n)
 	}
 }
 
 // TestAllocBudgetScatterWave holds a wave of 256 calls over remote objects,
-// Scatter then Gather, to what a member call measures plus one, so that
-// WhenAll's share is gated too. A member measures 12: the 10 of
-// TestAllocBudgetAsyncCall less the channel, which only the one Gather
-// makes, plus WhenAll's closure over the member's index and the argument
-// list with its boxed payload that this test's argsFor builds per member;
-// the wave's own slices and promise come to 0.04 between 256.
+// Scatter then Gather, to what a member call measures plus one, so that the
+// wave's share is gated too. A member measures 7: the 5 of the blocking call
+// plus the argument list with its boxed payload that this test's argsFor
+// builds per member; the wave's own (the slab of Results and calls, the two
+// slices of pointers and values, WhenAll's promise, errors and closures, the
+// channel Gather waits on) come to 0.05 between 256. A member that allocates
+// anything of the runtime's own again must fail the budget of 8.
 func TestAllocBudgetScatterWave(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -173,16 +177,56 @@ func TestAllocBudgetScatterWave(t *testing.T) {
 	// The transport's frame pool looks at one buffer a request and puts a
 	// too-small one back (ROADMAP 5(c)), so a wave of mixed request and
 	// reply sizes misses it up to twice a call, or not at all, as the pool
-	// happens to be ordered. Not this budget's business: no collection
-	// while it measures, and a pool of frames that fit either.
+	// happens to be ordered, and whatever ran before this test ordered it.
+	// Not this budget's business, so it owns the pool while it measures: two
+	// collections empty a sync.Pool and its victim cache, then no collection
+	// and nothing in the pool but frames that fit either size.
+	runtime.GC()
+	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for i := 0; i < 4*members; i++ {
 		transport.PutFrame(make([]byte, 512))
 	}
-	if n := testing.AllocsPerRun(20, wave) / members; n > 13 {
-		t.Errorf("scatter wave: %.2f allocs a member call, budget 13", n)
+	if n := testing.AllocsPerRun(20, wave) / members; n > 8 {
+		t.Errorf("scatter wave: %.2f allocs a member call, budget 8", n)
 	} else {
 		t.Logf("scatter wave: %.2f allocs a member call", n)
+	}
+}
+
+// TestAllocBudgetWhenAll: aggregating 256 Results that are already issued
+// costs the aggregate's own allocations, the same few for 16 members, and
+// nothing per member: one function is subscribed under each member's index.
+func TestAllocBudgetWhenAll(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	ctx := context.Background()
+	cost := func(members int) float64 {
+		rs := make([]*Result[int], members)
+		resolve := make([]func(any, error), members)
+		return testing.AllocsPerRun(100, func() {
+			for i := range rs {
+				f, r := core.NewPromise()
+				rs[i], resolve[i] = &Result[int]{f: f}, r
+			}
+			all := WhenAll(rs...)
+			for i, r := range resolve {
+				r(i%200, nil) // small enough to box without allocating
+			}
+			got, err := all.Get(ctx)
+			if err != nil || len(got) != members || got[members-1] != (members-1)%200 {
+				t.Fatalf("WhenAll = %d values, %v", len(got), err)
+			}
+		}) - 3*float64(members) // the stand-in members: Result, Future, resolver
+	}
+	small, large := cost(16), cost(256)
+	t.Logf("WhenAll: %.0f allocs over 16 members, %.0f over 256", small, large)
+	if large != small {
+		t.Errorf("WhenAll over 256 members costs %.0f allocs, over 16 %.0f: it allocates per member", large, small)
+	}
+	if large > 12 {
+		t.Errorf("WhenAll: %.0f allocs, budget 12", large)
 	}
 }
 

@@ -3,6 +3,7 @@ package parc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,5 +343,99 @@ func TestCancelPipelineAbandonsStageInFlight(t *testing.T) {
 				t.Errorf("Step ran %v times on stages 1 to 3, want [1 1 0]", got)
 			}
 		})
+	}
+}
+
+// alternate places objects on nodes 1 and 2 in turn.
+type alternate struct{ n atomic.Int64 }
+
+func (a *alternate) Pick(self int, loads []NodeLoad) int { return 1 + int(a.n.Add(1)-1)%2 }
+
+// TestWaveMembersStandAlone: the members of one Scatter share an allocation
+// and nothing else. In a wave of 64 parked calls over two nodes, member 3 is
+// cancelled, member 5 loses a WhenAny, member 7's object has left the node
+// its handle routes at by the time the call is issued (moved in mid-wave, so
+// the call is finished by the re-run rule) and member 9 has a Then chained on
+// it: the two cancelled ones resolve with context.Canceled, every other
+// member with its own value, and each call ran exactly once.
+func TestWaveMembersStandAlone(t *testing.T) {
+	const members = 64
+	cl, err := StartCluster(WithNodes(3), WithPlacement(&alternate{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	Register[Gated](cl, "gated")
+	objs := make([]*Object[Gated], members+1)
+	for i := range objs {
+		if objs[i], err = New[Gated](cl, "gated"); err != nil {
+			t.Fatal(err)
+		}
+		if objs[i].Proxy().IsLocal() {
+			t.Fatal("want a remote object")
+		}
+	}
+	if n1, n2 := cl.Node(1).Load(), cl.Node(2).Load(); n1 == 0 || n2 == 0 {
+		t.Fatalf("objects placed %d on node 1, %d on node 2: want both", n1, n2)
+	}
+	gs := newGate(t, -1)
+	ctx := context.Background()
+	bystander, g := objs[members], GroupOf(objs[:members]...)
+	mover := Bind[Gated](cl.Entry(), objs[7].Ref())
+
+	rs := Scatter[int](ctx, g, "Hold", func(i int) []any {
+		if i == 7 {
+			// Members 0 to 6 are out. objs[7] was the eighth object placed,
+			// on node 2, and keeps routing there.
+			if err := mover.Migrate(ctx, 1); err != nil {
+				t.Errorf("migrating member 7's object: %v", err)
+			}
+		}
+		return []any{i}
+	})
+	var runs [members]int
+	count := func(v int) {
+		if v < 0 || v >= members {
+			t.Fatalf("a call with argument %d ran", v)
+		}
+		runs[v]++
+	}
+	for i := 0; i < members; i++ {
+		select {
+		case v := <-gs.entered:
+			count(v)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d members reached their objects", i, members)
+		}
+	}
+
+	rs[3].f.Cancel()
+	first := WhenAny(CallAsync[int](ctx, bystander, "Echo", 500), rs[5])
+	if v, err := first.Get(within(t, 5*time.Second)); err != nil || v != 500 {
+		t.Errorf("WhenAny = %v, %v, want the bystander's 500", v, err)
+	}
+	chained := Then(rs[9], func(v int) (string, error) { return fmt.Sprint("member ", v), nil })
+	wantCanceled(t, "the cancelled member", rs[3])
+	wantCanceled(t, "the WhenAny loser", rs[5])
+	gs.release()
+
+	for i, r := range rs {
+		if i == 3 || i == 5 {
+			continue
+		}
+		if v, err := r.Get(within(t, 10*time.Second)); err != nil || v != i {
+			t.Errorf("member %d = %v, %v", i, v, err)
+		}
+	}
+	if s, err := chained.Get(within(t, 5*time.Second)); err != nil || s != "member 9" {
+		t.Errorf("Then on member 9 = %q, %v", s, err)
+	}
+	for len(gs.entered) > 0 {
+		count(<-gs.entered)
+	}
+	for v, n := range runs {
+		if n != 1 {
+			t.Errorf("member %d's call ran %d times", v, n)
+		}
 	}
 }

@@ -48,8 +48,9 @@ func (r *Result[R]) Catch(fn func(error) (R, error)) *Result[R] {
 // WhenAll aggregates every input into one Result that resolves when the
 // last of them does: with the values in input order on success, or with
 // errors.Join of the failures — also in input order, regardless of
-// completion order — when any input failed. It subscribes once per input
-// and counts completions down; no goroutine waits per element.
+// completion order — when any input failed. It subscribes one function to
+// every input, under the input's index, and counts completions down; no
+// goroutine waits and nothing is allocated per element.
 func WhenAll[R any](rs ...*Result[R]) *Result[[]R] {
 	f, resolve := core.NewPromise()
 	n := len(rs)
@@ -71,13 +72,14 @@ func WhenAll[R any](rs ...*Result[R]) *Result[[]R] {
 		}
 		resolve(vals, nil)
 	}
+	member := func(i int, v any, err error) {
+		vals[i], errs[i] = As[R](v, err)
+		if remaining.Add(-1) == 0 {
+			finish()
+		}
+	}
 	for i, r := range rs {
-		r.f.OnComplete(func(v any, err error) {
-			vals[i], errs[i] = As[R](v, err)
-			if remaining.Add(-1) == 0 {
-				finish()
-			}
-		})
+		r.f.OnCompleteAt(i, member)
 	}
 	return &Result[[]R]{f: f}
 }
@@ -114,7 +116,7 @@ func WhenAny[R any](rs ...*Result[R]) *Result[R] {
 		if won.Load() {
 			break
 		}
-		r.f.OnComplete(func(v any, err error) { claim(i, v, err) })
+		r.f.OnCompleteAt(i, claim)
 	}
 	return out
 }

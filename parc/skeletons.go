@@ -64,11 +64,25 @@ func (g *Group[T]) Destroy(ctx context.Context) error {
 // member i's arguments — and returns the typed futures in member order.
 // The whole round is submitted before anything blocks, which is what lets
 // per-peer batching collapse the frames: on a 3-node group a 30-element
-// scatter is three batched writes, not thirty round trips.
+// scatter is three batched writes, not thirty round trips. The wave is the
+// unit of bookkeeping too: its members' Results and call records are one
+// allocation (see Result).
 func Scatter[R any, T any](ctx context.Context, g *Group[T], method string, argsFor func(i int) []any) []*Result[R] {
 	rs := make([]*Result[R], g.Size())
+	if err := checkMethod[T](method); err != nil {
+		return allFailed(rs, err)
+	}
+	wave := make([]asyncResult[R], len(rs))
+	for i := range wave {
+		rs[i] = wave[i].start(ctx, g.objs[i].p, method, argsFor(i))
+	}
+	return rs
+}
+
+// allFailed fills rs with the Results of a round that never started.
+func allFailed[R any](rs []*Result[R], err error) []*Result[R] {
 	for i := range rs {
-		rs[i] = CallAsync[R](ctx, g.objs[i], method, argsFor(i)...)
+		rs[i] = failed[R](err)
 	}
 	return rs
 }
@@ -104,34 +118,35 @@ func MapReduce[A any, R any, T any](ctx context.Context, g *Group[T], method str
 // occupy different stages concurrently.
 func Pipeline[R any, T any](ctx context.Context, g *Group[T], method string, items []any) []*Result[R] {
 	out := make([]*Result[R], len(items))
+	err := checkMethod[T](method)
+	if err == nil && g.Size() == 0 {
+		err = ErrWhenAnyEmpty
+	}
+	if err != nil {
+		return allFailed(out, err)
+	}
+	// Only the last stage's future is read, as R: the stages before it are
+	// untyped, and the first stage's calls are one allocation, as a wave's.
+	first := make([]core.AsyncCall, len(items))
 	for k, item := range items {
-		out[k] = pipeOne[R](ctx, g, method, item)
+		f := g.objs[0].p.StartAsync(ctx, &first[k], method, []any{item})
+		for _, o := range g.objs[1:] {
+			f = thenCall(ctx, f, o.p, method)
+		}
+		out[k] = &Result[R]{f: f}
 	}
 	return out
-}
-
-// pipeOne chains one item through every stage.
-func pipeOne[R any, T any](ctx context.Context, g *Group[T], method string, item any) *Result[R] {
-	if g.Size() == 0 {
-		return failed[R](ErrWhenAnyEmpty)
-	}
-	cur := CallAsync[any](ctx, g.objs[0], method, item)
-	for s := 1; s < g.Size(); s++ {
-		cur = thenCall(ctx, cur, g.objs[s], method)
-	}
-	// The last stage's untyped future, read as R.
-	return &Result[R]{f: cur.f}
 }
 
 // thenCall flat-maps a future into the next stage's call: when prev
 // resolves, the stage call is issued from the completion path and the
 // returned future adopts its outcome. Cancelling it cancels whichever of
 // the two is pending, so a cancelled item abandons the stage it is in.
-func thenCall[T any](ctx context.Context, prev *Result[any], o *Object[T], method string) *Result[any] {
-	return &Result[any]{f: core.Chain(prev.f, func(v any, err error) *Future {
+func thenCall(ctx context.Context, prev *Future, p *Proxy, method string) *Future {
+	return core.Chain(prev, func(v any, err error) *Future {
 		if err != nil {
 			return core.ResolvedFuture(nil, err)
 		}
-		return CallAsync[any](ctx, o, method, v).f
-	})}
+		return p.InvokeAsyncCtx(ctx, method, v)
+	})
 }

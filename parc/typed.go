@@ -141,10 +141,27 @@ func CallAsync[R any, T any](ctx context.Context, o *Object[T], method string, a
 	if err := checkMethod[T](method); err != nil {
 		return failed[R](err)
 	}
-	return &Result[R]{f: o.p.InvokeAsyncCtx(ctx, method, args...)}
+	return new(asyncResult[R]).start(ctx, o.p, method, args)
 }
 
-// Result is the typed future returned by CallAsync.
+// asyncResult is what an asynchronous call allocates: the Result handed back
+// and, in the same object, everything the runtime keeps for the call. A wave
+// allocates its members' as one slice.
+type asyncResult[R any] struct {
+	Result[R]
+	call core.AsyncCall
+}
+
+// start issues the call; c must be zero.
+func (c *asyncResult[R]) start(ctx context.Context, p *Proxy, method string, args []any) *Result[R] {
+	c.f = p.StartAsync(ctx, &c.call, method, args)
+	return &c.Result
+}
+
+// Result is the typed future returned by CallAsync. The Results of one
+// Scatter share their wave's storage: holding one of them keeps the whole
+// wave alive, every member's record and value. Copy the value out of a
+// Result that is kept for long.
 type Result[R any] struct {
 	f *Future
 
