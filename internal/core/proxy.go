@@ -461,6 +461,14 @@ type AsyncCall struct {
 	stop func() bool
 }
 
+// SetSink gives the call, before StartAsync, a typed slot for its result
+// (remoting.ResultSink): a reply whose result is exactly what the sink takes
+// is decoded into it, and the Future then resolves with the sink itself as
+// its value. Every other way the call can finish (a local or agglomerated
+// object, a re-run, a result of another type, an error) resolves the Future
+// with the value as it always has.
+func (c *AsyncCall) SetSink(s remoting.ResultSink) { c.try.rec.SetSink(s) }
+
 // attempt is one completion-driven try at call against the proxy's current
 // endpoint, and the remoting.Completer the connection reports it to. f is
 // the caller's future, nil for a post; turn is the lane turn the call

@@ -68,8 +68,9 @@ func (c *conn) SendBatch(msgs [][]byte) error {
 	return transport.SendBatch(c.Conn, msgs)
 }
 
-// Recv goes through transport.RecvFrame, so the inner connection's pooled
-// receive path survives the wrapping; the caller owns the frame as usual.
+// Recv goes through transport.RecvFrame, so the inner connection still
+// receives into a recycled frame (a wrapper takes none back, so it comes from
+// the pool); the caller owns the frame as usual.
 func (c *conn) Recv() ([]byte, error) {
 	msg, err := transport.RecvFrame(c.Conn)
 	if err != nil {

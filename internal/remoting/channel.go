@@ -155,14 +155,36 @@ func (ch *Channel) encodeResponse(resp *callResponse) (raw []byte, enc *wire.Enc
 }
 
 // recycleFrame applies the one ownership rule for receive frames, on the
-// server and the client alike: a frame that decoded values alias is never
-// returned to the pool — the GC owns it, so whoever still reaches an
-// argument or a result (a method that keeps its []byte parameter, a caller
-// holding a result, a dedup record) keeps valid memory — and a frame
-// nothing aliases is recycled at once.
-func recycleFrame(raw []byte, borrowed bool) {
-	if !borrowed {
-		transport.PutFrame(raw)
+// server and the client alike: a frame that decoded values alias is
+// forgotten, the GC owns it, so whoever still reaches an argument or a
+// result (a method that keeps its []byte parameter, a caller holding a
+// result, a dedup record) keeps valid memory and nothing is received into it
+// again; a frame nothing aliases goes back at once to the connection it was
+// received on (transport.ReleaseFrame).
+func recycleFrame(from transport.Conn, raw []byte, borrowed bool) {
+	if borrowed {
+		countFrame(frameBorrowed)
+		return
+	}
+	countFrame(frameBack)
+	transport.ReleaseFrame(from, raw)
+}
+
+// frameAudit is recordAudit for receive frames: when a test installs one,
+// the two read loops count every frame they were handed and recycleFrame
+// what became of it; out must equal back plus borrowed once everything is
+// closed. Nothing installs or reads it in production.
+var frameAudit atomic.Pointer[[3]atomic.Int64]
+
+const (
+	frameOut = iota
+	frameBack
+	frameBorrowed
+)
+
+func countFrame(event int) {
+	if a := frameAudit.Load(); a != nil {
+		a[event].Add(1)
 	}
 }
 

@@ -138,7 +138,7 @@ func (r *ObjRef) invokeOnce(ctx context.Context, c *CallRecord) (any, error) {
 	if err := r.ch.roundTrip(ctx, r.netaddr, c); err != nil {
 		return nil, err
 	}
-	return r.normalize(&c.req, &c.resp)
+	return r.normalize(&c.req, c.resp)
 }
 
 // normalize maps a reply envelope onto (result, error), rebuilding the

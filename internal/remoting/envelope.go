@@ -150,20 +150,18 @@ func nestedShape(args []byte) bool {
 	return args[3+w+int(n)] == wire.TagAnySlice
 }
 
-// decodeBoundCall parses a compact call frame into *req, overwriting it,
-// and returns the handle; URI and Method stay empty (the server fills them
-// from its bind table). Args in the nested-call shape land in req.sub and
-// req.Args; either way req.Args is decoded into argv's array when it fits.
-// It decodes in borrow mode: large []byte arguments alias raw, and borrowed
-// reports whether any does (see recycleFrame).
-func decodeBoundCall(raw []byte, req *callRequest, argv []any) (handle uint32, borrowed bool, err error) {
+// readBoundCall parses the compact call frame raw into *req, overwriting
+// it, and returns the handle; URI and Method stay empty (the server fills
+// them from its bind table). Args in the nested-call shape land in req.sub
+// and req.Args; either way req.Args is decoded into argv's array when it
+// fits. d is the read loop's decoder, in borrow mode: large []byte arguments
+// alias raw, and d.Borrowed reports whether any does (see recycleFrame).
+func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (handle uint32, err error) {
 	*req = callRequest{}
-	d := wire.NewDecoder(raw)
-	defer d.Release()
-	d.SetBorrow(true)
+	d.Reset(raw)
 	b := d.RawByte()
 	if b != markBoundCall && b != markBoundCallTok {
-		return 0, false, fmt.Errorf("remoting: bound call marker 0x%02x, want 0x%02x or 0x%02x", b, markBoundCall, markBoundCallTok)
+		return 0, fmt.Errorf("remoting: bound call marker 0x%02x, want 0x%02x or 0x%02x", b, markBoundCall, markBoundCallTok)
 	}
 	h := d.RawUvarint()
 	req.Seq = d.RawUvarint()
@@ -186,17 +184,16 @@ func decodeBoundCall(raw []byte, req *callRequest, argv []any) (handle uint32, b
 		req.sub, req.nested = sub, true
 	}
 	req.Args = d.AnySliceInto(argv)
-	borrowed = d.Borrowed()
 	if err := d.Err(); err != nil {
-		return 0, borrowed, fmt.Errorf("remoting: decode bound call: %w", err)
+		return 0, fmt.Errorf("remoting: decode bound call: %w", err)
 	}
 	if rest := d.Rest(); rest != 0 {
-		return 0, borrowed, fmt.Errorf("remoting: bound call: %d trailing bytes", rest)
+		return 0, fmt.Errorf("remoting: bound call: %d trailing bytes", rest)
 	}
 	if h == 0 || h > maxBindHandles {
-		return 0, borrowed, fmt.Errorf("remoting: bound call handle %d out of range", h)
+		return 0, fmt.Errorf("remoting: bound call handle %d out of range", h)
 	}
-	return uint32(h), borrowed, nil
+	return uint32(h), nil
 }
 
 // encodeBoundReply produces the compact reply frame. bindAck, when
@@ -239,23 +236,50 @@ func encodeBoundReply(resp *callResponse, bindAck uint32) (raw []byte, enc *wire
 	return e.Bytes(), e, nil
 }
 
-// decodeBoundReply parses a compact reply frame into *resp, overwriting it,
-// and returns the handle it confirms (0 when none). It decodes in borrow
-// mode: a large []byte result aliases raw, and borrowed reports whether it
-// does (see recycleFrame).
-func decodeBoundReply(raw []byte, resp *callResponse) (bindAck uint32, borrowed bool, err error) {
-	*resp = callResponse{}
-	d := wire.NewDecoder(raw)
-	defer d.Release()
-	d.SetBorrow(true)
+// ResultSink is the typed slot a completion-driven caller may put in its
+// CallRecord (SetSink). On a success reply the lane's reader offers it the
+// decoder at the result's position: DecodeResult either consumes exactly that
+// one value, keeping it, and returns true, or consumes nothing and returns
+// false (wire.Decoder.ValueInto is this contract), and the result is then
+// decoded as a value, as for any other call. A call whose sink took the
+// result completes with the sink itself as its value: a pointer in an
+// interface, where the decoded value would have been boxed.
+type ResultSink interface {
+	DecodeResult(d *wire.Decoder) bool
+}
+
+// decodeReplyHeader points d, the read loop's decoder, at the compact reply
+// raw and reads its header: the sequence number of the call it answers, the
+// handle it confirms (0 when none) and the flags that say what the body is.
+// The body is read (decodeReplyBody) once the reader has taken that call's
+// record, into the record, and not at all when nobody wants it any more.
+func decodeReplyHeader(d *wire.Decoder, raw []byte) (seq uint64, bindAck uint32, flags byte, err error) {
+	d.Reset(raw)
 	if b := d.RawByte(); b != markBoundReply {
-		return 0, false, fmt.Errorf("remoting: bound reply marker 0x%02x, want 0x%02x", b, markBoundReply)
+		return 0, 0, 0, fmt.Errorf("remoting: bound reply marker 0x%02x, want 0x%02x", b, markBoundReply)
 	}
-	resp.Seq = d.RawUvarint()
+	seq = d.RawUvarint()
 	ack := d.RawUvarint()
-	flags := d.RawByte()
-	if flags&flagReplyErr != 0 {
-		resp.IsErr = true
+	flags = d.RawByte()
+	if err := d.Err(); err != nil {
+		return 0, 0, 0, fmt.Errorf("remoting: decode bound reply: %w", err)
+	}
+	if ack > maxBindHandles {
+		return 0, 0, 0, fmt.Errorf("remoting: bound reply ack %d out of range", ack)
+	}
+	return seq, uint32(ack), flags, nil
+}
+
+// decodeReplyBody reads what follows the header. An error reply's fields go
+// into *resp, overwriting all of it but Seq. A result goes into sink when
+// there is one and it takes the value, in which case result is sink itself,
+// and is returned as a value otherwise; resp is not touched. d decodes in
+// borrow mode: a large []byte result aliases the frame, in a sink as
+// anywhere, and d.Borrowed reports it (see recycleFrame).
+func decodeReplyBody(d *wire.Decoder, flags byte, resp *callResponse, sink ResultSink) (result any, err error) {
+	switch {
+	case flags&flagReplyErr != 0:
+		*resp = callResponse{Seq: resp.Seq, IsErr: true}
 		resp.ErrCode = d.String()
 		resp.ErrMsg = d.String()
 		if flags&flagReplyFwd != 0 {
@@ -267,18 +291,16 @@ func decodeBoundReply(raw []byte, resp *callResponse) (bindAck uint32, borrowed 
 		if flags&flagReplyRetryAfter != 0 {
 			resp.RetryAfterMs = d.RawVarint()
 		}
-	} else {
-		resp.Result = d.Value()
+	case sink != nil && sink.DecodeResult(d):
+		result = sink
+	default:
+		result = d.Value()
 	}
-	borrowed = d.Borrowed()
 	if err := d.Err(); err != nil {
-		return 0, borrowed, fmt.Errorf("remoting: decode bound reply: %w", err)
+		return nil, fmt.Errorf("remoting: decode bound reply: %w", err)
 	}
 	if rest := d.Rest(); rest != 0 {
-		return 0, borrowed, fmt.Errorf("remoting: bound reply: %d trailing bytes", rest)
+		return nil, fmt.Errorf("remoting: bound reply: %d trailing bytes", rest)
 	}
-	if ack > maxBindHandles {
-		return 0, borrowed, fmt.Errorf("remoting: bound reply ack %d out of range", ack)
-	}
-	return uint32(ack), borrowed, nil
+	return result, nil
 }

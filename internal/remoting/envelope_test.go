@@ -3,6 +3,8 @@ package remoting
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func TestBoundCallRoundTrip(t *testing.T) {
@@ -159,6 +161,33 @@ func TestBoundReplyRejectsBadFrames(t *testing.T) {
 	if _, _, _, err := decodeReply(bad); err == nil {
 		t.Error("wrong marker accepted")
 	}
+}
+
+// decodeBoundCall and decodeBoundReply are the one-shot forms of what the
+// two read loops do with the decoder they keep: a frame in, an envelope out,
+// and whether anything in it aliases the frame. decodeBoundReply is header
+// then body with no sink, the generic decode that a sink's outcome is
+// compared with.
+func decodeBoundCall(raw []byte, req *callRequest, argv []any) (handle uint32, borrowed bool, err error) {
+	d := wire.NewDecoder(nil)
+	defer d.Release()
+	d.SetBorrow(true)
+	handle, err = readBoundCall(d, raw, req, argv)
+	return handle, d.Borrowed(), err
+}
+
+func decodeBoundReply(raw []byte, resp *callResponse) (bindAck uint32, borrowed bool, err error) {
+	d := wire.NewDecoder(nil)
+	defer d.Release()
+	d.SetBorrow(true)
+	*resp = callResponse{}
+	seq, bindAck, flags, err := decodeReplyHeader(d, raw)
+	if err != nil {
+		return 0, false, err
+	}
+	resp.Seq = seq
+	resp.Result, err = decodeReplyBody(d, flags, resp, nil)
+	return bindAck, d.Borrowed(), err
 }
 
 // decodeCall and decodeReply decode into a fresh envelope, for tests that

@@ -6,9 +6,14 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/cost"
+	"repro/internal/fault"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // keeper keeps the arguments it was handed, as a cache or a log would.
@@ -90,41 +95,222 @@ func TestKeptArgumentSurvivesLaterCalls(t *testing.T) {
 	}
 }
 
-// TestFrameOwnershipRule: after a decode that borrowed, the frame belongs
-// to the decoded values and GetFrame never hands its memory out again;
-// after one that copied, the next GetFrame reuses it.
+// connPair dials a listener of net at addr and returns both ends.
+func connPair(t *testing.T, net transport.Network, addr string) (client, server transport.Conn) {
+	t.Helper()
+	l, err := net.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	client, err = net.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err = l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, server
+}
+
+// TestFrameOwnershipRule: the one rule for a receive frame, as a read loop
+// applies it (RecvFrame, decode in borrow mode, recycleFrame). On a stream
+// connection a frame that was copied out of goes back to the connection and
+// is the memory of the next receive, every time; a frame a decoded value
+// borrowed is never received into again, by that connection or through the
+// pool; a frame above the transport's small-frame line is not kept. On
+// mem://, which cannot take a frame back, the same rule runs through the
+// pool.
 func TestFrameOwnershipRule(t *testing.T) {
-	// frameReused decodes a bound call carrying a payload of n bytes out of
-	// a pooled frame, settles the frame by the rule, and reports whether
-	// the pool then hands the frame's memory out again.
-	frameReused := func(n int) (reused, borrowed bool) {
-		raw, enc, err := encodeBoundCall(1, &callRequest{Seq: 7, Args: []any{make([]byte, n)}})
+	d := wire.NewDecoder(nil)
+	defer d.Release()
+	d.SetBorrow(true)
+	// receive sends one bound call carrying arg from client and takes it off
+	// server as handleConn does, returning the frame and the decoded argument.
+	receive := func(t *testing.T, client, server transport.Conn, arg any) (frame []byte, got any, borrowed bool) {
+		t.Helper()
+		raw, enc, err := encodeBoundCall(1, &callRequest{Seq: 7, Args: []any{arg}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer enc.Release()
-		// GetFrame looks at one pooled buffer per call, so take out what
-		// earlier tests left there. sync.Pool may also drop any single Put
-		// (it does so at random under -race), so a miss is retried.
+		err = client.Send(raw)
+		enc.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frame, err = transport.RecvFrame(server); err != nil {
+			t.Fatal(err)
+		}
+		var req callRequest
+		if _, err := readBoundCall(d, frame, &req, nil); err != nil {
+			t.Fatal(err)
+		}
+		borrowed = d.Borrowed()
+		recycleFrame(server, frame, borrowed)
+		return frame, req.Args[0], borrowed
+	}
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+
+	streams := map[string]func(t *testing.T) (client, server transport.Conn){
+		"tcp":  func(t *testing.T) (_, _ transport.Conn) { return connPair(t, transport.TCPNetwork{}, "127.0.0.1:0") },
+		"unix": func(t *testing.T) (_, _ transport.Conn) { return connPair(t, transport.UnixNetwork{}, "unix://") },
+	}
+	for name, pair := range streams {
+		t.Run(name, func(t *testing.T) {
+			client, server := pair(t)
+			first, _, borrowed := receive(t, client, server, fill(100, 1))
+			if borrowed {
+				t.Fatal("a 100 B argument was borrowed")
+			}
+			for i := 0; i < 50; i++ {
+				frame, got, borrowed := receive(t, client, server, fill(100, byte(i)))
+				if borrowed || &frame[0] != &first[0] {
+					t.Fatalf("receive %d after a copied 100 B argument: borrowed=%v, same memory=%v; want the connection's buffer again", i, borrowed, &frame[0] == &first[0])
+				}
+				if !bytes.Equal(got.([]byte), fill(100, byte(i))) {
+					t.Fatalf("receive %d decoded %x", i, got)
+				}
+			}
+
+			// Borrowed: the argument is a view of its frame, and stays what
+			// it was through every later receive, large or small.
+			var views [][]byte
+			var frames [][]byte
+			for round := 0; round < 4; round++ {
+				frame, got, borrowed := receive(t, client, server, fill(4<<10, 0xA0+byte(round)))
+				if !borrowed {
+					t.Fatal("a 4 KiB argument was copied")
+				}
+				for _, old := range frames {
+					if &old[0] == &frame[0] {
+						t.Fatal("a borrowed frame was received into again")
+					}
+				}
+				frames, views = append(frames, frame), append(views, got.([]byte))
+				for i := 0; i < 10; i++ {
+					small, _, _ := receive(t, client, server, fill(100, 0xFF))
+					for _, old := range frames {
+						if &old[0] == &small[0] {
+							t.Fatal("a borrowed frame was received into again")
+						}
+					}
+				}
+			}
+			for round, view := range views {
+				if !bytes.Equal(view, fill(4<<10, 0xA0+byte(round))) {
+					t.Fatalf("the argument borrowed in round %d was overwritten: byte 0 is %#x", round, view[0])
+				}
+			}
+
+			// Above the small-frame line (64 KiB): copied out of, and dropped.
+			big := make([]float64, 10000)
+			held, _, borrowed := receive(t, client, server, big)
+			next, _, _ := receive(t, client, server, big)
+			if borrowed || &next[0] == &held[0] {
+				t.Errorf("80 KB frame: borrowed=%v, kept and reused=%v; want neither", borrowed, &next[0] == &held[0])
+			}
+		})
+	}
+
+	t.Run("mem", func(t *testing.T) {
+		client, server := connPair(t, transport.NewMemNetwork(), "mem://frames")
+		// The frame of a copied argument is in the pool afterwards. GetFrame
+		// looks at one pooled buffer per call, so take out what earlier tests
+		// left there; sync.Pool may also drop any single Put (it does so at
+		// random under -race), so a miss is retried.
 		for cap(transport.GetFrame(0)) > 0 {
 		}
+		reused := false
 		for try := 0; try < 100 && !reused; try++ {
-			frame := transport.GetFrame(len(raw))
-			copy(frame, raw)
-			if _, _, borrowed, err = decodeCall(frame); err != nil {
-				t.Fatal(err)
+			frame, _, borrowed := receive(t, client, server, fill(100, 1))
+			if borrowed {
+				t.Fatal("a 100 B argument was borrowed")
 			}
-			recycleFrame(frame, borrowed)
-			next := transport.GetFrame(len(raw))
+			next := transport.GetFrame(len(frame))
 			reused = &next[0] == &frame[0]
 		}
-		return reused, borrowed
+		if !reused {
+			t.Error("100 B argument over mem://: the frame never came back through the pool")
+		}
+		frame, got, borrowed := receive(t, client, server, fill(4<<10, 0xA7))
+		if !borrowed {
+			t.Fatal("a 4 KiB argument was copied")
+		}
+		for i := 0; i < 100; i++ {
+			if next := transport.GetFrame(len(frame)); &next[0] == &frame[0] {
+				t.Fatal("a borrowed frame came back through the pool")
+			}
+			receive(t, client, server, fill(100, byte(i)))
+		}
+		if !bytes.Equal(got.([]byte), fill(4<<10, 0xA7)) {
+			t.Error("the borrowed argument was overwritten")
+		}
+	})
+}
+
+// TestFramesAccountedFor: over a plain stream network, over one wrapped by
+// cost and by fault (wrappers, which take no frame back) and over mem://,
+// calls with copied and borrowed payloads in both directions answer
+// correctly, and once both ends are closed every frame a read loop was
+// handed went back where it came from or was borrowed, none lost.
+func TestFramesAccountedFor(t *testing.T) {
+	nets := map[string]struct {
+		net  transport.Network
+		addr string
+	}{
+		"tcp":   {transport.TCPNetwork{}, "127.0.0.1:0"},
+		"cost":  {cost.Network(transport.TCPNetwork{}, cost.Model{PerMessage: time.Microsecond}), "127.0.0.1:0"},
+		"fault": {fault.NewInjector(1).Node(transport.TCPNetwork{}, "client"), "127.0.0.1:0"},
+		"mem":   {transport.NewMemNetwork(), "mem://audit"},
 	}
-	if reused, borrowed := frameReused(4 << 10); !borrowed || reused {
-		t.Errorf("4 KiB argument: borrowed=%v, frame reused=%v; want borrowed and never reused", borrowed, reused)
-	}
-	if reused, borrowed := frameReused(100); borrowed || !reused {
-		t.Errorf("100 B argument: borrowed=%v, frame reused=%v; want copied and the frame reused", borrowed, reused)
+	for name, n := range nets {
+		t.Run(name, func(t *testing.T) {
+			audit := new([3]atomic.Int64)
+			frameAudit.Store(audit)
+			defer frameAudit.Store(nil)
+
+			ch := NewMultiplexedChannel(n.net)
+			srv, err := ch.ListenAndServe(n.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Marshal("keeper", &keeper{})
+			ref, err := GetObject(ch, srv.URLFor("keeper"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const rounds = 20
+			for i := 0; i < rounds; i++ {
+				for _, size := range []int{100, 4 << 10} {
+					want := bytes.Repeat([]byte{byte(i)}, size)
+					if _, err := ref.Invoke("Keep", want); err != nil {
+						t.Fatal(err)
+					}
+					got, err := ref.Invoke("Kept")
+					if err != nil || !bytes.Equal(got.([]byte), want) {
+						t.Fatalf("round %d, %d B: kept %v, %v", i, size, got, err)
+					}
+				}
+			}
+			ch.Close()
+			srv.Close()
+
+			out, back, borrowed := audit[frameOut].Load(), audit[frameBack].Load(), audit[frameBorrowed].Load()
+			t.Logf("frames handed out %d, handed back %d, borrowed %d", out, back, borrowed)
+			if out != back+borrowed {
+				t.Errorf("%d frames handed out, %d handed back and %d borrowed: %d unaccounted for", out, back, borrowed, out-back-borrowed)
+			}
+			if out < 8*rounds {
+				t.Errorf("%d frames handed out, want at least %d (one per end per call)", out, 8*rounds)
+			}
+			// A 4 KiB payload is borrowed once as an argument and once as a
+			// result; the bind handshake's string envelopes borrow too.
+			if borrowed < 2*rounds {
+				t.Errorf("%d frames borrowed, want at least %d", borrowed, 2*rounds)
+			}
+		})
 	}
 }
 

@@ -48,21 +48,23 @@ type inflightShard struct {
 	closed bool
 }
 
-// CallRecord is the client's record of one exchange: the request, the
-// response the lane's reader decodes into it, and how the outcome reaches
-// the caller. A blocking caller draws one from callPool and parks on rc
-// (capacity 1, never blocks the deliverer). A completion-driven call brings
-// its own, zero, as part of whatever the caller allocates for the call
-// (InvokeAsyncCb): rc stays nil, the second group is set, and the reader
-// completes it inline through to, so a future costs neither a goroutine
-// while it waits nor an allocation of the connection's. The connection holds
-// the record from submission until to has been told.
+// CallRecord is the client's record of one exchange: the request and how
+// the outcome reaches the caller. The lane's reader takes the record out of
+// the in-flight table first and decodes the reply into it second, so a reply
+// is decoded once, where it is going. A blocking caller draws one from
+// callPool and parks on rc (capacity 1, never blocks the deliverer); its
+// reply lands in *resp. A completion-driven call brings its own, zero, as
+// part of whatever the caller allocates for the call (InvokeAsyncCb): rc and
+// resp stay nil, the second group is set, and the reader completes it inline
+// through to, handing over the result as it decoded it, so a future costs
+// neither a goroutine while it waits nor an allocation of the connection's.
+// The connection holds the record from submission until to has been told.
 type CallRecord struct {
 	req  callRequest
-	resp callResponse
 	rc   chan error
+	resp *callResponse
 	// lost: abandoned on ctx while the reader or fail held the record. One
-	// of them still writes resp and sends on rc, so it never goes back to
+	// of them still writes *resp and sends on rc, so it never goes back to
 	// the pool.
 	lost bool
 
@@ -70,17 +72,23 @@ type CallRecord struct {
 	// admission until whoever delivers its outcome releases it; stop
 	// detaches the context.AfterFunc hook once the outcome is decided;
 	// cancelled is set by Cancel, for a call not admitted yet; bs and trial
-	// carry the peer breaker's verdict to the completion.
+	// carry the peer breaker's verdict to the completion; sink, when the
+	// caller set one, is offered the result before it is decoded as a value.
 	ref       *ObjRef
 	mc        *muxConn
 	ctx       context.Context
 	to        Completer
+	sink      ResultSink
 	of        outFrame
 	stop      func() bool
 	cancelled atomic.Bool
 	bs        *breakerSet
 	trial     bool
 }
+
+// SetSink gives a completion-driven call a typed slot for its result, before
+// the record is submitted; see ResultSink.
+func (c *CallRecord) SetSink(s ResultSink) { c.sink = s }
 
 // Completer is the caller's end of a completion-driven call: Complete
 // receives the normalized outcome exactly once, on the completion path (the
@@ -93,11 +101,19 @@ type CompletionFunc func(any, error)
 
 func (f CompletionFunc) Complete(v any, err error) { f(v, err) }
 
-// callPool recycles the records of blocking exchanges. A record goes back
-// only when its channel is known empty and nobody else holds it: the caller
-// received its single outcome, it was never registered, or take returned it
-// to the caller that abandoned the call.
-var callPool = sync.Pool{New: func() any { return &CallRecord{rc: make(chan error, 1)} }}
+// callPool recycles the records of blocking exchanges, each allocated with
+// the reply envelope it points the reader at. A record goes back only when
+// its channel is known empty and nobody else holds it: the caller received
+// its single outcome, it was never registered, or take returned it to the
+// caller that abandoned the call.
+var callPool = sync.Pool{New: func() any {
+	b := &struct {
+		CallRecord
+		reply callResponse
+	}{}
+	b.rc, b.resp = make(chan error, 1), &b.reply
+	return &b.CallRecord
+}}
 
 // recordAudit, when a test installs one, counts the call records of both
 // ends (CallRecord here, serverCall in server.go) as they are drawn from a
@@ -131,14 +147,18 @@ func putCallRecord(c *CallRecord) {
 		return
 	}
 	countRecord(recordReturned)
-	*c = CallRecord{rc: c.rc}
+	*c.resp = callResponse{}
+	*c = CallRecord{rc: c.rc, resp: c.resp}
 	callPool.Put(c)
 }
 
-// deliver hands the exchange its outcome (resp is filled when err is nil).
-// A completion-driven call detaches its hook and returns its slot first,
-// waking queued async work, so a slow continuation cannot idle the pipe.
-func (c *CallRecord) deliver(err error) {
+// deliver hands the exchange its outcome: err when no reply came, nil when
+// one did, which a blocking caller finds in *resp and a completion-driven one
+// is handed as the reader decoded it (result, or replyErr, the *RemoteError an
+// error reply stands for). A completion-driven call detaches its hook and
+// returns its slot first, waking queued async work, so a slow continuation
+// cannot idle the pipe.
+func (c *CallRecord) deliver(result any, replyErr, err error) {
 	if c.rc != nil {
 		c.rc <- err
 		return
@@ -148,26 +168,60 @@ func (c *CallRecord) deliver(err error) {
 	}
 	<-c.mc.slots
 	c.mc.pump()
-	c.complete(err)
+	c.complete(result, replyErr, err)
 }
 
 // complete reports a completion-driven call's outcome, exactly once: the
-// breaker's evidence, as roundTrip records it, then to with the normalized
-// reply. The record is the caller's again before to hears: nothing here
-// touches it afterwards.
-func (c *CallRecord) complete(err error) {
+// breaker's evidence, as roundTrip records it (a reply, whatever it says, is
+// the peer answering), then to. The record is the caller's again before to
+// hears: nothing here touches it afterwards.
+func (c *CallRecord) complete(result any, replyErr, err error) {
 	if err != nil {
 		err = c.mc.callErr(&c.req, err)
 	}
 	if c.bs != nil {
 		c.bs.settle(c.ctx, c.mc.netaddr, c.trial, err)
 	}
-	var v any
 	if err == nil {
-		v, err = c.ref.normalize(&c.req, &c.resp)
+		err = replyErr
 	}
 	countRecord(recordReturned)
-	c.to.Complete(v, err)
+	c.to.Complete(result, err)
+}
+
+// abort fails a call its lane took down with it, from fail or from the
+// reader whose decode of its reply failed. No slot bookkeeping post-mortem:
+// done is closed, so nothing waits on slots anymore.
+func (c *CallRecord) abort(err error) {
+	if c.rc != nil {
+		c.rc <- err
+		return
+	}
+	if c.stop != nil {
+		c.stop()
+	}
+	c.complete(nil, nil, err)
+}
+
+// readReply decodes the body of the compact reply to c, which the reader
+// has just taken, where it is going: a blocking call's into the envelope its
+// caller reads; a completion-driven call's result into its sink, or as a
+// value, and an error reply into the *RemoteError it completes with.
+func (c *CallRecord) readReply(d *wire.Decoder, seq uint64, flags byte) (result any, replyErr, err error) {
+	switch {
+	case c.resp != nil:
+		*c.resp = callResponse{Seq: seq}
+		c.resp.Result, err = decodeReplyBody(d, flags, c.resp, nil)
+	case flags&flagReplyErr == 0:
+		result, err = decodeReplyBody(d, flags, nil, c.sink)
+	default:
+		// No envelope of its own: an error reply is worth one on the stack.
+		var resp callResponse
+		if _, err = decodeReplyBody(d, flags, &resp, nil); err == nil {
+			_, replyErr = c.ref.normalize(&c.req, &resp)
+		}
+	}
+	return result, replyErr, err
 }
 
 // Cancel abandons a completion-driven call, for its caller or as the hook on
@@ -177,7 +231,7 @@ func (c *CallRecord) complete(err error) {
 func (c *CallRecord) Cancel() {
 	c.cancelled.Store(true)
 	if c.mc.take(c.req.Seq) != nil {
-		c.deliver(c.cancelErr())
+		c.deliver(nil, nil, c.cancelErr())
 	}
 }
 
@@ -196,7 +250,7 @@ func (c *CallRecord) cancelErr() error {
 func (c *CallRecord) refuse(err error) {
 	<-c.mc.slots
 	c.of.release()
-	go c.complete(err)
+	go c.complete(nil, nil, err)
 }
 
 // bindShardCount stripes the client bind table by (URI, Method) hash.
@@ -702,47 +756,82 @@ func (mc *muxConn) writer() {
 	}
 }
 
-// reader receives frames continuously and routes each response to the
-// exchange registered under its sequence number, copying the decoded reply
-// into that exchange's record. A response without an in-flight entry
-// belongs to an abandoned call and is dropped. Compact replies (which only
-// a binding server sends, and only after this client declared a handle)
-// also carry bind acks, applied here before routing.
+// reader receives frames continuously, into the buffer the connection owns
+// and through the one decoder the lane keeps, routes each reply to the
+// exchange registered under its sequence number, and hands what the reply
+// does not alias straight back to the connection.
 func (mc *muxConn) reader() {
+	d := wire.NewDecoder(nil)
+	defer d.Release()
+	d.SetBorrow(true)
 	for {
 		raw, err := transport.RecvFrame(mc.conn)
 		if err != nil {
 			mc.fail(fmt.Errorf("remoting: receive from %s: %v: %w", mc.netaddr, err, errs.ErrNodeDown))
 			return
 		}
-		var resp callResponse
-		var borrowed bool
-		if isCompactFrame(raw, markBoundReply) {
-			var ack uint32
-			ack, borrowed, err = decodeBoundReply(raw, &resp)
-			if err == nil && ack != 0 {
-				mc.confirmBind(ack)
-			}
-		} else {
-			borrowed, err = decodeInto(raw, &resp)
-		}
-		recycleFrame(raw, borrowed)
+		countFrame(frameOut)
+		borrowed, taken, err := mc.route(d, raw)
+		recycleFrame(mc.conn, raw, borrowed)
 		if err != nil {
-			// A framing/codec failure desynchronises the stream; the
-			// whole lane is unusable.
+			// A framing/codec failure desynchronises the stream; the whole
+			// lane is unusable, for the call whose reply it was too.
 			mc.fail(err)
+			if taken != nil {
+				taken.abort(err)
+			}
 			return
 		}
-		if c := mc.take(resp.Seq); c != nil {
-			// Async exchanges complete inline here: continuations run on the
-			// reader goroutine (bounded, overflowing to the pool at the
-			// future layer), which is what makes a resolved future cost no
-			// parked goroutine. They must not block; see the README's
-			// inline-continuation guidance.
-			c.resp = resp
-			c.deliver(nil)
-		}
 	}
+}
+
+// route reads one reply by the rule "take the record, then decode into it".
+// A compact reply (which only a binding server sends, and only after this
+// client declared a handle) names its call and any bind ack in its header;
+// the ack is applied, the exchange taken, and the body decoded straight into
+// that exchange's record. A reply without an in-flight entry belongs to a
+// cancelled or abandoned call: its body is not read, its frame not borrowed.
+// A string envelope is decoded whole before it says whose it is (a call's
+// first exchanges on a connection, a peer that never binds). Async exchanges
+// complete inline here: continuations run on the reader goroutine (bounded,
+// overflowing to the pool at the future layer), which is what makes a
+// resolved future cost no parked goroutine. They must not block; see the
+// README's inline-continuation guidance. taken is the exchange whose reply
+// failed to decode after it left the table: nobody else will tell it.
+func (mc *muxConn) route(d *wire.Decoder, raw []byte) (borrowed bool, taken *CallRecord, err error) {
+	if !isCompactFrame(raw, markBoundReply) {
+		var resp callResponse
+		if borrowed, err = decodeInto(raw, &resp); err != nil {
+			return borrowed, nil, err
+		}
+		switch c := mc.take(resp.Seq); {
+		case c == nil:
+		case c.resp != nil:
+			*c.resp = resp
+			c.deliver(nil, nil, nil)
+		default:
+			result, replyErr := c.ref.normalize(&c.req, &resp)
+			c.deliver(result, replyErr, nil)
+		}
+		return borrowed, nil, nil
+	}
+	seq, ack, flags, err := decodeReplyHeader(d, raw)
+	if err != nil {
+		return false, nil, err
+	}
+	if ack != 0 {
+		mc.confirmBind(ack)
+	}
+	c := mc.take(seq)
+	if c == nil {
+		return false, nil, nil
+	}
+	result, replyErr, err := c.readReply(d, seq, flags)
+	if err != nil {
+		return d.Borrowed(), c, err
+	}
+	c.deliver(result, replyErr, nil)
+	return d.Borrowed(), nil, nil
 }
 
 // fail moves the lane to its terminal state: it is removed from the
@@ -773,18 +862,10 @@ func (mc *muxConn) fail(err error) {
 		sh.m = nil
 		sh.mu.Unlock()
 		for _, c := range pending {
-			// No slot bookkeeping post-mortem: done is closed, so nothing
-			// waits on slots anymore. Callbacks run iteratively here; a
-			// continuation that resubmits observes asyncClosed and fails
-			// synchronously, so the drain cannot recurse.
-			if c.rc != nil {
-				c.rc <- err
-				continue
-			}
-			if c.stop != nil {
-				c.stop()
-			}
-			c.complete(err)
+			// Callbacks run iteratively here; a continuation that resubmits
+			// observes asyncClosed and fails synchronously, so the drain
+			// cannot recurse.
+			c.abort(err)
 		}
 	}
 	mc.asyncMu.Lock()
@@ -794,7 +875,7 @@ func (mc *muxConn) fail(err error) {
 	mc.asyncMu.Unlock()
 	for _, c := range q {
 		c.of.release()
-		c.complete(err)
+		c.complete(nil, nil, err)
 	}
 }
 

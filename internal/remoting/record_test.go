@@ -226,7 +226,65 @@ func boundReplyBytes(t testing.TB, resp *callResponse, ack uint32) []byte {
 	return bytes.Clone(raw)
 }
 
-// FuzzDecodeBoundReply is FuzzDecodeBoundCall for the reply frame.
+// typedSink is a ResultSink with a slot of type T, as parc's asyncResult[R]
+// is one, that also notes what a ResultSink must never do: refuse a value
+// and move the decoder all the same.
+type typedSink[T any] struct {
+	val         T
+	took, moved bool
+}
+
+func (s *typedSink[T]) DecodeResult(d *wire.Decoder) bool {
+	before := d.Rest()
+	s.took = d.ValueInto(&s.val)
+	s.moved = !s.took && d.Rest() != before
+	return s.took
+}
+
+// sinkProbe is one fresh typedSink and how to look into it.
+type sinkProbe struct {
+	sink  ResultSink
+	slot  func() any
+	state func() (took, moved bool)
+}
+
+func probe[T any]() sinkProbe {
+	s := &typedSink[T]{}
+	return sinkProbe{s, func() any { return s.val }, func() (bool, bool) { return s.took, s.moved }}
+}
+
+// sinkProbes makes a sink of every type a typed slot can have.
+var sinkProbes = []func() sinkProbe{
+	probe[[]byte], probe[[]int], probe[[]int32], probe[[]int64], probe[[]float32], probe[[]float64],
+	probe[[]string], probe[[]bool], probe[string], probe[bool],
+	probe[int], probe[int8], probe[int16], probe[int32], probe[int64],
+	probe[uint], probe[uint8], probe[uint16], probe[uint32], probe[uint64],
+	probe[float32], probe[float64],
+}
+
+// sameValue compares two decoded values by their encoding (a NaN is itself).
+func sameValue(t testing.TB, a, b any) bool {
+	t.Helper()
+	enc := func(v any) []byte {
+		e := wire.NewEncoder()
+		defer e.Release()
+		e.Value(v)
+		if err := e.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Clone(e.Bytes())
+	}
+	return reflect.TypeOf(a) == reflect.TypeOf(b) && bytes.Equal(enc(a), enc(b))
+}
+
+// FuzzDecodeBoundReply is FuzzDecodeBoundCall for the reply frame, and holds
+// the reader's way of decoding one (header, then the body into the caller's
+// typed slot) to the generic decode: with a sink of every slot type, a frame
+// is accepted or refused as the generic decode accepts or refuses it; a
+// result whose tag is the slot's lands in the slot, equal to the generic
+// decode's, and the result is then the sink itself; any other result leaves
+// the sink untouched and the decoder where it was, and is decoded as a value;
+// an error reply never touches a sink.
 func FuzzDecodeBoundReply(f *testing.F) {
 	for _, resp := range []callResponse{
 		{Seq: 7, Result: []int32{1, -2, 300000}},
@@ -234,12 +292,75 @@ func FuzzDecodeBoundReply(f *testing.F) {
 		{Seq: 8, IsErr: true, ErrCode: "no_such_method", ErrMsg: "boom"},
 		{Seq: 9, IsErr: true, ErrCode: "moved", ErrMsg: "moved", FwdAddr: "127.0.0.1:9", FwdNode: 3, FwdGen: 5, FwdURI: "obj/x"},
 		{Seq: 10, IsErr: true, ErrCode: "overloaded", ErrMsg: "full", RetryAfterMs: 25},
+		{Seq: 11, Result: []any{"mixed", 1}},
+		{Seq: 12, Result: bytes.Repeat([]byte{7}, 2<<10)}, // above wire.BorrowMin
 	} {
 		f.Add(boundReplyBytes(f, &resp, uint32(resp.Seq%3)))
+	}
+	// Every typed tag, so every sink meets its own type and all the others
+	// (a []float64 reply to an []int32 sink among them).
+	for i, p := range sinkProbes {
+		v := reflect.New(reflect.TypeOf(p().slot())).Elem()
+		switch v.Kind() {
+		case reflect.Slice:
+			v = reflect.MakeSlice(v.Type(), 3, 3)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.String:
+			v.SetString("result")
+		}
+		frame := boundReplyBytes(f, &callResponse{Seq: uint64(20 + i), Result: v.Interface()}, 0)
+		f.Add(frame)
+		f.Add(append(frame, 0x00))  // trailing bytes
+		f.Add(frame[:len(frame)-1]) // a count that exceeds the frame
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var resp callResponse
 		ack, _, err := decodeBoundReply(data, &resp)
+		d := wire.NewDecoder(nil)
+		defer d.Release()
+		d.SetBorrow(true)
+		for _, newProbe := range sinkProbes {
+			p := newProbe()
+			viaSink := callResponse{}
+			seq, ack2, flags, herr := decodeReplyHeader(d, data)
+			viaSink.Seq = seq
+			var result any
+			berr := herr
+			if herr == nil {
+				result, berr = decodeReplyBody(d, flags, &viaSink, p.sink)
+			}
+			if (berr == nil) != (err == nil) {
+				t.Fatalf("sink of %T: header then body: %v; generic decode: %v", p.slot(), berr, err)
+			}
+			took, moved := p.state()
+			if moved {
+				t.Fatalf("sink of %T refused the result and moved the decoder", p.slot())
+			}
+			if err != nil {
+				continue
+			}
+			if ack2 != ack || seq != resp.Seq {
+				t.Fatalf("header read seq %d ack %d, generic decode %d and %d", seq, ack2, resp.Seq, ack)
+			}
+			switch {
+			case resp.IsErr:
+				if took || !reflect.ValueOf(p.slot()).IsZero() || !reflect.DeepEqual(viaSink, resp) {
+					t.Fatalf("error reply: sink of %T took=%v, envelope %+v, generic decode %+v", p.slot(), took, viaSink, resp)
+				}
+			case took:
+				if result != any(p.sink) || !sameValue(t, p.slot(), resp.Result) {
+					t.Fatalf("sink of %T took %v, generic decode gives %T %v", p.slot(), p.slot(), resp.Result, resp.Result)
+				}
+			default:
+				if reflect.TypeOf(resp.Result) == reflect.TypeOf(p.slot()) {
+					t.Fatalf("sink of %T refused a result of its own type", p.slot())
+				}
+				if !reflect.ValueOf(p.slot()).IsZero() || !sameValue(t, result, resp.Result) {
+					t.Fatalf("sink of %T refused the result but holds %v; fallback gives %v, generic decode %v", p.slot(), p.slot(), result, resp.Result)
+				}
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -494,21 +494,29 @@ func (s *Server) handleConn(conn transport.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	// The loop's own decoder, reset per compact frame, and, on a stream
+	// connection, the connection's own receive buffer: nothing on this path
+	// is shared with another connection.
+	d := wire.NewDecoder(nil)
+	defer d.Release()
+	d.SetBorrow(true)
 	for {
 		raw, err := transport.RecvFrame(conn)
 		if err != nil {
 			return
 		}
+		countFrame(frameOut)
 		c := sc.newCall()
 		var bound uint32
 		var borrowed bool
 		compact := isCompactFrame(raw, markBoundCall) || isCompactFrame(raw, markBoundCallTok)
 		if compact {
-			bound, borrowed, err = decodeBoundCall(raw, &c.req, c.argv)
+			bound, err = readBoundCall(d, raw, &c.req, c.argv)
+			borrowed = d.Borrowed()
 		} else {
 			borrowed, err = decodeInto(raw, &c.req)
 		}
-		recycleFrame(raw, borrowed)
+		recycleFrame(conn, raw, borrowed)
 		if err != nil {
 			// A framing failure desynchronises the stream, and without a
 			// sequence number we cannot form a matching reply; drop the

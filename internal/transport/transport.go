@@ -111,15 +111,33 @@ func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 // are left to the GC, so a one-off large message pins no memory.
 const smallMax = 64 << 10
 
-// framePool recycles receive buffers between messages. Buffers are stored
-// behind pointers to keep sync.Pool from re-boxing the slice header; the
-// boxes GetFrame empties wait in boxPool for the next PutFrame, so a
-// recycled frame costs no allocation in the steady state.
+// Receive frames: who owns one, and who may hand it to whom.
+//
+// RecvFrame gives its caller a frame, and the caller owns it. The one rule
+// for what happens next: a frame that decoded values alias (wire borrow
+// mode) is forgotten, the GC owns it together with the values, and nobody
+// receives into it again; a frame nothing aliases goes back, at once, to
+// where it came from. For a stream connection (TCP, Unix) that is the
+// connection: ReleaseFrame(c, b) makes b the buffer c's next receive fills,
+// so a read loop that receives, decodes and releases runs on one buffer of
+// its own, whatever other connections do, and shares no pool with them. A
+// connection that cannot take a frame back (mem://, whose frames come from
+// the sender, and every wrapper: cost, netsim, fault) has ReleaseFrame fall
+// through to PutFrame and the process-wide pool, which is also where a
+// stream connection with no buffer in hand looks first (GetFrame). Frames
+// above smallMax are kept by neither.
+//
+// framePool is that pool. Buffers are stored behind pointers to keep
+// sync.Pool from re-boxing the slice header; the boxes GetFrame empties wait
+// in boxPool for the next PutFrame, so a recycled frame costs no allocation
+// in the steady state.
 var framePool, boxPool sync.Pool
 
 // GetFrame returns a buffer of length n, reusing pooled capacity when
 // possible. Pair with PutFrame once the frame's bytes are no longer
-// referenced.
+// referenced. It looks at one pooled buffer and puts a too-small one back:
+// frames of two sizes through one pool miss it whenever the smaller sits in
+// front, which is why a connection that can keeps its own.
 func GetFrame(n int) []byte {
 	if p, _ := framePool.Get().(*[]byte); p != nil {
 		if cap(*p) >= n {
@@ -133,12 +151,9 @@ func GetFrame(n int) []byte {
 	return make([]byte, n)
 }
 
-// PutFrame recycles a message buffer nothing references any more. The
-// ownership rule for receive frames: a frame that decoded values alias
-// (wire borrow mode) is never handed back — the GC owns it, together with
-// the values — and a frame nothing aliases is handed back at once. Callers
-// may pass any buffer they own, including ones Recv allocated; buffers
-// above smallMax are dropped.
+// PutFrame hands the pool a message buffer nothing references any more.
+// Callers may pass any buffer they own, including ones Recv allocated;
+// buffers above smallMax are dropped.
 func PutFrame(b []byte) {
 	if cap(b) == 0 || cap(b) > smallMax {
 		return
@@ -151,20 +166,31 @@ func PutFrame(b []byte) {
 	framePool.Put(p)
 }
 
-// RecvFrame receives one message, drawing the buffer from the frame pool
-// when the connection supports it (TCP stream connections do). The caller
-// owns the result either way; see PutFrame for when to hand it back.
+// RecvFrame receives one message into a frame the caller owns: on a stream
+// connection the buffer the connection was last handed back, when the
+// message fits it. See ReleaseFrame for what to do with it.
 func RecvFrame(c Conn) ([]byte, error) {
-	if pr, ok := c.(pooledReceiver); ok {
-		return pr.recvPooled()
+	if fo, ok := c.(frameOwner); ok {
+		return fo.recvFrame()
 	}
 	return c.Recv()
 }
 
-// pooledReceiver is implemented by connections whose receive path can fill
-// a pooled buffer directly.
-type pooledReceiver interface {
-	recvPooled() ([]byte, error)
+// ReleaseFrame hands a frame that RecvFrame(c) returned, and that nothing
+// references any more, back to c, or to the pool when c cannot take it.
+func ReleaseFrame(c Conn, b []byte) {
+	if fo, ok := c.(frameOwner); ok {
+		fo.keepFrame(b)
+		return
+	}
+	PutFrame(b)
+}
+
+// frameOwner is implemented by connections that receive into a buffer of
+// their own and take it back.
+type frameOwner interface {
+	recvFrame() ([]byte, error)
+	keepFrame(b []byte)
 }
 
 // BatchSender is implemented by connections that can transmit several
@@ -212,6 +238,11 @@ type streamConn struct {
 	recvMu   sync.Mutex
 	br       *bufio.Reader
 	rLenBuf  [4]byte
+	// spare is the receive frame the connection was last handed back
+	// (ReleaseFrame). Its own lock, not recvMu: a release must not wait for
+	// a receive blocked on the socket.
+	spareMu sync.Mutex
+	spare   []byte
 }
 
 // readBufSize sizes the receive buffer: big enough to swallow a full
@@ -272,17 +303,46 @@ func (s *streamConn) SendBatch(msgs [][]byte) error {
 	return err
 }
 
-func (s *streamConn) Recv() ([]byte, error) {
-	return s.recv(func(n int) []byte { return make([]byte, n) })
+func (s *streamConn) Recv() ([]byte, error) { return s.recv(false) }
+
+// recvFrame implements frameOwner: the message lands in the connection's
+// spare frame, so a read loop that releases what it received allocates
+// nothing.
+func (s *streamConn) recvFrame() ([]byte, error) { return s.recv(true) }
+
+// keepFrame implements frameOwner. The larger of two frames is kept, so a
+// connection whose messages come in several sizes settles on one buffer
+// that fits them all.
+func (s *streamConn) keepFrame(b []byte) {
+	if cap(b) > smallMax {
+		return
+	}
+	s.spareMu.Lock()
+	if cap(b) > cap(s.spare) {
+		s.spare = b[:0]
+	}
+	s.spareMu.Unlock()
 }
 
-// recvPooled implements pooledReceiver: the message lands in a frame-pool
-// buffer, so steady-state receives allocate nothing.
-func (s *streamConn) recvPooled() ([]byte, error) {
-	return s.recv(GetFrame)
+// ownedFrame is the spare frame when n bytes fit it, a pooled or fresh one
+// otherwise (the first receive, the one after a borrowed frame, a message
+// that outgrew the spare).
+func (s *streamConn) ownedFrame(n int) []byte {
+	s.spareMu.Lock()
+	b := s.spare
+	if b != nil && cap(b) >= n {
+		s.spare = nil
+	} else {
+		b = nil
+	}
+	s.spareMu.Unlock()
+	if b != nil {
+		return b[:n]
+	}
+	return GetFrame(n)
 }
 
-func (s *streamConn) recv(alloc func(int) []byte) ([]byte, error) {
+func (s *streamConn) recv(owned bool) ([]byte, error) {
 	s.recvMu.Lock()
 	defer s.recvMu.Unlock()
 	if _, err := io.ReadFull(s.br, s.rLenBuf[:]); err != nil {
@@ -292,7 +352,12 @@ func (s *streamConn) recv(alloc func(int) []byte) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame", n)
 	}
-	buf := alloc(int(n))
+	var buf []byte
+	if owned {
+		buf = s.ownedFrame(int(n))
+	} else {
+		buf = make([]byte, n)
+	}
 	if _, err := io.ReadFull(s.br, buf); err != nil {
 		return nil, err
 	}
@@ -417,9 +482,9 @@ func NewPipe(addrA, addrB string) (Conn, Conn) {
 // a GetFrame buffer, because senders reuse their encoder buffers the moment
 // Send returns (the caller keeps ownership of msg, matching Conn's
 // contract); Recv surrenders that buffer to the receiver, which settles it
-// after decoding as PutFrame describes — the same ownership cycle as a TCP
-// receive, minus framing and syscalls, so the steady state allocates
-// nothing.
+// after decoding by the frame rule (ReleaseFrame, which for this connection
+// is PutFrame: the next frame comes from the sender's side, so there is
+// nothing to keep it for), and the steady state allocates nothing.
 type memConn struct {
 	send   chan []byte
 	recv   chan []byte

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 )
 
@@ -267,44 +268,19 @@ func (e *binEncoder) encode(v any) error {
 		e.writeBytes(x)
 		return nil
 	case []int:
-		e.writeByte(tIntSlice)
-		e.maybeArrayClass("[J")
-		e.writeUvarint(uint64(len(x)))
-		for _, n := range x {
-			e.writeFixed64(uint64(n))
-		}
+		writeInt64s(e, tIntSlice, x)
 		return nil
 	case []int32:
-		e.writeByte(tInt32Slice)
-		e.maybeArrayClass("[I")
-		e.writeUvarint(uint64(len(x)))
-		for _, n := range x {
-			e.writeFixed32(uint32(n))
-		}
+		e.writeInt32Slice(x)
 		return nil
 	case []int64:
-		e.writeByte(tInt64Slice)
-		e.maybeArrayClass("[J")
-		e.writeUvarint(uint64(len(x)))
-		for _, n := range x {
-			e.writeFixed64(uint64(n))
-		}
+		writeInt64s(e, tInt64Slice, x)
 		return nil
 	case []float32:
-		e.writeByte(tFloat32Slice)
-		e.maybeArrayClass("[F")
-		e.writeUvarint(uint64(len(x)))
-		for _, f := range x {
-			e.writeFixed32(math.Float32bits(f))
-		}
+		e.writeFloat32Slice(x)
 		return nil
 	case []float64:
-		e.writeByte(tFloat64Slice)
-		e.maybeArrayClass("[D")
-		e.writeUvarint(uint64(len(x)))
-		for _, f := range x {
-			e.writeFixed64(math.Float64bits(f))
-		}
+		e.writeFloat64Slice(x)
 		return nil
 	case []string:
 		e.writeByte(tStringSlice)
@@ -354,6 +330,47 @@ func (e *binEncoder) encode(v any) error {
 		}
 	}
 	return e.encodeReflect(reflect.ValueOf(v))
+}
+
+// fixedRun starts a numeric slice: the tag, the array class of the dialects
+// that write one, the count, and room for n elements of size bytes, grown
+// once, which the caller fills.
+func (e *binEncoder) fixedRun(tag byte, class string, n, size int) []byte {
+	e.writeByte(tag)
+	e.maybeArrayClass(class)
+	e.writeUvarint(uint64(n))
+	at := len(e.buf)
+	e.buf = slices.Grow(e.buf, n*size)[:at+n*size]
+	return e.buf[at:]
+}
+
+// writeInt64s is []int and []int64, which differ in tag only.
+func writeInt64s[T int | int64](e *binEncoder, tag byte, x []T) {
+	b := e.fixedRun(tag, "[J", len(x), 8)
+	for i, n := range x {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(n))
+	}
+}
+
+func (e *binEncoder) writeInt32Slice(x []int32) {
+	b := e.fixedRun(tInt32Slice, "[I", len(x), 4)
+	for i, n := range x {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(n))
+	}
+}
+
+func (e *binEncoder) writeFloat32Slice(x []float32) {
+	b := e.fixedRun(tFloat32Slice, "[F", len(x), 4)
+	for i, f := range x {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(f))
+	}
+}
+
+func (e *binEncoder) writeFloat64Slice(x []float64) {
+	b := e.fixedRun(tFloat64Slice, "[D", len(x), 8)
+	for i, f := range x {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
+	}
 }
 
 // maybeArrayClass writes a Java-style array class name for dialects that
@@ -557,6 +574,16 @@ func (d *binDecoder) readFixed64() (uint64, error) {
 	return u, nil
 }
 
+func (d *binDecoder) readFloat32() (float32, error) {
+	u, err := d.readFixed32()
+	return math.Float32frombits(u), err
+}
+
+func (d *binDecoder) readFloat64() (float64, error) {
+	u, err := d.readFixed64()
+	return math.Float64frombits(u), err
+}
+
 func (d *binDecoder) readString() (string, error) {
 	n, err := d.readUvarint()
 	if err != nil {
@@ -644,6 +671,121 @@ func (d *binDecoder) skipArrayClass() error {
 	return err
 }
 
+// boxed is a typed reader's result as decode returns it: nil on failure.
+func boxed[T any](v T, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// sliceHeader reads what follows a fast-path slice's tag: the array class of
+// the dialects that write one, then the count, checked once against the
+// input that is left at elemSize bytes an element at least.
+func (d *binDecoder) sliceHeader(elemSize int) (int, error) {
+	if err := d.skipArrayClass(); err != nil {
+		return 0, err
+	}
+	n, err := d.readUvarint()
+	if err != nil {
+		return 0, err
+	}
+	if err := d.checkCount(n, elemSize); err != nil {
+		return 0, err
+	}
+	return int(n), nil
+}
+
+// fixedRun reads a numeric slice's header and returns the n*size bytes of
+// its elements, which sliceHeader has shown to be there, so the typed
+// readers below (shared by decode and the Decoder's box-free readers) loop
+// over them with nothing left to fail.
+func (d *binDecoder) fixedRun(size int) ([]byte, int, error) {
+	n, err := d.sliceHeader(size)
+	if err != nil {
+		return nil, 0, err
+	}
+	b := d.data[d.pos : d.pos+n*size]
+	d.pos += len(b)
+	return b, n, nil
+}
+
+// readInt64s is []int and []int64, which differ in tag only.
+func readInt64s[T int | int64](d *binDecoder) ([]T, error) {
+	b, n, err := d.fixedRun(8)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out, nil
+}
+
+func (d *binDecoder) readInt32Slice() ([]int32, error) {
+	b, n, err := d.fixedRun(4)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out, nil
+}
+
+func (d *binDecoder) readFloat32Slice() ([]float32, error) {
+	b, n, err := d.fixedRun(4)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out, nil
+}
+
+func (d *binDecoder) readFloat64Slice() ([]float64, error) {
+	b, n, err := d.fixedRun(8)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out, nil
+}
+
+func (d *binDecoder) readStringSlice() ([]string, error) {
+	n, err := d.sliceHeader(1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, n)
+	for i := range out {
+		if out[i], err = d.readString(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (d *binDecoder) readBoolSlice() ([]bool, error) {
+	n, err := d.sliceHeader(1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, n)
+	for i, b := range d.data[d.pos : d.pos+n] {
+		out[i] = b != 0
+	}
+	d.pos += n
+	return out, nil
+}
+
 func (d *binDecoder) decode() (any, error) {
 	tag, err := d.readByte()
 	if err != nil {
@@ -685,155 +827,27 @@ func (d *binDecoder) decode() (any, error) {
 		u, err := d.readUvarint()
 		return uint(u), err
 	case tFloat32:
-		u, err := d.readFixed32()
-		return math.Float32frombits(u), err
+		return boxed(d.readFloat32())
 	case tFloat64:
-		u, err := d.readFixed64()
-		return math.Float64frombits(u), err
+		return boxed(d.readFloat64())
 	case tString:
 		return d.readString()
 	case tBytes:
 		return d.readBytesValue()
 	case tIntSlice:
-		if err := d.skipArrayClass(); err != nil {
-			return nil, err
-		}
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := d.checkCount(n, 8); err != nil {
-			return nil, err
-		}
-		out := make([]int, n)
-		for i := range out {
-			u, err := d.readFixed64()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = int(int64(u))
-		}
-		return out, nil
+		return boxed(readInt64s[int](d))
 	case tInt32Slice:
-		if err := d.skipArrayClass(); err != nil {
-			return nil, err
-		}
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := d.checkCount(n, 4); err != nil {
-			return nil, err
-		}
-		out := make([]int32, n)
-		for i := range out {
-			u, err := d.readFixed32()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = int32(u)
-		}
-		return out, nil
+		return boxed(d.readInt32Slice())
 	case tInt64Slice:
-		if err := d.skipArrayClass(); err != nil {
-			return nil, err
-		}
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := d.checkCount(n, 8); err != nil {
-			return nil, err
-		}
-		out := make([]int64, n)
-		for i := range out {
-			u, err := d.readFixed64()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = int64(u)
-		}
-		return out, nil
+		return boxed(readInt64s[int64](d))
 	case tFloat32Slice:
-		if err := d.skipArrayClass(); err != nil {
-			return nil, err
-		}
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := d.checkCount(n, 4); err != nil {
-			return nil, err
-		}
-		out := make([]float32, n)
-		for i := range out {
-			u, err := d.readFixed32()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = math.Float32frombits(u)
-		}
-		return out, nil
+		return boxed(d.readFloat32Slice())
 	case tFloat64Slice:
-		if err := d.skipArrayClass(); err != nil {
-			return nil, err
-		}
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := d.checkCount(n, 8); err != nil {
-			return nil, err
-		}
-		out := make([]float64, n)
-		for i := range out {
-			u, err := d.readFixed64()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = math.Float64frombits(u)
-		}
-		return out, nil
+		return boxed(d.readFloat64Slice())
 	case tStringSlice:
-		if err := d.skipArrayClass(); err != nil {
-			return nil, err
-		}
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := d.checkCount(n, 1); err != nil {
-			return nil, err
-		}
-		out := make([]string, n)
-		for i := range out {
-			s, err := d.readString()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = s
-		}
-		return out, nil
+		return boxed(d.readStringSlice())
 	case tBoolSlice:
-		if err := d.skipArrayClass(); err != nil {
-			return nil, err
-		}
-		n, err := d.readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := d.checkCount(n, 1); err != nil {
-			return nil, err
-		}
-		out := make([]bool, n)
-		for i := range out {
-			b, err := d.readByte()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = b != 0
-		}
-		return out, nil
+		return boxed(d.readBoolSlice())
 	case tAnySlice:
 		n, err := d.readUvarint()
 		if err != nil {

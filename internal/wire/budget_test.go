@@ -142,3 +142,85 @@ func TestAnySliceIntoOutgrowsItsArray(t *testing.T) {
 		t.Errorf("short list: got %v, lent array now %v", got, lent)
 	}
 }
+
+// BenchmarkInt32Slice10k is one app_raytrace reply, a []int32 of 10,000:
+// encoded, decoded as a value (the generic reader boxes the slice) and
+// decoded through the typed reader.
+func BenchmarkInt32Slice10k(b *testing.B) {
+	pixels := make([]int32, 10000)
+	for i := range pixels {
+		pixels[i] = int32(i*2654435761 + 12345)
+	}
+	e := NewEncoder()
+	defer e.Release()
+	e.Int32Slice(pixels)
+	data := append([]byte(nil), e.Bytes()...)
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			e.Reset()
+			e.Int32Slice(pixels)
+		}
+	})
+	decode := func(read func(*Decoder) int) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := NewDecoder(data)
+				if n := read(d); n != len(pixels) || d.Err() != nil {
+					b.Fatalf("decoded %d elements, %v", n, d.Err())
+				}
+				d.Release()
+			}
+		}
+	}
+	b.Run("decode/Value", decode(func(d *Decoder) int { return len(d.Value().([]int32)) }))
+	b.Run("decode/Int32Slice", decode(func(d *Decoder) int { return len(d.Int32Slice()) }))
+}
+
+// TestAllocBudgetTypedReaders: a typed reader on the tag its type encodes
+// to allocates what it returns and nothing else: one allocation for a slice
+// (a []byte below BorrowMin is copied), none for a scalar. The same holds for
+// ValueInto, the typed slot; reading the same values through Value costs the
+// box on top.
+func TestAllocBudgetTypedReaders(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	e := NewEncoder()
+	defer e.Release()
+	e.Int32Slice(make([]int32, 16))
+	e.ByteSlice(make([]byte, 64))
+	e.Float64Slice(make([]float64, 16))
+	e.Int(1 << 40)
+	d := NewDecoder(nil)
+	defer d.Release()
+	d.SetBorrow(true)
+	var ints []int32
+	var raw []byte
+	var floats []float64
+	var n int
+	for name, c := range map[string]struct {
+		read func()
+		want float64
+	}{
+		"readers":   {func() { ints, raw, floats, n = d.Int32Slice(), d.ByteSlice(), d.Float64Slice(), d.Int() }, 3},
+		"ValueInto": {func() { d.ValueInto(&ints); d.ValueInto(&raw); d.ValueInto(&floats); d.ValueInto(&n) }, 3},
+		"Value":     {func() { d.Value(); d.Value(); d.Value(); d.Value() }, 7},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			d.Reset(e.Bytes())
+			c.read()
+			if d.Err() != nil || d.Rest() != 0 {
+				t.Fatalf("%s: %v, %d bytes left", name, d.Err(), d.Rest())
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: %.0f allocs for three slices and an int, want %.0f", name, got, c.want)
+		}
+	}
+	if len(ints) != 16 || len(raw) != 64 || len(floats) != 16 || n != 1<<40 {
+		t.Errorf("read %d int32s, %d bytes, %d float64s and %d", len(ints), len(raw), len(floats), n)
+	}
+}

@@ -372,54 +372,19 @@ func (e *Encoder) ByteSlice(v []byte) {
 }
 
 // IntSlice writes a fast-path []int.
-func (e *Encoder) IntSlice(v []int) {
-	e.e.writeByte(tIntSlice)
-	e.e.maybeArrayClass("[J")
-	e.e.writeUvarint(uint64(len(v)))
-	for _, n := range v {
-		e.e.writeFixed64(uint64(n))
-	}
-}
+func (e *Encoder) IntSlice(v []int) { writeInt64s(&e.e, tIntSlice, v) }
 
 // Int32Slice writes a fast-path []int32.
-func (e *Encoder) Int32Slice(v []int32) {
-	e.e.writeByte(tInt32Slice)
-	e.e.maybeArrayClass("[I")
-	e.e.writeUvarint(uint64(len(v)))
-	for _, n := range v {
-		e.e.writeFixed32(uint32(n))
-	}
-}
+func (e *Encoder) Int32Slice(v []int32) { e.e.writeInt32Slice(v) }
 
 // Int64Slice writes a fast-path []int64.
-func (e *Encoder) Int64Slice(v []int64) {
-	e.e.writeByte(tInt64Slice)
-	e.e.maybeArrayClass("[J")
-	e.e.writeUvarint(uint64(len(v)))
-	for _, n := range v {
-		e.e.writeFixed64(uint64(n))
-	}
-}
+func (e *Encoder) Int64Slice(v []int64) { writeInt64s(&e.e, tInt64Slice, v) }
 
 // Float32Slice writes a fast-path []float32.
-func (e *Encoder) Float32Slice(v []float32) {
-	e.e.writeByte(tFloat32Slice)
-	e.e.maybeArrayClass("[F")
-	e.e.writeUvarint(uint64(len(v)))
-	for _, f := range v {
-		e.e.writeFixed32(math.Float32bits(f))
-	}
-}
+func (e *Encoder) Float32Slice(v []float32) { e.e.writeFloat32Slice(v) }
 
 // Float64Slice writes a fast-path []float64.
-func (e *Encoder) Float64Slice(v []float64) {
-	e.e.writeByte(tFloat64Slice)
-	e.e.maybeArrayClass("[D")
-	e.e.writeUvarint(uint64(len(v)))
-	for _, f := range v {
-		e.e.writeFixed64(math.Float64bits(f))
-	}
-}
+func (e *Encoder) Float64Slice(v []float64) { e.e.writeFloat64Slice(v) }
 
 // StringSlice writes a fast-path []string.
 func (e *Encoder) StringSlice(v []string) {
@@ -506,6 +471,17 @@ func NewDecoder(data []byte) *Decoder {
 	d.d.opts = binOpts{internStrings: true, generated: true}
 	d.d.pub = d
 	return d
+}
+
+// Reset points the decoder at data and forgets the message before it, for an
+// owner that keeps one decoder and reads message after message with it (a
+// connection's read loop): NewDecoder without the pool. The modes (SetBorrow,
+// SetGenerated) stay as set.
+func (d *Decoder) Reset(data []byte) {
+	d.d.data, d.d.pos = data, 0
+	d.d.idents = d.d.idents[:0]
+	d.d.borrowed = false
+	d.err = nil
 }
 
 // Release resets the decoder and returns it to the pool.
@@ -893,43 +869,146 @@ func (d *Decoder) StringRaw() []byte {
 	return []byte(d.String())
 }
 
-// ByteSlice reads a []byte. The direct tBytes path skips the any-boxing of
-// the generic reader and honours borrow mode (SetBorrow), which is how
-// parcgen-generated codecs — whose []byte fields all decode through here —
-// get zero-copy payloads without regeneration.
-func (d *Decoder) ByteSlice() []byte {
-	if d.err == nil && d.d.pos < len(d.d.data) && d.d.data[d.d.pos] == tBytes {
-		d.d.pos++
-		b, err := d.d.readBytesValue()
-		if err != nil {
-			d.Fail(err)
-			return nil
-		}
-		return b
-	}
-	return typedSlice[[]byte](d)
-}
+// ByteSlice reads a []byte, honouring borrow mode (SetBorrow), which is how
+// parcgen-generated codecs, whose []byte fields all decode through here, get
+// zero-copy payloads without regeneration.
+func (d *Decoder) ByteSlice() []byte { return sliceOf(d, tBytes, (*binDecoder).readBytesValue) }
 
 // IntSlice reads a []int.
-func (d *Decoder) IntSlice() []int { return typedSlice[[]int](d) }
+func (d *Decoder) IntSlice() []int { return sliceOf(d, tIntSlice, readInt64s[int]) }
 
 // Int32Slice reads a []int32.
-func (d *Decoder) Int32Slice() []int32 { return typedSlice[[]int32](d) }
+func (d *Decoder) Int32Slice() []int32 { return sliceOf(d, tInt32Slice, (*binDecoder).readInt32Slice) }
 
 // Int64Slice reads a []int64.
-func (d *Decoder) Int64Slice() []int64 { return typedSlice[[]int64](d) }
+func (d *Decoder) Int64Slice() []int64 { return sliceOf(d, tInt64Slice, readInt64s[int64]) }
 
 // Float32Slice reads a []float32.
-func (d *Decoder) Float32Slice() []float32 { return typedSlice[[]float32](d) }
+func (d *Decoder) Float32Slice() []float32 {
+	return sliceOf(d, tFloat32Slice, (*binDecoder).readFloat32Slice)
+}
 
 // Float64Slice reads a []float64.
-func (d *Decoder) Float64Slice() []float64 { return typedSlice[[]float64](d) }
+func (d *Decoder) Float64Slice() []float64 {
+	return sliceOf(d, tFloat64Slice, (*binDecoder).readFloat64Slice)
+}
 
 // StringSlice reads a []string.
-func (d *Decoder) StringSlice() []string { return typedSlice[[]string](d) }
+func (d *Decoder) StringSlice() []string {
+	return sliceOf(d, tStringSlice, (*binDecoder).readStringSlice)
+}
 
 // BoolSlice reads a []bool.
-func (d *Decoder) BoolSlice() []bool { return typedSlice[[]bool](d) }
+func (d *Decoder) BoolSlice() []bool { return sliceOf(d, tBoolSlice, (*binDecoder).readBoolSlice) }
+
+// sliceOf reads the next value with read when it starts with tag, the tag T
+// encodes to: the slice is the only allocation, nothing is boxed. Anything
+// else (nil, a []any from an older peer) goes through the generic reader
+// and the Assign conversion rules.
+func sliceOf[T any](d *Decoder, tag byte, read func(*binDecoder) (T, error)) T {
+	if d.err != nil || d.d.pos >= len(d.d.data) || d.d.data[d.d.pos] != tag {
+		return typedSlice[T](d)
+	}
+	var v T
+	readExact(d, &v, read)
+	return v
+}
+
+// readExact consumes the tag its caller matched and reads the value behind
+// it into *p, which a failure leaves alone.
+func readExact[T any](d *Decoder, p *T, read func(*binDecoder) (T, error)) bool {
+	d.d.pos++
+	if v, err := read(&d.d); err != nil {
+		d.Fail(err)
+	} else {
+		*p = v
+	}
+	return true
+}
+
+// ValueInto is the typed slot of a caller that knows what it expects and
+// wants it unboxed (a remote call's result, read where the caller will look
+// for it): it reads the next value into *dst when dst points to a type the
+// Decoder has a reader for and the value's tag is exactly the one that type
+// encodes to, and reports whether it did. Otherwise, and once an error is
+// recorded, it consumes nothing and the caller falls back to Value and the
+// conversion rules. A matching value that fails to decode records the error
+// and leaves *dst alone. []byte honours borrow mode.
+func (d *Decoder) ValueInto(dst any) bool {
+	if d.err != nil || d.d.pos >= len(d.d.data) {
+		return false
+	}
+	tag := d.d.data[d.d.pos]
+	switch p := dst.(type) {
+	case *[]byte:
+		return tag == tBytes && readExact(d, p, (*binDecoder).readBytesValue)
+	case *[]int:
+		return tag == tIntSlice && readExact(d, p, readInt64s[int])
+	case *[]int32:
+		return tag == tInt32Slice && readExact(d, p, (*binDecoder).readInt32Slice)
+	case *[]int64:
+		return tag == tInt64Slice && readExact(d, p, readInt64s[int64])
+	case *[]float32:
+		return tag == tFloat32Slice && readExact(d, p, (*binDecoder).readFloat32Slice)
+	case *[]float64:
+		return tag == tFloat64Slice && readExact(d, p, (*binDecoder).readFloat64Slice)
+	case *[]string:
+		return tag == tStringSlice && readExact(d, p, (*binDecoder).readStringSlice)
+	case *[]bool:
+		return tag == tBoolSlice && readExact(d, p, (*binDecoder).readBoolSlice)
+	case *string:
+		return tag == tString && readExact(d, p, (*binDecoder).readString)
+	case *bool:
+		if tag != tTrue && tag != tFalse {
+			return false
+		}
+		d.d.pos++
+		*p = tag == tTrue
+		return true
+	case *int:
+		return tag == tInt && readExact(d, p, readSigned[int])
+	case *int8:
+		return tag == tInt8 && readExact(d, p, readOctet[int8])
+	case *int16:
+		return tag == tInt16 && readExact(d, p, readSigned[int16])
+	case *int32:
+		return tag == tInt32 && readExact(d, p, readSigned[int32])
+	case *int64:
+		return tag == tInt64 && readExact(d, p, readSigned[int64])
+	case *uint:
+		return tag == tUint && readExact(d, p, readUnsigned[uint])
+	case *uint8:
+		return tag == tUint8 && readExact(d, p, readOctet[uint8])
+	case *uint16:
+		return tag == tUint16 && readExact(d, p, readUnsigned[uint16])
+	case *uint32:
+		return tag == tUint32 && readExact(d, p, readUnsigned[uint32])
+	case *uint64:
+		return tag == tUint64 && readExact(d, p, readUnsigned[uint64])
+	case *float32:
+		return tag == tFloat32 && readExact(d, p, (*binDecoder).readFloat32)
+	case *float64:
+		return tag == tFloat64 && readExact(d, p, (*binDecoder).readFloat64)
+	}
+	return false
+}
+
+// The scalar readers of ValueInto: what decode does behind the same tags,
+// the conversion to the tag's width included.
+func readSigned[T int | int16 | int32 | int64](d *binDecoder) (T, error) {
+	i, err := d.readVarint()
+	return T(i), err
+}
+
+func readUnsigned[T uint | uint16 | uint32 | uint64](d *binDecoder) (T, error) {
+	u, err := d.readUvarint()
+	return T(u), err
+}
+
+func readOctet[T int8 | uint8](d *binDecoder) (T, error) {
+	b, err := d.readByte()
+	return T(b), err
+}
 
 // AnySlice reads a []any into a fresh backing array.
 func (d *Decoder) AnySlice() []any { return d.AnySliceInto(nil) }

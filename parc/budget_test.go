@@ -5,14 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/racetest"
-	"repro/internal/transport"
 )
 
 // Echoer is a class with an invoker thunk, as parcgen would emit, so a
@@ -38,14 +35,16 @@ func init() {
 	})
 }
 
-// remoteEchoer starts two nodes on an in-process transport and returns an
-// Echoer placed on the one the caller is not on.
+// remoteEchoer starts two nodes on loopback TCP, where a connection owns its
+// receive buffer as it does in production (over inproc:// every frame goes
+// through the process-wide pool, whose misses depend on what ran before),
+// and returns an Echoer placed on the node the caller is not on.
 func remoteEchoer(t *testing.T) *Object[Echoer] {
 	t.Helper()
 	nodes := make([]*Runtime, 2)
 	addrs := make([]string, 2)
 	for i := range nodes {
-		rt, err := ServeNode(WithNodeID(i), WithListen(fmt.Sprintf("inproc://budget-%s-%d", t.Name(), i)),
+		rt, err := ServeNode(WithNodeID(i), WithListen("127.0.0.1:0"),
 			WithPlacement(&pinNode{node: 1}))
 		if err != nil {
 			t.Fatal(err)
@@ -69,8 +68,8 @@ func remoteEchoer(t *testing.T) *Object[Echoer] {
 	return obj
 }
 
-// TestAllocBudgetTypedCall: a 64 B typed call to an object on another node
-// of an in-process transport, both ends counted, stays inside its budget,
+// TestAllocBudgetTypedCall: a 64 B typed call to an object on another node,
+// both ends counted, stays inside its budget,
 // and the method-name check of a typed call is free once it has passed.
 // The call measures 5, all of them the user's values: the payload and its
 // box on either end (4) and the reply's box in the thunk (1); args is built
@@ -111,14 +110,16 @@ func TestAllocBudgetTypedCall(t *testing.T) {
 }
 
 // TestAllocBudgetAsyncCall holds one CallAsync and the Get of its result, on
-// the same remote object, to what it measures plus one. It measures 7: the 5
-// of the blocking call, and two of the runtime's own: the call (one object:
-// the Result, the Future, the attempt the re-run rule rides on and the
-// connection's record) and the channel Get waits on. The caller's context is
-// Background, so nothing is spent on cancellation; a derived context, a
-// hook, a record of the call allocated apart from it, or a closure around a
-// continuation or a completion again adds at least 1 and must fail the
-// budget of 8.
+// the same remote object, to what it measures plus one. It measures 6, one
+// more than the blocking call: that call's 5 minus the reply's box on the
+// caller's end (the result is decoded into the Result's typed slot, and the
+// future resolves with a pointer to it), plus two of the runtime's own: the
+// call (one object: the Result, the Future, the attempt the re-run rule rides
+// on and the connection's record) and the channel Get waits on. The caller's
+// context is Background, so nothing is spent on cancellation; a derived
+// context, a hook, a record of the call allocated apart from it, a closure
+// around a continuation or a completion, or a reply decoded as a value and
+// boxed again adds at least 1 and must fail the budget of 7.
 func TestAllocBudgetAsyncCall(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -136,8 +137,8 @@ func TestAllocBudgetAsyncCall(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		call()
 	}
-	if n := testing.AllocsPerRun(500, call); n > 8 {
-		t.Errorf("async remote call: %.0f allocs, budget 8", n)
+	if n := testing.AllocsPerRun(500, call); n > 7 {
+		t.Errorf("async remote call: %.0f allocs, budget 7", n)
 	} else {
 		t.Logf("async remote call: %.0f allocs", n)
 	}
@@ -145,12 +146,17 @@ func TestAllocBudgetAsyncCall(t *testing.T) {
 
 // TestAllocBudgetScatterWave holds a wave of 256 calls over remote objects,
 // Scatter then Gather, to what a member call measures plus one, so that the
-// wave's share is gated too. A member measures 7: the 5 of the blocking call
-// plus the argument list with its boxed payload that this test's argsFor
-// builds per member; the wave's own (the slab of Results and calls, the two
-// slices of pointers and values, WhenAll's promise, errors and closures, the
-// channel Gather waits on) come to 0.05 between 256. A member that allocates
-// anything of the runtime's own again must fail the budget of 8.
+// wave's share is gated too. A member measures 6: the 4 of the blocking call
+// that are left when the reply lands in the typed slot (the payload on either
+// end, its box on the server, the reply's box in the thunk) plus the argument
+// list with its boxed payload that this test's argsFor builds per member; the
+// wave's own (the slab of Results and calls, the two slices of pointers and
+// values, WhenAll's promise, errors and closures, the channel Gather waits
+// on) come to 0.05 between 256. There is no pool term: each connection
+// receives into its own buffer, so the figure is the same alone, after other
+// tests, at any -cpu and with -count=3 (a collection that empties the
+// encoder and call-record pools mid-run shows as 0.1 at most). A member that
+// allocates anything of the runtime's own again must fail the budget of 7.
 func TestAllocBudgetScatterWave(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -174,21 +180,8 @@ func TestAllocBudgetScatterWave(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		wave()
 	}
-	// The transport's frame pool looks at one buffer a request and puts a
-	// too-small one back (ROADMAP 5(c)), so a wave of mixed request and
-	// reply sizes misses it up to twice a call, or not at all, as the pool
-	// happens to be ordered, and whatever ran before this test ordered it.
-	// Not this budget's business, so it owns the pool while it measures: two
-	// collections empty a sync.Pool and its victim cache, then no collection
-	// and nothing in the pool but frames that fit either size.
-	runtime.GC()
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 4*members; i++ {
-		transport.PutFrame(make([]byte, 512))
-	}
-	if n := testing.AllocsPerRun(20, wave) / members; n > 8 {
-		t.Errorf("scatter wave: %.2f allocs a member call, budget 8", n)
+	if n := testing.AllocsPerRun(20, wave) / members; n > 7 {
+		t.Errorf("scatter wave: %.2f allocs a member call, budget 7", n)
 	} else {
 		t.Logf("scatter wave: %.2f allocs a member call", n)
 	}

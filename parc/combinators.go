@@ -23,7 +23,7 @@ import (
 // cannot introduce the result type parameter B.)
 func Then[B any, A any](r *Result[A], fn func(A) (B, error)) *Result[B] {
 	cf := r.f.ThenAny(func(v any, err error) (any, error) {
-		a, err := As[A](v, err)
+		a, err := resultOf[A](v, err)
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +73,7 @@ func WhenAll[R any](rs ...*Result[R]) *Result[[]R] {
 		resolve(vals, nil)
 	}
 	member := func(i int, v any, err error) {
-		vals[i], errs[i] = As[R](v, err)
+		vals[i], errs[i] = resultOf[R](v, err)
 		if remaining.Add(-1) == 0 {
 			finish()
 		}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Object is the typed handle of a parallel object whose implementation
@@ -146,7 +147,8 @@ func CallAsync[R any, T any](ctx context.Context, o *Object[T], method string, a
 
 // asyncResult is what an asynchronous call allocates: the Result handed back
 // and, in the same object, everything the runtime keeps for the call. A wave
-// allocates its members' as one slice.
+// allocates its members' as one slice. It is also the call's typed slot: a
+// reply whose result is exactly an R is decoded straight into val.
 type asyncResult[R any] struct {
 	Result[R]
 	call core.AsyncCall
@@ -154,20 +156,43 @@ type asyncResult[R any] struct {
 
 // start issues the call; c must be zero.
 func (c *asyncResult[R]) start(ctx context.Context, p *Proxy, method string, args []any) *Result[R] {
+	c.call.SetSink(c)
 	c.f = p.StartAsync(ctx, &c.call, method, args)
 	return &c.Result
 }
 
-// Result is the typed future returned by CallAsync. The Results of one
-// Scatter share their wave's storage: holding one of them keeps the whole
-// wave alive, every member's record and value. Copy the value out of a
-// Result that is kept for long.
+// DecodeResult implements remoting.ResultSink, on the connection's reader
+// and before the call's future resolves: nothing reads val until a future
+// has resolved with c as its value (resultOf), so a reply that loses to a
+// Cancel lands in memory nobody looks at.
+func (c *asyncResult[R]) DecodeResult(d *wire.Decoder) bool { return d.ValueInto(&c.val) }
+
+// resultOf is the one place a future's outcome becomes an R: read out of the
+// typed slot when the call's reply was decoded into one, converted (As) from
+// whatever value the call finished with otherwise.
+func resultOf[R any](v any, err error) (R, error) {
+	if slot, ok := v.(*asyncResult[R]); ok && err == nil {
+		return slot.val, nil
+	}
+	return As[R](v, err)
+}
+
+// Result is the typed future returned by CallAsync. When the reply's type is
+// R exactly (a []byte, a numeric, string or bool slice, a string or a
+// scalar, over a connection), the value is decoded into the Result itself
+// and lives there; anything else is converted to R when it is first read.
+// The Results of one Scatter share their wave's storage: holding one of them
+// keeps the whole wave alive, every member's record and value. Copy the
+// value out of a Result that is kept for long.
 type Result[R any] struct {
 	f *Future
 
 	// once memoizes the converted outcome: repeated Get calls return the
 	// same (value, error) pair, including after an error — the underlying
-	// future resolves exactly once, and so does its typed view.
+	// future resolves exactly once, and so does its typed view. val is
+	// written by whoever decides the outcome is a value (the reply's decode,
+	// or the memo) and never on an error, when a late reply may still be
+	// landing in it.
 	once sync.Once
 	val  R
 	rerr error
@@ -198,9 +223,19 @@ func (r *Result[R]) Get(ctx context.Context) (R, error) {
 	}
 	r.once.Do(func() {
 		v, err := r.f.Get() // completed; returns immediately
-		r.val, r.rerr = As[R](v, err)
+		if slot, ok := v.(*asyncResult[R]); ok && &slot.Result == r {
+			return // this call's own reply: val has held it since before f resolved
+		}
+		if v, err := resultOf[R](v, err); err != nil {
+			r.rerr = err
+		} else {
+			r.val = v
+		}
 	})
-	return r.val, r.rerr
+	if r.rerr != nil {
+		return zero, r.rerr
+	}
+	return r.val, nil
 }
 
 // Done returns a channel closed when the call completes.
