@@ -10,9 +10,10 @@ import (
 // endpoint is what the runtime publishes under an object's URI: a remote
 // call arrives as Invoke1(method, args) or InvokeBatch(method, calls) on
 // it, never as a call on the user's object. Everything published goes
-// through Runtime.publish, which takes this interface. A compact call
+// through Runtime.publish, which takes this interface. A runtime call
 // arrives through InvokeNested, method and list as decoded; the thunks
-// below serve the flat list of a string envelope (a pair's first calls).
+// below serve a call whose argument list is not in the nested-call shape
+// and a dispatch by name.
 type endpoint interface {
 	remoting.NestedInvoker
 	Invoke1(ctx context.Context, method string, args []any) (any, error)

@@ -338,36 +338,34 @@ func TestLiveMembersExcludeSheddingPeers(t *testing.T) {
 }
 
 // TestOverloadedSurvivesWire drives ErrOverloaded across a real remote
-// call in both wire formats: the default compact bound-reply envelope and
-// the string envelope (DisableBinding). errors.Is must hold client-side
-// either way.
+// call, on the object's first answered call and on a later one. errors.Is
+// must hold client-side either way. The caller runs one lane, so every
+// call of the object shares one bind table: the calls parked in the
+// mailbox declared the pair and have no reply yet, so the first shed call
+// declares it too, its reply carries the ack, and the next travels bound.
 func TestOverloadedSurvivesWire(t *testing.T) {
-	for _, disableBinding := range []bool{false, true} {
-		name := "compact"
-		if disableBinding {
-			name = "string"
-		}
+	const bound = 1
+	rts, g := startGated(t, 2, bound, ShedNewest, func(i int, cfg *Config) {
+		cfg.Placement = &forceNode{node: 1}
+		cfg.Channel.MuxLanes = 1
+	})
+	p, err := rts[0].NewParallelObject("gate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.IsLocal() {
+		t.Fatal("object placed locally; wire path not exercised")
+	}
+	occupy(t, g, p)
+	fillQueue(t, rts[1], p, bound)
+	for i, name := range []string{"declaring", "compact"} {
 		t.Run(name, func(t *testing.T) {
-			const bound = 1
-			rts, g := startGated(t, 2, bound, ShedNewest, func(i int, cfg *Config) {
-				cfg.Placement = &forceNode{node: 1}
-				cfg.Channel.DisableBinding = disableBinding
-			})
-			p, err := rts[0].NewParallelObject("gate")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.IsLocal() {
-				t.Fatal("object placed locally; wire path not exercised")
-			}
-			occupy(t, g, p)
-			fillQueue(t, rts[1], p, bound)
-			_, err = p.InvokeCtx(context.Background(), "Quick")
+			_, err := p.InvokeCtx(context.Background(), "Quick")
 			if !errors.Is(err, errs.ErrOverloaded) {
 				t.Fatalf("remote call against full mailbox: err = %v, want ErrOverloaded", err)
 			}
-			if sheds := rts[1].Stats().MailboxSheds; sheds < 1 {
-				t.Errorf("hosting node MailboxSheds = %d, want >= 1", sheds)
+			if sheds := rts[1].Stats().MailboxSheds; sheds < int64(i+1) {
+				t.Errorf("hosting node MailboxSheds = %d, want >= %d", sheds, i+1)
 			}
 			if sheds := rts[0].Stats().MailboxSheds; sheds != 0 {
 				t.Errorf("calling node MailboxSheds = %d, want 0 (shed happened remotely)", sheds)

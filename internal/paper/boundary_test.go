@@ -68,11 +68,18 @@ func importsOf(t *testing.T, dir string) map[string]string {
 	return imports
 }
 
-func TestProductionDoesNotImportPaperStacks(t *testing.T) {
+// repoRoot is the repository root, relative to this package.
+func repoRoot(t *testing.T) string {
+	t.Helper()
 	root := filepath.Join("..", "..")
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("repository root not at %s: %v", root, err)
 	}
+	return root
+}
+
+func TestProductionDoesNotImportPaperStacks(t *testing.T) {
+	root := repoRoot(t)
 	for _, pkg := range production {
 		for path, file := range importsOf(t, filepath.Join(root, pkg)) {
 			for _, tree := range paperTrees {
@@ -84,6 +91,50 @@ func TestProductionDoesNotImportPaperStacks(t *testing.T) {
 			// transport.Network (cost.Network), never by import.
 			if (pkg == "internal/remoting" || pkg == "internal/core") && path == "repro/internal/cost" {
 				t.Errorf("%s imports %s: the call path takes the cost model through transport.Network", file, path)
+			}
+		}
+	}
+}
+
+// layers is the production call path, top first: a remote call goes down
+// it, and no package may import one above it.
+var layers = []string{
+	"parc",
+	"internal/cluster",
+	"internal/core",
+	"internal/remoting",
+	"internal/dispatch",
+	"internal/wire",
+	"internal/transport",
+}
+
+// leaves are the packages every layer may use, which import no package of
+// this module themselves.
+var leaves = []string{
+	"internal/errs",
+	"internal/ctxwait",
+	"internal/threadpool",
+	"internal/metrics",
+}
+
+// TestProductionLayers holds the import graph to the layer order: each
+// layer imports only layers below it (and anything off the list), and the
+// leaves import nothing of the module.
+func TestProductionLayers(t *testing.T) {
+	root := repoRoot(t)
+	for i, pkg := range layers {
+		for path, file := range importsOf(t, filepath.Join(root, pkg)) {
+			for _, above := range layers[:i+1] {
+				if path == "repro/"+above {
+					t.Errorf("%s imports %s: %s sits below it", file, path, pkg)
+				}
+			}
+		}
+	}
+	for _, pkg := range leaves {
+		for path, file := range importsOf(t, filepath.Join(root, pkg)) {
+			if path == "repro" || strings.HasPrefix(path, "repro/") {
+				t.Errorf("%s imports %s: %s is a leaf", file, path, pkg)
 			}
 		}
 	}

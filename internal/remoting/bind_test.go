@@ -3,23 +3,26 @@ package remoting
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/errs"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // sniffingNetwork wraps a Network and records the first byte of every
-// message each direction sends, so tests can assert which envelope variant
-// actually travelled.
+// message each direction sends, so tests can assert which frame actually
+// travelled, and the bind ack of every reply.
 type sniffingNetwork struct {
 	transport.Network
 
 	mu       sync.Mutex
-	toServer []byte // first byte of each client->server message
-	toClient []byte // first byte of each server->client message
+	toServer []byte   // first byte of each client->server message
+	toClient []byte   // first byte of each server->client message
+	acks     []uint32 // bind ack of each reply
 }
 
 func newSniffingNetwork() *sniffingNetwork {
@@ -51,8 +54,12 @@ func (c *sniffingConn) Send(msg []byte) error {
 func (c *sniffingConn) Recv() ([]byte, error) {
 	msg, err := c.Conn.Recv()
 	if err == nil && len(msg) > 0 {
+		d := wire.NewDecoder(nil)
+		_, ack, _, _ := decodeReplyHeader(d, msg)
+		d.Release()
 		c.net.mu.Lock()
 		c.net.toClient = append(c.net.toClient, msg[0])
+		c.net.acks = append(c.net.acks, ack)
 		c.net.mu.Unlock()
 	}
 	return msg, err
@@ -75,22 +82,32 @@ func (n *sniffingNetwork) markers(dir string, marker byte) int {
 	return count
 }
 
-// bindServer starts a mux server and client over a sniffing network.
-// clientNoBind/serverNoBind set DisableBinding on the respective side.
-func bindServer(t *testing.T, clientNoBind, serverNoBind bool) (*Channel, *Server, *sniffingNetwork) {
+// acked returns how many replies carried a bind ack.
+func (n *sniffingNetwork) acked() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	count := 0
+	for _, a := range n.acks {
+		if a != 0 {
+			count++
+		}
+	}
+	return count
+}
+
+// bindServer starts a mux server and a one-lane client over a sniffing
+// network.
+func bindServer(t *testing.T) (*Channel, *Server, *sniffingNetwork) {
 	t.Helper()
 	net := newSniffingNetwork()
-	srvCh := NewMultiplexedChannel(net)
-	srvCh.DisableBinding = serverNoBind
-	srv, err := srvCh.ListenAndServe("mem://bind")
+	srv, err := NewMultiplexedChannel(net).ListenAndServe("mem://bind")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	cliCh := NewMultiplexedChannel(net)
-	cliCh.DisableBinding = clientNoBind
-	// One lane: these tests count envelope markers per connection, and
+	// One lane: these tests count frame markers per connection, and
 	// handles are per-lane state — striping would split the counts.
 	cliCh.MuxLanes = 1
 	t.Cleanup(cliCh.Close)
@@ -110,76 +127,54 @@ func callN(t *testing.T, ref *ObjRef, n int) {
 	}
 }
 
-// TestBindingUpgradesToCompact proves the handshake: the first call of a
-// pair travels as a string envelope carrying the bind declaration, the
-// server acks it, and later calls use the compact envelope both ways.
+// wantMarkers fails t unless the client sent declaring and bound call
+// frames and the server replies in the given numbers, and nothing else.
+func (n *sniffingNetwork) wantMarkers(t *testing.T, declaring, bound, replies int) {
+	t.Helper()
+	if got := n.markers("toServer", markDeclare); got != declaring {
+		t.Errorf("declaring calls = %d, want %d", got, declaring)
+	}
+	if got := n.markers("toServer", markBoundCall); got != bound {
+		t.Errorf("bound calls = %d, want %d", got, bound)
+	}
+	if got := n.markers("toClient", markBoundReply); got != replies {
+		t.Errorf("replies = %d, want %d", got, replies)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if sent, got := len(n.toServer), len(n.toClient); sent != declaring+bound || got != replies {
+		t.Errorf("%d frames sent and %d received, want %d and %d", sent, got, declaring+bound, replies)
+	}
+}
+
+// TestBindingUpgradesToCompact proves the handshake: a connection's first
+// frame is the pair's declaring call, every reply is a compact reply from
+// the first one on (that one carries the ack), and later calls send the
+// bare bound frame.
 func TestBindingUpgradesToCompact(t *testing.T) {
-	ch, srv, net := bindServer(t, false, false)
+	ch, srv, net := bindServer(t)
 	ref, err := GetObject(ch, srv.URLFor("d"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first call declares; it cannot itself be compact.
 	callN(t, ref, 1)
-	if got := net.markers("toServer", markBoundCall); got != 0 {
-		t.Fatalf("compact calls before ack = %d, want 0", got)
-	}
-	// The declaration's reply is already compact (it carries the ack).
-	if got := net.markers("toClient", markBoundReply); got != 1 {
-		t.Fatalf("compact replies after first call = %d, want 1", got)
+	net.wantMarkers(t, 1, 0, 1)
+	if got := net.acked(); got != 1 {
+		t.Errorf("acks after the declaring call = %d, want 1", got)
 	}
 	callN(t, ref, 5)
-	if got := net.markers("toServer", markBoundCall); got != 5 {
-		t.Errorf("compact calls after ack = %d, want 5", got)
-	}
-	if got := net.markers("toClient", markBoundReply); got != 6 {
-		t.Errorf("compact replies = %d, want 6", got)
-	}
-}
-
-// TestBoundClientAgainstStringServer is half of the mixed-mode interop
-// matrix: a binding client against a server with binding disabled keeps
-// sending string envelopes forever (the declaration is never acked) and
-// every call still works.
-func TestBoundClientAgainstStringServer(t *testing.T) {
-	ch, srv, net := bindServer(t, false, true)
-	ref, err := GetObject(ch, srv.URLFor("d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	callN(t, ref, 10)
-	if got := net.markers("toServer", markBoundCall); got != 0 {
-		t.Errorf("compact calls against non-binding server = %d, want 0", got)
-	}
-	if got := net.markers("toClient", markBoundReply); got != 0 {
-		t.Errorf("compact replies from non-binding server = %d, want 0", got)
-	}
-}
-
-// TestStringClientAgainstBoundServer is the other half: a client with
-// binding disabled never declares, so a binding server keeps answering in
-// string envelopes.
-func TestStringClientAgainstBoundServer(t *testing.T) {
-	ch, srv, net := bindServer(t, true, false)
-	ref, err := GetObject(ch, srv.URLFor("d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	callN(t, ref, 10)
-	if got := net.markers("toServer", markBoundCall); got != 0 {
-		t.Errorf("compact calls from non-binding client = %d, want 0", got)
-	}
-	if got := net.markers("toClient", markBoundReply); got != 0 {
-		t.Errorf("compact replies to non-binding client = %d, want 0", got)
+	net.wantMarkers(t, 1, 5, 6)
+	if got := net.acked(); got != 1 {
+		t.Errorf("acks after bound calls = %d, want 1", got)
 	}
 }
 
 // TestBindingConcurrentCallers hammers one bound pair from many goroutines
-// while the handshake is still in flight, so string and compact envelopes
+// while the handshake is still in flight, so declaring and bound frames
 // interleave on the pipe and responses complete out of order. Every call
 // must still match its own response.
 func TestBindingConcurrentCallers(t *testing.T) {
-	ch, srv, _ := bindServer(t, false, false)
+	ch, srv, _ := bindServer(t)
 	ref, err := GetObject(ch, srv.URLFor("d"))
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +202,8 @@ func TestBindingConcurrentCallers(t *testing.T) {
 }
 
 // TestBindRebuildAfterRedial proves handles are per-connection state: after
-// a peer restart kills the pipe, the retried call falls back to a string
-// envelope on the fresh connection, re-declares, and upgrades again.
+// a peer restart kills the pipe, the retried call declares its pair again
+// on the fresh connection, and later calls are bound again.
 func TestBindRebuildAfterRedial(t *testing.T) {
 	net := newSniffingNetwork()
 	ch := NewMultiplexedChannel(net)
@@ -220,11 +215,8 @@ func TestBindRebuildAfterRedial(t *testing.T) {
 	}
 	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 	ref, _ := GetObject(ch, srv.URLFor("d"))
-	callN(t, ref, 3) // declare + 2 compact
-	before := net.markers("toServer", markBoundCall)
-	if before == 0 {
-		t.Fatal("binding never upgraded before restart")
-	}
+	callN(t, ref, 3) // declare + 2 bound
+	net.wantMarkers(t, 1, 2, 3)
 
 	srv.Close() // peer "restarts": the pipe is dead, handles die with it
 	srv2, err := ch.ListenAndServe("mem://rebind")
@@ -234,10 +226,14 @@ func TestBindRebuildAfterRedial(t *testing.T) {
 	defer srv2.Close()
 	srv2.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
 
-	callN(t, ref, 3) // transparent redial: declare again + compact again
-	after := net.markers("toServer", markBoundCall)
-	if after <= before {
-		t.Errorf("compact calls after restart = %d, want > %d (binding must rebuild)", after, before)
+	callN(t, ref, 3) // transparent redial: declare again + bound again
+	// The first call after the restart may go out on the dead pipe first (a
+	// bound frame nobody answers) before the redial sends it, declaring.
+	if got := net.markers("toServer", markDeclare); got != 2 {
+		t.Errorf("declaring calls after restart = %d, want 2 (binding must rebuild)", got)
+	}
+	if got := net.markers("toServer", markBoundCall); got < 4 {
+		t.Errorf("bound calls after restart = %d, want at least 4", got)
 	}
 }
 
@@ -245,7 +241,7 @@ func TestBindRebuildAfterRedial(t *testing.T) {
 // registration, but Unregister must still take effect immediately, and a
 // republished object must be picked up.
 func TestUnregisterInvalidatesBoundEntry(t *testing.T) {
-	ch, srv, _ := bindServer(t, false, false)
+	ch, srv, _ := bindServer(t)
 	ref, err := GetObject(ch, srv.URLFor("d"))
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +270,7 @@ func (typeB) Who() string { return "B" }
 // type; a SingleCall factory that changes its mind must not dispatch
 // through a stale thunk.
 func TestBoundSingleCallTypeChange(t *testing.T) {
-	ch, srv, _ := bindServer(t, false, false)
+	ch, srv, _ := bindServer(t)
 	var n int
 	var mu sync.Mutex
 	srv.RegisterWellKnown("flip", SingleCall, func() any {
@@ -303,9 +299,9 @@ func TestBoundSingleCallTypeChange(t *testing.T) {
 	}
 }
 
-// TestUnboundHandleGetsErrorReply: a compact call for a handle the server
+// TestUnboundHandleGetsErrorReply: a bound call for a handle the server
 // never saw declared must produce an error reply for that seq, not kill
-// the connection.
+// the connection, which then takes a declaring call.
 func TestUnboundHandleGetsErrorReply(t *testing.T) {
 	net := transport.NewMemNetwork()
 	ch := NewMultiplexedChannel(net)
@@ -322,47 +318,182 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	req := &callRequest{Seq: 7, Args: []any{}}
-	raw, enc, err := encodeBoundCall(99, req)
+	exchange := func(handle uint32, declare bool, req *callRequest) (*callResponse, uint32) {
+		t.Helper()
+		if err := c.Send(boundCallBytes(t, handle, declare, req)); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, ack, _, err := decodeReply(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, ack
+	}
+	if resp, ack := exchange(99, false, &callRequest{Seq: 7, Args: []any{}}); resp.Seq != 7 || !resp.IsErr || ack != 0 {
+		t.Fatalf("resp = %+v ack %d, want IsErr for seq 7 and no ack", resp, ack)
+	}
+	// The connection survives: a declaring call works and is acked.
+	if resp, ack := exchange(1, true, &callRequest{URI: "d", Method: "Noop", Seq: 8, Args: []any{}}); resp.Seq != 8 || resp.IsErr || ack != 1 {
+		t.Fatalf("resp = %+v ack %d, want ok for seq 8 and ack 1", resp, ack)
+	}
+}
+
+// TestFullHandleTableDispatchesByURI: once a lane has spent its handles,
+// a new pair's calls declare handle 0, every one of them: the server
+// dispatches each by URI and acknowledges none.
+func TestFullHandleTableDispatchesByURI(t *testing.T) {
+	ch, srv, net := bindServer(t)
+	mc, _, err := ch.getMux(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spent := make([]*clientBind, maxBindHandles)
+	for i := range spent {
+		spent[i] = &clientBind{handle: uint32(i + 1)}
+	}
+	mc.byHandle.Store(&spent)
+	ref, err := GetObject(ch, srv.URLFor("d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	callN(t, ref, 5)
+	net.wantMarkers(t, 5, 0, 5)
+	if got := net.acked(); got != 0 {
+		t.Errorf("%d replies acknowledged handle 0", got)
+	}
+	if cb := mc.bindFor(ref.uri, "Divide"); cb != unboundSentinel {
+		t.Errorf("pair bound to handle %d in a full table", cb.handle)
+	}
+}
+
+// stringEnvelope is the request envelope a connection's first calls were
+// once sent in: the binfmt encoding of a registered struct. stringReply is
+// its reply.
+type stringEnvelope struct {
+	URI, Method string
+	Seq         uint64
+	Args        []any
+	Bind        uint32
+}
+
+type stringReply struct {
+	Seq    uint64
+	Result any
+}
+
+func init() {
+	wire.RegisterName("remoting.callRequest", stringEnvelope{})
+	wire.RegisterName("remoting.callResponse", stringReply{})
+}
+
+// TestStringEnvelopeClosesItsConnection: a frame in the string envelope is
+// a framing failure. The server drops the connection it came on, and a
+// client on another connection carries on, on its bound handles, without a
+// redial.
+func TestStringEnvelopeClosesItsConnection(t *testing.T) {
+	ch, srv, net := bindServer(t)
+	ref, err := GetObject(ch, srv.URLFor("d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	callN(t, ref, 2)
+
+	c, err := net.Network.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	raw, err := wire.BinFmt{}.Marshal(&stringEnvelope{URI: "d", Method: "Noop", Seq: 8, Args: []any{}, Bind: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Send(raw); err != nil {
 		t.Fatal(err)
 	}
-	enc.Release()
-	reply, err := c.Recv()
+	closed := make(chan error, 1)
+	go func() {
+		_, err := c.Recv()
+		closed <- err
+	}()
+	select {
+	case err := <-closed:
+		if err == nil {
+			t.Fatal("the server answered a string envelope")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server kept a connection that sent a string envelope")
+	}
+
+	callN(t, ref, 3)
+	net.wantMarkers(t, 1, 4, 5)
+}
+
+// TestNonReplyFrameFailsLane: a peer that answers with anything but a
+// reply frame (here, the string envelope's reply) fails the lane with
+// ErrNodeDown, for blocking and completion-driven calls alike, and once the
+// channel is closed no goroutine of it is left.
+func TestNonReplyFrameFailsLane(t *testing.T) {
+	before := runtime.NumGoroutine()
+	net := transport.NewMemNetwork()
+	l, err := net.Listen("mem://oldpeer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The client never declared, so the reply is a string envelope.
-	var resp callResponse
-	if _, err := decodeInto(reply, &resp); err != nil {
+	var peers sync.WaitGroup
+	peers.Add(1)
+	go func() { // a peer that answers every call in the string envelope
+		defer peers.Done()
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			peers.Add(1)
+			go func() {
+				defer peers.Done()
+				defer c.Close()
+				for {
+					raw, err := c.Recv()
+					if err != nil {
+						return
+					}
+					var req callRequest
+					if _, _, _, err := decodeBoundCall(raw, &req, nil); err != nil {
+						return
+					}
+					reply, err := wire.BinFmt{}.Marshal(&stringReply{Seq: req.Seq, Result: 7})
+					if err != nil || c.Send(reply) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	ch := NewMultiplexedChannel(net)
+	ref := NewObjRef(ch, l.Addr(), "x")
+	if v, err := ref.Invoke("M"); !errors.Is(err, errs.ErrNodeDown) {
+		t.Errorf("blocking call = %v, %v, want ErrNodeDown", v, err)
+	}
+	h := newHeard()
+	if err := ref.InvokeAsyncCb(context.Background(), new(CallRecord), "M", nil, h); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Seq != 7 || !resp.IsErr {
-		t.Fatalf("resp = %+v, want IsErr for seq 7", resp)
+	if v, err := h.wait(t); !errors.Is(err, errs.ErrNodeDown) {
+		t.Errorf("completion-driven call = %v, %v, want ErrNodeDown", v, err)
 	}
-	// The connection survives: a proper string call still works.
-	req2 := &callRequest{URI: "d", Method: "Noop", Seq: 8, Args: []any{}}
-	raw2, enc2, err := ch.encodeRequest(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Send(raw2); err != nil {
-		t.Fatal(err)
-	}
-	enc2.Release()
-	reply2, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp2 callResponse
-	if _, err := decodeInto(reply2, &resp2); err != nil {
-		t.Fatal(err)
-	}
-	if resp2.Seq != 8 || resp2.IsErr {
-		t.Fatalf("resp2 = %+v, want ok for seq 8", resp2)
+	ch.Close()
+	l.Close()
+	peers.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before, %d after the lane failed and the channel closed", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -417,17 +548,17 @@ func TestBindingOverTCP(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBindingWithDeadline: the compact envelope carries the deadline, so a
+// TestBindingWithDeadline: the bound call frame carries the deadline, so a
 // bound call past its deadline must still be refused server-side.
 func TestBindingWithDeadline(t *testing.T) {
-	ch, srv, _ := bindServer(t, false, false)
+	ch, srv, _ := bindServer(t)
 	g := newGateService()
 	srv.RegisterWellKnown("g", Singleton, func() any { return g })
 	ref, err := GetObject(ch, srv.URLFor("g"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bind the pair first so the deadline call below travels compact.
+	// Bind the pair first so the deadline call below travels bound.
 	if _, err := ref.Invoke("Ping"); err != nil {
 		t.Fatal(err)
 	}
@@ -440,10 +571,10 @@ func TestBindingWithDeadline(t *testing.T) {
 		t.Fatalf("bound call with live deadline = %v", err)
 	}
 	// An already-expired deadline must be refused before dispatch, through
-	// the compact envelope's deadline field.
+	// the bound frame's deadline field.
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
 	if _, err := ref.InvokeCtx(expired, "Ping"); err == nil {
-		t.Fatal("expired deadline through compact envelope succeeded, want error")
+		t.Fatal("expired deadline through a bound call succeeded, want error")
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // Channel is a configured remoting channel bound to a transport network. A
@@ -35,13 +34,6 @@ type Channel struct {
 	// selects DefaultMuxLanes (min(GOMAXPROCS, 4)); 1 restores the
 	// single-connection behaviour.
 	MuxLanes int
-
-	// DisableBinding turns off bound call handles (see envelope.go),
-	// forcing the string envelope on every call. It is the escape hatch
-	// mirroring wire.BinFmt.DisableGenerated: set it on a client to send
-	// only string envelopes, on a server to never acknowledge bind
-	// declarations. Either side alone keeps the wire fully interoperable.
-	DisableBinding bool
 
 	// Retry, when enabled (MaxAttempts > 1), applies the unified
 	// retry/backoff loop to ObjRef.InvokeCtx calls and arms the per-peer
@@ -126,34 +118,6 @@ func (ch *Channel) laneCount() int {
 	return n
 }
 
-// encode produces the string-envelope wire bytes for a request or response
-// (passed by pointer, which keeps the envelope off the heap twice over: no
-// interface boxing copy, and the generated pointer codec). The bytes live
-// in a pooled encoder: the caller (or whoever it hands the frame to) must
-// Release it after the bytes' last use.
-func (ch *Channel) encode(envelope any) (raw []byte, enc *wire.Encoder, err error) {
-	e := wire.NewEncoder()
-	if err := e.Encode(envelope); err != nil {
-		e.Release()
-		return nil, nil, err
-	}
-	return e.Bytes(), e, nil
-}
-
-func (ch *Channel) encodeRequest(req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
-	if raw, enc, err = ch.encode(req); err != nil {
-		return nil, nil, fmt.Errorf("remoting: encode request %s.%s: %w", req.URI, req.Method, err)
-	}
-	return raw, enc, nil
-}
-
-func (ch *Channel) encodeResponse(resp *callResponse) (raw []byte, enc *wire.Encoder, err error) {
-	if raw, enc, err = ch.encode(resp); err != nil {
-		return nil, nil, fmt.Errorf("remoting: encode response: %w", err)
-	}
-	return raw, enc, nil
-}
-
 // recycleFrame applies the one ownership rule for receive frames, on the
 // server and the client alike: a frame that decoded values alias is
 // forgotten, the GC owns it, so whoever still reaches an argument or a
@@ -186,25 +150,6 @@ func countFrame(event int) {
 	if a := frameAudit.Load(); a != nil {
 		a[event].Add(1)
 	}
-}
-
-// decodeInto decodes a string envelope, request or response, into *dst in
-// borrow mode: []byte payloads of wire.BorrowMin bytes or more alias raw
-// instead of being copied out of it, and borrowed reports whether any
-// does, which decides raw's fate (see recycleFrame).
-func decodeInto[T callRequest | callResponse](raw []byte, dst *T) (borrowed bool, err error) {
-	v, borrowed, err := wire.BinFmt{}.UnmarshalShared(raw)
-	if err != nil {
-		return borrowed, fmt.Errorf("remoting: decode %T: %w", *dst, err)
-	}
-	// The generated codec decodes the pointer-encoded envelope to *T; a
-	// peer can send any other value.
-	x, ok := v.(*T)
-	if !ok {
-		return borrowed, fmt.Errorf("remoting: decoded %T, want %T", v, *dst)
-	}
-	*dst = *x
-	return borrowed, nil
 }
 
 // roundTrip performs c's request/response exchange against netaddr behind

@@ -1,35 +1,32 @@
-// Compact bound-call envelopes: the string-free steady-state wire format.
+// The envelope: the one wire format of a call and its reply.
 //
-// The string envelope (callRequest/callResponse, remoting.go) ships the
-// full object URI and method name — plus the interned struct and field
-// name dictionary of the binfmt codec — on every call. Under fine-grained
-// fan-out those fixed bytes and the codec work to produce them dominate
-// the payload (the grain-size lesson of the paper, applied to the
-// envelope itself). The compact envelope amortizes them away:
+// Shipping the object URI and method name on every call would make those
+// fixed bytes dominate the payload under fine-grained fan-out (the
+// grain-size lesson of the paper, applied to the envelope itself). A call
+// names its target by a dense per-connection handle instead:
 //
-//   - On the first call of a (URI, Method) pair over a multiplexed
-//     connection the client sends the ordinary string envelope with
-//     callRequest.Bind set to a dense per-connection handle, declaring
-//     "handle H means this pair on this connection".
-//   - A server that supports binding records the handle in a per-connection
-//     slice-indexed bind table and acknowledges it in its reply (the ack
-//     rides the compact reply header). From then on the client sends the
-//     compact call frame below, and the server resolves the handle with a
-//     slice index instead of URI/method strings, map lookups and interning.
-//   - A peer that does not bind (an old server, or one with
-//     Channel.DisableBinding set) simply never acknowledges, and the
-//     client keeps sending string envelopes forever — full interop, no
-//     negotiation round-trip. Handles are per-connection state, so a
-//     redial after a stale connection rebuilds them transparently: the
-//     first call on the fresh connection is a string envelope again.
+//   - The first call of a (URI, Method) pair on a connection is a declaring
+//     call: the URI and method ride in front of the ordinary call frame,
+//     whose handle H declares "H means this pair on this connection".
+//   - The server records the handle in a per-connection slice-indexed bind
+//     table and acknowledges it in its reply (the ack rides the reply
+//     header). From then on the client sends the bare call frame, and the
+//     server resolves the handle with a slice index instead of URI/method
+//     strings and map lookups. Until the ack arrives the client keeps
+//     declaring; redeclaring a handle is idempotent.
+//   - Handle 0 declares nothing: the server dispatches the call by URI and
+//     never acknowledges it. A connection sends it once its maxBindHandles
+//     handles are spent. Handles are per-connection state, so a redial
+//     rebuilds them: the first call on the fresh connection declares again.
 //
-// Compact frames are hand-framed rather than registered wire structs:
-// a marker byte that no binfmt value can start with, raw varint header
-// fields, then the ordinary tagged encoding for arguments and results.
+// Frames are hand-framed rather than registered wire structs: a marker
+// byte that no binfmt value can start with, raw varint header fields, then
+// the ordinary tagged encoding for names, arguments and results.
 //
-//	call:  0xBC | uvarint handle | uvarint seq | varint deadline | args ([]any, tagged)
-//	       0xBE | uvarint handle | uvarint seq | varint deadline | uvarint tokClient | uvarint tokSeq | args
-//	reply: 0xBD | uvarint seq | uvarint bindAck | flag byte | body
+//	declare: 0xBF | tagged URI string | tagged method string | call
+//	call:    0xBC | uvarint handle | uvarint seq | varint deadline | args ([]any, tagged)
+//	         0xBE | uvarint handle | uvarint seq | varint deadline | uvarint tokClient | uvarint tokSeq | args
+//	reply:   0xBD | uvarint seq | uvarint bindAck | flag byte | body
 //
 // where the 0xBE call variant carries an idempotency token (token.go) and
 // flag is 0 (body = tagged result value) or has bit 1 set (body =
@@ -39,11 +36,10 @@
 // moved-object URI — carrying a moved object's new location
 // (errs.CodeMoved); bit 4 appends a retry-after hint (raw varint
 // milliseconds) for overload sheds. bindAck, when non-zero,
-// confirms that handle for future calls on this connection. Compact
-// frames only ever appear on a connection after both ends proved they
-// speak them: the client sends its first compact call only after an ack,
-// and the server sends compact replies only after seeing a Bind
-// declaration (which only new clients emit).
+// confirms that handle for future calls on this connection. A connection
+// carries nothing else, from its first frame: the server drops one whose
+// frame starts with any other byte, and the client fails a lane whose
+// peer sends it anything but a reply.
 //
 // The nested-call shape. Every call of the SCOOPP runtime is
 // Invoke1(method, args) or InvokeBatch(method, calls) on a published
@@ -62,22 +58,25 @@ import (
 	"fmt"
 
 	"repro/internal/dispatch"
+	"repro/internal/errs"
 	"repro/internal/wire"
 )
 
 const (
 	// markBoundCall and markBoundReply are the first byte of compact
 	// frames. Binfmt values start with a tag byte (< 0x20) and the
-	// textual codecs with ASCII, so 0xBC/0xBD are unambiguous.
+	// textual codecs with ASCII, so the 0xBC-0xBF markers are unambiguous.
 	markBoundCall  = 0xBC
 	markBoundReply = 0xBD
-	// markBoundCallTok is the token-bearing compact call variant: the
-	// 0xBC layout with the idempotency token (uvarint client id, uvarint
-	// client seq) inserted after the deadline. A separate marker rather
-	// than a flag byte keeps the tokenless hot path byte-identical to the
-	// historical frame; compact frames only flow after the bind handshake
-	// proved both ends are this build, so no older peer can receive one.
+	// markBoundCallTok is the token-bearing call variant: the 0xBC layout
+	// with the idempotency token (uvarint client id, uvarint client seq)
+	// inserted after the deadline. A separate marker rather than a flag
+	// byte keeps the tokenless hot path byte-identical to the historical
+	// frame.
 	markBoundCallTok = 0xBE
+	// markDeclare prefixes a declaring call: the pair's URI and method,
+	// then the 0xBC or 0xBE frame for its handle.
+	markDeclare = 0xBF
 
 	// flagReplyErr marks a compact reply carrying an error instead of a
 	// result.
@@ -92,23 +91,22 @@ const (
 	flagReplyRetryAfter = 0x04
 
 	// maxBindHandles caps the per-connection handle space on both sides: a
-	// client stops declaring new handles past it (falling back to string
-	// envelopes), and a server ignores declarations beyond it, so a
-	// misbehaving peer cannot grow the bind table without bound.
+	// client stops declaring new handles past it (sending handle 0), and a
+	// server refuses a frame naming one beyond it, so a misbehaving peer
+	// cannot grow the bind table without bound.
 	maxBindHandles = 1 << 16
 )
 
-// isCompactFrame reports whether raw is a compact envelope of the given
-// marker.
-func isCompactFrame(raw []byte, marker byte) bool {
-	return len(raw) > 0 && raw[0] == marker
-}
-
-// encodeBoundCall produces the compact call frame for a confirmed handle.
-// Like Channel.encodeRequest, the bytes live in the returned pooled
+// encodeBoundCall produces the call frame for handle, behind the declaring
+// prefix when declare is set. The bytes live in the returned pooled
 // encoder, which whoever consumes the frame must Release.
-func encodeBoundCall(handle uint32, req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
+func encodeBoundCall(handle uint32, declare bool, req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
 	e := wire.NewEncoder()
+	if declare {
+		e.RawByte(markDeclare)
+		e.String(req.URI)
+		e.String(req.Method)
+	}
 	if req.TokClient != 0 {
 		e.RawByte(markBoundCallTok)
 	} else {
@@ -150,18 +148,27 @@ func nestedShape(args []byte) bool {
 	return args[3+w+int(n)] == wire.TagAnySlice
 }
 
-// readBoundCall parses the compact call frame raw into *req, overwriting
-// it, and returns the handle; URI and Method stay empty (the server fills
-// them from its bind table). Args in the nested-call shape land in req.sub
-// and req.Args; either way req.Args is decoded into argv's array when it
-// fits. d is the read loop's decoder, in borrow mode: large []byte arguments
-// alias raw, and d.Borrowed reports whether any does (see recycleFrame).
-func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (handle uint32, err error) {
+// readBoundCall parses the call frame raw into *req, overwriting it, and
+// returns the handle and whether the frame declared it. A declaring frame
+// fills URI and Method and may name handle 0; a bare one leaves them empty
+// (the server fills them from its bind table) and must name a handle. Args
+// in the nested-call shape land in req.sub and req.Args; either way
+// req.Args is decoded into argv's array when it fits. d is the read loop's
+// decoder, in borrow mode: large []byte arguments alias raw, and
+// d.Borrowed reports whether any does (see recycleFrame).
+func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (handle uint32, declared bool, err error) {
 	*req = callRequest{}
 	d.Reset(raw)
 	b := d.RawByte()
+	if b == markDeclare {
+		req.URI, req.Method = d.String(), d.String()
+		declared, b = true, d.RawByte()
+	}
 	if b != markBoundCall && b != markBoundCallTok {
-		return 0, fmt.Errorf("remoting: bound call marker 0x%02x, want 0x%02x or 0x%02x", b, markBoundCall, markBoundCallTok)
+		if err := d.Err(); err != nil {
+			return 0, false, fmt.Errorf("remoting: decode call: %w", err)
+		}
+		return 0, false, fmt.Errorf("remoting: call marker 0x%02x, want 0x%02x or 0x%02x", b, markBoundCall, markBoundCallTok)
 	}
 	h := d.RawUvarint()
 	req.Seq = d.RawUvarint()
@@ -185,15 +192,15 @@ func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (h
 	}
 	req.Args = d.AnySliceInto(argv)
 	if err := d.Err(); err != nil {
-		return 0, fmt.Errorf("remoting: decode bound call: %w", err)
+		return 0, false, fmt.Errorf("remoting: decode call: %w", err)
 	}
 	if rest := d.Rest(); rest != 0 {
-		return 0, fmt.Errorf("remoting: bound call: %d trailing bytes", rest)
+		return 0, false, fmt.Errorf("remoting: call: %d trailing bytes", rest)
 	}
-	if h == 0 || h > maxBindHandles {
-		return 0, fmt.Errorf("remoting: bound call handle %d out of range", h)
+	if h > maxBindHandles || h == 0 && !declared {
+		return 0, false, fmt.Errorf("remoting: call handle %d out of range", h)
 	}
-	return uint32(h), nil
+	return uint32(h), declared, nil
 }
 
 // encodeBoundReply produces the compact reply frame. bindAck, when
@@ -253,10 +260,12 @@ type ResultSink interface {
 // handle it confirms (0 when none) and the flags that say what the body is.
 // The body is read (decodeReplyBody) once the reader has taken that call's
 // record, into the record, and not at all when nobody wants it any more.
+// A frame that is no reply at all means the peer does not speak this
+// protocol, which for the lane is the same as a peer that is down.
 func decodeReplyHeader(d *wire.Decoder, raw []byte) (seq uint64, bindAck uint32, flags byte, err error) {
 	d.Reset(raw)
 	if b := d.RawByte(); b != markBoundReply {
-		return 0, 0, 0, fmt.Errorf("remoting: bound reply marker 0x%02x, want 0x%02x", b, markBoundReply)
+		return 0, 0, 0, fmt.Errorf("remoting: reply marker 0x%02x, want 0x%02x: %w", b, markBoundReply, errs.ErrNodeDown)
 	}
 	seq = d.RawUvarint()
 	ack := d.RawUvarint()

@@ -1,6 +1,7 @@
 package remoting
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestBoundCallRoundTrip(t *testing.T) {
 		Deadline: 1753776000000000000,
 		Args:     []any{int32(7), "hello", []float64{1.5, 2.5}},
 	}
-	raw, enc, err := encodeBoundCall(42, req)
+	raw, enc, err := encodeBoundCall(42, false, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +38,10 @@ func TestBoundCallRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBoundCallIsStringFree is the point of the exercise: the compact
-// frame must not contain the URI, the method name, or the envelope's
-// struct/field names, and must be much smaller than the string envelope.
+// TestBoundCallIsStringFree is the point of the exercise: once its handle
+// is confirmed, a call frame must not contain the URI, the method name, or
+// any struct/field name, and is the declaring frame less exactly the
+// declaration in front of it.
 func TestBoundCallIsStringFree(t *testing.T) {
 	req := &callRequest{
 		URI:    "DivideServer/7",
@@ -47,25 +49,28 @@ func TestBoundCallIsStringFree(t *testing.T) {
 		Seq:    99991,
 		Args:   []any{10.0, 4.0},
 	}
-	rawString, encS, err := (&Channel{}).encodeRequest(req)
+	declaring, encD, err := encodeBoundCall(3, true, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, encC, err := encodeBoundCall(3, req)
+	bound, encB, err := encodeBoundCall(3, false, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer encS.Release()
-	defer encC.Release()
+	defer encD.Release()
+	defer encB.Release()
 	for _, needle := range []string{"DivideServer", "Divide", "callRequest", "Seq", "Args"} {
-		if strings.Contains(string(compact), needle) {
-			t.Errorf("compact envelope contains %q", needle)
+		if strings.Contains(string(bound), needle) {
+			t.Errorf("bound call frame contains %q", needle)
 		}
 	}
-	if len(compact) >= len(rawString) {
-		t.Errorf("compact envelope %d bytes, string envelope %d bytes — no saving", len(compact), len(rawString))
+	prefix := []byte{markDeclare, wire.TagString, byte(len(req.URI))}
+	prefix = append(append(prefix, req.URI...), wire.TagString, byte(len(req.Method)))
+	prefix = append(prefix, req.Method...)
+	if want := append(prefix, bound...); !bytes.Equal(declaring, want) {
+		t.Errorf("declaring frame\n%x, want the declaration then the bound frame\n%x", declaring, want)
 	}
-	t.Logf("string envelope %d bytes, compact %d bytes", len(rawString), len(compact))
+	t.Logf("declaring call %d bytes, bound %d bytes", len(declaring), len(bound))
 }
 
 func TestBoundReplyRoundTripResult(t *testing.T) {
@@ -111,7 +116,7 @@ func TestBoundReplyRoundTripError(t *testing.T) {
 
 func TestBoundCallRejectsBadFrames(t *testing.T) {
 	req := &callRequest{Seq: 1, Args: []any{}}
-	raw, enc, err := encodeBoundCall(5, req)
+	raw, enc, err := encodeBoundCall(5, false, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,18 +134,30 @@ func TestBoundCallRejectsBadFrames(t *testing.T) {
 	if _, _, _, err := decodeCall(bad); err == nil {
 		t.Error("wrong marker accepted")
 	}
-	// Handle 0 and out-of-range handles are rejected.
-	if raw0, enc0, err := encodeBoundCall(0, req); err == nil {
-		if _, _, _, err := decodeCall(raw0); err == nil {
-			t.Error("handle 0 accepted")
+	// Handle 0 is rejected unless declared, an out-of-range handle always.
+	for _, declare := range []bool{false, true} {
+		if raw0, enc0, err := encodeBoundCall(0, declare, req); err == nil {
+			if _, _, _, err := decodeCall(raw0); (err == nil) != declare {
+				t.Errorf("handle 0, declaring %v: %v", declare, err)
+			}
+			enc0.Release()
 		}
-		enc0.Release()
+		if rawBig, encBig, err := encodeBoundCall(maxBindHandles+1, declare, req); err == nil {
+			if _, _, _, err := decodeCall(rawBig); err == nil {
+				t.Errorf("out-of-range handle accepted, declaring %v", declare)
+			}
+			encBig.Release()
+		}
 	}
-	if rawBig, encBig, err := encodeBoundCall(maxBindHandles+1, req); err == nil {
-		if _, _, _, err := decodeCall(rawBig); err == nil {
-			t.Error("out-of-range handle accepted")
-		}
-		encBig.Release()
+	// A declaration must be followed by a call, and only one.
+	req.URI, req.Method = "d", "Divide"
+	declaring := boundCallBytes(t, 5, true, req)
+	prefix := declaring[:len(declaring)-len(frame)]
+	if _, _, _, err := decodeCall(prefix); err == nil {
+		t.Error("a declaration with no call after it accepted")
+	}
+	if _, _, _, err := decodeCall(append(bytes.Clone(prefix), declaring...)); err == nil {
+		t.Error("a declaration of a declaration accepted")
 	}
 }
 
@@ -168,12 +185,12 @@ func TestBoundReplyRejectsBadFrames(t *testing.T) {
 // and whether anything in it aliases the frame. decodeBoundReply is header
 // then body with no sink, the generic decode that a sink's outcome is
 // compared with.
-func decodeBoundCall(raw []byte, req *callRequest, argv []any) (handle uint32, borrowed bool, err error) {
+func decodeBoundCall(raw []byte, req *callRequest, argv []any) (handle uint32, declared, borrowed bool, err error) {
 	d := wire.NewDecoder(nil)
 	defer d.Release()
 	d.SetBorrow(true)
-	handle, err = readBoundCall(d, raw, req, argv)
-	return handle, d.Borrowed(), err
+	handle, declared, err = readBoundCall(d, raw, req, argv)
+	return handle, declared, d.Borrowed(), err
 }
 
 func decodeBoundReply(raw []byte, resp *callResponse) (bindAck uint32, borrowed bool, err error) {
@@ -194,7 +211,7 @@ func decodeBoundReply(raw []byte, resp *callResponse) (bindAck uint32, borrowed 
 // look at the values rather than at the record they land in.
 func decodeCall(raw []byte) (uint32, *callRequest, bool, error) {
 	req := &callRequest{}
-	handle, borrowed, err := decodeBoundCall(raw, req, nil)
+	handle, _, borrowed, err := decodeBoundCall(raw, req, nil)
 	return handle, req, borrowed, err
 }
 

@@ -61,7 +61,7 @@ func TestKeptArgumentSurvivesLaterCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two calls complete the bind handshake; the rest travel compact.
+	// Two calls declare and confirm the handle; the rest travel bound.
 	for i := 0; i < 2; i++ {
 		if _, err := ref.Invoke("Sink", []byte{1}); err != nil {
 			t.Fatal(err)
@@ -131,7 +131,7 @@ func TestFrameOwnershipRule(t *testing.T) {
 	// server as handleConn does, returning the frame and the decoded argument.
 	receive := func(t *testing.T, client, server transport.Conn, arg any) (frame []byte, got any, borrowed bool) {
 		t.Helper()
-		raw, enc, err := encodeBoundCall(1, &callRequest{Seq: 7, Args: []any{arg}})
+		raw, enc, err := encodeBoundCall(1, false, &callRequest{Seq: 7, Args: []any{arg}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestFrameOwnershipRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		var req callRequest
-		if _, err := readBoundCall(d, frame, &req, nil); err != nil {
+		if _, _, err := readBoundCall(d, frame, &req, nil); err != nil {
 			t.Fatal(err)
 		}
 		borrowed = d.Borrowed()
@@ -306,7 +306,7 @@ func TestFramesAccountedFor(t *testing.T) {
 				t.Errorf("%d frames handed out, want at least %d (one per end per call)", out, 8*rounds)
 			}
 			// A 4 KiB payload is borrowed once as an argument and once as a
-			// result; the bind handshake's string envelopes borrow too.
+			// result.
 			if borrowed < 2*rounds {
 				t.Errorf("%d frames borrowed, want at least %d", borrowed, 2*rounds)
 			}
@@ -347,7 +347,7 @@ func keptSmallValuesSurvive(t *testing.T) {
 			t.Errorf("round %d: kept []any is now %v, want %v", round, list, wantList)
 		}
 	}
-	// Rounds 0 and 1 complete the bind handshakes; the rest travel compact.
+	// Rounds 0 and 1 declare and confirm the handles; the rest travel bound.
 	for round := 0; round < 6; round++ {
 		wantInts := []int32{int32(round), 2, 3}
 		wantName := fmt.Sprintf("name-%d", round)

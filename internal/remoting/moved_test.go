@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/errs"
-	"repro/internal/transport"
 )
 
 // TestBoundReplyCarriesForward: the compact error reply round-trips the
@@ -66,35 +65,34 @@ func (movedService) Call() (int, error) {
 }
 
 // TestMovedErrorSurvivesWire: a server-side *errs.MovedError arrives at
-// the client with its location intact and an errors.Is-able identity, on
-// both the string envelope (binding disabled) and the compact envelope
-// (bound handles).
+// the client with its location intact and an errors.Is-able identity, on a
+// pair's first call, which declares its handle, and on later ones, which
+// travel bound.
 func TestMovedErrorSurvivesWire(t *testing.T) {
-	for _, envelope := range []string{"string", "compact"} {
-		t.Run(envelope, func(t *testing.T) {
-			ch := NewMultiplexedChannel(transport.NewMemNetwork())
-			ch.DisableBinding = envelope == "string"
-			srv, err := ch.ListenAndServe("mem://moved-" + envelope)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			defer ch.Close()
-			srv.RegisterWellKnown("svc", Singleton, func() any { return movedService{} })
-			ref := NewObjRef(ch, srv.Addr(), "svc")
-			for i := 0; i < 3; i++ { // repeat so the handle binds and compact frames flow
-				_, err := ref.Invoke("Call")
-				if !errors.Is(err, errs.ErrObjectMoved) {
-					t.Fatalf("call %d: %v does not unwrap to ErrObjectMoved", i, err)
-				}
-				var mv *errs.MovedError
-				if !errors.As(err, &mv) {
-					t.Fatalf("call %d: no MovedError in chain: %v", i, err)
-				}
-				if mv.Addr != "127.0.0.1:7777" || mv.Node != 2 || mv.Gen != 9 {
-					t.Errorf("call %d: forward = %+v", i, mv)
-				}
-			}
-		})
+	ch, srv, net := bindServer(t)
+	srv.RegisterWellKnown("svc", Singleton, func() any { return movedService{} })
+	ref := NewObjRef(ch, srv.Addr(), "svc")
+	call := func(t *testing.T, i int) {
+		t.Helper()
+		_, err := ref.Invoke("Call")
+		if !errors.Is(err, errs.ErrObjectMoved) {
+			t.Fatalf("call %d: %v does not unwrap to ErrObjectMoved", i, err)
+		}
+		var mv *errs.MovedError
+		if !errors.As(err, &mv) {
+			t.Fatalf("call %d: no MovedError in chain: %v", i, err)
+		}
+		if mv.Addr != "127.0.0.1:7777" || mv.Node != 2 || mv.Gen != 9 {
+			t.Errorf("call %d: forward = %+v", i, mv)
+		}
 	}
+	t.Run("declaring", func(t *testing.T) {
+		call(t, 0)
+		net.wantMarkers(t, 1, 0, 1)
+	})
+	t.Run("compact", func(t *testing.T) {
+		call(t, 1)
+		call(t, 2)
+		net.wantMarkers(t, 1, 2, 3)
+	})
 }

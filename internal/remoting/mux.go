@@ -350,15 +350,16 @@ type bindKey struct {
 }
 
 // clientBind tracks one declared handle. confirmed flips once the server
-// acknowledges the declaration; from then on calls for the pair use the
-// compact envelope.
+// acknowledges the declaration; from then on calls for the pair send the
+// bare call frame.
 type clientBind struct {
 	handle    uint32
 	confirmed atomic.Bool
 }
 
 // unboundSentinel is returned by bindFor when the handle space is
-// exhausted: handle 0 means "never bind this pair".
+// exhausted: handle 0, never confirmed, so every call of the pair declares
+// itself and is dispatched by URI.
 var unboundSentinel = &clientBind{}
 
 // bindFor returns the bind entry for a pair, declaring a fresh dense
@@ -411,25 +412,12 @@ func (mc *muxConn) confirmBind(handle uint32) {
 	}
 }
 
-// encodeRequest produces the wire frame for req on this lane: the compact
-// envelope once the server confirmed the pair's handle, the string
-// envelope (carrying the bind declaration) until then. Ownership of the
-// returned pooled encoder follows Channel.encodeRequest.
+// encodeRequest produces the wire frame for req on this lane: the bare call
+// once the server confirmed the pair's handle, the declaring call until
+// then. Ownership of the returned pooled encoder follows encodeBoundCall.
 func (mc *muxConn) encodeRequest(req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
-	if !mc.ch.DisableBinding {
-		cb := mc.bindFor(req.URI, req.Method)
-		if cb.confirmed.Load() {
-			return encodeBoundCall(cb.handle, req)
-		}
-		req.Bind = cb.handle
-	}
-	if req.nested {
-		// The string envelope's codec sees only the flat list.
-		flat := *req
-		flat.Args, flat.nested = req.flatArgs(), false
-		req = &flat
-	}
-	return mc.ch.encodeRequest(req)
+	cb := mc.bindFor(req.URI, req.Method)
+	return encodeBoundCall(cb.handle, !cb.confirmed.Load(), req)
 }
 
 // outFrame is one queued request frame. enc, when non-nil, is the pooled
@@ -574,9 +562,10 @@ func (ch *Channel) removeMux(mc *muxConn) {
 // redials independently: a retry lands on a fresh connection for the same
 // lane, whose bind table starts empty and re-declares.
 //
-// Encoding happens per lane, in call, because the envelope variant depends
-// on the lane's bind table (envelope.go); the retry re-encodes on the fresh
-// lane, so a reconnect transparently falls back to string envelopes.
+// Encoding happens per lane, in call, because whether a call declares its
+// handle depends on the lane's bind table (envelope.go); the retry
+// re-encodes on the fresh lane, so after a reconnect the call declares
+// again.
 func (ch *Channel) muxRoundTrip(ctx context.Context, netaddr string, c *CallRecord) error {
 	lane := 0
 	if n := ch.laneCount(); n > 1 {
@@ -786,35 +775,17 @@ func (mc *muxConn) reader() {
 }
 
 // route reads one reply by the rule "take the record, then decode into it".
-// A compact reply (which only a binding server sends, and only after this
-// client declared a handle) names its call and any bind ack in its header;
-// the ack is applied, the exchange taken, and the body decoded straight into
-// that exchange's record. A reply without an in-flight entry belongs to a
+// The reply names its call and any bind ack in its header; the ack is
+// applied, the exchange taken, and the body decoded straight into that
+// exchange's record. A reply without an in-flight entry belongs to a
 // cancelled or abandoned call: its body is not read, its frame not borrowed.
-// A string envelope is decoded whole before it says whose it is (a call's
-// first exchanges on a connection, a peer that never binds). Async exchanges
-// complete inline here: continuations run on the reader goroutine (bounded,
-// overflowing to the pool at the future layer), which is what makes a
-// resolved future cost no parked goroutine. They must not block; see the
+// A frame that is no reply fails the lane. Async exchanges complete inline
+// here: continuations run on the reader goroutine (bounded, overflowing to
+// the pool at the future layer), which is what makes a resolved future cost
+// no parked goroutine. They must not block; see the
 // README's inline-continuation guidance. taken is the exchange whose reply
 // failed to decode after it left the table: nobody else will tell it.
 func (mc *muxConn) route(d *wire.Decoder, raw []byte) (borrowed bool, taken *CallRecord, err error) {
-	if !isCompactFrame(raw, markBoundReply) {
-		var resp callResponse
-		if borrowed, err = decodeInto(raw, &resp); err != nil {
-			return borrowed, nil, err
-		}
-		switch c := mc.take(resp.Seq); {
-		case c == nil:
-		case c.resp != nil:
-			*c.resp = resp
-			c.deliver(nil, nil, nil)
-		default:
-			result, replyErr := c.ref.normalize(&c.req, &resp)
-			c.deliver(result, replyErr, nil)
-		}
-		return borrowed, nil, nil
-	}
 	seq, ack, flags, err := decodeReplyHeader(d, raw)
 	if err != nil {
 		return false, nil, err

@@ -40,6 +40,27 @@ var nestedGolden = []struct {
 		"be040500010118020f0341646418021801070218010704"},
 }
 
+// declaringGolden are declaring call frames: the declaration (marker, URI,
+// method) in front of the bound frame of the same handle, the last two
+// with the bound bytes of nestedGolden's "nil args" (at handle 0) and
+// "batch with token".
+var declaringGolden = []struct {
+	name        string
+	handle      uint32
+	uri, method string
+	req         callRequest // header fields only
+	sub         string
+	args        []any
+	frame       string
+}{
+	{"declaring handle 3", 3, "obj/1", "Invoke1", callRequest{Seq: 7}, "Ints", []any{[]int32{1, -2, 300000}},
+		"bf0f056f626a2f310f07496e766f6b6531" + "bc03070018020f04496e74731801120301000000feffffffe0930400"},
+	{"declaring handle 0", 0, "obj/2", "Invoke1", callRequest{Seq: 1}, "Noop", nil,
+		"bf0f056f626a2f320f07496e766f6b6531" + "bc00010018020f044e6f6f701800"},
+	{"declaring with token", 4, "obj/3", "InvokeBatch", callRequest{Seq: 5, TokClient: 1, TokSeq: 1}, "Add", []any{[]any{1}, []any{2}},
+		"bf0f056f626a2f330f0b496e766f6b654261746368" + "be040500010118020f0341646418021801070218010704"},
+}
+
 func mustHex(t testing.TB, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)
@@ -50,9 +71,9 @@ func mustHex(t testing.TB, s string) []byte {
 }
 
 // boundCallBytes encodes req and returns a copy of the frame.
-func boundCallBytes(t testing.TB, handle uint32, req *callRequest) []byte {
+func boundCallBytes(t testing.TB, handle uint32, declare bool, req *callRequest) []byte {
 	t.Helper()
-	raw, enc, err := encodeBoundCall(handle, req)
+	raw, enc, err := encodeBoundCall(handle, declare, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,62 +82,18 @@ func boundCallBytes(t testing.TB, handle uint32, req *callRequest) []byte {
 }
 
 // TestNestedCallBytesIdentical: a request in the nested-call shape encodes
-// to the bytes the flat list did at the parent commit, decodes back into
-// the two fields with the inner list in the lent array, and flattens to the
-// list the flat decode gives. The string envelope of such a request is the
-// flat request's.
+// to the bytes the flat list did at the parent commit, bound or declaring,
+// decodes back into the two fields with the inner list in the lent array
+// (and a declaring frame into its URI and method), and re-encodes to the
+// same frame.
 func TestNestedCallBytesIdentical(t *testing.T) {
 	for _, g := range nestedGolden {
-		t.Run(g.name, func(t *testing.T) {
-			want := mustHex(t, g.frame)
-			nested, flat := g.req, g.req
-			nested.sub, nested.Args, nested.nested = g.sub, g.args, true
-			flat.Args = []any{g.sub, g.args}
-			if got := boundCallBytes(t, g.handle, &nested); !bytes.Equal(got, want) {
-				t.Errorf("nested request encodes to\n%x, want\n%x", got, want)
-			}
-			if got := boundCallBytes(t, g.handle, &flat); !bytes.Equal(got, want) {
-				t.Errorf("flat request encodes to\n%x, want\n%x", got, want)
-			}
-
-			var got callRequest
-			lent := make([]any, 0, 8)
-			handle, _, err := decodeBoundCall(want, &got, lent)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if handle != g.handle || !got.nested || got.sub != g.sub {
-				t.Fatalf("decoded handle %d nested %v sub %q, want %d true %q", handle, got.nested, got.sub, g.handle, g.sub)
-			}
-			if got.Seq != g.req.Seq || got.Deadline != g.req.Deadline || got.TokClient != g.req.TokClient || got.TokSeq != g.req.TokSeq {
-				t.Errorf("decoded header %+v, want %+v", got, g.req)
-			}
-			if len(got.Args) != len(g.args) || (len(g.args) > 0 && !reflect.DeepEqual(got.Args, g.args)) {
-				t.Errorf("decoded args %#v, want %#v", got.Args, g.args)
-			}
-			if len(got.Args) > 0 && &got.Args[0] != &lent[:1][0] {
-				t.Error("the inner list was not decoded into the lent array")
-			}
-			if !bytes.Equal(boundCallBytes(t, handle, &got), want) {
-				t.Error("decode then encode changed the frame")
-			}
-
-			ch := &Channel{DisableBinding: true}
-			viaLane, encL, err := (&muxConn{ch: ch}).encodeRequest(&nested)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer encL.Release()
-			flat.URI, flat.Method = nested.URI, nested.Method
-			direct, encD, err := ch.encodeRequest(&flat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer encD.Release()
-			if !bytes.Equal(viaLane, direct) {
-				t.Errorf("string envelope of the nested request\n%x, of the flat one\n%x", viaLane, direct)
-			}
-		})
+		t.Run(g.name, func(t *testing.T) { checkNestedFrame(t, g.handle, false, g.req, g.sub, g.args, g.frame) })
+	}
+	for _, g := range declaringGolden {
+		req := g.req
+		req.URI, req.Method = g.uri, g.method
+		t.Run(g.name, func(t *testing.T) { checkNestedFrame(t, g.handle, true, req, g.sub, g.args, g.frame) })
 	}
 	// Close to the shape, but not it: these decode by the flat path.
 	for name, frame := range map[string]string{
@@ -134,15 +111,60 @@ func TestNestedCallBytesIdentical(t *testing.T) {
 	}
 }
 
-// flatDecodeBoundCall is the parent commit's decodeBoundCall: header, then
-// the whole argument list by the generic decoder.
-func flatDecodeBoundCall(raw []byte) (handle uint64, req callRequest, err error) {
+// checkNestedFrame holds one golden frame: req's header (and, declaring,
+// its URI and method) with the nested call sub(args).
+func checkNestedFrame(t *testing.T, handle uint32, declare bool, req callRequest, sub string, args []any, frame string) {
+	want := mustHex(t, frame)
+	nested, flat := req, req
+	nested.sub, nested.Args, nested.nested = sub, args, true
+	flat.Args = []any{sub, args}
+	if got := boundCallBytes(t, handle, declare, &nested); !bytes.Equal(got, want) {
+		t.Errorf("nested request encodes to\n%x, want\n%x", got, want)
+	}
+	if got := boundCallBytes(t, handle, declare, &flat); !bytes.Equal(got, want) {
+		t.Errorf("flat request encodes to\n%x, want\n%x", got, want)
+	}
+
+	var got callRequest
+	lent := make([]any, 0, 8)
+	h, declared, _, err := decodeBoundCall(want, &got, lent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != handle || declared != declare || !got.nested || got.sub != sub {
+		t.Fatalf("decoded handle %d declared %v nested %v sub %q, want %d %v true %q", h, declared, got.nested, got.sub, handle, declare, sub)
+	}
+	if got.URI != req.URI || got.Method != req.Method {
+		t.Errorf("decoded pair %q.%q, want %q.%q", got.URI, got.Method, req.URI, req.Method)
+	}
+	if got.Seq != req.Seq || got.Deadline != req.Deadline || got.TokClient != req.TokClient || got.TokSeq != req.TokSeq {
+		t.Errorf("decoded header %+v, want %+v", got, req)
+	}
+	if len(got.Args) != len(args) || (len(args) > 0 && !reflect.DeepEqual(got.Args, args)) {
+		t.Errorf("decoded args %#v, want %#v", got.Args, args)
+	}
+	if len(got.Args) > 0 && &got.Args[0] != &lent[:1][0] {
+		t.Error("the inner list was not decoded into the lent array")
+	}
+	if !bytes.Equal(boundCallBytes(t, h, declared, &got), want) {
+		t.Error("decode then encode changed the frame")
+	}
+}
+
+// flatDecodeBoundCall is the parent commit's decodeBoundCall, with the
+// declaration in front: header, then the whole argument list by the
+// generic decoder.
+func flatDecodeBoundCall(raw []byte) (handle uint64, declared bool, req callRequest, err error) {
 	d := wire.NewDecoder(raw)
 	defer d.Release()
 	d.SetBorrow(true)
 	b := d.RawByte()
+	if b == markDeclare {
+		req.URI, req.Method = d.String(), d.String()
+		declared, b = true, d.RawByte()
+	}
 	if b != markBoundCall && b != markBoundCallTok {
-		return 0, req, errors.New("marker")
+		return 0, false, req, errors.New("marker")
 	}
 	handle = d.RawUvarint()
 	req.Seq = d.RawUvarint()
@@ -153,64 +175,94 @@ func flatDecodeBoundCall(raw []byte) (handle uint64, req callRequest, err error)
 	}
 	req.Args = d.AnySlice()
 	if err := d.Err(); err != nil {
-		return 0, req, err
+		return 0, false, req, err
 	}
 	if d.Rest() != 0 {
-		return 0, req, errors.New("trailing bytes")
+		return 0, false, req, errors.New("trailing bytes")
 	}
-	if handle == 0 || handle > maxBindHandles {
-		return 0, req, errors.New("handle")
+	if handle > maxBindHandles || handle == 0 && !declared {
+		return 0, false, req, errors.New("handle")
 	}
-	return handle, req, nil
+	return handle, declared, req, nil
 }
 
 // FuzzDecodeBoundCall: no frame makes the decoder panic; a frame decodes by
 // the nested-aware decoder exactly when it decodes by the flat one, and to
 // the same request, the method name of a nested call included, whether the
-// invoker registry had it or it was copied from the frame; and what decodes
-// re-encodes to a frame that is its own decode-encode image. (Not to the
-// input itself in general: binfmt reads a
+// invoker registry had it or it was copied from the frame, and the same
+// declaration; and what decodes re-encodes to a frame that is its own
+// decode-encode image, a declaring one to its declaration in front of the
+// bound frame. Every seed the encoder wrote that is accepted re-encodes to
+// itself, byte for byte. (An arbitrary input need not: binfmt reads a
 // varint padded with continuation bytes, a bool slice element of 2 or a
 // name spelled twice instead of back-referenced, and writes each back in
-// its one canonical form. The golden frames, which are canonical, are held
-// to byte identity by TestNestedCallBytesIdentical.)
+// its one canonical form.)
 func FuzzDecodeBoundCall(f *testing.F) {
+	var seeds [][]byte
 	for _, g := range nestedGolden {
-		f.Add(mustHex(f, g.frame))
+		seeds = append(seeds, mustHex(f, g.frame))
 	}
-	f.Add(boundCallBytes(f, 9, &callRequest{Seq: 1, Args: []any{int32(7), "flat", []float64{1.5}}}))
-	f.Add(boundCallBytes(f, 9, &callRequest{Seq: 2, Args: []any{"Tag", []any{"user", "method"}, 3}}))
+	for _, g := range declaringGolden {
+		seeds = append(seeds, mustHex(f, g.frame))
+	}
+	seeds = append(seeds,
+		boundCallBytes(f, 9, false, &callRequest{Seq: 1, Args: []any{int32(7), "flat", []float64{1.5}}}),
+		boundCallBytes(f, 9, false, &callRequest{Seq: 2, Args: []any{"Tag", []any{"user", "method"}, 3}}))
 	// Names the registry answers for (heldEcho's "Now"), almost answers for,
 	// and never will.
 	for _, sub := range []string{"Now", "No", "Nowhere", "", strings.Repeat("n", 1024)} {
-		f.Add(boundCallBytes(f, 3, &callRequest{Seq: 4, sub: sub, nested: true, Args: []any{1}}))
+		seeds = append(seeds, boundCallBytes(f, 3, false, &callRequest{Seq: 4, sub: sub, nested: true, Args: []any{1}}))
+	}
+	// Declarations: at the edges of the handle space, of an empty pair, of a
+	// URI longer than the frame, and with no call after them.
+	for _, h := range []uint32{0, maxBindHandles, maxBindHandles + 1} {
+		seeds = append(seeds, boundCallBytes(f, h, true, &callRequest{URI: "obj/1", Method: "Invoke1", Seq: 5, sub: "Now", nested: true, Args: []any{1}}))
+	}
+	seeds = append(seeds,
+		boundCallBytes(f, 6, true, &callRequest{Seq: 6, Args: []any{}}),
+		[]byte{markDeclare, wire.TagString, 0x7f, 'o', 'b', 'j', wire.TagString, 1, 'M', markBoundCall, 1, 1, 0, wire.TagAnySlice, 0},
+		[]byte{markDeclare, wire.TagString, 1, 'd', wire.TagString, 1, 'M'})
+	for _, seed := range seeds {
+		var req callRequest
+		if handle, declared, _, err := decodeBoundCall(seed, &req, nil); err == nil {
+			if once := boundCallBytes(f, handle, declared, &req); !bytes.Equal(once, seed) {
+				f.Fatalf("seed\n%x re-encodes to\n%x", seed, once)
+			}
+		}
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req callRequest
-		handle, _, err := decodeBoundCall(data, &req, make([]any, 0, 4))
-		flatHandle, flat, flatErr := flatDecodeBoundCall(data)
+		handle, declared, _, err := decodeBoundCall(data, &req, make([]any, 0, 4))
+		flatHandle, flatDeclared, flat, flatErr := flatDecodeBoundCall(data)
 		if (err == nil) != (flatErr == nil) {
 			t.Fatalf("nested-aware decode: %v; flat decode: %v", err, flatErr)
 		}
 		if err != nil {
 			return
 		}
+		if declared != flatDeclared || req.URI != flat.URI || req.Method != flat.Method {
+			t.Fatalf("declaration read as %v %q.%q, the flat read gives %v %q.%q", declared, req.URI, req.Method, flatDeclared, flat.URI, flat.Method)
+		}
 		if req.nested {
 			if copied, _ := flat.Args[0].(string); req.sub != copied {
 				t.Fatalf("method name read as %q, the copying read gives %q", req.sub, copied)
 			}
 		}
-		viaFlat := boundCallBytes(t, uint32(flatHandle), &flat)
-		once := boundCallBytes(t, handle, &req)
+		viaFlat := boundCallBytes(t, uint32(flatHandle), flatDeclared, &flat)
+		once := boundCallBytes(t, handle, declared, &req)
 		if !bytes.Equal(once, viaFlat) {
 			t.Fatalf("re-encoded after nested-aware decode\n%x, after flat decode\n%x", once, viaFlat)
 		}
+		if bare := boundCallBytes(t, handle, false, &req); declared && !bytes.HasSuffix(once, bare) {
+			t.Fatalf("declaring frame\n%x does not end in its bound frame\n%x", once, bare)
+		}
 		var again callRequest
-		handle2, _, err := decodeBoundCall(once, &again, nil)
+		handle2, declared2, _, err := decodeBoundCall(once, &again, nil)
 		if err != nil {
 			t.Fatalf("re-encoded frame %x does not decode: %v", once, err)
 		}
-		if twice := boundCallBytes(t, handle2, &again); !bytes.Equal(twice, once) {
+		if twice := boundCallBytes(t, handle2, declared2, &again); !bytes.Equal(twice, once) {
 			t.Fatalf("encode is not a fixed point:\n%x then\n%x", once, twice)
 		}
 	})
@@ -382,7 +434,7 @@ func TestNilContextIsBackground(t *testing.T) {
 	ch, srv, _ := newMuxServer(t)
 	srv.RegisterWellKnown("h", Singleton, func() any { return &heldEcho{} })
 	ref, _ := GetObject(ch, srv.URLFor("h"))
-	for i := 0; i < 3; i++ { // string envelope, then compact
+	for i := 0; i < 3; i++ { // declaring, then bound
 		if v, err := ref.InvokeCtx(nil, "Now", i); err != nil || v != i {
 			t.Fatalf("InvokeCtx(nil): %v, %v", v, err)
 		}

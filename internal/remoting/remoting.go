@@ -23,23 +23,17 @@
 //     the platform manage it).
 package remoting
 
-//go:generate go run repro/cmd/parcgen -in remoting.go -out remoting_parc.go
-
 import (
 	"fmt"
 	"strings"
 	"time"
 
 	"repro/internal/errs"
-	"repro/internal/wire"
 )
 
 // callRequest is the request envelope; one per remote method invocation.
-// The //parc:wire directive gives it a generated codec (remoting_parc.go):
-// envelope serialisation is the per-call hot path, so it must not pay the
-// reflective encoder.
-//
-//parc:wire
+// It travels as the call frame of envelope.go, URI and Method only in a
+// declaring frame.
 type callRequest struct {
 	URI    string
 	Method string
@@ -49,30 +43,22 @@ type callRequest struct {
 	// of context-aware methods) past it.
 	Deadline int64
 	Args     []any
-	// Bind, when non-zero, declares a call handle: the client asks the
-	// server to remember handle Bind for this (URI, Method) pair on this
-	// connection, so later calls can use the string-free compact envelope
-	// (see envelope.go). Servers that do not understand binding skip the
-	// field (unknown-field tolerance) and simply never acknowledge it.
-	Bind uint32
 	// TokClient/TokSeq carry the call's idempotency token (token.go) when
 	// the caller requested effectively-once semantics; zero TokClient means
-	// no token. Old servers skip both fields (unknown-field tolerance) and
-	// simply keep at-least-once behaviour.
+	// no token.
 	TokClient uint64
 	TokSeq    uint64
 
 	// nested marks the runtime-call shape: the request stands for the flat
 	// Args: []any{sub, Args} (the SCOOPP runtime's Invoke1("Echo", args))
-	// without that list having been built. Unexported, so the string
-	// envelope's codec never sees either field: it is given flatArgs, and
-	// the compact envelope writes the same bytes from the two fields.
+	// without that list having been built; the call frame writes the flat
+	// list's bytes from the two fields.
 	sub    string
 	nested bool
 }
 
-// flatArgs is the argument list as the string envelope and a plain
-// dispatch take it, built only when the request is nested.
+// flatArgs is the argument list as a plain dispatch takes it, built only
+// when the request is nested.
 func (r *callRequest) flatArgs() []any {
 	if r.nested {
 		return []any{r.sub, r.Args}
@@ -81,8 +67,6 @@ func (r *callRequest) flatArgs() []any {
 }
 
 // callResponse is the reply envelope.
-//
-//parc:wire
 type callResponse struct {
 	Seq    uint64
 	Result any
@@ -107,11 +91,6 @@ type callResponse struct {
 	// will very likely shed again. The client-side retry policy honours it
 	// over its computed backoff. Zero means no hint.
 	RetryAfterMs int64
-}
-
-func init() {
-	wire.RegisterName("remoting.callRequest", callRequest{})
-	wire.RegisterName("remoting.callResponse", callResponse{})
 }
 
 // RemoteError is the error surfaced to callers when the server side fails.

@@ -109,10 +109,11 @@ type Server struct {
 	// regGen counts mutations of the objects table. Bound-handle entries
 	// cache the *registration they resolved together with the generation
 	// they saw; a mismatch sends the next call back to the map, so
-	// Unregister and republish keep their immediate string-path semantics
-	// without a map lookup on the steady-state bound path. The counter is
-	// bumped after the mutation (under mu), so a racing reader can only
-	// cache conservatively (stale generation, revalidated next call).
+	// Unregister and republish take effect at once, as for a call dispatched
+	// by URI, without a map lookup on the steady-state bound path. The
+	// counter is bumped after the mutation (under mu), so a racing reader
+	// can only cache conservatively (stale generation, revalidated next
+	// call).
 	regGen atomic.Uint64
 
 	wg sync.WaitGroup
@@ -301,8 +302,7 @@ func (s *Server) acceptLoop() {
 // serverConn is the per-connection serve state: the coalescing response
 // writer and the bound-handle table (envelope.go). The bind table is
 // touched only by the connection's read loop — TCP ordering guarantees a
-// handle is declared before any compact call uses it — so it needs no
-// lock; compact is read by concurrent handlers and is atomic.
+// handle is declared before any bare call uses it — so it needs no lock.
 //
 // Responses are written through a combining lock rather than a dedicated
 // writer goroutine: the first handler to respond becomes the flusher and
@@ -314,11 +314,10 @@ func (s *Server) acceptLoop() {
 // into one syscall. The queue is bounded by the number of in-flight
 // handlers.
 type serverConn struct {
-	s       *Server
-	c       transport.Conn
-	compact atomic.Bool    // client proved it speaks compact envelopes
-	binds   []*bindEntry   // handle-1 → entry; read-loop only
-	calls   sync.WaitGroup // requests handed to a worker and not yet answered
+	s     *Server
+	c     transport.Conn
+	binds []*bindEntry   // handle-1 → entry; read-loop only
+	calls sync.WaitGroup // requests handed to a worker and not yet answered
 
 	wmu     sync.Mutex
 	pending []outFrame
@@ -355,17 +354,13 @@ type invCache struct {
 	inv dispatch.Invoker // nil: no generated thunk, use the reflective path
 }
 
-// declare records a bind declaration carried by a string envelope,
-// returning the entry and the handle to acknowledge (0 when refused).
-// Redeclaration of the same handle is idempotent. Any accepted declaration
-// also flips the connection to compact replies: only a new-protocol client
-// emits declarations, so it necessarily decodes them.
-func (sc *serverConn) declare(req *callRequest) (*bindEntry, uint32) {
-	h := req.Bind
-	if h == 0 || h > maxBindHandles {
+// declare records handle h, in range, for the pair a declaring call named,
+// returning the entry and the handle to acknowledge; handle 0 declares
+// nothing and gets neither. Redeclaration of the same handle is idempotent.
+func (sc *serverConn) declare(req *callRequest, h uint32) (*bindEntry, uint32) {
+	if h == 0 {
 		return nil, 0
 	}
-	sc.compact.Store(true)
 	idx := int(h) - 1
 	for len(sc.binds) <= idx {
 		sc.binds = append(sc.binds, nil)
@@ -378,7 +373,7 @@ func (sc *serverConn) declare(req *callRequest) (*bindEntry, uint32) {
 	return e, h
 }
 
-// lookupBind resolves a compact call's handle.
+// lookupBind resolves a bare call's handle.
 func (sc *serverConn) lookupBind(h uint32) *bindEntry {
 	if idx := int(h) - 1; idx >= 0 && idx < len(sc.binds) {
 		return sc.binds[idx]
@@ -494,9 +489,9 @@ func (s *Server) handleConn(conn transport.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	// The loop's own decoder, reset per compact frame, and, on a stream
-	// connection, the connection's own receive buffer: nothing on this path
-	// is shared with another connection.
+	// The loop's own decoder, reset per frame, and, on a stream connection,
+	// the connection's own receive buffer: nothing on this path is shared
+	// with another connection.
 	d := wire.NewDecoder(nil)
 	defer d.Release()
 	d.SetBorrow(true)
@@ -507,16 +502,8 @@ func (s *Server) handleConn(conn transport.Conn) {
 		}
 		countFrame(frameOut)
 		c := sc.newCall()
-		var bound uint32
-		var borrowed bool
-		compact := isCompactFrame(raw, markBoundCall) || isCompactFrame(raw, markBoundCallTok)
-		if compact {
-			bound, err = readBoundCall(d, raw, &c.req, c.argv)
-			borrowed = d.Borrowed()
-		} else {
-			borrowed, err = decodeInto(raw, &c.req)
-		}
-		recycleFrame(conn, raw, borrowed)
+		handle, declared, err := readBoundCall(d, raw, &c.req, c.argv)
+		recycleFrame(conn, raw, d.Borrowed())
 		if err != nil {
 			// A framing failure desynchronises the stream, and without a
 			// sequence number we cannot form a matching reply; drop the
@@ -524,18 +511,16 @@ func (s *Server) handleConn(conn transport.Conn) {
 			c.release()
 			return
 		}
-		if compact {
-			c.entry = sc.lookupBind(bound)
-			if c.entry == nil {
-				// A handle the read loop never saw declared: a peer
-				// bug, but seq is known, so answer instead of
-				// killing every other pipelined call on the pipe.
-				c.fail(fmt.Sprintf("unbound call handle %d", bound))
-				continue
-			}
+		if declared {
+			c.entry, c.bindAck = sc.declare(&c.req, handle)
+		} else if c.entry = sc.lookupBind(handle); c.entry != nil {
 			c.req.URI, c.req.Method = c.entry.uri, c.entry.method
-		} else if c.req.Bind != 0 && !s.ch.DisableBinding {
-			c.entry, c.bindAck = sc.declare(&c.req)
+		} else {
+			// A handle the read loop never saw declared: a peer bug, but seq
+			// is known, so answer instead of killing every other pipelined
+			// call on the pipe.
+			c.fail(fmt.Sprintf("unbound call handle %d", handle))
+			continue
 		}
 		sc.calls.Add(1)
 		if s.pool != nil {
@@ -549,17 +534,16 @@ func (s *Server) handleConn(conn transport.Conn) {
 	}
 }
 
-// respond encodes resp — compact once the client proved it binds, the
-// string envelope otherwise — and writes it through the combining lock:
-// append to the connection's pending queue, and flush the queue unless
-// another handler already is. Unencodable results degrade to an error
-// reply; after a write failure responses are discarded and the read loop
-// observes the dead connection on its next receive.
+// respond encodes resp and writes it through the combining lock: append to
+// the connection's pending queue, and flush the queue unless another
+// handler already is. Unencodable results degrade to an error reply; after
+// a write failure responses are discarded and the read loop observes the
+// dead connection on its next receive.
 func (sc *serverConn) respond(req *callRequest, resp *callResponse, bindAck uint32) {
-	raw, enc, err := sc.encodeResponse(resp, bindAck)
+	raw, enc, err := encodeBoundReply(resp, bindAck)
 	if err != nil {
 		unenc := errorResponse(req, fmt.Sprintf("unencodable result: %v", err))
-		raw, enc, err = sc.encodeResponse(&unenc, bindAck)
+		raw, enc, err = encodeBoundReply(&unenc, bindAck)
 		if err != nil {
 			return
 		}
@@ -605,13 +589,6 @@ func (sc *serverConn) flushLocked() {
 	}
 	sc.writing = false
 	sc.wmu.Unlock()
-}
-
-func (sc *serverConn) encodeResponse(resp *callResponse, bindAck uint32) ([]byte, *wire.Encoder, error) {
-	if sc.compact.Load() {
-		return encodeBoundReply(resp, bindAck)
-	}
-	return sc.s.ch.encodeResponse(resp)
 }
 
 func errorResponse(req *callRequest, msg string) callResponse {
@@ -699,7 +676,7 @@ func (s *Server) dispatchEntry(c *serverCall) {
 // resolveBound returns the registration for a bound entry, reusing the
 // cached pointer while the server's registration table is unchanged and
 // re-consulting the objects map after any mutation (generation mismatch),
-// so Unregister and republish keep their immediate string-path semantics.
+// so Unregister and republish take effect at once.
 func (s *Server) resolveBound(e *bindEntry) *registration {
 	gen := s.regGen.Load()
 	if rc := e.reg.Load(); rc != nil && rc.gen == gen {

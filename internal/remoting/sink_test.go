@@ -50,7 +50,7 @@ func TestCancelAgainstReply(t *testing.T) {
 	srv.RegisterWellKnown("h", Singleton, func() any { return &heldEcho{} })
 	ref, _ := GetObject(ch, srv.URLFor("h"))
 	ctx := context.Background()
-	for i := 0; i < 2; i++ { // the bind handshake: from here replies are compact
+	for i := 0; i < 2; i++ { // declare and confirm the handle: from here calls are bound
 		if _, err := ref.InvokeCtx(ctx, "Now", i); err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestReplyBodyFailureFailsItsCall(t *testing.T) {
 						return
 					}
 					var req callRequest
-					if _, err := decodeInto(raw, &req); err != nil {
+					if _, _, _, err := decodeBoundCall(raw, &req, nil); err != nil {
 						return
 					}
 					frame, enc, err := encodeBoundReply(&callResponse{Seq: req.Seq, Result: 7}, 0)

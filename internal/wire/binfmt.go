@@ -59,31 +59,6 @@ func (f BinFmt) Unmarshal(data []byte) (any, error) {
 	return v, nil
 }
 
-// UnmarshalShared decodes like Unmarshal but in borrow mode: []byte
-// payloads of BorrowMin bytes or more come back as views into data rather
-// than copies, skipping the large-payload memcpy of the codec entirely.
-// The wire format is unchanged — only the ownership of the result is.
-// borrowed reports whether any decoded value aliases data; when true the
-// caller must keep data alive (and unrecycled) for as long as the decoded
-// value is referenced. When false, data can be released immediately, as
-// after Unmarshal.
-func (f BinFmt) UnmarshalShared(data []byte) (v any, borrowed bool, err error) {
-	d := NewDecoder(data)
-	defer d.Release()
-	if f.DisableGenerated {
-		d.SetGenerated(false)
-	}
-	d.SetBorrow(true)
-	v, err = d.Decode()
-	if err != nil {
-		return nil, d.Borrowed(), err
-	}
-	if rest := d.Rest(); rest != 0 {
-		return nil, d.Borrowed(), fmt.Errorf("wire/binfmt: %d trailing bytes after value", rest)
-	}
-	return v, d.Borrowed(), nil
-}
-
 // binOpts selects the encoding dialect shared between BinFmt and JavaSer.
 type binOpts struct {
 	// internStrings enables the per-message name dictionary (BinFmt).

@@ -2,13 +2,31 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
 
+// decodeBorrowed decodes one whole value as a connection's read loop does:
+// a Decoder in borrow mode, []byte payloads of BorrowMin bytes or more
+// returned as views into data, and Borrowed reporting whether any is.
+func decodeBorrowed(data []byte) (v any, borrowed bool, err error) {
+	d := NewDecoder(data)
+	defer d.Release()
+	d.SetBorrow(true)
+	v, err = d.Decode()
+	if err == nil && d.Rest() != 0 {
+		err = fmt.Errorf("wire/binfmt: %d trailing bytes after value", d.Rest())
+	}
+	if err != nil {
+		return nil, d.Borrowed(), err
+	}
+	return v, d.Borrowed(), nil
+}
+
 // TestBorrowThreshold: []byte values at or above BorrowMin alias the input
-// frame under UnmarshalShared; smaller ones are copied (so small frames
-// recycle immediately), and the borrowed flag reports which happened.
+// frame under a borrowing Decoder; smaller ones are copied (so small frames
+// recycle immediately), and Borrowed reports which happened.
 func TestBorrowThreshold(t *testing.T) {
 	bf := BinFmt{}
 	big := bytes.Repeat([]byte{0xAB}, BorrowMin)
@@ -27,7 +45,7 @@ func TestBorrowThreshold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, borrowed, err := bf.UnmarshalShared(data)
+			v, borrowed, err := decodeBorrowed(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,10 +67,10 @@ func TestBorrowThreshold(t *testing.T) {
 	}
 }
 
-// TestUnmarshalSharedMatchesUnmarshal: the borrow path must be
+// TestBorrowDecodeMatchesUnmarshal: the borrow path must be
 // byte-identical to the copy path for every seed the differential fuzzer
 // starts from — same accept/reject, same values.
-func TestUnmarshalSharedMatchesUnmarshal(t *testing.T) {
+func TestBorrowDecodeMatchesUnmarshal(t *testing.T) {
 	bf := BinFmt{}
 	vals := []any{
 		nil, true, int(5), "seed", []byte{0xff, 0x00},
@@ -67,7 +85,7 @@ func TestUnmarshalSharedMatchesUnmarshal(t *testing.T) {
 			t.Fatal(err)
 		}
 		plain, err1 := bf.Unmarshal(data)
-		shared, _, err2 := bf.UnmarshalShared(data)
+		shared, _, err2 := decodeBorrowed(data)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%#v: accept/reject differ: %v vs %v", v, err1, err2)
 		}
@@ -78,7 +96,7 @@ func TestUnmarshalSharedMatchesUnmarshal(t *testing.T) {
 }
 
 // FuzzBorrowIdentity extends the differential fuzzers to the zero-copy
-// path: for arbitrary input bytes, UnmarshalShared must agree with
+// path: for arbitrary input bytes, a borrowing Decoder must agree with
 // Unmarshal on acceptance and value, borrowed or not.
 func FuzzBorrowIdentity(f *testing.F) {
 	bf := BinFmt{}
@@ -98,7 +116,7 @@ func FuzzBorrowIdentity(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0x07})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plain, err1 := bf.Unmarshal(data)
-		shared, _, err2 := bf.UnmarshalShared(data)
+		shared, _, err2 := decodeBorrowed(data)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("accept/reject differ: %v vs %v", err1, err2)
 		}
@@ -169,4 +187,30 @@ func TestDecoderByteSliceBorrow(t *testing.T) {
 	if !bytes.Equal(gotCopy, snap) {
 		t.Error("copy-mode ByteSlice aliased the input")
 	}
+}
+
+// TestDecoderForgetsFrame: the struct and field names a decode interned are
+// views into its input, and a decoder that is reset or released keeps none
+// of them, so a read loop's long-lived decoder, or a pooled one, never holds
+// a frame alive after it moved on.
+func TestDecoderForgetsFrame(t *testing.T) {
+	data, err := BinFmt{}.Marshal(fuzzMsg{S: "struct", I: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDecoder(data)
+	if _, err := d.Decode(); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.d.idents) == 0 {
+		t.Fatal("decoding a struct interned no names")
+	}
+	idents := d.d.idents[:cap(d.d.idents)]
+	d.Reset(nil)
+	for i, v := range idents {
+		if v != nil {
+			t.Fatalf("name %d, %q, still a view into the previous input after Reset", i, v)
+		}
+	}
+	d.Release()
 }

@@ -476,22 +476,20 @@ func NewDecoder(data []byte) *Decoder {
 // Reset points the decoder at data and forgets the message before it, for an
 // owner that keeps one decoder and reads message after message with it (a
 // connection's read loop): NewDecoder without the pool. The modes (SetBorrow,
-// SetGenerated) stay as set.
+// SetGenerated) stay as set. The names the message before interned are views
+// into its frame and go with it, so a decoder kept or pooled holds no frame
+// alive.
 func (d *Decoder) Reset(data []byte) {
-	d.d.data, d.d.pos = data, 0
-	d.d.idents = d.d.idents[:0]
+	clear(d.d.idents)
+	d.d.data, d.d.pos, d.d.idents = data, 0, d.d.idents[:0]
 	d.d.borrowed = false
 	d.err = nil
 }
 
 // Release resets the decoder and returns it to the pool.
 func (d *Decoder) Release() {
-	d.d.data = nil
-	d.d.pos = 0
-	d.d.idents = d.d.idents[:0]
+	d.Reset(nil)
 	d.d.pub = nil
-	d.d.borrowed = false
-	d.err = nil
 	decPool.Put(d)
 }
 

@@ -215,13 +215,3 @@ type UnknownTypeError struct {
 func (e *UnknownTypeError) Error() string {
 	return fmt.Sprintf("wire: unknown registered type %q", e.Name)
 }
-
-// Codecs returns one instance of every codec, keyed by name. The map is
-// freshly allocated on each call.
-func Codecs() map[string]Codec {
-	return map[string]Codec{
-		"binfmt":  BinFmt{},
-		"javaser": JavaSer{},
-		"soapfmt": SoapFmt{},
-	}
-}

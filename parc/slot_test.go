@@ -68,7 +68,7 @@ func inSlot[R any](r *Result[R]) bool {
 func TestTypedSlotResults(t *testing.T) {
 	remote, local := slottedOn(t)
 	ctx := within(t, 20*time.Second)
-	for i := 0; i < 2; i++ { // the bind handshakes: replies are compact from here
+	for i := 0; i < 2; i++ { // declare and confirm the handles: calls are bound from here
 		for _, m := range []string{"Bytes", "Ints", "Name", "Num", "Spot", "Fail"} {
 			remote.Invoke(ctx, m, 1) //nolint:errcheck // Fail fails
 		}
