@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ctxwait"
 	"repro/internal/errs"
+	"repro/internal/remoting"
 )
 
 // errActorStopped is returned for calls posted after the actor shut down.
@@ -50,26 +51,26 @@ type actorTask struct {
 	method string
 	args   []any
 	batch  []any // non-nil for aggregate messages
-	// The outcome goes to reply (a parked synchronous caller) or to done
-	// (an asynchronous one, which parks nothing); both nil is
-	// fire-and-forget. done runs on whichever goroutine settles the task —
-	// normally the actor loop — so it must not block.
+	// The outcome goes to reply (a parked synchronous caller) or to to (an
+	// asynchronous one, which parks nothing); both nil is fire-and-forget.
+	// to is told on whichever goroutine settles the task — normally the
+	// actor loop — so it must not block.
 	reply chan actorResult
-	done  func(any, error)
-	// fut, when set, is the future done resolves: a task that reaches its
+	to    remoting.Completer
+	// fut, when set, is the future to resolves: a task that reaches its
 	// turn with it already resolved (cancelled) is skipped like one whose
 	// ctx ended.
 	fut *Future
 }
 
-// settle delivers the task's outcome. Never call it with a.mu held: done
-// is caller-supplied code.
+// settle delivers the task's outcome. Never call it with a.mu held: to is
+// caller-supplied code.
 func (t *actorTask) settle(res actorResult) {
 	switch {
 	case t.reply != nil:
 		t.reply <- res
-	case t.done != nil:
-		t.done(res.val, res.err)
+	case t.to != nil:
+		t.to.Complete(res.val, res.err)
 	}
 }
 
@@ -366,16 +367,16 @@ func (a *actor) callCtx(ctx context.Context, method string, args []any) (any, er
 	return a.callSync(ctx, actorTask{method: method, args: args})
 }
 
-// callAsync enqueues an invocation and returns; done receives its outcome
-// on the actor loop, before Wait observes the task as finished (or, for a
-// task that never ran, on whoever evicted or aborted it). An enqueue-time
-// failure (object destroyed or moved before the task entered the mailbox —
-// nothing executed) is only returned and done never runs, so the caller
-// can re-route or record it without double-reporting. A non-nil ctx
-// cancels the task if it is still queued when ctx ends. Like every enqueue
-// it blocks while the mailbox is paused for migration.
-func (a *actor) callAsync(ctx context.Context, method string, args []any, done func(any, error)) error {
-	return a.enqueue(actorTask{ctx: ctx, method: method, args: args, done: done})
+// callAsync enqueues an invocation and returns; to receives its outcome on
+// the actor loop, before Wait observes the task as finished (or, for a task
+// that never ran, on whoever evicted or aborted it). An enqueue-time failure
+// (object destroyed or moved before the task entered the mailbox — nothing
+// executed) is only returned and to never hears, so the caller can re-route
+// or record it without double-reporting. A non-nil ctx cancels the task if
+// it is still queued when ctx ends. Like every enqueue it blocks while the
+// mailbox is paused for migration.
+func (a *actor) callAsync(ctx context.Context, method string, args []any, to remoting.Completer) error {
+	return a.enqueue(actorTask{ctx: ctx, method: method, args: args, to: to})
 }
 
 // wait blocks until the mailbox is drained.

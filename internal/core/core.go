@@ -650,9 +650,10 @@ func (rt *Runtime) factoryFor(class string) (func() any, error) {
 }
 
 // createLocalIO instantiates class on this node, wraps it, publishes it and
-// returns its URI. spawnActor selects active-object semantics (a mailbox
-// goroutine) for objects hosted for remote or local-parallel use.
-func (rt *Runtime) createLocalIO(class string, spawnActor bool) (string, any, error) {
+// returns its URI and the wrapper. spawnActor selects active-object
+// semantics (a mailbox goroutine) for objects hosted for remote or
+// local-parallel use.
+func (rt *Runtime) createLocalIO(class string, spawnActor bool) (string, *ioWrapper, error) {
 	factory, err := rt.factoryFor(class)
 	if err != nil {
 		return "", nil, err
@@ -673,7 +674,7 @@ func (rt *Runtime) createLocalIO(class string, spawnActor bool) (string, any, er
 	}
 	rt.load.Add(1)
 	rt.dirUpdate(uri, ObjLoc{Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: 1})
-	return uri, obj, nil
+	return uri, w, nil
 }
 
 // destroyLocal unpublishes a hosted object — or the forwarding tombstone a
@@ -826,12 +827,12 @@ func (rt *Runtime) NewParallelObject(class string) (*Proxy, error) {
 		// Intra-grain creation (Fig. 3 call d): passive local object,
 		// serial execution, but still published so references to it
 		// can travel.
-		uri, obj, err := rt.createLocalIO(class, false)
+		uri, w, err := rt.createLocalIO(class, false)
 		if err != nil {
 			return nil, err
 		}
 		rt.stats.objectsAgglomerated.Add(1)
-		return &Proxy{rt: rt, class: class, mode: modeAgglomerated, uri: uri, local: obj}, nil
+		return &Proxy{rt: rt, class: class, mode: modeAgglomerated, uri: uri, local: w}, nil
 	}
 	node := rt.cfg.Placement.Pick(rt.cfg.NodeID, rt.nodeLoads())
 	if node == rt.cfg.NodeID {
@@ -1027,9 +1028,9 @@ type ioWrapper struct {
 
 	// dedup remembers replies of executed token-bearing calls so a retry
 	// of an already-executed call replays the recorded reply instead of
-	// executing again. Nil on the transient wrappers proxies build around
-	// agglomerated objects (those calls never leave the caller and never
-	// retry).
+	// executing again. An agglomerated object's proxy calls through this
+	// same wrapper; those calls never leave the caller, never retry and
+	// carry no token, so they never consult it.
 	dedup *remoting.DedupLRU
 
 	// fenced is set by a promotion census that read this copy's last

@@ -43,6 +43,14 @@ func init() {
 			}
 			return obj.(*probeObj).Twice(v), nil
 		},
+		"Add": func(_ context.Context, obj any, args []any) (any, error) {
+			v, err := dispatch.Arg[int](args, 0)
+			if err != nil {
+				return nil, dispatch.BadArg(obj, "Add", 0, err)
+			}
+			obj.(*probeObj).Add(v)
+			return nil, nil
+		},
 	})
 }
 
@@ -193,6 +201,113 @@ func TestAllocBudgetLocalCall(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(500, func() { movedOf(nil, "obj/x") }); n != 0 {
 		t.Errorf("movedOf(nil): %.0f allocs, want 0", n)
+	}
+}
+
+// probeOn registers the probe class on every node, creates a probe object
+// through the first and checks how its proxy reaches it.
+func probeOn(t *testing.T, rts []*Runtime, local, agglomerated bool) *Proxy {
+	t.Helper()
+	for _, rt := range rts {
+		rt.RegisterClass("probe", func() any { return &probeObj{} })
+	}
+	p, err := rts[0].NewParallelObject("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.IsLocal() != local || p.IsAgglomerated() != agglomerated {
+		t.Fatalf("object is local %v, agglomerated %v; want %v and %v", p.IsLocal(), p.IsAgglomerated(), local, agglomerated)
+	}
+	return p
+}
+
+// TestAllocBudgetAgglomeratedCall: a call on an agglomerated object runs in
+// the caller, through the wrapper the object was published with, and
+// allocates nothing; a wrapper built per call again fails the budget of 0.
+func TestAllocBudgetAgglomeratedCall(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	rts := startNodes(t, 1, func(_ int, cfg *Config) { cfg.Agglomeration = AlwaysAgglomerate{} })
+	p := probeOn(t, rts, true, true)
+	ctx := context.Background()
+	args := []any{21}
+	if n := testing.AllocsPerRun(500, func() {
+		if v, err := p.InvokeCtx(ctx, "Twice", args...); err != nil || v != 42 {
+			t.Fatalf("Twice = %v, %v", v, err)
+		}
+	}); n != 0 {
+		t.Errorf("agglomerated call: %.0f allocs, budget 0", n)
+	}
+}
+
+// postsPerRun is how many posts a post budget issues before the one Wait
+// that lets them finish, which costs an allocation of its own (the drain's
+// method value).
+const postsPerRun = 32
+
+// TestAllocBudgetLocalAsync: on a local active object an InvokeAsyncCtx and
+// the Get of its Future allocate the call and the channel Get waits on, and
+// a PostCtx allocates nothing: the mailbox tells the call, or the proxy, of
+// the outcome as it is, with no closure built around either. A closure per
+// call again fails the budgets of 2 and 0.
+func TestAllocBudgetLocalAsync(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	p := probeOn(t, startNodes(t, 1, nil), true, false)
+	ctx := context.Background()
+	args := []any{21}
+	if n := testing.AllocsPerRun(500, func() {
+		if v, err := p.InvokeAsyncCtx(ctx, "Twice", args...).Get(); err != nil || v != 42 {
+			t.Fatalf("Twice = %v, %v", v, err)
+		}
+	}); n > 2 {
+		t.Errorf("local InvokeAsyncCtx and Get: %.0f allocs, budget 2", n)
+	}
+	checkPostBudget(t, p, "local", 0)
+}
+
+// TestAllocBudgetRemotePost: a post to an object on another node allocates
+// one object, the attempt the lane holds, with the lane turn and the
+// connection's record inside it: no argument list is built around the
+// method name and the arguments, and neither is boxed. Both ends are
+// counted; the method has a thunk and takes a small int, so the server
+// allocates nothing for it. A list, a turn or an attempt of its own again
+// fails the budget of 1.
+func TestAllocBudgetRemotePost(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	rts := startNodes(t, 2, func(_ int, cfg *Config) { cfg.Placement = &forceNode{node: 1} })
+	checkPostBudget(t, probeOn(t, rts, false, false), "remote", 1)
+}
+
+// checkPostBudget holds PostCtx on p to budget allocations a post, measured
+// over postsPerRun posts and the Wait after them.
+func checkPostBudget(t *testing.T, p *Proxy, where string, budget float64) {
+	t.Helper()
+	ctx := context.Background()
+	args := []any{1}
+	posts := func() {
+		for i := 0; i < postsPerRun; i++ {
+			if err := p.PostCtx(ctx, "Add", args...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Wait()
+	}
+	for i := 0; i < 4; i++ {
+		posts() // declare and confirm the handle, warm the pools
+	}
+	n := testing.AllocsPerRun(50, posts)
+	if perPost := (n - 1) / postsPerRun; perPost > budget {
+		t.Errorf("%s post: %.2f allocs, budget %.0f", where, perPost, budget)
+	} else {
+		t.Logf("%s post: %.2f allocs (%.0f for %d posts and their Wait)", where, perPost, n, postsPerRun)
+	}
+	if err := p.AsyncErr(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -382,7 +497,7 @@ func TestAbandonedCallKeepsItsArguments(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 3; i++ { // bind both handles; compact from here on
 		for _, ref := range refs {
-			if _, err := ref.InvokeNestedCtx(ctx, "InvokeBatch", "Note", batch(100)); err != nil {
+			if _, err := ref.InvokeNestedCtx(ctx, nil, "InvokeBatch", "Note", batch(100)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -395,7 +510,7 @@ func TestAbandonedCallKeepsItsArguments(t *testing.T) {
 	defer cancel()
 	abandoned := make(chan error, 1)
 	go func() {
-		_, err := refs[0].InvokeNestedCtx(short, "InvokeBatch", "Note", batch(0))
+		_, err := refs[0].InvokeNestedCtx(short, nil, "InvokeBatch", "Note", batch(0))
 		abandoned <- err
 	}()
 	<-parked.entered
@@ -405,7 +520,7 @@ func TestAbandonedCallKeepsItsArguments(t *testing.T) {
 	// The server has answered too once a later call on the same connection
 	// completes; from then on its record is back in the pool.
 	for i := 0; i < 1000; i++ {
-		if _, err := refs[1].InvokeNestedCtx(ctx, "InvokeBatch", "Note", batch(1000)); err != nil {
+		if _, err := refs[1].InvokeNestedCtx(ctx, nil, "InvokeBatch", "Note", batch(1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -489,7 +604,7 @@ func TestUnknownMethodNamesAreNotRetained(t *testing.T) {
 	ctx := context.Background()
 	twice := func() {
 		t.Helper()
-		if v, err := ref.InvokeNestedCtx(ctx, "Invoke1", "Twice", []any{21}); err != nil || v != 42 {
+		if v, err := ref.InvokeNestedCtx(ctx, nil, "Invoke1", "Twice", []any{21}); err != nil || v != 42 {
 			t.Fatalf("Twice(21) = %v, %v", v, err)
 		}
 	}
@@ -504,7 +619,7 @@ func TestUnknownMethodNamesAreNotRetained(t *testing.T) {
 	send := func() {
 		t.Helper()
 		for i := 0; i < names; i++ {
-			if _, err := ref.InvokeNestedCtx(ctx, "Invoke1", unknown(i), nil); !errors.Is(err, errs.ErrNoSuchMethod) {
+			if _, err := ref.InvokeNestedCtx(ctx, nil, "Invoke1", unknown(i), nil); !errors.Is(err, errs.ErrNoSuchMethod) {
 				t.Fatalf("%s: %v, want ErrNoSuchMethod", unknown(i), err)
 			}
 		}

@@ -51,10 +51,10 @@ type Proxy struct {
 	// endpoint (address + directory generation + lazily built ObjRef).
 	mu      sync.Mutex
 	mode    proxyMode
-	local   any    // agglomerated IO (immutable once set)
-	act     *actor // local active IO while hosted on this node
-	netaddr string // remote endpoint address
-	gen     uint64 // directory generation netaddr was learned at
+	local   *ioWrapper // agglomerated IO as published (immutable once set)
+	act     *actor     // local active IO while hosted on this node
+	netaddr string     // remote endpoint address
+	gen     uint64     // directory generation netaddr was learned at
 	ref     *remoting.ObjRef
 
 	seq *remoting.CallSequencer // ordered async lane for remote calls
@@ -85,35 +85,8 @@ const deadEndTTL = 5 * time.Second
 
 // newRemoteProxy builds a remote-mode proxy routed at addr/gen.
 func newRemoteProxy(rt *Runtime, class, uri, addr string, gen uint64) *Proxy {
-	p := &Proxy{rt: rt, class: class, mode: modeRemote, uri: uri, netaddr: addr, gen: gen}
-	p.initSeq()
-	return p
-}
-
-// initSeq installs the ordered asynchronous lane. Every queued call is
-// started against the endpoint current at its turn and re-run through
-// invokeVia when that fails — that is what keeps one proxy's call stream
-// ordered across a migration. A post is given its attempt here; a StartAsync
-// brought its own (laneEntry), and one whose future was resolved while it
-// waited (cancelled, or its ctx ended) is declined at its turn: nothing is
-// sent, and the lane moves on, from a fresh goroutine as every start must.
-func (p *Proxy) initSeq() {
-	p.seq = remoting.NewCallSequencerFunc(func(ctx context.Context, method string, args []any, turn *remoting.Turn) {
-		e, ok := turn.To.(*laneEntry)
-		if !ok {
-			a := &attempt{p: p, ctx: ctx, call: remoteCall{method: method, args: args}, turn: turn}
-			a.start()
-			return
-		}
-		e.stop() // from here the connection, or rerun, watches ctx
-		if e.fut.resolved() {
-			go turn.Complete(nil, context.Canceled)
-			return
-		}
-		e.try.turn = turn
-		e.try.start()
-	})
-	p.seq.OnError = p.noteAsyncError
+	return &Proxy{rt: rt, class: class, mode: modeRemote, uri: uri, netaddr: addr, gen: gen,
+		seq: remoting.NewCallSequencer()}
 }
 
 // Class returns the object's registered class name.
@@ -201,7 +174,7 @@ func (p *Proxy) redirect(loc ObjLoc) bool {
 	p.ref = nil
 	if p.seq == nil {
 		// Upgraded from a local proxy that never needed the lane.
-		p.initSeq()
+		p.seq = remoting.NewCallSequencer()
 	}
 	return true
 }
@@ -310,16 +283,19 @@ func (p *Proxy) currentGen() uint64 {
 // remoteCall is one invocation as invokeVia sends and re-sends it: method
 // with args or, for a call on the object itself, the runtime-call shape
 // method(sub, args), which remoting carries without the two-element list.
+// sink, on a blocking call in that shape, is the caller's typed slot for the
+// result (Proxy.InvokeInto); every attempt of the call offers it the reply.
 type remoteCall struct {
 	method string
 	sub    string
 	nested bool
 	args   []any
+	sink   remoting.ResultSink
 }
 
 func (c remoteCall) on(ctx context.Context, ref *remoting.ObjRef) (any, error) {
 	if c.nested {
-		return ref.InvokeNestedCtx(ctx, c.method, c.sub, c.args)
+		return ref.InvokeNestedCtx(ctx, c.sink, c.method, c.sub, c.args)
 	}
 	return ref.InvokeCtx(ctx, c.method, c.args...)
 }
@@ -328,11 +304,6 @@ func (c remoteCall) on(ctx context.Context, ref *remoting.ObjRef) (any, error) {
 // endpoint.
 func invoke1(method string, args []any) remoteCall {
 	return remoteCall{method: "Invoke1", sub: method, nested: true, args: args}
-}
-
-// invokeRemote is invokeVia of invoke1 against the object's endpoint.
-func (p *Proxy) invokeRemote(ctx context.Context, method string, args []any) (any, error) {
-	return p.invokeVia(ctx, p.endpoint, invoke1(method, args))
 }
 
 // noteAsyncError records the first asynchronous failure for AsyncErr.
@@ -364,6 +335,18 @@ func (p *Proxy) Invoke(method string, args ...any) (any, error) {
 // travels to the hosting node. It is ordered after all previously posted
 // asynchronous calls on this proxy.
 func (p *Proxy) InvokeCtx(ctx context.Context, method string, args ...any) (any, error) {
+	return p.InvokeInto(ctx, nil, method, args)
+}
+
+// InvokeInto is InvokeCtx with a typed slot for the result
+// (remoting.ResultSink), as SetSink gives one to an asynchronous call: a
+// remote reply whose result is exactly what sink takes is decoded into it,
+// through any forward the call follows, and the call then returns sink
+// itself as its value. Every other way the call can finish (a local or
+// agglomerated object, a result of another type, an error) returns what
+// InvokeCtx returns. After a call that returned an error, the connection's
+// reader may still be writing into sink.
+func (p *Proxy) InvokeInto(ctx context.Context, sink remoting.ResultSink, method string, args []any) (any, error) {
 	p.rt.stats.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
@@ -379,29 +362,33 @@ func (p *Proxy) InvokeCtx(ctx context.Context, method string, args ...any) (any,
 			// location (the mailbox fully drained before the move, so
 			// ordering is preserved).
 			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-			return p.remoteInvokeOrdered(ctx, method, args)
+			return p.remoteInvokeOrdered(ctx, sink, method, args)
 		}
 		return res, err
 	default:
-		return p.remoteInvokeOrdered(ctx, method, args)
+		return p.remoteInvokeOrdered(ctx, sink, method, args)
 	}
 }
 
 // invokeInCaller executes a call on an agglomerated object: here, on the
-// caller's goroutine, which is what keeps a passive object's calls serial.
+// caller's goroutine, which is what keeps a passive object's calls serial,
+// through the wrapper the object was published with. Its dedup memory is
+// consulted only for a call that carries a token, and nothing on this path
+// stamps one.
 func (p *Proxy) invokeInCaller(ctx context.Context, method string, args []any) (any, error) {
-	w := &ioWrapper{rt: p.rt, class: p.class, obj: p.local}
-	return w.Invoke1(ctx, method, args)
+	return p.local.Invoke1(ctx, method, args)
 }
 
 // remoteInvokeOrdered performs a synchronous remote call ordered after the
 // proxy's posted asynchronous stream.
-func (p *Proxy) remoteInvokeOrdered(ctx context.Context, method string, args []any) (any, error) {
+func (p *Proxy) remoteInvokeOrdered(ctx context.Context, sink remoting.ResultSink, method string, args []any) (any, error) {
 	p.FlushAggregation()
 	if err := p.sequencer().FlushCtx(ctx); err != nil {
 		return nil, fmt.Errorf("core: flush before %s.%s: %w", p.class, method, err)
 	}
-	return p.invokeRemote(ctx, method, args)
+	call := invoke1(method, args)
+	call.sink = sink
+	return p.invokeVia(ctx, p.endpoint, call)
 }
 
 // InvokeAsync starts a synchronous-style call without blocking the caller
@@ -452,13 +439,12 @@ func (p *Proxy) StartAsync(ctx context.Context, c *AsyncCall, method string, arg
 
 // AsyncCall is one asynchronous call as the runtime holds it: the Future
 // handed back and, in the same object, the attempt the call is made with,
-// which carries the connection's record of the exchange (unused by a call
-// that stays on this node). stop detaches the Future's cancelHook, which a
-// call has while it waits in a queue. The zero value is ready for StartAsync.
+// which carries the connection's record of the exchange and the call's place
+// on the lane (both unused by a call that stays on this node). The zero
+// value is ready for StartAsync.
 type AsyncCall struct {
-	fut  Future
-	try  attempt
-	stop func() bool
+	fut Future
+	try attempt
 }
 
 // SetSink gives the call, before StartAsync, a typed slot for its result
@@ -470,50 +456,55 @@ type AsyncCall struct {
 func (c *AsyncCall) SetSink(s remoting.ResultSink) { c.try.rec.SetSink(s) }
 
 // attempt is one completion-driven try at call against the proxy's current
-// endpoint, and the remoting.Completer the connection reports it to. f is
-// the caller's future, nil for a post; turn is the lane turn the call
-// holds, nil for a call that went straight to its connection; rec is the
-// connection's for the one submission start makes.
+// endpoint: the remoting.Completer the connection reports it to and, behind
+// earlier calls, the remoting.LaneCall the lane holds. f is the caller's
+// future, nil for a post, whose failure goes to AsyncErr; stop detaches f's
+// cancelHook, which a call has while it waits in a queue; lane is the call's
+// place on the lane, none for a call that went straight to its connection;
+// rec is the connection's for the one submission start makes.
 type attempt struct {
 	p    *Proxy
 	ctx  context.Context
 	call remoteCall
 	f    *Future
-	turn *remoting.Turn
+	stop func() bool
+	lane remoting.Turn
 	rec  remoting.CallRecord
 }
 
-// laneEntry is an AsyncCall as the lane holds it: the turn's outcome is the
-// Future's.
-type laneEntry AsyncCall
+// mailboxEntry is an AsyncCall as a mailbox holds it: the task's outcome is
+// the call's.
+type mailboxEntry AsyncCall
 
-func (e *laneEntry) Complete(v any, err error) { e.fut.complete(v, err) }
+// Complete hears the task's outcome, on the actor loop or on whoever evicted
+// or aborted the task.
+func (e *mailboxEntry) Complete(v any, err error) {
+	a := &e.try
+	a.stop()
+	if mv, ok := movedOf(err, a.p.uri); ok {
+		// The object was taken from this node with the call still queued:
+		// follow it, off the actor loop.
+		a.p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+		a.rerun()
+		return
+	}
+	e.fut.complete(v, err)
+}
 
 // submitLocal enqueues the call on the hosting actor's mailbox. A task whose
 // Future is resolved when its turn comes is skipped.
 func (c *AsyncCall) submitLocal(act *actor) {
 	a, f := &c.try, &c.fut
-	p := a.p
-	c.stop = cancelHook(a.ctx, f)
-	err := act.enqueue(actorTask{ctx: a.ctx, method: a.call.sub, args: a.call.args, fut: f, done: func(v any, err error) {
-		c.stop()
-		if mv, ok := movedOf(err, p.uri); ok {
-			// The object was taken from this node with the call still
-			// queued: follow it, off the actor loop.
-			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-			a.rerun()
-			return
-		}
-		f.complete(v, err)
-	}})
+	a.stop = cancelHook(a.ctx, f)
+	err := act.enqueue(actorTask{ctx: a.ctx, method: a.call.sub, args: a.call.args, fut: f, to: (*mailboxEntry)(c)})
 	if err == nil {
 		return
 	}
-	c.stop()
-	if mv, ok := movedOf(err, p.uri); ok {
+	a.stop()
+	if mv, ok := movedOf(err, a.p.uri); ok {
 		// Moved before the task entered the mailbox: nothing ran here, the
 		// call starts again as a remote one.
-		p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+		a.p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
 		c.submitRemote()
 		return
 	}
@@ -526,14 +517,13 @@ func (c *AsyncCall) submitLocal(act *actor) {
 // the single-caller pattern) and the request goes straight to its
 // connection, where calls to one object pipeline. Otherwise it takes its
 // turn on the lane, behind the posted calls and any aggregate they were
-// buffered in, and ahead of whatever is posted next; the entry is its own
-// attempt, so the lane is told the method and no argument list.
+// buffered in, and ahead of whatever is posted next.
 func (c *AsyncCall) submitRemote() {
 	a := &c.try
 	a.p.FlushAggregation()
 	if seq := a.p.sequencer(); !seq.Idle() {
-		c.stop = cancelHook(a.ctx, &c.fut)
-		seq.Call(a.ctx, a.call.method, nil, (*laneEntry)(c))
+		a.stop = cancelHook(a.ctx, &c.fut)
+		seq.Call(&a.lane, a)
 		return
 	}
 	a.start()
@@ -548,6 +538,23 @@ func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
 		return func() bool { return false }
 	}
 	return context.AfterFunc(ctx, func() { f.complete(nil, ctx.Err()) })
+}
+
+// StartTurn implements remoting.LaneCall. The call is started against the
+// endpoint current at its turn and re-run through invokeVia when that
+// fails, which is what keeps one proxy's call stream ordered across a
+// migration. A call whose future was resolved while it waited (cancelled, or
+// its ctx ended) is declined: nothing is sent, and the lane moves on, from a
+// fresh goroutine as every start must.
+func (a *attempt) StartTurn() {
+	if a.stop != nil {
+		a.stop() // from here the connection, or rerun, watches ctx
+	}
+	if a.f != nil && a.f.resolved() {
+		go a.finish(nil, context.Canceled)
+		return
+	}
+	a.start()
 }
 
 // start submits the attempt: remoteCall.on without the wait. It never blocks
@@ -583,14 +590,15 @@ func (a *attempt) Complete(v any, err error) {
 	a.finish(v, err)
 }
 
-// finish reports the outcome: to the lane turn, which tells the entry's
-// Future or the proxy's AsyncErr and starts the next entry, or to f.
+// finish reports the outcome, to f or, for a post, a failure to AsyncErr,
+// and then gives up the call's lane turn, which starts the next entry.
 func (a *attempt) finish(v any, err error) {
-	if a.turn != nil {
-		a.turn.Complete(v, err)
-	} else {
+	if a.f != nil {
 		a.f.complete(v, err)
+	} else if err != nil {
+		a.p.noteAsyncError(err)
 	}
+	a.lane.Done()
 }
 
 // rerun finishes a call the completion-driven path could not: a submission
@@ -649,11 +657,7 @@ func (p *Proxy) PostCtx(ctx context.Context, method string, args ...any) error {
 		// from some other object) go straight to AsyncErr from the actor
 		// loop; an enqueue-time forward is only returned, and is a routing
 		// event, not a failure — re-post remotely.
-		err := act.callAsync(ctx, method, args, func(_ any, err error) {
-			if err != nil {
-				p.noteAsyncError(err)
-			}
-		})
+		err := act.callAsync(ctx, method, args, (*postErrors)(p))
 		if mv, ok := movedOf(err, p.uri); ok {
 			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
 			return p.postRemote(method, args)
@@ -667,14 +671,32 @@ func (p *Proxy) PostCtx(ctx context.Context, method string, args ...any) error {
 	}
 }
 
+// postErrors is the proxy as what a mailbox tells the outcome of its local
+// posts: a failure goes to AsyncErr.
+type postErrors Proxy
+
+func (p *postErrors) Complete(_ any, err error) {
+	if err != nil {
+		(*Proxy)(p).noteAsyncError(err)
+	}
+}
+
 // postRemote queues one asynchronous call on the ordered remote lane.
 func (p *Proxy) postRemote(method string, args []any) error {
 	if p.rt.cfg.Aggregation.enabled() {
 		p.aggregate(method, args)
 		return nil
 	}
-	p.sequencer().Post("Invoke1", method, args)
+	p.post(invoke1(method, args))
 	return nil
+}
+
+// post queues call on the lane as an attempt with no future, which is all a
+// post allocates: the lane holds the attempt, and the call is sent in the
+// runtime-call shape, so no list is built around its arguments.
+func (p *Proxy) post(call remoteCall) {
+	a := &attempt{p: p, ctx: context.Background(), call: call}
+	p.sequencer().Call(&a.lane, a)
 }
 
 // aggregate buffers one asynchronous call, flushing when the method
@@ -718,7 +740,7 @@ func (p *Proxy) flushLocked() {
 	p.aggMethod = ""
 	p.aggCalls = nil
 	p.rt.stats.batchesSent.Add(1)
-	p.sequencer().Post("InvokeBatch", method, calls)
+	p.post(remoteCall{method: "InvokeBatch", sub: method, nested: true, args: calls})
 }
 
 // Wait blocks until every asynchronous call posted on this proxy has

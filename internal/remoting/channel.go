@@ -124,21 +124,40 @@ func (ch *Channel) laneCount() int {
 // result (a method that keeps its []byte parameter, a caller holding a
 // result, a dedup record) keeps valid memory and nothing is received into it
 // again; a frame nothing aliases goes back at once to the connection it was
-// received on (transport.ReleaseFrame).
-func recycleFrame(from transport.Conn, raw []byte, borrowed bool) {
+// received on (transport.ReleaseFrame). audit is what countFrame returned
+// when the frame was received.
+func recycleFrame(audit *frameCounts, from transport.Conn, raw []byte, borrowed bool) {
 	if borrowed {
-		countFrame(frameBorrowed)
+		audit.add(frameBorrowed)
 		return
 	}
-	countFrame(frameBack)
+	audit.add(frameBack)
+	if framePoison.Load() {
+		all := raw[:cap(raw)]
+		for i := range all {
+			all[i] = poisonByte
+		}
+	}
 	transport.ReleaseFrame(from, raw)
 }
 
+// framePoison, when a test sets it, has recycleFrame overwrite every frame it
+// hands back with poisonByte: a value that still aliases a recycled frame
+// then fails its payload check every time, not only when a later receive
+// happens to land on it. Nothing sets it in production.
+var framePoison atomic.Bool
+
+const poisonByte = 0xDB
+
 // frameAudit is recordAudit for receive frames: when a test installs one,
-// the two read loops count every frame they were handed and recycleFrame
-// what became of it; out must equal back plus borrowed once everything is
-// closed. Nothing installs or reads it in production.
-var frameAudit atomic.Pointer[[3]atomic.Int64]
+// the two read loops count every frame they were handed (countFrame) and
+// recycleFrame what became of it, on the audit that was installed when the
+// frame was received, so that a frame received before a test installed its
+// own is not counted by it; out must equal back plus borrowed once
+// everything is closed. Nothing installs or reads it in production.
+var frameAudit atomic.Pointer[frameCounts]
+
+type frameCounts [3]atomic.Int64
 
 const (
 	frameOut = iota
@@ -146,10 +165,19 @@ const (
 	frameBorrowed
 )
 
-func countFrame(event int) {
-	if a := frameAudit.Load(); a != nil {
+// add counts event; on a nil audit it does nothing.
+func (a *frameCounts) add(event int) {
+	if a != nil {
 		a[event].Add(1)
 	}
+}
+
+// countFrame counts a frame a read loop was handed and returns the audit it
+// was counted on, for recycleFrame.
+func countFrame() *frameCounts {
+	a := frameAudit.Load()
+	a.add(frameOut)
+	return a
 }
 
 // roundTrip performs c's request/response exchange against netaddr behind

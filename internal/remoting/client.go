@@ -75,10 +75,15 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 
 // InvokeNestedCtx is InvokeCtx(ctx, method, sub, args), the runtime-call
 // shape: same bytes on the wire, same result, and the two-element list is
-// built neither here nor, at a NestedInvoker, there.
-func (r *ObjRef) InvokeNestedCtx(ctx context.Context, method, sub string, args []any) (any, error) {
+// built neither here nor, at a NestedInvoker, there. sink, when not nil, is
+// the caller's typed slot for the result, as SetSink gives one to a
+// completion-driven call: a reply whose result it takes is decoded into it,
+// and the call returns sink itself as its value. After a call that returned
+// an error the reader may still be writing into sink.
+func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, method, sub string, args []any) (any, error) {
 	c := getCallRecord()
 	c.req.Method, c.req.sub, c.req.Args, c.req.nested = method, sub, args, true
+	c.sink = sink
 	return r.invoke(ctx, c)
 }
 
@@ -216,76 +221,70 @@ func (r *ObjRef) OneWayTimeout(d time.Duration, method string, onErr func(error)
 // SCOOPP runtime needs for method streams between one proxy object and its
 // implementation object. One call is outstanding at a time and the lane is
 // completion-chained: call N+1 is started from call N's completion, so a
-// lane of any depth parks no goroutine.
+// lane of any depth parks no goroutine. What a call does when its turn comes
+// is the call's own (LaneCall), which lets the SCOOPP proxy re-resolve the
+// endpoint between calls and so keep one ordered lane across an object
+// migration; and each call brings its place on the lane (Turn), which links
+// it into the queue, so the sequencer allocates nothing per call.
 type CallSequencer struct {
-	// start begins the call whose turn it is and returns without blocking;
-	// it completes turn exactly once with the outcome, never on the stack
-	// it was called on (completing a turn starts the next queued call, so a
-	// start that completed at once would recurse once per queued call).
-	start func(ctx context.Context, method string, args []any, turn *Turn)
-	// OnError receives the failure of a posted call, which has nobody else
-	// to report to.
-	OnError func(error)
-
-	mu      sync.Mutex
-	queue   []*Turn // waiting behind the outstanding call
-	pending int     // outstanding plus waiting
-	idle    *sync.Cond
+	mu         sync.Mutex
+	head, tail *Turn // waiting behind the outstanding call, oldest first
+	pending    int   // outstanding plus waiting
+	idle       *sync.Cond
 }
 
-// Turn is one call on a sequencer, queued or outstanding. Completing it
-// reports the outcome to To, or a post's failure to OnError, accounts for
-// the call and starts the next in the queue.
+// LaneCall is a call as a CallSequencer holds it. StartTurn begins the call
+// when its turn comes and returns without blocking; the call then reports
+// its outcome to whoever waits for it and gives its turn up (Turn.Done)
+// exactly once, never on StartTurn's stack: giving a turn up starts the next
+// queued call, so a call that finished at once would recurse once per queued
+// call.
+type LaneCall interface{ StartTurn() }
+
+// Turn is one call's place on a sequencer, queued or outstanding, in storage
+// the call supplies. The zero Turn holds no place.
 type Turn struct {
-	To Completer // nil for a post
-
-	cs     *CallSequencer
-	ctx    context.Context
-	method string
-	args   []any
+	call LaneCall
+	cs   *CallSequencer
+	next *Turn // the call queued behind this one
 }
 
-// NewCallSequencerFunc returns a sequencer whose calls go through start
-// (see CallSequencer.start for its contract). Routing through a function
-// rather than a fixed ObjRef lets the owner re-resolve the endpoint between
-// calls — the SCOOPP proxy uses this to keep one ordered lane across an
-// object migration.
-func NewCallSequencerFunc(start func(ctx context.Context, method string, args []any, turn *Turn)) *CallSequencer {
-	cs := &CallSequencer{start: start}
+// NewCallSequencer returns a sequencer with nothing queued.
+func NewCallSequencer() *CallSequencer {
+	cs := &CallSequencer{}
 	cs.idle = sync.NewCond(&cs.mu)
 	return cs
 }
 
-// Post enqueues an asynchronous call whose result is discarded and whose
-// failure goes to OnError. Calls issued from one goroutine execute
-// remotely in issue order.
-func (cs *CallSequencer) Post(method string, args ...any) {
-	cs.Call(context.Background(), method, args, nil)
-}
-
-// Call enqueues an asynchronous call in the same order as Post; to
-// receives its outcome on the completion path, before Flush observes the
-// call as finished, so it must not block.
-func (cs *CallSequencer) Call(ctx context.Context, method string, args []any, to Completer) {
-	t := &Turn{To: to, cs: cs, ctx: ctx, method: method, args: args}
+// Call queues c, in the place t, behind every call queued before it, and
+// starts it at once when nothing is: calls issued from one goroutine start
+// in issue order. t must hold no place.
+func (cs *CallSequencer) Call(t *Turn, c LaneCall) {
+	t.call, t.cs = c, cs
 	cs.mu.Lock()
 	cs.pending++
 	if cs.pending > 1 {
-		cs.queue = append(cs.queue, t)
+		if cs.tail == nil {
+			cs.head = t
+		} else {
+			cs.tail.next = t
+		}
+		cs.tail = t
 		cs.mu.Unlock()
 		return
 	}
 	cs.mu.Unlock()
-	cs.start(t.ctx, t.method, t.args, t)
+	c.StartTurn()
 }
 
-// Complete implements Completer for the call that holds the turn.
-func (t *Turn) Complete(v any, err error) {
+// Done gives the turn up, after the call has reported its outcome, so that
+// Flush observes the call finished only once the outcome is out: the
+// sequencer accounts for the call and starts the next in the queue. Done on
+// a Turn that holds no place does nothing.
+func (t *Turn) Done() {
 	cs := t.cs
-	if t.To != nil {
-		t.To.Complete(v, err)
-	} else if err != nil && cs.OnError != nil {
-		cs.OnError(err)
+	if cs == nil {
+		return
 	}
 	cs.mu.Lock()
 	cs.pending--
@@ -294,11 +293,12 @@ func (t *Turn) Complete(v any, err error) {
 		cs.mu.Unlock()
 		return
 	}
-	next := cs.queue[0]
-	cs.queue[0] = nil
-	cs.queue = cs.queue[1:]
+	next := cs.head
+	if cs.head = next.next; cs.head == nil {
+		cs.tail = nil
+	}
 	cs.mu.Unlock()
-	cs.start(next.ctx, next.method, next.args, next)
+	next.call.StartTurn()
 }
 
 // Idle reports whether the lane has nothing queued or in flight — the

@@ -243,12 +243,13 @@ func encodeBoundReply(resp *callResponse, bindAck uint32) (raw []byte, enc *wire
 	return e.Bytes(), e, nil
 }
 
-// ResultSink is the typed slot a completion-driven caller may put in its
-// CallRecord (SetSink). On a success reply the lane's reader offers it the
-// decoder at the result's position: DecodeResult either consumes exactly that
-// one value, keeping it, and returns true, or consumes nothing and returns
-// false (wire.Decoder.ValueInto is this contract), and the result is then
-// decoded as a value, as for any other call. A call whose sink took the
+// ResultSink is the typed slot a caller may give a call for its result: a
+// completion-driven call in its CallRecord (SetSink), a blocking one as an
+// argument (InvokeNestedCtx). On a success reply the lane's reader offers it
+// the decoder at the result's position: DecodeResult either consumes exactly
+// that one value, keeping it, and returns true, or consumes nothing and
+// returns false (wire.Decoder.ValueInto is this contract), and the result is
+// then decoded as a value, as for any other call. A call whose sink took the
 // result completes with the sink itself as its value: a pointer in an
 // interface, where the decoded value would have been boxed.
 type ResultSink interface {

@@ -16,6 +16,38 @@ import (
 	"repro/internal/wire"
 )
 
+// poisoned turns frame poisoning on for the rest of t and installs fresh
+// frame and record audits, which it returns. When t ends, after whatever t
+// closes on its way out, it checks that every frame a read loop was handed
+// went back to its connection or was borrowed, and that every call record
+// either end drew went back or was let go on purpose.
+func poisoned(t *testing.T) (frames *frameCounts, records *[3]atomic.Int64) {
+	t.Helper()
+	frames, records = new(frameCounts), new([3]atomic.Int64)
+	framePoison.Store(true)
+	frameAudit.Store(frames)
+	recordAudit.Store(records)
+	t.Cleanup(func() {
+		defer framePoison.Store(false)
+		defer frameAudit.Store(nil)
+		defer recordAudit.Store(nil)
+		// Read loops and server workers count what they hold on their own
+		// goroutines, as they wind down.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			out, back, borrowed := frames[frameOut].Load(), frames[frameBack].Load(), frames[frameBorrowed].Load()
+			drawn, returned, dropped := records[recordDrawn].Load(), records[recordReturned].Load(), records[recordDropped].Load()
+			if out == back+borrowed && drawn == returned+dropped {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("frames out %d, back %d, borrowed %d; records drawn %d, returned %d, let go %d", out, back, borrowed, drawn, returned, dropped)
+				return
+			}
+		}
+	})
+	return frames, records
+}
+
 // keeper keeps the arguments it was handed, as a cache or a log would.
 type keeper struct {
 	kept []byte
@@ -48,6 +80,7 @@ func (k *keeper) Sink3(a, b, c any)                {}
 // []any are values of their own, and the last of them can be the argument
 // array of the server's call record, which must then not be reused either.
 func TestKeptArgumentSurvivesLaterCalls(t *testing.T) {
+	poisoned(t)
 	t.Run("small values", keptSmallValuesSurvive)
 	ch := NewMultiplexedChannel(transport.TCPNetwork{})
 	defer ch.Close()
@@ -116,14 +149,15 @@ func connPair(t *testing.T, net transport.Network, addr string) (client, server 
 }
 
 // TestFrameOwnershipRule: the one rule for a receive frame, as a read loop
-// applies it (RecvFrame, decode in borrow mode, recycleFrame). On a stream
-// connection a frame that was copied out of goes back to the connection and
-// is the memory of the next receive, every time; a frame a decoded value
-// borrowed is never received into again, by that connection or through the
-// pool; a frame above the transport's small-frame line is not kept. On
-// mem://, which cannot take a frame back, the same rule runs through the
-// pool.
+// applies it (RecvFrame, decode in borrow mode, recycleFrame, poisoning
+// included). On a stream connection a frame that was copied out of goes
+// back to the connection and is the memory of the next receive, every time;
+// a frame a decoded value borrowed is never received into again, by that
+// connection or through the pool; a frame above the transport's small-frame
+// line is not kept. On mem://, which cannot take a frame back, the same rule
+// runs through the pool.
 func TestFrameOwnershipRule(t *testing.T) {
+	poisoned(t)
 	d := wire.NewDecoder(nil)
 	defer d.Release()
 	d.SetBorrow(true)
@@ -143,12 +177,13 @@ func TestFrameOwnershipRule(t *testing.T) {
 		if frame, err = transport.RecvFrame(server); err != nil {
 			t.Fatal(err)
 		}
+		audit := countFrame()
 		var req callRequest
 		if _, _, err := readBoundCall(d, frame, &req, nil); err != nil {
 			t.Fatal(err)
 		}
 		borrowed = d.Borrowed()
-		recycleFrame(server, frame, borrowed)
+		recycleFrame(audit, server, frame, borrowed)
 		return frame, req.Args[0], borrowed
 	}
 	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
@@ -267,10 +302,7 @@ func TestFramesAccountedFor(t *testing.T) {
 	}
 	for name, n := range nets {
 		t.Run(name, func(t *testing.T) {
-			audit := new([3]atomic.Int64)
-			frameAudit.Store(audit)
-			defer frameAudit.Store(nil)
-
+			audit, _ := poisoned(t)
 			ch := NewMultiplexedChannel(n.net)
 			srv, err := ch.ListenAndServe(n.addr)
 			if err != nil {
@@ -296,15 +328,11 @@ func TestFramesAccountedFor(t *testing.T) {
 			}
 			ch.Close()
 			srv.Close()
-
+			// At least one frame per end per call, every one of them back or
+			// borrowed once the read loops have wound down.
+			settled(t, audit, 8*rounds)
 			out, back, borrowed := audit[frameOut].Load(), audit[frameBack].Load(), audit[frameBorrowed].Load()
 			t.Logf("frames handed out %d, handed back %d, borrowed %d", out, back, borrowed)
-			if out != back+borrowed {
-				t.Errorf("%d frames handed out, %d handed back and %d borrowed: %d unaccounted for", out, back, borrowed, out-back-borrowed)
-			}
-			if out < 8*rounds {
-				t.Errorf("%d frames handed out, want at least %d (one per end per call)", out, 8*rounds)
-			}
 			// A 4 KiB payload is borrowed once as an argument and once as a
 			// result.
 			if borrowed < 2*rounds {
@@ -362,7 +390,7 @@ func keptSmallValuesSurvive(t *testing.T) {
 		if round%2 == 0 {
 			_, err = ref.Invoke("KeepTail", wantName, wantList)
 		} else {
-			_, err = ref.InvokeNestedCtx(ctx, "KeepTail", wantName, wantList)
+			_, err = ref.InvokeNestedCtx(ctx, nil, "KeepTail", wantName, wantList)
 		}
 		if err != nil {
 			t.Fatal(err)

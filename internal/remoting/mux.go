@@ -59,6 +59,8 @@ type inflightShard struct {
 // through to, handing over the result as it decoded it, so a future costs
 // neither a goroutine while it waits nor an allocation of the connection's.
 // The connection holds the record from submission until to has been told.
+// Either kind may carry the caller's typed slot (sink), which is offered the
+// result before it is decoded as a value.
 type CallRecord struct {
 	req  callRequest
 	rc   chan error
@@ -67,18 +69,17 @@ type CallRecord struct {
 	// of them still writes *resp and sends on rc, so it never goes back to
 	// the pool.
 	lost bool
+	sink ResultSink
 
 	// Completion-driven calls only. The call holds an in-flight slot from
 	// admission until whoever delivers its outcome releases it; stop
 	// detaches the context.AfterFunc hook once the outcome is decided;
 	// cancelled is set by Cancel, for a call not admitted yet; bs and trial
-	// carry the peer breaker's verdict to the completion; sink, when the
-	// caller set one, is offered the result before it is decoded as a value.
+	// carry the peer breaker's verdict to the completion.
 	ref       *ObjRef
 	mc        *muxConn
 	ctx       context.Context
 	to        Completer
-	sink      ResultSink
 	of        outFrame
 	stop      func() bool
 	cancelled atomic.Bool
@@ -140,7 +141,7 @@ func getCallRecord() *CallRecord {
 }
 
 // putCallRecord settles a blocking call's record: back to the pool emptied,
-// so it pins neither arguments nor result, or left to the GC when lost.
+// so it pins neither arguments, result nor sink, or left to the GC when lost.
 func putCallRecord(c *CallRecord) {
 	if c.lost {
 		countRecord(recordDropped)
@@ -205,13 +206,14 @@ func (c *CallRecord) abort(err error) {
 
 // readReply decodes the body of the compact reply to c, which the reader
 // has just taken, where it is going: a blocking call's into the envelope its
-// caller reads; a completion-driven call's result into its sink, or as a
-// value, and an error reply into the *RemoteError it completes with.
+// caller reads, the result into its sink when it has one; a
+// completion-driven call's result into its sink, or as a value, and an error
+// reply into the *RemoteError it completes with.
 func (c *CallRecord) readReply(d *wire.Decoder, seq uint64, flags byte) (result any, replyErr, err error) {
 	switch {
 	case c.resp != nil:
 		*c.resp = callResponse{Seq: seq}
-		c.resp.Result, err = decodeReplyBody(d, flags, c.resp, nil)
+		c.resp.Result, err = decodeReplyBody(d, flags, c.resp, c.sink)
 	case flags&flagReplyErr == 0:
 		result, err = decodeReplyBody(d, flags, nil, c.sink)
 	default:
@@ -759,9 +761,9 @@ func (mc *muxConn) reader() {
 			mc.fail(fmt.Errorf("remoting: receive from %s: %v: %w", mc.netaddr, err, errs.ErrNodeDown))
 			return
 		}
-		countFrame(frameOut)
+		audit := countFrame()
 		borrowed, taken, err := mc.route(d, raw)
-		recycleFrame(mc.conn, raw, borrowed)
+		recycleFrame(audit, mc.conn, raw, borrowed)
 		if err != nil {
 			// A framing/codec failure desynchronises the stream; the whole
 			// lane is unusable, for the call whose reply it was too.

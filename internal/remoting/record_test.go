@@ -87,6 +87,7 @@ func boundCallBytes(t testing.TB, handle uint32, declare bool, req *callRequest)
 // (and a declaring frame into its URI and method), and re-encodes to the
 // same frame.
 func TestNestedCallBytesIdentical(t *testing.T) {
+	poisoned(t)
 	for _, g := range nestedGolden {
 		t.Run(g.name, func(t *testing.T) { checkNestedFrame(t, g.handle, false, g.req, g.sub, g.args, g.frame) })
 	}
@@ -431,6 +432,7 @@ func FuzzDecodeBoundReply(f *testing.F) {
 // TestNilContextIsBackground: both kinds of call take a nil context as
 // context.Background().
 func TestNilContextIsBackground(t *testing.T) {
+	poisoned(t)
 	ch, srv, _ := newMuxServer(t)
 	srv.RegisterWellKnown("h", Singleton, func() any { return &heldEcho{} })
 	ref, _ := GetObject(ch, srv.URLFor("h"))
@@ -467,9 +469,7 @@ func TestNilContextIsBackground(t *testing.T) {
 // one slab for the lot, is its caller's again, whether the call was
 // answered, cancelled in flight, cut off by the close or never submitted.
 func TestCallRecordsAccountedFor(t *testing.T) {
-	audit := new([3]atomic.Int64)
-	recordAudit.Store(audit)
-	defer recordAudit.Store(nil)
+	_, audit := poisoned(t)
 
 	ch, srv, _ := newMuxServer(t)
 	h := &heldEcho{gate: make(chan struct{})}
@@ -477,7 +477,7 @@ func TestCallRecordsAccountedFor(t *testing.T) {
 	ref, _ := GetObject(ch, srv.URLFor("h"))
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
-		if v, err := ref.InvokeNestedCtx(ctx, "Now", "x", nil); err == nil {
+		if v, err := ref.InvokeNestedCtx(ctx, nil, "Now", "x", nil); err == nil {
 			t.Fatalf("Now(string, []any) = %v, want an arity error", v)
 		}
 		if v, err := ref.InvokeCtx(ctx, "Now", i); err != nil || v != i {
@@ -565,6 +565,7 @@ func TestCallRecordsAccountedFor(t *testing.T) {
 // kept topped up while it drained (where some find the queue empty and a
 // slot free, and start at once).
 func TestAsyncAdmissionQueueDrains(t *testing.T) {
+	poisoned(t)
 	ch, srv, _ := newMuxServer(t)
 	ch.MuxLanes, ch.MaxInFlight = 1, 4
 	srv.RegisterWellKnown("h", Singleton, func() any { return &heldEcho{} })

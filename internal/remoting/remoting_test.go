@@ -253,15 +253,46 @@ func goInvoke(ref *ObjRef, method string, args ...any) <-chan outcome {
 	return out
 }
 
-// refSequencer is a sequencer over one fixed ref. A call that cannot be
-// submitted reports from a goroutine: start may not complete on its own
-// stack.
-func refSequencer(ref *ObjRef) *CallSequencer {
-	return NewCallSequencerFunc(func(ctx context.Context, method string, args []any, turn *Turn) {
-		if err := ref.InvokeAsyncCb(ctx, new(CallRecord), method, args, turn); err != nil {
-			go turn.Complete(nil, err)
-		}
-	})
+// refLane is a sequencer whose calls go to one fixed ref; a failed call is
+// reported to OnError.
+type refLane struct {
+	*CallSequencer
+	ref     *ObjRef
+	OnError func(error)
+}
+
+func refSequencer(ref *ObjRef) *refLane {
+	return &refLane{CallSequencer: NewCallSequencer(), ref: ref}
+}
+
+// Post queues method(args) on the lane.
+func (l *refLane) Post(method string, args ...any) {
+	c := &laneCall{lane: l, method: method, args: args}
+	l.Call(&c.turn, c)
+}
+
+// laneCall is one call on a refLane, in storage of its own.
+type laneCall struct {
+	lane   *refLane
+	method string
+	args   []any
+	turn   Turn
+	rec    CallRecord
+}
+
+// StartTurn reports a call that cannot be submitted from a goroutine: it may
+// not give its turn up on StartTurn's stack.
+func (c *laneCall) StartTurn() {
+	if err := c.lane.ref.InvokeAsyncCb(context.Background(), &c.rec, c.method, c.args, c); err != nil {
+		go c.Complete(nil, err)
+	}
+}
+
+func (c *laneCall) Complete(_ any, err error) {
+	if err != nil && c.lane.OnError != nil {
+		c.lane.OnError(err)
+	}
+	c.turn.Done()
 }
 
 func TestConcurrentInvokes(t *testing.T) {

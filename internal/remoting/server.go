@@ -500,10 +500,10 @@ func (s *Server) handleConn(conn transport.Conn) {
 		if err != nil {
 			return
 		}
-		countFrame(frameOut)
+		audit := countFrame()
 		c := sc.newCall()
 		handle, declared, err := readBoundCall(d, raw, &c.req, c.argv)
-		recycleFrame(conn, raw, d.Borrowed())
+		recycleFrame(audit, conn, raw, d.Borrowed())
 		if err != nil {
 			// A framing failure desynchronises the stream, and without a
 			// sequence number we cannot form a matching reply; drop the

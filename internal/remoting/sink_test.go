@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // heard is a Completer that counts how often it was told, and keeps what.
@@ -46,6 +48,7 @@ func (h *heard) wait(t *testing.T) (any, error) {
 // the sink itself with the echo in it, or context.Canceled and never a
 // value; and nobody hears a second time when the other side arrives.
 func TestCancelAgainstReply(t *testing.T) {
+	poisoned(t)
 	ch, srv, _ := newMuxServer(t)
 	srv.RegisterWellKnown("h", Singleton, func() any { return &heldEcho{} })
 	ref, _ := GetObject(ch, srv.URLFor("h"))
@@ -110,7 +113,7 @@ func (s *slowBytes) Held() []byte {
 
 // settled waits until every frame the read loops were handed has been
 // recycled (the count follows the delivery) and at least out of them were.
-func settled(t *testing.T, audit *[3]atomic.Int64, out int64) {
+func settled(t *testing.T, audit *frameCounts, out int64) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if o := audit[frameOut].Load(); o >= out && o == audit[frameBack].Load()+audit[frameBorrowed].Load() {
@@ -129,9 +132,7 @@ func settled(t *testing.T, audit *[3]atomic.Int64, out int64) {
 // reply to a call cancelled before it arrived is not decoded at all: its
 // frame goes back too, and its sink is never touched.
 func TestTypedSlotFrames(t *testing.T) {
-	audit := new([3]atomic.Int64)
-	frameAudit.Store(audit)
-	defer frameAudit.Store(nil)
+	audit, _ := poisoned(t)
 
 	ch := NewMultiplexedChannel(transport.TCPNetwork{})
 	defer ch.Close()
@@ -228,6 +229,7 @@ func TestTypedSlotFrames(t *testing.T) {
 // the lane down, and the call it named, already out of the in-flight table,
 // hears of it like every other: once, with the decode error.
 func TestReplyBodyFailureFailsItsCall(t *testing.T) {
+	poisoned(t)
 	net := transport.NewMemNetwork()
 	l, err := net.Listen("mem://badpeer")
 	if err != nil {
@@ -281,5 +283,109 @@ func TestReplyBodyFailureFailsItsCall(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if n := h.told.Load(); n != 1 {
 		t.Errorf("the Completer heard %d times", n)
+	}
+}
+
+// probeValues answers Value(name, nil) with probeValue(name).
+type probeValues struct{}
+
+func (probeValues) Value(name string, _ []any) any { return probeValue(name) }
+
+// probeValue is a value of the sinkProbes type whose name is name, or a
+// 4 KiB []byte, which a reply borrows from its frame, for "bytes4k". The
+// []byte named after its type is 100 B, which a reply copies.
+func probeValue(name string) any {
+	if name == "bytes4k" {
+		return bytes.Repeat([]byte{0xB4}, 4<<10)
+	}
+	for _, newProbe := range sinkProbes {
+		typ := reflect.TypeOf(newProbe().slot())
+		if typ.String() != name {
+			continue
+		}
+		switch v := reflect.New(typ).Elem(); v.Kind() {
+		case reflect.Slice:
+			if typ == reflect.TypeOf([]byte(nil)) {
+				return bytes.Repeat([]byte{0x51}, 100)
+			}
+			return reflect.MakeSlice(typ, 3, 3).Interface()
+		case reflect.String:
+			return "result"
+		case reflect.Bool:
+			return true
+		default:
+			return reflect.ValueOf(77).Convert(typ).Interface()
+		}
+	}
+	panic("no probe of type " + name)
+}
+
+// TestBlockingRecordSink: a blocking call given a typed slot of every type
+// (InvokeNestedCtx), over loopback TCP with recycled frames poisoned, has
+// its reply decoded into the slot and returns the sink itself, holding what
+// the generic decode gives; a result of another type is returned as a value
+// and leaves the sink alone. A []byte result held in a slot stays what it
+// was through a hundred later replies on the connection, whether it was
+// copied out of its frame (100 B, which went back to the connection) or
+// borrowed (4 KiB, whose frame did not).
+func TestBlockingRecordSink(t *testing.T) {
+	frames, _ := poisoned(t)
+	ch := NewMultiplexedChannel(transport.TCPNetwork{})
+	defer ch.Close()
+	srv, err := ch.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Marshal("probes", probeValues{})
+	ref, _ := GetObject(ch, srv.URLFor("probes"))
+	ctx := context.Background()
+	for i := 0; i < 2; i++ { // declare and confirm the handle: calls are bound from here
+		if _, err := ref.InvokeNestedCtx(ctx, nil, "Value", "string", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var kept [][]byte
+	for _, newProbe := range sinkProbes {
+		p := newProbe()
+		name := reflect.TypeOf(p.slot()).String()
+		names := []string{name}
+		if name == "[]uint8" {
+			names = append(names, "bytes4k")
+		}
+		for _, name := range names {
+			p := newProbe()
+			settled(t, frames, 0)
+			borrowed := frames[frameBorrowed].Load()
+			v, err := ref.InvokeNestedCtx(ctx, p.sink, "Value", name, nil)
+			if took, _ := p.state(); err != nil || v != any(p.sink) || !took || !sameValue(t, p.slot(), probeValue(name)) {
+				t.Fatalf("%s: returned %v, %v, slot took=%v and holds %v", name, v, err, took, p.slot())
+			}
+			if b, ok := p.slot().([]byte); ok {
+				kept = append(kept, b)
+				settled(t, frames, 0) // the reader recycles the reply's frame after it delivered
+				if n := frames[frameBorrowed].Load() - borrowed; (n == 1) != (len(b) >= wire.BorrowMin) {
+					t.Errorf("%s: %d B result, %d frames borrowed", name, len(b), n)
+				}
+			}
+		}
+		other := "string"
+		if name == other {
+			other = "int"
+		}
+		v, err := ref.InvokeNestedCtx(ctx, p.sink, "Value", other, nil)
+		if took, moved := p.state(); err != nil || v == any(p.sink) || took || moved || !sameValue(t, v, probeValue(other)) {
+			t.Errorf("sink of %s offered a %s: returned %v, %v, took=%v moved=%v", name, other, v, err, took, moved)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := ref.InvokeNestedCtx(ctx, nil, "Value", []string{"[]uint8", "bytes4k"}[i%2], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, name := range []string{"[]uint8", "bytes4k"} {
+		if want := probeValue(name).([]byte); !bytes.Equal(kept[i], want) {
+			t.Errorf("%d B result held in a slot was overwritten by later replies: it starts %#x", len(want), kept[i][:1])
+		}
 	}
 }

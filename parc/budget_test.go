@@ -71,13 +71,16 @@ func remoteEchoer(t *testing.T) *Object[Echoer] {
 // TestAllocBudgetTypedCall: a 64 B typed call to an object on another node,
 // both ends counted, stays inside its budget,
 // and the method-name check of a typed call is free once it has passed.
-// The call measures 5, all of them the user's values: the payload and its
-// box on either end (4) and the reply's box in the thunk (1); args is built
-// outside the call, so the typed facade's list and box (2 more in a
-// generated proxy) are not in it. An envelope, waiter, closure, argument
-// list or method name built per call again adds at least 1 to the 5 and
-// must fail the budget of 6; so must a server that dispatches the endpoint
-// reflectively (12 more).
+// The call measures 4, all of them the user's values: the payload on either
+// end (the argument the server decodes, the result the caller's slot
+// receives), the argument's box on the server and the reply's box in the
+// thunk. The reply is decoded into a typed slot the call borrows, so the
+// caller's end boxes nothing; args is built outside the call, so the typed
+// facade's list and box (2 more in a generated proxy) are not in it. A
+// reply boxed on the caller's end again, or an envelope, waiter, closure,
+// argument list, slot or method name built per call, adds at least 1 to the
+// 4 and must fail the budget of 5; so must a server that dispatches the
+// endpoint reflectively (12 more).
 func TestAllocBudgetTypedCall(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -95,8 +98,8 @@ func TestAllocBudgetTypedCall(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		call() // declare and confirm the handle, warm the pools
 	}
-	if n := testing.AllocsPerRun(500, call); n > 6 {
-		t.Errorf("typed remote call: %.0f allocs, budget 6", n)
+	if n := testing.AllocsPerRun(500, call); n > 5 {
+		t.Errorf("typed remote call: %.0f allocs, budget 5", n)
 	} else {
 		t.Logf("typed remote call: %.0f allocs", n)
 	}

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/racetest"
 )
 
 // Slotted returns results of the kinds a Result can meet: the types a typed
@@ -28,12 +30,26 @@ func (*Slotted) Spot(n int) *Spot     { return &Spot{X: n, Y: -n} }
 func (*Slotted) Fail(n int) error     { return fmt.Errorf("slotted: failed on %d", n) }
 func (*Slotted) Echo(b []byte) []byte { return b }
 
+// slotValues holds a value of every type a typed slot takes, in the order
+// of TestTypedSlotBlockingCall's checks, each one whose box is allocated
+// unless its type's boxes are static (a bool, a byte).
+var slotValues = []any{
+	[]byte{1, 2}, []int{3, -4}, []int32{5}, []int64{-6}, []float32{7.5}, []float64{8.5},
+	[]string{"nine"}, []bool{true, false}, "ten", true,
+	1100, int8(-12), int16(1300), int32(-1400), int64(1500),
+	uint(1600), uint8(17), uint16(1800), uint32(1900), uint64(2000),
+	float32(21.5), float64(22.5),
+}
+
+// Value returns slotValues[i], as its own type on the wire.
+func (*Slotted) Value(i int) any { return slotValues[i] }
+
 // slottedOn starts a two-node cluster and returns a Slotted object on the
 // other node and one on the caller's.
-func slottedOn(t *testing.T) (remote, local *Object[Slotted]) {
+func slottedOn(t *testing.T, opts ...Option) (remote, local *Object[Slotted]) {
 	t.Helper()
 	place := &pinNode{node: 1}
-	cl, err := StartCluster(WithNodes(2), WithPlacement(place))
+	cl, err := StartCluster(append([]Option{WithNodes(2), WithPlacement(place)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +72,7 @@ func slottedOn(t *testing.T) (remote, local *Object[Slotted]) {
 // the reply was decoded into a Result, not boxed.
 func inSlot[R any](r *Result[R]) bool {
 	v, _ := r.f.Get()
-	_, ok := v.(*asyncResult[R])
+	_, ok := v.(*slot[R])
 	return ok
 }
 
@@ -199,4 +215,129 @@ func TestCancelAgainstReplyTypedSlot(t *testing.T) {
 		t.Fatalf("the lane after a thousand cancelled calls: %v", err)
 	}
 	t.Logf("%d calls answered before their Cancel, %d cancelled first", replied/2, cancelled/2)
+}
+
+// TestTypedSlotBlockingCall: a blocking Call of every type a typed slot
+// takes, to an object on another node, has its reply decoded into a slot it
+// borrows, which the runtime hands back in place of the value, and allocates
+// less than the same call read as a boxed value; a Call whose R is not the
+// reply's type, and a Call to a local object, convert the value as they
+// always did.
+func TestTypedSlotBlockingCall(t *testing.T) {
+	remote, local := slottedOn(t)
+	ctx := within(t, 20*time.Second)
+	for i := 0; i < 2; i++ { // declare and confirm the handles: calls are bound from here
+		for _, m := range []string{"Value", "Num", "Spot", "Name"} {
+			if _, err := remote.Invoke(ctx, m, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, check := range []func(*testing.T, context.Context, *Object[Slotted], *Object[Slotted], int){
+		blockingSlot[[]byte], blockingSlot[[]int], blockingSlot[[]int32], blockingSlot[[]int64],
+		blockingSlot[[]float32], blockingSlot[[]float64], blockingSlot[[]string], blockingSlot[[]bool],
+		blockingSlot[string], blockingSlot[bool],
+		blockingSlot[int], blockingSlot[int8], blockingSlot[int16], blockingSlot[int32], blockingSlot[int64],
+		blockingSlot[uint], blockingSlot[uint8], blockingSlot[uint16], blockingSlot[uint32], blockingSlot[uint64],
+		blockingSlot[float32], blockingSlot[float64],
+	} {
+		t.Run(fmt.Sprintf("%T", slotValues[i]), func(t *testing.T) { check(t, ctx, remote, local, i) })
+	}
+
+	// Not exactly an R: converted, and the slot is left alone.
+	convertedCall(t, ctx, remote, "Num", int64(7))
+	convertedCall(t, ctx, remote, "Num", any(7))
+	convertedCall(t, ctx, remote, "Spot", &Spot{X: 7, Y: -7})
+	convertedCall(t, ctx, remote, "Spot", Spot{X: 7, Y: -7})
+	convertedCall(t, ctx, local, "Name", "name-7")
+	if _, err := Call[[]int32](ctx, remote, "Name", 1); !errors.Is(err, ErrBadConversion) {
+		t.Errorf("a string read as []int32: %v, want ErrBadConversion", err)
+	}
+}
+
+// blockingSlot checks Call[R] of slotValues[i]. On the remote object the
+// reply lands in the slot InvokeInto is given, and the slot is the value the
+// call returns; Call returns what it holds, with fewer allocations than the
+// boxed value costs (a bool's or a byte's box is static and costs none). On
+// the local object InvokeInto returns the value itself.
+func blockingSlot[R any](t *testing.T, ctx context.Context, remote, local *Object[Slotted], i int) {
+	want := slotValues[i].(R)
+	s := new(slot[R])
+	if v, err := remote.Proxy().InvokeInto(ctx, s, "Value", []any{i}); err != nil || v != any(s) || !reflect.DeepEqual(s.val, want) {
+		t.Errorf("remote InvokeInto = %v, %v, slot %#v; want the slot, holding %#v", v, err, s.val, want)
+	}
+	s = new(slot[R])
+	if v, err := local.Proxy().InvokeInto(ctx, s, "Value", []any{i}); err != nil || v == any(s) || !reflect.DeepEqual(v, any(want)) {
+		t.Errorf("local InvokeInto = %v, %v; want the value %#v", v, err, want)
+	}
+	for _, obj := range []*Object[Slotted]{remote, local} {
+		if got, err := Call[R](ctx, obj, "Value", i); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("Call on %v = %#v, %v, want %#v", obj, got, err, want)
+		}
+	}
+	if racetest.Enabled || reflect.TypeFor[R]().Size() == 1 {
+		return // the race detector allocates on its own account
+	}
+	args := []any{i}
+	slotted := testing.AllocsPerRun(100, func() { Call[R](ctx, remote, "Value", args...) })    //nolint:errcheck // checked above
+	boxed := testing.AllocsPerRun(100, func() { As[R](remote.Invoke(ctx, "Value", args...)) }) //nolint:errcheck // checked above
+	if slotted >= boxed {
+		t.Errorf("Call: %.0f allocs, the value boxed and converted: %.0f; want fewer", slotted, boxed)
+	}
+}
+
+// convertedCall checks a Call whose reply is not exactly an R (another type,
+// any, a pointer, a struct) or comes from a local object: InvokeInto returns
+// the value and leaves the slot alone, and Call converts the value to want.
+func convertedCall[R any](t *testing.T, ctx context.Context, obj *Object[Slotted], method string, want R) {
+	t.Helper()
+	s := new(slot[R])
+	if v, err := obj.Proxy().InvokeInto(ctx, s, method, []any{7}); err != nil || v == any(s) || !reflect.ValueOf(&s.val).Elem().IsZero() {
+		t.Errorf("%s as %T: InvokeInto = %v, %v, slot %#v; want the value and the slot untouched", method, want, v, err, s.val)
+	}
+	if got, err := Call[R](ctx, obj, method, 7); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s as %T: Call = %#v, %v, want %#v", method, want, got, err, want)
+	}
+}
+
+// TestCancelAgainstReplyBlockingSlot: a thousand blocking calls, each
+// cancelled while its reply is on its way into the call's typed slot, return
+// the echo when the reply was in first and context.Canceled, with no value,
+// when the cancel was, never a value half written. A slot such a call let
+// go is not lent again: the call after each, over another of the four
+// lanes, returns exactly its own echo, and under the race detector nothing
+// touches a slot the first call's reader may still be writing.
+func TestCancelAgainstReplyBlockingSlot(t *testing.T) {
+	remote, _ := slottedOn(t, WithMuxLanes(4))
+	ctx := within(t, 60*time.Second)
+	echo := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 64+i%64) }
+	call := func(ctx context.Context, i int) ([]byte, error) { return Call[[]byte](ctx, remote, "Echo", echo(i)) }
+	for i := 0; i < 8; i++ { // declare and confirm the handle on every lane
+		if _, err := call(ctx, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var replied, cancelled int
+	for i := 0; i < 1000; i++ {
+		cctx, cancel := context.WithCancel(ctx)
+		go func(spin int) {
+			for ; spin > 0; spin-- {
+				runtime.Gosched() // let the reply come closer, by a varying amount
+			}
+			cancel()
+		}(i % 32)
+		switch v, err := call(cctx, i); {
+		case err == nil && bytes.Equal(v, echo(i)):
+			replied++
+		case errors.Is(err, context.Canceled) && v == nil:
+			cancelled++
+		default:
+			t.Fatalf("call %d = %x, %v", i, v, err)
+		}
+		cancel()
+		if v, err := call(ctx, i+1); err != nil || !bytes.Equal(v, echo(i+1)) {
+			t.Fatalf("the call after cancelled call %d = %x, %v, want its own echo", i, v, err)
+		}
+	}
+	t.Logf("%d calls answered before their cancel, %d cancelled first", replied, cancelled)
 }

@@ -121,14 +121,53 @@ func (o *Object[T]) Migrate(ctx context.Context, toNode int) error {
 // Call performs a synchronous method call on a typed handle and converts
 // the result to R, applying the wire layer's canonical conversions. The
 // method name is validated against T's method set before the call leaves
-// the node. (Call is a function rather than a method because Go methods
+// the node. A reply from another node whose result is exactly an R (a
+// []byte, a numeric, string or bool slice, a string or a scalar) is decoded
+// straight into a typed slot the call borrows, and the R returned is the
+// caller's. (Call is a function rather than a method because Go methods
 // cannot introduce the result type parameter R.)
 func Call[R any, T any](ctx context.Context, o *Object[T], method string, args ...any) (R, error) {
 	var zero R
 	if err := checkMethod[T](method); err != nil {
 		return zero, err
 	}
-	return As[R](o.p.InvokeCtx(ctx, method, args...))
+	store := slotStore[R]()
+	s := store.Get().(*slot[R])
+	r, err := resultOf[R](o.p.InvokeInto(ctx, s, method, args))
+	if err == nil {
+		// After an error the connection's reader may still be writing into
+		// s (the ctx ended while the reply was being decoded), so only a
+		// call that succeeded gives its slot back.
+		*s = slot[R]{}
+		store.Put(s)
+	}
+	return r, err
+}
+
+// slot is where a reply whose result is exactly an R is decoded: in a
+// Result for an asynchronous call, borrowed from slotStore for a blocking
+// one. It is the remoting.ResultSink both give the runtime.
+type slot[R any] struct{ val R }
+
+// DecodeResult implements remoting.ResultSink, on the connection's reader
+// and before the call is told its outcome: nothing reads val until the call
+// has finished with the slot as its value (resultOf), so a reply that loses
+// to a Cancel or a ctx lands in memory nobody looks at.
+func (s *slot[R]) DecodeResult(d *wire.Decoder) bool { return d.ValueInto(&s.val) }
+
+// slotPools holds one pool of blocking calls' slots per result type. A
+// sync.Pool keeps its free slots per processor, so callers on different
+// processors share no lock and no cache line to take one.
+var slotPools sync.Map // reflect.Type → *sync.Pool of *slot[R]
+
+// slotStore returns the pool of R's slots.
+func slotStore[R any]() *sync.Pool {
+	t := reflect.TypeFor[R]()
+	if p, ok := slotPools.Load(t); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := slotPools.LoadOrStore(t, &sync.Pool{New: func() any { return new(slot[R]) }})
+	return p.(*sync.Pool)
 }
 
 // CallAsync starts a synchronous-style call without blocking and returns a
@@ -147,8 +186,8 @@ func CallAsync[R any, T any](ctx context.Context, o *Object[T], method string, a
 
 // asyncResult is what an asynchronous call allocates: the Result handed back
 // and, in the same object, everything the runtime keeps for the call. A wave
-// allocates its members' as one slice. It is also the call's typed slot: a
-// reply whose result is exactly an R is decoded straight into val.
+// allocates its members' as one slice. The Result's slot is the call's: a
+// reply whose result is exactly an R is decoded straight into it.
 type asyncResult[R any] struct {
 	Result[R]
 	call core.AsyncCall
@@ -156,23 +195,18 @@ type asyncResult[R any] struct {
 
 // start issues the call; c must be zero.
 func (c *asyncResult[R]) start(ctx context.Context, p *Proxy, method string, args []any) *Result[R] {
-	c.call.SetSink(c)
+	c.call.SetSink(&c.slot)
 	c.f = p.StartAsync(ctx, &c.call, method, args)
 	return &c.Result
 }
 
-// DecodeResult implements remoting.ResultSink, on the connection's reader
-// and before the call's future resolves: nothing reads val until a future
-// has resolved with c as its value (resultOf), so a reply that loses to a
-// Cancel lands in memory nobody looks at.
-func (c *asyncResult[R]) DecodeResult(d *wire.Decoder) bool { return d.ValueInto(&c.val) }
-
-// resultOf is the one place a future's outcome becomes an R: read out of the
-// typed slot when the call's reply was decoded into one, converted (As) from
-// whatever value the call finished with otherwise.
+// resultOf is the one place a call's outcome becomes an R, blocking or
+// asynchronous: read out of the typed slot when the call's reply was decoded
+// into one, converted (As) from whatever value the call finished with
+// otherwise.
 func resultOf[R any](v any, err error) (R, error) {
-	if slot, ok := v.(*asyncResult[R]); ok && err == nil {
-		return slot.val, nil
+	if s, ok := v.(*slot[R]); ok && err == nil {
+		return s.val, nil
 	}
 	return As[R](v, err)
 }
@@ -189,12 +223,12 @@ type Result[R any] struct {
 
 	// once memoizes the converted outcome: repeated Get calls return the
 	// same (value, error) pair, including after an error — the underlying
-	// future resolves exactly once, and so does its typed view. val is
+	// future resolves exactly once, and so does its typed view. slot is
 	// written by whoever decides the outcome is a value (the reply's decode,
 	// or the memo) and never on an error, when a late reply may still be
 	// landing in it.
 	once sync.Once
-	val  R
+	slot slot[R]
 	rerr error
 }
 
@@ -223,19 +257,19 @@ func (r *Result[R]) Get(ctx context.Context) (R, error) {
 	}
 	r.once.Do(func() {
 		v, err := r.f.Get() // completed; returns immediately
-		if slot, ok := v.(*asyncResult[R]); ok && &slot.Result == r {
-			return // this call's own reply: val has held it since before f resolved
+		if v == any(&r.slot) {
+			return // this call's own reply: the slot has held it since before f resolved
 		}
 		if v, err := resultOf[R](v, err); err != nil {
 			r.rerr = err
 		} else {
-			r.val = v
+			r.slot.val = v
 		}
 	})
 	if r.rerr != nil {
 		return zero, r.rerr
 	}
-	return r.val, nil
+	return r.slot.val, nil
 }
 
 // Done returns a channel closed when the call completes.
