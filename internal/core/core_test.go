@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -263,7 +264,7 @@ func TestAggregationMaxDelayTimer(t *testing.T) {
 // the raw remote endpoint.
 func (p *Proxy) Invoke2Total(t *testing.T) (any, error) {
 	t.Helper()
-	return p.endpoint().Invoke("Invoke1", "Total", []any{})
+	return p.endpoint().InvokeNestedCtx(context.Background(), nil, "Invoke1", "Total", nil)
 }
 
 func TestAggregationMethodChangeFlushes(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 // call arrives as Invoke1(method, args) or InvokeBatch(method, calls) on
 // it, never as a call on the user's object. Everything published goes
 // through Runtime.publish, which takes this interface. A runtime call
-// arrives through InvokeNested, method and list as decoded; the thunks
-// below serve a call whose argument list is not in the nested-call shape
-// and a dispatch by name.
+// arrives through InvokeNested, the user's method named by the connection's
+// handle and the list as decoded; a plain call of either method by name
+// takes dispatch's reflective path.
 type endpoint interface {
 	remoting.NestedInvoker
 	Invoke1(ctx context.Context, method string, args []any) (any, error)
@@ -46,45 +46,6 @@ func (w *ioWrapper) InvokeNested(ctx context.Context, call, method string, args 
 
 func (t *tombstone) InvokeNested(ctx context.Context, call, method string, args []any) (any, error) {
 	return invokeNested(ctx, t, call, method, args)
-}
-
-// endpointTypes lists every concrete endpoint. Each gets the two invoker
-// thunks below, so the server dispatches a runtime call without
-// reflection, as it does a generated class; a type missing here still
-// works, through dispatch's reflective path.
-var endpointTypes = []endpoint{(*actorEndpoint)(nil), (*ioWrapper)(nil), (*tombstone)(nil)}
-
-func init() {
-	thunks := map[string]dispatch.Invoker{}
-	for _, call := range []string{"Invoke1", "InvokeBatch"} {
-		thunks[call] = func(ctx context.Context, obj any, args []any) (any, error) {
-			method, rest, err := endpointArgs(obj, call, args)
-			if err != nil {
-				return nil, err
-			}
-			return invokeNested(ctx, obj.(endpoint), call, method, rest)
-		}
-	}
-	for _, ep := range endpointTypes {
-		dispatch.RegisterInvokers(ep, thunks)
-	}
-}
-
-// endpointArgs binds the wire arguments of an endpoint call, (string,
-// []any), with the conversions and error shapes of the reflective path.
-func endpointArgs(obj any, name string, args []any) (string, []any, error) {
-	if len(args) != 2 {
-		return "", nil, dispatch.BadArity(obj, name, len(args), 2)
-	}
-	method, err := dispatch.Arg[string](args, 0)
-	if err != nil {
-		return "", nil, dispatch.BadArg(obj, name, 0, err)
-	}
-	rest, err := dispatch.Arg[[]any](args, 1)
-	if err != nil {
-		return "", nil, dispatch.BadArg(obj, name, 1, err)
-	}
-	return method, rest, nil
 }
 
 // publish puts ep at uri on this node's server under a fresh lease,

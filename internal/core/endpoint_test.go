@@ -3,12 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"regexp"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -54,51 +49,12 @@ func init() {
 	})
 }
 
-// reflected hides an endpoint behind a type no thunk is registered for, so
-// dispatch.InvokeCtx reaches the same methods through its reflective path.
-type reflected struct{ endpoint }
-
-// TestEndpointsHaveThunks: every type the runtime publishes dispatches
-// through thunks, and no type of this package has an Invoke1 method without
-// being in endpointTypes.
-func TestEndpointsHaveThunks(t *testing.T) {
-	listed := map[string]bool{}
-	for _, ep := range endpointTypes {
-		listed[reflect.TypeOf(ep).Elem().Name()] = true
-		for _, m := range []string{"Invoke1", "InvokeBatch"} {
-			if !dispatch.HasInvoker(ep, m) {
-				t.Errorf("%T.%s has no invoker thunk: remote calls on it dispatch reflectively", ep, m)
-			}
-		}
-	}
-	if dispatch.HasInvoker(reflected{}, "Invoke1") {
-		t.Fatal("the reflective reference type has a thunk")
-	}
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv := regexp.MustCompile(`(?m)^func \(\w+ \*?(\w+)\) Invoke1\(`)
-	for _, f := range files {
-		if strings.HasSuffix(f, "_test.go") {
-			continue
-		}
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range recv.FindAllSubmatch(src, -1) {
-			if name := string(m[1]); !listed[name] {
-				t.Errorf("%s: %s has Invoke1 but is not in endpointTypes", f, name)
-			}
-		}
-	}
-}
-
-// TestThunkMatchesReflectivePath runs each case through an endpoint's
-// thunk and through the reflective path to the same endpoint: results,
-// error text and error chains must agree.
-func TestThunkMatchesReflectivePath(t *testing.T) {
+// TestInvokeNestedMatchesReflectivePath runs each runtime call through an
+// endpoint's InvokeNested, as the server hands over a call whose handle
+// names the user's method, and through the reflective path to the same
+// endpoint with the flat list: results, error text and error chains must
+// agree.
+func TestInvokeNestedMatchesReflectivePath(t *testing.T) {
 	rt := startNodes(t, 1, nil)[0]
 	w := &ioWrapper{rt: rt, class: "probe", obj: &probeObj{}}
 	a := newActor(w)
@@ -107,46 +63,35 @@ func TestThunkMatchesReflectivePath(t *testing.T) {
 	deadline := time.Now().Add(time.Hour)
 	dlCtx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
+	bg := context.Background()
 
 	cases := []struct {
-		name   string
-		ep     endpoint
-		ctx    context.Context
-		method string
-		args   []any
-		want   any // checked when the call succeeds
+		name         string
+		ep           endpoint
+		ctx          context.Context
+		call, method string
+		args         []any
+		want         any // checked when the call succeeds
 	}{
-		{"good call", &actorEndpoint{a: a}, context.Background(), "Invoke1", []any{"Twice", []any{21}}, 42},
-		{"good call, unwrapped object", w, context.Background(), "Invoke1", []any{"Twice", []any{21}}, 42},
-		{"argument converted by wire.Assign", w, context.Background(), "Invoke1", []any{"Twice", []any{int64(21)}}, 42},
-		{"wrong arity", &actorEndpoint{a: a}, context.Background(), "Invoke1", []any{"Twice"}, nil},
-		{"int64 where a string is due", &actorEndpoint{a: a}, context.Background(), "Invoke1", []any{int64(7), []any{}}, nil},
-		{"unknown user method", w, context.Background(), "Invoke1", []any{"Nope", []any{}}, nil},
-		{"deadline reaches a ctx-first method", &actorEndpoint{a: a}, dlCtx, "Invoke1", []any{"Deadline", []any{}}, deadline.UnixNano()},
-		{"batch count", &actorEndpoint{a: a}, context.Background(), "InvokeBatch", []any{"Add", []any{[]any{1}, []any{2}, []any{3}}}, 3},
-		{"batch with a bad element", w, context.Background(), "InvokeBatch", []any{"Add", []any{[]any{1}, "x"}}, nil},
-		{"tombstone", &tombstone{mv: mv}, context.Background(), "Invoke1", []any{"Twice", []any{1}}, nil},
-		{"tombstone batch", &tombstone{mv: mv}, context.Background(), "InvokeBatch", []any{"Add", []any{[]any{1}}}, nil},
+		{"good call", &actorEndpoint{a: a}, bg, "Invoke1", "Twice", []any{21}, 42},
+		{"good call, unwrapped object", w, bg, "Invoke1", "Twice", []any{21}, 42},
+		{"argument converted by wire.Assign", w, bg, "Invoke1", "Twice", []any{int64(21)}, 42},
+		{"unknown user method", w, bg, "Invoke1", "Nope", []any{}, nil},
+		{"deadline reaches a ctx-first method", &actorEndpoint{a: a}, dlCtx, "Invoke1", "Deadline", []any{}, deadline.UnixNano()},
+		{"batch count", &actorEndpoint{a: a}, bg, "InvokeBatch", "Add", []any{[]any{1}, []any{2}, []any{3}}, 3},
+		{"batch with a bad element", w, bg, "InvokeBatch", "Add", []any{[]any{1}, "x"}, nil},
+		{"tombstone", &tombstone{mv: mv}, bg, "Invoke1", "Twice", []any{1}, nil},
+		{"tombstone batch", &tombstone{mv: mv}, bg, "InvokeBatch", "Add", []any{[]any{1}}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, gotErr := dispatch.InvokeCtx(tc.ctx, tc.ep, tc.method, tc.args)
-			ref, refErr := dispatch.InvokeCtx(tc.ctx, reflected{tc.ep}, tc.method, tc.args)
-			if len(tc.args) == 2 {
-				// The shape a compact call arrives in: the server then hands
-				// the two over without the list, to the same outcome.
-				if sub, ok := tc.args[0].(string); ok {
-					nested, nestedErr := tc.ep.InvokeNested(tc.ctx, tc.method, sub, tc.args[1].([]any))
-					if !reflect.DeepEqual(nested, got) || fmt.Sprint(nestedErr) != fmt.Sprint(gotErr) {
-						t.Errorf("InvokeNested returned %#v, %v; thunk %#v, %v", nested, nestedErr, got, gotErr)
-					}
-				}
-			}
+			got, gotErr := tc.ep.InvokeNested(tc.ctx, tc.call, tc.method, tc.args)
+			ref, refErr := dispatch.InvokeCtx(tc.ctx, tc.ep, tc.call, []any{tc.method, tc.args})
 			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("thunk returned %#v, reflective path %#v", got, ref)
+				t.Errorf("InvokeNested returned %#v, reflective path %#v", got, ref)
 			}
 			if (gotErr == nil) != (refErr == nil) {
-				t.Fatalf("thunk error %v, reflective error %v", gotErr, refErr)
+				t.Fatalf("InvokeNested error %v, reflective error %v", gotErr, refErr)
 			}
 			if gotErr == nil {
 				if !reflect.DeepEqual(got, tc.want) {
@@ -154,17 +99,15 @@ func TestThunkMatchesReflectivePath(t *testing.T) {
 				}
 				return
 			}
-			// The two messages name the dispatched type; nothing else differs.
-			refMsg := strings.ReplaceAll(refErr.Error(), fmt.Sprintf("%T", reflected{}), fmt.Sprintf("%T", tc.ep))
-			if gotErr.Error() != refMsg {
-				t.Errorf("thunk error %q, reflective error %q", gotErr, refMsg)
+			if gotErr.Error() != refErr.Error() {
+				t.Errorf("InvokeNested error %q, reflective error %q", gotErr, refErr)
 			}
 			if errors.Is(gotErr, errs.ErrNoSuchMethod) != errors.Is(refErr, errs.ErrNoSuchMethod) {
-				t.Errorf("ErrNoSuchMethod: thunk %v, reflective %v", gotErr, refErr)
+				t.Errorf("ErrNoSuchMethod: InvokeNested %v, reflective %v", gotErr, refErr)
 			}
 			var gotMv, refMv *errs.MovedError
 			if errors.As(gotErr, &gotMv) != errors.As(refErr, &refMv) {
-				t.Fatalf("MovedError: thunk %v, reflective %v", gotErr, refErr)
+				t.Fatalf("MovedError: InvokeNested %v, reflective %v", gotErr, refErr)
 			}
 			if _, isTomb := tc.ep.(*tombstone); isTomb && (gotMv == nil || *gotMv != mv) {
 				t.Errorf("tombstone reply carries %+v, want %+v", gotMv, mv)
@@ -587,61 +530,30 @@ func TestAllocBudgetFutureCompletion(t *testing.T) {
 	}
 }
 
-// TestUnknownMethodNamesAreNotRetained: the server takes a call's method
-// name from the invoker registry when it is there and copies it when it is
-// not, so a peer that sends ten thousand names no class has, on one bound
-// handle, is told ErrNoSuchMethod each time and leaves nothing behind: the
-// registry knows none of them afterwards and the heap is no larger.
-func TestUnknownMethodNamesAreNotRetained(t *testing.T) {
-	rt := startNodes(t, 1, nil)[0]
-	rt.RegisterClass("probe", func() any { return &probeObj{} })
-	p, err := rt.NewParallelObject("probe")
+// TestDeadlineErrorNamesTheUserMethod: a remote proxy call whose deadline
+// ends while it is in flight fails with an error that names the method the
+// caller asked for, not the runtime call that carried it.
+func TestDeadlineErrorNamesTheUserMethod(t *testing.T) {
+	rts := startNodes(t, 2, func(_ int, cfg *Config) { cfg.Placement = &forceNode{node: 1} })
+	g := &echoGate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	t.Cleanup(func() { close(g.release) })
+	for _, rt := range rts {
+		rt.RegisterClass("echogate", func() any { return g })
+	}
+	p, err := rts[0].NewParallelObject("echogate")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The object's own endpoint, reached as a remote caller reaches it.
-	ref := remoting.NewObjRef(rt.cfg.Channel, rt.Addr(), p.URI())
-	ctx := context.Background()
-	twice := func() {
-		t.Helper()
-		if v, err := ref.InvokeNestedCtx(ctx, nil, "Invoke1", "Twice", []any{21}); err != nil || v != 42 {
-			t.Fatalf("Twice(21) = %v, %v", v, err)
-		}
+	if p.IsLocal() {
+		t.Fatal("want a remote object")
 	}
-	for i := 0; i < 3; i++ {
-		twice() // bind the handle; compact from here on
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err = p.InvokeCtx(ctx, "Block")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Block past its deadline = %v, want DeadlineExceeded", err)
 	}
-	if s, ok := dispatch.MethodName([]byte("Twice")); !ok || s != "Twice" {
-		t.Fatalf("MethodName(Twice) = %q, %v: the registered name is not in the registry", s, ok)
+	if msg := err.Error(); !strings.Contains(msg, p.URI()+".Block:") || strings.Contains(msg, "Invoke1") {
+		t.Errorf("error %q does not name %s.Block", msg, p.URI())
 	}
-	const names = 10000
-	unknown := func(i int) string { return fmt.Sprintf("Twic%d", i) } // a registered name's prefix, then not
-	send := func() {
-		t.Helper()
-		for i := 0; i < names; i++ {
-			if _, err := ref.InvokeNestedCtx(ctx, nil, "Invoke1", unknown(i), nil); !errors.Is(err, errs.ErrNoSuchMethod) {
-				t.Fatalf("%s: %v, want ErrNoSuchMethod", unknown(i), err)
-			}
-		}
-	}
-	heapObjects := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapObjects
-	}
-	send() // whatever grows once (pools, maps, the mailbox) grows here
-	before := heapObjects()
-	send()
-	after := heapObjects()
-	if after > before+names/10 {
-		t.Errorf("heap objects %d before %d unknown names, %d after: the node keeps them", before, names, after)
-	}
-	for i := 0; i < names; i += 97 {
-		if s, ok := dispatch.MethodName([]byte(unknown(i))); ok {
-			t.Fatalf("the registry now knows %q", s)
-		}
-	}
-	twice()
 }

@@ -289,10 +289,14 @@ func TestMigrateBoundHandleInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bind the (URI, Invoke1) handle with a few calls.
+	// Bind the (URI, Invoke1, Append) and (URI, Invoke1, Len) handles with
+	// a few calls.
 	for i := int64(0); i < 8; i++ {
 		if _, err := p.Invoke("Append", i); err != nil {
 			t.Fatal(err)
+		}
+		if n, err := p.Invoke("Len"); err != nil || n != int(i)+1 {
+			t.Fatalf("Len = %v, %v", n, err)
 		}
 	}
 	if err := rts[1].Migrate(p.URI(), 2); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -209,7 +210,7 @@ func TestPropertyAggregationTimerDelivers(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		// Bypass the flush-on-sync path to observe the timer.
-		res, err := p.endpoint().Invoke("Invoke1", "Total", []any{})
+		res, err := p.endpoint().InvokeNestedCtx(context.Background(), nil, "Invoke1", "Total", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

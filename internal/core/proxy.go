@@ -280,30 +280,25 @@ func (p *Proxy) currentGen() uint64 {
 	return p.gen
 }
 
-// remoteCall is one invocation as invokeVia sends and re-sends it: method
+// remoteCall is one invocation as invokeVia sends and re-sends it: call
 // with args or, for a call on the object itself, the runtime-call shape
-// method(sub, args), which remoting carries without the two-element list.
+// call(method, args), which remoting carries without the two-element list.
 // sink, on a blocking call in that shape, is the caller's typed slot for the
 // result (Proxy.InvokeInto); every attempt of the call offers it the reply.
 type remoteCall struct {
-	method string
-	sub    string
-	nested bool
-	args   []any
-	sink   remoting.ResultSink
+	call, method string
+	args         []any
+	sink         remoting.ResultSink
 }
 
 func (c remoteCall) on(ctx context.Context, ref *remoting.ObjRef) (any, error) {
-	if c.nested {
-		return ref.InvokeNestedCtx(ctx, c.sink, c.method, c.sub, c.args)
-	}
-	return ref.InvokeCtx(ctx, c.method, c.args...)
+	return ref.InvokeNestedCtx(ctx, c.sink, c.call, c.method, c.args)
 }
 
 // invoke1 is the runtime call Invoke1(method, args) on the object's
 // endpoint.
 func invoke1(method string, args []any) remoteCall {
-	return remoteCall{method: "Invoke1", sub: method, nested: true, args: args}
+	return remoteCall{call: "Invoke1", method: method, args: args}
 }
 
 // noteAsyncError records the first asynchronous failure for AsyncErr.
@@ -496,7 +491,7 @@ func (e *mailboxEntry) Complete(v any, err error) {
 func (c *AsyncCall) submitLocal(act *actor) {
 	a, f := &c.try, &c.fut
 	a.stop = cancelHook(a.ctx, f)
-	err := act.enqueue(actorTask{ctx: a.ctx, method: a.call.sub, args: a.call.args, fut: f, to: (*mailboxEntry)(c)})
+	err := act.enqueue(actorTask{ctx: a.ctx, method: a.call.method, args: a.call.args, fut: f, to: (*mailboxEntry)(c)})
 	if err == nil {
 		return
 	}
@@ -567,13 +562,8 @@ func (a *attempt) start() {
 			a.ctx = remoting.ContextWithToken(a.ctx, a.p.rt.cfg.Channel.NewCallToken())
 		}
 	}
-	var err error
-	if c, ref := a.call, a.p.endpoint(); c.nested {
-		err = ref.InvokeNestedAsyncCb(a.ctx, &a.rec, c.method, c.sub, c.args, a)
-	} else {
-		err = ref.InvokeAsyncCb(a.ctx, &a.rec, c.method, c.args, a)
-	}
-	if err != nil {
+	c := &a.call
+	if err := a.p.endpoint().InvokeNestedAsyncCb(a.ctx, &a.rec, c.call, c.method, c.args, a); err != nil {
 		a.rerun()
 	} else if a.f != nil {
 		a.f.setAbort(&a.rec)
@@ -740,7 +730,7 @@ func (p *Proxy) flushLocked() {
 	p.aggMethod = ""
 	p.aggCalls = nil
 	p.rt.stats.batchesSent.Add(1)
-	p.post(remoteCall{method: "InvokeBatch", sub: method, nested: true, args: calls})
+	p.post(remoteCall{call: "InvokeBatch", method: method, args: calls})
 }
 
 // Wait blocks until every asynchronous call posted on this proxy has
@@ -816,7 +806,7 @@ func (p *Proxy) MigrateCtx(ctx context.Context, toNode int) error {
 // omInvoke is invokeVia against the object manager of the node currently
 // hosting this object.
 func (p *Proxy) omInvoke(ctx context.Context, method string, args ...any) (any, error) {
-	return p.invokeVia(ctx, p.omRef, remoteCall{method: method, args: args})
+	return p.invokeVia(ctx, p.omRef, remoteCall{call: method, args: args})
 }
 
 // omRef builds a proxy for the hosting node's object manager at the

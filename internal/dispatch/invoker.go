@@ -28,9 +28,6 @@ type Invoker func(ctx context.Context, obj any, args []any) (any, error)
 // per-call lookup is lock-free.
 type invokerTables struct {
 	byType map[reflect.Type]map[string]Invoker
-	// names holds every registered method name under itself: what a reader
-	// that has a name's bytes looks up to get the string (MethodName).
-	names map[string]string
 }
 
 var (
@@ -39,7 +36,7 @@ var (
 )
 
 func init() {
-	invTab.Store(&invokerTables{byType: map[reflect.Type]map[string]Invoker{}, names: map[string]string{}})
+	invTab.Store(&invokerTables{byType: map[reflect.Type]map[string]Invoker{}})
 }
 
 // RegisterInvokers installs generated invoker thunks for the concrete type
@@ -54,15 +51,9 @@ func RegisterInvokers(sample any, m map[string]Invoker) {
 	invMu.Lock()
 	defer invMu.Unlock()
 	old := invTab.Load()
-	next := &invokerTables{
-		byType: make(map[reflect.Type]map[string]Invoker, len(old.byType)+1),
-		names:  make(map[string]string, len(old.names)+len(m)),
-	}
+	next := &invokerTables{byType: make(map[reflect.Type]map[string]Invoker, len(old.byType)+1)}
 	for k, v := range old.byType {
 		next.byType[k] = v
-	}
-	for k := range old.names {
-		next.names[k] = k
 	}
 	merged := make(map[string]Invoker, len(m)+len(next.byType[t]))
 	for k, v := range next.byType[t] {
@@ -70,7 +61,6 @@ func RegisterInvokers(sample any, m map[string]Invoker) {
 	}
 	for k, v := range m {
 		merged[k] = v
-		next.names[k] = k
 	}
 	next.byType[t] = merged
 	invTab.Store(next)
@@ -79,16 +69,6 @@ func RegisterInvokers(sample any, m map[string]Invoker) {
 // lookupInvoker returns the thunk for (t, method), or nil.
 func lookupInvoker(t reflect.Type, method string) Invoker {
 	return invTab.Load().byType[t][method]
-}
-
-// MethodName returns the registered method name spelled b, without
-// allocating: the server reads a call's method name as a view of the frame
-// and takes the string from here. Only RegisterInvokers adds names, so what
-// a peer sends cannot grow the table; a name it does not hold is the
-// caller's to copy.
-func MethodName(b []byte) (string, bool) {
-	s, ok := invTab.Load().names[string(b)]
-	return s, ok
 }
 
 // HasInvoker reports whether a generated thunk is registered for the

@@ -206,31 +206,3 @@ func TestInvokerFor(t *testing.T) {
 type invokerTarget struct{}
 
 func (*invokerTarget) Probe() string { return "direct" }
-
-// TestMethodName: every name a registration brought, and no other, is
-// answered from its bytes without allocating; a later registration keeps the
-// names of the earlier ones.
-func TestMethodName(t *testing.T) {
-	registerThunks(t)
-	RegisterInvokers(&invokerTarget{}, map[string]Invoker{
-		"Probe": func(context.Context, any, []any) (any, error) { return nil, nil },
-	})
-	for _, name := range []string{"Add", "WithCtx", "Probe"} {
-		if s, ok := MethodName([]byte(name)); !ok || s != name {
-			t.Errorf("MethodName(%q) = %q, %v", name, s, ok)
-		}
-	}
-	for _, name := range []string{"", "Ad", "Added", "add"} {
-		if s, ok := MethodName([]byte(name)); ok {
-			t.Errorf("MethodName(%q) = %q: no thunk was registered under it", name, s)
-		}
-	}
-	b := []byte("WithCtx")
-	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := MethodName(b); !ok {
-			t.Fatal("lost a name")
-		}
-	}); n != 0 {
-		t.Errorf("MethodName: %.0f allocs, want 0", n)
-	}
-}

@@ -2,9 +2,14 @@ package remoting
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,14 +20,13 @@ import (
 
 // sniffingNetwork wraps a Network and records the first byte of every
 // message each direction sends, so tests can assert which frame actually
-// travelled, and the bind ack of every reply.
+// travelled.
 type sniffingNetwork struct {
 	transport.Network
 
 	mu       sync.Mutex
-	toServer []byte   // first byte of each client->server message
-	toClient []byte   // first byte of each server->client message
-	acks     []uint32 // bind ack of each reply
+	toServer []byte // first byte of each client->server message
+	toClient []byte // first byte of each server->client message
 }
 
 func newSniffingNetwork() *sniffingNetwork {
@@ -54,12 +58,8 @@ func (c *sniffingConn) Send(msg []byte) error {
 func (c *sniffingConn) Recv() ([]byte, error) {
 	msg, err := c.Conn.Recv()
 	if err == nil && len(msg) > 0 {
-		d := wire.NewDecoder(nil)
-		_, ack, _, _ := decodeReplyHeader(d, msg)
-		d.Release()
 		c.net.mu.Lock()
 		c.net.toClient = append(c.net.toClient, msg[0])
-		c.net.acks = append(c.net.acks, ack)
 		c.net.mu.Unlock()
 	}
 	return msg, err
@@ -76,19 +76,6 @@ func (n *sniffingNetwork) markers(dir string, marker byte) int {
 	count := 0
 	for _, b := range bytes {
 		if b == marker {
-			count++
-		}
-	}
-	return count
-}
-
-// acked returns how many replies carried a bind ack.
-func (n *sniffingNetwork) acked() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	count := 0
-	for _, a := range n.acks {
-		if a != 0 {
 			count++
 		}
 	}
@@ -148,25 +135,42 @@ func (n *sniffingNetwork) wantMarkers(t *testing.T, declaring, bound, replies in
 }
 
 // TestBindingUpgradesToCompact proves the handshake: a connection's first
-// frame is the pair's declaring call, every reply is a compact reply from
-// the first one on (that one carries the ack), and later calls send the
-// bare bound frame.
+// frame is the triple's declaring call, and the triple's next call is bare
+// although no reply has come back yet, because a handle is confirmed when a
+// frame declaring it is queued, not when the server answers. Every reply is
+// a compact reply.
 func TestBindingUpgradesToCompact(t *testing.T) {
 	ch, srv, net := bindServer(t)
-	ref, err := GetObject(ch, srv.URLFor("d"))
+	g := newGateService()
+	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	ref, err := GetObject(ch, srv.URLFor("g"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	callN(t, ref, 1)
-	net.wantMarkers(t, 1, 0, 1)
-	if got := net.acked(); got != 1 {
-		t.Errorf("acks after the declaring call = %d, want 1", got)
+	held := []*heard{newHeard(), newHeard()}
+	for _, h := range held {
+		if err := ref.InvokeAsyncCb(context.Background(), new(CallRecord), "WaitGate", nil, h); err != nil {
+			t.Fatal(err)
+		}
+		<-g.started // the frame reached the server, whose reply waits on the gate
 	}
-	callN(t, ref, 5)
-	net.wantMarkers(t, 1, 5, 6)
-	if got := net.acked(); got != 1 {
-		t.Errorf("acks after bound calls = %d, want 1", got)
+	net.wantMarkers(t, 1, 1, 0)
+	close(g.gate)
+	for _, h := range held {
+		if v, err := h.wait(t); err != nil || v != "waited" {
+			t.Fatalf("WaitGate = %v, %v", v, err)
+		}
 	}
+	net.wantMarkers(t, 1, 1, 2)
+
+	d, err := GetObject(ch, srv.URLFor("d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	callN(t, d, 1)
+	net.wantMarkers(t, 2, 1, 3)
+	callN(t, d, 5)
+	net.wantMarkers(t, 2, 6, 8)
 }
 
 // TestBindingConcurrentCallers hammers one bound pair from many goroutines
@@ -318,7 +322,7 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	exchange := func(handle uint32, declare bool, req *callRequest) (*callResponse, uint32) {
+	exchange := func(handle uint32, declare bool, req *callRequest) *callResponse {
 		t.Helper()
 		if err := c.Send(boundCallBytes(t, handle, declare, req)); err != nil {
 			t.Fatal(err)
@@ -327,46 +331,188 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, ack, _, err := decodeReply(reply)
+		resp, _, err := decodeReply(reply)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp, ack
+		return resp
 	}
-	if resp, ack := exchange(99, false, &callRequest{Seq: 7, Args: []any{}}); resp.Seq != 7 || !resp.IsErr || ack != 0 {
-		t.Fatalf("resp = %+v ack %d, want IsErr for seq 7 and no ack", resp, ack)
+	if resp := exchange(99, false, &callRequest{Seq: 7, Args: []any{}}); resp.Seq != 7 || !resp.IsErr || !resp.Unbound {
+		t.Fatalf("resp = %+v, want an unbound-handle error for seq 7", resp)
 	}
-	// The connection survives: a declaring call works and is acked.
-	if resp, ack := exchange(1, true, &callRequest{URI: "d", Method: "Noop", Seq: 8, Args: []any{}}); resp.Seq != 8 || resp.IsErr || ack != 1 {
-		t.Fatalf("resp = %+v ack %d, want ok for seq 8 and ack 1", resp, ack)
+	// The connection survives: a declaring call works, and so does a bare
+	// call on the handle it declared.
+	if resp := exchange(1, true, &callRequest{URI: "d", Call: "Noop", Seq: 8, Args: []any{}}); resp.Seq != 8 || resp.IsErr {
+		t.Fatalf("resp = %+v, want ok for seq 8", resp)
+	}
+	if resp := exchange(1, false, &callRequest{Seq: 9, Args: []any{}}); resp.Seq != 9 || resp.IsErr {
+		t.Fatalf("resp = %+v, want ok for seq 9", resp)
 	}
 }
 
 // TestFullHandleTableDispatchesByURI: once a lane has spent its handles,
-// a new pair's calls declare handle 0, every one of them: the server
-// dispatches each by URI and acknowledges none.
+// a new triple's calls declare handle 0, every one of them, and the server
+// dispatches each by URI. The triple's entry, the shared sentinel, is kept
+// in the bind table like any other, so its later calls find it under the
+// read lock; it is never confirmed, on this lane or any other.
 func TestFullHandleTableDispatchesByURI(t *testing.T) {
 	ch, srv, net := bindServer(t)
 	mc, _, err := ch.getMux(srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spent := make([]*clientBind, maxBindHandles)
-	for i := range spent {
-		spent[i] = &clientBind{handle: uint32(i + 1)}
-	}
-	mc.byHandle.Store(&spent)
+	mc.handles.Store(maxBindHandles)
 	ref, err := GetObject(ch, srv.URLFor("d"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	callN(t, ref, 5)
 	net.wantMarkers(t, 5, 0, 5)
-	if got := net.acked(); got != 0 {
-		t.Errorf("%d replies acknowledged handle 0", got)
+	k := bindKey{uri: ref.uri, call: "Divide"}
+	sh := &mc.bindShards[k.hash()&(bindShardCount-1)]
+	sh.mu.RLock()
+	cb := sh.m[k]
+	sh.mu.RUnlock()
+	if cb != unboundSentinel {
+		t.Errorf("the triple's entry in the shard map is %v, want the sentinel", cb)
 	}
-	if cb := mc.bindFor(ref.uri, "Divide"); cb != unboundSentinel {
-		t.Errorf("pair bound to handle %d in a full table", cb.handle)
+	if n := mc.handles.Load(); n != maxBindHandles {
+		t.Errorf("%d handles given out, want %d", n, maxBindHandles)
+	}
+	if unboundSentinel.confirmed.Load() {
+		t.Error("handle 0 was confirmed")
+	}
+}
+
+// nestedNames answers a runtime call with the triple it was dispatched as;
+// its user method Fail fails, and Hold waits for hold to close.
+type nestedNames struct {
+	uri  string
+	hold chan struct{}
+}
+
+func (n *nestedNames) InvokeNested(_ context.Context, call, method string, _ []any) (any, error) {
+	switch method {
+	case "Fail":
+		return nil, errors.New("failed")
+	case "Hold":
+		<-n.hold
+	}
+	return n.uri + "|" + call + "|" + method, nil
+}
+
+// Who answers a plain call.
+func (n *nestedNames) Who() string { return n.uri + "|Who" }
+
+// TestConnectionKeepsOneMethodPerHandle: a server connection keeps a
+// triple's strings once per handle. A redeclaration keeps the entry it has,
+// a new triple on the handle replaces it, and handle 0 keeps nothing. A
+// runtime call's user method crosses the wire in the declaring frame only.
+// A lane whose handles are spent falls back to handle 0: every call
+// declares, each is dispatched by URI, and calling the same methods again
+// leaves neither end holding more.
+func TestConnectionKeepsOneMethodPerHandle(t *testing.T) {
+	var sc serverConn
+	req := callRequest{URI: "n", Call: "Invoke1", Method: "M"}
+	e := sc.declare(&req, 3)
+	same := callRequest{URI: strings.Clone("n"), Call: strings.Clone("Invoke1"), Method: strings.Clone("M")}
+	if sc.declare(&same, 3) != e {
+		t.Error("redeclaring a handle replaced its entry")
+	}
+	other := callRequest{URI: "n", Call: "Invoke1", Method: "N"}
+	if e2 := sc.declare(&other, 3); e2 == e || e2.method != "N" || len(sc.binds) != 3 || sc.binds[2] != e2 {
+		t.Errorf("a new triple on handle 3: %d entries, handle 3 holds %+v", len(sc.binds), sc.binds[2])
+	}
+	if sc.declare(&req, 0) != nil || len(sc.binds) != 3 {
+		t.Error("handle 0 was kept")
+	}
+
+	ch, srv, net := bindServer(t)
+	srv.RegisterWellKnown("n", Singleton, func() any { return &nestedNames{uri: "n"} })
+	ref, err := GetObject(ch, srv.URLFor("n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const names = 1000
+	send := func(prefix string) {
+		t.Helper()
+		for i := 0; i < names; i++ {
+			m := fmt.Sprintf("%s%d", prefix, i)
+			if v, err := ref.InvokeNestedCtx(context.Background(), nil, "Invoke1", m, nil); err != nil || v != "n|Invoke1|"+m {
+				t.Fatalf("%s = %v, %v", m, v, err)
+			}
+		}
+	}
+	send("M")
+	send("M")
+	net.wantMarkers(t, names, names, 2*names)
+
+	mc, _, err := ch.getMux(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.handles.Store(maxBindHandles)
+	send("F") // the lane keeps the sentinel for each new triple here
+	heapObjects := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	before := heapObjects()
+	send("F")
+	send("F")
+	if after := heapObjects(); after > before+names/10 {
+		t.Errorf("heap objects %d before %d calls on handle 0, %d after: an end keeps them", before, 2*names, after)
+	}
+	net.wantMarkers(t, 4*names, names, 5*names)
+}
+
+// TestErrorsNameTheUserMethod: a runtime call's failures name the user's
+// method, not the endpoint call that carried it: an error reply
+// (RemoteError), a call abandoned at its deadline (the lane's error), and a
+// deadline the server finds expired before dispatch.
+func TestErrorsNameTheUserMethod(t *testing.T) {
+	ch, srv, net := bindServer(t)
+	n := &nestedNames{uri: "n", hold: make(chan struct{})}
+	t.Cleanup(func() { close(n.hold) })
+	srv.RegisterWellKnown("n", Singleton, func() any { return n })
+	ref, err := GetObject(ch, srv.URLFor("n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ref.InvokeNestedCtx(context.Background(), nil, "Invoke1", "Fail", nil)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Method != "Fail" || !strings.Contains(err.Error(), "n.Fail:") {
+		t.Errorf("Fail = %v, want a RemoteError naming n.Fail", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err = ref.InvokeNestedCtx(ctx, nil, "Invoke1", "Hold", nil)
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "n.Hold:") {
+		t.Errorf("Hold past its deadline = %v, want an error naming n.Hold", err)
+	}
+
+	c, err := net.Network.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	late := &callRequest{URI: "n", Call: "Invoke1", Method: "Late", Seq: 1, Deadline: time.Now().Add(-time.Second).UnixNano()}
+	if err := c.Send(boundCallBytes(t, 1, true, late)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, _, err := decodeReply(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "deadline expired before dispatch of n.Late:"; !resp.IsErr || !strings.HasPrefix(resp.ErrMsg, want) {
+		t.Errorf("expired call answered %+v, want an error starting %q", resp, want)
 	}
 }
 
@@ -576,5 +722,361 @@ func TestBindingWithDeadline(t *testing.T) {
 	defer cancel2()
 	if _, err := ref.InvokeCtx(expired, "Ping"); err == nil {
 		t.Fatal("expired deadline through a bound call succeeded, want error")
+	}
+}
+
+// TestBindingIgnoresDroppedDeclarations: a declaring frame that is encoded
+// and then dropped before it is queued declares nothing. Here one is
+// dropped by a blocking call whose context ends while it waits for an
+// in-flight slot, and one by a completion-driven call cancelled while it
+// waits for admission; the triple's next call still declares, and the one
+// after it is bare.
+func TestBindingIgnoresDroppedDeclarations(t *testing.T) {
+	ch, srv, net := bindServer(t)
+	ch.MaxInFlight = 1
+	g := newGateService()
+	openGate := sync.OnceFunc(func() { close(g.gate) })
+	t.Cleanup(openGate) // before the server closes, should a check fail first
+	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	ref, err := GetObject(ch, srv.URLFor("g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := newHeard()
+	if err := ref.InvokeAsyncCb(context.Background(), new(CallRecord), "WaitGate", nil, held); err != nil {
+		t.Fatal(err)
+	}
+	<-g.started // the lane's one slot is taken
+	mc, _, err := ch.getMux(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping := mc.bindFor(&callRequest{URI: "g", Call: "Ping"})
+
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := ref.InvokeCtx(short, "Ping"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Ping without a slot = %v, want DeadlineExceeded", err)
+	}
+	if ping.confirmed.Load() {
+		t.Fatal("a blocking call that never got a slot confirmed its handle")
+	}
+
+	queued, cancelQueued := context.WithCancel(context.Background())
+	refused := newHeard()
+	if err := ref.InvokeAsyncCb(queued, new(CallRecord), "Ping", nil, refused); err != nil {
+		t.Fatal(err)
+	}
+	cancelQueued()
+	openGate() // the slot frees, and admission refuses the cancelled call
+	if v, err := held.wait(t); err != nil || v != "waited" {
+		t.Fatalf("WaitGate = %v, %v", v, err)
+	}
+	if _, err := refused.wait(t); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled queued Ping = %v, want context.Canceled", err)
+	}
+	if ping.confirmed.Load() {
+		t.Fatal("a call refused at admission confirmed its handle")
+	}
+
+	for i := 0; i < 2; i++ {
+		if v, err := ref.Invoke("Ping"); err != nil || v != "pong" {
+			t.Fatalf("Ping = %v, %v", v, err)
+		}
+	}
+	net.wantMarkers(t, 2, 1, 3)
+}
+
+// losingNetwork drops, without an error, every other declaring frame a
+// client sends, the first among them, as a network that blackholes frames
+// rather than the stream can.
+type losingNetwork struct {
+	transport.Network
+	declaring, dials atomic.Int64
+}
+
+type losingConn struct {
+	transport.Conn
+	net *losingNetwork
+}
+
+func (n *losingNetwork) Dial(addr string) (transport.Conn, error) {
+	n.dials.Add(1)
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &losingConn{Conn: c, net: n}, nil
+}
+
+func (c *losingConn) Send(msg []byte) error {
+	if len(msg) > 0 && msg[0] == markDeclare && c.net.declaring.Add(1)%2 == 1 {
+		return nil
+	}
+	return c.Conn.Send(msg)
+}
+
+// TestBindingRecoversFromLostDeclaration: a lane whose declaring frame was
+// lost on a connection that stayed up goes on to send its triple bare; the
+// server refuses that call, unrun, as naming an undeclared handle, and the
+// lane sends it again, declaring, on the same connection: the caller, of a
+// completion-driven call or of a blocking one, sees nothing.
+func TestBindingRecoversFromLostDeclaration(t *testing.T) {
+	net := &losingNetwork{Network: transport.NewMemNetwork()}
+	srv, err := NewMultiplexedChannel(net).ListenAndServe("mem://lossy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	ch := NewMultiplexedChannel(net)
+	ch.MuxLanes = 1
+	t.Cleanup(ch.Close)
+	ref, err := GetObject(ch, srv.URLFor("d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lose := func(method string, args ...any) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		if _, err := ref.InvokeCtx(ctx, method, args...); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s whose frame was lost = %v, want DeadlineExceeded", method, err)
+		}
+	}
+	lose("Divide", 10.0, 4.0)
+	h := newHeard()
+	if err := ref.InvokeAsyncCb(context.Background(), new(CallRecord), "Divide", []any{10.0, 4.0}, h); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := h.wait(t); err != nil || v != 2.5 {
+		t.Fatalf("completion-driven Divide after the loss = %v, %v", v, err)
+	}
+	lose("Echo", []int32{1})
+	if v, err := ref.Invoke("Echo", []int32{7}); err != nil || !reflect.DeepEqual(v, []int32{7}) {
+		t.Fatalf("blocking Echo after the loss = %v, %v", v, err)
+	}
+	callN(t, ref, 3)
+	if n := net.declaring.Load(); n != 4 {
+		t.Errorf("%d declaring frames, want 4: two lost, two sent again", n)
+	}
+	if n := net.dials.Load(); n != 1 {
+		t.Errorf("%d dials, want 1: the lane keeps its connection", n)
+	}
+}
+
+// declareSequence joins frames into one fuzz input: each frame behind its
+// length as a uvarint.
+func declareSequence(frames ...[]byte) []byte {
+	var b []byte
+	for _, f := range frames {
+		b = binary.AppendUvarint(b, uint64(len(f)))
+		b = append(b, f...)
+	}
+	return b
+}
+
+// splitDeclareSequence is the inverse of declareSequence, for any input:
+// a length past the end takes what is left, and at most 64 frames are read.
+func splitDeclareSequence(data []byte) [][]byte {
+	var frames [][]byte
+	for len(data) > 0 && len(frames) < 64 {
+		n, w := binary.Uvarint(data)
+		if w <= 0 {
+			return append(frames, data)
+		}
+		data = data[w:]
+		n = min(n, uint64(len(data)))
+		frames = append(frames, data[:n])
+		data = data[n:]
+	}
+	return frames
+}
+
+// FuzzDeclareSequence sends the frames an input splits into, one at a time,
+// over one connection to a live server, and holds the server to the
+// handshake: it never panics; it answers every frame that decodes with a
+// reply carrying that frame's sequence number, and drops the connection on
+// the first that does not; its bind table is as long as the highest handle
+// declared, never past maxBindHandles, and holds for each handle the triple
+// last declared on it; and a frame is dispatched as the triple it declares
+// or, bare, as the one its handle was last declared with, an undeclared
+// handle being answered with an error.
+func FuzzDeclareSequence(f *testing.F) {
+	net := transport.NewMemNetwork()
+	ch := NewMultiplexedChannel(net)
+	srv, err := ch.ListenAndServe("mem://declare-srv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	l, err := net.Listen("mem://declare")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { l.Close(); srv.Close(); ch.Close() })
+	open := make(chan struct{})
+	close(open)
+	for _, uri := range []string{"a", "b"} {
+		n := &nestedNames{uri: uri, hold: open}
+		srv.RegisterWellKnown(uri, Singleton, func() any { return n })
+	}
+
+	frame := func(h uint32, declare bool, req callRequest) []byte { return boundCallBytes(f, h, declare, &req) }
+	past := time.Now().Add(-time.Hour).UnixNano()
+	f.Add(declareSequence(
+		frame(1, true, callRequest{URI: "a", Call: "Invoke1", Method: "M", Seq: 1, Args: []any{1}}),
+		frame(1, false, callRequest{Seq: 2, Args: []any{2}}),
+		frame(1, true, callRequest{URI: "b", Call: "InvokeBatch", Method: "N", Seq: 3}),
+		frame(1, false, callRequest{Seq: 4, TokClient: 7, TokSeq: 1}),
+		frame(2, false, callRequest{Seq: 5}),
+		frame(0, true, callRequest{URI: "a", Call: "Invoke1", Method: "Z", Seq: 6}),
+		frame(1, false, callRequest{Seq: 7})))
+	f.Add(declareSequence(
+		frame(3, true, callRequest{URI: "a", Call: "Who", Seq: 1}),
+		frame(3, false, callRequest{Seq: 2}),
+		frame(maxBindHandles, true, callRequest{URI: "b", Call: "Invoke1", Method: "Far", Seq: 3}),
+		frame(maxBindHandles, false, callRequest{Seq: 4}),
+		frame(maxBindHandles+1, true, callRequest{URI: "b", Call: "Invoke1", Method: "Out", Seq: 5})))
+	f.Add(declareSequence(
+		frame(1, true, callRequest{URI: "x", Call: "Invoke1", Method: "M", Seq: 1}),
+		frame(1, false, callRequest{Seq: 2}),
+		frame(2, true, callRequest{URI: "a", Call: "Invoke1", Method: "Late", Seq: 3, Deadline: past}),
+		frame(2, false, callRequest{Seq: 4, Deadline: past}),
+		frame(2, false, callRequest{Seq: 5, Deadline: time.Now().Add(time.Hour).UnixNano()})))
+	f.Add(declareSequence(
+		frame(1, true, callRequest{URI: "a", Call: "Invoke1", Method: "Fail", Seq: 1}),
+		frame(1, false, callRequest{Seq: 2}),
+		frame(1, false, callRequest{Seq: 3}),
+		[]byte{markBoundCall}))
+	for _, p := range parentFrames {
+		if p.call {
+			f.Add(declareSequence(frame(1, true, callRequest{URI: "a", Call: "Invoke1", Method: "M", Seq: 1}), mustHex(f, p.frame)))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		accepted := make(chan transport.Conn, 1)
+		go func() {
+			c, _ := l.Accept()
+			accepted <- c
+		}()
+		cli, err := net.Dial("mem://declare")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := &serverConn{s: srv, c: <-accepted}
+		srv.wg.Add(1)
+		served := make(chan struct{})
+		go func() {
+			srv.handleConn(sc)
+			close(served)
+		}()
+		defer func() {
+			cli.Close()
+			<-served
+		}()
+		recv := func() ([]byte, error) {
+			type got struct {
+				raw []byte
+				err error
+			}
+			r := make(chan got, 1)
+			go func() {
+				raw, err := cli.Recv()
+				r <- got{raw, err}
+			}()
+			select {
+			case g := <-r:
+				return g.raw, g.err
+			case <-time.After(10 * time.Second):
+				t.Fatal("the server neither answered nor dropped the connection")
+				return nil, nil
+			}
+		}
+
+		declared := map[uint32]callRequest{} // the triple each handle was last declared with
+		var high uint32
+		for _, fr := range splitDeclareSequence(data) {
+			var req callRequest
+			h, declaring, _, decodeErr := decodeBoundCall(fr, &req, nil)
+			if cli.Send(fr) != nil {
+				t.Fatal("the connection was dropped after a frame that decoded")
+			}
+			raw, err := recv()
+			if decodeErr != nil {
+				if err == nil {
+					t.Fatalf("the server answered the undecodable frame %x", fr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("no reply to %x: %v", fr, err)
+			}
+			resp, _, err := decodeReply(raw)
+			if err != nil || resp.Seq != req.Seq {
+				t.Fatalf("reply %x to %x: seq %d, %v; want seq %d", raw, fr, resp.Seq, err, req.Seq)
+			}
+			if declaring && h != 0 {
+				declared[h] = callRequest{URI: req.URI, Call: req.Call, Method: req.Method}
+				high = max(high, h)
+			}
+			if n := len(sc.binds); n != int(high) || n > maxBindHandles {
+				t.Fatalf("bind table of %d entries, highest handle declared %d", n, high)
+			}
+			want, bound := declared[h]
+			if h != 0 {
+				var e *bindEntry
+				if int(h) <= len(sc.binds) {
+					e = sc.binds[h-1]
+				}
+				if bound != (e != nil) || bound && (e.uri != want.URI || e.call != want.Call || e.method != want.Method) {
+					t.Fatalf("handle %d holds %+v, last declared as %+v", h, e, want)
+				}
+			}
+			switch {
+			case declaring:
+				want = callRequest{URI: req.URI, Call: req.Call, Method: req.Method}
+			case !bound:
+				if !resp.IsErr || !resp.Unbound {
+					t.Fatalf("bare frame on undeclared handle %d answered %+v", h, resp)
+				}
+				continue
+			}
+			checkDispatched(t, &want, &req, resp)
+		}
+	})
+}
+
+// checkDispatched holds the reply to req, a frame decoded as the triple in
+// want, to what FuzzDeclareSequence's server answers for that triple.
+func checkDispatched(t *testing.T, want, req *callRequest, resp *callResponse) {
+	t.Helper()
+	expired := "deadline expired before dispatch of "
+	if strings.HasPrefix(resp.ErrMsg, expired) {
+		if msg := fmt.Sprintf("%s%s.%s: %v", expired, want.URI, want.name(), context.DeadlineExceeded); !resp.IsErr || req.Deadline <= 0 || resp.ErrMsg != msg {
+			t.Fatalf("deadline %d answered %q, want %q", req.Deadline, resp.ErrMsg, msg)
+		}
+		return
+	}
+	if req.Deadline > 0 && req.Deadline < time.Now().Add(-time.Minute).UnixNano() {
+		t.Fatalf("a call past its deadline was dispatched: %+v", resp)
+	}
+	switch {
+	case want.URI != "a" && want.URI != "b":
+		if !resp.IsErr || resp.ErrCode != errs.CodeDestroyed || !strings.Contains(resp.ErrMsg, fmt.Sprintf("%q", want.URI)) {
+			t.Fatalf("call on unpublished %q answered %+v", want.URI, resp)
+		}
+	case want.Method == "Fail":
+		if !resp.IsErr || resp.ErrMsg != "failed" {
+			t.Fatalf("Fail answered %+v", resp)
+		}
+	case want.Method != "":
+		if v := want.URI + "|" + want.Call + "|" + want.Method; resp.IsErr || resp.Result != v {
+			t.Fatalf("runtime call answered %+v, want %q", resp, v)
+		}
+	case want.Call == "Who" && len(req.Args) == 0:
+		if v := want.URI + "|Who"; resp.IsErr || resp.Result != v {
+			t.Fatalf("plain call answered %+v, want %q", resp, v)
+		}
 	}
 }

@@ -187,7 +187,7 @@ func countFrame() *frameCounts {
 // stays up for its other callers) and reports ctx.Err().
 func (ch *Channel) roundTrip(ctx context.Context, netaddr string, c *CallRecord) error {
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("remoting: call %s.%s: %w", c.req.URI, c.req.Method, err)
+		return c.req.callErr(err)
 	}
 	bs := ch.breakers()
 	if bs == nil || breakerBypassed(ctx) {
@@ -198,7 +198,7 @@ func (ch *Channel) roundTrip(ctx context.Context, netaddr string, c *CallRecord)
 	}
 	trial, berr := bs.allow(netaddr)
 	if berr != nil {
-		return fmt.Errorf("remoting: call %s.%s: %w", c.req.URI, c.req.Method, berr)
+		return c.req.callErr(berr)
 	}
 	err := ch.muxRoundTrip(ctx, netaddr, c)
 	bs.settle(ctx, netaddr, trial, err)

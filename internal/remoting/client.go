@@ -68,21 +68,21 @@ func (r *ObjRef) Invoke(method string, args ...any) (any, error) {
 // server that executed a lost-reply attempt replays the recorded reply
 // instead of executing again.
 func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any, error) {
-	c := getCallRecord()
-	c.req.Method, c.req.Args = method, args
-	return r.invoke(ctx, c)
+	return r.InvokeNestedCtx(ctx, nil, method, "", args)
 }
 
-// InvokeNestedCtx is InvokeCtx(ctx, method, sub, args), the runtime-call
-// shape: same bytes on the wire, same result, and the two-element list is
-// built neither here nor, at a NestedInvoker, there. sink, when not nil, is
-// the caller's typed slot for the result, as SetSink gives one to a
-// completion-driven call: a reply whose result it takes is decoded into it,
-// and the call returns sink itself as its value. After a call that returned
-// an error the reader may still be writing into sink.
-func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, method, sub string, args []any) (any, error) {
+// InvokeNestedCtx is InvokeCtx(ctx, call, method, args), the runtime-call
+// shape, with the two-element list built neither here nor, at a
+// NestedInvoker, there: the connection's handle names the user's method and
+// the frame carries args alone. An empty method makes it InvokeCtx(ctx,
+// call, args...). sink, when not nil, is the caller's typed slot for the
+// result, as SetSink gives one to a completion-driven call: a reply whose
+// result it takes is decoded into it, and the call returns sink itself as
+// its value. After a call that returned an error the reader may still be
+// writing into sink.
+func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, method string, args []any) (any, error) {
 	c := getCallRecord()
-	c.req.Method, c.req.sub, c.req.Args, c.req.nested = method, sub, args, true
+	c.req.Call, c.req.Method, c.req.Args = call, method, args
 	c.sink = sink
 	return r.invoke(ctx, c)
 }
@@ -127,7 +127,7 @@ func (r *ObjRef) invoke(ctx context.Context, c *CallRecord) (any, error) {
 			return nil, err
 		}
 		if serr := sleepRetry(ctx, r.ch.closeSignal(), delay); serr != nil {
-			return nil, fmt.Errorf("remoting: call %s.%s: retry aborted: %w", r.uri, c.req.Method, serr)
+			return nil, fmt.Errorf("remoting: call %s.%s: retry aborted: %w", r.uri, c.req.name(), serr)
 		}
 		// Fresh seq per attempt: the failed attempt may still complete
 		// server-side, and a reused number could be matched against its
@@ -153,7 +153,7 @@ func (r *ObjRef) normalize(req *callRequest, resp *callResponse) (any, error) {
 	if !resp.IsErr {
 		return resp.Result, nil
 	}
-	re := &RemoteError{URI: r.uri, Method: req.Method, Msg: resp.ErrMsg, Code: resp.ErrCode}
+	re := &RemoteError{URI: r.uri, Method: req.name(), Msg: resp.ErrMsg, Code: resp.ErrCode}
 	if resp.ErrCode == errs.CodeMoved {
 		movedURI := resp.FwdURI
 		if movedURI == "" {
@@ -179,19 +179,14 @@ func (r *ObjRef) normalize(req *callRequest, resp *callResponse) (any, error) {
 // transient failures through the full synchronous re-routing machinery,
 // which draws its own records). A record serves one submission.
 func (r *ObjRef) InvokeAsyncCb(ctx context.Context, c *CallRecord, method string, args []any, to Completer) error {
-	c.req.Method, c.req.Args = method, args
-	return r.invokeAsync(ctx, c, to)
+	return r.InvokeNestedAsyncCb(ctx, c, method, "", args, to)
 }
 
 // InvokeNestedAsyncCb is to InvokeAsyncCb what InvokeNestedCtx is to
 // InvokeCtx.
-func (r *ObjRef) InvokeNestedAsyncCb(ctx context.Context, c *CallRecord, method, sub string, args []any, to Completer) error {
-	c.req.Method, c.req.sub, c.req.Args, c.req.nested = method, sub, args, true
-	return r.invokeAsync(ctx, c, to)
-}
-
-func (r *ObjRef) invokeAsync(ctx context.Context, c *CallRecord, to Completer) error {
+func (r *ObjRef) InvokeNestedAsyncCb(ctx context.Context, c *CallRecord, call, method string, args []any, to Completer) error {
 	countRecord(recordDrawn)
+	c.req.Call, c.req.Method, c.req.Args = call, method, args
 	c.ref, c.to, c.ctx = r, to, r.address(ctx, &c.req)
 	err := r.ch.roundTripAsync(r.netaddr, c)
 	if err != nil {

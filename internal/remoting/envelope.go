@@ -5,28 +5,43 @@
 // grain-size lesson of the paper, applied to the envelope itself). A call
 // names its target by a dense per-connection handle instead:
 //
-//   - The first call of a (URI, Method) pair on a connection is a declaring
-//     call: the URI and method ride in front of the ordinary call frame,
-//     whose handle H declares "H means this pair on this connection".
-//   - The server records the handle in a per-connection slice-indexed bind
-//     table and acknowledges it in its reply (the ack rides the reply
-//     header). From then on the client sends the bare call frame, and the
-//     server resolves the handle with a slice index instead of URI/method
-//     strings and map lookups. Until the ack arrives the client keeps
-//     declaring; redeclaring a handle is idempotent.
-//   - Handle 0 declares nothing: the server dispatches the call by URI and
-//     never acknowledges it. A connection sends it once its maxBindHandles
-//     handles are spent. Handles are per-connection state, so a redial
-//     rebuilds them: the first call on the fresh connection declares again.
+//   - A handle stands for a (URI, call, method) triple: the object, the
+//     method of the published object the call invokes, and the user's
+//     method a runtime call carries (every call of the SCOOPP runtime is
+//     Invoke1(method, args) or InvokeBatch(method, calls) on an endpoint),
+//     empty for a plain call. A call frame carries the user's arguments
+//     and nothing else.
+//   - The first call of a triple on a connection is a declaring call: the
+//     three strings ride in front of the ordinary call frame, whose handle
+//     H declares "H means this triple on this connection". The server
+//     records it in a per-connection slice-indexed bind table, keeping the
+//     strings once per handle, and resolves every later frame naming H
+//     with a slice index instead of strings and map lookups.
+//   - The server does not acknowledge a declaration. The stream is
+//     ordered and the server reads a connection's frames in order, so any
+//     frame written after the declaring one finds the handle declared. The
+//     client therefore sends the bare call frame for a triple once a frame
+//     declaring it has entered the lane's outbound queue, which is the wire
+//     order; a frame encoded and then dropped (a caller that gave up before
+//     its slot) declares nothing, and the next call declares again.
+//     Redeclaring a handle is idempotent. A connection that loses a frame
+//     and carries on (a network that blackholes frames rather than the
+//     stream) can leave a confirmed handle undeclared: the server refuses a
+//     bare call on such a handle, unrun, with a flagged reply, and the
+//     client sends that call again, declaring.
+//   - Handle 0 declares nothing: the server dispatches the call by URI. A
+//     connection sends it once its maxBindHandles handles are spent.
+//     Handles are per-connection state, so a redial rebuilds them: the
+//     first call on the fresh connection declares again.
 //
 // Frames are hand-framed rather than registered wire structs: a marker
 // byte that no binfmt value can start with, raw varint header fields, then
 // the ordinary tagged encoding for names, arguments and results.
 //
-//	declare: 0xBF | tagged URI string | tagged method string | call
+//	declare: 0xBF | tagged URI string | tagged call string | tagged method string | call
 //	call:    0xBC | uvarint handle | uvarint seq | varint deadline | args ([]any, tagged)
 //	         0xBE | uvarint handle | uvarint seq | varint deadline | uvarint tokClient | uvarint tokSeq | args
-//	reply:   0xBD | uvarint seq | uvarint bindAck | flag byte | body
+//	reply:   0xBD | uvarint seq | flag byte | body
 //
 // where the 0xBE call variant carries an idempotency token (token.go) and
 // flag is 0 (body = tagged result value) or has bit 1 set (body =
@@ -35,29 +50,16 @@
 // address string, raw varint node id, raw uvarint generation, tagged
 // moved-object URI — carrying a moved object's new location
 // (errs.CodeMoved); bit 4 appends a retry-after hint (raw varint
-// milliseconds) for overload sheds. bindAck, when non-zero,
-// confirms that handle for future calls on this connection. A connection
-// carries nothing else, from its first frame: the server drops one whose
-// frame starts with any other byte, and the client fails a lane whose
-// peer sends it anything but a reply.
-//
-// The nested-call shape. Every call of the SCOOPP runtime is
-// Invoke1(method, args) or InvokeBatch(method, calls) on a published
-// endpoint, so the args of nearly every compact call are the two-element
-// list [string sub, []any inner]. Neither end builds it: a request with
-// callRequest.nested set is written as the list's own bytes straight from
-// sub and Args, and a call frame whose args start that way is read back
-// into the two fields, the inner list into the array its serverCall lends.
-// The format did not change: every frame has the bytes it had when the flat
-// list was built and encoded (TestNestedCallBytesIdentical), and a frame
-// whose args merely happen to have the shape decodes to the same values.
+// milliseconds) for overload sheds; bit 8 marks the reply to a bare call on
+// a handle the connection never declared. Any other flag bit is refused. A
+// connection carries nothing else, from its first frame: the server drops
+// one whose frame starts with any other byte, and the client fails a lane
+// whose peer sends it anything but a reply.
 package remoting
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"repro/internal/dispatch"
 	"repro/internal/errs"
 	"repro/internal/wire"
 )
@@ -74,8 +76,8 @@ const (
 	// byte keeps the tokenless hot path byte-identical to the historical
 	// frame.
 	markBoundCallTok = 0xBE
-	// markDeclare prefixes a declaring call: the pair's URI and method,
-	// then the 0xBC or 0xBE frame for its handle.
+	// markDeclare prefixes a declaring call: the triple's URI, call and
+	// method, then the 0xBC or 0xBE frame for its handle.
 	markDeclare = 0xBF
 
 	// flagReplyErr marks a compact reply carrying an error instead of a
@@ -89,6 +91,10 @@ const (
 	// forward — an overloaded server telling the caller when a retry has a
 	// chance (callResponse.RetryAfterMs).
 	flagReplyRetryAfter = 0x04
+	// flagReplyUnbound marks an error reply to a call whose handle the
+	// connection never declared (callResponse.Unbound).
+	flagReplyUnbound = 0x08
+	flagsReplyKnown  = flagReplyErr | flagReplyFwd | flagReplyRetryAfter | flagReplyUnbound
 
 	// maxBindHandles caps the per-connection handle space on both sides: a
 	// client stops declaring new handles past it (sending handle 0), and a
@@ -105,6 +111,7 @@ func encodeBoundCall(handle uint32, declare bool, req *callRequest) (raw []byte,
 	if declare {
 		e.RawByte(markDeclare)
 		e.String(req.URI)
+		e.String(req.Call)
 		e.String(req.Method)
 	}
 	if req.TokClient != 0 {
@@ -119,40 +126,18 @@ func encodeBoundCall(handle uint32, declare bool, req *callRequest) (raw []byte,
 		e.RawUvarint(req.TokClient)
 		e.RawUvarint(req.TokSeq)
 	}
-	if req.nested {
-		// The bytes of []any{sub, Args}, without the slice.
-		e.RawByte(wire.TagAnySlice)
-		e.RawUvarint(2)
-		e.String(req.sub)
-	}
 	e.AnySlice(req.Args)
 	if err := e.Err(); err != nil {
 		e.Release()
-		return nil, nil, fmt.Errorf("remoting: encode bound call %s.%s: %w", req.URI, req.Method, err)
+		return nil, nil, fmt.Errorf("remoting: encode bound call %s.%s: %w", req.URI, req.name(), err)
 	}
 	return e.Bytes(), e, nil
 }
 
-// nestedShape reports whether args, a compact call's tagged argument list,
-// is [string, list] in the encoding encodeBoundCall writes. Anything else
-// (a padded varint, a nil inner list, a truncated string) decodes by the
-// flat path, to the same values or the same error.
-func nestedShape(args []byte) bool {
-	if len(args) < 4 || args[0] != wire.TagAnySlice || args[1] != 2 || args[2] != wire.TagString {
-		return false
-	}
-	n, w := binary.Uvarint(args[3:])
-	if w <= 0 || n >= uint64(len(args)-3-w) {
-		return false
-	}
-	return args[3+w+int(n)] == wire.TagAnySlice
-}
-
 // readBoundCall parses the call frame raw into *req, overwriting it, and
 // returns the handle and whether the frame declared it. A declaring frame
-// fills URI and Method and may name handle 0; a bare one leaves them empty
-// (the server fills them from its bind table) and must name a handle. Args
-// in the nested-call shape land in req.sub and req.Args; either way
+// fills URI, Call and Method and may name handle 0; a bare one leaves them
+// empty (the server fills them from its bind table) and must name a handle.
 // req.Args is decoded into argv's array when it fits. d is the read loop's
 // decoder, in borrow mode: large []byte arguments alias raw, and
 // d.Borrowed reports whether any does (see recycleFrame).
@@ -161,7 +146,7 @@ func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (h
 	d.Reset(raw)
 	b := d.RawByte()
 	if b == markDeclare {
-		req.URI, req.Method = d.String(), d.String()
+		req.URI, req.Call, req.Method = d.String(), d.String(), d.String()
 		declared, b = true, d.RawByte()
 	}
 	if b != markBoundCall && b != markBoundCallTok {
@@ -177,19 +162,6 @@ func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (h
 		req.TokClient = d.RawUvarint()
 		req.TokSeq = d.RawUvarint()
 	}
-	if d.Err() == nil && nestedShape(raw[len(raw)-d.Rest():]) {
-		d.RawByte()    // the outer list's tag
-		d.RawUvarint() // and its count, 2
-		// The name is read where it lies and the string taken from the
-		// invoker registry, which only this node's init fills; a name no
-		// thunk is registered under is copied.
-		name := d.StringRaw()
-		sub, known := dispatch.MethodName(name)
-		if !known {
-			sub = string(name)
-		}
-		req.sub, req.nested = sub, true
-	}
 	req.Args = d.AnySliceInto(argv)
 	if err := d.Err(); err != nil {
 		return 0, false, fmt.Errorf("remoting: decode call: %w", err)
@@ -203,14 +175,12 @@ func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (h
 	return uint32(h), declared, nil
 }
 
-// encodeBoundReply produces the compact reply frame. bindAck, when
-// non-zero, confirms a handle the client declared. The bytes live in the
+// encodeBoundReply produces the compact reply frame. The bytes live in the
 // returned pooled encoder.
-func encodeBoundReply(resp *callResponse, bindAck uint32) (raw []byte, enc *wire.Encoder, err error) {
+func encodeBoundReply(resp *callResponse) (raw []byte, enc *wire.Encoder, err error) {
 	e := wire.NewEncoder()
 	e.RawByte(markBoundReply)
 	e.RawUvarint(resp.Seq)
-	e.RawUvarint(uint64(bindAck))
 	if resp.IsErr {
 		flags := byte(flagReplyErr)
 		fwd := resp.FwdAddr != "" || resp.FwdNode != 0 || resp.FwdGen != 0
@@ -219,6 +189,9 @@ func encodeBoundReply(resp *callResponse, bindAck uint32) (raw []byte, enc *wire
 		}
 		if resp.RetryAfterMs > 0 {
 			flags |= flagReplyRetryAfter
+		}
+		if resp.Unbound {
+			flags |= flagReplyUnbound
 		}
 		e.RawByte(flags)
 		e.String(resp.ErrCode)
@@ -257,27 +230,26 @@ type ResultSink interface {
 }
 
 // decodeReplyHeader points d, the read loop's decoder, at the compact reply
-// raw and reads its header: the sequence number of the call it answers, the
-// handle it confirms (0 when none) and the flags that say what the body is.
-// The body is read (decodeReplyBody) once the reader has taken that call's
-// record, into the record, and not at all when nobody wants it any more.
-// A frame that is no reply at all means the peer does not speak this
-// protocol, which for the lane is the same as a peer that is down.
-func decodeReplyHeader(d *wire.Decoder, raw []byte) (seq uint64, bindAck uint32, flags byte, err error) {
+// raw and reads its header: the sequence number of the call it answers and
+// the flags that say what the body is. The body is read (decodeReplyBody)
+// once the reader has taken that call's record, into the record, and not at
+// all when nobody wants it any more. A frame that is no reply at all means
+// the peer does not speak this protocol, which for the lane is the same as
+// a peer that is down.
+func decodeReplyHeader(d *wire.Decoder, raw []byte) (seq uint64, flags byte, err error) {
 	d.Reset(raw)
 	if b := d.RawByte(); b != markBoundReply {
-		return 0, 0, 0, fmt.Errorf("remoting: reply marker 0x%02x, want 0x%02x: %w", b, markBoundReply, errs.ErrNodeDown)
+		return 0, 0, fmt.Errorf("remoting: reply marker 0x%02x, want 0x%02x: %w", b, markBoundReply, errs.ErrNodeDown)
 	}
 	seq = d.RawUvarint()
-	ack := d.RawUvarint()
 	flags = d.RawByte()
 	if err := d.Err(); err != nil {
-		return 0, 0, 0, fmt.Errorf("remoting: decode bound reply: %w", err)
+		return 0, 0, fmt.Errorf("remoting: decode bound reply: %w", err)
 	}
-	if ack > maxBindHandles {
-		return 0, 0, 0, fmt.Errorf("remoting: bound reply ack %d out of range", ack)
+	if flags&^flagsReplyKnown != 0 {
+		return 0, 0, fmt.Errorf("remoting: bound reply flags 0x%02x", flags)
 	}
-	return seq, uint32(ack), flags, nil
+	return seq, flags, nil
 }
 
 // decodeReplyBody reads what follows the header. An error reply's fields go
@@ -289,7 +261,7 @@ func decodeReplyHeader(d *wire.Decoder, raw []byte) (seq uint64, bindAck uint32,
 func decodeReplyBody(d *wire.Decoder, flags byte, resp *callResponse, sink ResultSink) (result any, err error) {
 	switch {
 	case flags&flagReplyErr != 0:
-		*resp = callResponse{Seq: resp.Seq, IsErr: true}
+		*resp = callResponse{Seq: resp.Seq, IsErr: true, Unbound: flags&flagReplyUnbound != 0}
 		resp.ErrCode = d.String()
 		resp.ErrMsg = d.String()
 		if flags&flagReplyFwd != 0 {

@@ -33,18 +33,19 @@ func TestBoundCallRoundTrip(t *testing.T) {
 	if len(got.Args) != 3 || got.Args[0] != int32(7) || got.Args[1] != "hello" {
 		t.Errorf("args = %#v", got.Args)
 	}
-	if got.URI != "" || got.Method != "" {
-		t.Errorf("compact envelope decoded strings: URI=%q Method=%q", got.URI, got.Method)
+	if got.URI != "" || got.Call != "" || got.Method != "" {
+		t.Errorf("compact envelope decoded strings: URI=%q Call=%q Method=%q", got.URI, got.Call, got.Method)
 	}
 }
 
 // TestBoundCallIsStringFree is the point of the exercise: once its handle
-// is confirmed, a call frame must not contain the URI, the method name, or
-// any struct/field name, and is the declaring frame less exactly the
-// declaration in front of it.
+// is confirmed, a call frame must not contain the URI, the call or method
+// name, or any struct/field name, and is the declaring frame less exactly
+// the declaration in front of it.
 func TestBoundCallIsStringFree(t *testing.T) {
 	req := &callRequest{
 		URI:    "DivideServer/7",
+		Call:   "Invoke1",
 		Method: "Divide",
 		Seq:    99991,
 		Args:   []any{10.0, 4.0},
@@ -59,13 +60,14 @@ func TestBoundCallIsStringFree(t *testing.T) {
 	}
 	defer encD.Release()
 	defer encB.Release()
-	for _, needle := range []string{"DivideServer", "Divide", "callRequest", "Seq", "Args"} {
+	for _, needle := range []string{"DivideServer", "Invoke1", "Divide", "callRequest", "Seq", "Args"} {
 		if strings.Contains(string(bound), needle) {
 			t.Errorf("bound call frame contains %q", needle)
 		}
 	}
 	prefix := []byte{markDeclare, wire.TagString, byte(len(req.URI))}
-	prefix = append(append(prefix, req.URI...), wire.TagString, byte(len(req.Method)))
+	prefix = append(append(prefix, req.URI...), wire.TagString, byte(len(req.Call)))
+	prefix = append(append(prefix, req.Call...), wire.TagString, byte(len(req.Method)))
 	prefix = append(prefix, req.Method...)
 	if want := append(prefix, bound...); !bytes.Equal(declaring, want) {
 		t.Errorf("declaring frame\n%x, want the declaration then the bound frame\n%x", declaring, want)
@@ -75,17 +77,14 @@ func TestBoundCallIsStringFree(t *testing.T) {
 
 func TestBoundReplyRoundTripResult(t *testing.T) {
 	resp := &callResponse{Seq: 77, Result: []int32{1, 2, 3}}
-	raw, enc, err := encodeBoundReply(resp, 9)
+	raw, enc, err := encodeBoundReply(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	got, ack, _, err := decodeReply(raw)
+	got, _, err := decodeReply(raw)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ack != 9 {
-		t.Errorf("ack = %d, want 9", ack)
 	}
 	if got.Seq != 77 || got.IsErr {
 		t.Errorf("reply = %+v", got)
@@ -97,17 +96,14 @@ func TestBoundReplyRoundTripResult(t *testing.T) {
 
 func TestBoundReplyRoundTripError(t *testing.T) {
 	resp := &callResponse{Seq: 78, IsErr: true, ErrCode: "no_such_method", ErrMsg: "boom"}
-	raw, enc, err := encodeBoundReply(resp, 0)
+	raw, enc, err := encodeBoundReply(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	got, ack, _, err := decodeReply(raw)
+	got, _, err := decodeReply(raw)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ack != 0 {
-		t.Errorf("ack = %d, want 0", ack)
 	}
 	if !got.IsErr || got.ErrCode != "no_such_method" || got.ErrMsg != "boom" {
 		t.Errorf("reply = %+v", got)
@@ -150,7 +146,7 @@ func TestBoundCallRejectsBadFrames(t *testing.T) {
 		}
 	}
 	// A declaration must be followed by a call, and only one.
-	req.URI, req.Method = "d", "Divide"
+	req.URI, req.Call = "d", "Divide"
 	declaring := boundCallBytes(t, 5, true, req)
 	prefix := declaring[:len(declaring)-len(frame)]
 	if _, _, _, err := decodeCall(prefix); err == nil {
@@ -163,20 +159,24 @@ func TestBoundCallRejectsBadFrames(t *testing.T) {
 
 func TestBoundReplyRejectsBadFrames(t *testing.T) {
 	resp := &callResponse{Seq: 2, Result: "ok"}
-	raw, enc, err := encodeBoundReply(resp, 1)
+	raw, enc, err := encodeBoundReply(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame := append([]byte(nil), raw...)
 	enc.Release()
 
-	if _, _, _, err := decodeReply(append(frame, 0x00)); err == nil {
+	if _, _, err := decodeReply(append(frame, 0x00)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	bad := append([]byte(nil), frame...)
 	bad[0] = markBoundCall
-	if _, _, _, err := decodeReply(bad); err == nil {
+	if _, _, err := decodeReply(bad); err == nil {
 		t.Error("wrong marker accepted")
+	}
+	bad[0], bad[2] = markBoundReply, 0x10
+	if _, _, err := decodeReply(bad); err == nil {
+		t.Error("unknown flag bit accepted")
 	}
 }
 
@@ -193,18 +193,18 @@ func decodeBoundCall(raw []byte, req *callRequest, argv []any) (handle uint32, d
 	return handle, declared, d.Borrowed(), err
 }
 
-func decodeBoundReply(raw []byte, resp *callResponse) (bindAck uint32, borrowed bool, err error) {
+func decodeBoundReply(raw []byte, resp *callResponse) (borrowed bool, err error) {
 	d := wire.NewDecoder(nil)
 	defer d.Release()
 	d.SetBorrow(true)
 	*resp = callResponse{}
-	seq, bindAck, flags, err := decodeReplyHeader(d, raw)
+	seq, flags, err := decodeReplyHeader(d, raw)
 	if err != nil {
-		return 0, false, err
+		return false, err
 	}
 	resp.Seq = seq
 	resp.Result, err = decodeReplyBody(d, flags, resp, nil)
-	return bindAck, d.Borrowed(), err
+	return d.Borrowed(), err
 }
 
 // decodeCall and decodeReply decode into a fresh envelope, for tests that
@@ -215,8 +215,8 @@ func decodeCall(raw []byte) (uint32, *callRequest, bool, error) {
 	return handle, req, borrowed, err
 }
 
-func decodeReply(raw []byte) (*callResponse, uint32, bool, error) {
+func decodeReply(raw []byte) (*callResponse, bool, error) {
 	resp := &callResponse{}
-	ack, borrowed, err := decodeBoundReply(raw, resp)
-	return resp, ack, borrowed, err
+	borrowed, err := decodeBoundReply(raw, resp)
+	return resp, borrowed, err
 }

@@ -60,9 +60,9 @@ func (k *keeper) Keep(b []byte) { k.kept = b }
 func (k *keeper) Kept() []byte  { return k.kept }
 func (k *keeper) Sink(b []byte) {}
 
-// KeepAll has, in its last two parameters, the signature of a runtime call:
-// over a compact envelope its arguments after ints take the nested-call
-// shape, and list is then the very slice the server's call record lent the
+// KeepAll keeps what it was handed. KeepTail has the signature of a runtime
+// call, (method, args): a call carrying a user's method reaches it as that
+// pair, and list is then the very slice the server's call record lent the
 // decoder.
 func (k *keeper) KeepAll(ints []int32, name string, list []any) {
 	k.ints, k.name, k.list = ints, name, list
@@ -384,7 +384,8 @@ func keptSmallValuesSurvive(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(round, wantInts, wantName, wantList)
-		// The nested-call shape itself, both ways of sending it.
+		// The runtime-call shape on a target that is no NestedInvoker, sent
+		// as a plain call and as a runtime call.
 		wantName += "-tail"
 		wantList = []any{"tail", round}
 		if round%2 == 0 {

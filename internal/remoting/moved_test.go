@@ -19,17 +19,14 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 		FwdNode: 3,
 		FwdGen:  5,
 	}
-	raw, enc, err := encodeBoundReply(resp, 0)
+	raw, enc, err := encodeBoundReply(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer enc.Release()
-	got, ack, _, err := decodeReply(raw)
+	got, _, err := decodeReply(raw)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ack != 0 {
-		t.Errorf("ack = %d", ack)
 	}
 	if got.FwdAddr != resp.FwdAddr || got.FwdNode != resp.FwdNode || got.FwdGen != resp.FwdGen {
 		t.Errorf("forward = (%q, %d, %d), want (%q, %d, %d)",
@@ -42,12 +39,12 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 	// An error reply without a forward must not pay (or emit) the forward
 	// fields.
 	plain := &callResponse{Seq: 8, IsErr: true, ErrCode: errs.CodeDestroyed, ErrMsg: "gone"}
-	rawPlain, encPlain, err := encodeBoundReply(plain, 0)
+	rawPlain, encPlain, err := encodeBoundReply(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer encPlain.Release()
-	gotPlain, _, _, err := decodeReply(rawPlain)
+	gotPlain, _, err := decodeReply(rawPlain)
 	if err != nil {
 		t.Fatal(err)
 	}

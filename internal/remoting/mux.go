@@ -178,7 +178,7 @@ func (c *CallRecord) deliver(result any, replyErr, err error) {
 // hears: nothing here touches it afterwards.
 func (c *CallRecord) complete(result any, replyErr, err error) {
 	if err != nil {
-		err = c.mc.callErr(&c.req, err)
+		err = c.req.callErr(err)
 	}
 	if c.bs != nil {
 		c.bs.settle(c.ctx, c.mc.netaddr, c.trial, err)
@@ -255,10 +255,10 @@ func (c *CallRecord) refuse(err error) {
 	go c.complete(nil, nil, err)
 }
 
-// bindShardCount stripes the client bind table by (URI, Method) hash.
-// Binding is cold-path (first call per pair), but the confirmed-handle
-// lookup on every call shares the stripes' read locks, so they must not
-// funnel through one RWMutex.
+// bindShardCount stripes the client bind table by the hash of its key.
+// Binding is cold-path (first call per triple), but the handle lookup on
+// every call shares the stripes' read locks, so they must not funnel
+// through one RWMutex.
 const bindShardCount = 8
 
 type bindShard struct {
@@ -266,16 +266,15 @@ type bindShard struct {
 	m  map[bindKey]*clientBind
 }
 
-// bindHash is FNV-1a over uri, '.', method — cheap, and uniform enough for
-// eight stripes.
-func bindHash(uri, method string) uint32 {
+// hash is FNV-1a over uri, '.', call, '.', method — cheap, and uniform
+// enough for eight stripes.
+func (k *bindKey) hash() uint32 {
 	h := uint32(2166136261)
-	for i := 0; i < len(uri); i++ {
-		h = (h ^ uint32(uri[i])) * 16777619
-	}
-	h = (h ^ uint32('.')) * 16777619
-	for i := 0; i < len(method); i++ {
-		h = (h ^ uint32(method[i])) * 16777619
+	for _, s := range [...]string{k.uri, k.call, k.method} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint32(s[i])) * 16777619
+		}
+		h = (h ^ uint32('.')) * 16777619
 	}
 	return h
 }
@@ -328,15 +327,12 @@ type muxConn struct {
 	inflight [inflightShards]inflightShard
 
 	// Bound call handles (envelope.go): per-lane client state. bindShards
-	// map (URI, Method) pairs to their handle entries; byHandle indexes the
-	// same entries by handle-1 (copy-on-write, appends serialised by
-	// handleMu) so the reader routes bind acks with an atomic load and a
-	// slice index — no lock shared with callers declaring new pairs.
-	// Handles die with the lane — a redial starts empty and re-declares,
-	// which is what makes reconnects transparent.
+	// map (URI, call, method) triples to their handle entries; handles
+	// counts the handles given out. Handles die with the lane — a redial
+	// starts empty and re-declares, which is what makes reconnects
+	// transparent.
 	bindShards [bindShardCount]bindShard
-	handleMu   sync.Mutex
-	byHandle   atomic.Pointer[[]*clientBind]
+	handles    atomic.Uint32
 }
 
 // muxKey identifies one lane to one peer in the channel's peer table.
@@ -345,30 +341,30 @@ type muxKey struct {
 	lane    int
 }
 
-// bindKey identifies one bindable (URI, Method) pair.
+// bindKey identifies one bindable (URI, call, method) triple.
 type bindKey struct {
-	uri    string
-	method string
+	uri, call, method string
 }
 
-// clientBind tracks one declared handle. confirmed flips once the server
-// acknowledges the declaration; from then on calls for the pair send the
-// bare call frame.
+// clientBind tracks one handle. confirmed flips once a frame declaring it
+// has entered the lane's outbound queue; from then on calls for the triple
+// send the bare call frame.
 type clientBind struct {
 	handle    uint32
 	confirmed atomic.Bool
 }
 
-// unboundSentinel is returned by bindFor when the handle space is
-// exhausted: handle 0, never confirmed, so every call of the pair declares
-// itself and is dispatched by URI.
+// unboundSentinel is the entry of every triple that found the lane's
+// handles spent: handle 0, never confirmed (it declares nothing), so every
+// call of the triple declares itself and is dispatched by URI.
 var unboundSentinel = &clientBind{}
 
-// bindFor returns the bind entry for a pair, declaring a fresh dense
-// handle on first use.
-func (mc *muxConn) bindFor(uri, method string) *clientBind {
-	sh := &mc.bindShards[bindHash(uri, method)&(bindShardCount-1)]
-	k := bindKey{uri: uri, method: method}
+// bindFor returns the bind entry for req's triple, giving it a fresh dense
+// handle on first use, or the sentinel once the lane's handles are spent.
+// Either is stored, so the triple's later calls find it under the read lock.
+func (mc *muxConn) bindFor(req *callRequest) *clientBind {
+	k := bindKey{uri: req.URI, call: req.Call, method: req.Method}
+	sh := &mc.bindShards[k.hash()&(bindShardCount-1)]
 	sh.mu.RLock()
 	cb := sh.m[k]
 	sh.mu.RUnlock()
@@ -380,21 +376,13 @@ func (mc *muxConn) bindFor(uri, method string) *clientBind {
 	if cb := sh.m[k]; cb != nil {
 		return cb
 	}
-	mc.handleMu.Lock()
-	var cur []*clientBind
-	if p := mc.byHandle.Load(); p != nil {
-		cur = *p
+	cb = unboundSentinel
+	for h := mc.handles.Load(); h < maxBindHandles; h = mc.handles.Load() {
+		if mc.handles.CompareAndSwap(h, h+1) {
+			cb = &clientBind{handle: h + 1}
+			break
+		}
 	}
-	if len(cur) >= maxBindHandles {
-		mc.handleMu.Unlock()
-		return unboundSentinel
-	}
-	cb = &clientBind{handle: uint32(len(cur) + 1)}
-	next := make([]*clientBind, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = cb
-	mc.byHandle.Store(&next)
-	mc.handleMu.Unlock()
 	if sh.m == nil {
 		sh.m = make(map[bindKey]*clientBind)
 	}
@@ -402,34 +390,31 @@ func (mc *muxConn) bindFor(uri, method string) *clientBind {
 	return cb
 }
 
-// confirmBind records a server ack for a declared handle. Lock-free: the
-// reader loads the copy-on-write handle index and flips the entry's flag.
-func (mc *muxConn) confirmBind(handle uint32) {
-	p := mc.byHandle.Load()
-	if p == nil {
-		return
+// encodeRequest produces the frame for req on this lane: the bare call once
+// a frame declaring the triple's handle has been queued (enqueueFrame), the
+// declaring call until then. Ownership of the frame's pooled encoder
+// follows encodeBoundCall.
+func (mc *muxConn) encodeRequest(req *callRequest) (outFrame, error) {
+	cb := mc.bindFor(req)
+	declare := !cb.confirmed.Load()
+	raw, enc, err := encodeBoundCall(cb.handle, declare, req)
+	of := outFrame{raw: raw, enc: enc}
+	if declare && cb.handle != 0 {
+		of.declares = cb
 	}
-	if idx := int(handle) - 1; idx >= 0 && idx < len(*p) {
-		(*p)[idx].confirmed.Store(true)
-	}
-}
-
-// encodeRequest produces the wire frame for req on this lane: the bare call
-// once the server confirmed the pair's handle, the declaring call until
-// then. Ownership of the returned pooled encoder follows encodeBoundCall.
-func (mc *muxConn) encodeRequest(req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
-	cb := mc.bindFor(req.URI, req.Method)
-	return encodeBoundCall(cb.handle, !cb.confirmed.Load(), req)
+	return of, err
 }
 
 // outFrame is one queued request frame. enc, when non-nil, is the pooled
 // encoder whose buffer raw aliases: whoever consumes the frame (normally
 // the writer goroutine, after the bytes hit the wire) releases it. Frames
 // stranded in sendq when a lane fails are simply collected by the GC — a
-// pool miss, not a leak.
+// pool miss, not a leak. declares is the handle the frame declares, nil
+// for a bare frame and for handle 0.
 type outFrame struct {
-	raw []byte
-	enc *wire.Encoder
+	raw      []byte
+	enc      *wire.Encoder
+	declares *clientBind
 }
 
 // release returns the frame's encoder (if pooled) to the pool.
@@ -622,10 +607,16 @@ func (mc *muxConn) take(seq uint64) *CallRecord {
 // enqueueFrame appends of to the outbound queue and wakes the writer.
 // Never blocks (see outQ); a frame enqueued after the lane failed is
 // collected by the GC together with its encoder — a pool miss, not a leak.
+// A declaring frame confirms its handle here: the queue is the wire order,
+// and a frame encoded after the confirmation is queued after this one, so
+// the server reads the declaration first.
 func (mc *muxConn) enqueueFrame(of outFrame) {
 	mc.outMu.Lock()
 	mc.outQ = append(mc.outQ, of)
 	mc.outMu.Unlock()
+	if of.declares != nil {
+		of.declares.confirmed.Store(true)
+	}
 	select {
 	case mc.outSig <- struct{}{}:
 	default:
@@ -637,19 +628,18 @@ func (mc *muxConn) enqueueFrame(of outFrame) {
 // frame to the writer and wait for the reader to deliver the matching
 // response into c.resp (or for the lane to fail, or ctx to end).
 func (mc *muxConn) call(ctx context.Context, c *CallRecord) error {
-	raw, enc, err := mc.encodeRequest(&c.req)
+	of, err := mc.encodeRequest(&c.req)
 	if err != nil {
 		return err
 	}
-	of := outFrame{raw: raw, enc: enc}
 	select {
 	case mc.slots <- struct{}{}:
 	case <-mc.done:
 		of.release()
-		return mc.callErr(&c.req, mc.failureErr())
+		return c.req.callErr(mc.failureErr())
 	case <-ctx.Done():
 		of.release()
-		return mc.callErr(&c.req, ctx.Err())
+		return c.req.callErr(ctx.Err())
 	}
 	defer func() {
 		<-mc.slots
@@ -659,7 +649,7 @@ func (mc *muxConn) call(ctx context.Context, c *CallRecord) error {
 
 	if err := mc.register(c.req.Seq, c); err != nil {
 		of.release()
-		return mc.callErr(&c.req, err)
+		return c.req.callErr(err)
 	}
 	mc.enqueueFrame(of)
 
@@ -674,14 +664,14 @@ func (mc *muxConn) call(ctx context.Context, c *CallRecord) error {
 		if mc.take(c.req.Seq) != c {
 			c.lost = true
 		}
-		return mc.callErr(&c.req, ctx.Err())
+		return c.req.callErr(ctx.Err())
 	}
 }
 
 // callErr annotates a connection- or context-level failure with the call it
 // aborted.
-func (mc *muxConn) callErr(req *callRequest, err error) error {
-	return fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, err)
+func (r *callRequest) callErr(err error) error {
+	return fmt.Errorf("remoting: call %s.%s: %w", r.URI, r.name(), err)
 }
 
 func (mc *muxConn) failureErr() error {
@@ -777,10 +767,11 @@ func (mc *muxConn) reader() {
 }
 
 // route reads one reply by the rule "take the record, then decode into it".
-// The reply names its call and any bind ack in its header; the ack is
-// applied, the exchange taken, and the body decoded straight into that
-// exchange's record. A reply without an in-flight entry belongs to a
-// cancelled or abandoned call: its body is not read, its frame not borrowed.
+// The reply names its call in its header; the exchange is taken and the
+// body decoded straight into that exchange's record, or, when the server
+// refused it on an undeclared handle, sent again (resend). A reply without
+// an in-flight entry belongs to a cancelled or abandoned call: its body is
+// not read, its frame not borrowed.
 // A frame that is no reply fails the lane. Async exchanges complete inline
 // here: continuations run on the reader goroutine (bounded, overflowing to
 // the pool at the future layer), which is what makes a resolved future cost
@@ -788,15 +779,16 @@ func (mc *muxConn) reader() {
 // README's inline-continuation guidance. taken is the exchange whose reply
 // failed to decode after it left the table: nobody else will tell it.
 func (mc *muxConn) route(d *wire.Decoder, raw []byte) (borrowed bool, taken *CallRecord, err error) {
-	seq, ack, flags, err := decodeReplyHeader(d, raw)
+	seq, flags, err := decodeReplyHeader(d, raw)
 	if err != nil {
 		return false, nil, err
 	}
-	if ack != 0 {
-		mc.confirmBind(ack)
-	}
 	c := mc.take(seq)
 	if c == nil {
+		return false, nil, nil
+	}
+	if flags&flagReplyUnbound != 0 {
+		mc.resend(c)
 		return false, nil, nil
 	}
 	result, replyErr, err := c.readReply(d, seq, flags)
@@ -805,6 +797,29 @@ func (mc *muxConn) route(d *wire.Decoder, raw []byte) (borrowed bool, taken *Cal
 	}
 	c.deliver(result, replyErr, nil)
 	return d.Borrowed(), nil, nil
+}
+
+// resend sends c, which the reader has just taken, again, declaring its
+// triple: the server refused c because it never saw the handle declared, so
+// a frame this lane took as queued was lost on the way, and c was not run.
+// As in startAsync, a Cancel that found c out of the table is run again
+// once c is back in it.
+func (mc *muxConn) resend(c *CallRecord) {
+	mc.bindFor(&c.req).confirmed.Store(false)
+	async := c.rc == nil // read now: once registered, a blocking c may go back to the pool
+	of, err := mc.encodeRequest(&c.req)
+	if err == nil {
+		err = mc.register(c.req.Seq, c)
+	}
+	if err != nil {
+		of.release()
+		c.deliver(nil, nil, err)
+		return
+	}
+	mc.enqueueFrame(of)
+	if async && c.cancelled.Load() {
+		go c.Cancel()
+	}
 }
 
 // fail moves the lane to its terminal state: it is removed from the
@@ -871,7 +886,7 @@ func (mc *muxConn) submitAsync(c *CallRecord) error {
 	if mc.asyncClosed {
 		mc.asyncMu.Unlock()
 		c.of.release()
-		return mc.callErr(&c.req, mc.failureErr())
+		return c.req.callErr(mc.failureErr())
 	}
 	if len(mc.asyncQ) == 0 {
 		// Nobody waits ahead of it: with a slot free the call starts at
@@ -970,12 +985,12 @@ func (ch *Channel) laneForURI(uri string) int {
 // once per submission.
 func (ch *Channel) roundTripAsync(netaddr string, c *CallRecord) error {
 	if err := c.ctx.Err(); err != nil {
-		return fmt.Errorf("remoting: call %s.%s: %w", c.req.URI, c.req.Method, err)
+		return c.req.callErr(err)
 	}
 	if bs := ch.breakers(); bs != nil && !breakerBypassed(c.ctx) {
 		trial, berr := bs.allow(netaddr)
 		if berr != nil {
-			return fmt.Errorf("remoting: call %s.%s: %w", c.req.URI, c.req.Method, berr)
+			return c.req.callErr(berr)
 		}
 		c.bs, c.trial = bs, trial
 	}
@@ -983,10 +998,8 @@ func (ch *Channel) roundTripAsync(netaddr string, c *CallRecord) error {
 	// table and hand the frame to the lane's admission queue.
 	mc, _, err := ch.getMux(netaddr, ch.laneForURI(c.req.URI))
 	if err == nil {
-		var raw []byte
-		var enc *wire.Encoder
-		if raw, enc, err = mc.encodeRequest(&c.req); err == nil {
-			c.mc, c.of = mc, outFrame{raw: raw, enc: enc}
+		if c.of, err = mc.encodeRequest(&c.req); err == nil {
+			c.mc = mc
 			err = mc.submitAsync(c)
 		}
 	}

@@ -15,50 +15,81 @@ import (
 	"repro/internal/wire"
 )
 
-// nestedGolden are compact call frames as the parent commit's
-// encodeBoundCall wrote them for Args: []any{sub, args}, the flat list of a
-// runtime call. They are the wire contract of the nested-call shape.
-var nestedGolden = []struct {
-	name   string
-	handle uint32
-	req    callRequest // header fields only
-	sub    string
-	args   []any
-	frame  string
+// callGolden are call frames as encodeBoundCall writes them, the wire
+// contract: the bare frame, with and without a token, carries the user's
+// arguments and nothing else; the declaring frame puts the URI, the call and
+// the user's method (empty for a plain call) in front of it.
+var callGolden = []struct {
+	name    string
+	handle  uint32
+	declare bool
+	req     callRequest
+	frame   string
 }{
-	{"plain", 3, callRequest{Seq: 7}, "Ints", []any{[]int32{1, -2, 300000}},
-		"bc03070018020f04496e74731801120301000000feffffffe0930400"},
-	{"token and deadline", 65536, callRequest{Seq: 300, Deadline: 1234567890123, TokClient: 9, TokSeq: 70000}, "Echo", []any{"hi", 42, 2.5},
-		"be808004ac029693d89fee4709f0a20418020f044563686f18030f02686907540e0000000000000440"},
-	{"nil args", 1, callRequest{Seq: 1}, "Noop", nil,
-		"bc01010018020f044e6f6f701800"},
-	{"empty args", 1, callRequest{Seq: 1}, "Noop", []any{},
-		"bc01010018020f044e6f6f701800"},
-	{"empty sub", 2, callRequest{Seq: 2}, "", []any{true},
-		"bc02020018020f00180101"},
-	{"batch with token", 4, callRequest{Seq: 5, TokClient: 1, TokSeq: 1}, "Add", []any{[]any{1}, []any{2}},
-		"be040500010118020f0341646418021801070218010704"},
+	{"plain", 3, false, callRequest{Seq: 7, Args: []any{[]int32{1, -2, 300000}}},
+		"bc030700" + "1801120301000000feffffffe0930400"},
+	{"token and deadline", 65536, false, callRequest{Seq: 300, Deadline: 1234567890123, TokClient: 9, TokSeq: 70000, Args: []any{"hi", 42, 2.5}},
+		"be808004ac029693d89fee4709f0a204" + "18030f02686907540e0000000000000440"},
+	{"nil args", 1, false, callRequest{Seq: 1},
+		"bc010100" + "1800"},
+	{"empty args", 1, false, callRequest{Seq: 1, Args: []any{}},
+		"bc010100" + "1800"},
+	{"batch with token", 4, false, callRequest{Seq: 5, TokClient: 1, TokSeq: 1, Args: []any{[]any{1}, []any{2}}},
+		"be0405000101" + "18021801070218010704"},
+	{"declaring handle 3", 3, true, callRequest{URI: "obj/1", Call: "Invoke1", Method: "Ints", Seq: 7, Args: []any{[]int32{1, -2, 300000}}},
+		"bf" + "0f056f626a2f31" + "0f07496e766f6b6531" + "0f04496e7473" + "bc030700" + "1801120301000000feffffffe0930400"},
+	{"declaring handle 0", 0, true, callRequest{URI: "obj/2", Call: "Invoke1", Method: "Noop", Seq: 1},
+		"bf" + "0f056f626a2f32" + "0f07496e766f6b6531" + "0f044e6f6f70" + "bc000100" + "1800"},
+	{"declaring with token", 4, true, callRequest{URI: "obj/3", Call: "InvokeBatch", Method: "Add", Seq: 5, TokClient: 1, TokSeq: 1, Args: []any{[]any{1}, []any{2}}},
+		"bf" + "0f056f626a2f33" + "0f0b496e766f6b654261746368" + "0f03416464" + "be0405000101" + "18021801070218010704"},
+	// A plain call: no user method, the call is the method.
+	{"empty sub", 2, true, callRequest{URI: "d", Call: "Divide", Seq: 2, Args: []any{10.0, 4.0}},
+		"bf" + "0f0164" + "0f06446976696465" + "0f00" + "bc020200" + "18020e00000000000024400e0000000000001040"},
 }
 
-// declaringGolden are declaring call frames: the declaration (marker, URI,
-// method) in front of the bound frame of the same handle, the last two
-// with the bound bytes of nestedGolden's "nil args" (at handle 0) and
-// "batch with token".
-var declaringGolden = []struct {
-	name        string
-	handle      uint32
-	uri, method string
-	req         callRequest // header fields only
-	sub         string
-	args        []any
-	frame       string
+// replyGolden are reply frames as encodeBoundReply writes them: the
+// sequence number, the flags, the body.
+var replyGolden = []struct {
+	name  string
+	resp  callResponse
+	frame string
 }{
-	{"declaring handle 3", 3, "obj/1", "Invoke1", callRequest{Seq: 7}, "Ints", []any{[]int32{1, -2, 300000}},
-		"bf0f056f626a2f310f07496e766f6b6531" + "bc03070018020f04496e74731801120301000000feffffffe0930400"},
-	{"declaring handle 0", 0, "obj/2", "Invoke1", callRequest{Seq: 1}, "Noop", nil,
-		"bf0f056f626a2f320f07496e766f6b6531" + "bc00010018020f044e6f6f701800"},
-	{"declaring with token", 4, "obj/3", "InvokeBatch", callRequest{Seq: 5, TokClient: 1, TokSeq: 1}, "Add", []any{[]any{1}, []any{2}},
-		"bf0f056f626a2f330f0b496e766f6b654261746368" + "be040500010118020f0341646418021801070218010704"},
+	{"reply result", callResponse{Seq: 7, Result: []int32{1, -2, 300000}},
+		"bd07" + "00" + "120301000000feffffffe0930400"},
+	{"reply nil", callResponse{Seq: 300},
+		"bdac02" + "00" + "00"},
+	{"reply error", callResponse{Seq: 8, IsErr: true, ErrCode: "no_such_method", ErrMsg: "boom"},
+		"bd08" + "01" + "0f0e6e6f5f737563685f6d6574686f64" + "0f04626f6f6d"},
+	{"reply forward", callResponse{Seq: 9, IsErr: true, ErrCode: "moved", ErrMsg: "gone", FwdAddr: "127.0.0.1:9", FwdNode: 3, FwdGen: 5, FwdURI: "obj/x"},
+		"bd09" + "03" + "0f056d6f766564" + "0f04676f6e65" + "0f0b3132372e302e302e313a39" + "06" + "05" + "0f056f626a2f78"},
+	{"reply retry-after", callResponse{Seq: 10, IsErr: true, ErrCode: "overloaded", ErrMsg: "full", RetryAfterMs: 25},
+		"bd0a" + "05" + "0f0a6f7665726c6f61646564" + "0f0466756c6c" + "32"},
+	{"reply unbound", callResponse{Seq: 11, IsErr: true, ErrMsg: "unbound call handle 9", Unbound: true},
+		"bd0b" + "09" + "0f00" + "0f15756e626f756e642063616c6c2068616e646c652039"},
+}
+
+// parentFrames are frames in the layout this envelope replaced, which
+// acknowledged a declaration in the reply and carried a runtime call's user
+// method in front of the arguments: declaring frames whose declaration is
+// the URI and the call alone, and replies with a bind ack after the
+// sequence number.
+var parentFrames = []struct {
+	name, frame string
+	call        bool
+}{
+	{"declaring", "bf0f056f626a2f310f07496e766f6b6531" + "bc03070018020f04496e74731801120301000000feffffffe0930400", true},
+	{"declaring handle 0", "bf0f056f626a2f320f07496e766f6b6531" + "bc00010018020f044e6f6f701800", true},
+	{"declaring with token", "bf0f056f626a2f330f0b496e766f6b654261746368" + "be040500010118020f0341646418021801070218010704", true},
+	{"declaring a plain call", "bf0f01640f06446976696465" + "bc020200" + "18020e00000000000024400e0000000000001040", true},
+	{"reply, no ack", "bd07" + "00" + "00" + "120301000000feffffffe0930400", false},
+	{"reply, ack 1", "bd07" + "01" + "00" + "120301000000feffffffe0930400", false},
+	{"reply, ack 2", "bd07" + "02" + "00" + "0f026f6b", false},
+	{"reply nil, ack 3", "bdac02" + "03" + "00" + "00", false},
+	{"reply, ack 200", "bd07" + "c801" + "00" + "0f026f6b", false},
+	{"reply, last handle", "bd07" + "808004" + "00" + "00", false},
+	{"error reply, no ack", "bd08" + "00" + "01" + "0f0e6e6f5f737563685f6d6574686f64" + "0f04626f6f6d", false},
+	{"error reply, ack 4", "bd08" + "04" + "01" + "0f0e6e6f5f737563685f6d6574686f64" + "0f04626f6f6d", false},
+	{"retry-after reply, ack 1", "bd0a" + "01" + "05" + "0f0a6f7665726c6f61646564" + "0f0466756c6c" + "32", false},
 }
 
 func mustHex(t testing.TB, s string) []byte {
@@ -81,148 +112,121 @@ func boundCallBytes(t testing.TB, handle uint32, declare bool, req *callRequest)
 	return bytes.Clone(raw)
 }
 
-// TestNestedCallBytesIdentical: a request in the nested-call shape encodes
-// to the bytes the flat list did at the parent commit, bound or declaring,
-// decodes back into the two fields with the inner list in the lent array
-// (and a declaring frame into its URI and method), and re-encodes to the
-// same frame.
+// TestNestedCallBytesIdentical: every golden frame, runtime call, plain
+// call or reply, is byte for byte what the encoder writes for it; it decodes
+// back to what it was written from, a call's arguments into the lent array;
+// and it re-encodes to itself.
 func TestNestedCallBytesIdentical(t *testing.T) {
 	poisoned(t)
-	for _, g := range nestedGolden {
-		t.Run(g.name, func(t *testing.T) { checkNestedFrame(t, g.handle, false, g.req, g.sub, g.args, g.frame) })
+	for _, g := range callGolden {
+		t.Run(g.name, func(t *testing.T) { checkCallFrame(t, g.handle, g.declare, g.req, g.frame) })
 	}
-	for _, g := range declaringGolden {
-		req := g.req
-		req.URI, req.Method = g.uri, g.method
-		t.Run(g.name, func(t *testing.T) { checkNestedFrame(t, g.handle, true, req, g.sub, g.args, g.frame) })
-	}
-	// Close to the shape, but not it: these decode by the flat path.
-	for name, frame := range map[string]string{
-		"count in two bytes": "bc0101001882000f044e6f6f701800",
-		"nil inner list":     "bc01010018020f044e6f6f7000",
-		"three elements":     "bc01010018030f044e6f6f70180000",
-		"string then int":    "bc01010018020f044e6f6f700702",
-	} {
-		_, req, _, err := decodeCall(mustHex(t, frame))
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-		} else if req.nested {
-			t.Errorf("%s: taken for the nested shape", name)
-		}
+	for _, g := range replyGolden {
+		t.Run(g.name, func(t *testing.T) {
+			want := mustHex(t, g.frame)
+			if got := boundReplyBytes(t, &g.resp); !bytes.Equal(got, want) {
+				t.Errorf("reply encodes to\n%x, want\n%x", got, want)
+			}
+			got, _, err := decodeReply(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*got, g.resp) {
+				t.Errorf("decoded %+v, want %+v", *got, g.resp)
+			}
+			if !bytes.Equal(boundReplyBytes(t, got), want) {
+				t.Error("decode then encode changed the frame")
+			}
+		})
 	}
 }
 
-// checkNestedFrame holds one golden frame: req's header (and, declaring,
-// its URI and method) with the nested call sub(args).
-func checkNestedFrame(t *testing.T, handle uint32, declare bool, req callRequest, sub string, args []any, frame string) {
+// checkCallFrame holds one golden call frame.
+func checkCallFrame(t *testing.T, handle uint32, declare bool, req callRequest, frame string) {
 	want := mustHex(t, frame)
-	nested, flat := req, req
-	nested.sub, nested.Args, nested.nested = sub, args, true
-	flat.Args = []any{sub, args}
-	if got := boundCallBytes(t, handle, declare, &nested); !bytes.Equal(got, want) {
-		t.Errorf("nested request encodes to\n%x, want\n%x", got, want)
+	if got := boundCallBytes(t, handle, declare, &req); !bytes.Equal(got, want) {
+		t.Errorf("request encodes to\n%x, want\n%x", got, want)
 	}
-	if got := boundCallBytes(t, handle, declare, &flat); !bytes.Equal(got, want) {
-		t.Errorf("flat request encodes to\n%x, want\n%x", got, want)
-	}
-
 	var got callRequest
 	lent := make([]any, 0, 8)
 	h, declared, _, err := decodeBoundCall(want, &got, lent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h != handle || declared != declare || !got.nested || got.sub != sub {
-		t.Fatalf("decoded handle %d declared %v nested %v sub %q, want %d %v true %q", h, declared, got.nested, got.sub, handle, declare, sub)
+	if h != handle || declared != declare {
+		t.Fatalf("decoded handle %d declared %v, want %d %v", h, declared, handle, declare)
 	}
-	if got.URI != req.URI || got.Method != req.Method {
-		t.Errorf("decoded pair %q.%q, want %q.%q", got.URI, got.Method, req.URI, req.Method)
+	if got.URI != req.URI || got.Call != req.Call || got.Method != req.Method {
+		t.Errorf("decoded triple %q %q %q, want %q %q %q", got.URI, got.Call, got.Method, req.URI, req.Call, req.Method)
 	}
 	if got.Seq != req.Seq || got.Deadline != req.Deadline || got.TokClient != req.TokClient || got.TokSeq != req.TokSeq {
 		t.Errorf("decoded header %+v, want %+v", got, req)
 	}
-	if len(got.Args) != len(args) || (len(args) > 0 && !reflect.DeepEqual(got.Args, args)) {
-		t.Errorf("decoded args %#v, want %#v", got.Args, args)
+	if len(got.Args) != len(req.Args) || (len(req.Args) > 0 && !reflect.DeepEqual(got.Args, req.Args)) {
+		t.Errorf("decoded args %#v, want %#v", got.Args, req.Args)
 	}
 	if len(got.Args) > 0 && &got.Args[0] != &lent[:1][0] {
-		t.Error("the inner list was not decoded into the lent array")
+		t.Error("the argument list was not decoded into the lent array")
 	}
 	if !bytes.Equal(boundCallBytes(t, h, declared, &got), want) {
 		t.Error("decode then encode changed the frame")
 	}
 }
 
-// flatDecodeBoundCall is the parent commit's decodeBoundCall, with the
-// declaration in front: header, then the whole argument list by the
-// generic decoder.
-func flatDecodeBoundCall(raw []byte) (handle uint64, declared bool, req callRequest, err error) {
-	d := wire.NewDecoder(raw)
-	defer d.Release()
-	d.SetBorrow(true)
-	b := d.RawByte()
-	if b == markDeclare {
-		req.URI, req.Method = d.String(), d.String()
-		declared, b = true, d.RawByte()
+// TestParentFramesRejected: the wire changed on purpose. A declaring frame
+// in the replaced layout, and a reply carrying a bind ack, are refused
+// rather than misread: a server drops the connection that sends one, and a
+// client fails the lane.
+func TestParentFramesRejected(t *testing.T) {
+	for _, p := range parentFrames {
+		frame := mustHex(t, p.frame)
+		var err error
+		if p.call {
+			_, _, _, err = decodeBoundCall(frame, new(callRequest), nil)
+		} else {
+			_, _, err = decodeReply(frame)
+		}
+		if err == nil {
+			t.Errorf("%s: %x accepted", p.name, frame)
+		}
 	}
-	if b != markBoundCall && b != markBoundCallTok {
-		return 0, false, req, errors.New("marker")
-	}
-	handle = d.RawUvarint()
-	req.Seq = d.RawUvarint()
-	req.Deadline = d.RawVarint()
-	if b == markBoundCallTok {
-		req.TokClient = d.RawUvarint()
-		req.TokSeq = d.RawUvarint()
-	}
-	req.Args = d.AnySlice()
-	if err := d.Err(); err != nil {
-		return 0, false, req, err
-	}
-	if d.Rest() != 0 {
-		return 0, false, req, errors.New("trailing bytes")
-	}
-	if handle > maxBindHandles || handle == 0 && !declared {
-		return 0, false, req, errors.New("handle")
-	}
-	return handle, declared, req, nil
 }
 
-// FuzzDecodeBoundCall: no frame makes the decoder panic; a frame decodes by
-// the nested-aware decoder exactly when it decodes by the flat one, and to
-// the same request, the method name of a nested call included, whether the
-// invoker registry had it or it was copied from the frame, and the same
-// declaration; and what decodes re-encodes to a frame that is its own
-// decode-encode image, a declaring one to its declaration in front of the
-// bound frame. Every seed the encoder wrote that is accepted re-encodes to
-// itself, byte for byte. (An arbitrary input need not: binfmt reads a
-// varint padded with continuation bytes, a bool slice element of 2 or a
-// name spelled twice instead of back-referenced, and writes each back in
-// its one canonical form.)
+// FuzzDecodeBoundCall: no frame makes the decoder panic; what decodes names
+// a handle in range, handle 0 only when declared, and no triple when bare;
+// it re-encodes to a frame that is its own decode-encode image, a declaring
+// one to its declaration in front of its bare frame. Every seed the encoder
+// wrote that is accepted re-encodes to itself, byte for byte. (An arbitrary
+// input need not: binfmt reads a varint padded with continuation bytes, a
+// bool slice element of 2 or a name spelled twice instead of
+// back-referenced, and writes each back in its one canonical form.)
 func FuzzDecodeBoundCall(f *testing.F) {
 	var seeds [][]byte
-	for _, g := range nestedGolden {
+	for _, g := range callGolden {
 		seeds = append(seeds, mustHex(f, g.frame))
 	}
-	for _, g := range declaringGolden {
-		seeds = append(seeds, mustHex(f, g.frame))
+	for _, p := range parentFrames {
+		if p.call {
+			seeds = append(seeds, mustHex(f, p.frame))
+		}
 	}
 	seeds = append(seeds,
 		boundCallBytes(f, 9, false, &callRequest{Seq: 1, Args: []any{int32(7), "flat", []float64{1.5}}}),
 		boundCallBytes(f, 9, false, &callRequest{Seq: 2, Args: []any{"Tag", []any{"user", "method"}, 3}}))
-	// Names the registry answers for (heldEcho's "Now"), almost answers for,
-	// and never will.
-	for _, sub := range []string{"Now", "No", "Nowhere", "", strings.Repeat("n", 1024)} {
-		seeds = append(seeds, boundCallBytes(f, 3, false, &callRequest{Seq: 4, sub: sub, nested: true, Args: []any{1}}))
-	}
-	// Declarations: at the edges of the handle space, of an empty pair, of a
-	// URI longer than the frame, and with no call after them.
+	// Declarations: at the edges of the handle space, of user methods short
+	// and long, of an empty triple, of a URI longer than the frame, and with
+	// no call, or only part of the triple, after them.
 	for _, h := range []uint32{0, maxBindHandles, maxBindHandles + 1} {
-		seeds = append(seeds, boundCallBytes(f, h, true, &callRequest{URI: "obj/1", Method: "Invoke1", Seq: 5, sub: "Now", nested: true, Args: []any{1}}))
+		seeds = append(seeds, boundCallBytes(f, h, true, &callRequest{URI: "obj/1", Call: "Invoke1", Method: "Now", Seq: 5, Args: []any{1}}))
+	}
+	for _, m := range []string{"N", strings.Repeat("n", 1024)} {
+		seeds = append(seeds, boundCallBytes(f, 3, true, &callRequest{URI: "obj/1", Call: "InvokeBatch", Method: m, Seq: 4, TokClient: 2, TokSeq: 3, Args: []any{[]any{1}}}))
 	}
 	seeds = append(seeds,
 		boundCallBytes(f, 6, true, &callRequest{Seq: 6, Args: []any{}}),
-		[]byte{markDeclare, wire.TagString, 0x7f, 'o', 'b', 'j', wire.TagString, 1, 'M', markBoundCall, 1, 1, 0, wire.TagAnySlice, 0},
-		[]byte{markDeclare, wire.TagString, 1, 'd', wire.TagString, 1, 'M'})
+		[]byte{markDeclare, wire.TagString, 0x7f, 'o', 'b', 'j', wire.TagString, 1, 'M', wire.TagString, 0, markBoundCall, 1, 1, 0, wire.TagAnySlice, 0},
+		[]byte{markDeclare, wire.TagString, 1, 'd', wire.TagString, 1, 'M', wire.TagString, 1, 'N'},
+		[]byte{markDeclare, wire.TagString, 1, 'd', wire.TagString, 1, 'M', markBoundCall, 1, 1, 0, wire.TagAnySlice, 0})
 	for _, seed := range seeds {
 		var req callRequest
 		if handle, declared, _, err := decodeBoundCall(seed, &req, nil); err == nil {
@@ -235,28 +239,28 @@ func FuzzDecodeBoundCall(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req callRequest
 		handle, declared, _, err := decodeBoundCall(data, &req, make([]any, 0, 4))
-		flatHandle, flatDeclared, flat, flatErr := flatDecodeBoundCall(data)
-		if (err == nil) != (flatErr == nil) {
-			t.Fatalf("nested-aware decode: %v; flat decode: %v", err, flatErr)
-		}
 		if err != nil {
 			return
 		}
-		if declared != flatDeclared || req.URI != flat.URI || req.Method != flat.Method {
-			t.Fatalf("declaration read as %v %q.%q, the flat read gives %v %q.%q", declared, req.URI, req.Method, flatDeclared, flat.URI, flat.Method)
+		if handle > maxBindHandles || handle == 0 && !declared {
+			t.Fatalf("accepted handle %d, declared %v", handle, declared)
 		}
-		if req.nested {
-			if copied, _ := flat.Args[0].(string); req.sub != copied {
-				t.Fatalf("method name read as %q, the copying read gives %q", req.sub, copied)
-			}
+		if !declared && (req.URI != "" || req.Call != "" || req.Method != "") {
+			t.Fatalf("a bare frame named %q %q %q", req.URI, req.Call, req.Method)
 		}
-		viaFlat := boundCallBytes(t, uint32(flatHandle), flatDeclared, &flat)
 		once := boundCallBytes(t, handle, declared, &req)
-		if !bytes.Equal(once, viaFlat) {
-			t.Fatalf("re-encoded after nested-aware decode\n%x, after flat decode\n%x", once, viaFlat)
-		}
-		if bare := boundCallBytes(t, handle, false, &req); declared && !bytes.HasSuffix(once, bare) {
-			t.Fatalf("declaring frame\n%x does not end in its bound frame\n%x", once, bare)
+		if declared {
+			bare := boundCallBytes(t, handle, false, &req)
+			e := wire.NewEncoder()
+			e.RawByte(markDeclare)
+			e.String(req.URI)
+			e.String(req.Call)
+			e.String(req.Method)
+			declaration := bytes.Clone(e.Bytes())
+			e.Release()
+			if !bytes.Equal(once, append(declaration, bare...)) {
+				t.Fatalf("declaring frame\n%x is not its declaration\n%x then its bare frame\n%x", once, declaration, bare)
+			}
 		}
 		var again callRequest
 		handle2, declared2, _, err := decodeBoundCall(once, &again, nil)
@@ -269,9 +273,9 @@ func FuzzDecodeBoundCall(f *testing.F) {
 	})
 }
 
-func boundReplyBytes(t testing.TB, resp *callResponse, ack uint32) []byte {
+func boundReplyBytes(t testing.TB, resp *callResponse) []byte {
 	t.Helper()
-	raw, enc, err := encodeBoundReply(resp, ack)
+	raw, enc, err := encodeBoundReply(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +352,7 @@ func FuzzDecodeBoundReply(f *testing.F) {
 		{Seq: 11, Result: []any{"mixed", 1}},
 		{Seq: 12, Result: bytes.Repeat([]byte{7}, 2<<10)}, // above wire.BorrowMin
 	} {
-		f.Add(boundReplyBytes(f, &resp, uint32(resp.Seq%3)))
+		f.Add(boundReplyBytes(f, &resp))
 	}
 	// Every typed tag, so every sink meets its own type and all the others
 	// (a []float64 reply to an []int32 sink among them).
@@ -362,21 +366,26 @@ func FuzzDecodeBoundReply(f *testing.F) {
 		case reflect.String:
 			v.SetString("result")
 		}
-		frame := boundReplyBytes(f, &callResponse{Seq: uint64(20 + i), Result: v.Interface()}, 0)
+		frame := boundReplyBytes(f, &callResponse{Seq: uint64(20 + i), Result: v.Interface()})
 		f.Add(frame)
 		f.Add(append(frame, 0x00))  // trailing bytes
 		f.Add(frame[:len(frame)-1]) // a count that exceeds the frame
 	}
+	for _, p := range parentFrames {
+		if !p.call {
+			f.Add(mustHex(f, p.frame))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var resp callResponse
-		ack, _, err := decodeBoundReply(data, &resp)
+		_, err := decodeBoundReply(data, &resp)
 		d := wire.NewDecoder(nil)
 		defer d.Release()
 		d.SetBorrow(true)
 		for _, newProbe := range sinkProbes {
 			p := newProbe()
 			viaSink := callResponse{}
-			seq, ack2, flags, herr := decodeReplyHeader(d, data)
+			seq, flags, herr := decodeReplyHeader(d, data)
 			viaSink.Seq = seq
 			var result any
 			berr := herr
@@ -393,8 +402,8 @@ func FuzzDecodeBoundReply(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if ack2 != ack || seq != resp.Seq {
-				t.Fatalf("header read seq %d ack %d, generic decode %d and %d", seq, ack2, resp.Seq, ack)
+			if seq != resp.Seq {
+				t.Fatalf("header read seq %d, generic decode %d", seq, resp.Seq)
 			}
 			switch {
 			case resp.IsErr:
@@ -417,13 +426,12 @@ func FuzzDecodeBoundReply(f *testing.F) {
 		if err != nil {
 			return
 		}
-		once := boundReplyBytes(t, &resp, ack)
+		once := boundReplyBytes(t, &resp)
 		var again callResponse
-		ack2, _, err := decodeBoundReply(once, &again)
-		if err != nil {
+		if _, err := decodeBoundReply(once, &again); err != nil {
 			t.Fatalf("re-encoded frame %x does not decode: %v", once, err)
 		}
-		if twice := boundReplyBytes(t, &again, ack2); !bytes.Equal(twice, once) {
+		if twice := boundReplyBytes(t, &again); !bytes.Equal(twice, once) {
 			t.Fatalf("encode is not a fixed point:\n%x then\n%x", once, twice)
 		}
 	})

@@ -32,10 +32,15 @@ import (
 )
 
 // callRequest is the request envelope; one per remote method invocation.
-// It travels as the call frame of envelope.go, URI and Method only in a
-// declaring frame.
+// It travels as the call frame of envelope.go, URI, Call and Method only in
+// a declaring frame.
 type callRequest struct {
-	URI    string
+	URI string
+	// Call is the method of the published object the request invokes.
+	// Method, when not empty, is the user's method a runtime call carries,
+	// the SCOOPP runtime's Invoke1("Echo", args): the call is Call(Method,
+	// Args) without that list having been built (NestedInvoker).
+	Call   string
 	Method string
 	Seq    uint64
 	// Deadline, when non-zero, is the caller's context deadline as unix
@@ -48,22 +53,15 @@ type callRequest struct {
 	// no token.
 	TokClient uint64
 	TokSeq    uint64
-
-	// nested marks the runtime-call shape: the request stands for the flat
-	// Args: []any{sub, Args} (the SCOOPP runtime's Invoke1("Echo", args))
-	// without that list having been built; the call frame writes the flat
-	// list's bytes from the two fields.
-	sub    string
-	nested bool
 }
 
-// flatArgs is the argument list as a plain dispatch takes it, built only
-// when the request is nested.
-func (r *callRequest) flatArgs() []any {
-	if r.nested {
-		return []any{r.sub, r.Args}
+// name is the method a caller asked for, as errors report it: the user's
+// method of a runtime call, Call for a plain one.
+func (r *callRequest) name() string {
+	if r.Method != "" {
+		return r.Method
 	}
-	return r.Args
+	return r.Call
 }
 
 // callResponse is the reply envelope.
@@ -91,6 +89,10 @@ type callResponse struct {
 	// will very likely shed again. The client-side retry policy honours it
 	// over its computed backoff. Zero means no hint.
 	RetryAfterMs int64
+	// Unbound marks the refusal of a bare call whose handle the connection
+	// never declared; the call was not run, and the client sends it again,
+	// declaring.
+	Unbound bool
 }
 
 // RemoteError is the error surfaced to callers when the server side fails.

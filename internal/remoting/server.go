@@ -295,7 +295,7 @@ func (s *Server) acceptLoop() {
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.handleConn(c)
+		go s.handleConn(&serverConn{s: s, c: c})
 	}
 }
 
@@ -332,16 +332,16 @@ type serverConn struct {
 	raws  [][]byte
 }
 
-// bindEntry is one bound (URI, Method) pair with its dispatch caches: the
+// bindEntry is one bound (URI, call, method) triple, its strings kept once
+// for every call that names the handle, with its dispatch caches: the
 // resolved registration (validated by the server's registration
 // generation) and the invoker thunk for the concrete object type last
-// dispatched, so the steady-state bound path skips the objects-map lookup,
-// the invoker-registry lookups and the name-interning codec work.
+// dispatched, so the steady-state bound path skips the objects-map lookup
+// and the invoker-registry lookups.
 type bindEntry struct {
-	uri    string
-	method string
-	reg    atomic.Pointer[regCache]
-	inv    atomic.Pointer[invCache]
+	uri, call, method string
+	reg               atomic.Pointer[regCache]
+	inv               atomic.Pointer[invCache]
 }
 
 type regCache struct {
@@ -354,23 +354,25 @@ type invCache struct {
 	inv dispatch.Invoker // nil: no generated thunk, use the reflective path
 }
 
-// declare records handle h, in range, for the pair a declaring call named,
-// returning the entry and the handle to acknowledge; handle 0 declares
-// nothing and gets neither. Redeclaration of the same handle is idempotent.
-func (sc *serverConn) declare(req *callRequest, h uint32) (*bindEntry, uint32) {
+// declare records handle h, in range, for the triple a declaring call
+// named, and returns its entry; handle 0 declares nothing and has none. It
+// refuses no handle in range, which is what lets the client take a
+// declaration as made once it is queued. Redeclaration of the same handle
+// is idempotent and keeps the entry, and with it the strings it holds.
+func (sc *serverConn) declare(req *callRequest, h uint32) *bindEntry {
 	if h == 0 {
-		return nil, 0
+		return nil
 	}
 	idx := int(h) - 1
 	for len(sc.binds) <= idx {
 		sc.binds = append(sc.binds, nil)
 	}
 	e := sc.binds[idx]
-	if e == nil || e.uri != req.URI || e.method != req.Method {
-		e = &bindEntry{uri: req.URI, method: req.Method}
+	if e == nil || e.uri != req.URI || e.call != req.Call || e.method != req.Method {
+		e = &bindEntry{uri: req.URI, call: req.Call, method: req.Method}
 		sc.binds[idx] = e
 	}
-	return e, h
+	return e
 }
 
 // lookupBind resolves a bare call's handle.
@@ -382,15 +384,15 @@ func (sc *serverConn) lookupBind(h uint32) *bindEntry {
 }
 
 // NestedInvoker is implemented by a published object that takes its calls
-// in the runtime-call shape, method(sub, args), as the SCOOPP runtime's
-// endpoints take Invoke1("Echo", args). A compact call of that shape
-// reaches InvokeNested with the two as decoded, no []any{sub, args} in
-// between; InvokeNested must answer as dispatching method with that list
-// would. args is the server's (see serverCall): it may outlive the call, in
-// another goroutine's hands, only if InvokeNested returned because ctx
-// ended.
+// in the runtime-call shape, call(method, args), as the SCOOPP runtime's
+// endpoints take Invoke1("Echo", args). A call that carries a user's method
+// reaches InvokeNested with the handle's call and method and the arguments
+// as decoded, no []any{method, args} in between; InvokeNested must answer as
+// dispatching call with that list would. args is the server's (see
+// serverCall): it may outlive the call, in another goroutine's hands, only
+// if InvokeNested returned because ctx ended.
 type NestedInvoker interface {
-	InvokeNested(ctx context.Context, method, sub string, args []any) (any, error)
+	InvokeNested(ctx context.Context, call, method string, args []any) (any, error)
 }
 
 // serverCall is the server's record of one request: the decoded envelope,
@@ -402,19 +404,18 @@ type NestedInvoker interface {
 // Dispatch copies every element into a typed parameter (variadic methods
 // are rejected), so after the reply nothing reads the list and the next
 // request may overwrite it. Two exceptions give the array away to the GC
-// (giveArgs): a nested call on a target that is no NestedInvoker, whose
-// []any parameter the inner list becomes; and a call whose context ended,
-// because a NestedInvoker (the runtime's mailbox) stops waiting then while
-// its task, still holding the list, may be queued or running. Elements are
-// never reused: the array is cleared.
+// (giveArgs): a call carrying a user's method on a target that is no
+// NestedInvoker, whose []any parameter the list becomes; and a call whose
+// context ended, because a NestedInvoker (the runtime's mailbox) stops
+// waiting then while its task, still holding the list, may be queued or
+// running. Elements are never reused: the array is cleared.
 type serverCall struct {
-	sc      *serverConn
-	req     callRequest
-	resp    callResponse
-	entry   *bindEntry
-	bindAck uint32
-	argv    []any  // len 0; the array the next request's list is lent
-	run     func() // c.handle
+	sc    *serverConn
+	req   callRequest
+	resp  callResponse
+	entry *bindEntry
+	argv  []any  // len 0; the array the next request's list is lent
+	run   func() // c.handle
 }
 
 // argvKeep is the longest argument array, in elements, a record holds on
@@ -445,7 +446,7 @@ func (c *serverCall) release() {
 		c.argv = args[:0]
 	}
 	clear(c.argv[:cap(c.argv)])
-	c.sc, c.req, c.resp, c.entry, c.bindAck = nil, callRequest{}, callResponse{}, nil, 0
+	c.sc, c.req, c.resp, c.entry = nil, callRequest{}, callResponse{}, nil
 	serverCalls.Put(c)
 }
 
@@ -453,15 +454,16 @@ func (c *serverCall) release() {
 func (c *serverCall) handle() {
 	sc := c.sc
 	sc.s.dispatchEntry(c)
-	sc.respond(&c.req, &c.resp, c.bindAck)
+	sc.respond(&c.req, &c.resp)
 	c.release()
 	sc.calls.Done()
 }
 
-// fail answers a request the read loop could not hand to a worker.
-func (c *serverCall) fail(msg string) {
-	c.resp = errorResponse(&c.req, msg)
-	c.sc.respond(&c.req, &c.resp, c.bindAck)
+// fail answers a request the read loop could not hand to a worker with
+// resp.
+func (c *serverCall) fail(resp callResponse) {
+	c.resp = resp
+	c.sc.respond(&c.req, &c.resp)
 	c.release()
 }
 
@@ -476,9 +478,9 @@ func (c *serverCall) fail(msg string) {
 // pool is configured its cap still bounds server-side execution
 // concurrency exactly as Mono's ThreadPool did; pipelining only changes
 // how fast requests reach the pool's queue.
-func (s *Server) handleConn(conn transport.Conn) {
+func (s *Server) handleConn(sc *serverConn) {
 	defer s.wg.Done()
-	sc := &serverConn{s: s, c: conn}
+	conn := sc.c
 	defer func() {
 		// Let in-flight handlers write (or fail to write) their replies
 		// before the connection is torn down; the last flusher among them
@@ -512,20 +514,23 @@ func (s *Server) handleConn(conn transport.Conn) {
 			return
 		}
 		if declared {
-			c.entry, c.bindAck = sc.declare(&c.req, handle)
+			c.entry = sc.declare(&c.req, handle)
 		} else if c.entry = sc.lookupBind(handle); c.entry != nil {
-			c.req.URI, c.req.Method = c.entry.uri, c.entry.method
+			c.req.URI, c.req.Call, c.req.Method = c.entry.uri, c.entry.call, c.entry.method
 		} else {
-			// A handle the read loop never saw declared: a peer bug, but seq
-			// is known, so answer instead of killing every other pipelined
-			// call on the pipe.
-			c.fail(fmt.Sprintf("unbound call handle %d", handle))
+			// A handle the read loop never saw declared: a lost frame or a
+			// peer bug. seq is known, so answer it, flagged, for the client
+			// to declare the handle and send the call again, instead of
+			// killing every other pipelined call on the pipe.
+			resp := errorResponse(&c.req, fmt.Sprintf("unbound call handle %d", handle))
+			resp.Unbound = true
+			c.fail(resp)
 			continue
 		}
 		sc.calls.Add(1)
 		if s.pool != nil {
 			if submitErr := s.pool.Submit(c.run); submitErr != nil {
-				c.fail(fmt.Sprintf("server shutting down: %v", submitErr))
+				c.fail(errorResponse(&c.req, fmt.Sprintf("server shutting down: %v", submitErr)))
 				sc.calls.Done()
 			}
 		} else {
@@ -539,11 +544,11 @@ func (s *Server) handleConn(conn transport.Conn) {
 // handler already is. Unencodable results degrade to an error reply; after
 // a write failure responses are discarded and the read loop observes the
 // dead connection on its next receive.
-func (sc *serverConn) respond(req *callRequest, resp *callResponse, bindAck uint32) {
-	raw, enc, err := encodeBoundReply(resp, bindAck)
+func (sc *serverConn) respond(req *callRequest, resp *callResponse) {
+	raw, enc, err := encodeBoundReply(resp)
 	if err != nil {
 		unenc := errorResponse(req, fmt.Sprintf("unencodable result: %v", err))
-		raw, enc, err = encodeBoundReply(&unenc, bindAck)
+		raw, enc, err = encodeBoundReply(&unenc)
 		if err != nil {
 			return
 		}
@@ -634,7 +639,7 @@ func (s *Server) dispatchEntry(c *serverCall) {
 		if !time.Now().Before(dl) {
 			s.deadlineDrops.Add(1)
 			c.resp = errorResponseFor(req, fmt.Errorf(
-				"deadline expired before dispatch of %s.%s: %w", req.URI, req.Method, context.DeadlineExceeded))
+				"deadline expired before dispatch of %s.%s: %w", req.URI, req.name(), context.DeadlineExceeded))
 			return
 		}
 		var cancel context.CancelFunc
@@ -695,32 +700,32 @@ func (s *Server) resolveBound(e *bindEntry) *registration {
 	return reg
 }
 
-// invoke runs the requested method on obj: a nested call on a
+// invoke runs the requested call on obj: one carrying a user's method on a
 // NestedInvoker directly, a bound one through the entry's cached invoker
 // thunk, re-resolved when the concrete type changes (a SingleCall factory
 // is free to return different types over time), anything else by name.
 func (c *serverCall) invoke(ctx context.Context, obj any) (any, error) {
 	req, e := &c.req, c.entry
 	args := req.Args
-	if req.nested {
+	if req.Method != "" {
 		if ni, ok := obj.(NestedInvoker); ok {
-			return ni.InvokeNested(ctx, req.Method, req.sub, args)
+			return ni.InvokeNested(ctx, req.Call, req.Method, args)
 		}
-		// A user method that happens to take (string, []any): the inner
-		// list is its parameter now.
-		args = req.flatArgs()
+		// A method of the object's own that happens to take (string,
+		// []any): the list is its parameter now.
+		args = []any{req.Method, args}
 		c.giveArgs()
 	}
 	if e != nil {
 		t := reflect.TypeOf(obj)
 		ic := e.inv.Load()
 		if ic == nil || ic.typ != t {
-			ic = &invCache{typ: t, inv: dispatch.InvokerFor(t, e.method)}
+			ic = &invCache{typ: t, inv: dispatch.InvokerFor(t, e.call)}
 			e.inv.Store(ic)
 		}
 		if ic.inv != nil {
 			return ic.inv(ctx, obj, args)
 		}
 	}
-	return dispatch.InvokeCtx(ctx, obj, req.Method, args)
+	return dispatch.InvokeCtx(ctx, obj, req.Call, args)
 }
