@@ -1,10 +1,12 @@
-// Package paper holds the 2005 stacks the paper measures against (mono, and
-// the calibrated profiles they run with) and the code that regenerates the
+// Package paper holds the 2005 stacks the paper measures against (mono, the
+// wire formats of the RMI and SOAP baselines in wirecodecs, and the
+// calibrated profiles they run with) and the code that regenerates the
 // paper's figures from them (figures): reproduction code the production
 // runtime must never depend on. This test is the boundary.
 package paper
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -137,5 +139,77 @@ func TestProductionLayers(t *testing.T) {
 				t.Errorf("%s imports %s: %s is a leaf", file, path, pkg)
 			}
 		}
+	}
+}
+
+// TestWireSpeaksOneFormat holds internal/wire to the runtime's one format:
+// the paper's other codecs, and the interface that lines them up, live in
+// internal/paper/wirecodecs, and the encoder's modes carry no dialect.
+func TestWireSpeaksOneFormat(t *testing.T) {
+	dir := filepath.Join(repoRoot(t), "internal", "wire")
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := map[string]bool{"SoapFmt": true, "JavaSer": true, "Codec": true}
+	sawOpts := false
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && moved[d.Name.Name] {
+					t.Errorf("%s declares %s, which belongs in internal/paper/wirecodecs", file, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						if moved[sp.Name.Name] {
+							t.Errorf("%s declares %s, which belongs in internal/paper/wirecodecs", file, sp.Name.Name)
+						}
+						if sp.Name.Name == "binOpts" {
+							sawOpts = true
+							checkBinOpts(t, file, sp)
+						}
+					case *ast.ValueSpec:
+						for _, name := range sp.Names {
+							if moved[name.Name] {
+								t.Errorf("%s declares %s, which belongs in internal/paper/wirecodecs", file, name.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !sawOpts {
+		t.Error("internal/wire declares no binOpts: update this test")
+	}
+}
+
+// checkBinOpts fails unless binOpts has exactly the fields generated and
+// borrow.
+func checkBinOpts(t *testing.T, file string, spec *ast.TypeSpec) {
+	t.Helper()
+	st, ok := spec.Type.(*ast.StructType)
+	if !ok {
+		t.Errorf("%s: binOpts is not a struct", file)
+		return
+	}
+	var fields []string
+	for _, field := range st.Fields.List {
+		for _, name := range field.Names {
+			fields = append(fields, name.Name)
+		}
+	}
+	if strings.Join(fields, ",") != "generated,borrow" {
+		t.Errorf("%s: binOpts has fields %v, want [generated borrow]: a dialect switch belongs in the codec that needs it", file, fields)
 	}
 }

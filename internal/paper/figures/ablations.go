@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/paper/profile"
+	"repro/internal/paper/wirecodecs"
 	"repro/internal/raytracer"
 	"repro/internal/sieve"
 	"repro/internal/wire"
@@ -164,7 +165,7 @@ type CodecRow struct {
 func RunCodecAblation(n int) ([]CodecRow, error) {
 	payload := []any{"process", payloadFor(n * 4)}
 	var rows []CodecRow
-	for _, c := range []wire.Codec{wire.BinFmt{}, wire.JavaSer{}, wire.SoapFmt{}} {
+	for _, c := range []wirecodecs.Codec{wire.BinFmt{}, wirecodecs.JavaSer{}, wirecodecs.SoapFmt{}} {
 		data, err := c.Marshal(payload)
 		if err != nil {
 			return nil, err

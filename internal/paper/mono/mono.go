@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/dispatch"
+	"repro/internal/paper/wirecodecs"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -71,7 +72,7 @@ func init() {
 // calls them.
 type Channel struct {
 	net   transport.Network
-	codec wire.Codec
+	codec wirecodecs.Codec
 	// What tells the three kinds apart.
 	keepAlive bool // TCP: a completed call's connection is pooled for the next
 	chunked   bool // LegacyTCP: bodies cross the wire in chunk-sized messages
@@ -95,7 +96,7 @@ func NewChannel(kind Kind, net transport.Network) *Channel {
 		http:      kind == HTTP,
 	}
 	if ch.http {
-		ch.codec = wire.SoapFmt{}
+		ch.codec = wirecodecs.SoapFmt{}
 	}
 	return ch
 }

@@ -1,4 +1,4 @@
-package wire
+package wirecodecs
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // SoapFmt is the verbose textual codec, the analogue of the SOAP encoding
@@ -15,7 +17,7 @@ import (
 // exactly the property that makes the HTTP channel's bandwidth collapse in
 // experiment E2.
 //
-// Grammar (produced and consumed only by this package):
+// Grammar (produced and consumed only by this codec):
 //
 //	value  := "(" type rest ")"
 //	type   := nil | bool | i8 | i16 | i32 | i64 | int | u8 | u16 | u32 |
@@ -50,7 +52,7 @@ func (SoapFmt) Unmarshal(data []byte) (any, error) {
 		return nil, err
 	}
 	if !p.eof() {
-		return nil, fmt.Errorf("wire/soapfmt: trailing tokens after value")
+		return nil, fmt.Errorf("soapfmt: trailing tokens after value")
 	}
 	return v, nil
 }
@@ -151,11 +153,7 @@ func soapEncodeNums(sb *strings.Builder, elem string, n int, item func(int) stri
 }
 
 func soapEncodeMap(sb *strings.Builder, rv reflect.Value) error {
-	keys := make([]string, 0, rv.Len())
-	for _, k := range rv.MapKeys() {
-		keys = append(keys, k.String())
-	}
-	sortStrings(keys)
+	keys := sortedKeys(rv)
 	sb.WriteString("(map ")
 	sb.WriteString(strconv.Itoa(len(keys)))
 	for _, k := range keys {
@@ -196,7 +194,7 @@ func soapEncodeReflect(sb *strings.Builder, rv reflect.Value) error {
 		return nil
 	case reflect.Map:
 		if rv.Type().Key().Kind() != reflect.String {
-			return &UnsupportedTypeError{Type: rv.Type()}
+			return &wire.UnsupportedTypeError{Type: rv.Type()}
 		}
 		return soapEncodeMap(sb, rv)
 	case reflect.Interface:
@@ -206,13 +204,13 @@ func soapEncodeReflect(sb *strings.Builder, rv reflect.Value) error {
 		}
 		return soapEncode(sb, rv.Elem().Interface())
 	}
-	return &UnsupportedTypeError{Type: rv.Type()}
+	return &wire.UnsupportedTypeError{Type: rv.Type()}
 }
 
 func soapEncodeStruct(sb *strings.Builder, rv reflect.Value, kw string) error {
-	name, ok := nameOf(rv.Type())
-	if !ok {
-		return &UnsupportedTypeError{Type: rv.Type()}
+	name, err := structName(rv)
+	if err != nil {
+		return err
 	}
 	fields := fieldsOf(rv.Type())
 	sb.WriteString("(")
@@ -285,7 +283,7 @@ func (p *soapParser) eof() bool { return p.pos >= len(p.toks) }
 
 func (p *soapParser) next() (string, error) {
 	if p.eof() {
-		return "", fmt.Errorf("wire/soapfmt: unexpected end of input")
+		return "", fmt.Errorf("soapfmt: unexpected end of input")
 	}
 	t := p.toks[p.pos]
 	p.pos++
@@ -298,7 +296,7 @@ func (p *soapParser) expect(tok string) error {
 		return err
 	}
 	if t != tok {
-		return fmt.Errorf("wire/soapfmt: expected %q, got %q", tok, t)
+		return fmt.Errorf("soapfmt: expected %q, got %q", tok, t)
 	}
 	return nil
 }
@@ -310,7 +308,7 @@ func (p *soapParser) nextInt() (int64, error) {
 	}
 	n, err := strconv.ParseInt(t, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("wire/soapfmt: bad integer %q", t)
+		return 0, fmt.Errorf("soapfmt: bad integer %q", t)
 	}
 	return n, nil
 }
@@ -322,9 +320,23 @@ func (p *soapParser) nextUint() (uint64, error) {
 	}
 	n, err := strconv.ParseUint(t, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("wire/soapfmt: bad unsigned integer %q", t)
+		return 0, fmt.Errorf("soapfmt: bad unsigned integer %q", t)
 	}
 	return n, nil
+}
+
+// nextCount reads the count of a sequence whose every item takes at least
+// one token, rejecting a negative count or one larger than the tokens left
+// before it sizes an allocation.
+func (p *soapParser) nextCount() (int, error) {
+	n, err := p.nextInt()
+	if err != nil {
+		return 0, err
+	}
+	if left := len(p.toks) - p.pos; n < 0 || n > int64(left) {
+		return 0, fmt.Errorf("soapfmt: count %d out of range with %d tokens left", n, left)
+	}
+	return int(n), nil
 }
 
 func (p *soapParser) nextFloat(bits int) (float64, error) {
@@ -334,7 +346,7 @@ func (p *soapParser) nextFloat(bits int) (float64, error) {
 	}
 	f, err := strconv.ParseFloat(t, bits)
 	if err != nil {
-		return 0, fmt.Errorf("wire/soapfmt: bad float %q", t)
+		return 0, fmt.Errorf("soapfmt: bad float %q", t)
 	}
 	return f, nil
 }
@@ -346,7 +358,7 @@ func (p *soapParser) nextString() (string, error) {
 	}
 	s, err := strconv.Unquote(t)
 	if err != nil {
-		return "", fmt.Errorf("wire/soapfmt: bad string token %q", t)
+		return "", fmt.Errorf("soapfmt: bad string token %q", t)
 	}
 	return s, nil
 }
@@ -448,7 +460,7 @@ func (p *soapParser) parseValue() (any, error) {
 		}
 		out = s
 	case "bytes":
-		n, err := p.nextInt()
+		n, err := p.nextCount()
 		if err != nil {
 			return nil, err
 		}
@@ -459,7 +471,7 @@ func (p *soapParser) parseValue() (any, error) {
 				return nil, err
 			}
 			if u > math.MaxUint8 {
-				return nil, fmt.Errorf("wire/soapfmt: byte value %d out of range", u)
+				return nil, fmt.Errorf("soapfmt: byte value %d out of range", u)
 			}
 			b[i] = byte(u)
 		}
@@ -471,7 +483,7 @@ func (p *soapParser) parseValue() (any, error) {
 		}
 		out = v
 	case "seq":
-		n, err := p.nextInt()
+		n, err := p.nextCount()
 		if err != nil {
 			return nil, err
 		}
@@ -484,12 +496,12 @@ func (p *soapParser) parseValue() (any, error) {
 		}
 		out = seq
 	case "map":
-		n, err := p.nextInt()
+		n, err := p.nextCount()
 		if err != nil {
 			return nil, err
 		}
 		m := make(map[string]any, n)
-		for i := int64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			k, err := p.nextString()
 			if err != nil {
 				return nil, err
@@ -511,7 +523,7 @@ func (p *soapParser) parseValue() (any, error) {
 			out = v.Interface()
 		}
 	default:
-		return nil, fmt.Errorf("wire/soapfmt: unknown value kind %q", kind)
+		return nil, fmt.Errorf("soapfmt: unknown value kind %q", kind)
 	}
 	if err := p.expect(")"); err != nil {
 		return nil, err
@@ -524,7 +536,7 @@ func (p *soapParser) parseArray() (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := p.nextInt()
+	n, err := p.nextCount()
 	if err != nil {
 		return nil, err
 	}
@@ -600,7 +612,7 @@ func (p *soapParser) parseArray() (any, error) {
 		}
 		return out, nil
 	}
-	return nil, fmt.Errorf("wire/soapfmt: unknown array element kind %q", elem)
+	return nil, fmt.Errorf("soapfmt: unknown array element kind %q", elem)
 }
 
 func (p *soapParser) parseStruct() (reflect.Value, error) {
@@ -608,16 +620,15 @@ func (p *soapParser) parseStruct() (reflect.Value, error) {
 	if err != nil {
 		return reflect.Value{}, err
 	}
-	t, ok := lookupName(name)
-	if !ok {
-		return reflect.Value{}, &UnknownTypeError{Name: name}
-	}
-	n, err := p.nextInt()
+	ptr, err := newStruct(name)
 	if err != nil {
 		return reflect.Value{}, err
 	}
-	ptr := reflect.New(t)
-	for i := int64(0); i < n; i++ {
+	n, err := p.nextCount()
+	if err != nil {
+		return reflect.Value{}, err
+	}
+	for i := 0; i < n; i++ {
 		fname, err := p.nextString()
 		if err != nil {
 			return reflect.Value{}, err
@@ -626,7 +637,7 @@ func (p *soapParser) parseStruct() (reflect.Value, error) {
 		if err != nil {
 			return reflect.Value{}, err
 		}
-		if err := setStructField(ptr.Elem(), fname, v); err != nil {
+		if err := setField(ptr.Elem(), fname, v); err != nil {
 			return reflect.Value{}, err
 		}
 	}

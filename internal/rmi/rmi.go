@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/dispatch"
+	"repro/internal/paper/wirecodecs"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -78,7 +79,7 @@ type CostModel = cost.Model
 // host the registry and perform lookups/calls (client role).
 type Runtime struct {
 	net   transport.Network
-	codec wire.Codec
+	codec wirecodecs.Codec
 	Cost  CostModel
 
 	mu       sync.Mutex
@@ -103,7 +104,7 @@ type Runtime struct {
 func NewRuntime(net transport.Network) *Runtime {
 	return &Runtime{
 		net:      net,
-		codec:    wire.JavaSer{},
+		codec:    wirecodecs.JavaSer{},
 		exported: make(map[string]any),
 		conns:    make(map[transport.Conn]struct{}),
 	}

@@ -17,38 +17,31 @@ import (
 //
 // Struct values whose types registered a parcgen-generated codec (see
 // RegisterGeneratedCodec) are encoded and decoded through it — byte-
-// compatible with the reflective path, but without reflection. Setting
-// DisableGenerated forces the reflective path everywhere; the fuzz tests
-// and the codec benchmark use it to compare the two.
-type BinFmt struct {
-	DisableGenerated bool
-}
+// compatible with the reflective path, but without reflection.
+type BinFmt struct{}
 
-// Name implements Codec.
+// Name reports the format's name, "binfmt".
 func (BinFmt) Name() string { return "binfmt" }
 
-// Marshal implements Codec. The returned slice is freshly allocated and
-// owned by the caller; hot paths that can scope the buffer's lifetime use a
-// pooled Encoder directly instead.
-func (f BinFmt) Marshal(v any) ([]byte, error) {
+// Marshal encodes v. The returned slice is freshly allocated and owned by
+// the caller; hot paths that can scope the buffer's lifetime use a pooled
+// Encoder directly instead.
+func (BinFmt) Marshal(v any) ([]byte, error) {
 	e := NewEncoder()
 	defer e.Release()
-	if f.DisableGenerated {
-		e.SetGenerated(false)
-	}
 	if err := e.Encode(v); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), e.Bytes()...), nil
 }
 
-// Unmarshal implements Codec.
-func (f BinFmt) Unmarshal(data []byte) (any, error) {
+// Unmarshal decodes a value produced by Marshal. Integers decode to the
+// width they were encoded with, struct values decode to T and struct
+// pointers to *T for the registered type T, heterogeneous slices decode to
+// []any and maps to map[string]any.
+func (BinFmt) Unmarshal(data []byte) (any, error) {
 	d := NewDecoder(data)
 	defer d.Release()
-	if f.DisableGenerated {
-		d.SetGenerated(false)
-	}
 	v, err := d.Decode()
 	if err != nil {
 		return nil, err
@@ -59,19 +52,10 @@ func (f BinFmt) Unmarshal(data []byte) (any, error) {
 	return v, nil
 }
 
-// binOpts selects the encoding dialect shared between BinFmt and JavaSer.
+// binOpts holds an encoder's or decoder's modes.
 type binOpts struct {
-	// internStrings enables the per-message name dictionary (BinFmt).
-	internStrings bool
-	// classDescriptors writes a full descriptor (type name plus every
-	// field name) before each struct value instead of field names inline
-	// once per struct occurrence (JavaSer).
-	classDescriptors bool
-	// arrayClassNames prefixes numeric-array fast paths with a Java-style
-	// array class name such as "[I" (JavaSer).
-	arrayClassNames bool
-	// generated enables the registered generated-codec fast path (BinFmt
-	// only; requires the pub back-pointer to be set).
+	// generated enables the registered generated-codec fast path (requires
+	// the pub back-pointer to be set).
 	generated bool
 	// borrow lets the decoder return []byte payloads of BorrowMin bytes or
 	// more as views into the input instead of copies (decode side only).
@@ -88,7 +72,7 @@ type binEncoder struct {
 	// spill into the overflow map.
 	identList []string
 	idents    map[string]int // overflow beyond identListMax, ids offset by identListMax
-	pub       *Encoder       // owning exported Encoder, when wrapped (BinFmt)
+	pub       *Encoder       // owning exported Encoder
 }
 
 // identListMax is the slice-probed intern capacity before the overflow map
@@ -119,14 +103,10 @@ func (e *binEncoder) writeString(s string) {
 	e.writeBytes([]byte(s))
 }
 
-// writeName writes an identifier (type or field name), interning it when the
-// dialect supports it. Interned references are encoded as uvarint(id+1)
-// following a zero length, a scheme that keeps plain strings unambiguous.
+// writeName writes an identifier (type or field name), interned. Interned
+// references are encoded as uvarint(id+1) following a zero length, a scheme
+// that keeps plain strings unambiguous.
 func (e *binEncoder) writeName(s string) {
-	if !e.opts.internStrings {
-		e.writeString(s)
-		return
-	}
 	if id, ok := e.internLookup(s); ok {
 		e.writeUvarint(0)
 		e.writeUvarint(uint64(id + 1))
@@ -259,7 +239,6 @@ func (e *binEncoder) encode(v any) error {
 		return nil
 	case []string:
 		e.writeByte(tStringSlice)
-		e.maybeArrayClass("[Ljava.lang.String;")
 		e.writeUvarint(uint64(len(x)))
 		for _, s := range x {
 			e.writeString(s)
@@ -267,7 +246,6 @@ func (e *binEncoder) encode(v any) error {
 		return nil
 	case []bool:
 		e.writeByte(tBoolSlice)
-		e.maybeArrayClass("[Z")
 		e.writeUvarint(uint64(len(x)))
 		for _, b := range x {
 			if b {
@@ -307,12 +285,10 @@ func (e *binEncoder) encode(v any) error {
 	return e.encodeReflect(reflect.ValueOf(v))
 }
 
-// fixedRun starts a numeric slice: the tag, the array class of the dialects
-// that write one, the count, and room for n elements of size bytes, grown
-// once, which the caller fills.
-func (e *binEncoder) fixedRun(tag byte, class string, n, size int) []byte {
+// fixedRun starts a numeric slice: the tag, the count, and room for n
+// elements of size bytes, grown once, which the caller fills.
+func (e *binEncoder) fixedRun(tag byte, n, size int) []byte {
 	e.writeByte(tag)
-	e.maybeArrayClass(class)
 	e.writeUvarint(uint64(n))
 	at := len(e.buf)
 	e.buf = slices.Grow(e.buf, n*size)[:at+n*size]
@@ -321,38 +297,30 @@ func (e *binEncoder) fixedRun(tag byte, class string, n, size int) []byte {
 
 // writeInt64s is []int and []int64, which differ in tag only.
 func writeInt64s[T int | int64](e *binEncoder, tag byte, x []T) {
-	b := e.fixedRun(tag, "[J", len(x), 8)
+	b := e.fixedRun(tag, len(x), 8)
 	for i, n := range x {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(n))
 	}
 }
 
 func (e *binEncoder) writeInt32Slice(x []int32) {
-	b := e.fixedRun(tInt32Slice, "[I", len(x), 4)
+	b := e.fixedRun(tInt32Slice, len(x), 4)
 	for i, n := range x {
 		binary.LittleEndian.PutUint32(b[4*i:], uint32(n))
 	}
 }
 
 func (e *binEncoder) writeFloat32Slice(x []float32) {
-	b := e.fixedRun(tFloat32Slice, "[F", len(x), 4)
+	b := e.fixedRun(tFloat32Slice, len(x), 4)
 	for i, f := range x {
 		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(f))
 	}
 }
 
 func (e *binEncoder) writeFloat64Slice(x []float64) {
-	b := e.fixedRun(tFloat64Slice, "[D", len(x), 8)
+	b := e.fixedRun(tFloat64Slice, len(x), 8)
 	for i, f := range x {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
-	}
-}
-
-// maybeArrayClass writes a Java-style array class name for dialects that
-// carry per-array descriptors (JavaSer only).
-func (e *binEncoder) maybeArrayClass(name string) {
-	if e.opts.arrayClassNames {
-		e.writeString(name)
 	}
 }
 
@@ -406,7 +374,7 @@ func (e *binEncoder) encodeMap(rv reflect.Value) error {
 	for i, k := range keys {
 		sorted[i] = k.String()
 	}
-	sortStrings(sorted)
+	sort.Strings(sorted)
 	e.writeUvarint(uint64(len(sorted)))
 	for _, k := range sorted {
 		e.writeString(k)
@@ -424,21 +392,6 @@ func (e *binEncoder) encodeStructBody(rv reflect.Value) error {
 		return &UnsupportedTypeError{Type: t}
 	}
 	fields := fieldsOf(t)
-	if e.opts.classDescriptors {
-		// Full Java-style class descriptor: name, field count and
-		// every field name spelled out on each occurrence.
-		e.writeString(name)
-		e.writeUvarint(uint64(len(fields)))
-		for _, f := range fields {
-			e.writeString(f.name)
-		}
-		for _, f := range fields {
-			if err := e.encode(rv.Field(f.index).Interface()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	e.writeName(name)
 	e.writeUvarint(uint64(len(fields)))
 	for _, f := range fields {
@@ -457,7 +410,7 @@ type binDecoder struct {
 	// idents holds interned names as zero-copy views into data (valid for
 	// the decode's duration), so reading a name allocates nothing.
 	idents [][]byte
-	pub    *Decoder // owning exported Decoder, when wrapped (BinFmt)
+	pub    *Decoder // owning exported Decoder
 	// borrowed records that at least one decoded []byte aliases data
 	// (opts.borrow): the producer of data must not recycle it while the
 	// decoded values live.
@@ -585,9 +538,6 @@ func (d *binDecoder) readName() (string, error) {
 // only compare or switch on the name (the generated codecs) never pay a
 // string copy; callers that keep it convert explicitly.
 func (d *binDecoder) readNameBytes() ([]byte, error) {
-	if !d.opts.internStrings {
-		return d.readStringBytes()
-	}
 	n, err := d.readUvarint()
 	if err != nil {
 		return nil, err
@@ -636,16 +586,6 @@ func (d *binDecoder) readStringBytes() ([]byte, error) {
 	return b, nil
 }
 
-// skipArrayClass consumes the Java-style array class name in dialects that
-// write one.
-func (d *binDecoder) skipArrayClass() error {
-	if !d.opts.arrayClassNames {
-		return nil
-	}
-	_, err := d.readString()
-	return err
-}
-
 // boxed is a typed reader's result as decode returns it: nil on failure.
 func boxed[T any](v T, err error) (any, error) {
 	if err != nil {
@@ -654,13 +594,9 @@ func boxed[T any](v T, err error) (any, error) {
 	return v, nil
 }
 
-// sliceHeader reads what follows a fast-path slice's tag: the array class of
-// the dialects that write one, then the count, checked once against the
-// input that is left at elemSize bytes an element at least.
+// sliceHeader reads what follows a fast-path slice's tag: the count, checked
+// once against the input that is left at elemSize bytes an element at least.
 func (d *binDecoder) sliceHeader(elemSize int) (int, error) {
-	if err := d.skipArrayClass(); err != nil {
-		return 0, err
-	}
 	n, err := d.readUvarint()
 	if err != nil {
 		return 0, err
@@ -870,19 +806,9 @@ func (d *binDecoder) decode() (any, error) {
 }
 
 // decodeStructAny decodes a struct body, preferring a registered generated
-// codec (BinFmt dialect only) and falling back to the reflective decoder.
-// ptr selects whether the caller saw tPtrStruct (*T) or tStruct (T).
+// codec and falling back to the reflective decoder. ptr selects whether the
+// caller saw tPtrStruct (*T) or tStruct (T).
 func (d *binDecoder) decodeStructAny(ptr bool) (any, error) {
-	if d.opts.classDescriptors {
-		v, err := d.decodeStructDescriptor()
-		if err != nil {
-			return nil, err
-		}
-		if ptr {
-			return v.Interface(), nil
-		}
-		return v.Elem().Interface(), nil
-	}
 	nameB, err := d.readNameBytes()
 	if err != nil {
 		return nil, err
@@ -905,49 +831,10 @@ func (d *binDecoder) decodeStructAny(ptr bool) (any, error) {
 	return v.Elem().Interface(), nil
 }
 
-// decodeStructDescriptor reads the JavaSer-dialect struct body (full class
-// descriptor per occurrence), returning a pointer to a fresh struct.
-func (d *binDecoder) decodeStructDescriptor() (reflect.Value, error) {
-	name, err := d.readString()
-	if err != nil {
-		return reflect.Value{}, err
-	}
-	t, ok := lookupName(name)
-	if !ok {
-		return reflect.Value{}, &UnknownTypeError{Name: name}
-	}
-	n, err := d.readUvarint()
-	if err != nil {
-		return reflect.Value{}, err
-	}
-	if err := d.checkCount(n, 2); err != nil {
-		return reflect.Value{}, err
-	}
-	names := make([]string, n)
-	for i := range names {
-		names[i], err = d.readString()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-	}
-	ptr := reflect.New(t)
-	for _, fname := range names {
-		v, err := d.decode()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if err := setStructField(ptr.Elem(), fname, v); err != nil {
-			return reflect.Value{}, err
-		}
-	}
-	return ptr, nil
-}
-
-// decodeStructFields reads the BinFmt-dialect struct body reflectively (the
-// wire name has already been consumed), returning a pointer to a fresh
-// struct.
+// decodeStructFields reads a struct body reflectively (the wire name has
+// already been consumed), returning a pointer to a fresh struct.
 func (d *binDecoder) decodeStructFields(name string) (reflect.Value, error) {
-	t, ok := lookupName(name)
+	t, ok := RegisteredType(name)
 	if !ok {
 		return reflect.Value{}, &UnknownTypeError{Name: name}
 	}
@@ -989,8 +876,4 @@ func setStructField(st reflect.Value, name string, v any) error {
 	}
 	f.Set(av)
 	return nil
-}
-
-func sortStrings(s []string) {
-	sort.Strings(s)
 }

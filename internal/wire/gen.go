@@ -169,7 +169,7 @@ func HasGeneratedCodec(name string) bool { return generatedName(name) != nil }
 // Release.
 const retainCap = 64 << 10
 
-// Encoder is the streaming encode surface for the binfmt dialect. It is
+// Encoder is the streaming encode surface of the format. It is
 // handed to generated MarshalWire methods and is also the pooled fast path
 // the remoting channel encodes request/response envelopes through. Errors
 // are sticky: the scalar writers cannot fail, Value records the first
@@ -181,11 +181,11 @@ type Encoder struct {
 
 var encPool = sync.Pool{New: func() any { return new(Encoder) }}
 
-// NewEncoder returns a pooled encoder configured for the binfmt dialect
-// with the generated-codec fast path enabled. Call Release to return it.
+// NewEncoder returns a pooled encoder with the generated-codec fast path
+// enabled. Call Release to return it.
 func NewEncoder() *Encoder {
 	e := encPool.Get().(*Encoder)
-	e.e.opts = binOpts{internStrings: true, generated: true}
+	e.e.opts = binOpts{generated: true}
 	e.e.pub = e
 	return e
 }
@@ -209,8 +209,8 @@ func (e *Encoder) Release() {
 }
 
 // SetGenerated toggles the generated-codec fast path (on by default); the
-// codec benchmark turns it off to measure the reflective encoder over the
-// same pooled buffers.
+// tests turn it off to hold the generated codecs to the reflective path,
+// which stays as their reference.
 func (e *Encoder) SetGenerated(on bool) { e.e.opts.generated = on }
 
 // SetGenerated toggles the generated-codec fast path (on by default).
@@ -389,7 +389,6 @@ func (e *Encoder) Float64Slice(v []float64) { e.e.writeFloat64Slice(v) }
 // StringSlice writes a fast-path []string.
 func (e *Encoder) StringSlice(v []string) {
 	e.e.writeByte(tStringSlice)
-	e.e.maybeArrayClass("[Ljava.lang.String;")
 	e.e.writeUvarint(uint64(len(v)))
 	for _, s := range v {
 		e.e.writeString(s)
@@ -399,7 +398,6 @@ func (e *Encoder) StringSlice(v []string) {
 // BoolSlice writes a fast-path []bool.
 func (e *Encoder) BoolSlice(v []bool) {
 	e.e.writeByte(tBoolSlice)
-	e.e.maybeArrayClass("[Z")
 	e.e.writeUvarint(uint64(len(v)))
 	for _, b := range v {
 		if b {
@@ -450,7 +448,7 @@ func (e *Encoder) Value(v any) {
 
 // ---------------------------------------------------------------- Decoder
 
-// Decoder is the streaming decode surface for the binfmt dialect, handed to
+// Decoder is the streaming decode surface of the format, handed to
 // generated UnmarshalWire methods. Errors are sticky: the typed readers
 // return zero values once an error is recorded, and Err reports the first
 // failure at the end.
@@ -461,14 +459,14 @@ type Decoder struct {
 
 var decPool = sync.Pool{New: func() any { return new(Decoder) }}
 
-// NewDecoder returns a pooled decoder over data, configured for the binfmt
-// dialect with the generated-codec fast path enabled. data is not copied;
-// it must stay untouched until Release.
+// NewDecoder returns a pooled decoder over data with the generated-codec
+// fast path enabled. data is not copied; it must stay untouched until
+// Release.
 func NewDecoder(data []byte) *Decoder {
 	d := decPool.Get().(*Decoder)
 	d.d.data = data
 	d.d.pos = 0
-	d.d.opts = binOpts{internStrings: true, generated: true}
+	d.d.opts = binOpts{generated: true}
 	d.d.pub = d
 	return d
 }

@@ -14,7 +14,7 @@ import (
 // generated and reflective encoders must still produce identical bytes.
 func TestGeneratedInternBackrefs(t *testing.T) {
 	gen := BinFmt{}
-	refl := BinFmt{DisableGenerated: true}
+	refl := reflective{}
 	msg := []any{
 		&fuzzMsg{S: "first", I: 1},
 		&fuzzMsg{S: "second", I: 2},
@@ -58,7 +58,7 @@ func TestGeneratedInternBackrefs(t *testing.T) {
 // for the inner value, byte-compatibly.
 func TestGeneratedInsideReflective(t *testing.T) {
 	gen := BinFmt{}
-	refl := BinFmt{DisableGenerated: true}
+	refl := reflective{}
 	msg := map[string]any{
 		"inner": &fuzzMsg{S: "nested", Vs: []any{int(1)}},
 		"plain": int(7),
@@ -87,7 +87,7 @@ func TestGeneratedInsideReflective(t *testing.T) {
 // exactly like the reflective path.
 func TestGeneratedNilPointer(t *testing.T) {
 	gen := BinFmt{}
-	refl := BinFmt{DisableGenerated: true}
+	refl := reflective{}
 	var p *fuzzMsg
 	gb, err := gen.Marshal(p)
 	if err != nil {
@@ -190,10 +190,10 @@ func TestUnknownFieldSkipped(t *testing.T) {
 	data := append([]byte(nil), e.Bytes()...)
 	e.Release()
 
-	for _, codec := range []Codec{BinFmt{}, BinFmt{DisableGenerated: true}} {
-		v, err := codec.Unmarshal(data)
+	for _, c := range []codec{BinFmt{}, reflective{}} {
+		v, err := c.Unmarshal(data)
 		if err != nil {
-			t.Fatalf("%v: %v", codec, err)
+			t.Fatalf("%s: %v", c.Name(), err)
 		}
 		msg, ok := v.(*fuzzMsg)
 		if !ok {
@@ -205,7 +205,7 @@ func TestUnknownFieldSkipped(t *testing.T) {
 	}
 }
 
-func mustUnmarshal(t *testing.T, c Codec, data []byte) any {
+func mustUnmarshal(t *testing.T, c codec, data []byte) any {
 	t.Helper()
 	v, err := c.Unmarshal(data)
 	if err != nil {

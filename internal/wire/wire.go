@@ -1,22 +1,21 @@
-// Package wire implements the serialisation substrate shared by the three
-// RPC stacks in this repository (the C#-remoting analogue, the Java-RMI
-// analogue and the MPI analogue).
+// Package wire is the runtime's serialisation substrate: one compact,
+// tagged binary format (BinFmt, the analogue of the .NET BinaryFormatter the
+// paper's remoting TCP channel uses), spoken by every remoting connection.
 //
-// The paper contrasts three wire formats:
+// A value is a tag byte followed by its body. The value model is nil,
+// booleans, fixed-width signed and unsigned integers, floats, strings, byte
+// slices, fast-path numeric and string slices, heterogeneous slices ([]any),
+// string-keyed maps and registered struct types (by value or pointer). A
+// struct carries its registered name and its field names, interned per
+// message: the first occurrence spells a name out, later ones refer back to
+// it. A struct type must be registered with Register or RegisterName before
+// it can cross the wire; one that registered a parcgen-generated codec
+// (RegisterGeneratedCodec) is encoded and decoded without reflection, byte
+// for byte as the reflective path would.
 //
-//   - the .NET BinaryFormatter used by the remoting TCP channel — a compact
-//     tagged binary format (here: Codec "binfmt"),
-//   - Java object serialisation used by RMI — self-describing streams that
-//     carry a full class descriptor per object plus block-data chunking
-//     (here: Codec "javaser"),
-//   - the SOAP encoding used by the remoting HTTP channel — a verbose
-//     textual format (here: Codec "soapfmt").
-//
-// All three codecs share one value model: nil, booleans, fixed-width signed
-// and unsigned integers, floats, strings, byte slices, fast-path numeric and
-// string slices, heterogeneous slices ([]any), string-keyed maps and
-// registered struct types (by value or pointer). A struct type must be
-// registered with Register or RegisterName before it can cross the wire.
+// Encoder and Decoder are the streaming surfaces the generated codecs and the
+// remoting envelopes write and read through; BinFmt wraps them as whole-value
+// Marshal and Unmarshal.
 package wire
 
 import (
@@ -26,25 +25,7 @@ import (
 	"sync"
 )
 
-// Codec converts values to and from a self-contained byte representation.
-// Implementations must round-trip every value of the supported model:
-// Unmarshal(Marshal(v)) yields a value equal to v modulo the canonical
-// decode types documented on Unmarshal.
-type Codec interface {
-	// Name returns the codec's stable identifier ("binfmt", "javaser",
-	// "soapfmt").
-	Name() string
-	// Marshal encodes v.
-	Marshal(v any) ([]byte, error)
-	// Unmarshal decodes a value produced by Marshal. Integers decode to
-	// the width they were encoded with, struct values decode to T and
-	// struct pointers to *T for the registered type T, heterogeneous
-	// slices decode to []any and maps to map[string]any.
-	Unmarshal(data []byte) (any, error)
-}
-
-// Tag bytes shared by the binary codecs. The textual codec uses symbolic
-// names instead.
+// Tag bytes: the first byte of every encoded value, naming its kind.
 const (
 	tNil byte = iota
 	tTrue
@@ -140,8 +121,9 @@ func RegisterName(name string, sample any) {
 	}
 }
 
-// lookupName returns the registered type for name.
-func lookupName(name string) (reflect.Type, bool) {
+// RegisteredType returns the struct type registered under name, the inverse
+// of RegisteredName.
+func RegisteredType(name string) (reflect.Type, bool) {
 	registry.RLock()
 	defer registry.RUnlock()
 	t, ok := registry.byName[name]
