@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/remoting"
 )
 
 // orderLog records the order its methods execute in. Hold parks the
@@ -377,6 +380,106 @@ func TestStartAsyncOnCallerStorage(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("executed %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// tokenObj answers with the idempotency token its call carries, once
+// tokenGate opens, and counts the calls it executed.
+type tokenObj struct{ Calls int }
+
+// tokenGate holds every Stamp until release closes. It is not the object's:
+// a migrated object is rebuilt from its exported state.
+var tokenGate struct{ entered, release chan struct{} }
+
+func (o *tokenObj) Stamp(ctx context.Context) string {
+	tokenGate.entered <- struct{}{}
+	<-tokenGate.release
+	o.Calls++
+	if tok, ok := remoting.TokenFromContext(ctx); ok {
+		return fmt.Sprintf("%d/%d", tok.Client, tok.Seq)
+	}
+	return "none"
+}
+
+// TestRerunKeepsItsToken: an asynchronous call whose first attempt fails
+// recoverably is re-run through the blocking path with the token start
+// stamped before that attempt, so the object executes it once, under that
+// token, and its host records it once (SPEC guarantee 2: the token rides
+// every attempt). The first attempt meets a forwarding tombstone, or the
+// caller's connection dies under it while the object executes it: the re-run
+// then waits behind that execution in the mailbox and is answered from the
+// record it leaves.
+func TestRerunKeepsItsToken(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		host           int    // the node the call executes on
+		gen            uint64 // the generation the proxy routes at after it
+		before, during func(t *testing.T, rts []*Runtime, p *Proxy)
+	}{
+		{"forward", 2, 2, func(t *testing.T, rts []*Runtime, p *Proxy) {
+			// Moved by its host, not through p: p still routes at node 1,
+			// where the first attempt finds the tombstone.
+			close(tokenGate.release)
+			if err := rts[1].Migrate(p.URI(), 2); err != nil {
+				t.Fatal(err)
+			}
+		}, func(*testing.T, []*Runtime, *Proxy) {}},
+		{"node down", 1, 1, func(*testing.T, []*Runtime, *Proxy) {}, func(t *testing.T, rts []*Runtime, p *Proxy) {
+			<-tokenGate.entered
+			rts[0].cfg.Channel.Close()
+			close(tokenGate.release)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Room for every Stamp the test can cause, a duplicate included,
+			// so that no execution blocks the actor on it.
+			tokenGate.entered, tokenGate.release = make(chan struct{}, 4), make(chan struct{})
+			rts := startNodes(t, 3, func(i int, cfg *Config) {
+				cfg.Placement = &forceNode{node: 1}
+				cfg.IdempotentCalls = true
+			})
+			for _, rt := range rts {
+				rt.RegisterClass("tokens", func() any { return &tokenObj{} })
+			}
+			p, err := rts[0].NewParallelObject("tokens")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.IsLocal() {
+				t.Fatal("want a remote object")
+			}
+			tc.before(t, rts, p)
+			var c AsyncCall
+			f := p.StartAsync(context.Background(), &c, "Stamp", nil)
+			tc.during(t, rts, p)
+			got, err := f.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tok, ok := remoting.TokenFromContext(c.try.rec.Context())
+			if !ok {
+				t.Fatal("start stamped no token")
+			}
+			if want := fmt.Sprintf("%d/%d", tok.Client, tok.Seq); got != want {
+				t.Errorf("the call was answered under token %v, want %s, the one stamped before the first attempt", got, want)
+			}
+			if gen := p.currentGen(); gen != tc.gen {
+				t.Errorf("proxy routes at generation %d after the call, want %d", gen, tc.gen)
+			}
+			host := rts[tc.host]
+			host.actorsMu.Lock()
+			a := host.actors[p.URI()]
+			host.actorsMu.Unlock()
+			if a == nil {
+				t.Fatal("the object's host holds no actor for it")
+			}
+			if _, ok := a.w.dedup.Get(tok); !ok || a.w.dedup.Len() != 1 {
+				t.Errorf("host's dedup memory: %d entries, has the stamped token: %v; want exactly that one", a.w.dedup.Len(), ok)
+			}
+			if calls := a.w.obj.(*tokenObj).Calls; calls != 1 {
+				t.Errorf("the object executed the call %d times, want once", calls)
 			}
 		})
 	}

@@ -50,7 +50,7 @@ type Future struct {
 	err       error
 	done      chan struct{} // lazily created; closed on completion
 	first     sub           // the first continuation lives in the future
-	more      []sub         // the slice is for the second
+	more      *[]sub        // the second and later ones, allocated for the second
 	abort     canceller     // see setAbort
 }
 
@@ -92,8 +92,10 @@ func (f *Future) completeAt(v any, err error, depth int) (abort canceller) {
 	if first.isSet() {
 		f.deliver(first, depth)
 	}
-	for _, s := range more {
-		f.deliver(s, depth)
+	if more != nil {
+		for _, s := range *more {
+			f.deliver(s, depth)
+		}
 	}
 	return abort
 }
@@ -167,8 +169,10 @@ func (f *Future) subscribe(s sub) {
 		return
 	case !f.first.isSet():
 		f.first = s
+	case f.more == nil:
+		f.more = &[]sub{s}
 	default:
-		f.more = append(f.more, s)
+		*f.more = append(*f.more, s)
 	}
 	f.mu.Unlock()
 }

@@ -208,7 +208,10 @@ func (rt *Runtime) acceptObject(class, uri string, gen uint64, state []byte) (st
 			return "", fmt.Errorf("core: accept %s: %w", uri, err)
 		}
 	}
-	w := &ioWrapper{rt: rt, class: class, obj: obj, uri: uri}
+	// The dedup memory starts empty here: records do not travel with a
+	// migration, but token-bearing calls from now on are deduplicated.
+	w := &ioWrapper{rt: rt, class: class, obj: obj, uri: uri,
+		dedup: remoting.NewDedupLRU(rt.cfg.DedupPerObject)}
 	w.gen.Store(gen)
 	if cfg, ok := rt.virtualConfig(class); ok && isVirtualURI(uri) {
 		// A migrated virtual object keeps replicating from its new host.

@@ -231,7 +231,7 @@ func movedOf(err error, uri string) (*errs.MovedError, bool) {
 // without executing.
 func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, call remoteCall) (any, error) {
 	if p.rt.cfg.IdempotentCalls {
-		if _, ok := remoting.TokenFromContext(ctx); !ok {
+		if !hasToken(ctx) {
 			// One token per logical call, stamped at the outermost scope:
 			// every wire attempt below — channel-level retries, forward
 			// chasing, the post-failover re-resolve — carries it, so a host
@@ -271,6 +271,12 @@ func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, ca
 		}
 		return nil, err
 	}
+}
+
+// hasToken reports whether ctx carries an idempotency token.
+func hasToken(ctx context.Context) bool {
+	_, ok := remoting.TokenFromContext(ctx)
+	return ok
 }
 
 // currentGen reads the generation the proxy currently routes at.
@@ -420,7 +426,8 @@ func (p *Proxy) StartAsync(ctx context.Context, c *AsyncCall, method string, arg
 		ctx = context.Background()
 	}
 	c.fut.exec = p.rt.contExec()
-	c.try.p, c.try.ctx, c.try.call, c.try.f = p, ctx, invoke1(method, args), &c.fut
+	c.try.p, c.try.f = p, &c.fut
+	c.try.rec.SetCall(ctx, "Invoke1", method, args)
 	switch mode, act := p.state(); mode {
 	case modeAgglomerated:
 		c.fut.complete(p.invokeInCaller(ctx, method, args))
@@ -450,17 +457,18 @@ type AsyncCall struct {
 // with the value as it always has.
 func (c *AsyncCall) SetSink(s remoting.ResultSink) { c.try.rec.SetSink(s) }
 
-// attempt is one completion-driven try at call against the proxy's current
+// attempt is one completion-driven try at a call against the proxy's current
 // endpoint: the remoting.Completer the connection reports it to and, behind
-// earlier calls, the remoting.LaneCall the lane holds. f is the caller's
-// future, nil for a post, whose failure goes to AsyncErr; stop detaches f's
-// cancelHook, which a call has while it waits in a queue; lane is the call's
-// place on the lane, none for a call that went straight to its connection;
-// rec is the connection's for the one submission start makes.
+// earlier calls, the remoting.LaneCall the lane holds. rec is the connection's
+// for the one submission start makes, and the call's one record of what it
+// is: its context and the runtime call, user's method and arguments, named
+// when the call begins (SetCall) and read back by every way it can go (a
+// mailbox, the connection, a re-run). f is the caller's future, nil for a
+// post, whose failure goes to AsyncErr; stop detaches f's cancelHook, which a
+// call has while it waits in a queue; lane is the call's place on the lane,
+// none for a call that went straight to its connection.
 type attempt struct {
 	p    *Proxy
-	ctx  context.Context
-	call remoteCall
 	f    *Future
 	stop func() bool
 	lane remoting.Turn
@@ -490,8 +498,9 @@ func (e *mailboxEntry) Complete(v any, err error) {
 // Future is resolved when its turn comes is skipped.
 func (c *AsyncCall) submitLocal(act *actor) {
 	a, f := &c.try, &c.fut
-	a.stop = cancelHook(a.ctx, f)
-	err := act.enqueue(actorTask{ctx: a.ctx, method: a.call.method, args: a.call.args, fut: f, to: (*mailboxEntry)(c)})
+	ctx, _, method, args := a.rec.Call()
+	a.stop = cancelHook(ctx, f)
+	err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, fut: f, to: (*mailboxEntry)(c)})
 	if err == nil {
 		return
 	}
@@ -517,7 +526,7 @@ func (c *AsyncCall) submitRemote() {
 	a := &c.try
 	a.p.FlushAggregation()
 	if seq := a.p.sequencer(); !seq.Idle() {
-		a.stop = cancelHook(a.ctx, &c.fut)
+		a.stop = cancelHook(a.rec.Context(), &c.fut)
 		seq.Call(&a.lane, a)
 		return
 	}
@@ -555,15 +564,16 @@ func (a *attempt) StartTurn() {
 // start submits the attempt: remoteCall.on without the wait. It never blocks
 // on the call, the outcome is reported (finish) exactly once and never on
 // the caller's stack, and from here a Cancel of f abandons the exchange. A
-// submission the connection declines goes to rerun.
+// submission the connection declines goes to rerun. The idempotency token is
+// stamped into the record's context before the first submission, so every
+// re-run sends it again.
 func (a *attempt) start() {
 	if a.p.rt.cfg.IdempotentCalls {
-		if _, ok := remoting.TokenFromContext(a.ctx); !ok {
-			a.ctx = remoting.ContextWithToken(a.ctx, a.p.rt.cfg.Channel.NewCallToken())
+		if ctx, call, method, args := a.rec.Call(); !hasToken(ctx) {
+			a.rec.SetCall(remoting.ContextWithToken(ctx, a.p.rt.cfg.Channel.NewCallToken()), call, method, args)
 		}
 	}
-	c := &a.call
-	if err := a.p.endpoint().InvokeNestedAsyncCb(a.ctx, &a.rec, c.call, c.method, c.args, a); err != nil {
+	if err := a.p.endpoint().StartCall(&a.rec, a); err != nil {
 		a.rerun()
 	} else if a.f != nil {
 		a.f.setAbort(&a.rec)
@@ -573,7 +583,7 @@ func (a *attempt) start() {
 // Complete is the one re-run rule of an asynchronous call: an outcome the
 // synchronous path would transparently retry goes to rerun.
 func (a *attempt) Complete(v any, err error) {
-	if err != nil && a.ctx.Err() == nil && a.p.asyncRecoverable(err) {
+	if err != nil && a.rec.Context().Err() == nil && a.p.asyncRecoverable(err) {
 		a.rerun()
 		return
 	}
@@ -600,7 +610,10 @@ func (a *attempt) finish(v any, err error) {
 // for as long as that loop takes; a lane entry re-run here still holds its
 // turn, so the entries behind it keep their order.
 func (a *attempt) rerun() {
-	go func() { a.finish(a.p.invokeVia(a.ctx, a.p.endpoint, a.call)) }()
+	go func() {
+		ctx, call, method, args := a.rec.Call()
+		a.finish(a.p.invokeVia(ctx, a.p.endpoint, remoteCall{call: call, method: method, args: args}))
+	}()
 }
 
 // asyncRecoverable reports whether an async completion error is one the
@@ -677,15 +690,16 @@ func (p *Proxy) postRemote(method string, args []any) error {
 		p.aggregate(method, args)
 		return nil
 	}
-	p.post(invoke1(method, args))
+	p.post("Invoke1", method, args)
 	return nil
 }
 
-// post queues call on the lane as an attempt with no future, which is all a
-// post allocates: the lane holds the attempt, and the call is sent in the
-// runtime-call shape, so no list is built around its arguments.
-func (p *Proxy) post(call remoteCall) {
-	a := &attempt{p: p, ctx: context.Background(), call: call}
+// post queues call(method, args) on the lane as an attempt with no future,
+// which is all a post allocates: the lane holds the attempt, and the call is
+// sent in the runtime-call shape, so no list is built around its arguments.
+func (p *Proxy) post(call, method string, args []any) {
+	a := &attempt{p: p}
+	a.rec.SetCall(context.Background(), call, method, args)
 	p.sequencer().Call(&a.lane, a)
 }
 
@@ -730,7 +744,7 @@ func (p *Proxy) flushLocked() {
 	p.aggMethod = ""
 	p.aggCalls = nil
 	p.rt.stats.batchesSent.Add(1)
-	p.post(remoteCall{call: "InvokeBatch", method: method, args: calls})
+	p.post("InvokeBatch", method, calls)
 }
 
 // Wait blocks until every asynchronous call posted on this proxy has

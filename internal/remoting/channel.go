@@ -182,12 +182,12 @@ func countFrame() *frameCounts {
 
 // roundTrip performs c's request/response exchange against netaddr behind
 // the peer's circuit breaker (when the retry policy arms one): muxRoundTrip
-// does the exchange, leaving the reply in c.resp, and its outcome is the
+// does the exchange, leaving the reply in c.wait.resp, and its outcome is the
 // breaker's evidence. When ctx ends first the call is abandoned (the lane
 // stays up for its other callers) and reports ctx.Err().
 func (ch *Channel) roundTrip(ctx context.Context, netaddr string, c *CallRecord) error {
 	if err := ctx.Err(); err != nil {
-		return c.req.callErr(err)
+		return c.callErr(err)
 	}
 	bs := ch.breakers()
 	if bs == nil || breakerBypassed(ctx) {
@@ -198,7 +198,7 @@ func (ch *Channel) roundTrip(ctx context.Context, netaddr string, c *CallRecord)
 	}
 	trial, berr := bs.allow(netaddr)
 	if berr != nil {
-		return c.req.callErr(berr)
+		return c.callErr(berr)
 	}
 	err := ch.muxRoundTrip(ctx, netaddr, c)
 	bs.settle(ctx, netaddr, trial, err)

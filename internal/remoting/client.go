@@ -12,8 +12,8 @@ import (
 
 // ObjRef is the client-side transparent proxy for a remote object — the
 // value Activator.GetObject returns in the paper's Fig. 2. Method calls go
-// through Invoke (synchronous) or InvokeAsyncCb (asynchronous: the outcome
-// goes to a Completer on the completion path).
+// through Invoke (synchronous) or StartCall (asynchronous: the outcome goes
+// to a Completer on the completion path).
 type ObjRef struct {
 	ch      *Channel
 	netaddr string
@@ -83,18 +83,18 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, method string, args []any) (any, error) {
 	c := getCallRecord()
 	c.req.Call, c.req.Method, c.req.Args = call, method, args
-	c.sink = sink
+	c.ref, c.sink = r, sink
 	return r.invoke(ctx, c)
 }
 
-// address completes the envelope of a call to r under ctx (nil means
-// background): target, a fresh sequence number, and the deadline and
-// idempotency token ctx carries.
-func (r *ObjRef) address(ctx context.Context, req *callRequest) context.Context {
+// address completes the request of a call to r under ctx (nil means
+// background): a fresh sequence number, and the deadline and idempotency
+// token ctx carries. It returns ctx as it is, a nil one as background.
+func (r *ObjRef) address(ctx context.Context, req *request) context.Context {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	req.URI, req.Seq = r.uri, r.ch.nextSeq()
+	req.Seq = r.ch.nextSeq()
 	if dl, ok := ctx.Deadline(); ok {
 		req.Deadline = dl.UnixNano()
 	}
@@ -119,7 +119,7 @@ func (r *ObjRef) invoke(ctx context.Context, c *CallRecord) (any, error) {
 		if err == nil {
 			return result, nil
 		}
-		if !Retryable(err) || attempt >= p.MaxAttempts-1 || c.lost {
+		if !Retryable(err) || attempt >= p.MaxAttempts-1 || c.has(recLost) {
 			return nil, err
 		}
 		delay := p.retryDelay(err, attempt)
@@ -143,17 +143,17 @@ func (r *ObjRef) invokeOnce(ctx context.Context, c *CallRecord) (any, error) {
 	if err := r.ch.roundTrip(ctx, r.netaddr, c); err != nil {
 		return nil, err
 	}
-	return r.normalize(&c.req, c.resp)
+	return r.normalize(c.req.name(), &c.wait.resp)
 }
 
-// normalize maps a reply envelope onto (result, error), rebuilding the
-// sentinel chain (*RemoteError with Moved / RetryAfter) from the wire
-// fields. Shared by the synchronous and completion-driven paths.
-func (r *ObjRef) normalize(req *callRequest, resp *callResponse) (any, error) {
+// normalize maps a reply envelope to a call of method onto (result, error),
+// rebuilding the sentinel chain (*RemoteError with Moved / RetryAfter) from
+// the wire fields. Shared by the synchronous and completion-driven paths.
+func (r *ObjRef) normalize(method string, resp *callResponse) (any, error) {
 	if !resp.IsErr {
 		return resp.Result, nil
 	}
-	re := &RemoteError{URI: r.uri, Method: req.name(), Msg: resp.ErrMsg, Code: resp.ErrCode}
+	re := &RemoteError{URI: r.uri, Method: method, Msg: resp.ErrMsg, Code: resp.ErrCode}
 	if resp.ErrCode == errs.CodeMoved {
 		movedURI := resp.FwdURI
 		if movedURI == "" {
@@ -169,25 +169,27 @@ func (r *ObjRef) normalize(req *callRequest, resp *callResponse) (any, error) {
 
 // InvokeAsyncCb starts one completion-driven invocation attempt on c, a
 // zero CallRecord the caller supplies (usually a field of its own record of
-// the call) and leaves alone until the outcome is in: the request is encoded
-// and enqueued on its lane and the method returns immediately; to receives
-// the normalized outcome exactly once, on the completion path (the lane's
-// reader goroutine for replies), and c.Cancel abandons the call. An error
-// return means the call was not submitted and to will never hear of it.
-// Unlike InvokeCtx there is no retry loop here: a single attempt, whose
-// failure the caller decides how to recover (the SCOOPP proxy re-runs
-// transient failures through the full synchronous re-routing machinery,
-// which draws its own records). A record serves one submission.
+// the call) and leaves alone until the outcome is in: SetCall(ctx, method,
+// "", args), then StartCall(c, to).
 func (r *ObjRef) InvokeAsyncCb(ctx context.Context, c *CallRecord, method string, args []any, to Completer) error {
-	return r.InvokeNestedAsyncCb(ctx, c, method, "", args, to)
+	c.SetCall(ctx, method, "", args)
+	return r.StartCall(c, to)
 }
 
-// InvokeNestedAsyncCb is to InvokeAsyncCb what InvokeNestedCtx is to
-// InvokeCtx.
-func (r *ObjRef) InvokeNestedAsyncCb(ctx context.Context, c *CallRecord, call, method string, args []any, to Completer) error {
+// StartCall submits the completion-driven call c, which SetCall named: the
+// request is encoded and enqueued on its lane and the method returns
+// immediately; to receives the normalized outcome exactly once, on the
+// completion path (the lane's reader goroutine for replies), and c.Cancel
+// abandons the call. An error return means the call was not submitted and to
+// will never hear of it. Unlike InvokeCtx there is no retry loop here: a
+// single attempt, whose failure the caller decides how to recover (the
+// SCOOPP proxy re-runs transient failures through the full synchronous
+// re-routing machinery, which draws its own records, from what Call reads
+// back). A record serves one submission.
+func (r *ObjRef) StartCall(c *CallRecord, to Completer) error {
 	countRecord(recordDrawn)
-	c.req.Call, c.req.Method, c.req.Args = call, method, args
-	c.ref, c.to, c.ctx = r, to, r.address(ctx, &c.req)
+	c.ref, c.to = r, to
+	c.ctx = r.address(c.ctx, &c.req)
 	err := r.ch.roundTripAsync(r.netaddr, c)
 	if err != nil {
 		countRecord(recordReturned)

@@ -188,3 +188,64 @@ func BenchmarkDedupIncrementalExport(b *testing.B) {
 	}
 	_ = fmt.Sprint(base)
 }
+
+// FuzzDedupStamps drives a primary LRU with a byte stream of Puts and Gets
+// and mirrors it, after every operation, into a replica through the
+// incremental export a synchronous ship carries (ExportSince the stamp the
+// replica acknowledged, Import, advance). The first byte picks the cap
+// (1-4); each later byte is one operation: bit 0 Get (1) or Put (0), bits
+// 1-3 the token's Seq and bit 4 its Client, 16 tokens in all, so Gets hit and
+// Puts evict. After every operation the replica holds the primary's tokens in
+// the primary's order with the primary's replies, every export's stamps rise
+// strictly, and neither LRU holds more than its cap.
+func FuzzDedupStamps(f *testing.F) {
+	f.Add([]byte{1, 0x00, 0x02, 0x01, 0x04})       // cap 2: put A, put B, get A, put C evicts B
+	f.Add([]byte{0, 0x00, 0x00, 0x01, 0x02, 0x03}) // cap 1: a repeated put, a hit, a miss
+	f.Add([]byte{3, 0x00, 0x02, 0x04, 0x06, 0x01, 0x03, 0x08, 0x0a, 0x05, 0x1e, 0x1f})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		limit := 1 + int(ops[0]%4)
+		primary, replica := NewDedupLRU(limit), NewDedupLRU(limit)
+		var ack uint64
+		rising := func(what string, recs []DedupRecord) {
+			for i := 1; i < len(recs); i++ {
+				if recs[i].Stamp <= recs[i-1].Stamp {
+					t.Fatalf("%s: stamp %d after %d", what, recs[i].Stamp, recs[i-1].Stamp)
+				}
+			}
+		}
+		for i, b := range ops[1:] {
+			tk := CallToken{Client: 1 + uint64(b>>4&1), Seq: 1 + uint64(b>>1&7)}
+			if b&1 == 1 {
+				primary.Get(tk)
+			} else {
+				primary.Put(tk, rep(i))
+			}
+			delta, upTo := primary.ExportSince(ack)
+			rising("delta", delta)
+			replica.Import(delta)
+			ack = upTo
+
+			want, got := primary.Export(), replica.Export()
+			rising("primary", want)
+			rising("replica", got)
+			if len(got) != len(want) {
+				t.Fatalf("op %d: replica holds %d records, primary %d", i, len(got), len(want))
+			}
+			for j := range want {
+				if got[j].Client != want[j].Client || got[j].Seq != want[j].Seq || got[j].Result != want[j].Result {
+					t.Fatalf("op %d: record %d is %d/%d=%v on the replica, %d/%d=%v on the primary",
+						i, j, got[j].Client, got[j].Seq, got[j].Result, want[j].Client, want[j].Seq, want[j].Result)
+				}
+			}
+			if n := primary.Len(); n > limit {
+				t.Fatalf("op %d: primary holds %d, cap %d", i, n, limit)
+			}
+			if n := replica.Len(); n > limit {
+				t.Fatalf("op %d: replica holds %d, cap %d", i, n, limit)
+			}
+		}
+	})
+}

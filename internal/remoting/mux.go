@@ -48,48 +48,86 @@ type inflightShard struct {
 	closed bool
 }
 
-// CallRecord is the client's record of one exchange: the request and how
-// the outcome reaches the caller. The lane's reader takes the record out of
-// the in-flight table first and decodes the reply into it second, so a reply
-// is decoded once, where it is going. A blocking caller draws one from
-// callPool and parks on rc (capacity 1, never blocks the deliverer); its
-// reply lands in *resp. A completion-driven call brings its own, zero, as
-// part of whatever the caller allocates for the call (InvokeAsyncCb): rc and
-// resp stay nil, the second group is set, and the reader completes it inline
-// through to, handing over the result as it decoded it, so a future costs
-// neither a goroutine while it waits nor an allocation of the connection's.
-// The connection holds the record from submission until to has been told.
-// Either kind may carry the caller's typed slot (sink), which is offered the
-// result before it is decoded as a value.
+// CallRecord is the client's record of one exchange: the request, the ObjRef
+// it goes to (which names the URI) and how the outcome reaches the caller.
+// The lane's reader takes the record out of the in-flight table first and
+// decodes the reply into it second, so a reply is decoded once, where it is
+// going. A blocking caller draws one from callPool, whose wait is set: it
+// parks on wait.rc and its reply lands in wait.resp. A completion-driven
+// call brings its own, zero, as part of whatever the caller allocates for the
+// call (SetCall, StartCall): wait stays nil, the second group is set, and the
+// reader completes it inline through to, handing over the result as it
+// decoded it, so a future costs neither a goroutine while it waits nor an
+// allocation of the connection's. The connection holds the record from
+// submission until to has been told. Either kind may carry the caller's typed
+// slot (sink), which is offered the result before it is decoded as a value.
 type CallRecord struct {
-	req  callRequest
-	rc   chan error
-	resp *callResponse
-	// lost: abandoned on ctx while the reader or fail held the record. One
-	// of them still writes *resp and sends on rc, so it never goes back to
-	// the pool.
-	lost bool
+	req  request
+	ref  *ObjRef
 	sink ResultSink
+	wait *blockingWait // nil: a completion-driven call
 
-	// Completion-driven calls only. The call holds an in-flight slot from
-	// admission until whoever delivers its outcome releases it; stop
-	// detaches the context.AfterFunc hook once the outcome is decided;
-	// cancelled is set by Cancel, for a call not admitted yet; bs and trial
-	// carry the peer breaker's verdict to the completion.
-	ref       *ObjRef
-	mc        *muxConn
-	ctx       context.Context
-	to        Completer
-	of        outFrame
-	stop      func() bool
-	cancelled atomic.Bool
-	bs        *breakerSet
-	trial     bool
+	// Completion-driven calls only. ctx bounds the call, as SetCall named it.
+	// The call holds an in-flight slot from admission until whoever delivers
+	// its outcome releases it; stop detaches the context.AfterFunc hook once
+	// the outcome is decided; bs carries the peer breaker to the completion.
+	mc   *muxConn
+	ctx  context.Context
+	to   Completer
+	of   outFrame
+	stop func() bool
+	bs   *breakerSet
+
+	// flags holds recCancelled, recTrial and recLost.
+	flags atomic.Uint32
+}
+
+const (
+	// recCancelled: Cancel ran, for a completion-driven call not admitted
+	// yet.
+	recCancelled = 1 << iota
+	// recTrial: the peer breaker admitted the completion-driven call as its
+	// half-open trial.
+	recTrial
+	// recLost: a blocking call abandoned on ctx while the reader or fail held
+	// the record. One of them still writes wait.resp and sends on wait.rc,
+	// so the record never goes back to the pool.
+	recLost
+)
+
+func (c *CallRecord) has(flag uint32) bool { return c.flags.Load()&flag != 0 }
+func (c *CallRecord) set(flag uint32)      { c.flags.Or(flag) }
+
+// blockingWait is what a blocking call's record adds, allocated with it by
+// callPool: the channel its caller parks on (capacity 1, never blocks the
+// deliverer) and the reply envelope the reader decodes into.
+type blockingWait struct {
+	rc   chan error
+	resp callResponse
 }
 
 // SetSink gives a completion-driven call a typed slot for its result, before
 // the record is submitted; see ResultSink.
 func (c *CallRecord) SetSink(s ResultSink) { c.sink = s }
+
+// SetCall names the completion-driven call the record is for, before it is
+// submitted (StartCall): ctx bounds it, nil meaning background, and call,
+// method and args are what InvokeNestedCtx takes. The record keeps them, and
+// Call reads them back, after the call as before it.
+func (c *CallRecord) SetCall(ctx context.Context, call, method string, args []any) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	c.ctx, c.req.Call, c.req.Method, c.req.Args = ctx, call, method, args
+}
+
+// Call returns what SetCall named.
+func (c *CallRecord) Call() (ctx context.Context, call, method string, args []any) {
+	return c.ctx, c.req.Call, c.req.Method, c.req.Args
+}
+
+// Context returns the ctx SetCall named.
+func (c *CallRecord) Context() context.Context { return c.ctx }
 
 // Completer is the caller's end of a completion-driven call: Complete
 // receives the normalized outcome exactly once, on the completion path (the
@@ -110,9 +148,9 @@ func (f CompletionFunc) Complete(v any, err error) { f(v, err) }
 var callPool = sync.Pool{New: func() any {
 	b := &struct {
 		CallRecord
-		reply callResponse
+		w blockingWait
 	}{}
-	b.rc, b.resp = make(chan error, 1), &b.reply
+	b.w.rc, b.wait = make(chan error, 1), &b.w
 	return &b.CallRecord
 }}
 
@@ -143,25 +181,26 @@ func getCallRecord() *CallRecord {
 // putCallRecord settles a blocking call's record: back to the pool emptied,
 // so it pins neither arguments, result nor sink, or left to the GC when lost.
 func putCallRecord(c *CallRecord) {
-	if c.lost {
+	if c.has(recLost) {
 		countRecord(recordDropped)
 		return
 	}
 	countRecord(recordReturned)
-	*c.resp = callResponse{}
-	*c = CallRecord{rc: c.rc, resp: c.resp}
+	w := c.wait
+	w.resp = callResponse{}
+	*c = CallRecord{wait: w}
 	callPool.Put(c)
 }
 
 // deliver hands the exchange its outcome: err when no reply came, nil when
-// one did, which a blocking caller finds in *resp and a completion-driven one
-// is handed as the reader decoded it (result, or replyErr, the *RemoteError an
-// error reply stands for). A completion-driven call detaches its hook and
-// returns its slot first, waking queued async work, so a slow continuation
-// cannot idle the pipe.
+// one did, which a blocking caller finds in wait.resp and a completion-driven
+// one is handed as the reader decoded it (result, or replyErr, the
+// *RemoteError an error reply stands for). A completion-driven call detaches
+// its hook and returns its slot first, waking queued async work, so a slow
+// continuation cannot idle the pipe.
 func (c *CallRecord) deliver(result any, replyErr, err error) {
-	if c.rc != nil {
-		c.rc <- err
+	if c.wait != nil {
+		c.wait.rc <- err
 		return
 	}
 	if c.stop != nil {
@@ -178,10 +217,10 @@ func (c *CallRecord) deliver(result any, replyErr, err error) {
 // hears: nothing here touches it afterwards.
 func (c *CallRecord) complete(result any, replyErr, err error) {
 	if err != nil {
-		err = c.req.callErr(err)
+		err = c.callErr(err)
 	}
 	if c.bs != nil {
-		c.bs.settle(c.ctx, c.mc.netaddr, c.trial, err)
+		c.bs.settle(c.ctx, c.mc.netaddr, c.has(recTrial), err)
 	}
 	if err == nil {
 		err = replyErr
@@ -194,8 +233,8 @@ func (c *CallRecord) complete(result any, replyErr, err error) {
 // reader whose decode of its reply failed. No slot bookkeeping post-mortem:
 // done is closed, so nothing waits on slots anymore.
 func (c *CallRecord) abort(err error) {
-	if c.rc != nil {
-		c.rc <- err
+	if c.wait != nil {
+		c.wait.rc <- err
 		return
 	}
 	if c.stop != nil {
@@ -211,16 +250,17 @@ func (c *CallRecord) abort(err error) {
 // reply into the *RemoteError it completes with.
 func (c *CallRecord) readReply(d *wire.Decoder, seq uint64, flags byte) (result any, replyErr, err error) {
 	switch {
-	case c.resp != nil:
-		*c.resp = callResponse{Seq: seq}
-		c.resp.Result, err = decodeReplyBody(d, flags, c.resp, c.sink)
+	case c.wait != nil:
+		resp := &c.wait.resp
+		*resp = callResponse{Seq: seq}
+		resp.Result, err = decodeReplyBody(d, flags, resp, c.sink)
 	case flags&flagReplyErr == 0:
 		result, err = decodeReplyBody(d, flags, nil, c.sink)
 	default:
 		// No envelope of its own: an error reply is worth one on the stack.
 		var resp callResponse
 		if _, err = decodeReplyBody(d, flags, &resp, nil); err == nil {
-			_, replyErr = c.ref.normalize(&c.req, &resp)
+			_, replyErr = c.ref.normalize(c.req.name(), &resp)
 		}
 	}
 	return result, replyErr, err
@@ -231,7 +271,7 @@ func (c *CallRecord) readReply(d *wire.Decoder, seq uint64, flags byte) (result 
 // the slot is released, the lane stays up and the reader drops the late
 // reply. A call not admitted yet is refused when pump reaches it.
 func (c *CallRecord) Cancel() {
-	c.cancelled.Store(true)
+	c.set(recCancelled)
 	if c.mc.take(c.req.Seq) != nil {
 		c.deliver(nil, nil, c.cancelErr())
 	}
@@ -240,10 +280,16 @@ func (c *CallRecord) Cancel() {
 // cancelErr is why the call stopped being wanted, nil while it is: its
 // context's error, or context.Canceled once Cancel ran.
 func (c *CallRecord) cancelErr() error {
-	if err := c.ctx.Err(); err != nil || !c.cancelled.Load() {
+	if err := c.ctx.Err(); err != nil || !c.has(recCancelled) {
 		return err
 	}
 	return context.Canceled
+}
+
+// callErr annotates a connection- or context-level failure with the call it
+// aborted.
+func (c *CallRecord) callErr(err error) error {
+	return fmt.Errorf("remoting: call %s.%s: %w", c.ref.uri, c.req.name(), err)
 }
 
 // refuse fails a call pump admitted but could not start, on a fresh
@@ -390,29 +436,30 @@ func (mc *muxConn) bindFor(req *callRequest) *clientBind {
 	return cb
 }
 
-// encodeRequest produces the frame for req on this lane: the bare call once
-// a frame declaring the triple's handle has been queued (enqueueFrame), the
-// declaring call until then. Ownership of the frame's pooled encoder
-// follows encodeBoundCall.
-func (mc *muxConn) encodeRequest(req *callRequest) (outFrame, error) {
-	cb := mc.bindFor(req)
+// encodeRequest produces the frame for c's request on this lane: the bare
+// call once a frame declaring the triple's handle has been queued
+// (enqueueFrame), the declaring call until then. Ownership of the frame's
+// pooled encoder follows encodeBoundCall.
+func (mc *muxConn) encodeRequest(c *CallRecord) (outFrame, error) {
+	req := c.req.envelope(c.ref.uri)
+	cb := mc.bindFor(&req)
 	declare := !cb.confirmed.Load()
-	raw, enc, err := encodeBoundCall(cb.handle, declare, req)
-	of := outFrame{raw: raw, enc: enc}
+	_, enc, err := encodeBoundCall(cb.handle, declare, &req)
+	of := outFrame{enc: enc}
 	if declare && cb.handle != 0 {
 		of.declares = cb
 	}
 	return of, err
 }
 
-// outFrame is one queued request frame. enc, when non-nil, is the pooled
-// encoder whose buffer raw aliases: whoever consumes the frame (normally
-// the writer goroutine, after the bytes hit the wire) releases it. Frames
-// stranded in sendq when a lane fails are simply collected by the GC — a
-// pool miss, not a leak. declares is the handle the frame declares, nil
-// for a bare frame and for handle 0.
+// outFrame is one queued frame, a request on a lane or a reply on a server
+// connection. Its bytes are enc's, a pooled encoder: whoever consumes the
+// frame (normally the writer, after the bytes hit the wire) releases it; nil
+// for a frame that failed to encode. Frames stranded in sendq when a lane
+// fails are simply collected by the GC — a pool miss, not a leak. declares
+// is the handle the frame declares, nil for a bare frame, for handle 0 and
+// for a reply.
 type outFrame struct {
-	raw      []byte
 	enc      *wire.Encoder
 	declares *clientBind
 }
@@ -626,9 +673,9 @@ func (mc *muxConn) enqueueFrame(of outFrame) {
 // call runs one synchronous exchange: encode against the lane's bind
 // table, acquire an in-flight slot, register the sequence number, hand the
 // frame to the writer and wait for the reader to deliver the matching
-// response into c.resp (or for the lane to fail, or ctx to end).
+// response into c.wait.resp (or for the lane to fail, or ctx to end).
 func (mc *muxConn) call(ctx context.Context, c *CallRecord) error {
-	of, err := mc.encodeRequest(&c.req)
+	of, err := mc.encodeRequest(c)
 	if err != nil {
 		return err
 	}
@@ -636,10 +683,10 @@ func (mc *muxConn) call(ctx context.Context, c *CallRecord) error {
 	case mc.slots <- struct{}{}:
 	case <-mc.done:
 		of.release()
-		return c.req.callErr(mc.failureErr())
+		return c.callErr(mc.failureErr())
 	case <-ctx.Done():
 		of.release()
-		return c.req.callErr(ctx.Err())
+		return c.callErr(ctx.Err())
 	}
 	defer func() {
 		<-mc.slots
@@ -649,12 +696,12 @@ func (mc *muxConn) call(ctx context.Context, c *CallRecord) error {
 
 	if err := mc.register(c.req.Seq, c); err != nil {
 		of.release()
-		return c.req.callErr(err)
+		return c.callErr(err)
 	}
 	mc.enqueueFrame(of)
 
 	select {
-	case err := <-c.rc:
+	case err := <-c.wait.rc:
 		return err
 	case <-ctx.Done():
 		// Abandon, do not kill: the lane stays up for the other callers
@@ -662,16 +709,10 @@ func (mc *muxConn) call(ctx context.Context, c *CallRecord) error {
 		// reusable only if take handed it back; otherwise the reader or
 		// fail holds it and will still send on its channel.
 		if mc.take(c.req.Seq) != c {
-			c.lost = true
+			c.set(recLost)
 		}
-		return c.req.callErr(ctx.Err())
+		return c.callErr(ctx.Err())
 	}
-}
-
-// callErr annotates a connection- or context-level failure with the call it
-// aborted.
-func (r *callRequest) callErr(err error) error {
-	return fmt.Errorf("remoting: call %s.%s: %w", r.URI, r.name(), err)
 }
 
 func (mc *muxConn) failureErr() error {
@@ -720,7 +761,7 @@ func (mc *muxConn) writer() {
 				end := min(off+maxWriteBatch, len(batch))
 				raws = raws[:0]
 				for _, of := range batch[off:end] {
-					raws = append(raws, of.raw)
+					raws = append(raws, of.enc.Bytes())
 				}
 				err := transport.SendBatch(mc.conn, raws)
 				for _, of := range batch[off:end] {
@@ -805,9 +846,10 @@ func (mc *muxConn) route(d *wire.Decoder, raw []byte) (borrowed bool, taken *Cal
 // As in startAsync, a Cancel that found c out of the table is run again
 // once c is back in it.
 func (mc *muxConn) resend(c *CallRecord) {
-	mc.bindFor(&c.req).confirmed.Store(false)
-	async := c.rc == nil // read now: once registered, a blocking c may go back to the pool
-	of, err := mc.encodeRequest(&c.req)
+	req := c.req.envelope(c.ref.uri)
+	mc.bindFor(&req).confirmed.Store(false)
+	async := c.wait == nil // read now: once registered, a blocking c may go back to the pool
+	of, err := mc.encodeRequest(c)
 	if err == nil {
 		err = mc.register(c.req.Seq, c)
 	}
@@ -817,7 +859,7 @@ func (mc *muxConn) resend(c *CallRecord) {
 		return
 	}
 	mc.enqueueFrame(of)
-	if async && c.cancelled.Load() {
+	if async && c.has(recCancelled) {
 		go c.Cancel()
 	}
 }
@@ -886,7 +928,7 @@ func (mc *muxConn) submitAsync(c *CallRecord) error {
 	if mc.asyncClosed {
 		mc.asyncMu.Unlock()
 		c.of.release()
-		return c.req.callErr(mc.failureErr())
+		return c.callErr(mc.failureErr())
 	}
 	if len(mc.asyncQ) == 0 {
 		// Nobody waits ahead of it: with a slot free the call starts at
@@ -948,7 +990,7 @@ func (mc *muxConn) startAsync(c *CallRecord) {
 		return
 	}
 	mc.enqueueFrame(c.of)
-	if c.cancelled.Load() {
+	if c.has(recCancelled) {
 		// Cancel ran between the check above and register and found nothing
 		// to take. Again, off this stack: pump may be below.
 		go c.Cancel()
@@ -985,20 +1027,23 @@ func (ch *Channel) laneForURI(uri string) int {
 // once per submission.
 func (ch *Channel) roundTripAsync(netaddr string, c *CallRecord) error {
 	if err := c.ctx.Err(); err != nil {
-		return c.req.callErr(err)
+		return c.callErr(err)
 	}
 	if bs := ch.breakers(); bs != nil && !breakerBypassed(c.ctx) {
 		trial, berr := bs.allow(netaddr)
 		if berr != nil {
-			return c.req.callErr(berr)
+			return c.callErr(berr)
 		}
-		c.bs, c.trial = bs, trial
+		c.bs = bs
+		if trial {
+			c.set(recTrial)
+		}
 	}
 	// The mux half: resolve the destination lane, encode against its bind
 	// table and hand the frame to the lane's admission queue.
-	mc, _, err := ch.getMux(netaddr, ch.laneForURI(c.req.URI))
+	mc, _, err := ch.getMux(netaddr, ch.laneForURI(c.ref.uri))
 	if err == nil {
-		if c.of, err = mc.encodeRequest(&c.req); err == nil {
+		if c.of, err = mc.encodeRequest(c); err == nil {
 			c.mc = mc
 			err = mc.submitAsync(c)
 		}
@@ -1006,7 +1051,7 @@ func (ch *Channel) roundTripAsync(netaddr string, c *CallRecord) error {
 	if err != nil && c.bs != nil {
 		// Submission failed synchronously (dial, encode, closed lane):
 		// complete never runs, so settle the breaker evidence here.
-		c.bs.settle(c.ctx, netaddr, c.trial, err)
+		c.bs.settle(c.ctx, netaddr, c.has(recTrial), err)
 	}
 	return err
 }

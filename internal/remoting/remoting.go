@@ -12,7 +12,7 @@
 //   - transparent proxies: GetObject returns an ObjRef whose Invoke
 //     dispatches by method name over the wire, the analogue of
 //     Activator.GetObject + the auto-generated proxy;
-//   - asynchronous calls: InvokeAsyncCb enqueues the request, recorded in a
+//   - asynchronous calls: StartCall enqueues the request, recorded in a
 //     CallRecord its caller supplies, and hands the outcome to a Completer
 //     on the reply's arrival, and CallSequencer keeps a stream of them in
 //     issue order; together the mechanism behind asynchronous parallel
@@ -31,9 +31,11 @@ import (
 	"repro/internal/errs"
 )
 
-// callRequest is the request envelope; one per remote method invocation.
-// It travels as the call frame of envelope.go, URI, Call and Method only in
-// a declaring frame.
+// callRequest is the request envelope as a frame carries it and the server
+// reads it; one per remote method invocation. It travels as the call frame
+// of envelope.go, URI, Call and Method only in a declaring frame. A client
+// keeps a request, which is the same without the URI: its call record names
+// the ObjRef, which has it.
 type callRequest struct {
 	URI string
 	// Call is the method of the published object the request invokes.
@@ -55,13 +57,31 @@ type callRequest struct {
 	TokSeq    uint64
 }
 
-// name is the method a caller asked for, as errors report it: the user's
-// method of a runtime call, Call for a plain one.
-func (r *callRequest) name() string {
-	if r.Method != "" {
-		return r.Method
+// request is a callRequest as the client's record of the call holds it.
+type request struct {
+	Call, Method      string
+	Seq               uint64
+	Deadline          int64
+	Args              []any
+	TokClient, TokSeq uint64
+}
+
+// envelope is r as a frame to uri carries it.
+func (r *request) envelope(uri string) callRequest {
+	return callRequest{URI: uri, Call: r.Call, Method: r.Method, Seq: r.Seq, Deadline: r.Deadline,
+		Args: r.Args, TokClient: r.TokClient, TokSeq: r.TokSeq}
+}
+
+func (r *callRequest) name() string { return callName(r.Call, r.Method) }
+func (r *request) name() string     { return callName(r.Call, r.Method) }
+
+// callName is the method a caller asked for, as errors report it: the user's
+// method of a runtime call, call for a plain one.
+func callName(call, method string) string {
+	if method != "" {
+		return method
 	}
-	return r.Call
+	return call
 }
 
 // callResponse is the reply envelope.

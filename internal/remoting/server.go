@@ -545,16 +545,16 @@ func (s *Server) handleConn(sc *serverConn) {
 // a write failure responses are discarded and the read loop observes the
 // dead connection on its next receive.
 func (sc *serverConn) respond(req *callRequest, resp *callResponse) {
-	raw, enc, err := encodeBoundReply(resp)
+	_, enc, err := encodeBoundReply(resp)
 	if err != nil {
 		unenc := errorResponse(req, fmt.Sprintf("unencodable result: %v", err))
-		raw, enc, err = encodeBoundReply(&unenc)
+		_, enc, err = encodeBoundReply(&unenc)
 		if err != nil {
 			return
 		}
 	}
 	sc.wmu.Lock()
-	sc.pending = append(sc.pending, outFrame{raw: raw, enc: enc})
+	sc.pending = append(sc.pending, outFrame{enc: enc})
 	if sc.writing {
 		// The active flusher's drain loop will write this frame.
 		sc.wmu.Unlock()
@@ -578,7 +578,7 @@ func (sc *serverConn) flushLocked() {
 			if !failed {
 				raws := sc.raws[:0]
 				for _, of := range batch[off:end] {
-					raws = append(raws, of.raw)
+					raws = append(raws, of.enc.Bytes())
 				}
 				sc.raws = raws
 				failed = transport.SendBatch(sc.c, raws) != nil

@@ -50,7 +50,9 @@ func (r *Result[R]) Catch(fn func(error) (R, error)) *Result[R] {
 // errors.Join of the failures — also in input order, regardless of
 // completion order — when any input failed. It subscribes one function to
 // every input, under the input's index, and counts completions down; no
-// goroutine waits and nothing is allocated per element.
+// goroutine waits and nothing is allocated per element. A failure is only
+// noted as it lands: once the last input has, each input's error is read
+// back from the input itself, every one of them having resolved.
 func WhenAll[R any](rs ...*Result[R]) *Result[[]R] {
 	f, resolve := core.NewPromise()
 	n := len(rs)
@@ -59,22 +61,32 @@ func WhenAll[R any](rs ...*Result[R]) *Result[[]R] {
 		return &Result[[]R]{f: f}
 	}
 	vals := make([]R, n)
-	errs := make([]error, n)
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
+	var count struct {
+		remaining atomic.Int64
+		failed    atomic.Bool
+	}
+	count.remaining.Store(int64(n))
 	// The slot writes below happen before the Add that hands off the last
 	// count, and the final Add observes all prior Adds, so finish reads
 	// every slot safely.
 	finish := func() {
-		if err := errors.Join(errs...); err != nil {
-			resolve(nil, err)
+		if !count.failed.Load() {
+			resolve(vals, nil)
 			return
 		}
-		resolve(vals, nil)
+		var errs []error
+		for _, r := range rs {
+			if _, err := resultOf[R](r.f.Get()); err != nil {
+				errs = append(errs, err)
+			}
+		}
+		resolve(nil, errors.Join(errs...))
 	}
 	member := func(i int, v any, err error) {
-		vals[i], errs[i] = resultOf[R](v, err)
-		if remaining.Add(-1) == 0 {
+		if vals[i], err = resultOf[R](v, err); err != nil {
+			count.failed.Store(true)
+		}
+		if count.remaining.Add(-1) == 0 {
 			finish()
 		}
 	}
