@@ -1,7 +1,6 @@
 package remoting
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -21,18 +20,19 @@ import (
 type Channel struct {
 	net transport.Network
 
-	// MaxInFlight bounds concurrent exchanges per multiplexed lane;
-	// callers beyond the bound block until a slot frees. Zero selects
-	// DefaultMaxInFlight. The bound is per lane: a channel with N lanes
-	// admits up to N×MaxInFlight concurrent exchanges per peer.
+	// MaxInFlight bounds concurrent exchanges per multiplexed lane; calls
+	// beyond the bound wait in the lane's admission queue, in order, until
+	// a slot frees. Zero selects DefaultMaxInFlight. The bound is per lane:
+	// a channel with N lanes admits up to N×MaxInFlight concurrent
+	// exchanges per peer.
 	MaxInFlight int
 
 	// MuxLanes sets how many multiplexed connections (lanes) the channel
 	// opens per peer address, each with its own writer goroutine and
-	// in-flight table; callers are striped across lanes by sequence
-	// number, so unrelated calls never share a lock or a TCP stream. Zero
-	// selects DefaultMuxLanes (min(GOMAXPROCS, 4)); 1 restores the
-	// single-connection behaviour.
+	// in-flight table; a peer's objects are striped across lanes, every call
+	// to one object riding one lane, so calls to unrelated objects never
+	// share a lock or a TCP stream. Zero selects DefaultMuxLanes
+	// (min(GOMAXPROCS, 4)); 1 restores the single-connection behaviour.
 	MuxLanes int
 
 	// Retry, when enabled (MaxAttempts > 1), applies the unified
@@ -178,31 +178,6 @@ func countFrame() *frameCounts {
 	a := frameAudit.Load()
 	a.add(frameOut)
 	return a
-}
-
-// roundTrip performs c's request/response exchange against netaddr behind
-// the peer's circuit breaker (when the retry policy arms one): muxRoundTrip
-// does the exchange, leaving the reply in c.wait.resp, and its outcome is the
-// breaker's evidence. When ctx ends first the call is abandoned (the lane
-// stays up for its other callers) and reports ctx.Err().
-func (ch *Channel) roundTrip(ctx context.Context, netaddr string, c *CallRecord) error {
-	if err := ctx.Err(); err != nil {
-		return c.callErr(err)
-	}
-	bs := ch.breakers()
-	if bs == nil || breakerBypassed(ctx) {
-		// A bypassed call records no evidence either: its outcome must not
-		// consume a half-open trial slot or re-trip a breaker it never
-		// consulted.
-		return ch.muxRoundTrip(ctx, netaddr, c)
-	}
-	trial, berr := bs.allow(netaddr)
-	if berr != nil {
-		return c.callErr(berr)
-	}
-	err := ch.muxRoundTrip(ctx, netaddr, c)
-	bs.settle(ctx, netaddr, trial, err)
-	return err
 }
 
 // isConnFailure reports whether err is a connection-level failure (dial,

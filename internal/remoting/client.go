@@ -2,6 +2,7 @@ package remoting
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -81,10 +82,12 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 // its value. After a call that returned an error the reader may still be
 // writing into sink.
 func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, method string, args []any) (any, error) {
-	c := getCallRecord()
-	c.req.Call, c.req.Method, c.req.Args = call, method, args
-	c.ref, c.sink = r, sink
-	return r.invoke(ctx, c)
+	w := getCallRecord()
+	defer putCallRecord(w)
+	w.SetCall(ctx, call, method, args)
+	w.ref, w.sink = r, sink
+	w.ctx = r.address(w.ctx, &w.req)
+	return r.invoke(w)
 }
 
 // address completes the request of a call to r under ctx (nil means
@@ -104,55 +107,84 @@ func (r *ObjRef) address(ctx context.Context, req *request) context.Context {
 	return ctx
 }
 
-// invoke runs the blocking call whose method and arguments c.req names,
-// retry loop included, and settles the record.
-func (r *ObjRef) invoke(ctx context.Context, c *CallRecord) (any, error) {
-	defer putCallRecord(c)
-	ctx = r.address(ctx, &c.req)
+// invoke runs the blocking call w names, retry loop included: each attempt
+// is a completion-driven call its caller waits for.
+func (r *ObjRef) invoke(w *blockingWait) (any, error) {
 	p := r.ch.Retry
-	if !p.Enabled() || retryDisabled(ctx) {
-		return r.invokeOnce(ctx, c)
+	if !p.Enabled() || retryDisabled(w.ctx) {
+		return r.attempt(w)
 	}
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		result, err := r.invokeOnce(ctx, c)
+		result, err := r.attempt(w)
 		if err == nil {
 			return result, nil
 		}
-		if !Retryable(err) || attempt >= p.MaxAttempts-1 || c.has(recLost) {
+		if !Retryable(err) || attempt >= p.MaxAttempts-1 || w.has(recLost) {
 			return nil, err
 		}
 		delay := p.retryDelay(err, attempt)
-		if !budgetAllows(ctx, delay, time.Since(start)) {
+		if !budgetAllows(w.ctx, delay, time.Since(start)) {
 			return nil, err
 		}
-		if serr := sleepRetry(ctx, r.ch.closeSignal(), delay); serr != nil {
-			return nil, fmt.Errorf("remoting: call %s.%s: retry aborted: %w", r.uri, c.req.name(), serr)
+		if serr := sleepRetry(w.ctx, r.ch.closeSignal(), delay); serr != nil {
+			return nil, fmt.Errorf("remoting: call %s.%s: retry aborted: %w", r.uri, w.req.name(), serr)
 		}
-		// Fresh seq per attempt: the failed attempt may still complete
-		// server-side, and a reused number could be matched against its
-		// late reply. The idempotency token (if any) stays, making the
-		// retry deduplicable; the seq is per-exchange plumbing.
-		c.req.Seq = r.ch.nextSeq()
+		w.rearm(r.ch)
 	}
 }
 
-// invokeOnce is a single attempt: one roundTrip plus reply normalization
-// into Go errors.
-func (r *ObjRef) invokeOnce(ctx context.Context, c *CallRecord) (any, error) {
-	if err := r.ch.roundTrip(ctx, r.netaddr, c); err != nil {
-		return nil, err
+// attempt submits the blocking call and waits for its outcome. A lane's
+// long-lived connection may have gone stale while idle (peer restarted,
+// transport dropped): when the call fails at the connection level on a lane
+// it did not dial, before any reply, it is sent once more at once, and the
+// failed lane is dialled afresh. Failures on fresh lanes, context expiries
+// and an orderly Channel.Close (redialling would undo the Close) are never
+// sent again.
+//
+// The condition is "no reply received", the heuristic HTTP keep-alive
+// clients apply to reused connections: over real TCP a stale connection
+// usually accepts the write and only the read fails, so a send-phase-only
+// resend would miss the common case. The caveat is that a request the peer
+// received and executed just before dying is executed again: at-most-once is
+// traded for liveness across peer restarts, once, and only on reused lanes.
+func (r *ObjRef) attempt(w *blockingWait) (any, error) {
+	for resent := false; ; resent = true {
+		fresh, err := r.ch.submit(r.netaddr, &w.CallRecord)
+		if err != nil {
+			return nil, err
+		}
+		result, err := w.await()
+		if err == nil || resent || fresh || w.ctx.Err() != nil || !isStale(err) {
+			return result, err
+		}
+		w.rearm(r.ch)
 	}
-	return r.normalize(c.req.name(), &c.wait.resp)
 }
 
-// normalize maps a reply envelope to a call of method onto (result, error),
-// rebuilding the sentinel chain (*RemoteError with Moved / RetryAfter) from
-// the wire fields. Shared by the synchronous and completion-driven paths.
-func (r *ObjRef) normalize(method string, resp *callResponse) (any, error) {
-	if !resp.IsErr {
-		return resp.Result, nil
-	}
+// isStale reports whether err is a failure a blocking call on a reused lane
+// is sent again after: the connection's, not an orderly Close's and not the
+// peer's own error reply.
+func isStale(err error) bool {
+	var re *RemoteError
+	return isConnFailure(err) && !errors.Is(err, errChannelClosed) && !errors.As(err, &re)
+}
+
+// rearm readies a blocking call's record to be submitted again. The sequence
+// number is fresh: the failed submission may still complete server-side, and
+// a reused number could be matched against its late reply. The idempotency
+// token (if any) stays, making the retry deduplicable; the seq is
+// per-exchange plumbing. No breaker admission carries over.
+func (c *CallRecord) rearm(ch *Channel) {
+	c.req.Seq = ch.nextSeq()
+	c.bs = nil
+	c.flags.And(^uint32(recTrial))
+}
+
+// remoteError rebuilds the error an error reply to a call of method stands
+// for: a *RemoteError with its sentinel chain (Moved / RetryAfter) from the
+// wire fields.
+func (r *ObjRef) remoteError(method string, resp *callResponse) error {
 	re := &RemoteError{URI: r.uri, Method: method, Msg: resp.ErrMsg, Code: resp.ErrCode}
 	if resp.ErrCode == errs.CodeMoved {
 		movedURI := resp.FwdURI
@@ -164,7 +196,7 @@ func (r *ObjRef) normalize(method string, resp *callResponse) (any, error) {
 	if resp.ErrCode == errs.CodeOverloaded && resp.RetryAfterMs > 0 {
 		re.RetryAfter = time.Duration(resp.RetryAfterMs) * time.Millisecond
 	}
-	return nil, re
+	return re
 }
 
 // InvokeAsyncCb starts one completion-driven invocation attempt on c, a
@@ -187,13 +219,9 @@ func (r *ObjRef) InvokeAsyncCb(ctx context.Context, c *CallRecord, method string
 // re-routing machinery, which draws its own records, from what Call reads
 // back). A record serves one submission.
 func (r *ObjRef) StartCall(c *CallRecord, to Completer) error {
-	countRecord(recordDrawn)
 	c.ref, c.to = r, to
 	c.ctx = r.address(c.ctx, &c.req)
-	err := r.ch.roundTripAsync(r.netaddr, c)
-	if err != nil {
-		countRecord(recordReturned)
-	}
+	_, err := r.ch.submit(r.netaddr, c)
 	return err
 }
 

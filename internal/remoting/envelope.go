@@ -22,8 +22,9 @@
 //     frame written after the declaring one finds the handle declared. The
 //     client therefore sends the bare call frame for a triple once a frame
 //     declaring it has entered the lane's outbound queue, which is the wire
-//     order; a frame encoded and then dropped (a caller that gave up before
-//     its slot) declares nothing, and the next call declares again.
+//     order; a frame encoded and then dropped (a call whose caller gave up
+//     while it waited for admission) declares nothing, and the next call
+//     declares again.
 //     Redeclaring a handle is idempotent. A connection that loses a frame
 //     and carries on (a network that blackholes frames rather than the
 //     stream) can leave a confirmed handle undeclared: the server refuses a

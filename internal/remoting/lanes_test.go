@@ -3,6 +3,7 @@ package remoting
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -42,44 +43,56 @@ func TestDefaultMuxLanesTracksGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestLaneStriping: with 4 lanes, concurrent callers spread over exactly 4
-// connections to the one peer — no more (lanes are long-lived), no fewer
-// (striping reaches every lane) — and every call still completes correctly.
+// TestLaneStriping: lanes are chosen by object. Concurrent callers of one
+// object share its one lane (one dial); callers spread over 64 objects reach
+// exactly 4 connections to the one peer, no more (lanes are long-lived) and
+// no fewer (the objects cover every lane); every call completes correctly.
 func TestLaneStriping(t *testing.T) {
 	setProcs(t, 4)
 	ch, srv, net := newMuxServer(t)
 	ch.MuxLanes = 4
 	shared := &divideServer{}
-	srv.RegisterWellKnown("d", Singleton, func() any { return shared })
-	ref, _ := GetObject(ch, srv.URLFor("d"))
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 8; j++ {
-				if _, err := ref.Invoke("Divide", 8.0, 2.0); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+	refs := make([]*ObjRef, 64)
+	for i := range refs {
+		uri := fmt.Sprintf("d%d", i)
+		srv.RegisterWellKnown(uri, Singleton, func() any { return shared })
+		refs[i], _ = GetObject(ch, srv.URLFor(uri))
 	}
-	wg.Wait()
+	hammer := func(refs []*ObjRef) {
+		var wg sync.WaitGroup
+		for i := 0; i < 32; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 8; j++ {
+					if _, err := refs[(i*8+j)%len(refs)].Invoke("Divide", 8.0, 2.0); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	hammer(refs[:1])
 	if shared.Calls() != 256 {
 		t.Errorf("calls = %d, want 256", shared.Calls())
 	}
-	if d := net.dials.Load(); d != 4 {
-		t.Errorf("dials = %d, want 4 (one long-lived connection per lane)", d)
+	if d, n := net.dials.Load(), muxPeerCount(ch); d != 1 || n != 1 {
+		t.Errorf("one object: dials = %d, muxPeers = %d, want 1 and 1 (its calls share one lane)", d, n)
 	}
-	if n := muxPeerCount(ch); n != 4 {
-		t.Errorf("muxPeers = %d, want 4", n)
+	hammer(refs)
+	if shared.Calls() != 512 {
+		t.Errorf("calls = %d, want 512", shared.Calls())
+	}
+	if d, n := net.dials.Load(), muxPeerCount(ch); d != 4 || n != 4 {
+		t.Errorf("64 objects: dials = %d, muxPeers = %d, want 4 and 4 (one long-lived connection per lane)", d, n)
 	}
 }
 
-// TestLaneOutOfOrderCompletion: a call blocked server-side must not block a
-// later call even when the two calls ride different lanes — cross-lane
-// completion is fully independent, not just out-of-order within one stream.
+// TestLaneOutOfOrderCompletion: with 4 lanes, a call blocked server-side
+// must not block a later call to the same object, which rides the same lane
+// (lanes are chosen by object): its reply overtakes the blocked one's.
 func TestLaneOutOfOrderCompletion(t *testing.T) {
 	setProcs(t, 4)
 	ch, srv, _ := newMuxServer(t)
@@ -104,16 +117,17 @@ func TestLaneOutOfOrderCompletion(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Open deadlocked behind WaitGate across lanes")
+		t.Fatal("Open deadlocked behind WaitGate on its lane")
 	}
 	if got := <-slow; got.err != nil || got.v != "waited" {
 		t.Fatalf("WaitGate = %v, %v", got.v, got.err)
 	}
 }
 
-// TestLaneCancellationIsolation: an abandoned call must disturb only its
-// own exchange — every lane's connection survives (no redials beyond the
-// initial dial per lane) and subsequent calls on all lanes succeed.
+// TestLaneCancellationIsolation: with 4 lanes, an abandoned call must
+// disturb only its own exchange — the connection of the object's lane, which
+// every call here rides, survives (no redials beyond the initial dial) and
+// subsequent calls succeed.
 func TestLaneCancellationIsolation(t *testing.T) {
 	setProcs(t, 4)
 	ch, srv, net := newMuxServer(t)
@@ -127,14 +141,13 @@ func TestLaneCancellationIsolation(t *testing.T) {
 	if _, err := ref.InvokeCtx(ctx, "WaitGate"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
-	// Enough sequential calls to stripe across every lane.
 	for i := 0; i < 8; i++ {
 		if got, err := ref.Invoke("Ping"); err != nil || got != "pong" {
 			t.Fatalf("Ping %d after cancellation = %v, %v", i, got, err)
 		}
 	}
-	// Unblock the abandoned handler; its late response is dropped on
-	// whatever lane carried it, without disturbing the others.
+	// Unblock the abandoned handler; its late response is dropped by the
+	// lane's reader, without disturbing the calls around it.
 	if _, err := ref.Invoke("Open"); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package remoting
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -14,8 +13,9 @@ import (
 )
 
 // DefaultMaxInFlight bounds concurrent exchanges per multiplexed lane when
-// Channel.MaxInFlight is zero. The bound is backpressure, not a queue:
-// callers beyond it block until a slot frees.
+// Channel.MaxInFlight is zero. Calls beyond it wait in the lane's admission
+// queue, in order, until a slot frees: a blocking caller parked on its call,
+// a completion-driven one costing no goroutine.
 const DefaultMaxInFlight = 1024
 
 // maxMuxLanes caps Channel.MuxLanes; past a few lanes per peer the wire is
@@ -25,9 +25,9 @@ const maxMuxLanes = 64
 
 // DefaultMuxLanes is the lane count used when Channel.MuxLanes is zero:
 // one lane per processor up to four. A single-core process gets exactly
-// the old single-connection behaviour; a many-core one spreads unrelated
-// callers across connections so they never share a writer, a TCP stream,
-// or an in-flight table.
+// the old single-connection behaviour; a many-core one spreads the objects
+// of a peer across connections, so calls to unrelated objects never share a
+// writer, a TCP stream, or an in-flight table.
 func DefaultMuxLanes() int {
 	return min(runtime.GOMAXPROCS(0), 4)
 }
@@ -49,71 +49,99 @@ type inflightShard struct {
 }
 
 // CallRecord is the client's record of one exchange: the request, the ObjRef
-// it goes to (which names the URI) and how the outcome reaches the caller.
-// The lane's reader takes the record out of the in-flight table first and
-// decodes the reply into it second, so a reply is decoded once, where it is
-// going. A blocking caller draws one from callPool, whose wait is set: it
-// parks on wait.rc and its reply lands in wait.resp. A completion-driven
-// call brings its own, zero, as part of whatever the caller allocates for the
-// call (SetCall, StartCall): wait stays nil, the second group is set, and the
-// reader completes it inline through to, handing over the result as it
-// decoded it, so a future costs neither a goroutine while it waits nor an
-// allocation of the connection's. The connection holds the record from
+// it goes to (which names the URI) and the Completer its outcome goes to.
+// Every call is submitted one way (Channel.submit) and completed one way: the
+// lane's reader takes the record out of the in-flight table first and decodes
+// the reply into it second, so a reply is decoded once, where it is going,
+// and tells to inline, handing over the result as it decoded it. A
+// completion-driven call brings its own record, zero, as part of whatever
+// the caller allocates for the call (SetCall, StartCall), so a future costs
+// neither a goroutine while it waits nor an allocation of the connection's.
+// A blocking call draws one from callPool, whose Completer is the record's
+// own blockingWait, and parks on it. The connection holds the record from
 // submission until to has been told. Either kind may carry the caller's typed
 // slot (sink), which is offered the result before it is decoded as a value.
 type CallRecord struct {
 	req  request
 	ref  *ObjRef
 	sink ResultSink
-	wait *blockingWait // nil: a completion-driven call
+	to   Completer
 
-	// Completion-driven calls only. ctx bounds the call, as SetCall named it.
-	// The call holds an in-flight slot from admission until whoever delivers
-	// its outcome releases it; stop detaches the context.AfterFunc hook once
-	// the outcome is decided; bs carries the peer breaker to the completion.
+	// ctx bounds the call, as SetCall named it. The call holds an in-flight
+	// slot of its lane mc from admission until whoever delivers its outcome
+	// releases it; stop detaches the context.AfterFunc hook once the outcome
+	// is decided; bs carries the peer breaker to the completion.
 	mc   *muxConn
 	ctx  context.Context
-	to   Completer
 	of   outFrame
 	stop func() bool
 	bs   *breakerSet
 
-	// flags holds recCancelled, recTrial and recLost.
+	// flags holds recCancelled, recTrial, recWatched and recLost.
 	flags atomic.Uint32
 }
 
 const (
-	// recCancelled: Cancel ran, for a completion-driven call not admitted
-	// yet.
+	// recCancelled: Cancel ran.
 	recCancelled = 1 << iota
-	// recTrial: the peer breaker admitted the completion-driven call as its
-	// half-open trial.
+	// recTrial: the peer breaker admitted this submission as its half-open
+	// trial.
 	recTrial
-	// recLost: a blocking call abandoned on ctx while the reader or fail held
-	// the record. One of them still writes wait.resp and sends on wait.rc,
-	// so the record never goes back to the pool.
+	// recWatched: the caller watches ctx itself (a blocking call), so
+	// admission installs no context.AfterFunc hook.
+	recWatched
+	// recLost: a blocking call abandoned on ctx while the lane held its
+	// record (the reader or fail had taken it, or it waits for admission).
+	// The lane still completes it, so the record never goes back to the pool.
 	recLost
 )
 
 func (c *CallRecord) has(flag uint32) bool { return c.flags.Load()&flag != 0 }
 func (c *CallRecord) set(flag uint32)      { c.flags.Or(flag) }
 
-// blockingWait is what a blocking call's record adds, allocated with it by
-// callPool: the channel its caller parks on (capacity 1, never blocks the
-// deliverer) and the reply envelope the reader decodes into.
+// blockingWait is a blocking call's record, drawn from callPool, and its
+// Completer: the outcome lands in result and on rc (capacity 1, so the
+// completion never blocks), where the caller parks (await).
 type blockingWait struct {
-	rc   chan error
-	resp callResponse
+	CallRecord
+	rc     chan error
+	result any
+}
+
+// Complete hands the parked caller its outcome.
+func (w *blockingWait) Complete(v any, err error) {
+	w.result = v
+	w.rc <- err
+}
+
+// await parks the caller until its call completes or its context ends. A
+// call whose context ended first is cancelled: taken out of the in-flight
+// table, it completes at once with the context's error. If the lane still
+// holds it, the caller leaves without it and the record is lost.
+func (w *blockingWait) await() (any, error) {
+	select {
+	case err := <-w.rc:
+		return w.result, err
+	case <-w.ctx.Done():
+	}
+	w.Cancel()
+	select {
+	case err := <-w.rc:
+		return w.result, err
+	default:
+		w.set(recLost)
+		return nil, w.callErr(w.ctx.Err())
+	}
 }
 
 // SetSink gives a completion-driven call a typed slot for its result, before
 // the record is submitted; see ResultSink.
 func (c *CallRecord) SetSink(s ResultSink) { c.sink = s }
 
-// SetCall names the completion-driven call the record is for, before it is
-// submitted (StartCall): ctx bounds it, nil meaning background, and call,
-// method and args are what InvokeNestedCtx takes. The record keeps them, and
-// Call reads them back, after the call as before it.
+// SetCall names the call the record is for, before it is submitted
+// (StartCall): ctx bounds it, nil meaning background, and call, method and
+// args are what InvokeNestedCtx takes. The record keeps them, and Call reads
+// them back, after the call as before it.
 func (c *CallRecord) SetCall(ctx context.Context, call, method string, args []any) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -129,36 +157,27 @@ func (c *CallRecord) Call() (ctx context.Context, call, method string, args []an
 // Context returns the ctx SetCall named.
 func (c *CallRecord) Context() context.Context { return c.ctx }
 
-// Completer is the caller's end of a completion-driven call: Complete
-// receives the normalized outcome exactly once, on the completion path (the
-// lane's reader goroutine for replies), never on the submitter's stack. An
-// interface, so that a caller with a record of the call hands that over and
-// allocates nothing; CompletionFunc adapts a function.
+// Completer is the caller's end of a call: Complete receives the normalized
+// outcome exactly once, on the completion path (the lane's reader goroutine
+// for replies), never on the submitter's stack. An interface, so that a
+// caller with a record of the call hands that over and allocates nothing;
+// CompletionFunc adapts a function.
 type Completer interface{ Complete(v any, err error) }
 
 type CompletionFunc func(any, error)
 
 func (f CompletionFunc) Complete(v any, err error) { f(v, err) }
 
-// callPool recycles the records of blocking exchanges, each allocated with
-// the reply envelope it points the reader at. A record goes back only when
-// its channel is known empty and nobody else holds it: the caller received
-// its single outcome, it was never registered, or take returned it to the
-// caller that abandoned the call.
-var callPool = sync.Pool{New: func() any {
-	b := &struct {
-		CallRecord
-		w blockingWait
-	}{}
-	b.w.rc, b.wait = make(chan error, 1), &b.w
-	return &b.CallRecord
-}}
+// callPool recycles blocking calls' records. A record goes back only when its
+// channel is known empty and the lane no longer holds it: its caller received
+// the single outcome, or the call was never submitted.
+var callPool = sync.Pool{New: func() any { return &blockingWait{rc: make(chan error, 1)} }}
 
 // recordAudit, when a test installs one, counts the call records of both
 // ends (CallRecord here, serverCall in server.go) as they are drawn from a
-// pool or taken from a caller, returned, and let go on purpose; drawn must
-// equal the other two once everything is closed. Nothing installs or reads
-// it in production.
+// pool or lent to a connection (Channel.submit), returned, and let go on
+// purpose; drawn must equal the other two once everything is closed. Nothing
+// installs or reads it in production.
 var recordAudit atomic.Pointer[[3]atomic.Int64]
 
 const (
@@ -173,36 +192,33 @@ func countRecord(event int) {
 	}
 }
 
-func getCallRecord() *CallRecord {
+// getCallRecord draws a blocking call's record, its own Completer.
+func getCallRecord() *blockingWait {
 	countRecord(recordDrawn)
-	return callPool.Get().(*CallRecord)
+	w := callPool.Get().(*blockingWait)
+	w.to = w
+	w.set(recWatched)
+	return w
 }
 
 // putCallRecord settles a blocking call's record: back to the pool emptied,
 // so it pins neither arguments, result nor sink, or left to the GC when lost.
-func putCallRecord(c *CallRecord) {
-	if c.has(recLost) {
+func putCallRecord(w *blockingWait) {
+	if w.has(recLost) {
 		countRecord(recordDropped)
 		return
 	}
 	countRecord(recordReturned)
-	w := c.wait
-	w.resp = callResponse{}
-	*c = CallRecord{wait: w}
-	callPool.Put(c)
+	*w = blockingWait{rc: w.rc}
+	callPool.Put(w)
 }
 
 // deliver hands the exchange its outcome: err when no reply came, nil when
-// one did, which a blocking caller finds in wait.resp and a completion-driven
-// one is handed as the reader decoded it (result, or replyErr, the
-// *RemoteError an error reply stands for). A completion-driven call detaches
-// its hook and returns its slot first, waking queued async work, so a slow
-// continuation cannot idle the pipe.
+// one did, with the result as the reader decoded it (result, or replyErr, the
+// *RemoteError an error reply stands for). The call detaches its hook and
+// returns its slot first, admitting queued calls, so a slow continuation
+// cannot idle the pipe.
 func (c *CallRecord) deliver(result any, replyErr, err error) {
-	if c.wait != nil {
-		c.wait.rc <- err
-		return
-	}
 	if c.stop != nil {
 		c.stop()
 	}
@@ -211,10 +227,10 @@ func (c *CallRecord) deliver(result any, replyErr, err error) {
 	c.complete(result, replyErr, err)
 }
 
-// complete reports a completion-driven call's outcome, exactly once: the
-// breaker's evidence, as roundTrip records it (a reply, whatever it says, is
-// the peer answering), then to. The record is the caller's again before to
-// hears: nothing here touches it afterwards.
+// complete reports the outcome of one submission, exactly once: the breaker's
+// evidence (a reply, whatever it says, is the peer answering), then to. The
+// record is the caller's again before to hears: nothing here touches it
+// afterwards.
 func (c *CallRecord) complete(result any, replyErr, err error) {
 	if err != nil {
 		err = c.callErr(err)
@@ -233,10 +249,6 @@ func (c *CallRecord) complete(result any, replyErr, err error) {
 // reader whose decode of its reply failed. No slot bookkeeping post-mortem:
 // done is closed, so nothing waits on slots anymore.
 func (c *CallRecord) abort(err error) {
-	if c.wait != nil {
-		c.wait.rc <- err
-		return
-	}
 	if c.stop != nil {
 		c.stop()
 	}
@@ -244,32 +256,24 @@ func (c *CallRecord) abort(err error) {
 }
 
 // readReply decodes the body of the compact reply to c, which the reader
-// has just taken, where it is going: a blocking call's into the envelope its
-// caller reads, the result into its sink when it has one; a
-// completion-driven call's result into its sink, or as a value, and an error
-// reply into the *RemoteError it completes with.
-func (c *CallRecord) readReply(d *wire.Decoder, seq uint64, flags byte) (result any, replyErr, err error) {
-	switch {
-	case c.wait != nil:
-		resp := &c.wait.resp
-		*resp = callResponse{Seq: seq}
-		resp.Result, err = decodeReplyBody(d, flags, resp, c.sink)
-	case flags&flagReplyErr == 0:
+// has just taken, where it is going: the result into c's sink, or as a
+// value, and an error reply into the *RemoteError it completes with.
+func (c *CallRecord) readReply(d *wire.Decoder, flags byte) (result any, replyErr, err error) {
+	if flags&flagReplyErr == 0 {
 		result, err = decodeReplyBody(d, flags, nil, c.sink)
-	default:
-		// No envelope of its own: an error reply is worth one on the stack.
-		var resp callResponse
-		if _, err = decodeReplyBody(d, flags, &resp, nil); err == nil {
-			_, replyErr = c.ref.normalize(c.req.name(), &resp)
-		}
+		return result, nil, err
 	}
-	return result, replyErr, err
+	// No envelope of its own: an error reply is worth one on the stack.
+	var resp callResponse
+	if _, err = decodeReplyBody(d, flags, &resp, nil); err == nil {
+		replyErr = c.ref.remoteError(c.req.name(), &resp)
+	}
+	return nil, replyErr, err
 }
 
-// Cancel abandons a completion-driven call, for its caller or as the hook on
-// the caller's context: as for a sync caller whose ctx ended,
-// the slot is released, the lane stays up and the reader drops the late
-// reply. A call not admitted yet is refused when pump reaches it.
+// Cancel abandons the call, for its caller or as the hook on the caller's
+// context: the slot is released, the lane stays up and the reader drops the
+// late reply. A call not admitted yet is refused when pump reaches it.
 func (c *CallRecord) Cancel() {
 	c.set(recCancelled)
 	if c.mc.take(c.req.Seq) != nil {
@@ -292,13 +296,17 @@ func (c *CallRecord) callErr(err error) error {
 	return fmt.Errorf("remoting: call %s.%s: %w", c.ref.uri, c.req.name(), err)
 }
 
-// refuse fails a call pump admitted but could not start, on a fresh
+// refuse fails a call pump admitted but could not start. Its slot goes back
+// and the queue is pumped again, and the call completes, on a fresh
 // goroutine: pump may be on the submitter's or the reader's stack, and a
 // callback chain that posts follow-up calls must not recurse into it.
 func (c *CallRecord) refuse(err error) {
 	<-c.mc.slots
 	c.of.release()
-	go c.complete(nil, nil, err)
+	go func() {
+		c.mc.pump()
+		c.complete(nil, nil, err)
+	}()
 }
 
 // bindShardCount stripes the client bind table by the hash of its key.
@@ -327,13 +335,15 @@ func (k *bindKey) hash() uint32 {
 
 // muxConn is one long-lived multiplexed lane to a peer address. Many
 // request/response exchanges are in flight concurrently: a single writer
-// goroutine drains sendq onto the wire, and a single reader goroutine
+// goroutine drains outQ onto the wire, and a single reader goroutine
 // matches each arriving response to its caller through the seq-keyed
 // in-flight shards. Responses may complete in any order.
 //
-// A channel holds laneCount() lanes per peer, with callers striped across
-// them by sequence number; each lane is its own connection, writer, reader
-// and in-flight table, so callers on different lanes contend on nothing.
+// A channel holds laneCount() lanes per peer, with the peer's objects
+// striped across them (laneForURI): every call to one object rides one lane,
+// whatever kind of call it is. Each lane is its own connection, writer,
+// reader and in-flight table, so calls on different lanes contend on
+// nothing.
 //
 // Context cancellation abandons a call — the entry is removed from its
 // in-flight shard and the late response is dropped by the reader — but the
@@ -343,13 +353,13 @@ type muxConn struct {
 	ch      *Channel
 	netaddr string
 	lane    int
-	slots   chan struct{} // in-flight backpressure semaphore
+	slots   chan struct{} // in-flight slots, MaxInFlight of them
 	done    chan struct{} // closed by fail
 	ready   chan struct{} // closed once the dial settled (conn or dialErr)
 
-	// Outbound frame queue. Unbounded by design: every queued frame either
-	// belongs to a caller holding an in-flight slot or to a sync caller
-	// blocked in call(), so MaxInFlight already bounds it — and an enqueue
+	// Outbound frame queue. Unbounded by design: every queued frame
+	// belongs to a call holding an in-flight slot, so MaxInFlight already
+	// bounds it — and an enqueue
 	// that could block would let TCP backpressure from a slow peer stall
 	// the reader (which enqueues indirectly through pump), the classic
 	// distributed buffer deadlock. outSig (capacity 1) wakes the writer.
@@ -357,12 +367,12 @@ type muxConn struct {
 	outQ   []outFrame
 	outSig chan struct{}
 
-	// Async admission queue: completion-driven calls beyond MaxInFlight
-	// wait here (instead of parking a goroutine on slots) until pump moves
-	// them into the in-flight table. Unbounded — the futures are the queue.
-	asyncMu     sync.Mutex
-	asyncQ      []*CallRecord
-	asyncClosed bool
+	// Admission queue: calls beyond MaxInFlight wait here, in order, until
+	// pump moves them into the in-flight table. Unbounded: the calls are the
+	// queue, and a completion-driven one parks no goroutine on it.
+	admitMu     sync.Mutex
+	admitQ      []*CallRecord
+	admitClosed bool
 
 	mu      sync.Mutex
 	conn    transport.Conn // set by dial; nil when the dial failed
@@ -455,7 +465,7 @@ func (mc *muxConn) encodeRequest(c *CallRecord) (outFrame, error) {
 // outFrame is one queued frame, a request on a lane or a reply on a server
 // connection. Its bytes are enc's, a pooled encoder: whoever consumes the
 // frame (normally the writer, after the bytes hit the wire) releases it; nil
-// for a frame that failed to encode. Frames stranded in sendq when a lane
+// for a frame that failed to encode. Frames stranded in outQ when a lane
 // fails are simply collected by the GC — a pool miss, not a leak. declares
 // is the handle the frame declares, nil for a bare frame, for handle 0 and
 // for a reply.
@@ -472,9 +482,10 @@ func (of outFrame) release() {
 }
 
 // errChannelClosed terminates in-flight calls when Channel.Close shuts a
-// lane down. It wraps ErrNodeDown for callers' errors.Is
-// chains, but muxRoundTrip recognises it and never retries it — a retry
-// would re-create the very connection Close just released.
+// lane down. It wraps ErrNodeDown for callers' errors.Is chains, but
+// neither a blocking call's resend (ObjRef.attempt) nor the retry policy
+// (Retryable) sends a call again after it: that would re-create the very
+// connection Close just released.
 var errChannelClosed = fmt.Errorf("channel closed: %w", errs.ErrNodeDown)
 
 // getMux returns the live multiplexed lane for (netaddr, lane), dialling
@@ -574,65 +585,23 @@ func (ch *Channel) removeMux(mc *muxConn) {
 	ch.muxMu.Unlock()
 }
 
-// muxRoundTrip performs one exchange over a lane. The lane's long-lived
-// connection may have gone stale while idle (peer restarted, transport
-// dropped): when a call on a reused connection fails at the connection
-// level before anything was received for it, it is retried exactly once on
-// a freshly dialled connection instead of surfacing a spurious ErrNodeDown.
-// Failures on fresh connections, context expiries and an orderly
-// Channel.Close (redialling would undo the Close) are never retried.
-//
-// The retry condition is "no response received", the same heuristic HTTP
-// keep-alive clients apply to reused connections: over real TCP a stale
-// connection usually accepts the write and only the read fails, so a
-// send-phase-only retry would miss the common case. The caveat is that a
-// request the peer received and executed just before dying is executed
-// again by the retry — at-most-once is traded for liveness across peer
-// restarts, exactly once, and only on reused connections.
-//
-// The lane is chosen by sequence number, so concurrent callers spread
-// uniformly across lanes while a synchronous caller (who holds at most one
-// seq in flight) keeps its calls ordered trivially. Each lane fails and
-// redials independently: a retry lands on a fresh connection for the same
-// lane, whose bind table starts empty and re-declares.
-//
-// Encoding happens per lane, in call, because whether a call declares its
-// handle depends on the lane's bind table (envelope.go); the retry
-// re-encodes on the fresh lane, so after a reconnect the call declares
-// again.
-func (ch *Channel) muxRoundTrip(ctx context.Context, netaddr string, c *CallRecord) error {
-	lane := 0
-	if n := ch.laneCount(); n > 1 {
-		lane = int(c.req.Seq % uint64(n))
-	}
-	mc, fresh, err := ch.getMux(netaddr, lane)
-	if err != nil {
-		return err
-	}
-	err = mc.call(ctx, c)
-	if err == nil || fresh || ctx.Err() != nil || !isConnFailure(err) || errors.Is(err, errChannelClosed) {
-		return err
-	}
-	mc2, _, err2 := ch.getMux(netaddr, lane)
-	if err2 != nil {
-		return err2
-	}
-	return mc2.call(ctx, c)
-}
-
-// register adds a waiter to the lane's in-flight table, refusing when the
-// lane already failed (the per-shard closed flag makes the race with fail
-// safe: an entry either lands before the drain and is errored there, or
-// the register observes closed).
-func (mc *muxConn) register(seq uint64, w *CallRecord) error {
-	sh := &mc.inflight[seq&(inflightShards-1)]
+// register adds c to the lane's in-flight table under its sequence number,
+// refusing when the lane already failed or c was cancelled. Both are read
+// under the shard's lock, which fail and Cancel's take also hold: a fail or a
+// Cancel racing the register either finds c in the table, or is observed
+// here and c is never registered. Once registered, c may complete and be
+// reused at any moment.
+func (mc *muxConn) register(c *CallRecord) error {
+	sh := &mc.inflight[c.req.Seq&(inflightShards-1)]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if sh.closed {
-		sh.mu.Unlock()
 		return mc.failureErr()
 	}
-	sh.m[seq] = w
-	sh.mu.Unlock()
+	if c.has(recCancelled) {
+		return c.cancelErr()
+	}
+	sh.m[c.req.Seq] = c
 	return nil
 }
 
@@ -667,51 +636,6 @@ func (mc *muxConn) enqueueFrame(of outFrame) {
 	select {
 	case mc.outSig <- struct{}{}:
 	default:
-	}
-}
-
-// call runs one synchronous exchange: encode against the lane's bind
-// table, acquire an in-flight slot, register the sequence number, hand the
-// frame to the writer and wait for the reader to deliver the matching
-// response into c.wait.resp (or for the lane to fail, or ctx to end).
-func (mc *muxConn) call(ctx context.Context, c *CallRecord) error {
-	of, err := mc.encodeRequest(c)
-	if err != nil {
-		return err
-	}
-	select {
-	case mc.slots <- struct{}{}:
-	case <-mc.done:
-		of.release()
-		return c.callErr(mc.failureErr())
-	case <-ctx.Done():
-		of.release()
-		return c.callErr(ctx.Err())
-	}
-	defer func() {
-		<-mc.slots
-		// A freed slot may admit queued async work.
-		mc.pump()
-	}()
-
-	if err := mc.register(c.req.Seq, c); err != nil {
-		of.release()
-		return c.callErr(err)
-	}
-	mc.enqueueFrame(of)
-
-	select {
-	case err := <-c.wait.rc:
-		return err
-	case <-ctx.Done():
-		// Abandon, do not kill: the lane stays up for the other callers
-		// and the reader drops this call's late response. The record is
-		// reusable only if take handed it back; otherwise the reader or
-		// fail holds it and will still send on its channel.
-		if mc.take(c.req.Seq) != c {
-			c.set(recLost)
-		}
-		return c.callErr(ctx.Err())
 	}
 }
 
@@ -832,7 +756,7 @@ func (mc *muxConn) route(d *wire.Decoder, raw []byte) (borrowed bool, taken *Cal
 		mc.resend(c)
 		return false, nil, nil
 	}
-	result, replyErr, err := c.readReply(d, seq, flags)
+	result, replyErr, err := c.readReply(d, flags)
 	if err != nil {
 		return d.Borrowed(), c, err
 	}
@@ -843,15 +767,13 @@ func (mc *muxConn) route(d *wire.Decoder, raw []byte) (borrowed bool, taken *Cal
 // resend sends c, which the reader has just taken, again, declaring its
 // triple: the server refused c because it never saw the handle declared, so
 // a frame this lane took as queued was lost on the way, and c was not run.
-// As in startAsync, a Cancel that found c out of the table is run again
-// once c is back in it.
+// A Cancel that found c out of the table is observed by register.
 func (mc *muxConn) resend(c *CallRecord) {
 	req := c.req.envelope(c.ref.uri)
 	mc.bindFor(&req).confirmed.Store(false)
-	async := c.wait == nil // read now: once registered, a blocking c may go back to the pool
 	of, err := mc.encodeRequest(c)
 	if err == nil {
-		err = mc.register(c.req.Seq, c)
+		err = mc.register(c)
 	}
 	if err != nil {
 		of.release()
@@ -859,9 +781,6 @@ func (mc *muxConn) resend(c *CallRecord) {
 		return
 	}
 	mc.enqueueFrame(of)
-	if async && c.has(recCancelled) {
-		go c.Cancel()
-	}
 }
 
 // fail moves the lane to its terminal state: it is removed from the
@@ -893,16 +812,16 @@ func (mc *muxConn) fail(err error) {
 		sh.mu.Unlock()
 		for _, c := range pending {
 			// Callbacks run iteratively here; a continuation that resubmits
-			// observes asyncClosed and fails synchronously, so the drain
+			// observes admitClosed and fails synchronously, so the drain
 			// cannot recurse.
 			c.abort(err)
 		}
 	}
-	mc.asyncMu.Lock()
-	mc.asyncClosed = true
-	q := mc.asyncQ
-	mc.asyncQ = nil
-	mc.asyncMu.Unlock()
+	mc.admitMu.Lock()
+	mc.admitClosed = true
+	q := mc.admitQ
+	mc.admitQ = nil
+	mc.admitMu.Unlock()
 	for _, c := range q {
 		c.of.release()
 		c.complete(nil, nil, err)
@@ -915,42 +834,40 @@ func (mc *muxConn) shutdown() {
 	mc.fail(fmt.Errorf("remoting: %w", errChannelClosed))
 }
 
-// submitAsync queues one completion-driven exchange, its frame already
-// encoded (submission is encode + enqueue). It never blocks: the call
-// either enters the in-flight table immediately (a slot was free and the
-// queue empty) or waits in asyncQ until pump admits it. An error return
-// means the call was not submitted and c.to will never hear of it, the
-// invariant callers rely on to finish the call some other way. c.to is told
-// on the lane's reader goroutine (or a cancellation/failure path), never
-// on the submitter's stack.
-func (mc *muxConn) submitAsync(c *CallRecord) error {
-	mc.asyncMu.Lock()
-	if mc.asyncClosed {
-		mc.asyncMu.Unlock()
+// admit queues one exchange, its frame already encoded. It never blocks:
+// the call either enters the in-flight table immediately (a slot was free
+// and the queue empty) or waits in admitQ until pump admits it. An error
+// return means the call was not submitted and c.to will never hear of it,
+// the invariant callers rely on to finish the call some other way. c.to is
+// told on the lane's reader goroutine (or a cancellation/failure path),
+// never on the submitter's stack.
+func (mc *muxConn) admit(c *CallRecord) error {
+	mc.admitMu.Lock()
+	if mc.admitClosed {
+		mc.admitMu.Unlock()
 		c.of.release()
 		return c.callErr(mc.failureErr())
 	}
-	if len(mc.asyncQ) == 0 {
+	if len(mc.admitQ) == 0 {
 		// Nobody waits ahead of it: with a slot free the call starts at
 		// once and the queue is never touched.
 		select {
 		case mc.slots <- struct{}{}:
-			mc.asyncMu.Unlock()
-			mc.startAsync(c)
+			mc.admitMu.Unlock()
+			mc.start(c)
 			return nil
 		default:
 		}
 	}
-	mc.asyncQ = append(mc.asyncQ, c)
-	mc.asyncMu.Unlock()
+	mc.admitQ = append(mc.admitQ, c)
+	mc.admitMu.Unlock()
 	mc.pump()
 	return nil
 }
 
-// pump moves queued async calls into the in-flight table for as long as
-// slots are free, without ever blocking: it runs on submitters, on the
-// reader (after every released slot) and on sync callers' slot release
-// alike.
+// pump moves queued calls into the in-flight table for as long as slots are
+// free, without ever blocking: it runs on submitters and on whoever releases
+// a slot (deliver, refuse).
 func (mc *muxConn) pump() {
 	for {
 		select {
@@ -958,50 +875,48 @@ func (mc *muxConn) pump() {
 		default:
 			return
 		}
-		mc.asyncMu.Lock()
-		if len(mc.asyncQ) == 0 || mc.asyncClosed {
-			mc.asyncMu.Unlock()
+		mc.admitMu.Lock()
+		if len(mc.admitQ) == 0 || mc.admitClosed {
+			mc.admitMu.Unlock()
 			<-mc.slots
 			return
 		}
-		c := mc.asyncQ[0]
-		mc.asyncQ[0] = nil
-		mc.asyncQ = mc.asyncQ[1:]
-		mc.asyncMu.Unlock()
-		mc.startAsync(c)
+		c := mc.admitQ[0]
+		mc.admitQ[0] = nil
+		mc.admitQ = mc.admitQ[1:]
+		mc.admitMu.Unlock()
+		mc.start(c)
 	}
 }
 
-// startAsync registers one admitted async call (its slot is already held)
-// and hands its frame to the writer.
-func (mc *muxConn) startAsync(c *CallRecord) {
+// start registers one admitted call (its slot is already held) and hands its
+// frame to the writer. A completion-driven call's context gets a hook that
+// cancels the call when it ends; a blocking caller watches its own. Nothing
+// here reads c once register took it: it may already be complete.
+func (mc *muxConn) start(c *CallRecord) {
 	if err := c.cancelErr(); err != nil {
 		c.refuse(err)
 		return
 	}
-	if c.ctx.Done() != nil {
+	if c.ctx.Done() != nil && !c.has(recWatched) {
 		c.stop = context.AfterFunc(c.ctx, c.Cancel)
 	}
-	if err := mc.register(c.req.Seq, c); err != nil {
+	of := c.of
+	if err := mc.register(c); err != nil {
 		if c.stop != nil {
 			c.stop()
 		}
 		c.refuse(err)
 		return
 	}
-	mc.enqueueFrame(c.of)
-	if c.has(recCancelled) {
-		// Cancel ran between the check above and register and found nothing
-		// to take. Again, off this stack: pump may be below.
-		go c.Cancel()
-	}
+	mc.enqueueFrame(of)
 }
 
-// laneForURI stripes completion-driven calls by destination object rather
-// than by sequence number: every async call to one object rides one lane,
-// so a scatter round's frames to that object coalesce into the lane
-// writer's batched wire writes, and per-object send order falls out of the
-// single ordered outbound queue.
+// laneForURI is the one lane rule: calls are striped by destination object.
+// Every call to one object rides one lane, blocking or completion-driven, so
+// a scatter round's frames to that object coalesce into the lane writer's
+// batched wire writes, and per-object send order falls out of the single
+// ordered outbound queue.
 func (ch *Channel) laneForURI(uri string) int {
 	n := ch.laneCount()
 	if n <= 1 {
@@ -1014,44 +929,48 @@ func (ch *Channel) laneForURI(uri string) int {
 	return int(h % uint32(n))
 }
 
-// roundTripAsync submits one exchange and returns without waiting: c.to
-// receives the outcome, on the lane's reader goroutine for replies,
-// exactly once, unless roundTripAsync itself returns an error, in which
-// case the call was never submitted and c.to hears nothing. There is no
-// stale-connection retry here: an enqueued call that dies with its lane
-// reports the failure to c.to, and the caller (the SCOOPP proxy re-resolves
-// and retries through the synchronous machinery) picks it up.
+// submit sends c, which SetCall named and ObjRef.address completed, and
+// returns without waiting: behind the peer's circuit breaker (when the retry
+// policy arms one), on its object's lane, encoded against the lane's bind
+// table, through the lane's admission queue. c.to receives the outcome, on
+// the lane's reader goroutine for replies, exactly once, unless submit
+// itself returns an error, in which case the call was never submitted and
+// c.to hears nothing. fresh reports that the lane was dialled for this call.
 //
-// Breaker accounting mirrors roundTrip exactly, moved into the completion
-// (CallRecord.complete): evidence is recorded when the outcome is known,
-// once per submission.
-func (ch *Channel) roundTripAsync(netaddr string, c *CallRecord) error {
+// The breaker's evidence is recorded once per submission, when the outcome
+// is known (CallRecord.complete), or here when submission failed.
+func (ch *Channel) submit(netaddr string, c *CallRecord) (fresh bool, err error) {
+	countRecord(recordDrawn)
+	defer func() {
+		if err != nil {
+			countRecord(recordReturned)
+		}
+	}()
 	if err := c.ctx.Err(); err != nil {
-		return c.callErr(err)
+		return false, c.callErr(err)
 	}
 	if bs := ch.breakers(); bs != nil && !breakerBypassed(c.ctx) {
+		// A bypassed call records no evidence either: its outcome must not
+		// consume a half-open trial slot or re-trip a breaker it never
+		// consulted.
 		trial, berr := bs.allow(netaddr)
 		if berr != nil {
-			return c.callErr(berr)
+			return false, c.callErr(berr)
 		}
 		c.bs = bs
 		if trial {
 			c.set(recTrial)
 		}
 	}
-	// The mux half: resolve the destination lane, encode against its bind
-	// table and hand the frame to the lane's admission queue.
-	mc, _, err := ch.getMux(netaddr, ch.laneForURI(c.ref.uri))
+	mc, fresh, err := ch.getMux(netaddr, ch.laneForURI(c.ref.uri))
 	if err == nil {
 		if c.of, err = mc.encodeRequest(c); err == nil {
 			c.mc = mc
-			err = mc.submitAsync(c)
+			err = mc.admit(c)
 		}
 	}
 	if err != nil && c.bs != nil {
-		// Submission failed synchronously (dial, encode, closed lane):
-		// complete never runs, so settle the breaker evidence here.
 		c.bs.settle(c.ctx, netaddr, c.has(recTrial), err)
 	}
-	return err
+	return fresh, err
 }

@@ -608,3 +608,44 @@ func TestAsyncAdmissionQueueDrains(t *testing.T) {
 		t.Errorf("%d of %d async calls failed or received another call's echo", n, 2*calls)
 	}
 }
+
+// TestBlockingCallDeadlineWhileQueued: a blocking call that waits for
+// admission behind a full lane gives up when its deadline passes, without
+// waiting for a slot to free; the lane stays up, later calls succeed on its
+// one connection once the slot frees, and every record is accounted for,
+// the abandoned call's included.
+func TestBlockingCallDeadlineWhileQueued(t *testing.T) {
+	poisoned(t)
+	ch, srv, net := newMuxServer(t)
+	ch.MuxLanes, ch.MaxInFlight = 1, 1
+	h := &heldEcho{gate: make(chan struct{})}
+	srv.RegisterWellKnown("h", Singleton, func() any { return h })
+	ref, _ := GetObject(ch, srv.URLFor("h"))
+	held := goInvoke(ref, "Echo", 1)
+	for deadline := time.Now().Add(10 * time.Second); h.started.Load() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the held call never reached the server")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if v, err := ref.InvokeCtx(ctx, "Now", 2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued call = %v, %v, want deadline exceeded", v, err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Errorf("the queued call returned after %v, want its 50 ms deadline", waited)
+	}
+	close(h.gate)
+	if got := <-held; got.err != nil || got.v != 1 {
+		t.Fatalf("held call = %v, %v", got.v, got.err)
+	}
+	for i := 0; i < 4; i++ {
+		if v, err := ref.InvokeCtx(context.Background(), "Now", i); err != nil || v != i {
+			t.Fatalf("Now after the gate opened = %v, %v", v, err)
+		}
+	}
+	if d := net.dials.Load(); d != 1 {
+		t.Errorf("dials = %d, want 1: a call given up in the queue must not cost the lane", d)
+	}
+}

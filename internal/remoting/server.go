@@ -330,6 +330,11 @@ type serverConn struct {
 	// the active flusher (sc.writing) touches either.
 	spare []outFrame
 	raws  [][]byte
+
+	// free is the call record the connection's last answered request gave
+	// back, which its read loop takes before the pool: a connection serving
+	// one request at a time runs on one record of its own.
+	free atomic.Pointer[serverCall]
 }
 
 // bindEntry is one bound (URI, call, method) triple, its strings kept once
@@ -427,7 +432,10 @@ var serverCalls sync.Pool
 
 func (sc *serverConn) newCall() *serverCall {
 	countRecord(recordDrawn)
-	c, _ := serverCalls.Get().(*serverCall)
+	c := sc.free.Swap(nil)
+	if c == nil {
+		c, _ = serverCalls.Get().(*serverCall)
+	}
 	if c == nil {
 		c = &serverCall{}
 		c.run = c.handle
@@ -438,16 +446,20 @@ func (sc *serverConn) newCall() *serverCall {
 
 func (c *serverCall) giveArgs() { c.req.Args, c.argv = nil, nil }
 
-// release empties the record into the pool, keeping the array the request's
-// list was decoded into (the lent one, or the decoder's if it outgrew it).
+// release empties the record, keeping the array the request's list was
+// decoded into (the lent one, or the decoder's if it outgrew it), and gives
+// it back to its connection, or to the pool when the connection holds one.
 func (c *serverCall) release() {
 	countRecord(recordReturned)
 	if args := c.req.Args; cap(args) > 0 && cap(args) <= argvKeep {
 		c.argv = args[:0]
 	}
 	clear(c.argv[:cap(c.argv)])
+	sc := c.sc
 	c.sc, c.req, c.resp, c.entry = nil, callRequest{}, callResponse{}, nil
-	serverCalls.Put(c)
+	if !sc.free.CompareAndSwap(nil, c) {
+		serverCalls.Put(c)
+	}
 }
 
 // handle is the worker half of a request: dispatch, reply, recycle.

@@ -137,8 +137,12 @@ var framePool, boxPool sync.Pool
 // possible. Pair with PutFrame once the frame's bytes are no longer
 // referenced. It looks at one pooled buffer and puts a too-small one back:
 // frames of two sizes through one pool miss it whenever the smaller sits in
-// front, which is why a connection that can keeps its own.
+// front, which is why a connection that can keeps its own. A frame above
+// smallMax is allocated without looking: the pool never holds one.
 func GetFrame(n int) []byte {
+	if n > smallMax {
+		return make([]byte, n)
+	}
 	if p, _ := framePool.Get().(*[]byte); p != nil {
 		if cap(*p) >= n {
 			b := (*p)[:n]

@@ -57,16 +57,17 @@ func WithNetwork(p NetworkParams) Option { return func(o *options) { o.network =
 func WithCost(m CostModel) Option { return func(o *options) { o.cost = m } }
 
 // WithMaxInFlight bounds the number of concurrent in-flight calls per peer
-// connection; callers beyond the bound block until a slot frees
-// (backpressure). 0 (the default) selects the channel's built-in default.
+// connection (lane); calls beyond the bound wait in the lane's admission
+// queue, in order, until a slot frees. 0 (the default) selects the channel's
+// built-in default.
 func WithMaxInFlight(n int) Option { return func(o *options) { o.maxInFlight = n } }
 
 // WithMuxLanes sets how many connections (lanes) a node opens per peer.
-// Callers are striped across lanes by sequence number, so unrelated calls
-// on different lanes never share a lock or a TCP stream — the many-core
-// scaling knob. 0 (the default) selects min(GOMAXPROCS, 4); 1 restores the
-// single-connection behaviour. WithMaxInFlight bounds each lane
-// independently.
+// A peer's objects are striped across lanes, every call to one object
+// riding one lane, so calls to unrelated objects never share a lock or a
+// TCP stream — the many-core scaling knob. 0 (the default) selects
+// min(GOMAXPROCS, 4); 1 restores the single-connection behaviour.
+// WithMaxInFlight bounds each lane independently.
 func WithMuxLanes(n int) Option { return func(o *options) { o.muxLanes = n } }
 
 // WithPoolSize caps each node's concurrent request execution, modelling a
