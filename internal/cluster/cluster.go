@@ -15,7 +15,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/netsim"
 	"repro/internal/remoting"
-	"repro/internal/threadpool"
 	"repro/internal/transport"
 )
 
@@ -29,9 +28,6 @@ type Options struct {
 	// Cost charges per-endpoint software costs: the network every node's
 	// channel runs over is wrapped with cost.Network.
 	Cost cost.Model
-	// PoolSize bounds each node's server-side concurrency (the Mono
-	// thread pool); 0 means unbounded.
-	PoolSize int
 	// MaxInFlight bounds concurrent exchanges per peer connection; 0
 	// selects the default.
 	MaxInFlight int
@@ -72,7 +68,6 @@ type Options struct {
 // Cluster is a set of in-process node runtimes sharing one network.
 type Cluster struct {
 	nodes []*core.Runtime
-	pools []*threadpool.Pool
 	// Stats exposes the shaped network's traffic counters (nil when the
 	// network is unshaped).
 	Stats *netsim.Stats
@@ -97,18 +92,12 @@ func New(opts Options) (*Cluster, error) {
 		ch := remoting.NewMultiplexedChannel(net)
 		ch.MaxInFlight = opts.MaxInFlight
 		ch.MuxLanes = opts.MuxLanes
-		var pool *threadpool.Pool
-		if opts.PoolSize > 0 {
-			pool = threadpool.New(opts.PoolSize, 0)
-			cl.pools = append(cl.pools, pool)
-		}
 		// Each node needs its own placement policy value only if the
 		// policy is stateful per node; RoundRobin keeps one shared
 		// counter which is also fine, but nil defaults per node.
 		rt, err := core.Start(core.Config{
 			NodeID:          i,
 			Channel:         ch,
-			Pool:            pool,
 			Placement:       opts.Placement,
 			Agglomeration:   opts.Agglomeration,
 			Aggregation:     opts.Aggregation,
@@ -178,24 +167,11 @@ func (c *Cluster) Rebalance(ctx context.Context) (int, error) {
 	return total, firstErr
 }
 
-// PoolQueueWait sums the thread pools' cumulative queue wait across nodes
-// (zero when pools are unbounded); the starvation measure of ablation A4.
-func (c *Cluster) PoolQueueWait() time.Duration {
-	var total time.Duration
-	for _, p := range c.pools {
-		total += p.Snapshot().TotalQueueWait
-	}
-	return total
-}
-
 // Close shuts every node down. Each node's Runtime.Close also closes its
 // channel's client-side connections, so a torn-down in-process cluster
 // leaks nothing.
 func (c *Cluster) Close() {
 	for _, rt := range c.nodes {
 		rt.Close()
-	}
-	for _, p := range c.pools {
-		p.Close()
 	}
 }

@@ -90,33 +90,6 @@ func TestShapedClusterCountsTraffic(t *testing.T) {
 	}
 }
 
-func TestPoolCapApplied(t *testing.T) {
-	cl, err := New(Options{Nodes: 2, PoolSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.RegisterClass("echo", func() any { return &echo{} })
-	p, err := cl.Node(0).NewParallelObject("echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		p.Post("Bump")
-	}
-	p.Wait()
-	got, err := p.Invoke("N")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 5 {
-		t.Errorf("N = %v", got)
-	}
-	// Queue wait may be zero under a fast pool; the accessor must not
-	// panic regardless.
-	_ = cl.PoolQueueWait()
-}
-
 func TestAggregationForwarded(t *testing.T) {
 	cl, err := New(Options{
 		Nodes:       2,

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/ctxwait"
+	"repro/internal/dispatch"
 	"repro/internal/errs"
 	"repro/internal/remoting"
 )
@@ -22,41 +23,52 @@ var errActorMigrating = fmt.Errorf("core: migration already in progress")
 // calls enqueue into a mailbox processed in order by one goroutine,
 // providing the active-object semantics of SCOOPP parallel objects while
 // intra-grain callers continue immediately (paper Fig. 3 call b executed
-// asynchronously).
+// asynchronously). Enqueueing never blocks, whoever enqueues: a local
+// caller, or a server's read loop handing over a remote request.
 type actor struct {
 	w *ioWrapper
-	// bound caps the queued (not executing) tasks; 0 = unbounded. shed
-	// picks the victim when the bound is hit (see Config.MailboxBound).
+	// bound caps the waiting (queued or held, not executing) tasks; 0 =
+	// unbounded. shed picks the victim when the bound is hit (see
+	// Config.MailboxBound).
 	bound int
 	shed  ShedPolicy
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// queue[head:] are the waiting tasks, oldest first. Popping advances
-	// head instead of re-slicing, so the backing array survives: a mailbox
-	// that is one deep, the common case, reuses slot 0 on every call.
+	// queue is a ring of the n waiting tasks, oldest at head, and never
+	// larger than twice the deepest the mailbox has been since it was last
+	// empty. An emptied ring starts again at slot 0, so a mailbox that is
+	// one deep, the common case, reuses slot 0 on every call.
 	queue   []actorTask
-	head    int
-	stopped bool
+	head, n int
+	// held are the tasks enqueued while the actor is paused for a
+	// migration, oldest first, kept beside the queue: resume moves them
+	// into it behind the tasks queued before the pause, and ending the
+	// mailbox turns them away (end).
+	held []actorTask
+	// pending counts the queued tasks and the one executing; held ones are
+	// not counted, which is what lets pause wait for the queue alone.
 	pending int
-	// paused blocks new enqueues (migration: the mailbox drains while
-	// callers wait); moved, once set, fails every later enqueue with the
-	// forward so callers re-route to the object's new node.
+	// paused is the migration claim: the queue drains, new tasks are held.
 	paused bool
-	moved  *errs.MovedError
+	// closed, once set, is what every later enqueue fails with: the forward
+	// (a *errs.MovedError) once the object moved, errActorStopped once it
+	// was stopped. While closing, end is still turning the held tasks away
+	// and new ones are held behind them.
+	closed  error
+	closing bool
 }
 
 type actorTask struct {
 	ctx    context.Context // caller's context; nil means background
 	method string
 	args   []any
-	batch  []any // non-nil for aggregate messages
-	// The outcome goes to reply (a parked synchronous caller) or to to (an
-	// asynchronous one, which parks nothing); both nil is fire-and-forget.
-	// to is told on whichever goroutine settles the task — normally the
-	// actor loop — so it must not block.
-	reply chan actorResult
-	to    remoting.Completer
+	batch  bool // args are an aggregate message's argument lists
+	// to hears the outcome: a parked synchronous caller's reply channel, an
+	// asynchronous caller, which parks nothing, or a server's record of a
+	// remote request. It is told on whichever goroutine settles the task —
+	// normally the actor loop — so it must not block.
+	to remoting.Completer
 	// fut, when set, is the future to resolves: a task that reaches its
 	// turn with it already resolved (cancelled) is skipped like one whose
 	// ctx ended.
@@ -65,13 +77,19 @@ type actorTask struct {
 
 // settle delivers the task's outcome. Never call it with a.mu held: to is
 // caller-supplied code.
-func (t *actorTask) settle(res actorResult) {
-	switch {
-	case t.reply != nil:
-		t.reply <- res
-	case t.to != nil:
-		t.to.Complete(res.val, res.err)
+func (t *actorTask) settle(res actorResult) { t.to.Complete(res.val, res.err) }
+
+// refuse settles a task the mailbox turns away unrun with err. A local post
+// has no caller to hand a forward to: it is posted again where the object
+// went.
+func (t *actorTask) refuse(err error) {
+	if p, ok := t.to.(*postErrors); ok {
+		if mv, ok := movedOf(err, p.uri); ok {
+			(*Proxy)(p).follow(mv, t.method, t.args) //nolint:errcheck // a remote post reports to AsyncErr
+			return
+		}
 	}
+	t.settle(actorResult{err: err})
 }
 
 type actorResult struct {
@@ -79,38 +97,68 @@ type actorResult struct {
 	err error
 }
 
+// replyChan is a blocking caller's one-slot reply channel as its task's
+// Completer.
+type replyChan chan actorResult
+
+func (r replyChan) Complete(v any, err error) { r <- actorResult{val: v, err: err} }
+
 // mailboxKeep is the largest backing array, in tasks, an emptied mailbox
-// holds on to; what a burst grew beyond it goes back to the GC.
-const mailboxKeep = 64
+// holds on to; what a burst grew beyond it goes back to the GC. A server's
+// read loop hands a mailbox every request a connection pipelines to the
+// object at once, so it keeps what one 256-call wave to one object needs
+// (22 KB), and no more.
+const mailboxKeep = 256
 
 // queued reports how many tasks wait in the mailbox. Needs a.mu.
-func (a *actor) queued() int { return len(a.queue) - a.head }
+func (a *actor) queued() int { return a.n }
 
 // pop removes the oldest waiting task, zeroing its slot so a finished
 // task's args and ctx are not pinned by the array. Needs a.mu.
 func (a *actor) pop() actorTask {
 	t := a.queue[a.head]
 	a.queue[a.head] = actorTask{}
-	a.head++
-	if a.head == len(a.queue) {
-		a.queue, a.head = a.queue[:0], 0
-		if cap(a.queue) > mailboxKeep {
+	a.head, a.n = (a.head+1)%len(a.queue), a.n-1
+	if a.n == 0 {
+		a.head = 0
+		if len(a.queue) > mailboxKeep {
 			a.queue = nil
 		}
 	}
 	return t
 }
 
-// push appends a task. A full array of which at least half is already
-// popped is compacted in place rather than grown, so a mailbox that never
-// quite empties does not creep through memory. Needs a.mu.
+// push appends a task, doubling a full ring. Needs a.mu.
 func (a *actor) push(t actorTask) {
-	if a.head > 0 && len(a.queue) == cap(a.queue) && a.head >= len(a.queue)/2 {
-		n := copy(a.queue, a.queue[a.head:])
-		clear(a.queue[n:])
-		a.queue, a.head = a.queue[:n], 0
+	if a.n == len(a.queue) {
+		grown := make([]actorTask, max(4, 2*a.n))
+		copy(grown, a.queue[a.head:])
+		copy(grown[len(a.queue)-a.head:], a.queue[:a.head])
+		a.queue, a.head = grown, 0
 	}
-	a.queue = append(a.queue, t)
+	a.queue[(a.head+a.n)%len(a.queue)] = t
+	a.n++
+}
+
+// admit queues a task for the actor loop. Needs a.mu.
+func (a *actor) admit(t actorTask) {
+	a.push(t)
+	a.pending++
+	a.w.rt.queuedTasks.Add(1)
+}
+
+// evict removes the oldest waiting task, queued or else held, for
+// ShedOldest. Needs a.mu.
+func (a *actor) evict() actorTask {
+	if a.queued() > 0 {
+		a.pending--
+		a.w.rt.queuedTasks.Add(-1)
+		return a.pop()
+	}
+	t := a.held[0]
+	a.held[0] = actorTask{}
+	a.held = a.held[1:]
+	return t
 }
 
 func newActor(w *ioWrapper) *actor {
@@ -123,10 +171,10 @@ func newActor(w *ioWrapper) *actor {
 func (a *actor) run() {
 	for {
 		a.mu.Lock()
-		for a.queued() == 0 && !a.stopped {
+		for a.queued() == 0 && a.closed == nil {
 			a.cond.Wait()
 		}
-		if a.queued() == 0 && a.stopped {
+		if a.queued() == 0 {
 			a.mu.Unlock()
 			return
 		}
@@ -151,8 +199,11 @@ func (a *actor) run() {
 			}
 		} else if t.fut != nil && t.fut.resolved() {
 			res.err = context.Canceled
-		} else if t.batch != nil {
-			_, res.err = a.w.InvokeBatch(ctx, t.method, t.batch)
+		} else if t.batch {
+			var n int
+			if n, res.err = a.w.InvokeBatch(ctx, t.method, t.args); res.err == nil {
+				res.val = n
+			}
 		} else {
 			res.val, res.err = a.w.Invoke1(ctx, t.method, t.args)
 		}
@@ -167,43 +218,20 @@ func (a *actor) run() {
 	}
 }
 
-// enqueue adds a task. While the actor is paused for migration, enqueue
-// blocks — bounded by the task's context when it carries one; once the
-// object has moved it fails with the forward (a *errs.MovedError) instead,
-// so a blocked caller comes out of the pause routed to the new node.
+// enqueue adds a task without blocking: to the queue, or, while the actor
+// is paused for a migration, to the tasks held beside it. It fails once the
+// mailbox is closed — with the forward (a *errs.MovedError) after a move, so
+// the caller re-routes — and when a full bounded mailbox sheds the task.
 func (a *actor) enqueue(t actorTask) error {
 	a.mu.Lock()
-	if a.paused && a.moved == nil && !a.stopped && t.ctx != nil && t.ctx.Done() != nil {
-		// Wake this waiter when the caller's context ends; Broadcast is
-		// how every pause-state transition is announced.
-		stop := context.AfterFunc(t.ctx, func() {
-			a.mu.Lock()
-			a.cond.Broadcast()
-			a.mu.Unlock()
-		})
-		defer stop()
-	}
-	for a.paused && a.moved == nil && !a.stopped {
-		if t.ctx != nil {
-			if err := t.ctx.Err(); err != nil {
-				a.mu.Unlock()
-				return err
-			}
-		}
-		a.cond.Wait()
-	}
-	if a.moved != nil {
-		mv := a.moved
+	if a.closed != nil && !a.closing {
+		err := a.closed
 		a.mu.Unlock()
-		return mv
-	}
-	if a.stopped {
-		a.mu.Unlock()
-		return errActorStopped
+		return err
 	}
 	var evicted actorTask
 	shedOldest := false
-	if a.bound > 0 && a.queued() >= a.bound {
+	if a.bound > 0 && a.queued()+len(a.held) >= a.bound {
 		if a.shed != ShedOldest {
 			a.mu.Unlock()
 			a.w.rt.noteShed()
@@ -211,15 +239,15 @@ func (a *actor) enqueue(t actorTask) error {
 				fmt.Errorf("core: mailbox full (%d queued): %w", a.bound, errs.ErrOverloaded),
 				shedRetryAfter)
 		}
-		// ShedOldest: evict the head task to make room; its caller is
-		// failed outside the lock.
-		evicted, shedOldest = a.pop(), true
-		a.pending--
-		a.w.rt.queuedTasks.Add(-1)
+		// ShedOldest: evict the oldest waiting task to make room; its caller
+		// is failed outside the lock.
+		evicted, shedOldest = a.evict(), true
 	}
-	a.push(t)
-	a.pending++
-	a.w.rt.queuedTasks.Add(1)
+	if a.paused || a.closing {
+		a.held = append(a.held, t)
+	} else {
+		a.admit(t)
+	}
 	a.cond.Broadcast()
 	a.mu.Unlock()
 	if shedOldest {
@@ -232,24 +260,20 @@ func (a *actor) enqueue(t actorTask) error {
 }
 
 // pause claims the actor for a migration — at most one at a time; the
-// paused flag is the claim — and blocks until every queued task has
-// executed, the quiescence point the migration snapshots at. The claim is
-// refused when the actor is already claimed, moved or stopped, and the
-// wait aborts (rolling the claim back) when ctx ends — a task that never
-// finishes, for example one blocked posting into its own paused mailbox,
-// fails the migration instead of deadlocking it — or when a racing
-// destroy stops the actor. Balanced by resume (migration failed) or
-// markMoved (succeeded).
+// paused flag is the claim — and blocks until every task queued before it
+// has executed, the quiescence point the migration snapshots at. Tasks
+// enqueued from here on are held. The claim is refused when the actor is
+// already claimed, moved or stopped, and the wait aborts (rolling the claim
+// back) when ctx ends — a task that never finishes fails the migration
+// instead of wedging it — or when a racing destroy stops the actor.
+// Balanced by resume (migration failed) or markMoved (succeeded).
 func (a *actor) pause(ctx context.Context) error {
 	a.mu.Lock()
 	switch {
-	case a.moved != nil:
-		mv := a.moved
+	case a.closed != nil:
+		err := a.closed
 		a.mu.Unlock()
-		return mv
-	case a.stopped:
-		a.mu.Unlock()
-		return errActorStopped
+		return err
 	case a.paused:
 		a.mu.Unlock()
 		return errActorMigrating
@@ -263,20 +287,17 @@ func (a *actor) pause(ctx context.Context) error {
 		})
 		defer stop()
 	}
-	for a.pending > 0 && !a.stopped {
+	for a.pending > 0 && a.closed == nil {
 		if err := ctx.Err(); err != nil {
-			a.paused = false
-			a.cond.Broadcast()
+			a.resumeLocked()
 			a.mu.Unlock()
 			return err
 		}
 		a.cond.Wait()
 	}
-	if a.stopped {
+	if a.closed != nil {
 		// A destroy won the race: the object must not be resurrected
 		// elsewhere from a snapshot of its corpse.
-		a.paused = false
-		a.cond.Broadcast()
 		a.mu.Unlock()
 		return errActorStopped
 	}
@@ -287,46 +308,83 @@ func (a *actor) pause(ctx context.Context) error {
 // resume reopens a paused mailbox.
 func (a *actor) resume() {
 	a.mu.Lock()
-	a.paused = false
-	a.cond.Broadcast()
+	a.resumeLocked()
 	a.mu.Unlock()
 }
 
-// markMoved terminates a paused actor after a successful migration:
-// callers blocked in enqueue (and all future enqueues) fail with the
-// forward, and the mailbox goroutine exits.
+// resumeLocked reopens the mailbox: the held tasks join the queue, in
+// order, behind the ones queued before the pause. Held tasks of a mailbox
+// that is closing are end's to turn away. Needs a.mu.
+func (a *actor) resumeLocked() {
+	a.paused = false
+	if a.closed == nil {
+		for _, t := range a.held {
+			a.admit(t)
+		}
+		clear(a.held)
+		a.held = a.held[:0]
+	}
+	a.cond.Broadcast()
+}
+
+// end closes the mailbox with err, which every later enqueue fails with; a
+// forward, once set, stays. The held tasks are turned away with it first
+// (refuse), in order and outside the lock; a task enqueued meanwhile is held
+// behind them and turned away by the same loop, so no caller's later call
+// fails with the forward, and follows it, before an earlier one did. A
+// second end while the first is turning tasks away only sets err. Needs
+// a.mu, which it releases while it settles.
+func (a *actor) end(err error) {
+	if _, moved := a.closed.(*errs.MovedError); !moved {
+		a.closed = err
+	}
+	a.paused = false
+	if a.closing {
+		return
+	}
+	a.closing = true
+	for len(a.held) > 0 {
+		held, err := a.held, a.closed
+		a.held = nil
+		a.mu.Unlock()
+		for i := range held {
+			held[i].refuse(err)
+		}
+		a.mu.Lock()
+	}
+	a.closing = false
+	a.cond.Broadcast()
+}
+
+// markMoved terminates a paused actor after a successful migration: the
+// held tasks, and every later enqueue, fail with the forward, and the
+// mailbox goroutine exits.
 func (a *actor) markMoved(mv *errs.MovedError) {
 	a.mu.Lock()
-	a.moved = mv
-	a.paused = false
-	a.stopped = true
-	a.cond.Broadcast()
+	a.end(mv)
 	a.mu.Unlock()
 }
 
 // abort terminates an actor whose state the cluster has moved past (a
 // stale copy being demoted after a failover promotion): unlike markMoved
 // it does not wait for the queue to drain — queued tasks would execute
-// against superseded state and their effects silently vanish — but fails
-// every queued task with the forward so its caller re-routes and retries
-// at the fresh copy. The task executing at this instant (if any) still
-// completes; its caller received — or will receive — a reply computed on
-// state one failover behind, the unavoidable window of asynchronous
-// supersession.
+// against superseded state and their effects silently vanish — but turns
+// every queued task away with the forward, ahead of the held ones, so its
+// caller re-routes and retries at the fresh copy. The task executing at
+// this instant (if any) still completes; its caller received — or will
+// receive — a reply computed on state one failover behind, the unavoidable
+// window while a copy does not yet know it was superseded.
 func (a *actor) abort(mv *errs.MovedError) {
 	a.mu.Lock()
-	a.moved = mv
-	a.paused = false
-	a.stopped = true
-	queued := a.queue[a.head:]
-	a.queue, a.head = nil, 0
+	queued := make([]actorTask, 0, a.n+len(a.held))
+	for a.n > 0 {
+		queued = append(queued, a.pop())
+	}
 	a.pending -= len(queued)
 	a.w.rt.queuedTasks.Add(int64(-len(queued)))
-	a.cond.Broadcast()
+	a.held = append(queued, a.held...)
+	a.end(mv)
 	a.mu.Unlock()
-	for i := range queued {
-		queued[i].settle(actorResult{err: mv})
-	}
 }
 
 // replyPool recycles the one-slot reply channels of blocking mailbox calls.
@@ -342,7 +400,7 @@ var replyPool = sync.Pool{New: func() any { return make(chan actorResult, 1) }}
 // buffered, so nothing leaks).
 func (a *actor) callSync(ctx context.Context, t actorTask) (any, error) {
 	reply := replyPool.Get().(chan actorResult)
-	t.ctx, t.reply = ctx, reply
+	t.ctx, t.to = ctx, replyChan(reply)
 	if err := a.enqueue(t); err != nil {
 		replyPool.Put(reply)
 		return nil, err
@@ -361,28 +419,11 @@ func (a *actor) callSync(ctx context.Context, t actorTask) (any, error) {
 	}
 }
 
-// callCtx performs a synchronous invocation through the mailbox, preserving
-// order with earlier asynchronous posts.
-func (a *actor) callCtx(ctx context.Context, method string, args []any) (any, error) {
-	return a.callSync(ctx, actorTask{method: method, args: args})
-}
-
-// callAsync enqueues an invocation and returns; to receives its outcome on
-// the actor loop, before Wait observes the task as finished (or, for a task
-// that never ran, on whoever evicted or aborted it). An enqueue-time failure
-// (object destroyed or moved before the task entered the mailbox — nothing
-// executed) is only returned and to never hears, so the caller can re-route
-// or record it without double-reporting. A non-nil ctx cancels the task if
-// it is still queued when ctx ends. Like every enqueue it blocks while the
-// mailbox is paused for migration.
-func (a *actor) callAsync(ctx context.Context, method string, args []any, to remoting.Completer) error {
-	return a.enqueue(actorTask{ctx: ctx, method: method, args: args, to: to})
-}
-
-// wait blocks until the mailbox is drained.
+// wait blocks until the mailbox has run, or turned away, every task it
+// took, held ones included.
 func (a *actor) wait() {
 	a.mu.Lock()
-	for a.pending > 0 {
+	for a.pending > 0 || len(a.held) > 0 || a.closing {
 		a.cond.Wait()
 	}
 	a.mu.Unlock()
@@ -394,35 +435,35 @@ func (a *actor) waitCtx(ctx context.Context) error {
 	return ctxwait.Drain(ctx, a.wait)
 }
 
-// stop drains the mailbox and terminates the goroutine.
+// stop turns the held tasks away, drains the queue and terminates the
+// goroutine.
 func (a *actor) stop() {
 	a.mu.Lock()
-	a.stopped = true
-	a.cond.Broadcast()
+	a.end(errActorStopped)
 	for a.pending > 0 {
 		a.cond.Wait()
 	}
 	a.mu.Unlock()
 }
 
-// actorEndpoint adapts an actor to the remoting dispatcher so remote
-// callers share the mailbox (and therefore the ordering) of local callers.
-// The ctx parameters receive the server-side request context, carrying the
-// remote caller's deadline into the mailbox wait.
+// actorEndpoint adapts an actor to the remoting server so remote callers
+// share the mailbox (and therefore the ordering) of local callers.
 type actorEndpoint struct {
 	a *actor
 }
 
-// Invoke1 executes one invocation through the mailbox.
-func (e *actorEndpoint) Invoke1(ctx context.Context, method string, args []any) (any, error) {
-	return e.a.callCtx(ctx, method, args)
-}
-
-// InvokeBatch replays an aggregate message through the mailbox as a single
-// task, so a batch executes atomically with respect to other calls.
-func (e *actorEndpoint) InvokeBatch(ctx context.Context, method string, calls []any) (int, error) {
-	if _, err := e.a.callSync(ctx, actorTask{method: method, batch: calls}); err != nil {
-		return 0, err
+// Enqueue takes a runtime call into the mailbox without waiting for it: ctx
+// is the request's, carrying the remote caller's deadline into the mailbox,
+// and to, the server's record of the request, hears the outcome. A batch
+// executes as one task, atomically with respect to other calls.
+func (e *actorEndpoint) Enqueue(ctx context.Context, call, method string, args []any, to remoting.Completer) error {
+	t := actorTask{ctx: ctx, method: method, args: args, to: to}
+	switch call {
+	case "Invoke1":
+	case "InvokeBatch":
+		t.batch = true
+	default:
+		return &dispatch.NoMethodError{Obj: e, Method: call}
 	}
-	return len(calls), nil
+	return e.a.enqueue(t)
 }

@@ -54,7 +54,6 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/errs"
 	"repro/internal/remoting"
-	"repro/internal/threadpool"
 	"repro/internal/wire"
 )
 
@@ -222,9 +221,6 @@ type Config struct {
 	NodeID int
 	// Channel is the remoting channel used for all inter-node traffic.
 	Channel *remoting.Channel
-	// Pool, when non-nil, bounds server-side call execution (the Mono
-	// thread pool of Fig. 9). Nil runs each call on its own goroutine.
-	Pool *threadpool.Pool
 	// Placement distributes new parallel objects; default RoundRobin.
 	Placement PlacementPolicy
 	// Agglomeration packs objects into their creator's grain; default
@@ -299,23 +295,6 @@ type Stats struct {
 	// time (a gauge, unlike every other field): OverloadNone,
 	// OverloadBusy or OverloadShedding.
 	OverloadGrade OverloadGrade
-}
-
-// contExec returns the overflow executor futures use for continuations
-// that exhausted the inline depth budget: the configured thread pool when
-// it has room, a fresh goroutine otherwise (TrySubmit never blocks — the
-// completion path must not stall behind a full pool queue). Nil when no
-// pool is configured, which makes the Future spawn a goroutine directly.
-func (rt *Runtime) contExec() func(func()) {
-	pool := rt.cfg.Pool
-	if pool == nil {
-		return nil
-	}
-	return func(fn func()) {
-		if !pool.TrySubmit(fn) {
-			go fn()
-		}
-	}
 }
 
 // Runtime is one node's SCOOPP run-time system: object manager, factories
@@ -473,11 +452,7 @@ func Start(cfg Config, addr string) (*Runtime, error) {
 		stop:        make(chan struct{}),
 	}
 	rt.loadCond = sync.NewCond(&rt.loadMu)
-	var opts []remoting.ServerOption
-	if cfg.Pool != nil {
-		opts = append(opts, remoting.WithPool(cfg.Pool))
-	}
-	srv, err := cfg.Channel.ListenAndServe(addr, opts...)
+	srv, err := cfg.Channel.ListenAndServe(addr)
 	if err != nil {
 		return nil, err
 	}

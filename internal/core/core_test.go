@@ -52,7 +52,13 @@ func (slowObj) Work(ms int) int {
 // startNodes boots n joined runtimes over one memory network.
 func startNodes(t *testing.T, n int, mutate func(i int, cfg *Config)) []*Runtime {
 	t.Helper()
-	net := transport.NewMemNetwork()
+	return startNodesOn(t, transport.NewMemNetwork(), func(i int) string { return fmt.Sprintf("mem://n%d", i) }, n, mutate)
+}
+
+// startNodesOn boots n joined runtimes over net, node i listening at
+// addr(i).
+func startNodesOn(t *testing.T, net transport.Network, addr func(i int) string, n int, mutate func(i int, cfg *Config)) []*Runtime {
+	t.Helper()
 	rts := make([]*Runtime, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -60,7 +66,7 @@ func startNodes(t *testing.T, n int, mutate func(i int, cfg *Config)) []*Runtime
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		rt, err := Start(cfg, fmt.Sprintf("mem://n%d", i))
+		rt, err := Start(cfg, addr(i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/errs"
+	"repro/internal/remoting"
 	"repro/internal/wire"
 )
 
@@ -128,14 +129,9 @@ type tombstone struct {
 	mv errs.MovedError
 }
 
-// Invoke1 rejects a single invocation with the forward.
-func (t *tombstone) Invoke1(ctx context.Context, method string, args []any) (any, error) {
-	return nil, &t.mv
-}
-
-// InvokeBatch rejects an aggregate message with the forward. Enqueue-time
-// rejection means no element of the batch executed; the caller replays the
-// whole batch at the new location.
-func (t *tombstone) InvokeBatch(ctx context.Context, method string, calls []any) (int, error) {
-	return 0, &t.mv
+// Enqueue answers a runtime call with the forward, on the server's read
+// loop. Nothing of the call ran, so a refused batch is replayed whole at
+// the new location.
+func (t *tombstone) Enqueue(context.Context, string, string, []any, remoting.Completer) error {
+	return &t.mv
 }

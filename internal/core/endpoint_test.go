@@ -49,11 +49,35 @@ func init() {
 	})
 }
 
+// completerFunc adapts a function to remoting.Completer.
+type completerFunc func(any, error)
+
+func (f completerFunc) Complete(v any, err error) { f(v, err) }
+
+// runtimeCall hands a runtime call to ep as the server hands over a call
+// whose handle names the user's method: to its Mailbox, waiting for the
+// outcome, or to its NestedInvoker.
+func runtimeCall(ep any, ctx context.Context, call, method string, args []any) (any, error) {
+	mb, ok := ep.(remoting.Mailbox)
+	if !ok {
+		return ep.(remoting.NestedInvoker).InvokeNested(ctx, call, method, args)
+	}
+	done := make(chan actorResult, 1)
+	if err := mb.Enqueue(ctx, call, method, args, completerFunc(func(v any, err error) {
+		done <- actorResult{val: v, err: err}
+	})); err != nil {
+		return nil, err
+	}
+	res := <-done
+	return res.val, res.err
+}
+
 // TestInvokeNestedMatchesReflectivePath runs each runtime call through an
-// endpoint's InvokeNested, as the server hands over a call whose handle
-// names the user's method, and through the reflective path to the same
-// endpoint with the flat list: results, error text and error chains must
-// agree.
+// endpoint's Mailbox or InvokeNested, as the server hands over a call whose
+// handle names the user's method, and through the reflective path to the
+// wrapper the endpoint runs it on with the flat list: results, error text
+// and error chains must agree. A tombstone answers every call with its
+// forward.
 func TestInvokeNestedMatchesReflectivePath(t *testing.T) {
 	rt := startNodes(t, 1, nil)[0]
 	w := &ioWrapper{rt: rt, class: "probe", obj: &probeObj{}}
@@ -67,7 +91,7 @@ func TestInvokeNestedMatchesReflectivePath(t *testing.T) {
 
 	cases := []struct {
 		name         string
-		ep           endpoint
+		ep           any
 		ctx          context.Context
 		call, method string
 		args         []any
@@ -77,21 +101,29 @@ func TestInvokeNestedMatchesReflectivePath(t *testing.T) {
 		{"good call, unwrapped object", w, bg, "Invoke1", "Twice", []any{21}, 42},
 		{"argument converted by wire.Assign", w, bg, "Invoke1", "Twice", []any{int64(21)}, 42},
 		{"unknown user method", w, bg, "Invoke1", "Nope", []any{}, nil},
+		{"unknown user method in the mailbox", &actorEndpoint{a: a}, bg, "Invoke1", "Nope", []any{}, nil},
 		{"deadline reaches a ctx-first method", &actorEndpoint{a: a}, dlCtx, "Invoke1", "Deadline", []any{}, deadline.UnixNano()},
 		{"batch count", &actorEndpoint{a: a}, bg, "InvokeBatch", "Add", []any{[]any{1}, []any{2}, []any{3}}, 3},
 		{"batch with a bad element", w, bg, "InvokeBatch", "Add", []any{[]any{1}, "x"}, nil},
+		{"batch with a bad element in the mailbox", &actorEndpoint{a: a}, bg, "InvokeBatch", "Add", []any{[]any{1}, "x"}, nil},
 		{"tombstone", &tombstone{mv: mv}, bg, "Invoke1", "Twice", []any{1}, nil},
 		{"tombstone batch", &tombstone{mv: mv}, bg, "InvokeBatch", "Add", []any{[]any{1}}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, gotErr := tc.ep.InvokeNested(tc.ctx, tc.call, tc.method, tc.args)
-			ref, refErr := dispatch.InvokeCtx(tc.ctx, tc.ep, tc.call, []any{tc.method, tc.args})
+			got, gotErr := runtimeCall(tc.ep, tc.ctx, tc.call, tc.method, tc.args)
+			if _, isTomb := tc.ep.(*tombstone); isTomb {
+				if gotMv := (*errs.MovedError)(nil); !errors.As(gotErr, &gotMv) || *gotMv != mv {
+					t.Errorf("tombstone answered %v, %v; want the forward %+v", got, gotErr, mv)
+				}
+				return
+			}
+			ref, refErr := dispatch.InvokeCtx(tc.ctx, w, tc.call, []any{tc.method, tc.args})
 			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("InvokeNested returned %#v, reflective path %#v", got, ref)
+				t.Errorf("runtime call returned %#v, reflective path %#v", got, ref)
 			}
 			if (gotErr == nil) != (refErr == nil) {
-				t.Fatalf("InvokeNested error %v, reflective error %v", gotErr, refErr)
+				t.Fatalf("runtime call error %v, reflective error %v", gotErr, refErr)
 			}
 			if gotErr == nil {
 				if !reflect.DeepEqual(got, tc.want) {
@@ -100,17 +132,10 @@ func TestInvokeNestedMatchesReflectivePath(t *testing.T) {
 				return
 			}
 			if gotErr.Error() != refErr.Error() {
-				t.Errorf("InvokeNested error %q, reflective error %q", gotErr, refErr)
+				t.Errorf("runtime call error %q, reflective error %q", gotErr, refErr)
 			}
 			if errors.Is(gotErr, errs.ErrNoSuchMethod) != errors.Is(refErr, errs.ErrNoSuchMethod) {
-				t.Errorf("ErrNoSuchMethod: InvokeNested %v, reflective %v", gotErr, refErr)
-			}
-			var gotMv, refMv *errs.MovedError
-			if errors.As(gotErr, &gotMv) != errors.As(refErr, &refMv) {
-				t.Fatalf("MovedError: InvokeNested %v, reflective %v", gotErr, refErr)
-			}
-			if _, isTomb := tc.ep.(*tombstone); isTomb && (gotMv == nil || *gotMv != mv) {
-				t.Errorf("tombstone reply carries %+v, want %+v", gotMv, mv)
+				t.Errorf("ErrNoSuchMethod: runtime call %v, reflective %v", gotErr, refErr)
 			}
 		})
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // maxInlineDepth bounds how many continuation frames run nested on one
-// completion delivery before the chain hops to the overflow executor. The
+// completion delivery before the chain hops to a fresh goroutine. The
 // bound keeps completion-path latency predictable and the stack shallow: a
 // reply that resolves a Then chain runs the first few links inline on the
 // mux reader and ships the rest elsewhere.
@@ -40,10 +40,6 @@ type canceller interface{ Cancel() }
 // (ThenAny / OnComplete) does not. It is also the unit of cancellation
 // (Cancel): no context is derived per call.
 type Future struct {
-	// exec runs continuations that overflowed the inline depth bound; nil
-	// means a fresh goroutine. Inherited by derived futures.
-	exec func(func())
-
 	mu        sync.Mutex
 	completed bool
 	val       any
@@ -134,17 +130,11 @@ func (f *Future) resolved() bool {
 }
 
 // deliver runs one continuation: inline while the depth budget lasts,
-// otherwise on the overflow executor (the runtime's thread pool when one
-// is configured and has room, a fresh goroutine otherwise).
+// otherwise on a fresh goroutine.
 func (f *Future) deliver(s sub, depth int) {
 	switch {
 	case depth >= maxInlineDepth:
-		hop := func() { f.deliver(s, 0) }
-		if f.exec != nil {
-			f.exec(hop)
-		} else {
-			go hop()
-		}
+		go f.deliver(s, 0)
 	case s.at != nil:
 		s.at(s.i, f.val, f.err)
 	case s.child == nil:
@@ -190,12 +180,12 @@ func (f *Future) OnCompleteAt(i int, fn func(int, any, error)) { f.subscribe(sub
 
 // ThenAny returns a future resolved by fn applied to this future's
 // outcome. fn runs on the completion path (bounded inline depth, overflow
-// to the pool); a panic inside it resolves the derived future with an
-// error instead of unwinding the deliverer. Cancelling the derived future
+// to a fresh goroutine); a panic inside it resolves the derived future with
+// an error instead of unwinding the deliverer. Cancelling the derived future
 // cancels this one. Typed chaining lives in the parc package (Then /
 // Catch); this is their dynamically typed engine.
 func (f *Future) ThenAny(fn func(any, error) (any, error)) *Future {
-	child := &Future{exec: f.exec, abort: f}
+	child := &Future{abort: f}
 	f.subscribe(sub{then: fn, child: child})
 	return child
 }
@@ -205,7 +195,7 @@ func (f *Future) ThenAny(fn func(any, error) (any, error)) *Future {
 // cancelled first. Cancelling the chain cancels whichever of the two it is
 // waiting on. A Pipeline stage is one Chain.
 func Chain(f *Future, step func(any, error) *Future) *Future {
-	chain := &Future{exec: f.exec, abort: f}
+	chain := &Future{abort: f}
 	f.OnComplete(func(v any, err error) {
 		if !chain.resolved() {
 			next := step(v, err)

@@ -19,14 +19,14 @@ func (rt *Runtime) Migrate(uri string, toNode int) error {
 
 // migrateTimeout caps a migration whose caller set no deadline: the pause
 // drain and the state transfer must finish within it or the migration
-// fails and the actor resumes. A mailbox that can never drain (a task
-// blocked posting into its own paused mailbox) therefore costs a failed
-// migration, not a wedged object.
+// fails and the actor resumes. A mailbox that can never drain (a task that
+// never returns) therefore costs a failed migration, not a wedged object.
 const migrateTimeout = 10 * time.Second
 
 // MigrateCtx live-migrates a parallel object hosted on this node:
 //
-//  1. the actor mailbox is paused — new calls block, queued calls drain;
+//  1. the actor mailbox is paused — new calls are held beside the queue,
+//     without blocking their callers, while the queued calls drain;
 //  2. the implementation object's state is snapshotted through the wire
 //     codecs (the generated //parc:wire codec when the class has one, the
 //     reflective encoder otherwise — either way, exported fields travel);
@@ -34,10 +34,10 @@ const migrateTimeout = 10 * time.Second
 //     same URI at a bumped generation;
 //  4. a forwarding tombstone replaces the actor endpoint (atomically, so a
 //     racing call observes either the draining actor or the forward) and
-//     the blocked callers are released with the *errs.MovedError that
-//     re-routes them.
+//     the held calls are turned away, in order, with the *errs.MovedError
+//     that re-routes them (a local post is posted again at the target).
 //
-// Callers that were blocked observe at most one transparent retry; calls
+// Calls that were held observe at most one transparent retry; calls
 // that executed before the pause are in the snapshot. Per-object call
 // ordering is preserved: nothing executes at the target before the source
 // mailbox fully drained.

@@ -356,7 +356,7 @@ func (p *Proxy) InvokeInto(ctx context.Context, sink remoting.ResultSink, method
 	case modeAgglomerated:
 		return p.invokeInCaller(ctx, method, args)
 	case modeLocalActive:
-		res, err := act.callCtx(ctx, method, args)
+		res, err := act.callSync(ctx, actorTask{method: method, args: args})
 		if mv, ok := movedOf(err, p.uri); ok {
 			// The object migrated away while this proxy still held its
 			// mailbox: upgrade to a remote proxy and retry at the new
@@ -425,7 +425,6 @@ func (p *Proxy) StartAsync(ctx context.Context, c *AsyncCall, method string, arg
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.fut.exec = p.rt.contExec()
 	c.try.p, c.try.f = p, &c.fut
 	c.try.rec.SetCall(ctx, "Invoke1", method, args)
 	switch mode, act := p.state(); mode {
@@ -485,10 +484,11 @@ func (e *mailboxEntry) Complete(v any, err error) {
 	a := &e.try
 	a.stop()
 	if mv, ok := movedOf(err, a.p.uri); ok {
-		// The object was taken from this node with the call still queued:
-		// follow it, off the actor loop.
+		// The object was taken from this node with the call still queued or
+		// held: follow it, on the proxy's lane, ahead of the calls issued
+		// after this one.
 		a.p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-		a.rerun()
+		(*AsyncCall)(e).submitRemote()
 		return
 	}
 	e.fut.complete(v, err)
@@ -660,10 +660,9 @@ func (p *Proxy) PostCtx(ctx context.Context, method string, args ...any) error {
 		// from some other object) go straight to AsyncErr from the actor
 		// loop; an enqueue-time forward is only returned, and is a routing
 		// event, not a failure — re-post remotely.
-		err := act.callAsync(ctx, method, args, (*postErrors)(p))
+		err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, to: (*postErrors)(p)})
 		if mv, ok := movedOf(err, p.uri); ok {
-			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-			return p.postRemote(method, args)
+			return p.follow(mv, method, args)
 		}
 		if err != nil {
 			p.noteAsyncError(err)
@@ -674,8 +673,16 @@ func (p *Proxy) PostCtx(ctx context.Context, method string, args ...any) error {
 	}
 }
 
+// follow re-posts a local post whose object moved before running it, at the
+// forward's location.
+func (p *Proxy) follow(mv *errs.MovedError, method string, args []any) error {
+	p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+	return p.postRemote(method, args)
+}
+
 // postErrors is the proxy as what a mailbox tells the outcome of its local
-// posts: a failure goes to AsyncErr.
+// posts: a failure goes to AsyncErr. A forward does not come here: the
+// mailbox posts the task again (actorTask.refuse).
 type postErrors Proxy
 
 func (p *postErrors) Complete(_ any, err error) {
@@ -757,16 +764,21 @@ func (p *Proxy) Wait() {
 // WaitCtx is Wait bounded by ctx; abandoning the wait leaves the posted
 // calls draining in the background.
 func (p *Proxy) WaitCtx(ctx context.Context) error {
-	switch mode, act := p.state(); mode {
-	case modeAgglomerated:
-		// Posts already executed inline.
-		return nil
-	case modeLocalActive:
-		return act.waitCtx(ctx)
-	default:
-		p.FlushAggregation()
-		return p.sequencer().FlushCtx(ctx)
+	mode, act := p.state()
+	if mode == modeLocalActive {
+		if err := act.waitCtx(ctx); err != nil {
+			return err
+		}
+		// Posts the mailbox held through a migration were posted again at
+		// the object's new host: wait for them there.
+		mode, _ = p.state()
 	}
+	if mode != modeRemote {
+		// Local posts ran in the mailbox; agglomerated ones inline.
+		return nil
+	}
+	p.FlushAggregation()
+	return p.sequencer().FlushCtx(ctx)
 }
 
 // Migrate moves the parallel object to cluster node toNode; see

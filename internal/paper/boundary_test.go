@@ -25,7 +25,6 @@ var production = []string{
 	"internal/transport",
 	"internal/dispatch",
 	"internal/cluster",
-	"internal/threadpool",
 	"internal/errs",
 	"internal/ctxwait",
 	"internal/metrics",
@@ -94,6 +93,12 @@ func TestProductionDoesNotImportPaperStacks(t *testing.T) {
 			if (pkg == "internal/remoting" || pkg == "internal/core") && path == "repro/internal/cost" {
 				t.Errorf("%s imports %s: the call path takes the cost model through transport.Network", file, path)
 			}
+			// The Mono thread pool is the paper's: a server hands each call
+			// to its object's mailbox, and the Fig. 9 farm's workers render
+			// on the pool themselves.
+			if path == "repro/internal/threadpool" {
+				t.Errorf("%s imports %s: the runtime runs no thread pool", file, path)
+			}
 		}
 	}
 }
@@ -115,7 +120,6 @@ var layers = []string{
 var leaves = []string{
 	"internal/errs",
 	"internal/ctxwait",
-	"internal/threadpool",
 	"internal/metrics",
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/paper/profile"
 	"repro/internal/paper/wirecodecs"
-	"repro/internal/raytracer"
 	"repro/internal/sieve"
 	"repro/internal/wire"
 )
@@ -218,46 +217,14 @@ func RunPoolAblation(cfg Fig9Config, processors int, poolSizes []int) ([]PoolRow
 // runParcFarmWithPool is RunParCSharpFarm with an explicit pool size and
 // queue-wait reporting.
 func runParcFarmWithPool(cfg Fig9Config, processors, poolSize int) (float64, time.Duration, error) {
-	cl, err := cluster.New(cluster.Options{
-		Nodes:     nodesFor(processors) + 1, // node 0 is the master
-		Net:       cfg.Net,
-		Cost:      profile.MonoTCP117(),
-		PoolSize:  poolSize,
-		Placement: &workerRoundRobin{},
-	})
+	f, err := startParcFarm(cfg, processors, poolSize)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer cl.Close()
-	cl.RegisterClass("rtWorker", func() any { return &rtWorker{} })
-	scene := raytracer.JGFScene(8, cfg.Width, cfg.Height)
-	pixelCost := scaledPixelCost(profile.Mono().RayTracerFactor, cfg.TimeScale)
-	master := cl.Node(0)
-	proxies := make([]*core.Proxy, processors)
-	for i := range proxies {
-		p, err := master.NewParallelObject("rtWorker")
-		if err != nil {
-			return 0, 0, err
-		}
-		defer p.Destroy()
-		if _, err := p.Invoke("SetScene", scene, int64(pixelCost)); err != nil {
-			return 0, 0, err
-		}
-		proxies[i] = p
-	}
-	blocks := makeBlocks(cfg.Height, cfg.RowsPerBlock)
-	start := time.Now()
-	_, err = runFarm(processors, blocks, func(w int, b block) ([]int32, error) {
-		res, err := proxies[w].Invoke("Render", b.y0, b.y1)
-		if err != nil {
-			return nil, err
-		}
-		return toInt32s(res)
-	})
+	defer f.close()
+	seconds, _, err := f.run(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	elapsed := time.Since(start)
-	wait := cl.PoolQueueWait()
-	return elapsed.Seconds() * cfg.TimeScale, wait, nil
+	return seconds, f.queueWait(), nil
 }

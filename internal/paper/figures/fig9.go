@@ -13,6 +13,7 @@ import (
 	"repro/internal/raytracer"
 	"repro/internal/rmi"
 	"repro/internal/sieve"
+	"repro/internal/threadpool"
 	"repro/internal/wire"
 )
 
@@ -103,6 +104,10 @@ type rtWorker struct {
 	// overlap communication with computation, never computation with
 	// itself.
 	renderMu sync.Mutex
+	// pool, when set, is the thread pool of the worker's node, which
+	// renders run on: the Mono pool's cap on the ParC# side of Fig. 9 and
+	// ablation A4.
+	pool *threadpool.Pool
 }
 
 func init() {
@@ -121,8 +126,25 @@ func (w *rtWorker) SetScene(s raytracer.Scene, pixelCostNanos int64) {
 	w.pixelCost = time.Duration(pixelCostNanos)
 }
 
-// Render renders rows [y0, y1).
+// Render renders rows [y0, y1), on the worker's pool when it has one, and
+// waits for the pixels.
 func (w *rtWorker) Render(y0, y1 int) []int32 {
+	if w.pool == nil {
+		return w.render(y0, y1)
+	}
+	var pixels []int32
+	done := make(chan struct{})
+	if err := w.pool.Submit(func() {
+		defer close(done)
+		pixels = w.render(y0, y1)
+	}); err != nil {
+		return w.render(y0, y1)
+	}
+	<-done
+	return pixels
+}
+
+func (w *rtWorker) render(y0, y1 int) []int32 {
 	w.mu.Lock()
 	scene := w.scene
 	cost := w.pixelCost
@@ -237,39 +259,63 @@ func (w *workerRoundRobin) Pick(self int, loads []core.NodeLoad) int {
 // RunParCSharpFarm measures the ParC# farm at one processor count and
 // returns (de-scaled seconds, image checksum).
 func RunParCSharpFarm(cfg Fig9Config, processors int) (float64, int64, error) {
-	vm := profile.Mono()
+	f, err := startParcFarm(cfg, processors, profile.MonoPoolSize)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.close()
+	return f.run(cfg)
+}
+
+// parcFarm is the ParC# side of Fig. 9: a cluster whose master (node 0)
+// farms row blocks to one rtWorker per processor on the other nodes, each
+// node's workers rendering on that node's thread pool.
+type parcFarm struct {
+	cl      *cluster.Cluster
+	pools   []*threadpool.Pool
+	proxies []*core.Proxy
+}
+
+// startParcFarm boots the farm for processors workers, with thread pools of
+// poolSize workers, and hands every worker the scene.
+func startParcFarm(cfg Fig9Config, processors, poolSize int) (*parcFarm, error) {
 	cl, err := cluster.New(cluster.Options{
 		Nodes:     nodesFor(processors) + 1, // node 0 is the master
 		Net:       cfg.Net,
 		Cost:      profile.MonoTCP117(),
-		PoolSize:  profile.MonoPoolSize,
 		Placement: &workerRoundRobin{},
 	})
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	defer cl.Close()
-	cl.RegisterClass("rtWorker", func() any { return &rtWorker{} })
-
+	f := &parcFarm{cl: cl}
+	for i := 0; i < cl.Size(); i++ {
+		pool := threadpool.New(poolSize, 0)
+		f.pools = append(f.pools, pool)
+		cl.Node(i).RegisterClass("rtWorker", func() any { return &rtWorker{pool: pool} })
+	}
 	scene := raytracer.JGFScene(8, cfg.Width, cfg.Height)
-	pixelCost := scaledPixelCost(vm.RayTracerFactor, cfg.TimeScale)
-	master := cl.Node(0)
-	proxies := make([]*core.Proxy, processors)
-	for i := range proxies {
-		p, err := master.NewParallelObject("rtWorker")
+	pixelCost := scaledPixelCost(profile.Mono().RayTracerFactor, cfg.TimeScale)
+	for i := 0; i < processors; i++ {
+		p, err := cl.Node(0).NewParallelObject("rtWorker")
+		if err == nil {
+			f.proxies = append(f.proxies, p)
+			_, err = p.Invoke("SetScene", scene, int64(pixelCost))
+		}
 		if err != nil {
-			return 0, 0, err
+			f.close()
+			return nil, err
 		}
-		defer p.Destroy()
-		if _, err := p.Invoke("SetScene", scene, int64(pixelCost)); err != nil {
-			return 0, 0, err
-		}
-		proxies[i] = p
 	}
+	return f, nil
+}
+
+// run renders the image once and returns (de-scaled seconds, checksum).
+func (f *parcFarm) run(cfg Fig9Config) (float64, int64, error) {
 	blocks := makeBlocks(cfg.Height, cfg.RowsPerBlock)
 	start := time.Now()
-	results, err := runFarm(processors, blocks, func(w int, b block) ([]int32, error) {
-		res, err := proxies[w].Invoke("Render", b.y0, b.y1)
+	results, err := runFarm(len(f.proxies), blocks, func(w int, b block) ([]int32, error) {
+		res, err := f.proxies[w].Invoke("Render", b.y0, b.y1)
 		if err != nil {
 			return nil, err
 		}
@@ -279,8 +325,27 @@ func RunParCSharpFarm(cfg Fig9Config, processors int) (float64, int64, error) {
 		return 0, 0, err
 	}
 	elapsed := time.Since(start)
-	image := assemble(results)
-	return elapsed.Seconds() * cfg.TimeScale, raytracer.Checksum(image), nil
+	return elapsed.Seconds() * cfg.TimeScale, raytracer.Checksum(assemble(results)), nil
+}
+
+// queueWait sums the time renders waited for a pool worker, on every node:
+// the starvation measure of ablation A4.
+func (f *parcFarm) queueWait() time.Duration {
+	var total time.Duration
+	for _, p := range f.pools {
+		total += p.Snapshot().TotalQueueWait
+	}
+	return total
+}
+
+func (f *parcFarm) close() {
+	for _, p := range f.proxies {
+		p.Destroy() //nolint:errcheck // teardown
+	}
+	f.cl.Close()
+	for _, p := range f.pools {
+		p.Close()
+	}
 }
 
 // RunJavaRMIFarm measures the Java RMI farm at one processor count.

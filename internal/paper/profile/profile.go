@@ -114,9 +114,9 @@ func Mono() VM { return VM{Name: "Mono 1.1.7", RayTracerFactor: 1.4, SieveFactor
 func MSCLR() VM { return VM{Name: "MS CLR 1.1", RayTracerFactor: 1.1, SieveFactor: 1.0} }
 
 // MonoPoolSize is the per-node thread-pool cap used for the ParC# side of
-// Fig. 9. Mono's 2005 pool throttled thread injection aggressively; with
-// dual-CPU nodes the effective concurrent workers per node hovered around
-// the CPU count, which is what starves communication handlers when workers
-// compute (paper: "limiting the number of running threads ... reduces the
-// overlap among computation and communication").
+// Fig. 9, the pool a node's farm workers render on. Mono's 2005 pool
+// throttled thread injection aggressively; with dual-CPU nodes the
+// effective concurrent workers per node hovered around the CPU count
+// (paper: "limiting the number of running threads ... reduces the overlap
+// among computation and communication").
 const MonoPoolSize = 2

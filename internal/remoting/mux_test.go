@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/errs"
-	"repro/internal/threadpool"
 	"repro/internal/transport"
 )
 
@@ -281,30 +280,6 @@ func TestChannelCloseDrainsConnections(t *testing.T) {
 			t.Errorf("dials = %d, want 2 (redial after Close)", d)
 		}
 	})
-}
-
-// TestMultiplexedWithThreadPool: the pool still caps execution concurrency
-// when requests arrive pipelined on one connection.
-func TestMultiplexedWithThreadPool(t *testing.T) {
-	pool := threadpool.New(2, 0)
-	defer pool.Close()
-	ch, srv, _ := newMuxServer(t, WithPool(pool))
-	var cur, peak atomic.Int64
-	blocker := &blockingService{cur: &cur, peak: &peak, dur: 20 * time.Millisecond}
-	srv.RegisterWellKnown("b", Singleton, func() any { return blocker })
-	ref, _ := GetObject(ch, srv.URLFor("b"))
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ref.Invoke("Work") //nolint:errcheck
-		}()
-	}
-	wg.Wait()
-	if peak.Load() > 2 {
-		t.Errorf("pool cap violated under pipelining: peak %d", peak.Load())
-	}
 }
 
 // TestMultiplexedCallSequencerOrdering: client-side ordering guarantees

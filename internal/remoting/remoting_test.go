@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/threadpool"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -420,28 +419,6 @@ func TestUnregister(t *testing.T) {
 		t.Error("call after Unregister should fail")
 	}
 	srv.Unregister("obj") // idempotent
-}
-
-func TestServerWithThreadPoolCap(t *testing.T) {
-	pool := threadpool.New(2, 0)
-	defer pool.Close()
-	ch, srv := newTestServer(t, WithPool(pool))
-	var cur, peak atomic.Int64
-	blocker := &blockingService{cur: &cur, peak: &peak, dur: 30 * time.Millisecond}
-	srv.RegisterWellKnown("b", Singleton, func() any { return blocker })
-	ref, _ := GetObject(ch, srv.URLFor("b"))
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ref.Invoke("Work")
-		}()
-	}
-	wg.Wait()
-	if peak.Load() > 2 {
-		t.Errorf("pool cap violated: peak concurrency %d", peak.Load())
-	}
 }
 
 type blockingService struct {

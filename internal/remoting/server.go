@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/errs"
-	"repro/internal/threadpool"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -74,14 +73,6 @@ func (r *registration) resolve() (any, error) {
 // ServerOption configures ListenAndServe.
 type ServerOption func(*Server)
 
-// WithPool dispatches method execution on the given bounded pool, modelling
-// the Mono thread pool the paper holds responsible for starvation in Fig. 9.
-// Without it every request runs on its own goroutine (the idealised
-// unbounded runtime).
-func WithPool(p *threadpool.Pool) ServerOption {
-	return func(s *Server) { s.pool = p }
-}
-
 // WithLeaseTTL sets the initial/renewal time-to-live for objects published
 // with Marshal. Zero keeps the default of 5 minutes (the .NET default).
 func WithLeaseTTL(ttl time.Duration) ServerOption {
@@ -93,7 +84,6 @@ func WithLeaseTTL(ttl time.Duration) ServerOption {
 type Server struct {
 	ch       *Channel
 	listener transport.Listener
-	pool     *threadpool.Pool
 	leaseTTL time.Duration
 
 	// deadlineDrops counts requests refused before dispatch because the
@@ -305,19 +295,19 @@ func (s *Server) acceptLoop() {
 // handle is declared before any bare call uses it — so it needs no lock.
 //
 // Responses are written through a combining lock rather than a dedicated
-// writer goroutine: the first handler to respond becomes the flusher and
-// keeps writing — in batched wire writes — until the queue it shares with
-// every concurrent handler is empty, while later handlers just append
+// writer goroutine: the first goroutine to respond (an object's mailbox, a
+// call's own goroutine, the read loop refusing a call) becomes the flusher
+// and keeps writing — in batched wire writes — until the queue it shares
+// with every other responder is empty, while later responders just append
 // their frame and return. A connection with one call in flight therefore
 // writes directly with zero added hops, while a pipelined connection under
 // load coalesces everything that accumulated during the previous write
-// into one syscall. The queue is bounded by the number of in-flight
-// handlers.
+// into one syscall. The queue is bounded by the number of calls in flight.
 type serverConn struct {
 	s     *Server
 	c     transport.Conn
 	binds []*bindEntry   // handle-1 → entry; read-loop only
-	calls sync.WaitGroup // requests handed to a worker and not yet answered
+	calls sync.WaitGroup // requests read and not yet answered
 
 	wmu     sync.Mutex
 	pending []outFrame
@@ -388,39 +378,56 @@ func (sc *serverConn) lookupBind(h uint32) *bindEntry {
 	return nil
 }
 
+// Mailbox is implemented by a published object that runs its calls one at
+// a time, in the order they arrive, on a goroutine of its own (the
+// runtime's actor endpoints). A call that carries a user's method reaches
+// Enqueue on the connection's read loop, which is what keeps one
+// connection's requests to the object in the order they were sent, so
+// Enqueue must not block. It either takes the call, and then to hears the
+// outcome exactly once, on whichever goroutine settles it; or it returns
+// the error the call is answered with at once, and to never hears. call,
+// method and args are what NestedInvoker.InvokeNested takes; args is the
+// server's until to is told (see serverCall).
+type Mailbox interface {
+	Enqueue(ctx context.Context, call, method string, args []any, to Completer) error
+}
+
 // NestedInvoker is implemented by a published object that takes its calls
 // in the runtime-call shape, call(method, args), as the SCOOPP runtime's
-// endpoints take Invoke1("Echo", args). A call that carries a user's method
-// reaches InvokeNested with the handle's call and method and the arguments
-// as decoded, no []any{method, args} in between; InvokeNested must answer as
-// dispatching call with that list would. args is the server's (see
-// serverCall): it may outlive the call, in another goroutine's hands, only
-// if InvokeNested returned because ctx ended.
+// endpoints take Invoke1("Echo", args), and runs them on the goroutine that
+// asks. A call that carries a user's method reaches InvokeNested with the
+// handle's call and method and the arguments as decoded, no []any{method,
+// args} in between; InvokeNested must answer as dispatching call with that
+// list would. args is the server's (see serverCall).
 type NestedInvoker interface {
 	InvokeNested(ctx context.Context, call, method string, args []any) (any, error)
 }
 
 // serverCall is the server's record of one request: the decoded envelope,
-// the array its argument list is decoded into, the response dispatch
-// fills, and the worker entry point, bound once. handleConn draws one per
-// frame; it goes back to the pool, emptied, after respond encoded the reply.
+// the array its argument list is decoded into, the context and the target
+// the read loop resolved for it, the response, and the entry point of a
+// call run on its own goroutine, bound once. handleConn draws one per frame.
+// It is the Completer of its request, and goes back to the pool, emptied,
+// once Complete encoded the reply.
 //
 // Ownership: the argument list is the server's, its elements the method's.
 // Dispatch copies every element into a typed parameter (variadic methods
-// are rejected), so after the reply nothing reads the list and the next
-// request may overwrite it. Two exceptions give the array away to the GC
-// (giveArgs): a call carrying a user's method on a target that is no
-// NestedInvoker, whose []any parameter the list becomes; and a call whose
-// context ended, because a NestedInvoker (the runtime's mailbox) stops
-// waiting then while its task, still holding the list, may be queued or
-// running. Elements are never reused: the array is cleared.
+// are rejected), and a Mailbox is done with the list before it completes
+// the call, so after the reply nothing reads the list and the next request
+// may overwrite it. One exception gives the array away to the GC
+// (giveArgs): a call carrying a user's method on a target that is neither
+// a Mailbox nor a NestedInvoker, whose []any parameter the list becomes.
+// Elements are never reused: the array is cleared.
 type serverCall struct {
-	sc    *serverConn
-	req   callRequest
-	resp  callResponse
-	entry *bindEntry
-	argv  []any  // len 0; the array the next request's list is lent
-	run   func() // c.handle
+	sc     *serverConn
+	req    callRequest
+	resp   callResponse
+	entry  *bindEntry
+	ctx    context.Context
+	cancel context.CancelFunc // ends ctx's deadline; nil when it has none
+	obj    any                // the target of a call run on its own goroutine
+	argv   []any              // len 0; the array the next request's list is lent
+	run    func()             // c.handle
 }
 
 // argvKeep is the longest argument array, in elements, a record holds on
@@ -457,44 +464,54 @@ func (c *serverCall) release() {
 	clear(c.argv[:cap(c.argv)])
 	sc := c.sc
 	c.sc, c.req, c.resp, c.entry = nil, callRequest{}, callResponse{}, nil
+	c.ctx, c.cancel, c.obj = nil, nil, nil
 	if !sc.free.CompareAndSwap(nil, c) {
 		serverCalls.Put(c)
 	}
 }
 
-// handle is the worker half of a request: dispatch, reply, recycle.
-func (c *serverCall) handle() {
+// Complete answers the request with its outcome, on whichever goroutine
+// settled it: the read loop for a call refused before it ran, the object's
+// own goroutine for a call its mailbox ran or turned away, the call's own
+// goroutine otherwise.
+func (c *serverCall) Complete(v any, err error) {
+	if err != nil {
+		c.resp = errorResponseFor(&c.req, err)
+	} else {
+		c.resp = callResponse{Seq: c.req.Seq, Result: v}
+	}
+	c.reply()
+}
+
+// reply ends the call's deadline, writes c.resp through the combining
+// flusher and recycles the record.
+func (c *serverCall) reply() {
+	if c.cancel != nil {
+		c.cancel()
+	}
 	sc := c.sc
-	sc.s.dispatchEntry(c)
 	sc.respond(&c.req, &c.resp)
 	c.release()
 	sc.calls.Done()
 }
 
-// fail answers a request the read loop could not hand to a worker with
-// resp.
-func (c *serverCall) fail(resp callResponse) {
-	c.resp = resp
-	c.sc.respond(&c.req, &c.resp)
-	c.release()
-}
+// handle runs a call whose target has no mailbox, on the call's own
+// goroutine.
+func (c *serverCall) handle() { c.Complete(c.invoke()) }
 
-// handleConn serves one client connection with a concurrent dispatch loop:
-// the read loop plays the channel's IO thread, reading frames continuously
-// and handing each request to a worker (the configured thread pool, or a
-// fresh goroutine in the idealised unbounded runtime) instead of blocking
-// the connection on one handler. Responses carry the request's sequence
+// handleConn serves one client connection. Its read loop plays the
+// channel's IO thread: it reads frames continuously and starts each request
+// without waiting for it (serve), so that a call to an object with a
+// mailbox queues there in the order the connection carried it, and the
+// object's goroutine answers it. Responses carry the request's sequence
 // number and complete out of order when a multiplexed client pipelines
-// calls; they are queued to the connection's writer goroutine, which
-// coalesces everything pending into batched wire writes. When a thread
-// pool is configured its cap still bounds server-side execution
-// concurrency exactly as Mono's ThreadPool did; pipelining only changes
-// how fast requests reach the pool's queue.
+// calls to several objects; each goes through the connection's combining
+// flusher, which coalesces everything pending into batched wire writes.
 func (s *Server) handleConn(sc *serverConn) {
 	defer s.wg.Done()
 	conn := sc.c
 	defer func() {
-		// Let in-flight handlers write (or fail to write) their replies
+		// Let the calls in flight write (or fail to write) their replies
 		// before the connection is torn down; the last flusher among them
 		// leaves the queue empty, so nothing is stranded.
 		sc.calls.Wait()
@@ -525,6 +542,7 @@ func (s *Server) handleConn(sc *serverConn) {
 			c.release()
 			return
 		}
+		sc.calls.Add(1)
 		if declared {
 			c.entry = sc.declare(&c.req, handle)
 		} else if c.entry = sc.lookupBind(handle); c.entry != nil {
@@ -534,28 +552,40 @@ func (s *Server) handleConn(sc *serverConn) {
 			// peer bug. seq is known, so answer it, flagged, for the client
 			// to declare the handle and send the call again, instead of
 			// killing every other pipelined call on the pipe.
-			resp := errorResponse(&c.req, fmt.Sprintf("unbound call handle %d", handle))
-			resp.Unbound = true
-			c.fail(resp)
+			c.resp = errorResponse(&c.req, fmt.Sprintf("unbound call handle %d", handle))
+			c.resp.Unbound = true
+			c.reply()
 			continue
 		}
-		sc.calls.Add(1)
-		if s.pool != nil {
-			if submitErr := s.pool.Submit(c.run); submitErr != nil {
-				c.fail(errorResponse(&c.req, fmt.Sprintf("server shutting down: %v", submitErr)))
-				sc.calls.Done()
-			}
-		} else {
-			go c.run()
-		}
+		s.serve(c)
 	}
+}
+
+// serve starts c's request without blocking the read loop. A call that
+// cannot run (its deadline passed, nothing is published, a mailbox turns it
+// away) is answered at once; a call carrying a user's method goes to its
+// target's Mailbox; any other call runs on a goroutine of its own.
+func (s *Server) serve(c *serverCall) {
+	obj, err := s.target(c)
+	if err != nil {
+		c.Complete(nil, err)
+		return
+	}
+	if mb, ok := obj.(Mailbox); ok && c.req.Method != "" {
+		if err := mb.Enqueue(c.ctx, c.req.Call, c.req.Method, c.req.Args, c); err != nil {
+			c.Complete(nil, err)
+		}
+		return
+	}
+	c.obj = obj
+	go c.run()
 }
 
 // respond encodes resp and writes it through the combining lock: append to
 // the connection's pending queue, and flush the queue unless another
-// handler already is. Unencodable results degrade to an error reply; after
-// a write failure responses are discarded and the read loop observes the
-// dead connection on its next receive.
+// responder already is. Unencodable results degrade to an error reply;
+// after a write failure responses are discarded and the read loop observes
+// the dead connection on its next receive.
 func (sc *serverConn) respond(req *callRequest, resp *callResponse) {
 	_, enc, err := encodeBoundReply(resp)
 	if err != nil {
@@ -630,37 +660,32 @@ func errorResponseFor(req *callRequest, err error) callResponse {
 	return resp
 }
 
-// dispatchEntry resolves the target object of c's request and invokes the
-// requested method, leaving the reply in c.resp. It goes through the bound
-// entry's caches when the call arrived (or was declared) with a handle. A
-// request deadline becomes a context deadline: expired requests are refused
-// before touching the object, and context-aware methods (first parameter
-// context.Context) receive the bounded context.
-func (s *Server) dispatchEntry(c *serverCall) {
-	req, e := &c.req, c.entry
-	ctx := context.Background()
+// target resolves the object c's request runs on, through the bound entry's
+// cache when the call arrived (or was declared) with a handle, and sets up
+// the call's context: its idempotency token, and its deadline, which
+// context-aware methods (first parameter context.Context) receive. A request
+// whose deadline already passed is refused before touching the object.
+func (s *Server) target(c *serverCall) (any, error) {
+	req := &c.req
+	c.ctx = context.Background()
 	if req.TokClient != 0 {
 		// The call's idempotency token travels down the dispatch chain in
 		// the context, so whoever executes it (the SCOOPP actor runtime)
 		// can consult its dedup memory before executing and record the
 		// reply after — the server layer itself stays stateless about it.
-		ctx = ContextWithToken(ctx, CallToken{Client: req.TokClient, Seq: req.TokSeq})
+		c.ctx = ContextWithToken(c.ctx, CallToken{Client: req.TokClient, Seq: req.TokSeq})
 	}
 	if req.Deadline > 0 {
 		dl := time.Unix(0, req.Deadline)
 		if !time.Now().Before(dl) {
 			s.deadlineDrops.Add(1)
-			c.resp = errorResponseFor(req, fmt.Errorf(
-				"deadline expired before dispatch of %s.%s: %w", req.URI, req.name(), context.DeadlineExceeded))
-			return
+			return nil, fmt.Errorf("deadline expired before dispatch of %s.%s: %w", req.URI, req.name(), context.DeadlineExceeded)
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, dl)
-		defer cancel()
+		c.ctx, c.cancel = context.WithDeadline(c.ctx, dl)
 	}
 	var reg *registration
-	if e != nil {
-		reg = s.resolveBound(e)
+	if c.entry != nil {
+		reg = s.resolveBound(c.entry)
 	} else {
 		s.mu.Lock()
 		reg = s.objects[req.URI]
@@ -669,25 +694,9 @@ func (s *Server) dispatchEntry(c *serverCall) {
 	if reg == nil {
 		// URIs are runtime-generated, so an unknown URI means the object
 		// was destroyed (or its lease expired and unpublished it).
-		c.resp = errorResponseFor(req, fmt.Errorf("no object published at %q: %w", req.URI, errs.ErrObjectDestroyed))
-		return
+		return nil, fmt.Errorf("no object published at %q: %w", req.URI, errs.ErrObjectDestroyed)
 	}
-	obj, err := reg.resolve()
-	if err != nil {
-		c.resp = errorResponseFor(req, err)
-		return
-	}
-	result, err := c.invoke(ctx, obj)
-	if ctx.Err() != nil {
-		// The target may have stopped waiting rather than finished (asked
-		// before the deferred cancel ends ctx for everyone).
-		c.giveArgs()
-	}
-	if err != nil {
-		c.resp = errorResponseFor(req, err)
-		return
-	}
-	c.resp = callResponse{Seq: req.Seq, Result: result}
+	return reg.resolve()
 }
 
 // resolveBound returns the registration for a bound entry, reusing the
@@ -712,12 +721,13 @@ func (s *Server) resolveBound(e *bindEntry) *registration {
 	return reg
 }
 
-// invoke runs the requested call on obj: one carrying a user's method on a
-// NestedInvoker directly, a bound one through the entry's cached invoker
-// thunk, re-resolved when the concrete type changes (a SingleCall factory
-// is free to return different types over time), anything else by name.
-func (c *serverCall) invoke(ctx context.Context, obj any) (any, error) {
-	req, e := &c.req, c.entry
+// invoke runs the requested call on its target: one carrying a user's
+// method on a NestedInvoker directly, a bound one through the entry's cached
+// invoker thunk, re-resolved when the concrete type changes (a SingleCall
+// factory is free to return different types over time), anything else by
+// name.
+func (c *serverCall) invoke() (any, error) {
+	req, e, obj, ctx := &c.req, c.entry, c.obj, c.ctx
 	args := req.Args
 	if req.Method != "" {
 		if ni, ok := obj.(NestedInvoker); ok {

@@ -239,8 +239,8 @@ func TestResultGetIdempotent(t *testing.T) {
 }
 
 // TestCombinatorStress drives deep Then chains from many goroutines at
-// once, so inline continuations overflow maxInlineDepth and hop to the
-// threadpool while other chains resolve inline — the interleaving the race
+// once, so inline continuations overflow maxInlineDepth and hop to a fresh
+// goroutine while other chains resolve inline — the interleaving the race
 // detector runs in CI.
 func TestCombinatorStress(t *testing.T) {
 	ctx := context.Background()

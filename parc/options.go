@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/remoting"
-	"repro/internal/threadpool"
 	"repro/internal/transport"
 )
 
@@ -27,7 +26,6 @@ type options struct {
 	// shared scope
 	maxInFlight   int
 	muxLanes      int
-	poolSize      int
 	placement     PlacementPolicy
 	agglomeration AgglomerationPolicy
 	aggregation   AggregationConfig
@@ -69,10 +67,6 @@ func WithMaxInFlight(n int) Option { return func(o *options) { o.maxInFlight = n
 // min(GOMAXPROCS, 4); 1 restores the single-connection behaviour.
 // WithMaxInFlight bounds each lane independently.
 func WithMuxLanes(n int) Option { return func(o *options) { o.muxLanes = n } }
-
-// WithPoolSize caps each node's concurrent request execution, modelling a
-// bounded VM thread pool; 0 (the default) means unbounded.
-func WithPoolSize(n int) Option { return func(o *options) { o.poolSize = n } }
 
 // WithPlacement sets the policy distributing new parallel objects; the
 // default is round-robin.
@@ -195,7 +189,6 @@ func StartCluster(opts ...Option) (*Cluster, error) {
 		Nodes:           o.nodes,
 		Net:             o.network,
 		Cost:            o.cost,
-		PoolSize:        o.poolSize,
 		MaxInFlight:     o.maxInFlight,
 		MuxLanes:        o.muxLanes,
 		Placement:       o.placement,
@@ -229,16 +222,9 @@ func ServeNode(opts ...Option) (*Runtime, error) {
 	ch := remoting.NewMultiplexedChannel(cost.Network(transport.Auto{}, o.cost))
 	ch.MaxInFlight = o.maxInFlight
 	ch.MuxLanes = o.muxLanes
-	var pool *threadpool.Pool
-	if o.poolSize > 0 {
-		// The pool lives as long as the process; Runtime.Close leaves it
-		// running so in-flight work can finish.
-		pool = threadpool.New(o.poolSize, 0)
-	}
 	return core.Start(core.Config{
 		NodeID:          o.nodeID,
 		Channel:         ch,
-		Pool:            pool,
 		Placement:       o.placement,
 		Agglomeration:   o.agglomeration,
 		Aggregation:     o.aggregation,
