@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -137,6 +138,10 @@ func TestRoundRobinDistribution(t *testing.T) {
 	}
 }
 
+// TestRemoteInvokeAndOrdering: posts to a remote object execute in issue
+// order before the blocking call issued after them, and one that fails in
+// the middle of them is reported to AsyncErr without holding up the posts
+// behind it.
 func TestRemoteInvokeAndOrdering(t *testing.T) {
 	rts := startNodes(t, 2, func(i int, cfg *Config) {
 		cfg.Placement = &forceNode{node: 1}
@@ -151,6 +156,9 @@ func TestRemoteInvokeAndOrdering(t *testing.T) {
 	const n = 40
 	for i := 1; i <= n; i++ {
 		p.Post("Add", i)
+		if i == n/2 {
+			p.Post("Fail")
+		}
 	}
 	got, err := p.Invoke("Values")
 	if err != nil {
@@ -168,8 +176,8 @@ func TestRemoteInvokeAndOrdering(t *testing.T) {
 			t.Fatalf("value %d = %d; async ordering violated", i, v)
 		}
 	}
-	if p.AsyncErr() != nil {
-		t.Errorf("async error: %v", p.AsyncErr())
+	if err := p.AsyncErr(); err == nil || !strings.Contains(err.Error(), "counter failure") {
+		t.Errorf("AsyncErr = %v, want the failed post's error", err)
 	}
 }
 

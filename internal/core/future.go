@@ -99,8 +99,9 @@ func (f *Future) completeAt(v any, err error, depth int) (abort canceller) {
 // Cancel resolves a pending future with context.Canceled and abandons what
 // it stood for: a call in flight gives its slot back and its late reply is
 // dropped (the hosting node may still execute it), a call queued in a
-// mailbox or on a lane is declined when its turn comes, a derived future
-// cancels the one it derives from. A resolved future is left as it is.
+// mailbox or in its proxy's queue is declined when its turn comes, a derived
+// future cancels the one it derives from. A resolved future is left as it
+// is.
 func (f *Future) Cancel() {
 	if abort := f.completeAt(nil, context.Canceled, 0); abort != nil {
 		abort.Cancel()

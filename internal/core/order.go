@@ -1,0 +1,154 @@
+package core
+
+import (
+	"context"
+	"sync"
+
+	"repro/internal/remoting"
+)
+
+// callOrder is the order of one proxy's remote asynchronous calls (Post,
+// InvokeAsync, StartAsync): SPEC guarantee 1 for a remote object, in one
+// place. It counts every such call from its issue to its outcome and keeps
+// one rule:
+//
+//   - An InvokeAsync goes straight to its connection, pipelined behind the
+//     calls in flight, when nothing is queued, nothing waits to be re-run,
+//     and every call in flight was sent straight at the endpoint the proxy
+//     still routes at (a redirect builds a fresh one, which ends such a
+//     run). Every other call queues, and queued calls start one at a time,
+//     each once nothing else is in flight, against the endpoint current at
+//     its turn. A post is never sent straight: posts are stop-and-wait.
+//   - A call that must be re-run (its submission was declined, or its
+//     outcome says moved, node down or destroyed) is recorded before the
+//     submission or the completion returns, and from then on new calls
+//     queue. Re-runs start once nothing else is in flight, one at a time, in
+//     issue order, ahead of every queued call, each of which was issued
+//     after them.
+//   - Wait and the flush before a blocking call wait for the count to reach
+//     zero, so a blocking call runs after every asynchronous call issued
+//     before it.
+//
+// Only a goroutine's own calls are ordered: calls that two goroutines issue
+// through one proxy are counted in whichever order they take the lock.
+// Outside mu, nothing in flight means nothing queued and nothing to re-run:
+// whatever finishes the last call in flight starts the next (next).
+type callOrder struct {
+	mu          sync.Mutex
+	issued      uint64           // the issue number last given out
+	inflight    int              // calls started and not finished, a re-run included
+	straight    *remoting.ObjRef // non-nil: every call in flight was sent straight, at this endpoint
+	queue, tail *attempt         // calls waiting their turn, oldest first
+	reruns      *attempt         // calls to re-run, lowest issue number first
+	drained     chan struct{}    // closed when nothing is left; made by the first waiter
+}
+
+// admit counts a, issued now, and reports whether it starts at once: an
+// InvokeAsync straight at ref, the endpoint it would be sent at, or a post
+// (ref nil) with nothing before it. Otherwise a waits in the queue until
+// next starts it, with the cancel hook its future needs meanwhile.
+func (o *callOrder) admit(a *attempt, ref *remoting.ObjRef) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.issued++
+	a.issue = o.issued
+	if o.queue == nil && o.reruns == nil && (o.inflight == 0 || ref != nil && ref == o.straight) {
+		o.inflight++
+		o.straight = ref
+		return true
+	}
+	if a.f != nil {
+		// Hooked before mu is let go: a's turn may come on another
+		// goroutine at once, and next reads stop.
+		a.stop = cancelHook(a.rec.Context(), a.f)
+	}
+	if o.tail == nil {
+		o.queue = a
+	} else {
+		o.tail.next = a
+	}
+	o.tail = a
+	return false
+}
+
+// redo records a, which was in flight, to be re-run in its place in issue
+// order.
+func (o *callOrder) redo(a *attempt) {
+	o.mu.Lock()
+	at := &o.reruns
+	for *at != nil && (*at).issue < a.issue {
+		at = &(*at).next
+	}
+	a.next, *at = *at, a
+	o.inflight--
+	o.next()
+}
+
+// done counts a call in flight finished, after its outcome was reported.
+func (o *callOrder) done() {
+	o.mu.Lock()
+	o.inflight--
+	o.next()
+}
+
+// next, with mu held, which it releases, starts whatever's turn it is once
+// nothing is in flight: the first re-run, on a goroutine of its own, or else
+// the oldest queued call whose future is not resolved already (one that was
+// cancelled while it waited is declined: nothing is sent). With nothing left
+// it lets the waiters go.
+func (o *callOrder) next() {
+	for o.inflight == 0 {
+		a, again := o.reruns, true
+		if a != nil {
+			o.reruns = a.next
+		} else if a, again = o.queue, false; a != nil {
+			if o.queue = a.next; o.queue == nil {
+				o.tail = nil
+			}
+		} else {
+			if o.drained != nil {
+				close(o.drained)
+				o.drained = nil
+			}
+			break
+		}
+		a.next = nil
+		o.inflight, o.straight = 1, nil
+		o.mu.Unlock()
+		if again {
+			go a.rerun()
+			return
+		}
+		if a.stop != nil {
+			a.stop() // from here the connection, or a re-run, watches ctx
+		}
+		if a.f == nil || !a.f.resolved() {
+			a.start(a.p.endpoint())
+			return
+		}
+		o.mu.Lock()
+		o.inflight--
+	}
+	o.mu.Unlock()
+}
+
+// flush waits until nothing counted is left, or ctx ends (the calls keep
+// going), as Wait and a blocking call need.
+func (o *callOrder) flush(ctx context.Context) error {
+	o.mu.Lock()
+	if o.inflight == 0 {
+		o.mu.Unlock()
+		return ctx.Err()
+	}
+	if o.drained == nil {
+		o.drained = make(chan struct{})
+	}
+	drained := o.drained
+	o.mu.Unlock()
+	select {
+	case <-drained:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}

@@ -39,8 +39,10 @@ const (
 // hit the forwarding tombstone (or a dead node) transparently re-route and
 // retry once, and a local proxy whose object moved away upgrades itself to
 // a remote proxy at the new location. Per-object call ordering survives
-// the move because the ordered asynchronous lane re-resolves between
-// calls, never dropping or reordering its queue.
+// the move because the proxy's one call-order rule (callOrder) counts every
+// remote asynchronous call, re-runs the ones that must be re-run in issue
+// order before anything issued after them, and starts queued calls against
+// the endpoint current at their turn.
 type Proxy struct {
 	rt    *Runtime
 	class string
@@ -57,7 +59,7 @@ type Proxy struct {
 	gen     uint64     // directory generation netaddr was learned at
 	ref     *remoting.ObjRef
 
-	seq *remoting.CallSequencer // ordered async lane for remote calls
+	calls callOrder // the order of remote asynchronous calls
 
 	// aggregation state (remote mode only)
 	aggMu     sync.Mutex
@@ -85,8 +87,7 @@ const deadEndTTL = 5 * time.Second
 
 // newRemoteProxy builds a remote-mode proxy routed at addr/gen.
 func newRemoteProxy(rt *Runtime, class, uri, addr string, gen uint64) *Proxy {
-	return &Proxy{rt: rt, class: class, mode: modeRemote, uri: uri, netaddr: addr, gen: gen,
-		seq: remoting.NewCallSequencer()}
+	return &Proxy{rt: rt, class: class, mode: modeRemote, uri: uri, netaddr: addr, gen: gen}
 }
 
 // Class returns the object's registered class name.
@@ -157,8 +158,8 @@ func (p *Proxy) endpoint() *remoting.ObjRef {
 //
 // An object that migrates onto this very node is deliberately still
 // reached through remoting (a loopback hop): flipping an in-use proxy
-// back to mailbox mode could reorder calls already queued on its remote
-// lane against new local posts. Fresh local handles come from Attach,
+// back to mailbox mode could reorder calls already counted in its call
+// order against new local posts. Fresh local handles come from Attach,
 // which does bind to the local actor.
 func (p *Proxy) redirect(loc ObjLoc) bool {
 	p.rt.dirUpdate(p.uri, loc)
@@ -171,20 +172,8 @@ func (p *Proxy) redirect(loc ObjLoc) bool {
 	p.mode = modeRemote
 	p.act = nil
 	p.netaddr, p.gen = loc.Addr, loc.Gen
-	p.ref = nil
-	if p.seq == nil {
-		// Upgraded from a local proxy that never needed the lane.
-		p.seq = remoting.NewCallSequencer()
-	}
+	p.ref = nil // a fresh ref, which ends a run of calls sent straight at this one
 	return true
-}
-
-// sequencer returns the async lane, which exists for every proxy that has
-// ever been remote.
-func (p *Proxy) sequencer() *remoting.CallSequencer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.seq
 }
 
 // movedOf extracts a usable migration forward for uri from err. The URI
@@ -325,16 +314,16 @@ func (p *Proxy) AsyncErr() error {
 }
 
 // Invoke performs a synchronous method call (the paper's "synchronous
-// method calls (when a value is returned)"). It is ordered after all
-// previously posted asynchronous calls on this proxy.
+// method calls (when a value is returned)"). It is ordered after every
+// asynchronous call (Post, InvokeAsync) issued before it on this proxy.
 func (p *Proxy) Invoke(method string, args ...any) (any, error) {
 	return p.InvokeCtx(context.Background(), method, args...)
 }
 
 // InvokeCtx is Invoke bounded by ctx: cancellation aborts the in-flight
 // exchange (or the mailbox wait, for local objects) and the deadline
-// travels to the hosting node. It is ordered after all previously posted
-// asynchronous calls on this proxy.
+// travels to the hosting node. It is ordered after every asynchronous call
+// issued before it on this proxy.
 func (p *Proxy) InvokeCtx(ctx context.Context, method string, args ...any) (any, error) {
 	return p.InvokeInto(ctx, nil, method, args)
 }
@@ -380,11 +369,11 @@ func (p *Proxy) invokeInCaller(ctx context.Context, method string, args []any) (
 	return p.local.Invoke1(ctx, method, args)
 }
 
-// remoteInvokeOrdered performs a synchronous remote call ordered after the
-// proxy's posted asynchronous stream.
+// remoteInvokeOrdered performs a synchronous remote call once every
+// asynchronous call issued before it has finished.
 func (p *Proxy) remoteInvokeOrdered(ctx context.Context, sink remoting.ResultSink, method string, args []any) (any, error) {
 	p.FlushAggregation()
-	if err := p.sequencer().FlushCtx(ctx); err != nil {
+	if err := p.calls.flush(ctx); err != nil {
 		return nil, fmt.Errorf("core: flush before %s.%s: %w", p.class, method, err)
 	}
 	call := invoke1(method, args)
@@ -394,7 +383,7 @@ func (p *Proxy) remoteInvokeOrdered(ctx context.Context, sink remoting.ResultSin
 
 // InvokeAsync starts a synchronous-style call without blocking the caller
 // (the delegate BeginInvoke pattern of Fig. 4). The call is ordered after
-// previously posted asynchronous calls on this proxy.
+// the calls issued before it on this proxy.
 func (p *Proxy) InvokeAsync(method string, args ...any) *Future {
 	return p.InvokeAsyncCtx(context.Background(), method, args...)
 }
@@ -408,10 +397,10 @@ func (p *Proxy) InvokeAsync(method string, args ...any) *Future {
 // No goroutine parks per outstanding call, in any mode. A local active
 // object takes the task into its mailbox and its actor loop resolves the
 // Future. An agglomerated object executes the call here, in the caller, as
-// it does every call, and the Future comes back resolved. A remote proxy
-// whose lane is idle encodes and enqueues the request and the lane's reader
-// resolves the Future when the reply frame arrives; one whose lane holds
-// earlier calls queues this one behind them (see submitRemote).
+// it does every call, and the Future comes back resolved. A remote call
+// either goes straight to its connection, encoded and enqueued, and the
+// lane's reader resolves the Future when the reply frame arrives, or waits
+// its turn in the proxy's queue (see callOrder).
 func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) *Future {
 	return p.StartAsync(ctx, new(AsyncCall), method, args)
 }
@@ -441,8 +430,8 @@ func (p *Proxy) StartAsync(ctx context.Context, c *AsyncCall, method string, arg
 // AsyncCall is one asynchronous call as the runtime holds it: the Future
 // handed back and, in the same object, the attempt the call is made with,
 // which carries the connection's record of the exchange and the call's place
-// on the lane (both unused by a call that stays on this node). The zero
-// value is ready for StartAsync.
+// in its proxy's call order (both unused by a call that stays on this node).
+// The zero value is ready for StartAsync.
 type AsyncCall struct {
 	fut Future
 	try attempt
@@ -457,21 +446,22 @@ type AsyncCall struct {
 func (c *AsyncCall) SetSink(s remoting.ResultSink) { c.try.rec.SetSink(s) }
 
 // attempt is one completion-driven try at a call against the proxy's current
-// endpoint: the remoting.Completer the connection reports it to and, behind
-// earlier calls, the remoting.LaneCall the lane holds. rec is the connection's
+// endpoint: the remoting.Completer the connection reports it to, and a call
+// its proxy's callOrder counts, queues and re-runs. rec is the connection's
 // for the one submission start makes, and the call's one record of what it
 // is: its context and the runtime call, user's method and arguments, named
 // when the call begins (SetCall) and read back by every way it can go (a
 // mailbox, the connection, a re-run). f is the caller's future, nil for a
 // post, whose failure goes to AsyncErr; stop detaches f's cancelHook, which a
-// call has while it waits in a queue; lane is the call's place on the lane,
-// none for a call that went straight to its connection.
+// call has while it waits in the queue; issue is the call's place in its
+// proxy's issue order, and next links it into the queue or the re-runs.
 type attempt struct {
-	p    *Proxy
-	f    *Future
-	stop func() bool
-	lane remoting.Turn
-	rec  remoting.CallRecord
+	p     *Proxy
+	f     *Future
+	stop  func() bool
+	next  *attempt
+	issue uint64
+	rec   remoting.CallRecord
 }
 
 // mailboxEntry is an AsyncCall as a mailbox holds it: the task's outcome is
@@ -485,8 +475,8 @@ func (e *mailboxEntry) Complete(v any, err error) {
 	a.stop()
 	if mv, ok := movedOf(err, a.p.uri); ok {
 		// The object was taken from this node with the call still queued or
-		// held: follow it, on the proxy's lane, ahead of the calls issued
-		// after this one.
+		// held: follow it, in the proxy's call order, ahead of the calls
+		// issued after this one.
 		a.p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
 		(*AsyncCall)(e).submitRemote()
 		return
@@ -515,28 +505,21 @@ func (c *AsyncCall) submitLocal(act *actor) {
 	f.complete(nil, err)
 }
 
-// submitRemote starts the call ordered after every call posted before it.
-// With the lane idle there is nothing to order behind (Posts from this very
-// goroutine are already counted in Idle, so the check is authoritative for
-// the single-caller pattern) and the request goes straight to its
-// connection, where calls to one object pipeline. Otherwise it takes its
-// turn on the lane, behind the posted calls and any aggregate they were
-// buffered in, and ahead of whatever is posted next.
+// submitRemote issues the call in the proxy's call order, behind the posts
+// issued before it and any aggregate they were buffered in: straight to its
+// connection, where calls to one object pipeline, or into the queue.
 func (c *AsyncCall) submitRemote() {
 	a := &c.try
 	a.p.FlushAggregation()
-	if seq := a.p.sequencer(); !seq.Idle() {
-		a.stop = cancelHook(a.rec.Context(), &c.fut)
-		seq.Call(&a.lane, a)
-		return
+	if ref := a.p.endpoint(); a.p.calls.admit(a, ref) {
+		a.start(ref)
 	}
-	a.start()
 }
 
 // cancelHook resolves f with ctx.Err() as soon as ctx ends, for a call that
-// waits its turn in a mailbox or on a lane: the queue looks at a task only
-// when the turn comes, and the Future must not wait that long. stop
-// detaches the hook.
+// waits its turn in a mailbox or in its proxy's queue: the queue looks at a
+// task only when the turn comes, and the Future must not wait that long.
+// stop detaches the hook.
 func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
 	if ctx.Done() == nil {
 		return func() bool { return false }
@@ -544,76 +527,58 @@ func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
 	return context.AfterFunc(ctx, func() { f.complete(nil, ctx.Err()) })
 }
 
-// StartTurn implements remoting.LaneCall. The call is started against the
-// endpoint current at its turn and re-run through invokeVia when that
-// fails, which is what keeps one proxy's call stream ordered across a
-// migration. A call whose future was resolved while it waited (cancelled, or
-// its ctx ended) is declined: nothing is sent, and the lane moves on, from a
-// fresh goroutine as every start must.
-func (a *attempt) StartTurn() {
-	if a.stop != nil {
-		a.stop() // from here the connection, or rerun, watches ctx
-	}
-	if a.f != nil && a.f.resolved() {
-		go a.finish(nil, context.Canceled)
-		return
-	}
-	a.start()
-}
-
-// start submits the attempt: remoteCall.on without the wait. It never blocks
-// on the call, the outcome is reported (finish) exactly once and never on
-// the caller's stack, and from here a Cancel of f abandons the exchange. A
-// submission the connection declines goes to rerun. The idempotency token is
-// stamped into the record's context before the first submission, so every
-// re-run sends it again.
-func (a *attempt) start() {
+// start submits the attempt to ref: remoteCall.on without the wait. It never
+// blocks on the call, the outcome is reported (finish) exactly once and never
+// on the caller's stack, and from here a Cancel of f abandons the exchange. A
+// submission the connection declines is recorded to be re-run before start
+// returns. The idempotency token is stamped into the record's context before
+// the first submission, so every re-run sends it again.
+func (a *attempt) start(ref *remoting.ObjRef) {
 	if a.p.rt.cfg.IdempotentCalls {
 		if ctx, call, method, args := a.rec.Call(); !hasToken(ctx) {
 			a.rec.SetCall(remoting.ContextWithToken(ctx, a.p.rt.cfg.Channel.NewCallToken()), call, method, args)
 		}
 	}
-	if err := a.p.endpoint().StartCall(&a.rec, a); err != nil {
-		a.rerun()
+	if err := ref.StartCall(&a.rec, a); err != nil {
+		a.p.calls.redo(a)
 	} else if a.f != nil {
 		a.f.setAbort(&a.rec)
 	}
 }
 
 // Complete is the one re-run rule of an asynchronous call: an outcome the
-// synchronous path would transparently retry goes to rerun.
+// synchronous path would transparently retry is recorded to be re-run, in
+// the call's place, before Complete returns.
 func (a *attempt) Complete(v any, err error) {
 	if err != nil && a.rec.Context().Err() == nil && a.p.asyncRecoverable(err) {
-		a.rerun()
+		a.p.calls.redo(a)
 		return
 	}
 	a.finish(v, err)
 }
 
 // finish reports the outcome, to f or, for a post, a failure to AsyncErr,
-// and then gives up the call's lane turn, which starts the next entry.
+// and then counts the call finished, which may start the next.
 func (a *attempt) finish(v any, err error) {
+	p := a.p
 	if a.f != nil {
 		a.f.complete(v, err)
 	} else if err != nil {
-		a.p.noteAsyncError(err)
+		p.noteAsyncError(err)
 	}
-	a.lane.Done()
+	p.calls.done()
 }
 
-// rerun finishes a call the completion-driven path could not: a submission
-// that was declined (connection not usable, ctx ended, lane shut down), a
-// completion that says moved, node down or destroyed, a local object taken
-// away with the call queued. It hops off the completion path once and runs
-// the call through invokeVia, the blocking loop that re-resolves and
-// retries. This is the only place an asynchronous call holds a goroutine,
-// for as long as that loop takes; a lane entry re-run here still holds its
-// turn, so the entries behind it keep their order.
+// rerun finishes, at its turn, a call the completion-driven path could not: a
+// submission that was declined (connection not usable, ctx ended, lane shut
+// down), or a completion that says moved, node down or destroyed. It runs the
+// call through invokeVia, the blocking loop that re-resolves and retries, on
+// a goroutine of its own, the only place an asynchronous call holds one, for
+// as long as that loop takes; nothing else of the proxy is in flight
+// meanwhile.
 func (a *attempt) rerun() {
-	go func() {
-		ctx, call, method, args := a.rec.Call()
-		a.finish(a.p.invokeVia(ctx, a.p.endpoint, remoteCall{call: call, method: method, args: args}))
-	}()
+	ctx, call, method, args := a.rec.Call()
+	a.finish(a.p.invokeVia(ctx, a.p.endpoint, remoteCall{call: call, method: method, args: args}))
 }
 
 // asyncRecoverable reports whether an async completion error is one the
@@ -691,7 +656,7 @@ func (p *postErrors) Complete(_ any, err error) {
 	}
 }
 
-// postRemote queues one asynchronous call on the ordered remote lane.
+// postRemote issues one asynchronous call in the proxy's call order.
 func (p *Proxy) postRemote(method string, args []any) error {
 	if p.rt.cfg.Aggregation.enabled() {
 		p.aggregate(method, args)
@@ -701,13 +666,16 @@ func (p *Proxy) postRemote(method string, args []any) error {
 	return nil
 }
 
-// post queues call(method, args) on the lane as an attempt with no future,
-// which is all a post allocates: the lane holds the attempt, and the call is
-// sent in the runtime-call shape, so no list is built around its arguments.
+// post issues call(method, args) in the call order as an attempt with no
+// future, which is all a post allocates: the order holds the attempt, and the
+// call is sent in the runtime-call shape, so no list is built around its
+// arguments. A post is never sent straight: it starts alone.
 func (p *Proxy) post(call, method string, args []any) {
 	a := &attempt{p: p}
 	a.rec.SetCall(context.Background(), call, method, args)
-	p.sequencer().Call(&a.lane, a)
+	if p.calls.admit(a, nil) {
+		a.start(p.endpoint())
+	}
 }
 
 // aggregate buffers one asynchronous call, flushing when the method
@@ -754,7 +722,7 @@ func (p *Proxy) flushLocked() {
 	p.post("InvokeBatch", method, calls)
 }
 
-// Wait blocks until every asynchronous call posted on this proxy has
+// Wait blocks until every asynchronous call issued on this proxy has
 // executed (aggregation buffers are flushed first). It is the
 // synchronisation point farming masters use before reading results.
 func (p *Proxy) Wait() {
@@ -764,6 +732,9 @@ func (p *Proxy) Wait() {
 // WaitCtx is Wait bounded by ctx; abandoning the wait leaves the posted
 // calls draining in the background.
 func (p *Proxy) WaitCtx(ctx context.Context) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	mode, act := p.state()
 	if mode == modeLocalActive {
 		if err := act.waitCtx(ctx); err != nil {
@@ -778,7 +749,7 @@ func (p *Proxy) WaitCtx(ctx context.Context) error {
 		return nil
 	}
 	p.FlushAggregation()
-	return p.sequencer().FlushCtx(ctx)
+	return p.calls.flush(ctx)
 }
 
 // Migrate moves the parallel object to cluster node toNode; see

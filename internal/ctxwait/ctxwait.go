@@ -1,6 +1,5 @@
-// Package ctxwait provides the one shared shape for abandoning a blocking
-// drain when a context ends, used by the actor mailbox and the remoting
-// call sequencer.
+// Package ctxwait provides the shape for abandoning a blocking drain when a
+// context ends, used by the actor mailbox.
 package ctxwait
 
 import "context"

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/ctxwait"
 	"repro/internal/errs"
 )
 
@@ -239,126 +237,6 @@ func (r *ObjRef) OneWayTimeout(d time.Duration, method string, onErr func(error)
 			onErr(err)
 		}
 	}()
-}
-
-// CallSequencer serialises asynchronous calls issued through it while
-// letting the caller continue immediately — the ordering guarantee the
-// SCOOPP runtime needs for method streams between one proxy object and its
-// implementation object. One call is outstanding at a time and the lane is
-// completion-chained: call N+1 is started from call N's completion, so a
-// lane of any depth parks no goroutine. What a call does when its turn comes
-// is the call's own (LaneCall), which lets the SCOOPP proxy re-resolve the
-// endpoint between calls and so keep one ordered lane across an object
-// migration; and each call brings its place on the lane (Turn), which links
-// it into the queue, so the sequencer allocates nothing per call.
-type CallSequencer struct {
-	mu         sync.Mutex
-	head, tail *Turn // waiting behind the outstanding call, oldest first
-	pending    int   // outstanding plus waiting
-	idle       *sync.Cond
-}
-
-// LaneCall is a call as a CallSequencer holds it. StartTurn begins the call
-// when its turn comes and returns without blocking; the call then reports
-// its outcome to whoever waits for it and gives its turn up (Turn.Done)
-// exactly once, never on StartTurn's stack: giving a turn up starts the next
-// queued call, so a call that finished at once would recurse once per queued
-// call.
-type LaneCall interface{ StartTurn() }
-
-// Turn is one call's place on a sequencer, queued or outstanding, in storage
-// the call supplies. The zero Turn holds no place.
-type Turn struct {
-	call LaneCall
-	cs   *CallSequencer
-	next *Turn // the call queued behind this one
-}
-
-// NewCallSequencer returns a sequencer with nothing queued.
-func NewCallSequencer() *CallSequencer {
-	cs := &CallSequencer{}
-	cs.idle = sync.NewCond(&cs.mu)
-	return cs
-}
-
-// Call queues c, in the place t, behind every call queued before it, and
-// starts it at once when nothing is: calls issued from one goroutine start
-// in issue order. t must hold no place.
-func (cs *CallSequencer) Call(t *Turn, c LaneCall) {
-	t.call, t.cs = c, cs
-	cs.mu.Lock()
-	cs.pending++
-	if cs.pending > 1 {
-		if cs.tail == nil {
-			cs.head = t
-		} else {
-			cs.tail.next = t
-		}
-		cs.tail = t
-		cs.mu.Unlock()
-		return
-	}
-	cs.mu.Unlock()
-	c.StartTurn()
-}
-
-// Done gives the turn up, after the call has reported its outcome, so that
-// Flush observes the call finished only once the outcome is out: the
-// sequencer accounts for the call and starts the next in the queue. Done on
-// a Turn that holds no place does nothing.
-func (t *Turn) Done() {
-	cs := t.cs
-	if cs == nil {
-		return
-	}
-	cs.mu.Lock()
-	cs.pending--
-	if cs.pending == 0 {
-		cs.idle.Broadcast()
-		cs.mu.Unlock()
-		return
-	}
-	next := cs.head
-	if cs.head = next.next; cs.head == nil {
-		cs.tail = nil
-	}
-	cs.mu.Unlock()
-	next.call.StartTurn()
-}
-
-// Idle reports whether the lane has nothing queued or in flight — the
-// window in which a caller may bypass the lane without reordering against
-// it. A false result is only advisory (calls may drain concurrently), but
-// true taken from the posting goroutine is authoritative: Posts from that
-// goroutine would have been counted already.
-func (cs *CallSequencer) Idle() bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.pending == 0
-}
-
-// Flush blocks until every posted call has completed.
-func (cs *CallSequencer) Flush() {
-	cs.mu.Lock()
-	for cs.pending > 0 {
-		cs.idle.Wait()
-	}
-	cs.mu.Unlock()
-}
-
-// FlushCtx blocks until every posted call has completed or ctx is done, in
-// which case it stops waiting (the queued calls keep draining in the
-// background) and returns ctx.Err().
-func (cs *CallSequencer) FlushCtx(ctx context.Context) error {
-	if cs.Idle() {
-		// The usual case on a synchronous call, answered without building
-		// the cs.Flush method value. An already-ended ctx still reports.
-		if ctx == nil {
-			return nil
-		}
-		return ctx.Err()
-	}
-	return ctxwait.Drain(ctx, cs.Flush)
 }
 
 // String implements fmt.Stringer.

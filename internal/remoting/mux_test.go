@@ -282,31 +282,6 @@ func TestChannelCloseDrainsConnections(t *testing.T) {
 	})
 }
 
-// TestMultiplexedCallSequencerOrdering: client-side ordering guarantees
-// survive the concurrent server dispatch because the sequencer itself
-// serialises, one call at a time.
-func TestMultiplexedCallSequencerOrdering(t *testing.T) {
-	ch, srv, _ := newMuxServer(t)
-	rec := &recorder{}
-	srv.RegisterWellKnown("r", Singleton, func() any { return rec })
-	ref, _ := GetObject(ch, srv.URLFor("r"))
-	cs := refSequencer(ref)
-	const n = 50
-	for i := 0; i < n; i++ {
-		cs.Post("Add", i)
-	}
-	cs.Flush()
-	got := rec.snapshot()
-	if len(got) != n {
-		t.Fatalf("recorded %d calls, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("call %d recorded value %d; ordering violated", i, v)
-		}
-	}
-}
-
 // TestMultiplexedCloseDoesNotRetry: an in-flight call failed by an orderly
 // Channel.Close must surface ErrNodeDown without redialling — a retry
 // would re-create the connection Close just released.

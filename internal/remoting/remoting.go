@@ -14,10 +14,12 @@
 //     Activator.GetObject + the auto-generated proxy;
 //   - asynchronous calls: StartCall enqueues the request, recorded in a
 //     CallRecord its caller supplies, and hands the outcome to a Completer
-//     on the reply's arrival, and CallSequencer keeps a stream of them in
-//     issue order; together the mechanism behind asynchronous parallel
-//     object calls (the delegates of paper Fig. 4), with no goroutine and no
-//     allocation of the connection's per call;
+//     on the reply's arrival, with no goroutine and no allocation of the
+//     connection's per call: the mechanism behind asynchronous parallel
+//     object calls (the delegates of paper Fig. 4). Every call to one object
+//     rides one connection, whose writer sends the calls in the order they
+//     were submitted; the order a caller's calls must run in is the SCOOPP
+//     proxy's (internal/core), not this package's;
 //   - lease-based lifetime management standing in for ".Net managed object
 //     lifetime" (paper §3.2: ParC++ destroyed IOs explicitly, ParC# lets
 //     the platform manage it).

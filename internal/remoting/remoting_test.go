@@ -1,7 +1,6 @@
 package remoting
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -252,48 +251,6 @@ func goInvoke(ref *ObjRef, method string, args ...any) <-chan outcome {
 	return out
 }
 
-// refLane is a sequencer whose calls go to one fixed ref; a failed call is
-// reported to OnError.
-type refLane struct {
-	*CallSequencer
-	ref     *ObjRef
-	OnError func(error)
-}
-
-func refSequencer(ref *ObjRef) *refLane {
-	return &refLane{CallSequencer: NewCallSequencer(), ref: ref}
-}
-
-// Post queues method(args) on the lane.
-func (l *refLane) Post(method string, args ...any) {
-	c := &laneCall{lane: l, method: method, args: args}
-	l.Call(&c.turn, c)
-}
-
-// laneCall is one call on a refLane, in storage of its own.
-type laneCall struct {
-	lane   *refLane
-	method string
-	args   []any
-	turn   Turn
-	rec    CallRecord
-}
-
-// StartTurn reports a call that cannot be submitted from a goroutine: it may
-// not give its turn up on StartTurn's stack.
-func (c *laneCall) StartTurn() {
-	if err := c.lane.ref.InvokeAsyncCb(context.Background(), &c.rec, c.method, c.args, c); err != nil {
-		go c.Complete(nil, err)
-	}
-}
-
-func (c *laneCall) Complete(_ any, err error) {
-	if err != nil && c.lane.OnError != nil {
-		c.lane.OnError(err)
-	}
-	c.turn.Done()
-}
-
 func TestConcurrentInvokes(t *testing.T) {
 	ch, srv := newTestServer(t)
 	shared := &divideServer{}
@@ -326,62 +283,6 @@ func TestConcurrentInvokes(t *testing.T) {
 	if shared.Calls() != 200 {
 		t.Errorf("calls = %d, want 200", shared.Calls())
 	}
-}
-
-func TestCallSequencerOrdering(t *testing.T) {
-	ch, srv := newTestServer(t)
-	rec := &recorder{}
-	srv.RegisterWellKnown("r", Singleton, func() any { return rec })
-	ref, _ := GetObject(ch, srv.URLFor("r"))
-	cs := refSequencer(ref)
-	const n = 50
-	for i := 0; i < n; i++ {
-		cs.Post("Add", i)
-	}
-	cs.Flush()
-	got := rec.snapshot()
-	if len(got) != n {
-		t.Fatalf("recorded %d calls, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("call %d recorded value %d; ordering violated", i, v)
-		}
-	}
-}
-
-func TestCallSequencerErrorCallback(t *testing.T) {
-	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
-	ref, _ := GetObject(ch, srv.URLFor("d"))
-	cs := refSequencer(ref)
-	var got atomic.Int64
-	cs.OnError = func(error) { got.Add(1) }
-	cs.Post("NoSuchMethod")
-	cs.Post("Noop")
-	cs.Flush()
-	if got.Load() != 1 {
-		t.Errorf("error callbacks = %d, want 1", got.Load())
-	}
-}
-
-type recorder struct {
-	mu   sync.Mutex
-	vals []int
-}
-
-func (r *recorder) Add(v int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.vals = append(r.vals, v)
-}
-
-func (r *recorder) snapshot() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]int, len(r.vals))
-	copy(out, r.vals)
-	return out
 }
 
 func TestMarshalAndLeaseExpiry(t *testing.T) {

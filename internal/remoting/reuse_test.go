@@ -103,8 +103,7 @@ func TestWaiterReuseIsSafe(t *testing.T) {
 }
 
 // TestAllocBudgetBoundCall holds a bound remoting call on an in-process
-// transport, both ends counted, and the idle-lane flush every synchronous
-// runtime call starts with, to their budgets.
+// transport, both ends counted, to its budget.
 func TestAllocBudgetBoundCall(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -127,13 +126,5 @@ func TestAllocBudgetBoundCall(t *testing.T) {
 		t.Errorf("bound call: %.0f allocs, budget 5", n)
 	} else {
 		t.Logf("bound call: %.0f allocs", n)
-	}
-	cs := refSequencer(ref)
-	if n := testing.AllocsPerRun(500, func() {
-		if err := cs.FlushCtx(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("FlushCtx on an idle lane: %.0f allocs, want 0", n)
 	}
 }

@@ -5,14 +5,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/remoting"
 	"repro/internal/transport"
 )
-
-// CostModel injects 2005-era endpoint software costs (see
-// internal/paper/profile for calibrated values).
-type CostModel = cost.Model
 
 // Option configures StartCluster or ServeNode. Options compose left to
 // right; later options override earlier ones.
@@ -22,7 +17,6 @@ type options struct {
 	// cluster scope
 	nodes   int
 	network NetworkParams
-	cost    CostModel
 	// shared scope
 	maxInFlight   int
 	muxLanes      int
@@ -48,11 +42,6 @@ func WithNodes(n int) Option { return func(o *options) { o.nodes = n } }
 // WithNetwork shapes the simulated inter-node network; the zero value is an
 // ideal network. Use Ethernet100 for the paper's testbed.
 func WithNetwork(p NetworkParams) Option { return func(o *options) { o.network = p } }
-
-// WithCost charges per-endpoint software costs: the network the channel
-// runs over is wrapped so that every connect, every message sent and every
-// message received pays the model.
-func WithCost(m CostModel) Option { return func(o *options) { o.cost = m } }
 
 // WithMaxInFlight bounds the number of concurrent in-flight calls per peer
 // connection (lane); calls beyond the bound wait in the lane's admission
@@ -188,7 +177,6 @@ func StartCluster(opts ...Option) (*Cluster, error) {
 	inner, err := cluster.New(cluster.Options{
 		Nodes:           o.nodes,
 		Net:             o.network,
-		Cost:            o.cost,
 		MaxInFlight:     o.maxInFlight,
 		MuxLanes:        o.muxLanes,
 		Placement:       o.placement,
@@ -219,7 +207,7 @@ func ServeNode(opts ...Option) (*Runtime, error) {
 	o := buildOptions(opts)
 	// Auto routes by address scheme: unix:// and inproc:// listen
 	// addresses select the local transports, anything else is TCP.
-	ch := remoting.NewMultiplexedChannel(cost.Network(transport.Auto{}, o.cost))
+	ch := remoting.NewMultiplexedChannel(transport.Auto{})
 	ch.MaxInFlight = o.maxInFlight
 	ch.MuxLanes = o.muxLanes
 	return core.Start(core.Config{
