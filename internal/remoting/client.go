@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/errs"
@@ -17,6 +18,10 @@ type ObjRef struct {
 	ch      *Channel
 	netaddr string
 	uri     string
+
+	// spare is the blocking call's record the ObjRef keeps for its next
+	// call (getCallRecord), which a collection does not take from it.
+	spare atomic.Pointer[blockingWait]
 }
 
 // GetObject returns a proxy for the object at url, for example
@@ -80,8 +85,8 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 // its value. After a call that returned an error the reader may still be
 // writing into sink.
 func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, method string, args []any) (any, error) {
-	w := getCallRecord()
-	defer putCallRecord(w)
+	w := getCallRecord(r)
+	defer putCallRecord(r, w)
 	w.SetCall(ctx, call, method, args)
 	w.ref, w.sink = r, sink
 	w.ctx = r.address(w.ctx, &w.req)
@@ -138,7 +143,9 @@ func (r *ObjRef) invoke(w *blockingWait) (any, error) {
 // it did not dial, before any reply, it is sent once more at once, and the
 // failed lane is dialled afresh. Failures on fresh lanes, context expiries
 // and an orderly Channel.Close (redialling would undo the Close) are never
-// sent again.
+// sent again. A submission the reused lane refused, because it failed
+// between being looked up and taking the call, never left the client, so it
+// follows the same rule, and sending it again is always safe.
 //
 // The condition is "no reply received", the heuristic HTTP keep-alive
 // clients apply to reused connections: over real TCP a stale connection
@@ -148,11 +155,11 @@ func (r *ObjRef) invoke(w *blockingWait) (any, error) {
 // traded for liveness across peer restarts, once, and only on reused lanes.
 func (r *ObjRef) attempt(w *blockingWait) (any, error) {
 	for resent := false; ; resent = true {
+		var result any
 		fresh, err := r.ch.submit(r.netaddr, &w.CallRecord)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			result, err = w.await()
 		}
-		result, err := w.await()
 		if err == nil || resent || fresh || w.ctx.Err() != nil || !isStale(err) {
 			return result, err
 		}
@@ -161,11 +168,11 @@ func (r *ObjRef) attempt(w *blockingWait) (any, error) {
 }
 
 // isStale reports whether err is a failure a blocking call on a reused lane
-// is sent again after: the connection's, not an orderly Close's and not the
-// peer's own error reply.
+// is sent again after: the connection's, not an orderly Close's, not an
+// open breaker's fast-fail and not the peer's own error reply.
 func isStale(err error) bool {
 	var re *RemoteError
-	return isConnFailure(err) && !errors.Is(err, errChannelClosed) && !errors.As(err, &re)
+	return isConnFailure(err) && !errors.Is(err, errChannelClosed) && !IsBreakerOpenError(err) && !errors.As(err, &re)
 }
 
 // rearm readies a blocking call's record to be submitted again. The sequence

@@ -105,10 +105,10 @@ const (
 )
 
 // encodeBoundCall produces the call frame for handle, behind the declaring
-// prefix when declare is set. The bytes live in the returned pooled
-// encoder, which whoever consumes the frame must Release.
-func encodeBoundCall(handle uint32, declare bool, req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
-	e := wire.NewEncoder()
+// prefix when declare is set. The bytes live in the returned encoder, one of
+// encs (the lane's), which whoever consumes the frame gives back.
+func encodeBoundCall(encs *wire.Encoders, handle uint32, declare bool, req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
+	e := encs.Get()
 	if declare {
 		e.RawByte(markDeclare)
 		e.String(req.URI)
@@ -129,7 +129,7 @@ func encodeBoundCall(handle uint32, declare bool, req *callRequest) (raw []byte,
 	}
 	e.AnySlice(req.Args)
 	if err := e.Err(); err != nil {
-		e.Release()
+		encs.Put(e)
 		return nil, nil, fmt.Errorf("remoting: encode bound call %s.%s: %w", req.URI, req.name(), err)
 	}
 	return e.Bytes(), e, nil
@@ -177,9 +177,10 @@ func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (h
 }
 
 // encodeBoundReply produces the compact reply frame. The bytes live in the
-// returned pooled encoder.
-func encodeBoundReply(resp *callResponse) (raw []byte, enc *wire.Encoder, err error) {
-	e := wire.NewEncoder()
+// returned encoder, one of encs (the server connection's), which whoever
+// consumes the frame gives back.
+func encodeBoundReply(encs *wire.Encoders, resp *callResponse) (raw []byte, enc *wire.Encoder, err error) {
+	e := encs.Get()
 	e.RawByte(markBoundReply)
 	e.RawUvarint(resp.Seq)
 	if resp.IsErr {
@@ -211,7 +212,7 @@ func encodeBoundReply(resp *callResponse) (raw []byte, enc *wire.Encoder, err er
 		e.Value(resp.Result)
 	}
 	if err := e.Err(); err != nil {
-		e.Release()
+		encs.Put(e)
 		return nil, nil, fmt.Errorf("remoting: encode bound reply: %w", err)
 	}
 	return e.Bytes(), e, nil

@@ -8,13 +8,17 @@ import (
 	"repro/internal/wire"
 )
 
+// testEncs is where the tests' frames are encoded, as a lane's or a server
+// connection's are encoded into theirs.
+var testEncs wire.Encoders
+
 func TestBoundCallRoundTrip(t *testing.T) {
 	req := &callRequest{
 		Seq:      12345,
 		Deadline: 1753776000000000000,
 		Args:     []any{int32(7), "hello", []float64{1.5, 2.5}},
 	}
-	raw, enc, err := encodeBoundCall(42, false, req)
+	raw, enc, err := encodeBoundCall(&testEncs, 42, false, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +54,11 @@ func TestBoundCallIsStringFree(t *testing.T) {
 		Seq:    99991,
 		Args:   []any{10.0, 4.0},
 	}
-	declaring, encD, err := encodeBoundCall(3, true, req)
+	declaring, encD, err := encodeBoundCall(&testEncs, 3, true, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, encB, err := encodeBoundCall(3, false, req)
+	bound, encB, err := encodeBoundCall(&testEncs, 3, false, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +81,7 @@ func TestBoundCallIsStringFree(t *testing.T) {
 
 func TestBoundReplyRoundTripResult(t *testing.T) {
 	resp := &callResponse{Seq: 77, Result: []int32{1, 2, 3}}
-	raw, enc, err := encodeBoundReply(resp)
+	raw, enc, err := encodeBoundReply(&testEncs, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +100,7 @@ func TestBoundReplyRoundTripResult(t *testing.T) {
 
 func TestBoundReplyRoundTripError(t *testing.T) {
 	resp := &callResponse{Seq: 78, IsErr: true, ErrCode: "no_such_method", ErrMsg: "boom"}
-	raw, enc, err := encodeBoundReply(resp)
+	raw, enc, err := encodeBoundReply(&testEncs, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,7 @@ func TestBoundReplyRoundTripError(t *testing.T) {
 
 func TestBoundCallRejectsBadFrames(t *testing.T) {
 	req := &callRequest{Seq: 1, Args: []any{}}
-	raw, enc, err := encodeBoundCall(5, false, req)
+	raw, enc, err := encodeBoundCall(&testEncs, 5, false, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +136,13 @@ func TestBoundCallRejectsBadFrames(t *testing.T) {
 	}
 	// Handle 0 is rejected unless declared, an out-of-range handle always.
 	for _, declare := range []bool{false, true} {
-		if raw0, enc0, err := encodeBoundCall(0, declare, req); err == nil {
+		if raw0, enc0, err := encodeBoundCall(&testEncs, 0, declare, req); err == nil {
 			if _, _, _, err := decodeCall(raw0); (err == nil) != declare {
 				t.Errorf("handle 0, declaring %v: %v", declare, err)
 			}
 			enc0.Release()
 		}
-		if rawBig, encBig, err := encodeBoundCall(maxBindHandles+1, declare, req); err == nil {
+		if rawBig, encBig, err := encodeBoundCall(&testEncs, maxBindHandles+1, declare, req); err == nil {
 			if _, _, _, err := decodeCall(rawBig); err == nil {
 				t.Errorf("out-of-range handle accepted, declaring %v", declare)
 			}
@@ -159,7 +163,7 @@ func TestBoundCallRejectsBadFrames(t *testing.T) {
 
 func TestBoundReplyRejectsBadFrames(t *testing.T) {
 	resp := &callResponse{Seq: 2, Result: "ok"}
-	raw, enc, err := encodeBoundReply(resp)
+	raw, enc, err := encodeBoundReply(&testEncs, resp)
 	if err != nil {
 		t.Fatal(err)
 	}

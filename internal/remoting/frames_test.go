@@ -165,7 +165,7 @@ func TestFrameOwnershipRule(t *testing.T) {
 	// server as handleConn does, returning the frame and the decoded argument.
 	receive := func(t *testing.T, client, server transport.Conn, arg any) (frame []byte, got any, borrowed bool) {
 		t.Helper()
-		raw, enc, err := encodeBoundCall(1, false, &callRequest{Seq: 7, Args: []any{arg}})
+		raw, enc, err := encodeBoundCall(&testEncs, 1, false, &callRequest{Seq: 7, Args: []any{arg}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 		FwdNode: 3,
 		FwdGen:  5,
 	}
-	raw, enc, err := encodeBoundReply(resp)
+	raw, enc, err := encodeBoundReply(&testEncs, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 	// An error reply without a forward must not pay (or emit) the forward
 	// fields.
 	plain := &callResponse{Seq: 8, IsErr: true, ErrCode: errs.CodeDestroyed, ErrMsg: "gone"}
-	rawPlain, encPlain, err := encodeBoundReply(plain)
+	rawPlain, encPlain, err := encodeBoundReply(&testEncs, plain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,10 +57,11 @@ type inflightShard struct {
 // completion-driven call brings its own record, zero, as part of whatever
 // the caller allocates for the call (SetCall, StartCall), so a future costs
 // neither a goroutine while it waits nor an allocation of the connection's.
-// A blocking call draws one from callPool, whose Completer is the record's
-// own blockingWait, and parks on it. The connection holds the record from
-// submission until to has been told. Either kind may carry the caller's typed
-// slot (sink), which is offered the result before it is decoded as a value.
+// A blocking call draws the one its ObjRef keeps (or one from callPool when
+// another call has it), whose Completer is the record's own blockingWait,
+// and parks on it. The connection holds the record from submission until to
+// has been told. Either kind may carry the caller's typed slot (sink), which
+// is offered the result before it is decoded as a value.
 type CallRecord struct {
 	req  request
 	ref  *ObjRef
@@ -92,16 +93,17 @@ const (
 	recWatched
 	// recLost: a blocking call abandoned on ctx while the lane held its
 	// record (the reader or fail had taken it, or it waits for admission).
-	// The lane still completes it, so the record never goes back to the pool.
+	// The lane still completes it, so the record is never reused.
 	recLost
 )
 
 func (c *CallRecord) has(flag uint32) bool { return c.flags.Load()&flag != 0 }
 func (c *CallRecord) set(flag uint32)      { c.flags.Or(flag) }
 
-// blockingWait is a blocking call's record, drawn from callPool, and its
-// Completer: the outcome lands in result and on rc (capacity 1, so the
-// completion never blocks), where the caller parks (await).
+// blockingWait is a blocking call's record, kept by its ObjRef or drawn from
+// callPool, and its Completer: the outcome lands in result and on rc
+// (capacity 1, so the completion never blocks), where the caller parks
+// (await).
 type blockingWait struct {
 	CallRecord
 	rc     chan error
@@ -168,9 +170,11 @@ type CompletionFunc func(any, error)
 
 func (f CompletionFunc) Complete(v any, err error) { f(v, err) }
 
-// callPool recycles blocking calls' records. A record goes back only when its
-// channel is known empty and the lane no longer holds it: its caller received
-// the single outcome, or the call was never submitted.
+// callPool holds the blocking calls' records that no ObjRef keeps: those of
+// concurrent callers on one ObjRef beyond the one it keeps. A record goes
+// back (to its ObjRef or here) only when its channel is known empty and the
+// lane no longer holds it: its caller received the single outcome, or the
+// call was never submitted.
 var callPool = sync.Pool{New: func() any { return &blockingWait{rc: make(chan error, 1)} }}
 
 // recordAudit, when a test installs one, counts the call records of both
@@ -192,25 +196,33 @@ func countRecord(event int) {
 	}
 }
 
-// getCallRecord draws a blocking call's record, its own Completer.
-func getCallRecord() *blockingWait {
+// getCallRecord draws a blocking call's record to r, its own Completer: the
+// one r keeps, or a pooled one when another call has it.
+func getCallRecord(r *ObjRef) *blockingWait {
 	countRecord(recordDrawn)
-	w := callPool.Get().(*blockingWait)
+	w := r.spare.Swap(nil)
+	if w == nil {
+		w = callPool.Get().(*blockingWait)
+	}
 	w.to = w
 	w.set(recWatched)
 	return w
 }
 
-// putCallRecord settles a blocking call's record: back to the pool emptied,
-// so it pins neither arguments, result nor sink, or left to the GC when lost.
-func putCallRecord(w *blockingWait) {
+// putCallRecord settles a blocking call's record to r, on its caller's
+// goroutine: emptied, so it pins neither arguments, result nor sink, and kept
+// by r (a collection does not take it, as it empties callPool) or pooled when
+// r keeps one already; left to the GC when lost.
+func putCallRecord(r *ObjRef, w *blockingWait) {
 	if w.has(recLost) {
 		countRecord(recordDropped)
 		return
 	}
 	countRecord(recordReturned)
 	*w = blockingWait{rc: w.rc}
-	callPool.Put(w)
+	if !r.spare.CompareAndSwap(nil, w) {
+		callPool.Put(w)
+	}
 }
 
 // deliver hands the exchange its outcome: err when no reply came, nil when
@@ -302,7 +314,7 @@ func (c *CallRecord) callErr(err error) error {
 // callback chain that posts follow-up calls must not recurse into it.
 func (c *CallRecord) refuse(err error) {
 	<-c.mc.slots
-	c.of.release()
+	c.of.release(&c.mc.encs)
 	go func() {
 		c.mc.pump()
 		c.complete(nil, nil, err)
@@ -389,6 +401,10 @@ type muxConn struct {
 	// transparent.
 	bindShards [bindShardCount]bindShard
 	handles    atomic.Uint32
+
+	// encs keeps the encoders the lane's requests are encoded into
+	// (encodeRequest): the writer gives each back once its bytes are sent.
+	encs wire.Encoders
 }
 
 // muxKey identifies one lane to one peer in the channel's peer table.
@@ -448,13 +464,13 @@ func (mc *muxConn) bindFor(req *callRequest) *clientBind {
 
 // encodeRequest produces the frame for c's request on this lane: the bare
 // call once a frame declaring the triple's handle has been queued
-// (enqueueFrame), the declaring call until then. Ownership of the frame's
-// pooled encoder follows encodeBoundCall.
+// (enqueueFrame), the declaring call until then. The frame's encoder is one
+// of the lane's (mc.encs), and goes back there.
 func (mc *muxConn) encodeRequest(c *CallRecord) (outFrame, error) {
 	req := c.req.envelope(c.ref.uri)
 	cb := mc.bindFor(&req)
 	declare := !cb.confirmed.Load()
-	_, enc, err := encodeBoundCall(cb.handle, declare, &req)
+	_, enc, err := encodeBoundCall(&mc.encs, cb.handle, declare, &req)
 	of := outFrame{enc: enc}
 	if declare && cb.handle != 0 {
 		of.declares = cb
@@ -463,21 +479,21 @@ func (mc *muxConn) encodeRequest(c *CallRecord) (outFrame, error) {
 }
 
 // outFrame is one queued frame, a request on a lane or a reply on a server
-// connection. Its bytes are enc's, a pooled encoder: whoever consumes the
-// frame (normally the writer, after the bytes hit the wire) releases it; nil
-// for a frame that failed to encode. Frames stranded in outQ when a lane
-// fails are simply collected by the GC — a pool miss, not a leak. declares
-// is the handle the frame declares, nil for a bare frame, for handle 0 and
-// for a reply.
+// connection. Its bytes are enc's, an encoder of the lane's or the
+// connection's (their encs): whoever consumes the frame (normally the writer
+// or the flusher, after the bytes hit the wire) gives it back there; nil for
+// a frame that failed to encode. Frames stranded in outQ when a lane fails
+// are simply collected by the GC with the lane. declares is the handle the
+// frame declares, nil for a bare frame, for handle 0 and for a reply.
 type outFrame struct {
 	enc      *wire.Encoder
 	declares *clientBind
 }
 
-// release returns the frame's encoder (if pooled) to the pool.
-func (of outFrame) release() {
+// release gives the frame's encoder back to encs, its owner's.
+func (of outFrame) release(encs *wire.Encoders) {
 	if of.enc != nil {
-		of.enc.Release()
+		encs.Put(of.enc)
 	}
 }
 
@@ -493,9 +509,9 @@ var errChannelClosed = fmt.Errorf("channel closed: %w", errs.ErrNodeDown)
 // is held only for the map access: the dial itself runs outside it (a slow
 // or blackholed peer must not stall calls to healthy peers, nor Close),
 // with concurrent callers for the same lane waiting on the ready channel
-// of whichever caller dialled. fresh reports whether this call dialled — a
-// failure on a fresh connection is a real peer failure, not staleness, so
-// the caller must not retry it.
+// of whichever caller dialled. fresh reports whether this call dialled,
+// whether or not the dial succeeded — a failure on a fresh connection is a
+// real peer failure, not staleness, so the caller must not retry it.
 func (ch *Channel) getMux(netaddr string, lane int) (mc *muxConn, fresh bool, err error) {
 	key := muxKey{netaddr: netaddr, lane: lane}
 	for {
@@ -525,7 +541,7 @@ func (ch *Channel) getMux(netaddr string, lane int) (mc *muxConn, fresh bool, er
 			ch.muxMu.Unlock()
 			if err := mc.dial(); err != nil {
 				ch.removeMux(mc)
-				return nil, false, err
+				return nil, true, err
 			}
 			return mc, true, nil
 		}
@@ -622,7 +638,7 @@ func (mc *muxConn) take(seq uint64) *CallRecord {
 
 // enqueueFrame appends of to the outbound queue and wakes the writer.
 // Never blocks (see outQ); a frame enqueued after the lane failed is
-// collected by the GC together with its encoder — a pool miss, not a leak.
+// collected by the GC together with its encoder and the lane.
 // A declaring frame confirms its handle here: the queue is the wire order,
 // and a frame encoded after the confirmation is queued after this one, so
 // the server reads the declaration first.
@@ -660,8 +676,8 @@ const maxWriteBatch = 64
 // lock so frames that piled up while the previous write was in flight
 // leave in coalesced wire writes (chunks of maxWriteBatch) instead of one
 // syscall each. Once a batch's bytes have left through the transport
-// (which copies or vectors them), its pooled encoders are released. The
-// spare slice ping-pongs with the queue's backing array, so the
+// (which copies or vectors them), its encoders go back to the lane (encs).
+// The spare slice ping-pongs with the queue's backing array, so the
 // steady-state swap allocates nothing.
 func (mc *muxConn) writer() {
 	spare := make([]outFrame, 0, maxWriteBatch)
@@ -689,7 +705,7 @@ func (mc *muxConn) writer() {
 				}
 				err := transport.SendBatch(mc.conn, raws)
 				for _, of := range batch[off:end] {
-					of.release()
+					of.release(&mc.encs)
 				}
 				if err != nil {
 					mc.fail(fmt.Errorf("remoting: send to %s: %v: %w", mc.netaddr, err, errs.ErrNodeDown))
@@ -776,7 +792,7 @@ func (mc *muxConn) resend(c *CallRecord) {
 		err = mc.register(c)
 	}
 	if err != nil {
-		of.release()
+		of.release(&mc.encs)
 		c.deliver(nil, nil, err)
 		return
 	}
@@ -823,7 +839,7 @@ func (mc *muxConn) fail(err error) {
 	mc.admitQ = nil
 	mc.admitMu.Unlock()
 	for _, c := range q {
-		c.of.release()
+		c.of.release(&mc.encs)
 		c.complete(nil, nil, err)
 	}
 }
@@ -845,7 +861,7 @@ func (mc *muxConn) admit(c *CallRecord) error {
 	mc.admitMu.Lock()
 	if mc.admitClosed {
 		mc.admitMu.Unlock()
-		c.of.release()
+		c.of.release(&mc.encs)
 		return c.callErr(mc.failureErr())
 	}
 	if len(mc.admitQ) == 0 {

@@ -104,7 +104,7 @@ func mustHex(t testing.TB, s string) []byte {
 // boundCallBytes encodes req and returns a copy of the frame.
 func boundCallBytes(t testing.TB, handle uint32, declare bool, req *callRequest) []byte {
 	t.Helper()
-	raw, enc, err := encodeBoundCall(handle, declare, req)
+	raw, enc, err := encodeBoundCall(&testEncs, handle, declare, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func FuzzDecodeBoundCall(f *testing.F) {
 
 func boundReplyBytes(t testing.TB, resp *callResponse) []byte {
 	t.Helper()
-	raw, enc, err := encodeBoundReply(resp)
+	raw, enc, err := encodeBoundReply(&testEncs, resp)
 	if err != nil {
 		t.Fatal(err)
 	}

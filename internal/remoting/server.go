@@ -93,7 +93,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	objects map[string]*registration
-	conns   map[transport.Conn]struct{}
+	conns   map[transport.Conn]*serverConn
 	closed  bool
 
 	// regGen counts mutations of the objects table. Bound-handle entries
@@ -121,7 +121,7 @@ func (ch *Channel) ListenAndServe(addr string, opts ...ServerOption) (*Server, e
 		listener: l,
 		leaseTTL: 5 * time.Minute,
 		objects:  make(map[string]*registration),
-		conns:    make(map[transport.Conn]struct{}),
+		conns:    make(map[transport.Conn]*serverConn),
 	}
 	for _, o := range opts {
 		o(s)
@@ -282,10 +282,11 @@ func (s *Server) acceptLoop() {
 			c.Close()
 			return
 		}
-		s.conns[c] = struct{}{}
+		sc := &serverConn{s: s, c: c}
+		s.conns[c] = sc
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.handleConn(&serverConn{s: s, c: c})
+		go s.handleConn(sc)
 	}
 }
 
@@ -321,10 +322,15 @@ type serverConn struct {
 	spare []outFrame
 	raws  [][]byte
 
-	// free is the call record the connection's last answered request gave
-	// back, which its read loop takes before the pool: a connection serving
-	// one request at a time runs on one record of its own.
-	free atomic.Pointer[serverCall]
+	// What the connection reuses, kept by the connection rather than a
+	// sync.Pool, which every garbage collection empties: the encoders its
+	// replies are encoded into (respond), which the flusher gives back once
+	// their bytes are sent, and the call records of its answered requests,
+	// which the read loop takes before the pool. Two of each, because a reply
+	// often goes back after the client already has it and has sent the next
+	// request: a connection serving one request at a time runs on its own.
+	encs wire.Encoders
+	free [2]atomic.Pointer[serverCall]
 }
 
 // bindEntry is one bound (URI, call, method) triple, its strings kept once
@@ -407,8 +413,8 @@ type NestedInvoker interface {
 // the array its argument list is decoded into, the context and the target
 // the read loop resolved for it, the response, and the entry point of a
 // call run on its own goroutine, bound once. handleConn draws one per frame.
-// It is the Completer of its request, and goes back to the pool, emptied,
-// once Complete encoded the reply.
+// It is the Completer of its request, and goes back to its connection (or
+// the pool), emptied, once Complete encoded the reply.
 //
 // Ownership: the argument list is the server's, its elements the method's.
 // Dispatch copies every element into a typed parameter (variadic methods
@@ -434,12 +440,19 @@ type serverCall struct {
 // to; a longer one (a big aggregate batch) goes back to the GC.
 const argvKeep = 64
 
-// serverCalls has no New (release refers to the pool): see newCall.
+// serverCalls holds the call records no connection keeps: those of the
+// requests a connection serves at once beyond the two it keeps (free). It
+// has no New (release refers to the pool): see newCall.
 var serverCalls sync.Pool
 
 func (sc *serverConn) newCall() *serverCall {
 	countRecord(recordDrawn)
-	c := sc.free.Swap(nil)
+	var c *serverCall
+	for i := range sc.free {
+		if c = sc.free[i].Swap(nil); c != nil {
+			break
+		}
+	}
 	if c == nil {
 		c, _ = serverCalls.Get().(*serverCall)
 	}
@@ -455,7 +468,7 @@ func (c *serverCall) giveArgs() { c.req.Args, c.argv = nil, nil }
 
 // release empties the record, keeping the array the request's list was
 // decoded into (the lent one, or the decoder's if it outgrew it), and gives
-// it back to its connection, or to the pool when the connection holds one.
+// it back to its connection, or to the pool when the connection keeps two.
 func (c *serverCall) release() {
 	countRecord(recordReturned)
 	if args := c.req.Args; cap(args) > 0 && cap(args) <= argvKeep {
@@ -465,9 +478,12 @@ func (c *serverCall) release() {
 	sc := c.sc
 	c.sc, c.req, c.resp, c.entry = nil, callRequest{}, callResponse{}, nil
 	c.ctx, c.cancel, c.obj = nil, nil, nil
-	if !sc.free.CompareAndSwap(nil, c) {
-		serverCalls.Put(c)
+	for i := range sc.free {
+		if sc.free[i].CompareAndSwap(nil, c) {
+			return
+		}
 	}
+	serverCalls.Put(c)
 }
 
 // Complete answers the request with its outcome, on whichever goroutine
@@ -587,10 +603,10 @@ func (s *Server) serve(c *serverCall) {
 // after a write failure responses are discarded and the read loop observes
 // the dead connection on its next receive.
 func (sc *serverConn) respond(req *callRequest, resp *callResponse) {
-	_, enc, err := encodeBoundReply(resp)
+	_, enc, err := encodeBoundReply(&sc.encs, resp)
 	if err != nil {
 		unenc := errorResponse(req, fmt.Sprintf("unencodable result: %v", err))
-		_, enc, err = encodeBoundReply(&unenc)
+		_, enc, err = encodeBoundReply(&sc.encs, &unenc)
 		if err != nil {
 			return
 		}
@@ -607,8 +623,9 @@ func (sc *serverConn) respond(req *callRequest, resp *callResponse) {
 }
 
 // flushLocked drains the pending queue, writing up to maxWriteBatch frames
-// per coalesced wire write with the lock released. Called with wmu held
-// and sc.writing owned; returns with wmu released.
+// per coalesced wire write with the lock released, and gives each frame's
+// encoder back to the connection once its bytes are sent. Called with wmu
+// held and sc.writing owned; returns with wmu released.
 func (sc *serverConn) flushLocked() {
 	for len(sc.pending) > 0 {
 		batch := sc.pending
@@ -626,7 +643,7 @@ func (sc *serverConn) flushLocked() {
 				failed = transport.SendBatch(sc.c, raws) != nil
 			}
 			for _, of := range batch[off:end] {
-				of.release()
+				of.release(&sc.encs)
 			}
 		}
 		clear(batch) // drop frame refs before recycling the array

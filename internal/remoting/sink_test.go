@@ -253,7 +253,7 @@ func TestReplyBodyFailureFailsItsCall(t *testing.T) {
 					if _, _, _, err := decodeBoundCall(raw, &req, nil); err != nil {
 						return
 					}
-					frame, enc, err := encodeBoundReply(&callResponse{Seq: req.Seq, Result: 7})
+					frame, enc, err := encodeBoundReply(&testEncs, &callResponse{Seq: req.Seq, Result: 7})
 					if err != nil {
 						return
 					}

@@ -174,6 +174,55 @@ func TestEncoderDropsOversizedBuffer(t *testing.T) {
 	}
 }
 
+// TestEncodersKeepBounded: an owner's store keeps at most two encoders,
+// each reset as Release resets it and under the same buffer rule (a bulk
+// buffer stays while bulk messages fill it and goes with the first small
+// one), and never one whose buffer is above keepMax.
+func TestEncodersKeepBounded(t *testing.T) {
+	var k Encoders
+	a, b, c := k.Get(), k.Get(), k.Get()
+	for _, e := range []*Encoder{a, b, c} {
+		if err := e.Encode("x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.Put(a)
+	k.Put(b)
+	k.Put(c)
+	if k[0].Load() != a || k[1].Load() != b {
+		t.Fatal("the first two encoders given back were not the ones kept")
+	}
+	if e := k.Get(); e != a || len(e.Bytes()) != 0 || e.Err() != nil {
+		t.Fatalf("Get returned %p holding %d B, want the kept %p, reset", e, len(e.Bytes()), a)
+	}
+	if err := a.Encode(make([]byte, 256<<10)); err != nil {
+		t.Fatal(err)
+	}
+	bulk := cap(a.Bytes())
+	k.Put(a)
+	if e := k.Get(); e != a || cap(e.Bytes()) != bulk {
+		t.Fatalf("a kept encoder lost the %d B buffer a bulk message filled", bulk)
+	}
+	if err := a.Encode(make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	k.Put(a)
+	if got := cap(a.Bytes()); got > retainCap {
+		t.Errorf("kept after a 64 B message still holding %d B, want at most %d", got, retainCap)
+	}
+
+	e := k.Get()
+	if err := e.Encode(make([]byte, keepMax)); err != nil {
+		t.Fatal(err)
+	}
+	k.Put(e)
+	for i := range k {
+		if k[i].Load() == e {
+			t.Errorf("kept an encoder whose buffer is %d B, above keepMax %d", cap(e.e.buf), keepMax)
+		}
+	}
+}
+
 // TestUnknownFieldSkipped: a message carrying a field the receiver dropped
 // decodes cleanly on both paths (schema evolution).
 func TestUnknownFieldSkipped(t *testing.T) {

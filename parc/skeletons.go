@@ -11,7 +11,7 @@ import (
 // Pipeline over a Group of parallel objects. A skeleton round issues every
 // member's call through the completion-driven async path, so the calls to
 // each destination node coalesce into batched frames on that peer's lane
-// (one SendBatch per peer per writer pass, bound handles and pooled
+// (one SendBatch per peer per writer pass, bound handles and the lane's
 // encoders reused) instead of paying one synchronous round trip — or one
 // parked goroutine — per element.
 

@@ -132,14 +132,13 @@ func Call[R any, T any](ctx context.Context, o *Object[T], method string, args .
 		return zero, err
 	}
 	store := slotStore[R]()
-	s := store.Get().(*slot[R])
+	s := store.get()
 	r, err := resultOf[R](o.p.InvokeInto(ctx, s, method, args))
 	if err == nil {
 		// After an error the connection's reader may still be writing into
 		// s (the ctx ended while the reply was being decoded), so only a
 		// call that succeeded gives its slot back.
-		*s = slot[R]{}
-		store.Put(s)
+		store.put(s)
 	}
 	return r, err
 }
@@ -155,19 +154,44 @@ type slot[R any] struct{ val R }
 // to a Cancel or a ctx lands in memory nobody looks at.
 func (s *slot[R]) DecodeResult(d *wire.Decoder) bool { return d.ValueInto(&s.val) }
 
-// slotPools holds one pool of blocking calls' slots per result type. A
-// sync.Pool keeps its free slots per processor, so callers on different
-// processors share no lock and no cache line to take one.
-var slotPools sync.Map // reflect.Type → *sync.Pool of *slot[R]
+// slots is the store of R's slots for blocking calls. It keeps one slot
+// itself, which a garbage collection does not take, so a caller that calls
+// again after its call returned reuses it however often the process
+// collects; slots that concurrent callers need beyond it come from a
+// sync.Pool, which keeps its free slots per processor.
+type slots[R any] struct {
+	spare atomic.Pointer[slot[R]]
+	pool  sync.Pool
+}
 
-// slotStore returns the pool of R's slots.
-func slotStore[R any]() *sync.Pool {
+// slotStores holds one store per result type.
+var slotStores sync.Map // reflect.Type → *slots[R]
+
+// slotStore returns the store of R's slots.
+func slotStore[R any]() *slots[R] {
 	t := reflect.TypeFor[R]()
-	if p, ok := slotPools.Load(t); ok {
-		return p.(*sync.Pool)
+	if p, ok := slotStores.Load(t); ok {
+		return p.(*slots[R])
 	}
-	p, _ := slotPools.LoadOrStore(t, &sync.Pool{New: func() any { return new(slot[R]) }})
-	return p.(*sync.Pool)
+	p, _ := slotStores.LoadOrStore(t, &slots[R]{pool: sync.Pool{New: func() any { return new(slot[R]) }}})
+	return p.(*slots[R])
+}
+
+// get returns the kept slot, or a pooled one when another call has it.
+func (st *slots[R]) get() *slot[R] {
+	if s := st.spare.Swap(nil); s != nil {
+		return s
+	}
+	return st.pool.Get().(*slot[R])
+}
+
+// put empties s, which no reader writes into any more, and keeps it, or
+// pools it when a slot is kept already.
+func (st *slots[R]) put(s *slot[R]) {
+	*s = slot[R]{}
+	if !st.spare.CompareAndSwap(nil, s) {
+		st.pool.Put(s)
+	}
 }
 
 // CallAsync starts a synchronous-style call without blocking and returns a
