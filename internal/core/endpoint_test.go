@@ -209,6 +209,50 @@ func TestAllocBudgetAgglomeratedCall(t *testing.T) {
 	}
 }
 
+// callModes are the three ways a proxy reaches its object, as the nodes to
+// start and their configuration.
+var callModes = []struct {
+	name                string
+	local, agglomerated bool
+	mutate              func(int, *Config)
+	nodes               int
+}{
+	{"local", true, false, nil, 1},
+	{"agglomerated", true, true, func(_ int, cfg *Config) { cfg.Agglomeration = AlwaysAgglomerate{} }, 1},
+	{"remote", false, false, func(_ int, cfg *Config) { cfg.Placement = &forceNode{node: 1} }, 2},
+}
+
+// TestAllocBudgetCallerList holds a blocking call whose argument list is
+// built per call, as a caller writes it (p.InvokeCtx(ctx, "Twice", 21)), to
+// 0 allocations on a local, an agglomerated and a remote object, both ends
+// counted. The call copies the list into one its proxy keeps, so the
+// caller's list stays on the caller's stack; 21 and 42 are small enough
+// that boxing them allocates nothing. A list that reaches the mailbox, the
+// connection or the object as the caller built it escapes, costs 1 a call
+// and fails the budget.
+func TestAllocBudgetCallerList(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	for _, m := range callModes {
+		t.Run(m.name, func(t *testing.T) {
+			p := probeOn(t, startNodes(t, m.nodes, m.mutate), m.local, m.agglomerated)
+			ctx := context.Background()
+			call := func() {
+				if v, err := p.InvokeCtx(ctx, "Twice", 21); err != nil || v != 42 {
+					t.Fatalf("Twice = %v, %v", v, err)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				call() // declare and confirm the handle, warm the pools
+			}
+			if n := testing.AllocsPerRun(500, call); n != 0 {
+				t.Errorf("%s call with a list built per call: %.0f allocs, budget 0", m.name, n)
+			}
+		})
+	}
+}
+
 // postsPerRun is how many posts a post budget issues before the one Wait
 // that lets them finish, which costs an allocation of its own (the drain's
 // method value).
@@ -344,6 +388,105 @@ func TestReplyChannelReuseIsSafe(t *testing.T) {
 			// loop on its next send.
 			t.Fatalf("round %d: calls never returned", round)
 		}
+	}
+}
+
+// argLog echoes its argument, counts every argument it ran with, and can
+// park its mailbox.
+type argLog struct {
+	gate echoGate
+	mu   sync.Mutex
+	ran  map[int]int
+}
+
+func (l *argLog) Block() { l.gate.Block() }
+
+func (l *argLog) Echo(v int) int {
+	l.mu.Lock()
+	l.ran[v]++
+	l.mu.Unlock()
+	return v
+}
+
+// TestArgListReuseIsSafe: a blocking call runs on a copy of its caller's
+// argument list that its proxy keeps and reuses. In each mode, callers
+// that share one proxy call it back to back with distinct arguments: each
+// must get its own echo, and the object must run each argument once. A
+// list given back before its call's outcome is in is refilled by another
+// caller while the mailbox, the connection or the object still reads it.
+// Then, locally and remotely, a call queued behind a parked mailbox is lost
+// to its context and the next call on the proxy must echo its own
+// argument, with every call record of either end gone back or let go.
+func TestArgListReuseIsSafe(t *testing.T) {
+	for _, m := range callModes {
+		t.Run(m.name, func(t *testing.T) {
+			check := remoting.AuditRecords()
+			t.Cleanup(func() {
+				if err := check(); err != nil {
+					t.Error(err)
+				}
+			})
+			rts := startNodes(t, m.nodes, m.mutate)
+			l := &argLog{gate: echoGate{entered: make(chan struct{}), release: make(chan struct{})}, ran: map[int]int{}}
+			for _, rt := range rts {
+				rt.RegisterClass("arglog", func() any { return l })
+			}
+			p, err := rts[0].NewParallelObject("arglog")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.IsLocal() != m.local || p.IsAgglomerated() != m.agglomerated {
+				t.Fatalf("object is local %v, agglomerated %v", p.IsLocal(), p.IsAgglomerated())
+			}
+			ctx := context.Background()
+			const callers, calls = 8, 200
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < calls; i++ {
+						want := 1000 + c*calls + i
+						if v, err := p.InvokeCtx(ctx, "Echo", want); err != nil || v != want {
+							t.Errorf("caller %d: Echo(%d) = %v, %v", c, want, v, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if !m.agglomerated {
+				// Lose a call queued behind a parked mailbox, then call again.
+				host := rts[len(rts)-1]
+				go p.InvokeCtx(ctx, "Block") //nolint:errcheck // released below
+				<-l.gate.entered
+				lostCtx, cancel := context.WithCancel(ctx)
+				lost := make(chan error, 1)
+				go func() {
+					_, err := p.InvokeCtx(lostCtx, "Echo", 1)
+					lost <- err
+				}()
+				waitQueued(t, host, 1)
+				cancel()
+				if err := <-lost; !errors.Is(err, context.Canceled) {
+					t.Errorf("lost call returned %v, want context.Canceled", err)
+				}
+				l.gate.release <- struct{}{}
+				if v, err := p.InvokeCtx(ctx, "Echo", 2); err != nil || v != 2 {
+					t.Errorf("call after the lost one: Echo(2) = %v, %v", v, err)
+				}
+			}
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			for v, n := range l.ran {
+				if n != 1 {
+					t.Errorf("the object ran Echo(%d) %d times", v, n)
+				}
+			}
+			if len(l.ran) < callers*calls {
+				t.Errorf("the object ran %d distinct arguments, want at least %d", len(l.ran), callers*calls)
+			}
+		})
 	}
 }
 

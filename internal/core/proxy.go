@@ -61,6 +61,10 @@ type Proxy struct {
 
 	calls callOrder // the order of remote asynchronous calls
 
+	// spareArgs is the argument list the proxy keeps for its next blocking
+	// call (keepArgs), which a collection does not take from it.
+	spareArgs atomic.Pointer[[]any]
+
 	// aggregation state (remote mode only)
 	aggMu     sync.Mutex
 	aggMethod string
@@ -336,11 +340,67 @@ func (p *Proxy) InvokeCtx(ctx context.Context, method string, args ...any) (any,
 // agglomerated object, a result of another type, an error) returns what
 // InvokeCtx returns. After a call that returned an error, the connection's
 // reader may still be writing into sink.
+//
+// The caller's args is never kept: the call copies it into a list its proxy
+// keeps (keepArgs), and only that copy reaches a mailbox, the connection or
+// the object, so a caller's variadic list can live on the caller's stack.
 func (p *Proxy) InvokeInto(ctx context.Context, sink remoting.ResultSink, method string, args []any) (any, error) {
 	p.rt.stats.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// A variable of its own: assigned to args, the copy would make the
+	// caller's list escape.
+	kept, copied := p.keepArgs(args)
+	res, err := p.invokeKept(ctx, sink, method, copied)
+	if err == nil {
+		// After an error a mailbox or a lost record may still read the
+		// list, so only a call that succeeded gives it back.
+		p.returnArgs(kept)
+	}
+	return res, err
+}
+
+// maxKeptArgs is the longest argument list a proxy keeps for its next
+// blocking call; a longer one is left to the GC after its call.
+const maxKeptArgs = 16
+
+// argsPool holds the argument lists of blocking calls that no proxy keeps:
+// those of concurrent callers on one proxy beyond the one it keeps.
+var argsPool = sync.Pool{New: func() any { return new([]any) }}
+
+// keepArgs copies a blocking call's arguments into a list of p's, the one
+// p keeps or a pooled one when another call has it, and returns the list
+// and the copy. A call without arguments needs no list.
+func (p *Proxy) keepArgs(args []any) (*[]any, []any) {
+	if len(args) == 0 {
+		return nil, nil
+	}
+	l := p.spareArgs.Swap(nil)
+	if l == nil {
+		l = argsPool.Get().(*[]any)
+	}
+	*l = append((*l)[:0], args...)
+	return l, *l
+}
+
+// returnArgs settles the list of a call that succeeded, on its caller's
+// goroutine: emptied, so it pins none of the caller's values, and kept by p
+// (a collection does not take it, as it empties argsPool) or pooled when p
+// keeps one already.
+func (p *Proxy) returnArgs(l *[]any) {
+	if l == nil || cap(*l) > maxKeptArgs {
+		return
+	}
+	clear(*l)
+	if !p.spareArgs.CompareAndSwap(nil, l) {
+		argsPool.Put(l)
+	}
+}
+
+// invokeKept runs a blocking call on the copy of its arguments that the
+// proxy keeps.
+func (p *Proxy) invokeKept(ctx context.Context, sink remoting.ResultSink, method string, args []any) (any, error) {
 	switch mode, act := p.state(); mode {
 	case modeAgglomerated:
 		return p.invokeInCaller(ctx, method, args)

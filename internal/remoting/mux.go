@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/errs"
 	"repro/internal/transport"
@@ -193,6 +194,28 @@ const (
 func countRecord(event int) {
 	if a := recordAudit.Load(); a != nil {
 		a[event].Add(1)
+	}
+}
+
+// AuditRecords installs a fresh record audit, for a test of a package that
+// calls through this one, and returns its check: it waits up to 10 s for
+// every record either end drew since to have gone back or been let go, and
+// uninstalls the audit. Install it before the calls it audits start, and
+// check once everything they used is closed.
+func AuditRecords() (check func() error) {
+	a := new([3]atomic.Int64)
+	recordAudit.Store(a)
+	return func() error {
+		defer recordAudit.CompareAndSwap(a, nil)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			drawn, returned, dropped := a[recordDrawn].Load(), a[recordReturned].Load(), a[recordDropped].Load()
+			if drawn == returned+dropped {
+				return nil
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("call records drawn %d, returned %d, let go %d", drawn, returned, dropped)
+			}
+		}
 	}
 }
 

@@ -135,22 +135,22 @@ var framePool, boxPool sync.Pool
 
 // GetFrame returns a buffer of length n, reusing pooled capacity when
 // possible. Pair with PutFrame once the frame's bytes are no longer
-// referenced. It looks at one pooled buffer and puts a too-small one back:
-// frames of two sizes through one pool miss it whenever the smaller sits in
-// front, which is why a connection that can keeps its own. A frame above
-// smallMax is allocated without looking: the pool never holds one.
+// referenced. It looks at one pooled buffer and drops a too-small one, whose
+// box goes to boxPool: put back, it would sit in front of every larger
+// frame on its processor, and each of those would cost a frame and a box
+// until the next collection. A frame above smallMax is allocated without
+// looking: the pool never holds one.
 func GetFrame(n int) []byte {
 	if n > smallMax {
 		return make([]byte, n)
 	}
 	if p, _ := framePool.Get().(*[]byte); p != nil {
-		if cap(*p) >= n {
-			b := (*p)[:n]
-			*p = nil
-			boxPool.Put(p)
-			return b
+		b := *p
+		*p = nil
+		boxPool.Put(p)
+		if cap(b) >= n {
+			return b[:n]
 		}
-		framePool.Put(p) // too small for this message, right for a smaller one
 	}
 	return make([]byte, n)
 }

@@ -629,6 +629,29 @@ func TestAllocBudgetFramePool(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetSmallFrameInFront: a pooled frame too small for the message
+// GetFrame is asked for is dropped, and its box kept for the next PutFrame.
+// Put back, it would sit in front of every larger frame on its processor:
+// each GetFrame(200) would find it first and allocate, and each PutFrame
+// would then find boxPool empty, 2 allocations a cycle until the next
+// collection.
+func TestAllocBudgetSmallFrameInFront(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account, and sync.Pool drops Puts under it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for framePool.Get() != nil {
+	}
+	PutFrame(make([]byte, 16))
+	if n := testing.AllocsPerRun(1000, func() {
+		f := GetFrame(200)
+		f[0] = 1
+		PutFrame(f)
+	}); n != 0 {
+		t.Errorf("GetFrame(200)+PutFrame behind a 16 B frame: %.0f allocs per cycle, want 0", n)
+	}
+}
+
 // TestAllocBudgetConnFrames: a stream connection receives into the frame it
 // was last handed back. 10,000 messages alternating 90 and 110 bytes over
 // one loopback TCP pair, each received with RecvFrame and released to the

@@ -115,6 +115,36 @@ func TestAllocBudgetTypedCall(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetCallerList is TestAllocBudgetTypedCall with the argument
+// list built per call, as a caller (a generated proxy among them) writes
+// it: Call[[]byte](ctx, obj, "Echo", payload). It measures 5: the 4 of that
+// call and the payload's box on the caller's end. The list itself costs
+// nothing: the runtime copies it into one the object's proxy keeps, so it
+// stays on the caller's stack. A list that escapes again adds 1 and must
+// fail the budget of 5.
+func TestAllocBudgetCallerList(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	obj := remoteEchoer(t)
+	ctx := context.Background()
+	payload := bytes.Repeat([]byte{0xAB}, 64)
+	call := func() {
+		got, err := Call[[]byte](ctx, obj, "Echo", payload)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("Echo = %x, %v", got, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		call() // declare and confirm the handle, warm the pools
+	}
+	if n := testing.AllocsPerRun(500, call); n > 5 {
+		t.Errorf("typed remote call with a list built per call: %.0f allocs, budget 5", n)
+	} else {
+		t.Logf("typed remote call with a list built per call: %.0f allocs", n)
+	}
+}
+
 // TestAllocBudgetAcrossCollections holds a blocking typed call to its
 // budget when garbage collections come as often as pingpong_bulk's: the
 // 64 B call of TestAllocBudgetTypedCall and a 256 KiB one (where the two

@@ -89,7 +89,9 @@ func (o *Object[T]) Send(ctx context.Context, method string, args ...any) error 
 
 // Invoke performs a synchronous method call returning a dynamically typed
 // result; prefer the generic Call helper, which converts it. It is ordered
-// after all previously sent asynchronous calls on this handle.
+// after all previously sent asynchronous calls on this handle. args is never
+// kept: the runtime works on a copy its proxy keeps, so the list a caller
+// builds stays on the caller's stack.
 func (o *Object[T]) Invoke(ctx context.Context, method string, args ...any) (any, error) {
 	if err := checkMethod[T](method); err != nil {
 		return nil, err
@@ -124,8 +126,10 @@ func (o *Object[T]) Migrate(ctx context.Context, toNode int) error {
 // the node. A reply from another node whose result is exactly an R (a
 // []byte, a numeric, string or bool slice, a string or a scalar) is decoded
 // straight into a typed slot the call borrows, and the R returned is the
-// caller's. (Call is a function rather than a method because Go methods
-// cannot introduce the result type parameter R.)
+// caller's. args is never kept: the runtime works on a copy the handle's
+// proxy keeps, so the list a caller (a generated proxy among them) builds
+// stays on the caller's stack. (Call is a function rather than a method
+// because Go methods cannot introduce the result type parameter R.)
 func Call[R any, T any](ctx context.Context, o *Object[T], method string, args ...any) (R, error) {
 	var zero R
 	if err := checkMethod[T](method); err != nil {
