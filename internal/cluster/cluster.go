@@ -9,7 +9,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -34,35 +33,9 @@ type Options struct {
 	// MuxLanes sets how many connections each node opens per peer; 0
 	// selects min(GOMAXPROCS, 4).
 	MuxLanes int
-	// Placement, Agglomeration, Aggregation are forwarded to every
-	// node's core.Config.
-	Placement     core.PlacementPolicy
-	Agglomeration core.AgglomerationPolicy
-	Aggregation   core.AggregationConfig
-	// LoadCacheTTL forwards to core.Config.
-	LoadCacheTTL time.Duration
-	// HealthProbe, when non-zero, has every node probe its peers at this
-	// interval, grading them suspect/down on consecutive failures; down
-	// peers are excluded from placement (core.Config.HealthProbe).
-	HealthProbe time.Duration
-	// RebalanceEvery, when non-zero, has every node periodically migrate
-	// objects away while it is loaded above the cluster mean
-	// (core.Config.RebalanceEvery).
-	RebalanceEvery time.Duration
-	// MailboxBound caps every actor mailbox's queued calls on every node;
-	// full mailboxes shed with errs.ErrOverloaded according to Shed
-	// (core.Config.MailboxBound / core.Config.Shed). 0 = unbounded.
-	MailboxBound int
-	Shed         core.ShedPolicy
-	// Retry, when enabled, is installed on every node's channel
-	// (core.Config.Retry): transient remote-call failures retry with
-	// jittered backoff behind per-peer circuit breakers.
-	Retry remoting.RetryPolicy
-	// IdempotentCalls stamps outermost proxy calls with idempotency
-	// tokens; DedupPerObject caps each hosted object's reply-dedup LRU
-	// (core.Config.IdempotentCalls / core.Config.DedupPerObject).
-	IdempotentCalls bool
-	DedupPerObject  int
+	// Config is every node's runtime configuration; New sets its NodeID
+	// and Channel.
+	Config core.Config
 }
 
 // Cluster is a set of in-process node runtimes sharing one network.
@@ -92,24 +65,9 @@ func New(opts Options) (*Cluster, error) {
 		ch := remoting.NewMultiplexedChannel(net)
 		ch.MaxInFlight = opts.MaxInFlight
 		ch.MuxLanes = opts.MuxLanes
-		// Each node needs its own placement policy value only if the
-		// policy is stateful per node; RoundRobin keeps one shared
-		// counter which is also fine, but nil defaults per node.
-		rt, err := core.Start(core.Config{
-			NodeID:          i,
-			Channel:         ch,
-			Placement:       opts.Placement,
-			Agglomeration:   opts.Agglomeration,
-			Aggregation:     opts.Aggregation,
-			LoadCacheTTL:    opts.LoadCacheTTL,
-			HealthProbe:     opts.HealthProbe,
-			RebalanceEvery:  opts.RebalanceEvery,
-			MailboxBound:    opts.MailboxBound,
-			Shed:            opts.Shed,
-			Retry:           opts.Retry,
-			IdempotentCalls: opts.IdempotentCalls,
-			DedupPerObject:  opts.DedupPerObject,
-		}, fmt.Sprintf("mem://node%d", i))
+		cfg := opts.Config
+		cfg.NodeID, cfg.Channel = i, ch
+		rt, err := core.Start(cfg, fmt.Sprintf("mem://node%d", i))
 		if err != nil {
 			cl.Close()
 			return nil, fmt.Errorf("cluster: start node %d: %w", i, err)
@@ -153,7 +111,7 @@ func (c *Cluster) RegisterVirtualClass(name string, factory func() any, cfg core
 // Rebalance triggers one load rebalance on every node in turn, returning
 // the total number of objects migrated and the first error encountered —
 // one node's failed migration does not stop the pass for the others. It
-// is the explicit companion of Options.RebalanceEvery.
+// is the explicit companion of Config.RebalanceEvery.
 func (c *Cluster) Rebalance(ctx context.Context) (int, error) {
 	total := 0
 	var firstErr error

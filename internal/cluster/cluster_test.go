@@ -92,9 +92,8 @@ func TestShapedClusterCountsTraffic(t *testing.T) {
 
 func TestAggregationForwarded(t *testing.T) {
 	cl, err := New(Options{
-		Nodes:       2,
-		Aggregation: core.AggregationConfig{MaxCalls: 4},
-		Placement:   forceNode1{},
+		Nodes:  2,
+		Config: core.Config{Aggregation: core.AggregationConfig{MaxCalls: 4}, Placement: forceNode1{}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,7 @@ func TestMultiplexedCluster(t *testing.T) {
 	cl, err := New(Options{
 		Nodes:       3,
 		MaxInFlight: 8,
-		Placement:   forceNode1{},
+		Config:      core.Config{Placement: forceNode1{}},
 	})
 	if err != nil {
 		t.Fatal(err)

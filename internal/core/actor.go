@@ -28,10 +28,8 @@ var errActorMigrating = fmt.Errorf("core: migration already in progress")
 type actor struct {
 	w *ioWrapper
 	// bound caps the waiting (queued or held, not executing) tasks; 0 =
-	// unbounded. shed picks the victim when the bound is hit (see
-	// Config.MailboxBound).
+	// unbounded (see Config.MailboxBound).
 	bound int
-	shed  ShedPolicy
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -147,22 +145,8 @@ func (a *actor) admit(t actorTask) {
 	a.w.rt.queuedTasks.Add(1)
 }
 
-// evict removes the oldest waiting task, queued or else held, for
-// ShedOldest. Needs a.mu.
-func (a *actor) evict() actorTask {
-	if a.queued() > 0 {
-		a.pending--
-		a.w.rt.queuedTasks.Add(-1)
-		return a.pop()
-	}
-	t := a.held[0]
-	a.held[0] = actorTask{}
-	a.held = a.held[1:]
-	return t
-}
-
 func newActor(w *ioWrapper) *actor {
-	a := &actor{w: w, bound: w.rt.cfg.MailboxBound, shed: w.rt.cfg.Shed}
+	a := &actor{w: w, bound: w.rt.cfg.MailboxBound}
 	a.cond = sync.NewCond(&a.mu)
 	go a.run()
 	return a
@@ -229,19 +213,12 @@ func (a *actor) enqueue(t actorTask) error {
 		a.mu.Unlock()
 		return err
 	}
-	var evicted actorTask
-	shedOldest := false
 	if a.bound > 0 && a.queued()+len(a.held) >= a.bound {
-		if a.shed != ShedOldest {
-			a.mu.Unlock()
-			a.w.rt.noteShed()
-			return errs.WithRetryAfter(
-				fmt.Errorf("core: mailbox full (%d queued): %w", a.bound, errs.ErrOverloaded),
-				shedRetryAfter)
-		}
-		// ShedOldest: evict the oldest waiting task to make room; its caller
-		// is failed outside the lock.
-		evicted, shedOldest = a.evict(), true
+		a.mu.Unlock()
+		a.w.rt.noteShed()
+		return errs.WithRetryAfter(
+			fmt.Errorf("core: mailbox full (%d queued): %w", a.bound, errs.ErrOverloaded),
+			shedRetryAfter)
 	}
 	if a.paused || a.closing {
 		a.held = append(a.held, t)
@@ -250,12 +227,6 @@ func (a *actor) enqueue(t actorTask) error {
 	}
 	a.cond.Broadcast()
 	a.mu.Unlock()
-	if shedOldest {
-		a.w.rt.noteShed()
-		evicted.settle(actorResult{err: errs.WithRetryAfter(
-			fmt.Errorf("core: evicted from full mailbox (%d queued): %w", a.bound, errs.ErrOverloaded),
-			shedRetryAfter)})
-	}
 	return nil
 }
 

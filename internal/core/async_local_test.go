@@ -13,7 +13,7 @@ import (
 // meanwhile stays outstanding until g.release closes.
 func parkedLocal(t *testing.T) (*Proxy, *gateObj) {
 	t.Helper()
-	rts, g := startGated(t, 1, 0, ShedNewest, nil)
+	rts, g := startGated(t, 1, 0, nil)
 	p, err := rts[0].NewParallelObject("gate")
 	if err != nil {
 		t.Fatal(err)

@@ -241,13 +241,10 @@ type Config struct {
 	// is loaded above the cluster mean.
 	RebalanceEvery time.Duration
 	// MailboxBound, when positive, caps the queued (not yet executing)
-	// calls of every actor mailbox on this node. A full mailbox sheds
-	// according to Shed instead of queueing without limit, failing the
-	// shed call with errs.ErrOverloaded. 0 keeps mailboxes unbounded.
+	// calls of every actor mailbox on this node. A full mailbox rejects
+	// the arriving call with errs.ErrOverloaded instead of queueing without
+	// limit. 0 keeps mailboxes unbounded.
 	MailboxBound int
-	// Shed selects which call a full bounded mailbox sheds; default
-	// ShedNewest (reject the arriving call).
-	Shed ShedPolicy
 	// Retry, when enabled (MaxAttempts > 1), is installed on Channel at
 	// Start: remote calls retry transient failures (node-down, overload
 	// sheds) with jittered exponential backoff, and per-peer circuit
@@ -284,8 +281,8 @@ type Stats struct {
 	VirtualActivations int64
 	ReplicaPromotions  int64
 	StaleDemotions     int64
-	// MailboxSheds counts calls a bounded mailbox rejected or evicted
-	// with ErrOverloaded. DeadlineDrops counts calls dropped because
+	// MailboxSheds counts calls a bounded mailbox rejected with
+	// ErrOverloaded. DeadlineDrops counts calls dropped because
 	// their deadline had already expired — refused by the server before
 	// dispatch, or skipped by a mailbox at dequeue time. Both are zero
 	// while MailboxBound is 0 and no caller sets deadlines.

@@ -16,31 +16,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ShedPolicy selects which call a full bounded mailbox sheds.
-type ShedPolicy int
-
-const (
-	// ShedNewest (default) rejects the arriving call with ErrOverloaded,
-	// preserving the latency of calls already admitted (FIFO drop-tail).
-	ShedNewest ShedPolicy = iota
-	// ShedOldest evicts the oldest queued call — failing it with
-	// ErrOverloaded — and admits the arriving one. Freshest-first serving
-	// suits workloads where a stale request's caller has likely already
-	// timed out.
-	ShedOldest
-)
-
-// String names the policy.
-func (p ShedPolicy) String() string {
-	switch p {
-	case ShedNewest:
-		return "shed-newest"
-	case ShedOldest:
-		return "shed-oldest"
-	}
-	return fmt.Sprintf("ShedPolicy(%d)", int(p))
-}
-
 // OverloadGrade is a node's admission-control state, coarse enough to
 // gossip on every probe reply and compare across nodes.
 type OverloadGrade int

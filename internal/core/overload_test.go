@@ -34,12 +34,11 @@ func (g *gateObj) Quick() int { return 2 }
 
 // startGated boots nodes with a bounded mailbox and one registered gate
 // class backed by the returned gateObj.
-func startGated(t *testing.T, nodes, bound int, shed ShedPolicy, mutate func(i int, cfg *Config)) ([]*Runtime, *gateObj) {
+func startGated(t *testing.T, nodes, bound int, mutate func(i int, cfg *Config)) ([]*Runtime, *gateObj) {
 	t.Helper()
 	g := newGateObj()
 	rts := startNodes(t, nodes, func(i int, cfg *Config) {
 		cfg.MailboxBound = bound
-		cfg.Shed = shed
 		if mutate != nil {
 			mutate(i, cfg)
 		}
@@ -89,7 +88,7 @@ func fillQueue(t *testing.T, rt *Runtime, p *Proxy, n int) {
 
 func TestMailboxShedNewestUnderBurst(t *testing.T) {
 	const bound = 4
-	rts, g := startGated(t, 1, bound, ShedNewest, nil)
+	rts, g := startGated(t, 1, bound, nil)
 	p, err := rts[0].NewParallelObject("gate")
 	if err != nil {
 		t.Fatal(err)
@@ -146,62 +145,8 @@ func TestMailboxShedNewestUnderBurst(t *testing.T) {
 	}
 }
 
-func TestMailboxShedOldestEvicts(t *testing.T) {
-	const bound = 2
-	rts, g := startGated(t, 1, bound, ShedOldest, nil)
-	p, err := rts[0].NewParallelObject("gate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	occupy(t, g, p)
-
-	// Two queued calls fill the mailbox; their results arrive on oldErrs.
-	oldErrs := make(chan error, bound)
-	for i := 0; i < bound; i++ {
-		go func() {
-			_, err := p.InvokeCtx(context.Background(), "Quick")
-			oldErrs <- err
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rts[0].queuedTasks.Load() < bound {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The next arrival evicts the oldest queued call and is itself
-	// admitted: the evicted caller gets ErrOverloaded, the new call
-	// completes once the gate opens.
-	newDone := make(chan error, 1)
-	go func() {
-		_, err := p.InvokeCtx(context.Background(), "Quick")
-		newDone <- err
-	}()
-	select {
-	case err := <-oldErrs:
-		if !errors.Is(err, errs.ErrOverloaded) {
-			t.Fatalf("evicted call: err = %v, want ErrOverloaded", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no queued call was evicted")
-	}
-	if got := rts[0].Stats().MailboxSheds; got < 1 {
-		t.Errorf("MailboxSheds = %d, want >= 1", got)
-	}
-
-	close(g.release)
-	if err := <-newDone; err != nil {
-		t.Fatalf("admitted arrival failed: %v", err)
-	}
-	if err := <-oldErrs; err != nil {
-		t.Fatalf("surviving queued call failed: %v", err)
-	}
-}
-
 func TestDeadlineDropAtDequeue(t *testing.T) {
-	rts, g := startGated(t, 1, 8, ShedNewest, nil)
+	rts, g := startGated(t, 1, 8, nil)
 	p, err := rts[0].NewParallelObject("gate")
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +184,7 @@ func TestDeadlineDropAtDequeue(t *testing.T) {
 }
 
 func TestOverloadGradeTransitions(t *testing.T) {
-	rts, g := startGated(t, 1, 2, ShedNewest, nil)
+	rts, g := startGated(t, 1, 2, nil)
 	rt := rts[0]
 	if got := rt.OverloadGrade(); got != OverloadNone {
 		t.Fatalf("idle grade = %v, want OverloadNone", got)
@@ -345,7 +290,7 @@ func TestLiveMembersExcludeSheddingPeers(t *testing.T) {
 // declares it too, its reply carries the ack, and the next travels bound.
 func TestOverloadedSurvivesWire(t *testing.T) {
 	const bound = 1
-	rts, g := startGated(t, 2, bound, ShedNewest, func(i int, cfg *Config) {
+	rts, g := startGated(t, 2, bound, func(i int, cfg *Config) {
 		cfg.Placement = &forceNode{node: 1}
 		cfg.Channel.MuxLanes = 1
 	})
@@ -378,7 +323,7 @@ func TestOverloadedSurvivesWire(t *testing.T) {
 // load probe brings back the Shedding grade (the signal placement and
 // virtual activation route on).
 func TestProbeCarriesOverloadGrade(t *testing.T) {
-	rts, g := startGated(t, 2, 1, ShedNewest, func(i int, cfg *Config) {
+	rts, g := startGated(t, 2, 1, func(i int, cfg *Config) {
 		cfg.Placement = &forceNode{node: 1}
 		cfg.LoadCacheTTL = time.Nanosecond // every probeLoads hits the wire
 	})

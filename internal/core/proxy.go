@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/errs"
+	"repro/internal/keep"
 	"repro/internal/remoting"
 	"repro/internal/wire"
 )
@@ -61,9 +62,9 @@ type Proxy struct {
 
 	calls callOrder // the order of remote asynchronous calls
 
-	// spareArgs is the argument list the proxy keeps for its next blocking
-	// call (keepArgs), which a collection does not take from it.
-	spareArgs atomic.Pointer[[]any]
+	// args holds the argument lists of the proxy's blocking calls between
+	// calls, which a collection does not take from it.
+	args keep.Store[[]any]
 
 	// aggregation state (remote mode only)
 	aggMu     sync.Mutex
@@ -342,61 +343,41 @@ func (p *Proxy) InvokeCtx(ctx context.Context, method string, args ...any) (any,
 // reader may still be writing into sink.
 //
 // The caller's args is never kept: the call copies it into a list its proxy
-// keeps (keepArgs), and only that copy reaches a mailbox, the connection or
+// keeps (Proxy.args), and only that copy reaches a mailbox, the connection or
 // the object, so a caller's variadic list can live on the caller's stack.
 func (p *Proxy) InvokeInto(ctx context.Context, sink remoting.ResultSink, method string, args []any) (any, error) {
 	p.rt.stats.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if len(args) == 0 {
+		return p.invokeKept(ctx, sink, method, nil)
+	}
 	// A variable of its own: assigned to args, the copy would make the
 	// caller's list escape.
-	kept, copied := p.keepArgs(args)
-	res, err := p.invokeKept(ctx, sink, method, copied)
+	kept := p.args.Get(argLists)
+	*kept = append(*kept, args...)
+	res, err := p.invokeKept(ctx, sink, method, *kept)
 	if err == nil {
 		// After an error a mailbox or a lost record may still read the
 		// list, so only a call that succeeded gives it back.
-		p.returnArgs(kept)
+		p.args.Put(argLists, kept)
 	}
 	return res, err
 }
 
 // maxKeptArgs is the longest argument list a proxy keeps for its next
-// blocking call; a longer one is left to the GC after its call.
+// blocking call; a longer one goes to the pool after its call.
 const maxKeptArgs = 16
 
-// argsPool holds the argument lists of blocking calls that no proxy keeps:
-// those of concurrent callers on one proxy beyond the one it keeps.
-var argsPool = sync.Pool{New: func() any { return new([]any) }}
-
-// keepArgs copies a blocking call's arguments into a list of p's, the one
-// p keeps or a pooled one when another call has it, and returns the list
-// and the copy. A call without arguments needs no list.
-func (p *Proxy) keepArgs(args []any) (*[]any, []any) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	l := p.spareArgs.Swap(nil)
-	if l == nil {
-		l = argsPool.Get().(*[]any)
-	}
-	*l = append((*l)[:0], args...)
-	return l, *l
-}
-
-// returnArgs settles the list of a call that succeeded, on its caller's
-// goroutine: emptied, so it pins none of the caller's values, and kept by p
-// (a collection does not take it, as it empties argsPool) or pooled when p
-// keeps one already.
-func (p *Proxy) returnArgs(l *[]any) {
-	if l == nil || cap(*l) > maxKeptArgs {
-		return
-	}
+// argLists is the kind of the blocking calls' argument lists, which proxies
+// keep (Proxy.args): one goes back emptied, so it pins none of the caller's
+// values.
+var argLists = keep.NewKind(func(l *[]any) bool {
 	clear(*l)
-	if !p.spareArgs.CompareAndSwap(nil, l) {
-		argsPool.Put(l)
-	}
-}
+	*l = (*l)[:0]
+	return cap(*l) <= maxKeptArgs
+})
 
 // invokeKept runs a blocking call on the copy of its arguments that the
 // proxy keeps.
@@ -528,8 +509,8 @@ type attempt struct {
 // the call's.
 type mailboxEntry AsyncCall
 
-// Complete hears the task's outcome, on the actor loop or on whoever evicted
-// or aborted the task.
+// Complete hears the task's outcome, on the actor loop or on whoever
+// aborted the task.
 func (e *mailboxEntry) Complete(v any, err error) {
 	a := &e.try
 	a.stop()

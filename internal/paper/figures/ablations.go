@@ -31,10 +31,10 @@ func RunAggregationSweep(n int, maxCalls []int, net netsim.Params) ([]AggRow, er
 	var rows []AggRow
 	for _, mc := range maxCalls {
 		cl, err := cluster.New(cluster.Options{
-			Nodes:       2,
-			Net:         net,
-			Cost:        profile.MonoTCP117(),
-			Aggregation: core.AggregationConfig{MaxCalls: mc},
+			Nodes:  2,
+			Net:    net,
+			Cost:   profile.MonoTCP117(),
+			Config: core.Config{Aggregation: core.AggregationConfig{MaxCalls: mc}},
 		})
 		if err != nil {
 			return nil, err
@@ -102,10 +102,10 @@ func RunAgglomerationAblation(objects, calls int, net netsim.Params) ([]AgglomRo
 	var rows []AgglomRow
 	for _, pol := range policies {
 		cl, err := cluster.New(cluster.Options{
-			Nodes:         2,
-			Net:           net,
-			Cost:          profile.MonoTCP117(),
-			Agglomeration: pol.policy,
+			Nodes:  2,
+			Net:    net,
+			Cost:   profile.MonoTCP117(),
+			Config: core.Config{Agglomeration: pol.policy},
 		})
 		if err != nil {
 			return nil, err

@@ -280,10 +280,10 @@ type parcFarm struct {
 // poolSize workers, and hands every worker the scene.
 func startParcFarm(cfg Fig9Config, processors, poolSize int) (*parcFarm, error) {
 	cl, err := cluster.New(cluster.Options{
-		Nodes:     nodesFor(processors) + 1, // node 0 is the master
-		Net:       cfg.Net,
-		Cost:      profile.MonoTCP117(),
-		Placement: &workerRoundRobin{},
+		Nodes:  nodesFor(processors) + 1, // node 0 is the master
+		Net:    cfg.Net,
+		Cost:   profile.MonoTCP117(),
+		Config: core.Config{Placement: &workerRoundRobin{}},
 	})
 	if err != nil {
 		return nil, err

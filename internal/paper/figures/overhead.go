@@ -93,10 +93,10 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 	// Through the ParC# platform: a 2-node cluster, object forced to the
 	// remote node, synchronous proxy invokes.
 	cl, err := cluster.New(cluster.Options{
-		Nodes:     2,
-		Net:       net,
-		Cost:      profile.MonoTCP117(),
-		Placement: remoteOnly{},
+		Nodes:  2,
+		Net:    net,
+		Cost:   profile.MonoTCP117(),
+		Config: core.Config{Placement: remoteOnly{}},
 	})
 	if err != nil {
 		return OverheadResult{}, err

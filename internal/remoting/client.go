@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/errs"
+	"repro/internal/keep"
 )
 
 // ObjRef is the client-side transparent proxy for a remote object — the
@@ -19,9 +19,9 @@ type ObjRef struct {
 	netaddr string
 	uri     string
 
-	// spare is the blocking call's record the ObjRef keeps for its next
-	// call (getCallRecord), which a collection does not take from it.
-	spare atomic.Pointer[blockingWait]
+	// kept holds the records of the ObjRef's blocking calls between calls,
+	// which a collection does not take from it.
+	kept keep.Store[blockingWait]
 }
 
 // GetObject returns a proxy for the object at url, for example
@@ -85,8 +85,9 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 // its value. After a call that returned an error the reader may still be
 // writing into sink.
 func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, method string, args []any) (any, error) {
-	w := getCallRecord(r)
-	defer putCallRecord(r, w)
+	countRecord(recordDrawn)
+	w := r.kept.Get(waits)
+	defer w.settle(r)
 	w.SetCall(ctx, call, method, args)
 	w.ref, w.sink = r, sink
 	w.ctx = r.address(w.ctx, &w.req)

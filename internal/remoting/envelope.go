@@ -62,6 +62,7 @@ import (
 	"fmt"
 
 	"repro/internal/errs"
+	"repro/internal/keep"
 	"repro/internal/wire"
 )
 
@@ -107,8 +108,8 @@ const (
 // encodeBoundCall produces the call frame for handle, behind the declaring
 // prefix when declare is set. The bytes live in the returned encoder, one of
 // encs (the lane's), which whoever consumes the frame gives back.
-func encodeBoundCall(encs *wire.Encoders, handle uint32, declare bool, req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
-	e := encs.Get()
+func encodeBoundCall(encs *keep.Store[wire.Encoder], handle uint32, declare bool, req *callRequest) (raw []byte, enc *wire.Encoder, err error) {
+	e := encs.Get(wire.Encoders)
 	if declare {
 		e.RawByte(markDeclare)
 		e.String(req.URI)
@@ -129,7 +130,7 @@ func encodeBoundCall(encs *wire.Encoders, handle uint32, declare bool, req *call
 	}
 	e.AnySlice(req.Args)
 	if err := e.Err(); err != nil {
-		encs.Put(e)
+		encs.Put(wire.Encoders, e)
 		return nil, nil, fmt.Errorf("remoting: encode bound call %s.%s: %w", req.URI, req.name(), err)
 	}
 	return e.Bytes(), e, nil
@@ -179,8 +180,8 @@ func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (h
 // encodeBoundReply produces the compact reply frame. The bytes live in the
 // returned encoder, one of encs (the server connection's), which whoever
 // consumes the frame gives back.
-func encodeBoundReply(encs *wire.Encoders, resp *callResponse) (raw []byte, enc *wire.Encoder, err error) {
-	e := encs.Get()
+func encodeBoundReply(encs *keep.Store[wire.Encoder], resp *callResponse) (raw []byte, enc *wire.Encoder, err error) {
+	e := encs.Get(wire.Encoders)
 	e.RawByte(markBoundReply)
 	e.RawUvarint(resp.Seq)
 	if resp.IsErr {
@@ -212,7 +213,7 @@ func encodeBoundReply(encs *wire.Encoders, resp *callResponse) (raw []byte, enc 
 		e.Value(resp.Result)
 	}
 	if err := e.Err(); err != nil {
-		encs.Put(e)
+		encs.Put(wire.Encoders, e)
 		return nil, nil, fmt.Errorf("remoting: encode bound reply: %w", err)
 	}
 	return e.Bytes(), e, nil

@@ -5,12 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/keep"
 	"repro/internal/wire"
 )
 
 // testEncs is where the tests' frames are encoded, as a lane's or a server
 // connection's are encoded into theirs.
-var testEncs wire.Encoders
+var testEncs keep.Store[wire.Encoder]
 
 func TestBoundCallRoundTrip(t *testing.T) {
 	req := &callRequest{

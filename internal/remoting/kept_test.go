@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/keep"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -51,7 +52,7 @@ func TestKeptEncodersStayBounded(t *testing.T) {
 	// the one the previous call gave back.
 	largestKept := func() int {
 		t.Helper()
-		var ends []*wire.Encoders
+		var ends []*keep.Store[wire.Encoder]
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 			ends = ends[:0]
 			ch.muxMu.Lock()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/errs"
+	"repro/internal/keep"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -58,9 +59,9 @@ type inflightShard struct {
 // completion-driven call brings its own record, zero, as part of whatever
 // the caller allocates for the call (SetCall, StartCall), so a future costs
 // neither a goroutine while it waits nor an allocation of the connection's.
-// A blocking call draws the one its ObjRef keeps (or one from callPool when
-// another call has it), whose Completer is the record's own blockingWait,
-// and parks on it. The connection holds the record from submission until to
+// A blocking call draws one its ObjRef keeps (or a pooled one when other
+// calls have them), whose Completer is the record's own blockingWait, and
+// parks on it. The connection holds the record from submission until to
 // has been told. Either kind may carry the caller's typed slot (sink), which
 // is offered the result before it is decoded as a value.
 type CallRecord struct {
@@ -102,7 +103,7 @@ func (c *CallRecord) has(flag uint32) bool { return c.flags.Load()&flag != 0 }
 func (c *CallRecord) set(flag uint32)      { c.flags.Or(flag) }
 
 // blockingWait is a blocking call's record, kept by its ObjRef or drawn from
-// callPool, and its Completer: the outcome lands in result and on rc
+// the pool of waits, and its Completer: the outcome lands in result and on rc
 // (capacity 1, so the completion never blocks), where the caller parks
 // (await).
 type blockingWait struct {
@@ -171,12 +172,20 @@ type CompletionFunc func(any, error)
 
 func (f CompletionFunc) Complete(v any, err error) { f(v, err) }
 
-// callPool holds the blocking calls' records that no ObjRef keeps: those of
-// concurrent callers on one ObjRef beyond the one it keeps. A record goes
-// back (to its ObjRef or here) only when its channel is known empty and the
-// lane no longer holds it: its caller received the single outcome, or the
-// call was never submitted.
-var callPool = sync.Pool{New: func() any { return &blockingWait{rc: make(chan error, 1)} }}
+// waits is the kind of the blocking calls' records, which ObjRefs keep
+// (ObjRef.kept). A record goes back only when its channel is known empty and
+// the lane no longer holds it (blockingWait.settle), emptied, so it pins
+// neither arguments, result nor sink, and ready as its own Completer.
+var waits = keep.NewKind(func(w *blockingWait) bool {
+	rc := w.rc
+	if rc == nil {
+		rc = make(chan error, 1)
+	}
+	*w = blockingWait{rc: rc}
+	w.to = w
+	w.set(recWatched)
+	return true
+})
 
 // recordAudit, when a test installs one, counts the call records of both
 // ends (CallRecord here, serverCall in server.go) as they are drawn from a
@@ -219,33 +228,15 @@ func AuditRecords() (check func() error) {
 	}
 }
 
-// getCallRecord draws a blocking call's record to r, its own Completer: the
-// one r keeps, or a pooled one when another call has it.
-func getCallRecord(r *ObjRef) *blockingWait {
-	countRecord(recordDrawn)
-	w := r.spare.Swap(nil)
-	if w == nil {
-		w = callPool.Get().(*blockingWait)
-	}
-	w.to = w
-	w.set(recWatched)
-	return w
-}
-
-// putCallRecord settles a blocking call's record to r, on its caller's
-// goroutine: emptied, so it pins neither arguments, result nor sink, and kept
-// by r (a collection does not take it, as it empties callPool) or pooled when
-// r keeps one already; left to the GC when lost.
-func putCallRecord(r *ObjRef, w *blockingWait) {
+// settle gives a blocking call's record back to r, on its caller's
+// goroutine, or leaves it to the GC when it was lost.
+func (w *blockingWait) settle(r *ObjRef) {
 	if w.has(recLost) {
 		countRecord(recordDropped)
 		return
 	}
 	countRecord(recordReturned)
-	*w = blockingWait{rc: w.rc}
-	if !r.spare.CompareAndSwap(nil, w) {
-		callPool.Put(w)
-	}
+	r.kept.Put(waits, w)
 }
 
 // deliver hands the exchange its outcome: err when no reply came, nil when
@@ -427,7 +418,7 @@ type muxConn struct {
 
 	// encs keeps the encoders the lane's requests are encoded into
 	// (encodeRequest): the writer gives each back once its bytes are sent.
-	encs wire.Encoders
+	encs keep.Store[wire.Encoder]
 }
 
 // muxKey identifies one lane to one peer in the channel's peer table.
@@ -514,9 +505,9 @@ type outFrame struct {
 }
 
 // release gives the frame's encoder back to encs, its owner's.
-func (of outFrame) release(encs *wire.Encoders) {
+func (of outFrame) release(encs *keep.Store[wire.Encoder]) {
 	if of.enc != nil {
-		encs.Put(of.enc)
+		encs.Put(wire.Encoders, of.enc)
 	}
 }
 

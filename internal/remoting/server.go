@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/errs"
+	"repro/internal/keep"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -326,11 +327,10 @@ type serverConn struct {
 	// sync.Pool, which every garbage collection empties: the encoders its
 	// replies are encoded into (respond), which the flusher gives back once
 	// their bytes are sent, and the call records of its answered requests,
-	// which the read loop takes before the pool. Two of each, because a reply
-	// often goes back after the client already has it and has sent the next
-	// request: a connection serving one request at a time runs on its own.
-	encs wire.Encoders
-	free [2]atomic.Pointer[serverCall]
+	// which the read loop takes before the pool. A connection serving one
+	// request at a time runs on what it keeps.
+	encs keep.Store[wire.Encoder]
+	free keep.Store[serverCall]
 }
 
 // bindEntry is one bound (URI, call, method) triple, its strings kept once
@@ -440,24 +440,23 @@ type serverCall struct {
 // to; a longer one (a big aggregate batch) goes back to the GC.
 const argvKeep = 64
 
-// serverCalls holds the call records no connection keeps: those of the
-// requests a connection serves at once beyond the two it keeps (free). It
-// has no New (release refers to the pool): see newCall.
-var serverCalls sync.Pool
+// serverCalls is the kind of the call records, which connections keep
+// (serverConn.free). A record goes back emptied, keeping the array the
+// request's list was decoded into (the lent one, or the decoder's if it
+// outgrew it) and its entry point.
+var serverCalls = keep.NewKind(func(c *serverCall) bool {
+	if args := c.req.Args; cap(args) > 0 && cap(args) <= argvKeep {
+		c.argv = args[:0]
+	}
+	clear(c.argv[:cap(c.argv)])
+	*c = serverCall{argv: c.argv, run: c.run}
+	return true
+})
 
 func (sc *serverConn) newCall() *serverCall {
 	countRecord(recordDrawn)
-	var c *serverCall
-	for i := range sc.free {
-		if c = sc.free[i].Swap(nil); c != nil {
-			break
-		}
-	}
-	if c == nil {
-		c, _ = serverCalls.Get().(*serverCall)
-	}
-	if c == nil {
-		c = &serverCall{}
+	c := sc.free.Get(serverCalls)
+	if c.run == nil { // not in the reset: handle reaches serverCalls, a cycle
 		c.run = c.handle
 	}
 	c.sc = sc
@@ -466,24 +465,10 @@ func (sc *serverConn) newCall() *serverCall {
 
 func (c *serverCall) giveArgs() { c.req.Args, c.argv = nil, nil }
 
-// release empties the record, keeping the array the request's list was
-// decoded into (the lent one, or the decoder's if it outgrew it), and gives
-// it back to its connection, or to the pool when the connection keeps two.
+// release gives the record back to its connection.
 func (c *serverCall) release() {
 	countRecord(recordReturned)
-	if args := c.req.Args; cap(args) > 0 && cap(args) <= argvKeep {
-		c.argv = args[:0]
-	}
-	clear(c.argv[:cap(c.argv)])
-	sc := c.sc
-	c.sc, c.req, c.resp, c.entry = nil, callRequest{}, callResponse{}, nil
-	c.ctx, c.cancel, c.obj = nil, nil, nil
-	for i := range sc.free {
-		if sc.free[i].CompareAndSwap(nil, c) {
-			return
-		}
-	}
-	serverCalls.Put(c)
+	c.sc.free.Put(serverCalls, c)
 }
 
 // Complete answers the request with its outcome, on whichever goroutine

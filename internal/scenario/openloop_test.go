@@ -242,10 +242,9 @@ func TestOpenLoop(t *testing.T) {
 		}},
 		{"netsim+loss", 3 * olNetsim.LossDelay, []float64{2.0}, func(t *testing.T) (*core.Runtime, *core.Runtime) {
 			cl, err := cluster.New(cluster.Options{
-				Nodes:        2,
-				Net:          olNetsim,
-				Placement:    pinPlacement{0},
-				MailboxBound: olBound,
+				Nodes:  2,
+				Net:    olNetsim,
+				Config: core.Config{Placement: pinPlacement{0}, MailboxBound: olBound},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -57,8 +57,8 @@ func TestListMatchesCountQuick(t *testing.T) {
 func newSieveCluster(t *testing.T, nodes int, agg core.AggregationConfig) *cluster.Cluster {
 	t.Helper()
 	cl, err := cluster.New(cluster.Options{
-		Nodes:       nodes,
-		Aggregation: agg,
+		Nodes:  nodes,
+		Config: core.Config{Aggregation: agg},
 	})
 	if err != nil {
 		t.Fatal(err)

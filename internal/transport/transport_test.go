@@ -614,8 +614,10 @@ func TestAllocBudgetFramePool(t *testing.T) {
 		t.Skip("the race detector allocates on its own account, and sync.Pool drops Puts under it")
 	}
 	// AllocsPerRun measures on one P. Empty that P's view of the pool
-	// first: GetFrame looks at one pooled buffer per call, so a smaller
-	// frame an earlier test left at the head would mask every cycle.
+	// first, so that the cycles run on the one frame put here: GetFrame
+	// drops a pooled frame too small for the message rather than putting
+	// it back (TestAllocBudgetSmallFrameInFront), so what an earlier test
+	// left would cost the first cycles, not every cycle.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for framePool.Get() != nil {
 	}

@@ -22,6 +22,8 @@ import (
 	"reflect"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/keep"
 )
 
 // Marshaler is implemented (on the pointer receiver) by types with a
@@ -168,32 +170,30 @@ func HasGeneratedCodec(name string) bool { return generatedName(name) != nil }
 // larger buffer is kept only while it is earning its size; see Release.
 const retainCap = 64 << 10
 
-// keepMax is the largest buffer an encoder its owner keeps (Encoders) may
-// hold: twice the largest message of the paper's Fig. 8a (1 MiB), so that
-// the buffer such a message grew still fits. An encoder with a larger one
-// goes back to the pool, so an owner pins at most this much per encoder.
+// keepMax is the largest buffer an encoder its owner keeps may hold: twice
+// the largest message of the paper's Fig. 8a (1 MiB), so that the buffer
+// such a message grew still fits. An encoder with a larger one goes back to
+// the pool, so an owner pins at most this much per encoder.
 const keepMax = 2 << 20
 
 // Encoder is the streaming encode surface of the format. It is
 // handed to generated MarshalWire methods and is also what the remoting
 // channel encodes request/response envelopes through, an encoder its lane or
-// connection keeps. Errors are sticky: the scalar writers cannot fail, Value
-// records the first failure, and Err reports it.
+// connection keeps (a keep.Store of Encoders). Errors are sticky: the scalar
+// writers cannot fail, Value records the first failure, and Err reports it.
 type Encoder struct {
 	e   binEncoder
 	err error
 }
 
-var encPool = sync.Pool{New: func() any { return new(Encoder) }}
+// Encoders is the kind of every store of encoders: a remoting lane keeps
+// its requests' encoders, a server connection its replies'. An encoder whose
+// buffer is above keepMax goes to the pool instead of a store.
+var Encoders = keep.NewKind((*Encoder).reset)
 
 // NewEncoder returns a pooled encoder with the generated-codec fast path
 // enabled. Call Release to return it.
-func NewEncoder() *Encoder {
-	e := encPool.Get().(*Encoder)
-	e.e.opts = binOpts{generated: true}
-	e.e.pub = e
-	return e
-}
+func NewEncoder() *Encoder { return Encoders.Get() }
 
 // Release resets the encoder and returns it to the pool. The byte slice
 // returned by Bytes is invalidated. A buffer above retainCap stays with the
@@ -201,54 +201,12 @@ func NewEncoder() *Encoder {
 // so steady bulk traffic re-encodes into the same memory; the first small
 // message through the encoder drops it, and sync.Pool drops idle encoders
 // across collections, so a one-off giant message cannot pin its buffer.
-func (e *Encoder) Release() {
-	e.recycle()
-	e.e.pub = nil
-	encPool.Put(e)
-}
+func (e *Encoder) Release() { Encoders.Put(e) }
 
-// Encoders is an owner's store of the encoders it encodes into: a remoting
-// lane keeps its requests' encoders, a server connection its replies'. It
-// keeps two, outside the pool, so a garbage collection, which empties the
-// pool, does not take them: two because the writer often hands one back
-// after the peer already has its bytes and the next message has taken the
-// other. A third concurrent encode, or an encoder whose buffer is above
-// keepMax, falls back to the pool. The zero value is empty and ready; it
-// must not be copied.
-type Encoders [2]atomic.Pointer[Encoder]
-
-// Get returns one of the kept encoders, or a pooled one when none is kept.
-// Either goes back through Put.
-func (k *Encoders) Get() *Encoder {
-	for i := range k {
-		if k[i].Load() != nil {
-			if e := k[i].Swap(nil); e != nil {
-				return e
-			}
-		}
-	}
-	return NewEncoder()
-}
-
-// Put takes back an encoder whose bytes nothing reads any more. It is reset
-// as Release resets it, buffer rule included, and kept while a place is free
-// and its buffer is at most keepMax; it goes to the pool otherwise.
-func (k *Encoders) Put(e *Encoder) {
-	e.recycle()
-	if cap(e.e.buf) <= keepMax {
-		for i := range k {
-			if k[i].CompareAndSwap(nil, e) {
-				return
-			}
-		}
-	}
-	e.e.pub = nil
-	encPool.Put(e)
-}
-
-// recycle is the reset of Release and Encoders.Put: the buffer trimmed by
-// the retainCap rule, the interning table and the sticky error cleared.
-func (e *Encoder) recycle() {
+// reset is the rule of Encoders: the buffer trimmed by the retainCap rule,
+// the interning table and the sticky error cleared and the generated-codec
+// fast path on; kept while the buffer is at most keepMax.
+func (e *Encoder) reset() bool {
 	if c := cap(e.e.buf); c > retainCap && len(e.e.buf) < c/4 {
 		e.e.buf = nil
 	} else {
@@ -256,6 +214,9 @@ func (e *Encoder) recycle() {
 	}
 	e.e.internReset()
 	e.err = nil
+	e.e.opts = binOpts{generated: true}
+	e.e.pub = e
+	return cap(e.e.buf) <= keepMax
 }
 
 // SetGenerated toggles the generated-codec fast path (on by default); the

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/keep"
 	"repro/internal/racetest"
 )
 
@@ -179,43 +180,43 @@ func TestEncoderDropsOversizedBuffer(t *testing.T) {
 // buffer stays while bulk messages fill it and goes with the first small
 // one), and never one whose buffer is above keepMax.
 func TestEncodersKeepBounded(t *testing.T) {
-	var k Encoders
-	a, b, c := k.Get(), k.Get(), k.Get()
+	var k keep.Store[Encoder]
+	a, b, c := k.Get(Encoders), k.Get(Encoders), k.Get(Encoders)
 	for _, e := range []*Encoder{a, b, c} {
 		if err := e.Encode("x"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	k.Put(a)
-	k.Put(b)
-	k.Put(c)
+	k.Put(Encoders, a)
+	k.Put(Encoders, b)
+	k.Put(Encoders, c)
 	if k[0].Load() != a || k[1].Load() != b {
 		t.Fatal("the first two encoders given back were not the ones kept")
 	}
-	if e := k.Get(); e != a || len(e.Bytes()) != 0 || e.Err() != nil {
+	if e := k.Get(Encoders); e != a || len(e.Bytes()) != 0 || e.Err() != nil {
 		t.Fatalf("Get returned %p holding %d B, want the kept %p, reset", e, len(e.Bytes()), a)
 	}
 	if err := a.Encode(make([]byte, 256<<10)); err != nil {
 		t.Fatal(err)
 	}
 	bulk := cap(a.Bytes())
-	k.Put(a)
-	if e := k.Get(); e != a || cap(e.Bytes()) != bulk {
+	k.Put(Encoders, a)
+	if e := k.Get(Encoders); e != a || cap(e.Bytes()) != bulk {
 		t.Fatalf("a kept encoder lost the %d B buffer a bulk message filled", bulk)
 	}
 	if err := a.Encode(make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
-	k.Put(a)
+	k.Put(Encoders, a)
 	if got := cap(a.Bytes()); got > retainCap {
 		t.Errorf("kept after a 64 B message still holding %d B, want at most %d", got, retainCap)
 	}
 
-	e := k.Get()
+	e := k.Get(Encoders)
 	if err := e.Encode(make([]byte, keepMax)); err != nil {
 		t.Fatal(err)
 	}
-	k.Put(e)
+	k.Put(Encoders, e)
 	for i := range k {
 		if k[i].Load() == e {
 			t.Errorf("kept an encoder whose buffer is %d B, above keepMax %d", cap(e.e.buf), keepMax)

@@ -78,8 +78,9 @@ func remoteEchoer(t *testing.T) *Object[Echoer] {
 // end (the argument the server decodes, the result the caller's slot
 // receives), the argument's box on the server and the reply's box in the
 // thunk. The reply is decoded into a typed slot the call borrows, so the
-// caller's end boxes nothing; args is built outside the call, so the typed
-// facade's list and box (2 more in a generated proxy) are not in it. A
+// caller's end boxes nothing; args is built outside the call, so the
+// argument's box (1 more in a generated proxy, whose list stays on its
+// stack: TestAllocBudgetCallerList) is not in it. A
 // reply boxed on the caller's end again, or an envelope, waiter, closure,
 // argument list, slot or method name built per call, adds at least 1 to the
 // 4 and must fail the budget of 5; so must a server that dispatches the

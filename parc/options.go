@@ -17,22 +17,11 @@ type options struct {
 	// cluster scope
 	nodes   int
 	network NetworkParams
-	// shared scope
-	maxInFlight   int
-	muxLanes      int
-	placement     PlacementPolicy
-	agglomeration AgglomerationPolicy
-	aggregation   AggregationConfig
-	loadCacheTTL  time.Duration
-	healthProbe   time.Duration
-	rebalance     time.Duration
-	mailboxBound  int
-	shed          ShedPolicy
-	retry         RetryPolicy
-	idempotent    bool
-	dedupPerObj   int
+	// every node's channel and runtime; cfg.NodeID is ServeNode's
+	maxInFlight int
+	muxLanes    int
+	cfg         core.Config
 	// node scope
-	nodeID int
 	listen string
 }
 
@@ -59,23 +48,19 @@ func WithMuxLanes(n int) Option { return func(o *options) { o.muxLanes = n } }
 
 // WithPlacement sets the policy distributing new parallel objects; the
 // default is round-robin.
-func WithPlacement(p PlacementPolicy) Option { return func(o *options) { o.placement = p } }
-
-// WithAgglomeration sets the policy removing excess parallelism at creation
-// time; the default never agglomerates.
-func WithAgglomeration(p AgglomerationPolicy) Option { return func(o *options) { o.agglomeration = p } }
+func WithPlacement(p PlacementPolicy) Option { return func(o *options) { o.cfg.Placement = p } }
 
 // WithAggregation enables method-call aggregation: asynchronous calls
 // buffer until the batch reaches maxCalls invocations (values <= 1
 // disable) or maxDelay elapses (0 means no timer).
 func WithAggregation(maxCalls int, maxDelay time.Duration) Option {
 	return func(o *options) {
-		o.aggregation = AggregationConfig{MaxCalls: maxCalls, MaxDelay: maxDelay}
+		o.cfg.Aggregation = AggregationConfig{MaxCalls: maxCalls, MaxDelay: maxDelay}
 	}
 }
 
 // WithLoadCacheTTL bounds staleness of placement load data.
-func WithLoadCacheTTL(d time.Duration) Option { return func(o *options) { o.loadCacheTTL = d } }
+func WithLoadCacheTTL(d time.Duration) Option { return func(o *options) { o.cfg.LoadCacheTTL = d } }
 
 // WithHealthProbe has every node ping its peers at this interval, grading
 // unresponsive peers suspect and then down. Down peers are excluded from
@@ -83,7 +68,7 @@ func WithLoadCacheTTL(d time.Duration) Option { return func(o *options) { o.load
 // node stops attracting new objects instead of costing every placement a
 // timeout. 0 (the default) disables probing.
 func WithHealthProbe(interval time.Duration) Option {
-	return func(o *options) { o.healthProbe = interval }
+	return func(o *options) { o.cfg.HealthProbe = interval }
 }
 
 // WithRebalance has every node periodically migrate parallel objects away
@@ -93,22 +78,16 @@ func WithHealthProbe(interval time.Duration) Option {
 // rebalancing; Runtime.Rebalance and Cluster.Rebalance remain available
 // for explicit triggers.
 func WithRebalance(interval time.Duration) Option {
-	return func(o *options) { o.rebalance = interval }
+	return func(o *options) { o.cfg.RebalanceEvery = interval }
 }
 
 // WithMailboxBound caps the queued (not yet executing) calls of every
 // parallel object's mailbox on each node. A full mailbox sheds instead of
 // queueing without limit: the shed call fails fast with ErrOverloaded
 // (which survives the wire, so remote callers see it too), keeping the
-// latency of accepted calls bounded under overload. 0 (the default)
-// keeps mailboxes unbounded. Shed victims are chosen by WithShedPolicy.
-func WithMailboxBound(n int) Option { return func(o *options) { o.mailboxBound = n } }
-
-// WithShedPolicy selects which call a full bounded mailbox sheds:
-// ShedNewest (default) rejects the arriving call, ShedOldest evicts the
-// oldest queued call and admits the arriving one. Only meaningful with
-// WithMailboxBound.
-func WithShedPolicy(p ShedPolicy) Option { return func(o *options) { o.shed = p } }
+// latency of accepted calls bounded under overload. The arriving call is
+// the one shed. 0 (the default) keeps mailboxes unbounded.
+func WithMailboxBound(n int) Option { return func(o *options) { o.cfg.MailboxBound = n } }
 
 // RetryPolicy configures transparent retries of transient remote-call
 // failures (node down, connection reset, overload sheds) with jittered
@@ -129,7 +108,7 @@ func DefaultRetryPolicy() RetryPolicy { return remoting.DefaultRetryPolicy() }
 // calls to peers whose connections keep dying, feeding the same health
 // grading that routes placement around dead nodes. The zero policy
 // (default) keeps the historical single-attempt behaviour.
-func WithRetry(p RetryPolicy) Option { return func(o *options) { o.retry = p } }
+func WithRetry(p RetryPolicy) Option { return func(o *options) { o.cfg.Retry = p } }
 
 // WithIdempotentCalls makes retried calls effectively-once: every
 // outermost proxy call is stamped with an idempotency token that rides
@@ -138,16 +117,11 @@ func WithRetry(p RetryPolicy) Option { return func(o *options) { o.retry = p } }
 // a retry of an already-executed call replays the recorded reply instead
 // of executing again. The reply memory replicates with virtual-object
 // state, so failover promotion preserves it. Costs one small LRU per
-// hosted object (see WithDedupPerObject).
-func WithIdempotentCalls() Option { return func(o *options) { o.idempotent = true } }
-
-// WithDedupPerObject caps each hosted object's recorded-reply LRU used by
-// WithIdempotentCalls (0 selects the default, 256). A token evicted
-// before its retry arrives degrades that call to at-least-once.
-func WithDedupPerObject(n int) Option { return func(o *options) { o.dedupPerObj = n } }
+// hosted object, of 256 replies.
+func WithIdempotentCalls() Option { return func(o *options) { o.cfg.IdempotentCalls = true } }
 
 // WithNodeID sets this node's index in the cluster (ServeNode only).
-func WithNodeID(id int) Option { return func(o *options) { o.nodeID = id } }
+func WithNodeID(id int) Option { return func(o *options) { o.cfg.NodeID = id } }
 
 // WithListen sets the address a node serves on (ServeNode only; default
 // "127.0.0.1:0"). The scheme picks the transport: a plain host:port pair
@@ -175,21 +149,11 @@ func buildOptions(opts []Option) options {
 func StartCluster(opts ...Option) (*Cluster, error) {
 	o := buildOptions(opts)
 	inner, err := cluster.New(cluster.Options{
-		Nodes:           o.nodes,
-		Net:             o.network,
-		MaxInFlight:     o.maxInFlight,
-		MuxLanes:        o.muxLanes,
-		Placement:       o.placement,
-		Agglomeration:   o.agglomeration,
-		Aggregation:     o.aggregation,
-		LoadCacheTTL:    o.loadCacheTTL,
-		HealthProbe:     o.healthProbe,
-		RebalanceEvery:  o.rebalance,
-		MailboxBound:    o.mailboxBound,
-		Shed:            o.shed,
-		Retry:           o.retry,
-		IdempotentCalls: o.idempotent,
-		DedupPerObject:  o.dedupPerObj,
+		Nodes:       o.nodes,
+		Net:         o.network,
+		MaxInFlight: o.maxInFlight,
+		MuxLanes:    o.muxLanes,
+		Config:      o.cfg,
 	})
 	if err != nil {
 		return nil, err
@@ -210,19 +174,6 @@ func ServeNode(opts ...Option) (*Runtime, error) {
 	ch := remoting.NewMultiplexedChannel(transport.Auto{})
 	ch.MaxInFlight = o.maxInFlight
 	ch.MuxLanes = o.muxLanes
-	return core.Start(core.Config{
-		NodeID:          o.nodeID,
-		Channel:         ch,
-		Placement:       o.placement,
-		Agglomeration:   o.agglomeration,
-		Aggregation:     o.aggregation,
-		LoadCacheTTL:    o.loadCacheTTL,
-		HealthProbe:     o.healthProbe,
-		RebalanceEvery:  o.rebalance,
-		MailboxBound:    o.mailboxBound,
-		Shed:            o.shed,
-		Retry:           o.retry,
-		IdempotentCalls: o.idempotent,
-		DedupPerObject:  o.dedupPerObj,
-	}, o.listen)
+	o.cfg.Channel = ch
+	return core.Start(o.cfg, o.listen)
 }

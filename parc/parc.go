@@ -26,9 +26,8 @@
 //
 // Parallel objects are distributed across nodes by the placement policy and
 // communicate through the remoting channel; asynchronous calls to one
-// object execute in order. Grain-size adaptation — method-call aggregation
-// and object agglomeration — is enabled through WithAggregation and
-// WithAgglomeration.
+// object execute in order. Grain-size adaptation by method-call
+// aggregation is enabled through WithAggregation.
 //
 // # Dynamic API (escape hatch)
 //
@@ -94,8 +93,6 @@ type (
 	AggregationConfig = core.AggregationConfig
 	// PlacementPolicy distributes new objects across nodes.
 	PlacementPolicy = core.PlacementPolicy
-	// AgglomerationPolicy removes excess parallelism at creation time.
-	AgglomerationPolicy = core.AgglomerationPolicy
 	// NodeLoad is a node's load snapshot given to placement policies.
 	NodeLoad = core.NodeLoad
 	// Stats is the coherent read-only snapshot of a node's runtime
@@ -103,9 +100,6 @@ type (
 	// and virtual-object events, mailbox sheds, deadline drops and the
 	// node's current overload grade.
 	Stats = core.Stats
-	// ShedPolicy selects which call a full bounded mailbox sheds (see
-	// WithMailboxBound / WithShedPolicy).
-	ShedPolicy = core.ShedPolicy
 	// OverloadGrade is a node's admission-control state (None, Busy,
 	// Shedding) as reported in Stats and the placement load vector.
 	OverloadGrade = core.OverloadGrade
@@ -151,16 +145,6 @@ const (
 	PeerDown = core.PeerDown
 )
 
-// Shed policies for bounded mailboxes (WithShedPolicy).
-const (
-	// ShedNewest rejects the arriving call when the mailbox is full
-	// (default).
-	ShedNewest = core.ShedNewest
-	// ShedOldest evicts the oldest queued call and admits the arriving
-	// one.
-	ShedOldest = core.ShedOldest
-)
-
 // Overload grades reported in Stats.OverloadGrade and NodeLoad.Overload.
 const (
 	// OverloadNone: mailboxes have headroom (or no bound is set).
@@ -180,17 +164,6 @@ type (
 	LeastLoaded = core.LeastLoaded
 	// LocalOnly disables distribution.
 	LocalOnly = core.LocalOnly
-)
-
-// Agglomeration policies.
-type (
-	// NeverAgglomerate keeps all objects parallel (default).
-	NeverAgglomerate = core.NeverAgglomerate
-	// AlwaysAgglomerate packs every object into its creator's grain.
-	AlwaysAgglomerate = core.AlwaysAgglomerate
-	// AdaptiveAgglomeration packs objects whose measured grain is too
-	// fine to pay communication costs.
-	AdaptiveAgglomeration = core.AdaptiveAgglomeration
 )
 
 // RegisterType makes a struct type transferable as a method argument or

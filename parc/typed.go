@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/keep"
 	"repro/internal/wire"
 )
 
@@ -135,14 +136,14 @@ func Call[R any, T any](ctx context.Context, o *Object[T], method string, args .
 	if err := checkMethod[T](method); err != nil {
 		return zero, err
 	}
-	store := slotStore[R]()
-	s := store.get()
+	st := slotStore[R]()
+	s := st.Get(st.kind)
 	r, err := resultOf[R](o.p.InvokeInto(ctx, s, method, args))
 	if err == nil {
 		// After an error the connection's reader may still be writing into
 		// s (the ctx ended while the reply was being decoded), so only a
 		// call that succeeded gives its slot back.
-		store.put(s)
+		st.Put(st.kind, s)
 	}
 	return r, err
 }
@@ -158,14 +159,11 @@ type slot[R any] struct{ val R }
 // to a Cancel or a ctx lands in memory nobody looks at.
 func (s *slot[R]) DecodeResult(d *wire.Decoder) bool { return d.ValueInto(&s.val) }
 
-// slots is the store of R's slots for blocking calls. It keeps one slot
-// itself, which a garbage collection does not take, so a caller that calls
-// again after its call returned reuses it however often the process
-// collects; slots that concurrent callers need beyond it come from a
-// sync.Pool, which keeps its free slots per processor.
+// slots is the store of R's slots for blocking calls, with their kind: a
+// slot goes back emptied.
 type slots[R any] struct {
-	spare atomic.Pointer[slot[R]]
-	pool  sync.Pool
+	keep.Store[slot[R]]
+	kind *keep.Kind[slot[R]]
 }
 
 // slotStores holds one store per result type.
@@ -177,25 +175,9 @@ func slotStore[R any]() *slots[R] {
 	if p, ok := slotStores.Load(t); ok {
 		return p.(*slots[R])
 	}
-	p, _ := slotStores.LoadOrStore(t, &slots[R]{pool: sync.Pool{New: func() any { return new(slot[R]) }}})
+	kind := keep.NewKind(func(s *slot[R]) bool { *s = slot[R]{}; return true })
+	p, _ := slotStores.LoadOrStore(t, &slots[R]{kind: kind})
 	return p.(*slots[R])
-}
-
-// get returns the kept slot, or a pooled one when another call has it.
-func (st *slots[R]) get() *slot[R] {
-	if s := st.spare.Swap(nil); s != nil {
-		return s
-	}
-	return st.pool.Get().(*slot[R])
-}
-
-// put empties s, which no reader writes into any more, and keeps it, or
-// pools it when a slot is kept already.
-func (st *slots[R]) put(s *slot[R]) {
-	*s = slot[R]{}
-	if !st.spare.CompareAndSwap(nil, s) {
-		st.pool.Put(s)
-	}
 }
 
 // CallAsync starts a synchronous-style call without blocking and returns a
