@@ -7,12 +7,12 @@
 //
 //	parcnode -id 1 -peers :7001,:7002,:7003 &
 //	parcnode -id 2 -peers :7001,:7002,:7003 &
-//	parcnode -id 0 -peers :7001,:7002,:7003 -demo sieve -n 200
+//	parcnode -id 0 -peers :7001,:7002,:7003 -demo vcounter -n 8
 //
-// Worker nodes (-demo "") serve until killed. The binary registers the
-// workload classes shipped in this repository (sieve filters, ray-tracer
-// workers); linking user classes in means building your own main around
-// parc.ServeNode.
+// Worker nodes (-demo "") serve until killed. The binary registers one
+// class, the vcounter demo below; linking user classes in means building
+// your own main around parc.ServeNode (examples/primesieve drives the
+// sieve pipeline in one process).
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/sieve"
 	"repro/parc"
 )
 
@@ -45,8 +44,8 @@ func (c *vcounter) Total() int64       { return c.N }
 func main() {
 	id := flag.Int("id", 0, "this node's index into -peers")
 	peers := flag.String("peers", ":7001", "comma-separated listen addresses of all nodes, in node-id order")
-	demo := flag.String("demo", "", "workload to drive from this node: '' (serve only), 'sieve' or 'vcounter'")
-	n := flag.Int("n", 200, "sieve bound for -demo sieve; keys x bumps for -demo vcounter")
+	demo := flag.String("demo", "", "workload to drive from this node: '' (serve only) or 'vcounter'")
+	n := flag.Int("n", 16, "keys -demo vcounter bumps, once each (at most 16)")
 	maxCalls := flag.Int("maxcalls", 16, "method-call aggregation batch size")
 	probe := flag.Duration("probe", 0, "peer health-probe interval (0 disables); down peers are excluded from placement")
 	rebalance := flag.Duration("rebalance", 0, "automatic rebalance interval (0 disables); overloaded nodes live-migrate objects away")
@@ -68,7 +67,6 @@ func main() {
 	}
 	defer rt.Close()
 	log.Printf("parcnode: node %d serving on %s", *id, rt.Addr())
-	sieve.RegisterClasses(rt)
 	// Virtual classes must be registered identically on every node; the
 	// ring decides at call time which node actually hosts each key.
 	parc.RegisterVirtualAt[vcounter](rt, "vcounter", parc.WithReplicas(1))
@@ -91,14 +89,6 @@ func main() {
 		signal.Notify(sig, os.Interrupt)
 		<-sig
 		log.Printf("parcnode: node %d shutting down", *id)
-	case "sieve":
-		start := time.Now()
-		primes, err := sieve.Pipeline(rt, *n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("primes <= %d: %d found in %v across %d nodes\n",
-			*n, len(primes), time.Since(start), len(addrs))
 	case "vcounter":
 		// Bump a handful of keys; each key activates on its ring owner at
 		// the first call — no node ever creates these objects explicitly.

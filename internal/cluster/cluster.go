@@ -1,9 +1,9 @@
 // Package cluster boots multi-node SCOOPP clusters. The paper's testbed was
 // a Linux cluster of dual-processor nodes on 100 Mbit Ethernet; the
 // reproduction harness runs the same node runtimes either inside one
-// process over an in-memory (optionally netsim-shaped) network — the
-// configuration used by tests and benchmarks — or as separate OS processes
-// over TCP via cmd/parcnode.
+// process over one network the caller may shape (netsim) or charge (the
+// paper's cost model) — the configuration used by tests and benchmarks — or
+// as separate OS processes over TCP via cmd/parcnode.
 package cluster
 
 import (
@@ -11,8 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/netsim"
 	"repro/internal/remoting"
 	"repro/internal/transport"
 )
@@ -21,12 +19,9 @@ import (
 type Options struct {
 	// Nodes is the cluster size (default 1).
 	Nodes int
-	// Net shapes the inter-node network; zero params mean an ideal
-	// network (tests). Use netsim.Ethernet100 for the paper's testbed.
-	Net netsim.Params
-	// Cost charges per-endpoint software costs: the network every node's
-	// channel runs over is wrapped with cost.Network.
-	Cost cost.Model
+	// Network carries every node's channel; nil means a fresh
+	// transport.MemNetwork. Whoever shapes it keeps its counters.
+	Network transport.Network
 	// MaxInFlight bounds concurrent exchanges per peer connection; 0
 	// selects the default.
 	MaxInFlight int
@@ -41,9 +36,6 @@ type Options struct {
 // Cluster is a set of in-process node runtimes sharing one network.
 type Cluster struct {
 	nodes []*core.Runtime
-	// Stats exposes the shaped network's traffic counters (nil when the
-	// network is unshaped).
-	Stats *netsim.Stats
 }
 
 // New boots an in-process cluster and joins all nodes.
@@ -51,15 +43,11 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Nodes <= 0 {
 		opts.Nodes = 1
 	}
-	mem := transport.NewMemNetwork()
-	var net transport.Network = mem
-	cl := &Cluster{}
-	if !opts.Net.Zero() {
-		sn := netsim.NewShapedNetwork(mem, opts.Net)
-		cl.Stats = sn.Stats
-		net = sn
+	net := opts.Network
+	if net == nil {
+		net = transport.NewMemNetwork()
 	}
-	net = cost.Network(net, opts.Cost)
+	cl := &Cluster{}
 	addrs := make([]string, opts.Nodes)
 	for i := 0; i < opts.Nodes; i++ {
 		ch := remoting.NewMultiplexedChannel(net)
@@ -87,12 +75,15 @@ func New(opts Options) (*Cluster, error) {
 // Size returns the number of nodes.
 func (c *Cluster) Size() int { return len(c.nodes) }
 
-// Node returns node i's runtime. Node 0 conventionally plays the
-// application entry node.
+// Node returns node i's runtime.
 func (c *Cluster) Node(i int) *core.Runtime { return c.nodes[i] }
 
+// Entry returns node 0's runtime, the conventional application entry node.
+func (c *Cluster) Entry() *core.Runtime { return c.nodes[0] }
+
 // RegisterClass registers a parallel-object class on every node, as the
-// paper's generated boot code did.
+// paper's generated boot code did. The factory must return a pointer to a
+// fresh instance.
 func (c *Cluster) RegisterClass(name string, factory func() any) {
 	for _, rt := range c.nodes {
 		rt.RegisterClass(name, factory)
@@ -108,10 +99,18 @@ func (c *Cluster) RegisterVirtualClass(name string, factory func() any, cfg core
 	}
 }
 
-// Rebalance triggers one load rebalance on every node in turn, returning
-// the total number of objects migrated and the first error encountered —
-// one node's failed migration does not stop the pass for the others. It
-// is the explicit companion of Config.RebalanceEvery.
+// VirtualOwner reports which node the cluster's consistent-hash ring
+// assigns ownership of (class, key) — an observability hook, mainly for
+// tests and benchmarks that need to aim a failure at the right node.
+func (c *Cluster) VirtualOwner(class, key string) (int, bool) {
+	return c.Entry().VirtualOwner(class, key)
+}
+
+// Rebalance triggers one load rebalance on every node in turn: nodes
+// loaded above the cluster mean live-migrate objects toward the policy's
+// picks. It returns the total number of objects migrated and the first
+// error encountered — one node's failed migration does not stop the pass
+// for the others. It is the explicit companion of Config.RebalanceEvery.
 func (c *Cluster) Rebalance(ctx context.Context) (int, error) {
 	total := 0
 	var firstErr error

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 )
 
 type echo struct {
@@ -69,14 +70,12 @@ func TestMultiNodeRoundTrip(t *testing.T) {
 }
 
 func TestShapedClusterCountsTraffic(t *testing.T) {
-	cl, err := New(Options{Nodes: 2, Net: netsim.Params{Latency: 100 * time.Microsecond}})
+	sn := netsim.NewShapedNetwork(transport.NewMemNetwork(), netsim.Params{Latency: 100 * time.Microsecond})
+	cl, err := New(Options{Nodes: 2, Network: sn})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Stats == nil {
-		t.Fatal("shaped cluster has no stats")
-	}
 	cl.RegisterClass("echo", func() any { return &echo{} })
 	p, err := cl.Node(0).NewParallelObject("echo")
 	if err != nil {
@@ -85,7 +84,7 @@ func TestShapedClusterCountsTraffic(t *testing.T) {
 	if _, err := p.Invoke("Ping", 1); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Stats.MsgsSent() == 0 {
+	if sn.Stats.MsgsSent() == 0 {
 		t.Error("no traffic counted through shaped network")
 	}
 }

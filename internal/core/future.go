@@ -246,18 +246,3 @@ func (f *Future) Get() (any, error) {
 	// is ordered after them.
 	return f.val, f.err
 }
-
-// GetCtx blocks until the call completes or ctx ends, in which case it
-// returns ctx.Err() (the call itself keeps running; a later Get still
-// observes its outcome).
-func (f *Future) GetCtx(ctx context.Context) (any, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return f.Get()
-	}
-	select {
-	case <-f.Done():
-		return f.val, f.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}

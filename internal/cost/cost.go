@@ -9,8 +9,9 @@
 package cost
 
 import (
-	"runtime"
 	"time"
+
+	"repro/internal/netsim"
 )
 
 // Model is charged at message endpoints.
@@ -33,14 +34,14 @@ func (m Model) Zero() bool {
 // Charge sleeps for the endpoint cost of an n-byte message.
 func (m Model) Charge(n int) {
 	if d := m.MessageCost(n); d > 0 {
-		PreciseSleep(d)
+		netsim.PreciseSleep(d)
 	}
 }
 
 // ChargeConnect sleeps for the connection-establishment cost.
 func (m Model) ChargeConnect() {
 	if m.PerConnect > 0 {
-		PreciseSleep(m.PerConnect)
+		netsim.PreciseSleep(m.PerConnect)
 	}
 }
 
@@ -48,23 +49,4 @@ func (m Model) ChargeConnect() {
 // without sleeping; the bench package's closed-form model uses it.
 func (m Model) MessageCost(n int) time.Duration {
 	return m.PerMessage + time.Duration(float64(m.PerKB)*float64(n)/1024.0)
-}
-
-// PreciseSleep sleeps for d with microsecond accuracy. The calibrated
-// endpoint costs are tens to hundreds of microseconds, far below the
-// kernel timer granularity (≈1 ms on some hosts), so plain time.Sleep
-// would erase the differences between the modelled runtimes. PreciseSleep
-// lets the coarse timer cover all but the last millisecond and spins the
-// remainder, yielding to the scheduler between probes.
-func PreciseSleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	deadline := time.Now().Add(d)
-	if coarse := d - time.Millisecond; coarse > 0 {
-		time.Sleep(coarse)
-	}
-	for time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
 }

@@ -22,11 +22,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/transport"
 )
 
@@ -114,12 +114,28 @@ type RealClock struct{}
 // Now implements Clock.
 func (RealClock) Now() time.Time { return time.Now() }
 
-// Sleep implements Clock. It uses the cost package's precise hybrid sleep:
-// link latencies and transmission times are far below the kernel timer
-// granularity on some hosts.
-func (RealClock) Sleep(d time.Duration) {
-	if d > 0 {
-		cost.PreciseSleep(d)
+// Sleep implements Clock with PreciseSleep: link latencies and
+// transmission times are far below the kernel timer granularity on some
+// hosts.
+func (RealClock) Sleep(d time.Duration) { PreciseSleep(d) }
+
+// PreciseSleep sleeps for d with microsecond accuracy. Link delays and the
+// calibrated endpoint costs charged over a network are tens to hundreds of
+// microseconds, far below the kernel timer granularity (≈1 ms on some
+// hosts), so plain time.Sleep would erase the differences between the
+// modelled links and runtimes. PreciseSleep lets the coarse timer cover all
+// but the last millisecond and spins the remainder, yielding to the
+// scheduler between probes.
+func PreciseSleep(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	deadline := time.Now().Add(d)
+	if coarse := d - time.Millisecond; coarse > 0 {
+		time.Sleep(coarse)
+	}
+	for time.Now().Before(deadline) {
+		runtime.Gosched()
 	}
 }
 

@@ -16,19 +16,9 @@ import (
 	"testing"
 )
 
-// production is the runtime's tree, relative to the repository root.
-var production = []string{
-	"parc",
-	"internal/core",
-	"internal/remoting",
-	"internal/wire",
-	"internal/transport",
-	"internal/dispatch",
-	"internal/cluster",
-	"internal/errs",
-	"internal/ctxwait",
-	"internal/metrics",
-}
+// shippedRoots are the packages that ship: the public API and the node
+// binary. What they link is computed from their imports, not listed.
+var shippedRoots = []string{"parc", "cmd/parcnode"}
 
 // paperTrees are the import paths production code may not import, nor
 // anything below them: internal/paper, and the two baseline stacks that
@@ -39,6 +29,16 @@ var paperTrees = []string{
 	"repro/internal/mpi",
 }
 
+// paperCode is everything the shipped runtime may not link: the paper
+// stacks, the endpoint cost model they are calibrated with, the Mono
+// thread pool of the Fig. 9 farm, and the paper's workloads.
+var paperCode = append([]string{
+	"repro/internal/cost",
+	"repro/internal/threadpool",
+	"repro/internal/sieve",
+	"repro/internal/jgf",
+}, paperTrees...)
+
 // importsOf returns the import paths of every non-test Go file in dir.
 func importsOf(t *testing.T, dir string) map[string]string {
 	t.Helper()
@@ -47,7 +47,7 @@ func importsOf(t *testing.T, dir string) map[string]string {
 		t.Fatal(err)
 	}
 	if len(files) == 0 {
-		t.Fatalf("no Go files in %s: the production list is stale", dir)
+		t.Fatalf("no Go files in %s: the package list is stale", dir)
 	}
 	imports := map[string]string{}
 	for _, file := range files {
@@ -79,28 +79,55 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-func TestProductionDoesNotImportPaperStacks(t *testing.T) {
+// shippedImports walks the in-module import closure of shippedRoots and
+// returns, for every package it reaches (relative to the repository root),
+// the import paths of its non-test files.
+func shippedImports(t *testing.T) map[string]map[string]string {
+	t.Helper()
 	root := repoRoot(t)
-	for _, pkg := range production {
-		for path, file := range importsOf(t, filepath.Join(root, pkg)) {
-			for _, tree := range paperTrees {
-				if path == tree || strings.HasPrefix(path, tree+"/") {
-					t.Errorf("%s imports %s: production code must not depend on the paper stacks", file, path)
-				}
-			}
-			// The endpoint cost model reaches the call path only as a
-			// transport.Network (cost.Network), never by import.
-			if (pkg == "internal/remoting" || pkg == "internal/core") && path == "repro/internal/cost" {
-				t.Errorf("%s imports %s: the call path takes the cost model through transport.Network", file, path)
-			}
-			// The Mono thread pool is the paper's: a server hands each call
-			// to its object's mailbox, and the Fig. 9 farm's workers render
-			// on the pool themselves.
-			if path == "repro/internal/threadpool" {
-				t.Errorf("%s imports %s: the runtime runs no thread pool", file, path)
+	closure := map[string]map[string]string{}
+	queue := append([]string(nil), shippedRoots...)
+	for len(queue) > 0 {
+		pkg := queue[0]
+		queue = queue[1:]
+		if closure[pkg] != nil {
+			continue
+		}
+		closure[pkg] = importsOf(t, filepath.Join(root, pkg))
+		for path := range closure[pkg] {
+			if rel, ok := strings.CutPrefix(path, "repro/"); ok {
+				queue = append(queue, rel)
 			}
 		}
 	}
+	return closure
+}
+
+// checkShipped fails for every import, by a package the shipped runtime
+// links, of trees or anything below them.
+func checkShipped(t *testing.T, trees []string, why string) {
+	t.Helper()
+	for _, imports := range shippedImports(t) {
+		for path, file := range imports {
+			for _, tree := range trees {
+				if path == tree || strings.HasPrefix(path, tree+"/") {
+					t.Errorf("%s imports %s: %s", file, path, why)
+				}
+			}
+		}
+	}
+}
+
+func TestProductionDoesNotImportPaperStacks(t *testing.T) {
+	checkShipped(t, paperTrees, "production code must not depend on the paper stacks")
+}
+
+// TestShippedRuntimeLinksNoPaperCode holds what parc and cmd/parcnode link
+// to the runtime: the paper's stacks, cost model, thread pool and workloads
+// stay with the figures, which hand the cost model to a cluster as a
+// transport.Network.
+func TestShippedRuntimeLinksNoPaperCode(t *testing.T) {
+	checkShipped(t, paperCode, "the shipped runtime links no paper code")
 }
 
 // layers is the production call path, top first: a remote call goes down

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/paper/profile"
 	"repro/internal/paper/wirecodecs"
 	"repro/internal/sieve"
 	"repro/internal/wire"
@@ -30,11 +29,11 @@ type AggRow struct {
 func RunAggregationSweep(n int, maxCalls []int, net netsim.Params) ([]AggRow, error) {
 	var rows []AggRow
 	for _, mc := range maxCalls {
+		network, _ := monoNet(net)
 		cl, err := cluster.New(cluster.Options{
-			Nodes:  2,
-			Net:    net,
-			Cost:   profile.MonoTCP117(),
-			Config: core.Config{Aggregation: core.AggregationConfig{MaxCalls: mc}},
+			Nodes:   2,
+			Network: network,
+			Config:  core.Config{Aggregation: core.AggregationConfig{MaxCalls: mc}},
 		})
 		if err != nil {
 			return nil, err
@@ -101,11 +100,11 @@ func RunAgglomerationAblation(objects, calls int, net netsim.Params) ([]AgglomRo
 	}
 	var rows []AgglomRow
 	for _, pol := range policies {
+		network, stats := monoNet(net)
 		cl, err := cluster.New(cluster.Options{
-			Nodes:  2,
-			Net:    net,
-			Cost:   profile.MonoTCP117(),
-			Config: core.Config{Agglomeration: pol.policy},
+			Nodes:   2,
+			Network: network,
+			Config:  core.Config{Agglomeration: pol.policy},
 		})
 		if err != nil {
 			return nil, err
@@ -139,8 +138,8 @@ func RunAgglomerationAblation(objects, calls int, net netsim.Params) ([]AgglomRo
 		}
 		elapsed := time.Since(start)
 		row := AgglomRow{Policy: pol.name, Seconds: elapsed.Seconds(), Agglomerated: master.Stats().ObjectsAgglomerated}
-		if cl.Stats != nil {
-			row.Msgs = cl.Stats.MsgsSent()
+		if stats != nil {
+			row.Msgs = stats.MsgsSent()
 		}
 		cl.Close()
 		rows = append(rows, row)

@@ -279,11 +279,11 @@ type parcFarm struct {
 // startParcFarm boots the farm for processors workers, with thread pools of
 // poolSize workers, and hands every worker the scene.
 func startParcFarm(cfg Fig9Config, processors, poolSize int) (*parcFarm, error) {
+	net, _ := monoNet(cfg.Net)
 	cl, err := cluster.New(cluster.Options{
-		Nodes:  nodesFor(processors) + 1, // node 0 is the master
-		Net:    cfg.Net,
-		Cost:   profile.MonoTCP117(),
-		Config: core.Config{Placement: &workerRoundRobin{}},
+		Nodes:   nodesFor(processors) + 1, // node 0 is the master
+		Network: net,
+		Config:  core.Config{Placement: &workerRoundRobin{}},
 	})
 	if err != nil {
 		return nil, err

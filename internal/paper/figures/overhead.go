@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/netsim"
-	"repro/internal/paper/profile"
 	"repro/internal/remoting"
 )
 
@@ -54,12 +52,8 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 	payload := payloadFor(payloadBytes)
 
 	// Raw remoting.
-	var rawStats *netsim.Stats
-	rawNet := shapedNet(net)
-	if sn, ok := rawNet.(*netsim.ShapedNetwork); ok {
-		rawStats = sn.Stats
-	}
-	ch := remoting.NewMultiplexedChannel(cost.Network(rawNet, profile.MonoTCP117()))
+	rawNet, rawStats := monoNet(net)
+	ch := remoting.NewMultiplexedChannel(rawNet)
 	defer ch.Close()
 	server, err := ch.ListenAndServe("")
 	if err != nil {
@@ -92,11 +86,11 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 
 	// Through the ParC# platform: a 2-node cluster, object forced to the
 	// remote node, synchronous proxy invokes.
+	clusterNet, stats := monoNet(net)
 	cl, err := cluster.New(cluster.Options{
-		Nodes:  2,
-		Net:    net,
-		Cost:   profile.MonoTCP117(),
-		Config: core.Config{Placement: remoteOnly{}},
+		Nodes:   2,
+		Network: clusterNet,
+		Config:  core.Config{Placement: remoteOnly{}},
 	})
 	if err != nil {
 		return OverheadResult{}, err
@@ -113,7 +107,7 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 	if _, err := p.Invoke("Echo", payload); err != nil {
 		return OverheadResult{}, err
 	}
-	msgs0, bytes0 = traffic(cl.Stats)
+	msgs0, bytes0 = traffic(stats)
 	proxyRTT := time.Duration(1 << 62)
 	for i := 0; i < reps; i++ {
 		start := time.Now()
@@ -124,7 +118,7 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 			proxyRTT = d
 		}
 	}
-	msgs, bytes = traffic(cl.Stats)
+	msgs, bytes = traffic(stats)
 	res.ProxyMsgs, res.ProxyBytes = (msgs-msgs0)/float64(reps), (bytes-bytes0)/float64(reps)
 
 	res.RawRTT, res.ProxyRTT = rawRTT, proxyRTT

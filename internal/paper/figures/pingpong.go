@@ -199,6 +199,18 @@ func shapedNet(p netsim.Params) transport.Network {
 	return netsim.NewShapedNetwork(mem, p)
 }
 
+// monoNet is shapedNet charged with the Mono 1.1.7 TCP channel's endpoint
+// costs, the network the ParC# side of a figure runs over, with its traffic
+// counters (nil when p is zero).
+func monoNet(p netsim.Params) (transport.Network, *netsim.Stats) {
+	net := shapedNet(p)
+	var stats *netsim.Stats
+	if sn, ok := net.(*netsim.ShapedNetwork); ok {
+		stats = sn.Stats
+	}
+	return cost.Network(net, profile.MonoTCP117()), stats
+}
+
 // Fig8aStacks builds the three systems of Fig. 8a with their calibrated
 // profiles on the paper's network.
 func Fig8aStacks() ([]Stack, error) {

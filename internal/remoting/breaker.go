@@ -36,6 +36,9 @@ import (
 // so the breaker never counts its own fast-fails as fresh peer failures).
 var errBreakerOpen = fmt.Errorf("circuit breaker open: %w", errs.ErrNodeDown)
 
+// breakerWindow is the rolling window a breaker counts failures in.
+const breakerWindow = time.Second
+
 // breakerState is one peer's breaker.
 type breakerState struct {
 	mu          sync.Mutex
@@ -49,7 +52,6 @@ type breakerState struct {
 // breakerSet holds the per-peer breakers of one channel.
 type breakerSet struct {
 	threshold int
-	window    time.Duration
 	cooldown  time.Duration
 
 	mu    sync.Mutex
@@ -64,14 +66,10 @@ func newBreakerSet(p RetryPolicy) *breakerSet {
 	}
 	bs := &breakerSet{
 		threshold: p.BreakerThreshold,
-		window:    p.BreakerWindow,
 		cooldown:  p.BreakerCooldown,
 	}
 	if bs.threshold == 0 {
 		bs.threshold = 5
-	}
-	if bs.window <= 0 {
-		bs.window = time.Second
 	}
 	if bs.cooldown <= 0 {
 		bs.cooldown = 250 * time.Millisecond
@@ -157,7 +155,7 @@ func (bs *breakerSet) record(netaddr string, trial, connFailure bool) {
 		// admitted before the trip do not move the state.
 		return
 	}
-	if b.windowStart.IsZero() || now.Sub(b.windowStart) > bs.window {
+	if b.windowStart.IsZero() || now.Sub(b.windowStart) > breakerWindow {
 		b.windowStart = now
 		b.fails, b.oks = 0, 0
 	}
@@ -193,11 +191,4 @@ func (bs *breakerSet) Open(netaddr string) bool {
 // to a real transport failure that paid a dial or timeout).
 func IsBreakerOpenError(err error) bool {
 	return errors.Is(err, errBreakerOpen)
-}
-
-// BreakerOpen reports whether the channel's breaker for netaddr is open.
-// Always false when no retry policy (or a breaker-disabled one) is set.
-func (ch *Channel) BreakerOpen(netaddr string) bool {
-	bs := ch.breakers()
-	return bs != nil && bs.Open(netaddr)
 }

@@ -29,25 +29,24 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry (default 5ms).
 	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff (default 1s).
+	// MaxDelay caps the backoff, which doubles per retry (default 1s).
 	MaxDelay time.Duration
-	// Multiplier grows the backoff per retry (default 2).
-	Multiplier float64
 	// Jitter spreads each delay uniformly over [d*(1-Jitter), d*(1+Jitter)]
 	// so synchronized callers do not retry in lockstep (default 0.5; set
 	// negative for none).
 	Jitter float64
 
 	// BreakerThreshold is the per-peer circuit breaker's trip point:
-	// connection-level failures within its rolling window before the
-	// breaker opens (default 5; negative disables the breaker).
+	// connection-level failures within a rolling one-second window before
+	// the breaker opens (default 5; negative disables the breaker).
 	BreakerThreshold int
-	// BreakerWindow is the rolling failure-rate window (default 1s).
-	BreakerWindow time.Duration
 	// BreakerCooldown is how long an open breaker fails fast before
 	// half-opening to probe the peer with one trial call (default 250ms).
 	BreakerCooldown time.Duration
 }
+
+// backoffMultiplier grows the backoff per retry.
+const backoffMultiplier = 2
 
 // DefaultRetryPolicy returns the enabled policy with every default.
 func DefaultRetryPolicy() RetryPolicy {
@@ -71,13 +70,6 @@ func (p RetryPolicy) maxDelay() time.Duration {
 	return time.Second
 }
 
-func (p RetryPolicy) multiplier() float64 {
-	if p.Multiplier > 1 {
-		return p.Multiplier
-	}
-	return 2
-}
-
 func (p RetryPolicy) jitter() float64 {
 	switch {
 	case p.Jitter < 0:
@@ -94,9 +86,8 @@ func (p RetryPolicy) jitter() float64 {
 // first retry).
 func (p RetryPolicy) Backoff(retry int) time.Duration {
 	d := float64(p.baseDelay())
-	mult := p.multiplier()
 	for i := 1; i < retry; i++ {
-		d *= mult
+		d *= backoffMultiplier
 		if d >= float64(p.maxDelay()) {
 			break
 		}

@@ -48,7 +48,7 @@ func TestRetryableClassification(t *testing.T) {
 // geometric from BaseDelay until MaxDelay caps it.
 func TestBackoffGrowthAndCap(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 10, BaseDelay: 10 * time.Millisecond,
-		MaxDelay: 80 * time.Millisecond, Multiplier: 2, Jitter: -1}
+		MaxDelay: 80 * time.Millisecond, Jitter: -1}
 	want := []time.Duration{10, 20, 40, 80, 80, 80}
 	for i, w := range want {
 		if got := p.Backoff(i + 1); got != w*time.Millisecond {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 )
 
 // The open-loop population. olService is slept, not spun, so capacity is
@@ -242,9 +243,9 @@ func TestOpenLoop(t *testing.T) {
 		}},
 		{"netsim+loss", 3 * olNetsim.LossDelay, []float64{2.0}, func(t *testing.T) (*core.Runtime, *core.Runtime) {
 			cl, err := cluster.New(cluster.Options{
-				Nodes:  2,
-				Net:    olNetsim,
-				Config: core.Config{Placement: pinPlacement{0}, MailboxBound: olBound},
+				Nodes:   2,
+				Network: netsim.NewShapedNetwork(transport.NewMemNetwork(), olNetsim),
+				Config:  core.Config{Placement: pinPlacement{0}, MailboxBound: olBound},
 			})
 			if err != nil {
 				t.Fatal(err)

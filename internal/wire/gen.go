@@ -82,13 +82,9 @@ func generatedFor(t reflect.Type) *genEnc {
 	return genTab.Load().byType[t]
 }
 
-// generatedName returns the decode entry for a wire name.
-func generatedName(name string) *genDec {
-	return genTab.Load().byName[name]
-}
-
-// generatedNameBytes is generatedName without the string allocation (the
-// compiler optimises the map index with an in-place conversion).
+// generatedNameBytes returns the decode entry for a wire name, without the
+// string allocation (the compiler optimises the map index with an in-place
+// conversion).
 func generatedNameBytes(name []byte) *genDec {
 	return genTab.Load().byName[string(name)]
 }
@@ -160,9 +156,6 @@ func RegisterGeneratedCodec[T any](name string) {
 	next.byName[name] = dec
 	genTab.Store(next)
 }
-
-// HasGeneratedCodec reports whether name resolves to a generated codec.
-func HasGeneratedCodec(name string) bool { return generatedName(name) != nil }
 
 // ---------------------------------------------------------------- Encoder
 
@@ -284,9 +277,6 @@ func (e *Encoder) BeginStruct(name string, fields int) {
 
 // FieldName writes one interned field name.
 func (e *Encoder) FieldName(name string) { e.e.writeName(name) }
-
-// Nil writes the nil value.
-func (e *Encoder) Nil() { e.e.writeByte(tNil) }
 
 // Bool writes a tagged bool.
 func (e *Encoder) Bool(v bool) {

@@ -1,26 +1,17 @@
-// Support surface for parcgen-generated code. The preprocessor's output
-// (typed POs, invoker thunks and wire codecs) must compile against the
-// public API only, so the pieces of the internal runtime it needs are
-// re-exported here.
+// Support surface for parcgen-generated code. The typed POs and invoker
+// thunks the preprocessor emits compile against this package, so the
+// dispatch pieces they need are re-exported here; its wire codecs call
+// repro/internal/wire directly (wire.Encoder, wire.Decoder and
+// wire.RegisterGeneratedCodec), so a generated file with codecs builds
+// only inside this module.
 package parc
 
-import (
-	"repro/internal/dispatch"
-	"repro/internal/wire"
-)
+import "repro/internal/dispatch"
 
 // Invoker is a generated dispatch thunk: it executes one method on obj with
 // decoded wire arguments, binding them with type assertions instead of
 // reflection. See RegisterInvokers.
 type Invoker = dispatch.Invoker
-
-// WireEncoder is the streaming encode surface generated MarshalWire
-// methods write to.
-type WireEncoder = wire.Encoder
-
-// WireDecoder is the streaming decode surface generated UnmarshalWire
-// methods read from.
-type WireDecoder = wire.Decoder
 
 // RegisterInvokers installs generated invoker thunks for the concrete type
 // of sample; the runtime's dispatcher (both the local SCOOPP call path and
@@ -28,14 +19,6 @@ type WireDecoder = wire.Decoder
 // emits the call from an init function in the generated file.
 func RegisterInvokers(sample any, m map[string]Invoker) {
 	dispatch.RegisterInvokers(sample, m)
-}
-
-// RegisterWireCodec registers the parcgen-generated binfmt codec of T under
-// name, enabling the zero-reflection serialisation fast path for T on this
-// node. The type is also registered reflectively under the same name, so
-// peers without generated code interoperate.
-func RegisterWireCodec[T any](name string) {
-	wire.RegisterGeneratedCodec[T](name)
 }
 
 // Arg binds args[i] to T for a generated thunk: a type assertion on the

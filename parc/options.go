@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/remoting"
 	"repro/internal/transport"
 )
@@ -148,17 +149,17 @@ func buildOptions(opts []Option) options {
 //	)
 func StartCluster(opts ...Option) (*Cluster, error) {
 	o := buildOptions(opts)
-	inner, err := cluster.New(cluster.Options{
+	var net transport.Network
+	if !o.network.Zero() {
+		net = netsim.NewShapedNetwork(transport.NewMemNetwork(), o.network)
+	}
+	return cluster.New(cluster.Options{
 		Nodes:       o.nodes,
-		Net:         o.network,
+		Network:     net,
 		MaxInFlight: o.maxInFlight,
 		MuxLanes:    o.muxLanes,
 		Config:      o.cfg,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{inner: inner}, nil
 }
 
 // ServeNode boots one TCP-backed node for multi-process deployments (each

@@ -181,32 +181,6 @@ type NetworkParams = netsim.Params
 // switched Ethernet.
 func Ethernet100() NetworkParams { return netsim.Ethernet100() }
 
-// Cluster is a running set of nodes inside this process.
-type Cluster struct {
-	inner *cluster.Cluster
-}
-
-// RegisterClass registers a parallel-object class on every node. The
-// factory must return a pointer to a fresh instance. The generic Register
-// derives the factory from the type itself.
-func (c *Cluster) RegisterClass(name string, factory func() any) {
-	c.inner.RegisterClass(name, factory)
-}
-
-// Entry returns node 0's runtime, the conventional application entry node.
-func (c *Cluster) Entry() *Runtime { return c.inner.Node(0) }
-
-// Node returns node i's runtime.
-func (c *Cluster) Node(i int) *Runtime { return c.inner.Node(i) }
-
-// Size returns the number of nodes.
-func (c *Cluster) Size() int { return c.inner.Size() }
-
-// Rebalance triggers one load rebalance on every node in turn: nodes
-// loaded above the cluster mean live-migrate objects toward the policy's
-// picks. It returns the total number of objects migrated. WithRebalance
-// runs this automatically on an interval.
-func (c *Cluster) Rebalance(ctx context.Context) (int, error) { return c.inner.Rebalance(ctx) }
-
-// Close shuts all nodes down.
-func (c *Cluster) Close() { c.inner.Close() }
+// Cluster is a running set of nodes inside this process; StartCluster
+// boots one.
+type Cluster = cluster.Cluster

@@ -68,17 +68,3 @@ func VirtualAt[T any](ctx context.Context, rt *Runtime, class, key string) (*Obj
 	}
 	return &Object[T]{p: p}, nil
 }
-
-// RegisterVirtualClass registers a virtual class on every node from a
-// dynamic factory; the generic RegisterVirtual derives the factory from
-// the type itself.
-func (c *Cluster) RegisterVirtualClass(name string, factory func() any, cfg VirtualConfig) {
-	c.inner.RegisterVirtualClass(name, factory, cfg)
-}
-
-// VirtualOwner reports which node the cluster's consistent-hash ring
-// assigns ownership of (class, key) — an observability hook, mainly for
-// tests and benchmarks that need to aim a failure at the right node.
-func (c *Cluster) VirtualOwner(class, key string) (int, bool) {
-	return c.Entry().VirtualOwner(class, key)
-}
