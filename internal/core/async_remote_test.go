@@ -48,6 +48,14 @@ func (l *orderLog) Echo(v int) int {
 	return v
 }
 
+// At notes v and returns where in the log it is.
+func (l *orderLog) At(v int) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.seen = append(l.seen, v)
+	return len(l.seen) - 1
+}
+
 func (l *orderLog) order() []int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -385,8 +393,8 @@ func TestStartAsyncOnCallerStorage(t *testing.T) {
 	}
 }
 
-// tokenObj answers with the idempotency token its call carries, once
-// tokenGate opens, and counts the calls it executed.
+// tokenObj answers with the idempotency token and the deadline its call
+// carries, once tokenGate opens, and counts the calls it executed.
 type tokenObj struct{ Calls int }
 
 // tokenGate holds every Stamp until release closes. It is not the object's:
@@ -397,17 +405,23 @@ func (o *tokenObj) Stamp(ctx context.Context) string {
 	tokenGate.entered <- struct{}{}
 	<-tokenGate.release
 	o.Calls++
+	stamp := "no token"
 	if tok, ok := remoting.TokenFromContext(ctx); ok {
-		return fmt.Sprintf("%d/%d", tok.Client, tok.Seq)
+		stamp = fmt.Sprintf("%d/%d", tok.Client, tok.Seq)
 	}
-	return "none"
+	if dl, ok := ctx.Deadline(); ok {
+		return fmt.Sprintf("%s by %d", stamp, dl.UnixNano())
+	}
+	return stamp + ", no deadline"
 }
 
 // TestRerunKeepsItsToken: an asynchronous call whose first attempt fails
 // recoverably is re-run through the blocking path with the token start
 // stamped before that attempt, so the object executes it once, under that
-// token, and its host records it once (SPEC guarantee 2: the token rides
-// every attempt). The first attempt meets a forwarding tombstone, or the
+// token and under its caller's deadline, and its host records it once (SPEC
+// guarantee 2: the token rides every attempt). A frame reads both from the
+// call's context when it is encoded, so the re-run sends what the first
+// attempt sent. The first attempt meets a forwarding tombstone, or the
 // caller's connection dies under it while the object executes it: the re-run
 // then waits behind that execution in the mailbox and is answered from the
 // record it leaves.
@@ -451,8 +465,11 @@ func TestRerunKeepsItsToken(t *testing.T) {
 				t.Fatal("want a remote object")
 			}
 			tc.before(t, rts, p)
+			deadline := time.Now().Add(time.Minute)
+			ctx, cancel := context.WithDeadline(context.Background(), deadline)
+			defer cancel()
 			var c AsyncCall
-			f := p.StartAsync(context.Background(), &c, "Stamp", nil)
+			f := p.StartAsync(ctx, &c, "Stamp", nil)
 			tc.during(t, rts, p)
 			got, err := f.Get()
 			if err != nil {
@@ -462,8 +479,8 @@ func TestRerunKeepsItsToken(t *testing.T) {
 			if !ok {
 				t.Fatal("start stamped no token")
 			}
-			if want := fmt.Sprintf("%d/%d", tok.Client, tok.Seq); got != want {
-				t.Errorf("the call was answered under token %v, want %s, the one stamped before the first attempt", got, want)
+			if want := fmt.Sprintf("%d/%d by %d", tok.Client, tok.Seq, deadline.UnixNano()); got != want {
+				t.Errorf("the call was answered under %v, want %s: the token stamped before the first attempt, by its caller's deadline", got, want)
 			}
 			if gen := p.currentGen(); gen != tc.gen {
 				t.Errorf("proxy routes at generation %d after the call, want %d", gen, tc.gen)

@@ -13,19 +13,19 @@ import (
 // mux reader and ships the rest elsewhere.
 const maxInlineDepth = 8
 
-// sub is one registered continuation, stored as given: fn to tell
-// (OnComplete), at to tell with the index i it was registered under
-// (OnCompleteAt), or child to resolve with what then makes of the outcome
-// (ThenAny; a nil then passes the outcome on).
+// sub is one registered continuation, stored as given in cb: a
+// func(any, error) to tell (OnComplete), a func(int, any, error) to tell
+// with the index i it was registered under (OnCompleteAt), or, with child
+// set, a func(any, error) (any, error) whose outcome child resolves with
+// (ThenAny; a nil one passes the outcome on). A future's first holds its
+// first continuation, and a *[]sub of all of them once there are two.
 type sub struct {
-	fn    func(any, error)
-	at    func(int, any, error)
+	cb    any
 	i     int
-	then  func(any, error) (any, error)
 	child *Future
 }
 
-func (s sub) isSet() bool { return s.fn != nil || s.at != nil || s.child != nil }
+func (s sub) isSet() bool { return s.cb != nil || s.child != nil }
 
 // canceller is what a Future abandons when it is cancelled: the call in
 // flight on a connection, or the future this one waits on.
@@ -40,15 +40,22 @@ type canceller interface{ Cancel() }
 // (ThenAny / OnComplete) does not. It is also the unit of cancellation
 // (Cancel): no context is derived per call.
 type Future struct {
-	mu        sync.Mutex
-	completed bool
-	val       any
-	err       error
-	done      chan struct{} // lazily created; closed on completion
-	first     sub           // the first continuation lives in the future
-	more      *[]sub        // the second and later ones, allocated for the second
-	abort     canceller     // see setAbort
+	mu    sync.Mutex
+	val   any
+	err   error
+	done  chan struct{} // nil until waited on; resolvedDone once resolved
+	first sub           // the continuations (see sub)
+	abort canceller     // see setAbort
 }
+
+// resolvedDone is the done channel of every resolved future: a future has
+// its outcome exactly when its done is this channel. The channel a waiter
+// made before (Done) is closed and let go.
+var resolvedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // NewPromise returns an unresolved Future and its resolver. The resolver
 // completes the future exactly once (later calls are ignored) and runs the
@@ -61,7 +68,7 @@ func NewPromise() (*Future, func(any, error)) {
 
 // ResolvedFuture returns a future already completed with (v, err).
 func ResolvedFuture(v any, err error) *Future {
-	return &Future{completed: true, val: v, err: err}
+	return &Future{val: v, err: err, done: resolvedDone}
 }
 
 // complete resolves the future at depth 0.
@@ -73,25 +80,19 @@ func (f *Future) complete(v any, err error) { f.completeAt(v, err, 0) }
 // future fed by a reply, a Cancel and its context's end needs exactly this).
 func (f *Future) completeAt(v any, err error, depth int) (abort canceller) {
 	f.mu.Lock()
-	if f.completed {
+	if f.done == resolvedDone {
 		f.mu.Unlock()
 		return nil
 	}
-	f.completed = true
 	f.val, f.err = v, err
-	first, more, done, abort := f.first, f.more, f.done, f.abort
-	f.first, f.more, f.abort = sub{}, nil, nil
+	first, done, abort := f.first, f.done, f.abort
+	f.first, f.done, f.abort = sub{}, resolvedDone, nil
 	f.mu.Unlock()
 	if done != nil {
 		close(done)
 	}
 	if first.isSet() {
 		f.deliver(first, depth)
-	}
-	if more != nil {
-		for _, s := range *more {
-			f.deliver(s, depth)
-		}
 	}
 	return abort
 }
@@ -112,7 +113,7 @@ func (f *Future) Cancel() {
 // already has its outcome has no use for c and cancels it at once.
 func (f *Future) setAbort(c canceller) {
 	f.mu.Lock()
-	pending := !f.completed
+	pending := f.done != resolvedDone
 	if pending {
 		f.abort = c
 	}
@@ -127,24 +128,32 @@ func (f *Future) setAbort(c canceller) {
 func (f *Future) resolved() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.completed
+	return f.done == resolvedDone
 }
 
 // deliver runs one continuation: inline while the depth budget lasts,
 // otherwise on a fresh goroutine.
 func (f *Future) deliver(s sub, depth int) {
-	switch {
-	case depth >= maxInlineDepth:
+	if all, ok := s.cb.(*[]sub); ok {
+		for _, s := range *all {
+			f.deliver(s, depth)
+		}
+		return
+	}
+	if depth >= maxInlineDepth {
 		go f.deliver(s, 0)
-	case s.at != nil:
-		s.at(s.i, f.val, f.err)
-	case s.child == nil:
-		s.fn(f.val, f.err)
-	case s.then == nil:
-		s.child.completeAt(f.val, f.err, depth+1)
-	default:
-		v, err := runContinuation(s.then, f.val, f.err)
+		return
+	}
+	switch cb := s.cb.(type) {
+	case func(int, any, error):
+		cb(s.i, f.val, f.err)
+	case func(any, error):
+		cb(f.val, f.err)
+	case func(any, error) (any, error):
+		v, err := runContinuation(cb, f.val, f.err)
 		s.child.completeAt(v, err, depth+1)
+	default:
+		s.child.completeAt(f.val, f.err, depth+1)
 	}
 }
 
@@ -153,17 +162,17 @@ func (f *Future) deliver(s sub, depth int) {
 // behaves exactly like Then before it.
 func (f *Future) subscribe(s sub) {
 	f.mu.Lock()
-	switch {
-	case f.completed:
+	if f.done == resolvedDone {
 		f.mu.Unlock()
 		f.deliver(s, 0)
 		return
-	case !f.first.isSet():
+	}
+	if all, ok := f.first.cb.(*[]sub); ok {
+		*all = append(*all, s)
+	} else if f.first.isSet() {
+		f.first = sub{cb: &[]sub{f.first, s}}
+	} else {
 		f.first = s
-	case f.more == nil:
-		f.more = &[]sub{s}
-	default:
-		*f.more = append(*f.more, s)
 	}
 	f.mu.Unlock()
 }
@@ -172,12 +181,12 @@ func (f *Future) subscribe(s sub) {
 // already resolved, on the completion path otherwise. fn must not block —
 // for remote calls the completion path is the connection's reader
 // goroutine, shared by every caller on that lane.
-func (f *Future) OnComplete(fn func(any, error)) { f.subscribe(sub{fn: fn}) }
+func (f *Future) OnComplete(fn func(any, error)) { f.subscribe(sub{cb: fn}) }
 
 // OnCompleteAt is OnComplete for an aggregate: fn is told which of its
 // members resolved, so the one fn is registered as it is on every member and
 // no closure is built per member to carry the index.
-func (f *Future) OnCompleteAt(i int, fn func(int, any, error)) { f.subscribe(sub{at: fn, i: i}) }
+func (f *Future) OnCompleteAt(i int, fn func(int, any, error)) { f.subscribe(sub{cb: fn, i: i}) }
 
 // ThenAny returns a future resolved by fn applied to this future's
 // outcome. fn runs on the completion path (bounded inline depth, overflow
@@ -187,7 +196,11 @@ func (f *Future) OnCompleteAt(i int, fn func(int, any, error)) { f.subscribe(sub
 // Catch); this is their dynamically typed engine.
 func (f *Future) ThenAny(fn func(any, error) (any, error)) *Future {
 	child := &Future{abort: f}
-	f.subscribe(sub{then: fn, child: child})
+	s := sub{child: child}
+	if fn != nil {
+		s.cb = fn
+	}
+	f.subscribe(s)
 	return child
 }
 
@@ -223,9 +236,6 @@ func (f *Future) Done() <-chan struct{} {
 	f.mu.Lock()
 	if f.done == nil {
 		f.done = make(chan struct{})
-		if f.completed {
-			close(f.done)
-		}
 	}
 	d := f.done
 	f.mu.Unlock()
@@ -235,7 +245,7 @@ func (f *Future) Done() <-chan struct{} {
 // Get blocks until the call completes.
 func (f *Future) Get() (any, error) {
 	f.mu.Lock()
-	if f.completed {
+	if f.done == resolvedDone {
 		v, err := f.val, f.err
 		f.mu.Unlock()
 		return v, err

@@ -84,6 +84,14 @@ func (o *callOrder) redo(a *attempt) {
 	o.next()
 }
 
+// inTurn reports whether a, in flight, may still be sent: no call issued
+// before it waits to be re-run.
+func (o *callOrder) inTurn(a *attempt) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.reruns == nil || o.reruns.issue > a.issue
+}
+
 // done counts a call in flight finished, after its outcome was reported.
 func (o *callOrder) done() {
 	o.mu.Lock()

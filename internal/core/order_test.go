@@ -176,3 +176,68 @@ func TestAllocBudgetIdleFlush(t *testing.T) {
 		t.Errorf("flush with nothing outstanding: %.0f allocs, want 0", n)
 	}
 }
+
+// TestCallIssuedWhileConnectionFailsKeepsOrder is SPEC guarantee 1 at a
+// failing connection: in each round the caller issues InvokeAsync calls
+// straight at a remote object while a second goroutine closes the caller's
+// channel, so the connection fails with some of them in flight. A call
+// issued while it fails is declined and re-run in its place, never sent on
+// the connection dialled in the failed one's place ahead of the re-runs of
+// the calls issued before it. So the executions the calls' results come
+// from run in issue order. (A call the failed connection carried may also
+// execute once more, whenever its frame reaches the object; nobody hears of
+// that execution.)
+func TestCallIssuedWhileConnectionFailsKeepsOrder(t *testing.T) {
+	const rounds, calls = 2000, 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	l := &orderLog{}
+	rts := startNodes(t, 2, func(i int, cfg *Config) {
+		cfg.Placement = &forceNode{node: 1}
+	})
+	for _, rt := range rts {
+		rt.RegisterClass("orderlog", func() any { return l })
+	}
+	p, err := rts[0].NewParallelObject("orderlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.IsLocal() {
+		t.Fatal("want a remote object")
+	}
+	var first []int
+	bad := 0
+	fs := make([]*Future, calls)
+	for r := 0; r < rounds; r++ {
+		l.mu.Lock()
+		l.seen = l.seen[:0]
+		l.mu.Unlock()
+		closed := make(chan struct{})
+		go func() {
+			rts[0].cfg.Channel.Close()
+			close(closed)
+		}()
+		for i := range fs {
+			fs[i] = p.InvokeAsync("At", i+1)
+		}
+		<-closed
+		at := -1
+		inOrder := true
+		for _, f := range fs {
+			v, err := f.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			inOrder = inOrder && v.(int) > at
+			at = v.(int)
+		}
+		if !inOrder {
+			if bad == 0 {
+				first = l.order()
+			}
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d rounds answered calls out of issue order, the first from %v", bad, rounds, first)
+	}
+}

@@ -587,6 +587,13 @@ func (a *attempt) start(ref *remoting.ObjRef) {
 	}
 }
 
+// InTurn is remoting.Turn: a's connection asks it, having looked up the lane
+// a goes out on, whether a still goes. Not once a call issued before it was
+// recorded to be re-run since a was sent straight: the lane may be one
+// dialled after the failure that sent that call back, and a must not run
+// ahead of its re-run. Declined, a is re-run in its place.
+func (a *attempt) InTurn() bool { return a.p.calls.inTurn(a) }
+
 // Complete is the one re-run rule of an asynchronous call: an outcome the
 // synchronous path would transparently retry is recorded to be re-run, in
 // the call's place, before Complete returns.

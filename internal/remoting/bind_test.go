@@ -357,7 +357,7 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 // read lock; it is never confirmed, on this lane or any other.
 func TestFullHandleTableDispatchesByURI(t *testing.T) {
 	ch, srv, net := bindServer(t)
-	mc, _, err := ch.getMux(srv.Addr(), 0)
+	mc, _, err := ch.getMux(srv.Addr(), 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestConnectionKeepsOneMethodPerHandle(t *testing.T) {
 	send("M")
 	net.wantMarkers(t, names, names, 2*names)
 
-	mc, _, err := ch.getMux(srv.Addr(), 0)
+	mc, _, err := ch.getMux(srv.Addr(), 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,7 +747,7 @@ func TestBindingIgnoresDroppedDeclarations(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-g.started // the lane's one slot is taken
-	mc, _, err := ch.getMux(srv.Addr(), 0)
+	mc, _, err := ch.getMux(srv.Addr(), 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,12 +300,12 @@ func (ch *Channel) Close() {
 	ch.dialMu.Lock()
 	ch.dialPeers = nil
 	ch.dialMu.Unlock()
+	// Each lane leaves the table once it has failed its calls (fail).
 	ch.muxMu.Lock()
 	peers := make([]*muxConn, 0, len(ch.muxPeers))
 	for _, mc := range ch.muxPeers {
 		peers = append(peers, mc)
 	}
-	ch.muxPeers = nil
 	ch.muxMu.Unlock()
 	for _, mc := range peers {
 		mc.shutdown()

@@ -95,19 +95,14 @@ func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, met
 }
 
 // address completes the request of a call to r under ctx (nil means
-// background): a fresh sequence number, and the deadline and idempotency
-// token ctx carries. It returns ctx as it is, a nil one as background.
+// background) with a fresh sequence number. It returns ctx as it is, a nil
+// one as background. The deadline and idempotency token ctx carries are
+// read from it when the frame is encoded (CallRecord.envelope).
 func (r *ObjRef) address(ctx context.Context, req *request) context.Context {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	req.Seq = r.ch.nextSeq()
-	if dl, ok := ctx.Deadline(); ok {
-		req.Deadline = dl.UnixNano()
-	}
-	if tok, ok := TokenFromContext(ctx); ok {
-		req.TokClient, req.TokSeq = tok.Client, tok.Seq
-	}
 	return ctx
 }
 
@@ -183,8 +178,7 @@ func isStale(err error) bool {
 // per-exchange plumbing. No breaker admission carries over.
 func (c *CallRecord) rearm(ch *Channel) {
 	c.req.Seq = ch.nextSeq()
-	c.bs = nil
-	c.flags.And(^uint32(recTrial))
+	c.flags.And(^uint32(recBreaker | recTrial))
 }
 
 // remoteError rebuilds the error an error reply to a call of method stands

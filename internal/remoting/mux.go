@@ -2,6 +2,7 @@ package remoting
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -70,23 +71,25 @@ type CallRecord struct {
 	sink ResultSink
 	to   Completer
 
-	// ctx bounds the call, as SetCall named it. The call holds an in-flight
-	// slot of its lane mc from admission until whoever delivers its outcome
-	// releases it; stop detaches the context.AfterFunc hook once the outcome
-	// is decided; bs carries the peer breaker to the completion.
+	// ctx bounds the call, as SetCall named it, and carries its deadline and
+	// idempotency token. The call holds an in-flight slot of its lane mc
+	// from admission until whoever delivers its outcome releases it; stop
+	// detaches the context.AfterFunc hook once the outcome is decided.
 	mc   *muxConn
 	ctx  context.Context
 	of   outFrame
 	stop func() bool
-	bs   *breakerSet
 
-	// flags holds recCancelled, recTrial, recWatched and recLost.
+	// flags holds recCancelled, recBreaker, recTrial, recWatched and recLost.
 	flags atomic.Uint32
 }
 
 const (
 	// recCancelled: Cancel ran.
 	recCancelled = 1 << iota
+	// recBreaker: the channel's peer breaker admitted this submission, and
+	// its outcome is evidence for it.
+	recBreaker
 	// recTrial: the peer breaker admitted this submission as its half-open
 	// trial.
 	recTrial
@@ -150,12 +153,27 @@ func (c *CallRecord) SetCall(ctx context.Context, call, method string, args []an
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.ctx, c.req.Call, c.req.Method, c.req.Args = ctx, call, method, args
+	c.ctx, c.req.Call, c.req.Method, c.req.Args = ctx, internCall(call), method, args
 }
 
 // Call returns what SetCall named.
 func (c *CallRecord) Call() (ctx context.Context, call, method string, args []any) {
-	return c.ctx, c.req.Call, c.req.Method, c.req.Args
+	return c.ctx, *c.req.Call, c.req.Method, c.req.Args
+}
+
+// envelope is the request as its frame carries it: what SetCall named, to
+// the ObjRef's URI, under the deadline and idempotency token of the call's
+// context, read at each encoding. A resend or a retry keeps the context, so
+// its frame carries the same.
+func (c *CallRecord) envelope() callRequest {
+	req := callRequest{URI: c.ref.uri, Call: *c.req.Call, Method: c.req.Method, Seq: c.req.Seq, Args: c.req.Args}
+	if dl, ok := c.ctx.Deadline(); ok {
+		req.Deadline = dl.UnixNano()
+	}
+	if tok, ok := TokenFromContext(c.ctx); ok {
+		req.TokClient, req.TokSeq = tok.Client, tok.Seq
+	}
+	return req
 }
 
 // Context returns the ctx SetCall named.
@@ -171,6 +189,18 @@ type Completer interface{ Complete(v any, err error) }
 type CompletionFunc func(any, error)
 
 func (f CompletionFunc) Complete(v any, err error) { f(v, err) }
+
+// Turn is a Completer that orders its calls itself. A submission asks it,
+// once the lane the call goes out on has been looked up and before the call
+// is admitted there, whether the call is still in its turn; one that is not
+// is declined (errOutOfTurn). A lane that fails tells its calls before it
+// leaves the channel's table (fail), so a caller whose earlier calls the
+// failure sends back to be re-run hears of it before a later call can meet
+// the lane dialled in the failed one's place.
+type Turn interface{ InTurn() bool }
+
+// errOutOfTurn declines a submission its Turn withdrew.
+var errOutOfTurn = errors.New("remoting: call declined out of its caller's turn")
 
 // waits is the kind of the blocking calls' records, which ObjRefs keep
 // (ObjRef.kept). A record goes back only when its channel is known empty and
@@ -261,8 +291,8 @@ func (c *CallRecord) complete(result any, replyErr, err error) {
 	if err != nil {
 		err = c.callErr(err)
 	}
-	if c.bs != nil {
-		c.bs.settle(c.ctx, c.mc.netaddr, c.has(recTrial), err)
+	if c.has(recBreaker) {
+		c.ref.ch.breakers().settle(c.ctx, c.mc.netaddr, c.has(recTrial), err)
 	}
 	if err == nil {
 		err = replyErr
@@ -381,6 +411,8 @@ type muxConn struct {
 	lane    int
 	slots   chan struct{} // in-flight slots, MaxInFlight of them
 	done    chan struct{} // closed by fail
+	drained chan struct{} // closed once the failed lane's calls were told (release)
+	holders atomic.Int32  // who may still tell a call its outcome once fail ran; see hold
 	ready   chan struct{} // closed once the dial settled (conn or dialErr)
 
 	// Outbound frame queue. Unbounded by design: every queued frame
@@ -481,7 +513,7 @@ func (mc *muxConn) bindFor(req *callRequest) *clientBind {
 // (enqueueFrame), the declaring call until then. The frame's encoder is one
 // of the lane's (mc.encs), and goes back there.
 func (mc *muxConn) encodeRequest(c *CallRecord) (outFrame, error) {
-	req := c.req.envelope(c.ref.uri)
+	req := c.envelope()
 	cb := mc.bindFor(&req)
 	declare := !cb.confirmed.Load()
 	_, enc, err := encodeBoundCall(&mc.encs, cb.handle, declare, &req)
@@ -526,7 +558,14 @@ var errChannelClosed = fmt.Errorf("channel closed: %w", errs.ErrNodeDown)
 // of whichever caller dialled. fresh reports whether this call dialled,
 // whether or not the dial succeeded — a failure on a fresh connection is a
 // real peer failure, not staleness, so the caller must not retry it.
-func (ch *Channel) getMux(netaddr string, lane int) (mc *muxConn, fresh bool, err error) {
+//
+// A lane that is failing stays in the table until fail has told every call
+// it held, so no lane is dialled in its place before then: a caller that
+// waits (a blocking call, which fail never runs) waits for that, and any
+// other is declined with the lane's failure, to be sent again behind the
+// calls the failure reports. fail runs completions, which may submit, so
+// nothing fail runs may wait for it.
+func (ch *Channel) getMux(netaddr string, lane int, waits bool) (mc *muxConn, fresh bool, err error) {
 	key := muxKey{netaddr: netaddr, lane: lane}
 	for {
 		ch.muxMu.Lock()
@@ -543,8 +582,10 @@ func (ch *Channel) getMux(netaddr string, lane int) (mc *muxConn, fresh bool, er
 				outSig:  make(chan struct{}, 1),
 				slots:   make(chan struct{}, limit),
 				done:    make(chan struct{}),
+				drained: make(chan struct{}),
 				ready:   make(chan struct{}),
 			}
+			mc.holders.Store(1) // fail's
 			for i := range mc.inflight {
 				mc.inflight[i].m = make(map[uint64]*CallRecord)
 			}
@@ -562,10 +603,15 @@ func (ch *Channel) getMux(netaddr string, lane int) (mc *muxConn, fresh bool, er
 		ch.muxMu.Unlock()
 		<-existing.ready
 		existing.mu.Lock()
-		ok := existing.dialErr == nil && !existing.failed
+		dialled, failed := existing.dialErr == nil, existing.failed
 		existing.mu.Unlock()
-		if ok {
+		switch {
+		case dialled && !failed:
 			return existing, false, nil
+		case dialled && !waits:
+			return nil, false, existing.failureErr()
+		case dialled:
+			<-existing.drained
 		}
 		// Dead entry: forget it and race to install a fresh one.
 		ch.removeMux(existing)
@@ -746,6 +792,9 @@ func (mc *muxConn) reader() {
 			mc.fail(fmt.Errorf("remoting: receive from %s: %v: %w", mc.netaddr, err, errs.ErrNodeDown))
 			return
 		}
+		if !mc.hold() {
+			return
+		}
 		audit := countFrame()
 		borrowed, taken, err := mc.route(d, raw)
 		recycleFrame(audit, mc.conn, raw, borrowed)
@@ -756,8 +805,10 @@ func (mc *muxConn) reader() {
 			if taken != nil {
 				taken.abort(err)
 			}
+			mc.release()
 			return
 		}
+		mc.release()
 	}
 }
 
@@ -777,6 +828,13 @@ func (mc *muxConn) route(d *wire.Decoder, raw []byte) (borrowed bool, taken *Cal
 	seq, flags, err := decodeReplyHeader(d, raw)
 	if err != nil {
 		return false, nil, err
+	}
+	select {
+	case <-mc.done:
+		// The lane is failing, and fail tells every call it holds: no reply
+		// taken after one of its calls was failed may be delivered.
+		return false, nil, nil
+	default:
 	}
 	c := mc.take(seq)
 	if c == nil {
@@ -799,7 +857,7 @@ func (mc *muxConn) route(d *wire.Decoder, raw []byte) (borrowed bool, taken *Cal
 // a frame this lane took as queued was lost on the way, and c was not run.
 // A Cancel that found c out of the table is observed by register.
 func (mc *muxConn) resend(c *CallRecord) {
-	req := c.req.envelope(c.ref.uri)
+	req := c.envelope()
 	mc.bindFor(&req).confirmed.Store(false)
 	of, err := mc.encodeRequest(c)
 	if err == nil {
@@ -813,9 +871,12 @@ func (mc *muxConn) resend(c *CallRecord) {
 	mc.enqueueFrame(of)
 }
 
-// fail moves the lane to its terminal state: it is removed from the
-// channel's peer table (so the next call dials afresh), the transport is
-// closed, and every in-flight caller receives err. Idempotent.
+// fail moves the lane to its terminal state: the transport is closed, the
+// reader delivers no reply from here on (route), and every call the lane
+// holds receives err, in flight and then queued. The lane stays in the
+// channel's peer table, where a call submitted meanwhile finds it failing
+// (getMux), until this and the reader are done telling calls (release).
+// Idempotent.
 func (mc *muxConn) fail(err error) {
 	mc.mu.Lock()
 	if mc.failed {
@@ -826,13 +887,17 @@ func (mc *muxConn) fail(err error) {
 	mc.failErr = err
 	conn := mc.conn
 	mc.mu.Unlock()
-	mc.ch.removeMux(mc)
 	if conn != nil {
 		// nil while a racing dial is still connecting; dial observes
 		// failed and discards its fresh connection itself.
 		conn.Close()
 	}
 	close(mc.done)
+	mc.admitMu.Lock()
+	mc.admitClosed = true
+	q := mc.admitQ
+	mc.admitQ = nil
+	mc.admitMu.Unlock()
 	for i := range mc.inflight {
 		sh := &mc.inflight[i]
 		sh.mu.Lock()
@@ -847,14 +912,38 @@ func (mc *muxConn) fail(err error) {
 			c.abort(err)
 		}
 	}
-	mc.admitMu.Lock()
-	mc.admitClosed = true
-	q := mc.admitQ
-	mc.admitQ = nil
-	mc.admitMu.Unlock()
 	for _, c := range q {
 		c.of.release(&mc.encs)
 		c.complete(nil, nil, err)
+	}
+	mc.release()
+}
+
+// hold counts the reader in among those who may tell a call its outcome
+// (holders) while it handles one reply, so that the lane outlives what it
+// does with the call it takes: fail counts itself in from the start. It
+// reports false once the last of them has let go (release): the lane is
+// gone from the channel's table, and the reply is nobody's.
+func (mc *muxConn) hold() bool {
+	for {
+		n := mc.holders.Load()
+		if n == 0 {
+			return false
+		}
+		if mc.holders.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// release ends a hold, or fail's part once it told every call the lane
+// held. The last one out after fail removes the lane from the channel's
+// peer table, so the next call dials afresh, and lets go the callers that
+// wait for that (getMux).
+func (mc *muxConn) release() {
+	if mc.holders.Add(-1) == 0 {
+		mc.ch.removeMux(mc)
+		close(mc.drained)
 	}
 }
 
@@ -883,8 +972,8 @@ func (mc *muxConn) admit(c *CallRecord) error {
 		// once and the queue is never touched.
 		select {
 		case mc.slots <- struct{}{}:
-			mc.admitMu.Unlock()
 			mc.start(c)
+			mc.admitMu.Unlock()
 			return nil
 		default:
 		}
@@ -914,15 +1003,17 @@ func (mc *muxConn) pump() {
 		c := mc.admitQ[0]
 		mc.admitQ[0] = nil
 		mc.admitQ = mc.admitQ[1:]
-		mc.admitMu.Unlock()
 		mc.start(c)
+		mc.admitMu.Unlock()
 	}
 }
 
 // start registers one admitted call (its slot is already held) and hands its
 // frame to the writer. A completion-driven call's context gets a hook that
 // cancels the call when it ends; a blocking caller watches its own. Nothing
-// here reads c once register took it: it may already be complete.
+// here reads c once register took it: it may already be complete. It runs
+// under admitMu, which fail takes before it closes the in-flight table, so
+// a call admitted before the lane failed is registered and fail tells it.
 func (mc *muxConn) start(c *CallRecord) {
 	if err := c.cancelErr(); err != nil {
 		c.refuse(err)
@@ -987,20 +1078,23 @@ func (ch *Channel) submit(netaddr string, c *CallRecord) (fresh bool, err error)
 		if berr != nil {
 			return false, c.callErr(berr)
 		}
-		c.bs = bs
+		c.set(recBreaker)
 		if trial {
 			c.set(recTrial)
 		}
 	}
-	mc, fresh, err := ch.getMux(netaddr, ch.laneForURI(c.ref.uri))
+	mc, fresh, err := ch.getMux(netaddr, ch.laneForURI(c.ref.uri), c.has(recWatched))
+	if t, ok := c.to.(Turn); ok && err == nil && !t.InTurn() {
+		err = errOutOfTurn
+	}
 	if err == nil {
 		if c.of, err = mc.encodeRequest(c); err == nil {
 			c.mc = mc
 			err = mc.admit(c)
 		}
 	}
-	if err != nil && c.bs != nil {
-		c.bs.settle(c.ctx, netaddr, c.has(recTrial), err)
+	if err != nil && c.has(recBreaker) {
+		ch.breakers().settle(c.ctx, netaddr, c.has(recTrial), err)
 	}
 	return fresh, err
 }

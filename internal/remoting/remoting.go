@@ -27,7 +27,10 @@ package remoting
 
 import (
 	"fmt"
+	"maps"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/errs"
@@ -36,8 +39,8 @@ import (
 // callRequest is the request envelope as a frame carries it and the server
 // reads it; one per remote method invocation. It travels as the call frame
 // of envelope.go, URI, Call and Method only in a declaring frame. A client
-// keeps a request, which is the same without the URI: its call record names
-// the ObjRef, which has it.
+// keeps a request, which is what the call's context and ObjRef do not
+// already hold.
 type callRequest struct {
 	URI string
 	// Call is the method of the published object the request invokes.
@@ -59,23 +62,51 @@ type callRequest struct {
 	TokSeq    uint64
 }
 
-// request is a callRequest as the client's record of the call holds it.
+// request is a callRequest as the client's record of the call holds it:
+// what its caller named, and the sequence number. Call points at the one
+// copy of the call's name (internCall). The URI is the record's ObjRef's,
+// and the deadline and token are its context's, read when the frame is
+// encoded (CallRecord.envelope).
 type request struct {
-	Call, Method      string
-	Seq               uint64
-	Deadline          int64
-	Args              []any
-	TokClient, TokSeq uint64
-}
-
-// envelope is r as a frame to uri carries it.
-func (r *request) envelope(uri string) callRequest {
-	return callRequest{URI: uri, Call: r.Call, Method: r.Method, Seq: r.Seq, Deadline: r.Deadline,
-		Args: r.Args, TokClient: r.TokClient, TokSeq: r.TokSeq}
+	Call   *string
+	Method string
+	Seq    uint64
+	Args   []any
 }
 
 func (r *callRequest) name() string { return callName(r.Call, r.Method) }
-func (r *request) name() string     { return callName(r.Call, r.Method) }
+func (r *request) name() string     { return callName(*r.Call, r.Method) }
+
+// callNames holds one copy of every call name a client record has named
+// (internCall). Copy-on-write, read without a lock; it grows with the
+// program's call names, not with its calls.
+var (
+	callNamesMu sync.Mutex
+	callNames   atomic.Pointer[map[string]*string]
+)
+
+// internCall returns the one copy of call, so that a record keeps a pointer
+// to its call's name rather than a string header.
+func internCall(call string) *string {
+	if names := callNames.Load(); names != nil {
+		if p := (*names)[call]; p != nil {
+			return p
+		}
+	}
+	callNamesMu.Lock()
+	defer callNamesMu.Unlock()
+	next := map[string]*string{}
+	if old := callNames.Load(); old != nil {
+		if p := (*old)[call]; p != nil {
+			return p
+		}
+		maps.Copy(next, *old)
+	}
+	name := strings.Clone(call)
+	next[name] = &name
+	callNames.Store(&next)
+	return &name
+}
 
 // callName is the method a caller asked for, as errors report it: the user's
 // method of a runtime call, call for a plain one.
