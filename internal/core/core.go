@@ -640,9 +640,9 @@ func (rt *Runtime) createLocalIO(class string, spawnActor bool) (string, *ioWrap
 		rt.actorsMu.Lock()
 		rt.actors[uri] = a
 		rt.actorsMu.Unlock()
-		rt.publish(uri, &actorEndpoint{a: a}, nil)
+		rt.server.Marshal(uri, &actorEndpoint{a: a})
 	} else {
-		rt.publish(uri, w, nil)
+		rt.server.Marshal(uri, w)
 	}
 	rt.load.Add(1)
 	rt.dirUpdate(uri, ObjLoc{Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: 1})

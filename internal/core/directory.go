@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/errs"
@@ -66,8 +67,8 @@ func (rt *Runtime) dirDrop(uri string) {
 }
 
 // dirDropForward forgets uri only while it points away from this node —
-// the tombstone-expiry cleanup, which must not discard the entry of an
-// object that has since migrated back here.
+// the cleanup of an idle forward (leaveForward), which must not discard the
+// entry of an object that has since migrated back here.
 func (rt *Runtime) dirDropForward(uri string) {
 	rt.dirMu.Lock()
 	if loc, ok := rt.dir[uri]; ok && loc.Node != rt.cfg.NodeID {
@@ -118,6 +119,10 @@ func (rt *Runtime) resolveRemote(ctx context.Context, uri, excludeAddr string) (
 	return best, ok
 }
 
+// forwardIdle is how long a forward may go without a call before it is
+// unpublished (leaveForward).
+var forwardIdle = 5 * time.Minute
+
 // tombstone is the forwarding endpoint a migration leaves behind at the
 // moved object's URI: every invocation fails with the *errs.MovedError
 // carrying the new location, which proxies consume to re-route and retry
@@ -126,12 +131,35 @@ func (rt *Runtime) resolveRemote(ctx context.Context, uri, excludeAddr string) (
 // call handles cached against the old actor endpoint — their next call
 // re-resolves to the tombstone and observes the forward.
 type tombstone struct {
-	mv errs.MovedError
+	mv   errs.MovedError
+	used atomic.Bool // a call was forwarded since the timer was armed
 }
 
 // Enqueue answers a runtime call with the forward, on the server's read
 // loop. Nothing of the call ran, so a refused batch is replayed whole at
 // the new location.
 func (t *tombstone) Enqueue(context.Context, string, string, []any, remoting.Completer) error {
+	t.used.Store(true)
 	return &t.mv
+}
+
+// leaveForward publishes at uri the tombstone forwarding to mv and arms its
+// timer. Every object the runtime hosts stays published until it is
+// destroyed or moves; a forward is the one thing that ages. When the timer
+// fires it re-arms if the forward was used since it was armed; otherwise it
+// unpublishes the tombstone, only while it is still what uri holds (the
+// object may have migrated back), and drops its directory forward.
+func (rt *Runtime) leaveForward(uri string, mv *errs.MovedError) {
+	t := &tombstone{mv: *mv}
+	idle := forwardIdle
+	var age func()
+	age = func() {
+		if t.used.Swap(false) {
+			time.AfterFunc(idle, age)
+		} else if rt.server.UnregisterIf(uri, t) {
+			rt.dirDropForward(uri)
+		}
+	}
+	rt.server.Marshal(uri, t)
+	time.AfterFunc(idle, age)
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/remoting"
 )
 
-// What the runtime publishes under an object's URI (Runtime.publish) takes
+// What the runtime publishes under an object's URI (Server.Marshal) takes
 // runtime calls, Invoke1(method, args) and InvokeBatch(method, calls), each
 // naming the user's method on the connection's handle, never a call on the
 // user's object. An actor and the tombstone a migration leaves take them as
@@ -34,11 +34,4 @@ func (w *ioWrapper) InvokeNested(ctx context.Context, call, method string, args 
 		return n, nil
 	}
 	return dispatch.InvokeCtx(ctx, w, call, []any{method, args})
-}
-
-// publish puts ep, one of the three above, at uri on this node's server
-// under a fresh lease, replacing whatever was there; onExpire (may be nil)
-// runs if the lease lapses idle.
-func (rt *Runtime) publish(uri string, ep any, onExpire func()) {
-	rt.server.Republish(uri, ep, onExpire)
 }

@@ -147,9 +147,8 @@ func (rt *Runtime) MigrateCtx(ctx context.Context, uri string, toNode int) error
 	// observes either the live actor (and wins below) or the fully
 	// committed tombstone state, never a half-committed mix that would
 	// double-decrement the load or resurrect a destroyed object. The
-	// tombstone's lease garbage-collects idle forwards (hot ones renew on
-	// every hit); when it lapses the forward directory entry goes too,
-	// unless the object has since migrated back here.
+	// tombstone stays while calls use it and goes, with its directory
+	// forward, after forwardIdle with none (leaveForward).
 	rt.actorsMu.Lock()
 	if rt.actors[uri] != a {
 		// A destroy raced the transfer and already unpublished the
@@ -160,7 +159,7 @@ func (rt *Runtime) MigrateCtx(ctx context.Context, uri string, toNode int) error
 		return fmt.Errorf("core: migrate %s: %w", uri, errs.ErrObjectDestroyed)
 	}
 	delete(rt.actors, uri)
-	rt.publish(uri, &tombstone{mv: *mv}, func() { rt.dirDropForward(uri) })
+	rt.leaveForward(uri, mv)
 	rt.load.Add(-1)
 	rt.dirUpdate(uri, ObjLoc{Node: toNode, Addr: addr, Gen: newGen})
 	rt.actorsMu.Unlock()
@@ -232,7 +231,7 @@ func (rt *Runtime) acceptObject(class, uri string, gen uint64, state []byte) (st
 		return rt.Addr(), nil
 	}
 	rt.actors[uri] = a
-	rt.publish(uri, &actorEndpoint{a: a}, nil)
+	rt.server.Marshal(uri, &actorEndpoint{a: a})
 	rt.load.Add(1)
 	rt.dirUpdate(uri, ObjLoc{Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: gen})
 	rt.actorsMu.Unlock()

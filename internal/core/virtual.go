@@ -495,7 +495,7 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 		return ResolveReply{Found: true, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: gen}, nil
 	}
 	rt.actors[uri] = a
-	rt.publish(uri, &actorEndpoint{a: a}, nil)
+	rt.server.Marshal(uri, &actorEndpoint{a: a})
 	rt.load.Add(1)
 	rt.dirUpdate(uri, ObjLoc{Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: newGen})
 	rt.actorsMu.Unlock()
@@ -986,7 +986,7 @@ func (rt *Runtime) demoteStale(uri string, to ObjLoc) {
 		return
 	}
 	delete(rt.actors, uri)
-	rt.publish(uri, &tombstone{mv: *mv}, func() { rt.dirDropForward(uri) })
+	rt.leaveForward(uri, mv)
 	rt.load.Add(-1)
 	rt.dirUpdate(uri, to)
 	rt.actorsMu.Unlock()

@@ -48,11 +48,11 @@ func (g *gateService) Open() string {
 
 func (g *gateService) Ping() string { return "pong" }
 
-func newMuxServer(t *testing.T, opts ...ServerOption) (*Channel, *Server, *countingNetwork) {
+func newMuxServer(t *testing.T) (*Channel, *Server, *countingNetwork) {
 	t.Helper()
 	net := &countingNetwork{Network: transport.NewMemNetwork()}
 	ch := NewMultiplexedChannel(net)
-	srv, err := ch.ListenAndServe("mem://mux", opts...)
+	srv, err := ch.ListenAndServe("mem://mux")
 	if err != nil {
 		t.Fatal(err)
 	}

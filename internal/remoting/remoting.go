@@ -20,9 +20,12 @@
 //     rides one connection, whose writer sends the calls in the order they
 //     were submitted; the order a caller's calls must run in is the SCOOPP
 //     proxy's (internal/core), not this package's;
-//   - lease-based lifetime management standing in for ".Net managed object
-//     lifetime" (paper §3.2: ParC++ destroyed IOs explicitly, ParC# lets
-//     the platform manage it).
+//   - no lifetime service: paper §3.2 says ParC# left an IO's lifetime to
+//     .NET, where ParC++ destroyed IOs explicitly. The runtime here destroys
+//     its objects explicitly, as ParC++ did: a published object stays until
+//     Marshal or Unregister replaces it (or UnregisterIf, keyed by the
+//     object), and the one thing that ages is the forward a migration
+//     leaves, which internal/core times itself.
 package remoting
 
 import (

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/errs"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -45,10 +46,10 @@ func (c *statefulCounter) Incr() int {
 	return c.n
 }
 
-func newTestServer(t *testing.T, opts ...ServerOption) (*Channel, *Server) {
+func newTestServer(t *testing.T) (*Channel, *Server) {
 	t.Helper()
 	ch := NewMultiplexedChannel(transport.NewMemNetwork())
-	srv, err := ch.ListenAndServe("mem://server", opts...)
+	srv, err := ch.ListenAndServe("mem://server")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,26 +286,64 @@ func TestConcurrentInvokes(t *testing.T) {
 	}
 }
 
-func TestMarshalAndLeaseExpiry(t *testing.T) {
-	// Generous windows: the suite runs alongside other packages and a
-	// scheduler stall between renewals must not flake the test.
-	ch, srv := newTestServer(t, WithLeaseTTL(250*time.Millisecond))
+// TestMarshaledObjectStaysWhileIdle: a Marshal'ed object left idle for
+// 600 ms still answers. Nothing but Marshal and Unregister takes a
+// published object away.
+func TestMarshaledObjectStaysWhileIdle(t *testing.T) {
+	ch, srv := newTestServer(t)
 	srv.Marshal("obj", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("obj"))
-	// Calls within the TTL keep renewing.
-	for i := 0; i < 3; i++ {
-		if _, err := ref.Invoke("Noop"); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		time.Sleep(30 * time.Millisecond)
+	if _, err := ref.Invoke("Noop"); err != nil {
+		t.Fatal(err)
 	}
-	// Silence for > TTL expires the lease and unpublishes the object.
 	time.Sleep(600 * time.Millisecond)
-	if srv.Published("obj") {
-		t.Fatal("lease did not expire")
+	if _, err := ref.Invoke("Noop"); err != nil {
+		t.Fatalf("call after 600 ms idle: %v", err)
 	}
-	if _, err := ref.Invoke("Noop"); err == nil {
-		t.Error("call after lease expiry should fail")
+}
+
+// TestCallResolvedBeforeMarshalReachesItsObject: a call that read a URI's
+// registration from the table just before a Marshal replaced it (a
+// migration swapping in its forward) runs on the object it resolved. The
+// runtime's moved actor answers it with the forward.
+func TestCallResolvedBeforeMarshalReachesItsObject(t *testing.T) {
+	_, srv := newTestServer(t)
+	moved, forward := &divideServer{}, &divideServer{}
+	srv.Marshal("obj", moved)
+	srv.mu.Lock()
+	reg := srv.objects["obj"]
+	srv.mu.Unlock()
+	srv.Marshal("obj", forward)
+	if got := reg.resolve(); got != moved {
+		t.Fatalf("the resolved registration reached %p, want the object it held (%p)", got, moved)
+	}
+	srv.mu.Lock()
+	now := srv.objects["obj"].resolve()
+	srv.mu.Unlock()
+	if now != forward {
+		t.Fatalf("a new lookup reached %p, want the replacement (%p)", now, forward)
+	}
+}
+
+// TestUnregisterIfKeepsNewcomer: removing by the published object removes
+// only that object; one that replaced it at the URI stays.
+func TestUnregisterIfKeepsNewcomer(t *testing.T) {
+	ch, srv := newTestServer(t)
+	old, newcomer := &divideServer{}, &divideServer{}
+	srv.Marshal("obj", old)
+	srv.Marshal("obj", newcomer)
+	if srv.UnregisterIf("obj", old) {
+		t.Fatal("UnregisterIf removed a newcomer keyed by the object it replaced")
+	}
+	ref, _ := GetObject(ch, srv.URLFor("obj"))
+	if _, err := ref.Invoke("Noop"); err != nil {
+		t.Fatalf("newcomer after a stale UnregisterIf: %v", err)
+	}
+	if !srv.UnregisterIf("obj", newcomer) {
+		t.Fatal("UnregisterIf did not remove the object published at the URI")
+	}
+	if _, err := ref.Invoke("Noop"); !errors.Is(err, errs.ErrObjectDestroyed) {
+		t.Fatalf("call after UnregisterIf: %v, want ErrObjectDestroyed", err)
 	}
 }
 
@@ -390,29 +429,6 @@ type structService struct{}
 func (structService) Sum(p wirePoint) int { return p.X + p.Y }
 
 func (structService) Mirror(p *wirePoint) *wirePoint { return &wirePoint{X: p.Y, Y: p.X} }
-
-func TestLeaseRenewAndCancel(t *testing.T) {
-	// Wide windows: scheduler stalls while the whole suite runs in
-	// parallel must not eat the TTL between steps.
-	fired := make(chan struct{}, 1)
-	l := newLease(300*time.Millisecond, func() { fired <- struct{}{} })
-	time.Sleep(50 * time.Millisecond)
-	if !l.renew() {
-		t.Fatal("renew on live lease failed")
-	}
-	if l.remaining() < 150*time.Millisecond {
-		t.Errorf("renew did not extend: %v", l.remaining())
-	}
-	l.cancel()
-	if l.renew() {
-		t.Error("renew after cancel succeeded")
-	}
-	select {
-	case <-fired:
-		t.Error("cancelled lease fired onExpire")
-	case <-time.After(500 * time.Millisecond):
-	}
-}
 
 func TestServerCloseStopsAccepting(t *testing.T) {
 	ch, srv := newTestServer(t)

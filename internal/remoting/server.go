@@ -45,39 +45,26 @@ type registration struct {
 	mu        sync.Mutex
 	singleton any
 
-	// instance-mode (Marshal) objects carry a lease.
+	// instance is the object Marshal published; nil for a factory.
 	instance any
-	lease    *lease
 }
 
 // resolve returns the object a call should execute on.
-func (r *registration) resolve() (any, error) {
+func (r *registration) resolve() any {
 	if r.instance != nil {
-		if r.lease != nil && !r.lease.renew() {
-			return nil, fmt.Errorf("object lease expired: %w", errs.ErrObjectDestroyed)
-		}
-		return r.instance, nil
+		return r.instance
 	}
 	switch r.mode {
 	case SingleCall:
-		return r.factory(), nil
+		return r.factory()
 	default:
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		if r.singleton == nil {
 			r.singleton = r.factory()
 		}
-		return r.singleton, nil
+		return r.singleton
 	}
-}
-
-// ServerOption configures ListenAndServe.
-type ServerOption func(*Server)
-
-// WithLeaseTTL sets the initial/renewal time-to-live for objects published
-// with Marshal. Zero keeps the default of 5 minutes (the .NET default).
-func WithLeaseTTL(ttl time.Duration) ServerOption {
-	return func(s *Server) { s.leaseTTL = ttl }
 }
 
 // Server publishes objects on a channel, playing the role of
@@ -85,7 +72,6 @@ func WithLeaseTTL(ttl time.Duration) ServerOption {
 type Server struct {
 	ch       *Channel
 	listener transport.Listener
-	leaseTTL time.Duration
 
 	// deadlineDrops counts requests refused before dispatch because the
 	// deadline they carried had already expired in transit or in queue;
@@ -112,7 +98,7 @@ type Server struct {
 
 // ListenAndServe starts serving on addr (transport syntax, for example
 // "127.0.0.1:0" or "mem://node1") and returns immediately.
-func (ch *Channel) ListenAndServe(addr string, opts ...ServerOption) (*Server, error) {
+func (ch *Channel) ListenAndServe(addr string) (*Server, error) {
 	l, err := ch.net.Listen(addr)
 	if err != nil {
 		return nil, err
@@ -120,12 +106,8 @@ func (ch *Channel) ListenAndServe(addr string, opts ...ServerOption) (*Server, e
 	s := &Server{
 		ch:       ch,
 		listener: l,
-		leaseTTL: 5 * time.Minute,
 		objects:  make(map[string]*registration),
 		conns:    make(map[transport.Conn]*serverConn),
-	}
-	for _, o := range opts {
-		o(s)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -153,70 +135,34 @@ func (s *Server) RegisterWellKnown(uri string, mode WellKnownMode, factory func(
 	s.regGen.Add(1)
 }
 
-// Marshal publishes an explicitly instantiated object under uri with a
-// lease. The lease renews on every call and the object is unpublished when
-// it expires, standing in for .NET's lifetime service. Any lease the
-// previous registration at uri held is cancelled, so replacing a
-// registration (a migrated object returning to a node that still holds
-// its tombstone) cannot leave an orphaned timer that later unpublishes
-// the new object.
+// Marshal publishes an explicitly instantiated object under uri, replacing
+// whatever was there in one step: a call racing the swap reaches either the
+// old object or the new one, never nothing. The object stays published
+// until Marshal or Unregister replaces it; a call that resolved the old
+// registration just before still reaches the old object. Bound call
+// handles cached against the old registration re-resolve on their next
+// call through the bumped registration generation.
 func (s *Server) Marshal(uri string, obj any) {
-	s.publishLeased(uri, obj, nil)
-}
-
-// publishLeased is the shared body of Marshal and Republish: atomically
-// swap in an instance registration under a fresh lease, cancelling the
-// previous registration's lease. The expiry callback unpublishes only its
-// own registration — an expiry racing a same-URI re-registration must not
-// tear down the newcomer — and onExpire (may be nil) runs only when that
-// unpublish actually happened.
-func (s *Server) publishLeased(uri string, obj any, onExpire func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.objects[uri]; ok && prev.lease != nil {
-		prev.lease.cancel()
-	}
-	reg := &registration{instance: obj}
-	reg.lease = newLease(s.leaseTTL, func() {
-		if s.unregisterIf(uri, reg) && onExpire != nil {
-			onExpire()
-		}
-	})
-	s.objects[uri] = reg
+	s.objects[uri] = &registration{instance: obj}
 	s.regGen.Add(1)
 }
 
-// unregisterIf removes uri only while reg is still what is published
-// there, reporting whether it did.
-func (s *Server) unregisterIf(uri string, reg *registration) bool {
+// UnregisterIf removes uri only while obj, published there by Marshal, is
+// still what it holds, and reports whether it did: a caller that outlived
+// its object (the timer of a forward that has since been replaced) cannot
+// remove a newcomer. obj is compared with ==, so it must be comparable, as
+// a pointer is.
+func (s *Server) UnregisterIf(uri string, obj any) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur, ok := s.objects[uri]
-	if !ok || cur != reg {
+	if cur, ok := s.objects[uri]; !ok || cur.instance != obj {
 		return false
-	}
-	if cur.lease != nil {
-		cur.lease.cancel()
 	}
 	delete(s.objects, uri)
 	s.regGen.Add(1)
 	return true
-}
-
-// Republish atomically replaces whatever is published at uri with obj
-// under a fresh lease, cancelling any lease the old registration held.
-// Unlike Unregister-then-Marshal there is no window in which the URI
-// resolves to nothing, which matters when the replacement is a migration
-// tombstone: a call racing the swap must observe either the old object or
-// the forward, never a spurious ErrObjectDestroyed. The lease renews on
-// every call and onExpire (may be nil) runs after an idle lease lapses
-// and the uri is unpublished — migration tombstones use it so hot
-// forwards stay alive while idle ones are garbage-collected instead of
-// accumulating forever. Bound call handles cached against the old
-// registration re-resolve on their next call through the bumped
-// registration generation.
-func (s *Server) Republish(uri string, obj any, onExpire func()) {
-	s.publishLeased(uri, obj, onExpire)
 }
 
 // Unregister removes a published URI, reporting whether this call removed
@@ -225,24 +171,12 @@ func (s *Server) Republish(uri string, obj any, onExpire func()) {
 func (s *Server) Unregister(uri string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	reg, ok := s.objects[uri]
-	if !ok {
+	if _, ok := s.objects[uri]; !ok {
 		return false
-	}
-	if reg.lease != nil {
-		reg.lease.cancel()
 	}
 	delete(s.objects, uri)
 	s.regGen.Add(1)
 	return true
-}
-
-// Published reports whether uri is currently resolvable.
-func (s *Server) Published(uri string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.objects[uri]
-	return ok
 }
 
 // Close stops accepting connections. In-flight calls are allowed to finish.
@@ -253,11 +187,6 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	for _, reg := range s.objects {
-		if reg.lease != nil {
-			reg.lease.cancel()
-		}
-	}
 	conns := make([]transport.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
@@ -695,10 +624,10 @@ func (s *Server) target(c *serverCall) (any, error) {
 	}
 	if reg == nil {
 		// URIs are runtime-generated, so an unknown URI means the object
-		// was destroyed (or its lease expired and unpublished it).
+		// was destroyed.
 		return nil, fmt.Errorf("no object published at %q: %w", req.URI, errs.ErrObjectDestroyed)
 	}
-	return reg.resolve()
+	return reg.resolve(), nil
 }
 
 // resolveBound returns the registration for a bound entry, reusing the

@@ -23,8 +23,8 @@ var (
 	// ErrNodeDown: the hosting node could not be reached (dial or I/O
 	// failure on the remoting channel).
 	ErrNodeDown = errs.ErrNodeDown
-	// ErrObjectDestroyed: the parallel object was destroyed (or its lease
-	// expired) before the call executed.
+	// ErrObjectDestroyed: the parallel object was destroyed before the
+	// call executed.
 	ErrObjectDestroyed = errs.ErrObjectDestroyed
 	// ErrObjectMoved: the parallel object live-migrated to another node.
 	// Proxies re-route and retry transparently, so user code normally
