@@ -59,8 +59,8 @@ func (o *callOrder) admit(a *attempt, ref *remoting.ObjRef) bool {
 	}
 	if a.f != nil {
 		// Hooked before mu is let go: a's turn may come on another
-		// goroutine at once, and next reads stop.
-		a.stop = cancelHook(a.rec.Context(), a.f)
+		// goroutine at once, and next unhooks it.
+		a.rec.Watch(cancelHook(a.rec.Context(), a.f))
 	}
 	if o.tail == nil {
 		o.queue = a
@@ -127,9 +127,7 @@ func (o *callOrder) next() {
 			go a.rerun()
 			return
 		}
-		if a.stop != nil {
-			a.stop() // from here the connection, or a re-run, watches ctx
-		}
+		a.rec.Unwatch() // from here the connection, or a re-run, watches ctx
 		if a.f == nil || !a.f.resolved() {
 			a.start(a.p.endpoint())
 			return

@@ -459,7 +459,7 @@ func (p *Proxy) StartAsync(ctx context.Context, c *AsyncCall, method string, arg
 	c.try.rec.SetCall(ctx, "Invoke1", method, args)
 	switch mode, act := p.state(); mode {
 	case modeAgglomerated:
-		c.fut.complete(p.invokeInCaller(ctx, method, args))
+		c.fut.complete(c.try.settle(p.invokeInCaller(ctx, method, args)))
 	case modeLocalActive:
 		c.submitLocal(act)
 	default:
@@ -478,13 +478,35 @@ type AsyncCall struct {
 	try attempt
 }
 
-// SetSink gives the call, before StartAsync, a typed slot for its result
-// (remoting.ResultSink): a reply whose result is exactly what the sink takes
-// is decoded into it, and the Future then resolves with the sink itself as
-// its value. Every other way the call can finish (a local or agglomerated
-// object, a re-run, a result of another type, an error) resolves the Future
-// with the value as it always has.
-func (c *AsyncCall) SetSink(s remoting.ResultSink) { c.try.rec.SetSink(s) }
+// SetSink gives the call, before StartAsync, a typed slot for its result:
+// the Future resolves with the sink itself as its value, or with an error.
+func (c *AsyncCall) SetSink(s Sink) { c.try.rec.SetSink(s) }
+
+// Sink is the typed slot an asynchronous call's result settles in, once,
+// before its Future resolves. A reply whose result is exactly what the sink
+// takes is decoded into it on the connection (remoting.ResultSink); any
+// other value the call finishes with (from a local or agglomerated object, a
+// re-run, or a reply of another type) is handed to Settle on the completion
+// path, and an error Settle returns is the call's.
+type Sink interface {
+	remoting.ResultSink
+	Settle(v any) error
+}
+
+// settle is the outcome a's future resolves with: a value the call finished
+// with that its sink has not taken yet is settled into the sink, and the
+// future resolves with the sink. A call without a sink, or one that failed,
+// resolves with its outcome as it is.
+func (a *attempt) settle(v any, err error) (any, error) {
+	s, ok := a.rec.Sink().(Sink)
+	if err != nil || !ok || v == any(s) {
+		return v, err
+	}
+	if err := s.Settle(v); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
 // attempt is one completion-driven try at a call against the proxy's current
 // endpoint: the remoting.Completer the connection reports it to, and a call
@@ -492,14 +514,14 @@ func (c *AsyncCall) SetSink(s remoting.ResultSink) { c.try.rec.SetSink(s) }
 // for the one submission start makes, and the call's one record of what it
 // is: its context and the runtime call, user's method and arguments, named
 // when the call begins (SetCall) and read back by every way it can go (a
-// mailbox, the connection, a re-run). f is the caller's future, nil for a
-// post, whose failure goes to AsyncErr; stop detaches f's cancelHook, which a
-// call has while it waits in the queue; issue is the call's place in its
-// proxy's issue order, and next links it into the queue or the re-runs.
+// mailbox, the connection, a re-run), and it holds f's cancelHook while the
+// call waits in a mailbox or in the queue (remoting.CallRecord.Watch). f is
+// the caller's future, nil for a post, whose failure goes to AsyncErr; issue
+// is the call's place in its proxy's issue order, and next links it into the
+// queue or the re-runs.
 type attempt struct {
 	p     *Proxy
 	f     *Future
-	stop  func() bool
 	next  *attempt
 	issue uint64
 	rec   remoting.CallRecord
@@ -513,7 +535,7 @@ type mailboxEntry AsyncCall
 // aborted the task.
 func (e *mailboxEntry) Complete(v any, err error) {
 	a := &e.try
-	a.stop()
+	a.rec.Unwatch()
 	if mv, ok := movedOf(err, a.p.uri); ok {
 		// The object was taken from this node with the call still queued or
 		// held: follow it, in the proxy's call order, ahead of the calls
@@ -522,7 +544,7 @@ func (e *mailboxEntry) Complete(v any, err error) {
 		(*AsyncCall)(e).submitRemote()
 		return
 	}
-	e.fut.complete(v, err)
+	e.fut.complete(a.settle(v, err))
 }
 
 // submitLocal enqueues the call on the hosting actor's mailbox. A task whose
@@ -530,12 +552,12 @@ func (e *mailboxEntry) Complete(v any, err error) {
 func (c *AsyncCall) submitLocal(act *actor) {
 	a, f := &c.try, &c.fut
 	ctx, _, method, args := a.rec.Call()
-	a.stop = cancelHook(ctx, f)
+	a.rec.Watch(cancelHook(ctx, f))
 	err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, fut: f, to: (*mailboxEntry)(c)})
 	if err == nil {
 		return
 	}
-	a.stop()
+	a.rec.Unwatch()
 	if mv, ok := movedOf(err, a.p.uri); ok {
 		// Moved before the task entered the mailbox: nothing ran here, the
 		// call starts again as a remote one.
@@ -560,10 +582,10 @@ func (c *AsyncCall) submitRemote() {
 // cancelHook resolves f with ctx.Err() as soon as ctx ends, for a call that
 // waits its turn in a mailbox or in its proxy's queue: the queue looks at a
 // task only when the turn comes, and the Future must not wait that long.
-// stop detaches the hook.
+// stop detaches the hook; nil for a ctx that never ends.
 func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
 	if ctx.Done() == nil {
-		return func() bool { return false }
+		return nil
 	}
 	return context.AfterFunc(ctx, func() { f.complete(nil, ctx.Err()) })
 }
@@ -610,7 +632,7 @@ func (a *attempt) Complete(v any, err error) {
 func (a *attempt) finish(v any, err error) {
 	p := a.p
 	if a.f != nil {
-		a.f.complete(v, err)
+		a.f.complete(a.settle(v, err))
 	} else if err != nil {
 		p.noteAsyncError(err)
 	}

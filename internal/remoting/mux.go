@@ -73,11 +73,12 @@ type CallRecord struct {
 
 	// ctx bounds the call, as SetCall named it, and carries its deadline and
 	// idempotency token. The call holds an in-flight slot of its lane mc
-	// from admission until whoever delivers its outcome releases it; stop
-	// detaches the context.AfterFunc hook once the outcome is decided.
+	// from admission until whoever delivers its outcome releases it. stop
+	// detaches the one hook on ctx the call has at a time (Watch): the
+	// connection's, which cancels the call, from admission until its outcome
+	// is decided, or its caller's while the call waits to be submitted.
 	mc   *muxConn
 	ctx  context.Context
-	of   outFrame
 	stop func() bool
 
 	// flags holds recCancelled, recBreaker, recTrial, recWatched and recLost.
@@ -153,12 +154,12 @@ func (c *CallRecord) SetCall(ctx context.Context, call, method string, args []an
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.ctx, c.req.Call, c.req.Method, c.req.Args = ctx, internCall(call), method, args
+	c.ctx, c.req.called, c.req.Args = ctx, internCall(call, method), args
 }
 
 // Call returns what SetCall named.
 func (c *CallRecord) Call() (ctx context.Context, call, method string, args []any) {
-	return c.ctx, *c.req.Call, c.req.Method, c.req.Args
+	return c.ctx, c.req.called.call, c.req.called.method, c.req.Args
 }
 
 // envelope is the request as its frame carries it: what SetCall named, to
@@ -166,7 +167,7 @@ func (c *CallRecord) Call() (ctx context.Context, call, method string, args []an
 // context, read at each encoding. A resend or a retry keeps the context, so
 // its frame carries the same.
 func (c *CallRecord) envelope() callRequest {
-	req := callRequest{URI: c.ref.uri, Call: *c.req.Call, Method: c.req.Method, Seq: c.req.Seq, Args: c.req.Args}
+	req := callRequest{URI: c.ref.uri, Call: c.req.called.call, Method: c.req.called.method, Seq: c.req.Seq, Args: c.req.Args}
 	if dl, ok := c.ctx.Deadline(); ok {
 		req.Deadline = dl.UnixNano()
 	}
@@ -178,6 +179,23 @@ func (c *CallRecord) envelope() callRequest {
 
 // Context returns the ctx SetCall named.
 func (c *CallRecord) Context() context.Context { return c.ctx }
+
+// Sink returns the sink SetSink gave the call, nil if none.
+func (c *CallRecord) Sink() ResultSink { return c.sink }
+
+// Watch gives the call stop, the detach of the hook its caller put on the
+// call's context while the call waits to be submitted (in a queue, in a
+// mailbox), and Unwatch runs it. The caller unwatches before it submits the
+// call: from admission on, the connection keeps its own hook in the same
+// place.
+func (c *CallRecord) Watch(stop func() bool) { c.stop = stop }
+
+// Unwatch detaches the call's hook on its context, if it has one.
+func (c *CallRecord) Unwatch() {
+	if c.stop != nil {
+		c.stop()
+	}
+}
 
 // Completer is the caller's end of a call: Complete receives the normalized
 // outcome exactly once, on the completion path (the lane's reader goroutine
@@ -275,9 +293,7 @@ func (w *blockingWait) settle(r *ObjRef) {
 // returns its slot first, admitting queued calls, so a slow continuation
 // cannot idle the pipe.
 func (c *CallRecord) deliver(result any, replyErr, err error) {
-	if c.stop != nil {
-		c.stop()
-	}
+	c.Unwatch()
 	<-c.mc.slots
 	c.mc.pump()
 	c.complete(result, replyErr, err)
@@ -305,9 +321,7 @@ func (c *CallRecord) complete(result any, replyErr, err error) {
 // reader whose decode of its reply failed. No slot bookkeeping post-mortem:
 // done is closed, so nothing waits on slots anymore.
 func (c *CallRecord) abort(err error) {
-	if c.stop != nil {
-		c.stop()
-	}
+	c.Unwatch()
 	c.complete(nil, nil, err)
 }
 
@@ -352,13 +366,14 @@ func (c *CallRecord) callErr(err error) error {
 	return fmt.Errorf("remoting: call %s.%s: %w", c.ref.uri, c.req.name(), err)
 }
 
-// refuse fails a call pump admitted but could not start. Its slot goes back
-// and the queue is pumped again, and the call completes, on a fresh
-// goroutine: pump may be on the submitter's or the reader's stack, and a
-// callback chain that posts follow-up calls must not recurse into it.
-func (c *CallRecord) refuse(err error) {
+// refuse fails a call pump admitted but could not start, of being its frame.
+// Its slot and the frame's encoder go back and the queue is pumped again,
+// and the call completes, on a fresh goroutine: pump may be on the
+// submitter's or the reader's stack, and a callback chain that posts
+// follow-up calls must not recurse into it.
+func (c *CallRecord) refuse(of outFrame, err error) {
 	<-c.mc.slots
-	c.of.release(&c.mc.encs)
+	of.release(&c.mc.encs)
 	go func() {
 		c.mc.pump()
 		c.complete(nil, nil, err)
@@ -425,11 +440,12 @@ type muxConn struct {
 	outQ   []outFrame
 	outSig chan struct{}
 
-	// Admission queue: calls beyond MaxInFlight wait here, in order, until
-	// pump moves them into the in-flight table. Unbounded: the calls are the
-	// queue, and a completion-driven one parks no goroutine on it.
+	// Admission queue: calls beyond MaxInFlight wait here, in order, with
+	// their frames, until pump moves them into the in-flight table.
+	// Unbounded: the calls are the queue, and a completion-driven one parks
+	// no goroutine on it.
 	admitMu     sync.Mutex
-	admitQ      []*CallRecord
+	admitQ      []queuedCall
 	admitClosed bool
 
 	mu      sync.Mutex
@@ -451,6 +467,14 @@ type muxConn struct {
 	// encs keeps the encoders the lane's requests are encoded into
 	// (encodeRequest): the writer gives each back once its bytes are sent.
 	encs keep.Store[wire.Encoder]
+}
+
+// queuedCall is a call waiting in a lane's admission queue, and the frame
+// encodeRequest made for it, which goes out when the call is started (start)
+// and back to the lane otherwise (refuse, fail).
+type queuedCall struct {
+	c  *CallRecord
+	of outFrame
 }
 
 // muxKey identifies one lane to one peer in the channel's peer table.
@@ -517,11 +541,15 @@ func (mc *muxConn) encodeRequest(c *CallRecord) (outFrame, error) {
 	cb := mc.bindFor(&req)
 	declare := !cb.confirmed.Load()
 	_, enc, err := encodeBoundCall(&mc.encs, cb.handle, declare, &req)
+	if err != nil {
+		return outFrame{}, err
+	}
+	countEncoder(encoderDrawn)
 	of := outFrame{enc: enc}
 	if declare && cb.handle != 0 {
 		of.declares = cb
 	}
-	return of, err
+	return of, nil
 }
 
 // outFrame is one queued frame, a request on a lane or a reply on a server
@@ -539,7 +567,27 @@ type outFrame struct {
 // release gives the frame's encoder back to encs, its owner's.
 func (of outFrame) release(encs *keep.Store[wire.Encoder]) {
 	if of.enc != nil {
+		countEncoder(encoderReturned)
 		encs.Put(wire.Encoders, of.enc)
+	}
+}
+
+// encoderAudit is frameAudit for the encoders a frame is written in: when a
+// test installs one, a lane (encodeRequest) and a server connection
+// (respond) count each encoder they draw for a frame, and outFrame.release
+// each one given back; drawn must equal returned once everything is closed.
+// A frame a lane queued after its writer left is collected with the lane,
+// uncounted. Nothing installs or reads it in production.
+var encoderAudit atomic.Pointer[[2]atomic.Int64]
+
+const (
+	encoderDrawn = iota
+	encoderReturned
+)
+
+func countEncoder(event int) {
+	if a := encoderAudit.Load(); a != nil {
+		a[event].Add(1)
 	}
 }
 
@@ -895,7 +943,7 @@ func (mc *muxConn) fail(err error) {
 	close(mc.done)
 	mc.admitMu.Lock()
 	mc.admitClosed = true
-	q := mc.admitQ
+	queued := mc.admitQ
 	mc.admitQ = nil
 	mc.admitMu.Unlock()
 	for i := range mc.inflight {
@@ -912,9 +960,9 @@ func (mc *muxConn) fail(err error) {
 			c.abort(err)
 		}
 	}
-	for _, c := range q {
-		c.of.release(&mc.encs)
-		c.complete(nil, nil, err)
+	for _, q := range queued {
+		q.of.release(&mc.encs)
+		q.c.complete(nil, nil, err)
 	}
 	mc.release()
 }
@@ -953,18 +1001,18 @@ func (mc *muxConn) shutdown() {
 	mc.fail(fmt.Errorf("remoting: %w", errChannelClosed))
 }
 
-// admit queues one exchange, its frame already encoded. It never blocks:
-// the call either enters the in-flight table immediately (a slot was free
-// and the queue empty) or waits in admitQ until pump admits it. An error
-// return means the call was not submitted and c.to will never hear of it,
-// the invariant callers rely on to finish the call some other way. c.to is
-// told on the lane's reader goroutine (or a cancellation/failure path),
-// never on the submitter's stack.
-func (mc *muxConn) admit(c *CallRecord) error {
+// admit queues one exchange with of, its frame. It never blocks: the call
+// either enters the in-flight table immediately (a slot was free and the
+// queue empty) or waits in admitQ until pump admits it. An error return
+// means the call was not submitted and c.to will never hear of it, the
+// invariant callers rely on to finish the call some other way. c.to is told
+// on the lane's reader goroutine (or a cancellation/failure path), never on
+// the submitter's stack.
+func (mc *muxConn) admit(c *CallRecord, of outFrame) error {
 	mc.admitMu.Lock()
 	if mc.admitClosed {
 		mc.admitMu.Unlock()
-		c.of.release(&mc.encs)
+		of.release(&mc.encs)
 		return c.callErr(mc.failureErr())
 	}
 	if len(mc.admitQ) == 0 {
@@ -972,13 +1020,13 @@ func (mc *muxConn) admit(c *CallRecord) error {
 		// once and the queue is never touched.
 		select {
 		case mc.slots <- struct{}{}:
-			mc.start(c)
+			mc.start(c, of)
 			mc.admitMu.Unlock()
 			return nil
 		default:
 		}
 	}
-	mc.admitQ = append(mc.admitQ, c)
+	mc.admitQ = append(mc.admitQ, queuedCall{c, of})
 	mc.admitMu.Unlock()
 	mc.pump()
 	return nil
@@ -1000,34 +1048,33 @@ func (mc *muxConn) pump() {
 			<-mc.slots
 			return
 		}
-		c := mc.admitQ[0]
-		mc.admitQ[0] = nil
+		q := mc.admitQ[0]
+		mc.admitQ[0] = queuedCall{}
 		mc.admitQ = mc.admitQ[1:]
-		mc.start(c)
+		mc.start(q.c, q.of)
 		mc.admitMu.Unlock()
 	}
 }
 
-// start registers one admitted call (its slot is already held) and hands its
-// frame to the writer. A completion-driven call's context gets a hook that
-// cancels the call when it ends; a blocking caller watches its own. Nothing
-// here reads c once register took it: it may already be complete. It runs
-// under admitMu, which fail takes before it closes the in-flight table, so
-// a call admitted before the lane failed is registered and fail tells it.
-func (mc *muxConn) start(c *CallRecord) {
+// start registers one admitted call (its slot is already held) and hands of,
+// its frame, to the writer. A completion-driven call's context gets a hook
+// that cancels the call when it ends; a blocking caller watches its own.
+// Nothing here reads c once register took it: it may already be complete.
+// It runs under admitMu, which fail takes before it closes the in-flight
+// table, so a call admitted before the lane failed is registered and fail
+// tells it.
+func (mc *muxConn) start(c *CallRecord, of outFrame) {
 	if err := c.cancelErr(); err != nil {
-		c.refuse(err)
+		c.refuse(of, err)
 		return
 	}
+	c.stop = nil
 	if c.ctx.Done() != nil && !c.has(recWatched) {
 		c.stop = context.AfterFunc(c.ctx, c.Cancel)
 	}
-	of := c.of
 	if err := mc.register(c); err != nil {
-		if c.stop != nil {
-			c.stop()
-		}
-		c.refuse(err)
+		c.Unwatch()
+		c.refuse(of, err)
 		return
 	}
 	mc.enqueueFrame(of)
@@ -1088,9 +1135,10 @@ func (ch *Channel) submit(netaddr string, c *CallRecord) (fresh bool, err error)
 		err = errOutOfTurn
 	}
 	if err == nil {
-		if c.of, err = mc.encodeRequest(c); err == nil {
+		var of outFrame
+		if of, err = mc.encodeRequest(c); err == nil {
 			c.mc = mc
-			err = mc.admit(c)
+			err = mc.admit(c, of)
 		}
 	}
 	if err != nil && c.has(recBreaker) {

@@ -609,6 +609,94 @@ func TestAsyncAdmissionQueueDrains(t *testing.T) {
 	}
 }
 
+// TestQueuedFramesGiveEncodersBack: calls waiting in a lane's admission
+// queue behind MaxInFlight hold their encoded frames there, and every encoder
+// a frame was drawn in, either end's, goes back: when the lane fails with
+// the calls queued, and when the calls are cancelled while they wait and
+// refused at their turn. The record and frame audits balance too (poisoned).
+func TestQueuedFramesGiveEncodersBack(t *testing.T) {
+	for _, how := range []string{"lane_failed", "cancelled"} {
+		t.Run(how, func(t *testing.T) {
+			poisoned(t)
+			encs := auditEncoders(t)
+			ch, srv, _ := newMuxServer(t)
+			ch.MuxLanes, ch.MaxInFlight = 1, 1
+			h := &heldEcho{gate: make(chan struct{})}
+			srv.RegisterWellKnown("h", Singleton, func() any { return h })
+			ref, _ := GetObject(ch, srv.URLFor("h"))
+			held := make(chan error, 1)
+			if err := ref.InvokeAsyncCb(context.Background(), new(CallRecord), "Echo", []any{0}, CompletionFunc(func(_ any, err error) { held <- err })); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); h.started.Load() < 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the held call never reached the server")
+				}
+			}
+			const queued = 16
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			outcomes := make(chan error, queued)
+			for i := 0; i < queued; i++ {
+				if err := ref.InvokeAsyncCb(ctx, new(CallRecord), "Now", []any{i}, CompletionFunc(func(_ any, err error) { outcomes <- err })); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mc, _, err := ch.getMux(ref.netaddr, ch.laneForURI(ref.uri), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc.admitMu.Lock()
+			waiting := len(mc.admitQ)
+			mc.admitMu.Unlock()
+			if waiting != queued {
+				t.Fatalf("%d calls wait in the admission queue, want %d", waiting, queued)
+			}
+			if d := encs[encoderDrawn].Load() - encs[encoderReturned].Load(); d < queued {
+				t.Fatalf("%d encoders out with %d frames queued", d, queued)
+			}
+			want := errors.New("lane failed by the test")
+			if how == "lane_failed" {
+				mc.fail(want)
+			} else {
+				cancel()
+				want = context.Canceled
+			}
+			close(h.gate)
+			for i := 0; i < queued; i++ {
+				if err := <-outcomes; !errors.Is(err, want) {
+					t.Errorf("queued call = %v, want %v", err, want)
+				}
+			}
+			if err := <-held; (err == nil) != (how == "cancelled") {
+				t.Errorf("held call = %v", err)
+			}
+		})
+	}
+}
+
+// auditEncoders installs a fresh encoder audit for t and, once t's channel
+// and server are closed, checks that every encoder drawn for a frame went
+// back.
+func auditEncoders(t *testing.T) *[2]atomic.Int64 {
+	a := new([2]atomic.Int64)
+	encoderAudit.Store(a)
+	t.Cleanup(func() {
+		defer encoderAudit.Store(nil)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			drawn, returned := a[encoderDrawn].Load(), a[encoderReturned].Load()
+			if drawn == returned {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("encoders drawn %d, returned %d", drawn, returned)
+				return
+			}
+		}
+	})
+	return a
+}
+
 // TestBlockingCallDeadlineWhileQueued: a blocking call that waits for
 // admission behind a full lane gives up when its deadline passes, without
 // waiting for a slot to free; the lane stays up, later calls succeed on its

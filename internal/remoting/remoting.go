@@ -66,49 +66,62 @@ type callRequest struct {
 }
 
 // request is a callRequest as the client's record of the call holds it:
-// what its caller named, and the sequence number. Call points at the one
-// copy of the call's name (internCall). The URI is the record's ObjRef's,
-// and the deadline and token are its context's, read when the frame is
-// encoded (CallRecord.envelope).
+// what its caller named, and the sequence number. called points at the one
+// copy of the call's (call, method) pair (internCall). The URI is the
+// record's ObjRef's, and the deadline and token are its context's, read when
+// the frame is encoded (CallRecord.envelope).
 type request struct {
-	Call   *string
-	Method string
+	called *calledAs
 	Seq    uint64
 	Args   []any
 }
 
-func (r *callRequest) name() string { return callName(r.Call, r.Method) }
-func (r *request) name() string     { return callName(*r.Call, r.Method) }
+// calledAs is a request's call and the user's method it carries (empty for
+// a plain call), as callRequest names them.
+type calledAs struct{ call, method string }
 
-// callNames holds one copy of every call name a client record has named
-// (internCall). Copy-on-write, read without a lock; it grows with the
-// program's call names, not with its calls.
+func (r *callRequest) name() string { return callName(r.Call, r.Method) }
+func (r *request) name() string     { return callName(r.called.call, r.called.method) }
+
+// maxCalledAs bounds calledAsSet: a program names far fewer pairs, and past
+// it a pair is not kept, so a caller that makes up method names cannot grow
+// the set.
+const maxCalledAs = 4096
+
+// calledAsSet holds one copy of every (call, method) pair a client record
+// has named (internCall). Copy-on-write, read without a lock; it grows with
+// the program's methods, not with its calls.
 var (
-	callNamesMu sync.Mutex
-	callNames   atomic.Pointer[map[string]*string]
+	calledAsMu  sync.Mutex
+	calledAsSet atomic.Pointer[map[calledAs]*calledAs]
 )
 
-// internCall returns the one copy of call, so that a record keeps a pointer
-// to its call's name rather than a string header.
-func internCall(call string) *string {
-	if names := callNames.Load(); names != nil {
-		if p := (*names)[call]; p != nil {
+// internCall returns the one copy of the pair (call, method), so that a
+// record keeps one pointer rather than two string headers. A pair beyond
+// maxCalledAs gets a copy of its own.
+func internCall(call, method string) *calledAs {
+	k := calledAs{call, method}
+	if set := calledAsSet.Load(); set != nil {
+		if p := (*set)[k]; p != nil {
 			return p
 		}
 	}
-	callNamesMu.Lock()
-	defer callNamesMu.Unlock()
-	next := map[string]*string{}
-	if old := callNames.Load(); old != nil {
-		if p := (*old)[call]; p != nil {
+	calledAsMu.Lock()
+	defer calledAsMu.Unlock()
+	next := map[calledAs]*calledAs{}
+	if old := calledAsSet.Load(); old != nil {
+		if p := (*old)[k]; p != nil {
 			return p
+		}
+		if len(*old) >= maxCalledAs {
+			return &calledAs{call, method}
 		}
 		maps.Copy(next, *old)
 	}
-	name := strings.Clone(call)
-	next[name] = &name
-	callNames.Store(&next)
-	return &name
+	p := &calledAs{strings.Clone(call), strings.Clone(method)}
+	next[*p] = p
+	calledAsSet.Store(&next)
+	return p
 }
 
 // callName is the method a caller asked for, as errors report it: the user's

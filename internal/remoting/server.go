@@ -525,6 +525,7 @@ func (sc *serverConn) respond(req *callRequest, resp *callResponse) {
 			return
 		}
 	}
+	countEncoder(encoderDrawn)
 	sc.wmu.Lock()
 	sc.pending = append(sc.pending, outFrame{enc: enc})
 	if sc.writing {

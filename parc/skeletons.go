@@ -125,28 +125,45 @@ func Pipeline[R any, T any](ctx context.Context, g *Group[T], method string, ite
 	if err != nil {
 		return allFailed(out, err)
 	}
-	// Only the last stage's future is read, as R: the stages before it are
-	// untyped, and the first stage's calls are one allocation, as a wave's.
-	first := make([]core.AsyncCall, len(items))
+	// Only the last stage's value is read, as R: it settles in the item's
+	// Result, which holds that stage's call as a wave member's does. The
+	// stages before it are untyped, and the first stage's calls are one
+	// allocation, as a wave's.
+	n := g.Size()
+	var first []core.AsyncCall
+	if n > 1 {
+		first = make([]core.AsyncCall, len(items))
+	}
+	last := make([]asyncResult[R], len(items))
 	for k, item := range items {
-		f := g.objs[0].p.StartAsync(ctx, &first[k], method, []any{item})
-		for _, o := range g.objs[1:] {
-			f = thenCall(ctx, f, o.p, method)
+		r := &last[k]
+		r.call.SetSink(&r.slot)
+		call := &r.call // the first stage is the last
+		if n > 1 {
+			call = &first[k]
 		}
-		out[k] = &Result[R]{f: f}
+		r.f = g.objs[0].p.StartAsync(ctx, call, method, []any{item})
+		for i, o := range g.objs[1:] {
+			call = &r.call
+			if i < n-2 { // a stage between the first and the last
+				call = new(core.AsyncCall)
+			}
+			r.f = thenCall(ctx, r.f, o.p, call, method)
+		}
+		out[k] = &r.Result
 	}
 	return out
 }
 
-// thenCall flat-maps a future into the next stage's call: when prev
-// resolves, the stage call is issued from the completion path and the
+// thenCall flat-maps a future into the next stage's call, made in c: when
+// prev resolves, the stage call is issued from the completion path and the
 // returned future adopts its outcome. Cancelling it cancels whichever of
 // the two is pending, so a cancelled item abandons the stage it is in.
-func thenCall(ctx context.Context, prev *Future, p *Proxy, method string) *Future {
+func thenCall(ctx context.Context, prev *Future, p *Proxy, c *core.AsyncCall, method string) *Future {
 	return core.Chain(prev, func(v any, err error) *Future {
 		if err != nil {
 			return core.ResolvedFuture(nil, err)
 		}
-		return p.InvokeAsyncCtx(ctx, method, v)
+		return p.StartAsync(ctx, c, method, []any{v})
 	})
 }

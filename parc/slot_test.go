@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -68,19 +69,18 @@ func slottedOn(t *testing.T, opts ...Option) (remote, local *Object[Slotted]) {
 	return remote, local
 }
 
-// inSlot reports whether r's future resolved with a typed slot as its value:
-// the reply was decoded into a Result, not boxed.
+// inSlot reports whether r's future resolved with r's own typed slot as its
+// value: the outcome settled in the Result before the future resolved.
 func inSlot[R any](r *Result[R]) bool {
 	v, _ := r.f.Get()
-	_, ok := v.(*slot[R])
-	return ok
+	return v == any(&r.slot)
 }
 
-// TestTypedSlotResults: a Result whose reply is exactly an R holds the value
-// itself; one of any other R (a wider number, a pointer to a registered
-// struct, any), a failed call's and a local object's are converted as they
-// always were; and Get, Then, Catch, WhenAll and WhenAny return the same
-// values over either kind.
+// TestTypedSlotResults: a Result holds its value itself, whether the reply
+// was exactly an R and decoded into it, or of any other R (a wider number, a
+// pointer to a registered struct, any) or a local object's, and converted
+// into it; a failed call's is not in the slot; and Get, Then, Catch, WhenAll
+// and WhenAny return the same values over either kind.
 func TestTypedSlotResults(t *testing.T) {
 	remote, local := slottedOn(t)
 	ctx := within(t, 20*time.Second)
@@ -89,7 +89,7 @@ func TestTypedSlotResults(t *testing.T) {
 			remote.Invoke(ctx, m, 1) //nolint:errcheck // Fail fails
 		}
 	}
-	get := func(what string, r any, want any, slot bool) {
+	get := func(what string, r any, want any) {
 		t.Helper()
 		rv := reflect.ValueOf(r)
 		for i := 0; i < 2; i++ { // Get is idempotent
@@ -115,20 +115,20 @@ func TestTypedSlotResults(t *testing.T) {
 		case *Result[any]:
 			took = inSlot(r)
 		}
-		if took != slot {
-			t.Errorf("%s: decoded into the typed slot = %v, want %v", what, took, slot)
+		if !took {
+			t.Errorf("%s: the value is not in the Result's typed slot", what)
 		}
 	}
-	get("[]byte", CallAsync[[]byte](ctx, remote, "Bytes", 3), []byte{3, 3, 3}, true)
-	get("[]byte above BorrowMin", CallAsync[[]byte](ctx, remote, "Bytes", 2000), bytes.Repeat([]byte{2000 % 256}, 2000), true)
-	get("[]int32", CallAsync[[]int32](ctx, remote, "Ints", 4), []int32{4, -4}, true)
-	get("string", CallAsync[string](ctx, remote, "Name", 5), "name-5", true)
-	get("int", CallAsync[int](ctx, remote, "Num", 6), 6, true)
-	get("int as int64", CallAsync[int64](ctx, remote, "Num", 7), int64(7), false)
-	get("pointer", CallAsync[*Spot](ctx, remote, "Spot", 8), &Spot{X: 8, Y: -8}, false)
-	get("int as any", CallAsync[any](ctx, remote, "Num", 9), any(9), false)
-	get("local []byte", CallAsync[[]byte](ctx, local, "Bytes", 3), []byte{3, 3, 3}, false)
-	get("local int", CallAsync[int](ctx, local, "Num", 6), 6, false)
+	get("[]byte", CallAsync[[]byte](ctx, remote, "Bytes", 3), []byte{3, 3, 3})
+	get("[]byte above BorrowMin", CallAsync[[]byte](ctx, remote, "Bytes", 2000), bytes.Repeat([]byte{2000 % 256}, 2000))
+	get("[]int32", CallAsync[[]int32](ctx, remote, "Ints", 4), []int32{4, -4})
+	get("string", CallAsync[string](ctx, remote, "Name", 5), "name-5")
+	get("int", CallAsync[int](ctx, remote, "Num", 6), 6)
+	get("int as int64", CallAsync[int64](ctx, remote, "Num", 7), int64(7))
+	get("pointer", CallAsync[*Spot](ctx, remote, "Spot", 8), &Spot{X: 8, Y: -8})
+	get("int as any", CallAsync[any](ctx, remote, "Num", 9), any(9))
+	get("local []byte", CallAsync[[]byte](ctx, local, "Bytes", 3), []byte{3, 3, 3})
+	get("local int", CallAsync[int](ctx, local, "Num", 6), 6)
 
 	failed := CallAsync[int](ctx, remote, "Fail", 10)
 	if v, err := failed.Get(ctx); err == nil || v != 0 || inSlot(failed) {
@@ -176,6 +176,84 @@ func TestTypedSlotResults(t *testing.T) {
 			t.Errorf("%s WhenAll with a failed member succeeded", where)
 		}
 	}
+}
+
+// TestResultSettlesOnce: the outcome of a Result whose value As converts (an
+// []int32 read as []int64, by CallAsync and by a one-stage Pipeline) or
+// refuses (a string read as []int64), from an object on another node and
+// from one on the caller's, settles once. Get
+// again, Get from eight goroutines at once, and Gather over the same
+// Results return the identical slice, its data where the first Get found
+// it, or the identical error value.
+func TestResultSettlesOnce(t *testing.T) {
+	remote, local := slottedOn(t)
+	ctx := within(t, 20*time.Second)
+	for _, obj := range []*Object[Slotted]{remote, local} {
+		where := map[bool]string{true: "local", false: "remote"}[obj == local]
+		converted := []*Result[[]int64]{CallAsync[[]int64](ctx, obj, "Ints", 3), CallAsync[[]int64](ctx, obj, "Ints", 4),
+			Pipeline[[]int64](ctx, GroupOf(obj), "Ints", []any{5})[0]}
+		refused := []*Result[[]int64]{CallAsync[[]int64](ctx, obj, "Name", 5), CallAsync[[]int64](ctx, obj, "Name", 6)}
+		firsts := make([][]int64, len(converted))
+		for i, r := range converted {
+			first, err := r.Get(ctx)
+			if n := int64(i + 3); err != nil || !reflect.DeepEqual(first, []int64{n, -n}) {
+				t.Fatalf("%s Ints(%d) as []int64 = %v, %v", where, n, first, err)
+			}
+			firsts[i] = first
+			everyGet(t, r, func(what string, v []int64, err error) {
+				if err != nil || len(v) != len(first) || &v[0] != &first[0] {
+					t.Errorf("%s %s of member %d = %v (data %p), %v; want the first Get's %v (data %p)", where, what, i, v, v, err, first, first)
+				}
+			})
+		}
+		vals, err := Gather(ctx, converted)
+		if err != nil || len(vals) != len(converted) {
+			t.Fatalf("%s Gather = %v, %v", where, vals, err)
+		}
+		for i, v := range vals {
+			if len(v) != len(firsts[i]) || &v[0] != &firsts[i][0] {
+				t.Errorf("%s Gather member %d = %v (data %p), want Get's (data %p)", where, i, v, v, firsts[i])
+			}
+		}
+		firstErrs := make([]error, len(refused))
+		for i, r := range refused {
+			v, first := r.Get(ctx)
+			if !errors.Is(first, ErrBadConversion) || v != nil {
+				t.Fatalf("%s Name as []int64 = %v, %v, want ErrBadConversion", where, v, first)
+			}
+			firstErrs[i] = first
+			everyGet(t, r, func(what string, v []int64, err error) {
+				if err != first || v != nil {
+					t.Errorf("%s %s of refused member %d = %v, %v (%p); want the first Get's error (%p)", where, what, i, v, err, err, first)
+				}
+			})
+		}
+		_, err = Gather(ctx, refused)
+		for i, first := range firstErrs {
+			if !errors.Is(err, first) {
+				t.Errorf("%s Gather's error %v does not hold member %d's error value (%p)", where, err, i, first)
+			}
+		}
+	}
+}
+
+// everyGet calls check with r's outcome as a second Get returns it, and as
+// eight Gets at once do.
+func everyGet[R any](t *testing.T, r *Result[R], check func(what string, v R, err error)) {
+	t.Helper()
+	ctx := context.Background()
+	v, err := r.Get(ctx)
+	check("a second Get", v, err)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := r.Get(ctx)
+			check("a concurrent Get", v, err)
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCancelAgainstReplyTypedSlot: a thousand calls, each cancelled while

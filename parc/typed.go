@@ -150,7 +150,8 @@ func Call[R any, T any](ctx context.Context, o *Object[T], method string, args .
 
 // slot is where a reply whose result is exactly an R is decoded: in a
 // Result for an asynchronous call, borrowed from slotStore for a blocking
-// one. It is the remoting.ResultSink both give the runtime.
+// one. It is the remoting.ResultSink both give the runtime, and an
+// asynchronous call's core.Sink.
 type slot[R any] struct{ val R }
 
 // DecodeResult implements remoting.ResultSink, on the connection's reader
@@ -158,6 +159,14 @@ type slot[R any] struct{ val R }
 // has finished with the slot as its value (resultOf), so a reply that loses
 // to a Cancel or a ctx lands in memory nobody looks at.
 func (s *slot[R]) DecodeResult(d *wire.Decoder) bool { return d.ValueInto(&s.val) }
+
+// Settle implements core.Sink: any other value an asynchronous call finishes
+// with is converted (As) into the slot, once, on the completion path and
+// before the call's Future resolves. A value As refuses fails the call.
+func (s *slot[R]) Settle(v any) (err error) {
+	s.val, err = As[R](v, nil)
+	return err
+}
 
 // slots is the store of R's slots for blocking calls, with their kind: a
 // slot goes back emptied.
@@ -196,8 +205,8 @@ func CallAsync[R any, T any](ctx context.Context, o *Object[T], method string, a
 
 // asyncResult is what an asynchronous call allocates: the Result handed back
 // and, in the same object, everything the runtime keeps for the call. A wave
-// allocates its members' as one slice. The Result's slot is the call's: a
-// reply whose result is exactly an R is decoded straight into it.
+// allocates its members' as one slice. The Result's slot is the call's sink:
+// its outcome settles there before its Future resolves.
 type asyncResult[R any] struct {
 	Result[R]
 	call core.AsyncCall
@@ -211,42 +220,44 @@ func (c *asyncResult[R]) start(ctx context.Context, p *Proxy, method string, arg
 }
 
 // resultOf is the one place a call's outcome becomes an R, blocking or
-// asynchronous: read out of the typed slot when the call's reply was decoded
-// into one, converted (As) from whatever value the call finished with
-// otherwise.
+// asynchronous: read out of the typed slot when the call finished with one
+// as its value, taken as it is when it is an R already (the value of a
+// derived Result), converted (As) otherwise.
 func resultOf[R any](v any, err error) (R, error) {
-	if s, ok := v.(*slot[R]); ok && err == nil {
-		return s.val, nil
+	if err == nil {
+		switch v := v.(type) {
+		case *slot[R]:
+			return v.val, nil
+		case R:
+			return v, nil
+		}
 	}
 	return As[R](v, err)
 }
 
-// Result is the typed future returned by CallAsync. When the reply's type is
-// R exactly (a []byte, a numeric, string or bool slice, a string or a
-// scalar, over a connection), the value is decoded into the Result itself
-// and lives there; anything else is converted to R when it is first read.
-// The Results of one Scatter share their wave's storage: holding one of them
-// keeps the whole wave alive, every member's record and value. Copy the
-// value out of a Result that is kept for long.
+// Result is the typed future returned by CallAsync. Its outcome settles in
+// the Result once, before its future resolves: a reply whose type is R
+// exactly (a []byte, a numeric, string or bool slice, a string or a scalar,
+// over a connection) is decoded into it, and any other value is converted
+// to R there, on the completion path. So every Get, and Gather, reads the
+// identical value, or the identical error. The Results of one Scatter share
+// their wave's storage: holding one of them keeps the whole wave alive,
+// every member's record and value. Copy the value out of a Result that is
+// kept for long.
 type Result[R any] struct {
 	f *Future
 
-	// once memoizes the converted outcome: repeated Get calls return the
-	// same (value, error) pair, including after an error — the underlying
-	// future resolves exactly once, and so does its typed view. slot is
-	// written by whoever decides the outcome is a value (the reply's decode,
-	// or the memo) and never on an error, when a late reply may still be
-	// landing in it.
-	once sync.Once
+	// slot is written by whoever settles the outcome as a value (the reply's
+	// decode, or the slot's Settle) before f resolves with it, and is read
+	// only once f has; after an error a late reply may still be landing in
+	// it.
 	slot slot[R]
-	rerr error
 }
 
-// Get blocks until the call completes (or ctx ends) and converts the
-// result to R. Repeated calls are idempotent: every Get after the first
-// returns the identical value and error. A Get abandoned because ctx
-// ended returns ctx.Err() without latching anything — the call keeps
-// running and a later Get still observes its outcome.
+// Get blocks until the call completes (or ctx ends) and returns its value as
+// R. Repeated calls are idempotent: every Get returns the identical value
+// and error. A Get abandoned because ctx ended returns ctx.Err() — the call
+// keeps running and a later Get still observes its outcome.
 func (r *Result[R]) Get(ctx context.Context) (R, error) {
 	var zero R
 	if ctx == nil {
@@ -265,21 +276,7 @@ func (r *Result[R]) Get(ctx context.Context) (R, error) {
 			}
 		}
 	}
-	r.once.Do(func() {
-		v, err := r.f.Get() // completed; returns immediately
-		if v == any(&r.slot) {
-			return // this call's own reply: the slot has held it since before f resolved
-		}
-		if v, err := resultOf[R](v, err); err != nil {
-			r.rerr = err
-		} else {
-			r.slot.val = v
-		}
-	})
-	if r.rerr != nil {
-		return zero, r.rerr
-	}
-	return r.slot.val, nil
+	return resultOf[R](r.f.Get())
 }
 
 // Done returns a channel closed when the call completes.
