@@ -2,9 +2,7 @@
 // it scans a file for types annotated with //parc:parallel and generates
 // the proxy-object code the C# preprocessor produced (PO types, factories
 // and typed async/sync method wrappers), plus typed invoker thunks so
-// server-side dispatch skips reflection. Structs annotated //parc:wire get
-// generated MarshalWire/UnmarshalWire codecs — the zero-reflection binfmt
-// fast path, byte-compatible with the reflective encoder.
+// server-side dispatch skips reflection.
 //
 // Usage:
 //

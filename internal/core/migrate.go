@@ -28,8 +28,7 @@ const migrateTimeout = 10 * time.Second
 //  1. the actor mailbox is paused — new calls are held beside the queue,
 //     without blocking their callers, while the queued calls drain;
 //  2. the implementation object's state is snapshotted through the wire
-//     codecs (the generated //parc:wire codec when the class has one, the
-//     reflective encoder otherwise — either way, exported fields travel);
+//     codec, which walks the object by reflection (exported fields travel);
 //  3. the target node's object manager re-creates the object under the
 //     same URI at a bumped generation;
 //  4. a forwarding tombstone replaces the actor endpoint (atomically, so a

@@ -175,7 +175,7 @@ func TestProductionLayers(t *testing.T) {
 
 // TestWireSpeaksOneFormat holds internal/wire to the runtime's one format:
 // the paper's other codecs, and the interface that lines them up, live in
-// internal/paper/wirecodecs, and the encoder's modes carry no dialect.
+// internal/paper/wirecodecs, and the decoder's modes carry no dialect.
 func TestWireSpeaksOneFormat(t *testing.T) {
 	dir := filepath.Join(repoRoot(t), "internal", "wire")
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -225,8 +225,7 @@ func TestWireSpeaksOneFormat(t *testing.T) {
 	}
 }
 
-// checkBinOpts fails unless binOpts has exactly the fields generated and
-// borrow.
+// checkBinOpts fails unless binOpts has exactly the field borrow.
 func checkBinOpts(t *testing.T, file string, spec *ast.TypeSpec) {
 	t.Helper()
 	st, ok := spec.Type.(*ast.StructType)
@@ -240,7 +239,7 @@ func checkBinOpts(t *testing.T, file string, spec *ast.TypeSpec) {
 			fields = append(fields, name.Name)
 		}
 	}
-	if strings.Join(fields, ",") != "generated,borrow" {
-		t.Errorf("%s: binOpts has fields %v, want [generated borrow]: a dialect switch belongs in the codec that needs it", file, fields)
+	if strings.Join(fields, ",") != "borrow" {
+		t.Errorf("%s: binOpts has fields %v, want [borrow]: a dialect switch belongs in the codec that needs it", file, fields)
 	}
 }

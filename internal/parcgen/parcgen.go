@@ -27,16 +27,10 @@
 // caller's context there (injected on the hosting node, carrying the
 // caller's deadline); it is not part of the wire arguments.
 //
-// Two further artefacts make the runtime's hot paths reflection-free:
-//
-//   - every generated class also gets typed invoker thunks, registered via
-//     parc.RegisterInvokers, so server-side dispatch binds arguments with
-//     type assertions and calls the method directly instead of through
-//     reflect.Value.Call;
-//   - plain message structs annotated //parc:wire get generated
-//     MarshalWire/UnmarshalWire codec methods (byte-compatible with the
-//     reflective binfmt encoder) plus their wire-registry registration,
-//     removing reflection from serialisation of those types.
+// Every generated class also gets typed invoker thunks, registered via
+// parc.RegisterInvokers, so server-side dispatch binds arguments with type
+// assertions and calls the method directly instead of through
+// reflect.Value.Call.
 package parcgen
 
 import (
@@ -54,12 +48,6 @@ import (
 
 // Directive is the comment that marks a parallel-object class.
 const Directive = "parc:parallel"
-
-// WireDirective is the comment that marks a plain message struct for
-// generated-codec emission: the generator writes MarshalWire/UnmarshalWire
-// methods plus a registration init, giving the type a zero-reflection
-// binfmt fast path (byte-compatible with the reflective encoder).
-const WireDirective = "parc:wire"
 
 // Class describes one annotated type and its wire-callable methods.
 type Class struct {
@@ -82,27 +70,10 @@ type Param struct {
 	Type string
 }
 
-// WireField is one exported field of a //parc:wire struct.
-type WireField struct {
-	Name string
-	Type string
-}
-
-// WireStruct is one //parc:wire message type: a plain struct whose exported
-// fields get a generated codec.
-type WireStruct struct {
-	Name string
-	// Fields are the exported fields in wire (alphabetical) order,
-	// matching the reflective encoder's deterministic field ordering.
-	Fields []WireField
-}
-
 // File is the analysis result of one source file.
 type File struct {
 	Package string
 	Classes []Class
-	// WireTypes are the //parc:wire structs receiving generated codecs.
-	WireTypes []WireStruct
 	// Imports are the source imports referenced by the generated
 	// signatures (path, optional alias).
 	Imports []ImportSpec
@@ -125,7 +96,6 @@ func Analyze(filename string, src []byte) (*File, error) {
 	out := &File{Package: f.Name.Name}
 
 	marked := map[string]bool{}
-	wireMarked := map[string]*ast.StructType{}
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.TYPE {
@@ -136,22 +106,15 @@ func Analyze(filename string, src []byte) (*File, error) {
 			if !ok {
 				continue
 			}
-			st, isStruct := ts.Type.(*ast.StructType)
 			if hasDirective(Directive, gd.Doc) || hasDirective(Directive, ts.Doc) || hasDirective(Directive, ts.Comment) {
-				if !isStruct {
+				if _, isStruct := ts.Type.(*ast.StructType); !isStruct {
 					return nil, fmt.Errorf("parcgen: %s: directive on non-struct type %s", filename, ts.Name.Name)
 				}
 				marked[ts.Name.Name] = true
 			}
-			if hasDirective(WireDirective, gd.Doc) || hasDirective(WireDirective, ts.Doc) || hasDirective(WireDirective, ts.Comment) {
-				if !isStruct {
-					return nil, fmt.Errorf("parcgen: %s: wire directive on non-struct type %s", filename, ts.Name.Name)
-				}
-				wireMarked[ts.Name.Name] = st
-			}
 		}
 	}
-	if len(marked) == 0 && len(wireMarked) == 0 {
+	if len(marked) == 0 {
 		return out, nil
 	}
 
@@ -195,19 +158,6 @@ func Analyze(filename string, src []byte) (*File, error) {
 		out.Classes = append(out.Classes, Class{Name: n, Methods: methods[n]})
 	}
 
-	wireNames := make([]string, 0, len(wireMarked))
-	for n := range wireMarked {
-		wireNames = append(wireNames, n)
-	}
-	sort.Strings(wireNames)
-	for _, n := range wireNames {
-		ws, err := analyzeWireStruct(fset, n, wireMarked[n], usedPkgs)
-		if err != nil {
-			return nil, fmt.Errorf("parcgen: %s: %w", filename, err)
-		}
-		out.WireTypes = append(out.WireTypes, ws)
-	}
-
 	for _, imp := range f.Imports {
 		path, _ := strconv.Unquote(imp.Path.Value)
 		name := importName(imp)
@@ -233,30 +183,6 @@ func hasDirective(directive string, cg *ast.CommentGroup) bool {
 		}
 	}
 	return false
-}
-
-// analyzeWireStruct extracts the exported fields of a //parc:wire struct in
-// wire (alphabetical) order. Embedded fields are rejected: the reflective
-// encoder treats them as ordinary named fields of the outer struct, which a
-// generated codec cannot reproduce without flattening rules nobody needs
-// for message types.
-func analyzeWireStruct(fset *token.FileSet, name string, st *ast.StructType, usedPkgs map[string]bool) (WireStruct, error) {
-	ws := WireStruct{Name: name}
-	for _, field := range st.Fields.List {
-		if len(field.Names) == 0 {
-			return ws, fmt.Errorf("wire struct %s: embedded fields are not supported", name)
-		}
-		typ := renderExpr(fset, field.Type)
-		for _, fn := range field.Names {
-			if !fn.IsExported() {
-				continue
-			}
-			ws.Fields = append(ws.Fields, WireField{Name: fn.Name, Type: typ})
-			collectPkgs(field.Type, usedPkgs)
-		}
-	}
-	sort.Slice(ws.Fields, func(i, j int) bool { return ws.Fields[i].Name < ws.Fields[j].Name })
-	return ws, nil
 }
 
 func receiverType(expr ast.Expr) string {
@@ -371,30 +297,20 @@ func collectPkgs(e ast.Expr, used map[string]bool) {
 }
 
 // Generate emits the PO source for an analysed file. The class's wire name
-// is "<package>.<Type>", matching what RegisterT registers. //parc:wire
-// structs additionally receive generated MarshalWire/UnmarshalWire codecs
-// (byte-compatible with the reflective binfmt encoder) plus their
-// registration, and every class gets zero-reflection invoker thunks.
+// is "<package>.<Type>", matching what RegisterT registers, and every class
+// gets zero-reflection invoker thunks.
 func Generate(f *File) ([]byte, error) {
-	if len(f.Classes) == 0 && len(f.WireTypes) == 0 {
-		return nil, fmt.Errorf("parcgen: no //%s or //%s types found", Directive, WireDirective)
+	if len(f.Classes) == 0 {
+		return nil, fmt.Errorf("parcgen: no //%s types found", Directive)
 	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "// Code generated by parcgen; DO NOT EDIT.\n")
 	fmt.Fprintf(&b, "// Typed proxy objects for the SCOOPP runtime (paper Figs. 4-6).\n\n")
 	fmt.Fprintf(&b, "package %s\n\n", f.Package)
 	fmt.Fprintf(&b, "import (\n")
-	reserved := map[string]bool{}
-	if len(f.Classes) > 0 {
-		fmt.Fprintf(&b, "\t\"context\"\n\n")
-		fmt.Fprintf(&b, "\t\"repro/parc\"\n")
-		reserved["context"] = true
-		reserved["repro/parc"] = true
-	}
-	if len(f.WireTypes) > 0 {
-		fmt.Fprintf(&b, "\t\"repro/internal/wire\"\n")
-		reserved["repro/internal/wire"] = true
-	}
+	fmt.Fprintf(&b, "\t\"context\"\n\n")
+	fmt.Fprintf(&b, "\t\"repro/parc\"\n")
+	reserved := map[string]bool{"context": true, "repro/parc": true}
 	for _, imp := range f.Imports {
 		if imp.Alias == "" && reserved[imp.Path] {
 			continue // already emitted above; aliased imports stay legal
@@ -441,9 +357,6 @@ func Generate(f *File) ([]byte, error) {
 			genMethod(&b, c.Name, m)
 		}
 		genInvokers(&b, c)
-	}
-	for _, ws := range f.WireTypes {
-		genWireCodec(&b, f.Package, ws)
 	}
 	src, err := format.Source(b.Bytes())
 	if err != nil {
@@ -532,88 +445,6 @@ func genInvokers(b *bytes.Buffer, c Class) {
 		fmt.Fprintf(b, "\t\t},\n")
 	}
 	fmt.Fprintf(b, "\t})\n}\n\n")
-}
-
-// codecMethod maps a rendered field type to the identically named
-// Encoder/Decoder method pair handling it without reflection. Types outside
-// the table fall back to the generic Value path.
-var codecMethod = map[string]string{
-	"bool":          "Bool",
-	"int":           "Int",
-	"int8":          "Int8",
-	"int16":         "Int16",
-	"int32":         "Int32",
-	"int64":         "Int64",
-	"uint":          "Uint",
-	"uint8":         "Uint8",
-	"byte":          "Uint8",
-	"uint16":        "Uint16",
-	"uint32":        "Uint32",
-	"uint64":        "Uint64",
-	"float32":       "Float32",
-	"float64":       "Float64",
-	"string":        "String",
-	"[]byte":        "ByteSlice",
-	"[]int":         "IntSlice",
-	"[]int32":       "Int32Slice",
-	"[]int64":       "Int64Slice",
-	"[]float32":     "Float32Slice",
-	"[]float64":     "Float64Slice",
-	"[]string":      "StringSlice",
-	"[]bool":        "BoolSlice",
-	"[]any":         "AnySlice",
-	"[]interface{}": "AnySlice",
-}
-
-// isAnyType reports a bare interface{}/any field.
-func isAnyType(t string) bool { return t == "any" || t == "interface{}" }
-
-// genWireCodec emits the generated codec of one //parc:wire struct: the
-// MarshalWire/UnmarshalWire pair (writing the identical bytes the
-// reflective binfmt encoder produces, fields in alphabetical order with
-// interned names) and the init that registers it.
-func genWireCodec(b *bytes.Buffer, pkg string, ws WireStruct) {
-	wireName := pkg + "." + ws.Name
-
-	fmt.Fprintf(b, "// MarshalWire implements the generated binfmt codec of %s\n", ws.Name)
-	fmt.Fprintf(b, "// (wire name %q); the bytes match the reflective encoder exactly.\n", wireName)
-	fmt.Fprintf(b, "func (x *%s) MarshalWire(e *wire.Encoder) error {\n", ws.Name)
-	fmt.Fprintf(b, "\te.BeginStruct(%q, %d)\n", wireName, len(ws.Fields))
-	for _, fl := range ws.Fields {
-		fmt.Fprintf(b, "\te.FieldName(%q)\n", fl.Name)
-		if m, ok := codecMethod[fl.Type]; ok {
-			fmt.Fprintf(b, "\te.%s(x.%s)\n", m, fl.Name)
-		} else {
-			fmt.Fprintf(b, "\te.Value(x.%s)\n", fl.Name)
-		}
-	}
-	fmt.Fprintf(b, "\treturn e.Err()\n}\n\n")
-
-	fmt.Fprintf(b, "// UnmarshalWire implements the generated binfmt codec of %s; unknown\n", ws.Name)
-	fmt.Fprintf(b, "// fields from newer peers are skipped, matching the reflective decoder.\n")
-	fmt.Fprintf(b, "func (x *%s) UnmarshalWire(d *wire.Decoder) error {\n", ws.Name)
-	fmt.Fprintf(b, "\tn := d.BeginStruct()\n")
-	fmt.Fprintf(b, "\tfor i := 0; i < n && d.Err() == nil; i++ {\n")
-	fmt.Fprintf(b, "\t\tswitch string(d.FieldNameRaw()) {\n")
-	for _, fl := range ws.Fields {
-		fmt.Fprintf(b, "\t\tcase %q:\n", fl.Name)
-		switch {
-		case codecMethod[fl.Type] != "":
-			fmt.Fprintf(b, "\t\t\tx.%s = d.%s()\n", fl.Name, codecMethod[fl.Type])
-		case isAnyType(fl.Type):
-			fmt.Fprintf(b, "\t\t\tx.%s = d.Value()\n", fl.Name)
-		default:
-			fmt.Fprintf(b, "\t\t\tif v := d.Value(); d.Err() == nil {\n")
-			fmt.Fprintf(b, "\t\t\t\tif err := wire.AssignTo(&x.%s, v); err != nil {\n", fl.Name)
-			fmt.Fprintf(b, "\t\t\t\t\td.Fail(err)\n\t\t\t\t}\n\t\t\t}\n")
-		}
-	}
-	fmt.Fprintf(b, "\t\tdefault:\n\t\t\td.Skip()\n\t\t}\n\t}\n")
-	fmt.Fprintf(b, "\treturn d.Err()\n}\n\n")
-
-	fmt.Fprintf(b, "// init registers the generated codec, enabling the zero-reflection\n")
-	fmt.Fprintf(b, "// fast path for %s on every node that links this package.\n", ws.Name)
-	fmt.Fprintf(b, "func init() {\n\twire.RegisterGeneratedCodec[%s](%q)\n}\n\n", ws.Name, wireName)
 }
 
 // GenerateFile is the single-call convenience used by cmd/parcgen.

@@ -249,103 +249,6 @@ func (s *S) Work(ctx context.Context, n int) int { return n }
 	}
 }
 
-// TestGenerateWireCodec: a //parc:wire struct gets MarshalWire/UnmarshalWire
-// in the generator's canonical shape plus a registration init.
-func TestGenerateWireCodec(t *testing.T) {
-	src := `package p
-
-//parc:wire
-type Msg struct {
-	Seq    uint64
-	Name   string
-	Args   []any
-	Result any
-	Nums   []float64
-	hidden int
-}
-`
-	got := generate(t, src)
-	for _, want := range []string{
-		`"repro/internal/wire"`,
-		"func (x *Msg) MarshalWire(e *wire.Encoder) error {",
-		`e.BeginStruct("p.Msg", 5)`,
-		// Alphabetical field order, matching the reflective encoder.
-		"e.FieldName(\"Args\")\n\te.AnySlice(x.Args)",
-		"e.FieldName(\"Name\")\n\te.String(x.Name)",
-		"e.FieldName(\"Nums\")\n\te.Float64Slice(x.Nums)",
-		"e.FieldName(\"Result\")\n\te.Value(x.Result)",
-		"e.FieldName(\"Seq\")\n\te.Uint64(x.Seq)",
-		"func (x *Msg) UnmarshalWire(d *wire.Decoder) error {",
-		"switch string(d.FieldNameRaw()) {",
-		"x.Seq = d.Uint64()",
-		"x.Result = d.Value()",
-		"d.Skip()",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("generated codec missing %q:\n%s", want, got)
-		}
-	}
-	if !strings.Contains(got, `wire.RegisterGeneratedCodec[Msg]("p.Msg")`) {
-		t.Errorf("codec registration missing:\n%s", got)
-	}
-	if strings.Contains(got, "hidden") {
-		t.Errorf("unexported field leaked into codec:\n%s", got)
-	}
-	// No classes: the PO imports must not be emitted.
-	if strings.Contains(got, `"repro/parc"`) {
-		t.Errorf("wire-only file imports repro/parc:\n%s", got)
-	}
-}
-
-// TestGenerateWireFallbackField: a field type without a dedicated reader
-// round-trips through Value + AssignTo.
-func TestGenerateWireFallbackField(t *testing.T) {
-	src := `package p
-
-//parc:wire
-type M struct {
-	Table map[string]any
-}
-`
-	got := generate(t, src)
-	for _, want := range []string{
-		"e.Value(x.Table)",
-		"if v := d.Value(); d.Err() == nil {",
-		"if err := wire.AssignTo(&x.Table, v); err != nil {",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("fallback field codegen missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestWireDirectiveRejectsEmbedded(t *testing.T) {
-	src := `package p
-
-type Base struct{}
-
-//parc:wire
-type M struct {
-	Base
-	N int
-}
-`
-	if _, err := GenerateFile("x.go", []byte(src)); err == nil {
-		t.Error("embedded field in //parc:wire struct should fail")
-	}
-}
-
-func TestWireDirectiveOnNonStruct(t *testing.T) {
-	src := `package p
-
-//parc:wire
-type NotAStruct int
-`
-	if _, err := GenerateFile("x.go", []byte(src)); err == nil {
-		t.Error("wire directive on non-struct should fail")
-	}
-}
-
 // TestGoldenUpToDate ensures the checked-in generated file for the example
 // package matches what the current generator produces — the same guarantee
 // a go:generate + CI diff gives.

@@ -13,11 +13,8 @@ import (
 // BinaryFormatter used by the remoting TCP channel. Struct type and field
 // names are interned per message: the first occurrence carries the string,
 // later occurrences carry a small back-reference, mirroring the
-// BinaryFormatter's object/string id tables.
-//
-// Struct values whose types registered a parcgen-generated codec (see
-// RegisterGeneratedCodec) are encoded and decoded through it — byte-
-// compatible with the reflective path, but without reflection.
+// BinaryFormatter's object/string id tables. Like the BinaryFormatter, it
+// walks a struct with reflection, field by field.
 type BinFmt struct{}
 
 // Name reports the format's name, "binfmt".
@@ -52,27 +49,22 @@ func (BinFmt) Unmarshal(data []byte) (any, error) {
 	return v, nil
 }
 
-// binOpts holds an encoder's or decoder's modes.
+// binOpts holds a decoder's modes.
 type binOpts struct {
-	// generated enables the registered generated-codec fast path (requires
-	// the pub back-pointer to be set).
-	generated bool
 	// borrow lets the decoder return []byte payloads of BorrowMin bytes or
-	// more as views into the input instead of copies (decode side only).
-	// See Decoder.SetBorrow for the ownership contract.
+	// more as views into the input instead of copies. See Decoder.SetBorrow
+	// for the ownership contract.
 	borrow bool
 }
 
 type binEncoder struct {
-	buf  []byte
-	opts binOpts
+	buf []byte
 	// Interned names: a realistic message uses a handful, so the first
 	// identListMax live in a linearly scanned slice (far cheaper than map
 	// operations on the envelope hot path); only pathological messages
 	// spill into the overflow map.
 	identList []string
 	idents    map[string]int // overflow beyond identListMax, ids offset by identListMax
-	pub       *Encoder       // owning exported Encoder
 }
 
 // identListMax is the slice-probed intern capacity before the overflow map
@@ -267,21 +259,6 @@ func (e *binEncoder) encode(v any) error {
 	case map[string]any:
 		return e.encodeMap(reflect.ValueOf(x))
 	}
-	// Generated-codec fast path: a single map lookup replaces the whole
-	// reflective struct walk for registered types.
-	if e.opts.generated && e.pub != nil {
-		if g := generatedFor(reflect.TypeOf(v)); g != nil {
-			if g.isNil != nil && g.isNil(v) {
-				e.writeByte(tNil)
-				return nil
-			}
-			e.writeByte(g.tag)
-			if err := g.enc(e.pub, v); err != nil {
-				return err
-			}
-			return e.pub.Err()
-		}
-	}
 	return e.encodeReflect(reflect.ValueOf(v))
 }
 
@@ -408,9 +385,8 @@ type binDecoder struct {
 	pos  int
 	opts binOpts
 	// idents holds interned names as zero-copy views into data (valid for
-	// the decode's duration), so reading a name allocates nothing.
+	// the decode's duration).
 	idents [][]byte
-	pub    *Decoder // owning exported Decoder
 	// borrowed records that at least one decoded []byte aliases data
 	// (opts.borrow): the producer of data must not recycle it while the
 	// decoded values live.
@@ -528,45 +504,38 @@ func (d *binDecoder) readString() (string, error) {
 	return s, nil
 }
 
+// readName reads an identifier (type or field name). The names a message
+// interns are kept as views into d.data, valid until the decoder is reset.
 func (d *binDecoder) readName() (string, error) {
-	b, err := d.readNameBytes()
-	return string(b), err
-}
-
-// readNameBytes reads an identifier without allocating: the returned slice
-// views d.data and is valid until the decoder is released. Callers that
-// only compare or switch on the name (the generated codecs) never pay a
-// string copy; callers that keep it convert explicitly.
-func (d *binDecoder) readNameBytes() ([]byte, error) {
 	n, err := d.readUvarint()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if n == 0 {
 		id, err := d.readUvarint()
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		idx := int(id) - 1
 		if idx < 0 || idx >= len(d.idents) {
-			return nil, fmt.Errorf("wire/binfmt: bad name back-reference %d", id)
+			return "", fmt.Errorf("wire/binfmt: bad name back-reference %d", id)
 		}
-		return d.idents[idx], nil
+		return string(d.idents[idx]), nil
 	}
 	// n >= 1 here (literal marker is length+1); bound it in uint64 space
 	// BEFORE any int conversion — a crafted length near 2^63 would wrap
 	// int(n)-1 positive and slip past a signed check into a slice panic.
 	if err := d.checkCount(n-1, 1); err != nil {
-		return nil, err
+		return "", err
 	}
 	length := int(n - 1)
 	if d.pos+length > len(d.data) {
-		return nil, fmt.Errorf("wire/binfmt: truncated name of length %d at offset %d", length, d.pos)
+		return "", fmt.Errorf("wire/binfmt: truncated name of length %d at offset %d", length, d.pos)
 	}
 	b := d.data[d.pos : d.pos+length : d.pos+length]
 	d.pos += length
 	d.idents = append(d.idents, b)
-	return b, nil
+	return string(b), nil
 }
 
 // readStringBytes reads a length-prefixed string as a zero-copy view.
@@ -805,23 +774,14 @@ func (d *binDecoder) decode() (any, error) {
 	return nil, fmt.Errorf("wire/binfmt: unknown tag 0x%02x at offset %d", tag, d.pos-1)
 }
 
-// decodeStructAny decodes a struct body, preferring a registered generated
-// codec and falling back to the reflective decoder. ptr selects whether the
-// caller saw tPtrStruct (*T) or tStruct (T).
+// decodeStructAny decodes a struct body. ptr selects whether the caller saw
+// tPtrStruct (*T) or tStruct (T).
 func (d *binDecoder) decodeStructAny(ptr bool) (any, error) {
-	nameB, err := d.readNameBytes()
+	name, err := d.readName()
 	if err != nil {
 		return nil, err
 	}
-	if d.opts.generated && d.pub != nil {
-		if g := generatedNameBytes(nameB); g != nil {
-			if ptr {
-				return g.decPtr(d.pub)
-			}
-			return g.decVal(d.pub)
-		}
-	}
-	v, err := d.decodeStructFields(string(nameB))
+	v, err := d.decodeStructFields(name)
 	if err != nil {
 		return nil, err
 	}

@@ -129,10 +129,10 @@ func FuzzBorrowIdentity(f *testing.F) {
 	})
 }
 
-// TestDecoderByteSliceBorrow covers the streaming Decoder used by
-// generated codecs: with borrow enabled, ByteSlice hands out a view of the
-// input at or past the threshold and flags it through Borrowed, and
-// Release resets the flag for the next pooled use.
+// TestDecoderByteSliceBorrow covers the streaming Decoder: with borrow
+// enabled, ByteSlice hands out a view of the input at or past the threshold
+// and flags it through Borrowed, and a decoder released in borrow mode comes
+// back from NewDecoder with the flag cleared and borrow mode off.
 func TestDecoderByteSliceBorrow(t *testing.T) {
 	e := NewEncoder()
 	big := bytes.Repeat([]byte{0x5A}, BorrowMin)
@@ -165,17 +165,23 @@ func TestDecoderByteSliceBorrow(t *testing.T) {
 	}
 	d.Release()
 
-	// A released (pooled) decoder must come back with the flag cleared.
-	d2 := NewDecoder([]byte{tNil})
+	// A released (pooled) decoder must come back with the flag cleared and
+	// copying: d was in borrow mode, and NewDecoder most likely hands it out
+	// again here.
+	d2 := NewDecoder(data)
 	if d2.Borrowed() {
 		t.Error("pooled decoder started with Borrowed set")
+	}
+	pooled := d2.ByteSlice() // its payload is data[3:], after the tag and a 2-byte length
+	if d2.Err() != nil || d2.Borrowed() || &pooled[0] == &data[3] {
+		t.Errorf("a decoder released in borrow mode came back borrowing (err %v, reused %v)", d2.Err(), d2 == d)
 	}
 	d2.Release()
 
 	// Without SetBorrow, nothing aliases regardless of size.
 	d3 := NewDecoder(data)
 	gotCopy := d3.ByteSlice()
-	d3.Skip()
+	d3.Value()
 	if d3.Err() != nil {
 		t.Fatal(d3.Err())
 	}

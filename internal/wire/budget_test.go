@@ -6,9 +6,9 @@ import (
 	"repro/internal/racetest"
 )
 
-// callMsg has the shape of the remoting request envelope (URI, method,
-// sequence number, deadline, argument list), the struct every remote call
-// serialises. Its codec below is written in parcgen's output shape.
+// callMsg has the shape of a remote call's request (URI, method, sequence
+// number, deadline, argument list): a struct every field of which the
+// reflective path walks.
 type callMsg struct {
 	URI      string
 	Method   string
@@ -17,54 +17,14 @@ type callMsg struct {
 	Args     []any
 }
 
-// MarshalWire mirrors parcgen output (fields in alphabetical order).
-func (x *callMsg) MarshalWire(e *Encoder) error {
-	e.BeginStruct("wire.callMsg", 5)
-	e.FieldName("Args")
-	e.AnySlice(x.Args)
-	e.FieldName("Deadline")
-	e.Int64(x.Deadline)
-	e.FieldName("Method")
-	e.String(x.Method)
-	e.FieldName("Seq")
-	e.Uint64(x.Seq)
-	e.FieldName("URI")
-	e.String(x.URI)
-	return e.Err()
-}
+func init() { RegisterName("wire.callMsg", callMsg{}) }
 
-// UnmarshalWire mirrors parcgen output.
-func (x *callMsg) UnmarshalWire(d *Decoder) error {
-	n := d.BeginStruct()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		switch string(d.FieldNameRaw()) {
-		case "Args":
-			x.Args = d.AnySlice()
-		case "Deadline":
-			x.Deadline = d.Int64()
-		case "Method":
-			x.Method = d.String()
-		case "Seq":
-			x.Seq = d.Uint64()
-		case "URI":
-			x.URI = d.String()
-		default:
-			d.Skip()
-		}
-	}
-	return d.Err()
-}
-
-func init() {
-	RegisterGeneratedCodec[callMsg]("wire.callMsg")
-}
-
-// TestAllocBudgetCodec holds the generated codec to its allocation budget on
-// a small call envelope (a 64-byte numeric payload and two scalar
-// arguments): encoding through a pooled Encoder allocates nothing, decoding
-// allocates 8 times, and the argument list alone costs its three boxed
-// elements and their payload when the caller lends the backing array
-// (AnySliceInto), which is what the remoting server's call record does.
+// TestAllocBudgetCodec holds the reflective struct path to its allocation
+// budget on a small call request (a 64-byte numeric payload and two scalar
+// arguments): encoding through a pooled Encoder allocates 5 times, decoding
+// 18 times, and the argument list alone costs its three boxed elements and
+// their payload when the caller lends the backing array (AnySliceInto),
+// which is what the remoting server's call record does.
 func TestAllocBudgetCodec(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -84,17 +44,19 @@ func TestAllocBudgetCodec(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Release()
-	}); n != 0 {
-		t.Errorf("generated encode: %.0f allocs, want 0", n)
+	}); n > 5 {
+		t.Errorf("struct encode: %.0f allocs, budget 5", n)
+	} else {
+		t.Logf("struct encode: %.0f allocs", n)
 	}
 	if n := testing.AllocsPerRun(500, func() {
 		if _, err := (BinFmt{}).Unmarshal(data); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 8 {
-		t.Errorf("generated decode: %.0f allocs, budget 8", n)
+	}); n > 18 {
+		t.Errorf("struct decode: %.0f allocs, budget 18", n)
 	} else {
-		t.Logf("generated decode: %.0f allocs", n)
+		t.Logf("struct decode: %.0f allocs", n)
 	}
 	e := NewEncoder()
 	defer e.Release()

@@ -1,19 +1,8 @@
-// Generated-codec support: the zero-reflection fast path of the binfmt
-// codec.
-//
-// The reflective BinFmt encoder walks struct values with package reflect and
-// boxes every field; that cost is paid on every remote call, because the
-// remoting request/response envelopes are structs. parcgen (the paper's
-// preprocessor) therefore emits per-type MarshalWire/UnmarshalWire methods
-// for types annotated //parc:wire, and registers them here. BinFmt consults
-// this registry before falling back to reflection; both paths produce
-// byte-identical wire encodings, so generated and reflective peers
-// interoperate freely (the fuzz tests in this package assert the identity).
-//
-// Encoder and Decoder are the streaming surfaces handed to generated code.
-// Both are pooled: steady-state encodes and decodes reuse their buffers and
-// interning tables, which is what brings the hot call path down to
-// near-zero allocations.
+// The streaming surfaces of the format: Encoder and Decoder, through which
+// the remoting envelopes write and read their raw header fields and their
+// tagged values. Both are pooled: steady-state encodes and decodes reuse
+// their buffers and interning tables, which is what brings the hot call path
+// down to near-zero allocations.
 package wire
 
 import (
@@ -21,141 +10,9 @@ import (
 	"math"
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/keep"
 )
-
-// Marshaler is implemented (on the pointer receiver) by types with a
-// parcgen-generated binfmt codec. MarshalWire writes the struct BODY — the
-// interned type name, the field count and the name/value pairs — exactly as
-// the reflective encoder would; the surrounding tag byte (tStruct or
-// tPtrStruct) is written by the codec fast path.
-type Marshaler interface {
-	MarshalWire(*Encoder) error
-}
-
-// Unmarshaler is the decode half of a generated codec. UnmarshalWire is
-// called after the type name has been consumed (the registry needs it to
-// find the codec) and reads the field count and the name/value pairs.
-type Unmarshaler interface {
-	UnmarshalWire(*Decoder) error
-}
-
-// genEnc is the encode entry for one concrete type (T and *T register
-// separate entries so the fast path needs a single map lookup to know both
-// the codec and the tag byte).
-type genEnc struct {
-	name  string
-	tag   byte
-	isNil func(any) bool // non-nil only for pointer entries
-	enc   func(*Encoder, any) error
-}
-
-// genDec is the decode entry for one wire name.
-type genDec struct {
-	decVal func(*Decoder) (any, error) // returns T
-	decPtr func(*Decoder) (any, error) // returns *T
-}
-
-// genTables is the immutable snapshot swapped atomically on registration,
-// so the hot path reads without locking.
-type genTables struct {
-	byType map[reflect.Type]*genEnc
-	byName map[string]*genDec
-}
-
-var (
-	genMu  sync.Mutex
-	genTab atomic.Pointer[genTables]
-)
-
-func init() {
-	genTab.Store(&genTables{
-		byType: map[reflect.Type]*genEnc{},
-		byName: map[string]*genDec{},
-	})
-}
-
-// generatedFor returns the encode entry for a concrete type.
-func generatedFor(t reflect.Type) *genEnc {
-	return genTab.Load().byType[t]
-}
-
-// generatedNameBytes returns the decode entry for a wire name, without the
-// string allocation (the compiler optimises the map index with an in-place
-// conversion).
-func generatedNameBytes(name []byte) *genDec {
-	return genTab.Load().byName[string(name)]
-}
-
-// RegisterGeneratedCodec registers the parcgen-generated codec of T under
-// name. *T must implement Marshaler and Unmarshaler (parcgen emits both).
-// The struct type is also registered reflectively under the same name, so
-// peers without the generated code still decode it. Registering the same
-// type twice is a no-op; rebinding a name to a different type panics (in
-// RegisterName, matching encoding/gob).
-func RegisterGeneratedCodec[T any](name string) {
-	var zero T
-	if _, ok := any(&zero).(Marshaler); !ok {
-		panic(fmt.Sprintf("wire: RegisterGeneratedCodec(%q): *%T does not implement Marshaler", name, zero))
-	}
-	if _, ok := any(&zero).(Unmarshaler); !ok {
-		panic(fmt.Sprintf("wire: RegisterGeneratedCodec(%q): *%T does not implement Unmarshaler", name, zero))
-	}
-	RegisterName(name, zero)
-
-	valEntry := &genEnc{
-		name: name,
-		tag:  tStruct,
-		enc: func(e *Encoder, v any) error {
-			x := v.(T)
-			return any(&x).(Marshaler).MarshalWire(e)
-		},
-	}
-	ptrEntry := &genEnc{
-		name:  name,
-		tag:   tPtrStruct,
-		isNil: func(v any) bool { p, ok := v.(*T); return ok && p == nil },
-		enc: func(e *Encoder, v any) error {
-			return any(v.(*T)).(Marshaler).MarshalWire(e)
-		},
-	}
-	dec := &genDec{
-		decPtr: func(d *Decoder) (any, error) {
-			x := new(T)
-			if err := any(x).(Unmarshaler).UnmarshalWire(d); err != nil {
-				return nil, err
-			}
-			return x, nil
-		},
-		decVal: func(d *Decoder) (any, error) {
-			x := new(T)
-			if err := any(x).(Unmarshaler).UnmarshalWire(d); err != nil {
-				return nil, err
-			}
-			return *x, nil
-		},
-	}
-
-	genMu.Lock()
-	defer genMu.Unlock()
-	old := genTab.Load()
-	next := &genTables{
-		byType: make(map[reflect.Type]*genEnc, len(old.byType)+2),
-		byName: make(map[string]*genDec, len(old.byName)+1),
-	}
-	for k, v := range old.byType {
-		next.byType[k] = v
-	}
-	for k, v := range old.byName {
-		next.byName[k] = v
-	}
-	next.byType[reflect.TypeOf(zero)] = valEntry
-	next.byType[reflect.TypeOf(&zero)] = ptrEntry
-	next.byName[name] = dec
-	genTab.Store(next)
-}
 
 // ---------------------------------------------------------------- Encoder
 
@@ -169,8 +26,7 @@ const retainCap = 64 << 10
 // the pool, so an owner pins at most this much per encoder.
 const keepMax = 2 << 20
 
-// Encoder is the streaming encode surface of the format. It is
-// handed to generated MarshalWire methods and is also what the remoting
+// Encoder is the streaming encode surface of the format: what the remoting
 // channel encodes request/response envelopes through, an encoder its lane or
 // connection keeps (a keep.Store of Encoders). Errors are sticky: the scalar
 // writers cannot fail, Value records the first failure, and Err reports it.
@@ -184,8 +40,7 @@ type Encoder struct {
 // buffer is above keepMax goes to the pool instead of a store.
 var Encoders = keep.NewKind((*Encoder).reset)
 
-// NewEncoder returns a pooled encoder with the generated-codec fast path
-// enabled. Call Release to return it.
+// NewEncoder returns a pooled encoder. Call Release to return it.
 func NewEncoder() *Encoder { return Encoders.Get() }
 
 // Release resets the encoder and returns it to the pool. The byte slice
@@ -197,8 +52,8 @@ func NewEncoder() *Encoder { return Encoders.Get() }
 func (e *Encoder) Release() { Encoders.Put(e) }
 
 // reset is the rule of Encoders: the buffer trimmed by the retainCap rule,
-// the interning table and the sticky error cleared and the generated-codec
-// fast path on; kept while the buffer is at most keepMax.
+// the interning table and the sticky error cleared; kept while the buffer is
+// at most keepMax.
 func (e *Encoder) reset() bool {
 	if c := cap(e.e.buf); c > retainCap && len(e.e.buf) < c/4 {
 		e.e.buf = nil
@@ -207,18 +62,8 @@ func (e *Encoder) reset() bool {
 	}
 	e.e.internReset()
 	e.err = nil
-	e.e.opts = binOpts{generated: true}
-	e.e.pub = e
 	return cap(e.e.buf) <= keepMax
 }
-
-// SetGenerated toggles the generated-codec fast path (on by default); the
-// tests turn it off to hold the generated codecs to the reflective path,
-// which stays as their reference.
-func (e *Encoder) SetGenerated(on bool) { e.e.opts.generated = on }
-
-// SetGenerated toggles the generated-codec fast path (on by default).
-func (d *Decoder) SetGenerated(on bool) { d.d.opts.generated = on }
 
 // BorrowMin is the smallest []byte payload borrow mode returns as a view
 // into the input instead of a copy. Below it the memcpy is cheaper than
@@ -232,8 +77,7 @@ const BorrowMin = 1 << 10
 // decode during which Borrowed reports true, the input buffer belongs to
 // whoever holds the decoded values, and must not be recycled or rewritten
 // until they are unreachable. Applies to every []byte surface that funnels
-// through the decoder: ByteSlice (generated codecs), Value/Decode and
-// AnySlice (reflective and envelope paths).
+// through the decoder: ByteSlice, ValueInto, Value/Decode and AnySlice.
 func (d *Decoder) SetBorrow(on bool) { d.d.opts.borrow = on }
 
 // Borrowed reports whether any []byte decoded so far aliases the input
@@ -267,16 +111,6 @@ func (e *Encoder) Encode(v any) error {
 	}
 	return e.err
 }
-
-// BeginStruct writes the struct-body header: the interned wire name and the
-// field count. Generated MarshalWire methods call it first.
-func (e *Encoder) BeginStruct(name string, fields int) {
-	e.e.writeName(name)
-	e.e.writeUvarint(uint64(fields))
-}
-
-// FieldName writes one interned field name.
-func (e *Encoder) FieldName(name string) { e.e.writeName(name) }
 
 // Bool writes a tagged bool.
 func (e *Encoder) Bool(v bool) {
@@ -436,8 +270,8 @@ func (e *Encoder) RawUvarint(u uint64) { e.e.writeUvarint(u) }
 // RawVarint appends an unframed signed varint (no tag byte). See RawByte.
 func (e *Encoder) RawVarint(i int64) { e.e.writeVarint(i) }
 
-// Value writes any wire-model value (the generic fallback for field types
-// without a dedicated writer); failures are sticky.
+// Value writes any wire-model value (the generic writer for types without a
+// dedicated one); failures are sticky.
 func (e *Encoder) Value(v any) {
 	if e.err != nil {
 		return
@@ -449,10 +283,9 @@ func (e *Encoder) Value(v any) {
 
 // ---------------------------------------------------------------- Decoder
 
-// Decoder is the streaming decode surface of the format, handed to
-// generated UnmarshalWire methods. Errors are sticky: the typed readers
-// return zero values once an error is recorded, and Err reports the first
-// failure at the end.
+// Decoder is the streaming decode surface of the format. Errors are sticky:
+// the typed readers return zero values once an error is recorded, and Err
+// reports the first failure at the end.
 type Decoder struct {
 	d   binDecoder
 	err error
@@ -460,22 +293,20 @@ type Decoder struct {
 
 var decPool = sync.Pool{New: func() any { return new(Decoder) }}
 
-// NewDecoder returns a pooled decoder over data with the generated-codec
-// fast path enabled. data is not copied; it must stay untouched until
-// Release.
+// NewDecoder returns a pooled decoder over data, borrow mode off. data is
+// not copied; it must stay untouched until Release.
 func NewDecoder(data []byte) *Decoder {
 	d := decPool.Get().(*Decoder)
 	d.d.data = data
 	d.d.pos = 0
-	d.d.opts = binOpts{generated: true}
-	d.d.pub = d
+	d.d.opts = binOpts{}
 	return d
 }
 
 // Reset points the decoder at data and forgets the message before it, for an
 // owner that keeps one decoder and reads message after message with it (a
-// connection's read loop): NewDecoder without the pool. The modes (SetBorrow,
-// SetGenerated) stay as set. The names the message before interned are views
+// connection's read loop): NewDecoder without the pool. Borrow mode
+// (SetBorrow) stays as set. The names the message before interned are views
 // into its frame and go with it, so a decoder kept or pooled holds no frame
 // alive.
 func (d *Decoder) Reset(data []byte) {
@@ -488,16 +319,14 @@ func (d *Decoder) Reset(data []byte) {
 // Release resets the decoder and returns it to the pool.
 func (d *Decoder) Release() {
 	d.Reset(nil)
-	d.d.pub = nil
 	decPool.Put(d)
 }
 
 // Err returns the first error recorded by a reader.
 func (d *Decoder) Err() error { return d.err }
 
-// Fail records err as the sticky error (first one wins). Generated code
-// uses it when a fallback conversion fails.
-func (d *Decoder) Fail(err error) {
+// fail records err as the sticky error (first one wins).
+func (d *Decoder) fail(err error) {
 	if d.err == nil && err != nil {
 		d.err = err
 	}
@@ -519,58 +348,6 @@ func (d *Decoder) Decode() (any, error) {
 	return v, err
 }
 
-// BeginStruct reads the struct-body field count. Generated UnmarshalWire
-// methods call it first (the wire name was already consumed by the codec
-// fast path).
-func (d *Decoder) BeginStruct() int {
-	if d.err != nil {
-		return 0
-	}
-	n, err := d.d.readUvarint()
-	if err != nil {
-		d.Fail(err)
-		return 0
-	}
-	// A field count cannot exceed half the remaining bytes (every field
-	// costs at least a 1-byte name and a 1-byte value) — the same guard the
-	// reflective decoder applies, so both paths accept and reject the same
-	// inputs.
-	if err := d.d.checkCount(n, 2); err != nil {
-		d.Fail(err)
-		return 0
-	}
-	return int(n)
-}
-
-// FieldName reads one interned field name.
-func (d *Decoder) FieldName() string {
-	if d.err != nil {
-		return ""
-	}
-	s, err := d.d.readName()
-	if err != nil {
-		d.Fail(err)
-		return ""
-	}
-	return s
-}
-
-// FieldNameRaw reads one interned field name as a zero-copy view into the
-// input, valid until Release. Generated codecs switch on it with
-// switch string(d.FieldNameRaw()) { ... }, which the compiler compiles
-// without allocating.
-func (d *Decoder) FieldNameRaw() []byte {
-	if d.err != nil {
-		return nil
-	}
-	b, err := d.d.readNameBytes()
-	if err != nil {
-		d.Fail(err)
-		return nil
-	}
-	return b
-}
-
 // RawByte reads one unframed byte, mirroring Encoder.RawByte.
 func (d *Decoder) RawByte() byte {
 	if d.err != nil {
@@ -578,7 +355,7 @@ func (d *Decoder) RawByte() byte {
 	}
 	b, err := d.d.readByte()
 	if err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return 0
 	}
 	return b
@@ -591,7 +368,7 @@ func (d *Decoder) RawUvarint() uint64 {
 	}
 	u, err := d.d.readUvarint()
 	if err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return 0
 	}
 	return u
@@ -604,32 +381,21 @@ func (d *Decoder) RawVarint() int64 {
 	}
 	i, err := d.d.readVarint()
 	if err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return 0
 	}
 	return i
 }
 
-// Skip consumes and discards the next tagged value (unknown fields from a
-// newer peer).
-func (d *Decoder) Skip() {
-	if d.err != nil {
-		return
-	}
-	if _, err := d.d.decode(); err != nil {
-		d.Fail(err)
-	}
-}
-
-// Value reads any tagged value (the generic fallback for field types
-// without a dedicated reader).
+// Value reads any tagged value (the generic reader for types without a
+// dedicated one).
 func (d *Decoder) Value() any {
 	if d.err != nil {
 		return nil
 	}
 	v, err := d.d.decode()
 	if err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return nil
 	}
 	return v
@@ -651,49 +417,49 @@ func (d *Decoder) number() (cls int, i int64, u uint64, f float64, ok bool) {
 	}
 	tag, err := d.d.readByte()
 	if err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return 0, 0, 0, 0, false
 	}
 	switch tag {
 	case tInt8:
 		b, err := d.d.readByte()
 		if err != nil {
-			d.Fail(err)
+			d.fail(err)
 			return 0, 0, 0, 0, false
 		}
 		return numInt, int64(int8(b)), 0, 0, true
 	case tInt16, tInt32, tInt64, tInt:
 		v, err := d.d.readVarint()
 		if err != nil {
-			d.Fail(err)
+			d.fail(err)
 			return 0, 0, 0, 0, false
 		}
 		return numInt, v, 0, 0, true
 	case tUint8:
 		b, err := d.d.readByte()
 		if err != nil {
-			d.Fail(err)
+			d.fail(err)
 			return 0, 0, 0, 0, false
 		}
 		return numUint, 0, uint64(b), 0, true
 	case tUint16, tUint32, tUint64, tUint:
 		v, err := d.d.readUvarint()
 		if err != nil {
-			d.Fail(err)
+			d.fail(err)
 			return 0, 0, 0, 0, false
 		}
 		return numUint, 0, v, 0, true
 	case tFloat32:
 		v, err := d.d.readFixed32()
 		if err != nil {
-			d.Fail(err)
+			d.fail(err)
 			return 0, 0, 0, 0, false
 		}
 		return numFloat, 0, 0, float64(math.Float32frombits(v)), true
 	case tFloat64:
 		v, err := d.d.readFixed64()
 		if err != nil {
-			d.Fail(err)
+			d.fail(err)
 			return 0, 0, 0, 0, false
 		}
 		return numFloat, 0, 0, math.Float64frombits(v), true
@@ -713,19 +479,19 @@ func (d *Decoder) signed(min, max int64) int64 {
 	switch cls {
 	case numUint:
 		if u > math.MaxInt64 {
-			d.Fail(badConversion(fmt.Sprintf("uint value %d", u), "int"))
+			d.fail(badConversion(fmt.Sprintf("uint value %d", u), "int"))
 			return 0
 		}
 		i = int64(u)
 	case numFloat:
 		i = int64(f)
 		if float64(i) != f {
-			d.Fail(badConversion(fmt.Sprintf("float value %v", f), "int"))
+			d.fail(badConversion(fmt.Sprintf("float value %v", f), "int"))
 			return 0
 		}
 	}
 	if i < min || i > max {
-		d.Fail(badConversion(fmt.Sprintf("value %d", i), fmt.Sprintf("[%d,%d]", min, max)))
+		d.fail(badConversion(fmt.Sprintf("value %d", i), fmt.Sprintf("[%d,%d]", min, max)))
 		return 0
 	}
 	return i
@@ -740,19 +506,19 @@ func (d *Decoder) unsigned(max uint64) uint64 {
 	switch cls {
 	case numInt:
 		if i < 0 {
-			d.Fail(badConversion(fmt.Sprintf("negative value %d", i), "uint"))
+			d.fail(badConversion(fmt.Sprintf("negative value %d", i), "uint"))
 			return 0
 		}
 		u = uint64(i)
 	case numFloat:
 		if f < 0 || float64(uint64(f)) != f {
-			d.Fail(badConversion(fmt.Sprintf("float value %v", f), "uint"))
+			d.fail(badConversion(fmt.Sprintf("float value %v", f), "uint"))
 			return 0
 		}
 		u = uint64(f)
 	}
 	if u > max {
-		d.Fail(badConversion(fmt.Sprintf("value %d", u), fmt.Sprintf("[0,%d]", max)))
+		d.fail(badConversion(fmt.Sprintf("value %d", u), fmt.Sprintf("[0,%d]", max)))
 		return 0
 	}
 	return u
@@ -765,7 +531,7 @@ func (d *Decoder) Bool() bool {
 	}
 	tag, err := d.d.readByte()
 	if err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return false
 	}
 	switch tag {
@@ -835,13 +601,13 @@ func (d *Decoder) String() string {
 	}
 	tag, err := d.d.readByte()
 	if err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return ""
 	}
 	if tag == tString {
 		s, err := d.d.readString()
 		if err != nil {
-			d.Fail(err)
+			d.fail(err)
 			return ""
 		}
 		return s
@@ -858,7 +624,7 @@ func (d *Decoder) StringRaw() []byte {
 		d.d.pos++
 		b, err := d.d.readStringBytes()
 		if err != nil {
-			d.Fail(err)
+			d.fail(err)
 			return nil
 		}
 		return b
@@ -866,9 +632,7 @@ func (d *Decoder) StringRaw() []byte {
 	return []byte(d.String())
 }
 
-// ByteSlice reads a []byte, honouring borrow mode (SetBorrow), which is how
-// parcgen-generated codecs, whose []byte fields all decode through here, get
-// zero-copy payloads without regeneration.
+// ByteSlice reads a []byte, honouring borrow mode (SetBorrow).
 func (d *Decoder) ByteSlice() []byte { return sliceOf(d, tBytes, (*binDecoder).readBytesValue) }
 
 // IntSlice reads a []int.
@@ -916,7 +680,7 @@ func sliceOf[T any](d *Decoder, tag byte, read func(*binDecoder) (T, error)) T {
 func readExact[T any](d *Decoder, p *T, read func(*binDecoder) (T, error)) bool {
 	d.d.pos++
 	if v, err := read(&d.d); err != nil {
-		d.Fail(err)
+		d.fail(err)
 	} else {
 		*p = v
 	}
@@ -1027,11 +791,11 @@ func (d *Decoder) AnySliceInto(dst []any) []any {
 	d.d.pos++
 	n, err := d.d.readUvarint()
 	if err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return nil
 	}
 	if err := d.d.checkCount(n, 1); err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return nil
 	}
 	var out []any
@@ -1043,7 +807,7 @@ func (d *Decoder) AnySliceInto(dst []any) []any {
 	for i := range out {
 		v, err := d.d.decode()
 		if err != nil {
-			d.Fail(err)
+			d.fail(err)
 			return nil
 		}
 		out[i] = v
@@ -1081,14 +845,15 @@ func convertDecoded[T any](d *Decoder, v any) T {
 	var zero T
 	av, err := Assign(reflect.TypeFor[T](), v)
 	if err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return zero
 	}
 	return av.Interface().(T)
 }
 
-// AssignTo converts a decoded wire value into *dst using the Assign rules;
-// it is the generic field fallback of generated UnmarshalWire methods.
+// AssignTo converts a decoded wire value into *dst using the Assign rules,
+// for a caller that holds a value Decode returned and the variable it
+// belongs in.
 func AssignTo(dst any, v any) error {
 	rv := reflect.ValueOf(dst)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {

@@ -2,110 +2,12 @@ package wire
 
 import (
 	"bytes"
-	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/keep"
 	"repro/internal/racetest"
 )
-
-// TestGeneratedInternBackrefs: two occurrences of the same generated struct
-// in one message make the second occurrence use name back-references; the
-// generated and reflective encoders must still produce identical bytes.
-func TestGeneratedInternBackrefs(t *testing.T) {
-	gen := BinFmt{}
-	refl := reflective{}
-	msg := []any{
-		&fuzzMsg{S: "first", I: 1},
-		&fuzzMsg{S: "second", I: 2},
-		fuzzMsg{S: "third (by value)", I: 3},
-	}
-	gb, err := gen.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := refl.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb, rb) {
-		t.Fatalf("repeated-struct bytes differ:\n generated: %x\nreflective: %x", gb, rb)
-	}
-	// The second and third occurrences must actually be smaller than the
-	// first (back-references replacing literal names), or interning broke.
-	single, err := gen.Marshal([]any{&fuzzMsg{S: "first", I: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gb) >= 3*len(single) {
-		t.Errorf("no interning win across occurrences: 3 structs = %d B, 1 struct = %d B", len(gb), len(single))
-	}
-	gv, err := gen.Unmarshal(gb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rv, err := refl.Unmarshal(gb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gv, rv) {
-		t.Fatalf("decoded values differ:\n generated: %#v\nreflective: %#v", gv, rv)
-	}
-}
-
-// TestGeneratedInsideReflective: a generated struct nested in a map (which
-// only the reflective encoder walks) still takes the generated fast path
-// for the inner value, byte-compatibly.
-func TestGeneratedInsideReflective(t *testing.T) {
-	gen := BinFmt{}
-	refl := reflective{}
-	msg := map[string]any{
-		"inner": &fuzzMsg{S: "nested", Vs: []any{int(1)}},
-		"plain": int(7),
-	}
-	gb, err := gen.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := refl.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb, rb) {
-		t.Fatalf("nested bytes differ:\n generated: %x\nreflective: %x", gb, rb)
-	}
-	gv, err := gen.Unmarshal(gb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gv, mustUnmarshal(t, refl, gb)) {
-		t.Fatalf("nested decode mismatch: %#v", gv)
-	}
-}
-
-// TestGeneratedNilPointer: a nil *T with a generated codec encodes as nil,
-// exactly like the reflective path.
-func TestGeneratedNilPointer(t *testing.T) {
-	gen := BinFmt{}
-	refl := reflective{}
-	var p *fuzzMsg
-	gb, err := gen.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := refl.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb, rb) {
-		t.Fatalf("nil pointer bytes differ: %x vs %x", gb, rb)
-	}
-	v, err := gen.Unmarshal(gb)
-	if err != nil || v != nil {
-		t.Fatalf("nil pointer decoded to %#v, %v", v, err)
-	}
-}
 
 // TestEncoderReuse: a pooled encoder's buffer and intern table reset fully
 // between messages.
@@ -225,43 +127,32 @@ func TestEncodersKeepBounded(t *testing.T) {
 }
 
 // TestUnknownFieldSkipped: a message carrying a field the receiver dropped
-// decodes cleanly on both paths (schema evolution).
+// decodes cleanly (schema evolution).
 func TestUnknownFieldSkipped(t *testing.T) {
-	// Hand-build a fuzzMsg body with an extra unknown field by writing
-	// through the Encoder surface directly.
+	// Hand-build a fuzzMsg body with an extra unknown field.
 	e := NewEncoder()
 	// tPtrStruct tag then body: name, count=2, one real field, one unknown.
 	e.e.writeByte(tPtrStruct)
-	e.BeginStruct("wire.fuzzMsg", 2)
-	e.FieldName("S")
+	e.e.writeName("wire.fuzzMsg")
+	e.e.writeUvarint(2)
+	e.e.writeName("S")
 	e.String("kept")
-	e.FieldName("Gone")
+	e.e.writeName("Gone")
 	e.Int(99)
 	data := append([]byte(nil), e.Bytes()...)
 	e.Release()
 
-	for _, c := range []codec{BinFmt{}, reflective{}} {
-		v, err := c.Unmarshal(data)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		msg, ok := v.(*fuzzMsg)
-		if !ok {
-			t.Fatalf("decoded %T", v)
-		}
-		if msg.S != "kept" {
-			t.Errorf("known field lost: %#v", msg)
-		}
-	}
-}
-
-func mustUnmarshal(t *testing.T, c codec, data []byte) any {
-	t.Helper()
-	v, err := c.Unmarshal(data)
+	v, err := BinFmt{}.Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	msg, ok := v.(*fuzzMsg)
+	if !ok {
+		t.Fatalf("decoded %T", v)
+	}
+	if msg.S != "kept" {
+		t.Errorf("known field lost: %#v", msg)
+	}
 }
 
 // TestRawFraming: the unframed header surfaces used by the remoting

@@ -9,13 +9,10 @@
 // struct carries its registered name and its field names, interned per
 // message: the first occurrence spells a name out, later ones refer back to
 // it. A struct type must be registered with Register or RegisterName before
-// it can cross the wire; one that registered a parcgen-generated codec
-// (RegisterGeneratedCodec) is encoded and decoded without reflection, byte
-// for byte as the reflective path would.
+// it can cross the wire; it is encoded and decoded by reflection.
 //
-// Encoder and Decoder are the streaming surfaces the generated codecs and the
-// remoting envelopes write and read through; BinFmt wraps them as whole-value
-// Marshal and Unmarshal.
+// Encoder and Decoder are the streaming surfaces the remoting envelopes write
+// and read through; BinFmt wraps them as whole-value Marshal and Unmarshal.
 package wire
 
 import (

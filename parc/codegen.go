@@ -1,9 +1,6 @@
 // Support surface for parcgen-generated code. The typed POs and invoker
 // thunks the preprocessor emits compile against this package, so the
-// dispatch pieces they need are re-exported here; its wire codecs call
-// repro/internal/wire directly (wire.Encoder, wire.Decoder and
-// wire.RegisterGeneratedCodec), so a generated file with codecs builds
-// only inside this module.
+// dispatch pieces they need are re-exported here.
 package parc
 
 import "repro/internal/dispatch"
