@@ -84,7 +84,7 @@ func TestShapedClusterCountsTraffic(t *testing.T) {
 	if _, err := p.Invoke("Ping", 1); err != nil {
 		t.Fatal(err)
 	}
-	if sn.Stats.MsgsSent() == 0 {
+	if sn.Metrics.Counter("msgs_sent").Load() == 0 {
 		t.Error("no traffic counted through shaped network")
 	}
 }

@@ -179,7 +179,7 @@ func (a *actor) run() {
 			// not start in time.
 			res.err = err
 			if errors.Is(err, context.DeadlineExceeded) {
-				a.w.rt.stats.deadlineDrops.Add(1)
+				a.w.rt.deadlineDrops.Add(1)
 			}
 		} else if t.fut != nil && t.fut.resolved() {
 			res.err = context.Canceled

@@ -53,6 +53,7 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/errs"
+	"repro/internal/metrics"
 	"repro/internal/remoting"
 	"repro/internal/wire"
 )
@@ -219,7 +220,8 @@ func (a AdaptiveAgglomeration) Agglomerate(class string, stats ClassStats, local
 type Config struct {
 	// NodeID is this node's index in the cluster.
 	NodeID int
-	// Channel is the remoting channel used for all inter-node traffic.
+	// Channel is the remoting channel for all inter-node traffic. It serves
+	// this runtime alone and holds its counters, so every node makes its own.
 	Channel *remoting.Channel
 	// Placement distributes new parallel objects; default RoundRobin.
 	Placement PlacementPolicy
@@ -262,7 +264,9 @@ type Config struct {
 	DedupPerObject int
 }
 
-// Stats counts runtime events; all fields are cumulative.
+// Stats counts runtime events; all fields are cumulative. It is a view of
+// the counters in the channel's registry, each field loaded on its own: not
+// one atomic snapshot, so fields read while calls run may disagree.
 type Stats struct {
 	ObjectsCreated      int64
 	ObjectsAgglomerated int64
@@ -305,11 +309,6 @@ type Runtime struct {
 	peers   []peer // index = node id; self included
 	objSeq  atomic.Int64
 	load    atomic.Int64 // live parallel objects hosted here
-
-	// exec maps class → *execStats. A sync.Map with atomic counters: the
-	// per-call recordExec sits on every dispatch path, and a shared mutex
-	// there serializes otherwise-independent workers on many cores.
-	exec sync.Map
 
 	loadMu         sync.Mutex
 	loadCond       *sync.Cond
@@ -368,23 +367,11 @@ type Runtime struct {
 	ringCache      *hashRing
 	ringCacheEpoch uint64
 
-	stats struct {
-		objectsCreated      atomic.Int64
-		objectsAgglomerated atomic.Int64
-		objectsLocal        atomic.Int64
-		objectsRemote       atomic.Int64
-		batchesSent         atomic.Int64
-		callsAggregated     atomic.Int64
-		syncCalls           atomic.Int64
-		asyncCalls          atomic.Int64
-		objectsMigratedIn   atomic.Int64
-		objectsMigratedOut  atomic.Int64
-		virtualActivations  atomic.Int64
-		replicaPromotions   atomic.Int64
-		staleDemotions      atomic.Int64
-		mailboxSheds        atomic.Int64
-		deadlineDrops       atomic.Int64
-	}
+	// The counters a call or an overload path bumps, resolved once in
+	// Start from the channel's registry; rarer events count by name
+	// (count), and Stats reads every one by name.
+	syncCalls, asyncCalls, callsAggregated, batchesSent *metrics.Counter
+	mailboxSheds, deadlineDrops                         *metrics.Counter
 
 	// queuedTasks is the aggregate mailbox occupancy across hosted actors
 	// (queued, not executing); lastShed is the UnixNano of the most
@@ -406,11 +393,6 @@ type peer struct {
 	node int
 	addr string
 	om   *remoting.ObjRef
-}
-
-type execStats struct {
-	calls atomic.Int64
-	nanos atomic.Int64
 }
 
 // omURI is the well-known URI of each node's object manager.
@@ -448,6 +430,10 @@ func Start(cfg Config, addr string) (*Runtime, error) {
 		promised:    make(map[string]uint64),
 		stop:        make(chan struct{}),
 	}
+	m := cfg.Channel.Metrics()
+	rt.syncCalls, rt.asyncCalls = m.Counter("sync_calls"), m.Counter("async_calls")
+	rt.callsAggregated, rt.batchesSent = m.Counter("calls_aggregated"), m.Counter("batches_sent")
+	rt.mailboxSheds, rt.deadlineDrops = m.Counter("mailbox_sheds"), m.Counter("deadline_drops")
 	rt.loadCond = sync.NewCond(&rt.loadMu)
 	srv, err := cfg.Channel.ListenAndServe(addr)
 	if err != nil {
@@ -554,27 +540,34 @@ func (rt *Runtime) Close() {
 	rt.cfg.Channel.Close()
 }
 
-// Stats returns a snapshot of runtime counters.
+// Stats reads the runtime's counters, one at a time, from its channel's
+// registry.
 func (rt *Runtime) Stats() Stats {
+	m := rt.cfg.Channel.Metrics()
+	n := func(name string) int64 { return m.Counter(name).Load() }
 	return Stats{
-		ObjectsCreated:      rt.stats.objectsCreated.Load(),
-		ObjectsAgglomerated: rt.stats.objectsAgglomerated.Load(),
-		ObjectsLocal:        rt.stats.objectsLocal.Load(),
-		ObjectsRemote:       rt.stats.objectsRemote.Load(),
-		BatchesSent:         rt.stats.batchesSent.Load(),
-		CallsAggregated:     rt.stats.callsAggregated.Load(),
-		SyncCalls:           rt.stats.syncCalls.Load(),
-		AsyncCalls:          rt.stats.asyncCalls.Load(),
-		ObjectsMigratedIn:   rt.stats.objectsMigratedIn.Load(),
-		ObjectsMigratedOut:  rt.stats.objectsMigratedOut.Load(),
-		VirtualActivations:  rt.stats.virtualActivations.Load(),
-		ReplicaPromotions:   rt.stats.replicaPromotions.Load(),
-		StaleDemotions:      rt.stats.staleDemotions.Load(),
-		MailboxSheds:        rt.stats.mailboxSheds.Load(),
-		DeadlineDrops:       rt.stats.deadlineDrops.Load() + rt.server.DeadlineDrops(),
+		ObjectsCreated:      n("objects_created"),
+		ObjectsAgglomerated: n("objects_agglomerated"),
+		ObjectsLocal:        n("objects_local"),
+		ObjectsRemote:       n("objects_remote"),
+		BatchesSent:         n("batches_sent"),
+		CallsAggregated:     n("calls_aggregated"),
+		SyncCalls:           n("sync_calls"),
+		AsyncCalls:          n("async_calls"),
+		ObjectsMigratedIn:   n("objects_migrated_in"),
+		ObjectsMigratedOut:  n("objects_migrated_out"),
+		VirtualActivations:  n("virtual_activations"),
+		ReplicaPromotions:   n("replica_promotions"),
+		StaleDemotions:      n("stale_demotions"),
+		MailboxSheds:        n("mailbox_sheds"),
+		DeadlineDrops:       n("deadline_drops"),
 		OverloadGrade:       rt.OverloadGrade(),
 	}
 }
+
+// count adds one to the channel's counter name, for events too rare to
+// hold their counter.
+func (rt *Runtime) count(name string) { rt.cfg.Channel.Metrics().Counter(name).Add(1) }
 
 // Load returns the number of live parallel objects hosted on this node.
 func (rt *Runtime) Load() int { return int(rt.load.Load()) }
@@ -582,33 +575,32 @@ func (rt *Runtime) Load() int { return int(rt.load.Load()) }
 // ClassStatsFor returns the measured grain statistics of a class on this
 // node.
 func (rt *Runtime) ClassStatsFor(class string) ClassStats {
-	v, ok := rt.exec.Load(class)
-	if !ok {
-		return ClassStats{}
-	}
-	es := v.(*execStats)
-	// The two loads are not a consistent snapshot: a concurrent recordExec
-	// can land between them, skewing the average by one call. Grain stats
+	calls, nanos := rt.grainCounters(class)
+	// The two loads are not a consistent snapshot: a concurrent call can
+	// land between them, skewing the average by one call. Grain stats
 	// feed heuristics (agglomeration thresholds), so the skew is harmless
 	// and not worth a lock on the dispatch path.
-	calls := es.calls.Load()
-	if calls == 0 {
+	n := calls.Load()
+	if n == 0 {
 		return ClassStats{}
 	}
-	return ClassStats{
-		Calls:       calls,
-		AvgExecTime: time.Duration(es.nanos.Load() / calls),
-	}
+	return ClassStats{Calls: n, AvgExecTime: time.Duration(nanos.Load() / n)}
 }
 
-func (rt *Runtime) recordExec(class string, d time.Duration) {
-	v, ok := rt.exec.Load(class)
-	if !ok {
-		v, _ = rt.exec.LoadOrStore(class, &execStats{})
-	}
-	es := v.(*execStats)
-	es.calls.Add(1)
-	es.nanos.Add(d.Nanoseconds())
+// grainCounters returns class's grain counters in the channel's registry:
+// calls timed, and their total execution time.
+func (rt *Runtime) grainCounters(class string) (calls, nanos *metrics.Counter) {
+	m := rt.cfg.Channel.Metrics()
+	return m.Counter("class/" + class + "/calls"), m.Counter("class/" + class + "/exec_ns")
+}
+
+// wrap wraps obj, an instance of class published at uri, holding its
+// class's grain counters so a dispatch times itself without a lookup.
+func (rt *Runtime) wrap(class string, obj any, uri string) *ioWrapper {
+	w := &ioWrapper{rt: rt, class: class, obj: obj, uri: uri,
+		dedup: remoting.NewDedupLRU(rt.cfg.DedupPerObject)}
+	w.calls, w.execNS = rt.grainCounters(class)
+	return w
 }
 
 func (rt *Runtime) factoryFor(class string) (func() any, error) {
@@ -632,8 +624,7 @@ func (rt *Runtime) createLocalIO(class string, spawnActor bool) (string, *ioWrap
 	}
 	obj := factory()
 	uri := fmt.Sprintf("obj/%s/%d/%d", class, rt.cfg.NodeID, rt.objSeq.Add(1))
-	w := &ioWrapper{rt: rt, class: class, obj: obj, uri: uri,
-		dedup: remoting.NewDedupLRU(rt.cfg.DedupPerObject)}
+	w := rt.wrap(class, obj, uri)
 	w.gen.Store(1)
 	if spawnActor {
 		a := newActor(w)
@@ -794,7 +785,7 @@ func WithCallToken(ctx context.Context, tok remoting.CallToken) context.Context 
 // agglomerate locally, create on this node, or request creation from a
 // remote node's factory.
 func (rt *Runtime) NewParallelObject(class string) (*Proxy, error) {
-	rt.stats.objectsCreated.Add(1)
+	rt.count("objects_created")
 	if rt.cfg.Agglomeration.Agglomerate(class, rt.ClassStatsFor(class), rt.Load()) {
 		// Intra-grain creation (Fig. 3 call d): passive local object,
 		// serial execution, but still published so references to it
@@ -803,7 +794,7 @@ func (rt *Runtime) NewParallelObject(class string) (*Proxy, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt.stats.objectsAgglomerated.Add(1)
+		rt.count("objects_agglomerated")
 		return &Proxy{rt: rt, class: class, mode: modeAgglomerated, uri: uri, local: w}, nil
 	}
 	node := rt.cfg.Placement.Pick(rt.cfg.NodeID, rt.nodeLoads())
@@ -812,7 +803,7 @@ func (rt *Runtime) NewParallelObject(class string) (*Proxy, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt.stats.objectsLocal.Add(1)
+		rt.count("objects_local")
 		rt.actorsMu.Lock()
 		a := rt.actors[uri]
 		rt.actorsMu.Unlock()
@@ -839,7 +830,7 @@ func (rt *Runtime) NewParallelObject(class string) (*Proxy, error) {
 	if uri == "" {
 		return nil, fmt.Errorf("core: remote factory returned empty URI")
 	}
-	rt.stats.objectsRemote.Add(1)
+	rt.count("objects_remote")
 	rt.dirUpdate(uri, ObjLoc{Node: node, Addr: addr, Gen: 1})
 	return newRemoteProxy(rt, class, uri, addr, 1), nil
 }
@@ -974,6 +965,9 @@ type ioWrapper struct {
 	obj   any
 	uri   string
 
+	// calls and execNS are the class's grain counters (Runtime.wrap).
+	calls, execNS *metrics.Counter
+
 	// virt is set on actor-hosted virtual objects of a replicated class:
 	// after each call (or each SnapshotEvery-th), the wrapper snapshots
 	// obj and ships the state to the ring-successor replicas (virtual.go).
@@ -1068,7 +1062,7 @@ func (w *ioWrapper) Invoke1(ctx context.Context, method string, args []any) (any
 	}
 	start := time.Now()
 	res, err := dispatch.InvokeCtx(ctx, w.obj, method, args)
-	w.rt.recordExec(w.class, time.Since(start))
+	w.grain(time.Since(start))
 	record := hasTok && dedupRecordable(err)
 	rep := remoting.DedupReply{
 		Result:  res,
@@ -1111,6 +1105,13 @@ func (w *ioWrapper) Invoke1(ctx context.Context, method string, args []any) (any
 		return nil, errFenced(w.uri)
 	}
 	return res, err
+}
+
+// grain counts one call of d into the class's grain counters; a batch
+// counts as one call of its mean time.
+func (w *ioWrapper) grain(d time.Duration) {
+	w.calls.Add(1)
+	w.execNS.Add(d.Nanoseconds())
 }
 
 // dedupRecordable reports whether an invocation outcome is worth
@@ -1165,7 +1166,7 @@ func (w *ioWrapper) InvokeBatch(ctx context.Context, method string, calls []any)
 		}
 	}
 	if n := len(calls); n > 0 {
-		w.rt.recordExec(w.class, time.Since(start)/time.Duration(n))
+		w.grain(time.Since(start) / time.Duration(n))
 		if w.virt != nil {
 			if rerr := w.rt.replicateAfterCalls(ctx, w, n, nil); rerr != nil {
 				return 0, rerr

@@ -96,6 +96,9 @@ func TestLocalParallelObject(t *testing.T) {
 	if !p.IsLocal() {
 		t.Error("single-node object should be local")
 	}
+	if st := rts[0].Stats(); st.ObjectsLocal != 1 || st.ObjectsRemote != 0 {
+		t.Errorf("stats local = %d, remote = %d, want 1 and 0", st.ObjectsLocal, st.ObjectsRemote)
+	}
 	p.Post("Add", 2)
 	p.Post("Add", 3)
 	got, err := p.Invoke("Total")

@@ -80,7 +80,7 @@ func runtimeCall(ep any, ctx context.Context, call, method string, args []any) (
 // forward.
 func TestInvokeNestedMatchesReflectivePath(t *testing.T) {
 	rt := startNodes(t, 1, nil)[0]
-	w := &ioWrapper{rt: rt, class: "probe", obj: &probeObj{}}
+	w := rt.wrap("probe", &probeObj{}, "")
 	a := newActor(w)
 	t.Cleanup(a.stop)
 	mv := errs.MovedError{URI: "obj/probe/0/1", Node: 3, Addr: "mem://n3", Gen: 7}

@@ -164,7 +164,7 @@ func (rt *Runtime) MigrateCtx(ctx context.Context, uri string, toNode int) error
 	rt.actorsMu.Unlock()
 	a.markMoved(mv)
 	moved = true
-	rt.stats.objectsMigratedOut.Add(1)
+	rt.count("objects_migrated_out")
 	return nil
 }
 
@@ -208,8 +208,7 @@ func (rt *Runtime) acceptObject(class, uri string, gen uint64, state []byte) (st
 	}
 	// The dedup memory starts empty here: records do not travel with a
 	// migration, but token-bearing calls from now on are deduplicated.
-	w := &ioWrapper{rt: rt, class: class, obj: obj, uri: uri,
-		dedup: remoting.NewDedupLRU(rt.cfg.DedupPerObject)}
+	w := rt.wrap(class, obj, uri)
 	w.gen.Store(gen)
 	if cfg, ok := rt.virtualConfig(class); ok && isVirtualURI(uri) {
 		// A migrated virtual object keeps replicating from its new host.
@@ -235,7 +234,7 @@ func (rt *Runtime) acceptObject(class, uri string, gen uint64, state []byte) (st
 	rt.dirUpdate(uri, ObjLoc{Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: gen})
 	rt.actorsMu.Unlock()
 	rt.clearAbort(uri, gen)
-	rt.stats.objectsMigratedIn.Add(1)
+	rt.count("objects_migrated_in")
 	return rt.Addr(), nil
 }
 

@@ -92,7 +92,7 @@ func (rt *Runtime) OverloadGrade() OverloadGrade {
 // noteShed records one shed call: the counter feeds Stats, the timestamp
 // drives the OverloadShedding grade.
 func (rt *Runtime) noteShed() {
-	rt.stats.mailboxSheds.Add(1)
+	rt.mailboxSheds.Add(1)
 	rt.lastShed.Store(time.Now().UnixNano())
 }
 

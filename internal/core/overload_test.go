@@ -181,6 +181,12 @@ func TestDeadlineDropAtDequeue(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// The dequeue drop and the server's refusal count into one cell, the
+	// channel's deadline_drops, which Stats reads as it is.
+	cell := rts[0].cfg.Channel.Metrics().Counter("deadline_drops").Load()
+	if got := rts[0].Stats().DeadlineDrops; got != 1 || cell != 1 {
+		t.Errorf("Stats().DeadlineDrops = %d, deadline_drops = %d, want both 1", got, cell)
+	}
 }
 
 func TestOverloadGradeTransitions(t *testing.T) {

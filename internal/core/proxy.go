@@ -346,7 +346,7 @@ func (p *Proxy) InvokeCtx(ctx context.Context, method string, args ...any) (any,
 // keeps (Proxy.args), and only that copy reaches a mailbox, the connection or
 // the object, so a caller's variadic list can live on the caller's stack.
 func (p *Proxy) InvokeInto(ctx context.Context, sink remoting.ResultSink, method string, args []any) (any, error) {
-	p.rt.stats.syncCalls.Add(1)
+	p.rt.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -451,7 +451,7 @@ func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) 
 // inside its own record of the call, or a wave of them as one slab, pays
 // nothing more. The Future returned lives in c; c serves this one call.
 func (p *Proxy) StartAsync(ctx context.Context, c *AsyncCall, method string, args []any) *Future {
-	p.rt.stats.syncCalls.Add(1)
+	p.rt.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -673,7 +673,7 @@ func (p *Proxy) Post(method string, args ...any) {
 // still flow to AsyncErr, preserving fire-and-forget semantics. For local
 // active objects a queued call whose ctx ends before execution is skipped.
 func (p *Proxy) PostCtx(ctx context.Context, method string, args ...any) error {
-	p.rt.stats.asyncCalls.Add(1)
+	p.rt.asyncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -758,7 +758,7 @@ func (p *Proxy) aggregate(method string, args []any) {
 	}
 	p.aggMethod = method
 	p.aggCalls = append(p.aggCalls, []any(args))
-	p.rt.stats.callsAggregated.Add(1)
+	p.rt.callsAggregated.Add(1)
 	if len(p.aggCalls) >= p.rt.cfg.Aggregation.MaxCalls {
 		p.flushLocked()
 	} else if p.rt.cfg.Aggregation.MaxDelay > 0 && p.aggTimer == nil {
@@ -788,7 +788,7 @@ func (p *Proxy) flushLocked() {
 	calls := p.aggCalls
 	p.aggMethod = ""
 	p.aggCalls = nil
-	p.rt.stats.batchesSent.Add(1)
+	p.rt.batchesSent.Add(1)
 	p.post("InvokeBatch", method, calls)
 }
 

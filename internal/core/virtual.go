@@ -466,8 +466,7 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 			}
 		}
 	}
-	w := &ioWrapper{rt: rt, class: class, obj: obj, uri: uri,
-		dedup: remoting.NewDedupLRU(rt.cfg.DedupPerObject)}
+	w := rt.wrap(class, obj, uri)
 	wcfg := cfg
 	w.virt = &wcfg
 	w.gen.Store(newGen)
@@ -502,9 +501,9 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 	rt.replMu.Lock()
 	delete(rt.replicas, uri) // the live copy supersedes the passive one
 	rt.replMu.Unlock()
-	rt.stats.virtualActivations.Add(1)
+	rt.count("virtual_activations")
 	if promoted {
-		rt.stats.replicaPromotions.Add(1)
+		rt.count("replica_promotions")
 		if cfg.Replicas > 0 {
 			// Restore redundancy right away: the promoted state's previous
 			// replica set centred on the dead owner, not on this node.
@@ -991,7 +990,7 @@ func (rt *Runtime) demoteStale(uri string, to ObjLoc) {
 	rt.dirUpdate(uri, to)
 	rt.actorsMu.Unlock()
 	a.abort(mv)
-	rt.stats.staleDemotions.Add(1)
+	rt.count("stale_demotions")
 }
 
 // dropReplica forgets this node's passive replica of uri (the owner

@@ -83,6 +83,15 @@ func TestVirtualActivateOnDemand(t *testing.T) {
 	if hosts := hostOf(rts, uri); len(hosts) != 1 {
 		t.Errorf("hosted on %v after second caller, want one host", hosts)
 	}
+	for i, rt := range rts {
+		want := int64(0)
+		if i == owner {
+			want = 1
+		}
+		if got := rt.Stats().VirtualActivations; got != want {
+			t.Errorf("node %d counted %d activations, want %d", i, got, want)
+		}
+	}
 }
 
 // TestVirtualUnregisteredClass: VirtualObject on a class not registered

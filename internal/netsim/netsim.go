@@ -14,7 +14,7 @@
 // scheduler — valid because both endpoints live on the same host clock in
 // the reproduction harness.
 //
-// With Params{} (all zeros) shaping is a pass-through plus statistics, which
+// With Params{} (all zeros) shaping is a pass-through plus counters, which
 // is what unit tests use.
 package netsim
 
@@ -24,9 +24,9 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
@@ -173,42 +173,24 @@ func (l *Link) acquire(n int) (txEnd, deliverAt time.Time) {
 	return txEnd, txEnd.Add(l.params.Latency)
 }
 
-// Stats counts traffic through a shaped connection or network. All methods
-// are safe for concurrent use.
-type Stats struct {
-	bytesSent atomic.Int64
-	msgsSent  atomic.Int64
-}
-
-// Count records one sent message of n bytes.
-func (s *Stats) Count(n int) {
-	s.bytesSent.Add(int64(n))
-	s.msgsSent.Add(1)
-}
-
-// BytesSent returns the total payload bytes sent.
-func (s *Stats) BytesSent() int64 { return s.bytesSent.Load() }
-
-// MsgsSent returns the number of messages sent.
-func (s *Stats) MsgsSent() int64 { return s.msgsSent.Load() }
-
-// String formats the counters for logs.
-func (s *Stats) String() string {
-	return fmt.Sprintf("msgs=%d bytes=%d", s.MsgsSent(), s.BytesSent())
-}
-
 // Shape wraps a connection with link shaping. Both endpoints of a
 // conversation must be shaped (the wrapper adds a delivery-deadline header
 // understood by the peer's wrapper). A nil link allocates a private one; a
-// nil clock uses the wall clock; a nil stats discards counts.
-func Shape(c transport.Conn, p Params, clk Clock, link *Link, stats *Stats) transport.Conn {
+// nil clock uses the wall clock. Every message sent counts into reg's
+// msgs_sent and its payload bytes into bytes_sent; a nil reg discards the
+// counts.
+func Shape(c transport.Conn, p Params, clk Clock, link *Link, reg *metrics.Registry) transport.Conn {
 	if clk == nil {
 		clk = RealClock{}
 	}
 	if link == nil {
 		link = NewLink(p, clk)
 	}
-	return &shapedConn{inner: c, params: p, clock: clk, link: link, stats: stats}
+	sc := &shapedConn{inner: c, params: p, clock: clk, link: link}
+	if reg != nil {
+		sc.msgs, sc.bytes = reg.Counter("msgs_sent"), reg.Counter("bytes_sent")
+	}
+	return sc
 }
 
 type shapedConn struct {
@@ -216,7 +198,9 @@ type shapedConn struct {
 	params Params
 	clock  Clock
 	link   *Link
-	stats  *Stats
+
+	// msgs and bytes count what Send sends; nil when nothing counts.
+	msgs, bytes *metrics.Counter
 
 	// dialed is the listener address this connection was dialed to, and
 	// net the owning shaped network — set only on Dial-side connections,
@@ -252,8 +236,9 @@ func (s *shapedConn) Send(msg []byte) error {
 		// packet — the RPC above waits out its deadline.
 		return nil
 	}
-	if s.stats != nil {
-		s.stats.Count(len(msg))
+	if s.msgs != nil {
+		s.msgs.Add(1)
+		s.bytes.Add(int64(len(msg)))
 	}
 	buf := make([]byte, 8+len(msg))
 	copy(buf[8:], msg)
@@ -303,12 +288,14 @@ func (s *shapedConn) RemoteAddr() string { return s.inner.RemoteAddr() }
 // ShapedNetwork decorates every connection of an inner network with
 // shaping. Each connection direction gets its own Link unless SharedNIC is
 // set, in which case all connections originating from this network value
-// share one outbound link (modelling one NIC per node).
+// share one outbound link (modelling one NIC per node). Metrics counts the
+// traffic of every connection in both directions, msgs_sent and
+// bytes_sent (see Shape); nil discards the counts.
 type ShapedNetwork struct {
-	Inner  transport.Network
-	Params Params
-	Clock  Clock
-	Stats  *Stats
+	Inner   transport.Network
+	Params  Params
+	Clock   Clock
+	Metrics *metrics.Registry
 
 	// SharedNIC serialises all outbound transmissions across
 	// connections, as a single network adapter would.
@@ -323,9 +310,9 @@ type ShapedNetwork struct {
 }
 
 // NewShapedNetwork shapes inner with p on every connection in both
-// directions.
+// directions, counting into a registry of its own.
 func NewShapedNetwork(inner transport.Network, p Params) *ShapedNetwork {
-	return &ShapedNetwork{Inner: inner, Params: p, Stats: &Stats{}}
+	return &ShapedNetwork{Inner: inner, Params: p, Metrics: new(metrics.Registry)}
 }
 
 func (n *ShapedNetwork) clock() Clock {
@@ -358,7 +345,7 @@ func (n *ShapedNetwork) Dial(addr string) (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := Shape(c, n.Params, n.clock(), n.outboundLink(), n.Stats).(*shapedConn)
+	sc := Shape(c, n.Params, n.clock(), n.outboundLink(), n.Metrics).(*shapedConn)
 	sc.dialed, sc.net = addr, n
 	return sc, nil
 }
@@ -400,7 +387,7 @@ func (l *shapedListener) Accept() (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Shape(c, l.net.Params, l.net.clock(), nil, l.net.Stats), nil
+	return Shape(c, l.net.Params, l.net.clock(), nil, l.net.Metrics), nil
 }
 
 func (l *shapedListener) Close() error { return l.inner.Close() }

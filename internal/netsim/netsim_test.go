@@ -115,15 +115,6 @@ func TestLinkSerialisesTransmissions(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	var s Stats
-	s.Count(100)
-	s.Count(50)
-	if s.BytesSent() != 150 || s.MsgsSent() != 2 {
-		t.Errorf("stats = %s", s.String())
-	}
-}
-
 func TestShapedNetworkEndToEnd(t *testing.T) {
 	inner := transport.NewMemNetwork()
 	sn := NewShapedNetwork(inner, Params{Latency: 2 * time.Millisecond})
@@ -160,8 +151,12 @@ func TestShapedNetworkEndToEnd(t *testing.T) {
 	if rtt := time.Since(start); rtt < 3*time.Millisecond {
 		t.Errorf("round trip %v did not pay 2×2 ms latency", rtt)
 	}
-	if sn.Stats.MsgsSent() != 2 {
-		t.Errorf("stats msgs = %d, want 2", sn.Stats.MsgsSent())
+	// Two messages of 4 payload bytes each, the delivery header not counted.
+	if got := sn.Metrics.Counter("msgs_sent").Load(); got != 2 {
+		t.Errorf("msgs_sent = %d, want 2", got)
+	}
+	if got := sn.Metrics.Counter("bytes_sent").Load(); got != 8 {
+		t.Errorf("bytes_sent = %d, want 8", got)
 	}
 }
 

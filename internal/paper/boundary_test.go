@@ -130,6 +130,41 @@ func TestShippedRuntimeLinksNoPaperCode(t *testing.T) {
 	checkShipped(t, paperCode, "the shipped runtime links no paper code")
 }
 
+// TestShippedRuntimeHasOneStats holds the shipped runtime to one set of
+// counters: every count lives in a node's metrics.Registry, and the one
+// type named Stats is internal/core's view of it (parc.Stats is an alias of
+// it, not a type of its own).
+func TestShippedRuntimeHasOneStats(t *testing.T) {
+	root := repoRoot(t)
+	for pkg := range shippedImports(t) {
+		files, err := filepath.Glob(filepath.Join(root, pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.GenDecl)
+				if !ok || d.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range d.Specs {
+					ts := spec.(*ast.TypeSpec)
+					if ts.Name.Name == "Stats" && !ts.Assign.IsValid() && pkg != "internal/core" {
+						t.Errorf("%s declares a type Stats: count into the node's metrics.Registry, which core.Stats reads", file)
+					}
+				}
+			}
+		}
+	}
+}
+
 // layers is the production call path, top first: a remote call goes down
 // it, and no package may import one above it.
 var layers = []string{

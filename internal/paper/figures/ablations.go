@@ -137,10 +137,8 @@ func RunAgglomerationAblation(objects, calls int, net netsim.Params) ([]AgglomRo
 			}
 		}
 		elapsed := time.Since(start)
-		row := AgglomRow{Policy: pol.name, Seconds: elapsed.Seconds(), Agglomerated: master.Stats().ObjectsAgglomerated}
-		if stats != nil {
-			row.Msgs = stats.MsgsSent()
-		}
+		row := AgglomRow{Policy: pol.name, Seconds: elapsed.Seconds(),
+			Agglomerated: master.Stats().ObjectsAgglomerated, Msgs: stats.Counter("msgs_sent").Load()}
 		cl.Close()
 		rows = append(rows, row)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/remoting"
 )
@@ -29,13 +30,9 @@ type OverheadResult struct {
 	RawBytes, ProxyBytes float64 // bytes per call, both directions
 }
 
-// traffic reads a shaped network's counters; stats is nil on an unshaped
-// one.
-func traffic(stats *netsim.Stats) (msgs, bytes float64) {
-	if stats == nil {
-		return 0, 0
-	}
-	return float64(stats.MsgsSent()), float64(stats.BytesSent())
+// traffic reads a shaped network's counters.
+func traffic(m *metrics.Registry) (msgs, bytes float64) {
+	return float64(m.Counter("msgs_sent").Load()), float64(m.Counter("bytes_sent").Load())
 }
 
 // echoObj is the parallel-object class for the proxy side.

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/dispatch"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
 	"repro/internal/paper/mono"
@@ -201,14 +202,14 @@ func shapedNet(p netsim.Params) transport.Network {
 
 // monoNet is shapedNet charged with the Mono 1.1.7 TCP channel's endpoint
 // costs, the network the ParC# side of a figure runs over, with its traffic
-// counters (nil when p is zero).
-func monoNet(p netsim.Params) (transport.Network, *netsim.Stats) {
+// counters (which stay at zero when p is: nothing shapes, so nothing counts).
+func monoNet(p netsim.Params) (transport.Network, *metrics.Registry) {
 	net := shapedNet(p)
-	var stats *netsim.Stats
+	m := new(metrics.Registry)
 	if sn, ok := net.(*netsim.ShapedNetwork); ok {
-		stats = sn.Stats
+		m = sn.Metrics
 	}
-	return cost.Network(net, profile.MonoTCP117()), stats
+	return cost.Network(net, profile.MonoTCP117()), m
 }
 
 // Fig8aStacks builds the three systems of Fig. 8a with their calibrated

@@ -472,7 +472,8 @@ func TestConnectionKeepsOneMethodPerHandle(t *testing.T) {
 // TestErrorsNameTheUserMethod: a runtime call's failures name the user's
 // method, not the endpoint call that carried it: an error reply
 // (RemoteError), a call abandoned at its deadline (the lane's error), and a
-// deadline the server finds expired before dispatch.
+// deadline the server finds expired before dispatch, which the server's
+// channel counts as one deadline drop.
 func TestErrorsNameTheUserMethod(t *testing.T) {
 	ch, srv, net := bindServer(t)
 	n := &nestedNames{uri: "n", hold: make(chan struct{})}
@@ -499,6 +500,8 @@ func TestErrorsNameTheUserMethod(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	drops := srv.ch.Metrics().Counter("deadline_drops")
+	before := drops.Load()
 	late := &callRequest{URI: "n", Call: "Invoke1", Method: "Late", Seq: 1, Deadline: time.Now().Add(-time.Second).UnixNano()}
 	if err := c.Send(boundCallBytes(t, 1, true, late)); err != nil {
 		t.Fatal(err)
@@ -513,6 +516,9 @@ func TestErrorsNameTheUserMethod(t *testing.T) {
 	}
 	if want := "deadline expired before dispatch of n.Late:"; !resp.IsErr || !strings.HasPrefix(resp.ErrMsg, want) {
 		t.Errorf("expired call answered %+v, want an error starting %q", resp, want)
+	}
+	if got := drops.Load() - before; got != 1 {
+		t.Errorf("deadline_drops moved by %d for one expired call, want 1", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/errs"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
@@ -16,9 +17,10 @@ import (
 // single Channel value serves both roles: clients call GetObject/Invoke
 // through it and servers call ListenAndServe on it, mirroring
 // ChannelServices.RegisterChannel making one channel object serve both
-// directions.
+// directions. It also holds the counters of the node it serves (Metrics).
 type Channel struct {
-	net transport.Network
+	net     transport.Network
+	metrics metrics.Registry
 
 	// MaxInFlight bounds concurrent exchanges per multiplexed lane; calls
 	// beyond the bound wait in the lane's admission queue, in order, until
@@ -71,6 +73,10 @@ type Channel struct {
 func NewMultiplexedChannel(net transport.Network) *Channel {
 	return &Channel{net: net}
 }
+
+// Metrics returns the channel's counters: its servers count into them, and
+// so does the runtime the channel serves.
+func (ch *Channel) Metrics() *metrics.Registry { return &ch.metrics }
 
 // urlScheme is the scheme of the URLs BuildURL makes for the channel's
 // objects (self-describing addresses such as mem:// keep their own).

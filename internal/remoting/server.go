@@ -73,11 +73,6 @@ type Server struct {
 	ch       *Channel
 	listener transport.Listener
 
-	// deadlineDrops counts requests refused before dispatch because the
-	// deadline they carried had already expired in transit or in queue;
-	// the work was never invoked.
-	deadlineDrops atomic.Int64
-
 	mu      sync.Mutex
 	objects map[string]*registration
 	conns   map[transport.Conn]*serverConn
@@ -116,10 +111,6 @@ func (ch *Channel) ListenAndServe(addr string) (*Server, error) {
 
 // Addr returns the transport address clients dial.
 func (s *Server) Addr() string { return s.listener.Addr() }
-
-// DeadlineDrops reports how many requests this server refused before
-// dispatch because their propagated deadline had already expired.
-func (s *Server) DeadlineDrops() int64 { return s.deadlineDrops.Load() }
 
 // URLFor returns the full remoting URL for a URI published on this server.
 func (s *Server) URLFor(uri string) string {
@@ -610,7 +601,8 @@ func (s *Server) target(c *serverCall) (any, error) {
 	if req.Deadline > 0 {
 		dl := time.Unix(0, req.Deadline)
 		if !time.Now().Before(dl) {
-			s.deadlineDrops.Add(1)
+			// One cell with core's dequeue drop; Stats().DeadlineDrops reads it.
+			s.ch.metrics.Counter("deadline_drops").Add(1)
 			return nil, fmt.Errorf("deadline expired before dispatch of %s.%s: %w", req.URI, req.name(), context.DeadlineExceeded)
 		}
 		c.ctx, c.cancel = context.WithDeadline(c.ctx, dl)

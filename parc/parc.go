@@ -95,10 +95,10 @@ type (
 	PlacementPolicy = core.PlacementPolicy
 	// NodeLoad is a node's load snapshot given to placement policies.
 	NodeLoad = core.NodeLoad
-	// Stats is the coherent read-only snapshot of a node's runtime
-	// counters returned by Runtime.Stats(): object/call counts, migration
-	// and virtual-object events, mailbox sheds, deadline drops and the
-	// node's current overload grade.
+	// Stats is what Runtime.Stats() reads of a node's counters: object/call
+	// counts, migration and virtual-object events, mailbox sheds, deadline
+	// drops and the overload grade. Each field is loaded on its own, so
+	// the fields are not one atomic snapshot.
 	Stats = core.Stats
 	// OverloadGrade is a node's admission-control state (None, Busy,
 	// Shedding) as reported in Stats and the placement load vector.
