@@ -92,7 +92,8 @@ func (c *Cluster) RegisterClass(name string, factory func() any) {
 
 // RegisterVirtualClass registers a virtual-object class on every node with
 // one shared policy — virtual placement requires every node to agree on
-// which classes are virtual and how they replicate.
+// which classes are virtual and how they replicate. A name containing '/'
+// panics (see core.Runtime.RegisterVirtualClass).
 func (c *Cluster) RegisterVirtualClass(name string, factory func() any, cfg core.VirtualConfig) {
 	for _, rt := range c.nodes {
 		rt.RegisterVirtualClass(name, factory, cfg)

@@ -93,6 +93,27 @@ func TestPromiseRefusesOlderDeposits(t *testing.T) {
 	}
 }
 
+// TestMinorityCensusRefusesToActivate: a node that reaches only itself of
+// three cannot promote. Its census misses the majority that every
+// acknowledged call's two copies intersect, so it refuses to activate
+// rather than resurrect state older than an acknowledgement.
+func TestMinorityCensusRefusesToActivate(t *testing.T) {
+	rts := startNodes(t, 3, nil)
+	registerVirtualJournal(rts, VirtualConfig{Replicas: 1, SnapshotEvery: 1})
+	survivor := rts[0]
+	for _, rt := range rts[1:] {
+		rt.Close()
+		markDownOn([]*Runtime{survivor}, rt.cfg.NodeID)
+	}
+
+	if _, err := survivor.VirtualObject("vjournal", "minority0"); err == nil || !strings.Contains(err.Error(), "majority required") {
+		t.Fatalf("activation on a minority: err = %v, want a majority refusal", err)
+	}
+	if hosts := hostOf(rts, VirtualURI("vjournal", "minority0")); len(hosts) != 0 {
+		t.Fatalf("hosted on %v after a refused census, want nowhere", hosts)
+	}
+}
+
 func drec(seq, stamp uint64) remoting.DedupRecord {
 	return remoting.DedupRecord{Client: 1, Seq: seq, Stamp: stamp, Result: int(seq)}
 }

@@ -540,6 +540,13 @@ func (rt *Runtime) Close() {
 	rt.cfg.Channel.Close()
 }
 
+// actor returns the actor hosting uri on this node, or nil.
+func (rt *Runtime) actor(uri string) *actor {
+	rt.actorsMu.Lock()
+	defer rt.actorsMu.Unlock()
+	return rt.actors[uri]
+}
+
 // Stats reads the runtime's counters, one at a time, from its channel's
 // registry.
 func (rt *Runtime) Stats() Stats {
@@ -680,10 +687,7 @@ func (rt *Runtime) destroyLocal(uri string) (destroyedLive bool) {
 		// the cleanup missed; sweep again until the map stays empty so a
 		// destroy can never orphan (and later resurrect) a racing
 		// arrival.
-		rt.actorsMu.Lock()
-		again := rt.actors[uri] != nil
-		rt.actorsMu.Unlock()
-		if !again {
+		if rt.actor(uri) == nil {
 			if destroyedLive && isVirtualURI(uri) {
 				// A destroyed virtual object must not resurrect from its
 				// passive replicas at the next owner failure: drop the
@@ -804,10 +808,7 @@ func (rt *Runtime) NewParallelObject(class string) (*Proxy, error) {
 			return nil, err
 		}
 		rt.count("objects_local")
-		rt.actorsMu.Lock()
-		a := rt.actors[uri]
-		rt.actorsMu.Unlock()
-		return &Proxy{rt: rt, class: class, mode: modeLocalActive, uri: uri, act: a}, nil
+		return &Proxy{rt: rt, class: class, mode: modeLocalActive, uri: uri, act: rt.actor(uri)}, nil
 	}
 	// Inter-grain creation (Fig. 3 call c): ask the remote OM's factory.
 	rt.mu.Lock()
@@ -841,10 +842,7 @@ func (rt *Runtime) NewParallelObject(class string) (*Proxy, error) {
 // implementation; others become remote proxies routed at this node's best
 // directory knowledge of their location.
 func (rt *Runtime) Attach(ref ProxyRef) *Proxy {
-	rt.actorsMu.Lock()
-	a := rt.actors[ref.URI]
-	rt.actorsMu.Unlock()
-	if a != nil {
+	if a := rt.actor(ref.URI); a != nil {
 		return &Proxy{rt: rt, class: ref.Class, mode: modeLocalActive, uri: ref.URI, act: a}
 	}
 	addr, gen := ref.NetAddr, ref.Gen

@@ -46,10 +46,7 @@ const migrateTimeout = 10 * time.Second
 // otherwise.
 func (rt *Runtime) MigrateCtx(ctx context.Context, uri string, toNode int) error {
 	if toNode == rt.cfg.NodeID {
-		rt.actorsMu.Lock()
-		hosted := rt.actors[uri] != nil
-		rt.actorsMu.Unlock()
-		if hosted {
+		if rt.actor(uri) != nil {
 			return nil
 		}
 		// Not hosted here (any more): report the forward when the
@@ -64,9 +61,7 @@ func (rt *Runtime) MigrateCtx(ctx context.Context, uri string, toNode int) error
 	if !ok || target.om == nil {
 		return fmt.Errorf("core: migrate %s: unknown target node %d", uri, toNode)
 	}
-	rt.actorsMu.Lock()
-	a := rt.actors[uri]
-	rt.actorsMu.Unlock()
+	a := rt.actor(uri)
 	if a == nil {
 		if loc, ok := rt.dirLookup(uri); ok && loc.Node != rt.cfg.NodeID {
 			return &errs.MovedError{URI: uri, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}
@@ -122,10 +117,7 @@ func (rt *Runtime) MigrateCtx(ctx context.Context, uri string, toNode int) error
 		// that already failed both the transfer and its compensation.
 		a.resume()
 		moved = true // the deferred resume is no longer needed
-		rt.actorsMu.Lock()
-		still := rt.actors[uri] == a
-		rt.actorsMu.Unlock()
-		if still {
+		if rt.actor(uri) == a {
 			// Unless a racing destroy removed the object during the
 			// transfer — re-inserting a self entry would resurrect the
 			// destroyed URI in the directory.
@@ -179,9 +171,7 @@ func (rt *Runtime) acceptObject(class, uri string, gen uint64, state []byte) (st
 	if rt.transferAborted(uri, gen) {
 		return "", fmt.Errorf("core: accept %s: transfer at generation %d was aborted", uri, gen)
 	}
-	rt.actorsMu.Lock()
-	_, exists := rt.actors[uri]
-	rt.actorsMu.Unlock()
+	exists := rt.actor(uri) != nil
 	if loc, ok := rt.dirLookup(uri); ok && loc.Gen >= gen {
 		if exists || loc.Node != rt.cfg.NodeID {
 			return rt.Addr(), nil

@@ -909,10 +909,7 @@ func (p *Proxy) DestroyCtx(ctx context.Context) error {
 		return nil
 	}
 	if mode == modeLocalActive {
-		p.rt.actorsMu.Lock()
-		hosted := p.rt.actors[p.uri] != nil
-		p.rt.actorsMu.Unlock()
-		if hosted {
+		if p.rt.actor(p.uri) != nil {
 			p.rt.destroyLocal(p.uri)
 			return nil
 		}

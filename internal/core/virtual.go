@@ -1,8 +1,11 @@
 package core
 
 // This file implements virtual objects — the Orleans-style activation
-// model layered on the PR 5 machinery (directory generations, state
-// snapshots, health grading, forwarding tombstones):
+// model, built on directory generations, state snapshots, health grading
+// and forwarding tombstones. The protocol's decisions (the snapshot order,
+// the activation generation, the census quorum and fence, and a replica's
+// verdict on a ship) are pure functions in promote.go; this file runs the
+// RPCs, timeouts and locks around them:
 //
 //   - identity: a virtual object is its URI ("virtual/<class>/<key>"),
 //     not a host. Nobody creates it; the first call activates it.
@@ -77,8 +80,13 @@ func classOfVirtualURI(uri string) string {
 // RegisterVirtualClass registers class as a virtual class: instances are
 // addressed by key through VirtualObject and activated on demand on their
 // ring owner. Every node must register the same virtual classes with the
-// same config (exactly like RegisterClass).
+// same config (exactly like RegisterClass). It panics if class contains
+// '/': a virtual URI is "virtual/<class>/<key>", so such a class would
+// share URIs with another class's keys.
 func (rt *Runtime) RegisterVirtualClass(class string, factory func() any, cfg VirtualConfig) {
+	if strings.Contains(class, "/") {
+		panic(fmt.Sprintf("core: virtual class name %q contains '/'", class))
+	}
 	rt.RegisterClass(class, factory)
 	rt.virtMu.Lock()
 	rt.virtuals[class] = cfg
@@ -172,10 +180,7 @@ func (rt *Runtime) VirtualObjectCtx(ctx context.Context, class, key string) (*Pr
 			class, rt.cfg.NodeID, errs.ErrNoSuchClass)
 	}
 	uri := VirtualURI(class, key)
-	rt.actorsMu.Lock()
-	a := rt.actors[uri]
-	rt.actorsMu.Unlock()
-	if a != nil {
+	if a := rt.actor(uri); a != nil {
 		return &Proxy{rt: rt, class: class, mode: modeLocalActive, uri: uri, act: a}, nil
 	}
 	if loc, ok := rt.dirLookup(uri); ok && loc.Node != rt.cfg.NodeID && !rt.peerDown(loc.Node) {
@@ -275,10 +280,7 @@ func (rt *Runtime) ringOwnerExcluding(uri string, exclude map[int]bool) (int, bo
 // the instance lives here, a remote proxy otherwise.
 func (rt *Runtime) proxyAt(class, uri string, rr ResolveReply) *Proxy {
 	if rr.Node == rt.cfg.NodeID {
-		rt.actorsMu.Lock()
-		a := rt.actors[uri]
-		rt.actorsMu.Unlock()
-		if a != nil {
+		if a := rt.actor(uri); a != nil {
 			return &Proxy{rt: rt, class: class, mode: modeLocalActive, uri: uri, act: a}
 		}
 	}
@@ -297,7 +299,6 @@ type activation struct {
 // plus the owner's dedup memory at that point — a promoted replica must
 // recognise retries of calls the dead owner already executed.
 type replicaState struct {
-	class string
 	gen   uint64
 	seq   uint64
 	state []byte
@@ -314,21 +315,46 @@ type replicaState struct {
 	dedupStamp uint64
 }
 
+// newReplica builds a passive replica at (gen, seq) that holds its own
+// copies of state and recs: the state may alias an RPC receive frame, and a
+// long-lived replica should not pin a whole frame per deposit (nor may it
+// keep []byte results aliasing one inside the records).
+func (rt *Runtime) newReplica(gen, seq uint64, state []byte, recs []remoting.DedupRecord) *replicaState {
+	st := &replicaState{gen: gen, dedup: remoting.NewDedupLRU(rt.dedupCap())}
+	st.deposit(seq, state, recs)
+	return st
+}
+
+// deposit moves st to seq with a copy of state, and replays recs into its
+// dedup memory. Incoming records are in the owner's recency order, and a
+// restamped token moves to the front on Put, so eviction order keeps
+// mirroring the owner's. The caller holds replMu.
+func (st *replicaState) deposit(seq uint64, state []byte, recs []remoting.DedupRecord) {
+	recs = copyDedupRecords(recs)
+	st.dedup.Import(recs)
+	st.seq, st.state = seq, append([]byte(nil), state...)
+	for _, r := range recs {
+		st.dedupStamp = max(st.dedupStamp, r.Stamp)
+	}
+}
+
+// info is st's answer to a promotion census: its snapshot and dedup
+// memory, or no replica when st is nil. The caller holds replMu.
+func (st *replicaState) info() ReplicaInfo {
+	if st == nil {
+		return ReplicaInfo{}
+	}
+	return ReplicaInfo{Has: true, Gen: st.gen, Seq: st.seq, State: st.state, Dedup: st.dedup.Export()}
+}
+
 // activateVirtual ensures a live instance of uri exists, activating it
 // here if this node owns it. Concurrent activations of one URI are
 // single-flight: one leader runs doActivate, followers wait and share its
 // outcome — the server-side half of serialising the first-call duel (the
 // client-side half is that every caller's ring names the same owner).
 func (rt *Runtime) activateVirtual(ctx context.Context, class, uri string) (ResolveReply, error) {
-	rt.actorsMu.Lock()
-	hosted := rt.actors[uri] != nil
-	rt.actorsMu.Unlock()
-	if hosted {
-		gen := uint64(1)
-		if loc, ok := rt.dirLookup(uri); ok {
-			gen = loc.Gen
-		}
-		return ResolveReply{Found: true, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: gen}, nil
+	if rt.actor(uri) != nil {
+		return rt.hostedReply(uri), nil
 	}
 	rt.activMu.Lock()
 	if act := rt.activations[uri]; act != nil {
@@ -379,13 +405,13 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 	// simply still be alive from before a membership flap. Any live copy
 	// wins over creating a second one; entries at down nodes only raise
 	// the generation floor.
-	baseGen := uint64(0)
+	var dirGen, remoteGen uint64
 	excludeAddr := ""
 	if loc, ok := rt.dirLookup(uri); ok {
 		if loc.Node != rt.cfg.NodeID && !rt.peerDown(loc.Node) {
 			return ResolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}, nil
 		}
-		baseGen = loc.Gen
+		dirGen = loc.Gen
 		if loc.Node != rt.cfg.NodeID {
 			excludeAddr = loc.Addr
 		}
@@ -394,22 +420,11 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 		if loc.Node != rt.cfg.NodeID && !rt.peerDown(loc.Node) {
 			return ResolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}, nil
 		}
-		if loc.Gen > baseGen {
-			baseGen = loc.Gen
-		}
+		remoteGen = loc.Gen
 	}
 	rt.replMu.Lock()
-	st := rt.replicas[uri]
+	cand := rt.replicas[uri].info()
 	rt.replMu.Unlock()
-	var promoteState []byte
-	var promoteGen, promoteSeq uint64
-	var promoteDedup []remoting.DedupRecord
-	if st != nil {
-		promoteState, promoteGen, promoteSeq, promoteDedup = st.state, st.gen, st.seq, st.dedup.Export()
-		if st.gen > baseGen {
-			baseGen = st.gen
-		}
-	}
 	if cfg.Replicas > 0 {
 		// Replica census: an owner that lost a replica target behind a
 		// partition reroutes its synchronous ships to another successor, so
@@ -418,34 +433,18 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 		// (generation, seq); each answering peer promises the candidate
 		// generation — refusing later deposits from superseded lineages and
 		// fencing a stale live copy it still hosts — so no acknowledgement
-		// slips in behind the census.
-		//
-		// The census must reach a MAJORITY of the cluster (self included).
-		// A synchronous acknowledgement lives on at least two nodes (owner
-		// plus one replica); any majority intersects that pair, so a
-		// majority census always sees every acknowledged call. A minority
-		// partition therefore refuses to activate rather than resurrect
-		// stale state — consistency over minority availability, bounded by
-		// the partition itself.
-		cr := rt.replicaCensus(ctx, uri, baseGen+1, promoteGen, promoteSeq)
-		if n := rt.clusterSize(); cr.reached <= n/2 {
+		// slips in behind the census. The census must reach a majority
+		// (censusQuorum): consistency over minority availability, bounded
+		// by the partition itself.
+		var reached int
+		cand, reached = rt.replicaCensus(ctx, uri, activationGen(dirGen, remoteGen, cand.Gen), cand)
+		if n := rt.clusterSize(); !censusQuorum(reached, n) {
 			return ResolveReply{}, fmt.Errorf("core: activate %s: promotion census reached %d of %d nodes (majority required)",
-				uri, cr.reached, n)
-		}
-		if cr.fresher {
-			promoteState, promoteGen, promoteSeq, promoteDedup = cr.state, cr.gen, cr.seq, cr.dedup
-		}
-		if promoteGen > baseGen {
-			baseGen = promoteGen
+				uri, reached, n)
 		}
 	}
-	newGen := baseGen + 1
-	// Respect migration abort markers: a poisoned generation must stay
-	// burned (see Runtime.abortAccept).
 	rt.abortMu.Lock()
-	if m := rt.aborts[uri]; m >= newGen {
-		newGen = m + 1
-	}
+	newGen := activationGen(dirGen, remoteGen, cand.Gen, rt.aborts[uri])
 	rt.abortMu.Unlock()
 
 	factory, err := rt.factoryFor(class)
@@ -455,11 +454,11 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 	obj := factory()
 	registerStateType(obj)
 	promoted := false
-	if len(promoteState) > 0 {
+	if len(cand.State) > 0 {
 		// A snapshot that no longer decodes (class changed shape across a
 		// rolling upgrade) falls back to a fresh instance: availability
 		// over a snapshot nothing can read.
-		if snap, derr := (wire.BinFmt{}).Unmarshal(promoteState); derr == nil {
+		if snap, derr := (wire.BinFmt{}).Unmarshal(cand.State); derr == nil {
 			if adopted, aerr := adoptState(obj, snap); aerr == nil {
 				obj = adopted
 				promoted = true
@@ -471,14 +470,14 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 	w.virt = &wcfg
 	w.gen.Store(newGen)
 	if promoted {
-		w.seq.Store(promoteSeq)
+		w.seq.Store(cand.Seq)
 		w.snapMu.Lock()
-		w.lastSnap, w.lastSeq = promoteState, promoteSeq
+		w.lastSnap, w.lastSeq = cand.State, cand.Seq
 		w.snapMu.Unlock()
 		// Inherit the dead owner's executed-call memory — only alongside
 		// its state: importing records without the matching state would
 		// acknowledge effects this instance does not have.
-		w.dedup.Import(promoteDedup)
+		w.dedup.Import(cand.Dedup)
 	}
 	a := newActor(w)
 	rt.actorsMu.Lock()
@@ -487,11 +486,7 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 		// was resolving; the committed copy wins.
 		rt.actorsMu.Unlock()
 		a.stop()
-		gen := uint64(1)
-		if loc, ok := rt.dirLookup(uri); ok {
-			gen = loc.Gen
-		}
-		return ResolveReply{Found: true, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: gen}, nil
+		return rt.hostedReply(uri), nil
 	}
 	rt.actors[uri] = a
 	rt.server.Marshal(uri, &actorEndpoint{a: a})
@@ -507,10 +502,20 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 		if cfg.Replicas > 0 {
 			// Restore redundancy right away: the promoted state's previous
 			// replica set centred on the dead owner, not on this node.
-			go rt.shipSnapshot(w, promoteState, newGen, promoteSeq, false) //nolint:errcheck // async re-ship
+			go rt.shipSnapshot(w, cand.State, newGen, cand.Seq, false) //nolint:errcheck // async re-ship
 		}
 	}
 	return ResolveReply{Found: true, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: newGen}, nil
+}
+
+// hostedReply is the activation reply for a copy of uri hosted here, at
+// the generation the directory knows it by.
+func (rt *Runtime) hostedReply(uri string) ResolveReply {
+	gen := uint64(1)
+	if loc, ok := rt.dirLookup(uri); ok {
+		gen = loc.Gen
+	}
+	return ResolveReply{Found: true, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: gen}
 }
 
 // ReplicaInfo is one peer's answer to a promotion census (ReplicaAt): its
@@ -525,31 +530,21 @@ type ReplicaInfo struct {
 
 func init() { wire.RegisterName("core.ReplicaInfo", ReplicaInfo{}) }
 
-// censusResult is the outcome of a promotion census: the freshest snapshot
-// found across the cluster (fresher=true when it beats the local candidate)
-// and how many nodes — self included — contributed their knowledge.
-type censusResult struct {
-	state   []byte
-	gen     uint64
-	seq     uint64
-	dedup   []remoting.DedupRecord
-	fresher bool
-	reached int
-}
-
 // replicaCensus queries every peer for its freshest knowledge of uri
 // (passive replica or fenced live copy) and returns the freshest
-// (generation, seq) snapshot. Unreachable peers are skipped, bounded by
-// replicaCensusTimeout per peer so promotion latency stays a failover
-// cost, not a liveness hazard; the caller enforces the majority quorum.
-// candidateGen is promised to every answering peer, which from then on
-// refuses deposits from older lineages — and fences a live stale copy it
-// still hosts — so no acknowledgement can slip in behind the census.
-func (rt *Runtime) replicaCensus(ctx context.Context, uri string, candidateGen, haveGen, haveSeq uint64) censusResult {
+// (generation, seq) snapshot, have (this node's own copy) included, and
+// how many nodes, self included, answered. Unreachable peers are skipped,
+// bounded by replicaCensusTimeout per peer so promotion latency stays a
+// failover cost, not a liveness hazard; the caller enforces the majority
+// quorum. candidateGen is promised to every answering peer, which from
+// then on refuses deposits from older lineages — and fences a live stale
+// copy it still hosts — so no acknowledgement can slip in behind the
+// census.
+func (rt *Runtime) replicaCensus(ctx context.Context, uri string, candidateGen uint64, have ReplicaInfo) (freshest ReplicaInfo, reached int) {
 	rt.mu.Lock()
 	peers := rt.peers
 	rt.mu.Unlock()
-	out := censusResult{gen: haveGen, seq: haveSeq, reached: 1} // self
+	freshest, reached = have, 1 // self
 	for _, p := range peers {
 		if p.node == rt.cfg.NodeID || p.om == nil {
 			continue
@@ -567,20 +562,17 @@ func (rt *Runtime) replicaCensus(ctx context.Context, uri string, candidateGen, 
 		if err != nil {
 			continue
 		}
-		out.reached++
+		reached++
 		var info ReplicaInfo
-		if aerr := wire.AssignTo(&info, res); aerr != nil || !info.Has {
+		if aerr := wire.AssignTo(&info, res); aerr != nil || !info.Has || !fresher(info.Gen, info.Seq, freshest.Gen, freshest.Seq) {
 			continue
 		}
-		if info.Gen > out.gen || (info.Gen == out.gen && info.Seq > out.seq) {
-			// The reply's byte slices may alias the transport frame; the
-			// adopted snapshot outlives the call, so copy.
-			out.state = append([]byte(nil), info.State...)
-			out.dedup = copyDedupRecords(info.Dedup)
-			out.gen, out.seq, out.fresher = info.Gen, info.Seq, true
-		}
+		// The reply's byte slices may alias the transport frame; the
+		// adopted snapshot outlives the call, so copy.
+		freshest = ReplicaInfo{Has: true, Gen: info.Gen, Seq: info.Seq,
+			State: append([]byte(nil), info.State...), Dedup: copyDedupRecords(info.Dedup)}
 	}
-	return out
+	return freshest, reached
 }
 
 // copyDedupRecords deep-copies dedup records, including []byte results that
@@ -621,23 +613,16 @@ func copyDedupRecords(recs []remoting.DedupRecord) []remoting.DedupRecord {
 // findable by the retry census.
 func (rt *Runtime) replicaAt(uri string, candidateGen uint64, fromNode int, fromAddr string) ReplicaInfo {
 	rt.replMu.Lock()
-	if candidateGen > rt.promised[uri] {
-		rt.promised[uri] = candidateGen
-	}
-	var info ReplicaInfo
-	if st := rt.replicas[uri]; st != nil {
-		info = ReplicaInfo{Has: true, Gen: st.gen, Seq: st.seq, State: st.state, Dedup: st.dedup.Export()}
-	}
+	rt.promised[uri] = max(rt.promised[uri], candidateGen)
+	info := rt.replicas[uri].info()
 	rt.replMu.Unlock()
 
-	rt.actorsMu.Lock()
-	a := rt.actors[uri]
-	rt.actorsMu.Unlock()
+	a := rt.actor(uri)
 	if a == nil || a.w.virt == nil {
 		return info
 	}
 	gen := a.w.gen.Load()
-	if gen >= candidateGen {
+	if !censusFence(gen, candidateGen) {
 		return info
 	}
 	a.w.fenced.Store(true)
@@ -645,14 +630,11 @@ func (rt *Runtime) replicaAt(uri string, candidateGen uint64, fromNode int, from
 	snap, seq := a.w.lastSnap, a.w.lastSeq
 	recs := a.w.dedup.Export()
 	a.w.snapMu.Unlock()
-	if snap != nil && (!info.Has || gen > info.Gen || (gen == info.Gen && seq > info.Seq)) {
+	if snap != nil && fresher(gen, seq, info.Gen, info.Seq) {
 		info = ReplicaInfo{Has: true, Gen: gen, Seq: seq, State: snap, Dedup: recs}
 		rt.replMu.Lock()
-		if cur := rt.replicas[uri]; cur == nil || gen > cur.gen || (gen == cur.gen && seq >= cur.seq) {
-			lru := remoting.NewDedupLRU(rt.dedupCap())
-			lru.Import(copyDedupRecords(recs))
-			rt.replicas[uri] = &replicaState{class: a.w.class, gen: gen, seq: seq,
-				state: snap, dedup: lru, dedupStamp: maxDedupStamp(recs)}
+		if cur := rt.replicas[uri]; cur == nil || !fresher(cur.gen, cur.seq, gen, seq) {
+			rt.replicas[uri] = rt.newReplica(gen, seq, snap, recs)
 		}
 		rt.replMu.Unlock()
 	}
@@ -674,7 +656,7 @@ const (
 )
 
 // pendingRecord is a dedup record whose commit must be atomic with
-// publishing the snapshot that carries its effects: replicateAfterCalls
+// publishing the snapshot that carries its effects: publishSnapshot
 // stores it inside the snapMu section that updates lastSnap, so a
 // promotion census — which reads (lastSnap, dedup memory) under the same
 // lock — adopts the call whole or not at all. A record adopted without its
@@ -726,23 +708,7 @@ func (rt *Runtime) replicateAfterCalls(_ context.Context, w *ioWrapper, n int, r
 		return nil
 	}
 	w.sinceShip = 0
-	registerStateType(w.obj)
-	snap, err := wire.BinFmt{}.Marshal(w.obj)
-	if err != nil {
-		// Commit even on the failure path: the caller will retry against
-		// this same live copy, and without the record the retry would
-		// re-execute a call whose effects this copy already has.
-		rec.commit(w)
-		if every == 1 {
-			return fmt.Errorf("core: replicate %s: snapshot %T: %w", w.uri, w.obj, err)
-		}
-		return nil
-	}
-	w.snapMu.Lock()
-	rec.commit(w)
-	w.lastSnap, w.lastSeq = snap, seq
-	w.snapMu.Unlock()
-	return rt.shipSnapshot(w, snap, w.gen.Load(), seq, every == 1)
+	return rt.publishSnapshot(w, seq, rec, every == 1)
 }
 
 // reshipForDedup runs before a dedup hit replays a recorded reply on a
@@ -758,16 +724,31 @@ func (rt *Runtime) reshipForDedup(_ context.Context, w *ioWrapper) error {
 	if cfg.Replicas <= 0 || cfg.SnapshotEvery > 1 {
 		return nil
 	}
+	return rt.publishSnapshot(w, w.seq.Load(), nil, true)
+}
+
+// publishSnapshot marshals w's quiesced state as the snapshot at seq,
+// publishes it as w's last snapshot with rec committed in the same snapMu
+// section (see pendingRecord), and ships it to the replicas. A snapshot
+// that fails to marshal still commits rec: the caller will retry against
+// this same live copy, and without the record the retry would re-execute a
+// call whose effects this copy already has. Only a synchronous ship
+// (awaitAck) fails its call for it.
+func (rt *Runtime) publishSnapshot(w *ioWrapper, seq uint64, rec *pendingRecord, awaitAck bool) error {
 	registerStateType(w.obj)
 	snap, err := wire.BinFmt{}.Marshal(w.obj)
 	if err != nil {
-		return fmt.Errorf("core: replicate %s: snapshot %T: %w", w.uri, w.obj, err)
+		rec.commit(w)
+		if awaitAck {
+			return fmt.Errorf("core: replicate %s: snapshot %T: %w", w.uri, w.obj, err)
+		}
+		return nil
 	}
-	seq := w.seq.Load()
 	w.snapMu.Lock()
+	rec.commit(w)
 	w.lastSnap, w.lastSeq = snap, seq
 	w.snapMu.Unlock()
-	return rt.shipSnapshot(w, snap, w.gen.Load(), seq, true)
+	return rt.shipSnapshot(w, snap, w.gen.Load(), seq, awaitAck)
 }
 
 // shipSnapshot sends one state snapshot of w — with w's dedup memory, so a
@@ -830,24 +811,18 @@ func (rt *Runtime) shipSnapshot(w *ioWrapper, snap []byte, gen, seq uint64, awai
 // ship, a generation change, a dropped replica) answers needFull and gets
 // one full resend within the same attempt.
 func (rt *Runtime) shipTo(w *ioWrapper, p peer, snap []byte, gen, seq uint64) error {
-	base := w.shipAckFor(p.addr)
-	recs, upTo := w.dedup.ExportSince(base)
-	needFull, err := rt.invokeReplicate(p, w, snap, gen, seq, recs, base)
-	if err != nil {
-		return err
-	}
-	if needFull {
-		recs, upTo = w.dedup.ExportSince(0)
-		needFull, err = rt.invokeReplicate(p, w, snap, gen, seq, recs, 0)
+	for _, base := range [...]uint64{w.shipAckFor(p.addr), 0} {
+		recs, upTo := w.dedup.ExportSince(base)
+		needFull, err := rt.invokeReplicate(p, w, snap, gen, seq, recs, base)
 		if err != nil {
 			return err
 		}
-		if needFull {
-			return fmt.Errorf("core: replicate %s: %s refused a full dedup resend", w.uri, p.addr)
+		if !needFull {
+			w.setShipAck(p.addr, upTo)
+			return nil
 		}
 	}
-	w.setShipAck(p.addr, upTo)
-	return nil
+	return fmt.Errorf("core: replicate %s: %s refused a full dedup resend", w.uri, p.addr)
 }
 
 func (rt *Runtime) invokeReplicate(p peer, w *ioWrapper, snap []byte, gen, seq uint64, recs []remoting.DedupRecord, base uint64) (bool, error) {
@@ -886,67 +861,38 @@ func (rt *Runtime) replicaTargets(uri string, n int) []peer {
 }
 
 // replicateVirtual is the receiving half of snapshot shipping: keep the
-// freshest (generation, seq) snapshot per URI — and, when this node still
-// hosts the object at a lower generation than the shipper's, recognise
-// that a failover promoted past us (we were the owner behind a partition)
-// and demote our stale copy into a forwarding tombstone.
+// freshest (generation, seq) snapshot per URI (judgeShip) — and, when this
+// node still hosts the object at a lower generation than the shipper's,
+// recognise that a failover promoted past us (we were the owner behind a
+// partition) and demote our stale copy into a forwarding tombstone. The
+// class travels for the wire's sake; a replica's class is its URI's.
 //
 // dedupBase is the shipper's incremental-replication floor: the dedup
 // records carry only entries stamped after it (dedupBase 0 means the full
-// memory). A base this replica cannot extend — it has no record chain for
-// this generation, or the chain has a gap from a missed ship — returns
-// needFull=true WITHOUT applying, and the shipper resends in full.
-func (rt *Runtime) replicateVirtual(class, uri string, gen, seq uint64, fromNode int, fromAddr string, state []byte, dedup []remoting.DedupRecord, dedupBase uint64) (needFull bool, err error) {
+// memory). A base this replica cannot extend returns needFull=true WITHOUT
+// applying, and the shipper resends in full.
+func (rt *Runtime) replicateVirtual(_, uri string, gen, seq uint64, fromNode int, fromAddr string, state []byte, dedup []remoting.DedupRecord, dedupBase uint64) (needFull bool, err error) {
 	if !isVirtualURI(uri) {
 		return false, fmt.Errorf("core: replicate: %q is not a virtual URI", uri)
 	}
-	rt.actorsMu.Lock()
-	hosted := rt.actors[uri] != nil
-	rt.actorsMu.Unlock()
-	if hosted {
-		if loc, ok := rt.dirLookup(uri); ok && loc.Node == rt.cfg.NodeID && loc.Gen >= gen {
-			// Our live copy is the fresher lineage. Refuse rather than ack:
-			// a synchronous shipper treats the ack as "this call's state is
-			// durable elsewhere", and the moved error routes its callers to
-			// the copy that actually won.
-			return false, &errs.MovedError{URI: uri, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: loc.Gen}
-		}
-		rt.demoteStale(uri, ObjLoc{Node: fromNode, Addr: fromAddr, Gen: gen})
+	if hostedGen, kept := rt.demoteStale(uri, ObjLoc{Node: fromNode, Addr: fromAddr, Gen: gen}); kept {
+		// Our live copy is the fresher lineage. Refuse rather than ack:
+		// a synchronous shipper treats the ack as "this call's state is
+		// durable elsewhere", and the moved error routes its callers to
+		// the copy that actually won.
+		return false, &errs.MovedError{URI: uri, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: hostedGen}
 	}
 	rt.replMu.Lock()
 	defer rt.replMu.Unlock()
-	if floor := rt.promised[uri]; gen < floor {
-		return false, fmt.Errorf("core: replicate %s: generation %d superseded by a promotion census at %d", uri, gen, floor)
-	}
 	cur := rt.replicas[uri]
-	if cur != nil && gen < cur.gen {
-		// A fresher lineage already deposited here; acking the old owner
-		// would let it acknowledge calls the cluster has moved past.
-		return false, fmt.Errorf("core: replicate %s: stale snapshot generation %d (replica holds %d)", uri, gen, cur.gen)
-	}
-	if cur == nil || gen > cur.gen || (gen == cur.gen && seq >= cur.seq) {
-		if dedupBase > 0 && (cur == nil || cur.gen != gen || cur.dedup == nil || dedupBase > cur.dedupStamp) {
-			return true, nil
-		}
-		// The snapshot outlives this call, and state may alias the RPC
-		// receive frame. That memory is safe to hold (a frame decoded
-		// values alias is never reused), but a long-lived replica should
-		// not pin a whole frame per deposit, so the retained copy is ours
-		// — including any []byte results inside the dedup records.
-		recs := copyDedupRecords(dedup)
-		stamp := maxDedupStamp(recs)
-		lru := remoting.NewDedupLRU(rt.dedupCap())
-		if dedupBase > 0 {
-			// Extending an intact chain: replay the delta into the held
-			// LRU. Incoming records are in the owner's recency order, and a
-			// restamped token moves to the front on Put, so eviction order
-			// keeps mirroring the owner's.
-			lru = cur.dedup
-			stamp = max(stamp, cur.dedupStamp)
-		}
-		lru.Import(recs)
-		rt.replicas[uri] = &replicaState{class: class, gen: gen, seq: seq,
-			state: append([]byte(nil), state...), dedup: lru, dedupStamp: stamp}
+	apply, needFull, err := judgeShip(uri, rt.promised[uri], cur, gen, seq, dedupBase)
+	switch {
+	case !apply:
+		return needFull, err
+	case dedupBase > 0:
+		cur.deposit(seq, state, dedup) // extending an intact chain
+	default:
+		rt.replicas[uri] = rt.newReplica(gen, seq, state, dedup)
 	}
 	return false, nil
 }
@@ -958,32 +904,27 @@ func (rt *Runtime) dedupCap() int {
 	return remoting.DefaultDedupPerObject
 }
 
-func maxDedupStamp(recs []remoting.DedupRecord) uint64 {
-	var m uint64
-	for _, r := range recs {
-		m = max(m, r.Stamp)
-	}
-	return m
-}
-
 // demoteStale abandons this node's hosted copy of uri in favour of a
 // strictly fresher one at to: the actor is removed and its queued calls
 // failed with the forward (they would otherwise execute on state the
 // cluster has already moved past), and the URI serves the same forwarding
 // tombstone a migration leaves — stale proxies chase it with zero new
-// client logic.
-func (rt *Runtime) demoteStale(uri string, to ObjLoc) {
-	mv := &errs.MovedError{URI: uri, Node: to.Node, Addr: to.Addr, Gen: to.Gen}
+// client logic. A copy the directory knows here at to's generation or
+// above (censusFence) is kept, and demoteStale reports kept and that
+// copy's generation: decided under actorsMu, so no activation slips in
+// between the check and the demotion.
+func (rt *Runtime) demoteStale(uri string, to ObjLoc) (hostedGen uint64, kept bool) {
 	rt.actorsMu.Lock()
 	a := rt.actors[uri]
 	if a == nil {
 		rt.actorsMu.Unlock()
-		return
+		return 0, false
 	}
-	if loc, ok := rt.dirLookup(uri); ok && loc.Node == rt.cfg.NodeID && loc.Gen >= to.Gen {
+	if loc, ok := rt.dirLookup(uri); ok && loc.Node == rt.cfg.NodeID && !censusFence(loc.Gen, to.Gen) {
 		rt.actorsMu.Unlock()
-		return
+		return loc.Gen, true
 	}
+	mv := &errs.MovedError{URI: uri, Node: to.Node, Addr: to.Addr, Gen: to.Gen}
 	delete(rt.actors, uri)
 	rt.leaveForward(uri, mv)
 	rt.load.Add(-1)
@@ -991,6 +932,7 @@ func (rt *Runtime) demoteStale(uri string, to ObjLoc) {
 	rt.actorsMu.Unlock()
 	a.abort(mv)
 	rt.count("stale_demotions")
+	return 0, false
 }
 
 // dropReplica forgets this node's passive replica of uri (the owner
@@ -1024,22 +966,21 @@ func (rt *Runtime) dropReplicasFor(uri string) {
 // activation path, which folds in directory knowledge, racing promotions
 // on other nodes, and generation bumping.
 func (rt *Runtime) onPeerDown(node int) {
-	type cand struct{ uri, class string }
-	var cands []cand
+	var uris []string
 	rt.replMu.Lock()
-	for uri, st := range rt.replicas {
-		cands = append(cands, cand{uri: uri, class: st.class})
+	for uri := range rt.replicas {
+		uris = append(uris, uri)
 	}
 	rt.replMu.Unlock()
-	for _, c := range cands {
-		if owner, ok := rt.ring().owner(c.uri); !ok || owner != rt.cfg.NodeID {
+	for _, uri := range uris {
+		if owner, ok := rt.ring().owner(uri); !ok || owner != rt.cfg.NodeID {
 			continue
 		}
-		if loc, ok := rt.dirLookup(c.uri); ok && loc.Node != rt.cfg.NodeID && loc.Node != node && !rt.peerDown(loc.Node) {
+		if loc, ok := rt.dirLookup(uri); ok && loc.Node != rt.cfg.NodeID && loc.Node != node && !rt.peerDown(loc.Node) {
 			continue // still live on a node unaffected by this failure
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), promoteTimeout)
-		_, _ = rt.activateVirtual(ctx, c.class, c.uri) //nolint:errcheck // lazy activation redoes it on demand
+		_, _ = rt.activateVirtual(ctx, classOfVirtualURI(uri), uri) //nolint:errcheck // lazy activation redoes it on demand
 		cancel()
 	}
 }

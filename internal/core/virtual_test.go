@@ -469,3 +469,66 @@ func TestVirtualStaleDemotion(t *testing.T) {
 		t.Error("equal-generation snapshot demoted a live owner")
 	}
 }
+
+// TestVirtualClassNameWithSlashPanics: a virtual URI is
+// "virtual/<class>/<key>", so class "a/b" with key "c" and class "a" with
+// key "b/c" would name one object, and the class read back from the URI
+// would be wrong. Registering such a class panics, as a bad wire
+// registration does, and registers nothing.
+func TestVirtualClassNameWithSlashPanics(t *testing.T) {
+	rt := startNodes(t, 1, nil)[0]
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("RegisterVirtualClass(\"team/vj\") did not panic")
+			}
+		}()
+		rt.RegisterVirtualClass("team/vj", func() any { return &vjournalObj{} }, VirtualConfig{})
+	}()
+	if _, ok := rt.virtualConfig("team/vj"); ok {
+		t.Error("a class refused by its name was registered virtual")
+	}
+	if _, err := rt.factoryFor("team/vj"); err == nil {
+		t.Error("a class refused by its name was registered")
+	}
+}
+
+// TestVirtualDestroyDropsReplicas: destroying a replicated virtual object
+// drops its passive replicas on every node, so none can resurrect it at
+// the next owner failure.
+func TestVirtualDestroyDropsReplicas(t *testing.T) {
+	rts := startNodes(t, 3, nil)
+	registerVirtualJournal(rts, VirtualConfig{Replicas: 2, SnapshotEvery: 1})
+	p, err := rts[0].VirtualObject("vjournal", "doomed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Invoke("Append", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	uri := VirtualURI("vjournal", "doomed")
+	held := func() (n int) {
+		for _, rt := range rts {
+			if replicaSeqOf(rt, uri) != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	if n := held(); n != 2 {
+		t.Fatalf("%d replicas after a synchronous call, want 2", n)
+	}
+	if err := p.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for held() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d replicas remain 2 s after Destroy, want 0", held())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if hosts := hostOf(rts, uri); len(hosts) != 0 {
+		t.Fatalf("hosted on %v after Destroy", hosts)
+	}
+}

@@ -34,13 +34,15 @@ func WithSnapshotEvery(n int) VirtualOption {
 // cluster: instances are addressed by key through Virtual, live on their
 // consistent-hash ring owner, and are activated by their first call — no
 // explicit New. Every node of a deployment must register the same virtual
-// classes with the same options.
+// classes with the same options. A class name must not contain '/' (an
+// instance's URI is "virtual/<class>/<key>"); such a name panics.
 func RegisterVirtual[T any](c *Cluster, class string, opts ...VirtualOption) {
 	c.RegisterVirtualClass(class, func() any { return new(T) }, virtualConfig(opts))
 }
 
 // RegisterVirtualAt registers a virtual class on a single node runtime;
-// multi-process deployments call it on every node.
+// multi-process deployments call it on every node. The class name follows
+// RegisterVirtual's rule: no '/'.
 func RegisterVirtualAt[T any](rt *Runtime, class string, opts ...VirtualOption) {
 	rt.RegisterVirtualClass(class, func() any { return new(T) }, virtualConfig(opts))
 }
