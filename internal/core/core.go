@@ -43,15 +43,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dispatch"
 	"repro/internal/errs"
 	"repro/internal/metrics"
 	"repro/internal/remoting"
@@ -73,147 +70,6 @@ type ProxyRef struct {
 
 func init() {
 	wire.RegisterName("core.ProxyRef", ProxyRef{})
-}
-
-// AggregationConfig controls method-call aggregation.
-type AggregationConfig struct {
-	// MaxCalls is the number of buffered asynchronous calls that
-	// triggers a batch send (the paper's maxCalls, "calls per message").
-	// Values <= 1 disable aggregation.
-	MaxCalls int
-	// MaxDelay flushes a non-empty buffer this long after its first
-	// call, bounding the latency cost of waiting for a full batch.
-	// Zero means no timer (explicit Flush or a full/sync call flushes).
-	MaxDelay time.Duration
-}
-
-// enabled reports whether Posts should buffer.
-func (a AggregationConfig) enabled() bool { return a.MaxCalls > 1 }
-
-// NodeLoad is one node's load snapshot used for placement. Overload is
-// the node's admission-control grade at probe time: load-aware policies
-// prefer cooler nodes, and every policy avoids Shedding nodes while any
-// alternative exists.
-type NodeLoad struct {
-	Node     int
-	Load     int
-	Overload OverloadGrade
-}
-
-// PlacementPolicy picks the node for a new parallel object, given the
-// creating node and the current load vector (one entry per node, self
-// included).
-type PlacementPolicy interface {
-	Pick(self int, loads []NodeLoad) int
-}
-
-// RoundRobin cycles through nodes, the ParC++ default distribution.
-type RoundRobin struct {
-	next atomic.Int64
-}
-
-// Pick implements PlacementPolicy. Nodes graded Shedding are skipped
-// while any cooler node exists: round-robin is load-blind by design, but
-// routing new objects onto a node actively rejecting calls just converts
-// creations into ErrOverloaded.
-func (r *RoundRobin) Pick(self int, loads []NodeLoad) int {
-	loads = preferCool(loads)
-	if len(loads) == 0 {
-		return self
-	}
-	n := r.next.Add(1) - 1
-	return loads[int(n)%len(loads)].Node
-}
-
-// preferCool filters a load vector down to the nodes not graded Shedding,
-// falling back to the full vector when every node is hot (placement must
-// still pick something; the bounded mailboxes shed the excess).
-func preferCool(loads []NodeLoad) []NodeLoad {
-	cool := make([]NodeLoad, 0, len(loads))
-	for _, l := range loads {
-		if l.Overload < OverloadShedding {
-			cool = append(cool, l)
-		}
-	}
-	if len(cool) == 0 {
-		return loads
-	}
-	return cool
-}
-
-// LeastLoaded picks the node with the smallest load, breaking ties towards
-// the creating node ("according to the current load distribution policy").
-type LeastLoaded struct{}
-
-// Pick implements PlacementPolicy: the coolest overload grade wins first,
-// then the smallest load, then the self tie-break.
-func (LeastLoaded) Pick(self int, loads []NodeLoad) int {
-	best, bestLoad := self, int(^uint(0)>>1)
-	bestGrade := OverloadShedding + 1
-	for _, l := range loads {
-		if l.Overload > bestGrade {
-			continue
-		}
-		if l.Overload < bestGrade || l.Load < bestLoad || (l.Load == bestLoad && l.Node == self) {
-			best, bestLoad, bestGrade = l.Node, l.Load, l.Overload
-		}
-	}
-	return best
-}
-
-// LocalOnly always places on the creating node; used to disable
-// distribution.
-type LocalOnly struct{}
-
-// Pick implements PlacementPolicy.
-func (LocalOnly) Pick(self int, loads []NodeLoad) int { return self }
-
-// ClassStats summarises the measured grain size of a class on this node.
-type ClassStats struct {
-	Calls       int64
-	AvgExecTime time.Duration
-}
-
-// AgglomerationPolicy decides whether a new object should be agglomerated
-// (created as a passive local object, removing parallelism) based on the
-// measured grain size of its class and the local load.
-type AgglomerationPolicy interface {
-	Agglomerate(class string, stats ClassStats, localLoad int) bool
-}
-
-// NeverAgglomerate keeps every object parallel.
-type NeverAgglomerate struct{}
-
-// Agglomerate implements AgglomerationPolicy.
-func (NeverAgglomerate) Agglomerate(string, ClassStats, int) bool { return false }
-
-// AlwaysAgglomerate packs every new object into its creator's grain
-// (serial execution); useful for ablation A2 and as the paper's "removing
-// excess of parallelism" extreme.
-type AlwaysAgglomerate struct{}
-
-// Agglomerate implements AgglomerationPolicy.
-func (AlwaysAgglomerate) Agglomerate(string, ClassStats, int) bool { return true }
-
-// AdaptiveAgglomeration removes parallelism when the measured average
-// method execution time of the class falls below MinGrain — the grain is
-// too fine to pay communication costs — and the node already has at least
-// MinLocalLoad live objects to keep processors busy. This is the dynamic
-// grain packing of SCOOPP (paper refs [8][9]).
-type AdaptiveAgglomeration struct {
-	MinGrain     time.Duration
-	MinLocalLoad int
-	// MinSamples avoids deciding from noise; below it objects stay
-	// parallel.
-	MinSamples int64
-}
-
-// Agglomerate implements AgglomerationPolicy.
-func (a AdaptiveAgglomeration) Agglomerate(class string, stats ClassStats, localLoad int) bool {
-	if stats.Calls < int64(a.MinSamples) {
-		return false
-	}
-	return stats.AvgExecTime < a.MinGrain && localLoad >= a.MinLocalLoad
 }
 
 // Config configures a node's runtime.
@@ -339,10 +195,10 @@ type Runtime struct {
 	closeOnce sync.Once
 	loopsOnce sync.Once
 
-	// Virtual-object state (see virtual.go): registered virtual classes,
-	// the single-flight table serialising concurrent activations of one
-	// URI, and the passive replica store (state snapshots shipped by the
-	// owners of replicated virtual objects hosted elsewhere).
+	// Virtual-object state (see virtual.go and replicate.go): registered
+	// virtual classes, the single-flight table serialising concurrent
+	// activations of one URI, and the passive replica store (state snapshots
+	// shipped by the owners of replicated virtual objects hosted elsewhere).
 	virtMu   sync.Mutex
 	virtuals map[string]VirtualConfig
 
@@ -701,74 +557,6 @@ func (rt *Runtime) destroyLocal(uri string) (destroyedLive bool) {
 	}
 }
 
-// loadProbeTimeout bounds one peer load probe: a slow or dead peer costs a
-// placement refresh at most this long, not a full call timeout.
-const loadProbeTimeout = 200 * time.Millisecond
-
-// nodeLoads returns the cached cluster load vector, refreshing it when
-// stale. The refresh runs outside loadMu (one slow peer must not serialise
-// every placement behind it) with at most one refresher at a time —
-// concurrent placements wait for the in-flight refresh instead of
-// duplicating the probes.
-func (rt *Runtime) nodeLoads() []NodeLoad {
-	rt.loadMu.Lock()
-	for {
-		if time.Since(rt.loadCached) < rt.cfg.LoadCacheTTL && rt.loadCache != nil {
-			loads := rt.loadCache
-			rt.loadMu.Unlock()
-			return loads
-		}
-		if !rt.loadRefreshing {
-			break
-		}
-		rt.loadCond.Wait()
-	}
-	rt.loadRefreshing = true
-	rt.loadMu.Unlock()
-
-	loads := rt.probeLoads()
-
-	rt.loadMu.Lock()
-	rt.loadCache = loads
-	rt.loadCached = time.Now()
-	rt.loadRefreshing = false
-	rt.loadCond.Broadcast()
-	rt.loadMu.Unlock()
-	return loads
-}
-
-// probeLoads measures the live cluster load vector: every peer is probed
-// concurrently with a short per-probe deadline. Peers that are marked down
-// by health probing, cannot be reached in time, or answer with a mis-typed
-// load are excluded from the vector entirely — placement then cannot pick
-// them, rather than merely disfavouring them behind a max-int load. The
-// vector comes back in node order, which round-robin placement relies on.
-func (rt *Runtime) probeLoads() []NodeLoad {
-	var mu sync.Mutex
-	loads := []NodeLoad{{Node: rt.cfg.NodeID, Load: rt.Load(), Overload: rt.OverloadGrade()}}
-	rt.forEachPeer(context.Background(), loadProbeTimeout, true, func(ctx context.Context, p peer) {
-		// Load probes double as liveness evidence: their timing is the
-		// failure detector's clock, so they must not be stretched (or
-		// masked) by retry backoff.
-		res, err := p.om.InvokeCtx(remoting.WithoutRetry(ctx), "LoadInfo")
-		if err != nil {
-			return
-		}
-		var li LoadInfo
-		if err := wire.AssignTo(&li, res); err != nil {
-			// A mis-typed reply is as useless as no reply: treating it
-			// as load 0 would magnetise traffic onto a broken peer.
-			return
-		}
-		rt.noteOverload(p.node, OverloadGrade(li.Overload))
-		mu.Lock()
-		loads = append(loads, NodeLoad{Node: p.node, Load: li.Load, Overload: OverloadGrade(li.Overload)})
-		mu.Unlock()
-	})
-	sort.Slice(loads, func(i, j int) bool { return loads[i].Node < loads[j].Node })
-	return loads
-}
-
 // NewCallToken mints a fresh idempotency token from this node's channel.
 // Stamp it on a context with WithCallToken when spanning your own retry
 // loop around a logical call; proxies stamp one automatically per call
@@ -850,326 +638,4 @@ func (rt *Runtime) Attach(ref ProxyRef) *Proxy {
 		addr, gen = loc.Addr, loc.Gen
 	}
 	return newRemoteProxy(rt, ref.Class, ref.URI, addr, gen)
-}
-
-// omService is the object manager's remote interface (Fig. 6's
-// RemoteFactory plus load reporting).
-type omService struct {
-	rt *Runtime
-}
-
-// CreateObject instantiates class on this node and returns the new IO's
-// URI.
-func (s *omService) CreateObject(class string) (string, error) {
-	uri, _, err := s.rt.createLocalIO(class, true)
-	return uri, err
-}
-
-// DestroyObject unpublishes an object hosted on this node. If uri is not
-// hosted here, the destruction chases this node's forward knowledge — the
-// tombstone's directory entry, or, when even that has been
-// garbage-collected, a re-resolution through the peers — to the current
-// host, so destroying through a stale location still releases the live
-// object instead of silently succeeding against a dead URI. Local state
-// is cleared before chasing, which is what makes destroy chains across
-// mutually stale caches terminate.
-func (s *omService) DestroyObject(ctx context.Context, uri string) error {
-	rt := s.rt
-	// Snapshot the forward before clearing local state; whether a live
-	// actor was removed decides if a forward remains to chase (a
-	// migration committing concurrently leaves a tombstone where the
-	// actor was — clearing that tombstone alone must not count as
-	// destroying the object).
-	loc, ok := rt.dirLookup(uri)
-	if rt.destroyLocal(uri) {
-		return nil
-	}
-	if !ok || loc.Node == rt.cfg.NodeID {
-		loc, ok = rt.resolveRemote(ctx, uri, rt.Addr())
-	}
-	if ok && loc.Node != rt.cfg.NodeID {
-		om := remoting.NewObjRef(rt.cfg.Channel, loc.Addr, omURI)
-		if _, err := om.InvokeCtx(ctx, "DestroyObject", uri); err != nil {
-			return err
-		}
-		rt.dirDrop(uri)
-	}
-	// No local trace and no resolvable forward: treated as already
-	// destroyed. This keeps destroy idempotent (double-destroys must
-	// succeed), at the price that a destroy routed through a node whose
-	// tombstone aged out, while every resolution probe transiently
-	// failed, reports success without reaching the live copy — the same
-	// information horizon any caller of a fully decentralised directory
-	// has.
-	return nil
-}
-
-// AbortAccept is the compensation half of a failed migration; see
-// Runtime.abortAccept.
-func (s *omService) AbortAccept(uri string, gen uint64) {
-	s.rt.abortAccept(uri, gen)
-}
-
-// Load reports the node's live object count for placement decisions.
-func (s *omService) Load() int { return s.rt.Load() }
-
-// Ping lets peers probe liveness.
-func (s *omService) Ping() string { return "pong" }
-
-// Resolve reports this node's directory knowledge of uri: authoritative
-// for hosted objects and tombstones, best-effort for cached locations.
-func (s *omService) Resolve(uri string) ResolveReply {
-	if loc, ok := s.rt.dirLookup(uri); ok {
-		return ResolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}
-	}
-	return ResolveReply{}
-}
-
-// AcceptObject is the receiving half of a live migration: re-create class
-// under uri at generation gen from the snapshotted state, returning this
-// node's transport address.
-func (s *omService) AcceptObject(class, uri string, gen uint64, state []byte) (string, error) {
-	return s.rt.acceptObject(class, uri, gen, state)
-}
-
-// Migrate moves an object hosted on this node to toNode, returning its new
-// location. A *errs.MovedError (object already elsewhere) travels back
-// with the forward so the caller can chase it.
-func (s *omService) Migrate(ctx context.Context, uri string, toNode int) (ResolveReply, error) {
-	if err := s.rt.MigrateCtx(ctx, uri, toNode); err != nil {
-		return ResolveReply{}, err
-	}
-	loc, ok := s.rt.dirLookup(uri)
-	if !ok {
-		return ResolveReply{}, fmt.Errorf("core: migrate %s: directory entry lost", uri)
-	}
-	return ResolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}, nil
-}
-
-// Rebalance triggers a load rebalance on this node, returning the number
-// of objects migrated away.
-func (s *omService) Rebalance(ctx context.Context) (int, error) {
-	return s.rt.Rebalance(ctx)
-}
-
-// ioWrapper wraps an implementation object, measuring execution times for
-// grain-size estimation and replaying batches (the processN method the
-// preprocessor adds in Fig. 7). Its methods take the caller's context first
-// so the remoting dispatcher injects the request context, which in turn is
-// injected into context-aware implementation methods.
-type ioWrapper struct {
-	rt    *Runtime
-	class string
-	obj   any
-	uri   string
-
-	// calls and execNS are the class's grain counters (Runtime.wrap).
-	calls, execNS *metrics.Counter
-
-	// virt is set on actor-hosted virtual objects of a replicated class:
-	// after each call (or each SnapshotEvery-th), the wrapper snapshots
-	// obj and ships the state to the ring-successor replicas (virtual.go).
-	// Invoke1/InvokeBatch run in the actor goroutine for these objects,
-	// so the snapshot reads quiesced state. seq counts applied calls;
-	// replicas order snapshots by (generation, seq).
-	virt      *VirtualConfig
-	seq       atomic.Uint64
-	sinceShip int // calls since the last shipped snapshot; actor goroutine only
-
-	// gen is the directory generation THIS copy was activated at. Snapshot
-	// ships must stamp this — never the directory's current generation: a
-	// promotion census can demote this copy and repoint the directory at
-	// the winning lineage's generation while a call is still executing
-	// here, and a ship stamped with the directory's new generation would
-	// smuggle the doomed lineage's state into the winner's replica chain.
-	gen atomic.Uint64
-
-	// snapMu guards the last shipped snapshot, re-shipped by the
-	// reconciliation pass when a partitioned peer recovers.
-	snapMu   sync.Mutex
-	lastSnap []byte
-	lastSeq  uint64
-
-	// dedup remembers replies of executed token-bearing calls so a retry
-	// of an already-executed call replays the recorded reply instead of
-	// executing again. An agglomerated object's proxy calls through this
-	// same wrapper; those calls never leave the caller, never retry and
-	// carry no token, so they never consult it.
-	dedup *remoting.DedupLRU
-
-	// fenced is set by a promotion census that read this copy's last
-	// snapshot while promoting the object elsewhere (replicaAt): from that
-	// point on, calls here must not be acknowledged — the promoted lineage
-	// was built without them and an acknowledgement would be lost when this
-	// copy demotes. Callers re-resolve to the promoted copy instead.
-	fenced atomic.Bool
-
-	// shipAck tracks, per replica address, the dedup write counter that
-	// replica acknowledged, so synchronous snapshot ships carry only the
-	// dedup records added since (virtual.go shipTo) instead of the whole
-	// LRU on every call. Reset to zero (full resend) when a receiver
-	// reports it cannot extend its chain.
-	shipMu  sync.Mutex
-	shipAck map[string]uint64
-}
-
-func (w *ioWrapper) shipAckFor(addr string) uint64 {
-	w.shipMu.Lock()
-	defer w.shipMu.Unlock()
-	return w.shipAck[addr]
-}
-
-func (w *ioWrapper) setShipAck(addr string, stamp uint64) {
-	w.shipMu.Lock()
-	defer w.shipMu.Unlock()
-	if w.shipAck == nil {
-		w.shipAck = make(map[string]uint64)
-	}
-	w.shipAck[addr] = stamp
-}
-
-// errFenced is the refusal a fenced stale copy answers every call with. It
-// wraps ErrNodeDown so callers take the same re-resolve path an owner death
-// does — the promoted lineage is where their calls must land.
-func errFenced(uri string) error {
-	return fmt.Errorf("core: %s: this copy is fenced pending promotion elsewhere: %w", uri, errs.ErrNodeDown)
-}
-
-// Invoke1 executes one method invocation on the IO. Calls carrying an
-// idempotency token are deduplicated: a token already recorded means the
-// call executed here before (a retry whose reply was lost), so the recorded
-// reply is replayed instead of executing again.
-func (w *ioWrapper) Invoke1(ctx context.Context, method string, args []any) (any, error) {
-	if w.fenced.Load() {
-		return nil, errFenced(w.uri)
-	}
-	tok, hasTok := remoting.TokenFromContext(ctx)
-	if hasTok {
-		if rep, ok := w.dedup.Get(tok); ok {
-			// The recorded call may have executed and then failed its
-			// synchronous replication ack: re-ship the current state before
-			// replaying, so the replayed acknowledgement is as durable as
-			// the original success would have been.
-			if w.virt != nil {
-				if rerr := w.rt.reshipForDedup(ctx, w); rerr != nil {
-					return nil, rerr
-				}
-			}
-			return rep.Result, dedupReplayError(rep)
-		}
-	}
-	start := time.Now()
-	res, err := dispatch.InvokeCtx(ctx, w.obj, method, args)
-	w.grain(time.Since(start))
-	record := hasTok && dedupRecordable(err)
-	rep := remoting.DedupReply{
-		Result:  res,
-		ErrMsg:  errMsg(err),
-		ErrCode: errs.Code(err),
-		IsErr:   err != nil,
-	}
-	if err == nil && w.virt != nil {
-		// The dedup record is committed by replicateAfterCalls, inside the
-		// same critical section that publishes the snapshot it is embedded
-		// in: a promotion census reading (snapshot, dedup memory) under that
-		// lock sees this call in both or in neither — a record without its
-		// effects would replay an acknowledgement for state the promoted
-		// lineage does not have, and effects without their record would
-		// re-execute the retry of a call refused by the fence below.
-		var rec *pendingRecord
-		if record {
-			rec = &pendingRecord{tok: tok, rep: rep}
-			record = false
-		}
-		if rerr := w.rt.replicateAfterCalls(ctx, w, 1, rec); rerr != nil {
-			// Synchronous replication failed: surface it so the caller
-			// retries (and its retry re-replicates) instead of receiving an
-			// acknowledgement for state no replica has.
-			return nil, rerr
-		}
-	}
-	if record {
-		// Non-replicated path (plain objects, application errors): no
-		// snapshot to pair with, record directly.
-		w.dedup.Put(tok, rep)
-	}
-	if w.fenced.Load() {
-		// A promotion census fenced this copy while the call was in
-		// flight. The census reads the (snapshot, dedup) pair after setting
-		// the fence, and this call committed its pair before replicating —
-		// so a call refused here either made it into the promoted lineage
-		// whole (its retry replays the recorded reply) or not at all (its
-		// retry executes there once).
-		return nil, errFenced(w.uri)
-	}
-	return res, err
-}
-
-// grain counts one call of d into the class's grain counters; a batch
-// counts as one call of its mean time.
-func (w *ioWrapper) grain(d time.Duration) {
-	w.calls.Add(1)
-	w.execNS.Add(d.Nanoseconds())
-}
-
-// dedupRecordable reports whether an invocation outcome is worth
-// remembering for replay. Outcomes that never executed the method body
-// (refusals and cut-offs) are not: replaying them would pin a transient
-// failure onto every retry of the token.
-func dedupRecordable(err error) bool {
-	if err == nil {
-		return true
-	}
-	return !errors.Is(err, context.DeadlineExceeded) &&
-		!errors.Is(err, context.Canceled) &&
-		!errors.Is(err, errs.ErrOverloaded) &&
-		!errors.Is(err, errs.ErrObjectMoved) &&
-		!errors.Is(err, errs.ErrObjectDestroyed) &&
-		!errors.Is(err, errs.ErrNodeDown)
-}
-
-func errMsg(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
-// dedupReplayError rebuilds the error of a recorded outcome, re-rooting it
-// at the matching sentinel so errors.Is classification survives the replay.
-func dedupReplayError(rep remoting.DedupReply) error {
-	if !rep.IsErr {
-		return nil
-	}
-	if sent := errs.Sentinel(rep.ErrCode); sent != nil {
-		return fmt.Errorf("%s: %w", rep.ErrMsg, sent)
-	}
-	return errors.New(rep.ErrMsg)
-}
-
-// InvokeBatch replays an aggregate message: calls is a list of argument
-// lists for method. It returns the number of calls applied.
-func (w *ioWrapper) InvokeBatch(ctx context.Context, method string, calls []any) (int, error) {
-	if w.fenced.Load() {
-		return 0, errFenced(w.uri)
-	}
-	start := time.Now()
-	for i, c := range calls {
-		args, ok := c.([]any)
-		if !ok {
-			return i, fmt.Errorf("core: batch element %d is %T, want argument list", i, c)
-		}
-		if _, err := dispatch.InvokeCtx(ctx, w.obj, method, args); err != nil {
-			return i, err
-		}
-	}
-	if n := len(calls); n > 0 {
-		w.grain(time.Since(start) / time.Duration(n))
-		if w.virt != nil {
-			if rerr := w.rt.replicateAfterCalls(ctx, w, n, nil); rerr != nil {
-				return 0, rerr
-			}
-		}
-	}
-	return len(calls), nil
 }

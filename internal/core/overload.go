@@ -131,9 +131,3 @@ func (rt *Runtime) peerOverload(node int) OverloadGrade {
 func (rt *Runtime) peerShedding(node int) bool {
 	return rt.peerOverload(node) == OverloadShedding
 }
-
-// LoadInfo reports the node's load and overload grade in one reply; it is
-// the probe target of both the health loop and the placement load vector.
-func (s *omService) LoadInfo() LoadInfo {
-	return LoadInfo{Load: s.rt.Load(), Overload: int(s.rt.OverloadGrade())}
-}

@@ -1,0 +1,223 @@
+package core
+
+// This file holds the placement and agglomeration policies and node loads.
+
+import (
+	"context"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/remoting"
+	"repro/internal/wire"
+)
+
+// AggregationConfig controls method-call aggregation.
+type AggregationConfig struct {
+	// MaxCalls is the number of buffered asynchronous calls that
+	// triggers a batch send (the paper's maxCalls, "calls per message").
+	// Values <= 1 disable aggregation.
+	MaxCalls int
+	// MaxDelay flushes a non-empty buffer this long after its first
+	// call, bounding the latency cost of waiting for a full batch.
+	// Zero means no timer (explicit Flush or a full/sync call flushes).
+	MaxDelay time.Duration
+}
+
+// enabled reports whether Posts should buffer.
+func (a AggregationConfig) enabled() bool { return a.MaxCalls > 1 }
+
+// NodeLoad is one node's load snapshot used for placement. Overload is
+// the node's admission-control grade at probe time: load-aware policies
+// prefer cooler nodes, and every policy avoids Shedding nodes while any
+// alternative exists.
+type NodeLoad struct {
+	Node     int
+	Load     int
+	Overload OverloadGrade
+}
+
+// PlacementPolicy picks the node for a new parallel object, given the
+// creating node and the current load vector (one entry per node, self
+// included).
+type PlacementPolicy interface {
+	Pick(self int, loads []NodeLoad) int
+}
+
+// RoundRobin cycles through nodes, the ParC++ default distribution.
+type RoundRobin struct {
+	next atomic.Int64
+}
+
+// Pick implements PlacementPolicy. Nodes graded Shedding are skipped
+// while any cooler node exists: round-robin is load-blind by design, but
+// routing new objects onto a node actively rejecting calls just converts
+// creations into ErrOverloaded.
+func (r *RoundRobin) Pick(self int, loads []NodeLoad) int {
+	loads = preferCool(loads)
+	if len(loads) == 0 {
+		return self
+	}
+	n := r.next.Add(1) - 1
+	return loads[int(n)%len(loads)].Node
+}
+
+// preferCool filters a load vector down to the nodes not graded Shedding,
+// falling back to the full vector when every node is hot (placement must
+// still pick something; the bounded mailboxes shed the excess).
+func preferCool(loads []NodeLoad) []NodeLoad {
+	cool := make([]NodeLoad, 0, len(loads))
+	for _, l := range loads {
+		if l.Overload < OverloadShedding {
+			cool = append(cool, l)
+		}
+	}
+	if len(cool) == 0 {
+		return loads
+	}
+	return cool
+}
+
+// LeastLoaded picks the node with the smallest load, breaking ties towards
+// the creating node ("according to the current load distribution policy").
+type LeastLoaded struct{}
+
+// Pick implements PlacementPolicy: the coolest overload grade wins first,
+// then the smallest load, then the self tie-break.
+func (LeastLoaded) Pick(self int, loads []NodeLoad) int {
+	best, bestLoad := self, int(^uint(0)>>1)
+	bestGrade := OverloadShedding + 1
+	for _, l := range loads {
+		if l.Overload > bestGrade {
+			continue
+		}
+		if l.Overload < bestGrade || l.Load < bestLoad || (l.Load == bestLoad && l.Node == self) {
+			best, bestLoad, bestGrade = l.Node, l.Load, l.Overload
+		}
+	}
+	return best
+}
+
+// LocalOnly always places on the creating node; used to disable
+// distribution.
+type LocalOnly struct{}
+
+// Pick implements PlacementPolicy.
+func (LocalOnly) Pick(self int, loads []NodeLoad) int { return self }
+
+// ClassStats summarises the measured grain size of a class on this node.
+type ClassStats struct {
+	Calls       int64
+	AvgExecTime time.Duration
+}
+
+// AgglomerationPolicy decides whether a new object should be agglomerated
+// (created as a passive local object, removing parallelism) based on the
+// measured grain size of its class and the local load.
+type AgglomerationPolicy interface {
+	Agglomerate(class string, stats ClassStats, localLoad int) bool
+}
+
+// NeverAgglomerate keeps every object parallel.
+type NeverAgglomerate struct{}
+
+// Agglomerate implements AgglomerationPolicy.
+func (NeverAgglomerate) Agglomerate(string, ClassStats, int) bool { return false }
+
+// AlwaysAgglomerate packs every new object into its creator's grain
+// (serial execution); useful for ablation A2 and as the paper's "removing
+// excess of parallelism" extreme.
+type AlwaysAgglomerate struct{}
+
+// Agglomerate implements AgglomerationPolicy.
+func (AlwaysAgglomerate) Agglomerate(string, ClassStats, int) bool { return true }
+
+// AdaptiveAgglomeration removes parallelism when the measured average
+// method execution time of the class falls below MinGrain — the grain is
+// too fine to pay communication costs — and the node already has at least
+// MinLocalLoad live objects to keep processors busy. This is the dynamic
+// grain packing of SCOOPP (paper refs [8][9]).
+type AdaptiveAgglomeration struct {
+	MinGrain     time.Duration
+	MinLocalLoad int
+	// MinSamples avoids deciding from noise; below it objects stay
+	// parallel.
+	MinSamples int64
+}
+
+// Agglomerate implements AgglomerationPolicy.
+func (a AdaptiveAgglomeration) Agglomerate(class string, stats ClassStats, localLoad int) bool {
+	if stats.Calls < int64(a.MinSamples) {
+		return false
+	}
+	return stats.AvgExecTime < a.MinGrain && localLoad >= a.MinLocalLoad
+}
+
+// loadProbeTimeout bounds one peer load probe: a slow or dead peer costs a
+// placement refresh at most this long, not a full call timeout.
+const loadProbeTimeout = 200 * time.Millisecond
+
+// nodeLoads returns the cached cluster load vector, refreshing it when
+// stale. The refresh runs outside loadMu (one slow peer must not serialise
+// every placement behind it) with at most one refresher at a time —
+// concurrent placements wait for the in-flight refresh instead of
+// duplicating the probes.
+func (rt *Runtime) nodeLoads() []NodeLoad {
+	rt.loadMu.Lock()
+	for {
+		if time.Since(rt.loadCached) < rt.cfg.LoadCacheTTL && rt.loadCache != nil {
+			loads := rt.loadCache
+			rt.loadMu.Unlock()
+			return loads
+		}
+		if !rt.loadRefreshing {
+			break
+		}
+		rt.loadCond.Wait()
+	}
+	rt.loadRefreshing = true
+	rt.loadMu.Unlock()
+
+	loads := rt.probeLoads()
+
+	rt.loadMu.Lock()
+	rt.loadCache = loads
+	rt.loadCached = time.Now()
+	rt.loadRefreshing = false
+	rt.loadCond.Broadcast()
+	rt.loadMu.Unlock()
+	return loads
+}
+
+// probeLoads measures the live cluster load vector: every peer is probed
+// concurrently with a short per-probe deadline. Peers that are marked down
+// by health probing, cannot be reached in time, or answer with a mis-typed
+// load are excluded from the vector entirely — placement then cannot pick
+// them, rather than merely disfavouring them behind a max-int load. The
+// vector comes back in node order, which round-robin placement relies on.
+func (rt *Runtime) probeLoads() []NodeLoad {
+	var mu sync.Mutex
+	loads := []NodeLoad{{Node: rt.cfg.NodeID, Load: rt.Load(), Overload: rt.OverloadGrade()}}
+	rt.forEachPeer(context.Background(), loadProbeTimeout, true, func(ctx context.Context, p peer) {
+		// Load probes double as liveness evidence: their timing is the
+		// failure detector's clock, so they must not be stretched (or
+		// masked) by retry backoff.
+		res, err := p.om.InvokeCtx(remoting.WithoutRetry(ctx), "LoadInfo")
+		if err != nil {
+			return
+		}
+		var li LoadInfo
+		if err := wire.AssignTo(&li, res); err != nil {
+			// A mis-typed reply is as useless as no reply: treating it
+			// as load 0 would magnetise traffic onto a broken peer.
+			return
+		}
+		rt.noteOverload(p.node, OverloadGrade(li.Overload))
+		mu.Lock()
+		loads = append(loads, NodeLoad{Node: p.node, Load: li.Load, Overload: OverloadGrade(li.Overload)})
+		mu.Unlock()
+	})
+	sort.Slice(loads, func(i, j int) bool { return loads[i].Node < loads[j].Node })
+	return loads
+}

@@ -1,0 +1,142 @@
+package core
+
+// This file holds a proxy's posts, calls with no result, and aggregation.
+
+import (
+	"context"
+	"time"
+
+	"repro/internal/errs"
+)
+
+// Post performs an asynchronous method call with no result (the paper's
+// "asynchronous (when no value is returned)" calls). On remote proxies
+// Posts are subject to method-call aggregation; Posts to one proxy execute
+// in order.
+func (p *Proxy) Post(method string, args ...any) {
+	p.PostCtx(context.Background(), method, args...) //nolint:errcheck // errors flow to AsyncErr
+}
+
+// PostCtx is Post bounded by ctx. It returns an error only for immediate
+// local failures (context already done, object destroyed); execution errors
+// still flow to AsyncErr, preserving fire-and-forget semantics. For local
+// active objects a queued call whose ctx ends before execution is skipped.
+func (p *Proxy) PostCtx(ctx context.Context, method string, args ...any) error {
+	p.rt.asyncCalls.Add(1)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		p.noteAsyncError(err)
+		return err
+	}
+	switch mode, act := p.state(); mode {
+	case modeAgglomerated:
+		// Agglomeration turned this object passive: the "async" call
+		// executes synchronously and serially, which is precisely the
+		// parallelism-removal optimisation.
+		if _, err := p.invokeInCaller(ctx, method, args); err != nil {
+			p.noteAsyncError(err)
+		}
+		return nil
+	case modeLocalActive:
+		// Execution failures (which may legitimately wrap a MovedError
+		// from some other object) go straight to AsyncErr from the actor
+		// loop; an enqueue-time forward is only returned, and is a routing
+		// event, not a failure — re-post remotely.
+		err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, to: (*postErrors)(p)})
+		if mv, ok := movedOf(err, p.uri); ok {
+			return p.follow(mv, method, args)
+		}
+		if err != nil {
+			p.noteAsyncError(err)
+		}
+		return err
+	default:
+		return p.postRemote(method, args)
+	}
+}
+
+// follow re-posts a local post whose object moved before running it, at the
+// forward's location.
+func (p *Proxy) follow(mv *errs.MovedError, method string, args []any) error {
+	p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+	return p.postRemote(method, args)
+}
+
+// postErrors is the proxy as what a mailbox tells the outcome of its local
+// posts: a failure goes to AsyncErr. A forward does not come here: the
+// mailbox posts the task again (actorTask.refuse).
+type postErrors Proxy
+
+func (p *postErrors) Complete(_ any, err error) {
+	if err != nil {
+		(*Proxy)(p).noteAsyncError(err)
+	}
+}
+
+// postRemote issues one asynchronous call in the proxy's call order.
+func (p *Proxy) postRemote(method string, args []any) error {
+	if p.rt.cfg.Aggregation.enabled() {
+		p.aggregate(method, args)
+		return nil
+	}
+	p.post("Invoke1", method, args)
+	return nil
+}
+
+// post issues call(method, args) in the call order as an attempt with no
+// future, which is all a post allocates: the order holds the attempt, and the
+// call is sent in the runtime-call shape, so no list is built around its
+// arguments. A post is never sent straight: it starts alone.
+func (p *Proxy) post(call, method string, args []any) {
+	a := &attempt{p: p}
+	a.rec.SetCall(context.Background(), call, method, args)
+	if p.calls.admit(a, nil) {
+		a.start(p.endpoint())
+	}
+}
+
+// aggregate buffers one asynchronous call, flushing when the method
+// changes, the buffer reaches MaxCalls, or the MaxDelay timer fires —
+// the delay-and-combine of the paper's Fig. 7.
+func (p *Proxy) aggregate(method string, args []any) {
+	p.aggMu.Lock()
+	if p.aggMethod != "" && p.aggMethod != method {
+		p.flushLocked()
+	}
+	p.aggMethod = method
+	p.aggCalls = append(p.aggCalls, []any(args))
+	p.rt.callsAggregated.Add(1)
+	if len(p.aggCalls) >= p.rt.cfg.Aggregation.MaxCalls {
+		p.flushLocked()
+	} else if p.rt.cfg.Aggregation.MaxDelay > 0 && p.aggTimer == nil {
+		p.aggTimer = time.AfterFunc(p.rt.cfg.Aggregation.MaxDelay, p.FlushAggregation)
+	}
+	p.aggMu.Unlock()
+}
+
+// FlushAggregation sends any buffered aggregate immediately.
+func (p *Proxy) FlushAggregation() {
+	p.aggMu.Lock()
+	p.flushLocked()
+	p.aggMu.Unlock()
+}
+
+// flushLocked requires aggMu held.
+func (p *Proxy) flushLocked() {
+	if p.aggTimer != nil {
+		p.aggTimer.Stop()
+		p.aggTimer = nil
+	}
+	if len(p.aggCalls) == 0 {
+		p.aggMethod = ""
+		return
+	}
+	method := p.aggMethod
+	calls := p.aggCalls
+	p.aggMethod = ""
+	p.aggCalls = nil
+	p.rt.batchesSent.Add(1)
+	p.post("InvokeBatch", method, calls)
+}

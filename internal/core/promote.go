@@ -2,8 +2,8 @@ package core
 
 // This file holds the decisions of virtual-object replication and
 // promotion as pure functions: no I/O, lock, clock, goroutine or Runtime.
-// virtual.go calls them and keeps the RPCs, the timeouts, the locks, the
-// fence and the demotion around them. TestPromoteIsPure holds that
+// virtual.go and replicate.go call them and keep the RPCs, the timeouts, the
+// locks, the fence and the demotion around them. TestPromoteIsPure holds that
 // contract, so a model of the protocol can call the same functions.
 
 import "fmt"

@@ -422,376 +422,6 @@ func (p *Proxy) remoteInvokeOrdered(ctx context.Context, sink remoting.ResultSin
 	return p.invokeVia(ctx, p.endpoint, call)
 }
 
-// InvokeAsync starts a synchronous-style call without blocking the caller
-// (the delegate BeginInvoke pattern of Fig. 4). The call is ordered after
-// the calls issued before it on this proxy.
-func (p *Proxy) InvokeAsync(method string, args ...any) *Future {
-	return p.InvokeAsyncCtx(context.Background(), method, args...)
-}
-
-// InvokeAsyncCtx is InvokeAsync bounded by ctx; the returned Future
-// resolves to ctx.Err() when ctx ends before the call completes, and to
-// context.Canceled when it is cancelled (Future.Cancel). ctx is used as it
-// is: no context is derived per call, and one that can never end costs the
-// call nothing.
-//
-// No goroutine parks per outstanding call, in any mode. A local active
-// object takes the task into its mailbox and its actor loop resolves the
-// Future. An agglomerated object executes the call here, in the caller, as
-// it does every call, and the Future comes back resolved. A remote call
-// either goes straight to its connection, encoded and enqueued, and the
-// lane's reader resolves the Future when the reply frame arrives, or waits
-// its turn in the proxy's queue (see callOrder).
-func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) *Future {
-	return p.StartAsync(ctx, new(AsyncCall), method, args)
-}
-
-// StartAsync is InvokeAsyncCtx in storage the caller supplies: c, zero, is
-// everything the runtime keeps for the call, so a caller that allocates it
-// inside its own record of the call, or a wave of them as one slab, pays
-// nothing more. The Future returned lives in c; c serves this one call.
-func (p *Proxy) StartAsync(ctx context.Context, c *AsyncCall, method string, args []any) *Future {
-	p.rt.syncCalls.Add(1)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.try.p, c.try.f = p, &c.fut
-	c.try.rec.SetCall(ctx, "Invoke1", method, args)
-	switch mode, act := p.state(); mode {
-	case modeAgglomerated:
-		c.fut.complete(c.try.settle(p.invokeInCaller(ctx, method, args)))
-	case modeLocalActive:
-		c.submitLocal(act)
-	default:
-		c.submitRemote()
-	}
-	return &c.fut
-}
-
-// AsyncCall is one asynchronous call as the runtime holds it: the Future
-// handed back and, in the same object, the attempt the call is made with,
-// which carries the connection's record of the exchange and the call's place
-// in its proxy's call order (both unused by a call that stays on this node).
-// The zero value is ready for StartAsync.
-type AsyncCall struct {
-	fut Future
-	try attempt
-}
-
-// SetSink gives the call, before StartAsync, a typed slot for its result:
-// the Future resolves with the sink itself as its value, or with an error.
-func (c *AsyncCall) SetSink(s Sink) { c.try.rec.SetSink(s) }
-
-// Sink is the typed slot an asynchronous call's result settles in, once,
-// before its Future resolves. A reply whose result is exactly what the sink
-// takes is decoded into it on the connection (remoting.ResultSink); any
-// other value the call finishes with (from a local or agglomerated object, a
-// re-run, or a reply of another type) is handed to Settle on the completion
-// path, and an error Settle returns is the call's.
-type Sink interface {
-	remoting.ResultSink
-	Settle(v any) error
-}
-
-// settle is the outcome a's future resolves with: a value the call finished
-// with that its sink has not taken yet is settled into the sink, and the
-// future resolves with the sink. A call without a sink, or one that failed,
-// resolves with its outcome as it is.
-func (a *attempt) settle(v any, err error) (any, error) {
-	s, ok := a.rec.Sink().(Sink)
-	if err != nil || !ok || v == any(s) {
-		return v, err
-	}
-	if err := s.Settle(v); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// attempt is one completion-driven try at a call against the proxy's current
-// endpoint: the remoting.Completer the connection reports it to, and a call
-// its proxy's callOrder counts, queues and re-runs. rec is the connection's
-// for the one submission start makes, and the call's one record of what it
-// is: its context and the runtime call, user's method and arguments, named
-// when the call begins (SetCall) and read back by every way it can go (a
-// mailbox, the connection, a re-run), and it holds f's cancelHook while the
-// call waits in a mailbox or in the queue (remoting.CallRecord.Watch). f is
-// the caller's future, nil for a post, whose failure goes to AsyncErr; issue
-// is the call's place in its proxy's issue order, and next links it into the
-// queue or the re-runs.
-type attempt struct {
-	p     *Proxy
-	f     *Future
-	next  *attempt
-	issue uint64
-	rec   remoting.CallRecord
-}
-
-// mailboxEntry is an AsyncCall as a mailbox holds it: the task's outcome is
-// the call's.
-type mailboxEntry AsyncCall
-
-// Complete hears the task's outcome, on the actor loop or on whoever
-// aborted the task.
-func (e *mailboxEntry) Complete(v any, err error) {
-	a := &e.try
-	a.rec.Unwatch()
-	if mv, ok := movedOf(err, a.p.uri); ok {
-		// The object was taken from this node with the call still queued or
-		// held: follow it, in the proxy's call order, ahead of the calls
-		// issued after this one.
-		a.p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-		(*AsyncCall)(e).submitRemote()
-		return
-	}
-	e.fut.complete(a.settle(v, err))
-}
-
-// submitLocal enqueues the call on the hosting actor's mailbox. A task whose
-// Future is resolved when its turn comes is skipped.
-func (c *AsyncCall) submitLocal(act *actor) {
-	a, f := &c.try, &c.fut
-	ctx, _, method, args := a.rec.Call()
-	a.rec.Watch(cancelHook(ctx, f))
-	err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, fut: f, to: (*mailboxEntry)(c)})
-	if err == nil {
-		return
-	}
-	a.rec.Unwatch()
-	if mv, ok := movedOf(err, a.p.uri); ok {
-		// Moved before the task entered the mailbox: nothing ran here, the
-		// call starts again as a remote one.
-		a.p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-		c.submitRemote()
-		return
-	}
-	f.complete(nil, err)
-}
-
-// submitRemote issues the call in the proxy's call order, behind the posts
-// issued before it and any aggregate they were buffered in: straight to its
-// connection, where calls to one object pipeline, or into the queue.
-func (c *AsyncCall) submitRemote() {
-	a := &c.try
-	a.p.FlushAggregation()
-	if ref := a.p.endpoint(); a.p.calls.admit(a, ref) {
-		a.start(ref)
-	}
-}
-
-// cancelHook resolves f with ctx.Err() as soon as ctx ends, for a call that
-// waits its turn in a mailbox or in its proxy's queue: the queue looks at a
-// task only when the turn comes, and the Future must not wait that long.
-// stop detaches the hook; nil for a ctx that never ends.
-func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
-	if ctx.Done() == nil {
-		return nil
-	}
-	return context.AfterFunc(ctx, func() { f.complete(nil, ctx.Err()) })
-}
-
-// start submits the attempt to ref: remoteCall.on without the wait. It never
-// blocks on the call, the outcome is reported (finish) exactly once and never
-// on the caller's stack, and from here a Cancel of f abandons the exchange. A
-// submission the connection declines is recorded to be re-run before start
-// returns. The idempotency token is stamped into the record's context before
-// the first submission, so every re-run sends it again.
-func (a *attempt) start(ref *remoting.ObjRef) {
-	if a.p.rt.cfg.IdempotentCalls {
-		if ctx, call, method, args := a.rec.Call(); !hasToken(ctx) {
-			a.rec.SetCall(remoting.ContextWithToken(ctx, a.p.rt.cfg.Channel.NewCallToken()), call, method, args)
-		}
-	}
-	if err := ref.StartCall(&a.rec, a); err != nil {
-		a.p.calls.redo(a)
-	} else if a.f != nil {
-		a.f.setAbort(&a.rec)
-	}
-}
-
-// InTurn is remoting.Turn: a's connection asks it, having looked up the lane
-// a goes out on, whether a still goes. Not once a call issued before it was
-// recorded to be re-run since a was sent straight: the lane may be one
-// dialled after the failure that sent that call back, and a must not run
-// ahead of its re-run. Declined, a is re-run in its place.
-func (a *attempt) InTurn() bool { return a.p.calls.inTurn(a) }
-
-// Complete is the one re-run rule of an asynchronous call: an outcome the
-// synchronous path would transparently retry is recorded to be re-run, in
-// the call's place, before Complete returns.
-func (a *attempt) Complete(v any, err error) {
-	if err != nil && a.rec.Context().Err() == nil && a.p.asyncRecoverable(err) {
-		a.p.calls.redo(a)
-		return
-	}
-	a.finish(v, err)
-}
-
-// finish reports the outcome, to f or, for a post, a failure to AsyncErr,
-// and then counts the call finished, which may start the next.
-func (a *attempt) finish(v any, err error) {
-	p := a.p
-	if a.f != nil {
-		a.f.complete(a.settle(v, err))
-	} else if err != nil {
-		p.noteAsyncError(err)
-	}
-	p.calls.done()
-}
-
-// rerun finishes, at its turn, a call the completion-driven path could not: a
-// submission that was declined (connection not usable, ctx ended, lane shut
-// down), or a completion that says moved, node down or destroyed. It runs the
-// call through invokeVia, the blocking loop that re-resolves and retries, on
-// a goroutine of its own, the only place an asynchronous call holds one, for
-// as long as that loop takes; nothing else of the proxy is in flight
-// meanwhile.
-func (a *attempt) rerun() {
-	ctx, call, method, args := a.rec.Call()
-	a.finish(a.p.invokeVia(ctx, a.p.endpoint, remoteCall{call: call, method: method, args: args}))
-}
-
-// asyncRecoverable reports whether an async completion error is one the
-// synchronous path would transparently retry (re-route and re-invoke).
-func (p *Proxy) asyncRecoverable(err error) bool {
-	if _, ok := movedOf(err, p.uri); ok {
-		return true
-	}
-	return errors.Is(err, errs.ErrNodeDown) || errors.Is(err, errs.ErrObjectDestroyed)
-}
-
-// Post performs an asynchronous method call with no result (the paper's
-// "asynchronous (when no value is returned)" calls). On remote proxies
-// Posts are subject to method-call aggregation; Posts to one proxy execute
-// in order.
-func (p *Proxy) Post(method string, args ...any) {
-	p.PostCtx(context.Background(), method, args...) //nolint:errcheck // errors flow to AsyncErr
-}
-
-// PostCtx is Post bounded by ctx. It returns an error only for immediate
-// local failures (context already done, object destroyed); execution errors
-// still flow to AsyncErr, preserving fire-and-forget semantics. For local
-// active objects a queued call whose ctx ends before execution is skipped.
-func (p *Proxy) PostCtx(ctx context.Context, method string, args ...any) error {
-	p.rt.asyncCalls.Add(1)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		p.noteAsyncError(err)
-		return err
-	}
-	switch mode, act := p.state(); mode {
-	case modeAgglomerated:
-		// Agglomeration turned this object passive: the "async" call
-		// executes synchronously and serially, which is precisely the
-		// parallelism-removal optimisation.
-		if _, err := p.invokeInCaller(ctx, method, args); err != nil {
-			p.noteAsyncError(err)
-		}
-		return nil
-	case modeLocalActive:
-		// Execution failures (which may legitimately wrap a MovedError
-		// from some other object) go straight to AsyncErr from the actor
-		// loop; an enqueue-time forward is only returned, and is a routing
-		// event, not a failure — re-post remotely.
-		err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, to: (*postErrors)(p)})
-		if mv, ok := movedOf(err, p.uri); ok {
-			return p.follow(mv, method, args)
-		}
-		if err != nil {
-			p.noteAsyncError(err)
-		}
-		return err
-	default:
-		return p.postRemote(method, args)
-	}
-}
-
-// follow re-posts a local post whose object moved before running it, at the
-// forward's location.
-func (p *Proxy) follow(mv *errs.MovedError, method string, args []any) error {
-	p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-	return p.postRemote(method, args)
-}
-
-// postErrors is the proxy as what a mailbox tells the outcome of its local
-// posts: a failure goes to AsyncErr. A forward does not come here: the
-// mailbox posts the task again (actorTask.refuse).
-type postErrors Proxy
-
-func (p *postErrors) Complete(_ any, err error) {
-	if err != nil {
-		(*Proxy)(p).noteAsyncError(err)
-	}
-}
-
-// postRemote issues one asynchronous call in the proxy's call order.
-func (p *Proxy) postRemote(method string, args []any) error {
-	if p.rt.cfg.Aggregation.enabled() {
-		p.aggregate(method, args)
-		return nil
-	}
-	p.post("Invoke1", method, args)
-	return nil
-}
-
-// post issues call(method, args) in the call order as an attempt with no
-// future, which is all a post allocates: the order holds the attempt, and the
-// call is sent in the runtime-call shape, so no list is built around its
-// arguments. A post is never sent straight: it starts alone.
-func (p *Proxy) post(call, method string, args []any) {
-	a := &attempt{p: p}
-	a.rec.SetCall(context.Background(), call, method, args)
-	if p.calls.admit(a, nil) {
-		a.start(p.endpoint())
-	}
-}
-
-// aggregate buffers one asynchronous call, flushing when the method
-// changes, the buffer reaches MaxCalls, or the MaxDelay timer fires —
-// the delay-and-combine of the paper's Fig. 7.
-func (p *Proxy) aggregate(method string, args []any) {
-	p.aggMu.Lock()
-	if p.aggMethod != "" && p.aggMethod != method {
-		p.flushLocked()
-	}
-	p.aggMethod = method
-	p.aggCalls = append(p.aggCalls, []any(args))
-	p.rt.callsAggregated.Add(1)
-	if len(p.aggCalls) >= p.rt.cfg.Aggregation.MaxCalls {
-		p.flushLocked()
-	} else if p.rt.cfg.Aggregation.MaxDelay > 0 && p.aggTimer == nil {
-		p.aggTimer = time.AfterFunc(p.rt.cfg.Aggregation.MaxDelay, p.FlushAggregation)
-	}
-	p.aggMu.Unlock()
-}
-
-// FlushAggregation sends any buffered aggregate immediately.
-func (p *Proxy) FlushAggregation() {
-	p.aggMu.Lock()
-	p.flushLocked()
-	p.aggMu.Unlock()
-}
-
-// flushLocked requires aggMu held.
-func (p *Proxy) flushLocked() {
-	if p.aggTimer != nil {
-		p.aggTimer.Stop()
-		p.aggTimer = nil
-	}
-	if len(p.aggCalls) == 0 {
-		p.aggMethod = ""
-		return
-	}
-	method := p.aggMethod
-	calls := p.aggCalls
-	p.aggMethod = ""
-	p.aggCalls = nil
-	p.rt.batchesSent.Add(1)
-	p.post("InvokeBatch", method, calls)
-}
-
 // Wait blocks until every asynchronous call issued on this proxy has
 // executed (aggregation buffers are flushed first). It is the
 // synchronisation point farming masters use before reading results.

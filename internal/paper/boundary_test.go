@@ -130,6 +130,34 @@ func TestShippedRuntimeLinksNoPaperCode(t *testing.T) {
 	checkShipped(t, paperCode, "the shipped runtime links no paper code")
 }
 
+// shippedFileMax is the most lines a non-test file of the shipped runtime
+// may have. A file past it holds more than one responsibility: split it.
+const shippedFileMax = 700
+
+// TestShippedFilesStayUnder700Lines holds every non-test file of the
+// shipped runtime to shippedFileMax lines, and names each one over it.
+func TestShippedFilesStayUnder700Lines(t *testing.T) {
+	root := repoRoot(t)
+	for pkg := range shippedImports(t) {
+		files, err := filepath.Glob(filepath.Join(root, pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(string(data), "\n"); n > shippedFileMax {
+				t.Errorf("%s is %d lines, over %d: split it by responsibility", file, n, shippedFileMax)
+			}
+		}
+	}
+}
+
 // TestShippedRuntimeHasOneStats holds the shipped runtime to one set of
 // counters: every count lives in a node's metrics.Registry, and the one
 // type named Stats is internal/core's view of it (parc.Stats is an alias of

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"sync"
 	"testing"
@@ -40,6 +41,34 @@ func TestDefaultMuxLanesTracksGOMAXPROCS(t *testing.T) {
 	runtime.GOMAXPROCS(16)
 	if got := DefaultMuxLanes(); got != 4 {
 		t.Errorf("DefaultMuxLanes at GOMAXPROCS=16 = %d, want 4 (capped)", got)
+	}
+}
+
+// TestLaneRuleIsFNV1a pins which lane an object's calls take: the 32-bit
+// FNV-1a hash of its URI (hash/fnv's New32a) modulo the lane count, so every
+// call to one object rides one lane, whose one queue keeps them in order. The
+// bind table's stripes hash a (URI, call, method) triple with the same
+// function, each part followed by '.'.
+func TestLaneRuleIsFNV1a(t *testing.T) {
+	sum := func(s string) uint32 {
+		h := fnv.New32a()
+		h.Write([]byte(s))
+		return h.Sum32()
+	}
+	uris := []string{"", "om", "d0", "d63", "virtual/counter/user7", "obj/3f2a", "ü"}
+	for lanes := 1; lanes <= 4; lanes++ {
+		ch := &Channel{MuxLanes: lanes}
+		for _, uri := range uris {
+			if got, want := ch.laneForURI(uri), int(sum(uri)%uint32(lanes)); got != want {
+				t.Errorf("%d lanes: %q rides lane %d, want %d", lanes, uri, got, want)
+			}
+		}
+	}
+	for _, uri := range uris {
+		k := bindKey{uri: uri, call: "Invoke1", method: "Echo"}
+		if got, want := k.hash(), sum(uri+".Invoke1.Echo."); got != want {
+			t.Errorf("bind key %v hashes to %#x, want %#x", k, got, want)
+		}
 	}
 }
 

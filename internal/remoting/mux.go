@@ -2,12 +2,10 @@ package remoting
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/errs"
 	"repro/internal/keep"
@@ -49,359 +47,6 @@ type inflightShard struct {
 	mu     sync.Mutex
 	m      map[uint64]*CallRecord
 	closed bool
-}
-
-// CallRecord is the client's record of one exchange: the request, the ObjRef
-// it goes to (which names the URI) and the Completer its outcome goes to.
-// Every call is submitted one way (Channel.submit) and completed one way: the
-// lane's reader takes the record out of the in-flight table first and decodes
-// the reply into it second, so a reply is decoded once, where it is going,
-// and tells to inline, handing over the result as it decoded it. A
-// completion-driven call brings its own record, zero, as part of whatever
-// the caller allocates for the call (SetCall, StartCall), so a future costs
-// neither a goroutine while it waits nor an allocation of the connection's.
-// A blocking call draws one its ObjRef keeps (or a pooled one when other
-// calls have them), whose Completer is the record's own blockingWait, and
-// parks on it. The connection holds the record from submission until to
-// has been told. Either kind may carry the caller's typed slot (sink), which
-// is offered the result before it is decoded as a value.
-type CallRecord struct {
-	req  request
-	ref  *ObjRef
-	sink ResultSink
-	to   Completer
-
-	// ctx bounds the call, as SetCall named it, and carries its deadline and
-	// idempotency token. The call holds an in-flight slot of its lane mc
-	// from admission until whoever delivers its outcome releases it. stop
-	// detaches the one hook on ctx the call has at a time (Watch): the
-	// connection's, which cancels the call, from admission until its outcome
-	// is decided, or its caller's while the call waits to be submitted.
-	mc   *muxConn
-	ctx  context.Context
-	stop func() bool
-
-	// flags holds recCancelled, recBreaker, recTrial, recWatched and recLost.
-	flags atomic.Uint32
-}
-
-const (
-	// recCancelled: Cancel ran.
-	recCancelled = 1 << iota
-	// recBreaker: the channel's peer breaker admitted this submission, and
-	// its outcome is evidence for it.
-	recBreaker
-	// recTrial: the peer breaker admitted this submission as its half-open
-	// trial.
-	recTrial
-	// recWatched: the caller watches ctx itself (a blocking call), so
-	// admission installs no context.AfterFunc hook.
-	recWatched
-	// recLost: a blocking call abandoned on ctx while the lane held its
-	// record (the reader or fail had taken it, or it waits for admission).
-	// The lane still completes it, so the record is never reused.
-	recLost
-)
-
-func (c *CallRecord) has(flag uint32) bool { return c.flags.Load()&flag != 0 }
-func (c *CallRecord) set(flag uint32)      { c.flags.Or(flag) }
-
-// blockingWait is a blocking call's record, kept by its ObjRef or drawn from
-// the pool of waits, and its Completer: the outcome lands in result and on rc
-// (capacity 1, so the completion never blocks), where the caller parks
-// (await).
-type blockingWait struct {
-	CallRecord
-	rc     chan error
-	result any
-}
-
-// Complete hands the parked caller its outcome.
-func (w *blockingWait) Complete(v any, err error) {
-	w.result = v
-	w.rc <- err
-}
-
-// await parks the caller until its call completes or its context ends. A
-// call whose context ended first is cancelled: taken out of the in-flight
-// table, it completes at once with the context's error. If the lane still
-// holds it, the caller leaves without it and the record is lost.
-func (w *blockingWait) await() (any, error) {
-	select {
-	case err := <-w.rc:
-		return w.result, err
-	case <-w.ctx.Done():
-	}
-	w.Cancel()
-	select {
-	case err := <-w.rc:
-		return w.result, err
-	default:
-		w.set(recLost)
-		return nil, w.callErr(w.ctx.Err())
-	}
-}
-
-// SetSink gives a completion-driven call a typed slot for its result, before
-// the record is submitted; see ResultSink.
-func (c *CallRecord) SetSink(s ResultSink) { c.sink = s }
-
-// SetCall names the call the record is for, before it is submitted
-// (StartCall): ctx bounds it, nil meaning background, and call, method and
-// args are what InvokeNestedCtx takes. The record keeps them, and Call reads
-// them back, after the call as before it.
-func (c *CallRecord) SetCall(ctx context.Context, call, method string, args []any) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.ctx, c.req.called, c.req.Args = ctx, internCall(call, method), args
-}
-
-// Call returns what SetCall named.
-func (c *CallRecord) Call() (ctx context.Context, call, method string, args []any) {
-	return c.ctx, c.req.called.call, c.req.called.method, c.req.Args
-}
-
-// envelope is the request as its frame carries it: what SetCall named, to
-// the ObjRef's URI, under the deadline and idempotency token of the call's
-// context, read at each encoding. A resend or a retry keeps the context, so
-// its frame carries the same.
-func (c *CallRecord) envelope() callRequest {
-	req := callRequest{URI: c.ref.uri, Call: c.req.called.call, Method: c.req.called.method, Seq: c.req.Seq, Args: c.req.Args}
-	if dl, ok := c.ctx.Deadline(); ok {
-		req.Deadline = dl.UnixNano()
-	}
-	if tok, ok := TokenFromContext(c.ctx); ok {
-		req.TokClient, req.TokSeq = tok.Client, tok.Seq
-	}
-	return req
-}
-
-// Context returns the ctx SetCall named.
-func (c *CallRecord) Context() context.Context { return c.ctx }
-
-// Sink returns the sink SetSink gave the call, nil if none.
-func (c *CallRecord) Sink() ResultSink { return c.sink }
-
-// Watch gives the call stop, the detach of the hook its caller put on the
-// call's context while the call waits to be submitted (in a queue, in a
-// mailbox), and Unwatch runs it. The caller unwatches before it submits the
-// call: from admission on, the connection keeps its own hook in the same
-// place.
-func (c *CallRecord) Watch(stop func() bool) { c.stop = stop }
-
-// Unwatch detaches the call's hook on its context, if it has one.
-func (c *CallRecord) Unwatch() {
-	if c.stop != nil {
-		c.stop()
-	}
-}
-
-// Completer is the caller's end of a call: Complete receives the normalized
-// outcome exactly once, on the completion path (the lane's reader goroutine
-// for replies), never on the submitter's stack. An interface, so that a
-// caller with a record of the call hands that over and allocates nothing;
-// CompletionFunc adapts a function.
-type Completer interface{ Complete(v any, err error) }
-
-type CompletionFunc func(any, error)
-
-func (f CompletionFunc) Complete(v any, err error) { f(v, err) }
-
-// Turn is a Completer that orders its calls itself. A submission asks it,
-// once the lane the call goes out on has been looked up and before the call
-// is admitted there, whether the call is still in its turn; one that is not
-// is declined (errOutOfTurn). A lane that fails tells its calls before it
-// leaves the channel's table (fail), so a caller whose earlier calls the
-// failure sends back to be re-run hears of it before a later call can meet
-// the lane dialled in the failed one's place.
-type Turn interface{ InTurn() bool }
-
-// errOutOfTurn declines a submission its Turn withdrew.
-var errOutOfTurn = errors.New("remoting: call declined out of its caller's turn")
-
-// waits is the kind of the blocking calls' records, which ObjRefs keep
-// (ObjRef.kept). A record goes back only when its channel is known empty and
-// the lane no longer holds it (blockingWait.settle), emptied, so it pins
-// neither arguments, result nor sink, and ready as its own Completer.
-var waits = keep.NewKind(func(w *blockingWait) bool {
-	rc := w.rc
-	if rc == nil {
-		rc = make(chan error, 1)
-	}
-	*w = blockingWait{rc: rc}
-	w.to = w
-	w.set(recWatched)
-	return true
-})
-
-// recordAudit, when a test installs one, counts the call records of both
-// ends (CallRecord here, serverCall in server.go) as they are drawn from a
-// pool or lent to a connection (Channel.submit), returned, and let go on
-// purpose; drawn must equal the other two once everything is closed. Nothing
-// installs or reads it in production.
-var recordAudit atomic.Pointer[[3]atomic.Int64]
-
-const (
-	recordDrawn = iota
-	recordReturned
-	recordDropped
-)
-
-func countRecord(event int) {
-	if a := recordAudit.Load(); a != nil {
-		a[event].Add(1)
-	}
-}
-
-// AuditRecords installs a fresh record audit, for a test of a package that
-// calls through this one, and returns its check: it waits up to 10 s for
-// every record either end drew since to have gone back or been let go, and
-// uninstalls the audit. Install it before the calls it audits start, and
-// check once everything they used is closed.
-func AuditRecords() (check func() error) {
-	a := new([3]atomic.Int64)
-	recordAudit.Store(a)
-	return func() error {
-		defer recordAudit.CompareAndSwap(a, nil)
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			drawn, returned, dropped := a[recordDrawn].Load(), a[recordReturned].Load(), a[recordDropped].Load()
-			if drawn == returned+dropped {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("call records drawn %d, returned %d, let go %d", drawn, returned, dropped)
-			}
-		}
-	}
-}
-
-// settle gives a blocking call's record back to r, on its caller's
-// goroutine, or leaves it to the GC when it was lost.
-func (w *blockingWait) settle(r *ObjRef) {
-	if w.has(recLost) {
-		countRecord(recordDropped)
-		return
-	}
-	countRecord(recordReturned)
-	r.kept.Put(waits, w)
-}
-
-// deliver hands the exchange its outcome: err when no reply came, nil when
-// one did, with the result as the reader decoded it (result, or replyErr, the
-// *RemoteError an error reply stands for). The call detaches its hook and
-// returns its slot first, admitting queued calls, so a slow continuation
-// cannot idle the pipe.
-func (c *CallRecord) deliver(result any, replyErr, err error) {
-	c.Unwatch()
-	<-c.mc.slots
-	c.mc.pump()
-	c.complete(result, replyErr, err)
-}
-
-// complete reports the outcome of one submission, exactly once: the breaker's
-// evidence (a reply, whatever it says, is the peer answering), then to. The
-// record is the caller's again before to hears: nothing here touches it
-// afterwards.
-func (c *CallRecord) complete(result any, replyErr, err error) {
-	if err != nil {
-		err = c.callErr(err)
-	}
-	if c.has(recBreaker) {
-		c.ref.ch.breakers().settle(c.ctx, c.mc.netaddr, c.has(recTrial), err)
-	}
-	if err == nil {
-		err = replyErr
-	}
-	countRecord(recordReturned)
-	c.to.Complete(result, err)
-}
-
-// abort fails a call its lane took down with it, from fail or from the
-// reader whose decode of its reply failed. No slot bookkeeping post-mortem:
-// done is closed, so nothing waits on slots anymore.
-func (c *CallRecord) abort(err error) {
-	c.Unwatch()
-	c.complete(nil, nil, err)
-}
-
-// readReply decodes the body of the compact reply to c, which the reader
-// has just taken, where it is going: the result into c's sink, or as a
-// value, and an error reply into the *RemoteError it completes with.
-func (c *CallRecord) readReply(d *wire.Decoder, flags byte) (result any, replyErr, err error) {
-	if flags&flagReplyErr == 0 {
-		result, err = decodeReplyBody(d, flags, nil, c.sink)
-		return result, nil, err
-	}
-	// No envelope of its own: an error reply is worth one on the stack.
-	var resp callResponse
-	if _, err = decodeReplyBody(d, flags, &resp, nil); err == nil {
-		replyErr = c.ref.remoteError(c.req.name(), &resp)
-	}
-	return nil, replyErr, err
-}
-
-// Cancel abandons the call, for its caller or as the hook on the caller's
-// context: the slot is released, the lane stays up and the reader drops the
-// late reply. A call not admitted yet is refused when pump reaches it.
-func (c *CallRecord) Cancel() {
-	c.set(recCancelled)
-	if c.mc.take(c.req.Seq) != nil {
-		c.deliver(nil, nil, c.cancelErr())
-	}
-}
-
-// cancelErr is why the call stopped being wanted, nil while it is: its
-// context's error, or context.Canceled once Cancel ran.
-func (c *CallRecord) cancelErr() error {
-	if err := c.ctx.Err(); err != nil || !c.has(recCancelled) {
-		return err
-	}
-	return context.Canceled
-}
-
-// callErr annotates a connection- or context-level failure with the call it
-// aborted.
-func (c *CallRecord) callErr(err error) error {
-	return fmt.Errorf("remoting: call %s.%s: %w", c.ref.uri, c.req.name(), err)
-}
-
-// refuse fails a call pump admitted but could not start, of being its frame.
-// Its slot and the frame's encoder go back and the queue is pumped again,
-// and the call completes, on a fresh goroutine: pump may be on the
-// submitter's or the reader's stack, and a callback chain that posts
-// follow-up calls must not recurse into it.
-func (c *CallRecord) refuse(of outFrame, err error) {
-	<-c.mc.slots
-	of.release(&c.mc.encs)
-	go func() {
-		c.mc.pump()
-		c.complete(nil, nil, err)
-	}()
-}
-
-// bindShardCount stripes the client bind table by the hash of its key.
-// Binding is cold-path (first call per triple), but the handle lookup on
-// every call shares the stripes' read locks, so they must not funnel
-// through one RWMutex.
-const bindShardCount = 8
-
-type bindShard struct {
-	mu sync.RWMutex
-	m  map[bindKey]*clientBind
-}
-
-// hash is FNV-1a over uri, '.', call, '.', method — cheap, and uniform
-// enough for eight stripes.
-func (k *bindKey) hash() uint32 {
-	h := uint32(2166136261)
-	for _, s := range [...]string{k.uri, k.call, k.method} {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint32(s[i])) * 16777619
-		}
-		h = (h ^ uint32('.')) * 16777619
-	}
-	return h
 }
 
 // muxConn is one long-lived multiplexed lane to a peer address. Many
@@ -481,114 +126,6 @@ type queuedCall struct {
 type muxKey struct {
 	netaddr string
 	lane    int
-}
-
-// bindKey identifies one bindable (URI, call, method) triple.
-type bindKey struct {
-	uri, call, method string
-}
-
-// clientBind tracks one handle. confirmed flips once a frame declaring it
-// has entered the lane's outbound queue; from then on calls for the triple
-// send the bare call frame.
-type clientBind struct {
-	handle    uint32
-	confirmed atomic.Bool
-}
-
-// unboundSentinel is the entry of every triple that found the lane's
-// handles spent: handle 0, never confirmed (it declares nothing), so every
-// call of the triple declares itself and is dispatched by URI.
-var unboundSentinel = &clientBind{}
-
-// bindFor returns the bind entry for req's triple, giving it a fresh dense
-// handle on first use, or the sentinel once the lane's handles are spent.
-// Either is stored, so the triple's later calls find it under the read lock.
-func (mc *muxConn) bindFor(req *callRequest) *clientBind {
-	k := bindKey{uri: req.URI, call: req.Call, method: req.Method}
-	sh := &mc.bindShards[k.hash()&(bindShardCount-1)]
-	sh.mu.RLock()
-	cb := sh.m[k]
-	sh.mu.RUnlock()
-	if cb != nil {
-		return cb
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cb := sh.m[k]; cb != nil {
-		return cb
-	}
-	cb = unboundSentinel
-	for h := mc.handles.Load(); h < maxBindHandles; h = mc.handles.Load() {
-		if mc.handles.CompareAndSwap(h, h+1) {
-			cb = &clientBind{handle: h + 1}
-			break
-		}
-	}
-	if sh.m == nil {
-		sh.m = make(map[bindKey]*clientBind)
-	}
-	sh.m[k] = cb
-	return cb
-}
-
-// encodeRequest produces the frame for c's request on this lane: the bare
-// call once a frame declaring the triple's handle has been queued
-// (enqueueFrame), the declaring call until then. The frame's encoder is one
-// of the lane's (mc.encs), and goes back there.
-func (mc *muxConn) encodeRequest(c *CallRecord) (outFrame, error) {
-	req := c.envelope()
-	cb := mc.bindFor(&req)
-	declare := !cb.confirmed.Load()
-	_, enc, err := encodeBoundCall(&mc.encs, cb.handle, declare, &req)
-	if err != nil {
-		return outFrame{}, err
-	}
-	countEncoder(encoderDrawn)
-	of := outFrame{enc: enc}
-	if declare && cb.handle != 0 {
-		of.declares = cb
-	}
-	return of, nil
-}
-
-// outFrame is one queued frame, a request on a lane or a reply on a server
-// connection. Its bytes are enc's, an encoder of the lane's or the
-// connection's (their encs): whoever consumes the frame (normally the writer
-// or the flusher, after the bytes hit the wire) gives it back there; nil for
-// a frame that failed to encode. Frames stranded in outQ when a lane fails
-// are simply collected by the GC with the lane. declares is the handle the
-// frame declares, nil for a bare frame, for handle 0 and for a reply.
-type outFrame struct {
-	enc      *wire.Encoder
-	declares *clientBind
-}
-
-// release gives the frame's encoder back to encs, its owner's.
-func (of outFrame) release(encs *keep.Store[wire.Encoder]) {
-	if of.enc != nil {
-		countEncoder(encoderReturned)
-		encs.Put(wire.Encoders, of.enc)
-	}
-}
-
-// encoderAudit is frameAudit for the encoders a frame is written in: when a
-// test installs one, a lane (encodeRequest) and a server connection
-// (respond) count each encoder they draw for a frame, and outFrame.release
-// each one given back; drawn must equal returned once everything is closed.
-// A frame a lane queued after its writer left is collected with the lane,
-// uncounted. Nothing installs or reads it in production.
-var encoderAudit atomic.Pointer[[2]atomic.Int64]
-
-const (
-	encoderDrawn = iota
-	encoderReturned
-)
-
-func countEncoder(event int) {
-	if a := encoderAudit.Load(); a != nil {
-		a[event].Add(1)
-	}
 }
 
 // errChannelClosed terminates in-flight calls when Channel.Close shuts a
@@ -1090,11 +627,19 @@ func (ch *Channel) laneForURI(uri string) int {
 	if n <= 1 {
 		return 0
 	}
-	h := uint32(2166136261)
-	for i := 0; i < len(uri); i++ {
-		h = (h ^ uint32(uri[i])) * 16777619
+	return int(fnv1a(fnvOffset, uri) % uint32(n))
+}
+
+// fnvOffset is the 32-bit FNV-1a offset basis, the hash of no bytes.
+const fnvOffset = 2166136261
+
+// fnv1a folds s into h, a 32-bit FNV-1a hash: the hash of the lane rule and
+// of the bind table's stripes.
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
 	}
-	return int(h % uint32(n))
+	return h
 }
 
 // submit sends c, which SetCall named and ObjRef.address completed, and

@@ -130,24 +130,31 @@ func FuzzBorrowIdentity(f *testing.F) {
 }
 
 // TestDecoderByteSliceBorrow covers the streaming Decoder: with borrow
-// enabled, ByteSlice hands out a view of the input at or past the threshold
+// enabled, ValueInto hands out a view of the input at or past the threshold
 // and flags it through Borrowed, and a decoder released in borrow mode comes
 // back from NewDecoder with the flag cleared and borrow mode off.
 func TestDecoderByteSliceBorrow(t *testing.T) {
+	readBytes := func(d *Decoder) []byte {
+		var b []byte
+		if !d.ValueInto(&b) {
+			t.Fatalf("ValueInto refused a []byte (err %v)", d.Err())
+		}
+		return b
+	}
 	e := NewEncoder()
 	big := bytes.Repeat([]byte{0x5A}, BorrowMin)
-	e.ByteSlice(big)
-	e.ByteSlice([]byte("small"))
+	e.Value(big)
+	e.Value([]byte("small"))
 	data := append([]byte(nil), e.Bytes()...)
 	e.Release()
 
 	d := NewDecoder(data)
 	d.SetBorrow(true)
-	gotBig := d.ByteSlice()
+	gotBig := readBytes(d)
 	if !d.Borrowed() {
 		t.Error("large ByteSlice did not set Borrowed")
 	}
-	gotSmall := d.ByteSlice()
+	gotSmall := readBytes(d)
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +179,7 @@ func TestDecoderByteSliceBorrow(t *testing.T) {
 	if d2.Borrowed() {
 		t.Error("pooled decoder started with Borrowed set")
 	}
-	pooled := d2.ByteSlice() // its payload is data[3:], after the tag and a 2-byte length
+	pooled := readBytes(d2) // its payload is data[3:], after the tag and a 2-byte length
 	if d2.Err() != nil || d2.Borrowed() || &pooled[0] == &data[3] {
 		t.Errorf("a decoder released in borrow mode came back borrowing (err %v, reused %v)", d2.Err(), d2 == d)
 	}
@@ -180,7 +187,7 @@ func TestDecoderByteSliceBorrow(t *testing.T) {
 
 	// Without SetBorrow, nothing aliases regardless of size.
 	d3 := NewDecoder(data)
-	gotCopy := d3.ByteSlice()
+	gotCopy := readBytes(d3)
 	d3.Value()
 	if d3.Err() != nil {
 		t.Fatal(d3.Err())

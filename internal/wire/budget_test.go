@@ -107,7 +107,7 @@ func TestAnySliceIntoOutgrowsItsArray(t *testing.T) {
 
 // BenchmarkInt32Slice10k is one app_raytrace reply, a []int32 of 10,000:
 // encoded, decoded as a value (the generic reader boxes the slice) and
-// decoded through the typed reader.
+// decoded through the typed slot.
 func BenchmarkInt32Slice10k(b *testing.B) {
 	pixels := make([]int32, 10000)
 	for i := range pixels {
@@ -115,13 +115,13 @@ func BenchmarkInt32Slice10k(b *testing.B) {
 	}
 	e := NewEncoder()
 	defer e.Release()
-	e.Int32Slice(pixels)
+	e.Value(pixels)
 	data := append([]byte(nil), e.Bytes()...)
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			e.Reset()
-			e.Int32Slice(pixels)
+			e.Value(pixels)
 		}
 	})
 	decode := func(read func(*Decoder) int) func(*testing.B) {
@@ -138,24 +138,24 @@ func BenchmarkInt32Slice10k(b *testing.B) {
 		}
 	}
 	b.Run("decode/Value", decode(func(d *Decoder) int { return len(d.Value().([]int32)) }))
-	b.Run("decode/Int32Slice", decode(func(d *Decoder) int { return len(d.Int32Slice()) }))
+	var slot []int32
+	b.Run("decode/ValueInto", decode(func(d *Decoder) int { d.ValueInto(&slot); return len(slot) }))
 }
 
-// TestAllocBudgetTypedReaders: a typed reader on the tag its type encodes
-// to allocates what it returns and nothing else: one allocation for a slice
-// (a []byte below BorrowMin is copied), none for a scalar. The same holds for
-// ValueInto, the typed slot; reading the same values through Value costs the
-// box on top.
+// TestAllocBudgetTypedReaders: ValueInto, the typed slot, on the tag its
+// type encodes to allocates what it reads and nothing else: one allocation
+// for a slice (a []byte below BorrowMin is copied), none for a scalar.
+// Reading the same values through Value costs the box on top.
 func TestAllocBudgetTypedReaders(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	e := NewEncoder()
 	defer e.Release()
-	e.Int32Slice(make([]int32, 16))
-	e.ByteSlice(make([]byte, 64))
-	e.Float64Slice(make([]float64, 16))
-	e.Int(1 << 40)
+	e.Value(make([]int32, 16))
+	e.Value(make([]byte, 64))
+	e.Value(make([]float64, 16))
+	e.Value(1 << 40)
 	d := NewDecoder(nil)
 	defer d.Release()
 	d.SetBorrow(true)
@@ -167,7 +167,6 @@ func TestAllocBudgetTypedReaders(t *testing.T) {
 		read func()
 		want float64
 	}{
-		"readers":   {func() { ints, raw, floats, n = d.Int32Slice(), d.ByteSlice(), d.Float64Slice(), d.Int() }, 3},
 		"ValueInto": {func() { d.ValueInto(&ints); d.ValueInto(&raw); d.ValueInto(&floats); d.ValueInto(&n) }, 3},
 		"Value":     {func() { d.Value(); d.Value(); d.Value(); d.Value() }, 7},
 	} {

@@ -7,7 +7,6 @@ package wire
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 
@@ -28,8 +27,9 @@ const keepMax = 2 << 20
 
 // Encoder is the streaming encode surface of the format: what the remoting
 // channel encodes request/response envelopes through, an encoder its lane or
-// connection keeps (a keep.Store of Encoders). Errors are sticky: the scalar
-// writers cannot fail, Value records the first failure, and Err reports it.
+// connection keeps (a keep.Store of Encoders). Errors are sticky: String and
+// the raw writers cannot fail, Value records the first failure, and Err
+// reports it.
 type Encoder struct {
 	e   binEncoder
 	err error
@@ -77,7 +77,7 @@ const BorrowMin = 1 << 10
 // decode during which Borrowed reports true, the input buffer belongs to
 // whoever holds the decoded values, and must not be recycled or rewritten
 // until they are unreachable. Applies to every []byte surface that funnels
-// through the decoder: ByteSlice, ValueInto, Value/Decode and AnySlice.
+// through the decoder: ValueInto, Value/Decode and AnySliceInto.
 func (d *Decoder) SetBorrow(on bool) { d.d.opts.borrow = on }
 
 // Borrowed reports whether any []byte decoded so far aliases the input
@@ -112,135 +112,10 @@ func (e *Encoder) Encode(v any) error {
 	return e.err
 }
 
-// Bool writes a tagged bool.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.e.writeByte(tTrue)
-	} else {
-		e.e.writeByte(tFalse)
-	}
-}
-
-// Int writes a tagged int.
-func (e *Encoder) Int(v int) {
-	e.e.writeByte(tInt)
-	e.e.writeVarint(int64(v))
-}
-
-// Int8 writes a tagged int8.
-func (e *Encoder) Int8(v int8) {
-	e.e.writeByte(tInt8)
-	e.e.writeByte(byte(v))
-}
-
-// Int16 writes a tagged int16.
-func (e *Encoder) Int16(v int16) {
-	e.e.writeByte(tInt16)
-	e.e.writeVarint(int64(v))
-}
-
-// Int32 writes a tagged int32.
-func (e *Encoder) Int32(v int32) {
-	e.e.writeByte(tInt32)
-	e.e.writeVarint(int64(v))
-}
-
-// Int64 writes a tagged int64.
-func (e *Encoder) Int64(v int64) {
-	e.e.writeByte(tInt64)
-	e.e.writeVarint(v)
-}
-
-// Uint writes a tagged uint.
-func (e *Encoder) Uint(v uint) {
-	e.e.writeByte(tUint)
-	e.e.writeUvarint(uint64(v))
-}
-
-// Uint8 writes a tagged uint8.
-func (e *Encoder) Uint8(v uint8) {
-	e.e.writeByte(tUint8)
-	e.e.writeByte(v)
-}
-
-// Uint16 writes a tagged uint16.
-func (e *Encoder) Uint16(v uint16) {
-	e.e.writeByte(tUint16)
-	e.e.writeUvarint(uint64(v))
-}
-
-// Uint32 writes a tagged uint32.
-func (e *Encoder) Uint32(v uint32) {
-	e.e.writeByte(tUint32)
-	e.e.writeUvarint(uint64(v))
-}
-
-// Uint64 writes a tagged uint64.
-func (e *Encoder) Uint64(v uint64) {
-	e.e.writeByte(tUint64)
-	e.e.writeUvarint(v)
-}
-
-// Float32 writes a tagged float32.
-func (e *Encoder) Float32(v float32) {
-	e.e.writeByte(tFloat32)
-	e.e.writeFixed32(math.Float32bits(v))
-}
-
-// Float64 writes a tagged float64.
-func (e *Encoder) Float64(v float64) {
-	e.e.writeByte(tFloat64)
-	e.e.writeFixed64(math.Float64bits(v))
-}
-
 // String writes a tagged string.
 func (e *Encoder) String(v string) {
 	e.e.writeByte(tString)
 	e.e.writeString(v)
-}
-
-// ByteSlice writes a tagged byte slice.
-func (e *Encoder) ByteSlice(v []byte) {
-	e.e.writeByte(tBytes)
-	e.e.writeUvarint(uint64(len(v)))
-	e.e.writeBytes(v)
-}
-
-// IntSlice writes a fast-path []int.
-func (e *Encoder) IntSlice(v []int) { writeInt64s(&e.e, tIntSlice, v) }
-
-// Int32Slice writes a fast-path []int32.
-func (e *Encoder) Int32Slice(v []int32) { e.e.writeInt32Slice(v) }
-
-// Int64Slice writes a fast-path []int64.
-func (e *Encoder) Int64Slice(v []int64) { writeInt64s(&e.e, tInt64Slice, v) }
-
-// Float32Slice writes a fast-path []float32.
-func (e *Encoder) Float32Slice(v []float32) { e.e.writeFloat32Slice(v) }
-
-// Float64Slice writes a fast-path []float64.
-func (e *Encoder) Float64Slice(v []float64) { e.e.writeFloat64Slice(v) }
-
-// StringSlice writes a fast-path []string.
-func (e *Encoder) StringSlice(v []string) {
-	e.e.writeByte(tStringSlice)
-	e.e.writeUvarint(uint64(len(v)))
-	for _, s := range v {
-		e.e.writeString(s)
-	}
-}
-
-// BoolSlice writes a fast-path []bool.
-func (e *Encoder) BoolSlice(v []bool) {
-	e.e.writeByte(tBoolSlice)
-	e.e.writeUvarint(uint64(len(v)))
-	for _, b := range v {
-		if b {
-			e.e.writeByte(1)
-		} else {
-			e.e.writeByte(0)
-		}
-	}
 }
 
 // AnySlice writes a heterogeneous slice; element failures are sticky.
@@ -270,8 +145,8 @@ func (e *Encoder) RawUvarint(u uint64) { e.e.writeUvarint(u) }
 // RawVarint appends an unframed signed varint (no tag byte). See RawByte.
 func (e *Encoder) RawVarint(i int64) { e.e.writeVarint(i) }
 
-// Value writes any wire-model value (the generic writer for types without a
-// dedicated one); failures are sticky.
+// Value writes any wire-model value, tagged as Encode writes it; failures
+// are sticky.
 func (e *Encoder) Value(v any) {
 	if e.err != nil {
 		return
@@ -284,8 +159,8 @@ func (e *Encoder) Value(v any) {
 // ---------------------------------------------------------------- Decoder
 
 // Decoder is the streaming decode surface of the format. Errors are sticky:
-// the typed readers return zero values once an error is recorded, and Err
-// reports the first failure at the end.
+// the readers return zero values once an error is recorded, and Err reports
+// the first failure at the end.
 type Decoder struct {
 	d   binDecoder
 	err error
@@ -387,8 +262,7 @@ func (d *Decoder) RawVarint() int64 {
 	return i
 }
 
-// Value reads any tagged value (the generic reader for types without a
-// dedicated one).
+// Value reads any tagged value, boxed; ValueInto reads one unboxed.
 func (d *Decoder) Value() any {
 	if d.err != nil {
 		return nil
@@ -399,199 +273,6 @@ func (d *Decoder) Value() any {
 		return nil
 	}
 	return v
-}
-
-// number classes for the shared numeric reader.
-const (
-	numInt = iota + 1
-	numUint
-	numFloat
-)
-
-// number consumes the next value when its tag is numeric, returning the
-// class and value. When the tag is not numeric it is un-read and ok is
-// false, letting the caller fall back to the generic reader.
-func (d *Decoder) number() (cls int, i int64, u uint64, f float64, ok bool) {
-	if d.err != nil {
-		return 0, 0, 0, 0, false
-	}
-	tag, err := d.d.readByte()
-	if err != nil {
-		d.fail(err)
-		return 0, 0, 0, 0, false
-	}
-	switch tag {
-	case tInt8:
-		b, err := d.d.readByte()
-		if err != nil {
-			d.fail(err)
-			return 0, 0, 0, 0, false
-		}
-		return numInt, int64(int8(b)), 0, 0, true
-	case tInt16, tInt32, tInt64, tInt:
-		v, err := d.d.readVarint()
-		if err != nil {
-			d.fail(err)
-			return 0, 0, 0, 0, false
-		}
-		return numInt, v, 0, 0, true
-	case tUint8:
-		b, err := d.d.readByte()
-		if err != nil {
-			d.fail(err)
-			return 0, 0, 0, 0, false
-		}
-		return numUint, 0, uint64(b), 0, true
-	case tUint16, tUint32, tUint64, tUint:
-		v, err := d.d.readUvarint()
-		if err != nil {
-			d.fail(err)
-			return 0, 0, 0, 0, false
-		}
-		return numUint, 0, v, 0, true
-	case tFloat32:
-		v, err := d.d.readFixed32()
-		if err != nil {
-			d.fail(err)
-			return 0, 0, 0, 0, false
-		}
-		return numFloat, 0, 0, float64(math.Float32frombits(v)), true
-	case tFloat64:
-		v, err := d.d.readFixed64()
-		if err != nil {
-			d.fail(err)
-			return 0, 0, 0, 0, false
-		}
-		return numFloat, 0, 0, math.Float64frombits(v), true
-	}
-	d.d.pos-- // un-read the tag for the generic fallback
-	return 0, 0, 0, 0, false
-}
-
-// signed converts a numeric read to int64, range-checked against [min,max]
-// (the Assign narrowing rules: overflow and fractional floats are
-// ErrBadConversion failures).
-func (d *Decoder) signed(min, max int64) int64 {
-	cls, i, u, f, ok := d.number()
-	if !ok {
-		return assignAs[int64](d)
-	}
-	switch cls {
-	case numUint:
-		if u > math.MaxInt64 {
-			d.fail(badConversion(fmt.Sprintf("uint value %d", u), "int"))
-			return 0
-		}
-		i = int64(u)
-	case numFloat:
-		i = int64(f)
-		if float64(i) != f {
-			d.fail(badConversion(fmt.Sprintf("float value %v", f), "int"))
-			return 0
-		}
-	}
-	if i < min || i > max {
-		d.fail(badConversion(fmt.Sprintf("value %d", i), fmt.Sprintf("[%d,%d]", min, max)))
-		return 0
-	}
-	return i
-}
-
-// unsigned converts a numeric read to uint64, range-checked against max.
-func (d *Decoder) unsigned(max uint64) uint64 {
-	cls, i, u, f, ok := d.number()
-	if !ok {
-		return assignAs[uint64](d)
-	}
-	switch cls {
-	case numInt:
-		if i < 0 {
-			d.fail(badConversion(fmt.Sprintf("negative value %d", i), "uint"))
-			return 0
-		}
-		u = uint64(i)
-	case numFloat:
-		if f < 0 || float64(uint64(f)) != f {
-			d.fail(badConversion(fmt.Sprintf("float value %v", f), "uint"))
-			return 0
-		}
-		u = uint64(f)
-	}
-	if u > max {
-		d.fail(badConversion(fmt.Sprintf("value %d", u), fmt.Sprintf("[0,%d]", max)))
-		return 0
-	}
-	return u
-}
-
-// Bool reads a bool.
-func (d *Decoder) Bool() bool {
-	if d.err != nil {
-		return false
-	}
-	tag, err := d.d.readByte()
-	if err != nil {
-		d.fail(err)
-		return false
-	}
-	switch tag {
-	case tTrue:
-		return true
-	case tFalse:
-		return false
-	}
-	d.d.pos--
-	return assignAs[bool](d)
-}
-
-// Int reads an int (any numeric tag, Assign conversion rules).
-func (d *Decoder) Int() int { return int(d.signed(math.MinInt, math.MaxInt)) }
-
-// Int8 reads an int8.
-func (d *Decoder) Int8() int8 { return int8(d.signed(math.MinInt8, math.MaxInt8)) }
-
-// Int16 reads an int16.
-func (d *Decoder) Int16() int16 { return int16(d.signed(math.MinInt16, math.MaxInt16)) }
-
-// Int32 reads an int32.
-func (d *Decoder) Int32() int32 { return int32(d.signed(math.MinInt32, math.MaxInt32)) }
-
-// Int64 reads an int64.
-func (d *Decoder) Int64() int64 { return d.signed(math.MinInt64, math.MaxInt64) }
-
-// Uint reads a uint.
-func (d *Decoder) Uint() uint { return uint(d.unsigned(math.MaxUint)) }
-
-// Uint8 reads a uint8.
-func (d *Decoder) Uint8() uint8 { return uint8(d.unsigned(math.MaxUint8)) }
-
-// Uint16 reads a uint16.
-func (d *Decoder) Uint16() uint16 { return uint16(d.unsigned(math.MaxUint16)) }
-
-// Uint32 reads a uint32.
-func (d *Decoder) Uint32() uint32 { return uint32(d.unsigned(math.MaxUint32)) }
-
-// Uint64 reads a uint64.
-func (d *Decoder) Uint64() uint64 { return d.unsigned(math.MaxUint64) }
-
-// Float32 reads a float32.
-func (d *Decoder) Float32() float32 { return float32(d.float()) }
-
-// Float64 reads a float64.
-func (d *Decoder) Float64() float64 { return d.float() }
-
-func (d *Decoder) float() float64 {
-	cls, i, u, f, ok := d.number()
-	if !ok {
-		return assignAs[float64](d)
-	}
-	switch cls {
-	case numInt:
-		return float64(i)
-	case numUint:
-		return float64(u)
-	}
-	return f
 }
 
 // String reads a string.
@@ -614,65 +295,6 @@ func (d *Decoder) String() string {
 	}
 	d.d.pos--
 	return assignAs[string](d)
-}
-
-// StringRaw reads what String reads, as a zero-copy view into the input:
-// valid while the frame is, for a reader that compares the name with one it
-// already holds and copies only when it must keep it.
-func (d *Decoder) StringRaw() []byte {
-	if d.err == nil && d.d.pos < len(d.d.data) && d.d.data[d.d.pos] == tString {
-		d.d.pos++
-		b, err := d.d.readStringBytes()
-		if err != nil {
-			d.fail(err)
-			return nil
-		}
-		return b
-	}
-	return []byte(d.String())
-}
-
-// ByteSlice reads a []byte, honouring borrow mode (SetBorrow).
-func (d *Decoder) ByteSlice() []byte { return sliceOf(d, tBytes, (*binDecoder).readBytesValue) }
-
-// IntSlice reads a []int.
-func (d *Decoder) IntSlice() []int { return sliceOf(d, tIntSlice, readInt64s[int]) }
-
-// Int32Slice reads a []int32.
-func (d *Decoder) Int32Slice() []int32 { return sliceOf(d, tInt32Slice, (*binDecoder).readInt32Slice) }
-
-// Int64Slice reads a []int64.
-func (d *Decoder) Int64Slice() []int64 { return sliceOf(d, tInt64Slice, readInt64s[int64]) }
-
-// Float32Slice reads a []float32.
-func (d *Decoder) Float32Slice() []float32 {
-	return sliceOf(d, tFloat32Slice, (*binDecoder).readFloat32Slice)
-}
-
-// Float64Slice reads a []float64.
-func (d *Decoder) Float64Slice() []float64 {
-	return sliceOf(d, tFloat64Slice, (*binDecoder).readFloat64Slice)
-}
-
-// StringSlice reads a []string.
-func (d *Decoder) StringSlice() []string {
-	return sliceOf(d, tStringSlice, (*binDecoder).readStringSlice)
-}
-
-// BoolSlice reads a []bool.
-func (d *Decoder) BoolSlice() []bool { return sliceOf(d, tBoolSlice, (*binDecoder).readBoolSlice) }
-
-// sliceOf reads the next value with read when it starts with tag, the tag T
-// encodes to: the slice is the only allocation, nothing is boxed. Anything
-// else (nil, a []any from an older peer) goes through the generic reader
-// and the Assign conversion rules.
-func sliceOf[T any](d *Decoder, tag byte, read func(*binDecoder) (T, error)) T {
-	if d.err != nil || d.d.pos >= len(d.d.data) || d.d.data[d.d.pos] != tag {
-		return typedSlice[T](d)
-	}
-	var v T
-	readExact(d, &v, read)
-	return v
 }
 
 // readExact consumes the tag its caller matched and reads the value behind
@@ -771,9 +393,6 @@ func readOctet[T int8 | uint8](d *binDecoder) (T, error) {
 	return T(b), err
 }
 
-// AnySlice reads a []any into a fresh backing array.
-func (d *Decoder) AnySlice() []any { return d.AnySliceInto(nil) }
-
 // AnySliceInto reads a []any, decoding the slice directly (no detour
 // through a boxed `any`) into dst's backing array when the elements fit
 // its capacity, and into a fresh one otherwise. It is for a caller that
@@ -815,9 +434,9 @@ func (d *Decoder) AnySliceInto(dst []any) []any {
 	return out
 }
 
-// typedSlice reads the next value, which the fast-path slice decoders
-// already return as the right concrete type; mismatches (a []any from an
-// older peer, nil) go through the Assign conversion rules.
+// typedSlice reads the next value, which the generic reader may already
+// return as the right concrete type; mismatches (nil, another shape) go
+// through the Assign conversion rules.
 func typedSlice[T any](d *Decoder) T {
 	var zero T
 	v := d.Value()
@@ -830,8 +449,8 @@ func typedSlice[T any](d *Decoder) T {
 	return convertDecoded[T](d, v)
 }
 
-// assignAs is the generic fallback of the typed readers: decode the next
-// value reflectively and convert it with the Assign rules.
+// assignAs is the generic fallback of String: decode the next value
+// reflectively and convert it with the Assign rules.
 func assignAs[T any](d *Decoder) T {
 	var zero T
 	v := d.Value()

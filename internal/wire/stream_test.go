@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/keep"
-	"repro/internal/racetest"
 )
 
 // TestEncoderReuse: a pooled encoder's buffer and intern table reset fully
@@ -138,7 +137,7 @@ func TestUnknownFieldSkipped(t *testing.T) {
 	e.e.writeName("S")
 	e.String("kept")
 	e.e.writeName("Gone")
-	e.Int(99)
+	e.Value(99)
 	data := append([]byte(nil), e.Bytes()...)
 	e.Release()
 
@@ -179,7 +178,7 @@ func TestRawFraming(t *testing.T) {
 	if i := d.RawVarint(); i != -42 {
 		t.Errorf("RawVarint = %d", i)
 	}
-	args := d.AnySlice()
+	args := d.AnySliceInto(nil)
 	if d.Err() != nil || len(args) != 2 || args[0] != int32(7) || args[1] != "x" {
 		t.Errorf("args = %#v, err = %v", args, d.Err())
 	}
@@ -197,56 +196,5 @@ func TestRawFraming(t *testing.T) {
 	defer d3.Release()
 	if d3.RawUvarint() != 0 || d3.Err() == nil {
 		t.Error("RawUvarint on truncated input did not fail")
-	}
-}
-
-// TestStringRawReadsWhatStringReads: the zero-copy string read returns the
-// bytes String would, as a view of the input for a string and by String's
-// own conversion for anything else, leaves the decoder where String would,
-// fails where it would, and allocates nothing for a string.
-func TestStringRawReadsWhatStringReads(t *testing.T) {
-	e := NewEncoder()
-	defer e.Release()
-	e.String("Echo")
-	e.String("")
-	e.Int(7) // not a string: both readers refuse it
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	frame := bytes.Clone(e.Bytes())
-	raw, copying := NewDecoder(frame), NewDecoder(frame)
-	defer raw.Release()
-	defer copying.Release()
-	for i := 0; i < 3; i++ {
-		b, s := raw.StringRaw(), copying.String()
-		if string(b) != s || (raw.Err() == nil) != (copying.Err() == nil) || raw.Rest() != copying.Rest() {
-			t.Fatalf("read %d: StringRaw %q, err %v, rest %d; String %q, err %v, rest %d",
-				i, b, raw.Err(), raw.Rest(), s, copying.Err(), copying.Rest())
-		}
-		if i == 0 && &b[0] != &frame[2] {
-			t.Error("StringRaw copied the string out of the frame")
-		}
-	}
-	if raw.Err() == nil {
-		t.Error("an int was read as a string")
-	}
-	for _, truncated := range [][]byte{frame[:1], frame[:3]} {
-		d := NewDecoder(truncated)
-		if b := d.StringRaw(); b != nil || d.Err() == nil {
-			t.Errorf("StringRaw on %x = %q, %v: want a failure", truncated, b, d.Err())
-		}
-		d.Release()
-	}
-	if racetest.Enabled {
-		return // the race detector allocates on its own account
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		d := NewDecoder(frame)
-		if b := d.StringRaw(); len(b) != 4 {
-			t.Fatalf("StringRaw = %q", b)
-		}
-		d.Release()
-	}); n != 0 {
-		t.Errorf("StringRaw of a string: %.0f allocs, want 0", n)
 	}
 }

@@ -63,8 +63,8 @@ func TestValueInto(t *testing.T) {
 }
 
 // TestTypedReadersOnTruncatedInput: a slice whose count says more than the
-// input holds fails with the count error, through the typed reader, the typed
-// slot and the generic reader alike; nothing panics on any prefix, and a
+// input holds fails with the count error, through the typed slot and the
+// generic reader alike; nothing panics on any prefix, and a
 // failed slot is left alone (an empty input is no value at all, and no slot's). Once an error is recorded a slot takes nothing.
 func TestTypedReadersOnTruncatedInput(t *testing.T) {
 	for _, v := range typedValues {
@@ -81,12 +81,6 @@ func TestTypedReadersOnTruncatedInput(t *testing.T) {
 			readers := map[string]func(d *Decoder){
 				"Value":     func(d *Decoder) { d.Value() },
 				"ValueInto": func(d *Decoder) { d.ValueInto(slot.Interface()) },
-				"typed": func(d *Decoder) {
-					reflect.ValueOf(d).MethodByName(map[string]string{
-						"[]uint8": "ByteSlice", "[]int": "IntSlice", "[]int32": "Int32Slice", "[]int64": "Int64Slice",
-						"[]float32": "Float32Slice", "[]float64": "Float64Slice", "[]string": "StringSlice", "[]bool": "BoolSlice",
-					}[typ.String()]).Call(nil)
-				},
 			}
 			for name, read := range readers {
 				d := NewDecoder(data[:cut])
