@@ -14,6 +14,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/metrics"
 	"repro/internal/remoting"
+	"repro/internal/wire"
 )
 
 // ioWrapper wraps an implementation object, measuring execution times for
@@ -212,10 +213,14 @@ func dedupReplayError(rep remoting.DedupReply) error {
 }
 
 // InvokeBatch replays an aggregate message: calls is a list of argument
-// lists for method. It returns the number of calls applied.
+// lists for method, decoded here when it is a remote call's pending list.
+// It returns the number of calls applied.
 func (w *ioWrapper) InvokeBatch(ctx context.Context, method string, calls []any) (int, error) {
 	if w.fenced.Load() {
 		return 0, errFenced(w.uri)
+	}
+	if err := wire.DecodeArgs(calls); err != nil {
+		return 0, err
 	}
 	start := time.Now()
 	for i, c := range calls {

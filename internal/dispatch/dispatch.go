@@ -27,8 +27,11 @@ func Invoke(obj any, method string, args []any) (any, error) {
 	return InvokeCtx(context.Background(), obj, method, args)
 }
 
-// InvokeCtx calls an exported method on obj by name with decoded wire
-// arguments, converting them to the declared parameter types. When the
+// InvokeCtx calls an exported method on obj by name with wire arguments,
+// converting them to the declared parameter types. A remote call's
+// arguments arrive pending (wire.PendingList): a generated thunk decodes
+// each into its parameter (Arg), the reflective path decodes them all, in
+// place, before it converts them (wire.DecodeArgs). When the
 // method's first parameter is a context.Context, ctx is injected there and
 // the wire arguments fill the remaining parameters — this is how a caller's
 // deadline reaches context-aware implementation methods.
@@ -69,6 +72,9 @@ func InvokeCtx(ctx context.Context, obj any, method string, args []any) (any, er
 		}
 		ctxVal = []reflect.Value{reflect.ValueOf(ctx)}
 		params = params[1:]
+	}
+	if err := wire.DecodeArgs(args); err != nil {
+		return nil, fmt.Errorf("method %T.%s: %w", obj, method, err)
 	}
 	in, err := wire.AssignArgs(params, args)
 	if err != nil {

@@ -19,9 +19,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Invoker executes one method on obj with decoded wire arguments. obj is
-// always the concrete type the thunks were registered for (the registry is
-// keyed by it), so generated code may assert without checking.
+// Invoker executes one method on obj with its arguments. obj is always the
+// concrete type the thunks were registered for (the registry is keyed by
+// it), so generated code may assert without checking. A thunk binds each
+// argument through Arg, which is where a remote call's arguments are
+// decoded: the server hands the thunk the request's pending list
+// (wire.PendingList), and Arg decodes each element into the parameter's
+// type.
 type Invoker func(ctx context.Context, obj any, args []any) (any, error)
 
 // invokerTables is the immutable snapshot swapped on registration so the
@@ -88,18 +92,31 @@ func InvokerFor(t reflect.Type, method string) Invoker {
 	return lookupInvoker(t, method)
 }
 
-// Arg binds args[i] to T: a plain type assertion on the fast path, the
-// wire.Assign conversion rules on mismatch (an int64 from an older peer
-// binding to an int parameter, a []any to a typed slice, ...). Generated
-// thunks perform the arity check before calling it.
+// Arg binds args[i] to T. A remote call's argument is still pending
+// (*wire.Pending) when it gets here, and this is where it is decoded:
+// straight into a T when its tag is the one T reads, with no box, and
+// otherwise decoded and converted. A value already decoded takes a plain
+// type assertion. The conversion on mismatch is wire.Assign's (an int64
+// from an older peer binding to an int parameter, a []any to a typed
+// slice, ...). Generated thunks perform the arity check before calling it.
 func Arg[T any](args []any, i int) (T, error) {
-	if v, ok := args[i].(T); ok {
+	var v T
+	a := args[i]
+	if p, ok := a.(*wire.Pending); ok {
+		if read, err := p.Into(&v); read {
+			return v, err
+		}
+		var err error
+		if a, err = p.Value(); err != nil {
+			return v, err
+		}
+	}
+	if v, ok := a.(T); ok {
 		return v, nil
 	}
-	var zero T
-	av, err := wire.Assign(reflect.TypeFor[T](), args[i])
+	av, err := wire.Assign(reflect.TypeFor[T](), a)
 	if err != nil {
-		return zero, err
+		return v, err
 	}
 	return av.Interface().(T), nil
 }

@@ -1002,9 +1002,13 @@ func FuzzDeclareSequence(f *testing.F) {
 
 		declared := map[uint32]callRequest{} // the triple each handle was last declared with
 		var high uint32
+		d := wire.NewDecoder(nil)
+		defer d.Release()
 		for _, fr := range splitDeclareSequence(data) {
+			// Read as the server reads it: an argument that does not decode
+			// is its call's error, not the connection's.
 			var req callRequest
-			h, declaring, _, decodeErr := decodeBoundCall(fr, &req, nil)
+			h, declaring, decodeErr := readBoundCall(d, fr, &req, new(wire.PendingList))
 			if cli.Send(fr) != nil {
 				t.Fatal("the connection was dropped after a frame that decoded")
 			}

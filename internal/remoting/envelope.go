@@ -140,10 +140,14 @@ func encodeBoundCall(encs *keep.Store[wire.Encoder], handle uint32, declare bool
 // returns the handle and whether the frame declared it. A declaring frame
 // fills URI, Call and Method and may name handle 0; a bare one leaves them
 // empty (the server fills them from its bind table) and must name a handle.
-// req.Args is decoded into argv's array when it fits. d is the read loop's
-// decoder, in borrow mode: large []byte arguments alias raw, and
-// d.Borrowed reports whether any does (see recycleFrame).
-func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (handle uint32, declared bool, err error) {
+// req.Args is args' list of pending elements, decoded where the call binds
+// them (wire.PendingList), or, with a nil args, decoded here. d is the read
+// loop's decoder, in borrow mode: large []byte arguments alias raw, which
+// args.Borrowed (d.Borrowed when args is nil) reports (see recycleFrame).
+// What it reports as an error is a frame the connection cannot go on from;
+// an element of the list that does not decode, or a byte after the last
+// one, is the call's error, found where the element is bound.
+func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, args *wire.PendingList) (handle uint32, declared bool, err error) {
 	*req = callRequest{}
 	d.Reset(raw)
 	b := d.RawByte()
@@ -164,7 +168,7 @@ func readBoundCall(d *wire.Decoder, raw []byte, req *callRequest, argv []any) (h
 		req.TokClient = d.RawUvarint()
 		req.TokSeq = d.RawUvarint()
 	}
-	req.Args = d.AnySliceInto(argv)
+	req.Args = d.AnySlice(args)
 	if err := d.Err(); err != nil {
 		return 0, false, fmt.Errorf("remoting: decode call: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/keep"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -162,6 +163,56 @@ func TestBoundCallRejectsBadFrames(t *testing.T) {
 	}
 }
 
+// doubler is a published object whose method binds its argument.
+type doubler struct{}
+
+func (doubler) Twice(v int) int { return 2 * v }
+
+// TestBadArgumentsFailTheirCall: a request whose header reads but whose
+// arguments do not (here, a byte after the last one) is answered with the
+// decode error, found where its argument is bound, and the connection goes
+// on: the request pipelined behind it on the same connection runs.
+func TestBadArgumentsFailTheirCall(t *testing.T) {
+	poisoned(t)
+	net := transport.NewMemNetwork()
+	ch := NewMultiplexedChannel(net)
+	defer ch.Close()
+	srv, err := ch.ListenAndServe("mem://badargs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Marshal("doubler", doubler{})
+	c, err := net.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bad := append(boundCallBytes(t, 1, true, &callRequest{URI: "doubler", Call: "Twice", Seq: 1, Args: []any{21}}), 0x00)
+	good := boundCallBytes(t, 1, false, &callRequest{Seq: 2, Args: []any{4}})
+	if err := transport.SendBatch(c, [][]byte{bad, good}); err != nil {
+		t.Fatal(err)
+	}
+	replies := map[uint64]*callResponse{}
+	for len(replies) < 2 {
+		raw, err := c.Recv()
+		if err != nil {
+			t.Fatalf("after %d replies: %v", len(replies), err)
+		}
+		resp, _, err := decodeReply(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies[resp.Seq] = resp
+	}
+	if r := replies[1]; r == nil || !r.IsErr || !strings.Contains(r.ErrMsg, "1 trailing bytes") {
+		t.Errorf("the request with a trailing byte was answered %+v, want its decode error", r)
+	}
+	if r := replies[2]; r == nil || r.IsErr || r.Result != 8 {
+		t.Errorf("the request behind it was answered %+v, want 8", r)
+	}
+}
+
 func TestBoundReplyRejectsBadFrames(t *testing.T) {
 	resp := &callResponse{Seq: 2, Result: "ok"}
 	raw, enc, err := encodeBoundReply(&testEncs, resp)
@@ -187,15 +238,22 @@ func TestBoundReplyRejectsBadFrames(t *testing.T) {
 
 // decodeBoundCall and decodeBoundReply are the one-shot forms of what the
 // two read loops do with the decoder they keep: a frame in, an envelope out,
-// and whether anything in it aliases the frame. decodeBoundReply is header
+// and whether anything in it aliases the frame. decodeBoundCall then decodes
+// the pending argument list, boxed, into argv's array when it fits, and an
+// element that does not decode is its error too. decodeBoundReply is header
 // then body with no sink, the generic decode that a sink's outcome is
 // compared with.
 func decodeBoundCall(raw []byte, req *callRequest, argv []any) (handle uint32, declared, borrowed bool, err error) {
 	d := wire.NewDecoder(nil)
 	defer d.Release()
 	d.SetBorrow(true)
-	handle, declared, err = readBoundCall(d, raw, req, argv)
-	return handle, declared, d.Borrowed(), err
+	var args wire.PendingList
+	if handle, declared, err = readBoundCall(d, raw, req, &args); err != nil {
+		return handle, declared, false, err
+	}
+	req.Args = append(argv[:0], req.Args...)
+	err = wire.DecodeArgs(req.Args)
+	return handle, declared, args.Borrowed(), err
 }
 
 func decodeBoundReply(raw []byte, resp *callResponse) (borrowed bool, err error) {

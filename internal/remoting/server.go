@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,7 +314,7 @@ func (sc *serverConn) lookupBind(h uint32) *bindEntry {
 // outcome exactly once, on whichever goroutine settles it; or it returns
 // the error the call is answered with at once, and to never hears. call,
 // method and args are what NestedInvoker.InvokeNested takes; args is the
-// server's until to is told (see serverCall).
+// server's pending list, read only until to is told (see serverCall).
 type Mailbox interface {
 	Enqueue(ctx context.Context, call, method string, args []any, to Completer) error
 }
@@ -322,54 +323,49 @@ type Mailbox interface {
 // in the runtime-call shape, call(method, args), as the SCOOPP runtime's
 // endpoints take Invoke1("Echo", args), and runs them on the goroutine that
 // asks. A call that carries a user's method reaches InvokeNested with the
-// handle's call and method and the arguments as decoded, no []any{method,
+// handle's call and method and the arguments as read, no []any{method,
 // args} in between; InvokeNested must answer as dispatching call with that
-// list would. args is the server's (see serverCall).
+// list would. args is the server's pending list (see serverCall).
 type NestedInvoker interface {
 	InvokeNested(ctx context.Context, call, method string, args []any) (any, error)
 }
 
 // serverCall is the server's record of one request: the decoded envelope,
-// the array its argument list is decoded into, the context and the target
-// the read loop resolved for it, the response, and the entry point of a
-// call run on its own goroutine, bound once. handleConn draws one per frame.
-// It is the Completer of its request, and goes back to its connection (or
-// the pool), emptied, once Complete encoded the reply.
+// its frame, the pending list its arguments wait in, the context and the
+// target the read loop resolved for it, the response, and the entry point
+// of a call run on its own goroutine, bound once. handleConn draws one per
+// frame. It is the Completer of its request, and goes back to its
+// connection (or the pool), emptied, once Complete encoded the reply.
 //
-// Ownership: the argument list is the server's, its elements the method's.
-// Dispatch copies every element into a typed parameter (variadic methods
-// are rejected), and a Mailbox is done with the list before it completes
-// the call, so after the reply nothing reads the list and the next request
-// may overwrite it. One exception gives the array away to the GC
-// (giveArgs): a call carrying a user's method on a target that is neither
-// a Mailbox nor a NestedInvoker, whose []any parameter the list becomes.
-// Elements are never reused: the array is cleared.
+// Ownership: the read loop parses only the frame's header; the arguments
+// stay in the frame, each decoded where the call binds it (dispatch.Arg
+// into a parameter, wire.DecodeArgs for a consumer that needs the values
+// boxed). The list is the server's, its values the method's: nothing reads
+// the list after the reply, and a mailbox completes a call only after its
+// task is done with it. A method that takes the list itself, (string,
+// []any), gets a decoded copy. The frame is held until the reply is
+// encoded, then goes back by the one frame rule (recycleFrame): to the GC
+// when a value borrows it, to its connection or the pool otherwise.
 type serverCall struct {
 	sc     *serverConn
 	req    callRequest
 	resp   callResponse
+	args   wire.PendingList // req.Args' elements
+	frame  []byte
+	audit  *frameCounts // what countFrame returned for frame
 	entry  *bindEntry
 	ctx    context.Context
 	cancel context.CancelFunc // ends ctx's deadline; nil when it has none
 	obj    any                // the target of a call run on its own goroutine
-	argv   []any              // len 0; the array the next request's list is lent
 	run    func()             // c.handle
 }
 
-// argvKeep is the longest argument array, in elements, a record holds on
-// to; a longer one (a big aggregate batch) goes back to the GC.
-const argvKeep = 64
-
 // serverCalls is the kind of the call records, which connections keep
-// (serverConn.free). A record goes back emptied, keeping the array the
-// request's list was decoded into (the lent one, or the decoder's if it
-// outgrew it) and its entry point.
+// (serverConn.free). A record goes back emptied, keeping the arrays of its
+// pending list and its entry point.
 var serverCalls = keep.NewKind(func(c *serverCall) bool {
-	if args := c.req.Args; cap(args) > 0 && cap(args) <= argvKeep {
-		c.argv = args[:0]
-	}
-	clear(c.argv[:cap(c.argv)])
-	*c = serverCall{argv: c.argv, run: c.run}
+	c.args.Reset()
+	*c = serverCall{args: c.args, run: c.run}
 	return true
 })
 
@@ -383,10 +379,10 @@ func (sc *serverConn) newCall() *serverCall {
 	return c
 }
 
-func (c *serverCall) giveArgs() { c.req.Args, c.argv = nil, nil }
-
-// release gives the record back to its connection.
+// release recycles the record's frame and gives the record back to its
+// connection.
 func (c *serverCall) release() {
+	recycleFrame(c.audit, c.sc.c, c.frame, c.args.Borrowed())
 	countRecord(recordReturned)
 	c.sc.free.Put(serverCalls, c)
 }
@@ -452,10 +448,9 @@ func (s *Server) handleConn(sc *serverConn) {
 		if err != nil {
 			return
 		}
-		audit := countFrame()
 		c := sc.newCall()
-		handle, declared, err := readBoundCall(d, raw, &c.req, c.argv)
-		recycleFrame(audit, conn, raw, d.Borrowed())
+		c.frame, c.audit = raw, countFrame()
+		handle, declared, err := readBoundCall(d, raw, &c.req, &c.args)
 		if err != nil {
 			// A framing failure desynchronises the stream, and without a
 			// sequence number we cannot form a matching reply; drop the
@@ -658,9 +653,13 @@ func (c *serverCall) invoke() (any, error) {
 			return ni.InvokeNested(ctx, req.Call, req.Method, args)
 		}
 		// A method of the object's own that happens to take (string,
-		// []any): the list is its parameter now.
-		args = []any{req.Method, args}
-		c.giveArgs()
+		// []any): the list is its parameter now, decoded, in an array of
+		// its own.
+		list := slices.Clone(args)
+		if err := wire.DecodeArgs(list); err != nil {
+			return nil, err
+		}
+		args = []any{req.Method, list}
 	}
 	if e != nil {
 		t := reflect.TypeOf(obj)

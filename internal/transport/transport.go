@@ -120,7 +120,9 @@ const smallMax = 64 << 10
 // where it came from. For a stream connection (TCP, Unix) that is the
 // connection: ReleaseFrame(c, b) makes b the buffer c's next receive fills,
 // so a read loop that receives, decodes and releases runs on one buffer of
-// its own, whatever other connections do, and shares no pool with them. A
+// its own, whatever other connections do, and shares no pool with them; a
+// frame released while the connection already holds one as large goes to
+// the pool (PutFrame). A
 // connection that cannot take a frame back (mem://, whose frames come from
 // the sender, and every wrapper: cost, netsim, fault) has ReleaseFrame fall
 // through to PutFrame and the process-wide pool, which is also where a
@@ -316,16 +318,19 @@ func (s *streamConn) recvFrame() ([]byte, error) { return s.recv(true) }
 
 // keepFrame implements frameOwner. The larger of two frames is kept, so a
 // connection whose messages come in several sizes settles on one buffer
-// that fits them all.
+// that fits them all, and the other goes to the pool: a read loop whose
+// calls hold their frames until they are answered has several out at once,
+// and gets them back from there.
 func (s *streamConn) keepFrame(b []byte) {
 	if cap(b) > smallMax {
 		return
 	}
 	s.spareMu.Lock()
 	if cap(b) > cap(s.spare) {
-		s.spare = b[:0]
+		b, s.spare = s.spare, b[:0]
 	}
 	s.spareMu.Unlock()
+	PutFrame(b)
 }
 
 // ownedFrame is the spare frame when n bytes fit it, a pooled or fresh one

@@ -706,3 +706,27 @@ func TestAllocBudgetConnFrames(t *testing.T) {
 		t.Errorf("send, RecvFrame, ReleaseFrame: %.0f allocs per message, want 0", n)
 	}
 }
+
+// TestAllocBudgetReleasedFrameGoesToPool: a stream connection keeps one
+// frame, and a frame released while it holds one as large goes to the pool.
+// Two frames released in a row are what a read loop hands back when two of
+// its calls held their frames until they were answered; the next GetFrame
+// of their size then finds the second in the pool instead of allocating.
+func TestAllocBudgetReleasedFrameGoesToPool(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("the race detector allocates on its own account, and sync.Pool drops Puts under it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for framePool.Get() != nil {
+	}
+	s := &streamConn{}
+	kept, other := make([]byte, 512), make([]byte, 512)
+	if n := testing.AllocsPerRun(1000, func() {
+		ReleaseFrame(s, kept)
+		ReleaseFrame(s, other)
+		other = GetFrame(512)
+		kept = s.ownedFrame(512)
+	}); n != 0 {
+		t.Errorf("two frames released to a connection, then GetFrame: %.2f allocs per cycle, want 0", n)
+	}
+}

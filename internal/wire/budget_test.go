@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/racetest"
@@ -22,9 +23,12 @@ func init() { RegisterName("wire.callMsg", callMsg{}) }
 // TestAllocBudgetCodec holds the reflective struct path to its allocation
 // budget on a small call request (a 64-byte numeric payload and two scalar
 // arguments): encoding through a pooled Encoder allocates 5 times, decoding
-// 18 times, and the argument list alone costs its three boxed elements and
-// their payload when the caller lends the backing array (AnySliceInto),
-// which is what the remoting server's call record does.
+// 18 times. The argument list alone, read into a PendingList kept from one
+// list to the next, as the remoting server's call record keeps one, costs
+// its three boxed elements and their payload decoded boxed (DecodeArgs, what
+// reflective dispatch does), and only the payload and the string's bytes
+// bound in order into typed variables (Pending.Into, what a generated
+// thunk does through dispatch.Arg).
 func TestAllocBudgetCodec(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -61,47 +65,87 @@ func TestAllocBudgetCodec(t *testing.T) {
 	e := NewEncoder()
 	defer e.Release()
 	e.AnySlice(msg.Args)
-	backing := make([]any, 0, 4)
-	if n := testing.AllocsPerRun(500, func() {
+	var list PendingList
+	read := func() []any {
+		list.Reset()
 		d := NewDecoder(e.Bytes())
-		got := d.AnySliceInto(backing)
-		if d.Err() != nil || len(got) != 3 || &got[0] != &backing[:1][0] {
-			t.Fatalf("AnySliceInto = %v, %v, in place %v", got, d.Err(), len(got) > 0 && &got[0] == &backing[:1][0])
+		defer d.Release()
+		args := d.AnySlice(&list)
+		if d.Err() != nil || len(args) != 3 {
+			t.Fatalf("AnySlice = %v, %v", args, d.Err())
 		}
-		d.Release()
+		return args
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		if args := read(); DecodeArgs(args) != nil || args[1] != 42 {
+			t.Fatalf("DecodeArgs = %v", args)
+		}
 	}); n > 4 {
-		t.Errorf("argument list into a lent array: %.0f allocs, budget 4", n)
+		t.Errorf("argument list decoded boxed into a kept list: %.0f allocs, budget 4", n)
 	} else {
-		t.Logf("argument list into a lent array: %.0f allocs", n)
+		t.Logf("argument list decoded boxed into a kept list: %.0f allocs", n)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		args := read()
+		var (
+			ints []int32
+			i    int
+			name string
+		)
+		for k, dst := range []any{&ints, &i, &name} {
+			if ok, err := args[k].(*Pending).Into(dst); !ok || err != nil {
+				t.Fatalf("argument %d: Into = %v, %v", k, ok, err)
+			}
+		}
+		if len(ints) != 16 || i != 42 || name != "caller-7" {
+			t.Fatalf("bound %v %v %q", ints, i, name)
+		}
+	}); n > 2 {
+		t.Errorf("argument list bound in order into typed variables: %.0f allocs, budget 2", n)
+	} else {
+		t.Logf("argument list bound in order into typed variables: %.0f allocs", n)
 	}
 }
 
-// TestAnySliceIntoOutgrowsItsArray: a list longer than the lent array gets
-// a fresh one, nil and legacy shapes ignore the array, and a short list
-// leaves the array's tail alone.
-func TestAnySliceIntoOutgrowsItsArray(t *testing.T) {
-	decode := func(v any, dst []any) []any {
+// TestPendingListKeepsItsArrays: a list reads into the arrays the one before
+// it left, a longer one gets fresh arrays, Reset drops arrays above
+// keepArgs elements, and a value that is not a list is the decoder's error.
+func TestPendingListKeepsItsArrays(t *testing.T) {
+	var list PendingList
+	read := func(v any) ([]any, error) {
 		t.Helper()
+		list.Reset()
 		e := NewEncoder()
 		defer e.Release()
 		e.Value(v)
-		d := NewDecoder(e.Bytes())
+		d := NewDecoder(bytes.Clone(e.Bytes()))
 		defer d.Release()
-		got := d.AnySliceInto(dst)
-		if err := d.Err(); err != nil {
-			t.Fatal(err)
+		args := d.AnySlice(&list)
+		return args, d.Err()
+	}
+	long, _ := read([]any{1, 2, 3})
+	short, _ := read([]any{7})
+	if len(short) != 1 || &short[0] != &long[0] {
+		t.Error("a shorter list did not read into the arrays the list kept")
+	}
+	if v, err := short[0].(*Pending).Value(); v != 7 || err != nil {
+		t.Errorf("short list: %v, %v", v, err)
+	}
+	if longer, _ := read(make([]any, 5)); len(longer) != 5 {
+		t.Errorf("a longer list read %d elements", len(longer))
+	}
+	read(make([]any, keepArgs+1))
+	list.Reset()
+	if cap(list.args) != 0 || cap(list.elems) != 0 {
+		t.Errorf("Reset kept arrays of %d elements, above keepArgs", cap(list.args))
+	}
+	for _, v := range []any{nil, []int{1}, "x"} {
+		if args, err := read(v); args != nil || err == nil {
+			t.Errorf("%#v read as a list: %v, %v", v, args, err)
 		}
-		return got
 	}
-	lent := []any{"a", "b"}
-	if got := decode([]any{1, 2, 3}, lent[:0]); len(got) != 3 || lent[0] != "a" {
-		t.Errorf("long list: got %v, lent array now %v", got, lent)
-	}
-	if got := decode(nil, lent[:0]); got != nil || lent[0] != "a" {
-		t.Errorf("nil: got %v, lent array now %v", got, lent)
-	}
-	if got := decode([]any{7}, lent[:0]); len(got) != 1 || got[0] != 7 || lent[0] != 7 || lent[1] != "b" {
-		t.Errorf("short list: got %v, lent array now %v", got, lent)
+	if args, err := read([]any{}); len(args) != 0 || args == nil || err != nil {
+		t.Errorf("empty list: %#v, %v", args, err)
 	}
 }
 

@@ -77,7 +77,8 @@ const BorrowMin = 1 << 10
 // decode during which Borrowed reports true, the input buffer belongs to
 // whoever holds the decoded values, and must not be recycled or rewritten
 // until they are unreachable. Applies to every []byte surface that funnels
-// through the decoder: ValueInto, Value/Decode and AnySliceInto.
+// through the decoder: ValueInto, Value/Decode, AnySlice and a PendingList
+// read through it.
 func (d *Decoder) SetBorrow(on bool) { d.d.opts.borrow = on }
 
 // Borrowed reports whether any []byte decoded so far aliases the input
@@ -391,62 +392,6 @@ func readUnsigned[T uint | uint16 | uint32 | uint64](d *binDecoder) (T, error) {
 func readOctet[T int8 | uint8](d *binDecoder) (T, error) {
 	b, err := d.readByte()
 	return T(b), err
-}
-
-// AnySliceInto reads a []any, decoding the slice directly (no detour
-// through a boxed `any`) into dst's backing array when the elements fit
-// its capacity, and into a fresh one otherwise. It is for a caller that
-// owns a reusable array, as the remoting server's call record does for the
-// argument list every request decodes; the elements are fresh values
-// either way. Anything that is not the plain tagged encoding (nil, a
-// foreign or legacy shape) takes the slow conversion path and ignores dst.
-func (d *Decoder) AnySliceInto(dst []any) []any {
-	if d.err != nil {
-		return nil
-	}
-	if d.d.pos >= len(d.d.data) || d.d.data[d.d.pos] != tAnySlice {
-		return typedSlice[[]any](d)
-	}
-	d.d.pos++
-	n, err := d.d.readUvarint()
-	if err != nil {
-		d.fail(err)
-		return nil
-	}
-	if err := d.d.checkCount(n, 1); err != nil {
-		d.fail(err)
-		return nil
-	}
-	var out []any
-	if dst != nil && uint64(cap(dst)) >= n {
-		out = dst[:n]
-	} else {
-		out = make([]any, n)
-	}
-	for i := range out {
-		v, err := d.d.decode()
-		if err != nil {
-			d.fail(err)
-			return nil
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// typedSlice reads the next value, which the generic reader may already
-// return as the right concrete type; mismatches (nil, another shape) go
-// through the Assign conversion rules.
-func typedSlice[T any](d *Decoder) T {
-	var zero T
-	v := d.Value()
-	if v == nil {
-		return zero
-	}
-	if s, ok := v.(T); ok {
-		return s
-	}
-	return convertDecoded[T](d, v)
 }
 
 // assignAs is the generic fallback of String: decode the next value

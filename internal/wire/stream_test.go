@@ -178,7 +178,7 @@ func TestRawFraming(t *testing.T) {
 	if i := d.RawVarint(); i != -42 {
 		t.Errorf("RawVarint = %d", i)
 	}
-	args := d.AnySliceInto(nil)
+	args := d.AnySlice(nil)
 	if d.Err() != nil || len(args) != 2 || args[0] != int32(7) || args[1] != "x" {
 		t.Errorf("args = %#v, err = %v", args, d.Err())
 	}
