@@ -1,8 +1,9 @@
 // Divideserver reproduces the paper's Figs. 1 and 2 side by side: the same
 // remote division service written against the Java-RMI-style API (explicit
 // export, registry lookup, checked remote exceptions) and against the
-// C#-remoting-style API (well-known object factory, Activator.GetObject,
-// plain errors, async delegates) — the §2 comparison as runnable code.
+// C#-remoting-style API (an object published under a well-known URI,
+// Activator.GetObject, plain errors, async delegates) — the §2 comparison
+// as runnable code.
 //
 // Run with:
 //
@@ -74,8 +75,8 @@ func main() {
 	fmt.Printf("Java RMI style:      %v / %v = %v (via %s)\n", d1, d2, res, server.URLFor("DivideServer"))
 
 	// --- Fig. 2: the C# remoting flavour -----------------------------
-	// Server: register a well-known service type; no instance, no
-	// registry, no stubs to generate.
+	// Server: publish the object under a well-known URI
+	// (RemotingServices.Marshal); no registry, no stubs to generate.
 	ch := remoting.NewMultiplexedChannel(net)
 	defer ch.Close()
 	srv, err := ch.ListenAndServe("mem://cshost")
@@ -83,7 +84,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	srv.RegisterWellKnown("DivideServer", remoting.Singleton, func() any { return DServer{} })
+	srv.Marshal("DivideServer", DServer{})
 
 	// Client: Activator.GetObject and call; errors are ordinary values.
 	ref, err := remoting.GetObject(ch, srv.URLFor("DivideServer"))

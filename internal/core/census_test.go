@@ -19,7 +19,7 @@ import (
 // makes a partitioned ex-owner safe to promote past.
 func TestReplicaAtFencesAndDemotesStaleCopy(t *testing.T) {
 	rts := startNodes(t, 3, nil)
-	registerVirtualJournal(rts, VirtualConfig{Replicas: 1, SnapshotEvery: 1})
+	registerVirtualJournal(rts, VirtualConfig{Replicas: 1})
 
 	p, err := rts[0].VirtualObject("vjournal", "fence0")
 	if err != nil {
@@ -28,7 +28,7 @@ func TestReplicaAtFencesAndDemotesStaleCopy(t *testing.T) {
 	if _, err := p.Invoke("Append", int64(7)); err != nil {
 		t.Fatal(err)
 	}
-	uri := VirtualURI("vjournal", "fence0")
+	uri := virtualURI("vjournal", "fence0")
 	hosts := hostOf(rts, uri)
 	if len(hosts) != 1 {
 		t.Fatalf("hosted on %v, want one owner", hosts)
@@ -79,8 +79,8 @@ func TestReplicaAtFencesAndDemotesStaleCopy(t *testing.T) {
 // claim the promotion is about to invalidate.
 func TestPromiseRefusesOlderDeposits(t *testing.T) {
 	rts := startNodes(t, 2, nil)
-	registerVirtualJournal(rts, VirtualConfig{Replicas: 1, SnapshotEvery: 1})
-	uri := VirtualURI("vjournal", "promise0")
+	registerVirtualJournal(rts, VirtualConfig{Replicas: 1})
+	uri := virtualURI("vjournal", "promise0")
 
 	if info := rts[1].replicaAt(uri, 5, 0, rts[0].Addr()); info.Has {
 		t.Fatalf("census on a node with no knowledge answered %+v", info)
@@ -99,7 +99,7 @@ func TestPromiseRefusesOlderDeposits(t *testing.T) {
 // rather than resurrect state older than an acknowledgement.
 func TestMinorityCensusRefusesToActivate(t *testing.T) {
 	rts := startNodes(t, 3, nil)
-	registerVirtualJournal(rts, VirtualConfig{Replicas: 1, SnapshotEvery: 1})
+	registerVirtualJournal(rts, VirtualConfig{Replicas: 1})
 	survivor := rts[0]
 	for _, rt := range rts[1:] {
 		rt.Close()
@@ -109,7 +109,7 @@ func TestMinorityCensusRefusesToActivate(t *testing.T) {
 	if _, err := survivor.VirtualObject("vjournal", "minority0"); err == nil || !strings.Contains(err.Error(), "majority required") {
 		t.Fatalf("activation on a minority: err = %v, want a majority refusal", err)
 	}
-	if hosts := hostOf(rts, VirtualURI("vjournal", "minority0")); len(hosts) != 0 {
+	if hosts := hostOf(rts, virtualURI("vjournal", "minority0")); len(hosts) != 0 {
 		t.Fatalf("hosted on %v after a refused census, want nowhere", hosts)
 	}
 }
@@ -125,8 +125,8 @@ func drec(seq, stamp uint64) remoting.DedupRecord {
 // hole the replica's dedup memory.
 func TestReplicateVirtualIncrementalChain(t *testing.T) {
 	rt := startNodes(t, 1, nil)[0]
-	registerVirtualJournal([]*Runtime{rt}, VirtualConfig{Replicas: 1, SnapshotEvery: 1})
-	uri := VirtualURI("vjournal", "chain0")
+	registerVirtualJournal([]*Runtime{rt}, VirtualConfig{Replicas: 1})
+	uri := virtualURI("vjournal", "chain0")
 	ship := func(gen, seq uint64, recs []remoting.DedupRecord, base uint64) (bool, error) {
 		return rt.replicateVirtual("vjournal", uri, gen, seq, 9, "mem://x", []byte("s"), recs, base)
 	}

@@ -116,7 +116,7 @@ type Config struct {
 	IdempotentCalls bool
 	// DedupPerObject caps each hosted object's dedup LRU (recorded
 	// replies for token-bearing calls). 0 selects
-	// remoting.DefaultDedupPerObject.
+	// remoting's default, 256.
 	DedupPerObject int
 }
 
@@ -296,7 +296,7 @@ func Start(cfg Config, addr string) (*Runtime, error) {
 		return nil, err
 	}
 	rt.server = srv
-	srv.RegisterWellKnown(omURI, remoting.Singleton, func() any { return &omService{rt: rt} })
+	srv.Marshal(omURI, &omService{rt: rt})
 	rt.peers = []peer{{node: cfg.NodeID, addr: srv.Addr()}}
 	return rt, nil
 }
@@ -435,9 +435,9 @@ func (rt *Runtime) count(name string) { rt.cfg.Channel.Metrics().Counter(name).A
 // Load returns the number of live parallel objects hosted on this node.
 func (rt *Runtime) Load() int { return int(rt.load.Load()) }
 
-// ClassStatsFor returns the measured grain statistics of a class on this
+// classStatsFor returns the measured grain statistics of a class on this
 // node.
-func (rt *Runtime) ClassStatsFor(class string) ClassStats {
+func (rt *Runtime) classStatsFor(class string) classStats {
 	calls, nanos := rt.grainCounters(class)
 	// The two loads are not a consistent snapshot: a concurrent call can
 	// land between them, skewing the average by one call. Grain stats
@@ -445,9 +445,9 @@ func (rt *Runtime) ClassStatsFor(class string) ClassStats {
 	// and not worth a lock on the dispatch path.
 	n := calls.Load()
 	if n == 0 {
-		return ClassStats{}
+		return classStats{}
 	}
-	return ClassStats{Calls: n, AvgExecTime: time.Duration(nanos.Load() / n)}
+	return classStats{Calls: n, AvgExecTime: time.Duration(nanos.Load() / n)}
 }
 
 // grainCounters returns class's grain counters in the channel's registry:
@@ -578,7 +578,7 @@ func WithCallToken(ctx context.Context, tok remoting.CallToken) context.Context 
 // remote node's factory.
 func (rt *Runtime) NewParallelObject(class string) (*Proxy, error) {
 	rt.count("objects_created")
-	if rt.cfg.Agglomeration.Agglomerate(class, rt.ClassStatsFor(class), rt.Load()) {
+	if rt.cfg.Agglomeration.Agglomerate(class, rt.classStatsFor(class), rt.Load()) {
 		// Intra-grain creation (Fig. 3 call d): passive local object,
 		// serial execution, but still published so references to it
 		// can travel.

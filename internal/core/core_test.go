@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/remoting"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // counterObj is a stateful parallel-object class used across the tests.
@@ -346,7 +347,7 @@ func TestAdaptiveAgglomeration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := rt.ClassStatsFor("counter")
+	stats := rt.classStatsFor("counter")
 	if stats.Calls < 3 {
 		t.Fatalf("class stats not recorded: %+v", stats)
 	}
@@ -468,22 +469,24 @@ func TestRuntimeStatsCounting(t *testing.T) {
 	}
 }
 
+// TestOMServiceRemoteAPI: a peer's object manager answers the probe the
+// health loop and the placement load vector send it, by name, over the wire.
 func TestOMServiceRemoteAPI(t *testing.T) {
 	rts := startNodes(t, 2, nil)
+	if _, err := rts[1].NewParallelObject("counter"); err != nil {
+		t.Fatal(err)
+	}
 	om := remoting.NewObjRef(rts[0].cfg.Channel, rts[1].Addr(), omURI)
-	res, err := om.Invoke("Ping")
+	res, err := om.Invoke("LoadInfo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != "pong" {
-		t.Errorf("Ping = %v", res)
-	}
-	loadRes, err := om.Invoke("Load")
-	if err != nil {
+	var li loadInfo
+	if err := wire.AssignTo(&li, res); err != nil {
 		t.Fatal(err)
 	}
-	if loadRes != 0 {
-		t.Errorf("Load = %v", loadRes)
+	if want := (loadInfo{Load: rts[1].Load(), Overload: int(OverloadNone)}); li != want {
+		t.Errorf("LoadInfo = %+v, want %+v", li, want)
 	}
 }
 

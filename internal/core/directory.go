@@ -22,8 +22,8 @@ type ObjLoc struct {
 	Gen  uint64
 }
 
-// ResolveReply is the object manager's answer to a directory lookup.
-type ResolveReply struct {
+// resolveReply is the object manager's answer to a directory lookup.
+type resolveReply struct {
 	Found bool
 	Node  int
 	Addr  string
@@ -31,7 +31,7 @@ type ResolveReply struct {
 }
 
 func init() {
-	wire.RegisterName("core.ResolveReply", ResolveReply{})
+	wire.RegisterName("core.ResolveReply", resolveReply{})
 }
 
 // resolveProbeTimeout bounds one peer directory lookup during failover
@@ -103,7 +103,7 @@ func (rt *Runtime) resolveRemote(ctx context.Context, uri, excludeAddr string) (
 		if err != nil {
 			return
 		}
-		var rr ResolveReply
+		var rr resolveReply
 		if err := wire.AssignTo(&rr, res); err != nil || !rr.Found || rr.Addr == excludeAddr {
 			return
 		}

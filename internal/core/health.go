@@ -204,7 +204,7 @@ func (rt *Runtime) ProbePeers() {
 		if err != nil {
 			return
 		}
-		var li LoadInfo
+		var li loadInfo
 		if wire.AssignTo(&li, res) == nil {
 			rt.noteOverload(p.node, OverloadGrade(li.Overload))
 		}

@@ -67,19 +67,13 @@ func (s *omService) AbortAccept(uri string, gen uint64) {
 	s.rt.abortAccept(uri, gen)
 }
 
-// Load reports the node's live object count for placement decisions.
-func (s *omService) Load() int { return s.rt.Load() }
-
-// Ping lets peers probe liveness.
-func (s *omService) Ping() string { return "pong" }
-
 // Resolve reports this node's directory knowledge of uri: authoritative
 // for hosted objects and tombstones, best-effort for cached locations.
-func (s *omService) Resolve(uri string) ResolveReply {
+func (s *omService) Resolve(uri string) resolveReply {
 	if loc, ok := s.rt.dirLookup(uri); ok {
-		return ResolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}
+		return resolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}
 	}
-	return ResolveReply{}
+	return resolveReply{}
 }
 
 // AcceptObject is the receiving half of a live migration: re-create class
@@ -92,27 +86,21 @@ func (s *omService) AcceptObject(class, uri string, gen uint64, state []byte) (s
 // Migrate moves an object hosted on this node to toNode, returning its new
 // location. A *errs.MovedError (object already elsewhere) travels back
 // with the forward so the caller can chase it.
-func (s *omService) Migrate(ctx context.Context, uri string, toNode int) (ResolveReply, error) {
+func (s *omService) Migrate(ctx context.Context, uri string, toNode int) (resolveReply, error) {
 	if err := s.rt.MigrateCtx(ctx, uri, toNode); err != nil {
-		return ResolveReply{}, err
+		return resolveReply{}, err
 	}
 	loc, ok := s.rt.dirLookup(uri)
 	if !ok {
-		return ResolveReply{}, fmt.Errorf("core: migrate %s: directory entry lost", uri)
+		return resolveReply{}, fmt.Errorf("core: migrate %s: directory entry lost", uri)
 	}
-	return ResolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}, nil
-}
-
-// Rebalance triggers a load rebalance on this node, returning the number
-// of objects migrated away.
-func (s *omService) Rebalance(ctx context.Context) (int, error) {
-	return s.rt.Rebalance(ctx)
+	return resolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}, nil
 }
 
 // LoadInfo reports the node's load and overload grade in one reply; it is
 // the probe target of both the health loop and the placement load vector.
-func (s *omService) LoadInfo() LoadInfo {
-	return LoadInfo{Load: s.rt.Load(), Overload: int(s.rt.OverloadGrade())}
+func (s *omService) LoadInfo() loadInfo {
+	return loadInfo{Load: s.rt.Load(), Overload: int(s.rt.OverloadGrade())}
 }
 
 // ActivateVirtual ensures a live instance of the virtual object uri
@@ -120,7 +108,7 @@ func (s *omService) LoadInfo() LoadInfo {
 // either carries the instance's location (Found) or redirects the caller
 // to the owner in this node's membership view (!Found with Node/Addr
 // set).
-func (s *omService) ActivateVirtual(ctx context.Context, class, uri string) (ResolveReply, error) {
+func (s *omService) ActivateVirtual(ctx context.Context, class, uri string) (resolveReply, error) {
 	return s.rt.activateVirtual(ctx, class, uri)
 }
 
@@ -138,6 +126,6 @@ func (s *omService) DropReplica(uri string) {
 
 // ReplicaAt reports this node's passive replica of uri for a promotion
 // census, promising candidateGen (see Runtime.replicaAt).
-func (s *omService) ReplicaAt(uri string, candidateGen uint64, fromNode int, fromAddr string) ReplicaInfo {
+func (s *omService) ReplicaAt(uri string, candidateGen uint64, fromNode int, fromAddr string) replicaInfo {
 	return s.rt.replicaAt(uri, candidateGen, fromNode, fromAddr)
 }

@@ -57,16 +57,16 @@ const overloadShedWindow = time.Second
 // out a full backoff ladder.
 const shedRetryAfter = 25 * time.Millisecond
 
-// LoadInfo is the omService's combined load/overload probe reply: the
+// loadInfo is the omService's combined load/overload probe reply: the
 // placement load vector and the health probe both consume it, so one
 // probe carries liveness, load and admission state.
-type LoadInfo struct {
+type loadInfo struct {
 	Load     int
 	Overload int
 }
 
 func init() {
-	wire.RegisterName("core.LoadInfo", LoadInfo{})
+	wire.RegisterName("core.LoadInfo", loadInfo{})
 }
 
 // OverloadGrade reports this node's current admission-control state.

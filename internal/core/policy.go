@@ -106,8 +106,8 @@ type LocalOnly struct{}
 // Pick implements PlacementPolicy.
 func (LocalOnly) Pick(self int, loads []NodeLoad) int { return self }
 
-// ClassStats summarises the measured grain size of a class on this node.
-type ClassStats struct {
+// classStats summarises the measured grain size of a class on this node.
+type classStats struct {
 	Calls       int64
 	AvgExecTime time.Duration
 }
@@ -116,14 +116,14 @@ type ClassStats struct {
 // (created as a passive local object, removing parallelism) based on the
 // measured grain size of its class and the local load.
 type AgglomerationPolicy interface {
-	Agglomerate(class string, stats ClassStats, localLoad int) bool
+	Agglomerate(class string, stats classStats, localLoad int) bool
 }
 
 // NeverAgglomerate keeps every object parallel.
 type NeverAgglomerate struct{}
 
 // Agglomerate implements AgglomerationPolicy.
-func (NeverAgglomerate) Agglomerate(string, ClassStats, int) bool { return false }
+func (NeverAgglomerate) Agglomerate(string, classStats, int) bool { return false }
 
 // AlwaysAgglomerate packs every new object into its creator's grain
 // (serial execution); useful for ablation A2 and as the paper's "removing
@@ -131,7 +131,7 @@ func (NeverAgglomerate) Agglomerate(string, ClassStats, int) bool { return false
 type AlwaysAgglomerate struct{}
 
 // Agglomerate implements AgglomerationPolicy.
-func (AlwaysAgglomerate) Agglomerate(string, ClassStats, int) bool { return true }
+func (AlwaysAgglomerate) Agglomerate(string, classStats, int) bool { return true }
 
 // AdaptiveAgglomeration removes parallelism when the measured average
 // method execution time of the class falls below MinGrain — the grain is
@@ -147,7 +147,7 @@ type AdaptiveAgglomeration struct {
 }
 
 // Agglomerate implements AgglomerationPolicy.
-func (a AdaptiveAgglomeration) Agglomerate(class string, stats ClassStats, localLoad int) bool {
+func (a AdaptiveAgglomeration) Agglomerate(class string, stats classStats, localLoad int) bool {
 	if stats.Calls < int64(a.MinSamples) {
 		return false
 	}
@@ -207,7 +207,7 @@ func (rt *Runtime) probeLoads() []NodeLoad {
 		if err != nil {
 			return
 		}
-		var li LoadInfo
+		var li loadInfo
 		if err := wire.AssignTo(&li, res); err != nil {
 			// A mis-typed reply is as useless as no reply: treating it
 			// as load 0 would magnetise traffic onto a broken peer.

@@ -493,7 +493,7 @@ func (p *Proxy) MigrateCtx(ctx context.Context, toNode int) error {
 	if err != nil {
 		return fmt.Errorf("core: migrate %s to node %d: %w", p.uri, toNode, err)
 	}
-	var rr ResolveReply
+	var rr resolveReply
 	if err := wire.AssignTo(&rr, res); err == nil && rr.Found {
 		p.redirect(ObjLoc{Node: rr.Node, Addr: rr.Addr, Gen: rr.Gen})
 	}

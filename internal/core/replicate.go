@@ -59,11 +59,11 @@ func (st *replicaState) deposit(seq uint64, state []byte, recs []remoting.DedupR
 
 // info is st's answer to a promotion census: its snapshot and dedup
 // memory, or no replica when st is nil. The caller holds replMu.
-func (st *replicaState) info() ReplicaInfo {
+func (st *replicaState) info() replicaInfo {
 	if st == nil {
-		return ReplicaInfo{}
+		return replicaInfo{}
 	}
-	return ReplicaInfo{Has: true, Gen: st.gen, Seq: st.seq, State: st.state, Dedup: st.dedup.Export()}
+	return replicaInfo{Has: true, Gen: st.gen, Seq: st.seq, State: st.state, Dedup: st.dedup.Export()}
 }
 
 // pendingRecord is a dedup record whose commit must be atomic with
@@ -88,15 +88,13 @@ func (r *pendingRecord) commit(w *ioWrapper) {
 }
 
 // replicateAfterCalls runs in the actor goroutine after n calls applied
-// to a replicated virtual object: count them, and when a snapshot is due,
-// marshal the (quiesced) state and ship it to the ring-successor
-// replicas. In synchronous mode (SnapshotEvery <= 1) a shipped snapshot
-// must be acknowledged by at least one replica or the error fails the
-// call — the caller retries against a cluster that either still has the
-// owner (and re-replicates) or has promoted a replica that saw this
-// update; either way an acknowledged call is never lost, at the cost that
-// an unacknowledged one may execute twice (the channel's documented
-// at-least-once trade).
+// to a replicated virtual object: count them, marshal the (quiesced) state
+// and ship it to the ring-successor replicas. The shipped snapshot must be
+// acknowledged by at least one replica or the error fails the call — the
+// caller retries against a cluster that either still has the owner (and
+// re-replicates) or has promoted a replica that saw this update; either way
+// an acknowledged call is never lost, at the cost that an unacknowledged
+// one may execute twice (the channel's documented at-least-once trade).
 //
 // rec, when non-nil, is the calling invocation's dedup record; it is
 // committed on every path out of this function — inside the snapMu
@@ -104,70 +102,54 @@ func (r *pendingRecord) commit(w *ioWrapper) {
 // otherwise.
 func (rt *Runtime) replicateAfterCalls(_ context.Context, w *ioWrapper, n int, rec *pendingRecord) error {
 	seq := w.seq.Add(uint64(n))
-	cfg := w.virt
-	if cfg.Replicas <= 0 {
+	if w.virt.Replicas <= 0 {
 		rec.commit(w)
 		return nil
 	}
-	every := cfg.SnapshotEvery
-	if every < 1 {
-		every = 1
-	}
-	w.sinceShip += n
-	if w.sinceShip < every {
-		rec.commit(w)
-		return nil
-	}
-	w.sinceShip = 0
-	return rt.publishSnapshot(w, seq, rec, every == 1)
+	return rt.publishSnapshot(w, seq, rec)
 }
 
 // reshipForDedup runs before a dedup hit replays a recorded reply on a
-// synchronously replicated virtual object: the recorded call may have
-// executed and then failed its replication ack (exactly why the retry is
-// here), so the current state — which includes that call's effects and its
-// dedup record — must reach a replica before the replay acknowledges it.
-// Runs in the actor goroutine, so the state is quiesced. Asynchronous
-// replication skips it: its documented up-to-N-calls lag already covers
-// the window.
+// replicated virtual object: the recorded call may have executed and then
+// failed its replication ack (exactly why the retry is here), so the
+// current state — which includes that call's effects and its dedup record
+// — must reach a replica before the replay acknowledges it.
+// Runs in the actor goroutine, so the state is quiesced.
 func (rt *Runtime) reshipForDedup(_ context.Context, w *ioWrapper) error {
-	cfg := w.virt
-	if cfg.Replicas <= 0 || cfg.SnapshotEvery > 1 {
+	if w.virt.Replicas <= 0 {
 		return nil
 	}
-	return rt.publishSnapshot(w, w.seq.Load(), nil, true)
+	return rt.publishSnapshot(w, w.seq.Load(), nil)
 }
 
 // publishSnapshot marshals w's quiesced state as the snapshot at seq,
 // publishes it as w's last snapshot with rec committed in the same snapMu
-// section (see pendingRecord), and ships it to the replicas. A snapshot
-// that fails to marshal still commits rec: the caller will retry against
-// this same live copy, and without the record the retry would re-execute a
-// call whose effects this copy already has. Only a synchronous ship
-// (awaitAck) fails its call for it.
-func (rt *Runtime) publishSnapshot(w *ioWrapper, seq uint64, rec *pendingRecord, awaitAck bool) error {
+// section (see pendingRecord), and ships it to the replicas, waiting for
+// an acknowledgement. A snapshot that fails to marshal still commits rec,
+// and fails its call: the caller will retry against this same live copy,
+// and without the record the retry would re-execute a call whose effects
+// this copy already has.
+func (rt *Runtime) publishSnapshot(w *ioWrapper, seq uint64, rec *pendingRecord) error {
 	registerStateType(w.obj)
 	snap, err := wire.BinFmt{}.Marshal(w.obj)
 	if err != nil {
 		rec.commit(w)
-		if awaitAck {
-			return fmt.Errorf("core: replicate %s: snapshot %T: %w", w.uri, w.obj, err)
-		}
-		return nil
+		return fmt.Errorf("core: replicate %s: snapshot %T: %w", w.uri, w.obj, err)
 	}
 	w.snapMu.Lock()
 	rec.commit(w)
 	w.lastSnap, w.lastSeq = snap, seq
 	w.snapMu.Unlock()
-	return rt.shipSnapshot(w, snap, w.gen.Load(), seq, awaitAck)
+	return rt.shipSnapshot(w, snap, w.gen.Load(), seq, true)
 }
 
 // shipSnapshot sends one state snapshot of w — with w's dedup memory, so a
 // promoted replica can recognise retries of executed calls — to the
 // replica targets of its URI. Synchronous shipping requires at least one
-// acknowledgement (when any target is live at all); asynchronous shipping
-// fires one-way exchanges and returns immediately — a lost ship only
-// widens the lag until the next one.
+// acknowledgement (when any target is live at all); asynchronous shipping,
+// a failover's re-ship or a reconciliation, fires one-way exchanges and
+// returns immediately — a lost ship leaves the replica where the next
+// call's ship finds it.
 func (rt *Runtime) shipSnapshot(w *ioWrapper, snap []byte, gen, seq uint64, awaitAck bool) error {
 	targets := rt.replicaTargets(w.uri, w.virt.Replicas)
 	if len(targets) == 0 {
@@ -179,14 +161,14 @@ func (rt *Runtime) shipSnapshot(w *ioWrapper, snap []byte, gen, seq uint64, awai
 			// instead of acking state only this node has.
 			return fmt.Errorf("core: replicate %s: no reachable replica target for seq %d", w.uri, seq)
 		}
-		// Single-node cluster (or asynchronous mode): proceed unreplicated
-		// rather than refuse all progress.
+		// Single-node cluster (or an asynchronous re-ship): proceed
+		// unreplicated rather than refuse all progress.
 		return nil
 	}
 	if !awaitAck {
 		// One-way ships cannot learn what the receiver already holds, so
-		// they carry the full dedup memory; they are amortised over
-		// SnapshotEvery calls (or are rare failover re-ships).
+		// they carry the full dedup memory; they are rare (failover
+		// re-ships and reconciliations).
 		args := []any{w.class, w.uri, gen, seq, rt.cfg.NodeID, rt.Addr(), snap, w.dedup.Export(), uint64(0)}
 		for _, p := range targets {
 			p.om.OneWayTimeout(replicateShipTimeout, "ReplicateVirtual", nil, args...)

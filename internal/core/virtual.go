@@ -16,10 +16,9 @@ package core
 //     activating — racing activations on different nodes converge on one
 //     live instance through the pre-activation resolve plus ring order.
 //   - replication: classes registered with VirtualConfig.Replicas > 0
-//     stream state snapshots from the owner to its ring successors after
-//     every call (SnapshotEvery <= 1, synchronous: the reply waits for a
-//     replica ack, so an acknowledged call survives the owner) or every
-//     N calls (asynchronous: replicas trail by up to N calls).
+//     ship state snapshots from the owner to its ring successors after
+//     every call, synchronously: the reply waits for a replica ack, so an
+//     acknowledged call survives the owner.
 //   - failover: when health grading marks the owner down, each replica
 //     holder checks the rebuilt ring; the holder that now owns the key —
 //     by the successor invariant, the replica's own node — promotes its
@@ -45,23 +44,19 @@ type VirtualConfig struct {
 	// Replicas is the number of ring-successor nodes that receive passive
 	// state snapshots. 0 disables replication: failover re-activates the
 	// object from a fresh instance (state is lost with the owner).
+	// Every call on a replicated object ships a snapshot to the replicas,
+	// and the caller's reply is withheld until at least one replica
+	// acknowledged, so no acknowledged call is lost when the owner dies.
 	Replicas int
-	// SnapshotEvery ships a snapshot to the replicas every N applied
-	// calls. Values <= 1 replicate synchronously after every call — the
-	// caller's reply is withheld until at least one replica acknowledged,
-	// so no acknowledged call is lost when the owner dies. Larger values
-	// ship asynchronously; replicas (and therefore a promoted copy) may
-	// trail the owner by up to N calls.
-	SnapshotEvery int
 }
 
 // virtualURIPrefix namespaces virtual objects in the directory and on the
 // wire; ownership, replication and demotion only ever apply inside it.
 const virtualURIPrefix = "virtual/"
 
-// VirtualURI returns the cluster-wide identity of the virtual object
+// virtualURI returns the cluster-wide identity of the virtual object
 // (class, key).
-func VirtualURI(class, key string) string { return virtualURIPrefix + class + "/" + key }
+func virtualURI(class, key string) string { return virtualURIPrefix + class + "/" + key }
 
 // isVirtualURI reports whether uri names a virtual object.
 func isVirtualURI(uri string) bool { return strings.HasPrefix(uri, virtualURIPrefix) }
@@ -159,7 +154,7 @@ func (rt *Runtime) ring() *hashRing {
 // test hook, not a routing guarantee (views converge, they are not
 // atomic).
 func (rt *Runtime) VirtualOwner(class, key string) (int, bool) {
-	return rt.ring().owner(VirtualURI(class, key))
+	return rt.ring().owner(virtualURI(class, key))
 }
 
 // VirtualObject returns a proxy for the virtual object (class, key),
@@ -177,7 +172,7 @@ func (rt *Runtime) VirtualObjectCtx(ctx context.Context, class, key string) (*Pr
 		return nil, fmt.Errorf("core: class %q is not registered virtual on node %d: %w",
 			class, rt.cfg.NodeID, errs.ErrNoSuchClass)
 	}
-	uri := VirtualURI(class, key)
+	uri := virtualURI(class, key)
 	if a := rt.actor(uri); a != nil {
 		return &Proxy{rt: rt, class: class, mode: modeLocalActive, uri: uri, act: a}, nil
 	}
@@ -211,7 +206,7 @@ func (rt *Runtime) activateAndRoute(ctx context.Context, class, uri string) (*Pr
 			}
 			owner = o
 		}
-		var rr ResolveReply
+		var rr resolveReply
 		var err error
 		if owner == rt.cfg.NodeID {
 			rr, err = rt.activateVirtual(ctx, class, uri)
@@ -276,7 +271,7 @@ func (rt *Runtime) ringOwnerExcluding(uri string, exclude map[int]bool) (int, bo
 
 // proxyAt builds the proxy for an activation reply: the local actor when
 // the instance lives here, a remote proxy otherwise.
-func (rt *Runtime) proxyAt(class, uri string, rr ResolveReply) *Proxy {
+func (rt *Runtime) proxyAt(class, uri string, rr resolveReply) *Proxy {
 	if rr.Node == rt.cfg.NodeID {
 		if a := rt.actor(uri); a != nil {
 			return &Proxy{rt: rt, class: class, mode: modeLocalActive, uri: uri, act: a}
@@ -288,7 +283,7 @@ func (rt *Runtime) proxyAt(class, uri string, rr ResolveReply) *Proxy {
 // activation is one in-flight single-flight activation of a URI.
 type activation struct {
 	done  chan struct{}
-	reply ResolveReply
+	reply resolveReply
 	err   error
 }
 
@@ -297,7 +292,7 @@ type activation struct {
 // single-flight: one leader runs doActivate, followers wait and share its
 // outcome — the server-side half of serialising the first-call duel (the
 // client-side half is that every caller's ring names the same owner).
-func (rt *Runtime) activateVirtual(ctx context.Context, class, uri string) (ResolveReply, error) {
+func (rt *Runtime) activateVirtual(ctx context.Context, class, uri string) (resolveReply, error) {
 	if rt.actor(uri) != nil {
 		return rt.hostedReply(uri), nil
 	}
@@ -308,7 +303,7 @@ func (rt *Runtime) activateVirtual(ctx context.Context, class, uri string) (Reso
 		case <-act.done:
 			return act.reply, act.err
 		case <-ctx.Done():
-			return ResolveReply{}, ctx.Err()
+			return resolveReply{}, ctx.Err()
 		}
 	}
 	act := &activation{done: make(chan struct{})}
@@ -327,22 +322,22 @@ func (rt *Runtime) activateVirtual(ctx context.Context, class, uri string) (Reso
 // then create one — from the freshest local replica snapshot when one
 // exists (failover promotion), from the factory otherwise — at a
 // generation above everything the cluster has seen for this URI.
-func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveReply, error) {
+func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (resolveReply, error) {
 	cfg, ok := rt.virtualConfig(class)
 	if !ok {
-		return ResolveReply{}, fmt.Errorf("core: class %q is not registered virtual on node %d: %w",
+		return resolveReply{}, fmt.Errorf("core: class %q is not registered virtual on node %d: %w",
 			class, rt.cfg.NodeID, errs.ErrNoSuchClass)
 	}
 	owner, ok := rt.ring().owner(uri)
 	if !ok {
-		return ResolveReply{}, fmt.Errorf("core: activate %s: no live members", uri)
+		return resolveReply{}, fmt.Errorf("core: activate %s: no live members", uri)
 	}
 	if owner != rt.cfg.NodeID {
 		p, ok := rt.peerFor(owner)
 		if !ok {
-			return ResolveReply{}, fmt.Errorf("core: activate %s: owner node %d unknown here", uri, owner)
+			return resolveReply{}, fmt.Errorf("core: activate %s: owner node %d unknown here", uri, owner)
 		}
-		return ResolveReply{Found: false, Node: owner, Addr: p.addr}, nil
+		return resolveReply{Found: false, Node: owner, Addr: p.addr}, nil
 	}
 
 	// Converge before creating: a racing activation may have landed
@@ -354,7 +349,7 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 	excludeAddr := ""
 	if loc, ok := rt.dirLookup(uri); ok {
 		if loc.Node != rt.cfg.NodeID && !rt.peerDown(loc.Node) {
-			return ResolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}, nil
+			return resolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}, nil
 		}
 		dirGen = loc.Gen
 		if loc.Node != rt.cfg.NodeID {
@@ -363,7 +358,7 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 	}
 	if loc, ok := rt.resolveRemote(ctx, uri, excludeAddr); ok {
 		if loc.Node != rt.cfg.NodeID && !rt.peerDown(loc.Node) {
-			return ResolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}, nil
+			return resolveReply{Found: true, Node: loc.Node, Addr: loc.Addr, Gen: loc.Gen}, nil
 		}
 		remoteGen = loc.Gen
 	}
@@ -384,7 +379,7 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 		var reached int
 		cand, reached = rt.replicaCensus(ctx, uri, activationGen(dirGen, remoteGen, cand.Gen), cand)
 		if n := rt.clusterSize(); !censusQuorum(reached, n) {
-			return ResolveReply{}, fmt.Errorf("core: activate %s: promotion census reached %d of %d nodes (majority required)",
+			return resolveReply{}, fmt.Errorf("core: activate %s: promotion census reached %d of %d nodes (majority required)",
 				uri, reached, n)
 		}
 	}
@@ -394,7 +389,7 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 
 	factory, err := rt.factoryFor(class)
 	if err != nil {
-		return ResolveReply{}, err
+		return resolveReply{}, err
 	}
 	obj := factory()
 	registerStateType(obj)
@@ -450,22 +445,22 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (ResolveRe
 			go rt.shipSnapshot(w, cand.State, newGen, cand.Seq, false) //nolint:errcheck // async re-ship
 		}
 	}
-	return ResolveReply{Found: true, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: newGen}, nil
+	return resolveReply{Found: true, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: newGen}, nil
 }
 
 // hostedReply is the activation reply for a copy of uri hosted here, at
 // the generation the directory knows it by.
-func (rt *Runtime) hostedReply(uri string) ResolveReply {
+func (rt *Runtime) hostedReply(uri string) resolveReply {
 	gen := uint64(1)
 	if loc, ok := rt.dirLookup(uri); ok {
 		gen = loc.Gen
 	}
-	return ResolveReply{Found: true, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: gen}
+	return resolveReply{Found: true, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: gen}
 }
 
-// ReplicaInfo is one peer's answer to a promotion census (ReplicaAt): its
+// replicaInfo is one peer's answer to a promotion census (ReplicaAt): its
 // passive replica of the URI, if it holds one.
-type ReplicaInfo struct {
+type replicaInfo struct {
 	Has   bool
 	Gen   uint64
 	Seq   uint64
@@ -473,7 +468,7 @@ type ReplicaInfo struct {
 	Dedup []remoting.DedupRecord
 }
 
-func init() { wire.RegisterName("core.ReplicaInfo", ReplicaInfo{}) }
+func init() { wire.RegisterName("core.ReplicaInfo", replicaInfo{}) }
 
 // replicaCensus queries every peer for its freshest knowledge of uri
 // (passive replica or fenced live copy) and returns the freshest
@@ -485,7 +480,7 @@ func init() { wire.RegisterName("core.ReplicaInfo", ReplicaInfo{}) }
 // then on refuses deposits from older lineages — and fences a live stale
 // copy it still hosts — so no acknowledgement can slip in behind the
 // census.
-func (rt *Runtime) replicaCensus(ctx context.Context, uri string, candidateGen uint64, have ReplicaInfo) (freshest ReplicaInfo, reached int) {
+func (rt *Runtime) replicaCensus(ctx context.Context, uri string, candidateGen uint64, have replicaInfo) (freshest replicaInfo, reached int) {
 	rt.mu.Lock()
 	peers := rt.peers
 	rt.mu.Unlock()
@@ -508,13 +503,13 @@ func (rt *Runtime) replicaCensus(ctx context.Context, uri string, candidateGen u
 			continue
 		}
 		reached++
-		var info ReplicaInfo
+		var info replicaInfo
 		if aerr := wire.AssignTo(&info, res); aerr != nil || !info.Has || !fresher(info.Gen, info.Seq, freshest.Gen, freshest.Seq) {
 			continue
 		}
 		// The reply's byte slices may alias the transport frame; the
 		// adopted snapshot outlives the call, so copy.
-		freshest = ReplicaInfo{Has: true, Gen: info.Gen, Seq: info.Seq,
+		freshest = replicaInfo{Has: true, Gen: info.Gen, Seq: info.Seq,
 			State: append([]byte(nil), info.State...), Dedup: copyDedupRecords(info.Dedup)}
 	}
 	return freshest, reached
@@ -556,7 +551,7 @@ func copyDedupRecords(recs []remoting.DedupRecord) []remoting.DedupRecord {
 // the local replica store first, so even a census that subsequently fails
 // its majority quorum (and so never promotes anyone) leaves the state
 // findable by the retry census.
-func (rt *Runtime) replicaAt(uri string, candidateGen uint64, fromNode int, fromAddr string) ReplicaInfo {
+func (rt *Runtime) replicaAt(uri string, candidateGen uint64, fromNode int, fromAddr string) replicaInfo {
 	rt.replMu.Lock()
 	rt.promised[uri] = max(rt.promised[uri], candidateGen)
 	info := rt.replicas[uri].info()
@@ -576,7 +571,7 @@ func (rt *Runtime) replicaAt(uri string, candidateGen uint64, fromNode int, from
 	recs := a.w.dedup.Export()
 	a.w.snapMu.Unlock()
 	if snap != nil && fresher(gen, seq, info.Gen, info.Seq) {
-		info = ReplicaInfo{Has: true, Gen: gen, Seq: seq, State: snap, Dedup: recs}
+		info = replicaInfo{Has: true, Gen: gen, Seq: seq, State: snap, Dedup: recs}
 		rt.replMu.Lock()
 		if cur := rt.replicas[uri]; cur == nil || !fresher(cur.gen, cur.seq, gen, seq) {
 			rt.replicas[uri] = rt.newReplica(gen, seq, snap, recs)

@@ -62,7 +62,7 @@ func TestVirtualActivateOnDemand(t *testing.T) {
 	if !ok {
 		t.Fatal("no ring owner")
 	}
-	uri := VirtualURI("vjournal", "k0")
+	uri := virtualURI("vjournal", "k0")
 	if hosts := hostOf(rts, uri); len(hosts) != 1 || hosts[0] != owner {
 		t.Fatalf("hosted on %v, want exactly ring owner %d", hosts, owner)
 	}
@@ -163,7 +163,7 @@ func TestVirtualActivationDuel(t *testing.T) {
 	want := len(rts) * callersPerNode * callsEach
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("duel%d", k)
-		uri := VirtualURI("vjournal", key)
+		uri := virtualURI("vjournal", key)
 		if hosts := hostOf(rts, uri); len(hosts) != 1 {
 			t.Errorf("key %s hosted on %v, want exactly one node", key, hosts)
 		}
@@ -240,7 +240,7 @@ func markDownOn(rts []*Runtime, node int) {
 // promotes its snapshot and callers re-route to it.
 func TestVirtualFailoverPromotesReplica(t *testing.T) {
 	rts := startNodes(t, 3, nil)
-	registerVirtualJournal(rts, VirtualConfig{Replicas: 1, SnapshotEvery: 1})
+	registerVirtualJournal(rts, VirtualConfig{Replicas: 1})
 
 	p, err := rts[0].VirtualObject("vjournal", "hot")
 	if err != nil {
@@ -299,7 +299,7 @@ func TestVirtualFailoverPromotesReplica(t *testing.T) {
 	if promotions != 1 {
 		t.Errorf("ReplicaPromotions across survivors = %d, want 1", promotions)
 	}
-	if hosts := hostOf(survivors, VirtualURI("vjournal", "hot")); len(hosts) != 1 {
+	if hosts := hostOf(survivors, virtualURI("vjournal", "hot")); len(hosts) != 1 {
 		t.Errorf("hosted on %v after failover, want one survivor", hosts)
 	}
 }
@@ -357,55 +357,13 @@ func replicaSeqOf(rt *Runtime, uri string) uint64 {
 	return 0
 }
 
-// TestVirtualReplicationLag: with SnapshotEvery=N, replicas only see a
-// snapshot every N calls — the documented lag of asynchronous mode.
-func TestVirtualReplicationLag(t *testing.T) {
-	rts := startNodes(t, 3, nil)
-	registerVirtualJournal(rts, VirtualConfig{Replicas: 1, SnapshotEvery: 3})
-
-	p, err := rts[0].VirtualObject("vjournal", "lag")
-	if err != nil {
-		t.Fatal(err)
-	}
-	uri := VirtualURI("vjournal", "lag")
-	owner, _ := rts[0].VirtualOwner("vjournal", "lag")
-	succ := rts[owner].ring().successors(uri, 1)
-	if len(succ) != 1 {
-		t.Fatalf("successors = %v, want 1", succ)
-	}
-	replica := rts[succ[0]]
-
-	for i := 0; i < 2; i++ {
-		if _, err := p.Invoke("Append", int64(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Two calls with SnapshotEvery=3: nothing shipped yet. A ship would be
-	// asynchronous, so give a wrong one a moment to land before judging.
-	time.Sleep(50 * time.Millisecond)
-	if seq := replicaSeqOf(replica, uri); seq != 0 {
-		t.Errorf("replica seq after 2 calls = %d, want 0 (no ship before N calls)", seq)
-	}
-
-	if _, err := p.Invoke("Append", int64(1)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for replicaSeqOf(replica, uri) != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica seq = %d, want 3 after third call", replicaSeqOf(replica, uri))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestVirtualStaleDemotion: a node hosting a virtual object that receives
 // a snapshot at a higher generation — proof the cluster promoted past it —
 // demotes its copy into a forwarding tombstone, and queued work fails over
 // to the fresh location instead of executing on superseded state.
 func TestVirtualStaleDemotion(t *testing.T) {
 	rts := startNodes(t, 2, nil)
-	registerVirtualJournal(rts, VirtualConfig{Replicas: 1, SnapshotEvery: 1})
+	registerVirtualJournal(rts, VirtualConfig{Replicas: 1})
 
 	p, err := rts[0].VirtualObject("vjournal", "stale")
 	if err != nil {
@@ -414,7 +372,7 @@ func TestVirtualStaleDemotion(t *testing.T) {
 	if _, err := p.Invoke("Append", int64(1)); err != nil {
 		t.Fatal(err)
 	}
-	uri := VirtualURI("vjournal", "stale")
+	uri := virtualURI("vjournal", "stale")
 	hosts := hostOf(rts, uri)
 	if len(hosts) != 1 {
 		t.Fatalf("hosted on %v, want one node", hosts)
@@ -459,7 +417,7 @@ func TestVirtualStaleDemotion(t *testing.T) {
 	if _, err := p3.Invoke("Append", int64(1)); err != nil {
 		t.Fatal(err)
 	}
-	uri3 := VirtualURI("vjournal", "keep")
+	uri3 := virtualURI("vjournal", "keep")
 	h3 := rts[hostOf(rts, uri3)[0]]
 	loc3, _ := h3.dirLookup(uri3)
 	if _, err := h3.replicateVirtual("vjournal", uri3, loc3.Gen, 99, other.cfg.NodeID, other.Addr(), state, nil, 0); err == nil {
@@ -498,7 +456,7 @@ func TestVirtualClassNameWithSlashPanics(t *testing.T) {
 // the next owner failure.
 func TestVirtualDestroyDropsReplicas(t *testing.T) {
 	rts := startNodes(t, 3, nil)
-	registerVirtualJournal(rts, VirtualConfig{Replicas: 2, SnapshotEvery: 1})
+	registerVirtualJournal(rts, VirtualConfig{Replicas: 2})
 	p, err := rts[0].VirtualObject("vjournal", "doomed")
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +464,7 @@ func TestVirtualDestroyDropsReplicas(t *testing.T) {
 	if _, err := p.Invoke("Append", int64(1)); err != nil {
 		t.Fatal(err)
 	}
-	uri := VirtualURI("vjournal", "doomed")
+	uri := virtualURI("vjournal", "doomed")
 	held := func() (n int) {
 		for _, rt := range rts {
 			if replicaSeqOf(rt, uri) != 0 {

@@ -32,14 +32,13 @@ type ioWrapper struct {
 	calls, execNS *metrics.Counter
 
 	// virt is set on actor-hosted virtual objects of a replicated class:
-	// after each call (or each SnapshotEvery-th), the wrapper snapshots
+	// after each call, the wrapper snapshots
 	// obj and ships the state to the ring-successor replicas (replicate.go).
 	// Invoke1/InvokeBatch run in the actor goroutine for these objects,
 	// so the snapshot reads quiesced state. seq counts applied calls;
 	// replicas order snapshots by (generation, seq).
-	virt      *VirtualConfig
-	seq       atomic.Uint64
-	sinceShip int // calls since the last shipped snapshot; actor goroutine only
+	virt *VirtualConfig
+	seq  atomic.Uint64
 
 	// gen is the directory generation THIS copy was activated at. Snapshot
 	// ships must stamp this — never the directory's current generation: a

@@ -112,7 +112,7 @@ type NoMethodError struct {
 
 // Error implements error.
 func (e *NoMethodError) Error() string {
-	names := MethodNames(e.Obj)
+	names := methodNames(e.Obj)
 	if len(names) == 0 {
 		return fmt.Sprintf("type %T has no method %q (no exported methods)", e.Obj, e.Method)
 	}
@@ -123,8 +123,8 @@ func (e *NoMethodError) Error() string {
 // Unwrap makes errors.Is(err, errs.ErrNoSuchMethod) true.
 func (e *NoMethodError) Unwrap() error { return errs.ErrNoSuchMethod }
 
-// MethodNames returns the sorted exported method names of obj.
-func MethodNames(obj any) []string {
+// methodNames returns the sorted exported method names of obj.
+func methodNames(obj any) []string {
 	t := reflect.TypeOf(obj)
 	if t == nil {
 		return nil
@@ -135,12 +135,6 @@ func MethodNames(obj any) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// HasMethod reports whether obj exposes an exported method with the given
-// name; proxies use it to fail fast on typos.
-func HasMethod(obj any, method string) bool {
-	return reflect.ValueOf(obj).MethodByName(method).IsValid()
 }
 
 func isErrorValue(v reflect.Value) bool { return v.Type().Implements(errorType) }

@@ -95,12 +95,3 @@ func TestInvokeArityError(t *testing.T) {
 		t.Error("wrong arity should fail")
 	}
 }
-
-func TestHasMethod(t *testing.T) {
-	if !HasMethod(&svc{}, "Sum") {
-		t.Error("HasMethod(Sum) = false")
-	}
-	if HasMethod(&svc{}, "missing") {
-		t.Error("HasMethod(missing) = true")
-	}
-}

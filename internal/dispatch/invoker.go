@@ -75,12 +75,6 @@ func lookupInvoker(t reflect.Type, method string) Invoker {
 	return invTab.Load().byType[t][method]
 }
 
-// HasInvoker reports whether a generated thunk is registered for the
-// concrete type of obj and method.
-func HasInvoker(obj any, method string) bool {
-	return lookupInvoker(reflect.TypeOf(obj), method) != nil
-}
-
 // InvokerFor resolves the generated thunk for (t, method), or nil when the
 // type has none and calls must take the reflective path. Callers that
 // dispatch the same method on the same concrete type repeatedly (the

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// Sentinel errors. Cancellation and deadline expiry deliberately reuse the
-// context package's sentinels so errors.Is(err, context.Canceled) and
-// errors.Is(err, errs.ErrCanceled) are the same test.
+// Sentinel errors. Cancellation and deadline expiry have none of their
+// own: the context package's sentinels, context.Canceled and
+// context.DeadlineExceeded, are the ones every layer wraps.
 var (
 	// ErrNoSuchMethod: a method name did not resolve on the target class.
 	ErrNoSuchMethod = errors.New("no such method")
@@ -44,21 +44,18 @@ var (
 	// and the compact reply envelopes, so errors.Is(err, ErrOverloaded)
 	// works across any remoting hop.
 	ErrOverloaded = errors.New("overloaded")
-	// ErrCanceled and ErrDeadlineExceeded alias the context sentinels.
-	ErrCanceled         = context.Canceled
-	ErrDeadlineExceeded = context.DeadlineExceeded
 )
 
 // Wire codes: the callResponse carries one of these so the client side can
 // rebuild the sentinel chain after the error text crossed the network.
 const (
-	CodeNone         = ""
-	CodeNoSuchMethod = "no-such-method"
-	CodeNoSuchClass  = "no-such-class"
-	CodeDestroyed    = "destroyed"
-	CodeNodeDown     = "node-down"
-	CodeCanceled     = "canceled"
-	CodeDeadline     = "deadline"
+	codeNone         = ""
+	codeNoSuchMethod = "no-such-method"
+	codeNoSuchClass  = "no-such-class"
+	codeDestroyed    = "destroyed"
+	codeNodeDown     = "node-down"
+	codeCanceled     = "canceled"
+	codeDeadline     = "deadline"
 	CodeMoved        = "moved"
 	CodeOverloaded   = "overloaded"
 )
@@ -89,12 +86,12 @@ func (e *MovedError) Error() string {
 // Unwrap makes errors.Is(err, ErrObjectMoved) true.
 func (e *MovedError) Unwrap() error { return ErrObjectMoved }
 
-// OverloadedError is ErrOverloaded with a retry-after hint: the shedding
+// overloadedError is ErrOverloaded with a retry-after hint: the shedding
 // side knows how long its backlog needs to drain, so it tells the caller
 // when a retry has a chance instead of leaving every client to guess the
 // same (synchronized) backoff. The remoting layer carries the hint in both
 // reply envelopes; RetryAfter extracts it on the client side.
-type OverloadedError struct {
+type overloadedError struct {
 	// RetryAfter is the server's drain estimate. Zero means no hint.
 	RetryAfter time.Duration
 	// Err is the underlying shed error (wraps ErrOverloaded).
@@ -102,10 +99,10 @@ type OverloadedError struct {
 }
 
 // Error implements error.
-func (e *OverloadedError) Error() string { return e.Err.Error() }
+func (e *overloadedError) Error() string { return e.Err.Error() }
 
 // Unwrap keeps errors.Is(err, ErrOverloaded) true.
-func (e *OverloadedError) Unwrap() error { return e.Err }
+func (e *overloadedError) Unwrap() error { return e.Err }
 
 // WithRetryAfter attaches a retry-after hint to a shed error. A zero or
 // negative hint returns err unchanged.
@@ -113,63 +110,63 @@ func WithRetryAfter(err error, d time.Duration) error {
 	if err == nil || d <= 0 {
 		return err
 	}
-	return &OverloadedError{RetryAfter: d, Err: err}
+	return &overloadedError{RetryAfter: d, Err: err}
 }
 
 // RetryAfter returns the retry-after hint carried in err's chain, or zero.
 func RetryAfter(err error) time.Duration {
-	var oe *OverloadedError
+	var oe *overloadedError
 	if errors.As(err, &oe) {
 		return oe.RetryAfter
 	}
 	return 0
 }
 
-// Code maps an error to its wire code, or CodeNone when no sentinel in the
-// chain has one.
+// Code maps an error to its wire code, or "" (codeNone) when no sentinel in
+// the chain has one.
 func Code(err error) string {
 	switch {
 	case err == nil:
-		return CodeNone
+		return codeNone
 	case errors.Is(err, ErrNoSuchMethod):
-		return CodeNoSuchMethod
+		return codeNoSuchMethod
 	case errors.Is(err, ErrNoSuchClass):
-		return CodeNoSuchClass
+		return codeNoSuchClass
 	case errors.Is(err, ErrObjectMoved):
 		return CodeMoved
 	case errors.Is(err, ErrObjectDestroyed):
-		return CodeDestroyed
+		return codeDestroyed
 	case errors.Is(err, ErrNodeDown):
-		return CodeNodeDown
+		return codeNodeDown
 	case errors.Is(err, ErrOverloaded):
 		return CodeOverloaded
 	case errors.Is(err, context.DeadlineExceeded):
-		return CodeDeadline
+		return codeDeadline
 	case errors.Is(err, context.Canceled):
-		return CodeCanceled
+		return codeCanceled
 	}
-	return CodeNone
+	return codeNone
 }
 
-// Sentinel is the inverse of Code; it returns nil for CodeNone or an
+// Sentinel is the inverse of Code; it returns nil for "" or an
 // unknown code.
 func Sentinel(code string) error {
 	switch code {
-	case CodeNoSuchMethod:
+	case codeNoSuchMethod:
 		return ErrNoSuchMethod
-	case CodeNoSuchClass:
+	case codeNoSuchClass:
 		return ErrNoSuchClass
 	case CodeMoved:
 		return ErrObjectMoved
-	case CodeDestroyed:
+	case codeDestroyed:
 		return ErrObjectDestroyed
-	case CodeNodeDown:
+	case codeNodeDown:
 		return ErrNodeDown
 	case CodeOverloaded:
 		return ErrOverloaded
-	case CodeDeadline:
+	case codeDeadline:
 		return context.DeadlineExceeded
-	case CodeCanceled:
+	case codeCanceled:
 		return context.Canceled
 	}
 	return nil

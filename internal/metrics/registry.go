@@ -1,8 +1,7 @@
 // Package metrics holds what the runtime measures. A Registry is one node's
 // counters, each a named cell that everyone counting that event adds to:
 // the runtime owns one per node (a remoting.Channel's, which its server and
-// its core runtime both count into), and core.Stats is a view over it. A
-// Histogram records latencies for the load generators.
+// its core runtime both count into), and core.Stats is a view over it.
 package metrics
 
 import (

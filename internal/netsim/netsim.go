@@ -8,8 +8,8 @@
 //
 // where the sender is occupied for PerMessage + len/Bandwidth (transmission)
 // and the message arrives Latency later (propagation). Transmissions on one
-// Link serialise, modelling a NIC/switch port; full duplex links use one
-// Link per direction. Shaped connections carry an 8-byte delivery deadline
+// link (txLink) serialise, modelling a NIC/switch port; full duplex links
+// use one per direction. Shaped connections carry an 8-byte delivery deadline
 // header so the receive side enforces propagation delay without a shared
 // scheduler — valid because both endpoints live on the same host clock in
 // the reproduction harness.
@@ -51,13 +51,13 @@ type Params struct {
 	// tail, which is what open-loop percentile measurements are for.
 	Loss float64
 	// LossDelay is the extra delivery delay charged to a lost message;
-	// 0 with Loss > 0 defaults to DefaultLossDelay (a coarse RTO).
+	// 0 with Loss > 0 defaults to defaultLossDelay (a coarse RTO).
 	LossDelay time.Duration
 }
 
-// DefaultLossDelay approximates a minimum TCP retransmission timeout on a
+// defaultLossDelay approximates a minimum TCP retransmission timeout on a
 // LAN: the 2005-era Linux RTO floor of 200 ms.
-const DefaultLossDelay = 200 * time.Millisecond
+const defaultLossDelay = 200 * time.Millisecond
 
 // Ethernet100 returns parameters approximating the paper's testbed link:
 // 100 Mbit/s, ~30 µs one-way wire+switch latency, 58 bytes of protocol
@@ -81,7 +81,7 @@ func (p Params) lossDelay() time.Duration {
 	if p.LossDelay > 0 {
 		return p.LossDelay
 	}
-	return DefaultLossDelay
+	return defaultLossDelay
 }
 
 // TxTime returns the sender-occupancy time for a message of n bytes.
@@ -108,16 +108,16 @@ type Clock interface {
 	Sleep(d time.Duration)
 }
 
-// RealClock is the wall clock.
-type RealClock struct{}
+// realClock is the wall clock.
+type realClock struct{}
 
 // Now implements Clock.
-func (RealClock) Now() time.Time { return time.Now() }
+func (realClock) Now() time.Time { return time.Now() }
 
 // Sleep implements Clock with PreciseSleep: link latencies and
 // transmission times are far below the kernel timer granularity on some
 // hosts.
-func (RealClock) Sleep(d time.Duration) { PreciseSleep(d) }
+func (realClock) Sleep(d time.Duration) { PreciseSleep(d) }
 
 // PreciseSleep sleeps for d with microsecond accuracy. Link delays and the
 // calibrated endpoint costs charged over a network are tens to hundreds of
@@ -139,9 +139,9 @@ func PreciseSleep(d time.Duration) {
 	}
 }
 
-// Link serialises transmissions in one direction. Multiple connections may
-// share a Link to model several sockets contending for one NIC.
-type Link struct {
+// txLink serialises transmissions in one direction. Multiple connections
+// may share a txLink to model several sockets contending for one NIC.
+type txLink struct {
 	params Params
 	clock  Clock
 
@@ -149,18 +149,18 @@ type Link struct {
 	nextFree time.Time
 }
 
-// NewLink returns a link with the given one-direction parameters.
-func NewLink(p Params, clk Clock) *Link {
+// newTxLink returns a link with the given one-direction parameters.
+func newTxLink(p Params, clk Clock) *txLink {
 	if clk == nil {
-		clk = RealClock{}
+		clk = realClock{}
 	}
-	return &Link{params: p, clock: clk}
+	return &txLink{params: p, clock: clk}
 }
 
 // acquire reserves a transmission slot for n bytes. It returns the time at
 // which the message is delivered at the far end; the caller must sleep until
 // the end of its transmission (returned as txEnd).
-func (l *Link) acquire(n int) (txEnd, deliverAt time.Time) {
+func (l *txLink) acquire(n int) (txEnd, deliverAt time.Time) {
 	now := l.clock.Now()
 	l.mu.Lock()
 	start := now
@@ -173,18 +173,18 @@ func (l *Link) acquire(n int) (txEnd, deliverAt time.Time) {
 	return txEnd, txEnd.Add(l.params.Latency)
 }
 
-// Shape wraps a connection with link shaping. Both endpoints of a
+// shape wraps a connection with link shaping. Both endpoints of a
 // conversation must be shaped (the wrapper adds a delivery-deadline header
 // understood by the peer's wrapper). A nil link allocates a private one; a
 // nil clock uses the wall clock. Every message sent counts into reg's
 // msgs_sent and its payload bytes into bytes_sent; a nil reg discards the
 // counts.
-func Shape(c transport.Conn, p Params, clk Clock, link *Link, reg *metrics.Registry) transport.Conn {
+func shape(c transport.Conn, p Params, clk Clock, link *txLink, reg *metrics.Registry) transport.Conn {
 	if clk == nil {
-		clk = RealClock{}
+		clk = realClock{}
 	}
 	if link == nil {
-		link = NewLink(p, clk)
+		link = newTxLink(p, clk)
 	}
 	sc := &shapedConn{inner: c, params: p, clock: clk, link: link}
 	if reg != nil {
@@ -197,7 +197,7 @@ type shapedConn struct {
 	inner  transport.Conn
 	params Params
 	clock  Clock
-	link   *Link
+	link   *txLink
 
 	// msgs and bytes count what Send sends; nil when nothing counts.
 	msgs, bytes *metrics.Counter
@@ -302,7 +302,7 @@ type ShapedNetwork struct {
 	SharedNIC bool
 
 	once sync.Once
-	nic  *Link
+	nic  *txLink
 
 	// isoMu guards the set of isolated listener addresses (Isolate/Heal).
 	isoMu sync.Mutex
@@ -319,14 +319,14 @@ func (n *ShapedNetwork) clock() Clock {
 	if n.Clock != nil {
 		return n.Clock
 	}
-	return RealClock{}
+	return realClock{}
 }
 
-func (n *ShapedNetwork) outboundLink() *Link {
+func (n *ShapedNetwork) outboundLink() *txLink {
 	if !n.SharedNIC {
 		return nil
 	}
-	n.once.Do(func() { n.nic = NewLink(n.Params, n.clock()) })
+	n.once.Do(func() { n.nic = newTxLink(n.Params, n.clock()) })
 	return n.nic
 }
 
@@ -345,7 +345,7 @@ func (n *ShapedNetwork) Dial(addr string) (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := Shape(c, n.Params, n.clock(), n.outboundLink(), n.Metrics).(*shapedConn)
+	sc := shape(c, n.Params, n.clock(), n.outboundLink(), n.Metrics).(*shapedConn)
 	sc.dialed, sc.net = addr, n
 	return sc, nil
 }
@@ -387,7 +387,7 @@ func (l *shapedListener) Accept() (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Shape(c, l.net.Params, l.net.clock(), nil, l.net.Metrics), nil
+	return shape(c, l.net.Params, l.net.clock(), nil, l.net.Metrics), nil
 }
 
 func (l *shapedListener) Close() error { return l.inner.Close() }

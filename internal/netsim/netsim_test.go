@@ -47,8 +47,8 @@ func TestEthernet100LargeTransferRate(t *testing.T) {
 
 func TestZeroParamsPassThrough(t *testing.T) {
 	a, b := transport.NewPipe("a", "b")
-	sa := Shape(a, Params{}, nil, nil, nil)
-	sb := Shape(b, Params{}, nil, nil, nil)
+	sa := shape(a, Params{}, nil, nil, nil)
+	sb := shape(b, Params{}, nil, nil, nil)
 	start := time.Now()
 	if err := sa.Send([]byte("hi")); err != nil {
 		t.Fatal(err)
@@ -68,9 +68,9 @@ func TestZeroParamsPassThrough(t *testing.T) {
 func TestShapingDelaysDelivery(t *testing.T) {
 	p := Params{Latency: 5 * time.Millisecond}
 	a, b := transport.NewPipe("a", "b")
-	clk := RealClock{}
-	sa := Shape(a, p, clk, nil, nil)
-	sb := Shape(b, p, clk, nil, nil)
+	clk := realClock{}
+	sa := shape(a, p, clk, nil, nil)
+	sb := shape(b, p, clk, nil, nil)
 	start := time.Now()
 	if err := sa.Send([]byte("x")); err != nil {
 		t.Fatal(err)
@@ -86,8 +86,8 @@ func TestShapingDelaysDelivery(t *testing.T) {
 func TestBandwidthDelaysSender(t *testing.T) {
 	p := Params{Bandwidth: 1e6} // 1 MB/s → 10 KB takes 10 ms
 	a, b := transport.NewPipe("a", "b")
-	sa := Shape(a, p, nil, nil, nil)
-	sb := Shape(b, p, nil, nil, nil)
+	sa := shape(a, p, nil, nil, nil)
+	sb := shape(b, p, nil, nil, nil)
 	go func() {
 		for {
 			if _, err := sb.Recv(); err != nil {
@@ -107,7 +107,7 @@ func TestBandwidthDelaysSender(t *testing.T) {
 
 func TestLinkSerialisesTransmissions(t *testing.T) {
 	p := Params{Bandwidth: 1e6}
-	link := NewLink(p, RealClock{})
+	link := newTxLink(p, realClock{})
 	t1, _ := link.acquire(5000) // 5 ms
 	t2, _ := link.acquire(5000) // queued behind the first
 	if gap := t2.Sub(t1); gap < 4*time.Millisecond {
@@ -211,8 +211,8 @@ func TestLossDelaysButDelivers(t *testing.T) {
 	// never as a missing reply.
 	p := Params{Loss: 1, LossDelay: 30 * time.Millisecond}
 	a, b := transport.NewPipe("a", "b")
-	sa := Shape(a, p, nil, nil, nil)
-	sb := Shape(b, p, nil, nil, nil)
+	sa := shape(a, p, nil, nil, nil)
+	sb := shape(b, p, nil, nil, nil)
 	start := time.Now()
 	if err := sa.Send([]byte("retransmit me")); err != nil {
 		t.Fatal(err)
@@ -235,8 +235,8 @@ func TestLossZeroIsNoOp(t *testing.T) {
 		t.Error("Loss=0 params with only LossDelay set should be Zero")
 	}
 	a, b := transport.NewPipe("a", "b")
-	sa := Shape(a, p, nil, nil, nil)
-	sb := Shape(b, p, nil, nil, nil)
+	sa := shape(a, p, nil, nil, nil)
+	sb := shape(b, p, nil, nil, nil)
 	start := time.Now()
 	if err := sa.Send([]byte("x")); err != nil {
 		t.Fatal(err)
@@ -250,8 +250,8 @@ func TestLossZeroIsNoOp(t *testing.T) {
 }
 
 func TestLossDelayDefault(t *testing.T) {
-	if d := (Params{Loss: 0.5}).lossDelay(); d != DefaultLossDelay {
-		t.Errorf("default loss delay = %v, want %v", d, DefaultLossDelay)
+	if d := (Params{Loss: 0.5}).lossDelay(); d != defaultLossDelay {
+		t.Errorf("default loss delay = %v, want %v", d, defaultLossDelay)
 	}
 	if d := (Params{Loss: 0.5, LossDelay: time.Millisecond}).lossDelay(); d != time.Millisecond {
 		t.Errorf("explicit loss delay = %v, want 1ms", d)

@@ -6,11 +6,13 @@
 package paper
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -304,5 +306,272 @@ func checkBinOpts(t *testing.T, file string, spec *ast.TypeSpec) {
 	}
 	if strings.Join(fields, ",") != "borrow" {
 		t.Errorf("%s: binOpts has fields %v, want [borrow]: a dialect switch belongs in the codec that needs it", file, fields)
+	}
+}
+
+// exportedNames returns the exported top-level names the non-test files of
+// dir declare, methods aside, each with the file that declares it.
+func exportedNames(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]string{}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name.Name == "main" {
+			return nil
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					names[d.Name.Name] = file
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						if sp.Name.IsExported() {
+							names[sp.Name.Name] = file
+						}
+					case *ast.ValueSpec:
+						for _, name := range sp.Names {
+							if name.IsExported() {
+								names[name.Name] = file
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// nameUse says where a module package's name is read: in a non-test file of
+// another package (code), or in a test file (test).
+type nameUse struct{ code, test bool }
+
+// nameReads parses every Go file under the repository root, the nested
+// benchmark module included, and records each read of a module package's
+// name, keyed "dir.Name" with dir relative to the root: a qualified
+// reference anywhere, and an unqualified identifier in a test file of the
+// package itself.
+func nameReads(t *testing.T) map[string]*nameUse {
+	t.Helper()
+	root := repoRoot(t)
+	reads := map[string]*nameUse{}
+	read := func(key string, code bool) {
+		use := reads[key]
+		if use == nil {
+			use = &nameUse{}
+			reads[key] = use
+		}
+		use.code = use.code || code
+		use.test = use.test || !code
+	}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		dir = filepath.ToSlash(dir)
+		isTest := strings.HasSuffix(path, "_test.go")
+		local := map[string]string{}
+		for _, imp := range f.Imports {
+			ipath, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			rel, ok := strings.CutPrefix(ipath, "repro/")
+			if !ok {
+				continue
+			}
+			name := rel[strings.LastIndex(rel, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			local[name] = rel
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && local[x.Name] != "" {
+					pkg := local[x.Name]
+					read(pkg+"."+n.Sel.Name, !isTest && pkg != dir)
+				}
+			case *ast.Ident:
+				if isTest && !strings.HasSuffix(f.Name.Name, "_test") {
+					read(dir+"."+n.Name, false)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reads
+}
+
+// unreadAllowed are exported names of the shipped runtime the reader rule
+// below would reject, each with why it stays exported.
+var unreadAllowed = map[string]string{
+	// Interfaces another package implements without naming them.
+	"internal/core.Sink":             "parc's typed slots implement it (Settle)",
+	"internal/remoting.Turn":         "core's asynchronous call implements it (InTurn)",
+	"internal/transport.BatchSender": "internal/cost's and the benchmark's connection wrappers implement it",
+	// Types reached only through a constructor or another name's signature.
+	"internal/transport.MemNetwork":  "reached through NewMemNetwork",
+	"internal/transport.UnixNetwork": "reached through Auto; remoting's TestFrameOwnershipRule builds one",
+	"parc.NetworkParams":             "the result of Ethernet100 and the argument of WithNetwork",
+	"parc.RetryPolicy":               "the result of DefaultRetryPolicy and the argument of WithRetry",
+	"parc.VirtualOption":             "the result of WithReplicas and the argument of RegisterVirtual",
+	// The seam ROADMAP item 3(a) names as its first reader: a test's clock
+	// for ShapedNetwork.
+	"internal/netsim.Clock": "the type of ShapedNetwork.Clock, for a test that drives shaping with its own clock",
+	// Names another package's tests read.
+	"internal/remoting.AuditRecords":       "core's TestArgListReuseIsSafe audits call records across packages",
+	"internal/remoting.DefaultMaxInFlight": "core's TestServedCallsParkNoGoroutine fills a lane to it",
+	"internal/transport.GetFrame":          "remoting's TestFrameOwnershipRule and cost's TestNetworkKeepsPooledReceive drain the frame pool",
+	"internal/transport.NewPipe":           "netsim's shaping tests and mono's TestLegacyChunkReassembly run over a pipe",
+	"internal/wire.BorrowMin":              "remoting's TestBlockingRecordSink checks which replies borrow their frame",
+	"internal/wire.TagString":              "remoting's TestBoundCallIsStringFree and TestParentFramesRejected build frames by hand",
+}
+
+// TestShippedNamesHaveReaders holds the shipped runtime's surface to what
+// its readers use. Every exported top-level name of a shipped package
+// other than parc must be read by a non-test file of another package (cmd,
+// examples, internal/paper and the benchmark module count); every name of
+// parc, the public API, by a test, an example or another package. A name
+// only its own package reads is unexported; a name nothing reads goes.
+// Methods are out of scope.
+func TestShippedNamesHaveReaders(t *testing.T) {
+	root := repoRoot(t)
+	reads := nameReads(t)
+	declared := map[string]bool{}
+	for pkg := range shippedImports(t) {
+		for name, file := range exportedNames(t, filepath.Join(root, pkg)) {
+			key := pkg + "." + name
+			declared[key] = true
+			use := reads[key]
+			read := use != nil && use.code
+			if pkg == "parc" {
+				read = use != nil && (use.code || use.test)
+			}
+			switch reason, allowed := unreadAllowed[key]; {
+			case read && allowed:
+				t.Errorf("%s is read (%q no longer holds): drop it from unreadAllowed", key, reason)
+			case !read && !allowed && pkg == "parc":
+				t.Errorf("%s (%s) has no test, example or other package reading it: delete it", key, file)
+			case !read && !allowed:
+				t.Errorf("%s (%s) is read by no non-test file of another package: unexport or delete it", key, file)
+			}
+		}
+	}
+	for key := range unreadAllowed {
+		if !declared[key] {
+			t.Errorf("unreadAllowed names %s, which the shipped runtime does not declare", key)
+		}
+	}
+}
+
+// linesUnder counts the lines of the non-test Go files under each of dirs,
+// relative to the repository root, skipping the subtree skip (relative too).
+func linesUnder(t *testing.T, skip string, dirs ...string) int {
+	t.Helper()
+	root := repoRoot(t)
+	n := 0
+	for _, dir := range dirs {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && (path == filepath.Join(root, skip) || d.Name() == ".git") {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			data, err := os.ReadFile(path)
+			n += strings.Count(string(data), "\n")
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// withCommas formats n with a comma between thousands, as README prints it.
+func withCommas(n int) string {
+	s := strconv.Itoa(n)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
+	}
+	return s
+}
+
+// TestReadmeLineCounts holds README's "They read …" sentence in "Build and
+// test" to what its three commands print: the non-test lines of the root
+// module, of the call path, and of the shipped runtime (the packages
+// shippedImports reaches, which are what go list -deps lists, since no
+// shipped file has a build constraint).
+func TestReadmeLineCounts(t *testing.T) {
+	root := repoRoot(t)
+	shipped := 0
+	for pkg := range shippedImports(t) {
+		files, err := filepath.Glob(filepath.Join(root, pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shipped += strings.Count(string(data), "\n")
+		}
+	}
+	want := fmt.Sprintf("They read %s, %s and %s.",
+		withCommas(linesUnder(t, "benchmark", ".")),
+		withCommas(linesUnder(t, "", "parc", "internal/core", "internal/remoting", "internal/cluster", "internal/keep")),
+		withCommas(shipped))
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := regexp.MustCompile(`They read [\d,]+, [\d,]+ and [\d,]+\.`).Find(readme)
+	if string(got) != want {
+		t.Errorf("README says %q, the commands under \"Build and test\" give %q: print the new figures", got, want)
 	}
 }

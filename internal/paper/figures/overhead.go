@@ -57,7 +57,7 @@ func RunOverhead(payloadBytes, reps int, net netsim.Params) (OverheadResult, err
 		return OverheadResult{}, err
 	}
 	defer server.Close()
-	server.RegisterWellKnown("Echo", remoting.Singleton, func() any { return echoService{} })
+	server.Marshal("Echo", echoService{})
 	raw, err := remoting.GetObject(ch, server.URLFor("Echo"))
 	if err != nil {
 		return OverheadResult{}, err

@@ -92,7 +92,7 @@ func bindServer(t *testing.T) (*Channel, *Server, *sniffingNetwork) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	cliCh := NewMultiplexedChannel(net)
 	// One lane: these tests count frame markers per connection, and
 	// handles are per-lane state — striping would split the counts.
@@ -142,7 +142,9 @@ func (n *sniffingNetwork) wantMarkers(t *testing.T, declaring, bound, replies in
 func TestBindingUpgradesToCompact(t *testing.T) {
 	ch, srv, net := bindServer(t)
 	g := newGateService()
-	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	openGate := sync.OnceFunc(func() { close(g.gate) })
+	t.Cleanup(openGate) // before the server closes, should a check fail first
+	srv.Marshal("g", g)
 	ref, err := GetObject(ch, srv.URLFor("g"))
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +157,7 @@ func TestBindingUpgradesToCompact(t *testing.T) {
 		<-g.started // the frame reached the server, whose reply waits on the gate
 	}
 	net.wantMarkers(t, 1, 1, 0)
-	close(g.gate)
+	openGate()
 	for _, h := range held {
 		if v, err := h.wait(t); err != nil || v != "waited" {
 			t.Fatalf("WaitGate = %v, %v", v, err)
@@ -217,7 +219,7 @@ func TestBindRebuildAfterRedial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	callN(t, ref, 3) // declare + 2 bound
 	net.wantMarkers(t, 1, 2, 3)
@@ -228,7 +230,7 @@ func TestBindRebuildAfterRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	srv2.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv2.Marshal("d", &divideServer{})
 
 	callN(t, ref, 3) // transparent redial: declare again + bound again
 	// The first call after the restart may go out on the dead pipe first (a
@@ -255,13 +257,13 @@ func TestUnregisterInvalidatesBoundEntry(t *testing.T) {
 	if _, err := ref.Invoke("Divide", 1.0, 1.0); !errors.Is(err, errs.ErrObjectDestroyed) {
 		t.Fatalf("call after Unregister = %v, want ErrObjectDestroyed", err)
 	}
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	callN(t, ref, 3)
 }
 
 // typeA and typeB share a method name but are distinct concrete types, so
-// a SingleCall factory alternating between them exercises the bound
-// entry's invoker-cache revalidation.
+// publishing one in place of the other exercises the bound entry's
+// invoker-cache revalidation.
 type typeA struct{}
 
 func (typeA) Who() string { return "A" }
@@ -270,37 +272,30 @@ type typeB struct{}
 
 func (typeB) Who() string { return "B" }
 
-// TestBoundSingleCallTypeChange: the invoker cache is keyed by concrete
-// type; a SingleCall factory that changes its mind must not dispatch
-// through a stale thunk.
-func TestBoundSingleCallTypeChange(t *testing.T) {
+// TestBoundRemarshalTypeChange: the invoker cache is keyed by concrete
+// type; a Marshal that publishes another type under a bound URI, as a
+// migration does, must not leave the next call dispatching through a stale
+// thunk.
+func TestBoundRemarshalTypeChange(t *testing.T) {
 	ch, srv, _ := bindServer(t)
-	var n int
-	var mu sync.Mutex
-	srv.RegisterWellKnown("flip", SingleCall, func() any {
-		mu.Lock()
-		defer mu.Unlock()
-		n++
-		if n%2 == 0 {
-			return typeB{}
-		}
-		return typeA{}
-	})
+	srv.Marshal("flip", typeA{})
 	ref, err := GetObject(ch, srv.URLFor("flip"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]int{}
-	for i := 0; i < 8; i++ {
-		got, err := ref.Invoke("Who")
-		if err != nil {
-			t.Fatal(err)
+	who := func(want string) {
+		t.Helper()
+		if got, err := ref.Invoke("Who"); err != nil || got != want {
+			t.Fatalf("Who = %v, %v, want %s", got, err, want)
 		}
-		seen[got.(string)]++
 	}
-	if seen["A"] != 4 || seen["B"] != 4 {
-		t.Errorf("seen = %v, want A:4 B:4", seen)
-	}
+	who("A")
+	who("A") // bound now: the entry caches typeA's thunk
+	srv.Marshal("flip", typeB{})
+	who("B")
+	who("B")
+	srv.Marshal("flip", typeA{})
+	who("A")
 }
 
 // TestUnboundHandleGetsErrorReply: a bound call for a handle the server
@@ -315,7 +310,7 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 
 	c, err := net.Dial("mem://unbound")
 	if err != nil {
@@ -428,7 +423,7 @@ func TestConnectionKeepsOneMethodPerHandle(t *testing.T) {
 	}
 
 	ch, srv, net := bindServer(t)
-	srv.RegisterWellKnown("n", Singleton, func() any { return &nestedNames{uri: "n"} })
+	srv.Marshal("n", &nestedNames{uri: "n"})
 	ref, err := GetObject(ch, srv.URLFor("n"))
 	if err != nil {
 		t.Fatal(err)
@@ -471,22 +466,22 @@ func TestConnectionKeepsOneMethodPerHandle(t *testing.T) {
 
 // TestErrorsNameTheUserMethod: a runtime call's failures name the user's
 // method, not the endpoint call that carried it: an error reply
-// (RemoteError), a call abandoned at its deadline (the lane's error), and a
+// (remoteError), a call abandoned at its deadline (the lane's error), and a
 // deadline the server finds expired before dispatch, which the server's
 // channel counts as one deadline drop.
 func TestErrorsNameTheUserMethod(t *testing.T) {
 	ch, srv, net := bindServer(t)
 	n := &nestedNames{uri: "n", hold: make(chan struct{})}
 	t.Cleanup(func() { close(n.hold) })
-	srv.RegisterWellKnown("n", Singleton, func() any { return n })
+	srv.Marshal("n", n)
 	ref, err := GetObject(ch, srv.URLFor("n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = ref.InvokeNestedCtx(context.Background(), nil, "Invoke1", "Fail", nil)
-	var re *RemoteError
+	var re *remoteError
 	if !errors.As(err, &re) || re.Method != "Fail" || !strings.Contains(err.Error(), "n.Fail:") {
-		t.Errorf("Fail = %v, want a RemoteError naming n.Fail", err)
+		t.Errorf("Fail = %v, want a remoteError naming n.Fail", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -663,7 +658,7 @@ func TestBindingOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, err := GetObject(ch, srv.URLFor("d"))
 	if err != nil {
 		t.Fatal(err)
@@ -705,7 +700,7 @@ func TestBindingOverTCP(t *testing.T) {
 func TestBindingWithDeadline(t *testing.T) {
 	ch, srv, _ := bindServer(t)
 	g := newGateService()
-	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	srv.Marshal("g", g)
 	ref, err := GetObject(ch, srv.URLFor("g"))
 	if err != nil {
 		t.Fatal(err)
@@ -743,7 +738,7 @@ func TestBindingIgnoresDroppedDeclarations(t *testing.T) {
 	g := newGateService()
 	openGate := sync.OnceFunc(func() { close(g.gate) })
 	t.Cleanup(openGate) // before the server closes, should a check fail first
-	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	srv.Marshal("g", g)
 	ref, err := GetObject(ch, srv.URLFor("g"))
 	if err != nil {
 		t.Fatal(err)
@@ -834,7 +829,7 @@ func TestBindingRecoversFromLostDeclaration(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ch := NewMultiplexedChannel(net)
 	ch.MuxLanes = 1
 	t.Cleanup(ch.Close)
@@ -924,7 +919,7 @@ func FuzzDeclareSequence(f *testing.F) {
 	close(open)
 	for _, uri := range []string{"a", "b"} {
 		n := &nestedNames{uri: uri, hold: open}
-		srv.RegisterWellKnown(uri, Singleton, func() any { return n })
+		srv.Marshal(uri, n)
 	}
 
 	frame := func(h uint32, declare bool, req callRequest) []byte { return boundCallBytes(f, h, declare, &req) }
@@ -1073,7 +1068,7 @@ func checkDispatched(t *testing.T, want, req *callRequest, resp *callResponse) {
 	}
 	switch {
 	case want.URI != "a" && want.URI != "b":
-		if !resp.IsErr || resp.ErrCode != errs.CodeDestroyed || !strings.Contains(resp.ErrMsg, fmt.Sprintf("%q", want.URI)) {
+		if !resp.IsErr || resp.ErrCode != errs.Code(errs.ErrObjectDestroyed) || !strings.Contains(resp.ErrMsg, fmt.Sprintf("%q", want.URI)) {
 			t.Fatalf("call on unpublished %q answered %+v", want.URI, resp)
 		}
 	case want.Method == "Fail":

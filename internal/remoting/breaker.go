@@ -187,8 +187,8 @@ func (bs *breakerSet) Open(netaddr string) bool {
 	return time.Now().Before(b.openUntil) || b.halfOpen
 }
 
-// IsBreakerOpenError reports whether err is a breaker fast-fail (as opposed
+// isBreakerOpenError reports whether err is a breaker fast-fail (as opposed
 // to a real transport failure that paid a dial or timeout).
-func IsBreakerOpenError(err error) bool {
+func isBreakerOpenError(err error) bool {
 	return errors.Is(err, errBreakerOpen)
 }

@@ -33,7 +33,7 @@ type Channel struct {
 	// opens per peer address, each with its own writer goroutine and
 	// in-flight table; a peer's objects are striped across lanes, every call
 	// to one object riding one lane, so calls to unrelated objects never
-	// share a lock or a TCP stream. Zero selects DefaultMuxLanes
+	// share a lock or a TCP stream. Zero selects defaultMuxLanes
 	// (min(GOMAXPROCS, 4)); 1 restores the single-connection behaviour.
 	MuxLanes int
 
@@ -78,7 +78,7 @@ func NewMultiplexedChannel(net transport.Network) *Channel {
 // so does the runtime the channel serves.
 func (ch *Channel) Metrics() *metrics.Registry { return &ch.metrics }
 
-// urlScheme is the scheme of the URLs BuildURL makes for the channel's
+// urlScheme is the scheme of the URLs buildURL makes for the channel's
 // objects (self-describing addresses such as mem:// keep their own).
 const urlScheme = "tcp"
 
@@ -113,7 +113,7 @@ func (ch *Channel) closeSignal() <-chan struct{} {
 func (ch *Channel) laneCount() int {
 	n := ch.MuxLanes
 	if n == 0 {
-		n = DefaultMuxLanes()
+		n = defaultMuxLanes()
 	}
 	if n < 1 {
 		n = 1

@@ -28,7 +28,7 @@ type ObjRef struct {
 // "tcp://127.0.0.1:4000/DivideServer". No connection is made until the
 // first call, matching Activator.GetObject's lazy behaviour.
 func GetObject(ch *Channel, url string) (*ObjRef, error) {
-	_, netaddr, uri, err := ParseURL(url)
+	_, netaddr, uri, err := parseURL(url)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ func NewObjRef(ch *Channel, netaddr, uri string) *ObjRef {
 }
 
 // URL reconstructs the object's remoting URL.
-func (r *ObjRef) URL() string { return BuildURL(urlScheme, r.netaddr, r.uri) }
+func (r *ObjRef) URL() string { return buildURL(urlScheme, r.netaddr, r.uri) }
 
 // URI returns the object path component.
 func (r *ObjRef) URI() string { return r.uri }
@@ -52,7 +52,7 @@ func (r *ObjRef) URI() string { return r.uri }
 func (r *ObjRef) NetAddr() string { return r.netaddr }
 
 // Invoke performs a synchronous remote method invocation. Server-side
-// failures come back as *RemoteError.
+// failures come back as *remoteError.
 func (r *ObjRef) Invoke(method string, args ...any) (any, error) {
 	return r.InvokeCtx(context.Background(), method, args...)
 }
@@ -60,10 +60,10 @@ func (r *ObjRef) Invoke(method string, args ...any) (any, error) {
 // InvokeCtx performs a synchronous remote method invocation bounded by ctx:
 // cancellation abandons the in-flight exchange (the connection stays up for
 // its other callers) and the deadline travels in the request envelope so
-// the server refuses work past it. Server-side failures come back as *RemoteError.
+// the server refuses work past it. Server-side failures come back as *remoteError.
 //
 // When the channel's RetryPolicy is enabled, transient failures
-// (Retryable: node-down, overload sheds) are retried with jittered
+// (retryable: node-down, overload sheds) are retried with jittered
 // exponential backoff — honouring a server retry-after hint over the
 // computed delay — for as long as the attempt cap and the ctx deadline
 // budget allow. A ctx carrying WithoutRetry, and any call whose failure is
@@ -119,7 +119,7 @@ func (r *ObjRef) invoke(w *blockingWait) (any, error) {
 		if err == nil {
 			return result, nil
 		}
-		if !Retryable(err) || attempt >= p.MaxAttempts-1 || w.has(recLost) {
+		if !retryable(err) || attempt >= p.MaxAttempts-1 || w.has(recLost) {
 			return nil, err
 		}
 		delay := p.retryDelay(err, attempt)
@@ -167,8 +167,8 @@ func (r *ObjRef) attempt(w *blockingWait) (any, error) {
 // is sent again after: the connection's, not an orderly Close's, not an
 // open breaker's fast-fail and not the peer's own error reply.
 func isStale(err error) bool {
-	var re *RemoteError
-	return isConnFailure(err) && !errors.Is(err, errChannelClosed) && !IsBreakerOpenError(err) && !errors.As(err, &re)
+	var re *remoteError
+	return isConnFailure(err) && !errors.Is(err, errChannelClosed) && !isBreakerOpenError(err) && !errors.As(err, &re)
 }
 
 // rearm readies a blocking call's record to be submitted again. The sequence
@@ -181,11 +181,11 @@ func (c *CallRecord) rearm(ch *Channel) {
 	c.flags.And(^uint32(recBreaker | recTrial))
 }
 
-// remoteError rebuilds the error an error reply to a call of method stands
-// for: a *RemoteError with its sentinel chain (Moved / RetryAfter) from the
+// replyError rebuilds the error an error reply to a call of method stands
+// for: a *remoteError with its sentinel chain (Moved / RetryAfter) from the
 // wire fields.
-func (r *ObjRef) remoteError(method string, resp *callResponse) error {
-	re := &RemoteError{URI: r.uri, Method: method, Msg: resp.ErrMsg, Code: resp.ErrCode}
+func (r *ObjRef) replyError(method string, resp *callResponse) error {
+	re := &remoteError{URI: r.uri, Method: method, Msg: resp.ErrMsg, Code: resp.ErrCode}
 	if resp.ErrCode == errs.CodeMoved {
 		movedURI := resp.FwdURI
 		if movedURI == "" {

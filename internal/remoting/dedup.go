@@ -48,9 +48,9 @@ func init() {
 	wire.RegisterName("remoting.DedupRecord", DedupRecord{})
 }
 
-// DefaultDedupPerObject is the per-object LRU cap when the configuration
+// defaultDedupPerObject is the per-object LRU cap when the configuration
 // leaves it zero.
-const DefaultDedupPerObject = 256
+const defaultDedupPerObject = 256
 
 type dedupNode struct {
 	tok        CallToken
@@ -71,10 +71,10 @@ type DedupLRU struct {
 }
 
 // NewDedupLRU returns an LRU bounded to cap entries (cap <= 0 selects
-// DefaultDedupPerObject).
+// defaultDedupPerObject).
 func NewDedupLRU(cap int) *DedupLRU {
 	if cap <= 0 {
-		cap = DefaultDedupPerObject
+		cap = defaultDedupPerObject
 	}
 	return &DedupLRU{cap: cap, entries: make(map[CallToken]*dedupNode)}
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/transport"
 )
 
-// setProcs pins GOMAXPROCS for a test (and so DefaultMuxLanes), restoring
+// setProcs pins GOMAXPROCS for a test (and so defaultMuxLanes), restoring
 // the previous value on cleanup. The lane tests run at 4 regardless of the
 // host so single-core CI still exercises the multi-lane paths.
 func setProcs(t *testing.T, n int) {
@@ -31,16 +31,16 @@ func muxPeerCount(ch *Channel) int {
 
 func TestDefaultMuxLanesTracksGOMAXPROCS(t *testing.T) {
 	setProcs(t, 4)
-	if got := DefaultMuxLanes(); got != 4 {
-		t.Errorf("DefaultMuxLanes at GOMAXPROCS=4 = %d, want 4", got)
+	if got := defaultMuxLanes(); got != 4 {
+		t.Errorf("defaultMuxLanes at GOMAXPROCS=4 = %d, want 4", got)
 	}
 	setProcs(t, 1)
-	if got := DefaultMuxLanes(); got != 1 {
-		t.Errorf("DefaultMuxLanes at GOMAXPROCS=1 = %d, want 1", got)
+	if got := defaultMuxLanes(); got != 1 {
+		t.Errorf("defaultMuxLanes at GOMAXPROCS=1 = %d, want 1", got)
 	}
 	runtime.GOMAXPROCS(16)
-	if got := DefaultMuxLanes(); got != 4 {
-		t.Errorf("DefaultMuxLanes at GOMAXPROCS=16 = %d, want 4 (capped)", got)
+	if got := defaultMuxLanes(); got != 4 {
+		t.Errorf("defaultMuxLanes at GOMAXPROCS=16 = %d, want 4 (capped)", got)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestLaneStriping(t *testing.T) {
 	refs := make([]*ObjRef, 64)
 	for i := range refs {
 		uri := fmt.Sprintf("d%d", i)
-		srv.RegisterWellKnown(uri, Singleton, func() any { return shared })
+		srv.Marshal(uri, shared)
 		refs[i], _ = GetObject(ch, srv.URLFor(uri))
 	}
 	hammer := func(refs []*ObjRef) {
@@ -127,7 +127,7 @@ func TestLaneOutOfOrderCompletion(t *testing.T) {
 	ch, srv, _ := newMuxServer(t)
 	ch.MuxLanes = 4
 	g := newGateService()
-	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	srv.Marshal("g", g)
 	ref, _ := GetObject(ch, srv.URLFor("g"))
 
 	slow := goInvoke(ref, "WaitGate")
@@ -162,7 +162,7 @@ func TestLaneCancellationIsolation(t *testing.T) {
 	ch, srv, net := newMuxServer(t)
 	ch.MuxLanes = 4
 	g := newGateService()
-	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	srv.Marshal("g", g)
 	ref, _ := GetObject(ch, srv.URLFor("g"))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -203,7 +203,7 @@ func TestLaneRedialRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	for i := 0; i < 8; i++ {
 		if _, err := ref.Invoke("Divide", 8.0, 2.0); err != nil {
@@ -216,7 +216,7 @@ func TestLaneRedialRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	srv2.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv2.Marshal("d", &divideServer{})
 	for i := 0; i < 8; i++ {
 		got, err := ref.Invoke("Divide", 9.0, 3.0)
 		if err != nil {
@@ -236,7 +236,7 @@ func TestLaneConcurrentChurn(t *testing.T) {
 	ch, srv, _ := newMuxServer(t)
 	ch.MuxLanes = 4
 	shared := &divideServer{}
-	srv.RegisterWellKnown("d", Singleton, func() any { return shared })
+	srv.Marshal("d", shared)
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {

@@ -34,7 +34,7 @@ func TestInvokeOverLocalTransports(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			srv.RegisterWellKnown("e", Singleton, func() any { return echoBytesService{} })
+			srv.Marshal("e", echoBytesService{})
 			url := srv.URLFor("e")
 			if !strings.HasPrefix(url, scheme+"://") {
 				t.Fatalf("URLFor = %q, want %s:// scheme preserved", url, scheme)

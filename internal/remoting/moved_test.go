@@ -38,7 +38,7 @@ func TestBoundReplyCarriesForward(t *testing.T) {
 
 	// An error reply without a forward must not pay (or emit) the forward
 	// fields.
-	plain := &callResponse{Seq: 8, IsErr: true, ErrCode: errs.CodeDestroyed, ErrMsg: "gone"}
+	plain := &callResponse{Seq: 8, IsErr: true, ErrCode: errs.Code(errs.ErrObjectDestroyed), ErrMsg: "gone"}
 	rawPlain, encPlain, err := encodeBoundReply(&testEncs, plain)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func (movedService) Call() (int, error) {
 // travel bound.
 func TestMovedErrorSurvivesWire(t *testing.T) {
 	ch, srv, net := bindServer(t)
-	srv.RegisterWellKnown("svc", Singleton, func() any { return movedService{} })
+	srv.Marshal("svc", movedService{})
 	ref := NewObjRef(ch, srv.Addr(), "svc")
 	call := func(t *testing.T, i int) {
 		t.Helper()

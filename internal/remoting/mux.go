@@ -24,12 +24,12 @@ const DefaultMaxInFlight = 1024
 // goroutines.
 const maxMuxLanes = 64
 
-// DefaultMuxLanes is the lane count used when Channel.MuxLanes is zero:
+// defaultMuxLanes is the lane count used when Channel.MuxLanes is zero:
 // one lane per processor up to four. A single-core process gets exactly
 // the old single-connection behaviour; a many-core one spreads the objects
 // of a peer across connections, so calls to unrelated objects never share a
 // writer, a TCP stream, or an in-flight table.
-func DefaultMuxLanes() int {
+func defaultMuxLanes() int {
 	return min(runtime.GOMAXPROCS(0), 4)
 }
 
@@ -131,7 +131,7 @@ type muxKey struct {
 // errChannelClosed terminates in-flight calls when Channel.Close shuts a
 // lane down. It wraps ErrNodeDown for callers' errors.Is chains, but
 // neither a blocking call's resend (ObjRef.attempt) nor the retry policy
-// (Retryable) sends a call again after it: that would re-create the very
+// (retryable) sends a call again after it: that would re-create the very
 // connection Close just released.
 var errChannelClosed = fmt.Errorf("channel closed: %w", errs.ErrNodeDown)
 

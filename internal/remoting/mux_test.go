@@ -64,7 +64,7 @@ func newMuxServer(t *testing.T) (*Channel, *Server, *countingNetwork) {
 func TestMultiplexedInvoke(t *testing.T) {
 	ch, srv, _ := newMuxServer(t)
 	shared := &divideServer{}
-	srv.RegisterWellKnown("d", Singleton, func() any { return shared })
+	srv.Marshal("d", shared)
 	ref, err := GetObject(ch, srv.URLFor("d"))
 	if err != nil {
 		t.Fatal(err)
@@ -79,9 +79,9 @@ func TestMultiplexedInvoke(t *testing.T) {
 	if _, err := ref.Invoke("Divide", 1.0, 0.0); err == nil {
 		t.Error("expected division by zero error")
 	} else {
-		var re *RemoteError
+		var re *remoteError
 		if !errors.As(err, &re) {
-			t.Errorf("error type %T, want *RemoteError", err)
+			t.Errorf("error type %T, want *remoteError", err)
 		}
 	}
 }
@@ -90,7 +90,7 @@ func TestMultiplexedSharesOneConnection(t *testing.T) {
 	ch, srv, net := newMuxServer(t)
 	ch.MuxLanes = 1 // this test is exactly about sharing one connection
 	shared := &divideServer{}
-	srv.RegisterWellKnown("d", Singleton, func() any { return shared })
+	srv.Marshal("d", shared)
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
@@ -121,7 +121,7 @@ func TestMultiplexedSharesOneConnection(t *testing.T) {
 func TestMultiplexedOutOfOrderCompletion(t *testing.T) {
 	ch, srv, _ := newMuxServer(t)
 	g := newGateService()
-	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	srv.Marshal("g", g)
 	ref, _ := GetObject(ch, srv.URLFor("g"))
 
 	slow := goInvoke(ref, "WaitGate")
@@ -163,7 +163,7 @@ func TestMultiplexedCancellationAbandonsCall(t *testing.T) {
 	ch, srv, net := newMuxServer(t)
 	ch.MuxLanes = 1 // dial count below assumes a single shared connection
 	g := newGateService()
-	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	srv.Marshal("g", g)
 	ref, _ := GetObject(ch, srv.URLFor("g"))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -196,7 +196,7 @@ func TestMultiplexedMaxInFlightBackpressure(t *testing.T) {
 	ch.MaxInFlight = 2
 	var cur, peak atomic.Int64
 	blocker := &blockingService{cur: &cur, peak: &peak, dur: 30 * time.Millisecond}
-	srv.RegisterWellKnown("b", Singleton, func() any { return blocker })
+	srv.Marshal("b", blocker)
 	ref, _ := GetObject(ch, srv.URLFor("b"))
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
@@ -223,7 +223,7 @@ func TestMultiplexedStaleConnRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	if _, err := ref.Invoke("Noop"); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestMultiplexedStaleConnRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	srv2.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv2.Marshal("d", &divideServer{})
 	got, err := ref.Invoke("Divide", 9.0, 3.0)
 	if err != nil {
 		t.Fatalf("call after peer restart = %v, want transparent redial", err)
@@ -261,7 +261,7 @@ func TestMultiplexedDownPeerFails(t *testing.T) {
 func TestChannelCloseDrainsConnections(t *testing.T) {
 	t.Run("multiplexed", func(t *testing.T) {
 		ch, srv, net := newMuxServer(t)
-		srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+		srv.Marshal("d", &divideServer{})
 		ref, _ := GetObject(ch, srv.URLFor("d"))
 		if _, err := ref.Invoke("Noop"); err != nil {
 			t.Fatal(err)
@@ -288,7 +288,9 @@ func TestChannelCloseDrainsConnections(t *testing.T) {
 func TestMultiplexedCloseDoesNotRetry(t *testing.T) {
 	ch, srv, net := newMuxServer(t)
 	g := newGateService()
-	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	openGate := sync.OnceFunc(func() { close(g.gate) })
+	t.Cleanup(openGate) // before the server closes, should a check fail first
+	srv.Marshal("g", g)
 	ref, _ := GetObject(ch, srv.URLFor("g"))
 	ar := goInvoke(ref, "WaitGate")
 	select {
@@ -303,5 +305,5 @@ func TestMultiplexedCloseDoesNotRetry(t *testing.T) {
 	if d := net.dials.Load(); d != 1 {
 		t.Errorf("dials = %d, want 1: Close must not trigger a retry redial", d)
 	}
-	close(g.gate) // release the abandoned server-side handler
+	openGate() // release the abandoned server-side handler
 }

@@ -251,7 +251,7 @@ func (w *blockingWait) settle(r *ObjRef) {
 
 // deliver hands the exchange its outcome: err when no reply came, nil when
 // one did, with the result as the reader decoded it (result, or replyErr, the
-// *RemoteError an error reply stands for). The call detaches its hook and
+// *remoteError an error reply stands for). The call detaches its hook and
 // returns its slot first, admitting queued calls, so a slow continuation
 // cannot idle the pipe.
 func (c *CallRecord) deliver(result any, replyErr, err error) {
@@ -289,7 +289,7 @@ func (c *CallRecord) abort(err error) {
 
 // readReply decodes the body of the compact reply to c, which the reader
 // has just taken, where it is going: the result into c's sink, or as a
-// value, and an error reply into the *RemoteError it completes with.
+// value, and an error reply into the *remoteError it completes with.
 func (c *CallRecord) readReply(d *wire.Decoder, flags byte) (result any, replyErr, err error) {
 	if flags&flagReplyErr == 0 {
 		result, err = decodeReplyBody(d, flags, nil, c.sink)
@@ -298,7 +298,7 @@ func (c *CallRecord) readReply(d *wire.Decoder, flags byte) (result any, replyEr
 	// No envelope of its own: an error reply is worth one on the stack.
 	var resp callResponse
 	if _, err = decodeReplyBody(d, flags, &resp, nil); err == nil {
-		replyErr = c.ref.remoteError(c.req.name(), &resp)
+		replyErr = c.ref.replyError(c.req.name(), &resp)
 	}
 	return nil, replyErr, err
 }

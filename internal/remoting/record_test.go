@@ -442,7 +442,7 @@ func FuzzDecodeBoundReply(f *testing.F) {
 func TestNilContextIsBackground(t *testing.T) {
 	poisoned(t)
 	ch, srv, _ := newMuxServer(t)
-	srv.RegisterWellKnown("h", Singleton, func() any { return &heldEcho{} })
+	srv.Marshal("h", &heldEcho{})
 	ref, _ := GetObject(ch, srv.URLFor("h"))
 	for i := 0; i < 3; i++ { // declaring, then bound
 		if v, err := ref.InvokeCtx(nil, "Now", i); err != nil || v != i {
@@ -481,7 +481,9 @@ func TestCallRecordsAccountedFor(t *testing.T) {
 
 	ch, srv, _ := newMuxServer(t)
 	h := &heldEcho{gate: make(chan struct{})}
-	srv.RegisterWellKnown("h", Singleton, func() any { return h })
+	openGate := sync.OnceFunc(func() { close(h.gate) })
+	t.Cleanup(openGate) // before the server closes, should a check fail first
+	srv.Marshal("h", h)
 	ref, _ := GetObject(ch, srv.URLFor("h"))
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
@@ -547,7 +549,7 @@ func TestCallRecordsAccountedFor(t *testing.T) {
 		t.Error("a call whose context had ended was submitted")
 	}
 	ch.Close()
-	close(h.gate)
+	openGate()
 	wg.Wait()
 	srv.Close()
 	if n := told.Load(); n != parked {
@@ -576,7 +578,7 @@ func TestAsyncAdmissionQueueDrains(t *testing.T) {
 	poisoned(t)
 	ch, srv, _ := newMuxServer(t)
 	ch.MuxLanes, ch.MaxInFlight = 1, 4
-	srv.RegisterWellKnown("h", Singleton, func() any { return &heldEcho{} })
+	srv.Marshal("h", &heldEcho{})
 	ref, _ := GetObject(ch, srv.URLFor("h"))
 	const calls = 2000
 	var wg sync.WaitGroup
@@ -622,7 +624,9 @@ func TestQueuedFramesGiveEncodersBack(t *testing.T) {
 			ch, srv, _ := newMuxServer(t)
 			ch.MuxLanes, ch.MaxInFlight = 1, 1
 			h := &heldEcho{gate: make(chan struct{})}
-			srv.RegisterWellKnown("h", Singleton, func() any { return h })
+			openGate := sync.OnceFunc(func() { close(h.gate) })
+			t.Cleanup(openGate) // before the server closes, should a check fail first
+			srv.Marshal("h", h)
 			ref, _ := GetObject(ch, srv.URLFor("h"))
 			held := make(chan error, 1)
 			if err := ref.InvokeAsyncCb(context.Background(), new(CallRecord), "Echo", []any{0}, CompletionFunc(func(_ any, err error) { held <- err })); err != nil {
@@ -662,7 +666,7 @@ func TestQueuedFramesGiveEncodersBack(t *testing.T) {
 				cancel()
 				want = context.Canceled
 			}
-			close(h.gate)
+			openGate()
 			for i := 0; i < queued; i++ {
 				if err := <-outcomes; !errors.Is(err, want) {
 					t.Errorf("queued call = %v, want %v", err, want)
@@ -707,7 +711,9 @@ func TestBlockingCallDeadlineWhileQueued(t *testing.T) {
 	ch, srv, net := newMuxServer(t)
 	ch.MuxLanes, ch.MaxInFlight = 1, 1
 	h := &heldEcho{gate: make(chan struct{})}
-	srv.RegisterWellKnown("h", Singleton, func() any { return h })
+	openGate := sync.OnceFunc(func() { close(h.gate) })
+	t.Cleanup(openGate) // before the server closes, should a check fail first
+	srv.Marshal("h", h)
 	ref, _ := GetObject(ch, srv.URLFor("h"))
 	held := goInvoke(ref, "Echo", 1)
 	for deadline := time.Now().Add(10 * time.Second); h.started.Load() < 1; time.Sleep(time.Millisecond) {
@@ -724,7 +730,7 @@ func TestBlockingCallDeadlineWhileQueued(t *testing.T) {
 	if waited := time.Since(start); waited > time.Second {
 		t.Errorf("the queued call returned after %v, want its 50 ms deadline", waited)
 	}
-	close(h.gate)
+	openGate()
 	if got := <-held; got.err != nil || got.v != 1 {
 		t.Fatalf("held call = %v, %v", got.v, got.err)
 	}

@@ -5,10 +5,10 @@
 //     many concurrent calls, responses matched by sequence number and
 //     completing out of order (the paper's three 2005 Mono channels are the
 //     baseline stack in internal/paper/mono, not kinds of this one);
-//   - server-side object publication: RegisterWellKnown with Singleton and
-//     SingleCall activation (the object-factory modes §2 highlights as the
-//     improvement over Java RMI), plus Marshal for explicitly instantiated
-//     objects;
+//   - server-side object publication: Marshal publishes an object under a
+//     well-known URI, and every call on that URI runs on it
+//     (RemotingServices.Marshal; §2 highlights publishing by URI as the
+//     improvement over Java RMI's manual export);
 //   - transparent proxies: GetObject returns an ObjRef whose Invoke
 //     dispatches by method name over the wire, the analogue of
 //     Activator.GetObject + the auto-generated proxy;
@@ -164,10 +164,10 @@ type callResponse struct {
 	Unbound bool
 }
 
-// RemoteError is the error surfaced to callers when the server side fails.
+// remoteError is the error surfaced to callers when the server side fails.
 // Unlike Java RMI's checked RemoteException, it is an ordinary error value —
 // the ergonomic difference the paper calls out in §2.
-type RemoteError struct {
+type remoteError struct {
 	URI    string
 	Method string
 	Msg    string
@@ -184,16 +184,16 @@ type RemoteError struct {
 }
 
 // Error implements error.
-func (e *RemoteError) Error() string {
+func (e *remoteError) Error() string {
 	return fmt.Sprintf("remoting: %s.%s: %s", e.URI, e.Method, e.Msg)
 }
 
 // Unwrap exposes the sentinel identified by Code — or the full
-// *errs.MovedError for moved objects, or an *errs.OverloadedError carrying
-// the retry-after hint — so errors.Is matches typed errors
+// *errs.MovedError for moved objects, or the error errs.WithRetryAfter
+// built to carry the retry-after hint — so errors.Is matches typed errors
 // (errs.ErrNoSuchMethod, context.DeadlineExceeded, ...) and errors.As
 // recovers the forward location even after the error crossed the wire.
-func (e *RemoteError) Unwrap() error {
+func (e *remoteError) Unwrap() error {
 	if e.Moved != nil {
 		return e.Moved
 	}
@@ -203,11 +203,11 @@ func (e *RemoteError) Unwrap() error {
 	return errs.Sentinel(e.Code)
 }
 
-// ParseURL splits a remoting URL such as "tcp://127.0.0.1:4000/DivideServer"
+// parseURL splits a remoting URL such as "tcp://127.0.0.1:4000/DivideServer"
 // or "mem://node0/factory" into the transport address to dial and the object
 // URI. The scheme is advisory; the channel's transport decides how to
 // interpret the address.
-func ParseURL(url string) (scheme, netaddr, uri string, err error) {
+func parseURL(url string) (scheme, netaddr, uri string, err error) {
 	i := strings.Index(url, "://")
 	if i < 0 {
 		return "", "", "", fmt.Errorf("remoting: URL %q missing scheme", url)
@@ -234,9 +234,9 @@ func ParseURL(url string) (scheme, netaddr, uri string, err error) {
 	return scheme, netaddr, uri, nil
 }
 
-// BuildURL is the inverse of ParseURL. Self-describing addresses (mem://,
+// buildURL is the inverse of parseURL. Self-describing addresses (mem://,
 // unix://, inproc://) keep their own scheme so the URL round-trips.
-func BuildURL(scheme, netaddr, uri string) string {
+func buildURL(scheme, netaddr, uri string) string {
 	if strings.Contains(netaddr, "://") {
 		return netaddr + "/" + uri
 	}

@@ -72,26 +72,26 @@ func TestParseURL(t *testing.T) {
 		{url: "tcp:///nouri", wantErr: true},
 	}
 	for _, c := range cases {
-		scheme, netaddr, uri, err := ParseURL(c.url)
+		scheme, netaddr, uri, err := parseURL(c.url)
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("ParseURL(%q): expected error", c.url)
+				t.Errorf("parseURL(%q): expected error", c.url)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("ParseURL(%q): %v", c.url, err)
+			t.Errorf("parseURL(%q): %v", c.url, err)
 			continue
 		}
 		if scheme != c.scheme || netaddr != c.netaddr || uri != c.uri {
-			t.Errorf("ParseURL(%q) = %q,%q,%q", c.url, scheme, netaddr, uri)
+			t.Errorf("parseURL(%q) = %q,%q,%q", c.url, scheme, netaddr, uri)
 		}
 	}
 }
 
 func TestBuildURLRoundtrip(t *testing.T) {
-	url := BuildURL("tcp", "mem://node3", "om")
-	_, netaddr, uri, err := ParseURL(url)
+	url := buildURL("tcp", "mem://node3", "om")
+	_, netaddr, uri, err := parseURL(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBuildURLRoundtrip(t *testing.T) {
 func TestSingletonInvoke(t *testing.T) {
 	ch, srv := newTestServer(t)
 	shared := &divideServer{}
-	srv.RegisterWellKnown("DivideServer", Singleton, func() any { return shared })
+	srv.Marshal("DivideServer", shared)
 	ref, err := GetObject(ch, srv.URLFor("DivideServer"))
 	if err != nil {
 		t.Fatal(err)
@@ -119,16 +119,16 @@ func TestSingletonInvoke(t *testing.T) {
 	if _, err := ref.Invoke("Divide", 1.0, 0.0); err == nil {
 		t.Error("expected division by zero error")
 	} else {
-		var re *RemoteError
+		var re *remoteError
 		if !errors.As(err, &re) {
-			t.Errorf("error type %T, want *RemoteError", err)
+			t.Errorf("error type %T, want *remoteError", err)
 		}
 	}
 }
 
 func TestSingletonSharesState(t *testing.T) {
 	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("counter", Singleton, func() any { return &statefulCounter{} })
+	srv.Marshal("counter", &statefulCounter{})
 	ref, _ := GetObject(ch, srv.URLFor("counter"))
 	for want := 1; want <= 3; want++ {
 		got, err := ref.Invoke("Incr")
@@ -141,24 +141,9 @@ func TestSingletonSharesState(t *testing.T) {
 	}
 }
 
-func TestSingleCallFreshInstancePerCall(t *testing.T) {
-	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("counter", SingleCall, func() any { return &statefulCounter{} })
-	ref, _ := GetObject(ch, srv.URLFor("counter"))
-	for i := 0; i < 3; i++ {
-		got, err := ref.Invoke("Incr")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 1 {
-			t.Errorf("SingleCall Incr = %v, want 1 (state must not persist)", got)
-		}
-	}
-}
-
 func TestEchoArrays(t *testing.T) {
 	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	payload := make([]int32, 5000)
 	for i := range payload {
@@ -176,7 +161,7 @@ func TestEchoArrays(t *testing.T) {
 
 func TestVoidMethod(t *testing.T) {
 	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	got, err := ref.Invoke("Noop")
 	if err != nil {
@@ -189,7 +174,7 @@ func TestVoidMethod(t *testing.T) {
 
 func TestErrorOnlyMethod(t *testing.T) {
 	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	if _, err := ref.Invoke("Fail"); err == nil || !strings.Contains(err.Error(), "always fails") {
 		t.Errorf("Fail error = %v", err)
@@ -198,7 +183,7 @@ func TestErrorOnlyMethod(t *testing.T) {
 
 func TestUnknownURIAndMethod(t *testing.T) {
 	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("missing"))
 	if _, err := ref.Invoke("Divide", 1.0, 1.0); err == nil {
 		t.Error("expected unknown-URI error")
@@ -211,7 +196,7 @@ func TestUnknownURIAndMethod(t *testing.T) {
 
 func TestArgumentMismatch(t *testing.T) {
 	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	if _, err := ref.Invoke("Divide", 1.0); err == nil {
 		t.Error("expected arity error")
@@ -223,7 +208,7 @@ func TestArgumentMismatch(t *testing.T) {
 
 func TestNumericArgumentWidening(t *testing.T) {
 	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	// ints convert to the float64 parameters.
 	got, err := ref.Invoke("Divide", 9, 3)
@@ -255,7 +240,7 @@ func goInvoke(ref *ObjRef, method string, args ...any) <-chan outcome {
 func TestConcurrentInvokes(t *testing.T) {
 	ch, srv := newTestServer(t)
 	shared := &divideServer{}
-	srv.RegisterWellKnown("d", Singleton, func() any { return shared })
+	srv.Marshal("d", shared)
 	ref, _ := GetObject(ch, srv.URLFor("d"))
 	var wg sync.WaitGroup
 	errs := make(chan error, 200)
@@ -303,7 +288,7 @@ func TestMarshaledObjectStaysWhileIdle(t *testing.T) {
 }
 
 // TestCallResolvedBeforeMarshalReachesItsObject: a call that read a URI's
-// registration from the table just before a Marshal replaced it (a
+// object from the table just before a Marshal replaced it (a
 // migration swapping in its forward) runs on the object it resolved. The
 // runtime's moved actor answers it with the forward.
 func TestCallResolvedBeforeMarshalReachesItsObject(t *testing.T) {
@@ -311,14 +296,14 @@ func TestCallResolvedBeforeMarshalReachesItsObject(t *testing.T) {
 	moved, forward := &divideServer{}, &divideServer{}
 	srv.Marshal("obj", moved)
 	srv.mu.Lock()
-	reg := srv.objects["obj"]
+	got := srv.objects["obj"]
 	srv.mu.Unlock()
 	srv.Marshal("obj", forward)
-	if got := reg.resolve(); got != moved {
-		t.Fatalf("the resolved registration reached %p, want the object it held (%p)", got, moved)
+	if got != moved {
+		t.Fatalf("the resolved object is %p, want the one published (%p)", got, moved)
 	}
 	srv.mu.Lock()
-	now := srv.objects["obj"].resolve()
+	now := srv.objects["obj"]
 	srv.mu.Unlock()
 	if now != forward {
 		t.Fatalf("a new lookup reached %p, want the replacement (%p)", now, forward)
@@ -385,7 +370,7 @@ func TestTCPTransportIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	ref, err := GetObject(ch, srv.URLFor("d"))
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +386,7 @@ func TestTCPTransportIntegration(t *testing.T) {
 
 func TestStructArguments(t *testing.T) {
 	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("s", Singleton, func() any { return &structService{} })
+	srv.Marshal("s", &structService{})
 	ref, _ := GetObject(ch, srv.URLFor("s"))
 	got, err := ref.Invoke("Sum", wirePoint{X: 3, Y: 4})
 	if err != nil {
@@ -432,7 +417,7 @@ func (structService) Mirror(p *wirePoint) *wirePoint { return &wirePoint{X: p.Y,
 
 func TestServerCloseStopsAccepting(t *testing.T) {
 	ch, srv := newTestServer(t)
-	srv.RegisterWellKnown("d", Singleton, func() any { return &divideServer{} })
+	srv.Marshal("d", &divideServer{})
 	srv.Close()
 	srv.Close() // idempotent
 	ref, _ := GetObject(ch, srv.URLFor("d"))

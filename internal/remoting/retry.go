@@ -104,7 +104,7 @@ func (p RetryPolicy) Backoff(retry int) time.Duration {
 	return time.Duration(d)
 }
 
-// Retryable classifies an error for the retry loop. Retryable failures are
+// retryable classifies an error for the retry loop. Retryable failures are
 // the transient ones: unreachable peers (ErrNodeDown — dial failures,
 // connection resets, dead multiplexed lanes) and admission-control sheds
 // (ErrOverloaded). Never retried: application errors, conversion failures
@@ -112,7 +112,7 @@ func (p RetryPolicy) Backoff(retry int) time.Duration {
 // and destroyed objects (the proxy layer re-routes those itself), and the
 // orderly channel-close sentinel (a retry would redial the connection
 // Close just released).
-func Retryable(err error) bool {
+func retryable(err error) bool {
 	if err == nil ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||

@@ -38,8 +38,8 @@ func TestRetryableClassification(t *testing.T) {
 		{"application error", errors.New("divide by zero"), false},
 	}
 	for _, c := range cases {
-		if got := Retryable(c.err); got != c.want {
-			t.Errorf("Retryable(%s) = %v, want %v", c.name, got, c.want)
+		if got := retryable(c.err); got != c.want {
+			t.Errorf("retryable(%s) = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -186,7 +186,7 @@ func TestBreakerTripsAfterThreshold(t *testing.T) {
 	if err == nil {
 		t.Fatal("breaker still admitting calls after threshold failures")
 	}
-	if !IsBreakerOpenError(err) || !errors.Is(err, errs.ErrNodeDown) {
+	if !isBreakerOpenError(err) || !errors.Is(err, errs.ErrNodeDown) {
 		t.Errorf("fast-fail error = %v, want breaker-open wrapping ErrNodeDown", err)
 	}
 	if !bs.Open("peer") {
@@ -271,7 +271,7 @@ func TestWithoutBreakerBypassesOpenBreaker(t *testing.T) {
 		t.Fatal("invoke against an unreachable peer succeeded")
 	}
 	_, err := ref.InvokeCtx(WithoutRetry(context.Background()), "Ping")
-	if !IsBreakerOpenError(err) {
+	if !isBreakerOpenError(err) {
 		t.Fatalf("second call error = %v, want the breaker fast-fail", err)
 	}
 
@@ -280,12 +280,12 @@ func TestWithoutBreakerBypassesOpenBreaker(t *testing.T) {
 	if err == nil {
 		t.Fatal("bypassed invoke against an unreachable peer succeeded")
 	}
-	if IsBreakerOpenError(err) {
+	if isBreakerOpenError(err) {
 		t.Fatalf("bypassed call error = %v, want the dial failure, not the fast-fail", err)
 	}
 	// And the breaker is still open for ordinary calls, its half-open
 	// machinery undisturbed by the bypassed attempt.
-	if _, err := ref.InvokeCtx(WithoutRetry(context.Background()), "Ping"); !IsBreakerOpenError(err) {
+	if _, err := ref.InvokeCtx(WithoutRetry(context.Background()), "Ping"); !isBreakerOpenError(err) {
 		t.Errorf("ordinary call after bypass = %v, want the breaker still open", err)
 	}
 }

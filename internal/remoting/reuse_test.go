@@ -53,7 +53,7 @@ func TestWaiterReuseIsSafe(t *testing.T) {
 	ch, srv, _ := newMuxServer(t)
 	ch.MuxLanes = 1
 	h := &heldEcho{}
-	srv.RegisterWellKnown("h", Singleton, func() any { return h })
+	srv.Marshal("h", h)
 	ref, _ := GetObject(ch, srv.URLFor("h"))
 
 	const callers = 64
@@ -110,7 +110,7 @@ func TestAllocBudgetBoundCall(t *testing.T) {
 	}
 	ch, srv, _ := newMuxServer(t)
 	h := &heldEcho{}
-	srv.RegisterWellKnown("h", Singleton, func() any { return h })
+	srv.Marshal("h", h)
 	ref, _ := GetObject(ch, srv.URLFor("h"))
 	ctx := context.Background()
 	args := []any{7}

@@ -17,57 +17,6 @@ import (
 	"repro/internal/wire"
 )
 
-// WellKnownMode selects how the server activates a well-known object,
-// mirroring System.Runtime.Remoting.WellKnownObjectMode — the facility the
-// paper singles out (§2) as the improvement over RMI's manual export.
-type WellKnownMode int
-
-const (
-	// Singleton serves every call with one lazily created instance.
-	Singleton WellKnownMode = iota
-	// SingleCall creates a fresh instance per call; no state is retained
-	// between invocations.
-	SingleCall
-)
-
-// String names the mode.
-func (m WellKnownMode) String() string {
-	if m == Singleton {
-		return "Singleton"
-	}
-	return "SingleCall"
-}
-
-// registration is one published URI.
-type registration struct {
-	mode    WellKnownMode
-	factory func() any
-
-	mu        sync.Mutex
-	singleton any
-
-	// instance is the object Marshal published; nil for a factory.
-	instance any
-}
-
-// resolve returns the object a call should execute on.
-func (r *registration) resolve() any {
-	if r.instance != nil {
-		return r.instance
-	}
-	switch r.mode {
-	case SingleCall:
-		return r.factory()
-	default:
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.singleton == nil {
-			r.singleton = r.factory()
-		}
-		return r.singleton
-	}
-}
-
 // Server publishes objects on a channel, playing the role of
 // ChannelServices + RemotingConfiguration for one endpoint.
 type Server struct {
@@ -75,12 +24,12 @@ type Server struct {
 	listener transport.Listener
 
 	mu      sync.Mutex
-	objects map[string]*registration
+	objects map[string]any
 	conns   map[transport.Conn]*serverConn
 	closed  bool
 
 	// regGen counts mutations of the objects table. Bound-handle entries
-	// cache the *registration they resolved together with the generation
+	// cache the object they resolved together with the generation
 	// they saw; a mismatch sends the next call back to the map, so
 	// Unregister and republish take effect at once, as for a call dispatched
 	// by URI, without a map lookup on the steady-state bound path. The
@@ -102,7 +51,7 @@ func (ch *Channel) ListenAndServe(addr string) (*Server, error) {
 	s := &Server{
 		ch:       ch,
 		listener: l,
-		objects:  make(map[string]*registration),
+		objects:  make(map[string]any),
 		conns:    make(map[transport.Conn]*serverConn),
 	}
 	s.wg.Add(1)
@@ -115,29 +64,20 @@ func (s *Server) Addr() string { return s.listener.Addr() }
 
 // URLFor returns the full remoting URL for a URI published on this server.
 func (s *Server) URLFor(uri string) string {
-	return BuildURL(urlScheme, s.Addr(), uri)
+	return buildURL(urlScheme, s.Addr(), uri)
 }
 
-// RegisterWellKnown publishes factory under uri with the given activation
-// mode (RemotingConfiguration.RegisterWellKnownServiceType).
-func (s *Server) RegisterWellKnown(uri string, mode WellKnownMode, factory func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.objects[uri] = &registration{mode: mode, factory: factory}
-	s.regGen.Add(1)
-}
-
-// Marshal publishes an explicitly instantiated object under uri, replacing
+// Marshal publishes obj under uri (RemotingServices.Marshal), replacing
 // whatever was there in one step: a call racing the swap reaches either the
-// old object or the new one, never nothing. The object stays published
-// until Marshal or Unregister replaces it; a call that resolved the old
-// registration just before still reaches the old object. Bound call
-// handles cached against the old registration re-resolve on their next
-// call through the bumped registration generation.
+// old object or the new one, never nothing. Every call on uri runs on obj,
+// which stays published until Marshal or Unregister replaces it; a call
+// that resolved the old object just before still reaches it. Bound call
+// handles cached against the old object re-resolve on their next call
+// through the bumped registration generation.
 func (s *Server) Marshal(uri string, obj any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.objects[uri] = &registration{instance: obj}
+	s.objects[uri] = obj
 	s.regGen.Add(1)
 }
 
@@ -149,7 +89,7 @@ func (s *Server) Marshal(uri string, obj any) {
 func (s *Server) UnregisterIf(uri string, obj any) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.objects[uri]; !ok || cur.instance != obj {
+	if cur, ok := s.objects[uri]; !ok || cur != obj {
 		return false
 	}
 	delete(s.objects, uri)
@@ -256,18 +196,18 @@ type serverConn struct {
 
 // bindEntry is one bound (URI, call, method) triple, its strings kept once
 // for every call that names the handle, with its dispatch caches: the
-// resolved registration (validated by the server's registration
-// generation) and the invoker thunk for the concrete object type last
+// resolved object (validated by the server's registration generation) and
+// the invoker thunk for the concrete object type last
 // dispatched, so the steady-state bound path skips the objects-map lookup
 // and the invoker-registry lookups.
 type bindEntry struct {
 	uri, call, method string
-	reg               atomic.Pointer[regCache]
+	obj               atomic.Pointer[objCache]
 	inv               atomic.Pointer[invCache]
 }
 
-type regCache struct {
-	reg *registration
+type objCache struct {
+	obj any
 	gen uint64
 }
 
@@ -602,49 +542,49 @@ func (s *Server) target(c *serverCall) (any, error) {
 		}
 		c.ctx, c.cancel = context.WithDeadline(c.ctx, dl)
 	}
-	var reg *registration
+	var obj any
 	if c.entry != nil {
-		reg = s.resolveBound(c.entry)
+		obj = s.resolveBound(c.entry)
 	} else {
 		s.mu.Lock()
-		reg = s.objects[req.URI]
+		obj = s.objects[req.URI]
 		s.mu.Unlock()
 	}
-	if reg == nil {
+	if obj == nil {
 		// URIs are runtime-generated, so an unknown URI means the object
 		// was destroyed.
 		return nil, fmt.Errorf("no object published at %q: %w", req.URI, errs.ErrObjectDestroyed)
 	}
-	return reg.resolve(), nil
+	return obj, nil
 }
 
-// resolveBound returns the registration for a bound entry, reusing the
-// cached pointer while the server's registration table is unchanged and
+// resolveBound returns the object published for a bound entry, reusing the
+// cached one while the server's registration table is unchanged and
 // re-consulting the objects map after any mutation (generation mismatch),
 // so Unregister and republish take effect at once.
-func (s *Server) resolveBound(e *bindEntry) *registration {
+func (s *Server) resolveBound(e *bindEntry) any {
 	gen := s.regGen.Load()
-	if rc := e.reg.Load(); rc != nil && rc.gen == gen {
-		return rc.reg
+	if oc := e.obj.Load(); oc != nil && oc.gen == gen {
+		return oc.obj
 	}
 	s.mu.Lock()
-	reg := s.objects[e.uri]
+	obj := s.objects[e.uri]
 	s.mu.Unlock()
-	if reg == nil {
+	if obj == nil {
 		return nil
 	}
 	// gen was loaded before the map read: a racing mutation can only make
 	// the cached generation stale (revalidated on the next call), never
-	// make a stale registration look fresh.
-	e.reg.Store(&regCache{reg: reg, gen: gen})
-	return reg
+	// make a stale object look fresh.
+	e.obj.Store(&objCache{obj: obj, gen: gen})
+	return obj
 }
 
 // invoke runs the requested call on its target: one carrying a user's
 // method on a NestedInvoker directly, a bound one through the entry's cached
-// invoker thunk, re-resolved when the concrete type changes (a SingleCall
-// factory is free to return different types over time), anything else by
-// name.
+// invoker thunk, re-resolved when the concrete type changes (a Marshal at
+// the same URI may publish another type, as a migration does when an
+// actorEndpoint replaces an ioWrapper), anything else by name.
 func (c *serverCall) invoke() (any, error) {
 	req, e, obj, ctx := &c.req, c.entry, c.obj, c.ctx
 	args := req.Args

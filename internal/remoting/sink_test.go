@@ -50,7 +50,7 @@ func (h *heard) wait(t *testing.T) (any, error) {
 func TestCancelAgainstReply(t *testing.T) {
 	poisoned(t)
 	ch, srv, _ := newMuxServer(t)
-	srv.RegisterWellKnown("h", Singleton, func() any { return &heldEcho{} })
+	srv.Marshal("h", &heldEcho{})
 	ref, _ := GetObject(ch, srv.URLFor("h"))
 	ctx := context.Background()
 	for i := 0; i < 2; i++ { // declare and confirm the handle: from here calls are bound

@@ -91,7 +91,7 @@ func runChaos(t *testing.T, seed int64) {
 		})
 	for _, rt := range rts {
 		rt.RegisterVirtualClass(chaosClass, func() any { return &hotObj{} },
-			core.VirtualConfig{Replicas: 1, SnapshotEvery: 1})
+			core.VirtualConfig{Replicas: 1})
 	}
 
 	// Activate (and replicate) every key on a healthy network, so the

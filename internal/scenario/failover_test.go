@@ -41,7 +41,7 @@ func TestFailover(t *testing.T) {
 	rts := startTCP(t, 3, func(cfg *core.Config) { cfg.HealthProbe = failoverProbe })
 	for _, rt := range rts {
 		rt.RegisterVirtualClass("vhot", func() any { return &hotObj{} },
-			core.VirtualConfig{Replicas: 1, SnapshotEvery: 1})
+			core.VirtualConfig{Replicas: 1})
 	}
 
 	// The victim is whichever node owns key 0; callers run on the other

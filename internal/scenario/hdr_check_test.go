@@ -1,4 +1,4 @@
-package metrics
+package scenario
 
 import (
 	"math/rand"

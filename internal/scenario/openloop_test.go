@@ -12,7 +12,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/errs"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/transport"
 )
@@ -127,7 +126,7 @@ type olOutcome struct {
 	saturated int
 	// serverSheds is the hosting node's MailboxSheds delta over the window.
 	serverSheds int64
-	latency     metrics.Histogram // accepted calls, nanoseconds
+	latency     Histogram // accepted calls, nanoseconds
 }
 
 // olDrive runs one open-loop window: Poisson arrivals at perSec, each arrival
@@ -140,7 +139,7 @@ func olDrive(server *core.Runtime, proxies []*core.Proxy, perSec float64, slo ti
 	us := int(olService / time.Microsecond)
 	type shard struct {
 		mu sync.Mutex
-		h  metrics.Histogram
+		h  Histogram
 	}
 	shards := make([]shard, len(proxies))
 	var accepted, shed, expired, other atomic.Int64

@@ -22,7 +22,7 @@ var localAutoSeq atomic.Int64
 // the TCP stack without the TCP/IP cost (no checksums, no Nagle, no
 // loopback routing) for nodes co-located on one machine. Addresses are
 // logical names — "unix://name" or bare "name" — mapped to socket files
-// under the OS temp directory, so they survive ParseURL's host/URI split
+// under the OS temp directory, so they survive remoting's host/URI split
 // (a filesystem path would not). An empty name ("unix://") allocates a
 // unique one. The zero value is ready to use.
 type UnixNetwork struct{}

@@ -17,10 +17,10 @@ import (
 	"sync"
 )
 
-// MaxFrame is the largest message accepted on the wire (64 MiB). The paper's
+// maxFrame is the largest message accepted on the wire (64 MiB). The paper's
 // ping-pong sweep tops out at 1 MB payloads; the guard exists so a corrupt
 // length prefix cannot trigger an arbitrary allocation.
-const MaxFrame = 64 << 20
+const maxFrame = 64 << 20
 
 // ErrClosed is returned by operations on a closed connection or listener.
 var ErrClosed = errors.New("transport: connection closed")
@@ -277,8 +277,8 @@ func (s *streamConn) Send(msg []byte) error {
 func (s *streamConn) SendBatch(msgs [][]byte) error {
 	total := 0
 	for _, m := range msgs {
-		if len(m) > MaxFrame {
-			return fmt.Errorf("transport: message of %d bytes exceeds MaxFrame", len(m))
+		if len(m) > maxFrame {
+			return fmt.Errorf("transport: message of %d bytes exceeds the %d-byte frame limit", len(m), maxFrame)
 		}
 		total += 4 + len(m)
 	}
@@ -358,8 +358,8 @@ func (s *streamConn) recv(owned bool) ([]byte, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(s.rLenBuf[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame", n)
+	if n > maxFrame {
+		return nil, fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte frame limit", n, maxFrame)
 	}
 	var buf []byte
 	if owned {
@@ -504,8 +504,8 @@ type memConn struct {
 }
 
 func (c *memConn) Send(msg []byte) error {
-	if len(msg) > MaxFrame {
-		return fmt.Errorf("transport: message of %d bytes exceeds MaxFrame", len(msg))
+	if len(msg) > maxFrame {
+		return fmt.Errorf("transport: message of %d bytes exceeds the %d-byte frame limit", len(msg), maxFrame)
 	}
 	// Checked before the send: with buffer room free, the select below has
 	// both cases ready after a close and could still enqueue.

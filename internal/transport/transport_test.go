@@ -169,7 +169,7 @@ func listenAddr(network string) string {
 
 func TestOversizeMessageRejected(t *testing.T) {
 	a, _ := NewPipe("a", "b")
-	huge := make([]byte, MaxFrame+1)
+	huge := make([]byte, maxFrame+1)
 	if err := a.Send(huge); err == nil {
 		t.Error("oversize message accepted")
 	}
@@ -397,7 +397,7 @@ func TestSendBatchOversize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	huge := make([]byte, MaxFrame+1)
+	huge := make([]byte, maxFrame+1)
 	if err := SendBatch(c, [][]byte{{1}, huge}); err == nil {
 		t.Fatal("oversize message in batch accepted")
 	}

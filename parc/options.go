@@ -56,7 +56,7 @@ func WithPlacement(p PlacementPolicy) Option { return func(o *options) { o.cfg.P
 // disable) or maxDelay elapses (0 means no timer).
 func WithAggregation(maxCalls int, maxDelay time.Duration) Option {
 	return func(o *options) {
-		o.cfg.Aggregation = AggregationConfig{MaxCalls: maxCalls, MaxDelay: maxDelay}
+		o.cfg.Aggregation = core.AggregationConfig{MaxCalls: maxCalls, MaxDelay: maxDelay}
 	}
 }
 

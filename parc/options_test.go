@@ -46,12 +46,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // and has a second queued, so a third call is shed with ErrOverloaded.
 // Without the option the caller sees that error; with
 // WithRetry(DefaultRetryPolicy()) the call is sent again after the server's
-// retry-after hint and succeeds once the gate has opened.
+// retry-after hint and succeeds once the gate has opened, unless the call's
+// context says WithoutRetry.
 func TestRetryOption(t *testing.T) {
-	for _, retry := range []bool{false, true} {
-		t.Run(fmt.Sprintf("retry=%v", retry), func(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		retry, without bool
+	}{
+		{"retry=false", false, false},
+		{"retry=true", true, false},
+		{"retry=true,WithoutRetry", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			opts := []Option{WithMailboxBound(1)}
-			if retry {
+			if tc.retry {
 				opts = append(opts, WithRetry(DefaultRetryPolicy()))
 			}
 			cl, obj := remoteOn[Gated](t, "gated", opts...)
@@ -67,7 +75,11 @@ func TestRetryOption(t *testing.T) {
 
 			echo := make(chan error, 1)
 			go func() {
-				v, err := Call[int](ctx, obj, "Echo", 3)
+				callCtx := ctx
+				if tc.without {
+					callCtx = WithoutRetry(ctx)
+				}
+				v, err := Call[int](callCtx, obj, "Echo", 3)
 				if err == nil && v != 3 {
 					err = fmt.Errorf("Echo(3) = %d", v)
 				}
@@ -76,11 +88,10 @@ func TestRetryOption(t *testing.T) {
 			waitFor(t, "the call to be shed", func() bool { return cl.Node(1).Stats().MailboxSheds > 0 })
 			gs.release()
 			err := <-echo
-			if retry && err != nil {
+			if retried := tc.retry && !tc.without; retried && err != nil {
 				t.Errorf("with WithRetry the shed call failed: %v", err)
-			}
-			if !retry && !errors.Is(err, ErrOverloaded) {
-				t.Errorf("without WithRetry the shed call returned %v, want ErrOverloaded", err)
+			} else if !retried && !errors.Is(err, ErrOverloaded) {
+				t.Errorf("a call with no retry returned %v, want ErrOverloaded", err)
 			}
 		})
 	}

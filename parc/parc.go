@@ -89,8 +89,6 @@ type (
 	Future = core.Future
 	// ProxyRef is a wire-encodable parallel-object reference.
 	ProxyRef = core.ProxyRef
-	// AggregationConfig tunes method-call aggregation.
-	AggregationConfig = core.AggregationConfig
 	// PlacementPolicy distributes new objects across nodes.
 	PlacementPolicy = core.PlacementPolicy
 	// NodeLoad is a node's load snapshot given to placement policies.
@@ -170,9 +168,6 @@ type (
 // result (the analogue of [Serializable]). Call it from an init function
 // for every payload struct.
 func RegisterType(sample any) { wire.Register(sample) }
-
-// RegisterTypeName registers sample under an explicit wire name.
-func RegisterTypeName(name string, sample any) { wire.RegisterName(name, sample) }
 
 // NetworkParams shapes the simulated inter-node network.
 type NetworkParams = netsim.Params

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -62,6 +63,79 @@ func TestClusterDefaultsToOneNode(t *testing.T) {
 	defer cl.Close()
 	if cl.Size() != 1 {
 		t.Errorf("Size = %d, want 1", cl.Size())
+	}
+}
+
+// TestPlacementPolicies: LocalOnly keeps every object on the node that
+// creates it, LeastLoaded spreads them evenly, and the creating node's
+// directory entry for each object (Runtime.Lookup) names the node hosting
+// it.
+func TestPlacementPolicies(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy parc.PlacementPolicy
+		want   []int // objects hosted per node
+	}{
+		{"LocalOnly", parc.LocalOnly{}, []int{6, 0, 0}},
+		{"LeastLoaded", parc.LeastLoaded{}, []int{2, 2, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := parc.StartCluster(parc.WithNodes(3), parc.WithPlacement(tc.policy),
+				parc.WithLoadCacheTTL(time.Nanosecond)) // every placement sees fresh loads
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			cl.RegisterClass("counter", func() any { return &counter{} })
+			located := make([]int, cl.Size())
+			for i := 0; i < 6; i++ {
+				p, err := cl.Entry().NewParallelObject("counter")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var loc parc.ObjLoc
+				var ok bool
+				if loc, ok = cl.Entry().Lookup(p.URI()); !ok {
+					t.Fatalf("no directory entry for %s", p.URI())
+				}
+				located[loc.Node]++
+			}
+			hosted := make([]int, cl.Size())
+			for i := range hosted {
+				hosted[i] = cl.Node(i).Load()
+			}
+			if !slices.Equal(hosted, tc.want) || !slices.Equal(located, tc.want) {
+				t.Errorf("objects hosted per node %v, located by the directory %v, want %v", hosted, located, tc.want)
+			}
+		})
+	}
+}
+
+// TestPeerStatusGrades: with WithHealthProbe a node grades its peers alive,
+// and a peer that stops answering suspect, then down.
+func TestPeerStatusGrades(t *testing.T) {
+	cl, err := parc.StartCluster(parc.WithNodes(3), parc.WithHealthProbe(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	grade := func(node int) parc.PeerStatus { return cl.Entry().PeerStatuses()[node] }
+	if g1, g2 := grade(1), grade(2); g1 != parc.PeerAlive || g2 != parc.PeerAlive {
+		t.Fatalf("peers graded %v and %v, want PeerAlive", g1, g2)
+	}
+	cl.Node(2).Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for g := grade(2); g != parc.PeerDown; g = grade(2) {
+		if g != parc.PeerAlive && g != parc.PeerSuspect {
+			t.Fatalf("closed peer graded %v", g)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("closed peer still graded %v after 5 s", g)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if g := grade(1); g != parc.PeerAlive {
+		t.Errorf("live peer graded %v, want PeerAlive", g)
 	}
 }
 
@@ -175,6 +249,9 @@ func TestWithMailboxBoundShedsOverload(t *testing.T) {
 	p, err := cl.Entry().NewParallelObject("blocker")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if g := cl.Entry().Stats().OverloadGrade; g != parc.OverloadNone {
+		t.Fatalf("Stats().OverloadGrade = %v before any call, want OverloadNone", g)
 	}
 	// Occupy the actor, then fill the mailbox behind it.
 	ctx := context.Background()

@@ -6,28 +6,17 @@ import (
 	"repro/internal/core"
 )
 
-// VirtualConfig is the per-class policy of a virtual class; build one with
-// the VirtualOption helpers.
-type VirtualConfig = core.VirtualConfig
-
 // VirtualOption configures a virtual class registration.
-type VirtualOption func(*VirtualConfig)
+type VirtualOption func(*core.VirtualConfig)
 
-// WithReplicas has the owner of each instance stream passive state
-// snapshots to its n ring-successor nodes, so a replica can be promoted
-// (state intact) when the owner dies. 0 — the default — disables
-// replication: failover re-activates a fresh instance.
+// WithReplicas has the owner of each instance ship a passive state
+// snapshot to its n ring-successor nodes after every call, and hold the
+// call's reply until a replica acknowledged it, so a replica can be
+// promoted (state intact, no acknowledged call lost) when the owner dies.
+// 0 — the default — disables replication: failover re-activates a fresh
+// instance.
 func WithReplicas(n int) VirtualOption {
-	return func(cfg *VirtualConfig) { cfg.Replicas = n }
-}
-
-// WithSnapshotEvery ships a replica snapshot every n applied calls.
-// Values <= 1 (the default) replicate synchronously: each call's reply
-// waits for at least one replica acknowledgement, so no acknowledged call
-// is lost to a failover. Larger values ship asynchronously and replicas
-// may trail the owner by up to n calls.
-func WithSnapshotEvery(n int) VirtualOption {
-	return func(cfg *VirtualConfig) { cfg.SnapshotEvery = n }
+	return func(cfg *core.VirtualConfig) { cfg.Replicas = n }
 }
 
 // RegisterVirtual registers class as a virtual class on every node of the
@@ -47,8 +36,8 @@ func RegisterVirtualAt[T any](rt *Runtime, class string, opts ...VirtualOption) 
 	rt.RegisterVirtualClass(class, func() any { return new(T) }, virtualConfig(opts))
 }
 
-func virtualConfig(opts []VirtualOption) VirtualConfig {
-	var cfg VirtualConfig
+func virtualConfig(opts []VirtualOption) core.VirtualConfig {
+	var cfg core.VirtualConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
