@@ -155,12 +155,10 @@ func main() {
 		any = true
 		fmt.Fprintln(out, "================================================================")
 		n := 200
-		sweep := []int{1, 4, 16, 64}
 		if *full {
 			n = 600
-			sweep = []int{1, 4, 16, 64, 256}
 		}
-		rows, err := figures.RunAggregationSweep(n, sweep, profile.Network())
+		rows, err := figures.RunAggregationSweep(n, profile.Network())
 		if err != nil {
 			log.Fatal(err)
 		}

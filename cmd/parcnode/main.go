@@ -46,7 +46,6 @@ func main() {
 	peers := flag.String("peers", ":7001", "comma-separated listen addresses of all nodes, in node-id order")
 	demo := flag.String("demo", "", "workload to drive from this node: '' (serve only) or 'vcounter'")
 	n := flag.Int("n", 16, "keys -demo vcounter bumps, once each (at most 16)")
-	maxCalls := flag.Int("maxcalls", 16, "method-call aggregation batch size")
 	probe := flag.Duration("probe", 0, "peer health-probe interval (0 disables); down peers are excluded from placement")
 	rebalance := flag.Duration("rebalance", 0, "automatic rebalance interval (0 disables); overloaded nodes live-migrate objects away")
 	flag.Parse()
@@ -58,7 +57,6 @@ func main() {
 	rt, err := parc.ServeNode(
 		parc.WithNodeID(*id),
 		parc.WithListen(addrs[*id]),
-		parc.WithAggregation(*maxCalls, 0),
 		parc.WithHealthProbe(*probe),
 		parc.WithRebalance(*rebalance),
 	)

@@ -1,11 +1,11 @@
 // Primesieve: the paper's running example (Figs. 4–7) as a standalone
 // program — a pipeline of PrimeFilter parallel objects distributed over a
 // simulated cluster, with SCOOPP method-call aggregation batching the
-// per-number messages.
+// per-number messages that queue behind the one in flight.
 //
 // Run with:
 //
-//	go run ./examples/primesieve -n 500 -nodes 3 -maxcalls 16
+//	go run ./examples/primesieve -n 500 -nodes 3
 package main
 
 import (
@@ -21,13 +21,11 @@ import (
 func main() {
 	n := flag.Int("n", 500, "find primes <= n")
 	nodes := flag.Int("nodes", 3, "cluster nodes")
-	maxCalls := flag.Int("maxcalls", 16, "method-call aggregation batch size (1 disables)")
 	flag.Parse()
 
 	cl, err := parc.StartCluster(
 		parc.WithNodes(*nodes),
 		parc.WithNetwork(parc.Ethernet100()),
-		parc.WithAggregation(*maxCalls, 0),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -38,7 +36,7 @@ func main() {
 	}
 
 	start := time.Now()
-	primes, err := sieve.Pipeline(cl.Entry(), *n)
+	primes, err := sieve.Pipeline(cl.Entry(), *n, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -89,29 +89,6 @@ func TestShapedClusterCountsTraffic(t *testing.T) {
 	}
 }
 
-func TestAggregationForwarded(t *testing.T) {
-	cl, err := New(Options{
-		Nodes:  2,
-		Config: core.Config{Aggregation: core.AggregationConfig{MaxCalls: 4}, Placement: forceNode1{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.RegisterClass("echo", func() any { return &echo{} })
-	p, err := cl.Node(0).NewParallelObject("echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		p.Post("Bump")
-	}
-	p.Wait()
-	if st := cl.Node(0).Stats(); st.BatchesSent != 2 {
-		t.Errorf("batches = %d, want 2", st.BatchesSent)
-	}
-}
-
 type forceNode1 struct{}
 
 func (forceNode1) Pick(self int, loads []core.NodeLoad) int { return 1 }

@@ -183,13 +183,8 @@ func (a *actor) run() {
 			}
 		} else if t.fut != nil && t.fut.resolved() {
 			res.err = context.Canceled
-		} else if t.batch {
-			var n int
-			if n, res.err = a.w.InvokeBatch(ctx, t.method, t.args); res.err == nil {
-				res.val = n
-			}
 		} else {
-			res.val, res.err = a.w.Invoke1(ctx, t.method, t.args)
+			res.val, res.err = a.w.invoke(ctx, t.method, t.args, t.batch)
 		}
 		t.settle(res)
 

@@ -157,11 +157,10 @@ func (c *AsyncCall) submitLocal(act *actor) {
 }
 
 // submitRemote issues the call in the proxy's call order, behind the posts
-// issued before it and any aggregate they were buffered in: straight to its
-// connection, where calls to one object pipeline, or into the queue.
+// issued before it: straight to its connection, where calls to one object
+// pipeline, or into the queue.
 func (c *AsyncCall) submitRemote() {
 	a := &c.try
-	a.p.FlushAggregation()
 	if ref := a.p.endpoint(); a.p.calls.admit(a, ref) {
 		a.start(ref)
 	}
@@ -224,7 +223,7 @@ func (a *attempt) finish(v any, err error) {
 	} else if err != nil {
 		p.noteAsyncError(err)
 	}
-	p.calls.done()
+	p.calls.done(a)
 }
 
 // rerun finishes, at its turn, a call the completion-driven path could not: a

@@ -32,9 +32,9 @@
 //
 // Both SCOOPP run-time optimisations are implemented:
 //
-//   - method-call aggregation (Fig. 7): Proxy.Post buffers asynchronous
-//     calls per method and ships them as a single batch of AggregationConfig
-//     MaxCalls invocations;
+//   - method-call aggregation (Fig. 7): a remote proxy's posts are
+//     stop-and-wait, and the posts of one method queued behind the one in
+//     flight leave together, as one batch, when it finishes (callOrder);
 //   - object agglomeration: when the AgglomerationPolicy decides to remove
 //     parallelism, NewParallelObject creates the object locally and the
 //     proxy executes calls synchronously and serially in the caller's
@@ -84,8 +84,6 @@ type Config struct {
 	// Agglomeration packs objects into their creator's grain; default
 	// NeverAgglomerate.
 	Agglomeration AgglomerationPolicy
-	// Aggregation batches asynchronous calls; default disabled.
-	Aggregation AggregationConfig
 	// LoadCacheTTL bounds how stale placement load information may be.
 	// Default 50 ms.
 	LoadCacheTTL time.Duration

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +26,9 @@ func (c *counterObj) Add(v int) {
 	c.vals = append(c.vals, v)
 	c.n += v
 }
+
+// Append is Add under another name.
+func (c *counterObj) Append(v int) { c.Add(v) }
 
 func (c *counterObj) Total() int {
 	c.mu.Lock()
@@ -208,92 +211,59 @@ func asIntSlice(v any) ([]int, error) {
 	return nil, fmt.Errorf("not an int slice: %T", v)
 }
 
+// TestAggregationBatches: the posts queued behind one in flight leave in
+// batches of maxBatch, with no option set, and execute in issue order; once
+// they are done, the proxy keeps none of their arguments.
 func TestAggregationBatches(t *testing.T) {
-	rts := startNodes(t, 2, func(i int, cfg *Config) {
-		cfg.Placement = &forceNode{node: 1}
-		cfg.Aggregation = AggregationConfig{MaxCalls: 8}
-	})
-	p, err := rts[0].NewParallelObject("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 64
+	p, l, rts := heldRemote(t)
+	const n = 2 * maxBatch
 	for i := 0; i < n; i++ {
-		p.Post("Add", 1)
+		p.Post("Note", 2+i)
 	}
+	l.open()
 	p.Wait()
-	got, err := p.Invoke("Total")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != n {
-		t.Errorf("Total = %v, want %d", got, n)
+	for i, v := range l.order() {
+		if v != 1+i {
+			t.Fatalf("execution %d was post %d: issue order violated", i, v)
+		}
 	}
 	st := rts[0].Stats()
-	if st.BatchesSent != n/8 {
-		t.Errorf("batches sent = %d, want %d", st.BatchesSent, n/8)
+	if st.BatchesSent != 2 {
+		t.Errorf("batches sent = %d, want 2", st.BatchesSent)
 	}
 	if st.CallsAggregated != n {
 		t.Errorf("calls aggregated = %d, want %d", st.CallsAggregated, n)
+	}
+	p.calls.mu.Lock()
+	defer p.calls.mu.Unlock()
+	if p.calls.batched != nil || len(p.calls.lists) != 0 || slices.ContainsFunc(p.calls.lists[:cap(p.calls.lists)], func(l []any) bool { return l != nil }) {
+		t.Errorf("the proxy still holds a batch's arguments: %v", p.calls.lists[:cap(p.calls.lists)])
 	}
 }
 
 func TestAggregationFlushOnSyncCall(t *testing.T) {
 	rts := startNodes(t, 2, func(i int, cfg *Config) {
 		cfg.Placement = &forceNode{node: 1}
-		cfg.Aggregation = AggregationConfig{MaxCalls: 100}
 	})
 	p, _ := rts[0].NewParallelObject("counter")
-	p.Post("Add", 7) // buffered, far below MaxCalls
+	p.Post("Add", 7)
 	got, err := p.Invoke("Total")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 7 {
-		t.Errorf("sync call did not flush buffered posts: Total = %v", got)
+		t.Errorf("sync call ran ahead of the post before it: Total = %v", got)
 	}
-}
-
-func TestAggregationMaxDelayTimer(t *testing.T) {
-	rts := startNodes(t, 2, func(i int, cfg *Config) {
-		cfg.Placement = &forceNode{node: 1}
-		cfg.Aggregation = AggregationConfig{MaxCalls: 1000, MaxDelay: 20 * time.Millisecond}
-	})
-	p, _ := rts[0].NewParallelObject("counter")
-	p.Post("Add", 5)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		got, err := p.Invoke2Total(t)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got == 5 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("MaxDelay timer never flushed the buffer")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// Invoke2Total reads Total without flushing the aggregation buffer, so the
-// timer path is observable. It bypasses Proxy.Invoke's flush-first rule via
-// the raw remote endpoint.
-func (p *Proxy) Invoke2Total(t *testing.T) (any, error) {
-	t.Helper()
-	return p.endpoint().InvokeNestedCtx(context.Background(), nil, "Invoke1", "Total", nil)
 }
 
 func TestAggregationMethodChangeFlushes(t *testing.T) {
 	rts := startNodes(t, 2, func(i int, cfg *Config) {
 		cfg.Placement = &forceNode{node: 1}
-		cfg.Aggregation = AggregationConfig{MaxCalls: 100}
 	})
 	p, _ := rts[0].NewParallelObject("counter")
 	p.Post("Add", 1)
 	p.Post("Add", 2)
-	// Switching methods must flush the Add buffer first to keep order.
+	// A post of another method ends the batch of Adds.
 	p.Post("Fail")
 	p.Wait()
 	got, err := p.Invoke("Total")
@@ -552,5 +522,26 @@ func TestActorSequentialExecution(t *testing.T) {
 	}
 	if got != 400 {
 		t.Errorf("Total = %v, want 400", got)
+	}
+}
+
+// TestWireNamesArePinned: the names the runtime's wire types travel under
+// are what a node of another build decodes them by, so each must appear in
+// its type's encoding as written here. Every node of one process registers
+// the same name, so no other test sees a rename.
+func TestWireNamesArePinned(t *testing.T) {
+	for name, v := range map[string]any{
+		"core.ProxyRef":     ProxyRef{},
+		"core.ResolveReply": resolveReply{},
+		"core.ReplicaInfo":  replicaInfo{},
+		"core.LoadInfo":     loadInfo{},
+	} {
+		b, err := wire.BinFmt{}.Marshal(v)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(string(b), name) {
+			t.Errorf("%T encodes as %q, which does not name %s", v, b, name)
+		}
 	}
 }

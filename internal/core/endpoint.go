@@ -23,15 +23,8 @@ var (
 // runtime calls go straight to their methods, any other name by the flat
 // list.
 func (w *ioWrapper) InvokeNested(ctx context.Context, call, method string, args []any) (any, error) {
-	switch call {
-	case "Invoke1":
-		return w.Invoke1(ctx, method, args)
-	case "InvokeBatch":
-		n, err := w.InvokeBatch(ctx, method, args)
-		if err != nil {
-			return nil, err
-		}
-		return n, nil
+	if call == "Invoke1" || call == "InvokeBatch" {
+		return w.invoke(ctx, method, args, call == "InvokeBatch")
 	}
 	return dispatch.InvokeCtx(ctx, w, call, []any{method, args})
 }

@@ -285,14 +285,22 @@ func TestAllocBudgetLocalAsync(t *testing.T) {
 // connection's record inside it: no argument list is built around the
 // method name and the arguments, and neither is boxed. Both ends are
 // counted; the method has a thunk and takes a small int, so the server
-// allocates nothing for it. A list, a turn or an attempt of its own again
-// fails the budget of 1.
+// allocates nothing for it. The posts queued behind the first leave in
+// batches, which allocate nothing of their own at either end. A list, a
+// turn or an attempt of its own again fails the budget of 1.
 func TestAllocBudgetRemotePost(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	rts := startNodes(t, 2, func(_ int, cfg *Config) { cfg.Placement = &forceNode{node: 1} })
 	checkPostBudget(t, probeOn(t, rts, false, false), "remote", 1)
+	st := rts[0].Stats()
+	frames := st.AsyncCalls - st.CallsAggregated + st.BatchesSent
+	if frames >= st.AsyncCalls {
+		t.Errorf("%d posts left in %d frames: none shared a batch", st.AsyncCalls, frames)
+	} else {
+		t.Logf("%d posts left in %d frames, %d of them batches", st.AsyncCalls, frames, st.BatchesSent)
+	}
 }
 
 // checkPostBudget holds PostCtx on p to budget allocations a post, measured

@@ -18,7 +18,9 @@ import (
 //     still routes at (a redirect builds a fresh one, which ends such a
 //     run). Every other call queues, and queued calls start one at a time,
 //     each once nothing else is in flight, against the endpoint current at
-//     its turn. A post is never sent straight: posts are stop-and-wait.
+//     its turn. A post is never sent straight: posts are stop-and-wait, and
+//     a queued post leaves with the posts of its method queued right behind
+//     it, as one batch (coalesce): nothing waits for a batch to fill.
 //   - A call that must be re-run (its submission was declined, or its
 //     outcome says moved, node down or destroyed) is recorded before the
 //     submission or the completion returns, and from then on new calls
@@ -41,7 +43,17 @@ type callOrder struct {
 	queue, tail *attempt         // calls waiting their turn, oldest first
 	reruns      *attempt         // calls to re-run, lowest issue number first
 	drained     chan struct{}    // closed when nothing is left; made by the first waiter
+	// batched is the one batch in flight or to be re-run, nil for none. Its
+	// arguments are batch, whose i-th element points at lists[i], the
+	// argument list of its i-th post.
+	batched *attempt
+	batch   []any
+	lists   [][]any
 }
+
+// maxBatch caps a batch: the size the A1 sieve ran fastest at when it was
+// a setting (2,000 numbers in 0.21-0.23 s, 0.68 s with one post a frame).
+const maxBatch = 32
 
 // admit counts a, issued now, and reports whether it starts at once: an
 // InvokeAsync straight at ref, the endpoint it would be sent at, or a post
@@ -92,9 +104,14 @@ func (o *callOrder) inTurn(a *attempt) bool {
 	return o.reruns == nil || o.reruns.issue > a.issue
 }
 
-// done counts a call in flight finished, after its outcome was reported.
-func (o *callOrder) done() {
+// done counts a, in flight, finished, after its outcome was reported. A
+// batch lets go of its posts' arguments.
+func (o *callOrder) done(a *attempt) {
 	o.mu.Lock()
+	if a == o.batched {
+		clear(o.lists)
+		o.lists, o.batched = o.lists[:0], nil
+	}
 	o.inflight--
 	o.next()
 }
@@ -102,25 +119,20 @@ func (o *callOrder) done() {
 // next, with mu held, which it releases, starts whatever's turn it is once
 // nothing is in flight: the first re-run, on a goroutine of its own, or else
 // the oldest queued call whose future is not resolved already (one that was
-// cancelled while it waited is declined: nothing is sent). With nothing left
-// it lets the waiters go.
+// cancelled while it waited is declined: nothing is sent), a post with the
+// posts that share its turn. With nothing left it lets the waiters go.
 func (o *callOrder) next() {
 	for o.inflight == 0 {
 		a, again := o.reruns, true
 		if a != nil {
-			o.reruns = a.next
-		} else if a, again = o.queue, false; a != nil {
-			if o.queue = a.next; o.queue == nil {
-				o.tail = nil
-			}
-		} else {
+			o.reruns, a.next = a.next, nil
+		} else if a, again = o.take(), false; a == nil {
 			if o.drained != nil {
 				close(o.drained)
 				o.drained = nil
 			}
 			break
 		}
-		a.next = nil
 		o.inflight, o.straight = 1, nil
 		o.mu.Unlock()
 		if again {
@@ -136,6 +148,53 @@ func (o *callOrder) next() {
 		o.inflight--
 	}
 	o.mu.Unlock()
+}
+
+// take, with mu held, takes the oldest queued call off the queue, a post
+// with the posts that share its turn (coalesce), or returns nil.
+func (o *callOrder) take() *attempt {
+	a := o.queue
+	if a == nil {
+		return nil
+	}
+	if o.queue = a.next; a.f == nil {
+		o.coalesce(a)
+	}
+	if o.queue == nil {
+		o.tail = nil
+	}
+	a.next = nil
+	return a
+}
+
+// coalesce, with mu held, makes a, a post whose turn it is, one batch with
+// the posts of its method queued right behind it, up to maxBatch, taking
+// them off the queue: InvokeBatch of their argument lists. A call with a
+// future or a post of another method ends the batch; with none, a leaves
+// alone.
+func (o *callOrder) coalesce(a *attempt) {
+	ctx, _, method, args := a.rec.Call()
+	lists := append(o.lists[:0], args)
+	for m := o.queue; len(lists) < maxBatch && m != nil && m.f == nil; m = o.queue {
+		_, _, mm, margs := m.rec.Call()
+		if mm != method {
+			break
+		}
+		lists = append(lists, margs)
+		o.queue, m.next = m.next, nil
+	}
+	if len(lists) == 1 {
+		lists[0] = nil
+		return
+	}
+	o.lists, o.batch = lists, o.batch[:0]
+	for i := range o.lists {
+		o.batch = append(o.batch, &o.lists[i])
+	}
+	a.rec.SetCall(ctx, "InvokeBatch", method, o.batch)
+	o.batched = a
+	a.p.rt.batchesSent.Add(1)
+	a.p.rt.callsAggregated.Add(int64(len(o.lists)))
 }
 
 // flush waits until nothing counted is left, or ctx ends (the calls keep

@@ -13,21 +13,6 @@ import (
 	"repro/internal/wire"
 )
 
-// AggregationConfig controls method-call aggregation.
-type AggregationConfig struct {
-	// MaxCalls is the number of buffered asynchronous calls that
-	// triggers a batch send (the paper's maxCalls, "calls per message").
-	// Values <= 1 disable aggregation.
-	MaxCalls int
-	// MaxDelay flushes a non-empty buffer this long after its first
-	// call, bounding the latency cost of waiting for a full batch.
-	// Zero means no timer (explicit Flush or a full/sync call flushes).
-	MaxDelay time.Duration
-}
-
-// enabled reports whether Posts should buffer.
-func (a AggregationConfig) enabled() bool { return a.MaxCalls > 1 }
-
 // NodeLoad is one node's load snapshot used for placement. Overload is
 // the node's admission-control grade at probe time: load-aware policies
 // prefer cooler nodes, and every policy avoids Shedding nodes while any

@@ -1,18 +1,17 @@
 package core
 
-// This file holds a proxy's posts, calls with no result, and aggregation.
+// This file holds a proxy's posts, calls with no result.
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/errs"
 )
 
 // Post performs an asynchronous method call with no result (the paper's
-// "asynchronous (when no value is returned)" calls). On remote proxies
-// Posts are subject to method-call aggregation; Posts to one proxy execute
-// in order.
+// "asynchronous (when no value is returned)" calls). Posts to one proxy
+// execute in order; on a remote proxy, the posts queued behind the one in
+// flight leave together, as one batch (method-call aggregation).
 func (p *Proxy) Post(method string, args ...any) {
 	p.PostCtx(context.Background(), method, args...) //nolint:errcheck // errors flow to AsyncErr
 }
@@ -75,68 +74,17 @@ func (p *postErrors) Complete(_ any, err error) {
 	}
 }
 
-// postRemote issues one asynchronous call in the proxy's call order.
+// postRemote issues one post in the proxy's call order as an attempt with
+// no future, which is all a post allocates: the order holds the attempt, and
+// the call is sent in the runtime-call shape, so no list is built around its
+// arguments. A post is never sent straight: it starts alone when nothing is
+// in flight, and otherwise waits its turn, which the posts of its method
+// queued right behind it share (callOrder.next).
 func (p *Proxy) postRemote(method string, args []any) error {
-	if p.rt.cfg.Aggregation.enabled() {
-		p.aggregate(method, args)
-		return nil
-	}
-	p.post("Invoke1", method, args)
-	return nil
-}
-
-// post issues call(method, args) in the call order as an attempt with no
-// future, which is all a post allocates: the order holds the attempt, and the
-// call is sent in the runtime-call shape, so no list is built around its
-// arguments. A post is never sent straight: it starts alone.
-func (p *Proxy) post(call, method string, args []any) {
 	a := &attempt{p: p}
-	a.rec.SetCall(context.Background(), call, method, args)
+	a.rec.SetCall(context.Background(), "Invoke1", method, args)
 	if p.calls.admit(a, nil) {
 		a.start(p.endpoint())
 	}
-}
-
-// aggregate buffers one asynchronous call, flushing when the method
-// changes, the buffer reaches MaxCalls, or the MaxDelay timer fires —
-// the delay-and-combine of the paper's Fig. 7.
-func (p *Proxy) aggregate(method string, args []any) {
-	p.aggMu.Lock()
-	if p.aggMethod != "" && p.aggMethod != method {
-		p.flushLocked()
-	}
-	p.aggMethod = method
-	p.aggCalls = append(p.aggCalls, []any(args))
-	p.rt.callsAggregated.Add(1)
-	if len(p.aggCalls) >= p.rt.cfg.Aggregation.MaxCalls {
-		p.flushLocked()
-	} else if p.rt.cfg.Aggregation.MaxDelay > 0 && p.aggTimer == nil {
-		p.aggTimer = time.AfterFunc(p.rt.cfg.Aggregation.MaxDelay, p.FlushAggregation)
-	}
-	p.aggMu.Unlock()
-}
-
-// FlushAggregation sends any buffered aggregate immediately.
-func (p *Proxy) FlushAggregation() {
-	p.aggMu.Lock()
-	p.flushLocked()
-	p.aggMu.Unlock()
-}
-
-// flushLocked requires aggMu held.
-func (p *Proxy) flushLocked() {
-	if p.aggTimer != nil {
-		p.aggTimer.Stop()
-		p.aggTimer = nil
-	}
-	if len(p.aggCalls) == 0 {
-		p.aggMethod = ""
-		return
-	}
-	method := p.aggMethod
-	calls := p.aggCalls
-	p.aggMethod = ""
-	p.aggCalls = nil
-	p.rt.batchesSent.Add(1)
-	p.post("InvokeBatch", method, calls)
+	return nil
 }

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // modelObj is the reference model: operations applied sequentially.
@@ -16,7 +15,7 @@ type modelObj struct {
 }
 
 // The property: for ANY sequence of Post("Add", v) and sync Invoke("Values")
-// operations, under ANY configuration (placement, aggregation), the observed
+// operations, under ANY configuration (placement, agglomeration), the observed
 // value sequences equal the model's — i.e. per-object asynchronous calls
 // are executed exactly once, in order, and sync calls are correctly
 // ordered after them. This is the SCOOPP semantics the optimisations must
@@ -27,8 +26,9 @@ type opSeq struct {
 }
 
 type op struct {
-	add   bool
-	value int
+	add    bool
+	value  int
+	method string // the post's method, Add when empty
 }
 
 // Generate implements quick.Generator: sequences of 1-40 mixed operations.
@@ -57,7 +57,7 @@ func runScenario(t *testing.T, seq opSeq, mutate func(cfg *Config)) error {
 	model := modelObj{}
 	for i, o := range seq.ops {
 		if o.add {
-			p.Post("Add", o.value)
+			p.Post(cmp.Or(o.method, "Add"), o.value)
 			model.vals = append(model.vals, o.value)
 			continue
 		}
@@ -101,11 +101,27 @@ func TestPropertySequentialConsistencyRemote(t *testing.T) {
 	}
 }
 
+// mixedSeq is an opSeq whose posts switch now and then between Add and
+// Append, two names for one operation: the posts of one method batch, and a
+// switch ends the batch.
+type mixedSeq struct{ opSeq }
+
+func (mixedSeq) Generate(r *rand.Rand, size int) reflect.Value {
+	seq := opSeq{}.Generate(r, size).Interface().(opSeq)
+	methods, m := [2]string{"Add", "Append"}, 0
+	for i := range seq.ops {
+		if r.Intn(4) == 0 {
+			m = 1 - m
+		}
+		seq.ops[i].method = methods[m]
+	}
+	return reflect.ValueOf(mixedSeq{seq})
+}
+
 func TestPropertySequentialConsistencyAggregated(t *testing.T) {
-	f := func(seq opSeq) bool {
-		err := runScenario(t, seq, func(cfg *Config) {
+	f := func(seq mixedSeq) bool {
+		err := runScenario(t, seq.opSeq, func(cfg *Config) {
 			cfg.Placement = &forceNode{node: 1}
-			cfg.Aggregation = AggregationConfig{MaxCalls: 5}
 		})
 		if err != nil {
 			t.Log(err)
@@ -150,15 +166,14 @@ func TestPropertySequentialConsistencyLocal(t *testing.T) {
 	}
 }
 
-// TestPropertyAggregationConservation: for any MaxCalls and any post count,
-// batches × sizes account for every call (none lost, none duplicated).
+// TestPropertyAggregationConservation: for any post count, every post
+// executes once, and the batch counters account for the posts that left in
+// batches: at least two and at most maxBatch a batch.
 func TestPropertyAggregationConservation(t *testing.T) {
-	f := func(rawMax uint8, rawPosts uint8) bool {
-		maxCalls := int(rawMax%16) + 2 // 2..17
+	f := func(rawPosts uint8) bool {
 		posts := int(rawPosts%120) + 1 // 1..120
 		rts := startNodes(t, 2, func(i int, cfg *Config) {
 			cfg.Placement = &forceNode{node: 1}
-			cfg.Aggregation = AggregationConfig{MaxCalls: maxCalls}
 		})
 		p, err := rts[0].NewParallelObject("counter")
 		if err != nil {
@@ -175,51 +190,17 @@ func TestPropertyAggregationConservation(t *testing.T) {
 			return false
 		}
 		if got != posts {
-			t.Logf("maxCalls=%d posts=%d total=%v", maxCalls, posts, got)
+			t.Logf("posts=%d total=%v", posts, got)
 			return false
 		}
 		st := rts[0].Stats()
-		wantBatches := int64(posts+maxCalls-1) / int64(maxCalls)
-		// A sync barrier flushes a partial batch, so the batch count is
-		// exactly ceil(posts/maxCalls).
-		if st.BatchesSent != wantBatches {
-			t.Logf("batches=%d want %d", st.BatchesSent, wantBatches)
+		if st.CallsAggregated > int64(posts) || 2*st.BatchesSent > st.CallsAggregated || st.CallsAggregated > maxBatch*st.BatchesSent {
+			t.Logf("posts=%d: %d batches carried %d posts", posts, st.BatchesSent, st.CallsAggregated)
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestPropertyAggregationTimerDelivers: every buffered call is eventually
-// delivered by the MaxDelay timer even when the buffer never fills.
-func TestPropertyAggregationTimerDelivers(t *testing.T) {
-	rts := startNodes(t, 2, func(i int, cfg *Config) {
-		cfg.Placement = &forceNode{node: 1}
-		cfg.Aggregation = AggregationConfig{MaxCalls: 1000, MaxDelay: 10 * time.Millisecond}
-	})
-	p, err := rts[0].NewParallelObject("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		p.Post("Add", 1)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		// Bypass the flush-on-sync path to observe the timer.
-		res, err := p.endpoint().InvokeNestedCtx(context.Background(), nil, "Invoke1", "Total", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res == 3 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timer never flushed: total = %v", res)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -66,12 +66,6 @@ type Proxy struct {
 	// calls, which a collection does not take from it.
 	args keep.Store[[]any]
 
-	// aggregation state (remote mode only)
-	aggMu     sync.Mutex
-	aggMethod string
-	aggCalls  []any
-	aggTimer  *time.Timer
-
 	errMu   sync.Mutex
 	asyncEr error
 
@@ -413,7 +407,6 @@ func (p *Proxy) invokeInCaller(ctx context.Context, method string, args []any) (
 // remoteInvokeOrdered performs a synchronous remote call once every
 // asynchronous call issued before it has finished.
 func (p *Proxy) remoteInvokeOrdered(ctx context.Context, sink remoting.ResultSink, method string, args []any) (any, error) {
-	p.FlushAggregation()
 	if err := p.calls.flush(ctx); err != nil {
 		return nil, fmt.Errorf("core: flush before %s.%s: %w", p.class, method, err)
 	}
@@ -423,8 +416,8 @@ func (p *Proxy) remoteInvokeOrdered(ctx context.Context, sink remoting.ResultSin
 }
 
 // Wait blocks until every asynchronous call issued on this proxy has
-// executed (aggregation buffers are flushed first). It is the
-// synchronisation point farming masters use before reading results.
+// executed. It is the synchronisation point farming masters use before
+// reading results.
 func (p *Proxy) Wait() {
 	p.WaitCtx(context.Background()) //nolint:errcheck // background ctx never errs
 }
@@ -448,7 +441,6 @@ func (p *Proxy) WaitCtx(ctx context.Context) error {
 		// Local posts ran in the mailbox; agglomerated ones inline.
 		return nil
 	}
-	p.FlushAggregation()
 	return p.calls.flush(ctx)
 }
 

@@ -99,11 +99,27 @@ func errFenced(uri string) error {
 	return fmt.Errorf("core: %s: this copy is fenced pending promotion elsewhere: %w", uri, errs.ErrNodeDown)
 }
 
-// Invoke1 executes one method invocation on the IO. Calls carrying an
-// idempotency token are deduplicated: a token already recorded means the
-// call executed here before (a retry whose reply was lost), so the recorded
-// reply is replayed instead of executing again.
+// Invoke1 executes one method invocation on the IO.
 func (w *ioWrapper) Invoke1(ctx context.Context, method string, args []any) (any, error) {
+	return w.invoke(ctx, method, args, false)
+}
+
+// InvokeBatch replays an aggregate message, the processN of Fig. 7: calls
+// is a list of argument lists for method, one call each, in order. It
+// returns the number of calls, and is deduplicated, timed and replicated as
+// one call is.
+func (w *ioWrapper) InvokeBatch(ctx context.Context, method string, calls []any) (int, error) {
+	res, err := w.invoke(ctx, method, calls, true)
+	n, _ := res.(int)
+	return n, err
+}
+
+// invoke runs one runtime call on the IO: method(args), or with batch set
+// one call of method for each argument list in args (runBatch). A call
+// carrying an idempotency token is deduplicated: a token already recorded
+// means the call executed here before (a retry whose reply was lost), so the
+// recorded reply is replayed instead of executing again.
+func (w *ioWrapper) invoke(ctx context.Context, method string, args []any, batch bool) (any, error) {
 	if w.fenced.Load() {
 		return nil, errFenced(w.uri)
 	}
@@ -122,9 +138,16 @@ func (w *ioWrapper) Invoke1(ctx context.Context, method string, args []any) (any
 			return rep.Result, dedupReplayError(rep)
 		}
 	}
-	start := time.Now()
-	res, err := dispatch.InvokeCtx(ctx, w.obj, method, args)
-	w.grain(time.Since(start))
+	start, calls := time.Now(), 1
+	var res any
+	var err error
+	if batch {
+		calls = len(args)
+		res, err = w.runBatch(ctx, method, args)
+	} else {
+		res, err = dispatch.InvokeCtx(ctx, w.obj, method, args)
+	}
+	w.grain(time.Since(start) / time.Duration(max(calls, 1)))
 	record := hasTok && dedupRecordable(err)
 	rep := remoting.DedupReply{
 		Result:  res,
@@ -132,7 +155,11 @@ func (w *ioWrapper) Invoke1(ctx context.Context, method string, args []any) (any
 		ErrCode: errs.Code(err),
 		IsErr:   err != nil,
 	}
-	if err == nil && w.virt != nil {
+	if w.virt != nil && (err == nil || batch) {
+		// A batch whose member failed ran every other member (runBatch), so
+		// its effects ship as a success's do, and the first error is
+		// returned after them.
+		//
 		// The dedup record is committed by replicateAfterCalls, inside the
 		// same critical section that publishes the snapshot it is embedded
 		// in: a promotion census reading (snapshot, dedup memory) under that
@@ -145,7 +172,7 @@ func (w *ioWrapper) Invoke1(ctx context.Context, method string, args []any) (any
 			rec = &pendingRecord{tok: tok, rep: rep}
 			record = false
 		}
-		if rerr := w.rt.replicateAfterCalls(ctx, w, 1, rec); rerr != nil {
+		if rerr := w.rt.replicateAfterCalls(ctx, w, calls, rec); rerr != nil {
 			// Synchronous replication failed: surface it so the caller
 			// retries (and its retry re-replicates) instead of receiving an
 			// acknowledgement for state no replica has.
@@ -211,33 +238,47 @@ func dedupReplayError(rep remoting.DedupReply) error {
 	return errors.New(rep.ErrMsg)
 }
 
-// InvokeBatch replays an aggregate message: calls is a list of argument
-// lists for method, decoded here when it is a remote call's pending list.
-// It returns the number of calls applied.
-func (w *ioWrapper) InvokeBatch(ctx context.Context, method string, calls []any) (int, error) {
-	if w.fenced.Load() {
-		return 0, errFenced(w.uri)
-	}
-	if err := wire.DecodeArgs(calls); err != nil {
-		return 0, err
-	}
-	start := time.Now()
+// runBatch runs method once for each argument list in calls, in order. A
+// remote batch's lists are still pending, and each is bound the way a single
+// call's is, element by element where the method takes it
+// (wire.Pending.List). A call that fails skips none after it: runBatch
+// returns the number of calls, or the first error as a memberError.
+func (w *ioWrapper) runBatch(ctx context.Context, method string, calls []any) (any, error) {
+	var first error
 	for i, c := range calls {
-		args, ok := c.([]any)
-		if !ok {
-			return i, fmt.Errorf("core: batch element %d is %T, want argument list", i, c)
+		var args []any
+		var err error
+		switch c := c.(type) {
+		case *wire.Pending:
+			args, err = c.List()
+		case []any:
+			args = c
+		default:
+			err = fmt.Errorf("core: batch element %d is %T, want argument list", i, c)
 		}
-		if _, err := dispatch.InvokeCtx(ctx, w.obj, method, args); err != nil {
-			return i, err
+		if err == nil {
+			_, err = dispatch.InvokeCtx(ctx, w.obj, method, args)
+		}
+		if first == nil && err != nil {
+			first = memberError{err}
 		}
 	}
-	if n := len(calls); n > 0 {
-		w.grain(time.Since(start) / time.Duration(n))
-		if w.virt != nil {
-			if rerr := w.rt.replicateAfterCalls(ctx, w, n, nil); rerr != nil {
-				return 0, rerr
-			}
-		}
+	if first != nil {
+		return nil, first
 	}
 	return len(calls), nil
+}
+
+// memberError is the failure of one call of a batch. The batch ran, so it
+// unwraps to none of the outcomes that read as a refusal of the whole call
+// (moved, node down, destroyed, overloaded, cut off: see dedupRecordable):
+// a member's own ErrNodeDown, from a nested call to a down peer, say, would
+// have the caller re-run the batch, and with it the members that succeeded.
+type memberError struct{ error }
+
+func (e memberError) Unwrap() error {
+	if dedupRecordable(e.error) {
+		return e.error
+	}
+	return nil
 }

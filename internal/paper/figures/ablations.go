@@ -13,52 +13,62 @@ import (
 )
 
 // Ablation A1 — method-call aggregation. The sieve pipeline posts one
-// fine-grain Process call per candidate number; sweeping MaxCalls shows the
-// SCOOPP aggregation win (fewer, larger messages) the paper's §3.1 claims.
+// fine-grain Process call per candidate number. Run as it is, the posts
+// queued behind one in flight leave together as one batch; run with every
+// stage sending each post alone, none does. The gap is the SCOOPP
+// aggregation win (fewer, larger messages) the paper's §3.1 claims.
 
-// AggRow is one point of the aggregation sweep.
+// AggRow is one run of the aggregation ablation. Frames counts what the
+// posts went out in: one for each batch, and one for each post that went
+// alone (to a remote object in a frame of its own, to a local one as a
+// mailbox entry of its own).
 type AggRow struct {
-	MaxCalls    int
+	Mode        string
 	Seconds     float64
-	Batches     int64
+	Posts       int64
+	Frames      int64
+	PerBatch    float64 // the mean batch, 0 with none
 	PrimesFound int
 }
 
 // RunAggregationSweep runs the pipelined sieve up to n on a 2-node shaped
-// cluster for each MaxCalls setting.
-func RunAggregationSweep(n int, maxCalls []int, net netsim.Params) ([]AggRow, error) {
+// cluster twice: with adaptive batching, and with one post a frame.
+func RunAggregationSweep(n int, net netsim.Params) ([]AggRow, error) {
 	var rows []AggRow
-	for _, mc := range maxCalls {
+	for _, alone := range []bool{false, true} {
 		network, _ := monoNet(net)
-		cl, err := cluster.New(cluster.Options{
-			Nodes:   2,
-			Network: network,
-			Config:  core.Config{Aggregation: core.AggregationConfig{MaxCalls: mc}},
-		})
+		cl, err := cluster.New(cluster.Options{Nodes: 2, Network: network})
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < cl.Size(); i++ {
 			sieve.RegisterClasses(cl.Node(i))
 		}
+		row := AggRow{Mode: "adaptive"}
+		if alone {
+			row.Mode = "one post a frame"
+		}
 		start := time.Now()
-		primes, err := sieve.Pipeline(cl.Node(0), n)
-		elapsed := time.Since(start)
+		primes, err := sieve.Pipeline(cl.Node(0), n, alone)
+		row.Seconds = time.Since(start).Seconds()
 		if err != nil {
 			cl.Close()
-			return nil, fmt.Errorf("bench: sieve maxCalls=%d: %w", mc, err)
+			return nil, fmt.Errorf("bench: sieve %s: %w", row.Mode, err)
 		}
-		var batches int64
+		var batches, batched int64
 		for i := 0; i < cl.Size(); i++ {
-			batches += cl.Node(i).Stats().BatchesSent
+			st := cl.Node(i).Stats()
+			row.Posts += st.AsyncCalls
+			batches += st.BatchesSent
+			batched += st.CallsAggregated
 		}
 		cl.Close()
-		rows = append(rows, AggRow{
-			MaxCalls:    mc,
-			Seconds:     elapsed.Seconds(),
-			Batches:     batches,
-			PrimesFound: len(primes),
-		})
+		row.Frames = row.Posts - batched + batches
+		if batches > 0 {
+			row.PerBatch = float64(batched) / float64(batches)
+		}
+		row.PrimesFound = len(primes)
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -202,26 +202,28 @@ func TestMeasuredOverheadSmall(t *testing.T) {
 	}
 }
 
-// TestAggregationSweepShape: more aggregation, fewer batches; correctness
-// invariant: prime counts identical across settings.
+// TestAggregationSweepShape: adaptive batching sends the pipeline's posts
+// in fewer frames than posts, one post a frame sends none in a batch, and
+// both find π(150) = 35.
 func TestAggregationSweepShape(t *testing.T) {
-	rows, err := RunAggregationSweep(150, []int{1, 8, 32}, netsim.Params{})
+	rows, err := RunAggregationSweep(150, netsim.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
 		if r.PrimesFound != 35 { // π(150)
-			t.Errorf("maxCalls=%d found %d primes, want 35", r.MaxCalls, r.PrimesFound)
+			t.Errorf("%s found %d primes, want 35", r.Mode, r.PrimesFound)
 		}
+		t.Logf("%s: %.3f s, %d posts in %d frames, %.1f posts a batch", r.Mode, r.Seconds, r.Posts, r.Frames, r.PerBatch)
 	}
-	if rows[0].Batches != 0 {
-		t.Errorf("maxCalls=1 should disable batching, sent %d", rows[0].Batches)
+	if adaptive := rows[0]; adaptive.Frames >= adaptive.Posts {
+		t.Errorf("adaptive batching sent %d posts in %d frames, want fewer frames than posts", adaptive.Posts, adaptive.Frames)
 	}
-	if rows[1].Batches == 0 {
-		t.Error("maxCalls=8 sent no batches")
+	if each := rows[1]; each.PerBatch != 0 || each.Frames != each.Posts {
+		t.Errorf("one post a frame sent batches of %.1f, %d posts in %d frames", each.PerBatch, each.Posts, each.Frames)
 	}
 }
 
@@ -250,8 +252,11 @@ func TestAgglomerationAblationShape(t *testing.T) {
 	// Packing wins by removing the communication: counted, not timed (the
 	// seconds are A2's printed figure).
 	t.Logf("timed: always %.3fs, never %.3fs", always.Seconds, never.Seconds)
-	if never.Msgs < 2*20 || always.Msgs != 0 {
-		t.Errorf("packing fine grains should remove the communication: always sent %d messages, want 0; never %d, want a call and a reply for each post to a remote object",
+	// An object's first post leaves alone and its other 19 share at least
+	// one more frame, so each of the 4 objects round-robin placement makes
+	// remote costs at least two calls and two replies.
+	if never.Msgs < 4*4 || always.Msgs != 0 {
+		t.Errorf("packing fine grains should remove the communication: always sent %d messages, want 0; never %d, want at least two calls and two replies for each remote object",
 			always.Msgs, never.Msgs)
 	}
 }
@@ -359,7 +364,7 @@ func TestPrinters(t *testing.T) {
 	PrintLatency(&sb, "lat", []LatencyResult{{Name: "x", RTT: time.Millisecond}})
 	PrintFig9(&sb, []Fig9Row{{Processors: 1, Seconds: map[string]float64{"ParC#": 1, "Java RMI": 2}}})
 	PrintSeqRatios(&sb, []SeqRatioRow{{Workload: "w", VM: "v", Ratio: 1}})
-	PrintAggregation(&sb, []AggRow{{MaxCalls: 1}})
+	PrintAggregation(&sb, []AggRow{{Mode: "m"}})
 	PrintAgglomeration(&sb, []AgglomRow{{Policy: "p"}})
 	PrintCodecs(&sb, []CodecRow{{Codec: "c"}})
 	PrintPool(&sb, []PoolRow{{PoolSize: 1}})

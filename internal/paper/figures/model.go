@@ -173,9 +173,9 @@ func PrintSeqRatios(w io.Writer, rows []SeqRatioRow) {
 // PrintAggregation renders ablation A1.
 func PrintAggregation(w io.Writer, rows []AggRow) {
 	fmt.Fprintln(w, "A1 — method-call aggregation (pipelined sieve)")
-	fmt.Fprintf(w, "%-10s %12s %10s %8s\n", "maxCalls", "seconds", "batches", "primes")
+	fmt.Fprintf(w, "%-18s %10s %8s %8s %12s %8s\n", "mode", "seconds", "posts", "frames", "posts/batch", "primes")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10d %12.3f %10d %8d\n", r.MaxCalls, r.Seconds, r.Batches, r.PrimesFound)
+		fmt.Fprintf(w, "%-18s %10.3f %8d %8d %12.1f %8d\n", r.Mode, r.Seconds, r.Posts, r.Frames, r.PerBatch, r.PrimesFound)
 	}
 }
 

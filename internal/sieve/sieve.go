@@ -140,6 +140,8 @@ type Filter struct {
 	next  *core.Proxy
 	sink  *core.Proxy
 	sref  core.ProxyRef
+	alone bool // send each post alone (see Pipeline)
+	sent  int  // Process calls posted to next
 }
 
 // NewFilterFactory returns the factory to register on a node; filters need
@@ -148,12 +150,14 @@ func NewFilterFactory(rt *core.Runtime) func() any {
 	return func() any { return &Filter{rt: rt} }
 }
 
-// Setup initialises the filter with its prime and the sink reference.
-func (f *Filter) Setup(prime int, sink core.ProxyRef) {
+// Setup initialises the filter with its prime, the sink reference and
+// whether it sends each post alone (see Pipeline).
+func (f *Filter) Setup(prime int, sink core.ProxyRef, alone bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.prime = prime
 	f.sref = sink
+	f.alone = alone
 	f.sink = f.rt.Attach(sink)
 	f.sink.Post("Add", prime)
 }
@@ -179,14 +183,29 @@ func (f *Filter) Process(n int) error {
 		if err != nil {
 			return err
 		}
-		if _, err := next.Invoke("Setup", n, f.sref); err != nil {
+		if _, err := next.Invoke("Setup", n, f.sref, f.alone); err != nil {
 			return err
 		}
 		f.next = next
 		return nil
 	}
-	f.next.Post("Process", n)
+	f.next.Post(processAs(f.alone, f.sent), n)
+	f.sent++
 	return nil
+}
+
+// Next is Process under a second name, for a pipeline that sends each post
+// alone: alternating the two, no post queues right behind a post of its own
+// method, so none joins a batch.
+func (f *Filter) Next(n int) error { return f.Process(n) }
+
+// processAs names the i-th Process call a stage sends: Process, or with
+// alone set, Process and Next in turn.
+func processAs(alone bool, i int) string {
+	if alone && i%2 == 1 {
+		return "Next"
+	}
+	return "Process"
 }
 
 // Flush propagates the end-of-stream marker down the pipeline and then
@@ -255,12 +274,13 @@ func RegisterClasses(rt *core.Runtime) {
 
 // Pipeline drives a full pipelined sieve on an existing runtime and
 // returns the primes <= n. The entry node creates the sink and the first
-// filter, streams candidates with asynchronous Sends (subject to the
-// runtime's aggregation configuration) and waits for the flush marker.
-// The driver rides the typed parc API; the filter chain itself stays
-// dynamic — it grows one parallel object per discovered prime, the
-// paper's running example.
-func Pipeline(rt *core.Runtime, n int) ([]int, error) {
+// filter, streams candidates with asynchronous Sends and waits for the
+// flush marker. The Sends, and the posts of every stage, queued behind one
+// in flight leave together as one batch; with alone set, each leaves in a
+// frame of its own (the A1 ablation's baseline). The driver rides the typed
+// parc API; the filter chain itself stays dynamic — it grows one parallel
+// object per discovered prime, the paper's running example.
+func Pipeline(rt *core.Runtime, n int, alone bool) ([]int, error) {
 	ctx := context.Background()
 	sink, err := parc.NewAt[Sink](rt, "sieve.Sink")
 	if err != nil {
@@ -274,11 +294,11 @@ func Pipeline(rt *core.Runtime, n int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := first.Invoke(ctx, "Setup", 2, sink.Ref()); err != nil {
+	if _, err := first.Invoke(ctx, "Setup", 2, sink.Ref(), alone); err != nil {
 		return nil, err
 	}
 	for i := 3; i <= n; i++ {
-		_ = first.Send(ctx, "Process", i) // execution errors flow to Err
+		_ = first.Send(ctx, processAs(alone, i), i) // execution errors flow to Err
 	}
 	_ = first.Send(ctx, "Flush")
 	if err := first.Wait(ctx); err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 )
 
 func TestSequentialCountKnownValues(t *testing.T) {
@@ -54,12 +53,9 @@ func TestListMatchesCountQuick(t *testing.T) {
 	}
 }
 
-func newSieveCluster(t *testing.T, nodes int, agg core.AggregationConfig) *cluster.Cluster {
+func newSieveCluster(t *testing.T, nodes int) *cluster.Cluster {
 	t.Helper()
-	cl, err := cluster.New(cluster.Options{
-		Nodes:  nodes,
-		Config: core.Config{Aggregation: agg},
-	})
+	cl, err := cluster.New(cluster.Options{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +67,8 @@ func newSieveCluster(t *testing.T, nodes int, agg core.AggregationConfig) *clust
 }
 
 func TestPipelineSingleNode(t *testing.T) {
-	cl := newSieveCluster(t, 1, core.AggregationConfig{})
-	primes, err := Pipeline(cl.Node(0), 100)
+	cl := newSieveCluster(t, 1)
+	primes, err := Pipeline(cl.Node(0), 100, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +78,8 @@ func TestPipelineSingleNode(t *testing.T) {
 }
 
 func TestPipelineMultiNode(t *testing.T) {
-	cl := newSieveCluster(t, 3, core.AggregationConfig{})
-	primes, err := Pipeline(cl.Node(0), 200)
+	cl := newSieveCluster(t, 3)
+	primes, err := Pipeline(cl.Node(0), 200, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +96,20 @@ func TestPipelineMultiNode(t *testing.T) {
 	}
 }
 
+// TestPipelineWithAggregation: with no option set, the candidates the
+// driver sends faster than the first filter takes them leave in batches.
 func TestPipelineWithAggregation(t *testing.T) {
-	cl := newSieveCluster(t, 2, core.AggregationConfig{MaxCalls: 16})
-	primes, err := Pipeline(cl.Node(0), 300)
+	cl := newSieveCluster(t, 2)
+	primes, err := Pipeline(cl.Node(0), 300, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(primes, SequentialList(300)) {
 		t.Errorf("aggregated pipeline primes wrong: %d found", len(primes))
 	}
-	// Aggregation must actually have batched messages.
 	st := cl.Node(0).Stats()
 	if st.BatchesSent == 0 {
-		t.Error("no batches sent despite aggregation enabled")
+		t.Error("no batches sent")
 	}
 	if st.BatchesSent >= st.CallsAggregated {
 		t.Errorf("batches (%d) not smaller than aggregated calls (%d)",
@@ -121,9 +118,9 @@ func TestPipelineWithAggregation(t *testing.T) {
 }
 
 func TestPipelineRepeatable(t *testing.T) {
-	cl := newSieveCluster(t, 2, core.AggregationConfig{})
+	cl := newSieveCluster(t, 2)
 	for round := 0; round < 2; round++ {
-		primes, err := Pipeline(cl.Node(0), 50)
+		primes, err := Pipeline(cl.Node(0), 50, false)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -145,7 +142,7 @@ func TestFarmedCountMatchesSequential(t *testing.T) {
 		{3, 200, 64}, // degenerate segments: more workers than numbers
 		{1, 9973, 7}, // prime bound, uneven split
 	} {
-		cl := newSieveCluster(t, tc.nodes, core.AggregationConfig{})
+		cl := newSieveCluster(t, tc.nodes)
 		got, err := FarmedCount(cl.Node(0), tc.n, tc.workers)
 		if err != nil {
 			t.Fatalf("FarmedCount(%d, %d): %v", tc.n, tc.workers, err)
@@ -158,7 +155,7 @@ func TestFarmedCountMatchesSequential(t *testing.T) {
 
 // TestFarmedCountTinyBounds pins the edge cases below the first segment.
 func TestFarmedCountTinyBounds(t *testing.T) {
-	cl := newSieveCluster(t, 1, core.AggregationConfig{})
+	cl := newSieveCluster(t, 1)
 	for n, want := range map[int]int{0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 10: 4} {
 		got, err := FarmedCount(cl.Node(0), n, 3)
 		if err != nil {

@@ -248,18 +248,30 @@ func (e *binEncoder) encode(v any) error {
 		}
 		return nil
 	case []any:
-		e.writeByte(tAnySlice)
-		e.writeUvarint(uint64(len(x)))
-		for _, el := range x {
-			if err := e.encode(el); err != nil {
-				return err
-			}
+		return e.encodeList(x)
+	case *[]any:
+		// The list it points at, as the reflective path writes it, without
+		// boxing the list: a batch's argument lists are sent this way.
+		if x == nil {
+			e.writeByte(tNil)
+			return nil
 		}
-		return nil
+		return e.encodeList(*x)
 	case map[string]any:
 		return e.encodeMap(reflect.ValueOf(x))
 	}
 	return e.encodeReflect(reflect.ValueOf(v))
+}
+
+func (e *binEncoder) encodeList(x []any) error {
+	e.writeByte(tAnySlice)
+	e.writeUvarint(uint64(len(x)))
+	for _, el := range x {
+		if err := e.encode(el); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fixedRun starts a numeric slice: the tag, the count, and room for n

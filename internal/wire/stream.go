@@ -119,18 +119,10 @@ func (e *Encoder) String(v string) {
 	e.e.writeString(v)
 }
 
-// AnySlice writes a heterogeneous slice; element failures are sticky.
+// AnySlice writes a heterogeneous slice; failures are sticky.
 func (e *Encoder) AnySlice(v []any) {
-	e.e.writeByte(tAnySlice)
-	e.e.writeUvarint(uint64(len(v)))
-	for _, el := range v {
-		if e.err != nil {
-			return
-		}
-		if err := e.e.encode(el); err != nil {
-			e.err = err
-			return
-		}
+	if e.err == nil {
+		e.err = e.e.encodeList(v)
 	}
 }
 

@@ -51,15 +51,6 @@ func WithMuxLanes(n int) Option { return func(o *options) { o.muxLanes = n } }
 // default is round-robin.
 func WithPlacement(p PlacementPolicy) Option { return func(o *options) { o.cfg.Placement = p } }
 
-// WithAggregation enables method-call aggregation: asynchronous calls
-// buffer until the batch reaches maxCalls invocations (values <= 1
-// disable) or maxDelay elapses (0 means no timer).
-func WithAggregation(maxCalls int, maxDelay time.Duration) Option {
-	return func(o *options) {
-		o.cfg.Aggregation = core.AggregationConfig{MaxCalls: maxCalls, MaxDelay: maxDelay}
-	}
-}
-
 // WithLoadCacheTTL bounds staleness of placement load data.
 func WithLoadCacheTTL(d time.Duration) Option { return func(o *options) { o.cfg.LoadCacheTTL = d } }
 
@@ -145,7 +136,6 @@ func buildOptions(opts []Option) options {
 //	cl, err := parc.StartCluster(
 //		parc.WithNodes(3),
 //		parc.WithNetwork(parc.Ethernet100()),
-//		parc.WithAggregation(16, 0),
 //	)
 func StartCluster(opts ...Option) (*Cluster, error) {
 	o := buildOptions(opts)

@@ -27,7 +27,8 @@
 // Parallel objects are distributed across nodes by the placement policy and
 // communicate through the remoting channel; asynchronous calls to one
 // object execute in order. Grain-size adaptation by method-call
-// aggregation is enabled through WithAggregation.
+// aggregation needs no setting: the Sends queued behind one in flight to a
+// remote object leave together, as one batch.
 //
 // # Dynamic API (escape hatch)
 //

@@ -77,10 +77,11 @@ func (o *Object[T]) Class() string { return o.p.Class() }
 func (o *Object[T]) String() string { return o.p.String() }
 
 // Send performs an asynchronous method call with no result (the paper's
-// asynchronous calls), subject to method-call aggregation on remote
-// objects. The method name is validated against T before sending; an error
-// is returned only for immediate failures (unknown method, ctx already
-// done, object destroyed) — execution errors flow to Err.
+// asynchronous calls); on a remote object it leaves together with the
+// Sends of its method queued behind it (method-call aggregation). The
+// method name is validated against T before sending; an error is returned
+// only for immediate failures (unknown method, ctx already done, object
+// destroyed) — execution errors flow to Err.
 func (o *Object[T]) Send(ctx context.Context, method string, args ...any) error {
 	if err := checkMethod[T](method); err != nil {
 		return err

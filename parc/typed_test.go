@@ -291,7 +291,6 @@ func TestFunctionalOptionsCompose(t *testing.T) {
 	cl, err := parc.StartCluster(
 		parc.WithNodes(3),
 		parc.WithNetwork(parc.Ethernet100()),
-		parc.WithAggregation(8, 0),
 		parc.WithPlacement(&parc.RoundRobin{}),
 		parc.WithLoadCacheTTL(10*time.Millisecond),
 	)
