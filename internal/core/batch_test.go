@@ -181,6 +181,32 @@ func TestBatchMemberNodeDownRunsOthersOnce(t *testing.T) {
 	}
 }
 
+// TestMethodNodeDownRunsOnce: a lone call whose own method fails with
+// ErrNodeDown ran, so neither a post nor a blocking call runs it again; with
+// a token the failure is recorded, and the error still reaches its caller.
+func TestMethodNodeDownRunsOnce(t *testing.T) {
+	p, l, _ := heldTokenLog(t)
+	l.open()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := p.WaitCtx(ctx); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	p.Post("Down", -3)
+	if err := p.WaitCtx(ctx); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if err := p.AsyncErr(); err == nil || !strings.Contains(err.Error(), "tokenLog: -3") {
+		t.Errorf("AsyncErr = %v, want the failure of post -3", err)
+	}
+	if _, err := p.InvokeCtx(ctx, "Down", -5); err == nil || !strings.Contains(err.Error(), "tokenLog: -5") {
+		t.Errorf("Invoke = %v, want the failure of call -5", err)
+	}
+	if got, want := l.order(), []int{1, -3, -5}; !slices.Equal(got, want) {
+		t.Errorf("executed %v, want %v", got, want)
+	}
+}
+
 // vfailObj is a replicated virtual class whose Append fails on a negative
 // value.
 type vfailObj struct{ Vals []int64 }

@@ -305,9 +305,6 @@ func (rt *Runtime) Addr() string { return rt.server.Addr() }
 // NodeID returns this node's cluster index.
 func (rt *Runtime) NodeID() int { return rt.cfg.NodeID }
 
-// hasPeers reports whether this node joined a cluster with other members.
-func (rt *Runtime) hasPeers() bool { return rt.clusterSize() > 1 }
-
 // clusterSize is the joined cluster's node count (self included).
 func (rt *Runtime) clusterSize() int {
 	rt.mu.Lock()

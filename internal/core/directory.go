@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -84,7 +84,7 @@ func (rt *Runtime) Lookup(uri string) (ObjLoc, bool) { return rt.dirLookup(uri) 
 
 // resolveRemote finds the current location of uri for failover: first the
 // local directory cache, then every reachable peer's object manager,
-// probed concurrently with a short per-probe deadline. excludeAddr is the
+// probed in one fan-out round under a short deadline. excludeAddr is the
 // address that just failed — cached or reported entries still pointing at
 // it are useless and are skipped. The best (highest-generation) answer
 // wins and is cached.
@@ -92,27 +92,18 @@ func (rt *Runtime) resolveRemote(ctx context.Context, uri, excludeAddr string) (
 	if loc, ok := rt.dirLookup(uri); ok && loc.Addr != excludeAddr {
 		return loc, true
 	}
-	var mu sync.Mutex
+	peers := slices.DeleteFunc(rt.otherPeers(true), func(p peer) bool { return p.addr == excludeAddr })
 	var best ObjLoc
 	ok := false
-	rt.forEachPeer(ctx, resolveProbeTimeout, true, func(pctx context.Context, p peer) {
-		if p.addr == excludeAddr {
-			return
-		}
-		res, err := p.om.InvokeCtx(pctx, "Resolve", uri)
-		if err != nil {
-			return
-		}
+	for c := range newFanout(ctx, resolveProbeTimeout, peers).sendAll("Resolve", uri).each {
 		var rr resolveReply
-		if err := wire.AssignTo(&rr, res); err != nil || !rr.Found || rr.Addr == excludeAddr {
-			return
+		if c.err != nil || wire.AssignTo(&rr, c.v) != nil || !rr.Found || rr.Addr == excludeAddr {
+			continue
 		}
-		mu.Lock()
 		if !ok || rr.Gen > best.Gen {
 			best, ok = ObjLoc{Node: rr.Node, Addr: rr.Addr, Gen: rr.Gen}, true
 		}
-		mu.Unlock()
-	})
+	}
 	if ok {
 		rt.dirUpdate(uri, best)
 	}

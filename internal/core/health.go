@@ -18,11 +18,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/remoting"
-	"repro/internal/wire"
 )
 
 // PeerStatus grades a peer's observed liveness.
@@ -61,8 +61,9 @@ const (
 	// must answer this many probes in a row before it is graded alive
 	// again.
 	peerRecoverAfter = 2
-	// healthProbeTimeout bounds one liveness probe.
-	healthProbeTimeout = 200 * time.Millisecond
+	// probeTimeout bounds a round of health or load probes: a slow or dead
+	// peer costs it this long, not a full call timeout.
+	probeTimeout = 200 * time.Millisecond
 )
 
 // peerHealth is one peer's probe record.
@@ -145,30 +146,99 @@ func (rt *Runtime) noteProbe(node int, ok bool) {
 	}
 }
 
-// forEachPeer runs fn concurrently for every remote peer known to this
-// runtime — optionally skipping peers graded down — each invocation
-// bounded by its own timeout derived from ctx, and waits for all to
-// finish. It is the shared scaffolding of every probe fan-out (load
-// probes, directory resolution, liveness pings): one slow or dead peer
-// costs one timeout in parallel with the rest, never a serial stall.
-func (rt *Runtime) forEachPeer(ctx context.Context, timeout time.Duration, skipDown bool, fn func(ctx context.Context, p peer)) {
-	rt.mu.Lock()
-	peers := rt.peers
-	rt.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, p := range peers {
-		if p.node == rt.cfg.NodeID || p.om == nil || (skipDown && rt.peerDown(p.node)) {
-			continue
-		}
-		wg.Add(1)
-		go func(p peer) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
-			fn(pctx, p)
-		}(p)
+// fanout is one round of calls from this node to its peers' object
+// managers (probes, the promotion census, snapshot ships and drops): a
+// completion-driven call per peer, one attempt each, on one slab of records,
+// under one deadline on the records' context, where the lane's hook cancels
+// a call that outlives it. No goroutine waits on a call, a dead peer costs
+// the round one timeout, and the last call to complete ends the round. A
+// probe makes one attempt: a retry's backoff would stretch the failure
+// detector's clock.
+type fanout struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	calls  []peerCall
+	left   atomic.Int32
+	done   chan struct{}
+	// w and ship are a synchronous ship round's: the object shipped, and
+	// the arguments every target's ship starts with, boxed once (shipTo).
+	w    *ioWrapper
+	ship [7]any
+}
+
+// peerCall is one call of a round, and its outcome once complete; base and
+// upTo are a ship's (shipTo).
+type peerCall struct {
+	rec        remoting.CallRecord
+	f          *fanout
+	p          peer
+	v          any
+	err        error
+	base, upTo uint64
+}
+
+// newFanout readies a round to peers under ctx and timeout.
+func newFanout(ctx context.Context, timeout time.Duration, peers []peer) *fanout {
+	f := &fanout{calls: make([]peerCall, len(peers)), done: make(chan struct{})}
+	f.ctx, f.cancel = context.WithTimeout(ctx, timeout)
+	f.left.Store(int32(len(peers)))
+	for i, p := range peers {
+		f.calls[i].f, f.calls[i].p = f, p
 	}
-	wg.Wait()
+	if len(peers) == 0 {
+		f.cancel()
+		close(f.done)
+	}
+	return f
+}
+
+// sendAll starts every call of the round as method(args).
+func (f *fanout) sendAll(method string, args ...any) *fanout {
+	for i := range f.calls {
+		f.calls[i].send(&f.calls[i].rec, method, args)
+	}
+	return f
+}
+
+// each waits for the round to end, then yields its calls in peer order.
+func (f *fanout) each(yield func(*peerCall) bool) {
+	<-f.done
+	for i := range f.calls {
+		if !yield(&f.calls[i]) {
+			return
+		}
+	}
+}
+
+// send starts c as method(args) on rec, a record no submission used yet; a
+// call its connection refuses completes at once.
+func (c *peerCall) send(rec *remoting.CallRecord, method string, args []any) {
+	if err := c.p.om.InvokeAsyncCb(c.f.ctx, rec, method, args, c); err != nil {
+		c.Complete(nil, err)
+	}
+}
+
+// Complete is remoting.Completer: c's outcome, on the completion path.
+func (c *peerCall) Complete(v any, err error) {
+	c.v, c.err = v, err
+	if c.f.w != nil && c.reship() {
+		return
+	}
+	if c.f.left.Add(-1) == 0 {
+		c.f.cancel()
+		close(c.f.done)
+	}
+}
+
+// otherPeers lists the peers a round asks: every other node with an object
+// manager, less those graded down when skipDown.
+func (rt *Runtime) otherPeers(skipDown bool) []peer {
+	rt.mu.Lock()
+	peers := slices.Clone(rt.peers)
+	rt.mu.Unlock()
+	return slices.DeleteFunc(peers, func(p peer) bool {
+		return p.node == rt.cfg.NodeID || p.om == nil || skipDown && rt.peerDown(p.node)
+	})
 }
 
 // healthLoop drives periodic peer probes until the runtime closes.
@@ -185,31 +255,15 @@ func (rt *Runtime) healthLoop(interval time.Duration) {
 	}
 }
 
-// ProbePeers probes every peer's object manager once, concurrently with a
-// short per-probe deadline, and updates the membership grades. Down peers
+// ProbePeers probes every peer's object manager once, in one fan-out round
+// under a short deadline, and updates the membership grades. Down peers
 // are deliberately probed too — that is how recovery is detected. The
-// probe asks for LoadInfo rather than a bare ping, so the same round trip
-// that proves liveness also refreshes the peer's overload grade (a node
-// rejecting calls is routed around like a slow one, without waiting for
-// the next placement load probe). It is called by the periodic health
-// loop (Config.HealthProbe) and may be called explicitly by operators or
-// tests.
-func (rt *Runtime) ProbePeers() {
-	rt.forEachPeer(context.Background(), healthProbeTimeout, false, func(ctx context.Context, p peer) {
-		// Health probes are the failure detector's clock: retry backoff
-		// would stretch the probe window and mask exactly the failures
-		// this exists to notice, so probes always get a single attempt.
-		res, err := p.om.InvokeCtx(remoting.WithoutRetry(ctx), "LoadInfo")
-		rt.noteProbe(p.node, err == nil)
-		if err != nil {
-			return
-		}
-		var li loadInfo
-		if wire.AssignTo(&li, res) == nil {
-			rt.noteOverload(p.node, OverloadGrade(li.Overload))
-		}
-	})
-}
+// probe is a load probe (probeLoads), so the same round trip that proves
+// liveness also refreshes the peer's overload grade (a node rejecting
+// calls is routed around like a slow one, without waiting for the next
+// placement load probe). It is called by the periodic health loop
+// (Config.HealthProbe) and may be called explicitly by operators or tests.
+func (rt *Runtime) ProbePeers() { rt.probeLoads(true) }
 
 // Rebalance migrates parallel objects off this node until its hosted load
 // is no higher than the cluster mean, choosing each target with the
@@ -217,7 +271,7 @@ func (rt *Runtime) ProbePeers() {
 // unreachable peers excluded). It returns the number of objects migrated.
 // Objects whose migration fails are skipped, not retried.
 func (rt *Runtime) Rebalance(ctx context.Context) (int, error) {
-	loads := rt.probeLoads()
+	loads := rt.probeLoads(false)
 	if len(loads) <= 1 {
 		return 0, nil
 	}
@@ -237,7 +291,7 @@ func (rt *Runtime) Rebalance(ctx context.Context) (int, error) {
 // step before taking a node out of service. Targets are chosen like
 // Rebalance's.
 func (rt *Runtime) Drain(ctx context.Context) (int, error) {
-	loads := rt.probeLoads()
+	loads := rt.probeLoads(false)
 	if len(loads) <= 1 {
 		return 0, fmt.Errorf("core: drain node %d: no live peers to migrate to", rt.cfg.NodeID)
 	}

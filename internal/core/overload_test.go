@@ -343,7 +343,7 @@ func TestProbeCarriesOverloadGrade(t *testing.T) {
 		t.Fatalf("filler call: err = %v, want ErrOverloaded", err)
 	}
 	// A fresh placement probe from node 0 must observe node 1 shedding.
-	rts[0].probeLoads()
+	rts[0].probeLoads(false)
 	if got := rts[0].peerOverload(1); got != OverloadShedding {
 		t.Errorf("probed grade of peer 1 = %v, want OverloadShedding", got)
 	}

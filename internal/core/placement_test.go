@@ -140,7 +140,7 @@ func TestHealthProbesMarkDownAndRecover(t *testing.T) {
 	}
 	// Down peers are excluded from the load vector even before any probe
 	// timeout would strike.
-	loads := rts[0].probeLoads()
+	loads := rts[0].probeLoads(false)
 	for _, l := range loads {
 		if l.Node == 1 {
 			t.Errorf("down peer in load vector: %v", loads)

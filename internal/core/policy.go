@@ -5,11 +5,9 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/remoting"
 	"repro/internal/wire"
 )
 
@@ -139,10 +137,6 @@ func (a AdaptiveAgglomeration) Agglomerate(class string, stats classStats, local
 	return stats.AvgExecTime < a.MinGrain && localLoad >= a.MinLocalLoad
 }
 
-// loadProbeTimeout bounds one peer load probe: a slow or dead peer costs a
-// placement refresh at most this long, not a full call timeout.
-const loadProbeTimeout = 200 * time.Millisecond
-
 // nodeLoads returns the cached cluster load vector, refreshing it when
 // stale. The refresh runs outside loadMu (one slow peer must not serialise
 // every placement behind it) with at most one refresher at a time —
@@ -164,7 +158,7 @@ func (rt *Runtime) nodeLoads() []NodeLoad {
 	rt.loadRefreshing = true
 	rt.loadMu.Unlock()
 
-	loads := rt.probeLoads()
+	loads := rt.probeLoads(false)
 
 	rt.loadMu.Lock()
 	rt.loadCache = loads
@@ -176,33 +170,28 @@ func (rt *Runtime) nodeLoads() []NodeLoad {
 }
 
 // probeLoads measures the live cluster load vector: every peer is probed
-// concurrently with a short per-probe deadline. Peers that are marked down
+// in one fan-out round under a short deadline. Peers that are marked down
 // by health probing, cannot be reached in time, or answer with a mis-typed
 // load are excluded from the vector entirely — placement then cannot pick
 // them, rather than merely disfavouring them behind a max-int load. The
 // vector comes back in node order, which round-robin placement relies on.
-func (rt *Runtime) probeLoads() []NodeLoad {
-	var mu sync.Mutex
+// With health set it is the health probe (ProbePeers): down peers are
+// probed too, and each outcome grades its peer.
+func (rt *Runtime) probeLoads(health bool) []NodeLoad {
 	loads := []NodeLoad{{Node: rt.cfg.NodeID, Load: rt.Load(), Overload: rt.OverloadGrade()}}
-	rt.forEachPeer(context.Background(), loadProbeTimeout, true, func(ctx context.Context, p peer) {
-		// Load probes double as liveness evidence: their timing is the
-		// failure detector's clock, so they must not be stretched (or
-		// masked) by retry backoff.
-		res, err := p.om.InvokeCtx(remoting.WithoutRetry(ctx), "LoadInfo")
-		if err != nil {
-			return
+	for c := range newFanout(context.Background(), probeTimeout, rt.otherPeers(!health)).sendAll("LoadInfo").each {
+		if health {
+			rt.noteProbe(c.p.node, c.err == nil)
 		}
 		var li loadInfo
-		if err := wire.AssignTo(&li, res); err != nil {
+		if c.err != nil || wire.AssignTo(&li, c.v) != nil {
 			// A mis-typed reply is as useless as no reply: treating it
 			// as load 0 would magnetise traffic onto a broken peer.
-			return
+			continue
 		}
-		rt.noteOverload(p.node, OverloadGrade(li.Overload))
-		mu.Lock()
-		loads = append(loads, NodeLoad{Node: p.node, Load: li.Load, Overload: OverloadGrade(li.Overload)})
-		mu.Unlock()
-	})
+		rt.noteOverload(c.p.node, OverloadGrade(li.Overload))
+		loads = append(loads, NodeLoad{Node: c.p.node, Load: li.Load, Overload: OverloadGrade(li.Overload)})
+	}
 	sort.Slice(loads, func(i, j int) bool { return loads[i].Node < loads[j].Node })
 	return loads
 }

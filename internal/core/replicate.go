@@ -5,8 +5,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/errs"
 	"repro/internal/remoting"
@@ -144,16 +142,15 @@ func (rt *Runtime) publishSnapshot(w *ioWrapper, seq uint64, rec *pendingRecord)
 }
 
 // shipSnapshot sends one state snapshot of w — with w's dedup memory, so a
-// promoted replica can recognise retries of executed calls — to the
-// replica targets of its URI. Synchronous shipping requires at least one
-// acknowledgement (when any target is live at all); asynchronous shipping,
-// a failover's re-ship or a reconciliation, fires one-way exchanges and
-// returns immediately — a lost ship leaves the replica where the next
-// call's ship finds it.
+// promoted replica can recognise retries of executed calls — to the replica
+// targets of its URI, in one fan-out round. A synchronous ship waits for
+// every target and needs one acknowledgement (when any target is live at
+// all); an asynchronous one waits for none: a lost ship leaves the replica
+// where the next call's ship finds it.
 func (rt *Runtime) shipSnapshot(w *ioWrapper, snap []byte, gen, seq uint64, awaitAck bool) error {
 	targets := rt.replicaTargets(w.uri, w.virt.Replicas)
 	if len(targets) == 0 {
-		if awaitAck && rt.hasPeers() {
+		if awaitAck && rt.clusterSize() > 1 {
 			// Synchronous mode in a real cluster with every replica
 			// candidate unreachable: this node may be the minority side of a
 			// partition, and an acknowledgement here would be discarded when
@@ -166,71 +163,62 @@ func (rt *Runtime) shipSnapshot(w *ioWrapper, snap []byte, gen, seq uint64, awai
 		return nil
 	}
 	if !awaitAck {
-		// One-way ships cannot learn what the receiver already holds, so
-		// they carry the full dedup memory; they are rare (failover
-		// re-ships and reconciliations).
-		args := []any{w.class, w.uri, gen, seq, rt.cfg.NodeID, rt.Addr(), snap, w.dedup.Export(), uint64(0)}
-		for _, p := range targets {
-			p.om.OneWayTimeout(replicateShipTimeout, "ReplicateVirtual", nil, args...)
-		}
+		// Failover re-ships and reconciliations are rare, and learn nothing
+		// of what a target holds: they carry the full dedup memory.
+		newFanout(context.Background(), replicateShipTimeout, targets).sendAll("ReplicateVirtual",
+			w.class, w.uri, gen, seq, rt.cfg.NodeID, rt.Addr(), snap, w.dedup.Export(), uint64(0))
 		return nil
 	}
-	var wg sync.WaitGroup
-	var acked atomic.Int32
-	errCh := make(chan error, len(targets))
-	for _, p := range targets {
-		wg.Add(1)
-		go func(p peer) {
-			defer wg.Done()
-			if err := rt.shipTo(w, p, snap, gen, seq); err != nil {
-				errCh <- err
-				return
-			}
-			acked.Add(1)
-		}(p)
+	f := newFanout(context.Background(), replicateSyncTimeout, targets)
+	f.w, f.ship = w, [...]any{w.class, w.uri, gen, seq, rt.cfg.NodeID, rt.Addr(), snap}
+	for i := range f.calls {
+		c := &f.calls[i]
+		c.shipTo(&c.rec, w.shipAckFor(c.p.addr))
 	}
-	wg.Wait()
-	if acked.Load() == 0 {
-		return fmt.Errorf("core: replicate %s: no replica acknowledged seq %d: %w", w.uri, seq, <-errCh)
+	acked, first := false, error(nil)
+	for c := range f.each {
+		if c.err == nil {
+			w.setShipAck(c.p.addr, c.upTo)
+			acked = true
+		} else if first == nil {
+			first = c.err
+		}
+	}
+	if !acked {
+		return fmt.Errorf("core: replicate %s: no replica acknowledged seq %d: %w", w.uri, seq, first)
 	}
 	return nil
 }
 
-// shipTo ships one snapshot synchronously to one replica, carrying only
-// the dedup records the target has not acknowledged yet. Per-call
-// synchronous ships would otherwise resend the whole LRU — up to the
-// per-object cap — on every call, an O(cap) tax that grows as the object
-// ages. A target that cannot extend its chain (first contact, a missed
-// ship, a generation change, a dropped replica) answers needFull and gets
-// one full resend within the same attempt.
-func (rt *Runtime) shipTo(w *ioWrapper, p peer, snap []byte, gen, seq uint64) error {
-	for _, base := range [...]uint64{w.shipAckFor(p.addr), 0} {
-		recs, upTo := w.dedup.ExportSince(base)
-		needFull, err := rt.invokeReplicate(p, w, snap, gen, seq, recs, base)
-		if err != nil {
-			return err
-		}
-		if !needFull {
-			w.setShipAck(p.addr, upTo)
-			return nil
-		}
-	}
-	return fmt.Errorf("core: replicate %s: %s refused a full dedup resend", w.uri, p.addr)
+// shipTo ships its round's snapshot to c's replica on rec, carrying only
+// the dedup records stamped after base, the ones the target has not
+// acknowledged yet. Per-call synchronous ships would otherwise resend the
+// whole LRU — up to the per-object cap — on every call, an O(cap) tax that
+// grows as the object ages.
+func (c *peerCall) shipTo(rec *remoting.CallRecord, base uint64) {
+	recs, upTo := c.f.w.dedup.ExportSince(base)
+	c.base, c.upTo = base, upTo
+	c.send(rec, "ReplicateVirtual", append(c.f.ship[:len(c.f.ship):len(c.f.ship)], recs, base))
 }
 
-func (rt *Runtime) invokeReplicate(p peer, w *ioWrapper, snap []byte, gen, seq uint64, recs []remoting.DedupRecord, base uint64) (bool, error) {
-	cctx, cancel := context.WithTimeout(context.Background(), replicateSyncTimeout)
-	defer cancel()
-	res, err := p.om.InvokeCtx(cctx, "ReplicateVirtual",
-		w.class, w.uri, gen, seq, rt.cfg.NodeID, rt.Addr(), snap, recs, base)
-	if err != nil {
-		return false, err
-	}
+// reship reads a ship's outcome on the completion path, and reports whether
+// it sent the ship again: a target that cannot extend its chain (first
+// contact, a missed ship, a generation change, a dropped replica) answers
+// needFull and gets one full resend, on a fresh record, in the same round.
+func (c *peerCall) reship() bool {
 	var needFull bool
-	if aerr := wire.AssignTo(&needFull, res); aerr != nil {
-		return false, aerr
+	if c.err == nil {
+		c.err = wire.AssignTo(&needFull, c.v)
 	}
-	return needFull, nil
+	switch {
+	case c.err != nil || !needFull:
+		return false
+	case c.base == 0:
+		c.err = fmt.Errorf("core: replicate %s: %s refused a full dedup resend", c.f.w.uri, c.p.addr)
+		return false
+	}
+	c.shipTo(new(remoting.CallRecord), 0)
+	return true
 }
 
 // replicaTargets returns up to n live peers in ring order from uri's
@@ -282,8 +270,13 @@ func (rt *Runtime) replicateVirtual(_, uri string, gen, seq uint64, fromNode int
 	switch {
 	case !apply:
 		return needFull, err
-	case dedupBase > 0:
-		cur.deposit(seq, state, dedup) // extending an intact chain
+	case cur != nil && cur.gen == gen:
+		// An intact chain extended, or a full ship of this generation,
+		// which replaces a dedup memory that has records.
+		if dedupBase == 0 && cur.dedup.Len() > 0 {
+			cur.dedup, cur.dedupStamp = remoting.NewDedupLRU(rt.cfg.DedupPerObject), 0
+		}
+		cur.deposit(seq, state, dedup)
 	default:
 		rt.replicas[uri] = rt.newReplica(gen, seq, state, dedup)
 	}
@@ -340,7 +333,5 @@ func (rt *Runtime) dropReplicasFor(uri string) {
 	if !ok || cfg.Replicas <= 0 {
 		return
 	}
-	for _, p := range rt.replicaTargets(uri, cfg.Replicas) {
-		p.om.OneWayTimeout(replicateShipTimeout, "DropReplica", nil, uri)
-	}
+	newFanout(context.Background(), replicateShipTimeout, rt.replicaTargets(uri, cfg.Replicas)).sendAll("DropReplica", uri)
 }

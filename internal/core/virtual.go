@@ -442,7 +442,7 @@ func (rt *Runtime) doActivate(ctx context.Context, class, uri string) (resolveRe
 		if cfg.Replicas > 0 {
 			// Restore redundancy right away: the promoted state's previous
 			// replica set centred on the dead owner, not on this node.
-			go rt.shipSnapshot(w, cand.State, newGen, cand.Seq, false) //nolint:errcheck // async re-ship
+			_ = rt.shipSnapshot(w, cand.State, newGen, cand.Seq, false) //nolint:errcheck // async re-ship
 		}
 	}
 	return resolveReply{Found: true, Node: rt.cfg.NodeID, Addr: rt.Addr(), Gen: newGen}, nil
@@ -473,38 +473,31 @@ func init() { wire.RegisterName("core.ReplicaInfo", replicaInfo{}) }
 // replicaCensus queries every peer for its freshest knowledge of uri
 // (passive replica or fenced live copy) and returns the freshest
 // (generation, seq) snapshot, have (this node's own copy) included, and
-// how many nodes, self included, answered. Unreachable peers are skipped,
-// bounded by replicaCensusTimeout per peer so promotion latency stays a
-// failover cost, not a liveness hazard; the caller enforces the majority
-// quorum. candidateGen is promised to every answering peer, which from
-// then on refuses deposits from older lineages — and fences a live stale
-// copy it still hosts — so no acknowledgement can slip in behind the
-// census.
+// how many nodes, self included, answered. Every peer is asked at once, in
+// one fan-out round, and the census decides once every peer has answered
+// or replicaCensusTimeout has passed, so k unreachable peers cost a
+// promotion one timeout, not k; the caller enforces the majority quorum.
+// candidateGen is promised to every answering peer, which from then on
+// refuses deposits from older lineages — and fences a live stale copy it
+// still hosts — so no acknowledgement can slip in behind the census.
 func (rt *Runtime) replicaCensus(ctx context.Context, uri string, candidateGen uint64, have replicaInfo) (freshest replicaInfo, reached int) {
-	rt.mu.Lock()
-	peers := rt.peers
-	rt.mu.Unlock()
+	// WithoutBreaker: the census must make a GENUINE attempt at every
+	// peer. A breaker left open by a transient fault would mark the
+	// freshest replica holder unreachable while quorum is still met via
+	// emptier peers — promoting stale state past acknowledged calls.
+	// With real attempts the quorum math is airtight for N=3: the two
+	// fresh copies (owner, sync replica) plus the initiator overlap any
+	// two reachable nodes. The round's one timeout bounds the cost.
+	ctx = remoting.WithoutBreaker(remoting.WithoutRetry(ctx))
+	f := newFanout(ctx, replicaCensusTimeout, rt.otherPeers(false)).sendAll("ReplicaAt", uri, candidateGen, rt.cfg.NodeID, rt.Addr())
 	freshest, reached = have, 1 // self
-	for _, p := range peers {
-		if p.node == rt.cfg.NodeID || p.om == nil {
-			continue
-		}
-		cctx, cancel := context.WithTimeout(ctx, replicaCensusTimeout)
-		// WithoutBreaker: the census must make a GENUINE attempt at every
-		// peer. A breaker left open by a transient fault would mark the
-		// freshest replica holder unreachable while quorum is still met via
-		// emptier peers — promoting stale state past acknowledged calls.
-		// With real attempts the quorum math is airtight for N=3: the two
-		// fresh copies (owner, sync replica) plus the initiator overlap any
-		// two reachable nodes. The per-peer timeout bounds the cost.
-		res, err := p.om.InvokeCtx(remoting.WithoutBreaker(remoting.WithoutRetry(cctx)), "ReplicaAt", uri, candidateGen, rt.cfg.NodeID, rt.Addr())
-		cancel()
-		if err != nil {
+	for c := range f.each {
+		if c.err != nil {
 			continue
 		}
 		reached++
 		var info replicaInfo
-		if aerr := wire.AssignTo(&info, res); aerr != nil || !info.Has || !fresher(info.Gen, info.Seq, freshest.Gen, freshest.Seq) {
+		if aerr := wire.AssignTo(&info, c.v); aerr != nil || !info.Has || !fresher(info.Gen, info.Seq, freshest.Gen, freshest.Seq) {
 			continue
 		}
 		// The reply's byte slices may alias the transport frame; the
@@ -587,7 +580,7 @@ const (
 	// fan-out; a replica slower than this fails the ack (the call errors
 	// and the caller retries) rather than wedging the owner's mailbox.
 	replicateSyncTimeout = 2 * time.Second
-	// replicaCensusTimeout bounds each peer query of a promotion census.
+	// replicaCensusTimeout bounds a promotion census, all its queries.
 	replicaCensusTimeout = 500 * time.Millisecond
 	// replicateShipTimeout bounds one asynchronous snapshot ship.
 	replicateShipTimeout = time.Second

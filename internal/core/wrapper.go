@@ -144,8 +144,8 @@ func (w *ioWrapper) invoke(ctx context.Context, method string, args []any, batch
 	if batch {
 		calls = len(args)
 		res, err = w.runBatch(ctx, method, args)
-	} else {
-		res, err = dispatch.InvokeCtx(ctx, w.obj, method, args)
+	} else if res, err = dispatch.InvokeCtx(ctx, w.obj, method, args); err != nil {
+		err = memberError{err}
 	}
 	w.grain(time.Since(start) / time.Duration(max(calls, 1)))
 	record := hasTok && dedupRecordable(err)
@@ -269,15 +269,15 @@ func (w *ioWrapper) runBatch(ctx context.Context, method string, calls []any) (a
 	return len(calls), nil
 }
 
-// memberError is the failure of one call of a batch. The batch ran, so it
-// unwraps to none of the outcomes that read as a refusal of the whole call
-// (moved, node down, destroyed, overloaded, cut off: see dedupRecordable):
-// a member's own ErrNodeDown, from a nested call to a down peer, say, would
-// have the caller re-run the batch, and with it the members that succeeded.
+// memberError is the failure of a call's own method, alone or in a batch.
+// The method ran, so it unwraps to none of the outcomes that read as a
+// refusal of the call (moved, node down, destroyed, overloaded), which would
+// have its caller run it, or a batch's members that succeeded, again. A
+// context's end does unwrap: the method gave up on its caller's deadline.
 type memberError struct{ error }
 
 func (e memberError) Unwrap() error {
-	if dedupRecordable(e.error) {
+	if dedupRecordable(e.error) || errors.Is(e.error, context.DeadlineExceeded) || errors.Is(e.error, context.Canceled) {
 		return e.error
 	}
 	return nil

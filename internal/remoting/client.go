@@ -225,22 +225,6 @@ func (r *ObjRef) StartCall(c *CallRecord, to Completer) error {
 	return err
 }
 
-// OneWayTimeout invokes method on a goroutine of its own, bounded by a
-// per-exchange deadline, and discards the result; a failure is reported to
-// onErr when non-nil. The call is abandoned when d elapses, so a one-way
-// stream aimed at a dead peer cannot pile up goroutines behind full call
-// timeouts. Used for asynchronous replica-state shipping, where losing a
-// snapshot only widens the replication lag until the next one lands.
-func (r *ObjRef) OneWayTimeout(d time.Duration, method string, onErr func(error), args ...any) {
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), d)
-		defer cancel()
-		if _, err := r.InvokeCtx(ctx, method, args...); err != nil && onErr != nil {
-			onErr(err)
-		}
-	}()
-}
-
 // String implements fmt.Stringer.
 func (r *ObjRef) String() string {
 	return fmt.Sprintf("ObjRef(%s)", r.URL())
