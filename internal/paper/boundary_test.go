@@ -1,8 +1,9 @@
-// Package paper holds the 2005 stacks the paper measures against (mono, the
-// wire formats of the RMI and SOAP baselines in wirecodecs, and the
-// calibrated profiles they run with) and the code that regenerates the
-// paper's figures from them (figures): reproduction code the production
-// runtime must never depend on. This test is the boundary.
+// Package paper holds the 2005 stacks the paper measures against (mono, rmi,
+// mpi, the wire formats of the RMI and SOAP baselines in wirecodecs, the
+// endpoint cost model in cost and the calibrated profiles they run with),
+// the JGF kernels (jgf), the programs that run them (cmd) and the code that
+// regenerates the paper's figures from them (figures): reproduction code the
+// production runtime must never depend on. This test is the boundary.
 package paper
 
 import (
@@ -22,24 +23,14 @@ import (
 // binary. What they link is computed from their imports, not listed.
 var shippedRoots = []string{"parc", "cmd/parcnode"}
 
-// paperTrees are the import paths production code may not import, nor
-// anything below them: internal/paper, and the two baseline stacks that
-// have not moved there yet.
-var paperTrees = []string{
+// paperCode is everything the shipped runtime may not link, nor anything
+// below it: internal/paper, the Mono thread pool of the Fig. 9 farm, and
+// the paper's sieve workload.
+var paperCode = []string{
 	"repro/internal/paper",
-	"repro/internal/rmi",
-	"repro/internal/mpi",
-}
-
-// paperCode is everything the shipped runtime may not link: the paper
-// stacks, the endpoint cost model they are calibrated with, the Mono
-// thread pool of the Fig. 9 farm, and the paper's workloads.
-var paperCode = append([]string{
-	"repro/internal/cost",
 	"repro/internal/threadpool",
 	"repro/internal/sieve",
-	"repro/internal/jgf",
-}, paperTrees...)
+}
 
 // importsOf returns the import paths of every non-test Go file in dir.
 func importsOf(t *testing.T, dir string) map[string]string {
@@ -118,10 +109,6 @@ func checkShipped(t *testing.T, trees []string, why string) {
 			}
 		}
 	}
-}
-
-func TestProductionDoesNotImportPaperStacks(t *testing.T) {
-	checkShipped(t, paperTrees, "production code must not depend on the paper stacks")
 }
 
 // TestShippedRuntimeLinksNoPaperCode holds what parc and cmd/parcnode link
@@ -445,7 +432,7 @@ var unreadAllowed = map[string]string{
 	// Interfaces another package implements without naming them.
 	"internal/core.Sink":             "parc's typed slots implement it (Settle)",
 	"internal/remoting.Turn":         "core's asynchronous call implements it (InTurn)",
-	"internal/transport.BatchSender": "internal/cost's and the benchmark's connection wrappers implement it",
+	"internal/transport.BatchSender": "internal/paper/cost's and the benchmark's connection wrappers implement it",
 	// Types reached only through a constructor or another name's signature.
 	"internal/transport.MemNetwork":  "reached through NewMemNetwork",
 	"internal/transport.UnixNetwork": "reached through Auto; remoting's TestFrameOwnershipRule builds one",

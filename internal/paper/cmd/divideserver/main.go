@@ -7,7 +7,7 @@
 //
 // Run with:
 //
-//	go run ./examples/divideserver 10 4
+//	go run ./internal/paper/cmd/divideserver 10 4
 package main
 
 import (
@@ -18,8 +18,8 @@ import (
 	"os"
 	"strconv"
 
+	"repro/internal/paper/rmi"
 	"repro/internal/remoting"
-	"repro/internal/rmi"
 	"repro/internal/transport"
 )
 

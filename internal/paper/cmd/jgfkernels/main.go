@@ -4,7 +4,7 @@
 //
 // Run with:
 //
-//	go run ./examples/jgfkernels -nodes 3 -workers 4
+//	go run ./internal/paper/cmd/jgfkernels -nodes 3 -workers 4
 package main
 
 import (
@@ -14,7 +14,7 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/jgf"
+	"repro/internal/paper/jgf"
 	"repro/parc"
 )
 
@@ -62,8 +62,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	roundtrip := bytes.Equal(back, data)
 	fmt.Printf("Crypt:  %d bytes in %-12v roundtrip-ok=%v\n",
-		len(data), time.Since(start), bytes.Equal(back, data))
+		len(data), time.Since(start), roundtrip)
 
 	// SOR: red-black relaxation with coordinator-driven halo exchange.
 	start = time.Now()
@@ -74,4 +75,7 @@ func main() {
 	want := jgf.SORSequential(64, 10, 1.25)
 	fmt.Printf("SOR:    64x64 x10 sweeps in %-12v sum=%.6f bitwise-match=%v\n",
 		time.Since(start), sum, sum == want)
+	if !match || !roundtrip || sum != want {
+		log.Fatal("jgfkernels: a farmed kernel disagrees with its sequential reference")
+	}
 }

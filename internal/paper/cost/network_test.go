@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cost"
+	"repro/internal/paper/cost"
 	"repro/internal/remoting"
 	"repro/internal/transport"
 )

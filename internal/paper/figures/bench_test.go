@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/netsim"
+	"repro/internal/paper/cost"
 	"repro/internal/paper/profile"
 	"repro/internal/sieve"
 )

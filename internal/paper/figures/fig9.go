@@ -10,8 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/paper/profile"
+	"repro/internal/paper/rmi"
 	"repro/internal/raytracer"
-	"repro/internal/rmi"
 	"repro/internal/sieve"
 	"repro/internal/threadpool"
 	"repro/internal/wire"

@@ -6,8 +6,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/netsim"
+	"repro/internal/paper/cost"
 	"repro/internal/paper/profile"
 )
 

@@ -9,14 +9,14 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/dispatch"
 	"repro/internal/metrics"
-	"repro/internal/mpi"
 	"repro/internal/netsim"
+	"repro/internal/paper/cost"
 	"repro/internal/paper/mono"
+	"repro/internal/paper/mpi"
 	"repro/internal/paper/profile"
-	"repro/internal/rmi"
+	"repro/internal/paper/rmi"
 	"repro/internal/transport"
 )
 

@@ -24,8 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cost"
 	"repro/internal/dispatch"
+	"repro/internal/paper/cost"
 	"repro/internal/paper/wirecodecs"
 	"repro/internal/transport"
 	"repro/internal/wire"

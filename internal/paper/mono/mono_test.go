@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cost"
+	"repro/internal/paper/cost"
 	"repro/internal/transport"
 )
 

@@ -21,7 +21,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cost"
+	"repro/internal/paper/cost"
 	"repro/internal/transport"
 )
 

@@ -9,7 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/cost"
+	"repro/internal/paper/cost"
 	"repro/internal/transport"
 )
 

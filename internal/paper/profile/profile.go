@@ -21,8 +21,8 @@ package profile
 import (
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/netsim"
+	"repro/internal/paper/cost"
 )
 
 // Network returns the paper's testbed link model (100 Mbit switched

@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/fault"
+	"repro/internal/paper/cost"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )

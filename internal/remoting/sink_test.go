@@ -272,6 +272,21 @@ func TestReplyBodyFailureFailsItsCall(t *testing.T) {
 	if v, err := ref.Invoke("M"); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 		t.Errorf("blocking call = %v, %v, want the decode error", v, err)
 	}
+	// Until the failed lane leaves the table, getMux declines a
+	// completion-driven call with its failure: wait, so the next call dials.
+	ch.muxMu.Lock()
+	lanes := make([]*muxConn, 0, len(ch.muxPeers))
+	for _, mc := range ch.muxPeers {
+		lanes = append(lanes, mc)
+	}
+	ch.muxMu.Unlock()
+	for _, mc := range lanes {
+		select {
+		case <-mc.drained:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the failed lane never left the channel's table")
+		}
+	}
 	rec, sink, h := new(CallRecord), &typedSink[int]{}, newHeard()
 	rec.SetSink(sink)
 	if err := ref.InvokeAsyncCb(context.Background(), rec, "M", nil, h); err != nil {
