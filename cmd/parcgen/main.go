@@ -2,7 +2,11 @@
 // it scans a file for types annotated with //parc:parallel and generates
 // the proxy-object code the C# preprocessor produced (PO types, factories
 // and typed async/sync method wrappers), plus typed invoker thunks so
-// server-side dispatch skips reflection.
+// server-side dispatch skips reflection. A file of package core, the
+// runtime's object manager (internal/core/omservice.go), gets the runtime
+// flavour: one typed request constructor per method in place of the PO,
+// and thunks registered with internal/dispatch, since core cannot import
+// parc. No flag selects it.
 //
 // Usage:
 //

@@ -606,11 +606,10 @@ func (rt *Runtime) NewParallelObject(class string) (*Proxy, error) {
 	if om == nil {
 		return nil, fmt.Errorf("core: placement chose unknown node %d", node)
 	}
-	res, err := om.Invoke("CreateObject", class)
+	uri, err := omCreateObject(class).on(context.Background(), om)
 	if err != nil {
 		return nil, fmt.Errorf("core: remote creation of %s on node %d: %w", class, node, err)
 	}
-	uri, _ := res.(string)
 	if uri == "" {
 		return nil, fmt.Errorf("core: remote factory returned empty URI")
 	}

@@ -95,9 +95,10 @@ func (rt *Runtime) resolveRemote(ctx context.Context, uri, excludeAddr string) (
 	peers := slices.DeleteFunc(rt.otherPeers(true), func(p peer) bool { return p.addr == excludeAddr })
 	var best ObjLoc
 	ok := false
-	for c := range newFanout(ctx, resolveProbeTimeout, peers).sendAll("Resolve", uri).each {
-		var rr resolveReply
-		if c.err != nil || wire.AssignTo(&rr, c.v) != nil || !rr.Found || rr.Addr == excludeAddr {
+	resolve := omResolve(uri)
+	for c := range newFanout(ctx, resolveProbeTimeout, peers).sendAll(resolve.remoteCall).each {
+		rr, err := resolve.reply(c.v)
+		if c.err != nil || err != nil || !rr.Found || rr.Addr == excludeAddr {
 			continue
 		}
 		if !ok || rr.Gen > best.Gen {

@@ -32,16 +32,16 @@ func (p *probeObj) Deadline(ctx context.Context) int64 {
 func init() {
 	dispatch.RegisterInvokers(&probeObj{}, map[string]dispatch.Invoker{
 		"Twice": func(_ context.Context, obj any, args []any) (any, error) {
-			v, err := dispatch.Arg[int](args, 0)
+			v, err := dispatch.Arg[int](obj, "Twice", args, 0)
 			if err != nil {
-				return nil, dispatch.BadArg(obj, "Twice", 0, err)
+				return nil, err
 			}
 			return obj.(*probeObj).Twice(v), nil
 		},
 		"Add": func(_ context.Context, obj any, args []any) (any, error) {
-			v, err := dispatch.Arg[int](args, 0)
+			v, err := dispatch.Arg[int](obj, "Add", args, 0)
 			if err != nil {
-				return nil, dispatch.BadArg(obj, "Add", 0, err)
+				return nil, err
 			}
 			obj.(*probeObj).Add(v)
 			return nil, nil

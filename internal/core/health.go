@@ -161,9 +161,9 @@ type fanout struct {
 	left   atomic.Int32
 	done   chan struct{}
 	// w and ship are a synchronous ship round's: the object shipped, and
-	// the arguments every target's ship starts with, boxed once (shipTo).
+	// the request every target's ship starts from, boxed once (shipTo).
 	w    *ioWrapper
-	ship [7]any
+	ship omCall[bool]
 }
 
 // peerCall is one call of a round, and its outcome once complete; base and
@@ -192,10 +192,10 @@ func newFanout(ctx context.Context, timeout time.Duration, peers []peer) *fanout
 	return f
 }
 
-// sendAll starts every call of the round as method(args).
-func (f *fanout) sendAll(method string, args ...any) *fanout {
+// sendAll starts every call of the round as call.
+func (f *fanout) sendAll(call remoteCall) *fanout {
 	for i := range f.calls {
-		f.calls[i].send(&f.calls[i].rec, method, args)
+		f.calls[i].send(&f.calls[i].rec, call)
 	}
 	return f
 }
@@ -210,10 +210,10 @@ func (f *fanout) each(yield func(*peerCall) bool) {
 	}
 }
 
-// send starts c as method(args) on rec, a record no submission used yet; a
-// call its connection refuses completes at once.
-func (c *peerCall) send(rec *remoting.CallRecord, method string, args []any) {
-	if err := c.p.om.InvokeAsyncCb(c.f.ctx, rec, method, args, c); err != nil {
+// send starts c as call on rec, a record no submission used yet; a call its
+// connection refuses completes at once.
+func (c *peerCall) send(rec *remoting.CallRecord, call remoteCall) {
+	if err := c.p.om.InvokeAsyncCb(c.f.ctx, rec, call.call, call.args, c); err != nil {
 		c.Complete(nil, err)
 	}
 }

@@ -99,7 +99,7 @@ func (rt *Runtime) MigrateCtx(ctx context.Context, uri string, toNode int) error
 		gen = loc.Gen
 	}
 	newGen := gen + 1
-	res, err := target.om.InvokeCtx(ctx, "AcceptObject", a.w.class, uri, newGen, state)
+	addr, err := omAcceptObject(a.w.class, uri, newGen, state).on(ctx, target.om)
 	if err != nil {
 		// The transfer may have landed — or still be in flight — even
 		// though its reply did not arrive (lost reply, expired deadline;
@@ -126,7 +126,6 @@ func (rt *Runtime) MigrateCtx(ctx context.Context, uri string, toNode int) error
 		abortTransfer(target, uri, newGen)
 		return fmt.Errorf("core: migrate %s to node %d: %w", uri, toNode, err)
 	}
-	addr, _ := res.(string)
 	if addr == "" {
 		addr = target.addr
 	}
@@ -245,7 +244,7 @@ const abortTransferTimeout = 3 * time.Second
 func abortTransfer(target peer, uri string, gen uint64) {
 	for attempt := 0; attempt < 2; attempt++ {
 		cctx, cancel := context.WithTimeout(context.Background(), abortTransferTimeout)
-		_, err := target.om.InvokeCtx(cctx, "AbortAccept", uri, gen)
+		_, err := omAbortAccept(uri, gen).on(cctx, target.om)
 		cancel()
 		if err == nil {
 			return
@@ -307,7 +306,7 @@ func (rt *Runtime) abortAccept(uri string, gen uint64) {
 		om := remoting.NewObjRef(rt.cfg.Channel, loc.Addr, omURI)
 		cctx, cancel := context.WithTimeout(context.Background(), abortTransferTimeout)
 		defer cancel()
-		_, _ = om.InvokeCtx(cctx, "AbortAccept", uri, loc.Gen) //nolint:errcheck // best effort
+		_, _ = omAbortAccept(uri, loc.Gen).on(cctx, om) //nolint:errcheck // best effort
 	}
 }
 

@@ -1,18 +1,47 @@
 package core
 
-// This file holds every RPC a node's object manager (omService) answers.
+// This file holds every RPC a node's object manager (omService) answers;
+// parcgen generates its typed requests and invoker thunks from it.
+//go:generate go run repro/cmd/parcgen -in omservice.go -out omservice_parc.go
 
 import (
 	"context"
 	"fmt"
 
 	"repro/internal/remoting"
+	"repro/internal/wire"
 )
 
 // omService is the object manager's remote interface (Fig. 6's
 // RemoteFactory plus load reporting).
+//
+//parc:parallel
 type omService struct {
 	rt *Runtime
+}
+
+// omCall is one request to an object manager, as its generated constructor
+// builds it (omResolve(uri), ...), R being its method's result type. It is
+// a remoteCall: invokeVia and a fan-out send it as they send any other.
+type omCall[R any] struct{ remoteCall }
+
+// on makes the call on ref and waits for its reply.
+func (c omCall[R]) on(ctx context.Context, ref *remoting.ObjRef) (R, error) {
+	v, err := c.remoteCall.on(ctx, ref)
+	if err != nil {
+		return *new(R), err
+	}
+	return c.reply(v)
+}
+
+// reply converts a reply of the call to R: nil is R's zero value, and a
+// value of another type converts by wire's rules.
+func (omCall[R]) reply(v any) (r R, err error) {
+	r, ok := v.(R)
+	if !ok && v != nil {
+		err = wire.AssignTo(&r, v)
+	}
+	return r, err
 }
 
 // CreateObject instantiates class on this node and returns the new IO's
@@ -46,7 +75,7 @@ func (s *omService) DestroyObject(ctx context.Context, uri string) error {
 	}
 	if ok && loc.Node != rt.cfg.NodeID {
 		om := remoting.NewObjRef(rt.cfg.Channel, loc.Addr, omURI)
-		if _, err := om.InvokeCtx(ctx, "DestroyObject", uri); err != nil {
+		if _, err := omDestroyObject(uri).on(ctx, om); err != nil {
 			return err
 		}
 		rt.dirDrop(uri)

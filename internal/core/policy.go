@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/wire"
 )
 
 // NodeLoad is one node's load snapshot used for placement. Overload is
@@ -179,12 +177,13 @@ func (rt *Runtime) nodeLoads() []NodeLoad {
 // probed too, and each outcome grades its peer.
 func (rt *Runtime) probeLoads(health bool) []NodeLoad {
 	loads := []NodeLoad{{Node: rt.cfg.NodeID, Load: rt.Load(), Overload: rt.OverloadGrade()}}
-	for c := range newFanout(context.Background(), probeTimeout, rt.otherPeers(!health)).sendAll("LoadInfo").each {
+	probe := omLoadInfo()
+	for c := range newFanout(context.Background(), probeTimeout, rt.otherPeers(!health)).sendAll(probe.remoteCall).each {
 		if health {
 			rt.noteProbe(c.p.node, c.err == nil)
 		}
-		var li loadInfo
-		if c.err != nil || wire.AssignTo(&li, c.v) != nil {
+		li, err := probe.reply(c.v)
+		if c.err != nil || err != nil {
 			// A mis-typed reply is as useless as no reply: treating it
 			// as load 0 would magnetise traffic onto a broken peer.
 			continue

@@ -11,7 +11,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/keep"
 	"repro/internal/remoting"
-	"repro/internal/wire"
 )
 
 // proxyMode distinguishes the three call paths of the RTS.
@@ -481,21 +480,15 @@ func (p *Proxy) MigrateCtx(ctx context.Context, toNode int) error {
 	}
 	// Ask the hosting node's OM to migrate, retrying through forwards and
 	// re-resolution exactly like a data call.
-	res, err := p.omInvoke(ctx, "Migrate", p.uri, toNode)
+	call := omMigrate(p.uri, toNode)
+	res, err := p.invokeVia(ctx, p.omRef, call.remoteCall)
 	if err != nil {
 		return fmt.Errorf("core: migrate %s to node %d: %w", p.uri, toNode, err)
 	}
-	var rr resolveReply
-	if err := wire.AssignTo(&rr, res); err == nil && rr.Found {
+	if rr, err := call.reply(res); err == nil && rr.Found {
 		p.redirect(ObjLoc{Node: rr.Node, Addr: rr.Addr, Gen: rr.Gen})
 	}
 	return nil
-}
-
-// omInvoke is invokeVia against the object manager of the node currently
-// hosting this object.
-func (p *Proxy) omInvoke(ctx context.Context, method string, args ...any) (any, error) {
-	return p.invokeVia(ctx, p.omRef, remoteCall{call: method, args: args})
 }
 
 // omRef builds a proxy for the hosting node's object manager at the
@@ -543,7 +536,7 @@ func (p *Proxy) DestroyCtx(ctx context.Context) error {
 			p.redirect(loc)
 		}
 	}
-	if _, err := p.omInvoke(ctx, "DestroyObject", p.uri); err != nil {
+	if _, err := p.invokeVia(ctx, p.omRef, omDestroyObject(p.uri).remoteCall); err != nil {
 		return fmt.Errorf("core: destroy %s: %w", p.uri, err)
 	}
 	p.rt.dirDrop(p.uri)

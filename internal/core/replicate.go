@@ -165,12 +165,12 @@ func (rt *Runtime) shipSnapshot(w *ioWrapper, snap []byte, gen, seq uint64, awai
 	if !awaitAck {
 		// Failover re-ships and reconciliations are rare, and learn nothing
 		// of what a target holds: they carry the full dedup memory.
-		newFanout(context.Background(), replicateShipTimeout, targets).sendAll("ReplicateVirtual",
-			w.class, w.uri, gen, seq, rt.cfg.NodeID, rt.Addr(), snap, w.dedup.Export(), uint64(0))
+		newFanout(context.Background(), replicateShipTimeout, targets).sendAll(
+			omReplicateVirtual(w.class, w.uri, gen, seq, rt.cfg.NodeID, rt.Addr(), snap, w.dedup.Export(), 0).remoteCall)
 		return nil
 	}
 	f := newFanout(context.Background(), replicateSyncTimeout, targets)
-	f.w, f.ship = w, [...]any{w.class, w.uri, gen, seq, rt.cfg.NodeID, rt.Addr(), snap}
+	f.w, f.ship = w, omReplicateVirtual(w.class, w.uri, gen, seq, rt.cfg.NodeID, rt.Addr(), snap, nil, 0)
 	for i := range f.calls {
 		c := &f.calls[i]
 		c.shipTo(&c.rec, w.shipAckFor(c.p.addr))
@@ -198,7 +198,9 @@ func (rt *Runtime) shipSnapshot(w *ioWrapper, snap []byte, gen, seq uint64, awai
 func (c *peerCall) shipTo(rec *remoting.CallRecord, base uint64) {
 	recs, upTo := c.f.w.dedup.ExportSince(base)
 	c.base, c.upTo = base, upTo
-	c.send(rec, "ReplicateVirtual", append(c.f.ship[:len(c.f.ship):len(c.f.ship)], recs, base))
+	ship := c.f.ship.remoteCall
+	ship.args = append(ship.args[:7:7], recs, base) // the round's 7, then this target's
+	c.send(rec, ship)
 }
 
 // reship reads a ship's outcome on the completion path, and reports whether
@@ -208,7 +210,7 @@ func (c *peerCall) shipTo(rec *remoting.CallRecord, base uint64) {
 func (c *peerCall) reship() bool {
 	var needFull bool
 	if c.err == nil {
-		c.err = wire.AssignTo(&needFull, c.v)
+		needFull, c.err = c.f.ship.reply(c.v)
 	}
 	switch {
 	case c.err != nil || !needFull:
@@ -333,5 +335,5 @@ func (rt *Runtime) dropReplicasFor(uri string) {
 	if !ok || cfg.Replicas <= 0 {
 		return
 	}
-	newFanout(context.Background(), replicateShipTimeout, rt.replicaTargets(uri, cfg.Replicas)).sendAll("DropReplica", uri)
+	newFanout(context.Background(), replicateShipTimeout, rt.replicaTargets(uri, cfg.Replicas)).sendAll(omDropReplica(uri).remoteCall)
 }

@@ -68,16 +68,19 @@ func vcellKeys(t *testing.T, rts []*Runtime, n, owner int, targets ...int) []str
 // Replicas 1 and 113 at Replicas 2: per replica target a goroutine with its
 // closure, WaitGroup, error channel and deadline, and the ship's arguments
 // boxed again, and a replica rebuilt by every ship, since a dedup memory
-// with no records ships in full. It measures 65 and 101 now: a ship is one
-// fan-out with its slab of records and one deadline, its arguments are
-// boxed once, and a replica takes a full ship of its own generation in
-// place; the lane's context hook on each call (5 allocations) takes most
-// of what the goroutines gave back. The budget is each figure plus one.
+// with no records ships in full. Riding the completion-driven fan-out, it
+// measured 65 and 101: a ship is one fan-out with its slab of records and
+// one deadline, its arguments are boxed once, and a replica takes a full
+// ship of its own generation in place; the lane's context hook on each call
+// (5 allocations) takes most of what the goroutines gave back. It measures
+// 50 and 70 now that the object manager's generated thunks bind a ship's
+// arguments instead of reflection (about 15 allocations a ship). The budget is
+// each figure plus one.
 func TestAllocBudgetReplicatedCall(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	for _, tc := range []struct{ replicas, budget int }{{1, 66}, {2, 102}} {
+	for _, tc := range []struct{ replicas, budget int }{{1, 51}, {2, 71}} {
 		t.Run(fmt.Sprintf("replicas=%d", tc.replicas), func(t *testing.T) {
 			rts, _ := startShaped(t, 3, tc.replicas)
 			key := vcellKeys(t, rts, 1, 0, []int{1, 2}[:tc.replicas]...)[0]

@@ -219,7 +219,8 @@ func (rt *Runtime) activateAndRoute(ctx context.Context, class, uri string) (*Pr
 				exclude[owner] = true
 				continue
 			}
-			res, ierr := p.om.InvokeCtx(ctx, "ActivateVirtual", class, uri)
+			call := omActivateVirtual(class, uri)
+			res, ierr := call.remoteCall.on(ctx, p.om)
 			if ierr != nil {
 				if ctx.Err() != nil {
 					return nil, ierr
@@ -231,7 +232,7 @@ func (rt *Runtime) activateAndRoute(ctx context.Context, class, uri string) (*Pr
 				exclude[owner] = true
 				continue
 			}
-			if err := wire.AssignTo(&rr, res); err != nil {
+			if rr, err = call.reply(res); err != nil {
 				return nil, fmt.Errorf("core: activate %s: bad reply from node %d: %w", uri, owner, err)
 			}
 		}
@@ -489,15 +490,16 @@ func (rt *Runtime) replicaCensus(ctx context.Context, uri string, candidateGen u
 	// fresh copies (owner, sync replica) plus the initiator overlap any
 	// two reachable nodes. The round's one timeout bounds the cost.
 	ctx = remoting.WithoutBreaker(remoting.WithoutRetry(ctx))
-	f := newFanout(ctx, replicaCensusTimeout, rt.otherPeers(false)).sendAll("ReplicaAt", uri, candidateGen, rt.cfg.NodeID, rt.Addr())
+	census := omReplicaAt(uri, candidateGen, rt.cfg.NodeID, rt.Addr())
+	f := newFanout(ctx, replicaCensusTimeout, rt.otherPeers(false)).sendAll(census.remoteCall)
 	freshest, reached = have, 1 // self
 	for c := range f.each {
 		if c.err != nil {
 			continue
 		}
 		reached++
-		var info replicaInfo
-		if aerr := wire.AssignTo(&info, c.v); aerr != nil || !info.Has || !fresher(info.Gen, info.Seq, freshest.Gen, freshest.Seq) {
+		info, aerr := census.reply(c.v)
+		if aerr != nil || !info.Has || !fresher(info.Gen, info.Seq, freshest.Gen, freshest.Seq) {
 			continue
 		}
 		// The reply's byte slices may alias the transport frame; the

@@ -92,10 +92,19 @@ func InvokerFor(t reflect.Type, method string) Invoker {
 // otherwise decoded and converted. A value already decoded takes a plain
 // type assertion. The conversion on mismatch is wire.Assign's (an int64
 // from an older peer binding to an int parameter, a []any to a typed
-// slice, ...). Generated thunks perform the arity check before calling it.
-func Arg[T any](args []any, i int) (T, error) {
+// slice, ...). A failure names obj's type, method and i, as the reflective
+// path's does. Generated thunks perform the arity check before calling it.
+func Arg[T any](obj any, method string, args []any, i int) (T, error) {
+	v, err := arg[T](args[i])
+	if err != nil {
+		return v, fmt.Errorf("method %T.%s: argument %d: %w", obj, method, i, err)
+	}
+	return v, nil
+}
+
+// arg binds a to T, as Arg describes.
+func arg[T any](a any) (T, error) {
 	var v T
-	a := args[i]
 	if p, ok := a.(*wire.Pending); ok {
 		if read, err := p.Into(&v); read {
 			return v, err
@@ -113,12 +122,6 @@ func Arg[T any](args []any, i int) (T, error) {
 		return v, err
 	}
 	return av.Interface().(T), nil
-}
-
-// BadArg wraps an argument-binding failure with the method context, in the
-// same shape the reflective path produces.
-func BadArg(obj any, method string, i int, err error) error {
-	return fmt.Errorf("method %T.%s: argument %d: %w", obj, method, i, err)
 }
 
 // BadArity reports an argument-count mismatch, in the same shape the

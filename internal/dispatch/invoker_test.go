@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/errs"
@@ -41,13 +42,13 @@ func registerThunks(t *testing.T) *int {
 			if len(args) != 2 {
 				return nil, BadArity(obj, "Add", len(args), 2)
 			}
-			a0, err := Arg[int](args, 0)
+			a0, err := Arg[int](obj, "Add", args, 0)
 			if err != nil {
-				return nil, BadArg(obj, "Add", 0, err)
+				return nil, err
 			}
-			a1, err := Arg[int](args, 1)
+			a1, err := Arg[int](obj, "Add", args, 1)
 			if err != nil {
-				return nil, BadArg(obj, "Add", 1, err)
+				return nil, err
 			}
 			return x.Add(a0, a1), nil
 		},
@@ -57,9 +58,9 @@ func registerThunks(t *testing.T) *int {
 			if len(args) != 1 {
 				return nil, BadArity(obj, "WithCtx", len(args), 1)
 			}
-			a0, err := Arg[string](args, 0)
+			a0, err := Arg[string](obj, "WithCtx", args, 0)
 			if err != nil {
-				return nil, BadArg(obj, "WithCtx", 0, err)
+				return nil, err
 			}
 			return x.WithCtx(ctx, a0), nil
 		},
@@ -142,27 +143,30 @@ func TestInvokerArgErrors(t *testing.T) {
 
 func TestArgConversions(t *testing.T) {
 	// Exact type: no conversion.
-	v, err := Arg[int]([]any{7}, 0)
+	v, err := Arg[int](nil, "M", []any{7}, 0)
 	if err != nil || v != 7 {
 		t.Errorf("Arg[int] = %v, %v", v, err)
 	}
 	// Wire widening: int64 -> int.
-	v, err = Arg[int]([]any{int64(9)}, 0)
+	v, err = Arg[int](nil, "M", []any{int64(9)}, 0)
 	if err != nil || v != 9 {
 		t.Errorf("Arg[int](int64) = %v, %v", v, err)
 	}
 	// []any -> typed slice.
-	s, err := Arg[[]int]([]any{[]any{1, 2}}, 0)
+	s, err := Arg[[]int](nil, "M", []any{[]any{1, 2}}, 0)
 	if err != nil || len(s) != 2 {
 		t.Errorf("Arg[[]int] = %v, %v", s, err)
 	}
 	// Interface target.
-	a, err := Arg[any]([]any{"x"}, 0)
+	a, err := Arg[any](nil, "M", []any{"x"}, 0)
 	if err != nil || a != "x" {
 		t.Errorf("Arg[any] = %v, %v", a, err)
 	}
-	if _, err := Arg[int]([]any{"nope"}, 0); err == nil {
-		t.Error("Arg[int](string) should fail")
+	// A failure names the method and the argument, as the reflective
+	// path does.
+	_, err = Arg[int](&thunkTarget{}, "Add", []any{1, "nope"}, 1)
+	if want := "method *dispatch.thunkTarget.Add: argument 1: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("Arg[int](string) = %v, want an error starting %q", err, want)
 	}
 }
 

@@ -296,6 +296,63 @@ func checkBinOpts(t *testing.T, file string, spec *ast.TypeSpec) {
 	}
 }
 
+// omMethods returns the names of the object manager's RPCs: the exported
+// methods internal/core/omservice.go declares on omService.
+func omMethods(t *testing.T) map[string]bool {
+	t.Helper()
+	file := filepath.Join(repoRoot(t), "internal", "core", "omservice.go")
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, decl := range f.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.IsExported() {
+			if star, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok && fmt.Sprint(star.X) == "omService" {
+				names[fd.Name.Name] = true
+			}
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("%s declares no method on omService: update this test", file)
+	}
+	return names
+}
+
+// TestRuntimeCallsItsObjectManagerTyped holds the runtime to the generated
+// requests of its object manager (omservice_parc.go): no hand-written file
+// of internal/core names one of its RPCs in a string literal, so a renamed
+// RPC or a reordered parameter fails to compile instead of failing at run
+// time.
+func TestRuntimeCallsItsObjectManagerTyped(t *testing.T) {
+	rpcs := omMethods(t)
+	files, err := filepath.Glob(filepath.Join(repoRoot(t), "internal", "core", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ast.IsGenerated(f) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil && rpcs[s] {
+					t.Errorf("%s names the object manager's %s by string: call its generated request om%s", fset.Position(lit.Pos()), s, s)
+				}
+			}
+			return true
+		})
+	}
+}
+
 // exportedNames returns the exported top-level names the non-test files of
 // dir declare, methods aside, each with the file that declares it.
 func exportedNames(t *testing.T, dir string) map[string]string {

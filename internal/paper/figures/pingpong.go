@@ -100,9 +100,9 @@ func init() {
 			if len(args) != 1 {
 				return nil, dispatch.BadArity(obj, "Echo", len(args), 1)
 			}
-			a0, err := dispatch.Arg[[]int32](args, 0)
+			a0, err := dispatch.Arg[[]int32](obj, "Echo", args, 0)
 			if err != nil {
-				return nil, dispatch.BadArg(obj, "Echo", 0, err)
+				return nil, err
 			}
 			return x.Echo(a0), nil
 		},

@@ -31,6 +31,12 @@
 // parc.RegisterInvokers, so server-side dispatch binds arguments with type
 // assertions and calls the method directly instead of through
 // reflect.Value.Call.
+//
+// A file of package core (runtimePackage) is the runtime's own object
+// manager, which parc's POs cannot serve: core sits below parc. It gets the
+// runtime flavour, worked out from the package alone: its thunks register
+// with dispatch, and in place of a PO each method gets a typed request
+// constructor (genRequests) that the runtime sends on its call path.
 package parcgen
 
 import (
@@ -296,21 +302,32 @@ func collectPkgs(e ast.Expr, used map[string]bool) {
 	})
 }
 
+// runtimePackage is the package whose classes get the runtime flavour:
+// internal/core, which parc imports and so cannot import back. Its code is
+// written against dispatch, which parc forwards to, instead of parc.
+const runtimePackage = "core"
+
 // Generate emits the PO source for an analysed file. The class's wire name
 // is "<package>.<Type>", matching what RegisterT registers, and every class
-// gets zero-reflection invoker thunks.
+// gets zero-reflection invoker thunks. A file of runtimePackage gets the
+// runtime flavour instead of POs.
 func Generate(f *File) ([]byte, error) {
 	if len(f.Classes) == 0 {
 		return nil, fmt.Errorf("parcgen: no //%s types found", Directive)
 	}
+	runtime := f.Package == runtimePackage
+	qual, qualPath, what := "parc", "repro/parc", "Typed proxy objects for the SCOOPP runtime (paper Figs. 4-6)."
+	if runtime {
+		qual, qualPath, what = "dispatch", "repro/internal/dispatch", "Typed requests and invoker thunks of the runtime's own classes (paper Fig. 6)."
+	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "// Code generated by parcgen; DO NOT EDIT.\n")
-	fmt.Fprintf(&b, "// Typed proxy objects for the SCOOPP runtime (paper Figs. 4-6).\n\n")
+	fmt.Fprintf(&b, "// %s\n\n", what)
 	fmt.Fprintf(&b, "package %s\n\n", f.Package)
 	fmt.Fprintf(&b, "import (\n")
 	fmt.Fprintf(&b, "\t\"context\"\n\n")
-	fmt.Fprintf(&b, "\t\"repro/parc\"\n")
-	reserved := map[string]bool{"context": true, "repro/parc": true}
+	fmt.Fprintf(&b, "\t%q\n", qualPath)
+	reserved := map[string]bool{"context": true, qualPath: true}
 	for _, imp := range f.Imports {
 		if imp.Alias == "" && reserved[imp.Path] {
 			continue // already emitted above; aliased imports stay legal
@@ -324,6 +341,11 @@ func Generate(f *File) ([]byte, error) {
 	fmt.Fprintf(&b, ")\n\n")
 
 	for _, c := range f.Classes {
+		if runtime {
+			genRequests(&b, c)
+			genInvokers(&b, c, qual)
+			continue
+		}
 		class := f.Package + "." + c.Name
 		fmt.Fprintf(&b, "// %sPO is the typed proxy object (PO) for parallel objects of class %q.\n", c.Name, class)
 		fmt.Fprintf(&b, "type %sPO struct {\n\to *parc.Object[%s]\n}\n\n", c.Name, c.Name)
@@ -356,7 +378,7 @@ func Generate(f *File) ([]byte, error) {
 		for _, m := range c.Methods {
 			genMethod(&b, c.Name, m)
 		}
-		genInvokers(&b, c)
+		genInvokers(&b, c, qual)
 	}
 	src, err := format.Source(b.Bytes())
 	if err != nil {
@@ -401,11 +423,38 @@ func genMethod(b *bytes.Buffer, typ string, m Method) {
 		typ, m.Name, paramList, res, res, argList)
 }
 
+// genRequests emits a runtime class's client: for every method, a
+// constructor of its request, typed by its result. A class xService has
+// requests x<Method>, of type xCall[R] (R is struct{} for a method without
+// one), which the class's package declares over its remoteCall.
+func genRequests(b *bytes.Buffer, c Class) {
+	prefix := strings.TrimSuffix(c.Name, "Service")
+	for _, m := range c.Methods {
+		params := make([]string, 0, len(m.Params))
+		args := make([]string, 0, len(m.Params))
+		for _, p := range m.Params {
+			params = append(params, p.Name+" "+p.Type)
+			args = append(args, p.Name)
+		}
+		argList := strings.Join(args, ", ")
+		res := "struct{}"
+		if len(m.Results) > 0 {
+			res = m.Results[0]
+		}
+		call := fmt.Sprintf("%sCall[%s]", prefix, res)
+		fmt.Fprintf(b, "// %s%s is the request %s.%s(%s).\n", prefix, m.Name, c.Name, m.Name, argList)
+		fmt.Fprintf(b, "func %s%s(%s) %s {\n", prefix, m.Name, strings.Join(params, ", "), call)
+		fmt.Fprintf(b, "\treturn %s{remoteCall{call: %q, args: []any{%s}}}\n}\n\n", call, m.Name, argList)
+	}
+}
+
 // genInvokers emits the init registering zero-reflection invoker thunks
 // for one class: the server-side complement of the typed PO. Dispatch
 // consults the registry first, so argument binding skips wire.Assign and
-// the call skips reflect.Value.Call whenever a thunk exists.
-func genInvokers(b *bytes.Buffer, c Class) {
+// the call skips reflect.Value.Call whenever a thunk exists. qual is the
+// package the thunks are written against: parc, or dispatch for a runtime
+// class.
+func genInvokers(b *bytes.Buffer, c Class, qual string) {
 	if len(c.Methods) == 0 {
 		return
 	}
@@ -413,19 +462,19 @@ func genInvokers(b *bytes.Buffer, c Class) {
 	fmt.Fprintf(b, "// decoded arguments by type assertion and calls the method directly,\n")
 	fmt.Fprintf(b, "// skipping reflection on the server-side hot path.\n")
 	fmt.Fprintf(b, "func init() {\n")
-	fmt.Fprintf(b, "\tparc.RegisterInvokers(&%s{}, map[string]parc.Invoker{\n", c.Name)
+	fmt.Fprintf(b, "\t%s.RegisterInvokers(&%s{}, map[string]%s.Invoker{\n", qual, c.Name, qual)
 	for _, m := range c.Methods {
 		fmt.Fprintf(b, "\t\t%q: func(ctx context.Context, obj any, args []any) (any, error) {\n", m.Name)
 		fmt.Fprintf(b, "\t\t\tx := obj.(*%s)\n", c.Name)
 		fmt.Fprintf(b, "\t\t\tif len(args) != %d {\n", len(m.Params))
-		fmt.Fprintf(b, "\t\t\t\treturn nil, parc.BadArity(obj, %q, len(args), %d)\n", m.Name, len(m.Params))
+		fmt.Fprintf(b, "\t\t\t\treturn nil, %s.BadArity(obj, %q, len(args), %d)\n", qual, m.Name, len(m.Params))
 		fmt.Fprintf(b, "\t\t\t}\n")
 		callArgs := make([]string, 0, len(m.Params)+1)
 		if m.HasCtx {
 			callArgs = append(callArgs, "ctx")
 		}
 		for i, p := range m.Params {
-			fmt.Fprintf(b, "\t\t\ta%d, err := parc.Arg[%s](obj, %q, args, %d)\n", i, p.Type, m.Name, i)
+			fmt.Fprintf(b, "\t\t\ta%d, err := %s.Arg[%s](obj, %q, args, %d)\n", i, qual, p.Type, m.Name, i)
 			fmt.Fprintf(b, "\t\t\tif err != nil {\n\t\t\t\treturn nil, err\n\t\t\t}\n")
 			callArgs = append(callArgs, fmt.Sprintf("a%d", i))
 		}

@@ -249,23 +249,65 @@ func (s *S) Work(ctx context.Context, n int) int { return n }
 	}
 }
 
-// TestGoldenUpToDate ensures the checked-in generated file for the example
-// package matches what the current generator produces — the same guarantee
-// a go:generate + CI diff gives.
+// TestRuntimeFlavour: a class of package core is the runtime's own. It
+// gets typed request constructors and thunks written against dispatch,
+// and nothing of parc, which core cannot import.
+func TestRuntimeFlavour(t *testing.T) {
+	src := `package core
+
+import "context"
+
+//parc:parallel
+type omService struct{}
+
+func (s *omService) Resolve(uri string) resolveReply { return resolveReply{} }
+
+func (s *omService) Drop(ctx context.Context, uri string, gen uint64) error { return nil }
+`
+	got := generate(t, src)
+	for _, want := range []string{
+		`"repro/internal/dispatch"`,
+		"func omResolve(uri string) omCall[resolveReply] {",
+		`return omCall[resolveReply]{remoteCall{call: "Resolve", args: []any{uri}}}`,
+		"func omDrop(uri string, gen uint64) omCall[struct{}] {",
+		"dispatch.RegisterInvokers(&omService{}, map[string]dispatch.Invoker{",
+		`a1, err := dispatch.Arg[uint64](obj, "Drop", args, 1)`,
+		"return nil, x.Drop(ctx, a0, a1)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("runtime flavour missing %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "parc.") || strings.Contains(got, "PO struct") {
+		t.Errorf("runtime flavour refers to parc or a PO:\n%s", got)
+	}
+}
+
+// TestGoldenUpToDate ensures every committed generated file of the root
+// module matches what the current generator produces from its source: the
+// same guarantee a go:generate + CI diff gives. benchmark/classes_parc.go
+// is held the same way by the benchmark module's own tests.
 func TestGoldenUpToDate(t *testing.T) {
-	src, err := os.ReadFile("example/prime.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("example/prime_parc.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := GenerateFile("prime.go", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Error("example/prime_parc.go is stale; rerun go generate ./internal/parcgen/example")
+	for _, src := range []string{
+		"example/prime.go",
+		"../../examples/quickstart/main.go",
+		"../core/omservice.go",
+	} {
+		in, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := strings.TrimSuffix(src, ".go") + "_parc.go"
+		want, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := GenerateFile(src, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s is stale; rerun go generate in its directory", out)
+		}
 	}
 }

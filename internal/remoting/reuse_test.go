@@ -35,9 +35,9 @@ func (h *heldEcho) Now(v int) int { return v }
 func init() {
 	dispatch.RegisterInvokers(&heldEcho{}, map[string]dispatch.Invoker{
 		"Now": func(_ context.Context, obj any, args []any) (any, error) {
-			v, err := dispatch.Arg[int](args, 0)
+			v, err := dispatch.Arg[int](obj, "Now", args, 0)
 			if err != nil {
-				return nil, dispatch.BadArg(obj, "Now", 0, err)
+				return nil, err
 			}
 			return obj.(*heldEcho).Now(v), nil
 		},

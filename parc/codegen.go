@@ -22,11 +22,7 @@ func RegisterInvokers(sample any, m map[string]Invoker) {
 // fast path, the wire conversion rules on mismatch. obj and method only
 // shape the error message.
 func Arg[T any](obj any, method string, args []any, i int) (T, error) {
-	v, err := dispatch.Arg[T](args, i)
-	if err != nil {
-		return v, dispatch.BadArg(obj, method, i, err)
-	}
-	return v, nil
+	return dispatch.Arg[T](obj, method, args, i)
 }
 
 // BadArity reports an argument-count mismatch from a generated thunk.
