@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/errs"
 	"repro/internal/remoting"
 )
 
@@ -187,14 +189,16 @@ func TestReplicateVirtualIncrementalChain(t *testing.T) {
 // retries must wake every caller sleeping in backoff (via the channel's
 // close broadcast) and leave no goroutines behind — a teardown that
 // strands callers leaks one goroutine per pending retry for the rest of
-// its backoff.
+// its backoff. The callers call an object of the other node that sheds
+// every call with a 10 s retry-after hint, so each sleeps at least that
+// long between attempts.
 func TestClusterCloseReapsRetryingCallers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rts := startNodes(t, 2, func(i int, cfg *Config) {
-		cfg.Channel.Retry = remoting.RetryPolicy{
-			MaxAttempts: 1000, BaseDelay: 10 * time.Second, Jitter: -1}
+		cfg.Channel.Retry = remoting.RetryPolicy{MaxAttempts: 1000}
 	})
-	ref := remoting.NewObjRef(rts[0].cfg.Channel, "mem://nowhere", "obj")
+	rts[1].server.Marshal("shedder", shedder{})
+	ref := remoting.NewObjRef(rts[0].cfg.Channel, rts[1].Addr(), "shedder")
 	const callers = 8
 	done := make(chan error, callers)
 	for i := 0; i < callers; i++ {
@@ -203,7 +207,7 @@ func TestClusterCloseReapsRetryingCallers(t *testing.T) {
 			done <- err
 		}()
 	}
-	time.Sleep(100 * time.Millisecond) // let every caller fail its dial and enter backoff
+	time.Sleep(100 * time.Millisecond) // let every caller be shed and enter backoff
 
 	rts[0].Close()
 	deadline := time.After(3 * time.Second)
@@ -211,7 +215,7 @@ func TestClusterCloseReapsRetryingCallers(t *testing.T) {
 		select {
 		case err := <-done:
 			if err == nil {
-				t.Error("invoke against an unreachable peer succeeded")
+				t.Error("invoke against a shedding object succeeded")
 			}
 		case <-deadline:
 			t.Fatalf("%d callers still sleeping in retry backoff after Runtime.Close", callers-i)
@@ -228,4 +232,11 @@ func TestClusterCloseReapsRetryingCallers(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// shedder answers every Ping with ErrOverloaded and a 10 s retry-after hint.
+type shedder struct{}
+
+func (shedder) Ping() error {
+	return errs.WithRetryAfter(fmt.Errorf("shed: %w", errs.ErrOverloaded), 10*time.Second)
 }

@@ -103,8 +103,9 @@ type Config struct {
 	MailboxBound int
 	// Retry, when enabled (MaxAttempts > 1), is installed on Channel at
 	// Start: remote calls retry transient failures (node-down, overload
-	// sheds) with jittered exponential backoff, and per-peer circuit
-	// breakers fast-fail calls to peers that keep refusing connections.
+	// sheds) with jittered exponential backoff. With or without it, the
+	// channel's per-peer dial backoff fails calls fast at a peer that
+	// just refused a connection.
 	Retry remoting.RetryPolicy
 	// IdempotentCalls stamps every outermost remote call that does not
 	// already carry one with a fresh idempotency token, making cross-node

@@ -483,9 +483,10 @@ func init() { wire.RegisterName("core.ReplicaInfo", replicaInfo{}) }
 // still hosts — so no acknowledgement can slip in behind the census.
 func (rt *Runtime) replicaCensus(ctx context.Context, uri string, candidateGen uint64, have replicaInfo) (freshest replicaInfo, reached int) {
 	// WithoutBreaker: the census must make a GENUINE attempt at every
-	// peer. A breaker left open by a transient fault would mark the
-	// freshest replica holder unreachable while quorum is still met via
-	// emptier peers — promoting stale state past acknowledged calls.
+	// peer, dialling one the channel's dial backoff still has open after
+	// a refused dial. A breaker left open by a transient fault would mark
+	// the freshest replica holder unreachable while quorum is still met
+	// via emptier peers — promoting stale state past acknowledged calls.
 	// With real attempts the quorum math is airtight for N=3: the two
 	// fresh copies (owner, sync replica) plus the initiator overlap any
 	// two reachable nodes. The round's one timeout bounds the cost.

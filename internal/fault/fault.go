@@ -19,7 +19,7 @@
 //     Existing connections stay "up"; nothing errors.
 //   - crash: the node is fully isolated, its existing connections are
 //     closed (callers see connection errors — the fast-failure class that
-//     feeds circuit breakers), and new dials to or from it are refused.
+//     the retry loop acts on), and new dials to or from it are refused.
 //     Restart heals it; the node itself never knew.
 //   - corruption/truncation: a sampled fraction of frames is mutated,
 //     driving the decoder/framing error paths.

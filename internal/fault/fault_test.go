@@ -133,7 +133,7 @@ func TestPartitionOneWay(t *testing.T) {
 }
 
 // TestCrashClosesAndRefuses: a crash closes live connections (the
-// connection-reset class that feeds circuit breakers) and refuses new
+// connection-reset class the retry loop acts on) and refuses new
 // dials both ways until restart.
 func TestCrashClosesAndRefuses(t *testing.T) {
 	inj := NewInjector(1)
@@ -180,8 +180,8 @@ func TestCrashClosesAndRefuses(t *testing.T) {
 		t.Error("dial FROM a crashed node succeeded, want refusal")
 	}
 	// The existing connection was closed: the reader observes a connection
-	// error (the pump channel closes) — the fast-failure class that feeds
-	// circuit breakers, unlike a partition's silent hang.
+	// error (the pump channel closes) — the fast-failure class the retry
+	// loop acts on, unlike a partition's silent hang.
 	select {
 	case _, open := <-got:
 		if open {

@@ -352,7 +352,7 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 // read lock; it is never confirmed, on this lane or any other.
 func TestFullHandleTableDispatchesByURI(t *testing.T) {
 	ch, srv, net := bindServer(t)
-	mc, _, err := ch.getMux(srv.Addr(), 0, true)
+	mc, _, err := ch.getMux(srv.Addr(), 0, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestConnectionKeepsOneMethodPerHandle(t *testing.T) {
 	send("M")
 	net.wantMarkers(t, names, names, 2*names)
 
-	mc, _, err := ch.getMux(srv.Addr(), 0, true)
+	mc, _, err := ch.getMux(srv.Addr(), 0, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,7 +748,7 @@ func TestBindingIgnoresDroppedDeclarations(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-g.started // the lane's one slot is taken
-	mc, _, err := ch.getMux(srv.Addr(), 0, true)
+	mc, _, err := ch.getMux(srv.Addr(), 0, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package remoting
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -37,9 +36,8 @@ type Channel struct {
 	// (min(GOMAXPROCS, 4)); 1 restores the single-connection behaviour.
 	MuxLanes int
 
-	// Retry, when enabled (MaxAttempts > 1), applies the unified
-	// retry/backoff loop to ObjRef.InvokeCtx calls and arms the per-peer
-	// circuit breakers (retry.go, breaker.go). Set it before the first
+	// Retry, when enabled (MaxAttempts > 1), applies the retry/backoff
+	// loop to ObjRef.InvokeCtx calls (retry.go). Set it before the first
 	// call, like the other configuration fields.
 	Retry RetryPolicy
 
@@ -49,17 +47,14 @@ type Channel struct {
 	tokClient atomic.Uint64
 	tokSeq    atomic.Uint64
 
-	breakerOnce sync.Once
-	breakerSet  *breakerSet
-
 	// closeMu guards closeCh, the broadcast that wakes in-flight retry
 	// sleeps when Close tears the channel down mid-backoff.
 	closeMu sync.Mutex
 	closeCh chan struct{}
 
-	// dialMu guards dialPeers, the per-peer dial backoff shared by every
-	// lane to a peer (so a dead peer is probed by one capped, jittered
-	// schedule instead of a redial storm).
+	// dialMu guards dialPeers, the channel's one per-peer breaker: the dial
+	// backoff shared by every lane to a peer (so a dead peer is probed by
+	// one capped, jittered schedule instead of a redial storm).
 	dialMu    sync.Mutex
 	dialPeers map[string]*dialBackoff
 
@@ -84,17 +79,6 @@ const urlScheme = "tcp"
 
 // nextSeq allocates a call sequence number.
 func (ch *Channel) nextSeq() uint64 { return ch.seq.Add(1) }
-
-// breakers lazily arms the per-peer circuit breakers from the retry
-// policy; nil when the policy is disabled or breaker-disabled.
-func (ch *Channel) breakers() *breakerSet {
-	ch.breakerOnce.Do(func() {
-		if ch.Retry.Enabled() {
-			ch.breakerSet = newBreakerSet(ch.Retry)
-		}
-	})
-	return ch.breakerSet
-}
 
 // closeSignal returns the broadcast channel Close fires, waking retry
 // sleeps. A channel remains usable after Close (a later call dials
@@ -186,20 +170,17 @@ func countFrame() *frameCounts {
 	return a
 }
 
-// isConnFailure reports whether err is a connection-level failure (dial,
-// send or receive) rather than a decode error or context expiry.
-func isConnFailure(err error) bool {
-	return errors.Is(err, errs.ErrNodeDown)
-}
-
 // dial opens a fresh connection. Dials to a peer that recently refused one
 // are gated by the peer's shared backoff entry (see dialBackoff), so a dead
 // peer is probed on one capped, jittered schedule no matter how many
-// callers and lanes want it.
-func (ch *Channel) dial(netaddr string) (transport.Conn, error) {
+// callers and lanes want it. A bypassed dial (WithoutBreaker) skips the
+// gate but records its outcome like any other.
+func (ch *Channel) dial(netaddr string, bypass bool) (transport.Conn, error) {
 	db := ch.dialBackoffFor(netaddr)
-	if err := db.gate(); err != nil {
-		return nil, err
+	if !bypass {
+		if err := db.gate(); err != nil {
+			return nil, err
+		}
 	}
 	c, err := ch.net.Dial(netaddr)
 	if err != nil {
@@ -221,10 +202,14 @@ const (
 )
 
 // dialBackoff is the per-peer redial schedule shared by every lane of one
-// Channel. While a window is open,
-// gate() fast-fails with the last dial error instead of hitting the
+// Channel, and the channel's one breaker. A refused dial opens it; while
+// the window is open, gate() fast-fails every call that needs a connection
+// with the last dial error (which wraps ErrNodeDown) instead of hitting the
 // transport — the fix for the redial storm where a dead peer's every lane
-// (and every queued caller) dialled it in lockstep.
+// (and every queued caller) dialled it in lockstep. The first dial after
+// the window is the trial: its success closes the breaker, its refusal
+// opens it for twice as long. Only dials count: a peer that answers,
+// even with an error, is reachable.
 type dialBackoff struct {
 	mu      sync.Mutex
 	fails   int

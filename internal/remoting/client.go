@@ -122,7 +122,7 @@ func (r *ObjRef) invoke(w *blockingWait) (any, error) {
 		if !retryable(err) || attempt >= p.MaxAttempts-1 || w.has(recLost) {
 			return nil, err
 		}
-		delay := p.retryDelay(err, attempt)
+		delay := retryDelay(err, attempt)
 		if !budgetAllows(w.ctx, delay, time.Since(start)) {
 			return nil, err
 		}
@@ -164,21 +164,21 @@ func (r *ObjRef) attempt(w *blockingWait) (any, error) {
 }
 
 // isStale reports whether err is a failure a blocking call on a reused lane
-// is sent again after: the connection's, not an orderly Close's, not an
-// open breaker's fast-fail and not the peer's own error reply.
+// is sent again after: the connection's, not an orderly Close's and not the
+// peer's own error reply. (A gated dial fails on a fresh lane, which is
+// never sent again.)
 func isStale(err error) bool {
 	var re *remoteError
-	return isConnFailure(err) && !errors.Is(err, errChannelClosed) && !isBreakerOpenError(err) && !errors.As(err, &re)
+	return errors.Is(err, errs.ErrNodeDown) && !errors.Is(err, errChannelClosed) && !errors.As(err, &re)
 }
 
 // rearm readies a blocking call's record to be submitted again. The sequence
 // number is fresh: the failed submission may still complete server-side, and
 // a reused number could be matched against its late reply. The idempotency
 // token (if any) stays, making the retry deduplicable; the seq is
-// per-exchange plumbing. No breaker admission carries over.
+// per-exchange plumbing.
 func (c *CallRecord) rearm(ch *Channel) {
 	c.req.Seq = ch.nextSeq()
-	c.flags.And(^uint32(recBreaker | recTrial))
 }
 
 // replyError rebuilds the error an error reply to a call of method stands

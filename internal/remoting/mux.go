@@ -143,6 +143,7 @@ var errChannelClosed = fmt.Errorf("channel closed: %w", errs.ErrNodeDown)
 // of whichever caller dialled. fresh reports whether this call dialled,
 // whether or not the dial succeeded — a failure on a fresh connection is a
 // real peer failure, not staleness, so the caller must not retry it.
+// bypass skips the peer's breaker for the dial (Channel.dial).
 //
 // A lane that is failing stays in the table until fail has told every call
 // it held, so no lane is dialled in its place before then: a caller that
@@ -150,7 +151,7 @@ var errChannelClosed = fmt.Errorf("channel closed: %w", errs.ErrNodeDown)
 // other is declined with the lane's failure, to be sent again behind the
 // calls the failure reports. fail runs completions, which may submit, so
 // nothing fail runs may wait for it.
-func (ch *Channel) getMux(netaddr string, lane int, waits bool) (mc *muxConn, fresh bool, err error) {
+func (ch *Channel) getMux(netaddr string, lane int, waits, bypass bool) (mc *muxConn, fresh bool, err error) {
 	key := muxKey{netaddr: netaddr, lane: lane}
 	for {
 		ch.muxMu.Lock()
@@ -179,7 +180,7 @@ func (ch *Channel) getMux(netaddr string, lane int, waits bool) (mc *muxConn, fr
 			}
 			ch.muxPeers[key] = mc
 			ch.muxMu.Unlock()
-			if err := mc.dial(); err != nil {
+			if err := mc.dial(bypass); err != nil {
 				ch.removeMux(mc)
 				return nil, true, err
 			}
@@ -207,11 +208,11 @@ func (ch *Channel) getMux(netaddr string, lane int, waits bool) (mc *muxConn, fr
 // channel lock; concurrent callers wait on ready. A shutdown that raced
 // the dial (Channel.Close between map insert and connect) wins: the fresh
 // connection is discarded.
-func (mc *muxConn) dial() error {
+func (mc *muxConn) dial(bypass bool) error {
 	// Channel.dial applies the per-peer shared dial backoff, so a dead
 	// peer's lanes collapse into one capped, jittered probe schedule
 	// instead of a redial storm.
-	c, err := mc.ch.dial(mc.netaddr)
+	c, err := mc.ch.dial(mc.netaddr, bypass)
 	mc.mu.Lock()
 	switch {
 	case err != nil:
@@ -643,15 +644,13 @@ func fnv1a(h uint32, s string) uint32 {
 }
 
 // submit sends c, which SetCall named and ObjRef.address completed, and
-// returns without waiting: behind the peer's circuit breaker (when the retry
-// policy arms one), on its object's lane, encoded against the lane's bind
-// table, through the lane's admission queue. c.to receives the outcome, on
-// the lane's reader goroutine for replies, exactly once, unless submit
-// itself returns an error, in which case the call was never submitted and
-// c.to hears nothing. fresh reports that the lane was dialled for this call.
-//
-// The breaker's evidence is recorded once per submission, when the outcome
-// is known (CallRecord.complete), or here when submission failed.
+// returns without waiting: on its object's lane, dialled behind the peer's
+// breaker (dialBackoff, which a WithoutBreaker ctx bypasses) when the lane
+// is not up, encoded against the lane's bind table, through the lane's
+// admission queue. c.to receives the outcome, on the lane's reader goroutine
+// for replies, exactly once, unless submit itself returns an error, in which
+// case the call was never submitted and c.to hears nothing. fresh reports
+// that the lane was dialled for this call.
 func (ch *Channel) submit(netaddr string, c *CallRecord) (fresh bool, err error) {
 	countRecord(recordDrawn)
 	defer func() {
@@ -662,20 +661,7 @@ func (ch *Channel) submit(netaddr string, c *CallRecord) (fresh bool, err error)
 	if err := c.ctx.Err(); err != nil {
 		return false, c.callErr(err)
 	}
-	if bs := ch.breakers(); bs != nil && !breakerBypassed(c.ctx) {
-		// A bypassed call records no evidence either: its outcome must not
-		// consume a half-open trial slot or re-trip a breaker it never
-		// consulted.
-		trial, berr := bs.allow(netaddr)
-		if berr != nil {
-			return false, c.callErr(berr)
-		}
-		c.set(recBreaker)
-		if trial {
-			c.set(recTrial)
-		}
-	}
-	mc, fresh, err := ch.getMux(netaddr, ch.laneForURI(c.ref.uri), c.has(recWatched))
+	mc, fresh, err := ch.getMux(netaddr, ch.laneForURI(c.ref.uri), c.has(recWatched), breakerBypassed(c.ctx))
 	if t, ok := c.to.(Turn); ok && err == nil && !t.InTurn() {
 		err = errOutOfTurn
 	}
@@ -685,9 +671,6 @@ func (ch *Channel) submit(netaddr string, c *CallRecord) (fresh bool, err error)
 			c.mc = mc
 			err = mc.admit(c, of)
 		}
-	}
-	if err != nil && c.has(recBreaker) {
-		ch.breakers().settle(c.ctx, netaddr, c.has(recTrial), err)
 	}
 	return fresh, err
 }

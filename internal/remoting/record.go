@@ -43,19 +43,13 @@ type CallRecord struct {
 	ctx  context.Context
 	stop func() bool
 
-	// flags holds recCancelled, recBreaker, recTrial, recWatched and recLost.
+	// flags holds recCancelled, recWatched and recLost.
 	flags atomic.Uint32
 }
 
 const (
 	// recCancelled: Cancel ran.
 	recCancelled = 1 << iota
-	// recBreaker: the channel's peer breaker admitted this submission, and
-	// its outcome is evidence for it.
-	recBreaker
-	// recTrial: the peer breaker admitted this submission as its half-open
-	// trial.
-	recTrial
 	// recWatched: the caller watches ctx itself (a blocking call), so
 	// admission installs no context.AfterFunc hook.
 	recWatched
@@ -261,16 +255,12 @@ func (c *CallRecord) deliver(result any, replyErr, err error) {
 	c.complete(result, replyErr, err)
 }
 
-// complete reports the outcome of one submission, exactly once: the breaker's
-// evidence (a reply, whatever it says, is the peer answering), then to. The
+// complete reports the outcome of one submission to to, exactly once. The
 // record is the caller's again before to hears: nothing here touches it
 // afterwards.
 func (c *CallRecord) complete(result any, replyErr, err error) {
 	if err != nil {
 		err = c.callErr(err)
-	}
-	if c.has(recBreaker) {
-		c.ref.ch.breakers().settle(c.ctx, c.mc.netaddr, c.has(recTrial), err)
 	}
 	if err == nil {
 		err = replyErr

@@ -646,7 +646,7 @@ func TestQueuedFramesGiveEncodersBack(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			mc, _, err := ch.getMux(ref.netaddr, ch.laneForURI(ref.uri), true)
+			mc, _, err := ch.getMux(ref.netaddr, ch.laneForURI(ref.uri), true, false)
 			if err != nil {
 				t.Fatal(err)
 			}

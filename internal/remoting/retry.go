@@ -7,8 +7,9 @@
 // back off with jitter (honouring the server's retry-after hint when the
 // reply carried one), respect the context's deadline budget — a retry that
 // cannot finish before the deadline is not attempted — and stop at the
-// attempt cap. A per-peer circuit breaker (breaker.go) sits underneath, so
-// retries against a dead peer fail fast instead of re-timing-out.
+// attempt cap. The channel's per-peer breaker, its dial backoff
+// (channel.go), sits underneath, so retries against a dead peer fail fast
+// instead of redialling it.
 package remoting
 
 import (
@@ -22,33 +23,24 @@ import (
 
 // RetryPolicy configures the channel-level retry loop applied by
 // ObjRef.InvokeCtx. The zero policy is disabled (single attempt); use
-// DefaultRetryPolicy or fill the fields. Each zero field of an enabled
-// policy picks its default.
+// DefaultRetryPolicy or set MaxAttempts. The backoff between attempts is
+// fixed (backoff).
 type RetryPolicy struct {
-	// MaxAttempts caps total attempts, first try included (default 4).
+	// MaxAttempts caps total attempts, first try included (DefaultRetryPolicy
+	// sets 4); 0 or 1 disables the policy.
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 5ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff, which doubles per retry (default 1s).
-	MaxDelay time.Duration
-	// Jitter spreads each delay uniformly over [d*(1-Jitter), d*(1+Jitter)]
-	// so synchronized callers do not retry in lockstep (default 0.5; set
-	// negative for none).
-	Jitter float64
-
-	// BreakerThreshold is the per-peer circuit breaker's trip point:
-	// connection-level failures within a rolling one-second window before
-	// the breaker opens (default 5; negative disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker fails fast before
-	// half-opening to probe the peer with one trial call (default 250ms).
-	BreakerCooldown time.Duration
 }
 
-// backoffMultiplier grows the backoff per retry.
-const backoffMultiplier = 2
+// The backoff before retry n is retryBase·2^(n-1), capped at retryCap and
+// spread uniformly over ±retryJitter of itself, so synchronized callers do
+// not retry in lockstep.
+const (
+	retryBase   = 5 * time.Millisecond
+	retryCap    = time.Second
+	retryJitter = 0.5
+)
 
-// DefaultRetryPolicy returns the enabled policy with every default.
+// DefaultRetryPolicy returns the enabled policy: 4 attempts.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4}
 }
@@ -56,52 +48,15 @@ func DefaultRetryPolicy() RetryPolicy {
 // Enabled reports whether the policy retries at all.
 func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 
-func (p RetryPolicy) baseDelay() time.Duration {
-	if p.BaseDelay > 0 {
-		return p.BaseDelay
-	}
-	return 5 * time.Millisecond
-}
-
-func (p RetryPolicy) maxDelay() time.Duration {
-	if p.MaxDelay > 0 {
-		return p.MaxDelay
-	}
-	return time.Second
-}
-
-func (p RetryPolicy) jitter() float64 {
-	switch {
-	case p.Jitter < 0:
-		return 0
-	case p.Jitter == 0:
-		return 0.5
-	case p.Jitter > 1:
-		return 1
-	}
-	return p.Jitter
-}
-
-// Backoff returns the jittered delay before retry number retry (1 is the
+// backoff returns the jittered delay before retry number retry (1 is the
 // first retry).
-func (p RetryPolicy) Backoff(retry int) time.Duration {
-	d := float64(p.baseDelay())
-	for i := 1; i < retry; i++ {
-		d *= backoffMultiplier
-		if d >= float64(p.maxDelay()) {
-			break
-		}
+func backoff(retry int) time.Duration {
+	d := retryBase
+	for i := 1; i < retry && d < retryCap; i++ {
+		d *= 2
 	}
-	if max := float64(p.maxDelay()); d > max {
-		d = max
-	}
-	if j := p.jitter(); j > 0 {
-		d *= 1 - j + 2*j*rand.Float64()
-	}
-	if d < 1 {
-		d = 1
-	}
-	return time.Duration(d)
+	d = min(d, retryCap)
+	return time.Duration(float64(d) * (1 - retryJitter + 2*retryJitter*rand.Float64()))
 }
 
 // retryable classifies an error for the retry loop. Retryable failures are
@@ -127,16 +82,13 @@ func retryable(err error) bool {
 
 // retryDelay picks the delay before retry number retry, preferring the
 // server's retry-after hint (an overloaded server knows its drain time;
-// the computed backoff is a guess) with the policy's jitter applied so
+// the computed backoff is a guess), stretched by up to retryJitter so
 // hinted clients still spread out.
-func (p RetryPolicy) retryDelay(err error, retry int) time.Duration {
+func retryDelay(err error, retry int) time.Duration {
 	if hint := errs.RetryAfter(err); hint > 0 {
-		if j := p.jitter(); j > 0 {
-			hint = time.Duration(float64(hint) * (1 + j*rand.Float64()))
-		}
-		return hint
+		return time.Duration(float64(hint) * (1 + retryJitter*rand.Float64()))
 	}
-	return p.Backoff(retry)
+	return backoff(retry)
 }
 
 // budgetAllows reports whether sleeping delay and then re-attempting a call

@@ -89,18 +89,20 @@ func retryDisabled(ctx context.Context) bool {
 	return on
 }
 
-// noBreakerCtxKey marks contexts whose calls must bypass the per-peer
-// circuit breaker entirely — no fast-fail, no evidence recorded.
+// noBreakerCtxKey marks contexts whose calls bypass the peer's breaker
+// (Channel.dial's gate).
 type noBreakerCtxKey struct{}
 
-// WithoutBreaker returns a context whose calls make a genuine transport
-// attempt even when the peer's breaker is open. The breaker is an
-// availability optimisation (skip the dial timeout a known-dead peer
-// costs); a correctness-critical read such as a promotion census must not
-// be answered by it: a breaker left open by a healed transient would make
-// the freshest replica holder look unreachable, and a quorum met via
-// emptier peers would then promote stale state past acknowledged calls.
-// Callers are expected to bound the attempt with their own deadline.
+// WithoutBreaker returns a context whose calls dial a peer that has no live
+// lane even while the peer's breaker (the dial backoff a refused dial opens)
+// would fail them fast; the outcome is still recorded, so a successful dial
+// closes the breaker. The breaker is an availability optimisation (skip the
+// dial a known-dead peer costs); a correctness-critical read such as a
+// promotion census must not be answered by it: a breaker left open by a
+// healed transient would make the freshest replica holder look unreachable,
+// and a quorum met via emptier peers would then promote stale state past
+// acknowledged calls. Callers are expected to bound the attempt with their
+// own deadline.
 func WithoutBreaker(ctx context.Context) context.Context {
 	return context.WithValue(ctx, noBreakerCtxKey{}, true)
 }

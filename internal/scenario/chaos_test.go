@@ -36,8 +36,8 @@ const (
 // TestChaos drives effectively-once calls through a seeded fault schedule,
 // one subtest per seed: three nodes over an in-memory network wrapped per
 // node in a fault injector, one synchronous replica per key, retries with
-// backoff and per-peer breakers enabled, and an idempotency token on every
-// call. The schedule derived from the seed injects partitions (symmetric
+// backoff enabled behind each channel's per-peer dial backoff, and an
+// idempotency token on every call. The schedule derived from the seed injects partitions (symmetric
 // and asymmetric), crash-restarts and send stalls while callers keep
 // driving logical calls, each minted one token and retried with that same
 // token until acknowledged.
@@ -179,10 +179,11 @@ func runChaos(t *testing.T, seed int64) {
 	recovered := time.Since(healed)
 
 	// Settle before measuring: the recovery wait above returns the moment
-	// the last key serves one call, while breakers are still half-open and
-	// stale routes still being chased. The transient has no fixed length (a
-	// caller can be deep in a backoff sleep or an open breaker's cooldown
-	// when the heal lands), so a window caught mid-settle is re-measured
+	// the last key serves one call, while dial backoffs opened during the
+	// faults are still running out and stale routes still being chased. The
+	// transient has no fixed length (a caller can be deep in a retry's sleep
+	// or a dial backoff's window when the heal lands), so a window caught
+	// mid-settle is re-measured
 	// (bounded) and the best kept: a persistent collapse fails every
 	// window, a settling one recovers within a few.
 	after := 0.0

@@ -82,23 +82,24 @@ func WithRebalance(interval time.Duration) Option {
 func WithMailboxBound(n int) Option { return func(o *options) { o.cfg.MailboxBound = n } }
 
 // RetryPolicy configures transparent retries of transient remote-call
-// failures (node down, connection reset, overload sheds) with jittered
-// exponential backoff and per-peer circuit breakers. The zero value
+// failures (node down, connection reset, overload sheds). Its one field,
+// MaxAttempts, caps the attempts, first try included; the backoff between
+// them is fixed (5ms doubling to a 1s cap, ±50% jitter). The zero value
 // disables retries; DefaultRetryPolicy is a sane starting point.
 type RetryPolicy = remoting.RetryPolicy
 
 // DefaultRetryPolicy returns the recommended retry configuration: 4
-// attempts, 5ms base delay doubling to a 1s cap with 50% jitter, and
-// per-peer breakers opening after 5 consecutive connection failures.
+// attempts.
 func DefaultRetryPolicy() RetryPolicy { return remoting.DefaultRetryPolicy() }
 
 // WithRetry installs a retry policy on every node's channel: remote calls
 // that fail with a retryable error (ErrNodeDown, connection resets,
 // ErrOverloaded sheds — never application errors) are retried with
 // jittered exponential backoff, honouring server retry-after hints and
-// the call context's deadline budget. Per-peer circuit breakers fast-fail
-// calls to peers whose connections keep dying, feeding the same health
-// grading that routes placement around dead nodes. The zero policy
+// the call context's deadline budget. A retry at a peer that just refused
+// a connection fails fast: every channel backs off its dials to such a
+// peer (10ms doubling to 500ms), retry or not, and the health probes that
+// route placement around dead nodes meet the same backoff. The zero policy
 // (default) keeps the historical single-attempt behaviour.
 func WithRetry(p RetryPolicy) Option { return func(o *options) { o.cfg.Retry = p } }
 
