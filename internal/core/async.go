@@ -38,22 +38,33 @@ func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) 
 // everything the runtime keeps for the call, so a caller that allocates it
 // inside its own record of the call, or a wave of them as one slab, pays
 // nothing more. The Future returned lives in c; c serves this one call.
-func (p *Proxy) StartAsync(ctx context.Context, c *AsyncCall, method string, args []any) *Future {
+func (p *Proxy) StartAsync(ctx context.Context, c Async, method string, args []any) *Future {
 	p.rt.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.try.p, c.try.f = p, &c.fut
-	c.try.rec.SetCall(ctx, "Invoke1", method, args)
+	call := c.asyncCall()
+	call.try.p = p
+	call.try.rec.SetCall(ctx, "Invoke1", method, args)
+	call.try.rec.SetCompleter(c)
 	switch mode, act := p.state(); mode {
 	case modeAgglomerated:
-		c.fut.complete(c.try.settle(p.invokeInCaller(ctx, method, args)))
+		call.fut.complete(call.try.settle(p.invokeInCaller(ctx, method, args)))
 	case modeLocalActive:
-		c.submitLocal(act)
+		call.submitLocal(act)
 	default:
-		c.submitRemote()
+		call.submitRemote()
 	}
-	return &c.fut
+	return &call.fut
+}
+
+// Async is the storage an asynchronous call is made in (StartAsync): an
+// *AsyncCall, or a record of the caller's that embeds one, whose promoted
+// methods make it an Async. It is the Completer of the call's connection
+// record, and when it is a Sink too, the call's typed slot.
+type Async interface {
+	remoting.Completer
+	asyncCall() *AsyncCall
 }
 
 // AsyncCall is one asynchronous call as the runtime holds it: the Future
@@ -66,53 +77,62 @@ type AsyncCall struct {
 	try attempt
 }
 
-// SetSink gives the call, before StartAsync, a typed slot for its result:
-// the Future resolves with the sink itself as its value, or with an error.
-func (c *AsyncCall) SetSink(s Sink) { c.try.rec.SetSink(s) }
+// asyncCall makes an AsyncCall, and every record that embeds one, an Async.
+func (c *AsyncCall) asyncCall() *AsyncCall { return c }
+
+// Complete is remoting.Completer: the attempt's (attempt.Complete).
+func (c *AsyncCall) Complete(v any, err error) { c.try.Complete(v, err) }
+
+// InTurn is remoting.Turn: the attempt's (attempt.InTurn).
+func (c *AsyncCall) InTurn() bool { return c.try.InTurn() }
 
 // Sink is the typed slot an asynchronous call's result settles in, once,
-// before its Future resolves. A reply whose result is exactly what the sink
-// takes is decoded into it on the connection (remoting.ResultSink); any
-// other value the call finishes with (from a local or agglomerated object, a
-// re-run, or a reply of another type) is handed to Settle on the completion
-// path, and an error Settle returns is the call's.
+// before its Future resolves: the Async the call is made in, when it is one.
+// A reply whose result is exactly what the sink takes is decoded into it on
+// the connection (remoting.ResultSink), and the call finishes with the sink
+// itself as its value; that value, or any other the call finishes with (from
+// a local or agglomerated object, a re-run, or a reply of another type), is
+// handed to Settle on the completion path, which returns what the Future
+// resolves with, or the call's error.
 type Sink interface {
 	remoting.ResultSink
-	Settle(v any) error
+	Settle(v any) (any, error)
 }
 
 // settle is the outcome a's future resolves with: a value the call finished
-// with that its sink has not taken yet is settled into the sink, and the
-// future resolves with the sink. A call without a sink, or one that failed,
-// resolves with its outcome as it is.
+// with, settled by the call's sink. A call without a sink, or one that
+// failed, resolves with its outcome as it is.
 func (a *attempt) settle(v any, err error) (any, error) {
-	s, ok := a.rec.Sink().(Sink)
-	if err != nil || !ok || v == any(s) {
-		return v, err
+	if s, ok := a.rec.Completer().(Sink); ok && err == nil {
+		return s.Settle(v)
 	}
-	if err := s.Settle(v); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return v, err
 }
 
 // attempt is one completion-driven try at a call against the proxy's current
-// endpoint: the remoting.Completer the connection reports it to, and a call
-// its proxy's callOrder counts, queues and re-runs. rec is the connection's
-// for the one submission start makes, and the call's one record of what it
-// is: its context and the runtime call, user's method and arguments, named
-// when the call begins (SetCall) and read back by every way it can go (a
-// mailbox, the connection, a re-run), and it holds f's cancelHook while the
-// call waits in a mailbox or in the queue (remoting.CallRecord.Watch). f is
-// the caller's future, nil for a post, whose failure goes to AsyncErr; issue
-// is the call's place in its proxy's issue order, and next links it into the
-// queue or the re-runs.
+// endpoint: a call its proxy's callOrder counts, queues and re-runs. rec is
+// the connection's for the one submission start makes, and the call's one
+// record of what it is: its context and the runtime call, user's method and
+// arguments, named when the call begins (SetCall) and read back by every way
+// it can go (a mailbox, the connection, a re-run), and it holds the future's
+// cancelHook while the call waits in a mailbox or in the queue
+// (remoting.CallRecord.Watch). rec's Completer is the Async the call is made
+// in, which holds the caller's future, or, for a post, the attempt itself,
+// whose failure goes to AsyncErr. issue is the call's place in its proxy's
+// issue order, and next links it into the queue or the re-runs.
 type attempt struct {
 	p     *Proxy
-	f     *Future
 	next  *attempt
 	issue uint64
 	rec   remoting.CallRecord
+}
+
+// future returns the caller's future, nil for a post.
+func (a *attempt) future() *Future {
+	if c, ok := a.rec.Completer().(Async); ok {
+		return &c.asyncCall().fut
+	}
+	return nil
 }
 
 // mailboxEntry is an AsyncCall as a mailbox holds it: the task's outcome is
@@ -179,20 +199,20 @@ func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
 
 // start submits the attempt to ref: remoteCall.on without the wait. It never
 // blocks on the call, the outcome is reported (finish) exactly once and never
-// on the caller's stack, and from here a Cancel of f abandons the exchange. A
-// submission the connection declines is recorded to be re-run before start
-// returns. The idempotency token is stamped into the record's context before
-// the first submission, so every re-run sends it again.
+// on the caller's stack, and from here a Cancel of the future abandons the
+// exchange. A submission the connection declines is recorded to be re-run
+// before start returns. The idempotency token is stamped into the record's
+// context before the first submission, so every re-run sends it again.
 func (a *attempt) start(ref *remoting.ObjRef) {
 	if a.p.rt.cfg.IdempotentCalls {
 		if ctx, call, method, args := a.rec.Call(); !hasToken(ctx) {
 			a.rec.SetCall(remoting.ContextWithToken(ctx, a.p.rt.cfg.Channel.NewCallToken()), call, method, args)
 		}
 	}
-	if err := ref.StartCall(&a.rec, a); err != nil {
+	if err := ref.StartCall(&a.rec); err != nil {
 		a.p.calls.redo(a)
-	} else if a.f != nil {
-		a.f.setAbort(&a.rec)
+	} else if f := a.future(); f != nil {
+		f.setAbort(&a.rec)
 	}
 }
 
@@ -214,12 +234,12 @@ func (a *attempt) Complete(v any, err error) {
 	a.finish(v, err)
 }
 
-// finish reports the outcome, to f or, for a post, a failure to AsyncErr,
-// and then counts the call finished, which may start the next.
+// finish reports the outcome, to the future or, for a post, a failure to
+// AsyncErr, and then counts the call finished, which may start the next.
 func (a *attempt) finish(v any, err error) {
 	p := a.p
-	if a.f != nil {
-		a.f.complete(a.settle(v, err))
+	if f := a.future(); f != nil {
+		f.complete(a.settle(v, err))
 	} else if err != nil {
 		p.noteAsyncError(err)
 	}

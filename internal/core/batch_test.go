@@ -298,9 +298,16 @@ func init() { wire.Register(batchArg{}) }
 func TestCoalesceBatchesPostsOfOneMethod(t *testing.T) {
 	p := &Proxy{rt: startNodes(t, 1, nil)[0]}
 	var o callOrder
-	queue := func(method string, args []any, f *Future) *attempt {
-		a := &attempt{p: p, f: f}
+	queue := func(method string, args []any, withFuture bool) *attempt {
+		a := &attempt{p: p}
+		var to remoting.Completer = a // a post
+		if withFuture {
+			c := new(AsyncCall)
+			a, to = &c.try, c
+			a.p = p
+		}
 		a.rec.SetCall(context.Background(), "Invoke1", method, args)
+		a.rec.SetCompleter(to)
 		if o.tail == nil {
 			o.queue = a
 		} else {
@@ -322,11 +329,11 @@ func TestCoalesceBatchesPostsOfOneMethod(t *testing.T) {
 	for i := 0; i < maxBatch+1; i++ {
 		args := []any{i, fmt.Sprint(i), batchArg{S: "s", N: i}, &batchArg{N: -i}, []byte{byte(i)}, nil, []any{i, "x"}}
 		boxed = append(boxed, args)
-		queue("Add", args, nil)
+		queue("Add", args, false)
 	}
-	queue("Sub", []any{1}, nil)
-	queue("Sub", []any{2}, new(Future))
-	queue("Sub", []any{3}, nil)
+	queue("Sub", []any{1}, false)
+	queue("Sub", []any{2}, true)
+	queue("Sub", []any{3}, false)
 
 	call, args := turn()
 	if call != "InvokeBatch" || len(args) != maxBatch {

@@ -15,17 +15,21 @@ const maxInlineDepth = 8
 
 // sub is one registered continuation, stored as given in cb: a
 // func(any, error) to tell (OnComplete), a func(int, any, error) to tell
-// with the index i it was registered under (OnCompleteAt), or, with child
-// set, a func(any, error) (any, error) whose outcome child resolves with
-// (ThenAny; a nil one passes the outcome on). A future's first holds its
-// first continuation, and a *[]sub of all of them once there are two.
+// with the index i it was registered under (OnCompleteAt), a *thenFuture to
+// resolve with its function's outcome (ThenAny), or a *Future to resolve
+// with the outcome as it is (Chain). A pending future holds its first
+// continuation, and a *[]sub of all of them once there are two (see Future).
 type sub struct {
-	cb    any
-	i     int
-	child *Future
+	cb any
+	i  int
 }
 
-func (s sub) isSet() bool { return s.cb != nil || s.child != nil }
+// thenFuture is ThenAny's derived future with the function whose outcome
+// resolves it: one allocation for both.
+type thenFuture struct {
+	Future
+	fn func(any, error) (any, error)
+}
 
 // canceller is what a Future abandons when it is cancelled: the call in
 // flight on a connection, or the future this one waits on.
@@ -40,12 +44,16 @@ type canceller interface{ Cancel() }
 // (ThenAny / OnComplete) does not. It is also the unit of cancellation
 // (Cancel): no context is derived per call.
 type Future struct {
-	mu    sync.Mutex
-	val   any
-	err   error
-	done  chan struct{} // nil until waited on; resolvedDone once resolved
-	first sub           // the continuations (see sub)
-	abort canceller     // see setAbort
+	mu   sync.Mutex
+	done chan struct{} // nil until waited on; resolvedDone once resolved
+	// val and err are the outcome once the future has resolved (outcome).
+	// Until then they hold what it owes instead (owed): val what a Cancel
+	// abandons (setAbort), err its continuations, the first registered at
+	// index at (see sub). An asynchronous call's Future lives in the call's
+	// own record, and a Scatter wave's records are one slab, so the union
+	// keeps every record of a wave 32 B smaller.
+	val, err any
+	at       int
 }
 
 // resolvedDone is the done channel of every resolved future: a future has
@@ -71,6 +79,19 @@ func ResolvedFuture(v any, err error) *Future {
 	return &Future{val: v, err: err, done: resolvedDone}
 }
 
+// owed returns, with mu held, what a pending future owes: its continuations
+// and what a Cancel abandons.
+func (f *Future) owed() (first sub, abort canceller) {
+	abort, _ = f.val.(canceller)
+	return sub{cb: f.err, i: f.at}, abort
+}
+
+// outcome returns a resolved future's value and error.
+func (f *Future) outcome() (any, error) {
+	err, _ := f.err.(error)
+	return f.val, err
+}
+
 // complete resolves the future at depth 0.
 func (f *Future) complete(v any, err error) { f.completeAt(v, err, 0) }
 
@@ -84,14 +105,14 @@ func (f *Future) completeAt(v any, err error, depth int) (abort canceller) {
 		f.mu.Unlock()
 		return nil
 	}
-	f.val, f.err = v, err
-	first, done, abort := f.first, f.done, f.abort
-	f.first, f.done, f.abort = sub{}, resolvedDone, nil
+	first, abort := f.owed()
+	done := f.done
+	f.val, f.err, f.at, f.done = v, err, 0, resolvedDone
 	f.mu.Unlock()
 	if done != nil {
 		close(done)
 	}
-	if first.isSet() {
+	if first.cb != nil {
 		f.deliver(first, depth)
 	}
 	return abort
@@ -115,7 +136,7 @@ func (f *Future) setAbort(c canceller) {
 	f.mu.Lock()
 	pending := f.done != resolvedDone
 	if pending {
-		f.abort = c
+		f.val = c
 	}
 	f.mu.Unlock()
 	if !pending {
@@ -144,16 +165,17 @@ func (f *Future) deliver(s sub, depth int) {
 		go f.deliver(s, 0)
 		return
 	}
+	v, err := f.outcome()
 	switch cb := s.cb.(type) {
 	case func(int, any, error):
-		cb(s.i, f.val, f.err)
+		cb(s.i, v, err)
 	case func(any, error):
-		cb(f.val, f.err)
-	case func(any, error) (any, error):
-		v, err := runContinuation(cb, f.val, f.err)
-		s.child.completeAt(v, err, depth+1)
-	default:
-		s.child.completeAt(f.val, f.err, depth+1)
+		cb(v, err)
+	case *thenFuture:
+		v, err := runContinuation(cb.fn, v, err)
+		cb.completeAt(v, err, depth+1)
+	case *Future:
+		cb.completeAt(v, err, depth+1)
 	}
 }
 
@@ -167,12 +189,13 @@ func (f *Future) subscribe(s sub) {
 		f.deliver(s, 0)
 		return
 	}
-	if all, ok := f.first.cb.(*[]sub); ok {
-		*all = append(*all, s)
-	} else if f.first.isSet() {
-		f.first = sub{cb: &[]sub{f.first, s}}
-	} else {
-		f.first = s
+	switch first := f.err.(type) {
+	case nil:
+		f.err, f.at = s.cb, s.i
+	case *[]sub:
+		*first = append(*first, s)
+	default:
+		f.err, f.at = &[]sub{{cb: first, i: f.at}, s}, 0
 	}
 	f.mu.Unlock()
 }
@@ -195,13 +218,10 @@ func (f *Future) OnCompleteAt(i int, fn func(int, any, error)) { f.subscribe(sub
 // cancels this one. Typed chaining lives in the parc package (Then /
 // Catch); this is their dynamically typed engine.
 func (f *Future) ThenAny(fn func(any, error) (any, error)) *Future {
-	child := &Future{abort: f}
-	s := sub{child: child}
-	if fn != nil {
-		s.cb = fn
-	}
-	f.subscribe(s)
-	return child
+	child := &thenFuture{fn: fn}
+	child.val = f // what a Cancel abandons (see Future)
+	f.subscribe(sub{cb: child})
+	return &child.Future
 }
 
 // Chain returns a future that resolves as the future step returns does; step
@@ -209,12 +229,12 @@ func (f *Future) ThenAny(fn func(any, error) (any, error)) *Future {
 // cancelled first. Cancelling the chain cancels whichever of the two it is
 // waiting on. A Pipeline stage is one Chain.
 func Chain(f *Future, step func(any, error) *Future) *Future {
-	chain := &Future{abort: f}
+	chain := &Future{val: f} // what a Cancel abandons (see Future)
 	f.OnComplete(func(v any, err error) {
 		if !chain.resolved() {
 			next := step(v, err)
 			chain.setAbort(next)
-			next.subscribe(sub{child: chain})
+			next.subscribe(sub{cb: chain})
 		}
 	})
 	return chain
@@ -246,13 +266,12 @@ func (f *Future) Done() <-chan struct{} {
 func (f *Future) Get() (any, error) {
 	f.mu.Lock()
 	if f.done == resolvedDone {
-		v, err := f.val, f.err
 		f.mu.Unlock()
-		return v, err
+		return f.outcome()
 	}
 	f.mu.Unlock()
 	<-f.Done()
 	// The close happens after val/err were written under mu, so this read
 	// is ordered after them.
-	return f.val, f.err
+	return f.outcome()
 }

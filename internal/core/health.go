@@ -149,27 +149,32 @@ func (rt *Runtime) noteProbe(node int, ok bool) {
 // fanout is one round of calls from this node to its peers' object
 // managers (probes, the promotion census, snapshot ships and drops): a
 // completion-driven call per peer, one attempt each, on one slab of records,
-// under one deadline on the records' context, where the lane's hook cancels
-// a call that outlives it. No goroutine waits on a call, a dead peer costs
-// the round one timeout, and the last call to complete ends the round. A
-// probe makes one attempt: a retry's backoff would stretch the failure
-// detector's clock.
+// under one deadline on the records' context. The round watches it once: a
+// hook on the context cancels the calls still out when it ends (expire), and
+// the lanes put none on it per call. No goroutine waits on a call, a dead
+// peer costs the round one timeout, and the last call to complete ends the
+// round. A probe makes one attempt: a retry's backoff would stretch the
+// failure detector's clock.
 type fanout struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	calls  []peerCall
-	left   atomic.Int32
-	done   chan struct{}
+	ctx     context.Context
+	cancel  context.CancelFunc
+	unwatch func() bool // detaches expire from ctx
+	calls   []peerCall
+	left    atomic.Int32
+	done    chan struct{}
 	// w and ship are a synchronous ship round's: the object shipped, and
 	// the request every target's ship starts from, boxed once (shipTo).
 	w    *ioWrapper
 	ship omCall[bool]
 }
 
-// peerCall is one call of a round, and its outcome once complete; base and
-// upTo are a ship's (shipTo).
+// peerCall is one call of a round, and its outcome once complete. It is sent
+// on recs[0], and a ship's full resend on recs[1] (reship); sent[i] says
+// recs[i] was submitted, so the round's hook may cancel it. base and upTo are
+// a ship's (shipTo).
 type peerCall struct {
-	rec        remoting.CallRecord
+	recs       [2]remoting.CallRecord
+	sent       [2]atomic.Bool
 	f          *fanout
 	p          peer
 	v          any
@@ -188,14 +193,29 @@ func newFanout(ctx context.Context, timeout time.Duration, peers []peer) *fanout
 	if len(peers) == 0 {
 		f.cancel()
 		close(f.done)
+		return f
 	}
+	f.unwatch = context.AfterFunc(f.ctx, f.expire)
 	return f
+}
+
+// expire cancels every call of the round still out, as its deadline passes or
+// its context ends otherwise: each completes with the context's error.
+func (f *fanout) expire() {
+	for i := range f.calls {
+		c := &f.calls[i]
+		for r := range c.recs {
+			if c.sent[r].Load() {
+				c.recs[r].Cancel()
+			}
+		}
+	}
 }
 
 // sendAll starts every call of the round as call.
 func (f *fanout) sendAll(call remoteCall) *fanout {
 	for i := range f.calls {
-		f.calls[i].send(&f.calls[i].rec, call)
+		f.calls[i].send(0, call)
 	}
 	return f
 }
@@ -210,11 +230,20 @@ func (f *fanout) each(yield func(*peerCall) bool) {
 	}
 }
 
-// send starts c as call on rec, a record no submission used yet; a call its
-// connection refuses completes at once.
-func (c *peerCall) send(rec *remoting.CallRecord, call remoteCall) {
+// send starts c as call on recs[r], a record no submission used yet; a call
+// its connection refuses completes at once. Once it is submitted the round's
+// hook may cancel it (expire), and send cancels it itself when the round's
+// context ended meanwhile, so a call sent as the hook runs is cancelled too.
+func (c *peerCall) send(r int, call remoteCall) {
+	rec := &c.recs[r]
+	rec.CallerWatches()
 	if err := c.p.om.InvokeAsyncCb(c.f.ctx, rec, call.call, call.args, c); err != nil {
 		c.Complete(nil, err)
+		return
+	}
+	c.sent[r].Store(true)
+	if c.f.ctx.Err() != nil {
+		rec.Cancel()
 	}
 }
 
@@ -225,6 +254,7 @@ func (c *peerCall) Complete(v any, err error) {
 		return
 	}
 	if c.f.left.Add(-1) == 0 {
+		c.f.unwatch()
 		c.f.cancel()
 		close(c.f.done)
 	}

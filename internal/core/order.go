@@ -69,10 +69,10 @@ func (o *callOrder) admit(a *attempt, ref *remoting.ObjRef) bool {
 		o.straight = ref
 		return true
 	}
-	if a.f != nil {
+	if f := a.future(); f != nil {
 		// Hooked before mu is let go: a's turn may come on another
 		// goroutine at once, and next unhooks it.
-		a.rec.Watch(cancelHook(a.rec.Context(), a.f))
+		a.rec.Watch(cancelHook(a.rec.Context(), f))
 	}
 	if o.tail == nil {
 		o.queue = a
@@ -140,7 +140,7 @@ func (o *callOrder) next() {
 			return
 		}
 		a.rec.Unwatch() // from here the connection, or a re-run, watches ctx
-		if a.f == nil || !a.f.resolved() {
+		if f := a.future(); f == nil || !f.resolved() {
 			a.start(a.p.endpoint())
 			return
 		}
@@ -157,7 +157,7 @@ func (o *callOrder) take() *attempt {
 	if a == nil {
 		return nil
 	}
-	if o.queue = a.next; a.f == nil {
+	if o.queue = a.next; a.future() == nil {
 		o.coalesce(a)
 	}
 	if o.queue == nil {
@@ -175,7 +175,7 @@ func (o *callOrder) take() *attempt {
 func (o *callOrder) coalesce(a *attempt) {
 	ctx, _, method, args := a.rec.Call()
 	lists := append(o.lists[:0], args)
-	for m := o.queue; len(lists) < maxBatch && m != nil && m.f == nil; m = o.queue {
+	for m := o.queue; len(lists) < maxBatch && m != nil && m.future() == nil; m = o.queue {
 		_, _, mm, margs := m.rec.Call()
 		if mm != method {
 			break

@@ -83,6 +83,7 @@ func (p *postErrors) Complete(_ any, err error) {
 func (p *Proxy) postRemote(method string, args []any) error {
 	a := &attempt{p: p}
 	a.rec.SetCall(context.Background(), "Invoke1", method, args)
+	a.rec.SetCompleter(a)
 	if p.calls.admit(a, nil) {
 		a.start(p.endpoint())
 	}

@@ -173,7 +173,7 @@ func (rt *Runtime) shipSnapshot(w *ioWrapper, snap []byte, gen, seq uint64, awai
 	f.w, f.ship = w, omReplicateVirtual(w.class, w.uri, gen, seq, rt.cfg.NodeID, rt.Addr(), snap, nil, 0)
 	for i := range f.calls {
 		c := &f.calls[i]
-		c.shipTo(&c.rec, w.shipAckFor(c.p.addr))
+		c.shipTo(0, w.shipAckFor(c.p.addr))
 	}
 	acked, first := false, error(nil)
 	for c := range f.each {
@@ -190,23 +190,24 @@ func (rt *Runtime) shipSnapshot(w *ioWrapper, snap []byte, gen, seq uint64, awai
 	return nil
 }
 
-// shipTo ships its round's snapshot to c's replica on rec, carrying only
-// the dedup records stamped after base, the ones the target has not
+// shipTo ships its round's snapshot to c's replica on c.recs[r], carrying
+// only the dedup records stamped after base, the ones the target has not
 // acknowledged yet. Per-call synchronous ships would otherwise resend the
 // whole LRU — up to the per-object cap — on every call, an O(cap) tax that
 // grows as the object ages.
-func (c *peerCall) shipTo(rec *remoting.CallRecord, base uint64) {
+func (c *peerCall) shipTo(r int, base uint64) {
 	recs, upTo := c.f.w.dedup.ExportSince(base)
 	c.base, c.upTo = base, upTo
 	ship := c.f.ship.remoteCall
 	ship.args = append(ship.args[:7:7], recs, base) // the round's 7, then this target's
-	c.send(rec, ship)
+	c.send(r, ship)
 }
 
 // reship reads a ship's outcome on the completion path, and reports whether
 // it sent the ship again: a target that cannot extend its chain (first
 // contact, a missed ship, a generation change, a dropped replica) answers
-// needFull and gets one full resend, on a fresh record, in the same round.
+// needFull and gets one full resend, on the call's second record, in the
+// same round.
 func (c *peerCall) reship() bool {
 	var needFull bool
 	if c.err == nil {
@@ -219,7 +220,7 @@ func (c *peerCall) reship() bool {
 		c.err = fmt.Errorf("core: replicate %s: %s refused a full dedup resend", c.f.w.uri, c.p.addr)
 		return false
 	}
-	c.shipTo(new(remoting.CallRecord), 0)
+	c.shipTo(1, 0)
 	return true
 }
 

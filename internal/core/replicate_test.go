@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -72,15 +73,17 @@ func vcellKeys(t *testing.T, rts []*Runtime, n, owner int, targets ...int) []str
 // measured 65 and 101: a ship is one fan-out with its slab of records and
 // one deadline, its arguments are boxed once, and a replica takes a full
 // ship of its own generation in place; the lane's context hook on each call
-// (5 allocations) takes most of what the goroutines gave back. It measures
-// 50 and 70 now that the object manager's generated thunks bind a ship's
-// arguments instead of reflection (about 15 allocations a ship). The budget is
-// each figure plus one.
+// (5 allocations) takes most of what the goroutines gave back. It measured
+// 50 and 70 once the object manager's generated thunks bound a ship's
+// arguments instead of reflection (about 15 allocations a ship), and
+// measures 50 and 67 now that a round watches its deadline with one hook
+// for all its calls, in place of the lane's hook on each. The budget is each
+// figure plus one.
 func TestAllocBudgetReplicatedCall(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	for _, tc := range []struct{ replicas, budget int }{{1, 51}, {2, 71}} {
+	for _, tc := range []struct{ replicas, budget int }{{1, 51}, {2, 68}} {
 		t.Run(fmt.Sprintf("replicas=%d", tc.replicas), func(t *testing.T) {
 			rts, _ := startShaped(t, 3, tc.replicas)
 			key := vcellKeys(t, rts, 1, 0, []int{1, 2}[:tc.replicas]...)[0]
@@ -191,6 +194,52 @@ func TestAsyncShipsHoldNoGoroutine(t *testing.T) {
 	}
 	if d := time.Since(start); d < replicateShipTimeout || d > replicateShipTimeout+time.Second {
 		t.Errorf("the ships gave up after %v, want at their deadline of %v", d, replicateShipTimeout)
+	}
+}
+
+// TestFanoutGivesUpAtItsDeadline: a round whose calls to two isolated peers
+// never hear a reply ends at its deadline, which the round watches once for
+// all its calls (the lanes put no hook on its context): the isolated peers'
+// calls complete with the deadline's error, the reachable peer's with its
+// answer, each once, and every record goes back.
+func TestFanoutGivesUpAtItsDeadline(t *testing.T) {
+	rts, net := startShaped(t, 4, 1)
+	// Installed before the first round, whose server ends may still be
+	// giving their records back when it ends.
+	check := remoting.AuditRecords()
+	probe := omLoadInfo()
+	newFanout(context.Background(), time.Second, rts[0].otherPeers(false)).sendAll(probe.remoteCall).each(func(*peerCall) bool { return true })
+	net.Isolate(rts[2].Addr())
+	net.Isolate(rts[3].Addr())
+	const timeout = 300 * time.Millisecond
+	start := time.Now()
+	f := newFanout(context.Background(), timeout, rts[0].otherPeers(false)).sendAll(probe.remoteCall)
+	select {
+	case <-f.done:
+	case <-time.After(timeout + 5*time.Second):
+		t.Fatalf("the round had not ended 5s after its deadline of %v", timeout)
+	}
+	var heard []int
+	for c := range f.each {
+		heard = append(heard, c.p.node)
+		switch isolated := c.p.node >= 2; {
+		case isolated && !errors.Is(c.err, context.DeadlineExceeded):
+			t.Errorf("the call to isolated node %d completed with %v, want its deadline", c.p.node, c.err)
+		case !isolated && c.err != nil:
+			t.Errorf("the call to node %d failed: %v", c.p.node, c.err)
+		}
+	}
+	if d := time.Since(start); d < timeout || d > timeout+time.Second {
+		t.Errorf("the round ended after %v, want at its deadline of %v", d, timeout)
+	}
+	if !slices.Equal(heard, []int{1, 2, 3}) {
+		t.Errorf("the round heard nodes %v, want 1, 2 and 3", heard)
+	}
+	if n := f.left.Load(); n != 0 {
+		t.Errorf("the round counts %d calls left, want 0: a call completed more or less than once", n)
+	}
+	if err := check(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -80,9 +80,9 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 // NestedInvoker, there: the connection's handle names the user's method and
 // the frame carries args alone. An empty method makes it InvokeCtx(ctx,
 // call, args...). sink, when not nil, is the caller's typed slot for the
-// result, as SetSink gives one to a completion-driven call: a reply whose
-// result it takes is decoded into it, and the call returns sink itself as
-// its value. After a call that returned an error the reader may still be
+// result, kept beside the call's result in its record: a reply whose result
+// it takes is decoded into it, and the call returns sink itself as its
+// value. After a call that returned an error the reader may still be
 // writing into sink.
 func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, method string, args []any) (any, error) {
 	countRecord(recordDrawn)
@@ -113,16 +113,17 @@ func (r *ObjRef) invoke(w *blockingWait) (any, error) {
 	if !p.Enabled() || retryDisabled(w.ctx) {
 		return r.attempt(w)
 	}
-	for attempt := 0; ; attempt++ {
+	// retry numbers the retry a failed attempt would be: 1 after the first.
+	for retry := 1; ; retry++ {
 		start := time.Now()
 		result, err := r.attempt(w)
 		if err == nil {
 			return result, nil
 		}
-		if !retryable(err) || attempt >= p.MaxAttempts-1 || w.has(recLost) {
+		if !retryable(err) || retry >= p.MaxAttempts || w.has(recLost) {
 			return nil, err
 		}
-		delay := retryDelay(err, attempt)
+		delay := retryDelay(err, retry)
 		if !budgetAllows(w.ctx, delay, time.Since(start)) {
 			return nil, err
 		}
@@ -202,24 +203,25 @@ func (r *ObjRef) replyError(method string, resp *callResponse) error {
 // InvokeAsyncCb starts one completion-driven invocation attempt on c, a
 // zero CallRecord the caller supplies (usually a field of its own record of
 // the call) and leaves alone until the outcome is in: SetCall(ctx, method,
-// "", args), then StartCall(c, to).
+// "", args) and SetCompleter(to), then StartCall(c).
 func (r *ObjRef) InvokeAsyncCb(ctx context.Context, c *CallRecord, method string, args []any, to Completer) error {
 	c.SetCall(ctx, method, "", args)
-	return r.StartCall(c, to)
+	c.SetCompleter(to)
+	return r.StartCall(c)
 }
 
 // StartCall submits the completion-driven call c, which SetCall named: the
 // request is encoded and enqueued on its lane and the method returns
-// immediately; to receives the normalized outcome exactly once, on the
-// completion path (the lane's reader goroutine for replies), and c.Cancel
-// abandons the call. An error return means the call was not submitted and to
-// will never hear of it. Unlike InvokeCtx there is no retry loop here: a
-// single attempt, whose failure the caller decides how to recover (the
-// SCOOPP proxy re-runs transient failures through the full synchronous
-// re-routing machinery, which draws its own records, from what Call reads
-// back). A record serves one submission.
-func (r *ObjRef) StartCall(c *CallRecord, to Completer) error {
-	c.ref, c.to = r, to
+// immediately; the Completer SetCompleter named receives the normalized
+// outcome exactly once, on the completion path (the lane's reader goroutine
+// for replies), and c.Cancel abandons the call. An error return means the
+// call was not submitted and its Completer will never hear of it. Unlike
+// InvokeCtx there is no retry loop here: a single attempt, whose failure the
+// caller decides how to recover (the SCOOPP proxy re-runs transient failures
+// through the full synchronous re-routing machinery, which draws its own
+// records, from what Call reads back). A record serves one submission.
+func (r *ObjRef) StartCall(c *CallRecord) error {
+	c.ref = r
 	c.ctx = r.address(c.ctx, &c.req)
 	_, err := r.ch.submit(r.netaddr, c)
 	return err

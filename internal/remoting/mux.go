@@ -596,7 +596,8 @@ func (mc *muxConn) pump() {
 
 // start registers one admitted call (its slot is already held) and hands of,
 // its frame, to the writer. A completion-driven call's context gets a hook
-// that cancels the call when it ends; a blocking caller watches its own.
+// that cancels the call when it ends; a blocking caller, and a fan-out round,
+// watch their own (recWatched).
 // Nothing here reads c once register took it: it may already be complete.
 // It runs under admitMu, which fail takes before it closes the in-flight
 // table, so a call admitted before the lane failed is registered and fail
@@ -661,7 +662,7 @@ func (ch *Channel) submit(netaddr string, c *CallRecord) (fresh bool, err error)
 	if err := c.ctx.Err(); err != nil {
 		return false, c.callErr(err)
 	}
-	mc, fresh, err := ch.getMux(netaddr, ch.laneForURI(c.ref.uri), c.has(recWatched), breakerBypassed(c.ctx))
+	mc, fresh, err := ch.getMux(netaddr, ch.laneForURI(c.ref.uri), c.has(recBlocking), breakerBypassed(c.ctx))
 	if t, ok := c.to.(Turn); ok && err == nil && !t.InTurn() {
 		err = errOutOfTurn
 	}

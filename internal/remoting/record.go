@@ -20,18 +20,19 @@ import (
 // the reply into it second, so a reply is decoded once, where it is going,
 // and tells to inline, handing over the result as it decoded it. A
 // completion-driven call brings its own record, zero, as part of whatever
-// the caller allocates for the call (SetCall, StartCall), so a future costs
-// neither a goroutine while it waits nor an allocation of the connection's.
-// A blocking call draws one its ObjRef keeps (or a pooled one when other
-// calls have them), whose Completer is the record's own blockingWait, and
-// parks on it. The connection holds the record from submission until to
-// has been told. Either kind may carry the caller's typed slot (sink), which
-// is offered the result before it is decoded as a value.
+// the caller allocates for the call (SetCall, SetCompleter, StartCall), so a
+// future costs neither a goroutine while it waits nor an allocation of the
+// connection's. A blocking call draws one its ObjRef keeps (or a pooled one
+// when other calls have them), whose Completer is the record's own
+// blockingWait, and parks on it. The connection holds the record from
+// submission until to has been told. Either kind may carry the caller's
+// typed slot (sink), which is offered the result before it is decoded as a
+// value: a completion-driven call's Completer is its own slot when it is a
+// ResultSink, and a blocking call's slot is kept beside its result.
 type CallRecord struct {
-	req  request
-	ref  *ObjRef
-	sink ResultSink
-	to   Completer
+	req request
+	ref *ObjRef
+	to  Completer
 
 	// ctx bounds the call, as SetCall named it, and carries its deadline and
 	// idempotency token. The call holds an in-flight slot of its lane mc
@@ -43,16 +44,19 @@ type CallRecord struct {
 	ctx  context.Context
 	stop func() bool
 
-	// flags holds recCancelled, recWatched and recLost.
+	// flags holds recCancelled, recWatched, recBlocking and recLost.
 	flags atomic.Uint32
 }
 
 const (
 	// recCancelled: Cancel ran.
 	recCancelled = 1 << iota
-	// recWatched: the caller watches ctx itself (a blocking call), so
-	// admission installs no context.AfterFunc hook.
+	// recWatched: the caller watches ctx itself (a blocking call, a fan-out
+	// round), so admission installs no context.AfterFunc hook.
 	recWatched
+	// recBlocking: the submitter is a blocking caller, who waits for a
+	// failing lane to drain rather than be declined (getMux).
+	recBlocking
 	// recLost: a blocking call abandoned on ctx while the lane held its
 	// record (the reader or fail had taken it, or it waits for admission).
 	// The lane still completes it, so the record is never reused.
@@ -65,11 +69,12 @@ func (c *CallRecord) set(flag uint32)      { c.flags.Or(flag) }
 // blockingWait is a blocking call's record, kept by its ObjRef or drawn from
 // the pool of waits, and its Completer: the outcome lands in result and on rc
 // (capacity 1, so the completion never blocks), where the caller parks
-// (await).
+// (await). sink is the caller's typed slot for the result, nil for none.
 type blockingWait struct {
 	CallRecord
 	rc     chan error
 	result any
+	sink   ResultSink
 }
 
 // Complete hands the parked caller its outcome.
@@ -98,9 +103,51 @@ func (w *blockingWait) await() (any, error) {
 	}
 }
 
-// SetSink gives a completion-driven call a typed slot for its result, before
-// the record is submitted; see ResultSink.
-func (c *CallRecord) SetSink(s ResultSink) { c.sink = s }
+// SetCompleter names to, the call's Completer, before the record is
+// submitted (StartCall). When to is a ResultSink, it is the call's typed slot
+// too: a reply whose result it takes is decoded into it, and to hears itself
+// as the value. A sink SetSink gave the call first is kept, and to hears it.
+func (c *CallRecord) SetCompleter(to Completer) {
+	if s, ok := c.to.(*sinkFor); ok && s.to == nil {
+		s.to = to
+		return
+	}
+	c.to = to
+}
+
+// Completer returns the Completer SetCompleter named, nil if none.
+func (c *CallRecord) Completer() Completer { return c.to }
+
+// SetSink gives a call whose Completer is not a ResultSink itself a typed
+// slot for its result, s, before the Completer is named (SetCompleter): a
+// reply whose result s takes is decoded into it, and the Completer hears s
+// as the value. It costs the call an allocation, which a Completer that is
+// its own slot does not.
+func (c *CallRecord) SetSink(s ResultSink) { c.to = &sinkFor{sink: s} }
+
+// sinkFor is the Completer of a call SetSink gave a slot apart from its
+// Completer, to.
+type sinkFor struct {
+	sink ResultSink
+	to   Completer
+}
+
+func (s *sinkFor) Complete(v any, err error) { s.to.Complete(v, err) }
+
+// sink returns the typed slot the call's result is decoded into, nil for
+// none: a blocking caller's, SetSink's, or else the Completer, when that is a
+// ResultSink.
+func (c *CallRecord) sink() ResultSink {
+	switch to := c.to.(type) {
+	case *blockingWait:
+		return to.sink
+	case *sinkFor:
+		return to.sink
+	case ResultSink:
+		return to
+	}
+	return nil
+}
 
 // SetCall names the call the record is for, before it is submitted
 // (StartCall): ctx bounds it, nil meaning background, and call, method and
@@ -136,15 +183,17 @@ func (c *CallRecord) envelope() callRequest {
 // Context returns the ctx SetCall named.
 func (c *CallRecord) Context() context.Context { return c.ctx }
 
-// Sink returns the sink SetSink gave the call, nil if none.
-func (c *CallRecord) Sink() ResultSink { return c.sink }
-
 // Watch gives the call stop, the detach of the hook its caller put on the
 // call's context while the call waits to be submitted (in a queue, in a
 // mailbox), and Unwatch runs it. The caller unwatches before it submits the
 // call: from admission on, the connection keeps its own hook in the same
 // place.
 func (c *CallRecord) Watch(stop func() bool) { c.stop = stop }
+
+// CallerWatches tells the record, before it is submitted, that its caller
+// cancels it when its context ends, so admission puts no hook on the context:
+// a fan-out round watches its one deadline for all its calls.
+func (c *CallRecord) CallerWatches() { c.set(recWatched) }
 
 // Unwatch detaches the call's hook on its context, if it has one.
 func (c *CallRecord) Unwatch() {
@@ -187,7 +236,7 @@ var waits = keep.NewKind(func(w *blockingWait) bool {
 	}
 	*w = blockingWait{rc: rc}
 	w.to = w
-	w.set(recWatched)
+	w.set(recWatched | recBlocking)
 	return true
 })
 
@@ -282,7 +331,7 @@ func (c *CallRecord) abort(err error) {
 // value, and an error reply into the *remoteError it completes with.
 func (c *CallRecord) readReply(d *wire.Decoder, flags byte) (result any, replyErr, err error) {
 	if flags&flagReplyErr == 0 {
-		result, err = decodeReplyBody(d, flags, nil, c.sink)
+		result, err = decodeReplyBody(d, flags, nil, c.sink())
 		return result, nil, err
 	}
 	// No envelope of its own: an error reply is worth one on the stack.

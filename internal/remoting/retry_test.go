@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -113,6 +115,66 @@ func shedding(t *testing.T, attempts int, hint time.Duration) (*Channel, *ObjRef
 	ch.Retry = RetryPolicy{MaxAttempts: attempts}
 	srv.Marshal("shedder", &shedder{hint: hint})
 	return ch, NewObjRef(ch, srv.Addr(), "shedder")
+}
+
+// stamper sheds every Ping without a retry-after hint, so a retrying caller
+// sleeps the computed backoff, and stamps when each attempt arrived.
+type stamper struct {
+	mu  sync.Mutex
+	hit []time.Time
+}
+
+func (s *stamper) Ping() error {
+	s.mu.Lock()
+	s.hit = append(s.hit, time.Now())
+	s.mu.Unlock()
+	return fmt.Errorf("shed: %w", errs.ErrOverloaded)
+}
+
+// TestRetryScheduleNumbersRetriesFromOne: a blocking call's first retry waits
+// backoff(1), retryBase jittered into [2.5, 7.5] ms, and its second
+// backoff(2), [5, 15] ms, as the arrivals of its attempts at a shedding
+// server show. A sleep never ends early, so every gap is at least its
+// delay's floor; the least of a few calls' gaps is at most its ceiling. A
+// schedule that numbered retries from 0 waits the base twice, and its second
+// gap falls under 5 ms on half the calls.
+func TestRetryScheduleNumbersRetriesFromOne(t *testing.T) {
+	const calls = 16
+	ch, srv := newTestServer(t)
+	ch.Retry = RetryPolicy{MaxAttempts: 3}
+	s := new(stamper)
+	srv.Marshal("stamper", s)
+	ref := NewObjRef(ch, srv.Addr(), "stamper")
+	floor := [2]time.Duration{retryBase / 2, retryBase}
+	ceil := [2]time.Duration{retryBase * 3 / 2, retryBase * 3}
+	least := ceil
+	for i := 0; i < calls; i++ {
+		s.mu.Lock()
+		s.hit = s.hit[:0]
+		s.mu.Unlock()
+		if _, err := ref.Invoke("Ping"); !errors.Is(err, errs.ErrOverloaded) {
+			t.Fatalf("call %d: %v, want the shed", i, err)
+		}
+		s.mu.Lock()
+		hit := slices.Clone(s.hit)
+		s.mu.Unlock()
+		if len(hit) != 3 {
+			t.Fatalf("call %d made %d attempts, want 3", i, len(hit))
+		}
+		for r := range floor {
+			gap := hit[r+1].Sub(hit[r])
+			if gap < floor[r] {
+				t.Errorf("call %d: retry %d came %v after the attempt before it, want at least %v", i, r+1, gap, floor[r])
+			}
+			least[r] = min(least[r], gap)
+		}
+	}
+	for r := range least {
+		if least[r] > ceil[r] {
+			t.Errorf("retry %d: the least gap of %d calls is %v, want at most %v", r+1, calls, least[r], ceil[r])
+		}
+	}
+	t.Logf("least gaps: first retry %v, second %v", least[0], least[1])
 }
 
 // TestBudgetAllowsDeadline: a retry that cannot finish inside the deadline

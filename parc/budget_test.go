@@ -233,7 +233,7 @@ func TestAllocBudgetAcrossCollections(t *testing.T) {
 // more than the blocking call: that call's 4 minus the reply's box on the
 // caller's end (the result is decoded into the Result's typed slot, and the
 // future resolves with a pointer to it), plus two of the runtime's own: the
-// call (one object of 448 B: the Result, the Future and the attempt the
+// call (one object of 216 B: the Result, the Future and the attempt the
 // re-run rule rides on, which holds the connection's record, the one place
 // the request and its context are kept) and the channel Get waits on. The
 // caller's context is Background, so nothing is spent on cancellation; a
@@ -293,23 +293,28 @@ func TestAllocBudgetScatterWave(t *testing.T) {
 
 // TestAllocBudgetAsyncFootprint holds what an asynchronous call stores, in
 // bytes. A wave member's record, asyncResult (the Result, its Future, the
-// attempt and the connection's CallRecord), must stay within 288 B; it is
-// 280. A record that kept the request and its context twice, the blocking
+// attempt and the connection's CallRecord), must stay within 224 B; it is
+// 216. A record that kept the request and its context twice, the blocking
 // call's channel and envelope, and an encoder's bytes beside the encoder was
 // 616 B; one that kept copies of what its context, its channel and its
 // future's state already hold (the deadline and token, the breaker, the
 // call's name as a string, a second continuation slot and a completed flag)
-// was 416 B; and one that kept a memo of the converted outcome beside the
-// slot, the queued frame beside the lane's queue, two hooks on the context
-// and the call and method as two strings was 352 B. The budget has no
-// slack beyond page rounding: a wave allocates its 256 records as one slab,
-// which at 288 B is 73,728 B, exactly 9 pages of 8 KiB, and at 296 B takes
-// 10. So 16 B more in the record (two fields in CallRecord) costs a wave
-// 8 KiB and a member 32 B. The bytes a Scatter wave of 256 allocates, both
-// ends and the wave's own, are held per member to 562 B, where they measure
-// 524 to 526 B: those 32 B stay inside it, and the record's own 288 B is
-// what catches them. The record's fields are logged with their offsets, so
-// that a change names the row it moves.
+// was 416 B; one that kept a memo of the converted outcome beside the slot,
+// the queued frame beside the lane's queue, two hooks on the context and the
+// call and method as two strings was 352 B; and one that held five pointers
+// back into itself (the Result's and the attempt's to the Future, the
+// record's sink to the slot and its Completer to the attempt, the Future's
+// abort hook to the record), a derived future's field beside every
+// continuation, and the Future's continuations and abort hook beside the
+// outcome they are never needed with, was 280 B. The budget has no slack
+// beyond page rounding: a wave allocates its 256 records as one slab, which
+// at 224 B is 57,344 B, exactly 7 pages of 8 KiB, and at 232 B takes 8. So
+// 16 B more in the record (two fields in CallRecord) costs a wave 8 KiB and
+// a member 32 B. The bytes a Scatter wave of 256 allocates, both ends and
+// the wave's own, are held per member to 498 B, where they measure 460 to
+// 461 B: those 32 B stay inside it, and the record's own 224 B is what
+// catches them. The record's fields are logged with their offsets, so that
+// a change names the row it moves.
 func TestAllocBudgetAsyncFootprint(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -319,11 +324,11 @@ func TestAllocBudgetAsyncFootprint(t *testing.T) {
 		size, unsafe.Sizeof(Result[[]byte]{}), unsafe.Sizeof(core.AsyncCall{}), unsafe.Sizeof(core.Future{}),
 		unsafe.Sizeof(remoting.CallRecord{}))
 	logFields(t, reflect.TypeFor[asyncResult[[]byte]](), 0, "")
-	if size > 288 {
-		t.Errorf("asyncResult[[]byte] is %d B, budget 288", size)
+	if size > 224 {
+		t.Errorf("asyncResult[[]byte] is %d B, budget 224", size)
 	}
 
-	const waves, budget = 20, 562.0
+	const waves, budget = 20, 498.0
 	wave := echoWave(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// The least of three windows: a collection inside one empties the pools

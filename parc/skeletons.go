@@ -137,14 +137,13 @@ func Pipeline[R any, T any](ctx context.Context, g *Group[T], method string, ite
 	last := make([]asyncResult[R], len(items))
 	for k, item := range items {
 		r := &last[k]
-		r.call.SetSink(&r.slot)
-		call := &r.call // the first stage is the last
+		var call core.Async = r // the first stage is the last
 		if n > 1 {
 			call = &first[k]
 		}
 		r.f = g.objs[0].p.StartAsync(ctx, call, method, []any{item})
 		for i, o := range g.objs[1:] {
-			call = &r.call
+			call = r
 			if i < n-2 { // a stage between the first and the last
 				call = new(core.AsyncCall)
 			}
@@ -159,7 +158,7 @@ func Pipeline[R any, T any](ctx context.Context, g *Group[T], method string, ite
 // prev resolves, the stage call is issued from the completion path and the
 // returned future adopts its outcome. Cancelling it cancels whichever of
 // the two is pending, so a cancelled item abandons the stage it is in.
-func thenCall(ctx context.Context, prev *Future, p *Proxy, c *core.AsyncCall, method string) *Future {
+func thenCall(ctx context.Context, prev *Future, p *Proxy, c core.Async, method string) *Future {
 	return core.Chain(prev, func(v any, err error) *Future {
 		if err != nil {
 			return core.ResolvedFuture(nil, err)

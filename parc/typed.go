@@ -151,8 +151,8 @@ func Call[R any, T any](ctx context.Context, o *Object[T], method string, args .
 
 // slot is where a reply whose result is exactly an R is decoded: in a
 // Result for an asynchronous call, borrowed from slotStore for a blocking
-// one. It is the remoting.ResultSink both give the runtime, and an
-// asynchronous call's core.Sink.
+// one, and the value either call finishes with when it holds the result.
+// It is the remoting.ResultSink a blocking call gives the runtime.
 type slot[R any] struct{ val R }
 
 // DecodeResult implements remoting.ResultSink, on the connection's reader
@@ -160,14 +160,6 @@ type slot[R any] struct{ val R }
 // has finished with the slot as its value (resultOf), so a reply that loses
 // to a Cancel or a ctx lands in memory nobody looks at.
 func (s *slot[R]) DecodeResult(d *wire.Decoder) bool { return d.ValueInto(&s.val) }
-
-// Settle implements core.Sink: any other value an asynchronous call finishes
-// with is converted (As) into the slot, once, on the completion path and
-// before the call's Future resolves. A value As refuses fails the call.
-func (s *slot[R]) Settle(v any) (err error) {
-	s.val, err = As[R](v, nil)
-	return err
-}
 
 // slots is the store of R's slots for blocking calls, with their kind: a
 // slot goes back emptied.
@@ -206,18 +198,37 @@ func CallAsync[R any, T any](ctx context.Context, o *Object[T], method string, a
 
 // asyncResult is what an asynchronous call allocates: the Result handed back
 // and, in the same object, everything the runtime keeps for the call. A wave
-// allocates its members' as one slice. The Result's slot is the call's sink:
-// its outcome settles there before its Future resolves.
+// allocates its members' as one slice. It is the call's core.Async and its
+// core.Sink: a reply that is exactly an R is decoded into the Result's slot,
+// and the outcome settles there before the call's Future resolves, with the
+// slot as its value.
 type asyncResult[R any] struct {
 	Result[R]
-	call core.AsyncCall
+	core.AsyncCall
 }
 
 // start issues the call; c must be zero.
 func (c *asyncResult[R]) start(ctx context.Context, p *Proxy, method string, args []any) *Result[R] {
-	c.call.SetSink(&c.slot)
-	c.f = p.StartAsync(ctx, &c.call, method, args)
+	c.f = p.StartAsync(ctx, c, method, args)
 	return &c.Result
+}
+
+// DecodeResult implements remoting.ResultSink: the reply's result goes into
+// the Result's slot.
+func (c *asyncResult[R]) DecodeResult(d *wire.Decoder) bool { return c.slot.DecodeResult(d) }
+
+// Settle implements core.Sink, once, on the completion path and before the
+// call's Future resolves: a reply decoded into the slot (v is c) is there
+// already, and any other value the call finishes with is converted (As) into
+// it. The Future resolves with the slot; a value As refuses fails the call.
+func (c *asyncResult[R]) Settle(v any) (any, error) {
+	if v != any(c) {
+		var err error
+		if c.slot.val, err = As[R](v, nil); err != nil {
+			return nil, err
+		}
+	}
+	return &c.slot, nil
 }
 
 // resultOf is the one place a call's outcome becomes an R, blocking or
