@@ -5,9 +5,12 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 
 	"repro/internal/errs"
+	"repro/internal/keep"
 	"repro/internal/remoting"
+	"repro/internal/wire"
 )
 
 // InvokeAsync starts a synchronous-style call without blocking the caller
@@ -34,57 +37,52 @@ func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) 
 	return p.StartAsync(ctx, new(AsyncCall), method, args)
 }
 
-// StartAsync is InvokeAsyncCtx in storage the caller supplies: c, zero, is
-// everything the runtime keeps for the call, so a caller that allocates it
-// inside its own record of the call, or a wave of them as one slab, pays
-// nothing more. The Future returned lives in c; c serves this one call.
+// StartAsync is InvokeAsyncCtx in storage the caller supplies: c, zero,
+// holds what outlives the call, its Future and, when c is a Sink, the typed
+// slot its outcome settles in, so a caller that allocates it inside its own
+// record of the call, or a wave of them as one slab, pays nothing more. What
+// serves only the exchange, the attempt with the connection's record of it,
+// is drawn from the proxy's store (Proxy.tries) and goes back there when the
+// lane and every hook on the call's context are done with it, or else to
+// the GC (attempt.release). The Future returned lives in c; c serves this
+// one call.
 func (p *Proxy) StartAsync(ctx context.Context, c Async, method string, args []any) *Future {
 	p.rt.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	call := c.asyncCall()
-	call.try.p = p
-	call.try.rec.SetCall(ctx, "Invoke1", method, args)
-	call.try.rec.SetCompleter(c)
-	switch mode, act := p.state(); mode {
-	case modeAgglomerated:
-		call.fut.complete(call.try.settle(p.invokeInCaller(ctx, method, args)))
-	case modeLocalActive:
-		call.submitLocal(act)
-	default:
-		call.submitRemote()
+	f := &c.asyncCall().fut
+	sink, _ := c.(Sink)
+	mode, act := p.state()
+	if mode == modeAgglomerated {
+		v, err := p.invokeInCaller(ctx, method, args)
+		f.complete(settle(sink, v, err))
+		return f
 	}
-	return &call.fut
+	a := p.draw(f, sink)
+	a.rec.SetCall(ctx, "Invoke1", method, args)
+	if mode == modeLocalActive {
+		a.submitLocal(act)
+	} else {
+		a.submitRemote()
+	}
+	return f
 }
 
 // Async is the storage an asynchronous call is made in (StartAsync): an
-// *AsyncCall, or a record of the caller's that embeds one, whose promoted
-// methods make it an Async. It is the Completer of the call's connection
-// record, and when it is a Sink too, the call's typed slot.
-type Async interface {
-	remoting.Completer
-	asyncCall() *AsyncCall
-}
+// *AsyncCall, or a record of the caller's that embeds one. When it is a Sink
+// too, it is the call's typed slot.
+type Async interface{ asyncCall() *AsyncCall }
 
-// AsyncCall is one asynchronous call as the runtime holds it: the Future
-// handed back and, in the same object, the attempt the call is made with,
-// which carries the connection's record of the exchange and the call's place
-// in its proxy's call order (both unused by a call that stays on this node).
-// The zero value is ready for StartAsync.
-type AsyncCall struct {
-	fut Future
-	try attempt
-}
+// AsyncCall is what of an asynchronous call outlives it: the Future handed
+// back. The attempt the call is made with, and the connection's record in
+// it, are the proxy's, drawn from its store for the exchange and back there
+// when the lane and every hook are done with them, or else the GC's. The
+// zero value is ready for StartAsync.
+type AsyncCall struct{ fut Future }
 
 // asyncCall makes an AsyncCall, and every record that embeds one, an Async.
 func (c *AsyncCall) asyncCall() *AsyncCall { return c }
-
-// Complete is remoting.Completer: the attempt's (attempt.Complete).
-func (c *AsyncCall) Complete(v any, err error) { c.try.Complete(v, err) }
-
-// InTurn is remoting.Turn: the attempt's (attempt.InTurn).
-func (c *AsyncCall) InTurn() bool { return c.try.InTurn() }
 
 // Sink is the typed slot an asynchronous call's result settles in, once,
 // before its Future resolves: the Async the call is made in, when it is one.
@@ -99,88 +97,152 @@ type Sink interface {
 	Settle(v any) (any, error)
 }
 
-// settle is the outcome a's future resolves with: a value the call finished
-// with, settled by the call's sink. A call without a sink, or one that
+// settle is the outcome a future resolves with: a value the call finished
+// with, settled by the call's sink s. A call without a sink, or one that
 // failed, resolves with its outcome as it is.
-func (a *attempt) settle(v any, err error) (any, error) {
-	if s, ok := a.rec.Completer().(Sink); ok && err == nil {
+func settle(s Sink, v any, err error) (any, error) {
+	if s != nil && err == nil {
 		return s.Settle(v)
 	}
 	return v, err
 }
 
-// attempt is one completion-driven try at a call against the proxy's current
-// endpoint: a call its proxy's callOrder counts, queues and re-runs. rec is
-// the connection's for the one submission start makes, and the call's one
-// record of what it is: its context and the runtime call, user's method and
-// arguments, named when the call begins (SetCall) and read back by every way
-// it can go (a mailbox, the connection, a re-run), and it holds the future's
-// cancelHook while the call waits in a mailbox or in the queue
-// (remoting.CallRecord.Watch). rec's Completer is the Async the call is made
-// in, which holds the caller's future, or, for a post, the attempt itself,
-// whose failure goes to AsyncErr. issue is the call's place in its proxy's
-// issue order, and next links it into the queue or the re-runs.
+// attempt is what serves one asynchronous call while it is in flight: a call
+// its proxy's callOrder counts, queues and re-runs, or a task in a local
+// object's mailbox. rec is the connection's record of each submission start
+// makes, and the call's one record of what it is: its context and the
+// runtime call, user's method and arguments, named when the call begins
+// (SetCall) and read back by every way it can go (a mailbox, the connection,
+// a re-run), and it holds the future's cancelHook while the call waits in a
+// mailbox or in the queue (remoting.CallRecord.Watch). The attempt is rec's
+// Completer and Turn, and its ResultSink, which forwards to sink. fut and
+// sink are its owner's, the Async the call was started in, nil for a post.
+// issue is the call's place in its proxy's issue order, 0 while it is a
+// mailbox's, and next links it into the queue or the re-runs.
+//
+// An attempt is drawn from its proxy's store (draw) and goes back there in
+// one case only: the completion that resolved its future, once the lane and
+// every hook on its context are done with it (release). In every other case
+// (its future was resolved by a Cancel or a hook, a hook on its context
+// could not be detached, it was declined at its turn) the GC takes it.
 type attempt struct {
 	p     *Proxy
 	next  *attempt
 	issue uint64
+	fut   *Future
+	sink  Sink
 	rec   remoting.CallRecord
 }
 
-// future returns the caller's future, nil for a post.
-func (a *attempt) future() *Future {
-	if c, ok := a.rec.Completer().(Async); ok {
-		return &c.asyncCall().fut
+// attempts is the kind of the asynchronous calls' attempts, which proxies
+// keep (Proxy.tries): one goes back emptied, so it pins neither arguments
+// nor its owner, and ready as its record's Completer. While a test poisons
+// attempts (attemptPoison; nothing sets it in production), one that goes
+// back holds, until it is drawn again, a typed slot that panics when it is
+// used: a party that still holds it fails loudly rather than reading or
+// writing another call's.
+var attempts = keep.NewKind(func(a *attempt) bool {
+	*a = attempt{}
+	a.rec.SetCompleter(a)
+	if attemptPoison.Load() {
+		a.sink = poisonSink{}
 	}
-	return nil
+	return true
+})
+
+var attemptPoison atomic.Bool
+
+// poisonSink is the typed slot of an attempt in its store while attempts
+// are poisoned.
+type poisonSink struct{}
+
+func (poisonSink) DecodeResult(*wire.Decoder) bool { panic(errPoisoned) }
+func (poisonSink) Settle(any) (any, error)         { panic(errPoisoned) }
+
+var errPoisoned = errors.New("core: an attempt used after it went back to its store")
+
+// draw takes an attempt from p's store for a call whose future and typed
+// slot are fut and sink, nil for a post.
+func (p *Proxy) draw(fut *Future, sink Sink) *attempt {
+	remoting.CountRecord(remoting.RecordDrawn)
+	a := p.tries.Get(attempts)
+	a.p, a.fut, a.sink = p, fut, sink
+	return a
 }
 
-// mailboxEntry is an AsyncCall as a mailbox holds it: the task's outcome is
-// the call's.
-type mailboxEntry AsyncCall
-
-// Complete hears the task's outcome, on the actor loop or on whoever
-// aborted the task.
-func (e *mailboxEntry) Complete(v any, err error) {
-	a := &e.try
-	a.rec.Unwatch()
-	if mv, ok := movedOf(err, a.p.uri); ok {
-		// The object was taken from this node with the call still queued or
-		// held: follow it, in the proxy's call order, ahead of the calls
-		// issued after this one.
-		a.p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-		(*AsyncCall)(e).submitRemote()
+// release ends a's part in its call: back to its proxy's store when free
+// (nothing but a's own completion path can still reach it) and no hook on
+// the call's context outlived its detach (remoting.CallRecord.Lost), to the
+// GC otherwise.
+func (a *attempt) release(free bool) {
+	if !free || a.rec.Lost() {
+		remoting.CountRecord(remoting.RecordDropped)
 		return
 	}
-	e.fut.complete(a.settle(v, err))
+	remoting.CountRecord(remoting.RecordReturned)
+	a.p.tries.Put(attempts, a)
 }
 
-// submitLocal enqueues the call on the hosting actor's mailbox. A task whose
-// Future is resolved when its turn comes is skipped.
-func (c *AsyncCall) submitLocal(act *actor) {
-	a, f := &c.try, &c.fut
+// DecodeResult is remoting.ResultSink: the reply's result goes into the
+// owner's typed slot, when it has one, and the call finishes with a itself
+// as its value (settle reads it as the slot).
+func (a *attempt) DecodeResult(d *wire.Decoder) bool {
+	return a.sink != nil && a.sink.DecodeResult(d)
+}
+
+// settle is the outcome a's future resolves with (settle): a reply decoded
+// into the owner's slot finished with a as its value.
+func (a *attempt) settle(v any, err error) (any, error) {
+	if v == any(a) {
+		v = a.sink
+	}
+	return settle(a.sink, v, err)
+}
+
+// resolve resolves a's future with the outcome and reports whether a is free
+// of its call: this resolved the future, and what the future owed a Cancel
+// was left, the record start hands it once the submission returns
+// (setAbort), or nil for a call that never left its mailbox. A remote call's
+// future that owed nothing was resolved before start came back from its
+// submission, and start still reads the record.
+func (a *attempt) resolve(left canceller, v any, err error) bool {
+	v, err = a.settle(v, err)
+	won, abort := a.fut.completeAt(v, err, 0)
+	return won && abort == left
+}
+
+// submitLocal enqueues the call on the hosting actor's mailbox, whose
+// outcome a hears (Complete). A task whose Future is resolved when its turn
+// comes is skipped.
+func (a *attempt) submitLocal(act *actor) {
 	ctx, _, method, args := a.rec.Call()
-	a.rec.Watch(cancelHook(ctx, f))
-	err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, fut: f, to: (*mailboxEntry)(c)})
+	a.rec.Watch(cancelHook(ctx, a.fut))
+	err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, fut: a.fut, to: a})
 	if err == nil {
 		return
 	}
+	a.fromMailbox(nil, err)
+}
+
+// fromMailbox hears the outcome of a's task, on the actor loop or on whoever
+// turned the task away.
+func (a *attempt) fromMailbox(v any, err error) {
 	a.rec.Unwatch()
 	if mv, ok := movedOf(err, a.p.uri); ok {
-		// Moved before the task entered the mailbox: nothing ran here, the
-		// call starts again as a remote one.
+		// The object was taken from this node with the call still queued or
+		// held, or before the task entered the mailbox: follow it, in the
+		// proxy's call order, ahead of the calls issued after this one.
 		a.p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-		c.submitRemote()
+		a.submitRemote()
 		return
 	}
-	f.complete(nil, err)
+	a.release(a.resolve(nil, v, err))
 }
 
 // submitRemote issues the call in the proxy's call order, behind the posts
 // issued before it: straight to its connection, where calls to one object
 // pipeline, or into the queue.
-func (c *AsyncCall) submitRemote() {
-	a := &c.try
+func (a *attempt) submitRemote() {
 	if ref := a.p.endpoint(); a.p.calls.admit(a, ref) {
 		a.start(ref)
 	}
@@ -202,16 +264,20 @@ func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
 // on the caller's stack, and from here a Cancel of the future abandons the
 // exchange. A submission the connection declines is recorded to be re-run
 // before start returns. The idempotency token is stamped into the record's
-// context before the first submission, so every re-run sends it again.
+// context before the first submission, so every re-run sends it again. Once
+// submitted, the call may finish at any moment: start reads nothing of a
+// after that but the record it leaves for a Cancel, and only while the
+// future is pending, or resolved by someone else (resolve).
 func (a *attempt) start(ref *remoting.ObjRef) {
 	if a.p.rt.cfg.IdempotentCalls {
 		if ctx, call, method, args := a.rec.Call(); !hasToken(ctx) {
 			a.rec.SetCall(remoting.ContextWithToken(ctx, a.p.rt.cfg.Channel.NewCallToken()), call, method, args)
 		}
 	}
+	f := a.fut
 	if err := ref.StartCall(&a.rec); err != nil {
 		a.p.calls.redo(a)
-	} else if f := a.future(); f != nil {
+	} else if f != nil {
 		f.setAbort(&a.rec)
 	}
 }
@@ -223,10 +289,16 @@ func (a *attempt) start(ref *remoting.ObjRef) {
 // ahead of its re-run. Declined, a is re-run in its place.
 func (a *attempt) InTurn() bool { return a.p.calls.inTurn(a) }
 
-// Complete is the one re-run rule of an asynchronous call: an outcome the
-// synchronous path would transparently retry is recorded to be re-run, in
-// the call's place, before Complete returns.
+// Complete is remoting.Completer, for the connection and for a mailbox
+// (fromMailbox, while a is not counted in its proxy's call order). It is the
+// one re-run rule of an asynchronous call: an outcome the synchronous path
+// would transparently retry is recorded to be re-run, in the call's place,
+// before Complete returns.
 func (a *attempt) Complete(v any, err error) {
+	if a.issue == 0 {
+		a.fromMailbox(v, err)
+		return
+	}
 	if err != nil && a.rec.Context().Err() == nil && a.p.asyncRecoverable(err) {
 		a.p.calls.redo(a)
 		return
@@ -235,15 +307,17 @@ func (a *attempt) Complete(v any, err error) {
 }
 
 // finish reports the outcome, to the future or, for a post, a failure to
-// AsyncErr, and then counts the call finished, which may start the next.
+// AsyncErr, counts the call finished, which may start the next, and then
+// lets a go (release).
 func (a *attempt) finish(v any, err error) {
-	p := a.p
-	if f := a.future(); f != nil {
-		f.complete(a.settle(v, err))
+	p, free := a.p, true
+	if a.fut != nil {
+		free = a.resolve(&a.rec, v, err)
 	} else if err != nil {
 		p.noteAsyncError(err)
 	}
 	p.calls.done(a)
+	a.release(free)
 }
 
 // rerun finishes, at its turn, a call the completion-driven path could not: a

@@ -299,15 +299,12 @@ func TestCoalesceBatchesPostsOfOneMethod(t *testing.T) {
 	p := &Proxy{rt: startNodes(t, 1, nil)[0]}
 	var o callOrder
 	queue := func(method string, args []any, withFuture bool) *attempt {
-		a := &attempt{p: p}
-		var to remoting.Completer = a // a post
+		var fut *Future // a post's
 		if withFuture {
-			c := new(AsyncCall)
-			a, to = &c.try, c
-			a.p = p
+			fut = new(Future)
 		}
+		a := p.draw(fut, nil)
 		a.rec.SetCall(context.Background(), "Invoke1", method, args)
-		a.rec.SetCompleter(to)
 		if o.tail == nil {
 			o.queue = a
 		} else {

@@ -97,13 +97,13 @@ func (f *Future) complete(v any, err error) { f.completeAt(v, err, 0) }
 
 // completeAt resolves the future and delivers to every registered
 // continuation, threading the inline-depth budget through the chain. First
-// completion wins and is handed the abort hook; the rest are no-ops (a
+// completion wins (won) and is handed the abort hook; the rest are no-ops (a
 // future fed by a reply, a Cancel and its context's end needs exactly this).
-func (f *Future) completeAt(v any, err error, depth int) (abort canceller) {
+func (f *Future) completeAt(v any, err error, depth int) (won bool, abort canceller) {
 	f.mu.Lock()
 	if f.done == resolvedDone {
 		f.mu.Unlock()
-		return nil
+		return false, nil
 	}
 	first, abort := f.owed()
 	done := f.done
@@ -115,7 +115,7 @@ func (f *Future) completeAt(v any, err error, depth int) (abort canceller) {
 	if first.cb != nil {
 		f.deliver(first, depth)
 	}
-	return abort
+	return true, abort
 }
 
 // Cancel resolves a pending future with context.Canceled and abandons what
@@ -125,7 +125,7 @@ func (f *Future) completeAt(v any, err error, depth int) (abort canceller) {
 // future cancels the one it derives from. A resolved future is left as it
 // is.
 func (f *Future) Cancel() {
-	if abort := f.completeAt(nil, context.Canceled, 0); abort != nil {
+	if _, abort := f.completeAt(nil, context.Canceled, 0); abort != nil {
 		abort.Cancel()
 	}
 }

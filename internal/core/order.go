@@ -69,10 +69,10 @@ func (o *callOrder) admit(a *attempt, ref *remoting.ObjRef) bool {
 		o.straight = ref
 		return true
 	}
-	if f := a.future(); f != nil {
+	if a.fut != nil {
 		// Hooked before mu is let go: a's turn may come on another
 		// goroutine at once, and next unhooks it.
-		a.rec.Watch(cancelHook(a.rec.Context(), f))
+		a.rec.Watch(cancelHook(a.rec.Context(), a.fut))
 	}
 	if o.tail == nil {
 		o.queue = a
@@ -140,10 +140,11 @@ func (o *callOrder) next() {
 			return
 		}
 		a.rec.Unwatch() // from here the connection, or a re-run, watches ctx
-		if f := a.future(); f == nil || !f.resolved() {
+		if a.fut == nil || !a.fut.resolved() {
 			a.start(a.p.endpoint())
 			return
 		}
+		a.release(false) // its future was resolved by a Cancel or its hook
 		o.mu.Lock()
 		o.inflight--
 	}
@@ -157,7 +158,7 @@ func (o *callOrder) take() *attempt {
 	if a == nil {
 		return nil
 	}
-	if o.queue = a.next; a.future() == nil {
+	if o.queue = a.next; a.fut == nil {
 		o.coalesce(a)
 	}
 	if o.queue == nil {
@@ -175,13 +176,14 @@ func (o *callOrder) take() *attempt {
 func (o *callOrder) coalesce(a *attempt) {
 	ctx, _, method, args := a.rec.Call()
 	lists := append(o.lists[:0], args)
-	for m := o.queue; len(lists) < maxBatch && m != nil && m.future() == nil; m = o.queue {
+	for m := o.queue; len(lists) < maxBatch && m != nil && m.fut == nil; m = o.queue {
 		_, _, mm, margs := m.rec.Call()
 		if mm != method {
 			break
 		}
 		lists = append(lists, margs)
-		o.queue, m.next = m.next, nil
+		o.queue = m.next
+		m.release(true) // the batch carries its arguments from here
 	}
 	if len(lists) == 1 {
 		lists[0] = nil

@@ -75,15 +75,15 @@ func (p *postErrors) Complete(_ any, err error) {
 }
 
 // postRemote issues one post in the proxy's call order as an attempt with
-// no future, which is all a post allocates: the order holds the attempt, and
+// no future, drawn from the proxy's store: the order holds the attempt, and
 // the call is sent in the runtime-call shape, so no list is built around its
-// arguments. A post is never sent straight: it starts alone when nothing is
-// in flight, and otherwise waits its turn, which the posts of its method
-// queued right behind it share (callOrder.next).
+// arguments, and a post allocates nothing of the runtime's own. A post is
+// never sent straight: it starts alone when nothing is in flight, and
+// otherwise waits its turn, which the posts of its method queued right
+// behind it share (callOrder.next).
 func (p *Proxy) postRemote(method string, args []any) error {
-	a := &attempt{p: p}
+	a := p.draw(nil, nil)
 	a.rec.SetCall(context.Background(), "Invoke1", method, args)
-	a.rec.SetCompleter(a)
 	if p.calls.admit(a, nil) {
 		a.start(p.endpoint())
 	}

@@ -62,8 +62,10 @@ type Proxy struct {
 	calls callOrder // the order of remote asynchronous calls
 
 	// args holds the argument lists of the proxy's blocking calls between
-	// calls, which a collection does not take from it.
-	args keep.Store[[]any]
+	// calls, and tries the attempts of its asynchronous ones (attempt), which
+	// a collection does not take from it.
+	args  keep.Store[[]any]
+	tries keep.Store[attempt]
 
 	errMu   sync.Mutex
 	asyncEr error

@@ -35,7 +35,7 @@ func poisoned(t *testing.T) (frames *frameCounts, records *[3]atomic.Int64) {
 		// goroutines, as they wind down.
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 			out, back, borrowed := frames[frameOut].Load(), frames[frameBack].Load(), frames[frameBorrowed].Load()
-			drawn, returned, dropped := records[recordDrawn].Load(), records[recordReturned].Load(), records[recordDropped].Load()
+			drawn, returned, dropped := records[RecordDrawn].Load(), records[RecordReturned].Load(), records[RecordDropped].Load()
 			if out == back+borrowed && drawn == returned+dropped {
 				return
 			}

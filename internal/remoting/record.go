@@ -18,17 +18,24 @@ import (
 // Every call is submitted one way (Channel.submit) and completed one way: the
 // lane's reader takes the record out of the in-flight table first and decodes
 // the reply into it second, so a reply is decoded once, where it is going,
-// and tells to inline, handing over the result as it decoded it. A
-// completion-driven call brings its own record, zero, as part of whatever
-// the caller allocates for the call (SetCall, SetCompleter, StartCall), so a
-// future costs neither a goroutine while it waits nor an allocation of the
-// connection's. A blocking call draws one its ObjRef keeps (or a pooled one
-// when other calls have them), whose Completer is the record's own
-// blockingWait, and parks on it. The connection holds the record from
-// submission until to has been told. Either kind may carry the caller's
-// typed slot (sink), which is offered the result before it is decoded as a
-// value: a completion-driven call's Completer is its own slot when it is a
-// ResultSink, and a blocking call's slot is kept beside its result.
+// and tells to inline, handing over the result as it decoded it.
+//
+// A record has one lifetime rule, whoever owns it: it is drawn from its
+// owner's store and goes back there when the lane and every hook on its
+// context are done with it, or else to the GC. A blocking call draws one its
+// ObjRef keeps (ObjRef.kept, or a pooled one when other calls have them),
+// whose Completer is the record's own blockingWait, parks on it, and gives it
+// back unless it abandoned it while the lane held it (recLost). A
+// completion-driven call's record is the caller's (SetCall, SetCompleter,
+// StartCall): core's asynchronous calls draw theirs, inside the attempt that
+// is its Completer, from their proxy's store, and give it back from the
+// completion that resolved the call's future, once a hook on the context
+// could be detached (Unwatch; Lost when it could not). The connection holds
+// the record from submission until to has been told, and touches nothing of
+// it afterwards (complete). Either kind may carry the caller's typed slot
+// (sink), which is offered the result before it is decoded as a value: a
+// completion-driven call's Completer is its slot when it is a ResultSink,
+// and a blocking call's slot is kept beside its result.
 type CallRecord struct {
 	req request
 	ref *ObjRef
@@ -57,9 +64,12 @@ const (
 	// recBlocking: the submitter is a blocking caller, who waits for a
 	// failing lane to drain rather than be declined (getMux).
 	recBlocking
-	// recLost: a blocking call abandoned on ctx while the lane held its
-	// record (the reader or fail had taken it, or it waits for admission).
-	// The lane still completes it, so the record is never reused.
+	// recLost: someone besides the record's owner may still reach it, so
+	// it is never reused: a blocking call was abandoned on ctx while the
+	// lane held its record (the reader or fail had taken it, or it waits for
+	// admission), and the lane still completes it; or a hook on the call's
+	// context had fired when it was detached (Unwatch), and may still be
+	// cancelling the call.
 	recLost
 )
 
@@ -114,9 +124,6 @@ func (c *CallRecord) SetCompleter(to Completer) {
 	}
 	c.to = to
 }
-
-// Completer returns the Completer SetCompleter named, nil if none.
-func (c *CallRecord) Completer() Completer { return c.to }
 
 // SetSink gives a call whose Completer is not a ResultSink itself a typed
 // slot for its result, s, before the Completer is named (SetCompleter): a
@@ -195,12 +202,21 @@ func (c *CallRecord) Watch(stop func() bool) { c.stop = stop }
 // a fan-out round watches its one deadline for all its calls.
 func (c *CallRecord) CallerWatches() { c.set(recWatched) }
 
-// Unwatch detaches the call's hook on its context, if it has one.
+// Unwatch detaches the call's hook on its context, if it has one. A hook
+// that had fired already may still be running: the record is lost (Lost).
 func (c *CallRecord) Unwatch() {
-	if c.stop != nil {
-		c.stop()
+	if stop := c.stop; stop != nil {
+		c.stop = nil
+		if !stop() {
+			c.set(recLost)
+		}
 	}
 }
+
+// Lost reports that someone besides the record's owner may still reach it,
+// so it must not be reused: a hook on its context had fired when it was
+// detached (Unwatch).
+func (c *CallRecord) Lost() bool { return c.has(recLost) }
 
 // Completer is the caller's end of a call: Complete receives the normalized
 // outcome exactly once, on the completion path (the lane's reader goroutine
@@ -241,19 +257,24 @@ var waits = keep.NewKind(func(w *blockingWait) bool {
 })
 
 // recordAudit, when a test installs one, counts the call records of both
-// ends (CallRecord here, serverCall in server.go) as they are drawn from a
-// pool or lent to a connection (Channel.submit), returned, and let go on
-// purpose; drawn must equal the other two once everything is closed. Nothing
-// installs or reads it in production.
+// ends (CallRecord here, serverCall in server.go, and the records a caller of
+// this package keeps of its own, as core's asynchronous calls' attempts) as
+// they are drawn from a pool or a store or lent to a connection
+// (Channel.submit), returned, and let go on purpose; drawn must equal the
+// other two once everything is closed. Nothing installs or reads it in
+// production.
 var recordAudit atomic.Pointer[[3]atomic.Int64]
 
+// The events of the record audit (CountRecord).
 const (
-	recordDrawn = iota
-	recordReturned
-	recordDropped
+	RecordDrawn = iota
+	RecordReturned
+	RecordDropped
 )
 
-func countRecord(event int) {
+// CountRecord counts event, one of RecordDrawn, RecordReturned and
+// RecordDropped, in the record audit a test installed, if any.
+func CountRecord(event int) {
 	if a := recordAudit.Load(); a != nil {
 		a[event].Add(1)
 	}
@@ -270,7 +291,7 @@ func AuditRecords() (check func() error) {
 	return func() error {
 		defer recordAudit.CompareAndSwap(a, nil)
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			drawn, returned, dropped := a[recordDrawn].Load(), a[recordReturned].Load(), a[recordDropped].Load()
+			drawn, returned, dropped := a[RecordDrawn].Load(), a[RecordReturned].Load(), a[RecordDropped].Load()
 			if drawn == returned+dropped {
 				return nil
 			}
@@ -285,10 +306,10 @@ func AuditRecords() (check func() error) {
 // goroutine, or leaves it to the GC when it was lost.
 func (w *blockingWait) settle(r *ObjRef) {
 	if w.has(recLost) {
-		countRecord(recordDropped)
+		CountRecord(RecordDropped)
 		return
 	}
-	countRecord(recordReturned)
+	CountRecord(RecordReturned)
 	r.kept.Put(waits, w)
 }
 
@@ -314,7 +335,7 @@ func (c *CallRecord) complete(result any, replyErr, err error) {
 	if err == nil {
 		err = replyErr
 	}
-	countRecord(recordReturned)
+	CountRecord(RecordReturned)
 	c.to.Complete(result, err)
 }
 

@@ -469,13 +469,18 @@ func TestNilContextIsBackground(t *testing.T) {
 	}
 }
 
-// TestCallRecordsAccountedFor: across blocking calls, abandoned ones,
-// failed ones and requests the server refuses, every record either end drew
-// from its pool has, once the server and the channel are closed, gone back
-// or been let go on purpose (a blocking call abandoned while the reader
-// held its record); and every record a completion-driven caller supplied,
-// one slab for the lot, is its caller's again, whether the call was
-// answered, cancelled in flight, cut off by the close or never submitted.
+// TestCallRecordsAccountedFor holds the one lifetime rule of a call record:
+// it is drawn from its owner's store and goes back when the lane and every
+// hook on its context are done with it, or else to the GC. Across blocking
+// calls, abandoned ones, failed ones and requests the server refuses, every
+// record either end drew has, once the server and the channel are closed,
+// gone back or been let go on purpose (a blocking call abandoned while the
+// reader held its record). A completion-driven call's record is its owner's
+// (here one slab for the lot; core's asynchronous calls draw theirs, inside
+// their attempts, from their proxy's store, which parc's
+// TestCallRecordsAccountedForAcrossWaves audits): the lane lends it back
+// once it has told the call, whether the call was answered, cancelled in
+// flight, cut off by the close or never submitted.
 func TestCallRecordsAccountedFor(t *testing.T) {
 	_, audit := poisoned(t)
 
@@ -556,7 +561,7 @@ func TestCallRecordsAccountedFor(t *testing.T) {
 		t.Errorf("%d of %d submitted completion-driven calls reported an outcome", n, parked)
 	}
 
-	drawn, returned, dropped := audit[recordDrawn].Load(), audit[recordReturned].Load(), audit[recordDropped].Load()
+	drawn, returned, dropped := audit[RecordDrawn].Load(), audit[RecordReturned].Load(), audit[RecordDropped].Load()
 	t.Logf("records drawn %d, returned %d, let go %d", drawn, returned, dropped)
 	if drawn != returned+dropped {
 		t.Errorf("%d records drawn, %d returned and %d let go: %d unaccounted for", drawn, returned, dropped, drawn-returned-dropped)

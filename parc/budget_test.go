@@ -233,12 +233,13 @@ func TestAllocBudgetAcrossCollections(t *testing.T) {
 // more than the blocking call: that call's 4 minus the reply's box on the
 // caller's end (the result is decoded into the Result's typed slot, and the
 // future resolves with a pointer to it), plus two of the runtime's own: the
-// call (one object of 216 B: the Result, the Future and the attempt the
-// re-run rule rides on, which holds the connection's record, the one place
-// the request and its context are kept) and the channel Get waits on. The
-// caller's context is Background, so nothing is spent on cancellation; a
-// derived context, a hook, a record of the call allocated apart from it, a
-// closure around a continuation or a completion, or a reply decoded as a
+// call (one object of 88 B, the Result and its Future) and the channel Get
+// waits on. The attempt the re-run rule rides on, which holds the
+// connection's record, the one place the request and its context are kept,
+// is drawn from the proxy's store and goes back when the call is done, so
+// it costs nothing. The caller's context is Background, so nothing is spent
+// on cancellation; a derived context, a hook, an attempt allocated per call,
+// a closure around a continuation or a completion, or a reply decoded as a
 // value and boxed again adds at least 1, which the budget of 6 holds; a
 // second allocation more fails it.
 func TestAllocBudgetAsyncCall(t *testing.T) {
@@ -271,14 +272,18 @@ func TestAllocBudgetAsyncCall(t *testing.T) {
 // that are left when the reply lands in the typed slot (the payload on either
 // end, the reply's box in the thunk) plus the argument
 // list with its boxed payload that this test's argsFor builds per member; the
-// wave's own (the slab of 448 B records, each a Result and its call, the two
-// slices of pointers and values, WhenAll's promise, counters and closures,
-// the channel Gather waits on) come to 0.05 between 256. There is no pool
-// term: each connection receives into its own buffer, so the figure is the
-// same alone, after other tests, at any -cpu and with -count=3 (a collection
-// that empties the encoder and call-record pools mid-run shows as 0.1 at
-// most). A member that allocates anything of the runtime's own again adds 1,
-// which the budget of 6 holds; a second allocation more fails it.
+// wave's own (the slab of 88 B records, each a Result and its Future, the
+// two slices of pointers and values, WhenAll's promise, counters and
+// closures, the channel Gather waits on) come to 0.05 between 256. The
+// members' attempts are their proxies', drawn from a store of two and,
+// beyond those, from the attempts' pool, which a collection empties: that
+// pool term is the one left, and it is 0 while no collection falls inside
+// the run, since each connection receives into its own buffer; so the
+// figure is the same alone, after other tests, at any -cpu and with
+// -count=3 (a collection that empties the attempt, encoder and call-record
+// pools mid-run shows as 0.1 at most, 256 attempts a wave refilled once). A
+// member that allocates anything of the runtime's own again adds 1, which
+// the budget of 6 holds; a second allocation more fails it.
 func TestAllocBudgetScatterWave(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -292,43 +297,49 @@ func TestAllocBudgetScatterWave(t *testing.T) {
 }
 
 // TestAllocBudgetAsyncFootprint holds what an asynchronous call stores, in
-// bytes. A wave member's record, asyncResult (the Result, its Future, the
-// attempt and the connection's CallRecord), must stay within 224 B; it is
-// 216. A record that kept the request and its context twice, the blocking
-// call's channel and envelope, and an encoder's bytes beside the encoder was
+// bytes. A wave member's record, asyncResult, holds only what outlives the
+// call, the Result and its Future, and must stay within 96 B; it is 88. A
+// wave allocates its 256 records as one slab: at 88 B that is 22,528 B,
+// which the allocator's 24,576 B size class (3 pages) takes, 96 B a member;
+// at 96 B the slab fills the class exactly, and at 104 B it takes the
+// 27,264 B class. What serves only the exchange, the attempt the re-run
+// rule rides on with the connection's 104 B CallRecord, is the proxy's,
+// drawn from its store and back when the call is done (core's attempt), so
+// the slab no longer pins it for as long as the caller holds its Results.
+// A record that kept the request and its context twice, the blocking call's
+// channel and envelope, and an encoder's bytes beside the encoder was
 // 616 B; one that kept copies of what its context, its channel and its
 // future's state already hold (the deadline and token, the breaker, the
 // call's name as a string, a second continuation slot and a completed flag)
 // was 416 B; one that kept a memo of the converted outcome beside the slot,
-// the queued frame beside the lane's queue, two hooks on the context and the
-// call and method as two strings was 352 B; and one that held five pointers
+// the queued frame beside the lane's queue, two hooks on the context and
+// the call and method as two strings was 352 B; one that held five pointers
 // back into itself (the Result's and the attempt's to the Future, the
 // record's sink to the slot and its Completer to the attempt, the Future's
 // abort hook to the record), a derived future's field beside every
 // continuation, and the Future's continuations and abort hook beside the
-// outcome they are never needed with, was 280 B. The budget has no slack
-// beyond page rounding: a wave allocates its 256 records as one slab, which
-// at 224 B is 57,344 B, exactly 7 pages of 8 KiB, and at 232 B takes 8. So
-// 16 B more in the record (two fields in CallRecord) costs a wave 8 KiB and
-// a member 32 B. The bytes a Scatter wave of 256 allocates, both ends and
-// the wave's own, are held per member to 498 B, where they measure 460 to
-// 461 B: those 32 B stay inside it, and the record's own 224 B is what
-// catches them. The record's fields are logged with their offsets, so that
-// a change names the row it moves.
+// outcome they are never needed with, was 280 B; and one that held the
+// attempt and its CallRecord inside it, 128 B needed only while the call
+// was in flight, was 216 B, a slab of 7 pages, 224 B a member. The bytes a
+// Scatter wave of 256 allocates, both ends and the wave's own, are held per
+// member to 363 B, where they measure 325 to 327 B (460 to 461 B with the
+// attempt in the slab): the same 38 B of slack as before. The record's
+// fields are logged with their offsets, so that a change names the row it
+// moves, and so is the attempt's share that left it.
 func TestAllocBudgetAsyncFootprint(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	size := unsafe.Sizeof(asyncResult[[]byte]{})
-	t.Logf("asyncResult[[]byte] %d B: Result %d B, core.AsyncCall %d B (Future %d B), remoting.CallRecord %d B",
-		size, unsafe.Sizeof(Result[[]byte]{}), unsafe.Sizeof(core.AsyncCall{}), unsafe.Sizeof(core.Future{}),
-		unsafe.Sizeof(remoting.CallRecord{}))
+	t.Logf("asyncResult[[]byte] %d B, what outlives the call: Result %d B, core.AsyncCall %d B (Future %d B)",
+		size, unsafe.Sizeof(Result[[]byte]{}), unsafe.Sizeof(core.AsyncCall{}), unsafe.Sizeof(core.Future{}))
 	logFields(t, reflect.TypeFor[asyncResult[[]byte]](), 0, "")
-	if size > 224 {
-		t.Errorf("asyncResult[[]byte] is %d B, budget 224", size)
+	t.Logf("the proxy's, lent for the exchange: the attempt, with remoting.CallRecord %d B", unsafe.Sizeof(remoting.CallRecord{}))
+	if size > 96 {
+		t.Errorf("asyncResult[[]byte] is %d B, budget 96", size)
 	}
 
-	const waves, budget = 20, 498.0
+	const waves, budget = 20, 363.0
 	wave := echoWave(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// The least of three windows: a collection inside one empties the pools

@@ -65,8 +65,9 @@ func (g *Group[T]) Destroy(ctx context.Context) error {
 // The whole round is submitted before anything blocks, which is what lets
 // per-peer batching collapse the frames: on a 3-node group a 30-element
 // scatter is three batched writes, not thirty round trips. The wave is the
-// unit of bookkeeping too: its members' Results and call records are one
-// allocation (see Result).
+// unit of bookkeeping too: its members' Results and Futures are one
+// allocation (see Result), and each member's attempt, with the connection's
+// record, is its proxy's, lent while the member's call is in flight.
 func Scatter[R any, T any](ctx context.Context, g *Group[T], method string, argsFor func(i int) []any) []*Result[R] {
 	rs := make([]*Result[R], g.Size())
 	if err := checkMethod[T](method); err != nil {
@@ -126,9 +127,9 @@ func Pipeline[R any, T any](ctx context.Context, g *Group[T], method string, ite
 		return allFailed(out, err)
 	}
 	// Only the last stage's value is read, as R: it settles in the item's
-	// Result, which holds that stage's call as a wave member's does. The
-	// stages before it are untyped, and the first stage's calls are one
-	// allocation, as a wave's.
+	// Result, which holds that stage's Future as a wave member's does. The
+	// stages before it are untyped, and the first stage's Futures are one
+	// allocation, as a wave's; every stage's attempt is its proxy's.
 	n := g.Size()
 	var first []core.AsyncCall
 	if n > 1 {

@@ -196,8 +196,10 @@ func CallAsync[R any, T any](ctx context.Context, o *Object[T], method string, a
 	return new(asyncResult[R]).start(ctx, o.p, method, args)
 }
 
-// asyncResult is what an asynchronous call allocates: the Result handed back
-// and, in the same object, everything the runtime keeps for the call. A wave
+// asyncResult is what an asynchronous call allocates: what outlives the
+// call, the Result handed back and, in the same object, the call's Future.
+// What serves only the exchange, the attempt with the connection's record,
+// is the proxy's, lent for as long as the call is in flight. A wave
 // allocates its members' as one slice. It is the call's core.Async and its
 // core.Sink: a reply that is exactly an R is decoded into the Result's slot,
 // and the outcome settles there before the call's Future resolves, with the
@@ -213,8 +215,8 @@ func (c *asyncResult[R]) start(ctx context.Context, p *Proxy, method string, arg
 	return &c.Result
 }
 
-// DecodeResult implements remoting.ResultSink: the reply's result goes into
-// the Result's slot.
+// DecodeResult implements remoting.ResultSink, through the call's attempt:
+// the reply's result goes into the Result's slot.
 func (c *asyncResult[R]) DecodeResult(d *wire.Decoder) bool { return c.slot.DecodeResult(d) }
 
 // Settle implements core.Sink, once, on the completion path and before the
@@ -254,8 +256,9 @@ func resultOf[R any](v any, err error) (R, error) {
 // to R there, on the completion path. So every Get, and Gather, reads the
 // identical value, or the identical error. The Results of one Scatter share
 // their wave's storage: holding one of them keeps the whole wave alive,
-// every member's record and value. Copy the value out of a Result that is
-// kept for long.
+// every member's Future and value (the records of the exchanges went back
+// to their proxies when the calls were done). Copy the value out of a
+// Result that is kept for long.
 type Result[R any] struct {
 	f *Future
 
