@@ -117,8 +117,8 @@ func settle(s Sink, v any, err error) (any, error) {
 // mailbox or in the queue (remoting.CallRecord.Watch). The attempt is rec's
 // Completer and Turn, and its ResultSink, which forwards to sink. fut and
 // sink are its owner's, the Async the call was started in, nil for a post.
-// issue is the call's place in its proxy's issue order, 0 while it is a
-// mailbox's, and next links it into the queue or the re-runs.
+// issue is the call's place in its proxy's issue order, and next links it
+// into the queue or the re-runs.
 //
 // An attempt is drawn from its proxy's store (draw) and goes back there in
 // one case only: the completion that resolved its future, once the lane and
@@ -164,7 +164,7 @@ var errPoisoned = errors.New("core: an attempt used after it went back to its st
 // draw takes an attempt from p's store for a call whose future and typed
 // slot are fut and sink, nil for a post.
 func (p *Proxy) draw(fut *Future, sink Sink) *attempt {
-	remoting.CountRecord(remoting.RecordDrawn)
+	p.rt.cfg.Channel.CountRecord(remoting.RecordDrawn)
 	a := p.tries.Get(attempts)
 	a.p, a.fut, a.sink = p, fut, sink
 	return a
@@ -175,11 +175,12 @@ func (p *Proxy) draw(fut *Future, sink Sink) *attempt {
 // the call's context outlived its detach (remoting.CallRecord.Lost), to the
 // GC otherwise.
 func (a *attempt) release(free bool) {
+	ch := a.p.rt.cfg.Channel
 	if !free || a.rec.Lost() {
-		remoting.CountRecord(remoting.RecordDropped)
+		ch.CountRecord(remoting.RecordDropped)
 		return
 	}
-	remoting.CountRecord(remoting.RecordReturned)
+	ch.CountRecord(remoting.RecordReturned)
 	a.p.tries.Put(attempts, a)
 }
 
@@ -212,20 +213,27 @@ func (a *attempt) resolve(left canceller, v any, err error) bool {
 }
 
 // submitLocal enqueues the call on the hosting actor's mailbox, whose
-// outcome a hears (Complete). A task whose Future is resolved when its turn
-// comes is skipped.
+// outcome a hears (mailboxTask). A task whose Future is resolved when its
+// turn comes is skipped.
 func (a *attempt) submitLocal(act *actor) {
 	ctx, _, method, args := a.rec.Call()
 	a.rec.Watch(cancelHook(ctx, a.fut))
-	err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, fut: a.fut, to: a})
+	err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, fut: a.fut, to: (*mailboxTask)(a)})
 	if err == nil {
 		return
 	}
 	a.fromMailbox(nil, err)
 }
 
-// fromMailbox hears the outcome of a's task, on the actor loop or on whoever
-// turned the task away.
+// mailboxTask is an attempt as a mailbox holds it: the task's outcome is
+// the call's.
+type mailboxTask attempt
+
+// Complete hears the task's outcome, on the actor loop or on whoever turned
+// the task away.
+func (t *mailboxTask) Complete(v any, err error) { (*attempt)(t).fromMailbox(v, err) }
+
+// fromMailbox hears the outcome of a's task.
 func (a *attempt) fromMailbox(v any, err error) {
 	a.rec.Unwatch()
 	if mv, ok := movedOf(err, a.p.uri); ok {
@@ -289,16 +297,11 @@ func (a *attempt) start(ref *remoting.ObjRef) {
 // ahead of its re-run. Declined, a is re-run in its place.
 func (a *attempt) InTurn() bool { return a.p.calls.inTurn(a) }
 
-// Complete is remoting.Completer, for the connection and for a mailbox
-// (fromMailbox, while a is not counted in its proxy's call order). It is the
-// one re-run rule of an asynchronous call: an outcome the synchronous path
-// would transparently retry is recorded to be re-run, in the call's place,
-// before Complete returns.
+// Complete is remoting.Completer, for the connection. It is the one re-run
+// rule of an asynchronous call: an outcome the synchronous path would
+// transparently retry is recorded to be re-run, in the call's place, before
+// Complete returns.
 func (a *attempt) Complete(v any, err error) {
-	if a.issue == 0 {
-		a.fromMailbox(v, err)
-		return
-	}
 	if err != nil && a.rec.Context().Err() == nil && a.p.asyncRecoverable(err) {
 		a.p.calls.redo(a)
 		return

@@ -8,20 +8,17 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/racetest"
 	"repro/internal/remoting"
 	"repro/internal/wire"
 )
 
 // poisonedAttempts turns attempt poisoning on for the rest of t (attempts)
-// and installs a fresh record audit. When t ends, after whatever t closes on
-// its way out, it checks that every record either end drew, the attempts
-// included, went back or was let go. An earlier test's re-runs, which
-// outlive its Close, are waited out first: their attempts would go back
-// under this audit without having been drawn under it.
+// and installs a fresh record audit, which counts the channels t makes from
+// then on. When t ends, after whatever t closes on its way out, it checks
+// that every record either end drew, the attempts included, went back or
+// was let go.
 func poisonedAttempts(t *testing.T) {
 	t.Helper()
-	racetest.WaitGone(t, rerunFrame)
 	check := remoting.AuditRecords()
 	attemptPoison.Store(true)
 	t.Cleanup(func() {
@@ -31,9 +28,6 @@ func poisonedAttempts(t *testing.T) {
 		}
 	})
 }
-
-// rerunFrame names the goroutine an asynchronous call is re-run on.
-const rerunFrame = "core.(*attempt).rerun"
 
 // twiceSlot is a caller's record of one asynchronous call with a typed slot,
 // as parc's asyncResult is: the reply is decoded into v, and the call's

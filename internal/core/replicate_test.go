@@ -159,6 +159,7 @@ func TestSyncShipsHoldNoGoroutine(t *testing.T) {
 // record audit sees as every call record returned.
 func TestAsyncShipsHoldNoGoroutine(t *testing.T) {
 	const ships = 8
+	check := remoting.AuditRecords()
 	rts, net := startShaped(t, 3, 1)
 	key := vcellKeys(t, rts, 1, 0, 1)[0]
 	uri := virtualURI("vcell", key)
@@ -176,7 +177,6 @@ func TestAsyncShipsHoldNoGoroutine(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	base := runtime.NumGoroutine()
 	net.Isolate(rts[1].Addr())
-	check := remoting.AuditRecords()
 	start := time.Now()
 	for i := 0; i < ships; i++ {
 		if err := rts[0].shipSnapshot(w, snap, w.gen.Load(), seq, false); err != nil {
@@ -203,10 +203,11 @@ func TestAsyncShipsHoldNoGoroutine(t *testing.T) {
 // calls complete with the deadline's error, the reachable peer's with its
 // answer, each once, and every record goes back.
 func TestFanoutGivesUpAtItsDeadline(t *testing.T) {
-	rts, net := startShaped(t, 4, 1)
-	// Installed before the first round, whose server ends may still be
-	// giving their records back when it ends.
+	// Installed before the nodes start, so that it counts their channels,
+	// and the first round whole: its server ends may still be giving their
+	// records back when it ends.
 	check := remoting.AuditRecords()
+	rts, net := startShaped(t, 4, 1)
 	probe := omLoadInfo()
 	newFanout(context.Background(), time.Second, rts[0].otherPeers(false)).sendAll(probe.remoteCall).each(func(*peerCall) bool { return true })
 	net.Isolate(rts[2].Addr())

@@ -41,20 +41,3 @@ func lingering(grace time.Duration) []string {
 		}
 	}
 }
-
-// WaitGone waits until no goroutine has a frame whose name contains frame,
-// for a test that is about to count what such goroutines do as its own: an
-// earlier test's work that outlives its Close by design (a re-run keeps its
-// goroutine until its retries give up). It fails t after 10 s.
-func WaitGone(t testing.TB, frame string) {
-	t.Helper()
-	buf := make([]byte, 8<<20)
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if !strings.Contains(string(buf[:runtime.Stack(buf, true)]), frame) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("a goroutine in %s outlived its test by 10s", frame)
-		}
-	}
-}

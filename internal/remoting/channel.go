@@ -21,6 +21,11 @@ type Channel struct {
 	net     transport.Network
 	metrics metrics.Registry
 
+	// records is the record audit the channel's calls and its servers' count
+	// in (CountRecord): the one installed when it was made (AuditRecords),
+	// nil in production.
+	records *recordCounts
+
 	// MaxInFlight bounds concurrent exchanges per multiplexed lane; calls
 	// beyond the bound wait in the lane's admission queue, in order, until
 	// a slot frees. Zero selects DefaultMaxInFlight. The bound is per lane:
@@ -66,7 +71,7 @@ type Channel struct {
 // connection per lane and peer multiplexes many concurrent calls, matched by
 // sequence number and completing in any order.
 func NewMultiplexedChannel(net transport.Network) *Channel {
-	return &Channel{net: net}
+	return &Channel{net: net, records: recordAudit.Load()}
 }
 
 // Metrics returns the channel's counters: its servers count into them, and

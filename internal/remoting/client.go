@@ -85,7 +85,7 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 // value. After a call that returned an error the reader may still be
 // writing into sink.
 func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, method string, args []any) (any, error) {
-	CountRecord(RecordDrawn)
+	r.ch.CountRecord(RecordDrawn)
 	w := r.kept.Get(waits)
 	defer w.settle(r)
 	w.SetCall(ctx, call, method, args)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,13 +16,14 @@ import (
 )
 
 // poisoned turns frame poisoning on for the rest of t and installs fresh
-// frame and record audits, which it returns. When t ends, after whatever t
-// closes on its way out, it checks that every frame a read loop was handed
-// went back to its connection or was borrowed, and that every call record
-// either end drew went back or was let go on purpose.
-func poisoned(t *testing.T) (frames *frameCounts, records *[3]atomic.Int64) {
+// frame and record audits, which it returns; the record audit counts the
+// channels t makes from then on. When t ends, after whatever t closes on its
+// way out, it checks that every frame a read loop was handed went back to
+// its connection or was borrowed, and that every call record either end
+// drew went back or was let go on purpose.
+func poisoned(t *testing.T) (frames *frameCounts, records *recordCounts) {
 	t.Helper()
-	frames, records = new(frameCounts), new([3]atomic.Int64)
+	frames, records = new(frameCounts), new(recordCounts)
 	framePoison.Store(true)
 	frameAudit.Store(frames)
 	recordAudit.Store(records)

@@ -653,10 +653,10 @@ func fnv1a(h uint32, s string) uint32 {
 // case the call was never submitted and c.to hears nothing. fresh reports
 // that the lane was dialled for this call.
 func (ch *Channel) submit(netaddr string, c *CallRecord) (fresh bool, err error) {
-	CountRecord(RecordDrawn)
+	ch.CountRecord(RecordDrawn)
 	defer func() {
 		if err != nil {
-			CountRecord(RecordReturned)
+			ch.CountRecord(RecordReturned)
 		}
 	}()
 	if err := c.ctx.Err(); err != nil {

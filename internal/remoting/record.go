@@ -256,37 +256,46 @@ var waits = keep.NewKind(func(w *blockingWait) bool {
 	return true
 })
 
-// recordAudit, when a test installs one, counts the call records of both
-// ends (CallRecord here, serverCall in server.go, and the records a caller of
+// recordAudit, when a test installs one (AuditRecords), is the record audit
+// of the channels made from then on (NewMultiplexedChannel). A channel's
+// audit (Channel.records) counts the call records of both ends
+// (CallRecord here, serverCall in server.go, and the records a caller of
 // this package keeps of its own, as core's asynchronous calls' attempts) as
 // they are drawn from a pool or a store or lent to a connection
 // (Channel.submit), returned, and let go on purpose; drawn must equal the
-// other two once everything is closed. Nothing installs or reads it in
-// production.
-var recordAudit atomic.Pointer[[3]atomic.Int64]
+// other two once everything is closed. A record of a channel made before the
+// audit, given back by a goroutine that outlived an earlier test, is not
+// counted by it. Nothing installs or reads it in production.
+var recordAudit atomic.Pointer[recordCounts]
 
-// The events of the record audit (CountRecord).
+type recordCounts [3]atomic.Int64
+
+// The events of the record audit (Channel.CountRecord).
 const (
 	RecordDrawn = iota
 	RecordReturned
 	RecordDropped
 )
 
-// CountRecord counts event, one of RecordDrawn, RecordReturned and
-// RecordDropped, in the record audit a test installed, if any.
-func CountRecord(event int) {
-	if a := recordAudit.Load(); a != nil {
+// add counts event; on a nil audit it does nothing.
+func (a *recordCounts) add(event int) {
+	if a != nil {
 		a[event].Add(1)
 	}
 }
 
+// CountRecord counts event, one of RecordDrawn, RecordReturned and
+// RecordDropped, in ch's record audit, if a test installed one.
+func (ch *Channel) CountRecord(event int) { ch.records.add(event) }
+
 // AuditRecords installs a fresh record audit, for a test of a package that
 // calls through this one, and returns its check: it waits up to 10 s for
-// every record either end drew since to have gone back or been let go, and
-// uninstalls the audit. Install it before the calls it audits start, and
-// check once everything they used is closed.
+// every record counted as drawn to have gone back or been let go, and
+// uninstalls the audit. It counts the records of the channels made while it
+// is installed, so install it before the test makes its nodes, and check
+// once the calls it audits are over.
 func AuditRecords() (check func() error) {
-	a := new([3]atomic.Int64)
+	a := new(recordCounts)
 	recordAudit.Store(a)
 	return func() error {
 		defer recordAudit.CompareAndSwap(a, nil)
@@ -306,10 +315,10 @@ func AuditRecords() (check func() error) {
 // goroutine, or leaves it to the GC when it was lost.
 func (w *blockingWait) settle(r *ObjRef) {
 	if w.has(recLost) {
-		CountRecord(RecordDropped)
+		r.ch.CountRecord(RecordDropped)
 		return
 	}
-	CountRecord(RecordReturned)
+	r.ch.CountRecord(RecordReturned)
 	r.kept.Put(waits, w)
 }
 
@@ -335,7 +344,7 @@ func (c *CallRecord) complete(result any, replyErr, err error) {
 	if err == nil {
 		err = replyErr
 	}
-	CountRecord(RecordReturned)
+	c.ref.ch.CountRecord(RecordReturned)
 	c.to.Complete(result, err)
 }
 

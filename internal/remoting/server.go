@@ -310,7 +310,7 @@ var serverCalls = keep.NewKind(func(c *serverCall) bool {
 })
 
 func (sc *serverConn) newCall() *serverCall {
-	CountRecord(RecordDrawn)
+	sc.s.ch.CountRecord(RecordDrawn)
 	c := sc.free.Get(serverCalls)
 	if c.run == nil { // not in the reset: handle reaches serverCalls, a cycle
 		c.run = c.handle
@@ -323,7 +323,7 @@ func (sc *serverConn) newCall() *serverCall {
 // connection.
 func (c *serverCall) release() {
 	recycleFrame(c.audit, c.sc.c, c.frame, c.args.Borrowed())
-	CountRecord(RecordReturned)
+	c.sc.s.ch.CountRecord(RecordReturned)
 	c.sc.free.Put(serverCalls, c)
 }
 

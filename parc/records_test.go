@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/racetest"
 	"repro/internal/remoting"
 )
 
@@ -23,13 +22,11 @@ func TestCallRecordsAccountedForAcrossWaves(t *testing.T) {
 	// wave installs a record audit, starts a cluster whose objects sit on
 	// node 1 behind a closed gate, and scatters method over members objects
 	// from node 0; a wave of Hold is handed back once every member holds.
-	// The audit comes first, so that it counts the objects' creation whole:
-	// a server gives its record back after its reply is on its way. An
-	// earlier test's re-runs, which outlive its Close, are waited out before
-	// it: their attempts would go back under it without having been drawn.
+	// The audit comes first, so that it counts the cluster's channels, and
+	// the objects' creation whole: a server gives its record back after its
+	// reply is on its way.
 	wave := func(t *testing.T, ctx context.Context, method string) (*Cluster, *gateState, []*Result[int], func() error) {
 		t.Helper()
-		racetest.WaitGone(t, "core.(*attempt).rerun")
 		check := remoting.AuditRecords()
 		cl, err := StartCluster(WithNodes(2), WithPlacement(&pinNode{node: 1}))
 		if err != nil {
