@@ -34,25 +34,24 @@ func (p *Proxy) InvokeAsync(method string, args ...any) *Future {
 // lane's reader resolves the Future when the reply frame arrives, or waits
 // its turn in the proxy's queue (see callOrder).
 func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) *Future {
-	return p.StartAsync(ctx, new(AsyncCall), method, args)
+	return p.StartAsync(ctx, new(AsyncCall), nil, method, args)
 }
 
 // StartAsync is InvokeAsyncCtx in storage the caller supplies: c, zero,
-// holds what outlives the call, its Future and, when c is a Sink, the typed
-// slot its outcome settles in, so a caller that allocates it inside its own
-// record of the call, or a wave of them as one slab, pays nothing more. What
-// serves only the exchange, the attempt with the connection's record of it,
-// is drawn from the proxy's store (Proxy.tries) and goes back there when the
-// lane and every hook on the call's context are done with it, or else to
-// the GC (attempt.release). The Future returned lives in c; c serves this
-// one call.
-func (p *Proxy) StartAsync(ctx context.Context, c Async, method string, args []any) *Future {
+// holds what outlives the call, its Future, and sink, when not nil, is the
+// typed slot its outcome settles in, so a caller that allocates them inside
+// its own record of the call, or a wave of them as one slab, pays nothing
+// more. What serves only the exchange, the attempt with the connection's
+// record of it, is drawn from the proxy's store (Proxy.tries) and goes back
+// there when the lane and every hook on the call's context are done with
+// it, or else to the GC (attempt.release). The Future returned lives in c;
+// c serves this one call.
+func (p *Proxy) StartAsync(ctx context.Context, c Async, sink Sink, method string, args []any) *Future {
 	p.rt.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	f := &c.asyncCall().fut
-	sink, _ := c.(Sink)
 	mode, act := p.state()
 	if mode == modeAgglomerated {
 		v, err := p.invokeInCaller(ctx, method, args)
@@ -69,9 +68,17 @@ func (p *Proxy) StartAsync(ctx context.Context, c Async, method string, args []a
 	return f
 }
 
+// StartNext is StartAsync for the call a Chain waited to start in c, with
+// the value its predecessor resolved with among args: the call starts unless
+// c's future was cancelled while the chain waited.
+func (p *Proxy) StartNext(ctx context.Context, c Async, sink Sink, method string, args []any) {
+	if c.asyncCall().fut.begin() {
+		p.StartAsync(ctx, c, sink, method, args)
+	}
+}
+
 // Async is the storage an asynchronous call is made in (StartAsync): an
-// *AsyncCall, or a record of the caller's that embeds one. When it is a Sink
-// too, it is the call's typed slot.
+// *AsyncCall, or a record of the caller's that embeds one.
 type Async interface{ asyncCall() *AsyncCall }
 
 // AsyncCall is what of an asynchronous call outlives it: the Future handed
@@ -85,13 +92,13 @@ type AsyncCall struct{ fut Future }
 func (c *AsyncCall) asyncCall() *AsyncCall { return c }
 
 // Sink is the typed slot an asynchronous call's result settles in, once,
-// before its Future resolves: the Async the call is made in, when it is one.
-// A reply whose result is exactly what the sink takes is decoded into it on
-// the connection (remoting.ResultSink), and the call finishes with the sink
-// itself as its value; that value, or any other the call finishes with (from
-// a local or agglomerated object, a re-run, or a reply of another type), is
-// handed to Settle on the completion path, which returns what the Future
-// resolves with, or the call's error.
+// before its Future resolves; the caller hands it to StartAsync beside the
+// Async the call is made in. A reply whose result is exactly what the sink
+// takes is decoded into it on the connection (remoting.ResultSink), and the
+// call finishes with the sink itself as its value; that value, or any other
+// the call finishes with (from a local or agglomerated object, a re-run, or
+// a reply of another type), is handed to Settle on the completion path,
+// which returns what the Future resolves with, or the call's error.
 type Sink interface {
 	remoting.ResultSink
 	Settle(v any) (any, error)
@@ -336,8 +343,13 @@ func (a *attempt) rerun() {
 }
 
 // asyncRecoverable reports whether an async completion error is one the
-// synchronous path would transparently retry (re-route and re-invoke).
+// synchronous path would transparently retry (re-route and re-invoke). None
+// is once the runtime is closed: its Close fails every lane, and a re-run
+// would dial afresh from the closed node, on a goroutine nothing waits for.
 func (p *Proxy) asyncRecoverable(err error) bool {
+	if p.rt.closed() {
+		return false
+	}
 	if _, ok := movedOf(err, p.uri); ok {
 		return true
 	}

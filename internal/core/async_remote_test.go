@@ -353,7 +353,7 @@ func TestStartAsyncOnCallerStorage(t *testing.T) {
 			slab := make([]AsyncCall, n)
 			futs := make([]*Future, 2*n)
 			for i := 0; i < n; i++ {
-				futs[2*i] = p.StartAsync(ctx, &slab[i], "Echo", []any{mode.first + 2*i})
+				futs[2*i] = p.StartAsync(ctx, &slab[i], nil, "Echo", []any{mode.first + 2*i})
 				futs[2*i+1] = p.InvokeAsyncCtx(ctx, "Echo", mode.first+2*i+1)
 				if futs[2*i] != &slab[i].fut {
 					t.Fatalf("call %d: the future is not the one in the caller's storage", i)
@@ -473,7 +473,7 @@ func TestRerunKeepsItsToken(t *testing.T) {
 			tok := rts[0].cfg.Channel.NewCallToken()
 			tok.Seq++
 			var c AsyncCall
-			f := p.StartAsync(ctx, &c, "Stamp", nil)
+			f := p.StartAsync(ctx, &c, nil, "Stamp", nil)
 			tc.during(t, rts, p)
 			got, err := f.Get()
 			if err != nil {

@@ -30,8 +30,8 @@ func poisonedAttempts(t *testing.T) {
 }
 
 // twiceSlot is a caller's record of one asynchronous call with a typed slot,
-// as parc's asyncResult is: the reply is decoded into v, and the call's
-// Future resolves with the slot.
+// as a parc Result is: the reply is decoded into v, and the call's Future
+// resolves with the slot.
 type twiceSlot struct {
 	AsyncCall
 	v int
@@ -61,7 +61,7 @@ func remoteProbe(t *testing.T) (*Proxy, []*Runtime) {
 func startWave(p *Proxy, ctxFor func(i int) context.Context, wave []twiceSlot, base int) []*Future {
 	futs := make([]*Future, len(wave))
 	for i := range wave {
-		futs[i] = p.StartAsync(ctxFor(i), &wave[i], "Twice", []any{base + i})
+		futs[i] = p.StartAsync(ctxFor(i), &wave[i], &wave[i], "Twice", []any{base + i})
 	}
 	return futs
 }

@@ -392,6 +392,16 @@ func (rt *Runtime) Close() {
 	rt.cfg.Channel.Close()
 }
 
+// closed reports whether Close has begun.
+func (rt *Runtime) closed() bool {
+	select {
+	case <-rt.stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // actor returns the actor hosting uri on this node, or nil.
 func (rt *Runtime) actor(uri string) *actor {
 	rt.actorsMu.Lock()

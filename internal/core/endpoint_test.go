@@ -668,7 +668,8 @@ func TestAbandonedCallKeepsItsArguments(t *testing.T) {
 // resolved is the Future and nothing else: the first continuation is stored
 // in it as given, with no wrapper and no slice, whether it is told the
 // outcome (OnComplete) or the outcome and the index it was registered under
-// (OnCompleteAt), and so is the derived future of a ThenAny.
+// (OnCompleteAt), and a derived future (ThenInto) is its Step's record and
+// nothing else.
 func TestAllocBudgetFutureCompletion(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -685,30 +686,38 @@ func TestAllocBudgetFutureCompletion(t *testing.T) {
 	if ran != 1001 {
 		t.Errorf("continuation ran %d times in 1001 completions", ran)
 	}
-	at := 0
-	fnAt := func(i int, _ any, _ error) { at += i }
+	at := &indexSum{}
 	if n := testing.AllocsPerRun(1000, func() {
 		f := &Future{}
-		f.OnCompleteAt(3, fnAt)
+		f.OnCompleteAt(3, at)
 		f.complete(nil, nil)
 	}); n != 1 {
 		t.Errorf("OnCompleteAt + complete on a fresh Future: %.0f allocs, want 1", n)
 	}
-	if at != 3*1001 {
-		t.Errorf("indexed continuations were told indices summing to %d in 1001 completions, want %d", at, 3*1001)
+	if at.sum != 3*1001 {
+		t.Errorf("an aggregate was told indices summing to %d in 1001 completions, want %d", at.sum, 3*1001)
 	}
-	then := func(v any, err error) (any, error) { return v, err }
 	if n := testing.AllocsPerRun(1000, func() {
 		f := &Future{}
-		child := f.ThenAny(then)
+		child := f.ThenInto(&passStep{})
 		f.complete(nil, nil)
 		if !child.resolved() {
 			t.Fatal("derived future unresolved")
 		}
 	}); n != 2 {
-		t.Errorf("ThenAny + complete: %.0f allocs, want 2 (the two futures)", n)
+		t.Errorf("ThenInto + complete: %.0f allocs, want 2 (the future and the step)", n)
 	}
 }
+
+// indexSum is an Aggregate that adds up the indices it is told.
+type indexSum struct{ sum int }
+
+func (s *indexSum) MemberDone(i int, _ any, _ error) { s.sum += i }
+
+// passStep is a Step whose future resolves with its parent's outcome as it is.
+type passStep struct{ AsyncCall }
+
+func (*passStep) Then(v any, err error) (any, error) { return v, err }
 
 // TestDeadlineErrorNamesTheUserMethod: a remote proxy call whose deadline
 // ends while it is in flight fails with an error that names the method the

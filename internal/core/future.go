@@ -14,21 +14,14 @@ import (
 const maxInlineDepth = 8
 
 // sub is one registered continuation, stored as given in cb: a
-// func(any, error) to tell (OnComplete), a func(int, any, error) to tell
-// with the index i it was registered under (OnCompleteAt), a *thenFuture to
-// resolve with its function's outcome (ThenAny), or a *Future to resolve
-// with the outcome as it is (Chain). A pending future holds its first
-// continuation, and a *[]sub of all of them once there are two (see Future).
+// func(any, error) to tell (OnComplete), an Aggregate to tell with the index
+// i it was registered under (OnCompleteAt, Chain), a Step whose future to
+// resolve with its Then of the outcome (ThenInto), or a waiter's channel to
+// close (Done). A pending future holds its first continuation, and a *[]sub
+// of all of them once there are two (see Future).
 type sub struct {
 	cb any
 	i  int
-}
-
-// thenFuture is ThenAny's derived future with the function whose outcome
-// resolves it: one allocation for both.
-type thenFuture struct {
-	Future
-	fn func(any, error) (any, error)
 }
 
 // canceller is what a Future abandons when it is cancelled: the call in
@@ -40,44 +33,33 @@ type canceller interface{ Cancel() }
 // reply arrival, for remote calls) runs the registered continuations
 // directly — a pending future parks no goroutine, and ten thousand
 // outstanding calls cost ten thousand heap objects, not ten thousand
-// stacks. Waiting (Get) lazily materialises a done channel; chaining
-// (ThenAny / OnComplete) does not. It is also the unit of cancellation
-// (Cancel): no context is derived per call.
+// stacks. A waiter (Get, Done) registers a channel as one more
+// continuation, which the resolution closes; chaining (ThenInto, OnComplete)
+// makes none. It is also the unit of cancellation (Cancel): no context is
+// derived per call.
 type Future struct {
-	mu   sync.Mutex
-	done chan struct{} // nil until waited on; resolvedDone once resolved
-	// val and err are the outcome once the future has resolved (outcome).
-	// Until then they hold what it owes instead (owed): val what a Cancel
-	// abandons (setAbort), err its continuations, the first registered at
-	// index at (see sub). An asynchronous call's Future lives in the call's
-	// own record, and a Scatter wave's records are one slab, so the union
-	// keeps every record of a wave 32 B smaller.
+	mu sync.Mutex
+	// val and err are the outcome once the future has resolved (outcome),
+	// and at is then resolvedAt. Until then they hold what it owes instead
+	// (owed): val what a Cancel abandons (setAbort), err its continuations,
+	// the first registered at index at (see sub). An asynchronous call's
+	// Future lives in the caller's record of the call, and a Scatter wave's
+	// records are one slab, so every field here is paid once per member.
 	val, err any
 	at       int
 }
 
-// resolvedDone is the done channel of every resolved future: a future has
-// its outcome exactly when its done is this channel. The channel a waiter
-// made before (Done) is closed and let go.
+// resolvedAt is the at of a resolved future: no continuation is registered
+// at a negative index (OnCompleteAt), so a pending future never holds it.
+const resolvedAt = -1
+
+// resolvedDone is the channel Done returns once the future has resolved. The
+// channel a waiter registered before is closed by the resolution.
 var resolvedDone = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
 	return c
 }()
-
-// NewPromise returns an unresolved Future and its resolver. The resolver
-// completes the future exactly once (later calls are ignored) and runs the
-// registered continuations on the calling goroutine, up to the inline
-// depth bound. It is the building block of the parc combinators.
-func NewPromise() (*Future, func(any, error)) {
-	f := &Future{}
-	return f, f.complete
-}
-
-// ResolvedFuture returns a future already completed with (v, err).
-func ResolvedFuture(v any, err error) *Future {
-	return &Future{val: v, err: err, done: resolvedDone}
-}
 
 // owed returns, with mu held, what a pending future owes: its continuations
 // and what a Cancel abandons.
@@ -101,17 +83,13 @@ func (f *Future) complete(v any, err error) { f.completeAt(v, err, 0) }
 // future fed by a reply, a Cancel and its context's end needs exactly this).
 func (f *Future) completeAt(v any, err error, depth int) (won bool, abort canceller) {
 	f.mu.Lock()
-	if f.done == resolvedDone {
+	if f.at == resolvedAt {
 		f.mu.Unlock()
 		return false, nil
 	}
 	first, abort := f.owed()
-	done := f.done
-	f.val, f.err, f.at, f.done = v, err, 0, resolvedDone
+	f.val, f.err, f.at = v, err, resolvedAt
 	f.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
 	if first.cb != nil {
 		f.deliver(first, depth)
 	}
@@ -134,7 +112,7 @@ func (f *Future) Cancel() {
 // already has its outcome has no use for c and cancels it at once.
 func (f *Future) setAbort(c canceller) {
 	f.mu.Lock()
-	pending := f.done != resolvedDone
+	pending := f.at != resolvedAt
 	if pending {
 		f.val = c
 	}
@@ -149,16 +127,20 @@ func (f *Future) setAbort(c canceller) {
 func (f *Future) resolved() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.done == resolvedDone
+	return f.at == resolvedAt
 }
 
 // deliver runs one continuation: inline while the depth budget lasts,
-// otherwise on a fresh goroutine.
+// otherwise on a fresh goroutine. A waiter's channel is closed at once.
 func (f *Future) deliver(s sub, depth int) {
-	if all, ok := s.cb.(*[]sub); ok {
-		for _, s := range *all {
+	switch cb := s.cb.(type) {
+	case *[]sub:
+		for _, s := range *cb {
 			f.deliver(s, depth)
 		}
+		return
+	case chan struct{}:
+		close(cb)
 		return
 	}
 	if depth >= maxInlineDepth {
@@ -167,15 +149,13 @@ func (f *Future) deliver(s sub, depth int) {
 	}
 	v, err := f.outcome()
 	switch cb := s.cb.(type) {
-	case func(int, any, error):
-		cb(s.i, v, err)
+	case Aggregate:
+		cb.MemberDone(s.i, v, err)
 	case func(any, error):
 		cb(v, err)
-	case *thenFuture:
-		v, err := runContinuation(cb.fn, v, err)
-		cb.completeAt(v, err, depth+1)
-	case *Future:
-		cb.completeAt(v, err, depth+1)
+	case Step:
+		v, err := runStep(cb, v, err)
+		cb.asyncCall().fut.completeAt(v, err, depth+1)
 	}
 }
 
@@ -184,11 +164,17 @@ func (f *Future) deliver(s sub, depth int) {
 // behaves exactly like Then before it.
 func (f *Future) subscribe(s sub) {
 	f.mu.Lock()
-	if f.done == resolvedDone {
+	if f.at == resolvedAt {
 		f.mu.Unlock()
 		f.deliver(s, 0)
 		return
 	}
+	f.add(s)
+	f.mu.Unlock()
+}
+
+// add registers s, with mu held, on a pending future.
+func (f *Future) add(s sub) {
 	switch first := f.err.(type) {
 	case nil:
 		f.err, f.at = s.cb, s.i
@@ -197,7 +183,22 @@ func (f *Future) subscribe(s sub) {
 	default:
 		f.err, f.at = &[]sub{{cb: first, i: f.at}, s}, 0
 	}
-	f.mu.Unlock()
+}
+
+// waiter returns, with mu held, the channel a waiter registered on a pending
+// future, if one did.
+func (f *Future) waiter() (chan struct{}, bool) {
+	switch cb := f.err.(type) {
+	case chan struct{}:
+		return cb, true
+	case *[]sub:
+		for _, s := range *cb {
+			if c, ok := s.cb.(chan struct{}); ok {
+				return c, true
+			}
+		}
+	}
+	return nil, false
 }
 
 // OnComplete registers fn to run with the future's outcome: immediately if
@@ -206,72 +207,111 @@ func (f *Future) subscribe(s sub) {
 // goroutine, shared by every caller on that lane.
 func (f *Future) OnComplete(fn func(any, error)) { f.subscribe(sub{cb: fn}) }
 
-// OnCompleteAt is OnComplete for an aggregate: fn is told which of its
-// members resolved, so the one fn is registered as it is on every member and
-// no closure is built per member to carry the index.
-func (f *Future) OnCompleteAt(i int, fn func(int, any, error)) { f.subscribe(sub{cb: fn, i: i}) }
+// Aggregate is what waits on many futures: it is told the outcome of each,
+// with the index it registered under (OnCompleteAt), so one Aggregate is
+// registered as it is on every member and nothing is built per member to
+// carry the index. MemberDone runs on the completion path and must not
+// block. A type is an Aggregate or a Step, never both: a continuation that
+// is both is told as an Aggregate.
+type Aggregate interface {
+	MemberDone(i int, v any, err error)
+}
 
-// ThenAny returns a future resolved by fn applied to this future's
-// outcome. fn runs on the completion path (bounded inline depth, overflow
-// to a fresh goroutine); a panic inside it resolves the derived future with
-// an error instead of unwinding the deliverer. Cancelling the derived future
-// cancels this one. Typed chaining lives in the parc package (Then /
-// Catch); this is their dynamically typed engine.
-func (f *Future) ThenAny(fn func(any, error) (any, error)) *Future {
-	child := &thenFuture{fn: fn}
+// OnCompleteAt is OnComplete for an aggregate: a is told the outcome under
+// the index i, which must not be negative.
+func (f *Future) OnCompleteAt(i int, a Aggregate) {
+	if i < 0 {
+		panic("core: OnCompleteAt at a negative index")
+	}
+	f.subscribe(sub{cb: a, i: i})
+}
+
+// Step is a derived future with the function that resolves it: the Async
+// whose future resolves with Then applied to another future's outcome
+// (ThenInto), one record for both.
+type Step interface {
+	Async
+	Then(v any, err error) (any, error)
+}
+
+// ThenInto resolves s's future with s.Then applied to this future's
+// outcome, and returns it. Then runs on the completion path (bounded inline
+// depth, overflow to a fresh goroutine); a panic inside it resolves the
+// derived future with an error instead of unwinding the deliverer.
+// Cancelling the derived future cancels this one. s, zero, serves this one
+// derivation. Typed chaining lives in the parc package (Then / Catch); this
+// is their dynamically typed engine.
+func (f *Future) ThenInto(s Step) *Future {
+	child := &s.asyncCall().fut
 	child.val = f // what a Cancel abandons (see Future)
-	f.subscribe(sub{cb: child})
-	return &child.Future
+	f.subscribe(sub{cb: s})
+	return child
 }
 
-// Chain returns a future that resolves as the future step returns does; step
-// runs on the completion path with f's outcome, unless the chain was
-// cancelled first. Cancelling the chain cancels whichever of the two it is
-// waiting on. A Pipeline stage is one Chain.
-func Chain(f *Future, step func(any, error) *Future) *Future {
-	chain := &Future{val: f} // what a Cancel abandons (see Future)
-	f.OnComplete(func(v any, err error) {
-		if !chain.resolved() {
-			next := step(v, err)
-			chain.setAbort(next)
-			next.subscribe(sub{cb: chain})
-		}
-	})
-	return chain
+// Chain makes the call in c the next stage of a chain at f: until that call
+// starts (Proxy.StartNext), a Cancel of c's future cancels f, and next is
+// told f's outcome under the index i (OnCompleteAt), to start the call or to
+// resolve c with f's error (Resolve). A Pipeline stage is one Chain.
+func Chain(f *Future, c Async, i int, next Aggregate) {
+	c.asyncCall().fut.setAbort(f)
+	f.OnCompleteAt(i, next)
 }
 
-// runContinuation applies fn with panic containment: the deliverer (a
-// shared reader goroutine) must survive any user continuation.
-func runContinuation(fn func(any, error) (any, error), v any, err error) (rv any, rerr error) {
+// begin readies a pending future for the call a Chain waited to start in
+// it: the future the chain waited on is no longer what a Cancel abandons.
+// It reports false for a future cancelled while the chain waited, whose call
+// must not start.
+func (f *Future) begin() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.at == resolvedAt {
+		return false
+	}
+	f.val = nil
+	return true
+}
+
+// FutureOf returns the future of the call made in c.
+func FutureOf(c Async) *Future { return &c.asyncCall().fut }
+
+// Resolve resolves the future of the call made in c with (v, err), unless
+// it has resolved already, and runs its continuations on the caller: the
+// outcome of a call that never started, or of an aggregate.
+func Resolve(c Async, v any, err error) { c.asyncCall().fut.complete(v, err) }
+
+// runStep applies s.Then with panic containment: the deliverer (a shared
+// reader goroutine) must survive any user continuation.
+func runStep(s Step, v any, err error) (rv any, rerr error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rerr = fmt.Errorf("core: continuation panic: %v", p)
 		}
 	}()
-	return fn(v, err)
+	return s.Then(v, err)
 }
 
-// Done returns a channel closed on completion.
+// Done returns a channel closed on completion: the one a waiter registered
+// before, while the future is pending, so repeated calls give the same
+// channel, and resolvedDone once it has resolved.
 func (f *Future) Done() <-chan struct{} {
 	f.mu.Lock()
-	if f.done == nil {
-		f.done = make(chan struct{})
+	defer f.mu.Unlock()
+	if f.at == resolvedAt {
+		return resolvedDone
 	}
-	d := f.done
-	f.mu.Unlock()
-	return d
+	c, ok := f.waiter()
+	if !ok {
+		c = make(chan struct{})
+		f.add(sub{cb: c})
+	}
+	return c
 }
 
 // Get blocks until the call completes.
 func (f *Future) Get() (any, error) {
-	f.mu.Lock()
-	if f.done == resolvedDone {
-		f.mu.Unlock()
-		return f.outcome()
-	}
-	f.mu.Unlock()
+	// The outcome is written under mu before the waiter's channel is closed,
+	// and a resolved future's Done reads at under mu, so this read is ordered
+	// after the write either way.
 	<-f.Done()
-	// The close happens after val/err were written under mu, so this read
-	// is ordered after them.
 	return f.outcome()
 }

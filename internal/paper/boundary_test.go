@@ -487,7 +487,8 @@ func nameReads(t *testing.T) map[string]*nameUse {
 // below would reject, each with why it stays exported.
 var unreadAllowed = map[string]string{
 	// Interfaces another package implements without naming them.
-	"internal/core.Sink":             "parc's typed slots implement it (Settle)",
+	"internal/core.Aggregate":        "parc's WhenAll, WhenAny and Pipeline records implement it (MemberDone)",
+	"internal/core.Step":             "parc's Then and Catch records implement it (Then)",
 	"internal/remoting.Turn":         "core's asynchronous call implements it (InTurn)",
 	"internal/transport.BatchSender": "internal/paper/cost's and the benchmark's connection wrappers implement it",
 	// Types reached only through a constructor or another name's signature.

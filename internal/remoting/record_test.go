@@ -283,7 +283,7 @@ func boundReplyBytes(t testing.TB, resp *callResponse) []byte {
 	return bytes.Clone(raw)
 }
 
-// typedSink is a ResultSink with a slot of type T, as parc's asyncResult[R]
+// typedSink is a ResultSink with a slot of type T, as a parc Result[R]'s slot
 // is one, that also notes what a ResultSink must never do: refuse a value
 // and move the decoder all the same.
 type typedSink[T any] struct {

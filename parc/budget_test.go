@@ -272,9 +272,11 @@ func TestAllocBudgetAsyncCall(t *testing.T) {
 // that are left when the reply lands in the typed slot (the payload on either
 // end, the reply's box in the thunk) plus the argument
 // list with its boxed payload that this test's argsFor builds per member; the
-// wave's own (the slab of 88 B records, each a Result and its Future, the
-// two slices of pointers and values, WhenAll's promise, counters and
-// closures, the channel Gather waits on) come to 0.05 between 256. The
+// wave's own (the slab of 72 B Results, each its call's Future and typed
+// slot, the slice of pointers to them, WhenAll's one record and its values,
+// the channel Gather waits on) come to 0.02 to 0.04 between 256, where a
+// slab of 88 B records and WhenAll's promise, counters and closures beside
+// its Result came to 0.04 to 0.06. The
 // members' attempts are their proxies', drawn from a store of two and,
 // beyond those, from the attempts' pool, which a collection empties: that
 // pool term is the one left, and it is 0 while no collection falls inside
@@ -283,63 +285,69 @@ func TestAllocBudgetAsyncCall(t *testing.T) {
 // -count=3 (a collection that empties the attempt, encoder and call-record
 // pools mid-run shows as 0.1 at most, 256 attempts a wave refilled once). A
 // member that allocates anything of the runtime's own again adds 1, which
-// the budget of 6 holds; a second allocation more fails it.
+// the budget of 5.98 holds; a second allocation more fails it.
 func TestAllocBudgetScatterWave(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	wave := echoWave(t)
-	if n := testing.AllocsPerRun(20, wave) / waveMembers; n > 6 {
-		t.Errorf("scatter wave: %.2f allocs a member call, budget 6", n)
+	if n := testing.AllocsPerRun(20, wave) / waveMembers; n > 5.98 {
+		t.Errorf("scatter wave: %.2f allocs a member call, budget 5.98", n)
 	} else {
 		t.Logf("scatter wave: %.2f allocs a member call", n)
 	}
 }
 
 // TestAllocBudgetAsyncFootprint holds what an asynchronous call stores, in
-// bytes. A wave member's record, asyncResult, holds only what outlives the
-// call, the Result and its Future, and must stay within 96 B; it is 88. A
-// wave allocates its 256 records as one slab: at 88 B that is 22,528 B,
-// which the allocator's 24,576 B size class (3 pages) takes, 96 B a member;
-// at 96 B the slab fills the class exactly, and at 104 B it takes the
-// 27,264 B class. What serves only the exchange, the attempt the re-run
-// rule rides on with the connection's 104 B CallRecord, is the proxy's,
-// drawn from its store and back when the call is done (core's attempt), so
-// the slab no longer pins it for as long as the caller holds its Results.
-// A record that kept the request and its context twice, the blocking call's
-// channel and envelope, and an encoder's bytes beside the encoder was
-// 616 B; one that kept copies of what its context, its channel and its
-// future's state already hold (the deadline and token, the breaker, the
-// call's name as a string, a second continuation slot and a completed flag)
-// was 416 B; one that kept a memo of the converted outcome beside the slot,
-// the queued frame beside the lane's queue, two hooks on the context and
-// the call and method as two strings was 352 B; one that held five pointers
-// back into itself (the Result's and the attempt's to the Future, the
-// record's sink to the slot and its Completer to the attempt, the Future's
-// abort hook to the record), a derived future's field beside every
-// continuation, and the Future's continuations and abort hook beside the
-// outcome they are never needed with, was 280 B; and one that held the
-// attempt and its CallRecord inside it, 128 B needed only while the call
-// was in flight, was 216 B, a slab of 7 pages, 224 B a member. The bytes a
-// Scatter wave of 256 allocates, both ends and the wave's own, are held per
-// member to 363 B, where they measure 325 to 327 B (460 to 461 B with the
-// attempt in the slab): the same 38 B of slack as before. The record's
-// fields are logged with their offsets, so that a change names the row it
-// moves, and so is the attempt's share that left it.
+// bytes. A wave member's record is its Result, which holds only what
+// outlives the call, its Future (48 B) and its typed slot, and must stay
+// within 72 B. A wave allocates its 256 Results as one slab: at 72 B that is
+// 18,432 B, which is one of the allocator's size classes exactly, 72 B a
+// member; at 80 B it would take the 20,480 B class. What serves only the
+// exchange, the attempt the re-run rule rides on with the connection's
+// 104 B CallRecord, is the proxy's, drawn from its store and back when the
+// call is done (core's attempt), so the slab does not pin it for as long as
+// the caller holds its Results. A record that kept the request and its
+// context twice, the blocking call's channel and envelope, and an encoder's
+// bytes beside the encoder was 616 B; one that kept copies of what its
+// context, its channel and its future's state already hold (the deadline
+// and token, the breaker, the call's name as a string, a second
+// continuation slot and a completed flag) was 416 B; one that kept a memo of
+// the converted outcome beside the slot, the queued frame beside the lane's
+// queue, two hooks on the context and the call and method as two strings
+// was 352 B; one that held five pointers back into itself (the Result's and
+// the attempt's to the Future, the record's sink to the slot and its
+// Completer to the attempt, the Future's abort hook to the record), a
+// derived future's field beside every continuation, and the Future's
+// continuations and abort hook beside the outcome they are never needed
+// with, was 280 B; one that held the attempt and its CallRecord inside it,
+// 128 B needed only while the call was in flight, was 216 B, a slab of 7
+// pages, 224 B a member; and one that kept the Future beside the Result with
+// a pointer from one to the other, and the waiter's channel in a field of
+// the Future of its own rather than among its continuations, was 88 B, a
+// slab in the 24,576 B class, 96 B a member. The bytes a Scatter wave of 256
+// allocates, both ends and the wave's own, are held per member to 341 B,
+// where they measure 302 to 304 B (325 to 326 B with the 88 B record): the
+// same 38 B of slack as before. The record's fields are logged with their
+// offsets, so that a change names the row it moves, and so is the attempt's
+// share that left it.
 func TestAllocBudgetAsyncFootprint(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	size := unsafe.Sizeof(asyncResult[[]byte]{})
-	t.Logf("asyncResult[[]byte] %d B, what outlives the call: Result %d B, core.AsyncCall %d B (Future %d B)",
-		size, unsafe.Sizeof(Result[[]byte]{}), unsafe.Sizeof(core.AsyncCall{}), unsafe.Sizeof(core.Future{}))
-	logFields(t, reflect.TypeFor[asyncResult[[]byte]](), 0, "")
+	size, future := unsafe.Sizeof(Result[[]byte]{}), unsafe.Sizeof(core.Future{})
+	t.Logf("Result[[]byte] %d B, what outlives the call: core.AsyncCall %d B (Future %d B) and the typed slot",
+		size, unsafe.Sizeof(core.AsyncCall{}), future)
+	logFields(t, reflect.TypeFor[Result[[]byte]](), 0, "")
 	t.Logf("the proxy's, lent for the exchange: the attempt, with remoting.CallRecord %d B", unsafe.Sizeof(remoting.CallRecord{}))
-	if size > 96 {
-		t.Errorf("asyncResult[[]byte] is %d B, budget 96", size)
+	if future != 48 {
+		t.Errorf("core.Future is %d B, want 48", future)
+	}
+	if size > 72 {
+		t.Errorf("Result[[]byte] is %d B, budget 72", size)
 	}
 
-	const waves, budget = 20, 363.0
+	const waves, budget = 20, 341.0
 	wave := echoWave(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// The least of three windows: a collection inside one empties the pools
@@ -409,8 +417,11 @@ func echoWave(t *testing.T) func() {
 }
 
 // TestAllocBudgetWhenAll: aggregating 256 Results that are already issued
-// costs the aggregate's own allocations, the same few for 16 members, and
-// nothing per member: one function is subscribed under each member's index.
+// costs the aggregate's own allocations, its values and one record (its
+// Result and its count), the same two for 16 members, and nothing per
+// member: the one record is subscribed under each member's index. A
+// promise, a Result beside it, a count, and one closure to finish and one to
+// subscribe were 8.
 func TestAllocBudgetWhenAll(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -418,29 +429,27 @@ func TestAllocBudgetWhenAll(t *testing.T) {
 	ctx := context.Background()
 	cost := func(members int) float64 {
 		rs := make([]*Result[int], members)
-		resolve := make([]func(any, error), members)
 		return testing.AllocsPerRun(100, func() {
 			for i := range rs {
-				f, r := core.NewPromise()
-				rs[i], resolve[i] = &Result[int]{f: f}, r
+				rs[i] = new(Result[int])
 			}
 			all := WhenAll(rs...)
-			for i, r := range resolve {
-				r(i%200, nil) // small enough to box without allocating
+			for i, r := range rs {
+				core.Resolve(r, i%200, nil) // small enough to box without allocating
 			}
 			got, err := all.Get(ctx)
 			if err != nil || len(got) != members || got[members-1] != (members-1)%200 {
 				t.Fatalf("WhenAll = %d values, %v", len(got), err)
 			}
-		}) - 3*float64(members) // the stand-in members: Result, Future, resolver
+		}) - float64(members) // the stand-in members' Results
 	}
 	small, large := cost(16), cost(256)
 	t.Logf("WhenAll: %.0f allocs over 16 members, %.0f over 256", small, large)
 	if large != small {
 		t.Errorf("WhenAll over 256 members costs %.0f allocs, over 16 %.0f: it allocates per member", large, small)
 	}
-	if large > 12 {
-		t.Errorf("WhenAll: %.0f allocs, budget 12", large)
+	if large > 2 {
+		t.Errorf("WhenAll: %.0f allocs, budget 2", large)
 	}
 }
 

@@ -319,7 +319,7 @@ func TestCancelPipelineAbandonsStageInFlight(t *testing.T) {
 			item := Pipeline[int](ctx, g, "Step", []any{7})[0]
 			gs.awaitEntered(t, 1)
 			if how == "direct" {
-				item.f.Cancel()
+				item.fut().Cancel()
 			} else {
 				WhenAny(item, CallAsync[int](ctx, g.Object(0), "NoSuchMethod"))
 			}
@@ -409,7 +409,7 @@ func TestWaveMembersStandAlone(t *testing.T) {
 		}
 	}
 
-	rs[3].f.Cancel()
+	rs[3].fut().Cancel()
 	first := WhenAny(CallAsync[int](ctx, bystander, "Echo", 500), rs[5])
 	if v, err := first.Get(within(t, 5*time.Second)); err != nil || v != 500 {
 		t.Errorf("WhenAny = %v, %v, want the bystander's 500", v, err)

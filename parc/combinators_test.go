@@ -273,3 +273,22 @@ func TestCombinatorStress(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestFailedResultIsResolved: the Result of a call that never started (a
+// method the class does not have) is resolved in place before CallAsync
+// returns: its Done is closed, and its Get returns the error at once, even
+// under a context that has already ended.
+func TestFailedResultIsResolved(t *testing.T) {
+	_, obj := startFlaky(t)
+	r := parc.CallAsync[int](context.Background(), obj, "NoSuchMethod")
+	select {
+	case <-r.Done():
+	default:
+		t.Fatal("a Result that never started is pending")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.Get(ctx); !errors.Is(err, parc.ErrNoSuchMethod) {
+		t.Errorf("Get = %v, want ErrNoSuchMethod", err)
+	}
+}

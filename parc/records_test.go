@@ -15,7 +15,7 @@ import (
 // is let go on purpose, so that once the wave is over drawn equals returned
 // plus let go. The four waves end every way a member can: answered;
 // cancelled in flight, against objects that hold the calls; cut off by the
-// caller's node closing under them, and re-run; and given up at their
+// caller's node closing under them, and failed, not re-run; and given up at their
 // deadline, whose end fires the lanes' hooks on the members' context.
 func TestCallRecordsAccountedForAcrossWaves(t *testing.T) {
 	const members = 16
@@ -69,7 +69,7 @@ func TestCallRecordsAccountedForAcrossWaves(t *testing.T) {
 	t.Run("cancelled in flight", func(t *testing.T) {
 		_, gs, rs, check := wave(t, context.Background(), "Hold")
 		for _, r := range rs {
-			r.f.Cancel()
+			r.fut().Cancel()
 		}
 		settled(t, rs, func(_, _ int, err error) bool { return errors.Is(err, context.Canceled) })
 		gs.release() // the objects answer; the replies are dropped
@@ -77,12 +77,19 @@ func TestCallRecordsAccountedForAcrossWaves(t *testing.T) {
 	})
 	t.Run("cut off by Close", func(t *testing.T) {
 		// The caller's node closes its connections under the wave: each
-		// member's lane fails with the call in flight, and the member is
-		// re-run, answered or failed.
+		// member's lane fails with the call in flight, and the member fails
+		// with ErrNodeDown. It is not re-run: a re-run would dial node 1
+		// afresh from the closed node and execute the call there again.
 		cl, gs, rs, check := wave(t, context.Background(), "Hold")
 		cl.Node(0).Close()
 		gs.release()
-		settled(t, rs, func(i, v int, err error) bool { return err != nil || v == i })
+		settled(t, rs, func(_, _ int, err error) bool { return errors.Is(err, ErrNodeDown) })
+		// Every Hold that reaches an object enters the gate; the wave's own
+		// 16 were taken by awaitEntered, and a re-run would have entered it
+		// before its member resolved.
+		if n := len(gs.entered); n != 0 {
+			t.Errorf("node 1 executed %d more calls after node 0 closed: members were re-run", n)
+		}
 		balanced(t, check)
 	})
 	t.Run("under a deadline", func(t *testing.T) {

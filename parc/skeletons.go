@@ -65,17 +65,19 @@ func (g *Group[T]) Destroy(ctx context.Context) error {
 // The whole round is submitted before anything blocks, which is what lets
 // per-peer batching collapse the frames: on a 3-node group a 30-element
 // scatter is three batched writes, not thirty round trips. The wave is the
-// unit of bookkeeping too: its members' Results and Futures are one
-// allocation (see Result), and each member's attempt, with the connection's
-// record, is its proxy's, lent while the member's call is in flight.
+// unit of bookkeeping too: its members' Results, each its call's Future
+// and typed slot, are one allocation (see Result), and each member's
+// attempt, with the connection's record, is its proxy's, lent while the
+// member's call is in flight.
 func Scatter[R any, T any](ctx context.Context, g *Group[T], method string, argsFor func(i int) []any) []*Result[R] {
 	rs := make([]*Result[R], g.Size())
 	if err := checkMethod[T](method); err != nil {
 		return allFailed(rs, err)
 	}
-	wave := make([]asyncResult[R], len(rs))
+	wave := make([]Result[R], len(rs))
 	for i := range wave {
-		rs[i] = wave[i].start(ctx, g.objs[i].p, method, argsFor(i))
+		wave[i].start(ctx, g.objs[i].p, method, argsFor(i))
+		rs[i] = &wave[i]
 	}
 	return rs
 }
@@ -126,44 +128,55 @@ func Pipeline[R any, T any](ctx context.Context, g *Group[T], method string, ite
 	if err != nil {
 		return allFailed(out, err)
 	}
-	// Only the last stage's value is read, as R: it settles in the item's
-	// Result, which holds that stage's Future as a wave member's does. The
-	// stages before it are untyped, and the first stage's Futures are one
-	// allocation, as a wave's; every stage's attempt is its proxy's.
 	n := g.Size()
-	var first []core.AsyncCall
-	if n > 1 {
-		first = make([]core.AsyncCall, len(items))
-	}
-	last := make([]asyncResult[R], len(items))
+	pl := &pipeline[R, T]{ctx: ctx, objs: g.objs, method: method,
+		calls: make([]core.AsyncCall, (n-1)*len(items)), last: make([]Result[R], len(items))}
 	for k, item := range items {
-		r := &last[k]
-		var call core.Async = r // the first stage is the last
-		if n > 1 {
-			call = &first[k]
+		c, sink := pl.stage(0, k)
+		g.objs[0].p.StartAsync(ctx, c, sink, method, []any{item})
+		for s := 1; s < n; s++ {
+			next, _ := pl.stage(s, k)
+			core.Chain(core.FutureOf(c), next, (s-1)*len(items)+k, pl)
+			c = next
 		}
-		r.f = g.objs[0].p.StartAsync(ctx, call, method, []any{item})
-		for i, o := range g.objs[1:] {
-			call = r
-			if i < n-2 { // a stage between the first and the last
-				call = new(core.AsyncCall)
-			}
-			r.f = thenCall(ctx, r.f, o.p, call, method)
-		}
-		out[k] = &r.Result
+		out[k] = &pl.last[k]
 	}
 	return out
 }
 
-// thenCall flat-maps a future into the next stage's call, made in c: when
-// prev resolves, the stage call is issued from the completion path and the
-// returned future adopts its outcome. Cancelling it cancels whichever of
-// the two is pending, so a cancelled item abandons the stage it is in.
-func thenCall(ctx context.Context, prev *Future, p *Proxy, c core.Async, method string) *Future {
-	return core.Chain(prev, func(v any, err error) *Future {
-		if err != nil {
-			return core.ResolvedFuture(nil, err)
-		}
-		return p.StartAsync(ctx, c, method, []any{v})
-	})
+// pipeline is one Pipeline: its stages' calls, and the Aggregate every
+// stage but the last is chained to the next with. Only the last stage's
+// value is read, as R: it settles in the item's Result, one of a slab, as a
+// wave member's does. The stages before it are untyped, their calls one
+// slab; every stage's attempt is its proxy's.
+type pipeline[R any, T any] struct {
+	ctx    context.Context
+	objs   []*Object[T]
+	method string
+	calls  []core.AsyncCall // stage s < len(objs)-1 of item k at s*len(last)+k
+	last   []Result[R]
+}
+
+// stage returns where stage s of item k is made, with its typed slot, nil
+// before the last stage.
+func (pl *pipeline[R, T]) stage(s, k int) (core.Async, core.Sink) {
+	if s == len(pl.objs)-1 {
+		return &pl.last[k], &pl.last[k].slot
+	}
+	return &pl.calls[s*len(pl.last)+k], nil
+}
+
+// MemberDone implements core.Aggregate: stage s-1 of item k resolved, told
+// under the index (s-1)*len(items)+k, and stage s starts with its value, or
+// fails with its error. A cancelled item abandons the stage it is in: stage
+// s's Future, while its call waits, cancels the one it waits on
+// (core.Chain), and once it starts, the call.
+func (pl *pipeline[R, T]) MemberDone(i int, v any, err error) {
+	s, k := i/len(pl.last)+1, i%len(pl.last)
+	c, sink := pl.stage(s, k)
+	if err != nil {
+		core.Resolve(c, nil, err)
+		return
+	}
+	pl.objs[s].p.StartNext(pl.ctx, c, sink, pl.method, []any{v})
 }

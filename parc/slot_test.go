@@ -72,7 +72,7 @@ func slottedOn(t *testing.T, opts ...Option) (remote, local *Object[Slotted]) {
 // inSlot reports whether r's future resolved with r's own typed slot as its
 // value: the outcome settled in the Result before the future resolved.
 func inSlot[R any](r *Result[R]) bool {
-	v, _ := r.f.Get()
+	v, _ := r.fut().Get()
 	return v == any(&r.slot)
 }
 
@@ -277,7 +277,7 @@ func TestCancelAgainstReplyTypedSlot(t *testing.T) {
 		for spin := i % 32; spin > 0; spin-- {
 			runtime.Gosched()
 		}
-		r.f.Cancel()
+		r.fut().Cancel()
 		for j := 0; j < 2; j++ {
 			switch v, err := r.Get(ctx); {
 			case err == nil && bytes.Equal(v, payload):

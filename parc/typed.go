@@ -193,50 +193,44 @@ func CallAsync[R any, T any](ctx context.Context, o *Object[T], method string, a
 	if err := checkMethod[T](method); err != nil {
 		return failed[R](err)
 	}
-	return new(asyncResult[R]).start(ctx, o.p, method, args)
+	r := new(Result[R])
+	r.start(ctx, o.p, method, args)
+	return r
 }
 
-// asyncResult is what an asynchronous call allocates: what outlives the
-// call, the Result handed back and, in the same object, the call's Future.
-// What serves only the exchange, the attempt with the connection's record,
-// is the proxy's, lent for as long as the call is in flight. A wave
-// allocates its members' as one slice. It is the call's core.Async and its
-// core.Sink: a reply that is exactly an R is decoded into the Result's slot,
-// and the outcome settles there before the call's Future resolves, with the
-// slot as its value.
-type asyncResult[R any] struct {
-	Result[R]
-	core.AsyncCall
+// start issues the call whose Result r is; r must be zero.
+func (r *Result[R]) start(ctx context.Context, p *Proxy, method string, args []any) {
+	p.StartAsync(ctx, r, &r.slot, method, args)
 }
-
-// start issues the call; c must be zero.
-func (c *asyncResult[R]) start(ctx context.Context, p *Proxy, method string, args []any) *Result[R] {
-	c.f = p.StartAsync(ctx, c, method, args)
-	return &c.Result
-}
-
-// DecodeResult implements remoting.ResultSink, through the call's attempt:
-// the reply's result goes into the Result's slot.
-func (c *asyncResult[R]) DecodeResult(d *wire.Decoder) bool { return c.slot.DecodeResult(d) }
 
 // Settle implements core.Sink, once, on the completion path and before the
-// call's Future resolves: a reply decoded into the slot (v is c) is there
+// call's Future resolves: a reply decoded into the slot (v is s) is there
 // already, and any other value the call finishes with is converted (As) into
 // it. The Future resolves with the slot; a value As refuses fails the call.
-func (c *asyncResult[R]) Settle(v any) (any, error) {
-	if v != any(c) {
+func (s *slot[R]) Settle(v any) (any, error) {
+	if v != any(s) {
 		var err error
-		if c.slot.val, err = As[R](v, nil); err != nil {
+		if s.val, err = As[R](v, nil); err != nil {
 			return nil, err
 		}
 	}
-	return &c.slot, nil
+	return s, nil
+}
+
+// hold settles a derived Result's value v in the slot, for its Future to
+// resolve with, or passes err on.
+func (s *slot[R]) hold(v R, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	s.val = v
+	return s, nil
 }
 
 // resultOf is the one place a call's outcome becomes an R, blocking or
 // asynchronous: read out of the typed slot when the call finished with one
-// as its value, taken as it is when it is an R already (the value of a
-// derived Result), converted (As) otherwise.
+// as its value, taken as it is when it is an R already, converted (As)
+// otherwise.
 func resultOf[R any](v any, err error) (R, error) {
 	if err == nil {
 		switch v := v.(type) {
@@ -249,25 +243,35 @@ func resultOf[R any](v any, err error) (R, error) {
 	return As[R](v, err)
 }
 
-// Result is the typed future returned by CallAsync. Its outcome settles in
-// the Result once, before its future resolves: a reply whose type is R
-// exactly (a []byte, a numeric, string or bool slice, a string or a scalar,
-// over a connection) is decoded into it, and any other value is converted
-// to R there, on the completion path. So every Get, and Gather, reads the
-// identical value, or the identical error. The Results of one Scatter share
-// their wave's storage: holding one of them keeps the whole wave alive,
-// every member's Future and value (the records of the exchanges went back
-// to their proxies when the calls were done). Copy the value out of a
-// Result that is kept for long.
+// Result is the typed future returned by CallAsync, and by every combinator
+// and skeleton. It is the whole of what an asynchronous call keeps: the
+// call's Future (core.AsyncCall, the call's core.Async) and the typed slot
+// its outcome settles in (the call's core.Sink), once, before the Future
+// resolves: a reply whose type is R exactly (a []byte, a numeric, string or
+// bool slice, a string or a scalar, over a connection) is decoded into it,
+// and any other value is converted to R there, on the completion path. So
+// every Get, and Gather, reads the identical value, or the identical error.
+// What serves only the exchange, the attempt with the connection's record,
+// is the proxy's, lent while the call is in flight. The Results of one
+// Scatter are one allocation: holding one of them keeps the whole wave
+// alive, every member's Future and value. Copy the value out of a Result
+// that is kept for long.
 type Result[R any] struct {
-	f *Future
+	async
 
 	// slot is written by whoever settles the outcome as a value (the reply's
-	// decode, or the slot's Settle) before f resolves with it, and is read
-	// only once f has; after an error a late reply may still be landing in
-	// it.
+	// decode, the slot's Settle, or a combinator) before the Future resolves
+	// with it, and is read only once it has; after an error a late reply may
+	// still be landing in it.
 	slot slot[R]
 }
+
+// async is the call's Future, embedded under a name of parc's own so that
+// Result shows no field of it.
+type async = core.AsyncCall
+
+// fut is the Future of r's call.
+func (r *Result[R]) fut() *Future { return core.FutureOf(r) }
 
 // Get blocks until the call completes (or ctx ends) and returns its value as
 // R. Repeated calls are idempotent: every Get returns the identical value
@@ -278,28 +282,31 @@ func (r *Result[R]) Get(ctx context.Context) (R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	f := r.fut()
 	if ctx.Done() != nil {
 		select {
-		case <-r.f.Done():
+		case <-f.Done():
 		case <-ctx.Done():
 			// Check completion once more: a future resolved between the
 			// select's two ready cases should win over the ctx error.
 			select {
-			case <-r.f.Done():
+			case <-f.Done():
 			default:
 				return zero, ctx.Err()
 			}
 		}
 	}
-	return resultOf[R](r.f.Get())
+	return resultOf[R](f.Get())
 }
 
 // Done returns a channel closed when the call completes.
-func (r *Result[R]) Done() <-chan struct{} { return r.f.Done() }
+func (r *Result[R]) Done() <-chan struct{} { return r.fut().Done() }
 
-// failed is the Result of a call that never started.
+// failed is the Result of a call that never started, resolved in place.
 func failed[R any](err error) *Result[R] {
-	return &Result[R]{f: core.ResolvedFuture(nil, err)}
+	r := new(Result[R])
+	core.Resolve(r, nil, err)
+	return r
 }
 
 // checkMethod fails fast, before any network traffic, when method is not
