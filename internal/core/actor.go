@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/ctxwait"
 	"repro/internal/dispatch"
 	"repro/internal/errs"
 	"repro/internal/remoting"
@@ -245,21 +244,10 @@ func (a *actor) pause(ctx context.Context) error {
 		return errActorMigrating
 	}
 	a.paused = true
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			a.mu.Lock()
-			a.cond.Broadcast()
-			a.mu.Unlock()
-		})
-		defer stop()
-	}
-	for a.pending > 0 && a.closed == nil {
-		if err := ctx.Err(); err != nil {
-			a.resumeLocked()
-			a.mu.Unlock()
-			return err
-		}
-		a.cond.Wait()
+	if err := a.waitUntil(ctx, func() bool { return a.pending == 0 || a.closed != nil }); err != nil {
+		a.resumeLocked()
+		a.mu.Unlock()
+		return err
 	}
 	if a.closed != nil {
 		// A destroy won the race: the object must not be resurrected
@@ -268,6 +256,28 @@ func (a *actor) pause(ctx context.Context) error {
 		return errActorStopped
 	}
 	a.mu.Unlock()
+	return nil
+}
+
+// waitUntil parks on the mailbox's condition until done reports true and
+// returns nil, or returns ctx.Err() once ctx has ended first. The end of ctx
+// wakes it (context.AfterFunc), so an abandoned wait leaves nothing behind.
+// Needs a.mu, which it holds again when it returns.
+func (a *actor) waitUntil(ctx context.Context, done func() bool) error {
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() {
+			a.mu.Lock()
+			a.cond.Broadcast()
+			a.mu.Unlock()
+		})
+		defer stop()
+	}
+	for !done() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		a.cond.Wait()
+	}
 	return nil
 }
 
@@ -385,20 +395,16 @@ func (a *actor) callSync(ctx context.Context, t actorTask) (any, error) {
 	}
 }
 
-// wait blocks until the mailbox has run, or turned away, every task it
-// took, held ones included.
-func (a *actor) wait() {
-	a.mu.Lock()
-	for a.pending > 0 || len(a.held) > 0 || a.closing {
-		a.cond.Wait()
-	}
-	a.mu.Unlock()
-}
-
-// waitCtx is wait bounded by ctx; the mailbox keeps draining in the
-// background when the wait is abandoned.
+// waitCtx blocks until the mailbox has run, or turned away, every task it
+// took, held ones included, or until ctx ends. A ctx that has ended already
+// is its answer, drained mailbox or not.
 func (a *actor) waitCtx(ctx context.Context) error {
-	return ctxwait.Drain(ctx, a.wait)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.waitUntil(ctx, func() bool { return a.pending == 0 && len(a.held) == 0 && !a.closing })
 }
 
 // stop turns the held tasks away, drains the queue and terminates the

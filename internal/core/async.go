@@ -247,7 +247,7 @@ func (a *attempt) fromMailbox(v any, err error) {
 		// The object was taken from this node with the call still queued or
 		// held, or before the task entered the mailbox: follow it, in the
 		// proxy's call order, ahead of the calls issued after this one.
-		a.p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+		a.p.redirectMoved(mv)
 		a.submitRemote()
 		return
 	}
@@ -284,10 +284,9 @@ func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
 // after that but the record it leaves for a Cancel, and only while the
 // future is pending, or resolved by someone else (resolve).
 func (a *attempt) start(ref *remoting.ObjRef) {
-	if a.p.rt.cfg.IdempotentCalls {
-		if ctx, call, method, args := a.rec.Call(); !hasToken(ctx) {
-			a.rec.SetCall(remoting.ContextWithToken(ctx, a.p.rt.cfg.Channel.NewCallToken()), call, method, args)
-		}
+	ctx, call, method, args := a.rec.Call()
+	if ctx, stamped := a.p.withToken(ctx); stamped {
+		a.rec.SetCall(ctx, call, method, args)
 	}
 	f := a.fut
 	if err := ref.StartCall(&a.rec); err != nil {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/errs"
 )
@@ -69,6 +71,36 @@ func TestLocalPostParksNoGoroutine(t *testing.T) {
 	p.Wait()
 	if err := p.AsyncErr(); !errors.Is(err, errs.ErrNoSuchMethod) {
 		t.Errorf("AsyncErr after Wait = %v, want the failed post's ErrNoSuchMethod", err)
+	}
+}
+
+// TestAbandonedWaitParksNoGoroutine: a WaitCtx that gives up on its
+// deadline while the mailbox is busy leaves nothing waiting for the mailbox
+// behind it, and a ctx that has ended is the answer even once the mailbox
+// is drained.
+func TestAbandonedWaitParksNoGoroutine(t *testing.T) {
+	p, g := parkedLocal(t)
+	base := runtime.NumGoroutine()
+	const n = 100
+	for i := 0; i < n; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		err := p.WaitCtx(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("wait %d on a busy mailbox = %v, want its deadline", i, err)
+		}
+	}
+	if d := runtime.NumGoroutine() - base; d > outstandingSlack {
+		t.Errorf("%d abandoned waits hold %d extra goroutines", n, d)
+	}
+	close(g.release)
+	if err := p.WaitCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := p.WaitCtx(ended); !errors.Is(err, context.Canceled) {
+		t.Errorf("wait with an ended ctx on a drained mailbox = %v, want context.Canceled", err)
 	}
 }
 

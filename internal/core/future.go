@@ -13,12 +13,11 @@ import (
 // mux reader and ships the rest elsewhere.
 const maxInlineDepth = 8
 
-// sub is one registered continuation, stored as given in cb: a
-// func(any, error) to tell (OnComplete), an Aggregate to tell with the index
-// i it was registered under (OnCompleteAt, Chain), a Step whose future to
-// resolve with its Then of the outcome (ThenInto), or a waiter's channel to
-// close (Done). A pending future holds its first continuation, and a *[]sub
-// of all of them once there are two (see Future).
+// sub is one registered continuation, stored as given in cb: an Aggregate
+// to tell with the index i it was registered under (OnCompleteAt, Chain), a
+// Step whose future to resolve with its Then of the outcome (ThenInto), or a
+// waiter's channel to close (Done). A pending future holds its first
+// continuation, and a *[]sub of all of them once there are two (see Future).
 type sub struct {
 	cb any
 	i  int
@@ -34,9 +33,9 @@ type canceller interface{ Cancel() }
 // directly — a pending future parks no goroutine, and ten thousand
 // outstanding calls cost ten thousand heap objects, not ten thousand
 // stacks. A waiter (Get, Done) registers a channel as one more
-// continuation, which the resolution closes; chaining (ThenInto, OnComplete)
-// makes none. It is also the unit of cancellation (Cancel): no context is
-// derived per call.
+// continuation, which the resolution closes; chaining (ThenInto,
+// OnCompleteAt) makes none. It is also the unit of cancellation (Cancel): no
+// context is derived per call.
 type Future struct {
 	mu sync.Mutex
 	// val and err are the outcome once the future has resolved (outcome),
@@ -151,8 +150,6 @@ func (f *Future) deliver(s sub, depth int) {
 	switch cb := s.cb.(type) {
 	case Aggregate:
 		cb.MemberDone(s.i, v, err)
-	case func(any, error):
-		cb(v, err)
 	case Step:
 		v, err := runStep(cb, v, err)
 		cb.asyncCall().fut.completeAt(v, err, depth+1)
@@ -201,12 +198,6 @@ func (f *Future) waiter() (chan struct{}, bool) {
 	return nil, false
 }
 
-// OnComplete registers fn to run with the future's outcome: immediately if
-// already resolved, on the completion path otherwise. fn must not block —
-// for remote calls the completion path is the connection's reader
-// goroutine, shared by every caller on that lane.
-func (f *Future) OnComplete(fn func(any, error)) { f.subscribe(sub{cb: fn}) }
-
 // Aggregate is what waits on many futures: it is told the outcome of each,
 // with the index it registered under (OnCompleteAt), so one Aggregate is
 // registered as it is on every member and nothing is built per member to
@@ -217,8 +208,10 @@ type Aggregate interface {
 	MemberDone(i int, v any, err error)
 }
 
-// OnCompleteAt is OnComplete for an aggregate: a is told the outcome under
-// the index i, which must not be negative.
+// OnCompleteAt registers a to be told the future's outcome under the index
+// i, which must not be negative: at once if the future has resolved, on the
+// completion path otherwise. For a remote call that path is the
+// connection's reader goroutine, shared by every caller on the lane.
 func (f *Future) OnCompleteAt(i int, a Aggregate) {
 	if i < 0 {
 		panic("core: OnCompleteAt at a negative index")

@@ -59,7 +59,7 @@ func (p *Proxy) PostCtx(ctx context.Context, method string, args ...any) error {
 // follow re-posts a local post whose object moved before running it, at the
 // forward's location.
 func (p *Proxy) follow(mv *errs.MovedError, method string, args []any) error {
-	p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+	p.redirectMoved(mv)
 	return p.postRemote(method, args)
 }
 

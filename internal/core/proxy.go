@@ -176,6 +176,11 @@ func (p *Proxy) redirect(loc ObjLoc) bool {
 	return true
 }
 
+// redirectMoved is redirect at the location a forward names.
+func (p *Proxy) redirectMoved(mv *errs.MovedError) bool {
+	return p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+}
+
 // movedOf extracts a usable migration forward for uri from err. The URI
 // match is essential: a MovedError about some *other* object — one
 // propagated unhandled out of a method that itself called a moved/broken
@@ -219,15 +224,7 @@ func movedOf(err error, uri string) (*errs.MovedError, bool) {
 // retries (ErrObjectMoved) carry no such risk: a tombstone rejects
 // without executing.
 func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, call remoteCall) (any, error) {
-	if p.rt.cfg.IdempotentCalls {
-		if !hasToken(ctx) {
-			// One token per logical call, stamped at the outermost scope:
-			// every wire attempt below — channel-level retries, forward
-			// chasing, the post-failover re-resolve — carries it, so a host
-			// that already executed the call replays its recorded reply.
-			ctx = remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
-		}
-	}
+	ctx, _ = p.withToken(ctx)
 	var followedGen uint64
 	resolved := false
 	for {
@@ -238,7 +235,7 @@ func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, ca
 		}
 		if mv, ok := movedOf(err, p.uri); ok && mv.Gen > followedGen {
 			followedGen = mv.Gen
-			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+			p.redirectMoved(mv)
 			continue
 		}
 		down := errors.Is(err, errs.ErrNodeDown)
@@ -262,10 +259,20 @@ func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, ca
 	}
 }
 
-// hasToken reports whether ctx carries an idempotency token.
-func hasToken(ctx context.Context) bool {
-	_, ok := remoting.TokenFromContext(ctx)
-	return ok
+// withToken returns ctx with an idempotency token, and whether it stamped a
+// fresh one: it does when the runtime's calls are idempotent and ctx carries
+// none yet. One token per logical call, stamped at the outermost scope:
+// every wire attempt below it (channel-level retries, forward chasing, the
+// post-failover re-resolve, an asynchronous call's re-run) carries it, so a
+// host that already executed the call replays its recorded reply.
+func (p *Proxy) withToken(ctx context.Context) (_ context.Context, stamped bool) {
+	if !p.rt.cfg.IdempotentCalls {
+		return ctx, false
+	}
+	if _, ok := remoting.TokenFromContext(ctx); ok {
+		return ctx, false
+	}
+	return remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken()), true
 }
 
 // currentGen reads the generation the proxy currently routes at.
@@ -329,7 +336,7 @@ func (p *Proxy) InvokeCtx(ctx context.Context, method string, args ...any) (any,
 }
 
 // InvokeInto is InvokeCtx with a typed slot for the result
-// (remoting.ResultSink), as SetSink gives one to an asynchronous call: a
+// (remoting.ResultSink), as StartAsync gives one to an asynchronous call: a
 // remote reply whose result is exactly what sink takes is decoded into it,
 // through any forward the call follows, and the call then returns sink
 // itself as its value. Every other way the call can finish (a local or
@@ -387,7 +394,7 @@ func (p *Proxy) invokeKept(ctx context.Context, sink remoting.ResultSink, method
 			// mailbox: upgrade to a remote proxy and retry at the new
 			// location (the mailbox fully drained before the move, so
 			// ordering is preserved).
-			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+			p.redirectMoved(mv)
 			return p.remoteInvokeOrdered(ctx, sink, method, args)
 		}
 		return res, err
@@ -468,7 +475,7 @@ func (p *Proxy) MigrateCtx(ctx context.Context, toNode int) error {
 		if mv, ok := movedOf(err, p.uri); ok {
 			// Someone migrated it first; chase the forward through the
 			// remote path below.
-			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+			p.redirectMoved(mv)
 		} else if err != nil {
 			return err
 		} else {

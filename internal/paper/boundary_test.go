@@ -198,7 +198,6 @@ var layers = []string{
 // this module themselves.
 var leaves = []string{
 	"internal/errs",
-	"internal/ctxwait",
 	"internal/metrics",
 }
 

@@ -80,8 +80,8 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 // NestedInvoker, there: the connection's handle names the user's method and
 // the frame carries args alone. An empty method makes it InvokeCtx(ctx,
 // call, args...). sink, when not nil, is the caller's typed slot for the
-// result, kept beside the call's result in its record: a reply whose result
-// it takes is decoded into it, and the call returns sink itself as its
+// result, which the call's record forwards to: a reply whose result it
+// takes is decoded into it, and the call returns sink itself as its
 // value. After a call that returned an error the reader may still be
 // writing into sink.
 func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, method string, args []any) (any, error) {
@@ -90,20 +90,8 @@ func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, met
 	defer w.settle(r)
 	w.SetCall(ctx, call, method, args)
 	w.ref, w.sink = r, sink
-	w.ctx = r.address(w.ctx, &w.req)
+	w.rearm(r.ch)
 	return r.invoke(w)
-}
-
-// address completes the request of a call to r under ctx (nil means
-// background) with a fresh sequence number. It returns ctx as it is, a nil
-// one as background. The deadline and idempotency token ctx carries are
-// read from it when the frame is encoded (CallRecord.envelope).
-func (r *ObjRef) address(ctx context.Context, req *request) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	req.Seq = r.ch.nextSeq()
-	return ctx
 }
 
 // invoke runs the blocking call w names, retry loop included: each attempt
@@ -173,9 +161,9 @@ func isStale(err error) bool {
 	return errors.Is(err, errs.ErrNodeDown) && !errors.Is(err, errChannelClosed) && !errors.As(err, &re)
 }
 
-// rearm readies a blocking call's record to be submitted again. The sequence
-// number is fresh: the failed submission may still complete server-side, and
-// a reused number could be matched against its late reply. The idempotency
+// rearm gives the record a fresh sequence number before each submission: a
+// record sent again after a failure may still complete server-side, and a
+// reused number could be matched against its late reply. The idempotency
 // token (if any) stays, making the retry deduplicable; the seq is
 // per-exchange plumbing.
 func (c *CallRecord) rearm(ch *Channel) {
@@ -222,7 +210,7 @@ func (r *ObjRef) InvokeAsyncCb(ctx context.Context, c *CallRecord, method string
 // records, from what Call reads back). A record serves one submission.
 func (r *ObjRef) StartCall(c *CallRecord) error {
 	c.ref = r
-	c.ctx = r.address(c.ctx, &c.req)
+	c.rearm(r.ch)
 	_, err := r.ch.submit(r.netaddr, c)
 	return err
 }

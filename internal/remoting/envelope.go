@@ -224,11 +224,11 @@ func encodeBoundReply(encs *keep.Store[wire.Encoder], resp *callResponse) (raw [
 }
 
 // ResultSink is the typed slot a caller may give a call for its result: a
-// completion-driven call as its Completer (SetCompleter), or beside it
-// (SetSink), a blocking one as an argument (InvokeNestedCtx). On a success
-// reply the lane's reader offers it the decoder at the result's position:
-// DecodeResult either consumes exactly that one value, keeping it, and
-// returns true, or consumes nothing and returns false
+// completion-driven call as its Completer (SetCompleter), a blocking one as
+// an argument (InvokeNestedCtx), which the call's record forwards to. On a
+// success reply the lane's reader offers it the decoder at the result's
+// position: DecodeResult either consumes exactly that one value, keeping it,
+// and returns true, or consumes nothing and returns false
 // (wire.Decoder.ValueInto is this contract), and the result is then decoded
 // as a value, as for any other call. A call whose sink took the result
 // completes with the sink itself as its value: a pointer in an interface,

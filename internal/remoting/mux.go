@@ -644,7 +644,7 @@ func fnv1a(h uint32, s string) uint32 {
 	return h
 }
 
-// submit sends c, which SetCall named and ObjRef.address completed, and
+// submit sends c, which SetCall named and rearm numbered, and
 // returns without waiting: on its object's lane, dialled behind the peer's
 // breaker (dialBackoff, which a WithoutBreaker ctx bypasses) when the lane
 // is not up, encoded against the lane's bind table, through the lane's

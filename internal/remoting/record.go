@@ -32,10 +32,10 @@ import (
 // completion that resolved the call's future, once a hook on the context
 // could be detached (Unwatch; Lost when it could not). The connection holds
 // the record from submission until to has been told, and touches nothing of
-// it afterwards (complete). Either kind may carry the caller's typed slot
-// (sink), which is offered the result before it is decoded as a value: a
-// completion-driven call's Completer is its slot when it is a ResultSink,
-// and a blocking call's slot is kept beside its result.
+// it afterwards (complete). Either kind may carry the caller's typed slot,
+// which is offered the result before it is decoded as a value: the
+// Completer is the call's slot when it is a ResultSink, as a blocking call's
+// record is, forwarding to its caller's.
 type CallRecord struct {
 	req request
 	ref *ObjRef
@@ -79,7 +79,8 @@ func (c *CallRecord) set(flag uint32)      { c.flags.Or(flag) }
 // blockingWait is a blocking call's record, kept by its ObjRef or drawn from
 // the pool of waits, and its Completer: the outcome lands in result and on rc
 // (capacity 1, so the completion never blocks), where the caller parks
-// (await). sink is the caller's typed slot for the result, nil for none.
+// (await). It is the call's ResultSink too, which forwards to sink, the
+// caller's typed slot for the result, nil for none.
 type blockingWait struct {
 	CallRecord
 	rc     chan error
@@ -87,8 +88,18 @@ type blockingWait struct {
 	sink   ResultSink
 }
 
-// Complete hands the parked caller its outcome.
+// DecodeResult is ResultSink: the reply's result goes into the caller's
+// slot, when it has one, and the call finishes with w itself as its value.
+func (w *blockingWait) DecodeResult(d *wire.Decoder) bool {
+	return w.sink != nil && w.sink.DecodeResult(d)
+}
+
+// Complete hands the parked caller its outcome: a result decoded into the
+// caller's slot as the slot itself.
 func (w *blockingWait) Complete(v any, err error) {
+	if v == any(w) {
+		v = w.sink
+	}
 	w.result = v
 	w.rc <- err
 }
@@ -116,45 +127,8 @@ func (w *blockingWait) await() (any, error) {
 // SetCompleter names to, the call's Completer, before the record is
 // submitted (StartCall). When to is a ResultSink, it is the call's typed slot
 // too: a reply whose result it takes is decoded into it, and to hears itself
-// as the value. A sink SetSink gave the call first is kept, and to hears it.
-func (c *CallRecord) SetCompleter(to Completer) {
-	if s, ok := c.to.(*sinkFor); ok && s.to == nil {
-		s.to = to
-		return
-	}
-	c.to = to
-}
-
-// SetSink gives a call whose Completer is not a ResultSink itself a typed
-// slot for its result, s, before the Completer is named (SetCompleter): a
-// reply whose result s takes is decoded into it, and the Completer hears s
-// as the value. It costs the call an allocation, which a Completer that is
-// its own slot does not.
-func (c *CallRecord) SetSink(s ResultSink) { c.to = &sinkFor{sink: s} }
-
-// sinkFor is the Completer of a call SetSink gave a slot apart from its
-// Completer, to.
-type sinkFor struct {
-	sink ResultSink
-	to   Completer
-}
-
-func (s *sinkFor) Complete(v any, err error) { s.to.Complete(v, err) }
-
-// sink returns the typed slot the call's result is decoded into, nil for
-// none: a blocking caller's, SetSink's, or else the Completer, when that is a
-// ResultSink.
-func (c *CallRecord) sink() ResultSink {
-	switch to := c.to.(type) {
-	case *blockingWait:
-		return to.sink
-	case *sinkFor:
-		return to.sink
-	case ResultSink:
-		return to
-	}
-	return nil
-}
+// as the value.
+func (c *CallRecord) SetCompleter(to Completer) { c.to = to }
 
 // SetCall names the call the record is for, before it is submitted
 // (StartCall): ctx bounds it, nil meaning background, and call, method and
@@ -361,7 +335,8 @@ func (c *CallRecord) abort(err error) {
 // value, and an error reply into the *remoteError it completes with.
 func (c *CallRecord) readReply(d *wire.Decoder, flags byte) (result any, replyErr, err error) {
 	if flags&flagReplyErr == 0 {
-		result, err = decodeReplyBody(d, flags, nil, c.sink())
+		sink, _ := c.to.(ResultSink)
+		result, err = decodeReplyBody(d, flags, nil, sink)
 		return result, nil, err
 	}
 	// No envelope of its own: an error reply is worth one on the stack.

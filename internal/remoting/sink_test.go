@@ -42,6 +42,17 @@ func (h *heard) wait(t *testing.T) (any, error) {
 	return h.v, h.err
 }
 
+// slotHeard is a heard that is its own typed slot, as a completion-driven
+// call's Completer is.
+type slotHeard[T any] struct {
+	heard
+	typedSink[T]
+}
+
+func newSlotHeard[T any]() *slotHeard[T] {
+	return &slotHeard[T]{heard: heard{done: make(chan struct{})}}
+}
+
 // TestCancelAgainstReply: a completion-driven call with a typed slot,
 // cancelled while its reply is on the wire, a thousand times over. Whichever
 // of the reader and the Cancel takes the record, the Completer hears once:
@@ -62,9 +73,9 @@ func TestCancelAgainstReply(t *testing.T) {
 	calls := make([]*heard, rounds)
 	var replied, cancelled int
 	for i := range calls {
-		rec, sink, h := new(CallRecord), &typedSink[int]{}, newHeard()
-		calls[i] = h
-		rec.SetSink(sink)
+		rec, h := new(CallRecord), newSlotHeard[int]()
+		calls[i] = &h.heard
+		sink := &h.typedSink
 		if err := ref.InvokeAsyncCb(ctx, rec, "Now", []any{i}, h); err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +85,7 @@ func TestCancelAgainstReply(t *testing.T) {
 		rec.Cancel()
 		switch v, err := h.wait(t); {
 		case err == nil:
-			if v != any(sink) || sink.val != i {
+			if v != any(h) || sink.val != i {
 				t.Fatalf("round %d: completed with %v, slot holds %d", i, v, sink.val)
 			}
 			replied++
@@ -165,12 +176,12 @@ func TestTypedSlotFrames(t *testing.T) {
 		invoke(ref, "Keep", want)
 		settled(t, audit, out)
 		before := audit[frameBorrowed].Load()
-		rec, sink, h := new(CallRecord), &typedSink[[]byte]{}, newHeard()
-		rec.SetSink(sink)
+		rec, h := new(CallRecord), newSlotHeard[[]byte]()
+		sink := &h.typedSink
 		if err := ref.InvokeAsyncCb(ctx, rec, "Kept", nil, h); err != nil {
 			t.Fatal(err)
 		}
-		if v, err := h.wait(t); err != nil || v != any(sink) {
+		if v, err := h.wait(t); err != nil || v != any(h) {
 			t.Fatalf("Kept completed with %v, %v, want the sink", v, err)
 		}
 		out += 2
@@ -203,8 +214,8 @@ func TestTypedSlotFrames(t *testing.T) {
 	}
 	settled(t, audit, out)
 	before := audit[frameBorrowed].Load()
-	rec, sink, h := new(CallRecord), &typedSink[[]byte]{}, newHeard()
-	rec.SetSink(sink)
+	rec, h := new(CallRecord), newSlotHeard[[]byte]()
+	sink := &h.typedSink
 	if err := slowRef.InvokeAsyncCb(ctx, rec, "Held", nil, h); err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +298,7 @@ func TestReplyBodyFailureFailsItsCall(t *testing.T) {
 			t.Fatal("the failed lane never left the channel's table")
 		}
 	}
-	rec, sink, h := new(CallRecord), &typedSink[int]{}, newHeard()
-	rec.SetSink(sink)
+	rec, h := new(CallRecord), newSlotHeard[int]()
 	if err := ref.InvokeAsyncCb(context.Background(), rec, "M", nil, h); err != nil {
 		t.Fatal(err)
 	}

@@ -462,9 +462,10 @@ func TestCheckMethodUnknownName(t *testing.T) {
 	}
 	cached := func() int {
 		n := 0
-		for _, set := range *knownMethods.Load() {
-			n += 1 + len(set)
-		}
+		methodSets.Range(func(_, set any) bool {
+			n += 1 + len(set.(map[string]struct{}))
+			return true
+		})
 		return n
 	}
 	before := cached()

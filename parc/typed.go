@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/keep"
@@ -314,13 +313,17 @@ func failed[R any](err error) *Result[R] {
 // ErrNoSuchMethod.
 func checkMethod[T any](method string) error {
 	t := reflect.TypeOf((*T)(nil))
-	if sets := knownMethods.Load(); sets != nil {
-		if _, ok := (*sets)[t][method]; ok {
+	if set, ok := methodSets.Load(t); ok {
+		if _, ok := set.(map[string]struct{})[method]; ok {
 			return nil
 		}
 	}
 	if _, ok := t.MethodByName(method); ok {
-		rememberMethods(t)
+		set := make(map[string]struct{}, t.NumMethod())
+		for i := 0; i < t.NumMethod(); i++ {
+			set[t.Method(i).Name] = struct{}{}
+		}
+		methodSets.Store(t, set)
 		return nil
 	}
 	names := make([]string, 0, t.NumMethod())
@@ -334,29 +337,8 @@ func checkMethod[T any](method string) error {
 	return fmt.Errorf("parc: %s has no method %q (%s): %w", t.Elem(), method, candidates, ErrNoSuchMethod)
 }
 
-// knownMethods caches the method set of every *T a good method name has
-// been checked against, so the per-call check is two map lookups instead
-// of reflect's MethodByName. Copy-on-write, read without a lock; only a
-// name that exists adds an entry, so caller-supplied bad names cannot grow
-// it beyond one set per type.
-var (
-	knownMu      sync.Mutex
-	knownMethods atomic.Pointer[map[reflect.Type]map[string]struct{}]
-)
-
-func rememberMethods(t reflect.Type) {
-	names := make(map[string]struct{}, t.NumMethod())
-	for i := 0; i < t.NumMethod(); i++ {
-		names[t.Method(i).Name] = struct{}{}
-	}
-	knownMu.Lock()
-	defer knownMu.Unlock()
-	next := map[reflect.Type]map[string]struct{}{}
-	if old := knownMethods.Load(); old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[t] = names
-	knownMethods.Store(&next)
-}
+// methodSets caches the method set of every *T a good method name has been
+// checked against, so the per-call check is two map lookups instead of
+// reflect's MethodByName. Only a name that exists adds an entry, so
+// caller-supplied bad names cannot grow it beyond one set per type.
+var methodSets sync.Map // reflect.Type → map[string]struct{}
