@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/errs"
 	"repro/internal/keep"
@@ -44,8 +45,9 @@ func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) 
 // more. What serves only the exchange, the attempt with the connection's
 // record of it, is drawn from the proxy's store (Proxy.tries) and goes back
 // there when the lane and every hook on the call's context are done with
-// it, or else to the GC (attempt.release). The Future returned lives in c;
-// c serves this one call.
+// it, or else to the GC (attempt.release). A failed remote call goes again
+// as the proxy's one rule says (attempt.again). The Future returned lives
+// in c; c serves this one call.
 func (p *Proxy) StartAsync(ctx context.Context, c Async, sink Sink, method string, args []any) *Future {
 	p.rt.syncCalls.Add(1)
 	if ctx == nil {
@@ -96,9 +98,9 @@ func (c *AsyncCall) asyncCall() *AsyncCall { return c }
 // Async the call is made in. A reply whose result is exactly what the sink
 // takes is decoded into it on the connection (remoting.ResultSink), and the
 // call finishes with the sink itself as its value; that value, or any other
-// the call finishes with (from a local or agglomerated object, a re-run, or
-// a reply of another type), is handed to Settle on the completion path,
-// which returns what the Future resolves with, or the call's error.
+// the call finishes with (from a local or agglomerated object, or a reply of
+// another type), is handed to Settle on the completion path, which returns
+// what the Future resolves with, or the call's error.
 type Sink interface {
 	remoting.ResultSink
 	Settle(v any) (any, error)
@@ -114,40 +116,54 @@ func settle(s Sink, v any, err error) (any, error) {
 	return v, err
 }
 
-// attempt is what serves one asynchronous call while it is in flight: a call
-// its proxy's callOrder counts, queues and re-runs, or a task in a local
-// object's mailbox. rec is the connection's record of each submission start
-// makes, and the call's one record of what it is: its context and the
-// runtime call, user's method and arguments, named when the call begins
-// (SetCall) and read back by every way it can go (a mailbox, the connection,
-// a re-run), and it holds the future's cancelHook while the call waits in a
-// mailbox or in the queue (remoting.CallRecord.Watch). The attempt is rec's
-// Completer and Turn, and its ResultSink, which forwards to sink. fut and
-// sink are its owner's, the Async the call was started in, nil for a post.
-// issue is the call's place in its proxy's issue order, and next links it
-// into the queue or the re-runs.
+// attempt is what serves one call of a proxy while it is in flight: a remote
+// call, blocking or asynchronous, a post or a batch, which its proxy's
+// callOrder counts, queues and sends again (again), or an asynchronous
+// call's task in a local object's mailbox. rec is the connection's record of
+// each submission and the call's one record of what it is (SetCall, read
+// back by every way the call can go), and holds the hook on the call's
+// context while it waits (remoting.CallRecord.Watch). The attempt is rec's
+// Completer, Turn and ResultSink, forwarding to sink, its owner's typed slot.
+// fut is the future the call resolves: the Async an asynchronous call was
+// started in or a blocking call's waiter, nil for a post. issue is the
+// call's place in the issue order, next links it into the queue or the
+// re-runs. followed, retries and spent are what the call has had of the
+// rule: the generation of the last forward followed, the backoffs waited
+// out, the one stale-lane resend and the one re-resolve. blocking says a
+// caller waits for the call, om that it goes to its host's object manager,
+// held that a failing lane holds it (Held).
 //
-// An attempt is drawn from its proxy's store (draw) and goes back there in
-// one case only: the completion that resolved its future, once the lane and
-// every hook on its context are done with it (release). In every other case
-// (its future was resolved by a Cancel or a hook, a hook on its context
-// could not be detached, it was declined at its turn) the GC takes it.
+// An attempt is drawn from its proxy's store (draw) and goes back there only
+// from the completion that resolved its future, once the lane and every hook
+// on its context are done with it (release); otherwise the GC takes it.
 type attempt struct {
-	p     *Proxy
-	next  *attempt
-	issue uint64
-	fut   *Future
-	sink  Sink
-	rec   remoting.CallRecord
+	p        *Proxy
+	next     *attempt
+	issue    uint64
+	fut      *Future
+	sink     remoting.ResultSink
+	rec      remoting.CallRecord
+	followed uint64
+	retries  uint32
+	spent    uint8
+	blocking bool
+	om       bool
+	held     bool
 }
 
-// attempts is the kind of the asynchronous calls' attempts, which proxies
-// keep (Proxy.tries): one goes back emptied, so it pins neither arguments
-// nor its owner, and ready as its record's Completer. While a test poisons
-// attempts (attemptPoison; nothing sets it in production), one that goes
-// back holds, until it is drawn again, a typed slot that panics when it is
-// used: a party that still holds it fails loudly rather than reading or
-// writing another call's.
+// The steps of the rule a call has once, in attempt.spent.
+const (
+	spentResend  = 1 << iota // the stale-lane resend
+	spentResolve             // the re-resolve through the peers
+)
+
+// attempts is the kind of the calls' attempts, which proxies keep
+// (Proxy.tries): one goes back emptied, so it pins neither arguments nor its
+// owner, and ready as its record's Completer. While a test poisons attempts
+// (attemptPoison; nothing sets it in production), one that goes back holds,
+// until it is drawn again, a typed slot that panics when it is used: a party
+// that still holds it fails loudly rather than reading or writing another
+// call's.
 var attempts = keep.NewKind(func(a *attempt) bool {
 	*a = attempt{}
 	a.rec.SetCompleter(a)
@@ -170,7 +186,7 @@ var errPoisoned = errors.New("core: an attempt used after it went back to its st
 
 // draw takes an attempt from p's store for a call whose future and typed
 // slot are fut and sink, nil for a post.
-func (p *Proxy) draw(fut *Future, sink Sink) *attempt {
+func (p *Proxy) draw(fut *Future, sink remoting.ResultSink) *attempt {
 	p.rt.cfg.Channel.CountRecord(remoting.RecordDrawn)
 	a := p.tries.Get(attempts)
 	a.p, a.fut, a.sink = p, fut, sink
@@ -198,25 +214,28 @@ func (a *attempt) DecodeResult(d *wire.Decoder) bool {
 	return a.sink != nil && a.sink.DecodeResult(d)
 }
 
-// settle is the outcome a's future resolves with (settle): a reply decoded
-// into the owner's slot finished with a as its value.
+// settle is the outcome a's future resolves with: a reply decoded into the
+// owner's slot finished with a as its value; an asynchronous call's value is
+// settled in its Sink, a blocking call's caller converts its own.
 func (a *attempt) settle(v any, err error) (any, error) {
 	if v == any(a) {
 		v = a.sink
 	}
-	return settle(a.sink, v, err)
+	if a.blocking {
+		return v, err
+	}
+	s, _ := a.sink.(Sink)
+	return settle(s, v, err)
 }
 
 // resolve resolves a's future with the outcome and reports whether a is free
-// of its call: this resolved the future, and what the future owed a Cancel
-// was left, the record start hands it once the submission returns
-// (setAbort), or nil for a call that never left its mailbox. A remote call's
-// future that owed nothing was resolved before start came back from its
-// submission, and start still reads the record.
-func (a *attempt) resolve(left canceller, v any, err error) bool {
+// of its call: this resolved the future, so no Cancel, hook or waiter reached
+// the record through it (a future is handed the record before the call can
+// complete: InTurn).
+func (a *attempt) resolve(v any, err error) bool {
 	v, err = a.settle(v, err)
-	won, abort := a.fut.completeAt(v, err, 0)
-	return won && abort == left
+	won, _ := a.fut.completeAt(v, err, 0)
+	return won
 }
 
 // submitLocal enqueues the call on the hosting actor's mailbox, whose
@@ -251,68 +270,189 @@ func (a *attempt) fromMailbox(v any, err error) {
 		a.submitRemote()
 		return
 	}
-	a.release(a.resolve(nil, v, err))
+	a.release(a.resolve(v, err))
 }
 
-// submitRemote issues the call in the proxy's call order, behind the posts
-// issued before it: straight to its connection, where calls to one object
-// pipeline, or into the queue.
+// submitRemote issues the call in the proxy's call order: straight to its
+// connection, where calls to one object pipeline, or into the queue.
 func (a *attempt) submitRemote() {
-	if ref := a.p.endpoint(); a.p.calls.admit(a, ref) {
+	if ref := a.target(); a.p.calls.admit(a, ref) {
 		a.start(ref)
 	}
 }
 
+// target is where a goes: its object's endpoint, or for om the object
+// manager of the host the proxy routes at.
+func (a *attempt) target() *remoting.ObjRef {
+	if a.om {
+		return a.p.omRef()
+	}
+	return a.p.endpoint()
+}
+
 // cancelHook resolves f with ctx.Err() as soon as ctx ends, for a call that
-// waits its turn in a mailbox or in its proxy's queue: the queue looks at a
-// task only when the turn comes, and the Future must not wait that long.
-// stop detaches the hook; nil for a ctx that never ends.
+// waits in a mailbox, in its proxy's queue or to be sent again, and cancels
+// what f had to abandon (a backoff). stop detaches it; nil for a ctx that
+// never ends.
 func cancelHook(ctx context.Context, f *Future) (stop func() bool) {
 	if ctx.Done() == nil {
 		return nil
 	}
-	return context.AfterFunc(ctx, func() { f.complete(nil, ctx.Err()) })
+	return context.AfterFunc(ctx, func() {
+		if won, abort := f.completeAt(nil, ctx.Err(), 0); won && abort != nil {
+			abort.Cancel()
+		}
+	})
 }
 
-// start submits the attempt to ref: remoteCall.on without the wait. It never
-// blocks on the call, the outcome is reported (finish) exactly once and never
-// on the caller's stack, and from here a Cancel of the future abandons the
-// exchange. A submission the connection declines is recorded to be re-run
-// before start returns. The idempotency token is stamped into the record's
-// context before the first submission, so every re-run sends it again. Once
-// submitted, the call may finish at any moment: start reads nothing of a
-// after that but the record it leaves for a Cancel, and only while the
-// future is pending, or resolved by someone else (resolve).
+// start submits the attempt to ref without waiting. The outcome is reported
+// (Complete) exactly once, on the completion path, or here for a submission
+// the connection declines. The idempotency token is stamped into the
+// record's context before the first submission, so every later one sends it
+// again. Once submitted, the call may finish at any moment: start reads
+// nothing of a after that.
 func (a *attempt) start(ref *remoting.ObjRef) {
 	ctx, call, method, args := a.rec.Call()
 	if ctx, stamped := a.p.withToken(ctx); stamped {
 		a.rec.SetCall(ctx, call, method, args)
 	}
-	f := a.fut
 	if err := ref.StartCall(&a.rec); err != nil {
-		a.p.calls.redo(a)
-	} else if f != nil {
-		f.setAbort(&a.rec)
+		a.Complete(nil, err)
 	}
 }
 
-// InTurn is remoting.Turn: a's connection asks it, having looked up the lane
-// a goes out on, whether a still goes. Not once a call issued before it was
-// recorded to be re-run since a was sent straight: the lane may be one
-// dialled after the failure that sent that call back, and a must not run
-// ahead of its re-run. Declined, a is re-run in its place.
-func (a *attempt) InTurn() bool { return a.p.calls.inTurn(a) }
+// InTurn is remoting.Turn: a's connection asks it, having looked up a's
+// lane, whether a still goes: not once a call issued before it was recorded
+// to be sent again (the lane may be one dialled after the failure that sent
+// that call back), nor once a's future resolved. If a goes, a Cancel of its
+// future abandons the exchange from here (arm).
+func (a *attempt) InTurn() bool {
+	return a.p.calls.inTurn(a) && (a.fut == nil || a.fut.arm(&a.rec))
+}
 
-// Complete is remoting.Completer, for the connection. It is the one re-run
-// rule of an asynchronous call: an outcome the synchronous path would
-// transparently retry is recorded to be re-run, in the call's place, before
-// Complete returns.
+// Held is remoting.Turn: a failing lane holds a until it has left the
+// channel's table, and then tells a it was declined. Meanwhile no call
+// issued after a passes it (callOrder.stall).
+func (a *attempt) Held() { a.p.calls.stall(a) }
+
+// Complete is remoting.Completer: the outcome of one submission of a, which
+// is the call's unless the rule sends the call again (again).
 func (a *attempt) Complete(v any, err error) {
-	if err != nil && a.rec.Context().Err() == nil && a.p.asyncRecoverable(err) {
+	if err == nil || !a.again(err) {
+		a.finish(v, err)
+	}
+}
+
+// again is the one rule that sends a proxy's remote call again, blocking or
+// asynchronous, post, batch or object-manager call (MigrateCtx, DestroyCtx).
+// It reports whether a, failed with err, goes again, and sees to it, in its
+// place in the call order (callOrder.redo):
+//
+//   - never once its context ended, its future resolved (a Cancel, a hook,
+//     its waiter), its runtime closed, or an orderly Channel.Close failed it
+//     (remoting.Closed);
+//   - at once when its submission was declined: it never left
+//     (remoting.Declined);
+//   - at once, once, when its lane died under it with no reply
+//     (remoting.Stale); a second lane death, of a lane it dialled afresh
+//     too, goes on down this list;
+//   - after the retry policy's backoff, while it allows
+//     (remoting.Channel.RetryIn), on a timer that a Cancel, the end of ctx
+//     and Close end early;
+//   - at the forward's location, when the forward's generation is higher
+//     than any the call followed, so a chain of forwards ends;
+//   - once, where a re-resolve through the peers finds the object, after
+//     ErrNodeDown or ErrObjectDestroyed (a destroyed object no peer knows is
+//     remembered for deadEndTTL).
+//
+// A backoff or a re-resolve holds the call's place (wait). A call sent again
+// after its request may have run (a dead lane, a down node) can run twice
+// unless it carries a token (SPEC guarantee 2); a forward runs nothing.
+func (a *attempt) again(err error) bool {
+	p, ctx := a.p, a.rec.Context()
+	if ctx.Err() != nil || a.rec.Lost() || p.rt.closed() || remoting.Closed(err) ||
+		a.fut != nil && !a.fut.disarm() {
+		return false
+	}
+	if remoting.Declined(err) {
+		p.calls.redo(a)
+		return true
+	}
+	if a.spent&spentResend == 0 && remoting.Stale(err) {
+		a.spent |= spentResend
+		p.calls.redo(a)
+		return true
+	}
+	ch := p.rt.cfg.Channel
+	if delay, ok := ch.RetryIn(ctx, err, int(a.retries)+1, 0); ok {
+		a.retries++
+		a.wait()
+		b := ch.Backoff(a.backedOff)
+		if a.fut == nil || a.fut.arm(b) {
+			b.Wait(delay)
+		} else {
+			b.Cancel()
+		}
+		return true
+	}
+	if mv, ok := movedOf(err, p.uri); ok && mv.Gen > a.followed {
+		a.followed = mv.Gen
+		p.redirectMoved(mv)
+		p.calls.redo(a)
+		return true
+	}
+	down := errors.Is(err, errs.ErrNodeDown)
+	if !down && !errors.Is(err, errs.ErrObjectDestroyed) || a.spent&spentResolve != 0 {
+		return false
+	}
+	a.spent |= spentResolve
+	if at := p.deadEndAt.Load(); !down && at != 0 && time.Since(time.Unix(0, at)) < deadEndTTL {
+		return false
+	}
+	a.wait()
+	p.rt.resolve(ctx, p.uri, a.rec.NetAddr(), func(loc ObjLoc, found bool) { a.resolved(err, down, loc, found) })
+	return true
+}
+
+// wait holds a's place while it waits out a backoff or a re-resolve
+// (callOrder.stall); an asynchronous call's future resolves if its context
+// ends meanwhile (a blocking call's waiter watches its own).
+func (a *attempt) wait() {
+	a.p.calls.stall(a)
+	if a.fut != nil && !a.blocking {
+		a.rec.Watch(cancelHook(a.rec.Context(), a.fut))
+	}
+}
+
+// backedOff ends a's backoff: nil when the delay passed, and a goes again;
+// the close error, or context.Canceled, and a fails.
+func (a *attempt) backedOff(err error) {
+	a.rec.Unwatch()
+	if err == nil && (a.fut == nil || a.fut.disarm()) {
 		a.p.calls.redo(a)
 		return
 	}
-	a.finish(v, err)
+	if err == nil {
+		err = context.Canceled // the future resolved as the timer fired
+	}
+	a.finish(nil, err)
+}
+
+// resolved ends a's re-resolve: the call goes again where the object was
+// found, when that changes its route (an older location would only re-dial
+// the same dead endpoint), and fails with err otherwise.
+func (a *attempt) resolved(err error, down bool, loc ObjLoc, found bool) {
+	a.rec.Unwatch()
+	p := a.p
+	if found && (down || loc.Gen > p.currentGen()) && p.redirect(loc) {
+		if a.fut == nil || a.fut.disarm() {
+			p.calls.redo(a)
+			return
+		}
+	} else if !down {
+		p.deadEndAt.Store(time.Now().UnixNano())
+	}
+	a.finish(nil, err)
 }
 
 // finish reports the outcome, to the future or, for a post, a failure to
@@ -321,36 +461,10 @@ func (a *attempt) Complete(v any, err error) {
 func (a *attempt) finish(v any, err error) {
 	p, free := a.p, true
 	if a.fut != nil {
-		free = a.resolve(&a.rec, v, err)
+		free = a.resolve(v, err)
 	} else if err != nil {
 		p.noteAsyncError(err)
 	}
 	p.calls.done(a)
 	a.release(free)
-}
-
-// rerun finishes, at its turn, a call the completion-driven path could not: a
-// submission that was declined (connection not usable, ctx ended, lane shut
-// down), or a completion that says moved, node down or destroyed. It runs the
-// call through invokeVia, the blocking loop that re-resolves and retries, on
-// a goroutine of its own, the only place an asynchronous call holds one, for
-// as long as that loop takes; nothing else of the proxy is in flight
-// meanwhile.
-func (a *attempt) rerun() {
-	ctx, call, method, args := a.rec.Call()
-	a.finish(a.p.invokeVia(ctx, a.p.endpoint, remoteCall{call: call, method: method, args: args}))
-}
-
-// asyncRecoverable reports whether an async completion error is one the
-// synchronous path would transparently retry (re-route and re-invoke). None
-// is once the runtime is closed: its Close fails every lane, and a re-run
-// would dial afresh from the closed node, on a goroutine nothing waits for.
-func (p *Proxy) asyncRecoverable(err error) bool {
-	if p.rt.closed() {
-		return false
-	}
-	if _, ok := movedOf(err, p.uri); ok {
-		return true
-	}
-	return errors.Is(err, errs.ErrNodeDown) || errors.Is(err, errs.ErrObjectDestroyed)
 }

@@ -179,7 +179,7 @@ func TestDeclinedLaneEntryIsRerunInOrder(t *testing.T) {
 		// The runtime sends Hold again (at least once, as for a blocking
 		// call), into the mailbox the first one still occupies; whatever
 		// was queued behind it must not be sent twice, nor pass it.
-		rts[0].cfg.Channel.Close()
+		rts[0].cfg.Channel.FailLanes()
 		l.open()
 		if got, err := second.Get(); err != nil || got != 2 {
 			t.Errorf("Echo(2) = %v, %v", got, err)
@@ -416,8 +416,8 @@ func (o *tokenObj) Stamp(ctx context.Context) string {
 }
 
 // TestRerunKeepsItsToken: an asynchronous call whose first attempt fails
-// recoverably is re-run through the blocking path with the token start
-// stamped before that attempt, so the object executes it once, under that
+// recoverably is sent again with the token start stamped before that
+// attempt, so the object executes it once, under that
 // token and under its caller's deadline, and its host records it once (SPEC
 // guarantee 2: the token rides every attempt). A frame reads both from the
 // call's context when it is encoded, so the re-run sends what the first
@@ -442,7 +442,7 @@ func TestRerunKeepsItsToken(t *testing.T) {
 		}, func(*testing.T, []*Runtime, *Proxy) {}},
 		{"node down", 1, 1, func(*testing.T, []*Runtime, *Proxy) {}, func(t *testing.T, rts []*Runtime, p *Proxy) {
 			<-tokenGate.entered
-			rts[0].cfg.Channel.Close()
+			rts[0].cfg.Channel.FailLanes()
 			close(tokenGate.release)
 		}},
 	} {

@@ -216,10 +216,10 @@ func TestAttemptReuseHookFiringAsReplyLands(t *testing.T) {
 }
 
 // TestAttemptReuseRerunAfterLaneFails: members whose lane fails under them
-// are re-run through invokeVia, the blocking loop, on a goroutine of their
-// own, and go back to their store from there; the connection that failed
-// them, and a hook on their context, must be done with them by then. Each
-// round closes the caller's channel while a wave is in flight and issues a
+// are sent again from their completion, on the same attempt, and go back to
+// their store from there; the connection that failed them, and a hook on
+// their context, must be done with them by then. Each round fails the
+// caller's connections (FailLanes) while a wave is in flight and issues a
 // fresh wave behind it: every member of both waves must resolve with its own
 // result in its own slot.
 func TestAttemptReuseRerunAfterLaneFails(t *testing.T) {
@@ -239,7 +239,7 @@ func TestAttemptReuseRerunAfterLaneFails(t *testing.T) {
 		failed := make([]twiceSlot, members)
 		closed := make(chan struct{})
 		go func() {
-			rts[0].cfg.Channel.Close()
+			rts[0].cfg.Channel.FailLanes()
 			close(closed)
 		}()
 		futs := startWave(p, ctxFor, failed, 0)

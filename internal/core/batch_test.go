@@ -122,7 +122,7 @@ func TestLonePostRunsWithoutWait(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		// Straight at the endpoint, outside the proxy's call order.
-		got, err := p.endpoint().InvokeNestedCtx(context.Background(), nil, "Invoke1", "Total", nil)
+		got, err := p.endpoint().InvokeNestedCtx(context.Background(), "Invoke1", "Total", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestBatchMemberErrorStillReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	lists := []any{[]any{int64(1)}, []any{int64(-2)}, []any{int64(3)}}
-	if _, err := p.endpoint().InvokeNestedCtx(context.Background(), nil, "InvokeBatch", "Append", lists); err == nil || !strings.Contains(err.Error(), "vfail: -2") {
+	if _, err := p.endpoint().InvokeNestedCtx(context.Background(), "InvokeBatch", "Append", lists); err == nil || !strings.Contains(err.Error(), "vfail: -2") {
 		t.Fatalf("batch returned %v, want the failure of its second post", err)
 	}
 	uri := virtualURI("vfail", "b")

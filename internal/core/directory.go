@@ -82,33 +82,46 @@ func (rt *Runtime) dirDropForward(uri string) {
 // report this node, tombstones report the forward target.
 func (rt *Runtime) Lookup(uri string) (ObjLoc, bool) { return rt.dirLookup(uri) }
 
-// resolveRemote finds the current location of uri for failover: first the
-// local directory cache, then every reachable peer's object manager,
-// probed in one fan-out round under a short deadline. excludeAddr is the
-// address that just failed — cached or reported entries still pointing at
-// it are useless and are skipped. The best (highest-generation) answer
-// wins and is cached.
-func (rt *Runtime) resolveRemote(ctx context.Context, uri, excludeAddr string) (ObjLoc, bool) {
+// resolveRemote finds the current location of uri for failover and waits
+// for it: see resolve.
+func (rt *Runtime) resolveRemote(ctx context.Context, uri, excludeAddr string) (loc ObjLoc, ok bool) {
+	done := make(chan struct{})
+	rt.resolve(ctx, uri, excludeAddr, func(l ObjLoc, found bool) { loc, ok = l, found; close(done) })
+	<-done
+	return loc, ok
+}
+
+// resolve finds the current location of uri for failover and hands it to
+// then: first the local directory cache, then every reachable peer's object
+// manager, probed in one fan-out round under a short deadline, whose last
+// completion runs then. excludeAddr is the address that just failed —
+// cached or reported entries still pointing at it are useless and are
+// skipped. The best (highest-generation) answer wins and is cached.
+func (rt *Runtime) resolve(ctx context.Context, uri, excludeAddr string, then func(ObjLoc, bool)) {
 	if loc, ok := rt.dirLookup(uri); ok && loc.Addr != excludeAddr {
-		return loc, true
+		then(loc, true)
+		return
 	}
 	peers := slices.DeleteFunc(rt.otherPeers(true), func(p peer) bool { return p.addr == excludeAddr })
-	var best ObjLoc
-	ok := false
 	resolve := omResolve(uri)
-	for c := range newFanout(ctx, resolveProbeTimeout, peers).sendAll(resolve.remoteCall).each {
-		rr, err := resolve.reply(c.v)
-		if c.err != nil || err != nil || !rr.Found || rr.Addr == excludeAddr {
-			continue
+	newRound(ctx, resolveProbeTimeout, peers, func(f *fanout) {
+		var best ObjLoc
+		ok := false
+		for i := range f.calls {
+			c := &f.calls[i]
+			rr, err := resolve.reply(c.v)
+			if c.err != nil || err != nil || !rr.Found || rr.Addr == excludeAddr {
+				continue
+			}
+			if !ok || rr.Gen > best.Gen {
+				best, ok = ObjLoc{Node: rr.Node, Addr: rr.Addr, Gen: rr.Gen}, true
+			}
 		}
-		if !ok || rr.Gen > best.Gen {
-			best, ok = ObjLoc{Node: rr.Node, Addr: rr.Addr, Gen: rr.Gen}, true
+		if ok {
+			rt.dirUpdate(uri, best)
 		}
-	}
-	if ok {
-		rt.dirUpdate(uri, best)
-	}
-	return best, ok
+		then(best, ok)
+	}).sendAll(resolve.remoteCall)
 }
 
 // forwardIdle is how long a forward may go without a call before it is

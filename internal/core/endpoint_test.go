@@ -620,7 +620,7 @@ func TestAbandonedCallKeepsItsArguments(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 3; i++ { // bind both handles; compact from here on
 		for _, ref := range refs {
-			if _, err := ref.InvokeNestedCtx(ctx, nil, "InvokeBatch", "Note", batch(100)); err != nil {
+			if _, err := ref.InvokeNestedCtx(ctx, "InvokeBatch", "Note", batch(100)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -633,7 +633,7 @@ func TestAbandonedCallKeepsItsArguments(t *testing.T) {
 	defer cancel()
 	abandoned := make(chan error, 1)
 	go func() {
-		_, err := refs[0].InvokeNestedCtx(short, nil, "InvokeBatch", "Note", batch(0))
+		_, err := refs[0].InvokeNestedCtx(short, "InvokeBatch", "Note", batch(0))
 		abandoned <- err
 	}()
 	<-parked.entered
@@ -643,7 +643,7 @@ func TestAbandonedCallKeepsItsArguments(t *testing.T) {
 	// The server has answered too once a later call on the same connection
 	// completes; from then on its record is back in the pool.
 	for i := 0; i < 1000; i++ {
-		if _, err := refs[1].InvokeNestedCtx(ctx, nil, "InvokeBatch", "Note", batch(1000)); err != nil {
+		if _, err := refs[1].InvokeNestedCtx(ctx, "InvokeBatch", "Note", batch(1000)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func callAt(caller, rt *Runtime, uri string) error {
 	if err != nil {
 		return err
 	}
-	_, err = ref.InvokeNestedCtx(context.Background(), nil, "Invoke1", "Len", nil)
+	_, err = ref.InvokeNestedCtx(context.Background(), "Invoke1", "Len", nil)
 	return err
 }
 

@@ -40,7 +40,7 @@ type Future struct {
 	mu sync.Mutex
 	// val and err are the outcome once the future has resolved (outcome),
 	// and at is then resolvedAt. Until then they hold what it owes instead
-	// (owed): val what a Cancel abandons (setAbort), err its continuations,
+	// (owed): val what a Cancel abandons (arm), err its continuations,
 	// the first registered at index at (see sub). An asynchronous call's
 	// Future lives in the caller's record of the call, and a Scatter wave's
 	// records are one slab, so every field here is paid once per member.
@@ -107,18 +107,30 @@ func (f *Future) Cancel() {
 	}
 }
 
-// setAbort names what a Cancel of f abandons from here on. A future that
-// already has its outcome has no use for c and cancels it at once.
-func (f *Future) setAbort(c canceller) {
+// arm names c what a Cancel abandons (a remote call as it is submitted, its
+// backoff, the future a Chain waits on), and reports false for a future
+// resolved already.
+func (f *Future) arm(c canceller) bool {
 	f.mu.Lock()
-	pending := f.at != resolvedAt
-	if pending {
-		f.val = c
+	defer f.mu.Unlock()
+	if f.at == resolvedAt {
+		return false
 	}
-	f.mu.Unlock()
-	if !pending {
-		c.Cancel()
+	f.val = c
+	return true
+}
+
+// disarm takes back what a Cancel abandons, before the call is sent again,
+// and reports false for a future resolved already: its Cancel may still be
+// at the call's record, and the call goes no further.
+func (f *Future) disarm() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.at == resolvedAt {
+		return false
 	}
+	f.val = nil
+	return true
 }
 
 // resolved reports whether the future has its outcome. A queue asks at a
@@ -246,7 +258,7 @@ func (f *Future) ThenInto(s Step) *Future {
 // told f's outcome under the index i (OnCompleteAt), to start the call or to
 // resolve c with f's error (Resolve). A Pipeline stage is one Chain.
 func Chain(f *Future, c Async, i int, next Aggregate) {
-	c.asyncCall().fut.setAbort(f)
+	c.asyncCall().fut.arm(f)
 	f.OnCompleteAt(i, next)
 }
 

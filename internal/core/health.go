@@ -153,8 +153,9 @@ func (rt *Runtime) noteProbe(node int, ok bool) {
 // hook on the context cancels the calls still out when it ends (expire), and
 // the lanes put none on it per call. No goroutine waits on a call, a dead
 // peer costs the round one timeout, and the last call to complete ends the
-// round. A probe makes one attempt: a retry's backoff would stretch the
-// failure detector's clock.
+// round: it runs then, or closes done for a caller that waits (each). A
+// probe makes one attempt: a retry's backoff would stretch the failure
+// detector's clock.
 type fanout struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -162,6 +163,7 @@ type fanout struct {
 	calls   []peerCall
 	left    atomic.Int32
 	done    chan struct{}
+	then    func(*fanout)
 	// w and ship are a synchronous ship round's: the object shipped, and
 	// the request every target's ship starts from, boxed once (shipTo).
 	w    *ioWrapper
@@ -182,9 +184,19 @@ type peerCall struct {
 	base, upTo uint64
 }
 
-// newFanout readies a round to peers under ctx and timeout.
+// newFanout readies a round to peers under ctx and timeout, whose end its
+// caller waits for (each).
 func newFanout(ctx context.Context, timeout time.Duration, peers []peer) *fanout {
-	f := &fanout{calls: make([]peerCall, len(peers)), done: make(chan struct{})}
+	return newRound(ctx, timeout, peers, nil)
+}
+
+// newRound readies a round to peers under ctx and timeout whose last
+// completion runs then; with none (then nil), done is closed instead.
+func newRound(ctx context.Context, timeout time.Duration, peers []peer, then func(*fanout)) *fanout {
+	f := &fanout{calls: make([]peerCall, len(peers)), then: then}
+	if then == nil {
+		f.done = make(chan struct{})
+	}
 	f.ctx, f.cancel = context.WithTimeout(ctx, timeout)
 	f.left.Store(int32(len(peers)))
 	for i, p := range peers {
@@ -192,11 +204,20 @@ func newFanout(ctx context.Context, timeout time.Duration, peers []peer) *fanout
 	}
 	if len(peers) == 0 {
 		f.cancel()
-		close(f.done)
+		f.end()
 		return f
 	}
 	f.unwatch = context.AfterFunc(f.ctx, f.expire)
 	return f
+}
+
+// end ends the round: then runs, or done closes.
+func (f *fanout) end() {
+	if f.then != nil {
+		f.then(f)
+		return
+	}
+	close(f.done)
 }
 
 // expire cancels every call of the round still out, as its deadline passes or
@@ -256,7 +277,7 @@ func (c *peerCall) Complete(v any, err error) {
 	if c.f.left.Add(-1) == 0 {
 		c.f.unwatch()
 		c.f.cancel()
-		close(c.f.done)
+		c.f.end()
 	}
 }
 

@@ -22,7 +22,8 @@ type omService struct {
 
 // omCall is one request to an object manager, as its generated constructor
 // builds it (omResolve(uri), ...), R being its method's result type. It is
-// a remoteCall: invokeVia and a fan-out send it as they send any other.
+// a remoteCall: a proxy's attempt (Proxy.invokeRemote) and a fan-out send it
+// as they send any other.
 type omCall[R any] struct{ remoteCall }
 
 // on makes the call on ref and waits for its reply.

@@ -7,29 +7,31 @@ import (
 	"repro/internal/remoting"
 )
 
-// callOrder is the order of one proxy's remote asynchronous calls (Post,
-// InvokeAsync, StartAsync): SPEC guarantee 1 for a remote object, in one
-// place. It counts every such call from its issue to its outcome and keeps
-// one rule:
+// callOrder is the order of one proxy's remote calls (Post, InvokeAsync,
+// StartAsync, blocking calls and the proxy's calls to its object manager):
+// SPEC guarantee 1 for a remote object, in one place. It counts every such
+// call from its issue to its outcome and keeps one rule:
 //
-//   - An InvokeAsync goes straight to its connection, pipelined behind the
-//     calls in flight, when nothing is queued, nothing waits to be re-run,
-//     and every call in flight was sent straight at the endpoint the proxy
-//     still routes at (a redirect builds a fresh one, which ends such a
-//     run). Every other call queues, and queued calls start one at a time,
-//     each once nothing else is in flight, against the endpoint current at
-//     its turn. A post is never sent straight: posts are stop-and-wait, and
-//     a queued post leaves with the posts of its method queued right behind
-//     it, as one batch (coalesce): nothing waits for a batch to fill.
-//   - A call that must be re-run (its submission was declined, or its
-//     outcome says moved, node down or destroyed) is recorded before the
+//   - A call with a result, blocking or not, goes straight to its
+//     connection, pipelined behind the calls in flight, when nothing is
+//     queued, nothing waits to be sent again, and every call in flight was
+//     sent straight at the endpoint the proxy still routes at (a redirect
+//     builds a fresh one, which ends such a run). Every other call queues,
+//     and queued calls start once nothing else is in flight, against the
+//     endpoint current at their turn: a call with a result with the calls
+//     with results queued right behind it, pipelined in issue order (take).
+//     A post is never sent straight: posts are stop-and-wait, and a queued
+//     post leaves with the posts of its method queued right behind it, as
+//     one batch (coalesce): nothing waits for a batch to fill.
+//   - A call that must be sent again (attempt.again) is recorded before the
 //     submission or the completion returns, and from then on new calls
 //     queue. Re-runs start once nothing else is in flight, one at a time, in
 //     issue order, ahead of every queued call, each of which was issued
-//     after them.
-//   - Wait and the flush before a blocking call wait for the count to reach
-//     zero, so a blocking call runs after every asynchronous call issued
-//     before it.
+//     after them. A call that a failing lane holds, or that waits out a
+//     backoff or a re-resolve first, stays counted in flight and holds back
+//     the calls issued after it (stall).
+//   - Wait waits for the count to reach zero, so it returns after every
+//     call issued before it.
 //
 // Only a goroutine's own calls are ordered: calls that two goroutines issue
 // through one proxy are counted in whichever order they take the lock.
@@ -39,6 +41,7 @@ type callOrder struct {
 	mu          sync.Mutex
 	issued      uint64           // the issue number last given out
 	inflight    int              // calls started and not finished, a re-run included
+	held        int              // calls in flight that are held (stall)
 	straight    *remoting.ObjRef // non-nil: every call in flight was sent straight, at this endpoint
 	queue, tail *attempt         // calls waiting their turn, oldest first
 	reruns      *attempt         // calls to re-run, lowest issue number first
@@ -55,21 +58,24 @@ type callOrder struct {
 // a setting (2,000 numbers in 0.21-0.23 s, 0.68 s with one post a frame).
 const maxBatch = 32
 
-// admit counts a, issued now, and reports whether it starts at once: an
-// InvokeAsync straight at ref, the endpoint it would be sent at, or a post
-// (ref nil) with nothing before it. Otherwise a waits in the queue until
-// next starts it, with the cancel hook its future needs meanwhile.
+// admit counts a, issued now, and reports whether it starts at once: a call
+// with a result straight at ref, the endpoint it would be sent at, or a post
+// with nothing before it. Otherwise a waits in the queue until next starts
+// it, with the cancel hook an asynchronous call's future needs meanwhile.
 func (o *callOrder) admit(a *attempt, ref *remoting.ObjRef) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.issued++
 	a.issue = o.issued
-	if o.queue == nil && o.reruns == nil && (o.inflight == 0 || ref != nil && ref == o.straight) {
+	if a.fut == nil {
+		ref = nil // a post is never sent straight
+	}
+	if o.queue == nil && o.reruns == nil && o.held == 0 && (o.inflight == 0 || ref != nil && ref == o.straight) {
 		o.inflight++
 		o.straight = ref
 		return true
 	}
-	if a.fut != nil {
+	if a.fut != nil && !a.blocking {
 		// Hooked before mu is let go: a's turn may come on another
 		// goroutine at once, and next unhooks it.
 		a.rec.Watch(cancelHook(a.rec.Context(), a.fut))
@@ -83,10 +89,15 @@ func (o *callOrder) admit(a *attempt, ref *remoting.ObjRef) bool {
 	return false
 }
 
-// redo records a, which was in flight, to be re-run in its place in issue
-// order.
+// redo records a, which was in flight, to be sent again in its place in
+// issue order, with the cancel hook an asynchronous call's future needs
+// while it waits.
 func (o *callOrder) redo(a *attempt) {
 	o.mu.Lock()
+	o.unstall(a)
+	if a.fut != nil && !a.blocking {
+		a.rec.Watch(cancelHook(a.rec.Context(), a.fut))
+	}
 	at := &o.reruns
 	for *at != nil && (*at).issue < a.issue {
 		at = &(*at).next
@@ -97,17 +108,39 @@ func (o *callOrder) redo(a *attempt) {
 }
 
 // inTurn reports whether a, in flight, may still be sent: no call issued
-// before it waits to be re-run.
+// before it waits to be sent again, and a failing lane holds none (stall).
 func (o *callOrder) inTurn(a *attempt) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.reruns == nil || o.reruns.issue > a.issue
+	return o.held == 0 && (o.reruns == nil || o.reruns.issue > a.issue)
+}
+
+// stall counts a, in flight, as held, by a failing lane (attempt.Held) or
+// while it waits out a backoff or a re-resolve (attempt.wait), until it is
+// sent again (redo) or finishes (done): until then new calls queue and a
+// straight call is declined at its lane, to be sent again in its place. (A
+// call issued before a is declined too: that costs a re-run, in order.)
+func (o *callOrder) stall(a *attempt) {
+	o.mu.Lock()
+	a.held = true
+	o.held++
+	o.straight = nil
+	o.mu.Unlock()
+}
+
+// unstall, with mu held, ends a's stall, if it has one.
+func (o *callOrder) unstall(a *attempt) {
+	if a.held {
+		a.held = false
+		o.held--
+	}
 }
 
 // done counts a, in flight, finished, after its outcome was reported. A
 // batch lets go of its posts' arguments.
 func (o *callOrder) done(a *attempt) {
 	o.mu.Lock()
+	o.unstall(a)
 	if a == o.batched {
 		clear(o.lists)
 		o.lists, o.batched = o.lists[:0], nil
@@ -117,54 +150,70 @@ func (o *callOrder) done(a *attempt) {
 }
 
 // next, with mu held, which it releases, starts whatever's turn it is once
-// nothing is in flight: the first re-run, on a goroutine of its own, or else
-// the oldest queued call whose future is not resolved already (one that was
-// cancelled while it waited is declined: nothing is sent), a post with the
-// posts that share its turn. With nothing left it lets the waiters go.
+// nothing is in flight: the first call to send again, or else the oldest
+// queued call, with what shares its turn (take), against the endpoint
+// current now. A call whose future resolved while it waited is declined:
+// nothing is sent. With nothing left it lets the waiters go.
 func (o *callOrder) next() {
 	for o.inflight == 0 {
-		a, again := o.reruns, true
-		if a != nil {
-			o.reruns, a.next = a.next, nil
-		} else if a, again = o.take(), false; a == nil {
+		run := o.reruns
+		if run != nil {
+			o.reruns, run.next = run.next, nil
+		} else if run = o.take(); run == nil {
 			if o.drained != nil {
 				close(o.drained)
 				o.drained = nil
 			}
 			break
 		}
-		o.inflight, o.straight = 1, nil
+		o.straight = nil
+		for a := run; a != nil; a = a.next {
+			o.inflight++
+		}
 		o.mu.Unlock()
-		if again {
-			go a.rerun()
-			return
+		for a := run; a != nil; {
+			next := a.next // a may finish and be reused once started
+			a.next = nil
+			a.rec.Unwatch() // from here the connection, or the waiter, watches ctx
+			if a.fut == nil || !a.fut.resolved() {
+				a.start(a.target())
+			} else {
+				a.release(false) // its future was resolved by a Cancel, a hook or its waiter
+				o.mu.Lock()
+				o.inflight--
+				o.next()
+			}
+			a = next
 		}
-		a.rec.Unwatch() // from here the connection, or a re-run, watches ctx
-		if a.fut == nil || !a.fut.resolved() {
-			a.start(a.p.endpoint())
-			return
-		}
-		a.release(false) // its future was resolved by a Cancel or its hook
-		o.mu.Lock()
-		o.inflight--
+		return
 	}
 	o.mu.Unlock()
 }
 
-// take, with mu held, takes the oldest queued call off the queue, a post
-// with the posts that share its turn (coalesce), or returns nil.
+// take, with mu held, takes the oldest queued call off the queue, and
+// returns it linked to what shares its turn, or nil: a post leaves with the
+// posts of its method queued right behind it, as one batch (coalesce), and
+// a call with a result to the object with the calls with results queued
+// right behind it, which follow it on its connection in issue order, so
+// callers sharing a proxy pipeline again once a call had to queue.
 func (o *callOrder) take() *attempt {
 	a := o.queue
 	if a == nil {
 		return nil
 	}
-	if o.queue = a.next; a.fut == nil {
+	o.queue = a.next
+	last := a
+	if a.fut == nil {
 		o.coalesce(a)
+	} else if !a.om {
+		for m := o.queue; m != nil && m.fut != nil && !m.om; m = o.queue {
+			last, o.queue = m, m.next
+		}
 	}
+	last.next = nil
 	if o.queue == nil {
 		o.tail = nil
 	}
-	a.next = nil
 	return a
 }
 
@@ -200,7 +249,7 @@ func (o *callOrder) coalesce(a *attempt) {
 }
 
 // flush waits until nothing counted is left, or ctx ends (the calls keep
-// going), as Wait and a blocking call need.
+// going), as Wait needs.
 func (o *callOrder) flush(ctx context.Context) error {
 	o.mu.Lock()
 	if o.inflight == 0 {

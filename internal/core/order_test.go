@@ -42,10 +42,10 @@ func (*movingLog) Echo(v int) int { return movedLog.Echo(v) }
 // routes at, a blocking Invoke follows, and every call that has to be re-run
 // keeps its place, so the three execute in issue order. Either another proxy
 // migrated the object, and the two meet the forwarding tombstone (forward),
-// or the caller's channel closes while the object holds the first and has
-// the second queued (dead connection): the object then executes both again
-// (at least once, as for a blocking call), in issue order, before the
-// blocking call.
+// or the caller's connections die (FailLanes) while the object holds the
+// first and has the second queued (dead connection): the object then
+// executes both again (at least once, as for a blocking call), in issue
+// order, before the blocking call.
 func TestRerunKeepsIssueOrder(t *testing.T) {
 	const rounds = 100
 	t.Run("forward", func(t *testing.T) {
@@ -134,7 +134,7 @@ func TestRerunKeepsIssueOrder(t *testing.T) {
 						t.Fatal("Step(1) never reached the object")
 					}
 					waitQueued(t, rts[1], 1) // Step(2), behind it
-					rts[0].cfg.Channel.Close()
+					rts[0].cfg.Channel.FailLanes()
 					close(gate)
 					if _, err := p.Invoke("Step", 3); err != nil {
 						t.Fatal(err)
@@ -159,9 +159,8 @@ func TestRerunKeepsIssueOrder(t *testing.T) {
 	})
 }
 
-// TestAllocBudgetIdleFlush: the flush every blocking remote call starts with
-// allocates nothing while none of the proxy's asynchronous calls is
-// outstanding.
+// TestAllocBudgetIdleFlush: the flush Wait starts with allocates nothing
+// while none of the proxy's calls is outstanding.
 func TestAllocBudgetIdleFlush(t *testing.T) {
 	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -179,8 +178,9 @@ func TestAllocBudgetIdleFlush(t *testing.T) {
 
 // TestCallIssuedWhileConnectionFailsKeepsOrder is SPEC guarantee 1 at a
 // failing connection: in each round the caller issues InvokeAsync calls
-// straight at a remote object while a second goroutine closes the caller's
-// channel, so the connection fails with some of them in flight. A call
+// straight at a remote object while a second goroutine fails the caller's
+// connections (FailLanes), so the connection fails with some of them in
+// flight. A call
 // issued while it fails is declined and re-run in its place, never sent on
 // the connection dialled in the failed one's place ahead of the re-runs of
 // the calls issued before it. So the executions the calls' results come
@@ -213,7 +213,7 @@ func TestCallIssuedWhileConnectionFailsKeepsOrder(t *testing.T) {
 		l.mu.Unlock()
 		closed := make(chan struct{})
 		go func() {
-			rts[0].cfg.Channel.Close()
+			rts[0].cfg.Channel.FailLanes()
 			close(closed)
 		}()
 		for i := range fs {

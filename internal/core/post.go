@@ -84,8 +84,6 @@ func (p *postErrors) Complete(_ any, err error) {
 func (p *Proxy) postRemote(method string, args []any) error {
 	a := p.draw(nil, nil)
 	a.rec.SetCall(context.Background(), "Invoke1", method, args)
-	if p.calls.admit(a, nil) {
-		a.start(p.endpoint())
-	}
+	a.submitRemote()
 	return nil
 }

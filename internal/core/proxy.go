@@ -37,12 +37,13 @@ const (
 // Location is resolved through the runtime's object directory rather than
 // burned in at creation: when the object live-migrates, remote calls that
 // hit the forwarding tombstone (or a dead node) transparently re-route and
-// retry once, and a local proxy whose object moved away upgrades itself to
-// a remote proxy at the new location. Per-object call ordering survives
+// go again, as the proxy's one rule for sending a call again says
+// (attempt.again), and a local proxy whose object moved away upgrades itself
+// to a remote proxy at the new location. Per-object call ordering survives
 // the move because the proxy's one call-order rule (callOrder) counts every
-// remote asynchronous call, re-runs the ones that must be re-run in issue
-// order before anything issued after them, and starts queued calls against
-// the endpoint current at their turn.
+// remote call, blocking or not, sends again the ones that must go again in
+// issue order before anything issued after them, and starts queued calls
+// against the endpoint current at their turn.
 type Proxy struct {
 	rt    *Runtime
 	class string
@@ -59,13 +60,15 @@ type Proxy struct {
 	gen     uint64     // directory generation netaddr was learned at
 	ref     *remoting.ObjRef
 
-	calls callOrder // the order of remote asynchronous calls
+	calls callOrder // the order of remote calls
 
 	// args holds the argument lists of the proxy's blocking calls between
-	// calls, and tries the attempts of its asynchronous ones (attempt), which
-	// a collection does not take from it.
+	// calls, tries the attempts of its remote and asynchronous ones
+	// (attempt), and waits the records its blocking callers wait on (waiter),
+	// which a collection does not take from it.
 	args  keep.Store[[]any]
 	tries keep.Store[attempt]
+	waits keep.Store[waiter]
 
 	errMu   sync.Mutex
 	asyncEr error
@@ -199,72 +202,12 @@ func movedOf(err error, uri string) (*errs.MovedError, bool) {
 	return nil, false
 }
 
-// invokeVia performs one invocation against the proxy's current location
-// with transparent re-routing — the single retry loop shared by data
-// calls and object-manager calls. On ErrObjectMoved the forward carried by
-// the reply is installed and the call retried at the new location; on
-// ErrNodeDown — or ErrObjectDestroyed from a node whose forwarding
-// tombstone was already garbage-collected, recognisable by a peer knowing
-// a strictly fresher location — the object is re-resolved through the
-// surviving peers' object managers and the call retried there (once). A
-// single migration therefore costs a caller at most one transparent
-// retry; a proxy that went stale across several migrations follows the
-// tombstone chain, which terminates because every forward must carry a
-// strictly higher generation — a forward that does not advance surfaces
-// the error instead of looping. mkRef builds the ref to invoke from the
-// proxy's current routing state, so each iteration targets the freshly
-// redirected location; call names what to invoke there.
-//
-// The ErrNodeDown retry shares the channel's documented at-most-once
-// caveat: a connection that dies after the request executed but before
-// the reply arrived is indistinguishable from one that died before
-// execution, so re-routing such a call can execute it a second time —
-// at-least-once traded for liveness across node failures, exactly as the
-// channel itself trades on its stale-connection retry. Forward-driven
-// retries (ErrObjectMoved) carry no such risk: a tombstone rejects
-// without executing.
-func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, call remoteCall) (any, error) {
-	ctx, _ = p.withToken(ctx)
-	var followedGen uint64
-	resolved := false
-	for {
-		ref := mkRef()
-		res, err := call.on(ctx, ref)
-		if err == nil || ctx.Err() != nil {
-			return res, err
-		}
-		if mv, ok := movedOf(err, p.uri); ok && mv.Gen > followedGen {
-			followedGen = mv.Gen
-			p.redirectMoved(mv)
-			continue
-		}
-		down := errors.Is(err, errs.ErrNodeDown)
-		if (down || errors.Is(err, errs.ErrObjectDestroyed)) && !resolved {
-			resolved = true
-			if at := p.deadEndAt.Load(); !down && at != 0 && time.Since(time.Unix(0, at)) < deadEndTTL {
-				return nil, err
-			}
-			// The retry must actually change the route: a resolution
-			// older than what the proxy already routes at (redirect
-			// refuses it) would just re-dial the same dead endpoint for
-			// a second full timeout.
-			if loc, ok := p.rt.resolveRemote(ctx, p.uri, ref.NetAddr()); ok && (down || loc.Gen > p.currentGen()) && p.redirect(loc) {
-				continue
-			}
-			if !down {
-				p.deadEndAt.Store(time.Now().UnixNano())
-			}
-		}
-		return nil, err
-	}
-}
-
 // withToken returns ctx with an idempotency token, and whether it stamped a
 // fresh one: it does when the runtime's calls are idempotent and ctx carries
 // none yet. One token per logical call, stamped at the outermost scope:
-// every wire attempt below it (channel-level retries, forward chasing, the
-// post-failover re-resolve, an asynchronous call's re-run) carries it, so a
-// host that already executed the call replays its recorded reply.
+// every submission of the call (a resend, a retry, forward chasing, the
+// post-failover re-resolve) carries it, so a host that already executed the
+// call replays its recorded reply.
 func (p *Proxy) withToken(ctx context.Context) (_ context.Context, stamped bool) {
 	if !p.rt.cfg.IdempotentCalls {
 		return ctx, false
@@ -282,25 +225,18 @@ func (p *Proxy) currentGen() uint64 {
 	return p.gen
 }
 
-// remoteCall is one invocation as invokeVia sends and re-sends it: call
-// with args or, for a call on the object itself, the runtime-call shape
-// call(method, args), which remoting carries without the two-element list.
-// sink, on a blocking call in that shape, is the caller's typed slot for the
-// result (Proxy.InvokeInto); every attempt of the call offers it the reply.
+// remoteCall is one invocation: call with args or, for a call on the object
+// itself, the runtime-call shape call(method, args), which remoting carries
+// without the two-element list.
 type remoteCall struct {
 	call, method string
 	args         []any
-	sink         remoting.ResultSink
 }
 
+// on makes the call on ref, a bare ObjRef, and waits for its reply: the
+// runtime's own calls to a node's object manager.
 func (c remoteCall) on(ctx context.Context, ref *remoting.ObjRef) (any, error) {
-	return ref.InvokeNestedCtx(ctx, c.sink, c.call, c.method, c.args)
-}
-
-// invoke1 is the runtime call Invoke1(method, args) on the object's
-// endpoint.
-func invoke1(method string, args []any) remoteCall {
-	return remoteCall{call: "Invoke1", method: method, args: args}
+	return ref.InvokeNestedCtx(ctx, c.call, c.method, c.args)
 }
 
 // noteAsyncError records the first asynchronous failure for AsyncErr.
@@ -322,7 +258,7 @@ func (p *Proxy) AsyncErr() error {
 
 // Invoke performs a synchronous method call (the paper's "synchronous
 // method calls (when a value is returned)"). It is ordered after every
-// asynchronous call (Post, InvokeAsync) issued before it on this proxy.
+// call (Post, InvokeAsync, Invoke) issued before it on this proxy.
 func (p *Proxy) Invoke(method string, args ...any) (any, error) {
 	return p.InvokeCtx(context.Background(), method, args...)
 }
@@ -338,8 +274,8 @@ func (p *Proxy) InvokeCtx(ctx context.Context, method string, args ...any) (any,
 // InvokeInto is InvokeCtx with a typed slot for the result
 // (remoting.ResultSink), as StartAsync gives one to an asynchronous call: a
 // remote reply whose result is exactly what sink takes is decoded into it,
-// through any forward the call follows, and the call then returns sink
-// itself as its value. Every other way the call can finish (a local or
+// whichever submission of the call it answers, and the call then returns
+// sink itself as its value. Every other way the call can finish (a local or
 // agglomerated object, a result of another type, an error) returns what
 // InvokeCtx returns. After a call that returned an error, the connection's
 // reader may still be writing into sink.
@@ -395,11 +331,11 @@ func (p *Proxy) invokeKept(ctx context.Context, sink remoting.ResultSink, method
 			// location (the mailbox fully drained before the move, so
 			// ordering is preserved).
 			p.redirectMoved(mv)
-			return p.remoteInvokeOrdered(ctx, sink, method, args)
+			return p.invokeRemote(ctx, sink, remoteCall{call: "Invoke1", method: method, args: args}, false)
 		}
 		return res, err
 	default:
-		return p.remoteInvokeOrdered(ctx, sink, method, args)
+		return p.invokeRemote(ctx, sink, remoteCall{call: "Invoke1", method: method, args: args}, false)
 	}
 }
 
@@ -412,16 +348,65 @@ func (p *Proxy) invokeInCaller(ctx context.Context, method string, args []any) (
 	return p.local.Invoke1(ctx, method, args)
 }
 
-// remoteInvokeOrdered performs a synchronous remote call once every
-// asynchronous call issued before it has finished.
-func (p *Proxy) remoteInvokeOrdered(ctx context.Context, sink remoting.ResultSink, method string, args []any) (any, error) {
-	if err := p.calls.flush(ctx); err != nil {
-		return nil, fmt.Errorf("core: flush before %s.%s: %w", p.class, method, err)
+// invokeRemote is a blocking remote call: on the object, or, for om, on the
+// object manager of its host. It is an attempt like an asynchronous call's,
+// in the proxy's call order behind every call issued before it (pipelined
+// behind them when they went straight), sent again by the same rule
+// (attempt.again), whose future is a waiter's the proxy keeps. The caller
+// parks on the waiter's channel and watches ctx itself, so its record puts
+// no hook on ctx (CallerWatches): when ctx ends first, the call is abandoned
+// as a Cancel abandons an asynchronous one, and the waiter is left to the GC
+// since the attempt still holds its future.
+func (p *Proxy) invokeRemote(ctx context.Context, sink remoting.ResultSink, call remoteCall, om bool) (any, error) {
+	w := p.waits.Get(waiters)
+	a := p.draw(&w.fut, sink)
+	a.blocking, a.om = true, om
+	a.rec.SetCall(ctx, call.call, call.method, call.args)
+	a.rec.CallerWatches()
+	w.fut.OnCompleteAt(0, w)
+	a.submitRemote()
+	select {
+	case <-w.rc:
+	case <-ctx.Done():
+		if won, abort := w.fut.completeAt(nil, ctx.Err(), 0); won {
+			if abort != nil {
+				abort.Cancel()
+			}
+			<-w.rc
+			if call.method == "" {
+				call.method = call.call
+			}
+			return nil, fmt.Errorf("core: call %s.%s: %w", p.uri, call.method, ctx.Err())
+		}
+		<-w.rc
 	}
-	call := invoke1(method, args)
-	call.sink = sink
-	return p.invokeVia(ctx, p.endpoint, call)
+	v, err := w.fut.outcome()
+	p.waits.Put(waiters, w)
+	return v, err
 }
+
+// waiter is what a blocking remote call's caller waits on (invokeRemote),
+// kept by its proxy (Proxy.waits): the Future its attempt resolves, whose one
+// continuation is the waiter itself (MemberDone), telling rc (capacity 1, so
+// the completion never blocks), which the caller parks on.
+type waiter struct {
+	AsyncCall
+	rc chan struct{}
+}
+
+// MemberDone is Aggregate: the call's outcome is in, for the caller to read.
+func (w *waiter) MemberDone(int, any, error) { w.rc <- struct{}{} }
+
+// waiters is the kind of the blocking calls' waiters, which proxies keep
+// (Proxy.waits): one goes back with its future zero and its channel empty.
+var waiters = keep.NewKind(func(w *waiter) bool {
+	rc := w.rc
+	if rc == nil {
+		rc = make(chan struct{}, 1)
+	}
+	*w = waiter{rc: rc}
+	return true
+})
 
 // Wait blocks until every asynchronous call issued on this proxy has
 // executed. It is the synchronisation point farming masters use before
@@ -487,10 +472,10 @@ func (p *Proxy) MigrateCtx(ctx context.Context, toNode int) error {
 			return nil
 		}
 	}
-	// Ask the hosting node's OM to migrate, retrying through forwards and
-	// re-resolution exactly like a data call.
+	// Ask the hosting node's OM to migrate, following forwards and
+	// re-resolving exactly like a data call.
 	call := omMigrate(p.uri, toNode)
-	res, err := p.invokeVia(ctx, p.omRef, call.remoteCall)
+	res, err := p.invokeRemote(ctx, nil, call.remoteCall, true)
 	if err != nil {
 		return fmt.Errorf("core: migrate %s to node %d: %w", p.uri, toNode, err)
 	}
@@ -545,7 +530,7 @@ func (p *Proxy) DestroyCtx(ctx context.Context) error {
 			p.redirect(loc)
 		}
 	}
-	if _, err := p.invokeVia(ctx, p.omRef, omDestroyObject(p.uri).remoteCall); err != nil {
+	if _, err := p.invokeRemote(ctx, nil, omDestroyObject(p.uri).remoteCall, true); err != nil {
 		return fmt.Errorf("core: destroy %s: %w", p.uri, err)
 	}
 	p.rt.dirDrop(p.uri)

@@ -493,6 +493,7 @@ var unreadAllowed = map[string]string{
 	// Types reached only through a constructor or another name's signature.
 	"internal/transport.MemNetwork":  "reached through NewMemNetwork",
 	"internal/transport.UnixNetwork": "reached through Auto; remoting's TestFrameOwnershipRule builds one",
+	"internal/remoting.Backoff":      "the result of Channel.Backoff, which core's attempt waits out a retry's delay on",
 	"parc.NetworkParams":             "the result of Ethernet100 and the argument of WithNetwork",
 	"parc.RetryPolicy":               "the result of DefaultRetryPolicy and the argument of WithRetry",
 	"parc.VirtualOption":             "the result of WithReplicas and the argument of RegisterVirtual",

@@ -92,8 +92,8 @@ func (mc *muxConn) encodeRequest(c *CallRecord) (outFrame, error) {
 	if err != nil {
 		return outFrame{}, err
 	}
-	countEncoder(encoderDrawn)
-	of := outFrame{enc: enc}
+	of := outFrame{enc: enc, audit: mc.ch.encoders}
+	of.audit.add(encoderDrawn)
 	if declare && cb.handle != 0 {
 		of.declares = cb
 	}
@@ -106,35 +106,41 @@ func (mc *muxConn) encodeRequest(c *CallRecord) (outFrame, error) {
 // or the flusher, after the bytes hit the wire) gives it back there; nil for
 // a frame that failed to encode. Frames stranded in outQ when a lane fails
 // are simply collected by the GC with the lane. declares is the handle the
-// frame declares, nil for a bare frame, for handle 0 and for a reply.
+// frame declares, nil for a bare frame, for handle 0 and for a reply. audit
+// is the encoder audit of the channel the frame is written for.
 type outFrame struct {
 	enc      *wire.Encoder
 	declares *clientBind
+	audit    *encoderCounts // the encoder audit of the frame's channel
 }
 
 // release gives the frame's encoder back to encs, its owner's.
 func (of outFrame) release(encs *keep.Store[wire.Encoder]) {
 	if of.enc != nil {
-		countEncoder(encoderReturned)
+		of.audit.add(encoderReturned)
 		encs.Put(wire.Encoders, of.enc)
 	}
 }
 
-// encoderAudit is frameAudit for the encoders a frame is written in: when a
-// test installs one, a lane (encodeRequest) and a server connection
-// (respond) count each encoder they draw for a frame, and outFrame.release
+// encoderAudit, when a test installs one, is the encoder audit of the
+// channels made from then on (NewMultiplexedChannel), as recordAudit is for
+// records: a lane (encodeRequest) and a server connection (respond) of the
+// channel count each encoder they draw for a frame, and outFrame.release
 // each one given back; drawn must equal returned once everything is closed.
 // A frame a lane queued after its writer left is collected with the lane,
 // uncounted. Nothing installs or reads it in production.
-var encoderAudit atomic.Pointer[[2]atomic.Int64]
+var encoderAudit atomic.Pointer[encoderCounts]
+
+type encoderCounts [2]atomic.Int64
 
 const (
 	encoderDrawn = iota
 	encoderReturned
 )
 
-func countEncoder(event int) {
-	if a := encoderAudit.Load(); a != nil {
+// add counts event; on a nil audit it does nothing.
+func (a *encoderCounts) add(event int) {
+	if a != nil {
 		a[event].Add(1)
 	}
 }

@@ -352,7 +352,7 @@ func TestUnboundHandleGetsErrorReply(t *testing.T) {
 // read lock; it is never confirmed, on this lane or any other.
 func TestFullHandleTableDispatchesByURI(t *testing.T) {
 	ch, srv, net := bindServer(t)
-	mc, _, err := ch.getMux(srv.Addr(), 0, true, false)
+	mc, err := laneFor(NewObjRef(ch, srv.Addr(), "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestConnectionKeepsOneMethodPerHandle(t *testing.T) {
 		t.Helper()
 		for i := 0; i < names; i++ {
 			m := fmt.Sprintf("%s%d", prefix, i)
-			if v, err := ref.InvokeNestedCtx(context.Background(), nil, "Invoke1", m, nil); err != nil || v != "n|Invoke1|"+m {
+			if v, err := ref.InvokeNestedCtx(context.Background(), "Invoke1", m, nil); err != nil || v != "n|Invoke1|"+m {
 				t.Fatalf("%s = %v, %v", m, v, err)
 			}
 		}
@@ -442,7 +442,7 @@ func TestConnectionKeepsOneMethodPerHandle(t *testing.T) {
 	send("M")
 	net.wantMarkers(t, names, names, 2*names)
 
-	mc, _, err := ch.getMux(srv.Addr(), 0, true, false)
+	mc, err := laneFor(NewObjRef(ch, srv.Addr(), "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,14 +478,14 @@ func TestErrorsNameTheUserMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ref.InvokeNestedCtx(context.Background(), nil, "Invoke1", "Fail", nil)
+	_, err = ref.InvokeNestedCtx(context.Background(), "Invoke1", "Fail", nil)
 	var re *remoteError
 	if !errors.As(err, &re) || re.Method != "Fail" || !strings.Contains(err.Error(), "n.Fail:") {
 		t.Errorf("Fail = %v, want a remoteError naming n.Fail", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err = ref.InvokeNestedCtx(ctx, nil, "Invoke1", "Hold", nil)
+	_, err = ref.InvokeNestedCtx(ctx, "Invoke1", "Hold", nil)
 	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "n.Hold:") {
 		t.Errorf("Hold past its deadline = %v, want an error naming n.Hold", err)
 	}
@@ -748,7 +748,7 @@ func TestBindingIgnoresDroppedDeclarations(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-g.started // the lane's one slot is taken
-	mc, _, err := ch.getMux(srv.Addr(), 0, true, false)
+	mc, err := laneFor(ref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,13 @@ type Channel struct {
 	net     transport.Network
 	metrics metrics.Registry
 
-	// records is the record audit the channel's calls and its servers' count
-	// in (CountRecord): the one installed when it was made (AuditRecords),
-	// nil in production.
-	records *recordCounts
+	// records, frames and encoders are the audits the channel's calls and
+	// its servers count in (CountRecord, countFrame, outFrame): the ones
+	// installed when it was made (AuditRecords; frameAudit and encoderAudit
+	// in tests), nil in production.
+	records  *recordCounts
+	frames   *frameCounts
+	encoders *encoderCounts
 
 	// MaxInFlight bounds concurrent exchanges per multiplexed lane; calls
 	// beyond the bound wait in the lane's admission queue, in order, until
@@ -52,10 +55,10 @@ type Channel struct {
 	tokClient atomic.Uint64
 	tokSeq    atomic.Uint64
 
-	// closeMu guards closeCh, the broadcast that wakes in-flight retry
-	// sleeps when Close tears the channel down mid-backoff.
-	closeMu sync.Mutex
-	closeCh chan struct{}
+	// closeMu guards backoffs, the retries waiting out their delay
+	// (Backoff), which Close ends.
+	closeMu  sync.Mutex
+	backoffs map[*Backoff]struct{}
 
 	// dialMu guards dialPeers, the channel's one per-peer breaker: the dial
 	// backoff shared by every lane to a peer (so a dead peer is probed by
@@ -71,7 +74,7 @@ type Channel struct {
 // connection per lane and peer multiplexes many concurrent calls, matched by
 // sequence number and completing in any order.
 func NewMultiplexedChannel(net transport.Network) *Channel {
-	return &Channel{net: net, records: recordAudit.Load()}
+	return &Channel{net: net, records: recordAudit.Load(), frames: frameAudit.Load(), encoders: encoderAudit.Load()}
 }
 
 // Metrics returns the channel's counters: its servers count into them, and
@@ -84,19 +87,6 @@ const urlScheme = "tcp"
 
 // nextSeq allocates a call sequence number.
 func (ch *Channel) nextSeq() uint64 { return ch.seq.Add(1) }
-
-// closeSignal returns the broadcast channel Close fires, waking retry
-// sleeps. A channel remains usable after Close (a later call dials
-// afresh), so each Close consumes the current broadcast and the next
-// caller lazily installs a new one.
-func (ch *Channel) closeSignal() <-chan struct{} {
-	ch.closeMu.Lock()
-	defer ch.closeMu.Unlock()
-	if ch.closeCh == nil {
-		ch.closeCh = make(chan struct{})
-	}
-	return ch.closeCh
-}
 
 // laneCount resolves the effective mux lane count (see MuxLanes).
 func (ch *Channel) laneCount() int {
@@ -111,6 +101,31 @@ func (ch *Channel) laneCount() int {
 		n = maxMuxLanes
 	}
 	return n
+}
+
+// laneForURI is the one lane rule: calls are striped by destination object.
+// Every call to one object rides one lane, blocking or completion-driven, so
+// a scatter round's frames to that object coalesce into the lane writer's
+// batched wire writes, and per-object send order falls out of the single
+// ordered outbound queue.
+func (ch *Channel) laneForURI(uri string) int {
+	n := ch.laneCount()
+	if n <= 1 {
+		return 0
+	}
+	return int(fnv1a(fnvOffset, uri) % uint32(n))
+}
+
+// fnvOffset is the 32-bit FNV-1a offset basis, the hash of no bytes.
+const fnvOffset = 2166136261
+
+// fnv1a folds s into h, a 32-bit FNV-1a hash: the hash of the lane rule and
+// of the bind table's stripes.
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }
 
 // recycleFrame applies the one ownership rule for receive frames, on the
@@ -144,12 +159,13 @@ var framePoison atomic.Bool
 
 const poisonByte = 0xDB
 
-// frameAudit is recordAudit for receive frames: when a test installs one,
-// the two read loops count every frame they were handed (countFrame) and
-// recycleFrame what became of it, on the audit that was installed when the
-// frame was received, so that a frame received before a test installed its
-// own is not counted by it; out must equal back plus borrowed once
-// everything is closed. Nothing installs or reads it in production.
+// frameAudit, when a test installs one, is the frame audit of the channels
+// made from then on (NewMultiplexedChannel), as recordAudit is for records:
+// the channel's two read loops count every frame they were handed
+// (countFrame) and recycleFrame what became of it, so that a frame an
+// earlier test's channel receives is not counted; out must equal back plus
+// borrowed once everything is closed. Nothing installs or reads it in
+// production.
 var frameAudit atomic.Pointer[frameCounts]
 
 type frameCounts [3]atomic.Int64
@@ -167,10 +183,9 @@ func (a *frameCounts) add(event int) {
 	}
 }
 
-// countFrame counts a frame a read loop was handed and returns the audit it
-// was counted on, for recycleFrame.
-func countFrame() *frameCounts {
-	a := frameAudit.Load()
+// countFrame counts a frame a read loop was handed on a, its channel's frame
+// audit, and returns a, for recycleFrame.
+func countFrame(a *frameCounts) *frameCounts {
 	a.add(frameOut)
 	return a
 }
@@ -189,7 +204,7 @@ func (ch *Channel) dial(netaddr string, bypass bool) (transport.Conn, error) {
 	}
 	c, err := ch.net.Dial(netaddr)
 	if err != nil {
-		err = fmt.Errorf("remoting: dial %s: %v: %w", netaddr, err, errs.ErrNodeDown)
+		err = dialError{fmt.Errorf("remoting: dial %s: %v: %w", netaddr, err, errs.ErrNodeDown)}
 		db.failed(err)
 		return nil, err
 	}
@@ -278,32 +293,52 @@ func (db *dialBackoff) succeeded() {
 }
 
 // Close releases the channel's client-side connections: every lane to every
-// peer is shut down, failing any in-flight calls with ErrNodeDown. The
-// channel itself stays
-// usable — a later call dials afresh — so teardown order between a node's
-// server role and its client role does not matter. Cluster and node
-// teardown call it so long-running processes do not leak sockets.
+// peer is shut down, failing any in-flight calls with ErrNodeDown (Closed),
+// and every retry waiting out its backoff ends with the same error. The
+// channel itself stays usable — a later call dials afresh — so teardown
+// order between a node's server role and its client role does not matter.
+// Cluster and node teardown call it so long-running processes do not leak
+// sockets.
 func (ch *Channel) Close() {
-	// Wake any in-flight retry backoff sleeps first (sleepRetry selects on
-	// this broadcast), so callers observe the teardown promptly instead of
-	// finishing their backoff against a closed channel.
+	// End the backoffs first, so their callers observe the teardown
+	// promptly instead of finishing their backoff against a closed channel.
 	ch.closeMu.Lock()
-	if ch.closeCh != nil {
-		close(ch.closeCh)
-		ch.closeCh = nil
-	}
+	backoffs := ch.backoffs
+	ch.backoffs = nil
 	ch.closeMu.Unlock()
+	for b := range backoffs {
+		if b.t != nil {
+			b.t.Stop()
+		}
+		b.then(fmt.Errorf("remoting: %w", errChannelClosed))
+	}
 	ch.dialMu.Lock()
 	ch.dialPeers = nil
 	ch.dialMu.Unlock()
 	// Each lane leaves the table once it has failed its calls (fail).
-	ch.muxMu.Lock()
-	peers := make([]*muxConn, 0, len(ch.muxPeers))
-	for _, mc := range ch.muxPeers {
-		peers = append(peers, mc)
-	}
-	ch.muxMu.Unlock()
-	for _, mc := range peers {
+	for _, mc := range ch.lanes() {
 		mc.shutdown()
 	}
+}
+
+// FailLanes fails every lane the channel has now, as a connection that died
+// under it does: every call a lane holds is told ErrNodeDown, not Close's
+// error, so its caller sends it again as after a dead connection, and the
+// next call dials afresh. Unlike Close it forgets no breaker and ends no
+// backoff. Tests of what a caller does when its connections die use it.
+func (ch *Channel) FailLanes() {
+	for _, mc := range ch.lanes() {
+		mc.fail(fmt.Errorf("remoting: lane to %s failed: %w", mc.netaddr, errs.ErrNodeDown))
+	}
+}
+
+// lanes returns the lanes in the channel's table.
+func (ch *Channel) lanes() []*muxConn {
+	ch.muxMu.Lock()
+	defer ch.muxMu.Unlock()
+	lanes := make([]*muxConn, 0, len(ch.muxPeers))
+	for _, mc := range ch.muxPeers {
+		lanes = append(lanes, mc)
+	}
+	return lanes
 }

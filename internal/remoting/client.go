@@ -2,7 +2,6 @@ package remoting
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -62,34 +61,29 @@ func (r *ObjRef) Invoke(method string, args ...any) (any, error) {
 // its other callers) and the deadline travels in the request envelope so
 // the server refuses work past it. Server-side failures come back as *remoteError.
 //
-// When the channel's RetryPolicy is enabled, transient failures
-// (retryable: node-down, overload sheds) are retried with jittered
-// exponential backoff — honouring a server retry-after hint over the
-// computed delay — for as long as the attempt cap and the ctx deadline
-// budget allow. A ctx carrying WithoutRetry, and any call whose failure is
-// not classified retryable, gets exactly one attempt. An idempotency token
-// carried by ctx (WithCallToken) rides every attempt unchanged, so a
-// server that executed a lost-reply attempt replays the recorded reply
-// instead of executing again.
+// A failed call goes again as the classifiers say (retry.go): at once when
+// its submission was declined (Declined), once at once when its lane died
+// under it (Stale), and, when the channel's RetryPolicy is enabled, after a
+// jittered backoff while RetryIn allows (transient failures, a server
+// retry-after hint, the attempt cap, ctx's deadline budget, WithoutRetry).
+// An idempotency token carried by ctx (WithCallToken) rides every attempt
+// unchanged, so a server that executed a lost-reply attempt replays the
+// recorded reply instead of executing again.
 func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any, error) {
-	return r.InvokeNestedCtx(ctx, nil, method, "", args)
+	return r.InvokeNestedCtx(ctx, method, "", args)
 }
 
 // InvokeNestedCtx is InvokeCtx(ctx, call, method, args), the runtime-call
 // shape, with the two-element list built neither here nor, at a
 // NestedInvoker, there: the connection's handle names the user's method and
 // the frame carries args alone. An empty method makes it InvokeCtx(ctx,
-// call, args...). sink, when not nil, is the caller's typed slot for the
-// result, which the call's record forwards to: a reply whose result it
-// takes is decoded into it, and the call returns sink itself as its
-// value. After a call that returned an error the reader may still be
-// writing into sink.
-func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, method string, args []any) (any, error) {
+// call, args...).
+func (r *ObjRef) InvokeNestedCtx(ctx context.Context, call, method string, args []any) (any, error) {
 	r.ch.CountRecord(RecordDrawn)
 	w := r.kept.Get(waits)
 	defer w.settle(r)
 	w.SetCall(ctx, call, method, args)
-	w.ref, w.sink = r, sink
+	w.ref = r
 	w.rearm(r.ch)
 	return r.invoke(w)
 }
@@ -97,68 +91,50 @@ func (r *ObjRef) InvokeNestedCtx(ctx context.Context, sink ResultSink, call, met
 // invoke runs the blocking call w names, retry loop included: each attempt
 // is a completion-driven call its caller waits for.
 func (r *ObjRef) invoke(w *blockingWait) (any, error) {
-	p := r.ch.Retry
-	if !p.Enabled() || retryDisabled(w.ctx) {
+	if !r.ch.Retry.Enabled() || retryDisabled(w.ctx) {
 		return r.attempt(w)
 	}
 	// retry numbers the retry a failed attempt would be: 1 after the first.
 	for retry := 1; ; retry++ {
 		start := time.Now()
 		result, err := r.attempt(w)
-		if err == nil {
-			return result, nil
+		if err == nil || w.has(recLost) {
+			return result, err
 		}
-		if !retryable(err) || retry >= p.MaxAttempts || w.has(recLost) {
+		delay, ok := r.ch.RetryIn(w.ctx, err, retry, time.Since(start))
+		if !ok {
 			return nil, err
 		}
-		delay := retryDelay(err, retry)
-		if !budgetAllows(w.ctx, delay, time.Since(start)) {
-			return nil, err
-		}
-		if serr := sleepRetry(w.ctx, r.ch.closeSignal(), delay); serr != nil {
+		if serr := r.ch.sleep(w.ctx, delay); serr != nil {
 			return nil, fmt.Errorf("remoting: call %s.%s: retry aborted: %w", r.uri, w.req.name(), serr)
 		}
 		w.rearm(r.ch)
 	}
 }
 
-// attempt submits the blocking call and waits for its outcome. A lane's
-// long-lived connection may have gone stale while idle (peer restarted,
-// transport dropped): when the call fails at the connection level on a lane
-// it did not dial, before any reply, it is sent once more at once, and the
-// failed lane is dialled afresh. Failures on fresh lanes, context expiries
-// and an orderly Channel.Close (redialling would undo the Close) are never
-// sent again. A submission the reused lane refused, because it failed
-// between being looked up and taking the call, never left the client, so it
-// follows the same rule, and sending it again is always safe.
-//
-// The condition is "no reply received", the heuristic HTTP keep-alive
-// clients apply to reused connections: over real TCP a stale connection
-// usually accepts the write and only the read fails, so a send-phase-only
-// resend would miss the common case. The caveat is that a request the peer
-// received and executed just before dying is executed again: at-most-once is
-// traded for liveness across peer restarts, once, and only on reused lanes.
+// attempt submits the blocking call and waits for its outcome, sending it
+// again at once when its submission was declined (it never left), and once
+// when its lane died under it with no reply (Stale). Context expiries, an
+// orderly Channel.Close, a refused dial and the peer's own replies are never
+// sent again.
 func (r *ObjRef) attempt(w *blockingWait) (any, error) {
-	for resent := false; ; resent = true {
+	for resent := false; ; {
 		var result any
-		fresh, err := r.ch.submit(r.netaddr, &w.CallRecord)
+		err := r.ch.submit(r.netaddr, &w.CallRecord)
 		if err == nil {
 			result, err = w.await()
 		}
-		if err == nil || resent || fresh || w.ctx.Err() != nil || !isStale(err) {
+		switch {
+		case err == nil || w.ctx.Err() != nil || Closed(err):
+			return result, err
+		case Declined(err):
+		case !resent && Stale(err):
+			resent = true
+		default:
 			return result, err
 		}
 		w.rearm(r.ch)
 	}
-}
-
-// isStale reports whether err is a failure a blocking call on a reused lane
-// is sent again after: the connection's, not an orderly Close's and not the
-// peer's own error reply. (A gated dial fails on a fresh lane, which is
-// never sent again.)
-func isStale(err error) bool {
-	var re *remoteError
-	return errors.Is(err, errs.ErrNodeDown) && !errors.Is(err, errChannelClosed) && !errors.As(err, &re)
 }
 
 // rearm gives the record a fresh sequence number before each submission: a
@@ -205,14 +181,13 @@ func (r *ObjRef) InvokeAsyncCb(ctx context.Context, c *CallRecord, method string
 // for replies), and c.Cancel abandons the call. An error return means the
 // call was not submitted and its Completer will never hear of it. Unlike
 // InvokeCtx there is no retry loop here: a single attempt, whose failure the
-// caller decides how to recover (the SCOOPP proxy re-runs transient failures
-// through the full synchronous re-routing machinery, which draws its own
-// records, from what Call reads back). A record serves one submission.
+// caller decides how to recover with the same classifiers (retry.go); core's
+// proxy submits the record again, from the completion, in its call order. A
+// record serves one submission at a time.
 func (r *ObjRef) StartCall(c *CallRecord) error {
 	c.ref = r
 	c.rearm(r.ch)
-	_, err := r.ch.submit(r.netaddr, c)
-	return err
+	return r.ch.submit(r.netaddr, c)
 }
 
 // String implements fmt.Stringer.

@@ -177,7 +177,7 @@ func TestFrameOwnershipRule(t *testing.T) {
 		if frame, err = transport.RecvFrame(server); err != nil {
 			t.Fatal(err)
 		}
-		audit := countFrame()
+		audit := countFrame(frameAudit.Load())
 		var req callRequest
 		if _, _, err := readBoundCall(d, frame, &req, nil); err != nil {
 			t.Fatal(err)
@@ -391,7 +391,7 @@ func keptSmallValuesSurvive(t *testing.T) {
 		if round%2 == 0 {
 			_, err = ref.Invoke("KeepTail", wantName, wantList)
 		} else {
-			_, err = ref.InvokeNestedCtx(ctx, nil, "KeepTail", wantName, wantList)
+			_, err = ref.InvokeNestedCtx(ctx, "KeepTail", wantName, wantList)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -98,6 +98,11 @@ type muxConn struct {
 	dialErr error
 	failed  bool
 	failErr error
+	// parked holds the completion-driven calls that met the lane failing
+	// (park), until it has left the channel's table (release); gone says it
+	// has.
+	parked []*CallRecord
+	gone   bool
 
 	inflight [inflightShards]inflightShard
 
@@ -129,30 +134,26 @@ type muxKey struct {
 }
 
 // errChannelClosed terminates in-flight calls when Channel.Close shuts a
-// lane down. It wraps ErrNodeDown for callers' errors.Is chains, but
-// neither a blocking call's resend (ObjRef.attempt) nor the retry policy
-// (retryable) sends a call again after it: that would re-create the very
+// lane down. It wraps ErrNodeDown for callers' errors.Is chains, but nothing
+// sends a call again after it (Closed): that would re-create the very
 // connection Close just released.
 var errChannelClosed = fmt.Errorf("channel closed: %w", errs.ErrNodeDown)
 
-// getMux returns the live multiplexed lane for (netaddr, lane), dialling
-// one when absent or when the previous one failed. The channel-wide lock
-// is held only for the map access: the dial itself runs outside it (a slow
-// or blackholed peer must not stall calls to healthy peers, nor Close),
-// with concurrent callers for the same lane waiting on the ready channel
-// of whichever caller dialled. fresh reports whether this call dialled,
-// whether or not the dial succeeded — a failure on a fresh connection is a
-// real peer failure, not staleness, so the caller must not retry it.
-// bypass skips the peer's breaker for the dial (Channel.dial).
+// getMux returns the live multiplexed lane for c's object at netaddr,
+// dialling one when absent or when the previous one failed. The channel-wide
+// lock is held only for the map access: the dial itself runs outside it (a
+// slow or blackholed peer must not stall calls to healthy peers, nor Close),
+// with concurrent callers for the same lane waiting on the ready channel of
+// whichever caller dialled. The dial goes behind the peer's breaker
+// (Channel.dial), which a WithoutBreaker context bypasses.
 //
 // A lane that is failing stays in the table until fail has told every call
-// it held, so no lane is dialled in its place before then: a caller that
-// waits (a blocking call, which fail never runs) waits for that, and any
-// other is declined with the lane's failure, to be sent again behind the
-// calls the failure reports. fail runs completions, which may submit, so
-// nothing fail runs may wait for it.
-func (ch *Channel) getMux(netaddr string, lane int, waits, bypass bool) (mc *muxConn, fresh bool, err error) {
-	key := muxKey{netaddr: netaddr, lane: lane}
+// it held, so no lane is dialled in its place before then: a call that meets
+// it is held by the lane (park), which tells it, once it has left the table,
+// that it was declined, and getMux returns neither a lane nor an error. fail
+// runs completions, which may submit, so nothing waits for it.
+func (ch *Channel) getMux(netaddr string, c *CallRecord) (*muxConn, error) {
+	key := muxKey{netaddr: netaddr, lane: ch.laneForURI(c.ref.uri)}
 	for {
 		ch.muxMu.Lock()
 		existing := ch.muxPeers[key]
@@ -161,10 +162,10 @@ func (ch *Channel) getMux(netaddr string, lane int, waits, bypass bool) (mc *mux
 			if limit <= 0 {
 				limit = DefaultMaxInFlight
 			}
-			mc = &muxConn{
+			mc := &muxConn{
 				ch:      ch,
 				netaddr: netaddr,
-				lane:    lane,
+				lane:    key.lane,
 				outSig:  make(chan struct{}, 1),
 				slots:   make(chan struct{}, limit),
 				done:    make(chan struct{}),
@@ -180,11 +181,11 @@ func (ch *Channel) getMux(netaddr string, lane int, waits, bypass bool) (mc *mux
 			}
 			ch.muxPeers[key] = mc
 			ch.muxMu.Unlock()
-			if err := mc.dial(bypass); err != nil {
+			if err := mc.dial(breakerBypassed(c.ctx)); err != nil {
 				ch.removeMux(mc)
-				return nil, true, err
+				return nil, err
 			}
-			return mc, true, nil
+			return mc, nil
 		}
 		ch.muxMu.Unlock()
 		<-existing.ready
@@ -193,15 +194,33 @@ func (ch *Channel) getMux(netaddr string, lane int, waits, bypass bool) (mc *mux
 		existing.mu.Unlock()
 		switch {
 		case dialled && !failed:
-			return existing, false, nil
-		case dialled && !waits:
-			return nil, false, existing.failureErr()
+			return existing, nil
+		case dialled && existing.park(c):
+			return nil, nil
 		case dialled:
 			<-existing.drained
 		}
 		// Dead entry: forget it and race to install a fresh one.
 		ch.removeMux(existing)
 	}
+}
+
+// park holds c, a call that met the lane failing, until the lane has left
+// the channel's table (release), and reports false when it has already. c's
+// lane is this one meanwhile, so a Cancel finds it in no table and the lane
+// still tells it. A Turn hears that it is held before it can be told.
+func (mc *muxConn) park(c *CallRecord) bool {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	if mc.gone {
+		return false
+	}
+	if t, ok := c.to.(Turn); ok {
+		t.Held()
+	}
+	c.mc = mc
+	mc.parked = append(mc.parked, c)
+	return true
 }
 
 // dial connects the lane and starts its writer/reader. It runs outside the
@@ -381,7 +400,7 @@ func (mc *muxConn) reader() {
 		if !mc.hold() {
 			return
 		}
-		audit := countFrame()
+		audit := countFrame(mc.ch.frames)
 		borrowed, taken, err := mc.route(d, raw)
 		recycleFrame(audit, mc.conn, raw, borrowed)
 		if err != nil {
@@ -524,12 +543,21 @@ func (mc *muxConn) hold() bool {
 
 // release ends a hold, or fail's part once it told every call the lane
 // held. The last one out after fail removes the lane from the channel's
-// peer table, so the next call dials afresh, and lets go the callers that
-// wait for that (getMux).
+// peer table, so the next call dials afresh, lets go the callers that wait
+// for that (getMux), and tells the calls it held meanwhile (park) that they
+// were declined.
 func (mc *muxConn) release() {
 	if mc.holders.Add(-1) == 0 {
 		mc.ch.removeMux(mc)
+		mc.mu.Lock()
+		mc.gone = true
+		parked, err := mc.parked, mc.failErr
+		mc.parked = nil
+		mc.mu.Unlock()
 		close(mc.drained)
+		for _, c := range parked {
+			c.complete(nil, nil, declined(err))
+		}
 	}
 }
 
@@ -551,7 +579,7 @@ func (mc *muxConn) admit(c *CallRecord, of outFrame) error {
 	if mc.admitClosed {
 		mc.admitMu.Unlock()
 		of.release(&mc.encs)
-		return c.callErr(mc.failureErr())
+		return c.callErr(declined(mc.failureErr()))
 	}
 	if len(mc.admitQ) == 0 {
 		// Nobody waits ahead of it: with a slot free the call starts at
@@ -619,40 +647,14 @@ func (mc *muxConn) start(c *CallRecord, of outFrame) {
 	mc.enqueueFrame(of)
 }
 
-// laneForURI is the one lane rule: calls are striped by destination object.
-// Every call to one object rides one lane, blocking or completion-driven, so
-// a scatter round's frames to that object coalesce into the lane writer's
-// batched wire writes, and per-object send order falls out of the single
-// ordered outbound queue.
-func (ch *Channel) laneForURI(uri string) int {
-	n := ch.laneCount()
-	if n <= 1 {
-		return 0
-	}
-	return int(fnv1a(fnvOffset, uri) % uint32(n))
-}
-
-// fnvOffset is the 32-bit FNV-1a offset basis, the hash of no bytes.
-const fnvOffset = 2166136261
-
-// fnv1a folds s into h, a 32-bit FNV-1a hash: the hash of the lane rule and
-// of the bind table's stripes.
-func fnv1a(h uint32, s string) uint32 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-// submit sends c, which SetCall named and rearm numbered, and
-// returns without waiting: on its object's lane, dialled behind the peer's
-// breaker (dialBackoff, which a WithoutBreaker ctx bypasses) when the lane
-// is not up, encoded against the lane's bind table, through the lane's
-// admission queue. c.to receives the outcome, on the lane's reader goroutine
-// for replies, exactly once, unless submit itself returns an error, in which
-// case the call was never submitted and c.to hears nothing. fresh reports
-// that the lane was dialled for this call.
-func (ch *Channel) submit(netaddr string, c *CallRecord) (fresh bool, err error) {
+// submit sends c, which SetCall named and rearm numbered, and returns
+// without waiting: on its object's lane (getMux), encoded against the
+// lane's bind table, through the lane's admission queue. c.to receives the
+// outcome, on the lane's reader goroutine for replies, exactly once, unless
+// submit itself returns an error, in which case the call was never
+// submitted and c.to hears nothing. A Turn is asked once the lane is looked
+// up, and c's lane is set by then.
+func (ch *Channel) submit(netaddr string, c *CallRecord) (err error) {
 	ch.CountRecord(RecordDrawn)
 	defer func() {
 		if err != nil {
@@ -660,18 +662,19 @@ func (ch *Channel) submit(netaddr string, c *CallRecord) (fresh bool, err error)
 		}
 	}()
 	if err := c.ctx.Err(); err != nil {
-		return false, c.callErr(err)
+		return c.callErr(err)
 	}
-	mc, fresh, err := ch.getMux(netaddr, ch.laneForURI(c.ref.uri), c.has(recBlocking), breakerBypassed(c.ctx))
-	if t, ok := c.to.(Turn); ok && err == nil && !t.InTurn() {
-		err = errOutOfTurn
+	mc, err := ch.getMux(netaddr, c)
+	if mc == nil {
+		return err // nil when the failing lane holds c (park)
 	}
-	if err == nil {
-		var of outFrame
-		if of, err = mc.encodeRequest(c); err == nil {
-			c.mc = mc
-			err = mc.admit(c, of)
-		}
+	c.mc = mc
+	if t, ok := c.to.(Turn); ok && !t.InTurn() {
+		return errOutOfTurn
 	}
-	return fresh, err
+	of, err := mc.encodeRequest(c)
+	if err != nil {
+		return err
+	}
+	return mc.admit(c, of)
 }

@@ -307,3 +307,35 @@ func TestMultiplexedCloseDoesNotRetry(t *testing.T) {
 	}
 	openGate() // release the abandoned server-side handler
 }
+
+// TestFailLanesSendsOnceMore: a lane FailLanes fails tells its call in
+// flight ErrNodeDown, as a dead connection does, not Close's error, so a
+// blocking call is sent once more (Stale), on a lane dialled afresh, and is
+// answered there.
+func TestFailLanesSendsOnceMore(t *testing.T) {
+	ch, srv, net := newMuxServer(t)
+	g := newGateService()
+	openGate := sync.OnceFunc(func() { close(g.gate) })
+	t.Cleanup(openGate)
+	srv.Marshal("g", g)
+	ref, _ := GetObject(ch, srv.URLFor("g"))
+	ar := goInvoke(ref, "WaitGate")
+	select {
+	case <-g.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitGate never reached the server")
+	}
+	ch.FailLanes()
+	select {
+	case <-g.started: // sent again, it waits at the gate too
+	case <-time.After(5 * time.Second):
+		t.Fatal("the call was not sent again after its lane failed")
+	}
+	openGate()
+	if got := <-ar; got.err != nil || got.v != "waited" {
+		t.Fatalf("call whose lane failed = %v, %v, want its answer", got.v, got.err)
+	}
+	if d := net.dials.Load(); d != 2 {
+		t.Errorf("dials = %d, want 2: the lane, and its replacement", d)
+	}
+}

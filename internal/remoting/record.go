@@ -4,7 +4,6 @@ package remoting
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -22,20 +21,21 @@ import (
 //
 // A record has one lifetime rule, whoever owns it: it is drawn from its
 // owner's store and goes back there when the lane and every hook on its
-// context are done with it, or else to the GC. A blocking call draws one its
-// ObjRef keeps (ObjRef.kept, or a pooled one when other calls have them),
-// whose Completer is the record's own blockingWait, parks on it, and gives it
-// back unless it abandoned it while the lane held it (recLost). A
-// completion-driven call's record is the caller's (SetCall, SetCompleter,
-// StartCall): core's asynchronous calls draw theirs, inside the attempt that
-// is its Completer, from their proxy's store, and give it back from the
-// completion that resolved the call's future, once a hook on the context
-// could be detached (Unwatch; Lost when it could not). The connection holds
-// the record from submission until to has been told, and touches nothing of
-// it afterwards (complete). Either kind may carry the caller's typed slot,
+// context are done with it, or else to the GC. A bare ObjRef's blocking call
+// draws one its ObjRef keeps (ObjRef.kept, or a pooled one when other calls
+// have them), whose Completer is the record's own blockingWait, parks on it,
+// and gives it back unless it abandoned it while the lane held it (recLost).
+// A completion-driven call's record is the caller's (SetCall, SetCompleter,
+// StartCall): core's calls, blocking and asynchronous, draw theirs, inside
+// the attempt that is its Completer, from their proxy's store, submit it
+// again as their rule says, and give it back from the completion that
+// resolved the call's future, once a hook on the context could be detached
+// (Unwatch; Lost when it could not). The connection holds the record from
+// submission until to has been told, and touches nothing of it afterwards
+// (complete). A completion-driven record may carry the caller's typed slot,
 // which is offered the result before it is decoded as a value: the
-// Completer is the call's slot when it is a ResultSink, as a blocking call's
-// record is, forwarding to its caller's.
+// Completer is the call's slot when it is a ResultSink, as core's attempt
+// is, forwarding to its caller's.
 type CallRecord struct {
 	req request
 	ref *ObjRef
@@ -51,7 +51,7 @@ type CallRecord struct {
 	ctx  context.Context
 	stop func() bool
 
-	// flags holds recCancelled, recWatched, recBlocking and recLost.
+	// flags holds recCancelled, recWatched and recLost.
 	flags atomic.Uint32
 }
 
@@ -61,9 +61,6 @@ const (
 	// recWatched: the caller watches ctx itself (a blocking call, a fan-out
 	// round), so admission installs no context.AfterFunc hook.
 	recWatched
-	// recBlocking: the submitter is a blocking caller, who waits for a
-	// failing lane to drain rather than be declined (getMux).
-	recBlocking
 	// recLost: someone besides the record's owner may still reach it, so
 	// it is never reused: a blocking call was abandoned on ctx while the
 	// lane held its record (the reader or fail had taken it, or it waits for
@@ -76,30 +73,18 @@ const (
 func (c *CallRecord) has(flag uint32) bool { return c.flags.Load()&flag != 0 }
 func (c *CallRecord) set(flag uint32)      { c.flags.Or(flag) }
 
-// blockingWait is a blocking call's record, kept by its ObjRef or drawn from
-// the pool of waits, and its Completer: the outcome lands in result and on rc
-// (capacity 1, so the completion never blocks), where the caller parks
-// (await). It is the call's ResultSink too, which forwards to sink, the
-// caller's typed slot for the result, nil for none.
+// blockingWait is a bare ObjRef's blocking call's record, kept by its ObjRef
+// or drawn from the pool of waits, and its Completer: the outcome lands in
+// result and on rc (capacity 1, so the completion never blocks), where the
+// caller parks (await).
 type blockingWait struct {
 	CallRecord
 	rc     chan error
 	result any
-	sink   ResultSink
 }
 
-// DecodeResult is ResultSink: the reply's result goes into the caller's
-// slot, when it has one, and the call finishes with w itself as its value.
-func (w *blockingWait) DecodeResult(d *wire.Decoder) bool {
-	return w.sink != nil && w.sink.DecodeResult(d)
-}
-
-// Complete hands the parked caller its outcome: a result decoded into the
-// caller's slot as the slot itself.
+// Complete hands the parked caller its outcome.
 func (w *blockingWait) Complete(v any, err error) {
-	if v == any(w) {
-		v = w.sink
-	}
 	w.result = v
 	w.rc <- err
 }
@@ -164,6 +149,10 @@ func (c *CallRecord) envelope() callRequest {
 // Context returns the ctx SetCall named.
 func (c *CallRecord) Context() context.Context { return c.ctx }
 
+// NetAddr returns the address of the host the record was last submitted to
+// (StartCall).
+func (c *CallRecord) NetAddr() string { return c.ref.netaddr }
+
 // Watch gives the call stop, the detach of the hook its caller put on the
 // call's context while the call waits to be submitted (in a queue, in a
 // mailbox), and Unwatch runs it. The caller unwatches before it submits the
@@ -209,16 +198,22 @@ func (f CompletionFunc) Complete(v any, err error) { f(v, err) }
 // is declined (errOutOfTurn). A lane that fails tells its calls before it
 // leaves the channel's table (fail), so a caller whose earlier calls the
 // failure sends back to be re-run hears of it before a later call can meet
-// the lane dialled in the failed one's place.
-type Turn interface{ InTurn() bool }
+// the lane dialled in the failed one's place. A call that meets its lane
+// failing is held by it (park) and told it was declined only once the lane
+// has left the table; Held tells the Turn so at once, on the submitter's
+// stack, so that it keeps later calls from passing the held one.
+type Turn interface {
+	InTurn() bool
+	Held()
+}
 
-// errOutOfTurn declines a submission its Turn withdrew.
-var errOutOfTurn = errors.New("remoting: call declined out of its caller's turn")
+// errOutOfTurn declines a submission its Turn withdrew (Declined).
+var errOutOfTurn = fmt.Errorf("%w out of its caller's turn", errDeclined)
 
 // waits is the kind of the blocking calls' records, which ObjRefs keep
 // (ObjRef.kept). A record goes back only when its channel is known empty and
 // the lane no longer holds it (blockingWait.settle), emptied, so it pins
-// neither arguments, result nor sink, and ready as its own Completer.
+// neither arguments nor result, and ready as its own Completer.
 var waits = keep.NewKind(func(w *blockingWait) bool {
 	rc := w.rc
 	if rc == nil {
@@ -226,7 +221,7 @@ var waits = keep.NewKind(func(w *blockingWait) bool {
 	}
 	*w = blockingWait{rc: rc}
 	w.to = w
-	w.set(recWatched | recBlocking)
+	w.set(recWatched)
 	return true
 })
 

@@ -492,7 +492,7 @@ func TestCallRecordsAccountedFor(t *testing.T) {
 	ref, _ := GetObject(ch, srv.URLFor("h"))
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
-		if v, err := ref.InvokeNestedCtx(ctx, nil, "Now", "x", nil); err == nil {
+		if v, err := ref.InvokeNestedCtx(ctx, "Now", "x", nil); err == nil {
 			t.Fatalf("Now(string, []any) = %v, want an arity error", v)
 		}
 		if v, err := ref.InvokeCtx(ctx, "Now", i); err != nil || v != i {
@@ -651,7 +651,7 @@ func TestQueuedFramesGiveEncodersBack(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			mc, _, err := ch.getMux(ref.netaddr, ch.laneForURI(ref.uri), true, false)
+			mc, err := laneFor(ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -684,11 +684,16 @@ func TestQueuedFramesGiveEncodersBack(t *testing.T) {
 	}
 }
 
+// laneFor returns ref's lane (getMux), dialling it if need be.
+func laneFor(ref *ObjRef) (*muxConn, error) {
+	return ref.ch.getMux(ref.netaddr, &CallRecord{ref: ref, ctx: context.Background()})
+}
+
 // auditEncoders installs a fresh encoder audit for t and, once t's channel
 // and server are closed, checks that every encoder drawn for a frame went
 // back.
-func auditEncoders(t *testing.T) *[2]atomic.Int64 {
-	a := new([2]atomic.Int64)
+func auditEncoders(t *testing.T) *encoderCounts {
+	a := new(encoderCounts)
 	encoderAudit.Store(a)
 	t.Cleanup(func() {
 		defer encoderAudit.Store(nil)

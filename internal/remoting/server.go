@@ -389,7 +389,7 @@ func (s *Server) handleConn(sc *serverConn) {
 			return
 		}
 		c := sc.newCall()
-		c.frame, c.audit = raw, countFrame()
+		c.frame, c.audit = raw, countFrame(sc.s.ch.frames)
 		handle, declared, err := readBoundCall(d, raw, &c.req, &c.args)
 		if err != nil {
 			// A framing failure desynchronises the stream, and without a
@@ -451,9 +451,10 @@ func (sc *serverConn) respond(req *callRequest, resp *callResponse) {
 			return
 		}
 	}
-	countEncoder(encoderDrawn)
+	of := outFrame{enc: enc, audit: sc.s.ch.encoders}
+	of.audit.add(encoderDrawn)
 	sc.wmu.Lock()
-	sc.pending = append(sc.pending, outFrame{enc: enc})
+	sc.pending = append(sc.pending, of)
 	if sc.writing {
 		// The active flusher's drain loop will write this frame.
 		sc.wmu.Unlock()

@@ -42,6 +42,41 @@ func (h *heard) wait(t *testing.T) (any, error) {
 	return h.v, h.err
 }
 
+// waitedSink is the Completer of a call its caller waits for (callInto), as
+// core's attempt is for a blocking call: a ResultSink that forwards to the
+// caller's slot, and hears a reply decoded there as itself.
+type waitedSink struct {
+	sink ResultSink
+	v    any
+	err  error
+	done chan struct{}
+}
+
+func (w *waitedSink) DecodeResult(d *wire.Decoder) bool { return w.sink.DecodeResult(d) }
+
+func (w *waitedSink) Complete(v any, err error) {
+	if v == any(w) {
+		v = w.sink
+	}
+	w.v, w.err = v, err
+	close(w.done)
+}
+
+// callInto makes the runtime call call(method) on ref with sink as the
+// result's typed slot, and waits for its outcome: the sink itself when the
+// reply was decoded into it.
+func callInto(ctx context.Context, ref *ObjRef, sink ResultSink, call, method string) (any, error) {
+	w := &waitedSink{sink: sink, done: make(chan struct{})}
+	c := new(CallRecord)
+	c.SetCall(ctx, call, method, nil)
+	c.SetCompleter(w)
+	if err := ref.StartCall(c); err != nil {
+		return nil, err
+	}
+	<-w.done
+	return w.v, w.err
+}
+
 // slotHeard is a heard that is its own typed slot, as a completion-driven
 // call's Completer is.
 type slotHeard[T any] struct {
@@ -283,8 +318,9 @@ func TestReplyBodyFailureFailsItsCall(t *testing.T) {
 	if v, err := ref.Invoke("M"); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 		t.Errorf("blocking call = %v, %v, want the decode error", v, err)
 	}
-	// Until the failed lane leaves the table, getMux declines a
-	// completion-driven call with its failure: wait, so the next call dials.
+	// Until the failed lane leaves the table, getMux holds a
+	// completion-driven call and then declines it: wait, so the next call
+	// dials.
 	ch.muxMu.Lock()
 	lanes := make([]*muxConn, 0, len(ch.muxPeers))
 	for _, mc := range ch.muxPeers {
@@ -345,11 +381,12 @@ func probeValue(name string) any {
 	panic("no probe of type " + name)
 }
 
-// TestBlockingRecordSink: a blocking call given a typed slot of every type
-// (InvokeNestedCtx), over loopback TCP with recycled frames poisoned, has
-// its reply decoded into the slot and returns the sink itself, holding what
-// the generic decode gives; a result of another type is returned as a value
-// and leaves the sink alone. A []byte result held in a slot stays what it
+// TestBlockingRecordSink: a call its caller waits for, given a typed slot of
+// every type through its record's Completer (callInto, as core's blocking
+// call gives its caller's slot), over loopback TCP with recycled frames
+// poisoned, has its reply decoded into the slot and returns the sink itself,
+// holding what the generic decode gives; a result of another type is
+// returned as a value and leaves the sink alone. A []byte result held in a slot stays what it
 // was through a hundred later replies on the connection, whether it was
 // copied out of its frame (100 B, which went back to the connection) or
 // borrowed (4 KiB, whose frame did not).
@@ -366,7 +403,7 @@ func TestBlockingRecordSink(t *testing.T) {
 	ref, _ := GetObject(ch, srv.URLFor("probes"))
 	ctx := context.Background()
 	for i := 0; i < 2; i++ { // declare and confirm the handle: calls are bound from here
-		if _, err := ref.InvokeNestedCtx(ctx, nil, "Value", "string", nil); err != nil {
+		if _, err := ref.InvokeNestedCtx(ctx, "Value", "string", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,7 +419,7 @@ func TestBlockingRecordSink(t *testing.T) {
 			p := newProbe()
 			settled(t, frames, 0)
 			borrowed := frames[frameBorrowed].Load()
-			v, err := ref.InvokeNestedCtx(ctx, p.sink, "Value", name, nil)
+			v, err := callInto(ctx, ref, p.sink, "Value", name)
 			if took, _ := p.state(); err != nil || v != any(p.sink) || !took || !sameValue(t, p.slot(), probeValue(name)) {
 				t.Fatalf("%s: returned %v, %v, slot took=%v and holds %v", name, v, err, took, p.slot())
 			}
@@ -398,13 +435,13 @@ func TestBlockingRecordSink(t *testing.T) {
 		if name == other {
 			other = "int"
 		}
-		v, err := ref.InvokeNestedCtx(ctx, p.sink, "Value", other, nil)
+		v, err := callInto(ctx, ref, p.sink, "Value", other)
 		if took, moved := p.state(); err != nil || v == any(p.sink) || took || moved || !sameValue(t, v, probeValue(other)) {
 			t.Errorf("sink of %s offered a %s: returned %v, %v, took=%v moved=%v", name, other, v, err, took, moved)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		if _, err := ref.InvokeNestedCtx(ctx, nil, "Value", []string{"[]uint8", "bytes4k"}[i%2], nil); err != nil {
+		if _, err := ref.InvokeNestedCtx(ctx, "Value", []string{"[]uint8", "bytes4k"}[i%2], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

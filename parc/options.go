@@ -92,15 +92,19 @@ type RetryPolicy = remoting.RetryPolicy
 // attempts.
 func DefaultRetryPolicy() RetryPolicy { return remoting.DefaultRetryPolicy() }
 
-// WithRetry installs a retry policy on every node's channel: remote calls
-// that fail with a retryable error (ErrNodeDown, connection resets,
-// ErrOverloaded sheds — never application errors) are retried with
-// jittered exponential backoff, honouring server retry-after hints and
-// the call context's deadline budget. A retry at a peer that just refused
-// a connection fails fast: every channel backs off its dials to such a
-// peer (10ms doubling to 500ms), retry or not, and the health probes that
-// route placement around dead nodes meet the same backoff. The zero policy
-// (default) keeps the historical single-attempt behaviour.
+// WithRetry installs a retry policy on every node's channel: every remote
+// call, blocking (Call) and asynchronous (CallAsync, Scatter, Send) alike,
+// that fails with a retryable error (ErrNodeDown, connection resets,
+// ErrOverloaded sheds — never application errors) is sent again, in its
+// place in its handle's call order, after a jittered exponential backoff,
+// honouring server retry-after hints and the call context's deadline
+// budget; the backoff holds no goroutine, and a Cancel, the end of the
+// call's context or the cluster's Close ends it early. WithoutRetry opts
+// one call out. A retry at a peer that just refused a connection fails
+// fast: every channel backs off its dials to such a peer (10ms doubling to
+// 500ms), retry or not, and the health probes that route placement around
+// dead nodes meet the same backoff. The zero policy (default) makes one
+// attempt, apart from the resends every call has (SPEC.md).
 func WithRetry(p RetryPolicy) Option { return func(o *options) { o.cfg.Retry = p } }
 
 // WithIdempotentCalls makes retried calls effectively-once: every

@@ -47,15 +47,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // Without the option the caller sees that error; with
 // WithRetry(DefaultRetryPolicy()) the call is sent again after the server's
 // retry-after hint and succeeds once the gate has opened, unless the call's
-// context says WithoutRetry.
+// context says WithoutRetry. An asynchronous call (CallAsync) is retried as
+// a blocking one is.
 func TestRetryOption(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		retry, without bool
+		name                  string
+		retry, without, async bool
 	}{
-		{"retry=false", false, false},
-		{"retry=true", true, false},
-		{"retry=true,WithoutRetry", true, true},
+		{"retry=false", false, false, false},
+		{"retry=true", true, false, false},
+		{"retry=true,WithoutRetry", true, true, false},
+		{"retry=true,CallAsync", true, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := []Option{WithMailboxBound(1)}
@@ -79,7 +81,13 @@ func TestRetryOption(t *testing.T) {
 				if tc.without {
 					callCtx = WithoutRetry(ctx)
 				}
-				v, err := Call[int](callCtx, obj, "Echo", 3)
+				call := Call[int, Gated]
+				if tc.async {
+					call = func(ctx context.Context, obj *Object[Gated], method string, args ...any) (int, error) {
+						return CallAsync[int](ctx, obj, method, args...).Get(ctx)
+					}
+				}
+				v, err := call(callCtx, obj, "Echo", 3)
 				if err == nil && v != 3 {
 					err = fmt.Errorf("Echo(3) = %d", v)
 				}
